@@ -51,10 +51,12 @@
 //!     Validate `BENCH_storage.json` (the out-of-core residency sweep):
 //!     schema string, every point's loss/accuracy bits equal to the
 //!     tier-off baseline's, bytes conserved exactly between the DSM and
-//!     disk tiers (`storage + dsm == uncached total`), zero disk traffic
-//!     at full residency, disk rows monotone as residency shrinks, and
-//!     the prefetch-overlapped storage time strictly below the blocking
-//!     sum at every point with <= 50% residency.
+//!     disk tiers (`storage + dsm == uncached total`), the issued I/O
+//!     consistent with the logical traffic (`storage_requests <=
+//!     storage_rows`, `storage_read_bytes >= storage_bytes`), zero disk
+//!     traffic at full residency, disk rows monotone as residency
+//!     shrinks, and the prefetch-overlapped storage time strictly below
+//!     the blocking sum at every point with <= 50% residency.
 //!
 //! check_bench serving <bench.json>
 //!     Validate `BENCH_serving.json` (the serving sweep): schema string,
@@ -405,9 +407,9 @@ fn storage(path: &str) -> i32 {
         failures += 1;
     };
     match doc.get("schema").and_then(Json::as_str) {
-        Some("wg-storage-sweep-v1") => {}
+        Some("wg-storage-sweep-v2") => {}
         got => fail(format!(
-            "schema {} != wg-storage-sweep-v1",
+            "schema {} != wg-storage-sweep-v2",
             got.unwrap_or("<missing>")
         )),
     }
@@ -464,6 +466,23 @@ fn storage(path: &str) -> i32 {
             ));
         }
         let disk = num_field(p, "storage_rows");
+        // Issued I/O vs logical traffic: coalescing merges requests and
+        // bridges gaps, never the reverse.
+        let (requests, read_bytes) = (
+            num_field(p, "storage_requests"),
+            num_field(p, "storage_read_bytes"),
+        );
+        if requests > disk || (disk > 0.0 && requests <= 0.0) {
+            fail(format!("{frac}: {requests} requests for {disk} disk rows"));
+        }
+        if read_bytes < num_field(p, "storage_bytes") {
+            fail(format!(
+                "{frac}: read {read_bytes} B, fewer than the storage bytes delivered"
+            ));
+        }
+        if num_field(p, "fetch_ms") < 0.0 {
+            fail(format!("{frac}: negative host fetch_ms"));
+        }
         if disk < prev_disk {
             fail(format!("disk rows not monotone at frac {frac}"));
         }
@@ -504,7 +523,7 @@ fn storage(path: &str) -> i32 {
     if failures == 0 {
         println!(
             "check_bench storage: OK ({} points; numerics pinned, dsm + disk bytes conserved, \
-             prefetch overlap holds on {overlap_gated} low-residency points)",
+             requests <= rows, read bytes >= storage bytes, prefetch overlap holds on {overlap_gated} low-residency points)",
             points.len()
         );
         0

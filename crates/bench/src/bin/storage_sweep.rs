@@ -4,10 +4,12 @@
 //! the power-law degree profile, tiny GraphSage, 4 simulated GPUs) once
 //! with the tier off and then with only a fraction of the feature rows
 //! DSM-resident (100% → 10%), and writes `BENCH_storage.json` with
-//! per-point disk traffic, NVMe time (blocking vs prefetch-overlapped),
-//! and epoch times.
+//! per-point disk traffic — logical rows/bytes and the coalesced ranged
+//! reads actually issued for them — NVMe time (blocking vs
+//! prefetch-overlapped), host time spent in the fetches, and epoch
+//! times.
 //!
-//! Three invariants make the artifact gateable (`check_bench storage`):
+//! Four invariants make the artifact gateable (`check_bench storage`):
 //!
 //! * **Values never move** — every point's loss/accuracy bits equal the
 //!   tier-off baseline's, even though the non-resident rows genuinely
@@ -17,6 +19,11 @@
 //!   into DSM-served and disk-served: `storage_bytes + dsm_bytes`
 //!   equals the baseline's `algo_bytes`. No row is dropped or fetched
 //!   twice at the accounting layer.
+//! * **Priced I/O is issued I/O** — the tier coalesces file-adjacent
+//!   rows into ranged reads, so it issues no more requests than rows
+//!   (`storage_requests <= storage_rows`) and, bridging gaps, reads no
+//!   fewer bytes than it delivers (`storage_read_bytes >=
+//!   storage_bytes`); the blocking time is the price of those requests.
 //! * **Prefetch overlaps** — the storage time left exposed after
 //!   double-buffering each wave's NVMe reads against the previous
 //!   wave's compute is *strictly* below the blocking sum whenever the
@@ -50,6 +57,12 @@ struct Point {
     /// Rows / bytes served from the spill file.
     storage_rows: u64,
     storage_bytes: u64,
+    /// Ranged reads issued to the spill file / bytes they transferred.
+    storage_requests: u64,
+    storage_read_bytes: u64,
+    /// Host wall-clock spent inside the tier's fetches (sort, coalesce,
+    /// `pread`, decode) over the measured epoch.
+    fetch_host: f64,
     /// NVMe time charged as if every prefetch blocked its gather.
     blocking: SimTime,
     /// NVMe time left exposed after per-wave prefetch overlap.
@@ -81,7 +94,8 @@ fn run(dataset: &Arc<SyntheticDataset>, budget_rows: Option<usize>, frac: f64) -
     let before = wg_trace::metrics::snapshot();
     let r = pipe.train_epoch(1);
     let after = wg_trace::metrics::snapshot();
-    let delta = |name: &str| (counter(&after, name) - counter(&before, name)).round() as u64;
+    let delta_f = |name: &str| counter(&after, name) - counter(&before, name);
+    let delta = |name: &str| delta_f(name).round() as u64;
     Point {
         frac,
         budget_rows: budget_rows.unwrap_or(0),
@@ -90,6 +104,9 @@ fn run(dataset: &Arc<SyntheticDataset>, budget_rows: Option<usize>, frac: f64) -
         bus_bytes: delta("mem.gather.bus_bytes"),
         storage_rows: delta("mem.storage.rows"),
         storage_bytes: delta("mem.storage.bytes"),
+        storage_requests: delta("mem.storage.requests"),
+        storage_read_bytes: delta("mem.storage.read_bytes"),
+        fetch_host: delta_f("mem.storage.fetch_host_s"),
         blocking: r.storage_time,
         exposed: r.storage_exposed_time,
         epoch_time: r.epoch_time,
@@ -104,6 +121,7 @@ fn point_json(p: &Point, row_bytes: u64) -> String {
         "    {{\"frac\": {:.4}, \"budget_rows\": {}, \"rows\": {}, \
          \"algo_bytes\": {}, \"bus_bytes\": {}, \"storage_rows\": {}, \
          \"storage_bytes\": {}, \"dsm_bytes\": {}, \
+         \"storage_requests\": {}, \"storage_read_bytes\": {}, \"fetch_ms\": {:.3}, \
          \"storage_blocking_s\": {:.9}, \"storage_exposed_s\": {:.9}, \
          \"epoch_time_s\": {:.9}, \"gather_time_s\": {:.9}, \
          \"loss_bits\": \"{:08x}\", \"accuracy_bits\": \"{:016x}\"}}",
@@ -115,6 +133,9 @@ fn point_json(p: &Point, row_bytes: u64) -> String {
         p.storage_rows,
         p.storage_bytes,
         (p.rows - p.storage_rows) * row_bytes,
+        p.storage_requests,
+        p.storage_read_bytes,
+        p.fetch_host * 1e3,
         p.blocking.as_secs(),
         p.exposed.as_secs(),
         p.epoch_time.as_secs(),
@@ -159,6 +180,9 @@ fn main() {
         "budget rows",
         "disk rows",
         "disk MB",
+        "requests",
+        "read MB",
+        "fetch (host)",
         "blocking",
         "exposed",
         "gather",
@@ -174,6 +198,9 @@ fn main() {
             p.budget_rows.to_string(),
             p.storage_rows.to_string(),
             format!("{:.2}", p.storage_bytes as f64 / 1e6),
+            p.storage_requests.to_string(),
+            format!("{:.2}", p.storage_read_bytes as f64 / 1e6),
+            format!("{:.2}ms", p.fetch_host * 1e3),
             format!("{}", p.blocking),
             format!("{}", p.exposed),
             format!("{}", p.gather_time),
@@ -212,6 +239,16 @@ fn main() {
             p.frac * 100.0
         );
         assert_eq!(p.storage_bytes, p.storage_rows * row_bytes);
+        // Coalescing only ever merges requests and only ever adds gap
+        // bytes (a gather's rows are unique, so none are saved).
+        assert!(
+            p.storage_requests <= p.storage_rows,
+            "more requests than rows"
+        );
+        assert!(
+            p.storage_read_bytes >= p.storage_bytes,
+            "read less than delivered"
+        );
         // The prefetch overlap must genuinely hide NVMe time behind
         // compute whenever the tier serves rows.
         if p.storage_rows > 0 {
@@ -237,12 +274,13 @@ fn main() {
     }
     println!(
         "\nall points bit-identical to tier-off baseline; dsm + disk bytes == uncached total; \
-         prefetch overlap strictly hides NVMe time"
+         requests <= rows and read bytes >= delivered bytes; prefetch overlap strictly hides \
+         NVMe time"
     );
 
     let points_json: Vec<String> = points.iter().map(|p| point_json(p, row_bytes)).collect();
     let json = format!(
-        "{{\n  \"schema\": \"wg-storage-sweep-v1\",\n  \"dataset\": \"ogbn-products\",\n  \
+        "{{\n  \"schema\": \"wg-storage-sweep-v2\",\n  \"dataset\": \"ogbn-products\",\n  \
          \"scale\": 300,\n  \"seed\": 3,\n  \"total_rows\": {total_rows},\n  \
          \"row_bytes\": {row_bytes},\n  \"baseline\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         point_json(&baseline, row_bytes),

@@ -294,8 +294,8 @@ fn cmd_train(flags: HashMap<String, String>) {
         );
         if r.storage_time > SimTime::ZERO {
             println!(
-                "  storage tier: {} of NVMe reads inside gather; {} exposed after prefetch overlap",
-                r.storage_time, r.storage_exposed_time
+                "  storage tier: {}; blocking {} inside gather, exposed {} after prefetch overlap",
+                r.storage_io, r.storage_time, r.storage_exposed_time
             );
         }
         let occ = r.occupancy;
@@ -578,6 +578,12 @@ fn cmd_serve(flags: HashMap<String, String>) {
         report.gather_time,
         report.compute_time
     );
+    if report.storage_time > SimTime::ZERO {
+        println!(
+            "  storage tier: {}; blocking {} inside gather",
+            report.storage_io, report.storage_time
+        );
+    }
     if let Some(path) = trace_path {
         wg_trace::disable_all();
         if let Err(e) = wholegraph::observability::write_chrome_trace(&path, pipe.machine()) {

@@ -64,7 +64,7 @@ pub mod trainer;
 pub use framework::Framework;
 pub use pipeline::{
     CacheConfig, EpochOccupancy, EpochReport, ExecMode, FeaturePlacement, InferenceReport,
-    Pipeline, PipelineConfig, ServeTimes, StorageConfig, SERVE_EPOCH,
+    Pipeline, PipelineConfig, ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
 };
 pub use trainer::{TrainOutcome, Trainer, TrainerConfig};
 
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::multinode::{MultiNode, MultiNodeConfig, MultiNodeEpochReport, SyncConfig};
     pub use crate::pipeline::{
         CacheConfig, EpochOccupancy, EpochReport, ExecMode, FeaturePlacement, Pipeline,
-        PipelineConfig, ServeTimes, StorageConfig, SERVE_EPOCH,
+        PipelineConfig, ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
     };
     pub use crate::trainer::{TrainOutcome, Trainer, TrainerConfig};
     pub use wg_gnn::{GnnConfig, GnnModel, LayerProvider, ModelKind};

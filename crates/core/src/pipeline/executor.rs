@@ -22,7 +22,9 @@ use wg_sim::{DeviceId, Machine, SimTime};
 
 use crate::framework::Framework;
 use crate::pipeline::config::ExecMode;
-use crate::pipeline::report::{occupancy_from_trace, EpochReport, IterTimes, IterationResult};
+use crate::pipeline::report::{
+    occupancy_from_trace, EpochReport, IterTimes, IterationResult, StorageIo,
+};
 
 /// An epoch-scheduling strategy.
 pub trait Executor {
@@ -59,17 +61,22 @@ pub fn executor_for(mode: ExecMode) -> &'static dyn Executor {
     }
 }
 
-/// Phase-time totals, exposed storage time, mean loss and accuracy over
-/// the (cycled) waves — identical for every executor. The exposed sum
+/// Phase-time totals, exposed storage time, storage traffic, mean loss
+/// and accuracy over the (cycled) waves — identical for every executor. The exposed sum
 /// prices the storage tier's async prefetch: wave `w`'s NVMe reads are
 /// double-buffered against wave `w-1`'s compute, so only the part of
 /// each wave's storage time exceeding its compute time surfaces as
 /// added wall clock.
-fn aggregate(results: &[IterationResult], waves: usize) -> (IterTimes, SimTime, f32, f64) {
+fn aggregate(
+    results: &[IterationResult],
+    waves: usize,
+) -> (IterTimes, SimTime, StorageIo, f32, f64) {
     let mut totals = IterTimes::default();
     let mut exposed = SimTime::ZERO;
+    let mut storage_io = StorageIo::default();
     for w in 0..waves {
         let t = results[w % results.len()].times;
+        storage_io += results[w % results.len()].storage_io;
         totals.sample += t.sample;
         totals.gather += t.gather;
         totals.train += t.train;
@@ -83,7 +90,13 @@ fn aggregate(results: &[IterationResult], waves: usize) -> (IterTimes, SimTime, 
     let loss = results.iter().map(|r| r.loss).sum::<f32>() / results.len() as f32;
     let correct: usize = results.iter().map(|r| r.correct).sum();
     let seen: usize = results.iter().map(|r| r.batch).sum();
-    (totals, exposed, loss, correct as f64 / seen.max(1) as f64)
+    (
+        totals,
+        exposed,
+        storage_io,
+        loss,
+        correct as f64 / seen.max(1) as f64,
+    )
 }
 
 /// Sample → gather → train → AllReduce back-to-back per wave.
@@ -119,7 +132,7 @@ impl Executor for SerialExecutor {
             machine.run_all_gpus(Phase::Communication, true, t.comm);
         }
         let epoch_end = machine.now(gpu0);
-        let (totals, exposed, loss, train_accuracy) = aggregate(results, waves);
+        let (totals, exposed, storage_io, loss, train_accuracy) = aggregate(results, waves);
         EpochReport {
             epoch_time: totals.total(),
             sample_time: totals.sample,
@@ -128,6 +141,7 @@ impl Executor for SerialExecutor {
             comm_time: totals.comm,
             storage_time: totals.storage,
             storage_exposed_time: exposed,
+            storage_io,
             loss,
             train_accuracy,
             iterations: total_iters,
@@ -201,7 +215,7 @@ impl Executor for OverlappedExecutor {
             }
         }
 
-        let (totals, exposed, loss, train_accuracy) = aggregate(results, waves);
+        let (totals, exposed, storage_io, loss, train_accuracy) = aggregate(results, waves);
         EpochReport {
             epoch_time: epoch_end - epoch_start,
             sample_time: totals.sample,
@@ -210,6 +224,7 @@ impl Executor for OverlappedExecutor {
             comm_time: totals.comm,
             storage_time: totals.storage,
             storage_exposed_time: exposed,
+            storage_io,
             loss,
             train_accuracy,
             iterations: total_iters,
@@ -259,6 +274,12 @@ mod tests {
                 storage: SimTime::from_secs(storage),
                 ..times(0.5, storage + 0.5, train, 0.5)
             },
+            storage_io: StorageIo {
+                rows: 4,
+                bytes: 1600,
+                requests: 2,
+                read_bytes: 2000,
+            },
             loss: 1.0,
             correct: 1,
             batch: 2,
@@ -266,7 +287,9 @@ mod tests {
             sample_stats: SampleStats::default(),
         };
         let results = [mk(1.0, 3.0), mk(5.0, 1.5)];
-        let (totals, exposed, _, _) = aggregate(&results, 2);
+        let (totals, exposed, io, _, _) = aggregate(&results, 2);
+        assert_eq!((io.rows, io.requests, io.read_bytes), (8, 4, 4000));
+        assert_eq!(io.read_amplification(), 1.25);
         assert_eq!(totals.storage.as_secs(), 6.0);
         assert_eq!(exposed.as_secs(), 3.0);
         assert!(exposed < totals.storage);

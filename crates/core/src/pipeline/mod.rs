@@ -50,6 +50,7 @@ pub use config::{CacheConfig, ExecMode, FeaturePlacement, PipelineConfig, Storag
 pub use executor::{executor_for, Executor, OverlappedExecutor, SerialExecutor};
 pub use report::{
     EpochOccupancy, EpochReport, InferenceReport, IterTimes, IterationResult, PhaseOccupancy,
+    StorageIo,
 };
 pub use stages::{GatherStage, IterContext, SampleStage, Stage, TrainStage};
 
@@ -139,6 +140,11 @@ pub struct ServeTimes {
     pub gather: SimTime,
     /// Forward-pass compute time.
     pub compute: SimTime,
+    /// Out-of-core storage-tier time of this pass's gather — already
+    /// part of `gather`, not re-added by [`total`](Self::total).
+    pub storage: SimTime,
+    /// Storage-tier traffic behind `storage`.
+    pub storage_io: StorageIo,
 }
 
 impl ServeTimes {
@@ -209,11 +215,12 @@ pub struct Pipeline {
     /// [`StorageConfig`] budget; cost-only — numerics are identical with
     /// or without it, at any residency.
     ooc: Option<OocTier<f32>>,
-    /// Storage-tier time of the most recent [`gather`](Self::gather)
-    /// call (zero when the tier is off or fully resident) — read by
-    /// `run_iteration_inner` to report the gather's storage
-    /// sub-component without changing the stage-graph signatures.
-    last_storage_time: SimTime,
+    /// Storage-tier time and traffic of the most recent
+    /// [`gather`](Self::gather) call (zero when the tier is off or fully
+    /// resident) — read by `run_iteration_inner` and `serve_forward` to
+    /// report the gather's storage sub-component without changing the
+    /// stage-graph signatures.
+    last_storage: (SimTime, StorageIo),
     /// Present when this pipeline is one replica of a multi-node run.
     pub(crate) dist: Option<DistContext>,
     /// Snapshot of the freshly initialized parameters, so
@@ -305,9 +312,9 @@ impl Pipeline {
         };
         // The out-of-core tier sits below the DSM feature store:
         // everything beyond the residency budget is served from the
-        // spill file (which also carries the CSR adjacency), priced by
-        // the NVMe storage cost model. Host pipelines and HostMapped
-        // placements keep their features in DRAM already — no tier.
+        // spill file, priced by the NVMe storage cost model. Host
+        // pipelines and HostMapped placements keep their features in
+        // DRAM already — no tier.
         let ooc = match (&store, cfg.resolved_storage()) {
             (StoreImpl::Dsm(s), Some(sc))
                 if cfg.feature_placement != FeaturePlacement::HostMapped =>
@@ -329,7 +336,7 @@ impl Pipeline {
             scratch: IterScratch::default(),
             cache,
             ooc,
-            last_storage_time: SimTime::ZERO,
+            last_storage: Default::default(),
             dist: None,
             init_params,
         })
@@ -354,9 +361,9 @@ impl Pipeline {
         }
     }
 
-    /// Build the out-of-core tier: spill every feature row plus the CSR
-    /// adjacency to the tier's file, then keep the `budget_rows` hottest
-    /// rows DSM-resident. The hotness signal is the same degree-based one
+    /// Build the out-of-core tier: spill every feature row to the
+    /// tier's file, then keep the `budget_rows` hottest rows
+    /// DSM-resident. The hotness signal is the same degree-based one
     /// the static cache uses (the `+1` keeps real vertices ahead of DSM
     /// padding rows, which stay at hotness 0 and spill first).
     fn build_ooc(store: &MultiGpuGraph, budget_rows: usize) -> OocTier<f32> {
@@ -364,11 +371,8 @@ impl Pipeline {
         for v in 0..store.num_nodes() as NodeId {
             hotness[store.feature_row(v)] = store.degree(v) as u64 + 1;
         }
-        let mut tier = OocTier::build(store.features(), &hotness, budget_rows)
-            .expect("ooc: failed to build the storage-tier spill file");
-        tier.write_adjacency(store.node_meta(), store.edges())
-            .expect("ooc: failed to spill the CSR adjacency");
-        tier
+        OocTier::build(store.features(), &hotness, budget_rows)
+            .expect("ooc: failed to build the storage-tier spill file")
     }
 
     /// Attach the multi-node execution context (machine rank, feature
@@ -581,7 +585,7 @@ impl Pipeline {
         // across the data-parallel ranks) — also the device whose feature
         // cache the halo accounting consults.
         let rank = (iter % self.machine.num_gpus() as u64) as u32;
-        self.last_storage_time = SimTime::ZERO;
+        self.last_storage = Default::default();
         let t_halo = self.halo_time(mb.input_nodes(), rank);
         let input = mb.input_nodes();
         wg_trace::counter!(
@@ -634,7 +638,10 @@ impl Pipeline {
                 let stats = if let Some(tier) = self.ooc.as_mut() {
                     // Tiered resolution: cache → DSM → disk. The tier's
                     // batched prefetch stages the disk-planned rows, and
-                    // its priced time lands in `stats.storage_time`.
+                    // its priced time lands in `stats.storage_time`. A
+                    // spill-file read error stops the run here, the one
+                    // I/O `expect` left until ROADMAP item 4 carries it
+                    // into `EpochReport`.
                     plan_gather_tiered(
                         s.features(),
                         &rows,
@@ -653,6 +660,7 @@ impl Pipeline {
                         self.cache.as_mut(),
                         tier,
                     )
+                    .expect("ooc: spill file read failed")
                 } else if let Some(cache) = self.cache.as_mut() {
                     plan_gather_cached(s.features(), &rows, &mut plan, cache, rank);
                     global_gather_planned_cached(
@@ -678,7 +686,7 @@ impl Pipeline {
                 let num_rows = rows.len();
                 self.scratch.plan = plan;
                 self.scratch.gather_rows = rows;
-                self.last_storage_time = stats.storage_time;
+                self.last_storage = (stats.storage_time, stats.storage_io);
                 (Matrix::from_vec(num_rows, feat_dim, out), stats.sim_time)
             }
             StoreImpl::Host(h) => {
@@ -809,14 +817,17 @@ impl Pipeline {
         wall[1] += t2 - t1;
         wall[2] += t3 - t2;
         let comm = ctx.comm;
-        let storage = ctx.pipeline.last_storage_time;
-        ctx.into_result(IterTimes {
-            sample,
-            gather,
-            train,
-            comm,
-            storage,
-        })
+        let (storage, storage_io) = ctx.pipeline.last_storage;
+        ctx.into_result(
+            IterTimes {
+                sample,
+                gather,
+                train,
+                comm,
+                storage,
+            },
+            storage_io,
+        )
     }
 
     /// The epoch's shuffled batches.
@@ -1029,10 +1040,13 @@ impl Pipeline {
             self.scratch.blocks = blocks;
         }
         self.recycle_iter_buffers(Some(mb), handles);
+        let (storage, storage_io) = self.last_storage;
         ServeTimes {
             sample: sample_time,
             gather: gather_time,
             compute: compute_time,
+            storage,
+            storage_io,
         }
     }
 
@@ -1524,11 +1538,18 @@ mod tests {
             partial.storage_exposed_time,
             partial.storage_time
         );
+        // The priced reads are the issued ones: file-adjacent rows
+        // coalesce, and a range pays for the gaps it bridges.
+        let io = partial.storage_io;
+        assert!(io.rows > 0 && io.bytes == io.rows * 400, "{io:?}");
+        assert!(io.requests > 0 && io.requests <= io.rows, "{io:?}");
+        assert!(io.read_bytes >= io.bytes, "{io:?}");
         // Full residency: the tier is built and the tiered path runs,
         // but zero rows are disk-served — cost-identical to in-memory.
         let full = epoch_with_storage(usize::MAX);
         assert_eq!(full.storage_time, SimTime::ZERO);
         assert_eq!(full.storage_exposed_time, SimTime::ZERO);
+        assert_eq!(full.storage_io, StorageIo::default());
         assert_eq!(full.gather_time, base.gather_time);
         assert_eq!(full.epoch_time, base.epoch_time);
     }

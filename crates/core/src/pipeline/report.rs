@@ -2,6 +2,7 @@
 //! occupancy accounting derived from stream traces.
 
 use wg_gnn::cost::BlockShape;
+pub use wg_mem::StorageIo;
 use wg_sample::SampleStats;
 use wg_sim::trace::Phase;
 use wg_sim::{SimTime, UtilizationTrace};
@@ -48,6 +49,8 @@ impl IterTimes {
 pub struct IterationResult {
     /// Phase times of this iteration.
     pub times: IterTimes,
+    /// Storage-tier traffic behind `times.storage`.
+    pub storage_io: StorageIo,
     /// Mini-batch training loss.
     pub loss: f32,
     /// Correct predictions on the batch.
@@ -178,6 +181,11 @@ pub struct EpochReport {
     /// `storage_time` whenever storage and compute are both nonzero —
     /// the overlap win the `storage_sweep` bench gates on.
     pub storage_exposed_time: SimTime,
+    /// Storage-tier traffic behind `storage_time`, summed over the same
+    /// waves (one rank's iteration per wave — the `mem.storage.*`
+    /// counters, which see every rank's gathers, run `num_gpus` times
+    /// higher).
+    pub storage_io: StorageIo,
     /// Mean training loss over executed iterations.
     pub loss: f32,
     /// Training accuracy over executed iterations.

@@ -19,7 +19,7 @@ use wg_tensor::ops::{argmax_rows_into, softmax_cross_entropy_into};
 use wg_tensor::Matrix;
 
 use crate::convert::{minibatch_blocks_into, minibatch_shapes};
-use crate::pipeline::report::{IterTimes, IterationResult};
+use crate::pipeline::report::{IterTimes, IterationResult, StorageIo};
 use crate::pipeline::Pipeline;
 use wg_graph::NodeId;
 use wg_sample::MiniBatch;
@@ -78,12 +78,17 @@ impl<'p> IterContext<'p> {
     /// Assemble the iteration result from the completed stages' output,
     /// returning the iteration's transient buffers to the pipeline's
     /// recycle pools on the way out.
-    pub(crate) fn into_result(mut self, times: IterTimes) -> IterationResult {
+    pub(crate) fn into_result(
+        mut self,
+        times: IterTimes,
+        storage_io: StorageIo,
+    ) -> IterationResult {
         let mb = self.minibatch.take();
         let handles = std::mem::take(&mut self.handles);
         self.pipeline.recycle_iter_buffers(mb, handles);
         IterationResult {
             times,
+            storage_io,
             loss: self.loss,
             correct: self.correct,
             batch: self.batch_nodes.len(),

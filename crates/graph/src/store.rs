@@ -348,21 +348,6 @@ impl MultiGpuGraph {
         rank as u64 * self.edge_rows_per_rank as u64 + meta[0]
     }
 
-    /// The distributed node-metadata allocation (per padded row:
-    /// `[edge_start_local, degree]`) — exposed so the out-of-core tier
-    /// can spill the CSR alongside the features
-    /// ([`OocTier::write_adjacency`](wg_mem::OocTier::write_adjacency)).
-    pub fn node_meta(&self) -> &WholeMemory<u64> {
-        &self.node_meta
-    }
-
-    /// The distributed edge-list allocation (packed raw [`GlobalId`]s,
-    /// `edge_rows_per_rank` stride per rank) — see
-    /// [`node_meta`](Self::node_meta).
-    pub fn edges(&self) -> &WholeMemory<u64> {
-        &self.edges
-    }
-
     /// Pin the structure allocations (node metadata + edge lists) and
     /// return a zero-copy [`AdjacencyView`]: degree / neighbor / edge-slot
     /// lookups become plain indexed loads into the pinned regions, with no
@@ -537,37 +522,6 @@ mod tests {
             let expect = &features[v as usize * 6..(v as usize + 1) * 6];
             assert_eq!(&out[i * 6..(i + 1) * 6], expect, "features of node {v}");
         }
-    }
-
-    #[test]
-    fn adjacency_roundtrips_through_the_ooc_spill_file() {
-        use wg_mem::OocTier;
-        let (store, g, features) = tiny_store(4);
-        let hotness: Vec<u64> = (0..store.features().rows() as u64)
-            .map(|r| r % 7 + 1)
-            .collect();
-        // Spill features and the CSR into one file, nothing resident.
-        let mut tier = OocTier::build(store.features(), &hotness, 0).unwrap();
-        tier.write_adjacency(store.node_meta(), store.edges())
-            .unwrap();
-        let mut edge_buf = Vec::new();
-        for v in 0..200u64 {
-            let gid = store.partition().global_id(v);
-            let row = store.feature_row(v);
-            let [start, deg] = tier.read_meta_row(row);
-            assert_eq!(deg as usize, g.degree(v), "degree of {v}");
-            edge_buf.clear();
-            tier.read_edges(
-                gid.rank() as u64 * store.edge_rows_per_rank() as u64 + start,
-                deg as usize,
-                &mut edge_buf,
-            );
-            let dsm: Vec<u64> = store.with_neighbors(gid, |raw| raw.to_vec());
-            assert_eq!(edge_buf, dsm, "neighbors of {v}");
-        }
-        // The feature section is unaffected by the adjacency append.
-        tier.fetch(&[store.feature_row(13) as u32]);
-        assert_eq!(tier.staging(), &features[13 * 6..14 * 6]);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! random reads of `width × sizeof(T)`-byte segments achieve a
 //! segment-size-dependent fraction of NVLink bandwidth.
 
+use std::io;
+use std::time::Instant;
+
 use rayon::prelude::*;
 
 use wg_sim::cost::AccessMode;
@@ -21,6 +24,66 @@ use crate::access::{ChunkLocator, Element};
 use crate::cache::{CacheMode, FeatureCache};
 use crate::handle::WholeMemory;
 use crate::ooc::{OocTier, Persist};
+
+/// Out-of-core storage-tier traffic, field for field the
+/// `mem.storage.{rows,bytes,requests,read_bytes}` counters: `rows` and
+/// `bytes` are logical (what gather plans asked the tier for),
+/// `requests` and `read_bytes` physical (the ranged reads
+/// [`OocTier::fetch`] issued to serve them). One fetch returns it, one
+/// gather reports it, and epoch/serve reports sum it. All zero whenever
+/// the tier is off or every row was cache- or DSM-resident.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StorageIo {
+    /// Rows served from the spill file.
+    pub rows: u64,
+    /// Bytes of those rows (`rows × row bytes`). The conservation
+    /// invariant of the tier: DSM-served bytes plus these (plus
+    /// cache-served bytes) always equal `algo_bytes`.
+    pub bytes: u64,
+    /// Positional reads issued (file-adjacent rows coalesce, so
+    /// `requests <= rows`).
+    pub requests: u64,
+    /// Bytes the reads transferred, bridged gaps included — at least
+    /// `bytes` once duplicate rows are discounted.
+    pub read_bytes: u64,
+}
+
+impl StorageIo {
+    /// `read_bytes / bytes`: device bytes moved per byte delivered
+    /// (zero when nothing was served from disk).
+    pub fn read_amplification(&self) -> f64 {
+        if self.bytes == 0 {
+            0.0
+        } else {
+            self.read_bytes as f64 / self.bytes as f64
+        }
+    }
+}
+
+/// The CLI storage line's traffic half, in the counters' names: logical
+/// rows/bytes, then the reads issued to serve them.
+impl std::fmt::Display for StorageIo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "rows {} ({:.2} MB) in requests {} (read_bytes {:.2} MB, read amplification {:.2}x)",
+            self.rows,
+            self.bytes as f64 / 1e6,
+            self.requests,
+            self.read_bytes as f64 / 1e6,
+            self.read_amplification()
+        )
+    }
+}
+
+impl std::ops::AddAssign for StorageIo {
+    fn add_assign(&mut self, o: StorageIo) {
+        self.rows += o.rows;
+        self.bytes += o.bytes;
+        self.requests += o.requests;
+        self.read_bytes += o.read_bytes;
+    }
+}
 
 /// Statistics of one global gather.
 #[derive(Clone, Copy, Debug)]
@@ -44,14 +107,10 @@ pub struct GatherStats {
     /// cached: cache hits whose owning rank is not the executing device,
     /// times the row size.
     pub saved_bus_bytes: u64,
-    /// Rows staged from the out-of-core storage tier (zero on untiered
-    /// paths and at full residency).
-    pub disk_rows: usize,
-    /// Bytes read from the storage tier (`disk_rows × row bytes`). The
-    /// conservation invariant of the tier: DSM-served bytes plus
-    /// `disk_bytes` (plus cache-served bytes) always equal `algo_bytes`.
-    pub disk_bytes: u64,
-    /// Priced time of the storage fetch — a sub-component of
+    /// What the out-of-core storage tier staged for this gather (all
+    /// zero on untiered paths and at full residency).
+    pub storage_io: StorageIo,
+    /// Priced time of exactly the reads issued — a sub-component of
     /// [`sim_time`](Self::sim_time), split out so the executor can
     /// overlap it against compute (the prefetch model).
     pub storage_time: SimTime,
@@ -396,7 +455,16 @@ pub fn global_gather_planned<T: Element>(
         !plan.tiered,
         "plan resolved a storage tier; execute it with global_gather_planned_tiered"
     );
-    execute_planned(wm, plan, out, executing_rank, model, spec, None, &[])
+    execute_planned(
+        wm,
+        plan,
+        out,
+        executing_rank,
+        model,
+        spec,
+        None,
+        Staged::none(),
+    )
 }
 
 /// Execute a plan built by [`plan_gather_cached`]: cache hits copy out
@@ -417,17 +485,31 @@ pub fn global_gather_planned_cached<T: Element>(
         !plan.tiered,
         "plan resolved a storage tier; execute it with global_gather_planned_tiered"
     );
-    execute_planned(wm, plan, out, executing_rank, model, spec, Some(cache), &[])
+    execute_planned(
+        wm,
+        plan,
+        out,
+        executing_rank,
+        model,
+        spec,
+        Some(cache),
+        Staged::none(),
+    )
 }
 
 /// Execute a plan built by [`plan_gather_tiered`]: the tier's batched
-/// prefetch stages every disk-planned row first (real file I/O, priced
-/// by the storage cost model), this batch's CLOCK fills land in the
-/// cache — from DSM regions or the staging buffer, whichever tier
-/// served the miss — and the copy kernel then reads cache hits from the
-/// cache store, resident rows from their owning regions, and spilled
-/// rows from staging. `tier` (and `cache`, when the plan consulted one)
-/// must be the ones the plan was built with.
+/// prefetch stages every disk-planned row first (real file I/O, in
+/// coalesced ranged reads; the storage cost model prices exactly the
+/// reads issued), this batch's CLOCK fills land in the cache — from DSM
+/// regions or the staging buffer, whichever tier served the miss — and
+/// the copy kernel then reads cache hits from the cache store, resident
+/// rows from their owning regions, and spilled rows from staging.
+/// `tier` (and `cache`, when the plan consulted one) must be the ones
+/// the plan was built with.
+///
+/// A failed spill-file read is returned before anything is copied; the
+/// plan already advanced the CLOCK cache's directory, so after an `Err`
+/// that cache's slots no longer match its data and it must be rebuilt.
 #[allow(clippy::too_many_arguments)] // mirrors the cached execute + tier
 pub fn global_gather_planned_tiered<T: Element + Persist>(
     wm: &WholeMemory<T>,
@@ -438,7 +520,7 @@ pub fn global_gather_planned_tiered<T: Element + Persist>(
     spec: &DeviceSpec,
     cache: Option<&mut FeatureCache<T>>,
     tier: &mut OocTier<T>,
-) -> GatherStats {
+) -> io::Result<GatherStats> {
     assert!(
         plan.tiered,
         "plan did not resolve a storage tier; use global_gather_planned[_cached]"
@@ -448,8 +530,12 @@ pub fn global_gather_planned_tiered<T: Element + Persist>(
         cache.is_some(),
         "plan and execute disagree about the cache tier"
     );
-    tier.fetch(&plan.disk_slots);
-    execute_planned(
+    let fetch_start = wg_trace::metrics_enabled().then(Instant::now);
+    let io = tier.fetch(&plan.disk_slots, &model.storage)?;
+    if let Some(t0) = fetch_start {
+        wg_trace::counter!("mem.storage.fetch_host_s", t0.elapsed().as_secs_f64());
+    }
+    Ok(execute_planned(
         wm,
         plan,
         out,
@@ -457,8 +543,36 @@ pub fn global_gather_planned_tiered<T: Element + Persist>(
         model,
         spec,
         cache,
-        tier.staging(),
-    )
+        Staged {
+            rows: tier.staging(),
+            io,
+            // Priced as issued: one seek share per ranged read, each
+            // read's bytes at the bandwidth its size achieves.
+            time: model
+                .storage
+                .requests_time(tier.issued().iter().map(|&(_, b)| b)),
+        },
+    ))
+}
+
+/// What the storage tier staged ahead of one planned gather: the
+/// staging rows the copy kernel reads disk-planned slots from, the
+/// traffic that staged them and its priced time.
+struct Staged<'a, T> {
+    rows: &'a [T],
+    io: StorageIo,
+    time: SimTime,
+}
+
+impl<T> Staged<'_, T> {
+    /// Untiered paths: nothing staged, nothing priced.
+    fn none() -> Self {
+        Staged {
+            rows: &[],
+            io: StorageIo::default(),
+            time: SimTime::ZERO,
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)] // shared body behind the cached + tiered entry points
@@ -470,7 +584,7 @@ fn execute_planned<T: Element>(
     model: &CostModel,
     spec: &DeviceSpec,
     mut cache: Option<&mut FeatureCache<T>>,
-    staging: &[T],
+    staged: Staged<'_, T>,
 ) -> GatherStats {
     let _span = wg_trace::span!("mem.gather");
     let width = wm.width();
@@ -493,7 +607,7 @@ fn execute_planned<T: Element>(
             let dc = cache.device_mut(executing_rank);
             for ins in &plan.inserts {
                 let src = if ins.src_rank == DISK_RANK {
-                    staging
+                    staged.rows
                 } else {
                     regions.region(ins.src_rank as usize)
                 };
@@ -522,7 +636,7 @@ fn execute_planned<T: Element>(
             let src = if slot.rank == CACHE_RANK {
                 cache_store
             } else if slot.rank == DISK_RANK {
-                staging
+                staged.rows
             } else {
                 regions.region(slot.rank as usize)
             };
@@ -531,7 +645,7 @@ fn execute_planned<T: Element>(
 
     let rows = plan.rows();
     let hit_rows = plan.cache_hits;
-    let disk_rows = plan.disk_slots.len();
+    let disk_rows = staged.io.rows as usize;
     // DSM-served misses: everything the cache and the storage tier did
     // not absorb. With no tiers both terms are zero and this is `rows`.
     let miss_rows = rows - hit_rows - disk_rows;
@@ -548,11 +662,9 @@ fn execute_planned<T: Element>(
     let algo_bytes = (rows * row_bytes) as u64;
     let bus_bytes = (remote_rows * row_bytes) as u64;
     let saved_bus_bytes = (plan.cache_remote_hits * row_bytes) as u64;
-    let disk_bytes = (disk_rows * row_bytes) as u64;
-    // The storage tier's batched prefetch: `disk_rows` queued reads,
-    // priced by the NVMe seek + bandwidth-knee model. Zero when every
-    // planned row was cache- or DSM-resident.
-    let storage_time = model.storage.read_time(disk_rows as u64, row_bytes);
+    // The storage tier's batched prefetch: zero when every planned row
+    // was cache- or DSM-resident.
+    let storage_time = staged.time;
 
     // Hits ride the same kernel but stream out of local HBM; only the
     // misses pay the DSM price. With no cache (hit_rows == 0) both terms
@@ -591,8 +703,7 @@ fn execute_planned<T: Element>(
         bus_bytes,
         cache_hits: hit_rows,
         saved_bus_bytes,
-        disk_rows,
-        disk_bytes,
+        storage_io: staged.io,
         storage_time,
         sim_time,
     };
@@ -663,16 +774,21 @@ fn record_cache_metrics(stats: &GatherStats) {
 }
 
 /// Accrue one tiered gather's storage-side statistics into the
-/// `mem.storage.*` metrics. Summed over a run with the cache disabled,
-/// `mem.storage.bytes + mem.gather.bus_bytes + local DSM bytes ==
-/// mem.gather.algo_bytes` — the bytes-conservation invariant the
-/// `storage_sweep` bench asserts as `dsm + disk == uncached total`.
+/// `mem.storage.*` metrics. `rows`/`bytes` are logical (what the plan
+/// asked the tier for), `requests`/`read_bytes` physical (what the
+/// tier issued to serve them). Summed over a run with the cache
+/// disabled, `mem.storage.bytes + mem.gather.bus_bytes + local DSM
+/// bytes == mem.gather.algo_bytes` — the bytes-conservation invariant
+/// the `storage_sweep` bench asserts as `dsm + disk == uncached total`.
 fn record_storage_metrics(stats: &GatherStats) {
     if !wg_trace::metrics_enabled() {
         return;
     }
-    wg_trace::counter!("mem.storage.rows", stats.disk_rows as f64);
-    wg_trace::counter!("mem.storage.bytes", stats.disk_bytes as f64);
+    let io = stats.storage_io;
+    wg_trace::counter!("mem.storage.rows", io.rows as f64);
+    wg_trace::counter!("mem.storage.bytes", io.bytes as f64);
+    wg_trace::counter!("mem.storage.requests", io.requests as f64);
+    wg_trace::counter!("mem.storage.read_bytes", io.read_bytes as f64);
     wg_trace::counter!("mem.storage.time_s", stats.storage_time.as_secs());
 }
 
@@ -1006,7 +1122,8 @@ mod tests {
             spec,
             cache.as_deref_mut(),
             tier,
-        );
+        )
+        .expect("spill file read");
         let sp = global_gather(wm, indices, &mut plain, rank, model, spec);
         assert_eq!(tiered, plain, "storage tier changed gathered values");
         (st, sp)
@@ -1023,7 +1140,7 @@ mod tests {
             // Hotness is highest for the lowest row ids, so residency is
             // exactly the prefix 0..budget.
             let expect_disk = indices.iter().filter(|&&r| r >= budget).count();
-            assert_eq!(st.disk_rows, expect_disk, "budget {budget}");
+            assert_eq!(st.storage_io.rows, expect_disk as u64, "budget {budget}");
             assert_eq!(st.rows, sp.rows);
             assert_eq!(st.algo_bytes, sp.algo_bytes);
         }
@@ -1036,8 +1153,7 @@ mod tests {
         let mut tier = OocTier::build(&wm, &hotness, 500).unwrap();
         let indices: Vec<usize> = (0..300).map(|i| (i * 7) % 500).collect();
         let (st, sp) = gather_tiered_vs_plain(&wm, &mut tier, None, &indices, 2, &model, &spec);
-        assert_eq!(st.disk_rows, 0);
-        assert_eq!(st.disk_bytes, 0);
+        assert_eq!(st.storage_io, StorageIo::default());
         assert_eq!(st.storage_time, SimTime::ZERO);
         assert_eq!(st.remote_rows, sp.remote_rows);
         assert_eq!(st.bus_bytes, sp.bus_bytes);
@@ -1055,11 +1171,24 @@ mod tests {
         let row_bytes = 16 * 4;
         // Conservation: disk + bus + local-HBM bytes == uncached algo bytes.
         assert_eq!(
-            st.disk_bytes + st.bus_bytes + (st.local_rows * row_bytes) as u64,
+            st.storage_io.bytes + st.bus_bytes + (st.local_rows * row_bytes) as u64,
             sp.algo_bytes
         );
-        assert_eq!(st.disk_rows, 600);
+        assert_eq!(st.storage_io.rows, 600);
         assert!(st.storage_time > SimTime::ZERO);
+        // Priced == issued: the stats and the storage time are those of
+        // the reads the tier's file logged, and the 600 adjacent rows
+        // went out as one ranged read with no amplification.
+        let issued = tier.issued();
+        assert_eq!(issued, &[(200 * row_bytes as u64, 600 * row_bytes)]);
+        assert_eq!(st.storage_io.requests, issued.len() as u64);
+        assert_eq!(st.storage_io.read_bytes, (600 * row_bytes) as u64);
+        assert_eq!(st.storage_io.read_bytes, st.storage_io.bytes);
+        assert_eq!(
+            st.storage_time,
+            model.storage.requests_time(issued.iter().map(|&(_, b)| b))
+        );
+        assert!(st.storage_time < model.storage.read_time(600, row_bytes));
         assert!(
             st.sim_time > sp.sim_time,
             "NVMe reads must cost more than DSM: {} vs {}",
@@ -1087,7 +1216,7 @@ mod tests {
             &spec,
         );
         assert_eq!(first.cache_hits, 0);
-        assert_eq!(first.disk_rows, working_set.len());
+        assert_eq!(first.storage_io.rows, working_set.len() as u64);
         let (second, _) = gather_tiered_vs_plain(
             &wm,
             &mut tier,
@@ -1098,7 +1227,7 @@ mod tests {
             &spec,
         );
         assert_eq!(second.cache_hits, working_set.len(), "warmed from disk");
-        assert_eq!(second.disk_rows, 0);
+        assert_eq!(second.storage_io, StorageIo::default());
         assert_eq!(second.storage_time, SimTime::ZERO);
     }
 

@@ -23,9 +23,10 @@
 //!   turns remote gathers into local-HBM hits — cost changes, values
 //!   never do;
 //! * [`ooc`] — the file-backed out-of-core tier *below* the DSM: feature
-//!   rows and CSR adjacency spilled to disk, a batched prefetch queue
-//!   staging each gather plan's non-resident rows, priced by the NVMe
-//!   storage cost model — again, cost changes, values never do;
+//!   rows spilled to disk, a batched prefetch queue staging each gather
+//!   plan's non-resident rows in coalesced ranged reads, the NVMe
+//!   storage cost model pricing exactly the reads issued — again, cost
+//!   changes, values never do;
 //! * [`nccl`] — the 5-step distributed-memory gather baseline of Figure 4
 //!   (bucket → exchange counts → alltoallv IDs → local gather → alltoallv
 //!   features → reorder), used by Figure 10;
@@ -53,10 +54,10 @@ pub use cache::{CacheMode, FeatureCache};
 pub use embedding::EmbeddingTable;
 pub use gather::{
     global_gather_planned, global_gather_planned_cached, global_gather_planned_tiered, plan_gather,
-    plan_gather_cached, plan_gather_tiered, GatherStats, RowPlan,
+    plan_gather_cached, plan_gather_tiered, GatherStats, RowPlan, StorageIo,
 };
 pub use halo::{count_halo_rows, halo_exchange, HaloStats};
 pub use handle::{RegionView, WholeMemory};
 pub use ipc::{IpcHandle, MemoryPointerTable, SetupReport};
 pub use nccl::NcclGatherStats;
-pub use ooc::{OocTier, Persist};
+pub use ooc::{OocTier, Persist, MAX_TRANSFER_BYTES};

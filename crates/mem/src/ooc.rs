@@ -1,35 +1,38 @@
-//! Out-of-core storage tier below the DSM (ROADMAP item 1a).
+//! Out-of-core storage tier below the DSM.
 //!
-//! [`OocTier`] spills a [`WholeMemory`] allocation to a file-backed store
-//! — feature rows plus, optionally, the CSR adjacency arrays — and keeps
-//! only the hottest `budget_rows` rows **resident** in the DSM. The
-//! tiered gather path (`plan_gather_tiered`) resolves each requested row
-//! cache → DSM → disk; rows that fall to disk are staged by
-//! [`OocTier::fetch`], the batched prefetch queue: all of a gather
-//! plan's disk rows are coalesced into one submission batch, sorted into
-//! file order (the NVMe-friendly access pattern GIDS submits through its
-//! GPU-side queues), read through a std-only positional-read abstraction
-//! ([`RowFile`]), and decoded into a pooled staging buffer the copy
-//! kernel then treats as one more source region.
+//! [`OocTier`] spills a [`WholeMemory`] allocation's feature rows to a
+//! file-backed store and keeps only the hottest `budget_rows` rows
+//! **resident** in the DSM. The tiered gather path
+//! (`plan_gather_tiered`) resolves each requested row cache → DSM →
+//! disk; rows that fall to disk are staged by [`OocTier::fetch`], the
+//! batched prefetch queue. A gather plan's disk rows are sorted into
+//! file order and run through a coalescing **accumulator** (GIDS's
+//! mechanism): file-adjacent rows merge into byte ranges, a range
+//! extending across a gap of unrequested rows only while
+//! [`StorageCostModel::request_time`] prices the merged request no
+//! dearer than the two it replaces, up to [`MAX_TRANSFER_BYTES`]. Each
+//! range is one positional read ([`RowFile`], std-only) into a bounce
+//! buffer, from which only the requested rows are decoded into the
+//! pooled staging buffer the copy kernel treats as one more source
+//! region.
 //!
 //! The contract is the same as the cache tier's: **values never move**.
 //! The staged bytes really do round-trip through the file — the
 //! bit-identity tests are witnessing actual disk I/O, not a simulated
-//! flag — while the *cost* of the detour comes from
-//! [`wg_sim::cost::StorageCostModel`] (seek latency amortized over the
-//! queue depth plus a per-byte bandwidth knee).
-//!
-//! Follow-up (re-filed from ROADMAP item 1): sampling directly from the
-//! on-disk adjacency and delta-CSR streaming updates. The adjacency
-//! sections and their round-trip accessors exist below; the sampler
-//! still walks the DSM copy.
+//! flag — while the *cost* of the detour is the cost model's price of
+//! exactly the requests issued ([`OocTier::issued`]): one seek share
+//! per ranged read, each read's bytes (gaps included) at the bandwidth
+//! its size achieves.
 
 use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use wg_sim::cost::StorageCostModel;
+
 use crate::access::Element;
+use crate::gather::StorageIo;
 use crate::handle::WholeMemory;
 
 /// Fixed-width little-endian persistence for element types the tier can
@@ -40,8 +43,9 @@ pub trait Persist: Copy + Default {
     const BYTES: usize;
     /// Encode into `out` (exactly `BYTES` long).
     fn write_le(&self, out: &mut [u8]);
-    /// Decode from `bytes` (exactly `BYTES` long).
-    fn read_le(bytes: &[u8]) -> Self;
+    /// Decode the packed run `bytes` (exactly `out.len() * BYTES` long)
+    /// into `out`.
+    fn read_le_into(bytes: &[u8], out: &mut [Self]);
 }
 
 macro_rules! persist_via_le_bytes {
@@ -53,8 +57,25 @@ macro_rules! persist_via_le_bytes {
                 out.copy_from_slice(&self.to_le_bytes());
             }
             #[inline]
-            fn read_le(bytes: &[u8]) -> Self {
-                Self::from_le_bytes(bytes.try_into().expect("persist width"))
+            fn read_le_into(bytes: &[u8], out: &mut [Self]) {
+                assert_eq!(bytes.len(), std::mem::size_of_val(out), "persist run length");
+                // One bulk copy where the encoded run *is* the in-memory
+                // representation.
+                #[cfg(target_endian = "little")]
+                {
+                    // SAFETY: `$t` is a primitive number — no padding,
+                    // every bit pattern a valid value — so `out` may be
+                    // written through a byte view of exactly its own
+                    // length (asserted above).
+                    let dst = unsafe {
+                        std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), bytes.len())
+                    };
+                    wg_tensor::simd::copy_slice(wg_tensor::simd::level(), dst, bytes);
+                }
+                #[cfg(not(target_endian = "little"))]
+                for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(Self::BYTES)) {
+                    *v = Self::from_le_bytes(chunk.try_into().expect("persist width"));
+                }
             }
         }
     )*};
@@ -62,16 +83,28 @@ macro_rules! persist_via_le_bytes {
 
 persist_via_le_bytes!(f32, f64, u32, i32, u64, i64);
 
+/// Largest single ranged read the accumulator issues, and so the bound
+/// on the tier's bounce buffer (a row wider than this is still one
+/// request). Large enough that a dense batch streams at the saturated
+/// bandwidth with a negligible seek share per range.
+pub const MAX_TRANSFER_BYTES: usize = 1 << 20;
+
 /// Std-only positional-read file abstraction: the reader half of a
 /// memory-mapped view, without reaching for `mmap` (no new
 /// dependencies). On Unix this is `pread(2)` — offset reads with no
 /// shared cursor, so concurrent readers never seek over each other.
+///
+/// Every read is logged where it is issued: `issued` holds the
+/// `(offset, bytes)` of each request since the log was last cleared,
+/// and is the list the cost model prices.
 struct RowFile {
     file: File,
+    issued: Vec<(u64, usize)>,
 }
 
 impl RowFile {
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.issued.push((offset, buf.len()));
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
@@ -113,14 +146,10 @@ pub struct OocTier<T> {
     /// served from disk.
     resident: Vec<bool>,
     resident_rows: usize,
-    /// CSR adjacency sections (byte offsets into the spill file); zero
-    /// until [`write_adjacency`](Self::write_adjacency) runs.
-    meta_base: u64,
-    meta_entries: usize,
-    edges_base: u64,
-    edge_entries: usize,
     // Pooled prefetch-queue state: allocation-free once warm.
     staging: Vec<T>,
+    /// Bounce buffer one ranged read lands in: sized once at build to
+    /// the largest range the accumulator can form.
     byte_buf: Vec<u8>,
     reqs: Vec<(u32, u32)>,
 }
@@ -173,19 +202,18 @@ impl<T: Element + Persist> OocTier<T> {
         }
 
         Ok(OocTier {
-            file: RowFile { file },
+            file: RowFile {
+                file,
+                issued: Vec::new(),
+            },
             path,
             rows,
             width,
             budget_rows,
             resident,
             resident_rows,
-            meta_base: 0,
-            meta_entries: 0,
-            edges_base: 0,
-            edge_entries: 0,
             staging: Vec::new(),
-            byte_buf: vec![0u8; row_bytes],
+            byte_buf: vec![0u8; MAX_TRANSFER_BYTES.min(rows * row_bytes).max(row_bytes)],
             reqs: Vec::new(),
         })
     }
@@ -218,27 +246,56 @@ impl<T: Element + Persist> OocTier<T> {
 
     /// Stage `rows` (global row ids, in plan-slot order) from the spill
     /// file into the pooled staging buffer: slot `i` of the buffer holds
-    /// row `rows[i]`. Requests are sorted into file order before
-    /// submission — the batched prefetch queue — and the reads go
-    /// through the positional-read path, so a warm tier stages an
-    /// arbitrary batch with zero heap allocations.
-    pub fn fetch(&mut self, rows: &[u32]) {
-        self.staging.clear();
+    /// row `rows[i]`. Requests are sorted into file order and coalesced
+    /// by the module-level merge rule, so the priced time of
+    /// [`issued`](Self::issued) never exceeds the per-row price of the
+    /// same batch and equals it when no two rows merge. One positional
+    /// read per range; a warm tier stages an arbitrary batch with zero
+    /// heap allocations. Returns the traffic: the rows asked for and the
+    /// reads issued for them. A failed or short read (truncated spill
+    /// file) is returned, and leaves the staging buffer unspecified.
+    pub fn fetch(&mut self, rows: &[u32], storage: &StorageCostModel) -> io::Result<StorageIo> {
+        // No clear: every slot is overwritten below; fill only new growth.
         self.staging.resize(rows.len() * self.width, T::default());
         self.reqs.clear();
         self.reqs
             .extend(rows.iter().enumerate().map(|(slot, &r)| (r, slot as u32)));
         self.reqs.sort_unstable();
+        self.file.issued.clear();
         let row_bytes = self.width * T::BYTES;
-        for &(row, slot) in &self.reqs {
-            self.file
-                .read_exact_at(&mut self.byte_buf, row as u64 * row_bytes as u64)
-                .expect("ooc: spill file read failed");
-            let dst = &mut self.staging[slot as usize * self.width..][..self.width];
-            for (v, chunk) in dst.iter_mut().zip(self.byte_buf.chunks_exact(T::BYTES)) {
-                *v = T::read_le(chunk);
+        let row_time = storage.request_time(row_bytes);
+        let mut i = 0;
+        while i < self.reqs.len() {
+            let start = self.reqs[i].0 as usize * row_bytes;
+            let (mut len, mut time) = (row_bytes, row_time);
+            let mut j = i + 1;
+            while j < self.reqs.len() {
+                let merged_len = (self.reqs[j].0 as usize + 1) * row_bytes - start;
+                // A duplicate of the range's last row extends nothing.
+                if merged_len > len {
+                    let merged_time = storage.request_time(merged_len);
+                    if merged_len > MAX_TRANSFER_BYTES || merged_time > time + row_time {
+                        break;
+                    }
+                    (len, time) = (merged_len, merged_time);
+                }
+                j += 1;
             }
+            let buf = &mut self.byte_buf[..len];
+            self.file.read_exact_at(buf, start as u64)?;
+            for &(row, slot) in &self.reqs[i..j] {
+                let at = row as usize * row_bytes - start;
+                let dst = &mut self.staging[slot as usize * self.width..][..self.width];
+                T::read_le_into(&buf[at..at + row_bytes], dst);
+            }
+            i = j;
         }
+        Ok(StorageIo {
+            rows: rows.len() as u64,
+            bytes: (rows.len() * row_bytes) as u64,
+            requests: self.file.issued.len() as u64,
+            read_bytes: self.file.issued.iter().map(|&(_, b)| b as u64).sum(),
+        })
     }
 
     /// The staging buffer filled by the last [`fetch`](Self::fetch).
@@ -246,76 +303,11 @@ impl<T: Element + Persist> OocTier<T> {
         &self.staging
     }
 
-    /// Append the CSR adjacency (`meta`: per-node `[edge_start, degree]`
-    /// rows; `edges`: packed neighbor ids) after the feature section, so
-    /// one spill file holds the whole graph.
-    pub fn write_adjacency(
-        &mut self,
-        meta: &WholeMemory<u64>,
-        edges: &WholeMemory<u64>,
-    ) -> io::Result<()> {
-        use std::io::Write;
-        let feature_bytes = (self.rows * self.width * T::BYTES) as u64;
-        self.meta_base = feature_bytes;
-        self.meta_entries = meta.rows() * meta.width();
-        self.edges_base = self.meta_base + (self.meta_entries * u64::BYTES) as u64;
-        self.edge_entries = edges.rows() * edges.width();
-
-        let mut w = io::BufWriter::new(&self.file.file);
-        let write_wm = |wm: &WholeMemory<u64>, w: &mut io::BufWriter<&File>| -> io::Result<()> {
-            let width = wm.width();
-            let mut row_buf = vec![0u64; width];
-            let mut buf = vec![0u8; width * u64::BYTES];
-            for row in 0..wm.rows() {
-                wm.read_row(row, &mut row_buf);
-                for (v, chunk) in row_buf.iter().zip(buf.chunks_exact_mut(u64::BYTES)) {
-                    v.write_le(chunk);
-                }
-                w.write_all(&buf)?;
-            }
-            Ok(())
-        };
-        // BufWriter appends from the file cursor, which sits at the end
-        // of the feature section after `build`'s sequential writes.
-        write_wm(meta, &mut w)?;
-        write_wm(edges, &mut w)?;
-        w.flush()
-    }
-
-    /// Whether [`write_adjacency`](Self::write_adjacency) has run.
-    pub fn has_adjacency(&self) -> bool {
-        self.meta_entries > 0
-    }
-
-    /// Read `[edge_start, degree]` for a global metadata row from disk.
-    pub fn read_meta_row(&self, row: usize) -> [u64; 2] {
-        assert!(self.has_adjacency(), "adjacency not spilled");
-        let mut buf = [0u8; 16];
-        self.file
-            .read_exact_at(&mut buf, self.meta_base + (row * 2 * u64::BYTES) as u64)
-            .expect("ooc: meta read failed");
-        [u64::read_le(&buf[..8]), u64::read_le(&buf[8..])]
-    }
-
-    /// Read `len` packed neighbor entries starting at global edge slot
-    /// `start` from disk, appending to `out`.
-    pub fn read_edges(&self, start: u64, len: usize, out: &mut Vec<u64>) {
-        assert!(self.has_adjacency(), "adjacency not spilled");
-        assert!(
-            (start as usize + len) <= self.edge_entries,
-            "edge span out of bounds"
-        );
-        out.reserve(len);
-        let mut buf = [0u8; 8];
-        for k in 0..len {
-            self.file
-                .read_exact_at(
-                    &mut buf,
-                    self.edges_base + ((start as usize + k) * u64::BYTES) as u64,
-                )
-                .expect("ooc: edge read failed");
-            out.push(u64::read_le(&buf));
-        }
+    /// `(offset, bytes)` of each positional read the last
+    /// [`fetch`](Self::fetch) issued, in file order — the requests
+    /// [`StorageCostModel::requests_time`] prices.
+    pub fn issued(&self) -> &[(u64, usize)] {
+        &self.file.issued
     }
 }
 
@@ -350,7 +342,7 @@ mod tests {
         // Out-of-order, duplicated request batch: slot order must follow
         // the request order, not the sorted file order.
         let rows: Vec<u32> = vec![299, 0, 150, 0, 42, 299];
-        tier.fetch(&rows);
+        tier.fetch(&rows, &StorageCostModel::nvme()).unwrap();
         let mut expect = vec![0.0f32; 7];
         for (slot, &r) in rows.iter().enumerate() {
             wm.read_row(r as usize, &mut expect);
@@ -405,43 +397,45 @@ mod tests {
 
     #[test]
     fn warm_fetch_does_not_grow_buffers() {
-        let wm = wm(200, 8, 4);
-        let mut tier = OocTier::build(&wm, &[0; 200], 0).unwrap();
-        tier.fetch(&[1, 2, 3, 199, 100, 57, 12, 0]);
-        let (cap_s, cap_r) = (tier.staging.capacity(), tier.reqs.capacity());
+        // 4000 rows x 400 B = 1.6 MB: a dense batch must split at the
+        // transfer cap, and neither that nor a sparse batch may grow
+        // the bounce buffer sized at build.
+        let wm = wm(4000, 100, 4);
+        let mut tier = OocTier::build(&wm, &[0; 4000], 0).unwrap();
+        let nvme = StorageCostModel::nvme();
+        assert_eq!(tier.byte_buf.len(), MAX_TRANSFER_BYTES);
+        let dense: Vec<u32> = (0..4000).rev().collect();
+        let st = tier.fetch(&dense, &nvme).unwrap();
+        assert_eq!((st.requests, st.read_bytes), (2, 1_600_000));
+        assert!(tier.issued().iter().all(|&(_, b)| b <= MAX_TRANSFER_BYTES));
+        let caps = |t: &OocTier<f32>| {
+            (
+                t.staging.capacity(),
+                t.reqs.capacity(),
+                t.byte_buf.capacity(),
+                t.file.issued.capacity(),
+            )
+        };
+        let warm = caps(&tier);
         for _ in 0..5 {
-            tier.fetch(&[7, 6, 5, 4]);
-            assert_eq!(tier.staging.capacity(), cap_s);
-            assert_eq!(tier.reqs.capacity(), cap_r);
+            // Rows 7 and 6 merge; 3000 is too far away to be worth it.
+            let st = tier.fetch(&[7, 3000, 6], &nvme).unwrap();
+            assert_eq!((st.requests, st.read_bytes), (2, 1200));
+            tier.fetch(&dense, &nvme).unwrap();
+            assert_eq!(caps(&tier), warm);
         }
     }
 
     #[test]
-    fn adjacency_roundtrips_through_the_spill_file() {
-        let features = wm(40, 3, 2);
-        let model = CostModel::dgx_a100();
-        let meta = WholeMemory::<u64>::allocate(&model, 2, 40, 2, AccessMode::PeerAccess);
-        let edges = WholeMemory::<u64>::allocate(&model, 2, 80, 1, AccessMode::PeerAccess);
-        meta.init_rows(|row, out| {
-            out[0] = (row * 2) as u64;
-            out[1] = 2;
-        });
-        edges.init_rows(|row, out| out[0] = (row * 17 + 3) as u64);
-        let mut tier = OocTier::build(&features, &[0; 40], 40).unwrap();
-        tier.write_adjacency(&meta, &edges).unwrap();
-        assert!(tier.has_adjacency());
-        for row in [0usize, 17, 39] {
-            assert_eq!(tier.read_meta_row(row), [(row * 2) as u64, 2]);
+    fn truncated_spill_file_is_an_error_not_a_panic() {
+        let wm = wm(100, 8, 2);
+        let mut tier = OocTier::build(&wm, &[0; 100], 0).unwrap();
+        // Cut the file mid-row 60: everything below still reads.
+        tier.file.file.set_len(60 * 32 + 5).unwrap();
+        tier.fetch(&[3, 59], &StorageCostModel::nvme()).unwrap();
+        for rows in [&[60u32][..], &[99], &[58, 59, 60, 61]] {
+            let err = tier.fetch(rows, &StorageCostModel::nvme()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{rows:?}");
         }
-        let mut out = Vec::new();
-        tier.read_edges(10, 4, &mut out);
-        let expect: Vec<u64> = (10..14).map(|e| (e * 17 + 3) as u64).collect();
-        assert_eq!(out, expect);
-        // Feature fetches still read the feature section, not the
-        // adjacency appended after it.
-        tier.fetch(&[39]);
-        let mut expect_row = vec![0.0f32; 3];
-        features.read_row(39, &mut expect_row);
-        assert_eq!(tier.staging(), &expect_row[..]);
     }
 }

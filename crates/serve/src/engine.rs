@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 
 use wg_sim::SimTime;
-use wholegraph::Pipeline;
+use wholegraph::{Pipeline, StorageIo};
 
 use crate::coalesce::Coalescer;
 use crate::request::{Completion, Request};
@@ -131,6 +131,10 @@ pub struct ServeReport {
     pub gather_time: SimTime,
     /// Summed simulated forward time.
     pub compute_time: SimTime,
+    /// Summed out-of-core storage-tier time (part of `gather_time`).
+    pub storage_time: SimTime,
+    /// Storage-tier traffic behind `storage_time`.
+    pub storage_io: StorageIo,
     /// Per-request outcomes, in completion order (batch by batch).
     pub completions: Vec<Completion>,
 }
@@ -327,6 +331,8 @@ impl ServeEngine {
             report.sample_time += times.sample;
             report.gather_time += times.gather;
             report.compute_time += times.compute;
+            report.storage_time += times.storage;
+            report.storage_io += times.storage_io;
             report.batches += 1;
             report.batched_rows += take as u64;
             report.unique_rows += self.coalescer.unique().len() as u64;

@@ -91,16 +91,38 @@ impl StorageCostModel {
         }
     }
 
-    /// Time to serve `requests` random reads of `segment_bytes` each,
-    /// with submission latency amortized over the queue depth. Zero
-    /// requests cost zero: the tier prices nothing when nothing spills.
+    /// Time of one read request of `bytes`: its share of a seek
+    /// (submission latency amortized over the queue depth) plus the
+    /// transfer at the bandwidth a request of that size achieves — a
+    /// sub-page request still moves a whole page. This is also the
+    /// storage tier's merge rule: two requests are worth coalescing
+    /// exactly when the merged request's time does not exceed the sum
+    /// of theirs.
+    pub fn request_time(&self, bytes: usize) -> SimTime {
+        let seek = self.seek_latency_s / self.queue_depth.max(1) as f64;
+        let transfer = if bytes == 0 {
+            0.0
+        } else {
+            bytes as f64 / self.read_bandwidth(bytes)
+        };
+        SimTime::from_secs(seek + transfer)
+    }
+
+    /// Time to serve the read requests actually issued, given their
+    /// sizes in bytes: one seek share per *request*, each request's
+    /// bytes at the bandwidth its own size achieves. No requests cost
+    /// zero: the tier prices nothing when nothing spills.
+    pub fn requests_time(&self, request_bytes: impl IntoIterator<Item = usize>) -> SimTime {
+        request_bytes
+            .into_iter()
+            .fold(SimTime::ZERO, |t, b| t + self.request_time(b))
+    }
+
+    /// Time to serve `requests` random reads of `segment_bytes` each —
+    /// the uniform special case of [`requests_time`](Self::requests_time),
+    /// and the price of a batch in which no two rows were worth merging.
     pub fn read_time(&self, requests: u64, segment_bytes: usize) -> SimTime {
-        if requests == 0 {
-            return SimTime::ZERO;
-        }
-        let bytes = requests as f64 * segment_bytes as f64;
-        let seeks = requests as f64 / self.queue_depth.max(1) as f64;
-        SimTime::from_secs(seeks * self.seek_latency_s + bytes / self.read_bandwidth(segment_bytes))
+        self.requests_time(std::iter::repeat_n(segment_bytes, requests as usize))
     }
 }
 
@@ -577,6 +599,26 @@ mod tests {
         // Zero requests price zero — a fully-resident run must not pay
         // any storage time.
         assert_eq!(s.read_time(0, 400), SimTime::ZERO);
+    }
+
+    #[test]
+    fn storage_prices_the_requests_issued() {
+        let s = StorageCostModel::nvme();
+        // The uniform list is read_time, bit for bit.
+        assert_eq!(s.requests_time([400; 32]), s.read_time(32, 400));
+        // A sub-page request pays its seek share and one whole page.
+        let page = s.request_time(4096);
+        assert_eq!(s.request_time(400), page);
+        assert_eq!(s.request_time(1), page);
+        // One ranged read over 32 adjacent rows pays one seek share and
+        // streams past the knee: far cheaper than 32 sub-page requests.
+        assert!(s.request_time(32 * 400) * 10.0 < s.read_time(32, 400));
+        // Request time never falls as the request grows, so widening a
+        // range across a gap always costs something.
+        let sizes = [1, 400, 4095, 4096, 4097, 6000, 8191, 8192, 8193, 1 << 20];
+        for w in sizes.windows(2) {
+            assert!(s.request_time(w[0]) <= s.request_time(w[1]), "{w:?}");
+        }
     }
 
     #[test]
