@@ -287,36 +287,33 @@ impl Tape {
 
     /// g-SpMM with max aggregation (GraphSage-pool style).
     pub fn spmm_max(&mut self, block: Arc<BlockCsr>, src: NodeId) -> NodeId {
-        let (v, argmax) = sparse::spmm_max(&block, self.value(src));
+        let len = block.num_dst * self.nodes[src.0].value.cols();
+        let mut v = self.ws.matrix_with_capacity(len);
+        let mut argmax = self.ws.take_u32(len);
+        sparse::spmm_max_into(&block, &self.nodes[src.0].value, &mut v, &mut argmax);
         self.push(v, Op::SpmmMax { src, block, argmax })
+    }
+
+    /// A pooled matrix able to hold one row per edge of `block`, as wide
+    /// as node `like` — the shape of every per-edge GAT intermediate.
+    fn edge_matrix(&mut self, block: &BlockCsr, like: NodeId) -> Matrix {
+        let heads = self.nodes[like.0].value.cols();
+        self.ws.matrix_with_capacity(block.num_edges() * heads)
     }
 
     /// Per-dst, per-head edge softmax over `block`.
     pub fn edge_softmax(&mut self, block: Arc<BlockCsr>, logits: NodeId) -> NodeId {
-        let v = sparse::edge_softmax(&block, self.value(logits));
+        let mut v = self.edge_matrix(&block, logits);
+        sparse::edge_softmax_into(&block, &self.nodes[logits.0].value, &mut v);
         self.push(v, Op::EdgeSoftmax { logits, block })
     }
 
     /// GAT attention logits: `out[e, h] = dst_scores[d(e), h] +
     /// src_scores[s(e), h]` over the block's edges.
     pub fn edge_scores(&mut self, block: Arc<BlockCsr>, dst: NodeId, src: NodeId) -> NodeId {
-        let d = self.value(dst);
-        let s = self.value(src);
-        assert_eq!(d.rows(), block.num_dst);
-        assert_eq!(s.rows(), block.num_src);
-        assert_eq!(d.cols(), s.cols());
-        let heads = d.cols();
-        let mut v = self.ws.matrix_zeros(block.num_edges(), heads);
-        let d = &self.nodes[dst.0].value;
-        let s = &self.nodes[src.0].value;
-        for dd in 0..block.num_dst {
-            for e in block.offsets[dd] as usize..block.offsets[dd + 1] as usize {
-                let ss = block.indices[e] as usize;
-                for h in 0..heads {
-                    v.set(e, h, d.get(dd, h) + s.get(ss, h));
-                }
-            }
-        }
+        let mut v = self.edge_matrix(&block, dst);
+        let (d, s) = (&self.nodes[dst.0].value, &self.nodes[src.0].value);
+        sparse::edge_scores_into(&block, d, s, &mut v);
         self.push(v, Op::EdgeScores { dst, src, block })
     }
 
@@ -485,42 +482,30 @@ impl Tape {
                 self.accumulate(src, gsrc);
                 if let Some(w) = weights {
                     // dL/dw = g-SDDMM(grad_dst, src) with the forward scale.
-                    let gw = sparse::sddmm(&block, grad, &self.nodes[src.0].value, heads, agg);
+                    let mut gw = self.edge_matrix(&block, w);
+                    let h = &self.nodes[src.0].value;
+                    sparse::sddmm_into(&block, grad, h, heads, agg, &mut gw);
                     self.accumulate(w, gw);
                 }
             }
             Op::SpmmMax { src, block, argmax } => {
                 let src = *src;
-                let block = Arc::clone(block);
-                // Pooled copy of argmax sidesteps the self-borrow.
-                let mut am = self.ws.take_u32(argmax.len());
-                am.extend_from_slice(argmax);
-                let g = sparse::spmm_max_backward(&block, grad, &am);
-                self.ws.recycle_u32(am);
+                let mut g = self.ws.matrix_with_capacity(block.num_src * grad.cols());
+                sparse::spmm_max_backward_into(block, grad, argmax, &mut g, &mut self.ws.rev);
                 self.accumulate(src, g);
             }
             Op::EdgeSoftmax { logits, block } => {
                 let logits = *logits;
-                let block = Arc::clone(block);
-                let g = sparse::edge_softmax_backward(&block, &self.nodes[i].value, grad);
+                let mut g = self.edge_matrix(block, logits);
+                sparse::edge_softmax_backward_into(block, &self.nodes[i].value, grad, &mut g);
                 self.accumulate(logits, g);
             }
             Op::EdgeScores { dst, src, block } => {
                 let (dst, src) = (*dst, *src);
-                let block = Arc::clone(block);
                 let heads = grad.cols();
-                let mut gd = self.ws.matrix_zeros(block.num_dst, heads);
-                let mut gs = self.ws.matrix_zeros(block.num_src, heads);
-                for d in 0..block.num_dst {
-                    for e in block.offsets[d] as usize..block.offsets[d + 1] as usize {
-                        let s = block.indices[e] as usize;
-                        for h in 0..heads {
-                            let g = grad.get(e, h);
-                            gd.set(d, h, gd.get(d, h) + g);
-                            gs.set(s, h, gs.get(s, h) + g);
-                        }
-                    }
-                }
+                let mut gd = self.ws.matrix_with_capacity(block.num_dst * heads);
+                let mut gs = self.ws.matrix_with_capacity(block.num_src * heads);
+                sparse::edge_scores_backward_into(block, grad, &mut gd, &mut gs);
                 self.accumulate(dst, gd);
                 self.accumulate(src, gs);
             }

@@ -4,12 +4,18 @@
 //! hidden product (the per-layer forward shape) and a squarer hidden ×
 //! hidden product (the backward weight-gradient shape). The `simd-avx2`
 //! rows only appear on hosts with AVX2; `blocked` is whatever the
-//! runtime dispatcher picked (`WG_SIMD` overrides it).
+//! runtime dispatcher picked (`WG_SIMD` overrides it). The `matmul_narrow`
+//! group times the shapes GAT's attention projections add — `h·a` with
+//! four output columns, and its two gradients (`nt` with k = 4, `tn`
+//! with n = 4) — which the shape-chosen narrow kernels serve.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
-use wg_tensor::ops::{matmul_into, matmul_into_with, matmul_reference};
+use wg_tensor::ops::{
+    matmul_into, matmul_into_with, matmul_nt_into_with, matmul_nt_reference, matmul_reference,
+    matmul_tn_into_with, matmul_tn_reference,
+};
 use wg_tensor::simd::{self, Level};
 use wg_tensor::Matrix;
 
@@ -57,5 +63,51 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul);
+/// `h: [rows, 256]` against a `[256, 4]` attention vector, forward and
+/// both gradients.
+fn bench_matmul_narrow(c: &mut Criterion) {
+    let (rows, hidden, heads) = (16_384usize, 256usize, 4usize);
+    let (h, a) = mats(rows, hidden, heads, 11);
+    let (g, _) = mats(rows, heads, 1, 12);
+    let mut out = Matrix::empty();
+    let mut scratch = Vec::new();
+    let mut group = c.benchmark_group("matmul_narrow");
+    group.sample_size(15);
+    for (name, level) in wg_bench::simd_levels() {
+        group.bench_with_input(BenchmarkId::new(name, "forward_n4"), &(), |bch, _| {
+            bch.iter(|| {
+                matmul_into_with(level, black_box(&h), &a, &mut out);
+                black_box(out.rows())
+            });
+        });
+        group.bench_with_input(BenchmarkId::new(name, "nt_k4"), &(), |bch, _| {
+            bch.iter(|| {
+                matmul_nt_into_with(level, black_box(&g), &a, &mut out, &mut scratch);
+                black_box(out.rows())
+            });
+        });
+        group.bench_with_input(BenchmarkId::new(name, "tn_n4"), &(), |bch, _| {
+            bch.iter(|| {
+                matmul_tn_into_with(level, black_box(&h), &g, &mut out, &mut scratch);
+                black_box(out.rows())
+            });
+        });
+    }
+    group.bench_with_input(
+        BenchmarkId::new("reference", "forward_n4"),
+        &(),
+        |bch, _| {
+            bch.iter(|| black_box(matmul_reference(black_box(&h), &a)).rows());
+        },
+    );
+    group.bench_with_input(BenchmarkId::new("reference", "nt_k4"), &(), |bch, _| {
+        bch.iter(|| black_box(matmul_nt_reference(black_box(&g), &a)).rows());
+    });
+    group.bench_with_input(BenchmarkId::new("reference", "tn_n4"), &(), |bch, _| {
+        bch.iter(|| black_box(matmul_tn_reference(black_box(&h), &g)).rows());
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_matmul, bench_matmul_narrow);
 criterion_main!(benches);

@@ -81,7 +81,7 @@ use wg_bench::json::Json;
 /// so this gate holds under any `WG_THREADS`. A kernel change that
 /// legitimately moves numerics must update the pin here — in the same
 /// commit, with the bench rerun.
-const EXPECT: [(&str, &str, u64); 4] = [
+const EXPECT: [(&str, &str, u64); 5] = [
     ("sample", "f0d397b0ce92dc84", 0),
     ("gather", "2b272988158bae37", 0),
     ("spmm", "9ca0fe519fc2bdf1", 0),
@@ -91,6 +91,13 @@ const EXPECT: [(&str, &str, u64); 4] = [
     // the measured steady-state figure with warm pools — cache lookups
     // included.
     ("epoch", "2f1ecc574fe94d6a", 9),
+    // Two paper-config GAT iterations: the checksum covers both loss
+    // bits and was recorded before g-SDDMM, edge softmax, weighted g-SpMM
+    // and the narrow matmuls had SIMD twins — those kernels may get
+    // faster, never different. The budget is the warm-pool figure now
+    // that every GAT intermediate is drawn from the tape's workspace (17
+    // when `edge_softmax`/`sddmm` returned fresh matrices).
+    ("gat_step", "d7da30127959a9cb", 8),
 ];
 
 fn usage() -> ! {

@@ -1,7 +1,7 @@
 //! Wall-clock harness for the work-stealing pool — the one harness that
 //! measures *host* time, not simulated device time. Each kernel family
 //! (sampling, gather, g-SpMM forward+backward, an end-to-end training
-//! epoch) runs twice: once pinned to the sequential reference schedule
+//! epoch, two paper-config GAT iterations) runs twice: once pinned to the sequential reference schedule
 //! (`rayon::run_sequential`) and once on the pool at its configured
 //! width. Outputs must be bit-identical — the speedup is only reportable
 //! because the numerics provably did not move. Results are printed and
@@ -388,6 +388,44 @@ fn bench_epoch(
     m
 }
 
+/// Two training iterations of the paper's GAT configuration (3 layers,
+/// fanout 30, hidden 256, 4 heads, dropout 0.5, batch 512) on the epoch
+/// bench's graph — the only row that runs g-SDDMM, edge softmax, weighted
+/// multi-head g-SpMM and the n = heads matmuls. The second loss is
+/// computed from parameters the first backward pass updated, so the
+/// checksum over both witnesses forward and backward kernels alike.
+fn bench_gat_step() -> Measurement {
+    let dataset = Arc::new(SyntheticDataset::generate(
+        DatasetKind::OgbnProducts,
+        300,
+        8,
+    ));
+    let machine = Machine::new(MachineConfig::dgx_like(4));
+    let cfg = PipelineConfig::paper(Framework::WholeGraph, ModelKind::Gat)
+        .with_seed(3)
+        .with_cache(0, CacheMode::Static)
+        .with_storage(0);
+    let mut pipe = Pipeline::new(machine, dataset, cfg).unwrap();
+    let batches = pipe.epoch_batches(0);
+    measure("gat_step", 2, move || {
+        pipe.reset_training_state();
+        let start = Instant::now();
+        let losses: Vec<u64> = (0..2)
+            .map(|i| {
+                pipe.run_iteration(0, i as u64, &batches[i], true)
+                    .loss
+                    .to_bits() as u64
+            })
+            .collect();
+        RunOut {
+            elapsed: start.elapsed(),
+            checksum: fnv1a(losses.into_iter()),
+            sim: None,
+            stages: None,
+        }
+    })
+}
+
 fn main() {
     banner("Wallclock", "host-side speedup of the work-stealing pool");
     let threads = rayon::current_num_threads();
@@ -446,6 +484,7 @@ fn main() {
         bench_gather(cache),
         bench_spmm(),
         bench_epoch(trace_path.as_deref(), cache, storage),
+        bench_gat_step(),
     ];
 
     // Steady-state allocation budgets (per batch, warm pools): the
@@ -453,7 +492,15 @@ fn main() {
     // The epoch budget is the measured steady-state figure (9/batch with
     // warm pools); cache lookups and CLOCK maintenance must stay inside
     // it — the cache's hot path is allocation-free by contract.
-    for (name, budget) in [("sample", 0), ("gather", 0), ("spmm", 0), ("epoch", 9)] {
+    // GAT stays inside the same figure: its per-edge intermediates come
+    // from the tape's workspace like every other activation.
+    for (name, budget) in [
+        ("sample", 0),
+        ("gather", 0),
+        ("spmm", 0),
+        ("epoch", 9),
+        ("gat_step", 8),
+    ] {
         let m = results
             .iter()
             .find(|m| m.name == name)

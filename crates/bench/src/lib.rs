@@ -153,6 +153,18 @@ pub fn speedup(x: f64) -> String {
     format!("{x:.2}x")
 }
 
+/// The SIMD levels a kernel microbenchmark times, with their row names:
+/// whatever the runtime dispatcher picked (`WG_SIMD` overrides it), the
+/// forced-scalar path, and forced AVX2 on hosts that have it.
+pub fn simd_levels() -> Vec<(&'static str, wg_tensor::simd::Level)> {
+    use wg_tensor::simd::{self, Level};
+    let mut levels = vec![("dispatched", simd::level()), ("scalar", Level::Scalar)];
+    if simd::avx2_available() {
+        levels.push(("simd-avx2", Level::Avx2));
+    }
+    levels
+}
+
 /// Standard experiment banner.
 pub fn banner(id: &str, title: &str) {
     println!("==============================================================");

@@ -1,0 +1,192 @@
+//! The paper's GAT configuration (3 layers, fanout 30, hidden 256, 4
+//! heads, dropout 0.5) held to two contracts the kernel work must not
+//! move: the loss bits of two Adam steps, recorded before any GAT kernel
+//! was vectorised, and the workspace contract — a warm GAT iteration on a
+//! persistent tape draws every buffer from the pool, like GraphSAGE.
+//!
+//! The loss pin holds at every SIMD level and pool width: tier-1 reruns
+//! this binary under `WG_THREADS=1`, CI's `forced-scalar-simd` leg under
+//! `WG_SIMD=scalar`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use rand::prelude::*;
+use rand::rngs::SmallRng;
+use wg_autograd::{Adam, Optimizer, Tape};
+use wg_gnn::{GnnConfig, GnnModel, ModelKind};
+use wg_tensor::ops::softmax_cross_entropy_into;
+use wg_tensor::{BlockCsr, Matrix};
+
+thread_local! {
+    /// Heap allocations made by this thread (the sequential schedule runs
+    /// the whole iteration on the calling thread).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: defers every operation to `System`; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const IN_DIM: usize = 100;
+const CLASSES: usize = 47;
+const FANOUT: usize = 30;
+
+/// Three nested sampled blocks (outermost first) in AppendUnique's
+/// targets-first layout: every destination draws `FANOUT` sources
+/// uniformly from a `nodes`-node graph, new sources are appended after
+/// the destinations.
+fn sampled_blocks(seeds: usize, nodes: usize, rng: &mut SmallRng) -> Vec<Arc<BlockCsr>> {
+    let mut frontier: Vec<u32> = (0..seeds as u32).collect();
+    let mut local = vec![u32::MAX; nodes];
+    for (i, &v) in frontier.iter().enumerate() {
+        local[v as usize] = i as u32;
+    }
+    let mut blocks = Vec::new();
+    for _ in 0..3 {
+        let num_dst = frontier.len();
+        let mut offsets = vec![0u32];
+        let mut indices = Vec::with_capacity(num_dst * FANOUT);
+        for _ in 0..num_dst {
+            for _ in 0..FANOUT {
+                let v = rng.gen_range(0..nodes);
+                if local[v] == u32::MAX {
+                    local[v] = frontier.len() as u32;
+                    frontier.push(v as u32);
+                }
+                indices.push(local[v]);
+            }
+            offsets.push(indices.len() as u32);
+        }
+        let mut dup_count = vec![0u32; frontier.len()];
+        for &s in &indices {
+            dup_count[s as usize] += 1;
+        }
+        let block = BlockCsr {
+            num_dst,
+            num_src: frontier.len(),
+            offsets,
+            indices,
+            dup_count,
+        };
+        block.validate();
+        blocks.push(Arc::new(block));
+    }
+    blocks
+}
+
+struct Run {
+    model: GnnModel,
+    opt: Adam,
+    tape: Tape,
+    blocks: Vec<Arc<BlockCsr>>,
+    features: Matrix,
+    labels: Vec<u32>,
+    grad_losses: Vec<f32>,
+}
+
+impl Run {
+    fn new(kind: ModelKind) -> Self {
+        let mut rng = SmallRng::seed_from_u64(0x6a7);
+        let blocks = sampled_blocks(24, 600, &mut rng);
+        let rows = blocks.last().unwrap().num_src;
+        Run {
+            model: GnnModel::new(GnnConfig::paper(kind, IN_DIM, CLASSES), 13),
+            opt: Adam::new(3e-3),
+            tape: Tape::new(),
+            features: Matrix::from_fn(rows, IN_DIM, |_, _| rng.gen_range(-1.0..1.0)),
+            labels: (0..24).map(|_| rng.gen_range(0..CLASSES as u32)).collect(),
+            blocks,
+            grad_losses: Vec::new(),
+        }
+    }
+
+    /// One training step on the persistent tape; the input features go
+    /// in and come back out through the tape, as in `Pipeline`.
+    fn step(&mut self, iter: u64) -> f32 {
+        self.tape.reset();
+        let input = std::mem::replace(&mut self.features, Matrix::empty());
+        let out = self
+            .model
+            .forward(&mut self.tape, &self.blocks, input, true, iter);
+        let mut grad = self.tape.alloc(0, 0);
+        let loss = softmax_cross_entropy_into(
+            self.tape.value(out),
+            &self.labels,
+            &mut grad,
+            &mut self.grad_losses,
+        );
+        self.model.params.zero_grads();
+        self.tape.backward(out, grad, &mut self.model.params);
+        self.opt.step(&mut self.model.params);
+        self.features = self.tape.take_value(wg_autograd::NodeId::first());
+        loss
+    }
+}
+
+/// Recorded at commit bd43f07 (scalar `sddmm`/`edge_softmax`, `axpy`
+/// weighted spmm, generic matmul at n = 4), before the edge-lane,
+/// register-tile and narrow-N kernels existed.
+const PINNED_LOSS_BITS: [u32; 2] = [0x4076_e3cc, 0x4069_489d];
+/// FNV-1a over every parameter's bits after the second step (recorded
+/// with the losses): the second backward pass reaches no loss above.
+const PINNED_PARAMS_FNV: u64 = 0x3c9a_b9d1_c25e_eefb;
+
+#[test]
+fn paper_config_gat_loss_bits_are_pinned() {
+    let mut run = Run::new(ModelKind::Gat);
+    let bits: Vec<u32> = (0..2).map(|i| run.step(i).to_bits()).collect();
+    assert_eq!(
+        bits, PINNED_LOSS_BITS,
+        "paper-config GAT loss bits moved: got {bits:#x?}"
+    );
+    let params = &run.model.params;
+    let fnv = params.ids().fold(wg_tensor::simd::FNV_OFFSET, |h, id| {
+        wg_tensor::simd::fnv1a_f32(h, params.value(id).data())
+    });
+    assert_eq!(
+        fnv, PINNED_PARAMS_FNV,
+        "paper-config GAT parameters moved: got {fnv:#018x}"
+    );
+}
+
+#[test]
+fn warm_gat_iteration_allocates_no_more_than_graphsage() {
+    let warm_allocs = |kind: ModelKind| {
+        let mut run = Run::new(kind);
+        rayon::run_sequential(|| {
+            for i in 0..3 {
+                run.step(i);
+            }
+            let before = ALLOCS.with(Cell::get);
+            run.step(3);
+            ALLOCS.with(Cell::get) - before
+        })
+    };
+    let (gat, sage) = (
+        warm_allocs(ModelKind::Gat),
+        warm_allocs(ModelKind::GraphSage),
+    );
+    assert!(
+        gat <= sage,
+        "warm GAT iteration made {gat} heap allocations, GraphSAGE {sage}"
+    );
+}

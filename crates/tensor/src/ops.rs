@@ -20,6 +20,10 @@ use crate::simd::{self, Level};
 //     [`Level`] so tests and benches can pin both paths;
 //   * the plain name — an allocating convenience wrapper over `*_into`.
 //
+// Shapes with a narrow side (n <= 8 or k <= 8 — GAT's `h·a_src` products
+// and their gradients) leave the 8x32 register tile almost empty, so the
+// `*_into` kernels pick a narrow kernel by shape; same sums, same bits.
+//
 // Determinism contract: for every output element the blocked kernels add
 // contributions in ascending-k order with exactly the reference kernels'
 // zero-skip rule, and `matmul_tn` reduces its k-chunk partials through the
@@ -36,6 +40,11 @@ const MR: usize = 8;
 const NR: usize = 32;
 /// k-block depth: one `B` panel is `KB × NR` floats (32 KiB) — L1-sized.
 const KB: usize = 256;
+/// At most this many columns (`n`) or inner terms (`k`) selects a narrow
+/// kernel: one YMM register's worth.
+const NARROW: usize = 8;
+/// Rows of `C` per parallel task on the narrow paths.
+const NARROW_BAND: usize = 256;
 
 /// `C = A · B` for `A: [m,k]`, `B: [k,n]` — naive row-parallel k-outer
 /// loop. Oracle for [`matmul_into`].
@@ -79,8 +88,9 @@ pub fn matmul_into_with(level: Level, a: &Matrix, b: &Matrix, c: &mut Matrix) {
     blocked_gemm_into(level, a, b.data(), b.cols(), c, true);
 }
 
-/// The shared cache-blocked GEMM body: `C = A · B` with `B` given as a
-/// row-major `[a.cols(), n]` slice. `skip_zero` selects the reference
+/// The shared GEMM body: `C = A · B` with `B` given as a row-major
+/// `[a.cols(), n]` slice — cache-blocked, or one of the narrow kernels
+/// when `n` or `k` is at most [`NARROW`]. `skip_zero` selects the reference
 /// zero-skip rule (`matmul` skips `a[i,l] == 0.0`; `matmul_nt`'s oracle
 /// does not skip). The register tile itself is [`simd::matmul_rowtile`],
 /// which adds contributions in ascending-`l` order per element at either
@@ -96,6 +106,19 @@ fn blocked_gemm_into(
     let (m, k) = (a.rows(), a.cols());
     debug_assert_eq!(b.len(), k * n);
     c.reset_shape(m, n);
+    if n > 0 && (n <= NARROW || (1..=NARROW).contains(&k)) {
+        c.data_mut()
+            .par_chunks_mut(n * NARROW_BAND)
+            .zip(a.data().par_chunks((k * NARROW_BAND).max(1)))
+            .for_each(|(cband, aband)| {
+                if n <= NARROW {
+                    simd::matmul_narrow_n(level, aband, k, b, n, cband, skip_zero);
+                } else {
+                    simd::matmul_narrow_k(level, aband, k, b, n, cband, skip_zero);
+                }
+            });
+        return;
+    }
     c.data_mut()
         .par_chunks_mut((n * MR).max(1))
         .enumerate()
@@ -241,9 +264,8 @@ pub fn matmul_tn_into_with(
         .for_each(|(ci, acc)| {
             let lo = ci * TN_CHUNK;
             let hi = k.min(lo + TN_CHUNK);
-            for l in lo..hi {
-                simd::tn_accumulate(level, a.row(l), b.row(l), acc, n);
-            }
+            let (ad, bd) = (&a.data()[lo * m..hi * m], &b.data()[lo * n..hi * n]);
+            simd::tn_accumulate_rows(level, ad, m, bd, n, acc);
         });
     tree_reduce_slabs(level, &mut scratch[..nchunks * stride], nchunks, stride);
     c.data_mut().copy_from_slice(&scratch[..stride]);

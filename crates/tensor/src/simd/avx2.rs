@@ -6,8 +6,11 @@
 //!
 //! Bit-identity discipline, enforced throughout this file:
 //!
-//! * vector lanes are always eight **adjacent output columns** `j` — the
-//!   reduction over `k`/edges stays in program order per element;
+//! * vector lanes are always eight **independent output elements** — eight
+//!   adjacent output columns `j` in the column-tile kernels, eight rows
+//!   (edges of one destination, rows of `A`) in the row-lane kernels at
+//!   the end of this file — and the reduction over `k`/edges/channels
+//!   stays in program order per element;
 //! * multiply and add are separate intrinsics (`_mm256_mul_ps` then
 //!   `_mm256_add_ps`), matching the two separately-rounded scalar ops —
 //!   intrinsics are never contraction-fused, so no implicit FMA;
@@ -93,21 +96,27 @@ pub unsafe fn matmul_rowtile(
     }
 }
 
-/// `acc += scale * src_row` over the edge list, `NV` lanes resident.
+/// `acc += scale * src_row` over the edge list, `NV` lanes resident. With
+/// `W`, edge `i` is additionally weighted: `(scale * w[i * stride]) * row`
+/// (the product the weighted reference forms before touching the row).
 #[target_feature(enable = "avx2")]
-unsafe fn gather_block<const NV: usize>(
+unsafe fn gather_block<const NV: usize, const W: bool>(
     indices: &[u32],
+    (w, stride): (*const f32, usize),
     src: *const f32,
     lds: usize,
     scale: f32,
     acc: *mut f32,
 ) {
-    let sv = _mm256_set1_ps(scale);
+    let mut sv = _mm256_set1_ps(scale);
     let mut r = [_mm256_setzero_ps(); NV];
     for v in 0..NV {
         r[v] = _mm256_loadu_ps(acc.add(v * 8));
     }
-    for &s in indices {
+    for (i, &s) in indices.iter().enumerate() {
+        if W {
+            sv = _mm256_set1_ps(scale * *w.add(i * stride));
+        }
         let srow = src.add(s as usize * lds);
         for v in 0..NV {
             let x = _mm256_loadu_ps(srow.add(v * 8));
@@ -120,10 +129,35 @@ unsafe fn gather_block<const NV: usize>(
 }
 
 /// AVX2 spmm forward channel tile: `acc[j] += scale * src[s*lds+j0+j]`
-/// for every source in `indices`, ascending edge order.
+/// for every source in `indices`, ascending edge order; with `weights =
+/// (w, stride)`, edge `i`'s scale is `scale * w[i*stride]`.
 #[target_feature(enable = "avx2")]
 pub unsafe fn spmm_gather_rowtile(
     indices: &[u32],
+    weights: Option<(&[f32], usize)>,
+    src: &[f32],
+    lds: usize,
+    j0: usize,
+    scale: f32,
+    acc: &mut [f32],
+) {
+    match weights {
+        None => gather_tile::<false>(indices, (src.as_ptr(), 0), src, lds, j0, scale, acc),
+        Some((w, stride)) => {
+            assert!(
+                indices.is_empty() || (indices.len() - 1) * stride < w.len(),
+                "spmm gather: edge weight out of bounds"
+            );
+            gather_tile::<true>(indices, (w.as_ptr(), stride), src, lds, j0, scale, acc)
+        }
+    }
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn gather_tile<const W: bool>(
+    indices: &[u32],
+    w: (*const f32, usize),
     src: &[f32],
     lds: usize,
     j0: usize,
@@ -143,32 +177,35 @@ pub unsafe fn spmm_gather_rowtile(
     let ap = acc.as_mut_ptr();
     let mut j = 0;
     while j + 32 <= cb {
-        gather_block::<4>(indices, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<4, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
         j += 32;
     }
     if j + 16 <= cb {
-        gather_block::<2>(indices, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<2, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
         j += 16;
     }
     if j + 8 <= cb {
-        gather_block::<1>(indices, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<1, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
         j += 8;
     }
     if j < cb {
-        for &s in indices {
+        for (i, &s) in indices.iter().enumerate() {
+            let es = if W { scale * *w.0.add(i * w.1) } else { scale };
             let srow = sp.add(s as usize * lds);
             for jj in j..cb {
-                *ap.add(jj) += scale * *srow.add(jj);
+                *ap.add(jj) += es * *srow.add(jj);
             }
         }
     }
 }
 
 /// Per-edge-scaled gather block for the backward pass: each destination
-/// row carries its own `agg_scale` (1/deg under mean, 1 under sum).
+/// row carries its own `agg_scale` (1/deg under mean, 1 under sum), times
+/// the incoming edge's head weight `w[edges[i] * stride]` under `W`.
 #[target_feature(enable = "avx2")]
-unsafe fn scatter_block<const NV: usize>(
+unsafe fn scatter_block<const NV: usize, const W: bool>(
     dsts: &[u32],
+    (w, edges, stride): (*const f32, *const u32, usize),
     offsets: &[u32],
     mean: bool,
     grad: *const f32,
@@ -179,9 +216,13 @@ unsafe fn scatter_block<const NV: usize>(
     for v in 0..NV {
         r[v] = _mm256_loadu_ps(acc.add(v * 8));
     }
-    for &d in dsts {
+    for (i, &d) in dsts.iter().enumerate() {
         let d = d as usize;
-        let sv = _mm256_set1_ps(super::scatter_scale(offsets, d, mean));
+        let mut scale = super::scatter_scale(offsets, d, mean);
+        if W {
+            scale *= *w.add(*edges.add(i) as usize * stride);
+        }
+        let sv = _mm256_set1_ps(scale);
         let grow = grad.add(d * ldg);
         for v in 0..NV {
             let g = _mm256_loadu_ps(grow.add(v * 8));
@@ -194,11 +235,45 @@ unsafe fn scatter_block<const NV: usize>(
 }
 
 /// AVX2 spmm backward channel tile: `acc[j] += agg_scale(d) *
-/// grad[d*ldg+j0+j]` over the incoming edges' destinations.
+/// grad[d*ldg+j0+j]` over the incoming edges' destinations; with `weights
+/// = (w, edges, stride)`, incoming edge `i`'s scale is additionally
+/// multiplied by `w[edges[i]*stride]`.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn spmm_scatter_rowtile(
     dsts: &[u32],
+    weights: Option<(&[f32], &[u32], usize)>,
+    offsets: &[u32],
+    mean: bool,
+    grad: &[f32],
+    ldg: usize,
+    j0: usize,
+    acc: &mut [f32],
+) {
+    match weights {
+        None => {
+            let w = (grad.as_ptr(), dsts.as_ptr(), 0);
+            scatter_tile::<false>(dsts, w, offsets, mean, grad, ldg, j0, acc)
+        }
+        Some((w, edges, stride)) => {
+            assert_eq!(edges.len(), dsts.len(), "spmm scatter: one edge id per dst");
+            let max_e = edges.iter().copied().max().unwrap_or(0);
+            assert!(
+                edges.is_empty() || max_e as usize * stride < w.len(),
+                "spmm scatter: edge weight out of bounds"
+            );
+            let w = (w.as_ptr(), edges.as_ptr(), stride);
+            scatter_tile::<true>(dsts, w, offsets, mean, grad, ldg, j0, acc)
+        }
+    }
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn scatter_tile<const W: bool>(
+    dsts: &[u32],
+    w: (*const f32, *const u32, usize),
     offsets: &[u32],
     mean: bool,
     grad: &[f32],
@@ -223,21 +298,24 @@ pub unsafe fn spmm_scatter_rowtile(
     let ap = acc.as_mut_ptr();
     let mut j = 0;
     while j + 32 <= cb {
-        scatter_block::<4>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<4, W>(dsts, w, offsets, mean, gp.add(j), ldg, ap.add(j));
         j += 32;
     }
     if j + 16 <= cb {
-        scatter_block::<2>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<2, W>(dsts, w, offsets, mean, gp.add(j), ldg, ap.add(j));
         j += 16;
     }
     if j + 8 <= cb {
-        scatter_block::<1>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<1, W>(dsts, w, offsets, mean, gp.add(j), ldg, ap.add(j));
         j += 8;
     }
     if j < cb {
-        for &d in dsts {
+        for (i, &d) in dsts.iter().enumerate() {
             let d = d as usize;
-            let scale = super::scatter_scale(offsets, d, mean);
+            let mut scale = super::scatter_scale(offsets, d, mean);
+            if W {
+                scale *= *w.0.add(*w.1.add(i) as usize * w.2);
+            }
             let grow = gp.add(d * ldg);
             for jj in j..cb {
                 *ap.add(jj) += scale * *grow.add(jj);
@@ -261,12 +339,6 @@ unsafe fn axpy_raw(acc: *mut f32, x: *const f32, n: usize, s: f32) {
         *acc.add(j) += s * *x.add(j);
         j += 1;
     }
-}
-
-/// AVX2 `acc[j] += s * x[j]` (equal lengths asserted by the caller).
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy(acc: &mut [f32], x: &[f32], s: f32) {
-    axpy_raw(acc.as_mut_ptr(), x.as_ptr(), acc.len(), s);
 }
 
 /// AVX2 rank-1 panel update for `matmul_tn`: row `i` of the accumulator
@@ -331,5 +403,451 @@ pub unsafe fn copy_bytes(dst: *mut u8, src: *const u8, len: usize) {
     }
     if off < len {
         core::ptr::copy_nonoverlapping(src.add(off), dst.add(off), len - off);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Row-lane kernels. A dot product over channels (g-SDDMM) or over `k` (a
+// matmul with only a few output columns) is ONE output element, so its
+// sum cannot be spread over lanes. Instead the eight lanes are eight
+// *rows* — eight edges of one destination, eight rows of `A` — loaded
+// contiguously, transposed in registers, and each lane runs the scalar
+// ascending-index sum of its own row. Ragged groups are padded with a
+// repeat of the last valid row and the padded lanes are never stored.
+// ---------------------------------------------------------------------------
+
+/// Lanes `0..n` set (all bits), the rest clear — a `maskload` mask.
+#[target_feature(enable = "avx2")]
+unsafe fn lane_mask(n: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(n as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// Columns `off..off+4` of eight rows, transposed: lane `l` of `out[t]` is
+/// `rows[l][off + t]`. Under `MASKED` only the columns whose `mask` lane is
+/// set are read (the ragged end of a row), the others come back zero.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn cols4<const MASKED: bool>(
+    rows: &[*const f32; 8],
+    off: usize,
+    mask: __m128i,
+) -> [__m256; 4] {
+    let mut pair = [_mm256_setzero_ps(); 4];
+    for i in 0..4 {
+        let (lo, hi) = (rows[i].add(off), rows[i + 4].add(off));
+        let (lo, hi) = if MASKED {
+            (_mm_maskload_ps(lo, mask), _mm_maskload_ps(hi, mask))
+        } else {
+            (_mm_loadu_ps(lo), _mm_loadu_ps(hi))
+        };
+        pair[i] = _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi);
+    }
+    // A 4x4 transpose in each 128-bit half: rows 0-3 low, rows 4-7 high.
+    let t0 = _mm256_unpacklo_ps(pair[0], pair[1]);
+    let t1 = _mm256_unpackhi_ps(pair[0], pair[1]);
+    let t2 = _mm256_unpacklo_ps(pair[2], pair[3]);
+    let t3 = _mm256_unpackhi_ps(pair[2], pair[3]);
+    [
+        _mm256_shuffle_ps::<0x44>(t0, t2),
+        _mm256_shuffle_ps::<0xEE>(t0, t2),
+        _mm256_shuffle_ps::<0x44>(t1, t3),
+        _mm256_shuffle_ps::<0xEE>(t1, t3),
+    ]
+}
+
+/// Row pointers of one lane group: lane `l` reads row `index(min(l,
+/// valid-1))` — the padding lanes repeat the last valid row.
+#[inline]
+unsafe fn lane_rows(
+    base: *const f32,
+    ld: usize,
+    valid: usize,
+    index: impl Fn(usize) -> usize,
+) -> [*const f32; 8] {
+    let mut rows = [base; 8];
+    for (l, r) in rows.iter_mut().enumerate() {
+        *r = base.add(index(l.min(valid - 1)) * ld);
+    }
+    rows
+}
+
+/// `G` groups of eight edges of one destination, all heads: lane `l` of
+/// `acc[g]` is edge `8g+l`'s running dot product with the destination row.
+/// Several groups are in flight so one group's add latency hides behind
+/// the others' loads and transposes.
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn sddmm_groups<const G: usize>(
+    arow: *const f32,
+    heads: usize,
+    head_dim: usize,
+    b: *const f32,
+    ldb: usize,
+    srcs: &[u32],
+    scale: f32,
+    out: *mut f32,
+) {
+    let valid = srcs.len();
+    let mut rows = [[b; 8]; G];
+    for g in 0..G {
+        rows[g] = lane_rows(b, ldb, valid - g * 8, |l| srcs[g * 8 + l] as usize);
+    }
+    let sv = _mm256_set1_ps(scale);
+    let tail = head_dim % 4;
+    let mask = _mm256_castsi256_si128(lane_mask(tail));
+    for h in 0..heads {
+        let base = h * head_dim;
+        let mut acc = [_mm256_setzero_ps(); G];
+        let mut j = base;
+        while j + 4 <= base + head_dim {
+            for g in 0..G {
+                let c = cols4::<false>(&rows[g], j, mask);
+                for t in 0..4 {
+                    let av = _mm256_broadcast_ss(&*arow.add(j + t));
+                    acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(av, c[t]));
+                }
+            }
+            j += 4;
+        }
+        if tail > 0 {
+            for g in 0..G {
+                let c = cols4::<true>(&rows[g], j, mask);
+                for t in 0..tail {
+                    let av = _mm256_broadcast_ss(&*arow.add(j + t));
+                    acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(av, c[t]));
+                }
+            }
+        }
+        for g in 0..G {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_mul_ps(sv, acc[g]));
+            for l in 0..(valid - g * 8).min(8) {
+                *out.add((g * 8 + l) * heads + h) = lanes[l];
+            }
+        }
+    }
+}
+
+/// AVX2 g-SDDMM for one destination: `out[i*heads + h] = scale *
+/// <arow, b[srcs[i]]>_h`, each dot product summed in ascending channel
+/// order from `0.0` exactly like the scalar loop.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sddmm_dst(
+    arow: &[f32],
+    b: &[f32],
+    ldb: usize,
+    srcs: &[u32],
+    heads: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let Some(max_s) = srcs.iter().copied().max() else {
+        return;
+    };
+    assert!(
+        max_s as usize * ldb + arow.len() <= b.len(),
+        "sddmm: source row out of bounds"
+    );
+    assert_eq!(out.len(), srcs.len() * heads, "sddmm: output length");
+    let head_dim = arow.len() / heads;
+    let (ap, bp, op) = (arow.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    for (c, chunk) in srcs.chunks(32).enumerate() {
+        let o = op.add(c * 32 * heads);
+        match chunk.len().div_ceil(8) {
+            1 => sddmm_groups::<1>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
+            2 => sddmm_groups::<2>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
+            3 => sddmm_groups::<3>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
+            _ => sddmm_groups::<4>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
+        }
+    }
+}
+
+/// Eight rows of `A` against all `N` columns of a narrow `B`: lane `r` of
+/// `acc[j]` is `C[i0+r, j]`, summed over `l` in ascending order with the
+/// zero-skip rule applied per lane (a skipped lane keeps its old value).
+#[target_feature(enable = "avx2")]
+unsafe fn narrow_n_rows<const N: usize>(
+    rows: &[*const f32; 8],
+    k: usize,
+    b: *const f32,
+    skip_zero: bool,
+) -> [__m256; N] {
+    let zero = _mm256_setzero_ps();
+    let mut acc = [zero; N];
+    let tail = k % 4;
+    let mask = _mm256_castsi256_si128(lane_mask(tail));
+    let mut l0 = 0;
+    while l0 < k {
+        let width = (k - l0).min(4);
+        let cols = if width == 4 {
+            cols4::<false>(rows, l0, mask)
+        } else {
+            cols4::<true>(rows, l0, mask)
+        };
+        for t in 0..width {
+            let col = cols[t];
+            let brow = b.add((l0 + t) * N);
+            let skipped = _mm256_cmp_ps::<_CMP_EQ_OQ>(col, zero);
+            if skip_zero && _mm256_movemask_ps(skipped) != 0 {
+                for j in 0..N {
+                    let bv = _mm256_broadcast_ss(&*brow.add(j));
+                    let sum = _mm256_add_ps(acc[j], _mm256_mul_ps(col, bv));
+                    acc[j] = _mm256_blendv_ps(sum, acc[j], skipped);
+                }
+            } else {
+                for j in 0..N {
+                    let bv = _mm256_broadcast_ss(&*brow.add(j));
+                    acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(col, bv));
+                }
+            }
+        }
+        l0 += width;
+    }
+    acc
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_narrow_n_impl<const N: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    c: &mut [f32],
+    skip_zero: bool,
+) {
+    let m = c.len() / N;
+    let (ap, cp) = (a.as_ptr(), c.as_mut_ptr());
+    for i0 in (0..m).step_by(8) {
+        let valid = (m - i0).min(8);
+        let rows = lane_rows(ap, k, valid, |l| i0 + l);
+        let acc = narrow_n_rows::<N>(&rows, k, b.as_ptr(), skip_zero);
+        for j in 0..N {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc[j]);
+            for r in 0..valid {
+                *cp.add((i0 + r) * N + j) = lanes[r];
+            }
+        }
+    }
+}
+
+/// AVX2 `C = A·B` for `B: [k, n]` with `n <= 8`: `c[i*n+j] = Σ_l
+/// a[i*k+l]·b[l*n+j]`, ascending `l` from `0.0`, optional zero-skip on
+/// `a[i*k+l]`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn matmul_narrow_n(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+    skip_zero: bool,
+) {
+    assert!(b.len() == k * n && c.len().is_multiple_of(n) && a.len() == c.len() / n * k);
+    match n {
+        1 => matmul_narrow_n_impl::<1>(a, k, b, c, skip_zero),
+        2 => matmul_narrow_n_impl::<2>(a, k, b, c, skip_zero),
+        3 => matmul_narrow_n_impl::<3>(a, k, b, c, skip_zero),
+        4 => matmul_narrow_n_impl::<4>(a, k, b, c, skip_zero),
+        5 => matmul_narrow_n_impl::<5>(a, k, b, c, skip_zero),
+        6 => matmul_narrow_n_impl::<6>(a, k, b, c, skip_zero),
+        7 => matmul_narrow_n_impl::<7>(a, k, b, c, skip_zero),
+        8 => matmul_narrow_n_impl::<8>(a, k, b, c, skip_zero),
+        _ => unreachable!("matmul_narrow_n: n = {n} is not narrow"),
+    }
+}
+
+/// AVX2 `C = A·B` for `A: [m, k]` with `k <= 8`: the (at most eight)
+/// `a[i, l]` of a row live in registers as broadcasts and every column
+/// tile of `C` is summed from `0.0` over ascending `l` and stored once —
+/// no accumulator round trip through memory. Zero-skipped `l` are dropped
+/// from the row's broadcast list up front.
+#[target_feature(enable = "avx2")]
+pub unsafe fn matmul_narrow_k(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+    skip_zero: bool,
+) {
+    assert!((1..=8).contains(&k) && a.len().is_multiple_of(k));
+    assert!(b.len() == k * n && c.len() == a.len() / k * n);
+    let bp = b.as_ptr();
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        let mut av = [_mm256_setzero_ps(); 8];
+        let mut brow = [bp; 8];
+        let mut live = 0;
+        for (l, &x) in arow.iter().enumerate() {
+            if !(skip_zero && x == 0.0) {
+                av[live] = _mm256_set1_ps(x);
+                brow[live] = bp.add(l * n);
+                live += 1;
+            }
+        }
+        let cp = crow.as_mut_ptr();
+        let mut j = 0;
+        while j + 32 <= n {
+            let mut acc = [_mm256_setzero_ps(); 4];
+            for q in 0..live {
+                for v in 0..4 {
+                    let bv = _mm256_loadu_ps(brow[q].add(j + v * 8));
+                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(av[q], bv));
+                }
+            }
+            for v in 0..4 {
+                _mm256_storeu_ps(cp.add(j + v * 8), acc[v]);
+            }
+            j += 32;
+        }
+        while j + 8 <= n {
+            let mut acc = _mm256_setzero_ps();
+            for q in 0..live {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(av[q], _mm256_loadu_ps(brow[q].add(j))));
+            }
+            _mm256_storeu_ps(cp.add(j), acc);
+            j += 8;
+        }
+        for jj in j..n {
+            let mut acc = 0.0f32;
+            for (l, &x) in arow.iter().enumerate() {
+                if !(skip_zero && x == 0.0) {
+                    acc += x * *bp.add(l * n + jj);
+                }
+            }
+            *cp.add(jj) = acc;
+        }
+    }
+}
+
+/// AVX2 `matmul_tn` chunk for `B: [rows, n]` with `n <= 8`: the `[m, n]`
+/// accumulator is swept as a flat array, eight floats — `8/n` rows by `n`
+/// columns when `n` divides 8 (2 rows x 4 cols at `n = 4`) — per vector:
+/// flat element `f` gets `a[l, f / n] * b[l, f % n]`, both operands
+/// permuted into place from one load each. Rows with `a[l, i] == 0` keep
+/// their old value (the reference's zero-skip), k-rows ascend.
+#[target_feature(enable = "avx2")]
+pub unsafe fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut [f32]) {
+    assert!((1..=8).contains(&n) && m > 0 && a.len().is_multiple_of(m));
+    assert!(b.len() == a.len() / m * n && acc.len() >= m * n);
+    let zero = _mm256_setzero_ps();
+    // Eight rows of `a` cover `n` accumulator vectors; vector `v` lane `x`
+    // is flat element `8v + x` of that group.
+    let mut ridx = [_mm256_setzero_si256(); 8];
+    let mut cidx = [_mm256_setzero_si256(); 8];
+    for v in 0..n {
+        let mut r = [0i32; 8];
+        let mut c = [0i32; 8];
+        for x in 0..8 {
+            r[x] = ((v * 8 + x) / n) as i32;
+            c[x] = ((v * 8 + x) % n) as i32;
+        }
+        ridx[v] = _mm256_loadu_si256(r.as_ptr().cast());
+        cidx[v] = _mm256_loadu_si256(c.as_ptr().cast());
+    }
+    let bmask = lane_mask(n);
+    let m8 = m / 8 * 8;
+    let accp = acc.as_mut_ptr();
+    for (arow, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let b8 = _mm256_maskload_ps(brow.as_ptr(), bmask);
+        let mut bv = [zero; 8];
+        for v in 0..n {
+            bv[v] = _mm256_permutevar8x32_ps(b8, cidx[v]);
+        }
+        for i0 in (0..m8).step_by(8) {
+            let a8 = _mm256_loadu_ps(arow.as_ptr().add(i0));
+            let zeros = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(a8, zero));
+            if zeros == 0xff {
+                continue;
+            }
+            for v in 0..n {
+                let av = _mm256_permutevar8x32_ps(a8, ridx[v]);
+                let p = accp.add(i0 * n + v * 8);
+                let old = _mm256_loadu_ps(p);
+                let mut sum = _mm256_add_ps(old, _mm256_mul_ps(av, bv[v]));
+                if zeros != 0 {
+                    sum = _mm256_blendv_ps(sum, old, _mm256_cmp_ps::<_CMP_EQ_OQ>(av, zero));
+                }
+                _mm256_storeu_ps(p, sum);
+            }
+        }
+        for i in m8..m {
+            let x = arow[i];
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                *accp.add(i * n + j) += x * brow[j];
+            }
+        }
+    }
+}
+
+/// AVX2 edge softmax of one destination, heads as lanes (`heads % 4 ==
+/// 0`): the per-head max and denominator run over the edges in order,
+/// four heads abreast; `exp` is libm's, called per element.
+#[target_feature(enable = "avx2")]
+pub unsafe fn edge_softmax_dst(logits: &[f32], heads: usize, out: &mut [f32]) {
+    assert!(
+        heads.is_multiple_of(4) && logits.len().is_multiple_of(heads) && out.len() == logits.len()
+    );
+    let deg = logits.len() / heads;
+    for h0 in (0..heads).step_by(4) {
+        let (lp, op) = (logits.as_ptr().add(h0), out.as_mut_ptr().add(h0));
+        let mut max = _mm_set1_ps(f32::NEG_INFINITY);
+        for e in 0..deg {
+            max = _mm_max_ps(max, _mm_loadu_ps(lp.add(e * heads)));
+        }
+        let mut denom = _mm_setzero_ps();
+        for e in 0..deg {
+            let mut x = [0.0f32; 4];
+            _mm_storeu_ps(
+                x.as_mut_ptr(),
+                _mm_sub_ps(_mm_loadu_ps(lp.add(e * heads)), max),
+            );
+            for v in &mut x {
+                *v = v.exp();
+            }
+            let v = _mm_loadu_ps(x.as_ptr());
+            _mm_storeu_ps(op.add(e * heads), v);
+            denom = _mm_add_ps(denom, v);
+        }
+        for e in 0..deg {
+            let p = op.add(e * heads);
+            _mm_storeu_ps(p, _mm_div_ps(_mm_loadu_ps(p), denom));
+        }
+    }
+}
+
+/// AVX2 edge-softmax backward of one destination, heads as lanes (`heads
+/// % 4 == 0`): `out = soft * (grad - Σ_e soft*grad)`, the dot summed over
+/// the edges in order.
+#[target_feature(enable = "avx2")]
+pub unsafe fn edge_softmax_backward_dst(soft: &[f32], grad: &[f32], heads: usize, out: &mut [f32]) {
+    assert!(heads.is_multiple_of(4) && soft.len().is_multiple_of(heads));
+    assert!(grad.len() == soft.len() && out.len() == soft.len());
+    let deg = soft.len() / heads;
+    for h0 in (0..heads).step_by(4) {
+        let (sp, gp) = (soft.as_ptr().add(h0), grad.as_ptr().add(h0));
+        let mut dot = _mm_setzero_ps();
+        for e in 0..deg {
+            let (s, g) = (
+                _mm_loadu_ps(sp.add(e * heads)),
+                _mm_loadu_ps(gp.add(e * heads)),
+            );
+            dot = _mm_add_ps(dot, _mm_mul_ps(s, g));
+        }
+        for e in 0..deg {
+            let (s, g) = (
+                _mm_loadu_ps(sp.add(e * heads)),
+                _mm_loadu_ps(gp.add(e * heads)),
+            );
+            _mm_storeu_ps(
+                out.as_mut_ptr().add(h0 + e * heads),
+                _mm_mul_ps(s, _mm_sub_ps(g, dot)),
+            );
+        }
     }
 }

@@ -16,11 +16,28 @@
 //! kernel here vectorizes **across independent output elements**, never
 //! across a single element's reduction:
 //!
-//! * `matmul_rowtile`, `spmm_gather_rowtile`, `spmm_scatter_rowtile`,
-//!   `tn_accumulate`, `axpy`, `add_assign`: each output element `acc[j]`
+//! * `matmul_rowtile`, `matmul_narrow_k`, `spmm_gather_rowtile`,
+//!   `spmm_scatter_rowtile` (unweighted or with a per-edge head weight),
+//!   `tn_accumulate`, `add_assign`: each output element `acc[j]`
 //!   accumulates its contributions in the same ascending order (ascending
 //!   `k` / edge index) whether `j` lives in a YMM lane or a scalar
 //!   register. Lanes are just eight adjacent `j`s computed together.
+//! * `sddmm_dst`, `matmul_narrow_n` — the **edge-lane rule**: an edge's dot
+//!   product is one output element; lanes are eight edges. A reduction
+//!   over channels (or over `k` when `B` has only a few columns) may not
+//!   be split across lanes, so the lanes are eight *rows* — eight edges of
+//!   one destination, eight rows of `A` — transposed in registers, each
+//!   lane keeping the scalar ascending-index sum of its own row. Ragged
+//!   groups are padded with a repeated row and the padding is discarded.
+//! * `tn_accumulate_rows` at `n <= 8` sweeps the `[m, n]` accumulator as a
+//!   flat array (2 rows x 4 columns per vector at `n = 4`); every flat
+//!   element is still its own ascending-`k` sum.
+//! * `edge_softmax_dst`, `edge_softmax_backward_dst`: lanes are heads; the
+//!   per-head max, denominator and dot run over the edges in order, and
+//!   `exp` is libm's, called per element at either level.
+//! * Zero-skip rules are per output element: a lane whose `a` operand is
+//!   `0.0` keeps its old value (blend), exactly as if the scalar loop had
+//!   `continue`d — observable when `B` holds an `inf`.
 //! * No FMA contraction anywhere: the scalar paths (and the reference
 //!   oracles) round the multiply and the add separately, so the vector
 //!   paths use explicit `mul` + `add` intrinsics, never `fmadd`.
@@ -151,9 +168,11 @@ fn matmul_rowtile_scalar(arow: &[f32], b: &[f32], ldb: usize, acc: &mut [f32], s
 }
 
 /// One spmm forward channel tile, scalar: for every edge source index,
-/// `acc[j] += scale * src[s*lds + j0 + j]` in ascending edge order.
+/// `acc[j] += scale * src[s*lds + j0 + j]` in ascending edge order, edge
+/// `i`'s scale being `scale * w[i*stride]` under `weights = (w, stride)`.
 fn spmm_gather_scalar(
     indices: &[u32],
+    weights: Option<(&[f32], usize)>,
     src: &[f32],
     lds: usize,
     j0: usize,
@@ -161,8 +180,9 @@ fn spmm_gather_scalar(
     acc: &mut [f32],
 ) {
     let cb = acc.len();
-    for &s in indices {
+    for (i, &s) in indices.iter().enumerate() {
         let s = s as usize;
+        let scale = weights.map_or(scale, |(w, stride)| scale * w[i * stride]);
         let srow = &src[s * lds + j0..s * lds + j0 + cb];
         for (a, &x) in acc.iter_mut().zip(srow) {
             *a += scale * x;
@@ -173,9 +193,12 @@ fn spmm_gather_scalar(
 /// One spmm backward channel tile, scalar: for every incoming edge's
 /// destination `d` (ascending edge order), accumulate
 /// `agg_scale * grad[d*ldg + j0 + j]`, where `agg_scale` is `1/deg(d)`
-/// under mean aggregation (0 for isolated destinations) and 1 under sum.
+/// under mean aggregation (0 for isolated destinations) and 1 under sum —
+/// times `w[edges[i]*stride]` under `weights = (w, edges, stride)`.
+#[allow(clippy::too_many_arguments)]
 fn spmm_scatter_scalar(
     dsts: &[u32],
+    weights: Option<(&[f32], &[u32], usize)>,
     offsets: &[u32],
     mean: bool,
     grad: &[f32],
@@ -184,9 +207,10 @@ fn spmm_scatter_scalar(
     acc: &mut [f32],
 ) {
     let cb = acc.len();
-    for &d in dsts {
+    for (i, &d) in dsts.iter().enumerate() {
         let d = d as usize;
         let scale = scatter_scale(offsets, d, mean);
+        let scale = weights.map_or(scale, |(w, e, stride)| scale * w[e[i] as usize * stride]);
         let grow = &grad[d * ldg + j0..d * ldg + j0 + cb];
         for (a, &g) in acc.iter_mut().zip(grow) {
             *a += scale * g;
@@ -223,9 +247,76 @@ fn tn_accumulate_scalar(arow: &[f32], brow: &[f32], acc: &mut [f32], n: usize) {
     }
 }
 
-fn axpy_scalar(acc: &mut [f32], x: &[f32], s: f32) {
-    for (a, &v) in acc.iter_mut().zip(x) {
-        *a += s * v;
+/// g-SDDMM for one destination, scalar: `out[i*heads + h] = scale *
+/// Σ_j arow[h*hd + j] * b[srcs[i]*ldb + h*hd + j]`, `j` ascending from
+/// `0.0` — the reference float sequence.
+fn sddmm_dst_scalar(
+    arow: &[f32],
+    b: &[f32],
+    ldb: usize,
+    srcs: &[u32],
+    heads: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let head_dim = arow.len() / heads;
+    for (&s, orow) in srcs.iter().zip(out.chunks_exact_mut(heads)) {
+        let brow = &b[s as usize * ldb..][..arow.len()];
+        for (h, o) in orow.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for j in h * head_dim..(h + 1) * head_dim {
+                acc += arow[j] * brow[j];
+            }
+            *o = scale * acc;
+        }
+    }
+}
+
+/// `C = A·B` row by row, scalar (the narrow kernels' portable twin): each
+/// row of `C` accumulates `a[i,l] * b[l,:]` over ascending `l` from `0.0`.
+fn matmul_rows_scalar(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip: bool) {
+    c.fill(0.0);
+    if k > 0 {
+        for (crow, arow) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+            matmul_rowtile_scalar(arow, b, n, crow, skip);
+        }
+    }
+}
+
+/// Edge softmax of one destination's `[deg, heads]` logits, scalar: per
+/// head, max then `exp(x - max)` with a running denominator then the
+/// divide, each over the edges in order.
+fn edge_softmax_dst_scalar(logits: &[f32], heads: usize, out: &mut [f32]) {
+    for h in 0..heads {
+        let head = || (h..logits.len()).step_by(heads);
+        let mut max = f32::NEG_INFINITY;
+        for i in head() {
+            max = max.max(logits[i]);
+        }
+        let mut denom = 0.0f32;
+        for i in head() {
+            let v = (logits[i] - max).exp();
+            out[i] = v;
+            denom += v;
+        }
+        for i in head() {
+            out[i] /= denom;
+        }
+    }
+}
+
+/// Edge-softmax backward of one destination, scalar: `out = soft * (grad
+/// - dot)` with `dot = Σ_e soft*grad` per head over the edges in order.
+fn edge_softmax_backward_dst_scalar(soft: &[f32], grad: &[f32], heads: usize, out: &mut [f32]) {
+    for h in 0..heads {
+        let head = || (h..soft.len()).step_by(heads);
+        let mut dot = 0.0f32;
+        for i in head() {
+            dot += soft[i] * grad[i];
+        }
+        for i in head() {
+            out[i] = soft[i] * (grad[i] - dot);
+        }
     }
 }
 
@@ -276,11 +367,16 @@ pub fn matmul_rowtile(
 }
 
 /// Forward g-SpMM channel tile: `acc[j] += scale * src[s*lds + j0 + j]`
-/// over the edge sources `indices`, in ascending edge order.
+/// over the edge sources `indices`, in ascending edge order. `weights =
+/// (w, stride)` makes it one head of the weighted multi-head form: edge
+/// `i` is scaled by `scale * w[i*stride]` (`w` starting at the tile's
+/// first edge and head).
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_gather_rowtile(
     level: Level,
     indices: &[u32],
+    weights: Option<(&[f32], usize)>,
     src: &[f32],
     lds: usize,
     j0: usize,
@@ -288,24 +384,29 @@ pub fn spmm_gather_rowtile(
     acc: &mut [f32],
 ) {
     match level {
-        Level::Scalar => spmm_gather_scalar(indices, src, lds, j0, scale, acc),
+        Level::Scalar => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); per-row bounds are re-checked
-        // by slice indexing inside the kernel's scalar prologue contract
-        // (indices are validated by BlockCsr::validate and slicing below).
-        Level::Avx2 => unsafe { avx2::spmm_gather_rowtile(indices, src, lds, j0, scale, acc) },
+        // SAFETY: AVX2 verified by level(); the kernel asserts the largest
+        // source row and the last edge weight in bounds before any load.
+        Level::Avx2 => unsafe {
+            avx2::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc)
+        },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => spmm_gather_scalar(indices, src, lds, j0, scale, acc),
+        Level::Avx2 => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc),
     }
 }
 
 /// Backward g-SpMM channel tile: gather `agg_scale(d) * grad[d]` over the
-/// incoming edges' destinations, ascending edge order.
+/// incoming edges' destinations, ascending edge order. `weights = (w,
+/// edges, stride)` makes it one head of the weighted form: incoming edge
+/// `i` is additionally scaled by `w[edges[i]*stride]` (`w` starting at
+/// the head's column).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_scatter_rowtile(
     level: Level,
     dsts: &[u32],
+    weights: Option<(&[f32], &[u32], usize)>,
     offsets: &[u32],
     mean: bool,
     grad: &[f32],
@@ -314,44 +415,157 @@ pub fn spmm_scatter_rowtile(
     acc: &mut [f32],
 ) {
     match level {
-        Level::Scalar => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
+        Level::Scalar => spmm_scatter_scalar(dsts, weights, offsets, mean, grad, ldg, j0, acc),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); row bounds checked per edge.
+        // SAFETY: AVX2 verified by level(); the kernel asserts the largest
+        // destination row and every edge weight in bounds before any load.
         Level::Avx2 => unsafe {
-            avx2::spmm_scatter_rowtile(dsts, offsets, mean, grad, ldg, j0, acc)
+            avx2::spmm_scatter_rowtile(dsts, weights, offsets, mean, grad, ldg, j0, acc)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
+        Level::Avx2 => spmm_scatter_scalar(dsts, weights, offsets, mean, grad, ldg, j0, acc),
     }
 }
 
-/// One k-row of `matmul_tn`: `acc[i*n + j] += arow[i] * brow[j]` with the
-/// zero-skip rule on `arow[i]`.
+/// A run of `matmul_tn` k-rows: for each row `l` of `a: [rows, m]` and `b:
+/// [rows, n]` in order, `acc[i*n + j] += a[l,i] * b[l,j]` with the
+/// zero-skip rule on `a[l,i]`. At `n <= 8` the AVX2 level sweeps `acc`
+/// flat instead of one sub-vector row at a time.
 #[inline]
-pub fn tn_accumulate(level: Level, arow: &[f32], brow: &[f32], acc: &mut [f32], n: usize) {
-    debug_assert!(arow.len() * n <= acc.len());
-    debug_assert!(n <= brow.len() || arow.is_empty());
+pub fn tn_accumulate_rows(level: Level, a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut [f32]) {
+    assert!(
+        m > 0 && n > 0 && a.len().is_multiple_of(m),
+        "tn_accumulate: shape"
+    );
+    assert_eq!(b.len(), a.len() / m * n, "tn_accumulate: B rows");
+    assert!(m * n <= acc.len(), "tn_accumulate: acc too short");
+    let rows = a.chunks_exact(m).zip(b.chunks_exact(n));
     match level {
-        Level::Scalar => tn_accumulate_scalar(arow, brow, acc, n),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); slice bounds asserted above.
-        Level::Avx2 => unsafe { avx2::tn_accumulate(arow, brow, acc, n) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => tn_accumulate_scalar(arow, brow, acc, n),
+        // SAFETY: AVX2 verified by level(); slice shapes asserted above.
+        Level::Avx2 if n <= 8 => unsafe { avx2::tn_accumulate_narrow(a, m, b, n, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Level::Avx2 => rows.for_each(|(ar, br)| unsafe { avx2::tn_accumulate(ar, br, acc, n) }),
+        _ => rows.for_each(|(ar, br)| tn_accumulate_scalar(ar, br, acc, n)),
     }
 }
 
-/// `acc[j] += s * x[j]` (the weighted-spmm / rank-1 inner loop).
+/// `C = A·B` where `B: [k, n]` has at most eight columns (`a: [m, k]`,
+/// `c: [m, n]`, all row-major): ascending-`l` sums from `0.0`, optional
+/// zero-skip on `a[i,l]`. The AVX2 level puts eight rows of `A` in the
+/// lanes (the edge-lane rule of the module docs).
 #[inline]
-pub fn axpy(level: Level, acc: &mut [f32], x: &[f32], s: f32) {
-    assert_eq!(acc.len(), x.len(), "axpy length mismatch");
+pub fn matmul_narrow_n(
+    level: Level,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+    skip_zero: bool,
+) {
+    assert!((1..=8).contains(&n), "matmul_narrow_n: n = {n}");
+    assert!(b.len() == k * n && c.len().is_multiple_of(n) && a.len() == c.len() / n * k);
     match level {
-        Level::Scalar => axpy_scalar(acc, x, s),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); equal lengths asserted.
-        Level::Avx2 => unsafe { avx2::axpy(acc, x, s) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => axpy_scalar(acc, x, s),
+        // SAFETY: AVX2 verified by level(); slice shapes asserted above.
+        Level::Avx2 if k > 0 => unsafe { avx2::matmul_narrow_n(a, k, b, n, c, skip_zero) },
+        _ => matmul_rows_scalar(a, k, b, n, c, skip_zero),
+    }
+}
+
+/// `C = A·B` where `A: [m, k]` has at most eight columns: each column
+/// tile of a `C` row is summed over ascending `l` from `0.0` in registers
+/// and stored once. Scalar level: the generic row tile.
+#[inline]
+pub fn matmul_narrow_k(
+    level: Level,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+    skip_zero: bool,
+) {
+    assert!(
+        (1..=8).contains(&k) && n > 0,
+        "matmul_narrow_k: k = {k}, n = {n}"
+    );
+    assert!(b.len() == k * n && a.len().is_multiple_of(k) && c.len() == a.len() / k * n);
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); slice shapes asserted above.
+        Level::Avx2 => unsafe { avx2::matmul_narrow_k(a, k, b, n, c, skip_zero) },
+        _ => matmul_rows_scalar(a, k, b, n, c, skip_zero),
+    }
+}
+
+/// g-SDDMM for one destination: `out[i*heads + h] = scale * <arow,
+/// b[srcs[i]*ldb..]>_h` for each of its edges, every dot product summed
+/// in ascending channel order. The AVX2 level puts eight edges in the
+/// lanes (the edge-lane rule of the module docs).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn sddmm_dst(
+    level: Level,
+    arow: &[f32],
+    b: &[f32],
+    ldb: usize,
+    srcs: &[u32],
+    heads: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert!(
+        heads >= 1 && arow.len().is_multiple_of(heads),
+        "sddmm: heads"
+    );
+    assert_eq!(out.len(), srcs.len() * heads, "sddmm: output length");
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); the kernel asserts the largest
+        // source row in bounds before any load.
+        Level::Avx2 => unsafe { avx2::sddmm_dst(arow, b, ldb, srcs, heads, scale, out) },
+        _ => sddmm_dst_scalar(arow, b, ldb, srcs, heads, scale, out),
+    }
+}
+
+/// Edge softmax over one destination's `[deg, heads]` logits into `out`
+/// (same layout). The AVX2 level runs four heads abreast when `heads` is
+/// a multiple of four.
+#[inline]
+pub fn edge_softmax_dst(level: Level, logits: &[f32], heads: usize, out: &mut [f32]) {
+    assert!(heads >= 1 && logits.len().is_multiple_of(heads) && out.len() == logits.len());
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); lengths asserted above.
+        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
+            avx2::edge_softmax_dst(logits, heads, out)
+        },
+        _ => edge_softmax_dst_scalar(logits, heads, out),
+    }
+}
+
+/// Edge-softmax backward over one destination's edges: `out = soft *
+/// (grad - Σ soft*grad)` per head.
+#[inline]
+pub fn edge_softmax_backward_dst(
+    level: Level,
+    soft: &[f32],
+    grad: &[f32],
+    heads: usize,
+    out: &mut [f32],
+) {
+    assert!(heads >= 1 && soft.len().is_multiple_of(heads));
+    assert!(grad.len() == soft.len() && out.len() == soft.len());
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); lengths asserted above.
+        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
+            avx2::edge_softmax_backward_dst(soft, grad, heads, out)
+        },
+        _ => edge_softmax_backward_dst_scalar(soft, grad, heads, out),
     }
 }
 

@@ -5,25 +5,21 @@
 //! Backward edge weights can be done by a g-SDDMM also on the CSR matrix.
 //! Backward dense feature input should be g-SpMM on the transposed CSR
 //! matrix, this can be done by computing on the original CSR matrix and
-//! using atomic add operations to avoid the sparse matrix transpose. ...
-//! We use the duplicate count array to help identify the nodes without
-//! duplicated one, whose atomic add can then be optimized to a simple
-//! assign operation."
+//! using atomic add operations to avoid the sparse matrix transpose."
 //!
-//! [`spmm_backward_src_atomic`] and [`spmm_max_backward_atomic`] follow
-//! that design literally: they walk the *forward* CSR in parallel and
-//! scatter with CAS-loop atomic f32 adds, downgraded to plain stores for
-//! sub-graph nodes whose AppendUnique duplicate count is 1. Atomic float
-//! adds commit in race order, though, so their results vary run-to-run
-//! under real parallelism. The default [`spmm_backward_src`] /
-//! [`spmm_max_backward`] instead gather over a transposed CSR (built with
-//! a stable counting sort), accumulating each source row's contributions
-//! in ascending edge order — bit-identical at any thread count. The atomic
-//! variants are kept for paper fidelity and as an ablation baseline.
+//! The paper's atomic scatter commits float adds in race order, so its
+//! results vary run to run. [`spmm_backward_src_into`] and
+//! [`spmm_max_backward_into`] instead gather over a transposed CSR (built
+//! with a stable counting sort), accumulating each source row's
+//! contributions in ascending edge order — bit-identical at any thread
+//! count.
+//!
+//! Every kernel comes in the three forms of [`crate::ops`]: a
+//! `*_reference` oracle (the plain loop), a pooled `*_into` kernel whose
+//! inner loops dispatch through [`crate::simd`], and an `*_into_with`
+//! twin pinned to an explicit [`Level`].
 
 #![allow(clippy::needless_range_loop)] // kernel-style indexed loops mirror the CUDA code
-
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use rayon::prelude::*;
 
@@ -55,7 +51,7 @@ pub struct BlockCsr {
     /// Column indices (`offsets[num_dst]` entries, each `< num_src`).
     pub indices: Vec<u32>,
     /// AppendUnique duplicate counts per source node (how many times each
-    /// was sampled); drives the atomic→assign optimization.
+    /// was sampled).
     pub dup_count: Vec<u32>,
 }
 
@@ -69,6 +65,12 @@ impl BlockCsr {
     #[inline]
     pub fn degree(&self, dst: usize) -> usize {
         (self.offsets[dst + 1] - self.offsets[dst]) as usize
+    }
+
+    /// Edge range `[lo, hi)` of a destination.
+    #[inline]
+    fn edges(&self, dst: usize) -> (usize, usize) {
+        (self.offsets[dst] as usize, self.offsets[dst + 1] as usize)
     }
 
     /// Validate structural invariants (debug aid; O(E)).
@@ -101,6 +103,24 @@ fn agg_scale(agg: Agg, degree: usize) -> f32 {
     }
 }
 
+/// Shape checks shared by the g-SpMM forms; returns `head_dim`.
+fn spmm_head_dim(
+    block: &BlockCsr,
+    channels: usize,
+    edge_weights: Option<&Matrix>,
+    heads: usize,
+) -> usize {
+    assert!(
+        heads >= 1 && channels.is_multiple_of(heads),
+        "heads must divide channels"
+    );
+    if let Some(w) = edge_weights {
+        assert_eq!(w.rows(), block.num_edges());
+        assert_eq!(w.cols(), heads);
+    }
+    channels / heads
+}
+
 /// g-SpMM forward — the original unblocked loop, kept as the bit-exactness
 /// oracle for [`spmm_into`].
 ///
@@ -116,22 +136,13 @@ pub fn spmm_reference(
 ) -> Matrix {
     assert_eq!(src.rows(), block.num_src, "src feature rows != num_src");
     let channels = src.cols();
-    assert!(
-        heads >= 1 && channels.is_multiple_of(heads),
-        "heads must divide channels"
-    );
-    if let Some(w) = edge_weights {
-        assert_eq!(w.rows(), block.num_edges());
-        assert_eq!(w.cols(), heads);
-    }
-    let head_dim = channels / heads;
+    let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
     let mut out = Matrix::zeros(block.num_dst, channels);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
         .enumerate()
         .for_each(|(d, orow)| {
-            let lo = block.offsets[d] as usize;
-            let hi = block.offsets[d + 1] as usize;
+            let (lo, hi) = block.edges(d);
             let scale = agg_scale(agg, hi - lo);
             for e in lo..hi {
                 let s = block.indices[e] as usize;
@@ -159,16 +170,15 @@ pub fn spmm_reference(
 }
 
 /// Channel-tile width of the blocked spmm kernels: per-tile accumulators
-/// live in registers across a destination row's whole edge list, so the
-/// output row is stored once per tile instead of read-modify-written per
-/// edge.
+/// live in registers across a row's whole edge list, so the output row is
+/// stored once per tile instead of read-modify-written per edge.
 const SPMM_CB: usize = 32;
 
 /// g-SpMM forward into a caller-provided output (re-shaped in place,
-/// capacity reused). Channel-blocked on the unweighted path; every output
-/// element still accumulates its edges in ascending edge order with the
-/// same `agg` scaling, so results are bit-identical to
-/// [`spmm_reference`] at any thread count.
+/// capacity reused). Register-tiled: every output element accumulates its
+/// edges in ascending edge order with the same `agg` scaling (and per-edge
+/// head weight), so results are bit-identical to [`spmm_reference`] at any
+/// thread count.
 pub fn spmm_into(
     block: &BlockCsr,
     src: &Matrix,
@@ -193,59 +203,47 @@ pub fn spmm_into_with(
 ) {
     assert_eq!(src.rows(), block.num_src, "src feature rows != num_src");
     let channels = src.cols();
-    assert!(
-        heads >= 1 && channels.is_multiple_of(heads),
-        "heads must divide channels"
-    );
-    if let Some(w) = edge_weights {
-        assert_eq!(w.rows(), block.num_edges());
-        assert_eq!(w.cols(), heads);
-    }
-    let head_dim = channels / heads;
+    let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
     out.reset_shape(block.num_dst, channels);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
         .enumerate()
         .for_each(|(d, orow)| {
-            let lo = block.offsets[d] as usize;
-            let hi = block.offsets[d + 1] as usize;
+            let (lo, hi) = block.edges(d);
+            if lo == hi {
+                return; // isolated dst: the zero row `reset_shape` left
+            }
             let scale = agg_scale(agg, hi - lo);
-            match edge_weights {
-                None => {
-                    let edges = &block.indices[lo..hi];
-                    let mut j0 = 0;
-                    while j0 < channels {
-                        let cb = SPMM_CB.min(channels - j0);
-                        let mut acc = [0.0f32; SPMM_CB];
-                        simd::spmm_gather_rowtile(
-                            level,
-                            edges,
-                            src.data(),
-                            channels,
-                            j0,
-                            scale,
-                            &mut acc[..cb],
-                        );
-                        orow[j0..j0 + cb].copy_from_slice(&acc[..cb]);
-                        j0 += cb;
-                    }
+            let edges = &block.indices[lo..hi];
+            let x = src.data();
+            // The unweighted loop is spelled out with a literal `None`
+            // rather than shared with the per-head loop below: routing it
+            // through a closure or a runtime `Option` measured 5-15%
+            // slower at 16 channels (GCN/GraphSAGE's path).
+            let Some(w) = edge_weights else {
+                let mut j0 = 0;
+                while j0 < channels {
+                    let cb = SPMM_CB.min(channels - j0);
+                    let mut acc = [0.0f32; SPMM_CB];
+                    let tile = &mut acc[..cb];
+                    simd::spmm_gather_rowtile(level, edges, None, x, channels, j0, scale, tile);
+                    orow[j0..j0 + cb].copy_from_slice(tile);
+                    j0 += cb;
                 }
-                Some(w) => {
-                    for e in lo..hi {
-                        let s = block.indices[e] as usize;
-                        let srow = src.row(s);
-                        let wrow = w.row(e);
-                        for h in 0..heads {
-                            let wh = scale * wrow[h];
-                            let base = h * head_dim;
-                            simd::axpy(
-                                level,
-                                &mut orow[base..base + head_dim],
-                                &srow[base..base + head_dim],
-                                wh,
-                            );
-                        }
-                    }
+                return;
+            };
+            // A head's weight is a per-edge scalar on its `head_dim`
+            // columns, so the same register tiles apply head by head.
+            for h in 0..heads {
+                let wh = Some((&w.data()[lo * heads + h..], heads));
+                let mut j0 = h * head_dim;
+                while j0 < (h + 1) * head_dim {
+                    let cb = SPMM_CB.min((h + 1) * head_dim - j0);
+                    let mut acc = [0.0f32; SPMM_CB];
+                    let tile = &mut acc[..cb];
+                    simd::spmm_gather_rowtile(level, edges, wh, x, channels, j0, scale, tile);
+                    orow[j0..j0 + cb].copy_from_slice(tile);
+                    j0 += cb;
                 }
             }
         });
@@ -262,20 +260,6 @@ pub fn spmm(
     let mut out = Matrix::empty();
     spmm_into(block, src, edge_weights, heads, agg, &mut out);
     out
-}
-
-/// CAS-loop atomic add on an `f32` stored in an `AtomicU32` — the software
-/// equivalent of CUDA's `atomicAdd(float*)`.
-#[inline]
-fn atomic_add_f32(slot: &AtomicU32, add: f32) {
-    let mut cur = slot.load(Ordering::Relaxed);
-    loop {
-        let new = f32::from_bits(cur) + add;
-        match slot.compare_exchange_weak(cur, new.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
 }
 
 /// The transposed adjacency of a [`BlockCsr`]: for every source node, its
@@ -331,8 +315,7 @@ pub fn spmm_backward_src_reference(
 ) -> Matrix {
     assert_eq!(grad_dst.rows(), block.num_dst);
     let channels = grad_dst.cols();
-    assert!(heads >= 1 && channels.is_multiple_of(heads));
-    let head_dim = channels / heads;
+    let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
     let mut rev = ReverseScratch::default();
     reverse_csr_into(block, &mut rev);
     let mut out = Matrix::zeros(block.num_src, channels);
@@ -371,7 +354,7 @@ pub fn spmm_backward_src_reference(
 /// gather over the transposed CSR, parallel across source rows, each row
 /// accumulating its incoming gradients in ascending edge order. Results
 /// are bit-identical at any thread count (the autograd tape uses this).
-/// Channel-blocked like [`spmm_into`]; writes into a caller-provided
+/// Register-tiled like [`spmm_into`]; writes into a caller-provided
 /// output and rebuilds the transpose in pooled scratch, so warm calls
 /// allocate nothing.
 pub fn spmm_backward_src_into(
@@ -409,56 +392,45 @@ pub fn spmm_backward_src_into_with(
 ) {
     assert_eq!(grad_dst.rows(), block.num_dst);
     let channels = grad_dst.cols();
-    assert!(heads >= 1 && channels.is_multiple_of(heads));
-    let head_dim = channels / heads;
+    let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
     reverse_csr_into(block, rev);
     let rev = &*rev;
+    let mean = agg == Agg::Mean;
     out.reset_shape(block.num_src, channels);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
         .enumerate()
         .for_each(|(s, orow)| {
-            let lo = rev.offsets[s] as usize;
-            let hi = rev.offsets[s + 1] as usize;
-            match edge_weights {
-                None => {
-                    let dsts = &rev.dsts[lo..hi];
-                    let mut j0 = 0;
-                    while j0 < channels {
-                        let cb = SPMM_CB.min(channels - j0);
-                        let mut acc = [0.0f32; SPMM_CB];
-                        simd::spmm_scatter_rowtile(
-                            level,
-                            dsts,
-                            &block.offsets,
-                            agg == Agg::Mean,
-                            grad_dst.data(),
-                            channels,
-                            j0,
-                            &mut acc[..cb],
-                        );
-                        orow[j0..j0 + cb].copy_from_slice(&acc[..cb]);
-                        j0 += cb;
-                    }
+            let (lo, hi) = (rev.offsets[s] as usize, rev.offsets[s + 1] as usize);
+            if lo == hi {
+                return; // never sampled as a source: zero gradient
+            }
+            let dsts = &rev.dsts[lo..hi];
+            let (offs, g) = (&block.offsets[..], grad_dst.data());
+            let Some(w) = edge_weights else {
+                let mut j0 = 0;
+                while j0 < channels {
+                    let cb = SPMM_CB.min(channels - j0);
+                    let mut acc = [0.0f32; SPMM_CB];
+                    let tile = &mut acc[..cb];
+                    simd::spmm_scatter_rowtile(
+                        level, dsts, None, offs, mean, g, channels, j0, tile,
+                    );
+                    orow[j0..j0 + cb].copy_from_slice(tile);
+                    j0 += cb;
                 }
-                Some(w) => {
-                    for i in lo..hi {
-                        let e = rev.edges[i] as usize;
-                        let d = rev.dsts[i] as usize;
-                        let scale = agg_scale(agg, block.degree(d));
-                        let grow = grad_dst.row(d);
-                        let wrow = w.row(e);
-                        for h in 0..heads {
-                            let wh = scale * wrow[h];
-                            let base = h * head_dim;
-                            simd::axpy(
-                                level,
-                                &mut orow[base..base + head_dim],
-                                &grow[base..base + head_dim],
-                                wh,
-                            );
-                        }
-                    }
+                return;
+            };
+            for h in 0..heads {
+                let wh = Some((&w.data()[h..], &rev.edges[lo..hi], heads));
+                let mut j0 = h * head_dim;
+                while j0 < (h + 1) * head_dim {
+                    let cb = SPMM_CB.min((h + 1) * head_dim - j0);
+                    let mut acc = [0.0f32; SPMM_CB];
+                    let tile = &mut acc[..cb];
+                    simd::spmm_scatter_rowtile(level, dsts, wh, offs, mean, g, channels, j0, tile);
+                    orow[j0..j0 + cb].copy_from_slice(tile);
+                    j0 += cb;
                 }
             }
         });
@@ -486,97 +458,23 @@ pub fn spmm_backward_src(
     out
 }
 
-/// g-SpMM backward w.r.t. source features — the paper-literal atomic
-/// variant: the transposed aggregation executed on the **untransposed**
-/// CSR with atomic adds; source nodes with `dup_count == 1` take the
-/// plain-store fast path. Atomic f32 adds commit in race order, so outputs
-/// may differ in low bits between runs; kept for fidelity and ablation.
-pub fn spmm_backward_src_atomic(
-    block: &BlockCsr,
-    grad_dst: &Matrix,
-    edge_weights: Option<&Matrix>,
-    heads: usize,
-    agg: Agg,
-) -> Matrix {
-    assert_eq!(grad_dst.rows(), block.num_dst);
-    let channels = grad_dst.cols();
-    assert!(heads >= 1 && channels.is_multiple_of(heads));
-    let head_dim = channels / heads;
-    let grad_src: Vec<AtomicU32> = (0..block.num_src * channels)
-        .map(|_| AtomicU32::new(0f32.to_bits()))
-        .collect();
-
-    (0..block.num_dst).into_par_iter().for_each(|d| {
-        let lo = block.offsets[d] as usize;
-        let hi = block.offsets[d + 1] as usize;
-        let scale = agg_scale(agg, hi - lo);
-        let grow = grad_dst.row(d);
-        for e in lo..hi {
-            let s = block.indices[e] as usize;
-            let plain_store = block.dup_count[s] == 1;
-            let dst_slots = &grad_src[s * channels..(s + 1) * channels];
-            match edge_weights {
-                None => {
-                    for (slot, &g) in dst_slots.iter().zip(grow) {
-                        let v = scale * g;
-                        if plain_store {
-                            // dup_count == 1 ⇒ this edge is the only writer.
-                            slot.store(
-                                (f32::from_bits(slot.load(Ordering::Relaxed)) + v).to_bits(),
-                                Ordering::Relaxed,
-                            );
-                        } else {
-                            atomic_add_f32(slot, v);
-                        }
-                    }
-                }
-                Some(w) => {
-                    let wrow = w.row(e);
-                    for h in 0..heads {
-                        let wh = scale * wrow[h];
-                        let base = h * head_dim;
-                        for j in 0..head_dim {
-                            let v = wh * grow[base + j];
-                            if plain_store {
-                                let slot = &dst_slots[base + j];
-                                slot.store(
-                                    (f32::from_bits(slot.load(Ordering::Relaxed)) + v).to_bits(),
-                                    Ordering::Relaxed,
-                                );
-                            } else {
-                                atomic_add_f32(&dst_slots[base + j], v);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-
-    let data: Vec<f32> = grad_src
-        .into_iter()
-        .map(|a| f32::from_bits(a.into_inner()))
-        .collect();
-    Matrix::from_vec(block.num_src, channels, data)
-}
-
-/// g-SpMM with **max** aggregation (GraphSage's pooling aggregator):
-/// `out[d, c] = max over edges (d←s) of src[s, c]`, zeros for isolated
-/// destinations. Returns the output and, per `(dst, channel)`, the *edge
-/// index* that won (`u32::MAX` when the dst has no edges) — the backward
-/// routes gradients through exactly those edges.
-pub fn spmm_max(block: &BlockCsr, src: &Matrix) -> (Matrix, Vec<u32>) {
+/// g-SpMM with **max** aggregation (GraphSage's pooling aggregator) into
+/// caller-provided (pooled) buffers: `out[d, c] = max over edges (d←s) of
+/// src[s, c]`, zeros for isolated destinations, and per `(dst, channel)`
+/// the *edge index* that won in `argmax` (`u32::MAX` when the dst has no
+/// edges) — the backward routes gradients through exactly those edges.
+pub fn spmm_max_into(block: &BlockCsr, src: &Matrix, out: &mut Matrix, argmax: &mut Vec<u32>) {
     assert_eq!(src.rows(), block.num_src, "src feature rows != num_src");
     let channels = src.cols();
-    let mut out = Matrix::zeros(block.num_dst, channels);
-    let mut argmax = vec![u32::MAX; block.num_dst * channels];
+    out.reset_shape(block.num_dst, channels);
+    argmax.clear();
+    argmax.resize(block.num_dst * channels, u32::MAX);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
         .zip(argmax.par_chunks_mut(channels.max(1)))
         .enumerate()
         .for_each(|(d, (orow, arow))| {
-            let lo = block.offsets[d] as usize;
-            let hi = block.offsets[d + 1] as usize;
+            let (lo, hi) = block.edges(d);
             if lo == hi {
                 return; // isolated dst: zeros, argmax stays MAX
             }
@@ -592,19 +490,32 @@ pub fn spmm_max(block: &BlockCsr, src: &Matrix) -> (Matrix, Vec<u32>) {
                 }
             }
         });
+}
+
+/// Allocating wrapper over [`spmm_max_into`].
+pub fn spmm_max(block: &BlockCsr, src: &Matrix) -> (Matrix, Vec<u32>) {
+    let (mut out, mut argmax) = (Matrix::empty(), Vec::new());
+    spmm_max_into(block, src, &mut out, &mut argmax);
     (out, argmax)
 }
 
-/// Backward of [`spmm_max`]: each `(dst, channel)` gradient flows only to
-/// the source node of its winning edge. Deterministic variant — gathers
-/// over the transposed CSR, so each source row checks its incoming edges
-/// in ascending order against the argmax and accumulates schedule-free.
-pub fn spmm_max_backward(block: &BlockCsr, grad_dst: &Matrix, argmax: &[u32]) -> Matrix {
+/// Backward of [`spmm_max`] into a caller-provided output: each `(dst,
+/// channel)` gradient flows only to the source node of its winning edge.
+/// Gathers over the transposed CSR (rebuilt in the pooled `rev`), so each
+/// source row checks its incoming edges in ascending order against the
+/// argmax and accumulates schedule-free.
+pub fn spmm_max_backward_into(
+    block: &BlockCsr,
+    grad_dst: &Matrix,
+    argmax: &[u32],
+    out: &mut Matrix,
+    rev: &mut ReverseScratch,
+) {
     let channels = grad_dst.cols();
     assert_eq!(argmax.len(), block.num_dst * channels);
-    let mut rev = ReverseScratch::default();
-    reverse_csr_into(block, &mut rev);
-    let mut out = Matrix::zeros(block.num_src, channels);
+    reverse_csr_into(block, rev);
+    let rev = &*rev;
+    out.reset_shape(block.num_src, channels);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
         .enumerate()
@@ -621,93 +532,145 @@ pub fn spmm_max_backward(block: &BlockCsr, grad_dst: &Matrix, argmax: &[u32]) ->
                 }
             }
         });
+}
+
+/// Allocating wrapper over [`spmm_max_backward_into`].
+pub fn spmm_max_backward(block: &BlockCsr, grad_dst: &Matrix, argmax: &[u32]) -> Matrix {
+    let mut out = Matrix::empty();
+    spmm_max_backward_into(
+        block,
+        grad_dst,
+        argmax,
+        &mut out,
+        &mut ReverseScratch::default(),
+    );
     out
 }
 
-/// Backward of [`spmm_max`], paper-literal atomic-scatter variant (race-
-/// order float adds; kept for fidelity and ablation).
-pub fn spmm_max_backward_atomic(block: &BlockCsr, grad_dst: &Matrix, argmax: &[u32]) -> Matrix {
-    let channels = grad_dst.cols();
-    assert_eq!(argmax.len(), block.num_dst * channels);
-    let grad_src: Vec<AtomicU32> = (0..block.num_src * channels)
-        .map(|_| AtomicU32::new(0f32.to_bits()))
-        .collect();
+/// Re-shape the `[E, heads]` edge matrix `out` and hand every destination
+/// its own rows: `f(d, lo, rows)` runs in parallel over destinations with
+/// `rows = out[lo*heads..hi*heads]`, the destination's edge range.
+fn for_each_dst_edges(
+    block: &BlockCsr,
+    heads: usize,
+    out: &mut Matrix,
+    f: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let num_edges = block.num_edges();
+    assert_eq!(block.offsets.len(), block.num_dst + 1);
+    assert!(
+        block.offsets.windows(2).all(|w| w[0] <= w[1])
+            && block.offsets[block.num_dst] as usize == num_edges,
+        "offsets must ascend to the edge count"
+    );
+    out.reset_shape(num_edges, heads);
+    let out_ptr = out.data_mut().as_mut_ptr() as usize;
     (0..block.num_dst).into_par_iter().for_each(|d| {
-        let grow = grad_dst.row(d);
-        let arow = &argmax[d * channels..(d + 1) * channels];
-        for c in 0..channels {
-            let e = arow[c];
-            if e == u32::MAX {
-                continue;
-            }
-            let s = block.indices[e as usize] as usize;
-            atomic_add_f32(&grad_src[s * channels + c], grow[c]);
-        }
+        let (lo, hi) = block.edges(d);
+        // SAFETY: the offsets ascend to `num_edges` (asserted above), so
+        // the destinations' edge ranges are disjoint sub-ranges of the
+        // `num_edges * heads` floats `out` holds: each task writes a
+        // private slice.
+        let rows = unsafe {
+            std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(lo * heads), (hi - lo) * heads)
+        };
+        f(d, lo, rows);
     });
-    let data: Vec<f32> = grad_src
-        .into_iter()
-        .map(|a| f32::from_bits(a.into_inner()))
-        .collect();
-    Matrix::from_vec(block.num_src, channels, data)
 }
 
-/// g-SDDMM: per-edge, per-head dot products `out[e,h] = <a_dst[d], b_src[s]>_h`
-/// for each edge `d←s`. This is both the GAT attention-logit kernel and
-/// the backward of weighted g-SpMM w.r.t. the edge weights
-/// (`a = grad_dst, b = src`, with the forward's aggregation scale).
-pub fn sddmm(block: &BlockCsr, a_dst: &Matrix, b_src: &Matrix, heads: usize, agg: Agg) -> Matrix {
+/// Shape checks shared by the g-SDDMM forms; returns `head_dim`.
+fn sddmm_head_dim(block: &BlockCsr, a_dst: &Matrix, b_src: &Matrix, heads: usize) -> usize {
     assert_eq!(a_dst.rows(), block.num_dst);
     assert_eq!(b_src.rows(), block.num_src);
     assert_eq!(a_dst.cols(), b_src.cols());
-    let channels = a_dst.cols();
-    assert!(heads >= 1 && channels.is_multiple_of(heads));
-    let head_dim = channels / heads;
+    assert!(heads >= 1 && a_dst.cols().is_multiple_of(heads));
+    a_dst.cols() / heads
+}
+
+/// g-SDDMM — the original per-edge loop (one dependent scalar add per
+/// multiply), kept as the bit-exactness oracle for [`sddmm_into`].
+pub fn sddmm_reference(
+    block: &BlockCsr,
+    a_dst: &Matrix,
+    b_src: &Matrix,
+    heads: usize,
+    agg: Agg,
+) -> Matrix {
+    let head_dim = sddmm_head_dim(block, a_dst, b_src, heads);
     let mut out = Matrix::zeros(block.num_edges(), heads);
-    // Parallel over dst rows; each owns a disjoint slice of edges.
-    let out_ptr = out.data_mut().as_mut_ptr() as usize;
-    (0..block.num_dst).into_par_iter().for_each(|d| {
-        let lo = block.offsets[d] as usize;
-        let hi = block.offsets[d + 1] as usize;
+    for d in 0..block.num_dst {
+        let (lo, hi) = block.edges(d);
         let scale = agg_scale(agg, hi - lo);
         let arow = a_dst.row(d);
         for e in lo..hi {
-            let s = block.indices[e] as usize;
-            let brow = b_src.row(s);
-            // SAFETY: edge ranges [lo, hi) are disjoint across dst rows, so
-            // each parallel task writes a private slice of `out`.
-            let orow = unsafe {
-                std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(e * heads), heads)
-            };
+            let brow = b_src.row(block.indices[e] as usize);
             for h in 0..heads {
                 let base = h * head_dim;
                 let mut acc = 0.0f32;
                 for j in 0..head_dim {
                     acc += arow[base + j] * brow[base + j];
                 }
-                orow[h] = scale * acc;
+                out.set(e, h, scale * acc);
             }
         }
-    });
+    }
     out
 }
 
-/// Softmax over each destination's incoming edges, per head (GAT's
-/// attention normalization). Input and output are `[E, H]`.
-pub fn edge_softmax(block: &BlockCsr, logits: &Matrix) -> Matrix {
+/// g-SDDMM into a caller-provided `[E, heads]` output: per-edge, per-head
+/// dot products `out[e,h] = scale_d · <a_dst[d], b_src[s]>_h` for each edge
+/// `d←s`. This is both the GAT attention-logit kernel and the backward of
+/// weighted g-SpMM w.r.t. the edge weights (`a = grad_dst, b = src`, with
+/// the forward's aggregation scale). Parallel over destinations, whose
+/// edges share `a_dst[d]`; each dot product is summed in ascending channel
+/// order — bit-identical to [`sddmm_reference`].
+pub fn sddmm_into(
+    block: &BlockCsr,
+    a_dst: &Matrix,
+    b_src: &Matrix,
+    heads: usize,
+    agg: Agg,
+    out: &mut Matrix,
+) {
+    sddmm_into_with(simd::level(), block, a_dst, b_src, heads, agg, out);
+}
+
+/// [`sddmm_into`] at an explicit SIMD [`Level`].
+#[allow(clippy::too_many_arguments)]
+pub fn sddmm_into_with(
+    level: Level,
+    block: &BlockCsr,
+    a_dst: &Matrix,
+    b_src: &Matrix,
+    heads: usize,
+    agg: Agg,
+    out: &mut Matrix,
+) {
+    sddmm_head_dim(block, a_dst, b_src, heads);
+    let (b, ldb) = (b_src.data(), b_src.cols());
+    for_each_dst_edges(block, heads, out, |d, lo, rows| {
+        let srcs = &block.indices[lo..lo + rows.len() / heads];
+        let scale = agg_scale(agg, srcs.len());
+        simd::sddmm_dst(level, a_dst.row(d), b, ldb, srcs, heads, scale, rows);
+    });
+}
+
+/// Allocating wrapper over [`sddmm_into`].
+pub fn sddmm(block: &BlockCsr, a_dst: &Matrix, b_src: &Matrix, heads: usize, agg: Agg) -> Matrix {
+    let mut out = Matrix::empty();
+    sddmm_into(block, a_dst, b_src, heads, agg, &mut out);
+    out
+}
+
+/// Edge softmax — the original clone-then-normalize-in-place loop, kept
+/// as the oracle for [`edge_softmax_into`].
+pub fn edge_softmax_reference(block: &BlockCsr, logits: &Matrix) -> Matrix {
     assert_eq!(logits.rows(), block.num_edges());
     let heads = logits.cols();
     let mut out = logits.clone();
-    let out_ptr = out.data_mut().as_mut_ptr() as usize;
-    (0..block.num_dst).into_par_iter().for_each(|d| {
-        let lo = block.offsets[d] as usize;
-        let hi = block.offsets[d + 1] as usize;
-        if lo == hi {
-            return;
-        }
-        // SAFETY: disjoint edge ranges per dst.
-        let rows = unsafe {
-            std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(lo * heads), (hi - lo) * heads)
-        };
+    for d in 0..block.num_dst {
+        let (lo, hi) = block.edges(d);
+        let rows = &mut out.data_mut()[lo * heads..hi * heads];
         for h in 0..heads {
             let mut max = f32::NEG_INFINITY;
             for e in 0..hi - lo {
@@ -723,37 +686,141 @@ pub fn edge_softmax(block: &BlockCsr, logits: &Matrix) -> Matrix {
                 rows[e * heads + h] /= denom;
             }
         }
-    });
+    }
     out
 }
 
-/// Backward of [`edge_softmax`]: given the forward output `soft` and
-/// upstream gradient `grad`, returns the gradient w.r.t. the logits:
-/// `g_e = soft_e · (grad_e − Σ_f soft_f · grad_f)` per destination, per head.
-pub fn edge_softmax_backward(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> Matrix {
+/// Softmax over each destination's incoming edges, per head (GAT's
+/// attention normalization), `[E, H]` in and out, written into a
+/// caller-provided output one destination at a time. Bit-identical to
+/// [`edge_softmax_reference`] for finite logits.
+pub fn edge_softmax_into(block: &BlockCsr, logits: &Matrix, out: &mut Matrix) {
+    edge_softmax_into_with(simd::level(), block, logits, out);
+}
+
+/// [`edge_softmax_into`] at an explicit SIMD [`Level`].
+pub fn edge_softmax_into_with(level: Level, block: &BlockCsr, logits: &Matrix, out: &mut Matrix) {
+    assert_eq!(logits.rows(), block.num_edges());
+    let heads = logits.cols();
+    for_each_dst_edges(block, heads, out, |_, lo, rows| {
+        let src = &logits.data()[lo * heads..lo * heads + rows.len()];
+        simd::edge_softmax_dst(level, src, heads, rows);
+    });
+}
+
+/// Allocating wrapper over [`edge_softmax_into`].
+pub fn edge_softmax(block: &BlockCsr, logits: &Matrix) -> Matrix {
+    let mut out = Matrix::empty();
+    edge_softmax_into(block, logits, &mut out);
+    out
+}
+
+/// Edge-softmax backward — the original bounds-checked loop, kept as the
+/// oracle for [`edge_softmax_backward_into`].
+pub fn edge_softmax_backward_reference(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> Matrix {
     assert_eq!(soft.rows(), block.num_edges());
     assert_eq!(grad.rows(), block.num_edges());
     let heads = soft.cols();
     let mut out = Matrix::zeros(block.num_edges(), heads);
-    let out_ptr = out.data_mut().as_mut_ptr() as usize;
-    (0..block.num_dst).into_par_iter().for_each(|d| {
-        let lo = block.offsets[d] as usize;
-        let hi = block.offsets[d + 1] as usize;
+    for d in 0..block.num_dst {
+        let (lo, hi) = block.edges(d);
         for h in 0..heads {
             let mut dot = 0.0f32;
             for e in lo..hi {
                 dot += soft.get(e, h) * grad.get(e, h);
             }
             for e in lo..hi {
-                let v = soft.get(e, h) * (grad.get(e, h) - dot);
-                // SAFETY: disjoint edge ranges per dst.
-                unsafe {
-                    *(out_ptr as *mut f32).add(e * heads + h) = v;
-                }
+                out.set(e, h, soft.get(e, h) * (grad.get(e, h) - dot));
+            }
+        }
+    }
+    out
+}
+
+/// Backward of [`edge_softmax`] into a caller-provided output: given the
+/// forward output `soft` and upstream gradient `grad`, the gradient
+/// w.r.t. the logits `g_e = soft_e · (grad_e − Σ_f soft_f · grad_f)` per
+/// destination, per head.
+pub fn edge_softmax_backward_into(
+    block: &BlockCsr,
+    soft: &Matrix,
+    grad: &Matrix,
+    out: &mut Matrix,
+) {
+    edge_softmax_backward_into_with(simd::level(), block, soft, grad, out);
+}
+
+/// [`edge_softmax_backward_into`] at an explicit SIMD [`Level`].
+pub fn edge_softmax_backward_into_with(
+    level: Level,
+    block: &BlockCsr,
+    soft: &Matrix,
+    grad: &Matrix,
+    out: &mut Matrix,
+) {
+    assert_eq!(soft.rows(), block.num_edges());
+    assert_eq!((grad.rows(), grad.cols()), (soft.rows(), soft.cols()));
+    let heads = soft.cols();
+    for_each_dst_edges(block, heads, out, |_, lo, rows| {
+        let span = lo * heads..lo * heads + rows.len();
+        let (s, g) = (&soft.data()[span.clone()], &grad.data()[span]);
+        simd::edge_softmax_backward_dst(level, s, g, heads, rows);
+    });
+}
+
+/// Allocating wrapper over [`edge_softmax_backward_into`].
+pub fn edge_softmax_backward(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> Matrix {
+    let mut out = Matrix::empty();
+    edge_softmax_backward_into(block, soft, grad, &mut out);
+    out
+}
+
+/// GAT attention logits into a caller-provided `[E, heads]` output:
+/// `out[e, h] = dst_scores[d(e), h] + src_scores[s(e), h]`.
+pub fn edge_scores_into(
+    block: &BlockCsr,
+    dst_scores: &Matrix,
+    src_scores: &Matrix,
+    out: &mut Matrix,
+) {
+    assert_eq!(dst_scores.rows(), block.num_dst);
+    assert_eq!(src_scores.rows(), block.num_src);
+    assert_eq!(dst_scores.cols(), src_scores.cols());
+    let heads = dst_scores.cols();
+    for_each_dst_edges(block, heads, out, |d, lo, rows| {
+        let drow = dst_scores.row(d);
+        for (orow, &s) in rows.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
+            for ((o, &dv), &sv) in orow.iter_mut().zip(drow).zip(src_scores.row(s as usize)) {
+                *o = dv + sv;
             }
         }
     });
-    out
+}
+
+/// Backward of [`edge_scores_into`]: every edge's `[heads]` gradient is
+/// added to its destination's row of `grad_dst` and its source's row of
+/// `grad_src`, serially in edge order (sources are shared between
+/// destinations, and the edge order fixes each sum's bits).
+pub fn edge_scores_backward_into(
+    block: &BlockCsr,
+    grad: &Matrix,
+    grad_dst: &mut Matrix,
+    grad_src: &mut Matrix,
+) {
+    assert_eq!(grad.rows(), block.num_edges());
+    let heads = grad.cols();
+    grad_dst.reset_shape(block.num_dst, heads);
+    grad_src.reset_shape(block.num_src, heads);
+    for d in 0..block.num_dst {
+        let (lo, hi) = block.edges(d);
+        for e in lo..hi {
+            let srow = grad_src.row_mut(block.indices[e] as usize);
+            for ((g, dv), sv) in grad.row(e).iter().zip(grad_dst.row_mut(d)).zip(srow) {
+                *dv += g;
+                *sv += g;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -995,8 +1062,8 @@ mod tests {
         }
     }
 
-    /// Random block shared by the determinism tests: dense duplicate
-    /// structure so the atomic path really contends.
+    /// Random block with a dense duplicate structure (sources shared by
+    /// many destinations).
     fn random_block(seed: u64, num_dst: usize, num_src: usize, max_deg: usize) -> BlockCsr {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut offsets = vec![0u32];
@@ -1023,32 +1090,8 @@ mod tests {
         b
     }
 
-    #[test]
-    fn deterministic_backward_matches_atomic_variant() {
-        let b = random_block(60, 40, 64, 8);
-        let g = randm(40, 6, 61);
-        for agg in [Agg::Sum, Agg::Mean] {
-            let det = spmm_backward_src(&b, &g, None, 1, agg);
-            let atomic = spmm_backward_src_atomic(&b, &g, None, 1, agg);
-            assert!(det.max_abs_diff(&atomic) < 1e-4, "{agg:?}");
-        }
-        let heads = 2;
-        let w = randm(b.num_edges(), heads, 62);
-        let gw = randm(40, 6, 63);
-        let det = spmm_backward_src(&b, &gw, Some(&w), heads, Agg::Sum);
-        let atomic = spmm_backward_src_atomic(&b, &gw, Some(&w), heads, Agg::Sum);
-        assert!(det.max_abs_diff(&atomic) < 1e-4);
-
-        let src = randm(64, 6, 64);
-        let (_, argmax) = spmm_max(&b, &src);
-        let det = spmm_max_backward(&b, &g, &argmax);
-        let atomic = spmm_max_backward_atomic(&b, &g, &argmax);
-        assert!(det.max_abs_diff(&atomic) < 1e-5);
-    }
-
     /// The default backwards must be bit-identical between the parallel
-    /// pool and the forced-sequential schedule (the atomic variants are
-    /// exactly the kernels that can NOT promise this).
+    /// pool and the forced-sequential schedule.
     #[test]
     fn deterministic_backward_is_bit_identical_across_schedules() {
         rayon::init_threads(4);
@@ -1072,16 +1115,6 @@ mod tests {
                 .zip(seq_max.data())
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
-    }
-
-    #[test]
-    fn atomic_add_accumulates_under_contention() {
-        let slot = AtomicU32::new(0f32.to_bits());
-        (0..10_000u32)
-            .into_par_iter()
-            .for_each(|_| atomic_add_f32(&slot, 0.5));
-        let v = f32::from_bits(slot.into_inner());
-        assert!((v - 5000.0).abs() < 1e-1, "{v}");
     }
 
     proptest! {

@@ -11,6 +11,13 @@
 //! dispatched-vs-reference tests run everywhere). The two-worker pool
 //! leg lives in `simd_equivalence_threads2.rs`; tier-1 reruns this
 //! binary under `WG_THREADS=1`.
+//!
+//! The second half pins the GAT kernel families — g-SDDMM, weighted
+//! multi-head g-SpMM (forward and backward-src), edge softmax (forward
+//! and backward), edge scores and the narrow-`n`/`k` matmuls — the same
+//! way, always writing into dirty (NaN-filled, wrongly shaped) pooled
+//! buffers. Nothing is `#[cfg]`-gated: off x86, or under CI's
+//! `WG_SIMD=scalar` leg, the scalar-vs-reference comparisons still run.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -21,8 +28,10 @@ use wg_tensor::ops::{
 };
 use wg_tensor::simd::{self, Level};
 use wg_tensor::sparse::{
-    spmm_backward_src_into_with, spmm_backward_src_reference, spmm_into_with, spmm_reference, Agg,
-    BlockCsr, ReverseScratch,
+    edge_scores_backward_into, edge_scores_into, edge_softmax_backward_into_with,
+    edge_softmax_backward_reference, edge_softmax_into_with, edge_softmax_reference,
+    sddmm_into_with, sddmm_reference, spmm_backward_src_into_with, spmm_backward_src_reference,
+    spmm_into_with, spmm_reference, Agg, BlockCsr, ReverseScratch,
 };
 use wg_tensor::Matrix;
 
@@ -259,6 +268,229 @@ fn copy_slice_matches_at_every_level_and_width() {
     }
 }
 
+/// A pooled buffer as a kernel may find it: wrong shape, NaN contents.
+fn dirty() -> Matrix {
+    Matrix::from_fn(3, 5, |_, _| f32::NAN)
+}
+
+/// A block whose destination `d` has exactly `degrees[d]` sampled edges.
+fn block_with_degrees(degrees: &[usize], extra_src: usize, seed: u64) -> BlockCsr {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let num_src = degrees.len() + extra_src;
+    let mut offsets = vec![0u32];
+    let mut indices = Vec::new();
+    for &deg in degrees {
+        for _ in 0..deg {
+            indices.push(rng.gen_range(0..num_src as u32));
+        }
+        offsets.push(indices.len() as u32);
+    }
+    let mut dup_count = vec![0u32; num_src];
+    for &s in &indices {
+        dup_count[s as usize] += 1;
+    }
+    let b = BlockCsr {
+        num_dst: degrees.len(),
+        num_src,
+        offsets,
+        indices,
+        dup_count,
+    };
+    b.validate();
+    b
+}
+
+/// Degree 0, 1, one short of / exactly / one past a lane group, the
+/// paper's fanout 30 (3 groups + 6), past the 32-edge chunk, and mixed.
+fn degree_patterns() -> Vec<Vec<usize>> {
+    let mut p: Vec<Vec<usize>> = [0usize, 1, 7, 8, 9, 30, 33]
+        .iter()
+        .map(|&d| vec![d; 5])
+        .collect();
+    p.push(vec![30, 0, 9, 1, 8, 70, 7, 0, 33, 16]);
+    p
+}
+
+/// Every GAT sparse kernel at every level against its oracle, on one
+/// block and one `(heads, head_dim)` shape.
+fn check_sparse_kernels(b: &BlockCsr, heads: usize, head_dim: usize, seed: u64) {
+    let channels = heads * head_dim;
+    let (e, what) = (b.num_edges(), format!("heads {heads} x dim {head_dim}"));
+    let a_dst = mat(b.num_dst, channels, seed);
+    let b_src = mat(b.num_src, channels, seed ^ 0x51);
+    let w = mat(e, heads, seed ^ 0x77);
+    let up = mat(e, heads, seed ^ 0x99);
+    let soft_ref = edge_softmax_reference(b, &w);
+    let soft_bwd_ref = edge_softmax_backward_reference(b, &soft_ref, &up);
+    for level in levels() {
+        let name = level.name();
+        let mut out = dirty();
+        for agg in [Agg::Sum, Agg::Mean] {
+            sddmm_into_with(level, b, &a_dst, &b_src, heads, agg, &mut out);
+            let want = sddmm_reference(b, &a_dst, &b_src, heads, agg);
+            assert_bits_eq(&out, &want, &format!("sddmm/{name} {agg:?} {what}"));
+
+            spmm_into_with(level, b, &b_src, Some(&w), heads, agg, &mut out);
+            let want = spmm_reference(b, &b_src, Some(&w), heads, agg);
+            assert_bits_eq(&out, &want, &format!("spmm_weighted/{name} {agg:?} {what}"));
+
+            let mut rev = ReverseScratch::default();
+            spmm_backward_src_into_with(level, b, &a_dst, Some(&w), heads, agg, &mut out, &mut rev);
+            let want = spmm_backward_src_reference(b, &a_dst, Some(&w), heads, agg);
+            assert_bits_eq(
+                &out,
+                &want,
+                &format!("spmm_weighted_bwd/{name} {agg:?} {what}"),
+            );
+        }
+        edge_softmax_into_with(level, b, &w, &mut out);
+        assert_bits_eq(&out, &soft_ref, &format!("edge_softmax/{name} {what}"));
+        edge_softmax_backward_into_with(level, b, &soft_ref, &up, &mut out);
+        assert_bits_eq(
+            &out,
+            &soft_bwd_ref,
+            &format!("edge_softmax_bwd/{name} {what}"),
+        );
+    }
+}
+
+#[test]
+fn gat_sparse_kernels_match_their_oracles_on_the_shape_grid() {
+    for (p, degrees) in degree_patterns().iter().enumerate() {
+        let b = block_with_degrees(degrees, 11, 40 + p as u64);
+        for heads in [1usize, 2, 4] {
+            for head_dim in [5usize, 8, 16, 64] {
+                check_sparse_kernels(&b, heads, head_dim, 1000 * p as u64 + head_dim as u64);
+            }
+        }
+    }
+}
+
+/// Softmax rows that overflow a naive `exp` and rows that are constant:
+/// the max subtraction is part of the pinned float sequence.
+#[test]
+fn edge_softmax_is_bit_identical_on_extreme_logits() {
+    let b = block_with_degrees(&[30, 9, 1, 0, 8], 4, 7);
+    for heads in [1usize, 4, 8] {
+        let mut logits = mat(b.num_edges(), heads, 8);
+        for (i, v) in logits.data_mut().iter_mut().enumerate() {
+            *v = match i % 5 {
+                0 => 88.0 + *v,
+                1 => -104.0 * v.abs(),
+                2 => 0.0,
+                _ => *v,
+            };
+        }
+        let want = edge_softmax_reference(&b, &logits);
+        assert!(want.data().iter().all(|v| v.is_finite()));
+        for level in levels() {
+            let mut out = dirty();
+            edge_softmax_into_with(level, &b, &logits, &mut out);
+            assert_bits_eq(&out, &want, &format!("edge_softmax/{}", level.name()));
+        }
+    }
+}
+
+/// `edge_scores` moved out of the tape without an oracle of its own; this
+/// is the tape's old `get`/`set` loop.
+#[test]
+fn edge_scores_match_the_per_element_loop() {
+    for degrees in degree_patterns() {
+        let b = block_with_degrees(&degrees, 6, 3);
+        for heads in [1usize, 2, 4] {
+            let (sd, ss) = (mat(b.num_dst, heads, 4), mat(b.num_src, heads, 5));
+            let grad = mat(b.num_edges(), heads, 6);
+            let mut want = Matrix::zeros(b.num_edges(), heads);
+            let mut want_gd = Matrix::zeros(b.num_dst, heads);
+            let mut want_gs = Matrix::zeros(b.num_src, heads);
+            for d in 0..b.num_dst {
+                for e in b.offsets[d] as usize..b.offsets[d + 1] as usize {
+                    let s = b.indices[e] as usize;
+                    for h in 0..heads {
+                        want.set(e, h, sd.get(d, h) + ss.get(s, h));
+                        want_gd.set(d, h, want_gd.get(d, h) + grad.get(e, h));
+                        want_gs.set(s, h, want_gs.get(s, h) + grad.get(e, h));
+                    }
+                }
+            }
+            let (mut out, mut gd, mut gs) = (dirty(), dirty(), dirty());
+            edge_scores_into(&b, &sd, &ss, &mut out);
+            assert_bits_eq(&out, &want, "edge_scores");
+            edge_scores_backward_into(&b, &grad, &mut gd, &mut gs);
+            assert_bits_eq(&gd, &want_gd, "edge_scores grad_dst");
+            assert_bits_eq(&gs, &want_gs, "edge_scores grad_src");
+        }
+    }
+}
+
+/// `A` with exact zeros — scattered, a whole row, a whole column and an
+/// aligned run of eight — so every zero-skip branch of the lane kernels
+/// is taken.
+fn mat_with_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut a = mat(rows, cols, seed);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead);
+    let (zero_row, zero_col) = (rng.gen_range(0..rows), rng.gen_range(0..cols));
+    for i in 0..rows {
+        for j in 0..cols {
+            let flat = i * cols + j;
+            if i == zero_row || j == zero_col || flat % 7 == 3 || (16..24).contains(&flat) {
+                a.set(i, j, if flat.is_multiple_of(2) { 0.0 } else { -0.0 });
+            }
+        }
+    }
+    a
+}
+
+/// `B` with one `inf`: a skipped `0 * inf` leaves the sum finite, an
+/// unskipped one turns it into NaN — the zero-skip rule made observable.
+fn mat_with_inf(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut b = mat(rows, cols, seed);
+    let at = (seed as usize * 31) % (rows * cols);
+    b.data_mut()[at] = f32::INFINITY;
+    b
+}
+
+/// The three matmuls at every level against their oracles, for an
+/// `[m, k] x [k, n]` product (and the matching `nt` / `tn` shapes).
+fn check_matmuls(m: usize, k: usize, n: usize, seed: u64) {
+    let a = mat_with_zeros(m, k, seed);
+    let b = mat_with_inf(k, n, seed ^ 0x5a);
+    let bt = mat_with_inf(n, k, seed ^ 0x3c);
+    let at = mat_with_zeros(k, m, seed ^ 0xa5);
+    let want = matmul_reference(&a, &b);
+    let want_nt = matmul_nt_reference(&a, &bt);
+    let want_tn = matmul_tn_reference(&at, &b);
+    for level in levels() {
+        let what = format!("{} {m}x{k}x{n}", level.name());
+        let (mut c, mut scratch) = (dirty(), vec![f32::NAN; 3]);
+        matmul_into_with(level, &a, &b, &mut c);
+        assert_bits_eq(&c, &want, &format!("matmul/{what}"));
+        matmul_nt_into_with(level, &a, &bt, &mut c, &mut scratch);
+        assert_bits_eq(&c, &want_nt, &format!("matmul_nt/{what}"));
+        matmul_tn_into_with(level, &at, &b, &mut c, &mut scratch);
+        assert_bits_eq(&c, &want_tn, &format!("matmul_tn/{what}"));
+    }
+}
+
+#[test]
+fn narrow_matmuls_match_their_oracles_for_every_n_and_k_up_to_eight() {
+    for narrow in 1usize..=8 {
+        for (i, &(m, wide)) in [(1usize, 1usize), (7, 5), (8, 33), (9, 70), (20, 256)]
+            .iter()
+            .enumerate()
+        {
+            let seed = 100 * narrow as u64 + i as u64;
+            check_matmuls(m, wide, narrow, seed); // n narrow; tn: n narrow
+            check_matmuls(m, narrow, wide, seed + 50); // k narrow
+            check_matmuls(wide, narrow, narrow, seed + 70); // both
+        }
+    }
+    // tn across several 512-row k-chunks, m straddling the 8-row groups.
+    for (m, n) in [(64usize, 4usize), (17, 3), (256, 1), (9, 8)] {
+        check_matmuls(m, 1300, n, 900 + m as u64);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -325,5 +557,34 @@ proptest! {
             &data[split..],
         );
         prop_assert_eq!(chained, naive);
+    }
+
+    /// Random degree sequences drawn from the boundary degrees, random
+    /// source-space size, every `(heads, head_dim)` of the grid.
+    #[test]
+    fn gat_sparse_kernels_match_on_random_blocks(
+        num_dst in 1usize..14,
+        extra_src in 0usize..40,
+        shape in 0usize..12,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let degrees: Vec<usize> = (0..num_dst)
+            .map(|_| [0usize, 1, 7, 8, 9, 30, 31, 32, 33][rng.gen_range(0..9usize)])
+            .collect();
+        let b = block_with_degrees(&degrees, extra_src, seed ^ 0xb10c);
+        let (heads, head_dim) = ([1usize, 2, 4][shape % 3], [5usize, 8, 16, 64][shape / 3]);
+        check_sparse_kernels(&b, heads, head_dim, seed);
+    }
+
+    #[test]
+    fn narrow_matmuls_match_on_random_shapes(
+        m in 1usize..40,
+        wide in 1usize..90,
+        narrow in 1usize..9,
+        seed in 0u64..10_000,
+    ) {
+        check_matmuls(m, wide, narrow, seed);
+        check_matmuls(m, narrow, wide, seed ^ 0xf00d);
     }
 }

@@ -19,8 +19,8 @@
 # N=1, and a real end-to-end speedup at 64 nodes.
 #
 # The feature-cache legs hold the cache tier to its contract:
-#   * a cached wallclock run (CLOCK, 4096 rows/device) must reproduce all
-#     four pinned checksums and allocation budgets bit-for-bit — caching
+#   * a cached wallclock run (CLOCK, 4096 rows/device) must reproduce
+#     every pinned checksum and allocation budget bit-for-bit — caching
 #     changes cost, never values (`check_bench gate` on the cached run);
 #   * the cache sweep regenerates BENCH_cache.json and `check_bench
 #     cache` gates it: numerics pinned to the uncached baseline, bus
@@ -29,8 +29,8 @@
 #
 # The storage legs hold the out-of-core tier to its contract:
 #   * a wallclock run with the tier built at full residency
-#     (--storage-rows 999999) must reproduce all four pinned checksums
-#     and allocation budgets bit-for-bit — tiering changes cost, never
+#     (--storage-rows 999999) must reproduce every pinned checksum
+#     and allocation budget bit-for-bit — tiering changes cost, never
 #     values (`check_bench gate` on the tiered run);
 #   * the storage sweep regenerates BENCH_storage.json and `check_bench
 #     storage` gates it: numerics pinned to the tier-off baseline,
@@ -120,12 +120,14 @@ cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
     storage "$OUT_DIR/storage.json"
 
 # Criterion microbenchmarks for the kernels the wallclock stages are
-# built from: dispatched vs forced-scalar vs naive-reference matmul, and
-# the gather row-copy / checksum loops. The criterion shim prints
+# built from: dispatched vs forced-scalar vs naive-reference matmul
+# (wide and narrow-n/k shapes), the sparse kernels (g-SpMM, g-SDDMM,
+# weighted g-SpMM, edge softmax) and the gather row-copy / checksum
+# loops. The criterion shim prints
 # "bench <label>: best N ns" lines to stdout; keep them as an artifact
 # so SIMD speedups are inspectable per-kernel, not just per-stage.
-echo "bench_gate: criterion kernel microbenchmarks (matmul, gather_copy)"
-cargo bench -q "${OFFLINE_FLAGS[@]}" -p wg-bench --bench matmul --bench gather_copy \
+echo "bench_gate: criterion kernel microbenchmarks (matmul, spmm, gather_copy)"
+cargo bench -q "${OFFLINE_FLAGS[@]}" -p wg-bench --bench matmul --bench spmm --bench gather_copy \
     | tee "$OUT_DIR/criterion_benches.txt"
 
 echo "bench_gate: serving sweep (coalesced trace on)"

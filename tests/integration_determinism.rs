@@ -24,14 +24,14 @@ struct EpochFingerprint {
     predictions: Vec<u32>,
 }
 
-fn run_epoch(fw: Framework) -> EpochFingerprint {
+fn run_epoch(fw: Framework, model: ModelKind) -> EpochFingerprint {
     let dataset = Arc::new(SyntheticDataset::generate(
         DatasetKind::OgbnProducts,
         900,
         17,
     ));
     let machine = Machine::new(MachineConfig::dgx_like(4));
-    let cfg = PipelineConfig::tiny(fw, ModelKind::GraphSage).with_seed(33);
+    let cfg = PipelineConfig::tiny(fw, model).with_seed(33);
     let mut pipe = Pipeline::new(machine, dataset, cfg).unwrap();
     let r = pipe.train_epoch(0);
     let probe: Vec<_> = pipe.dataset().val.iter().take(64).copied().collect();
@@ -56,9 +56,9 @@ fn run_epoch(fw: Framework) -> EpochFingerprint {
 fn training_epoch_is_bit_identical_at_any_thread_count() {
     rayon::init_threads(8);
     for fw in Framework::ALL {
-        let sequential = rayon::run_sequential(|| run_epoch(fw));
+        let sequential = rayon::run_sequential(|| run_epoch(fw, ModelKind::GraphSage));
         for round in 0..2 {
-            let parallel = run_epoch(fw);
+            let parallel = run_epoch(fw, ModelKind::GraphSage);
             assert_eq!(
                 sequential,
                 parallel,
@@ -68,6 +68,25 @@ fn training_epoch_is_bit_identical_at_any_thread_count() {
             );
         }
     }
+}
+
+/// GAT is the one model that runs g-SDDMM, edge softmax, weighted
+/// multi-head g-SpMM and the narrow (n = heads) matmuls. Its epoch must be
+/// schedule-invariant like the others, and the loss is pinned to the bits
+/// recorded at commit bd43f07, before those kernels had SIMD twins: CI
+/// runs this binary at the detected level and under `WG_SIMD=scalar`, so
+/// one constant holds both levels to the same answer.
+#[test]
+fn gat_epoch_is_bit_identical_on_the_pool_and_at_both_simd_levels() {
+    rayon::init_threads(8);
+    let fw = Framework::WholeGraph;
+    let sequential = rayon::run_sequential(|| run_epoch(fw, ModelKind::Gat));
+    assert_eq!(sequential, run_epoch(fw, ModelKind::Gat));
+    assert_eq!(
+        sequential.loss, 0x4025_e548,
+        "GAT epoch loss bits moved: got {:#010x}",
+        sequential.loss
+    );
 }
 
 /// The simulated device times come out of the same kernels, so they are
