@@ -6,6 +6,14 @@
 //! into intermediate grads and, for parameter leaves, into the [`Params`]
 //! store. This mirrors how WholeGraph leans on PyTorch autograd while
 //! supplying custom forward/backward kernels for the sparse ops.
+//!
+//! Like PyTorch's `requires_grad`, every node records at creation whether
+//! any gradient is wanted below it (`needs_grad`: true for parameters and
+//! [`Tape::leaf`] inputs, false for [`Tape::input`] constants, otherwise
+//! the OR of its operands), and `backward` runs no kernel for an operand
+//! that does not: the gradient w.r.t. the gathered features — the widest
+//! g-SpMM backward and `dL/dX` matmul of a GNN — is never computed unless
+//! the caller asked for it with `leaf`.
 
 #![allow(clippy::needless_range_loop)] // kernel-style indexed loops
 
@@ -23,16 +31,17 @@ use crate::workspace::Workspace;
 pub struct NodeId(usize);
 
 impl NodeId {
-    /// The first node recorded on a tape. GNN forward passes record their
-    /// gathered-input matrix first, so this is how embedding-table callers
-    /// retrieve the gradient w.r.t. the inputs after `backward`.
+    /// The first node recorded on a tape. `GnnModel::forward` records its
+    /// gathered-input matrix first, so this is how callers reclaim that
+    /// buffer ([`Tape::take_value`]) after `backward`.
     pub fn first() -> NodeId {
         NodeId(0)
     }
 }
 
 enum Op {
-    /// Constant input (no gradient).
+    /// Input leaf: a constant ([`Tape::input`]) or, when the node needs a
+    /// gradient, a [`Tape::leaf`] whose gradient the caller reads back.
     Input,
     /// Parameter leaf: gradient flows into `Params`.
     Param(ParamId),
@@ -88,6 +97,9 @@ struct Node {
     value: Matrix,
     grad: Option<Matrix>,
     op: Op,
+    /// Whether `backward` must deliver a gradient to this node (see the
+    /// module docs).
+    needs_grad: bool,
 }
 
 /// An autograd tape (one forward pass at a time). Owns a [`Workspace`]
@@ -138,12 +150,36 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
+        let needs_grad = match &op {
+            Op::Input => false,
+            Op::Param(_) => true,
+            Op::Relu(x)
+            | Op::Elu(x, _)
+            | Op::LeakyRelu(x, _)
+            | Op::Dropout(x, _)
+            | Op::TopRows(x, _)
+            | Op::Scale(x, _) => self.needs(*x),
+            Op::Matmul(a, b) | Op::Add(a, b) | Op::Bias(a, b) | Op::ConcatCols(a, b) => {
+                self.needs(*a) || self.needs(*b)
+            }
+            Op::Spmm { src, weights, .. } => {
+                self.needs(*src) || weights.is_some_and(|w| self.needs(w))
+            }
+            Op::SpmmMax { src, .. } => self.needs(*src),
+            Op::EdgeSoftmax { logits, .. } => self.needs(*logits),
+            Op::EdgeScores { dst, src, .. } => self.needs(*dst) || self.needs(*src),
+        };
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            needs_grad,
         });
         NodeId(self.nodes.len() - 1)
+    }
+
+    fn needs(&self, id: NodeId) -> bool {
+        self.nodes[id.0].needs_grad
     }
 
     /// Value of a node.
@@ -151,7 +187,9 @@ impl Tape {
         &self.nodes[id.0].value
     }
 
-    /// Gradient of a node after `backward` (None if no gradient reached it).
+    /// Gradient of a node after `backward` (None if no gradient reached it
+    /// — always the case for [`Tape::input`] constants and anything
+    /// computed only from them).
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
         self.nodes[id.0].grad.as_ref()
     }
@@ -167,9 +205,18 @@ impl Tape {
         )
     }
 
-    /// Constant input (e.g. gathered features).
+    /// Constant input (e.g. gathered features): takes no gradient, and
+    /// `backward` computes none for it.
     pub fn input(&mut self, value: Matrix) -> NodeId {
         self.push(value, Op::Input)
+    }
+
+    /// An input whose gradient is kept (e.g. gathered rows of a learnable
+    /// embedding table): read it back with [`Tape::grad`] after `backward`.
+    pub fn leaf(&mut self, value: Matrix) -> NodeId {
+        let id = self.push(value, Op::Input);
+        self.nodes[id.0].needs_grad = true;
+        id
     }
 
     /// Parameter leaf: snapshots the current value from `params`.
@@ -330,6 +377,10 @@ impl Tape {
             out.grad = Some(seed_grad);
         }
         for i in (0..=output.0).rev() {
+            // Only `output` itself can hold a gradient it has no use for.
+            if !self.nodes[i].needs_grad {
+                continue;
+            }
             let Some(grad) = self.nodes[i].grad.take() else {
                 continue;
             };
@@ -339,7 +390,14 @@ impl Tape {
         }
     }
 
+    /// Add contribution `g` to a node's gradient — or hand it back to the
+    /// pool when the node takes none (kernels that produce both operands'
+    /// gradients at once; single-operand kernels are skipped instead).
     fn accumulate(&mut self, id: NodeId, g: Matrix) {
+        if !self.needs(id) {
+            self.ws.recycle_matrix(g);
+            return;
+        }
         let slot = &mut self.nodes[id.0].grad;
         match slot {
             None => *slot = Some(g),
@@ -366,41 +424,50 @@ impl Tape {
             Op::Param(pid) => params.accumulate_grad(*pid, grad),
             Op::Matmul(a, b) => {
                 let (a, b) = (*a, *b);
-                let mut ga = self
-                    .ws
-                    .matrix_with_capacity(grad.rows() * self.nodes[b.0].value.rows());
-                ops::matmul_nt_into(
-                    grad,
-                    &self.nodes[b.0].value,
-                    &mut ga,
-                    &mut self.ws.nt_scratch,
-                );
-                let mut gb = self
-                    .ws
-                    .matrix_with_capacity(self.nodes[a.0].value.cols() * grad.cols());
-                ops::matmul_tn_into(
-                    &self.nodes[a.0].value,
-                    grad,
-                    &mut gb,
-                    &mut self.ws.tn_scratch,
-                );
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                if self.needs(a) {
+                    let mut ga = self
+                        .ws
+                        .matrix_with_capacity(grad.rows() * self.nodes[b.0].value.rows());
+                    ops::matmul_nt_into(
+                        grad,
+                        &self.nodes[b.0].value,
+                        &mut ga,
+                        &mut self.ws.nt_scratch,
+                    );
+                    self.accumulate(a, ga);
+                }
+                if self.needs(b) {
+                    let mut gb = self
+                        .ws
+                        .matrix_with_capacity(self.nodes[a.0].value.cols() * grad.cols());
+                    ops::matmul_tn_into(
+                        &self.nodes[a.0].value,
+                        grad,
+                        &mut gb,
+                        &mut self.ws.tn_scratch,
+                    );
+                    self.accumulate(b, gb);
+                }
             }
             Op::Add(a, b) => {
-                let (a, b) = (*a, *b);
-                let ga = self.ws.matrix_from(grad);
-                self.accumulate(a, ga);
-                let gb = self.ws.matrix_from(grad);
-                self.accumulate(b, gb);
+                for operand in [*a, *b] {
+                    if self.needs(operand) {
+                        let g = self.ws.matrix_from(grad);
+                        self.accumulate(operand, g);
+                    }
+                }
             }
             Op::Bias(x, b) => {
                 let (x, b) = (*x, *b);
-                let gx = self.ws.matrix_from(grad);
-                self.accumulate(x, gx);
-                let mut gb = self.ws.matrix_zeros(1, grad.cols());
-                ops::sum_rows_into(grad, gb.data_mut());
-                self.accumulate(b, gb);
+                if self.needs(x) {
+                    let gx = self.ws.matrix_from(grad);
+                    self.accumulate(x, gx);
+                }
+                if self.needs(b) {
+                    let mut gb = self.ws.matrix_zeros(1, grad.cols());
+                    ops::sum_rows_into(grad, gb.data_mut());
+                    self.accumulate(b, gb);
+                }
             }
             Op::Relu(x) => {
                 let x = *x;
@@ -466,8 +533,8 @@ impl Tape {
             } => {
                 let (src, weights, heads, agg) = (*src, *weights, *heads, *agg);
                 let block = Arc::clone(block);
-                let mut gsrc = self.ws.matrix_with_capacity(block.num_src * grad.cols());
-                {
+                if self.needs(src) {
+                    let mut gsrc = self.ws.matrix_with_capacity(block.num_src * grad.cols());
                     let w = weights.map(|w| &self.nodes[w.0].value);
                     sparse::spmm_backward_src_into(
                         &block,
@@ -478,9 +545,9 @@ impl Tape {
                         &mut gsrc,
                         &mut self.ws.rev,
                     );
+                    self.accumulate(src, gsrc);
                 }
-                self.accumulate(src, gsrc);
-                if let Some(w) = weights {
+                if let Some(w) = weights.filter(|&w| self.needs(w)) {
                     // dL/dw = g-SDDMM(grad_dst, src) with the forward scale.
                     let mut gw = self.edge_matrix(&block, w);
                     let h = &self.nodes[src.0].value;
@@ -795,6 +862,84 @@ mod tests {
             pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
+    }
+
+    /// `input` vs `leaf` differ only in what `backward` skips: the same
+    /// network over a constant input and over a gradient-taking leaf must
+    /// accumulate bit-identical parameter gradients, while only the leaf
+    /// (and nothing computed from constants alone) ends up with a gradient.
+    #[test]
+    fn constant_input_skips_its_gradient_and_moves_no_parameter_bit() {
+        let block = tiny_block();
+        let run = |as_leaf: bool| {
+            let mut rng = SmallRng::seed_from_u64(51);
+            let mut params = Params::new();
+            let w = params.add_xavier("w", 3, 4, &mut rng);
+            let b = params.add_bias("b", 4);
+            let a_dst = params.add_xavier("a_dst", 4, 2, &mut rng);
+            let a_src = params.add_xavier("a_src", 4, 2, &mut rng);
+            let mut t = Tape::new();
+            let x = if as_leaf {
+                t.leaf(randm(4, 3, 52))
+            } else {
+                t.input(randm(4, 3, 52))
+            };
+            // GCN-style prologue on the raw input (every op here has only
+            // constant operands under `input`) ...
+            let agg = t.spmm(Arc::clone(&block), x, None, 1, Agg::Mean);
+            let own = t.top_rows(x, block.num_dst);
+            let sum = t.add(agg, own);
+            let half = t.scale(sum, 0.5);
+            let half = t.dropout(half, 0.25, 9);
+            // ... a linear layer, whose `dL/dX` is the skippable matmul ...
+            let (wi, bi) = (t.param(&params, w), t.param(&params, b));
+            let h = t.matmul(half, wi);
+            let h = t.bias(h, bi);
+            let h = t.relu(h);
+            // ... and a two-head GAT layer over a 1-dst/2-src block.
+            let blk = Arc::new(BlockCsr {
+                num_dst: 1,
+                num_src: 2,
+                offsets: vec![0, 2],
+                indices: vec![0, 1],
+                dup_count: vec![1, 1],
+            });
+            let (adi, asi) = (t.param(&params, a_dst), t.param(&params, a_src));
+            let s_all = t.matmul(h, adi);
+            let s_dst = t.top_rows(s_all, 1);
+            let s_src = t.matmul(h, asi);
+            let logits = t.edge_scores(Arc::clone(&blk), s_dst, s_src);
+            let logits = t.leaky_relu(logits, 0.2);
+            let att = t.edge_softmax(Arc::clone(&blk), logits);
+            let out = t.spmm(blk, h, Some(att), 2, Agg::Sum);
+            params.zero_grads();
+            t.backward(out, randm(1, 4, 53), &mut params);
+            let bits: Vec<u32> = [w, b, a_dst, a_src]
+                .iter()
+                .flat_map(|&p| params.grad(p).data().iter().map(|v| v.to_bits()))
+                .collect();
+            assert!(
+                bits.iter().any(|&v| v != 0),
+                "no gradient reached the params"
+            );
+            let constants_with_grad = [x, agg, own, sum, half]
+                .iter()
+                .filter(|&&n| t.grad(n).is_some())
+                .count();
+            (bits, t.grad(NodeId::first()).cloned(), constants_with_grad)
+        };
+        let (input_bits, input_grad, input_reached) = run(false);
+        let (leaf_bits, leaf_grad, leaf_reached) = run(true);
+        assert_eq!(input_bits, leaf_bits);
+        assert!(
+            input_grad.is_none(),
+            "a constant input must take no gradient"
+        );
+        assert_eq!(input_reached, 0, "ops over constants must take no gradient");
+        let leaf_grad = leaf_grad.expect("a leaf must keep its gradient");
+        assert_eq!((leaf_grad.rows(), leaf_grad.cols()), (4, 3));
+        assert!(leaf_grad.data().iter().any(|&v| v != 0.0));
+        assert_eq!(leaf_reached, 5);
     }
 
     #[test]

@@ -39,8 +39,8 @@ fn bench_hashtable(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("insert_counted", n), &keys, |b, keys| {
             b.iter(|| {
                 let t = GpuHashTable::with_capacity(keys.len());
-                for &k in keys {
-                    t.insert_counted(k);
+                for (position, &k) in keys.iter().enumerate() {
+                    t.insert_counted(k, position as u32);
                 }
                 black_box(t.num_slots())
             });

@@ -1,16 +1,19 @@
 //! Ablation: Algorithm 1 (path-doubling sampling without replacement) vs
 //! the rejection-sampling and reservoir-style baselines (§III-C1), plus
 //! the mini-batch hot path: the old-API shape (per-node neighbor copies,
-//! Vec-of-Vecs, serial flatten) vs the zero-copy scratch-arena path.
+//! Vec-of-Vecs, serial flatten) vs the zero-copy scratch-arena path with
+//! fused AppendUnique insertion — on a sparse uniform graph and on the
+//! power-law products stand-in at 1/94 (paper fanout 30/30/30, batch 1024:
+//! every batch samples the 25k-node graph ~15 times over).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use wg_graph::gen;
+use wg_graph::{gen, DatasetKind, DegreeProfile, MultiGpuGraph, SyntheticDataset};
 use wg_sample::wrs::{rejection_sample, sample_without_replacement, PathDoublingSampler};
 use wg_sample::{
     sample_minibatch_into, sample_minibatch_reference, GraphAccess, HostGraphAccess, MiniBatch,
-    SampleScratch, SamplerConfig,
+    MultiGpuAccess, SampleScratch, SamplerConfig,
 };
 
 fn bench_samplers(c: &mut Criterion) {
@@ -52,21 +55,52 @@ fn bench_samplers(c: &mut Criterion) {
 }
 
 fn bench_minibatch(c: &mut Criterion) {
+    let machine = wg_sim::Machine::dgx_a100();
+
     let graph = gen::erdos_renyi(10_000, 15.0, 9);
     let features = vec![0.0f32; graph.num_nodes()];
-    let machine = wg_sim::Machine::dgx_a100();
     let host = wg_graph::HostGraph::build(graph, features, 1, &machine.memory()).unwrap();
-    let access = HostGraphAccess(&host);
-    let handles: Vec<u64> = (0..1024u64).map(|v| access.handle_of(v)).collect();
     let cfg = SamplerConfig {
         fanouts: vec![15, 10, 5],
         seed: 7,
     };
-    let mut group = c.benchmark_group("sample_minibatch");
+    minibatch_rows(c, "sample_minibatch", &HostGraphAccess(&host), &cfg);
+
+    let ds = SyntheticDataset::generate_with_profile(
+        DatasetKind::OgbnProducts,
+        94,
+        11,
+        DegreeProfile::PowerLaw { alpha: 1.05 },
+    );
+    let store = MultiGpuGraph::build(
+        machine.cost(),
+        machine.num_gpus(),
+        &ds.graph,
+        &ds.features,
+        ds.feature_dim,
+        &machine.memory(),
+    )
+    .unwrap();
+    let cfg = SamplerConfig {
+        fanouts: vec![30, 30, 30],
+        seed: 11,
+    };
+    minibatch_rows(
+        c,
+        "sample_minibatch_powerlaw_1_94",
+        &MultiGpuAccess::new(&store),
+        &cfg,
+    );
+}
+
+/// The reference and scratch-arena rows for a batch of nodes `0..1024`.
+fn minibatch_rows<G: GraphAccess>(c: &mut Criterion, name: &str, access: &G, cfg: &SamplerConfig) {
+    let handles: Vec<u64> = (0..1024u64).map(|v| access.handle_of(v)).collect();
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
     group.bench_function("old_api_copy", |b| {
         b.iter(|| {
-            let (mb, _) = sample_minibatch_reference(&access, black_box(&handles), &cfg, 0, 0);
+            let (mb, _) = sample_minibatch_reference(access, black_box(&handles), cfg, 0, 0);
             black_box(mb.blocks.len())
         })
     });
@@ -75,9 +109,9 @@ fn bench_minibatch(c: &mut Criterion) {
         let mut mb = MiniBatch::empty();
         b.iter(|| {
             sample_minibatch_into(
-                &access,
+                access,
                 black_box(&handles),
-                &cfg,
+                cfg,
                 0,
                 0,
                 &mut scratch,

@@ -234,8 +234,10 @@ impl GnnModel {
     /// `blocks` are ordered **outermost first** (as produced by the
     /// sampler: `blocks[0]`'s destinations are the training batch); the
     /// model consumes them in reverse. `input` holds the gathered features
-    /// of the deepest frontier (`blocks.last().num_src` rows). Returns the
-    /// tape and the logits node (`blocks[0].num_dst` rows).
+    /// of the deepest frontier (`blocks.last().num_src` rows) and is
+    /// recorded as a constant ([`Tape::input`]): `backward` computes
+    /// parameter gradients only. Returns the logits node
+    /// (`blocks[0].num_dst` rows).
     ///
     /// Every intermediate activation (and, in `backward`, every gradient)
     /// is drawn from the tape's [`wg_autograd::Workspace`] pool, so a
@@ -251,13 +253,27 @@ impl GnnModel {
         training: bool,
         dropout_seed: u64,
     ) -> NodeId {
+        let x = tape.input(input);
+        self.forward_from(tape, blocks, x, training, dropout_seed)
+    }
+
+    /// [`forward`](Self::forward) from an input node the caller recorded —
+    /// a [`Tape::leaf`] when the gradient w.r.t. the input rows is wanted
+    /// (learnable embeddings read it back with [`Tape::grad`]).
+    pub fn forward_from(
+        &self,
+        tape: &mut Tape,
+        blocks: &[Arc<BlockCsr>],
+        mut x: NodeId,
+        training: bool,
+        dropout_seed: u64,
+    ) -> NodeId {
         assert_eq!(blocks.len(), self.cfg.num_layers, "one block per layer");
         assert_eq!(
-            input.rows(),
+            tape.value(x).rows(),
             blocks.last().unwrap().num_src,
             "input features must cover the deepest frontier"
         );
-        let mut x = tape.input(input);
         for (l, layer) in self.layers.iter().enumerate() {
             let block = Arc::clone(&blocks[blocks.len() - 1 - l]);
             if training && self.cfg.dropout > 0.0 {

@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_row_count() {
         let wm = wm(10, 2, 2);
-        let cache = FeatureCache::new_static(&wm, &vec![1; 10], 1000);
+        let cache = FeatureCache::new_static(&wm, &[1; 10], 1000);
         assert_eq!(cache.rows_per_device(), 10);
         let clock = FeatureCache::new_clock(&wm, 2, 1000);
         assert_eq!(clock.rows_per_device(), 10);

@@ -1113,17 +1113,9 @@ mod tests {
         let mut plain = vec![0.0f32; indices.len() * width];
         let mut cache = cache;
         plan_gather_tiered(wm, indices, &mut plan, tier, cache.as_deref_mut(), rank);
-        let st = global_gather_planned_tiered(
-            wm,
-            &plan,
-            &mut tiered,
-            rank,
-            model,
-            spec,
-            cache.as_deref_mut(),
-            tier,
-        )
-        .expect("spill file read");
+        let st =
+            global_gather_planned_tiered(wm, &plan, &mut tiered, rank, model, spec, cache, tier)
+                .expect("spill file read");
         let sp = global_gather(wm, indices, &mut plain, rank, model, spec);
         assert_eq!(tiered, plain, "storage tier changed gathered values");
         (st, sp)

@@ -2,22 +2,32 @@
 //!
 //! After neighbor sampling, "the same nodes may be sampled from different
 //! target nodes", and every duplicate gathered feature row is wasted NVLink
-//! bandwidth. AppendUnique fuses three jobs into one pass:
+//! bandwidth. AppendUnique fuses three jobs into one op:
 //!
 //! 1. put all **target nodes first** in the output node list (so the next
 //!    layer can reuse the already-gathered target features — the targets of
 //!    layer *l* are a prefix of the node list of layer *l+1*);
 //! 2. deduplicate the sampled neighbors with a **hash table** (not the
-//!    sort other frameworks use) — targets are inserted with their list
-//!    index as value, neighbors with value −1;
+//!    sort other frameworks use);
 //! 3. assign the unique new neighbors **contiguous sub-graph IDs** after
-//!    the targets via an exclusive prefix sum, exactly as in Figure 5 —
-//!    but keyed on each node's **first occurrence position** in the input
-//!    neighbor list rather than on its hash-table slot. Which slot a key
-//!    claims depends on CAS races under linear probing, so slot order
-//!    would make the unique list depend on thread scheduling; the smallest
-//!    input index that inserted a key (a `fetch_min` watermark per slot)
-//!    is schedule-free, so IDs are bit-identical at any thread count.
+//!    the targets via an exclusive prefix sum, as in Figure 5 — but keyed
+//!    on each node's **first occurrence position** in the input rather
+//!    than on its hash-table slot. Which slot a key claims depends on CAS
+//!    races under linear probing, so slot order would make the unique list
+//!    depend on thread scheduling; the smallest input position that
+//!    inserted a key (a `fetch_min` watermark in its slot) is
+//!    schedule-free, so IDs are bit-identical at any thread count.
+//!
+//! The op is one two-step core on [`AppendUniqueScratch`]: `begin` sizes
+//! the table (`2 x max_unique` slots) and inserts the targets, the caller
+//! `insert`s every neighbor from any thread and keeps the slot it gets
+//! back, and `finish` turns those slots into sub-graph IDs by streaming
+//! over the neighbor positions — it never scans the table and never hashes
+//! a key again. Positions number the whole input targets-first (target `i`
+//! is `i`, neighbor `k` is `num_targets + k`), so a target's watermark is
+//! its sub-graph ID already and no neighbor can lower it.
+//! [`append_unique_into`] is that core over a materialized neighbor list;
+//! the sampler drives it directly so a sampled edge is written once.
 //!
 //! The op also emits the per-node **duplicate count** that the g-SpMM
 //! backward of §III-C4 uses to replace atomic adds with plain stores for
@@ -25,23 +35,131 @@
 
 use rayon::prelude::*;
 
-use crate::hashtable::{GpuHashTable, Insert, UNASSIGNED};
+use crate::hashtable::{GpuHashTable, Insert};
 use crate::prefix::parallel_exclusive_scan_with;
 use crate::sync_slice::SyncSliceMut;
 
-/// Slots per counting bucket (a warp-sized granule in the CUDA kernel).
-const BUCKET_SLOTS: usize = 128;
+/// Positions per leaf task of `finish`'s streaming passes.
+const POSITION_GRAIN: usize = 4096;
 
-/// Reusable working storage for [`append_unique_into`]: the hash table and
-/// the first-occurrence mark buffer survive across invocations, so a warm
-/// scratch makes the whole op allocation-free. Results are independent of
-/// scratch history (the table may stay oversized — see
+/// Reusable working storage for AppendUnique, and its two-step core (see
+/// the module docs). A warm scratch makes the whole op allocation-free;
+/// results are independent of scratch history and of `max_unique` (see
 /// [`GpuHashTable::reset`]).
 #[derive(Default)]
 pub struct AppendUniqueScratch {
     table: GpuHashTable,
+    /// Slot each target claimed in `begin`; its length is the target count.
+    target_slots: Vec<u32>,
     first_marks: Vec<u32>,
     scan_totals: Vec<u32>,
+}
+
+impl AppendUniqueScratch {
+    /// Step 1: size the table for `max_unique` distinct keys — any upper
+    /// bound on `|targets ∪ neighbors|`, e.g. the input length or the
+    /// graph's node count — and insert the (duplicate-free) targets.
+    pub fn begin(&mut self, targets: &[u64], max_unique: usize) {
+        self.table.reset(max_unique);
+        let table = &self.table;
+        self.target_slots.resize(targets.len(), 0);
+        self.target_slots
+            .par_iter_mut()
+            .zip(targets.par_iter())
+            .enumerate()
+            .for_each(|(idx, (slot, &key))| match table.insert(key, idx as u32) {
+                Insert::New(s) => *slot = s,
+                Insert::Existing(_) => panic!("duplicate target node {key} passed to AppendUnique"),
+            });
+    }
+
+    /// Insert the neighbor at input `position` (its index in the
+    /// concatenated neighbor list) and return its key's slot, which
+    /// [`finish`](Self::finish) expects at `ids[position]`. Thread-safe,
+    /// and callable in any order: the slot's duplicate count and
+    /// first-occurrence watermark are commutative.
+    #[inline]
+    pub fn insert(&self, position: usize, key: u64) -> u32 {
+        self.table
+            .insert_counted(key, (self.target_slots.len() + position) as u32)
+    }
+
+    /// Step 2: rewrite `ids` in place from slots to sub-graph IDs and emit
+    /// the unique list (`targets`, then new neighbors in first-occurrence
+    /// order) with per-node duplicate counts. Every position in
+    /// `0..ids.len()` must have been [`insert`](Self::insert)ed since
+    /// `begin(targets, ..)`.
+    pub fn finish(
+        &mut self,
+        targets: &[u64],
+        ids: &mut [u32],
+        unique: &mut Vec<u64>,
+        dup_count: &mut Vec<u32>,
+    ) {
+        let num_targets = targets.len();
+        assert_eq!(num_targets, self.target_slots.len(), "finish without begin");
+        assert!(
+            num_targets + ids.len() < u32::MAX as usize,
+            "AppendUnique input positions exceed u32"
+        );
+        let table = &self.table;
+
+        // A neighbor position is its key's first occurrence iff it is the
+        // slot's watermark (a target's watermark is below `num_targets`, so
+        // keys that are targets mark nothing). The exclusive sum of the
+        // marks at a first occurrence is its dense rank among new neighbors.
+        self.first_marks.resize(ids.len(), 0);
+        self.first_marks
+            .par_iter_mut()
+            .zip(ids.par_iter())
+            .enumerate()
+            .with_min_len(POSITION_GRAIN)
+            .for_each(|(k, (mark, &slot))| {
+                *mark = (table.mark_at(slot) == (num_targets + k) as u32) as u32;
+            });
+        let new_neighbors =
+            parallel_exclusive_scan_with(&mut self.first_marks, &mut self.scan_totals) as usize;
+        let ranks = &self.first_marks;
+
+        // Targets keep their list index as ID (already their slots' marks);
+        // their duplicate counts come from the slots `begin` claimed. Both
+        // outputs are written whole: targets here, every rank further down.
+        unique.resize(num_targets + new_neighbors, 0);
+        dup_count.resize(num_targets + new_neighbors, 0);
+        unique[..num_targets].copy_from_slice(targets);
+        for (d, &slot) in dup_count.iter_mut().zip(&self.target_slots) {
+            *d = table.count_at(slot);
+        }
+        {
+            // At each first occurrence (where the scan steps), emit the key
+            // and its count at the rank and leave the ID in the slot. Ranks
+            // are distinct by construction of the exclusive scan, and
+            // distinct first occurrences are distinct keys, hence slots.
+            let unique_new = SyncSliceMut::new(&mut unique[num_targets..]);
+            let dup_new = SyncSliceMut::new(&mut dup_count[num_targets..]);
+            (0..ids.len())
+                .into_par_iter()
+                .with_min_len(POSITION_GRAIN)
+                .for_each(|k| {
+                    let rank = ranks[k] as usize;
+                    let next = ranks.get(k + 1).map_or(new_neighbors, |&r| r as usize);
+                    if next != rank {
+                        let slot = ids[k];
+                        // SAFETY: `rank < new_neighbors`, the length of both
+                        // slices, and no other position has this rank.
+                        unsafe {
+                            unique_new.write(rank, table.key_at(slot));
+                            dup_new.write(rank, table.count_at(slot));
+                        }
+                        table.set_mark(slot, (num_targets + rank) as u32);
+                    }
+                });
+        }
+        // Every slot's mark is now its sub-graph ID.
+        ids.par_iter_mut()
+            .with_min_len(POSITION_GRAIN)
+            .for_each(|id| *id = table.mark_at(*id));
+    }
 }
 
 /// Output of [`append_unique`].
@@ -116,104 +234,15 @@ pub fn append_unique_into(
     neighbor_ids: &mut Vec<u32>,
     dup_count: &mut Vec<u32>,
 ) {
-    let num_targets = targets.len();
-    scratch.table.reset(num_targets + neighbors.len());
-    let table = &scratch.table;
-
-    // Phase 1: insert targets with their list index as value.
-    targets
-        .par_iter()
-        .enumerate()
-        .for_each(|(idx, &key)| match table.insert(key) {
-            Insert::New(slot) => table.set_value(slot, idx as i64),
-            Insert::Existing(_) => panic!("duplicate target node {key} passed to AppendUnique"),
-        });
-
-    // Phase 2: insert neighbors; new ones keep value −1, duplicates only
-    // bump the slot's duplicate counter. Each insertion also lowers the
-    // slot's first-occurrence watermark — `fetch_min` is commutative, so
-    // the watermark is independent of scheduling even though slot choice
-    // under concurrent CAS probing is not.
-    neighbors
-        .par_iter()
-        .enumerate()
-        .for_each(|(idx, &key)| match table.insert_counted(key) {
-            Insert::New(slot) | Insert::Existing(slot) => {
-                table.note_min_index(slot, idx as u64);
-            }
-        });
-
-    // Phase 3: walk the −1 slots (bucketed, as the CUDA kernel cuts the
-    // table into warp-sized granules), mark each one's first-occurrence
-    // position in the input, and prefix-sum the marks: the exclusive sum
-    // at a node's first occurrence is its dense rank among new neighbors.
-    let slots = table.num_slots();
-    let is_new = |s: usize| {
-        table.key_at(s) != crate::hashtable::EMPTY_KEY && table.value_at(s) == UNASSIGNED
-    };
-    scratch.first_marks.clear();
-    scratch.first_marks.resize(neighbors.len(), 0);
-    {
-        // Distinct new slots hold distinct keys, and each key's watermark
-        // is an input position that inserted that key — so the marked
-        // positions are pairwise distinct and the writes are disjoint.
-        let marks = SyncSliceMut::new(&mut scratch.first_marks);
-        (0..slots)
-            .into_par_iter()
-            .with_min_len(BUCKET_SLOTS)
-            .for_each(|s| {
-                if is_new(s) {
-                    unsafe { marks.write(table.min_index_at(s) as usize, 1) };
-                }
-            });
-    }
-    let new_neighbors =
-        parallel_exclusive_scan_with(&mut scratch.first_marks, &mut scratch.scan_totals) as usize;
-    let first_marks = &scratch.first_marks;
-
-    // Phase 4: assign sub-graph IDs (target count + first-occurrence rank)
-    // and write the unique list + duplicate counts positionally (ranks are
-    // distinct by construction of the exclusive scan).
-    let total_unique = num_targets + new_neighbors;
-    unique.clear();
-    unique.resize(total_unique, 0);
-    dup_count.clear();
-    dup_count.resize(total_unique, 0);
-    unique[..num_targets].copy_from_slice(targets);
-    // Targets' duplicate counts come from their slots.
-    for (idx, &key) in targets.iter().enumerate() {
-        let (slot, _) = table.get(key).expect("target vanished from table");
-        dup_count[idx] = table.count_at(slot) as u32;
-    }
-    {
-        let unique_new = SyncSliceMut::new(&mut unique[num_targets..]);
-        let dup_new = SyncSliceMut::new(&mut dup_count[num_targets..]);
-        (0..slots)
-            .into_par_iter()
-            .with_min_len(BUCKET_SLOTS)
-            .for_each(|s| {
-                if is_new(s) {
-                    let rank = first_marks[table.min_index_at(s) as usize] as usize;
-                    table.set_value(s, (num_targets + rank) as i64);
-                    unsafe {
-                        unique_new.write(rank, table.key_at(s));
-                        dup_new.write(rank, table.count_at(s) as u32);
-                    }
-                }
-            });
-    }
-
-    // Phase 5: remap every input neighbor through the table.
-    neighbor_ids.clear();
+    scratch.begin(targets, targets.len() + neighbors.len());
     neighbor_ids.resize(neighbors.len(), 0);
+    let au = &*scratch;
     neighbor_ids
         .par_iter_mut()
         .zip(neighbors.par_iter())
-        .for_each(|(out, &key)| {
-            let (_, v) = table.get(key).expect("sampled neighbor missing from table");
-            debug_assert!(v >= 0, "neighbor {key} was never assigned a sub-graph ID");
-            *out = v as u32;
-        });
+        .enumerate()
+        .for_each(|(k, (slot, &key))| *slot = au.insert(k, key));
+    scratch.finish(targets, neighbor_ids, unique, dup_count);
 }
 
 /// Sort-based reference implementation ("the sort method used in other
@@ -298,6 +327,30 @@ mod tests {
                 hist.get(&key).copied().unwrap_or(0),
                 "dup count of {key}"
             );
+        }
+    }
+
+    /// AppendUnique through the two-step core with a caller-chosen bound
+    /// on the distinct keys, inserting in *descending* position order (the
+    /// core must not care).
+    fn bounded(
+        targets: &[u64],
+        neighbors: &[u64],
+        max_unique: usize,
+        scratch: &mut AppendUniqueScratch,
+    ) -> AppendUniqueResult {
+        scratch.begin(targets, max_unique);
+        let mut neighbor_ids = vec![0u32; neighbors.len()];
+        for (k, &key) in neighbors.iter().enumerate().rev() {
+            neighbor_ids[k] = scratch.insert(k, key);
+        }
+        let (mut unique, mut dup_count) = (Vec::new(), Vec::new());
+        scratch.finish(targets, &mut neighbor_ids, &mut unique, &mut dup_count);
+        AppendUniqueResult {
+            unique,
+            num_targets: targets.len(),
+            neighbor_ids,
+            dup_count,
         }
     }
 
@@ -425,6 +478,38 @@ mod tests {
             assert_eq!(ids, fresh.neighbor_ids, "round {round}");
             assert_eq!(dups, fresh.dup_count, "round {round}");
         }
+    }
+
+    /// A table sized by a tight bound on the distinct keys — 52x below the
+    /// key count here, the regime the sampler runs in when a batch samples
+    /// a small graph many times over — must emit the bits of the table
+    /// sized by the input length, and of every bound in between.
+    #[test]
+    fn max_unique_far_below_the_key_count_is_bit_identical() {
+        let targets: Vec<u64> = (1000..1040).collect();
+        // 5000 neighbors over the 97 keys 990..1087, a superset of the
+        // targets: 97 distinct keys in 5040 inputs.
+        let neighbors: Vec<u64> = (0..5000u64)
+            .map(|i| i.wrapping_mul(2654435761) % 97 + 990)
+            .collect();
+        let by_input_length = append_unique(&targets, &neighbors);
+        check_invariants(&targets, &neighbors, &by_input_length);
+        let mut scratch = AppendUniqueScratch::default();
+        for max_unique in [97usize, 98, 128, 1000, 97] {
+            let r = bounded(&targets, &neighbors, max_unique, &mut scratch);
+            assert_eq!(r.unique, by_input_length.unique, "max_unique {max_unique}");
+            assert_eq!(r.neighbor_ids, by_input_length.neighbor_ids);
+            assert_eq!(r.dup_count, by_input_length.dup_count);
+        }
+    }
+
+    /// An understated bound is a caller bug and must be reported, not spun
+    /// on: 97 distinct keys cannot enter a table sized for 10.
+    #[test]
+    #[should_panic(expected = "hash table full")]
+    fn understated_max_unique_fails_loudly() {
+        let neighbors: Vec<u64> = (0..97u64).collect();
+        bounded(&[500], &neighbors, 10, &mut AppendUniqueScratch::default());
     }
 
     proptest! {

@@ -1,10 +1,17 @@
 //! Multi-layer neighbor sampling and sub-graph construction.
 //!
 //! One GNN mini-batch needs, per layer, a random `fanout`-neighbor sample
-//! for every frontier node, deduplicated with [`append_unique`], and a CSR
+//! for every frontier node, deduplicated by AppendUnique, and a CSR
 //! sub-graph whose column space is the next frontier. "Multi-layer
 //! sub-graph sampling can be done by simply stacking multiple single-layer
 //! sub-graph sampling" (§III-C2).
+//!
+//! Sampling and deduplication are **fused** ([`sample_minibatch_into`]):
+//! each neighbor enters the AppendUnique table the moment it is drawn, at
+//! its CSR position, and its slot goes straight into the block's `indices`,
+//! which `finish` rewrites in place to sub-graph IDs — there is no
+//! pre-dedup neighbor list. The table is sized for `min(sampled keys,
+//! graph nodes)`: a batch cannot hold more distinct handles than that.
 //!
 //! The algorithm is written once against the [`GraphAccess`] trait and runs
 //! over either store:
@@ -30,14 +37,15 @@ use wg_graph::{AdjacencyView, GlobalId, HostGraph, MultiGpuGraph, NodeId};
 use wg_sim::device::DeviceSpec;
 use wg_sim::{CostModel, SimTime};
 
-use crate::append_unique::{
-    append_unique, append_unique_into, AppendUniqueResult, AppendUniqueScratch,
-};
+use crate::append_unique::{append_unique, AppendUniqueResult, AppendUniqueScratch};
 use crate::sync_slice::SyncSliceMut;
 use crate::wrs::{sample_small, PathDoublingSampler, STACK_FANOUT_MAX};
 
 /// Uniform view of a graph store for the sampler.
 pub trait GraphAccess: Sync {
+    /// Number of nodes in the store — the key universe: an upper bound on
+    /// the distinct handles any mini-batch can contain.
+    fn num_nodes(&self) -> usize;
     /// Out-degree of the node behind `handle`.
     fn degree(&self, handle: u64) -> usize;
     /// Borrowed neighbor handles of the node (in storage order). Zero-copy:
@@ -79,6 +87,9 @@ impl<'a> MultiGpuAccess<'a> {
 }
 
 impl GraphAccess for MultiGpuAccess<'_> {
+    fn num_nodes(&self) -> usize {
+        self.graph.num_nodes()
+    }
     fn degree(&self, handle: u64) -> usize {
         self.adj.degree(GlobalId::from_raw(handle))
     }
@@ -100,6 +111,9 @@ impl GraphAccess for MultiGpuAccess<'_> {
 pub struct HostGraphAccess<'a>(pub &'a HostGraph);
 
 impl GraphAccess for HostGraphAccess<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.csr().num_nodes()
+    }
     fn degree(&self, handle: u64) -> usize {
         self.0.csr().degree(handle)
     }
@@ -250,15 +264,11 @@ fn node_seed(base: u64, epoch: u64, batch: u64, layer: usize, stable: u64) -> u6
     )
 }
 
-/// Reusable working storage for [`sample_minibatch_into`]: the flat
-/// pre-dedup neighbor buffer plus the AppendUnique scratch. With warm
-/// buffers (and fanouts within [`STACK_FANOUT_MAX`]) a whole mini-batch
-/// samples without a single heap allocation.
+/// Reusable working storage for [`sample_minibatch_into`]: the AppendUnique
+/// scratch. With warm buffers (and fanouts within [`STACK_FANOUT_MAX`]) a
+/// whole mini-batch samples without a single heap allocation.
 #[derive(Default)]
 pub struct SampleScratch {
-    /// Concatenated sampled neighbor handles, pre-dedup (CSR over the
-    /// frontier via the block's offsets).
-    flat: Vec<u64>,
     au: AppendUniqueScratch,
 }
 
@@ -298,16 +308,17 @@ pub fn sample_minibatch<G: GraphAccess>(
 
 /// Allocation-free mini-batch sampling into recycled buffers.
 ///
-/// Two passes per layer replace the old collect-and-flatten scheme: a
-/// parallel count pass computes exact CSR offsets from per-node degrees,
-/// then a parallel pass samples each node straight into the flat
-/// neighbor/edge-id buffers through disjoint `[offsets[i], offsets[i+1])`
-/// ranges. Neighbor lists are borrowed from the store ([`GraphAccess::
-/// neighbors`]), per-node index sets come from the stack sampler, and
-/// dedup runs through [`append_unique_into`] — so once `scratch` and `out`
-/// are warm (steady state: batch shapes repeat), no heap allocation occurs.
-/// Output is bit-identical to [`sample_minibatch_reference`]: RNG streams
-/// are seeded per node from stable ids, and every write is positional.
+/// Two passes per layer: a parallel count pass computes exact CSR offsets
+/// from per-node degrees, then a parallel pass samples each node through
+/// its disjoint `[offsets[i], offsets[i+1])` range, inserting every drawn
+/// neighbor into the AppendUnique table at its CSR position and writing its
+/// slot and edge id straight into the block. Neighbor lists are borrowed
+/// from the store ([`GraphAccess::neighbors`]) and per-node index sets come
+/// from the stack sampler — so once `scratch` and `out` are warm (steady
+/// state: batch shapes repeat), no heap allocation occurs. Output is
+/// bit-identical to [`sample_minibatch_reference`] at any thread count: RNG
+/// streams are seeded per node from stable ids, every write is positional,
+/// and sub-graph IDs follow first-occurrence CSR positions.
 pub fn sample_minibatch_into<G: GraphAccess>(
     graph: &G,
     batch_handles: &[u64],
@@ -362,14 +373,17 @@ pub fn sample_minibatch_into<G: GraphAccess>(
 
         // Pass 2: per-node sampling ("M threads in the thread block ...
         // grouped together to generate the sampled neighbors for one
-        // target node"), writing straight into the flat buffers.
-        scratch.flat.clear();
-        scratch.flat.resize(total, 0);
-        block.edge_ids.clear();
+        // target node"), each neighbor inserted as it is drawn. Both
+        // buffers are overwritten whole, so stale contents need no clearing.
+        scratch
+            .au
+            .begin(frontier, (n + total).min(graph.num_nodes()));
+        block.indices.resize(total, 0);
         block.edge_ids.resize(total, 0);
         {
             let offsets = &block.offsets;
-            let flat_out = SyncSliceMut::new(&mut scratch.flat);
+            let au = &scratch.au;
+            let slot_out = SyncSliceMut::new(&mut block.indices);
             let eid_out = SyncSliceMut::new(&mut block.edge_ids);
             frontier
                 .par_iter()
@@ -395,7 +409,7 @@ pub fn sample_minibatch_into<G: GraphAccess>(
                         // SAFETY: this node owns [lo, offsets[i+1]) and
                         // k < m; CSR ranges of distinct nodes are disjoint.
                         unsafe {
-                            flat_out.write(lo + k, nbrs[j as usize]);
+                            slot_out.write(lo + k, au.insert(lo + k, nbrs[j as usize]));
                             eid_out.write(lo + k, base + j as u64);
                         }
                     };
@@ -421,14 +435,9 @@ pub fn sample_minibatch_into<G: GraphAccess>(
         stats.keys_inserted += (n + total) as u64;
         stats.kernels += 2; // sample kernel + append-unique kernel
 
-        append_unique_into(
-            frontier,
-            &scratch.flat,
-            &mut scratch.au,
-            next,
-            &mut block.indices,
-            &mut block.dup_count,
-        );
+        scratch
+            .au
+            .finish(frontier, &mut block.indices, next, &mut block.dup_count);
         block.num_dst = n;
         block.num_src = next.len();
     }

@@ -94,8 +94,9 @@ fn main() {
             // Forward/backward through the GNN into the embedding rows.
             let blocks = minibatch_blocks(&mb);
             let mut tape = Tape::new();
-            let x = Matrix::from_vec(rows.len(), emb_dim, feats);
-            let out = model.forward(&mut tape, &blocks, x, true, epoch ^ bi as u64);
+            // A leaf, not a constant input: the rows take a gradient.
+            let x = tape.leaf(Matrix::from_vec(rows.len(), emb_dim, feats));
+            let out = model.forward_from(&mut tape, &blocks, x, true, epoch ^ bi as u64);
             let batch_labels: Vec<u32> = batch.iter().map(|&v| labels[v as usize]).collect();
             let (loss, grad) = softmax_cross_entropy(tape.value(out), &batch_labels);
             model.params.zero_grads();
@@ -103,10 +104,7 @@ fn main() {
             opt.step(&mut model.params);
 
             // Sparse update of the touched embedding rows.
-            let input_id = wholegraph_example_input_node(&tape);
-            let emb_grad = tape
-                .grad(input_id)
-                .expect("embedding rows received gradient");
+            let emb_grad = tape.grad(x).expect("embedding rows received gradient");
             table.apply_sparse_adagrad(&rows, emb_grad.data(), 0.1, 1e-8, machine.cost(), spec);
 
             loss_sum += loss;
@@ -125,11 +123,6 @@ fn main() {
     }
     println!("\nAll signal came from the learned embeddings — the graph had");
     println!("no input features at all.");
-}
-
-/// The embedding input is always the first tape node of a forward pass.
-fn wholegraph_example_input_node(_tape: &Tape) -> wg_autograd::NodeId {
-    wg_autograd::NodeId::first()
 }
 
 #[allow(clippy::too_many_arguments)]

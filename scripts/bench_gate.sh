@@ -47,8 +47,8 @@
 # Leaves in <out-dir>: baseline.json (committed numbers), current.json
 # (this run), wallclock_trace.json (merged host/sim Chrome trace — load
 # in chrome://tracing or ui.perfetto.dev), criterion_benches.txt (the
-# SIMD-vs-scalar criterion microbenchmarks — informational, never
-# gated), multinode.json and multinode_trace.json (executed sweep +
+# kernel, AppendUnique and sampler criterion microbenchmarks —
+# informational, never gated), multinode.json and multinode_trace.json (executed sweep +
 # 4-node cluster trace, one Chrome process per node), serving.json and
 # serving_trace.json (serving sweep + traced coalesced replay),
 # current_storage.json (wallclock through the full-residency disk tier)
@@ -122,12 +122,15 @@ cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
 # Criterion microbenchmarks for the kernels the wallclock stages are
 # built from: dispatched vs forced-scalar vs naive-reference matmul
 # (wide and narrow-n/k shapes), the sparse kernels (g-SpMM, g-SDDMM,
-# weighted g-SpMM, edge softmax) and the gather row-copy / checksum
-# loops. The criterion shim prints
+# weighted g-SpMM, edge softmax), the gather row-copy / checksum
+# loops, AppendUnique (input-length vs universe-bounded table vs sort)
+# and the mini-batch sampler (uniform and power-law 1/94 graphs, fused
+# path vs reference). The criterion shim prints
 # "bench <label>: best N ns" lines to stdout; keep them as an artifact
 # so SIMD speedups are inspectable per-kernel, not just per-stage.
-echo "bench_gate: criterion kernel microbenchmarks (matmul, spmm, gather_copy)"
+echo "bench_gate: criterion microbenchmarks (matmul, spmm, gather_copy, append_unique, sampling)"
 cargo bench -q "${OFFLINE_FLAGS[@]}" -p wg-bench --bench matmul --bench spmm --bench gather_copy \
+    --bench append_unique --bench sampling \
     | tee "$OUT_DIR/criterion_benches.txt"
 
 echo "bench_gate: serving sweep (coalesced trace on)"

@@ -53,8 +53,8 @@ WG_THREADS=1 cargo test -q "${OFFLINE_FLAGS[@]}"
 echo "tier1: cargo fmt --check"
 cargo fmt --check
 
-echo "tier1: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace "${OFFLINE_FLAGS[@]}" -- -D warnings
+echo "tier1: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets "${OFFLINE_FLAGS[@]}" -- -D warnings
 
 # The wallclock harness is a correctness gate as much as a benchmark:
 # every kernel's FNV-1a checksum must stay pinned to the committed value

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use wg_autograd::{Adam, NodeId, Optimizer, Tape};
+use wg_autograd::{Adam, Optimizer, Tape};
 use wg_gnn::{GnnConfig, GnnModel, ModelKind};
 use wg_graph::{gen, GlobalId, MultiGpuGraph};
 use wg_mem::EmbeddingTable;
@@ -76,8 +76,9 @@ fn embeddings_plus_gnn_learn_a_featureless_graph() {
         table.gather(&rows, &mut feats, 0, s.machine.cost(), spec);
         let blocks = minibatch_blocks(&mb);
         let mut tape = Tape::new();
-        let x = Matrix::from_vec(rows.len(), emb_dim, feats);
-        let out = model.forward(&mut tape, &blocks, x, update, epoch);
+        // A leaf, not a constant input: the embedding rows take a gradient.
+        let x = tape.leaf(Matrix::from_vec(rows.len(), emb_dim, feats));
+        let out = model.forward_from(&mut tape, &blocks, x, update, epoch);
         let labels: Vec<u32> = (0..128usize).map(|v| s.labels[v]).collect();
         let (loss, grad) = softmax_cross_entropy(tape.value(out), &labels);
         if update {
@@ -85,7 +86,7 @@ fn embeddings_plus_gnn_learn_a_featureless_graph() {
             tape.backward(out, grad, &mut model.params);
             opt.step(&mut model.params);
             let emb_grad = tape
-                .grad(NodeId::first())
+                .grad(x)
                 .expect("input embeddings must receive a gradient");
             assert_eq!(emb_grad.rows(), rows.len());
             table.apply_sparse_adagrad(&rows, emb_grad.data(), 0.1, 1e-8, s.machine.cost(), spec);

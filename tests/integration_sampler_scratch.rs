@@ -4,10 +4,13 @@
 //! pre-refactor reference path (`sample_minibatch_reference`: per-node
 //! neighbor copies, Vec-of-Vecs, serial flatten) — on both stores, across
 //! reused batches and epochs, under the sequential reference schedule,
-//! and through the heap fall-back for fanouts beyond the stack-sampler
-//! bound.
+//! through the heap fall-back for fanouts beyond the stack-sampler bound,
+//! and on either side of the universe bound (a batch that samples the
+//! graph's nodes several times over sizes its hash table by the node count,
+//! one that does not sizes it by the keys it samples).
 
-use wg_graph::{gen, HostGraph, MultiGpuGraph};
+use proptest::prelude::*;
+use wg_graph::{gen, Csr, HostGraph, MultiGpuGraph};
 use wg_sample::{
     sample_minibatch, sample_minibatch_into, sample_minibatch_reference, GraphAccess,
     HostGraphAccess, MiniBatch, MultiGpuAccess, SampleScratch, SamplerConfig, STACK_FANOUT_MAX,
@@ -32,7 +35,8 @@ fn assert_minibatch_eq(a: &MiniBatch, b: &MiniBatch, what: &str) {
 /// fresh-wrapper parity, then scratch + mini-batch reuse across several
 /// (epoch, batch) points, then the same comparison pinned to the
 /// sequential reference schedule.
-fn check_backend<G: GraphAccess + Sync>(access: &G, handles: &[u64], cfg: &SamplerConfig) {
+fn check_backend<G: GraphAccess + Sync>(access: &G, handles: &[u64], cfg: &SamplerConfig) -> u64 {
+    let mut keys_inserted = 0;
     let mut scratch = SampleScratch::default();
     let mut mb = MiniBatch::empty();
     // Reuse the same scratch and mini-batch across epochs and batches —
@@ -52,6 +56,7 @@ fn check_backend<G: GraphAccess + Sync>(access: &G, handles: &[u64], cfg: &Sampl
         assert_minibatch_eq(&mb, &reference, &format!("epoch {epoch} batch {batch_idx}"));
         assert_eq!(stats.edges_sampled, ref_stats.edges_sampled);
         assert_eq!(stats.keys_inserted, ref_stats.keys_inserted);
+        keys_inserted = stats.keys_inserted;
 
         // The convenience wrapper (fresh buffers) agrees too.
         let (fresh, _) = sample_minibatch(access, handles, cfg, epoch, batch_idx);
@@ -66,6 +71,67 @@ fn check_backend<G: GraphAccess + Sync>(access: &G, handles: &[u64], cfg: &Sampl
             m
         });
         assert_minibatch_eq(&seq, &reference, "sequential schedule");
+    }
+    keys_inserted
+}
+
+/// [`check_backend`] on both stores of `graph` for the batch `0..batch`;
+/// returns the keys one mini-batch inserts (equal across stores).
+fn check_both_stores(graph: Csr, batch: u64, cfg: &SamplerConfig) -> u64 {
+    let features = vec![0.0f32; graph.num_nodes()];
+    let machine = Machine::dgx_a100();
+    let store = MultiGpuGraph::build(
+        machine.cost(),
+        machine.num_gpus(),
+        &graph,
+        &features,
+        1,
+        &machine.memory(),
+    )
+    .unwrap();
+    let access = MultiGpuAccess::new(&store);
+    assert_eq!(access.num_nodes(), graph.num_nodes());
+    let handles: Vec<u64> = (0..batch).map(|v| access.handle_of(v)).collect();
+    let keys = check_backend(&access, &handles, cfg);
+
+    let host = HostGraph::build(graph, features, 1, &machine.memory()).unwrap();
+    let access = HostGraphAccess(&host);
+    let handles: Vec<u64> = (0..batch).map(|v| access.handle_of(v)).collect();
+    assert_eq!(check_backend(&access, &handles, cfg), keys);
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The universe-bounded regime: a small power-law graph sampled 3 hops
+    /// deep inserts several times more keys than the graph has nodes, so
+    /// the hash table is sized by `num_nodes`, far below the key count.
+    #[test]
+    fn fused_sampler_matches_reference_when_keys_exceed_the_universe(
+        n in 60usize..300,
+        avg_degree in 16.0f64..40.0,
+        fanout in 6usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let (graph, _) = gen::sbm_powerlaw(n, 4, avg_degree, 0.6, 1.05, seed);
+        let cfg = SamplerConfig { fanouts: vec![fanout; 3], seed };
+        let keys = check_both_stores(graph, (n / 3) as u64, &cfg);
+        prop_assert!(keys > 3 * n as u64, "{keys} keys over {n} nodes is not universe-bounded");
+    }
+
+    /// The other side: a large sparse graph and a small batch sample far
+    /// fewer keys than there are nodes, so the key count sizes the table.
+    #[test]
+    fn fused_sampler_matches_reference_when_keys_fit_the_universe(
+        n in 2_000usize..4_000,
+        batch in 4u64..24,
+        seed in 0u64..1_000_000,
+    ) {
+        let graph = gen::erdos_renyi(n, 6.0, seed);
+        let cfg = SamplerConfig { fanouts: vec![3, 2], seed };
+        let keys = check_both_stores(graph, batch, &cfg);
+        prop_assert!(keys < n as u64 / 4, "{keys} keys over {n} nodes");
     }
 }
 
