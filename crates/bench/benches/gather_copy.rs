@@ -1,6 +1,6 @@
 //! The two byte-stream hot loops behind the gather path: the per-row
 //! feature copy (`simd::copy_slice`, the inner loop of
-//! `global_gather_planned`) at forced-scalar vs AVX2 level, and the
+//! `TierStack::execute`) at forced-scalar vs AVX2 level, and the
 //! FNV-1a checksum fold (`simd::fnv1a_f32`) that pins every bench's
 //! bit-identity — serial by construction, so its speedup comes from
 //! unrolling alone.
@@ -12,7 +12,7 @@ use wg_tensor::simd::{self, Level};
 
 /// A gather-shaped workload: `rows` feature rows of `width` floats
 /// scattered through a larger pool, copied row-by-row into a dense
-/// output — the exact access pattern of `global_gather_planned`.
+/// output — the exact access pattern of `TierStack::execute`.
 fn row_copy(level: Level, pool: &[f32], picks: &[usize], width: usize, out: &mut [f32]) -> usize {
     for (i, &start) in picks.iter().enumerate() {
         let dst = &mut out[i * width..(i + 1) * width];

@@ -1,5 +1,5 @@
 //! Cache-size-vs-epoch-time sweep — the evidence behind the hotness-aware
-//! feature-cache tier (ROADMAP item 2). Runs the wallclock harness's
+//! feature-cache tier (DESIGN.md §11). Runs the wallclock harness's
 //! epoch workload shape (ogbn-products stand-in at 1/300 — here with the
 //! power-law degree profile, matching the real graph's tail — tiny
 //! GraphSage, 4 simulated GPUs) once uncached and then across a grid of cache sizes
@@ -27,10 +27,7 @@ use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_bench::{banner, Table};
 use wg_graph::{DatasetKind, DegreeProfile, MultiGpuGraph, SyntheticDataset};
-use wg_mem::{
-    global_gather_planned, global_gather_planned_cached, plan_gather, plan_gather_cached,
-    FeatureCache, RowPlan,
-};
+use wg_mem::{FeatureCache, RowPlan, TierStack};
 use wholegraph::prelude::*;
 
 /// Cache sizes swept, as fractions of the DSM feature-row count. The
@@ -187,8 +184,9 @@ fn checksum_f32(h: u64, data: &[f32]) -> u64 {
     wg_tensor::simd::fnv1a_f32(h, data)
 }
 
-/// Replay the hot-set stream through the planned gather (cached or not),
-/// round-robining the executing rank, and accumulate the stats.
+/// Replay the hot-set stream through the gather (a stack holding `mode`'s
+/// cache, or the empty stack for the baseline), round-robining the
+/// executing rank, and accumulate the stats.
 fn run_hotset(
     store: &MultiGpuGraph,
     machine: &Machine,
@@ -198,7 +196,7 @@ fn run_hotset(
     frac: f64,
 ) -> HotPoint {
     let gpus = machine.num_gpus();
-    let mut fc = mode.map(|m| match m {
+    let cache = mode.map(|m| match m {
         CacheMode::Static => {
             // Rank rows by observed access frequency over the stream —
             // the load-time hotness signal the static tier replicates.
@@ -212,6 +210,7 @@ fn run_hotset(
         }
         CacheMode::Clock => FeatureCache::new_clock(store.features(), gpus, rows),
     });
+    let mut stack = TierStack { cache, disk: None };
     let spec = machine.spec(wg_sim::DeviceId::Gpu(0)).clone();
     let mut plan = RowPlan::default();
     let mut out = vec![0.0f32; HOTSET_BATCH_ROWS * store.features().width()];
@@ -220,20 +219,9 @@ fn run_hotset(
     let mut sum = wg_tensor::simd::FNV_OFFSET;
     for (b, batch) in stream.iter().enumerate() {
         let rank = (b % gpus as usize) as u32;
-        let stats = if let Some(c) = fc.as_mut() {
-            plan_gather_cached(store.features(), batch, &mut plan, c, rank);
-            global_gather_planned_cached(
-                store.features(),
-                &plan,
-                &mut out,
-                rank,
-                machine.cost(),
-                &spec,
-                c,
-            )
-        } else {
-            plan_gather(store.features(), batch, &mut plan);
-            global_gather_planned(
+        stack.plan(store.features(), batch, rank, &mut plan);
+        let stats = stack
+            .execute(
                 store.features(),
                 &plan,
                 &mut out,
@@ -241,7 +229,7 @@ fn run_hotset(
                 machine.cost(),
                 &spec,
             )
-        };
+            .expect("no disk tier, no I/O");
         hits += stats.cache_hits as u64;
         remote += stats.remote_rows as u64;
         bus += stats.bus_bytes;

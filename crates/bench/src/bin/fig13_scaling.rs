@@ -3,7 +3,7 @@
 
 use wg_bench::{banner, bench_dataset, bench_pipeline_config, Table};
 use wg_graph::DatasetKind;
-use wholegraph::multinode::scaling_sweep;
+use wholegraph::multinode::projected_sweep;
 use wholegraph::prelude::*;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
             // KONECT stand-ins have ~1% labels, hence few batches).
             cfg.batch_size = (dataset.train.len() / 500).max(2);
             let mut pipe = Pipeline::new(machine, dataset.clone(), cfg).unwrap();
-            let pts = scaling_sweep(&mut pipe, &[1, 2, 4, 8], 1);
+            let pts = projected_sweep(&mut pipe, &[1, 2, 4, 8], 1);
             t.row(&[
                 kind.name().to_string(),
                 model.name().to_string(),

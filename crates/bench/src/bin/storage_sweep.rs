@@ -1,5 +1,5 @@
 //! Residency-fraction sweep over the out-of-core storage tier — the
-//! evidence behind ROADMAP item 1's disk tier. Runs the wallclock
+//! evidence behind the disk tier below the DSM (DESIGN.md §13). Runs the wallclock
 //! harness's epoch workload shape (ogbn-products stand-in at 1/300 with
 //! the power-law degree profile, tiny GraphSage, 4 simulated GPUs) once
 //! with the tier off and then with only a fraction of the feature rows

@@ -25,10 +25,7 @@ use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_bench::{banner, bench_dataset, Table};
 use wg_graph::{DatasetKind, MultiGpuGraph};
-use wg_mem::{
-    global_gather_planned, global_gather_planned_cached, plan_gather, plan_gather_cached,
-    CacheMode, FeatureCache, RowPlan,
-};
+use wg_mem::{CacheMode, FeatureCache, OocTier, RowPlan, TierStack};
 use wg_sample::{
     sample_minibatch_into, GraphAccess, MiniBatch, MultiGpuAccess, SampleScratch, SamplerConfig,
 };
@@ -214,14 +211,17 @@ fn bench_sample() -> Measurement {
     })
 }
 
-/// Training-shaped feature gather from the distributed store. With a
-/// cache configured (`--cache-rows`/`--cache-mode`), planning consults a
-/// per-device [`FeatureCache`] first — static mode ranks rows by the
-/// *observed access frequency* of the bench's own index stream (the
-/// paper's hotness signal at its purest), CLOCK warms dynamically. The
-/// checksum must not move: caching changes cost, never values, and the
-/// zero-allocation budget must hold with the cache in the loop.
-fn bench_gather(cache: Option<(usize, CacheMode)>) -> Measurement {
+/// Training-shaped feature gather from the distributed store, through
+/// whatever tier stack the flags attach. With `--cache-rows` /
+/// `--cache-mode`, planning consults a per-device [`FeatureCache`] first
+/// — CLOCK warms dynamically, static mode pins by hotness; with
+/// `--storage-rows`, rows beyond that residency budget are staged from
+/// an [`OocTier`]'s spill file. Hotness is the *observed access
+/// frequency* of the bench's own index stream (the paper's hotness
+/// signal at its purest). The checksum must not move: tiers change cost,
+/// never values, and the zero-allocation budget must hold with them in
+/// the loop.
+fn bench_gather(cache: Option<(usize, CacheMode)>, storage: Option<usize>) -> Measurement {
     let dataset = bench_dataset(DatasetKind::OgbnProducts, 5);
     let machine = Machine::dgx_a100();
     let store = MultiGpuGraph::build(
@@ -242,33 +242,25 @@ fn bench_gather(cache: Option<(usize, CacheMode)>) -> Measurement {
     let spec = machine.spec(wg_sim::DeviceId::Gpu(0)).clone();
     let mut out = vec![0.0f32; rows.len() * width];
     let mut plan = RowPlan::default();
-    let mut fc = cache.map(|(slots, mode)| match mode {
-        CacheMode::Static => {
-            let mut freq = vec![0u64; store.features().rows()];
-            for &r in &rows {
-                freq[r] += 1;
-            }
-            FeatureCache::new_static(store.features(), &freq, slots)
-        }
-        CacheMode::Clock => FeatureCache::new_clock(store.features(), machine.num_gpus(), slots),
-    });
+    let wm = store.features();
+    let mut freq = vec![0u64; wm.rows()];
+    for &r in &rows {
+        freq[r] += 1;
+    }
+    let mut stack = TierStack {
+        cache: cache.map(|(slots, mode)| match mode {
+            CacheMode::Static => FeatureCache::new_static(wm, &freq, slots),
+            CacheMode::Clock => FeatureCache::new_clock(wm, machine.num_gpus(), slots),
+        }),
+        disk: storage.map(|budget| OocTier::build(wm, &freq, budget).expect("spill file build")),
+    };
     measure("gather", 1, move || {
         let start = Instant::now();
-        let stats = if let Some(c) = fc.as_mut() {
-            plan_gather_cached(store.features(), &rows, &mut plan, c, 0);
-            global_gather_planned_cached(
-                store.features(),
-                &plan,
-                &mut out,
-                0,
-                machine.cost(),
-                &spec,
-                c,
-            )
-        } else {
-            plan_gather(store.features(), &rows, &mut plan);
-            global_gather_planned(store.features(), &plan, &mut out, 0, machine.cost(), &spec)
-        };
+        let wm = store.features();
+        stack.plan(wm, &rows, 0, &mut plan);
+        let stats = stack
+            .execute(wm, &plan, &mut out, 0, machine.cost(), &spec)
+            .expect("spill file read");
         RunOut {
             elapsed: start.elapsed(),
             checksum: checksum_f32(&out),
@@ -476,12 +468,12 @@ fn main() {
         );
     }
     if let Some(rows) = storage {
-        println!("out-of-core tier: {rows} DSM-resident rows (epoch bench)\n");
+        println!("out-of-core tier: {rows} DSM-resident rows (gather + epoch benches)\n");
     }
 
     let results = [
         bench_sample(),
-        bench_gather(cache),
+        bench_gather(cache, storage),
         bench_spmm(),
         bench_epoch(trace_path.as_deref(), cache, storage),
         bench_gat_step(),

@@ -19,7 +19,7 @@
 //!    inter-node ring AllReduce time is charged to the wave's comm
 //!    phase, and replicas step.
 //! 4. At epoch end each node's iteration results go through the
-//!    configured PR 1/4 executor ([`Pipeline::finish_epoch`] →
+//!    configured PR 1/4 executor (`Pipeline::finish_epoch` →
 //!    per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`] aligns
 //!    the machines: the epoch takes as long as the slowest node.
 //!

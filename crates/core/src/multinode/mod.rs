@@ -45,5 +45,5 @@ pub mod sync;
 
 pub use exec::{MultiNode, MultiNodeConfig, MultiNodeEpochReport, NodeEpochReport};
 pub use partition_plan::PartitionPlan;
-pub use sweep::{executed_sweep, projected_sweep, scaling_sweep, ExecutedPoint, ScalingPoint};
+pub use sweep::{executed_sweep, projected_sweep, ExecutedPoint, ScalingPoint};
 pub use sync::{GradSync, SyncConfig, WaveSync};

@@ -106,16 +106,6 @@ pub fn projected_sweep(
         .collect()
 }
 
-/// Backwards-compatible name for [`projected_sweep`] (the original
-/// multi-node API projected instead of executing).
-pub fn scaling_sweep(
-    pipe: &mut Pipeline,
-    node_counts: &[u32],
-    real_iters: usize,
-) -> Vec<ScalingPoint> {
-    projected_sweep(pipe, node_counts, real_iters)
-}
-
 /// Execute one training epoch on a real [`MultiNode`] cluster per node
 /// count and report measured times. Speedup/efficiency are relative to
 /// the first point, normalized by the node-count ratio.
@@ -207,7 +197,7 @@ mod tests {
         // real_iters far beyond the epoch's batch count must clamp, and
         // the speedup baseline is the *first requested* node count (the
         // sweep need not start at 1).
-        let pts = scaling_sweep(&mut pipe, &[2, 4], 100_000);
+        let pts = projected_sweep(&mut pipe, &[2, 4], 100_000);
         assert_eq!(pts.len(), 2);
         assert!((pts[0].speedup - 1.0).abs() < 1e-9);
         assert_eq!(pts[0].nodes, 2);

@@ -6,10 +6,27 @@ use wg_mem::CacheMode;
 
 use crate::framework::Framework;
 
-/// Per-device feature-cache configuration (ROADMAP item 2): `rows` row
-/// slots per device, filled by static top-K replication or dynamic CLOCK
-/// eviction. Caching changes gather *cost only, never values* — every
-/// checksum is bit-identical with the cache on or off.
+/// The row-count seam behind `WG_CACHE_ROWS` and
+/// `WG_STORAGE_BUDGET_ROWS`. Absent or empty → `None` (CI matrices
+/// export unset legs as `""`); a present but malformed value panics at
+/// startup naming `var`, same convention as `WG_SIMD` — a typo must not
+/// silently run with the tier off. Takes the raw value so these
+/// conventions are testable without mutating process-global environment
+/// in a parallel test harness.
+fn parse_rows(var: &str, value: Option<&str>) -> Option<usize> {
+    let value = value.filter(|v| !v.is_empty())?;
+    let rows = value.parse();
+    Some(rows.unwrap_or_else(|_| panic!("{var}: expected a row count, got {value:?}")))
+}
+
+fn env_rows(var: &str) -> Option<usize> {
+    parse_rows(var, std::env::var(var).ok().as_deref())
+}
+
+/// Per-device feature-cache configuration: `rows` row slots per device,
+/// filled by static top-K replication or dynamic CLOCK eviction. Caching
+/// changes gather *cost only, never values* — every checksum is
+/// bit-identical with the cache on or off.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheConfig {
     /// Cache row slots per device. Zero disables the cache.
@@ -21,17 +38,10 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// Read the cache configuration from `WG_CACHE_ROWS` /
     /// `WG_CACHE_MODE` (the CI matrix's cache-enabled leg runs the whole
-    /// suite this way). Absent or empty `WG_CACHE_ROWS` → `None` (CI
-    /// matrices export unset legs as `""`); a present but malformed value
-    /// panics at startup, same convention as `WG_SIMD` — a typo must not
-    /// silently run the uncached path.
+    /// suite this way). `None` when `WG_CACHE_ROWS` is absent or empty;
+    /// malformed values of either variable panic at startup.
     pub fn from_env() -> Option<CacheConfig> {
-        let rows = std::env::var("WG_CACHE_ROWS")
-            .ok()
-            .filter(|v| !v.is_empty())?;
-        let rows: usize = rows
-            .parse()
-            .unwrap_or_else(|_| panic!("WG_CACHE_ROWS: expected a row count, got {rows:?}"));
+        let rows = env_rows("WG_CACHE_ROWS")?;
         let mode = match std::env::var("WG_CACHE_MODE") {
             Ok(m) if !m.is_empty() => CacheMode::parse(&m)
                 .unwrap_or_else(|| panic!("WG_CACHE_MODE: expected static|clock, got {m:?}")),
@@ -41,12 +51,12 @@ impl CacheConfig {
     }
 }
 
-/// Out-of-core storage-tier configuration (ROADMAP item 1): cap the
-/// DSM-resident feature rows at `budget_rows` and serve everything else
-/// from the file-backed tier below ([`wg_mem::OocTier`]), priced by the
-/// NVMe storage cost model. Like the cache above it, the tier changes
-/// gather *cost only, never values* — training through the disk tier is
-/// bit-identical to in-memory, at any residency.
+/// Out-of-core storage-tier configuration: cap the DSM-resident feature
+/// rows at `budget_rows` and serve everything else from the file-backed
+/// tier below ([`wg_mem::OocTier`]), priced by the NVMe storage cost
+/// model. Like the cache above it, the tier changes gather *cost only,
+/// never values* — training through the disk tier is bit-identical to
+/// in-memory, at any residency.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StorageConfig {
     /// DSM-resident feature-row budget. Zero disables the tier (pure
@@ -57,24 +67,10 @@ pub struct StorageConfig {
 impl StorageConfig {
     /// Read the storage configuration from `WG_STORAGE_BUDGET_ROWS` (the
     /// CI matrix's storage leg runs the whole suite at ~25% residency
-    /// this way). Absent or empty → `None` (CI matrices export unset
-    /// legs as `""`); a present but malformed value panics at startup,
-    /// same convention as `WG_CACHE_ROWS` — a typo must not silently run
-    /// the in-memory path.
+    /// this way). `None` when absent or empty; a malformed value panics
+    /// at startup.
     pub fn from_env() -> Option<StorageConfig> {
-        Self::parse(std::env::var("WG_STORAGE_BUDGET_ROWS").ok().as_deref())
-    }
-
-    /// The parsing seam behind [`from_env`](Self::from_env), separated so
-    /// the empty-string / malformed / absent conventions are testable
-    /// without mutating process-global environment in a parallel test
-    /// harness.
-    pub fn parse(rows: Option<&str>) -> Option<StorageConfig> {
-        let rows = rows.filter(|v| !v.is_empty())?;
-        let budget_rows: usize = rows.parse().unwrap_or_else(|_| {
-            panic!("WG_STORAGE_BUDGET_ROWS: expected a row count, got {rows:?}")
-        });
-        Some(StorageConfig { budget_rows })
+        env_rows("WG_STORAGE_BUDGET_ROWS").map(|budget_rows| StorageConfig { budget_rows })
     }
 }
 
@@ -298,30 +294,38 @@ mod tests {
     use crate::framework::Framework;
     use wg_gnn::ModelKind;
 
+    /// The two variables the row-count seam serves.
+    const ROW_VARS: [&str; 2] = ["WG_CACHE_ROWS", "WG_STORAGE_BUDGET_ROWS"];
+
     #[test]
     fn storage_env_absent_or_empty_is_none() {
         // CI matrices export unset legs as "" — both shapes read as off.
-        assert_eq!(StorageConfig::parse(None), None);
-        assert_eq!(StorageConfig::parse(Some("")), None);
+        for var in ROW_VARS {
+            assert_eq!(parse_rows(var, None), None);
+            assert_eq!(parse_rows(var, Some("")), None);
+        }
     }
 
     #[test]
     fn storage_env_parses_a_row_count() {
-        assert_eq!(
-            StorageConfig::parse(Some("400")),
-            Some(StorageConfig { budget_rows: 400 })
-        );
-        // "0" parses (it is not malformed) but resolves to disabled below.
-        assert_eq!(
-            StorageConfig::parse(Some("0")),
-            Some(StorageConfig { budget_rows: 0 })
-        );
+        for var in ROW_VARS {
+            assert_eq!(parse_rows(var, Some("400")), Some(400));
+            // "0" parses (it is not malformed) but resolves to disabled
+            // below.
+            assert_eq!(parse_rows(var, Some("0")), Some(0));
+        }
     }
 
     #[test]
     #[should_panic(expected = "WG_STORAGE_BUDGET_ROWS")]
     fn storage_env_malformed_panics_at_startup() {
-        StorageConfig::parse(Some("lots"));
+        parse_rows("WG_STORAGE_BUDGET_ROWS", Some("lots"));
+    }
+
+    #[test]
+    #[should_panic(expected = "WG_CACHE_ROWS")]
+    fn cache_env_malformed_panics_at_startup() {
+        parse_rows("WG_CACHE_ROWS", Some("-1"));
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! The engine is a small stage graph:
 //!
 //! * [`config`] — [`PipelineConfig`], [`FeaturePlacement`], [`ExecMode`].
+//! * `store` — the `FeatureStore` seam: where a feature row lives and
+//!   what fetching it costs (DSM with its cache and disk tiers,
+//!   host-mapped, or host DRAM) is decided behind it, once, at build
+//!   time. Nothing in this module, the stages or the executors knows
+//!   which store it is running on.
 //! * [`stages`] — the [`Stage`] trait and the Sample/Gather/Train stage
 //!   implementations. Stages do the real math and price their phase, but
 //!   never touch the machine's clocks.
@@ -45,6 +50,7 @@ pub mod config;
 pub mod executor;
 pub mod report;
 pub mod stages;
+mod store;
 
 pub use config::{CacheConfig, ExecMode, FeaturePlacement, PipelineConfig, StorageConfig};
 pub use executor::{executor_for, Executor, OverlappedExecutor, SerialExecutor};
@@ -62,39 +68,24 @@ use rand::rngs::SmallRng;
 
 use wg_autograd::{Adam, Optimizer, Tape};
 use wg_gnn::{GnnModel, LayerProvider};
-use wg_graph::{GlobalId, HostGraph, MultiGpuGraph, NodeId, SyntheticDataset};
-use wg_mem::gather::{
-    global_gather_planned, global_gather_planned_cached, global_gather_planned_tiered, plan_gather,
-    plan_gather_cached, plan_gather_tiered, RowPlan,
-};
-use wg_mem::{CacheMode, FeatureCache, OocTier};
-use wg_sample::{
-    sample_minibatch_into, GraphAccess, HostGraphAccess, MiniBatch, MultiGpuAccess, SampleScratch,
-    SampleStats, SamplerConfig,
-};
+use wg_graph::{NodeId, SyntheticDataset};
+use wg_sample::{MiniBatch, SampleScratch, SampleStats, SamplerConfig};
 use wg_sim::memory::OutOfMemory;
-use wg_sim::{Machine, SimTime};
+use wg_sim::{DeviceId, Machine, SimTime};
 use wg_tensor::ops::argmax_rows_into;
 use wg_tensor::{BlockCsr, Matrix};
 
-use crate::convert::minibatch_blocks_into;
-
-#[allow(clippy::large_enum_variant)] // one store per pipeline; boxing buys nothing
-enum StoreImpl {
-    Dsm(MultiGpuGraph),
-    Host(HostGraph),
-}
+use crate::convert::{minibatch_blocks_into, minibatch_shapes};
+use store::{FeatureStore, Gathered};
 
 /// Recycled per-iteration buffers (DESIGN.md, "Hot-path memory
 /// discipline"): the sampler's scratch arena plus small pools of
-/// mini-batch, handle and feature buffers, so steady-state iterations
-/// reuse warm capacity instead of reallocating it every batch.
+/// mini-batch and feature buffers, so steady-state iterations reuse warm
+/// capacity instead of reallocating it every batch.
 #[derive(Default)]
 struct IterScratch {
     sample: SampleScratch,
     minibatches: Vec<MiniBatch>,
-    handles: Vec<Vec<u64>>,
-    gather_rows: Vec<usize>,
     feature_buf: Vec<f32>,
     /// The persistent autograd tape. Its [`wg_autograd::Workspace`] pool
     /// recycles every activation, gradient, and kernel scratch buffer
@@ -107,20 +98,15 @@ struct IterScratch {
     blocks: Vec<Arc<BlockCsr>>,
     labels: Vec<u32>,
     preds: Vec<u32>,
-    batch_ids: Vec<NodeId>,
     ce_losses: Vec<f32>,
-    /// Reused gather plan: row locations and per-rank counts, with the
-    /// division-free [`wg_mem::ChunkLocator`] rebuilt only when the
-    /// feature partition changes.
-    plan: RowPlan,
     /// Pooled epoch shuffle order and per-iteration result list.
     epoch_order: Vec<NodeId>,
     results: Vec<IterationResult>,
 }
 
-/// Pool size for recycled mini-batch / handle buffers. Serial iteration
-/// holds at most one of each in flight; a little slack covers inference
-/// and evaluation interleaving with training.
+/// Pool size for recycled mini-batch buffers. Serial iteration holds at
+/// most one in flight; a little slack covers inference and evaluation
+/// interleaving with training.
 const ITER_POOL_CAP: usize = 4;
 
 /// The fixed sampling epoch for [`Pipeline::serve_forward`]. Evaluation
@@ -197,7 +183,9 @@ pub struct Pipeline {
     cfg: PipelineConfig,
     machine: Machine,
     dataset: Arc<SyntheticDataset>,
-    store: StoreImpl,
+    /// The graph + feature store the framework trains from, with
+    /// whatever cache and storage tiers the configuration attached.
+    store: Box<dyn FeatureStore>,
     /// The model under training (exposed for inspection).
     pub model: GnnModel,
     opt: Adam,
@@ -205,22 +193,6 @@ pub struct Pipeline {
     setup_time: SimTime,
     sampler_cfg: SamplerConfig,
     scratch: IterScratch,
-    /// The per-device feature cache over the DSM store (ROADMAP item 2).
-    /// Present only for WholeGraph device placements with a non-zero
-    /// [`CacheConfig`]; cost-only — numerics are identical with or
-    /// without it.
-    cache: Option<FeatureCache<f32>>,
-    /// The file-backed out-of-core tier below the DSM (ROADMAP item 1).
-    /// Present only for WholeGraph device placements with a non-zero
-    /// [`StorageConfig`] budget; cost-only — numerics are identical with
-    /// or without it, at any residency.
-    ooc: Option<OocTier<f32>>,
-    /// Storage-tier time and traffic of the most recent
-    /// [`gather`](Self::gather) call (zero when the tier is off or fully
-    /// resident) — read by `run_iteration_inner` and `serve_forward` to
-    /// report the gather's storage sub-component without changing the
-    /// stage-graph signatures.
-    last_storage: (SimTime, StorageIo),
     /// Present when this pipeline is one replica of a multi-node run.
     pub(crate) dist: Option<DistContext>,
     /// Snapshot of the freshly initialized parameters, so
@@ -239,51 +211,7 @@ impl Pipeline {
         dataset: Arc<SyntheticDataset>,
         cfg: PipelineConfig,
     ) -> Result<Self, OutOfMemory> {
-        let acct = machine.memory();
-        let (store, setup_time) = if cfg.framework.uses_dsm() {
-            use wg_sim::cost::AccessMode;
-            // Under HostMapped the features never leave host memory; the
-            // DSM store only carries the structure (empty feature matrix).
-            let (feats, dim, mode) = match cfg.feature_placement {
-                FeaturePlacement::DeviceP2p => (
-                    &dataset.features[..],
-                    dataset.feature_dim,
-                    AccessMode::PeerAccess,
-                ),
-                FeaturePlacement::DeviceUnifiedMemory => (
-                    &dataset.features[..],
-                    dataset.feature_dim,
-                    AccessMode::UnifiedMemory,
-                ),
-                FeaturePlacement::HostMapped => (&[][..], 0, AccessMode::PeerAccess),
-            };
-            let store = MultiGpuGraph::build_with_mode(
-                machine.cost(),
-                machine.num_gpus(),
-                &dataset.graph,
-                feats,
-                dim,
-                &acct,
-                mode,
-            )?;
-            if cfg.feature_placement == FeaturePlacement::HostMapped {
-                acct.alloc(
-                    wg_sim::DeviceId::Cpu,
-                    wg_sim::memory::AllocKind::Features,
-                    (dataset.features.len() * 4) as u64,
-                )?;
-            }
-            let t = store.setup_time();
-            (StoreImpl::Dsm(store), t)
-        } else {
-            let host = HostGraph::build(
-                dataset.graph.clone(),
-                dataset.features.clone(),
-                dataset.feature_dim,
-                &acct,
-            )?;
-            (StoreImpl::Host(host), SimTime::ZERO)
-        };
+        let (store, setup_time) = store::build(&machine, &dataset, &cfg)?;
         let gnn_cfg = cfg.gnn_config(dataset.feature_dim, dataset.num_classes);
         let model = GnnModel::new(gnn_cfg, cfg.seed);
         let opt = Adam::new(cfg.lr);
@@ -299,30 +227,6 @@ impl Pipeline {
             .ids()
             .map(|id| model.params.value(id).clone())
             .collect();
-        // The feature cache sits over the DSM store only: host pipelines
-        // gather on the CPU, and HostMapped keeps no device features to
-        // cache.
-        let cache = match (&store, cfg.resolved_cache()) {
-            (StoreImpl::Dsm(s), Some(cc))
-                if cfg.feature_placement != FeaturePlacement::HostMapped =>
-            {
-                Some(Self::build_cache(s, cc, machine.num_gpus()))
-            }
-            _ => None,
-        };
-        // The out-of-core tier sits below the DSM feature store:
-        // everything beyond the residency budget is served from the
-        // spill file, priced by the NVMe storage cost model. Host
-        // pipelines and HostMapped placements keep their features in
-        // DRAM already — no tier.
-        let ooc = match (&store, cfg.resolved_storage()) {
-            (StoreImpl::Dsm(s), Some(sc))
-                if cfg.feature_placement != FeaturePlacement::HostMapped =>
-            {
-                Some(Self::build_ooc(s, sc.budget_rows))
-            }
-            _ => None,
-        };
         Ok(Pipeline {
             cfg,
             machine,
@@ -334,45 +238,9 @@ impl Pipeline {
             setup_time,
             sampler_cfg,
             scratch: IterScratch::default(),
-            cache,
-            ooc,
-            last_storage: Default::default(),
             dist: None,
             init_params,
         })
-    }
-
-    /// Build the configured feature cache over the DSM feature store.
-    /// Static mode ranks rows by vertex degree — the load-time hotness
-    /// signal: neighbor sampling revisits high-degree vertices far more
-    /// often than the tail. The `+1` keeps isolated real vertices ahead
-    /// of the DSM padding rows (which stay at hotness 0 and are never
-    /// pinned).
-    fn build_cache(store: &MultiGpuGraph, cc: CacheConfig, gpus: u32) -> FeatureCache<f32> {
-        match cc.mode {
-            CacheMode::Static => {
-                let mut hotness = vec![0u64; store.features().rows()];
-                for v in 0..store.num_nodes() as NodeId {
-                    hotness[store.feature_row(v)] = store.degree(v) as u64 + 1;
-                }
-                FeatureCache::new_static(store.features(), &hotness, cc.rows)
-            }
-            CacheMode::Clock => FeatureCache::new_clock(store.features(), gpus, cc.rows),
-        }
-    }
-
-    /// Build the out-of-core tier: spill every feature row to the
-    /// tier's file, then keep the `budget_rows` hottest rows
-    /// DSM-resident. The hotness signal is the same degree-based one
-    /// the static cache uses (the `+1` keeps real vertices ahead of DSM
-    /// padding rows, which stay at hotness 0 and spill first).
-    fn build_ooc(store: &MultiGpuGraph, budget_rows: usize) -> OocTier<f32> {
-        let mut hotness = vec![0u64; store.features().rows()];
-        for v in 0..store.num_nodes() as NodeId {
-            hotness[store.feature_row(v)] = store.degree(v) as u64 + 1;
-        }
-        OocTier::build(store.features(), &hotness, budget_rows)
-            .expect("ooc: failed to build the storage-tier spill file")
     }
 
     /// Attach the multi-node execution context (machine rank, feature
@@ -454,61 +322,23 @@ impl Pipeline {
         &self.dataset
     }
 
-    fn handles_for(&mut self, nodes: &[NodeId]) -> Vec<u64> {
-        let mut out = self.scratch.handles.pop().unwrap_or_default();
-        out.clear();
-        match &self.store {
-            StoreImpl::Dsm(s) => {
-                let a = MultiGpuAccess::new(s);
-                out.extend(nodes.iter().map(|&v| a.handle_of(v)));
-            }
-            StoreImpl::Host(h) => {
-                let a = HostGraphAccess(h);
-                out.extend(nodes.iter().map(|&v| a.handle_of(v)));
-            }
-        }
-        out
-    }
-
-    fn sample(&mut self, handles: &[u64], epoch: u64, iter: u64) -> (MiniBatch, SampleStats) {
+    /// Sample the sub-graph seeded at `nodes` into a pooled mini-batch.
+    fn sample(&mut self, nodes: &[NodeId], epoch: u64, iter: u64) -> (MiniBatch, SampleStats) {
         let mut mb = self
             .scratch
             .minibatches
             .pop()
             .unwrap_or_else(MiniBatch::empty);
-        let stats = match &self.store {
-            StoreImpl::Dsm(s) => sample_minibatch_into(
-                &MultiGpuAccess::new(s),
-                handles,
-                &self.sampler_cfg,
-                epoch,
-                iter,
-                &mut self.scratch.sample,
-                &mut mb,
-            ),
-            StoreImpl::Host(h) => sample_minibatch_into(
-                &HostGraphAccess(h),
-                handles,
-                &self.sampler_cfg,
-                epoch,
-                iter,
-                &mut self.scratch.sample,
-                &mut mb,
-            ),
-        };
+        let (cfg, scratch) = (&self.sampler_cfg, &mut self.scratch.sample);
+        let stats = self.store.sample(nodes, cfg, epoch, iter, scratch, &mut mb);
         (mb, stats)
     }
 
-    /// Return an iteration's transient buffers to the recycle pools so the
-    /// next iteration starts with warm capacity.
-    pub(crate) fn recycle_iter_buffers(&mut self, mb: Option<MiniBatch>, handles: Vec<u64>) {
-        if let Some(mb) = mb {
-            if self.scratch.minibatches.len() < ITER_POOL_CAP {
-                self.scratch.minibatches.push(mb);
-            }
-        }
-        if handles.capacity() > 0 && self.scratch.handles.len() < ITER_POOL_CAP {
-            self.scratch.handles.push(handles);
+    /// Return an iteration's mini-batch to the recycle pool so the next
+    /// iteration starts with warm capacity.
+    pub(crate) fn recycle_minibatch(&mut self, mb: MiniBatch) {
+        if self.scratch.minibatches.len() < ITER_POOL_CAP {
+            self.scratch.minibatches.push(mb);
         }
     }
 
@@ -520,218 +350,50 @@ impl Pipeline {
         }
     }
 
-    /// Charge the machine-level halo exchange of a minibatch: input rows
-    /// whose features another machine owns are fetched over IB before
-    /// the local gather. Exactly [`SimTime::ZERO`] for single-node runs
-    /// (no `dist` context, one rank, or no halo rows) — the numerics are
-    /// untouched either way (the values come from the local replica; the
-    /// exchange only costs time, per the repo's caching convention).
+    /// Gather the input features of a mini-batch on GPU `rank` (training
+    /// round-robins iterations across the data-parallel ranks; serving
+    /// pins the rank its batch was dispatched to).
     ///
-    /// `rank` is the GPU executing this iteration's gather: halo rows
-    /// already resident in that device's feature cache skip the IB fetch
-    /// (the cached copy serves them locally). Membership is tested
-    /// *before* this iteration's gather runs, so CLOCK inserts from the
-    /// current batch never retroactively discount its own halo cost —
-    /// the check stays deterministic.
-    fn halo_time(&mut self, input: &[u64], rank: u32) -> SimTime {
-        let (nodes, home) = match &self.dist {
-            Some(d) => (d.partition.ranks(), d.node),
-            None => return SimTime::ZERO,
-        };
-        if nodes <= 1 {
-            return SimTime::ZERO;
-        }
-        let dist = self.dist.as_ref().unwrap();
-        let cache = self.cache.as_ref();
-        let halo = match &self.store {
-            StoreImpl::Dsm(s) => input
-                .iter()
-                .filter(|&&h| {
-                    let g = GlobalId::from_raw(h);
-                    let v = s.partition().node_of(g);
-                    if dist.partition.rank_of(v) == home {
-                        return false;
-                    }
-                    !cache.is_some_and(|c| c.contains(rank, s.feature_row_of_global(g)))
-                })
-                .count() as u64,
-            StoreImpl::Host(_) => input
-                .iter()
-                .filter(|&&h| dist.partition.rank_of(h) != home)
-                .count() as u64,
-        };
-        let ex = wg_mem::halo::halo_exchange(
-            self.machine.cost(),
-            input.len() as u64,
-            halo,
-            self.dataset.feature_dim * 4,
-            nodes,
-        );
-        let dist = self.dist.as_mut().unwrap();
-        dist.halo_rows += ex.halo_rows;
-        dist.halo_bytes += ex.halo_bytes;
-        if ex.halo_bytes > 0 {
-            wg_trace::metrics::add_dyn(&dist.halo_bytes_metric, ex.halo_bytes as f64);
-        }
-        ex.time
-    }
-
-    /// Gather the input features of a mini-batch. Returns the dense
-    /// feature matrix (rows follow `mb.input_nodes()` order) and the
-    /// simulated phase time (including any machine-level halo fetch).
-    fn gather(&mut self, mb: &MiniBatch, iter: u64) -> (Matrix, SimTime) {
-        let feat_dim = self.dataset.feature_dim;
-        // The GPU executing this iteration's gather (iterations round-robin
-        // across the data-parallel ranks) — also the device whose feature
-        // cache the halo accounting consults.
-        let rank = (iter % self.machine.num_gpus() as u64) as u32;
-        self.last_storage = Default::default();
-        let t_halo = self.halo_time(mb.input_nodes(), rank);
+    /// The returned time includes the machine-level halo exchange: input
+    /// rows whose features another machine owns are fetched over IB
+    /// before the local gather. Exactly [`SimTime::ZERO`] for single-node
+    /// runs (no `dist` context, one rank, or no halo rows) — the numerics
+    /// are untouched either way (the values come from the local replica;
+    /// the exchange only costs time, per the repo's caching convention).
+    fn gather(&mut self, mb: &MiniBatch, rank: u32) -> Gathered {
         let input = mb.input_nodes();
-        wg_trace::counter!(
-            "pipeline.gather.feature_bytes",
-            (input.len() * feat_dim * 4) as f64
-        );
-        if let Some(dist) = &self.dist {
-            wg_trace::metrics::add_dyn(
-                &dist.gather_bytes_metric,
-                (input.len() * feat_dim * 4) as f64,
-            );
-        }
-        let (features, t) = match &self.store {
-            StoreImpl::Dsm(s) if self.cfg.feature_placement == FeaturePlacement::HostMapped => {
-                // Zero-copy: the gather kernel reads host-pinned rows over
-                // PCIe directly (no CPU gather step, no staging buffer).
-                let mut out = std::mem::take(&mut self.scratch.feature_buf);
-                out.clear();
-                out.reserve(input.len() * feat_dim);
-                for &h in input {
-                    let v = s.partition().node_of(GlobalId::from_raw(h)) as usize;
-                    out.extend_from_slice(&self.dataset.features[v * feat_dim..(v + 1) * feat_dim]);
-                }
-                let t = self.machine.cost().pcie_zero_copy_gather_time(
+        let row_bytes = self.dataset.feature_dim * 4;
+        let t_halo = match self.dist.as_mut() {
+            Some(dist) if dist.partition.ranks() > 1 => {
+                let nodes = dist.partition.ranks();
+                let halo = self
+                    .store
+                    .halo_rows(input, &dist.partition, dist.node, rank);
+                let ex = wg_mem::halo::halo_exchange(
+                    self.machine.cost(),
                     input.len() as u64,
-                    feat_dim * 4,
-                    self.machine.num_gpus(),
-                    self.machine.spec(wg_sim::DeviceId::Gpu(0)),
+                    halo,
+                    row_bytes,
+                    nodes,
                 );
-                (Matrix::from_vec(input.len(), feat_dim, out), t)
+                dist.halo_rows += ex.halo_rows;
+                dist.halo_bytes += ex.halo_bytes;
+                if ex.halo_bytes > 0 {
+                    wg_trace::metrics::add_dyn(&dist.halo_bytes_metric, ex.halo_bytes as f64);
+                }
+                ex.time
             }
-            StoreImpl::Dsm(s) => {
-                let mut rows = std::mem::take(&mut self.scratch.gather_rows);
-                rows.clear();
-                rows.extend(
-                    input
-                        .iter()
-                        .map(|&h| s.feature_row_of_global(GlobalId::from_raw(h))),
-                );
-                let mut out = std::mem::take(&mut self.scratch.feature_buf);
-                out.clear();
-                out.resize(rows.len() * feat_dim, 0.0);
-                // Planned gather: row locations are resolved once into the
-                // pooled plan (division-free locator, guards hoisted out of
-                // the copy loop), then the copy kernel runs straight off
-                // the plan's slots. With a feature cache attached, planning
-                // consults it first: hits are priced at local-HBM cost and
-                // skip the bus; misses fall through to the DSM path.
-                let mut plan = std::mem::take(&mut self.scratch.plan);
-                let stats = if let Some(tier) = self.ooc.as_mut() {
-                    // Tiered resolution: cache → DSM → disk. The tier's
-                    // batched prefetch stages the disk-planned rows, and
-                    // its priced time lands in `stats.storage_time`. A
-                    // spill-file read error stops the run here, the one
-                    // I/O `expect` left until ROADMAP item 4 carries it
-                    // into `EpochReport`.
-                    plan_gather_tiered(
-                        s.features(),
-                        &rows,
-                        &mut plan,
-                        tier,
-                        self.cache.as_mut(),
-                        rank,
-                    );
-                    global_gather_planned_tiered(
-                        s.features(),
-                        &plan,
-                        &mut out,
-                        rank,
-                        self.machine.cost(),
-                        self.machine.spec(wg_sim::DeviceId::Gpu(rank)),
-                        self.cache.as_mut(),
-                        tier,
-                    )
-                    .expect("ooc: spill file read failed")
-                } else if let Some(cache) = self.cache.as_mut() {
-                    plan_gather_cached(s.features(), &rows, &mut plan, cache, rank);
-                    global_gather_planned_cached(
-                        s.features(),
-                        &plan,
-                        &mut out,
-                        rank,
-                        self.machine.cost(),
-                        self.machine.spec(wg_sim::DeviceId::Gpu(rank)),
-                        cache,
-                    )
-                } else {
-                    plan_gather(s.features(), &rows, &mut plan);
-                    global_gather_planned(
-                        s.features(),
-                        &plan,
-                        &mut out,
-                        rank,
-                        self.machine.cost(),
-                        self.machine.spec(wg_sim::DeviceId::Gpu(rank)),
-                    )
-                };
-                let num_rows = rows.len();
-                self.scratch.plan = plan;
-                self.scratch.gather_rows = rows;
-                self.last_storage = (stats.storage_time, stats.storage_io);
-                (Matrix::from_vec(num_rows, feat_dim, out), stats.sim_time)
-            }
-            StoreImpl::Host(h) => {
-                // CPU-side gather, then the mini-batch (features +
-                // sub-graph structure) crosses PCIe; with all GPUs loading
-                // concurrently each gets a shared uplink (§III-B).
-                let mut out = std::mem::take(&mut self.scratch.feature_buf);
-                h.gather_features(input, &mut out);
-                let feat_bytes = (out.len() * 4) as u64;
-                let struct_bytes: u64 = mb
-                    .blocks
-                    .iter()
-                    .map(|b| {
-                        (b.indices.len() * 4 + b.offsets.len() * 4 + b.dup_count.len() * 4) as u64
-                    })
-                    .sum();
-                let model = self.machine.cost();
-                // The CPU gather bandwidth is an aggregate host resource:
-                // G concurrent trainer processes each see 1/G of it (same
-                // contention argument as sampling).
-                let cpu = model.host_gather_time(input.len() as u64, feat_dim * 4)
-                    * self.machine.num_gpus() as f64;
-                let path = model.topology.path(
-                    wg_sim::DeviceId::Cpu,
-                    wg_sim::DeviceId::Gpu(0),
-                    self.machine.num_gpus(),
-                );
-                let pcie = model.transfer_time(feat_bytes + struct_bytes, path);
-                (Matrix::from_vec(input.len(), feat_dim, out), cpu + pcie)
-            }
+            _ => SimTime::ZERO,
         };
-        (features, t + t_halo)
-    }
-
-    /// Map mini-batch handles back to dataset node ids (for labels),
-    /// writing into a caller-provided (pooled) buffer.
-    pub(crate) fn stable_ids_into(&self, handles: &[u64], out: &mut Vec<NodeId>) {
-        out.clear();
-        match &self.store {
-            StoreImpl::Dsm(s) => {
-                let a = MultiGpuAccess::new(s);
-                out.extend(handles.iter().map(|&h| a.stable_id(h)));
-            }
-            StoreImpl::Host(_) => out.extend_from_slice(handles),
+        let feature_bytes = (input.len() * row_bytes) as f64;
+        wg_trace::counter!("pipeline.gather.feature_bytes", feature_bytes);
+        if let Some(dist) = &self.dist {
+            wg_trace::metrics::add_dyn(&dist.gather_bytes_metric, feature_bytes);
         }
+        let buf = std::mem::take(&mut self.scratch.feature_buf);
+        let mut gathered = self.store.gather(mb, rank, &self.machine, buf);
+        gathered.time += t_halo;
+        gathered
     }
 
     /// Execute one full iteration through the stage graph (sample →
@@ -816,18 +478,14 @@ impl Pipeline {
         wall[0] += t1 - t0;
         wall[1] += t2 - t1;
         wall[2] += t3 - t2;
-        let comm = ctx.comm;
-        let (storage, storage_io) = ctx.pipeline.last_storage;
-        ctx.into_result(
-            IterTimes {
-                sample,
-                gather,
-                train,
-                comm,
-                storage,
-            },
-            storage_io,
-        )
+        let (comm, storage) = (ctx.comm, ctx.storage.0);
+        ctx.into_result(IterTimes {
+            sample,
+            gather,
+            train,
+            comm,
+            storage,
+        })
     }
 
     /// The epoch's shuffled batches.
@@ -907,6 +565,59 @@ impl Pipeline {
         )
     }
 
+    /// One forward-only pass over `nodes`: sample at the coordinates
+    /// `at = (epoch, iter)`, gather on GPU `rank`, run the model with
+    /// dropout off, argmax — no backward, no collective communication.
+    /// `read` sees the logits and the predictions (one row per node, in
+    /// input order) before the pass's buffers go back to their pools.
+    /// Returns the simulated phase times.
+    fn forward_only(
+        &mut self,
+        nodes: &[NodeId],
+        at: (u64, u64),
+        rank: u32,
+        read: impl FnOnce(&Matrix, &[u32]),
+    ) -> ServeTimes {
+        debug_assert!(rank < self.machine.num_gpus());
+        let (mb, stats) = {
+            let _s = wg_trace::span!("pipeline.forward.sample");
+            self.sample(nodes, at.0, at.1)
+        };
+        let gathered = {
+            let _s = wg_trace::span!("pipeline.forward.gather");
+            self.gather(&mb, rank)
+        };
+        let _s = wg_trace::span!("pipeline.forward.compute");
+        let mut blocks = std::mem::take(&mut self.scratch.blocks);
+        minibatch_blocks_into(&mb, &mut blocks);
+        let mut tape = std::mem::take(&mut self.scratch.tape);
+        tape.reset();
+        let features = gathered.features;
+        let out = self.model.forward(&mut tape, &blocks, features, false, 0);
+        let mut preds = std::mem::take(&mut self.scratch.preds);
+        argmax_rows_into(tape.value(out), &mut preds);
+        read(tape.value(out), &preds);
+        let (cost, gpu_spec) = (self.machine.cost(), self.machine.spec(DeviceId::Gpu(rank)));
+        let sampler = self.cfg.framework.sampler_backend();
+        let gnn_cfg = self
+            .cfg
+            .gnn_config(self.dataset.feature_dim, self.dataset.num_classes);
+        let shapes = minibatch_shapes(&mb);
+        let times = ServeTimes {
+            sample: sampler.sample_time(cost, gpu_spec, stats),
+            gather: gathered.time,
+            compute: wg_gnn::cost::eval_step_time(&gnn_cfg, &shapes, self.provider, cost, gpu_spec),
+            storage: gathered.storage_time,
+            storage_io: gathered.storage_io,
+        };
+        self.reclaim_feature_buf(tape.take_value(wg_autograd::NodeId::first()).into_vec());
+        self.scratch.tape = tape;
+        self.scratch.blocks = blocks;
+        self.scratch.preds = preds;
+        self.recycle_minibatch(mb);
+        times
+    }
+
     /// Batched inference: predict classes for `nodes` without any
     /// backward pass or gradient AllReduce (§I: WholeGraph's ops "also
     /// can be used in inference scenarios, since it does not require
@@ -915,47 +626,20 @@ impl Pipeline {
     /// batch's input phases prefetch under the previous batch's forward
     /// pass, shrinking `wall_time` below the phase-time sum.
     pub fn infer(&mut self, nodes: &[NodeId]) -> (Vec<u32>, InferenceReport) {
-        let gpu_spec = self.machine.spec(wg_sim::DeviceId::Gpu(0)).clone();
         let mut preds = Vec::with_capacity(nodes.len());
         let mut report = InferenceReport::default();
         let mut batch_times = Vec::new();
+        let gpus = self.machine.num_gpus() as u64;
         for (i, batch) in nodes.chunks(self.cfg.batch_size).enumerate() {
-            let handles = self.handles_for(batch);
-            let (mb, stats) = self.sample(&handles, u64::MAX - 1, i as u64);
-            let t_sample = self.cfg.framework.sampler_backend().sample_time(
-                self.machine.cost(),
-                &gpu_spec,
-                stats,
-            );
-            report.sample_time += t_sample;
-            let (features, t_gather) = self.gather(&mb, i as u64);
-            report.gather_time += t_gather;
-            let mut blocks = std::mem::take(&mut self.scratch.blocks);
-            minibatch_blocks_into(&mb, &mut blocks);
-            let shapes = crate::convert::minibatch_shapes(&mb);
-            let mut tape = std::mem::take(&mut self.scratch.tape);
-            tape.reset();
-            let out = self.model.forward(&mut tape, &blocks, features, false, 0);
-            let mut batch_preds = std::mem::take(&mut self.scratch.preds);
-            argmax_rows_into(tape.value(out), &mut batch_preds);
-            preds.extend_from_slice(&batch_preds);
-            self.scratch.preds = batch_preds;
-            let t_eval = wg_gnn::cost::eval_step_time(
-                &self
-                    .cfg
-                    .gnn_config(self.dataset.feature_dim, self.dataset.num_classes),
-                &shapes,
-                self.provider,
-                self.machine.cost(),
-                &gpu_spec,
-            );
-            report.compute_time += t_eval;
+            let i = i as u64;
+            let t = self.forward_only(batch, (u64::MAX - 1, i), (i % gpus) as u32, |_, p| {
+                preds.extend_from_slice(p)
+            });
+            report.sample_time += t.sample;
+            report.gather_time += t.gather;
+            report.compute_time += t.compute;
             report.batches += 1;
-            batch_times.push((t_sample + t_gather, t_eval));
-            self.reclaim_feature_buf(tape.take_value(wg_autograd::NodeId::first()).into_vec());
-            self.scratch.tape = tape;
-            self.scratch.blocks = blocks;
-            self.recycle_iter_buffers(Some(mb), handles);
+            batch_times.push((t.sample + t.gather, t.compute));
         }
         report.nodes = nodes.len();
         report.wall_time = match self.cfg.exec {
@@ -966,10 +650,10 @@ impl Pipeline {
     }
 
     /// One serving forward pass over a (possibly coalesced) set of query
-    /// nodes: sample → cached gather → forward, no backward, no
-    /// collective communication. Appends one prediction and one per-row
-    /// logits checksum (FNV-1a over the output row's bit patterns) per
-    /// query node, in input order, and returns the simulated phase times.
+    /// nodes: sample → gather → forward, no backward, no collective
+    /// communication. Appends one prediction and one per-row logits
+    /// checksum (FNV-1a over the output row's bit patterns) per query
+    /// node, in input order, and returns the simulated phase times.
     ///
     /// Sampling runs at the **fixed** coordinates (`SERVE_EPOCH`,
     /// iteration 0), so each node's per-node RNG stream — keyed on its
@@ -993,61 +677,10 @@ impl Pipeline {
         out_checksums: &mut Vec<u64>,
     ) -> ServeTimes {
         use wg_tensor::simd::{fnv1a_f32, FNV_OFFSET};
-        debug_assert!(rank < self.machine.num_gpus());
-        let gpu_spec = self.machine.spec(wg_sim::DeviceId::Gpu(rank)).clone();
-        let handles = self.handles_for(nodes);
-        let (mb, stats) = {
-            let _s = wg_trace::span!("serve.sample");
-            self.sample(&handles, SERVE_EPOCH, 0)
-        };
-        let sample_time =
-            self.cfg
-                .framework
-                .sampler_backend()
-                .sample_time(self.machine.cost(), &gpu_spec, stats);
-        let (features, gather_time) = {
-            let _s = wg_trace::span!("serve.gather");
-            // `gather` derives its executing rank as `iter % num_gpus`;
-            // passing the rank itself pins it (rank < num_gpus).
-            self.gather(&mb, rank as u64)
-        };
-        let compute_time;
-        {
-            let _s = wg_trace::span!("serve.forward");
-            let mut blocks = std::mem::take(&mut self.scratch.blocks);
-            minibatch_blocks_into(&mb, &mut blocks);
-            let shapes = crate::convert::minibatch_shapes(&mb);
-            let mut tape = std::mem::take(&mut self.scratch.tape);
-            tape.reset();
-            let out = self.model.forward(&mut tape, &blocks, features, false, 0);
-            let logits = tape.value(out);
-            let mut batch_preds = std::mem::take(&mut self.scratch.preds);
-            argmax_rows_into(logits, &mut batch_preds);
-            out_preds.extend_from_slice(&batch_preds);
+        self.forward_only(nodes, (SERVE_EPOCH, 0), rank, |logits, preds| {
+            out_preds.extend_from_slice(preds);
             out_checksums.extend((0..nodes.len()).map(|i| fnv1a_f32(FNV_OFFSET, logits.row(i))));
-            self.scratch.preds = batch_preds;
-            compute_time = wg_gnn::cost::eval_step_time(
-                &self
-                    .cfg
-                    .gnn_config(self.dataset.feature_dim, self.dataset.num_classes),
-                &shapes,
-                self.provider,
-                self.machine.cost(),
-                &gpu_spec,
-            );
-            self.reclaim_feature_buf(tape.take_value(wg_autograd::NodeId::first()).into_vec());
-            self.scratch.tape = tape;
-            self.scratch.blocks = blocks;
-        }
-        self.recycle_iter_buffers(Some(mb), handles);
-        let (storage, storage_io) = self.last_storage;
-        ServeTimes {
-            sample: sample_time,
-            gather: gather_time,
-            compute: compute_time,
-            storage,
-            storage_io,
-        }
+        })
     }
 
     /// Evaluate accuracy on a node set (validation or test split) with
@@ -1060,28 +693,15 @@ impl Pipeline {
     /// precision/recall/F1, macro-F1).
     pub fn evaluate_detailed(&mut self, nodes: &[NodeId]) -> crate::metrics::ConfusionMatrix {
         let mut cm = crate::metrics::ConfusionMatrix::new(self.dataset.num_classes);
+        let dataset = Arc::clone(&self.dataset);
+        let gpus = self.machine.num_gpus() as u64;
         for (i, batch) in nodes.chunks(self.cfg.batch_size).enumerate() {
-            let handles = self.handles_for(batch);
-            let (mb, _) = self.sample(&handles, u64::MAX, i as u64);
-            let (features, _) = self.gather(&mb, i as u64);
-            let mut blocks = std::mem::take(&mut self.scratch.blocks);
-            minibatch_blocks_into(&mb, &mut blocks);
-            let mut tape = std::mem::take(&mut self.scratch.tape);
-            tape.reset();
-            let out = self.model.forward(&mut tape, &blocks, features, false, 0);
-            let mut preds = std::mem::take(&mut self.scratch.preds);
-            argmax_rows_into(tape.value(out), &mut preds);
-            let mut ids = std::mem::take(&mut self.scratch.batch_ids);
-            self.stable_ids_into(&handles, &mut ids);
-            for (p, v) in preds.iter().zip(ids.iter()) {
-                cm.record(self.dataset.labels[*v as usize], *p);
-            }
-            self.reclaim_feature_buf(tape.take_value(wg_autograd::NodeId::first()).into_vec());
-            self.scratch.tape = tape;
-            self.scratch.blocks = blocks;
-            self.scratch.preds = preds;
-            self.scratch.batch_ids = ids;
-            self.recycle_iter_buffers(Some(mb), handles);
+            let i = i as u64;
+            self.forward_only(batch, (u64::MAX, i), (i % gpus) as u32, |_, preds| {
+                for (pred, &v) in preds.iter().zip(batch) {
+                    cm.record(dataset.labels[v as usize], *pred);
+                }
+            });
         }
         cm
     }
@@ -1093,6 +713,7 @@ mod tests {
     use crate::framework::Framework;
     use wg_gnn::ModelKind;
     use wg_graph::DatasetKind;
+    use wg_mem::CacheMode;
     use wg_sim::MachineConfig;
 
     fn dataset() -> Arc<SyntheticDataset> {
@@ -1420,35 +1041,37 @@ mod tests {
         assert!(mapped < um, "host-mapped {mapped} !< UM {um}");
     }
 
-    /// Train two epochs with an explicitly pinned cache config (`None`
-    /// pins the cache *off* — these tests must not inherit a CI matrix
-    /// leg's `WG_CACHE_ROWS`) and return the second epoch's report: the
-    /// small batch gives every rank several iterations, so epoch 0 warms
-    /// a CLOCK cache and epoch 1 measures it in steady state.
-    fn epoch_with_cache(cache: Option<(usize, CacheMode)>) -> EpochReport {
+    /// Train two epochs with both tiers explicitly pinned — zero rows
+    /// pins a tier *off*; these tests must not inherit a CI matrix leg's
+    /// `WG_CACHE_ROWS` / `WG_STORAGE_BUDGET_ROWS`, and each tier's cost
+    /// deltas are measured against pure DSM gathers — and return the
+    /// second epoch's report: the small batch gives every rank several
+    /// iterations, so epoch 0 warms a CLOCK cache and epoch 1 measures it
+    /// in steady state.
+    fn epoch_with_tiers(cache: (usize, CacheMode), budget_rows: usize) -> EpochReport {
         let machine = Machine::new(MachineConfig::dgx_like(4));
-        let (rows, mode) = cache.unwrap_or((0, CacheMode::Static));
-        // Storage pinned off too: the cache cost deltas below compare
-        // against pure DSM gathers.
         let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
             .with_seed(11)
-            .with_cache(rows, mode)
-            .with_storage(0);
+            .with_cache(cache.0, cache.1)
+            .with_storage(budget_rows);
         cfg.batch_size = 16;
         let mut p = Pipeline::new(machine, dataset(), cfg).unwrap();
         p.train_epoch(0);
         p.train_epoch(1)
     }
 
+    /// The cache pinned off.
+    const NO_CACHE: (usize, CacheMode) = (0, CacheMode::Static);
+
     #[test]
     fn epoch_numerics_are_bit_identical_with_any_cache() {
         // The cache contract at pipeline scope: every mode × size
         // (disabled, small, ≥ working set) trains to bit-identical loss
         // and accuracy — caching moves cost, never values.
-        let base = epoch_with_cache(None);
+        let base = epoch_with_tiers(NO_CACHE, 0);
         for mode in [CacheMode::Static, CacheMode::Clock] {
             for rows in [0usize, 64, 1_000_000] {
-                let r = epoch_with_cache(Some((rows, mode)));
+                let r = epoch_with_tiers((rows, mode), 0);
                 assert_eq!(
                     base.loss.to_bits(),
                     r.loss.to_bits(),
@@ -1461,9 +1084,9 @@ mod tests {
 
     #[test]
     fn cache_hits_cut_gather_and_epoch_time() {
-        let base = epoch_with_cache(None);
+        let base = epoch_with_tiers(NO_CACHE, 0);
         for mode in [CacheMode::Static, CacheMode::Clock] {
-            let cached = epoch_with_cache(Some((512, mode)));
+            let cached = epoch_with_tiers((512, mode), 0);
             assert!(
                 cached.gather_time < base.gather_time,
                 "{mode:?}: cached gather {} !< uncached {}",
@@ -1478,24 +1101,9 @@ mod tests {
             );
         }
         // A zero-capacity cache is cost-identical to no cache at all.
-        let off = epoch_with_cache(Some((0, CacheMode::Clock)));
+        let off = epoch_with_tiers((0, CacheMode::Clock), 0);
         assert_eq!(off.gather_time, base.gather_time);
         assert_eq!(off.epoch_time, base.epoch_time);
-    }
-
-    /// Train two epochs with an explicitly pinned storage budget (cache
-    /// pinned off so the deltas below isolate the disk tier) and return
-    /// the second epoch's report.
-    fn epoch_with_storage(budget_rows: usize) -> EpochReport {
-        let machine = Machine::new(MachineConfig::dgx_like(4));
-        let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
-            .with_seed(11)
-            .with_cache(0, CacheMode::Static)
-            .with_storage(budget_rows);
-        cfg.batch_size = 16;
-        let mut p = Pipeline::new(machine, dataset(), cfg).unwrap();
-        p.train_epoch(0);
-        p.train_epoch(1)
     }
 
     #[test]
@@ -1505,10 +1113,10 @@ mod tests {
         // budget, everything resident — produces bit-identical loss and
         // accuracy to the pure in-memory run. Values never move; only
         // the priced storage time does.
-        let base = epoch_with_storage(0);
+        let base = epoch_with_tiers(NO_CACHE, 0);
         assert_eq!(base.storage_time, SimTime::ZERO);
         for budget in [1usize, 400, usize::MAX] {
-            let r = epoch_with_storage(budget);
+            let r = epoch_with_tiers(NO_CACHE, budget);
             assert_eq!(
                 base.loss.to_bits(),
                 r.loss.to_bits(),
@@ -1520,11 +1128,11 @@ mod tests {
 
     #[test]
     fn disk_tier_charges_storage_time_and_prefetch_overlaps_it() {
-        let base = epoch_with_storage(0);
+        let base = epoch_with_tiers(NO_CACHE, 0);
         // Partial residency: NVMe reads are priced into the gather, and
         // the double-buffered prefetch hides part of them behind compute
         // (strictly, since every wave trains for a nonzero time).
-        let partial = epoch_with_storage(400);
+        let partial = epoch_with_tiers(NO_CACHE, 400);
         assert!(partial.storage_time > SimTime::ZERO);
         assert!(
             partial.gather_time > base.gather_time,
@@ -1546,7 +1154,7 @@ mod tests {
         assert!(io.read_bytes >= io.bytes, "{io:?}");
         // Full residency: the tier is built and the tiered path runs,
         // but zero rows are disk-served — cost-identical to in-memory.
-        let full = epoch_with_storage(usize::MAX);
+        let full = epoch_with_tiers(NO_CACHE, usize::MAX);
         assert_eq!(full.storage_time, SimTime::ZERO);
         assert_eq!(full.storage_exposed_time, SimTime::ZERO);
         assert_eq!(full.storage_io, StorageIo::default());

@@ -38,7 +38,6 @@ pub struct IterContext<'p> {
     /// backward and step.
     pub(crate) defer_step: bool,
     pub(crate) batch_nodes: &'p [NodeId],
-    pub(crate) handles: Vec<u64>,
     pub(crate) minibatch: Option<MiniBatch>,
     pub(crate) sample_stats: SampleStats,
     pub(crate) features: Option<Matrix>,
@@ -46,6 +45,10 @@ pub struct IterContext<'p> {
     pub(crate) correct: usize,
     pub(crate) shapes: Vec<wg_gnn::cost::BlockShape>,
     pub(crate) comm: SimTime,
+    /// The gather's out-of-core storage sub-component (already inside
+    /// the gather stage's time) and the traffic behind it, left here by
+    /// [`GatherStage`] the way [`TrainStage`] leaves `comm`.
+    pub(crate) storage: (SimTime, StorageIo),
 }
 
 impl<'p> IterContext<'p> {
@@ -64,7 +67,6 @@ impl<'p> IterContext<'p> {
             update,
             defer_step: false,
             batch_nodes,
-            handles: Vec::new(),
             minibatch: None,
             sample_stats: SampleStats::default(),
             features: None,
@@ -72,23 +74,20 @@ impl<'p> IterContext<'p> {
             correct: 0,
             shapes: Vec::new(),
             comm: SimTime::ZERO,
+            storage: Default::default(),
         }
     }
 
     /// Assemble the iteration result from the completed stages' output,
     /// returning the iteration's transient buffers to the pipeline's
     /// recycle pools on the way out.
-    pub(crate) fn into_result(
-        mut self,
-        times: IterTimes,
-        storage_io: StorageIo,
-    ) -> IterationResult {
-        let mb = self.minibatch.take();
-        let handles = std::mem::take(&mut self.handles);
-        self.pipeline.recycle_iter_buffers(mb, handles);
+    pub(crate) fn into_result(mut self, times: IterTimes) -> IterationResult {
+        if let Some(mb) = self.minibatch.take() {
+            self.pipeline.recycle_minibatch(mb);
+        }
         IterationResult {
             times,
-            storage_io,
+            storage_io: self.storage.1,
             loss: self.loss,
             correct: self.correct,
             batch: self.batch_nodes.len(),
@@ -122,8 +121,7 @@ impl Stage for SampleStage {
 
     fn run(&self, ctx: &mut IterContext<'_>) -> SimTime {
         let p = &mut *ctx.pipeline;
-        ctx.handles = p.handles_for(ctx.batch_nodes);
-        let (mb, sample_stats) = p.sample(&ctx.handles, ctx.epoch, ctx.iter);
+        let (mb, sample_stats) = p.sample(ctx.batch_nodes, ctx.epoch, ctx.iter);
         let gpu_spec = p.machine.spec(wg_sim::DeviceId::Gpu(0));
         let mut t_sample =
             p.cfg
@@ -167,10 +165,13 @@ impl Stage for GatherStage {
             .minibatch
             .take()
             .expect("gather requires a sampled mini-batch");
-        let (features, t_gather) = ctx.pipeline.gather(&mb, ctx.iter);
+        // Iterations round-robin across the data-parallel ranks.
+        let rank = (ctx.iter % ctx.pipeline.machine.num_gpus() as u64) as u32;
+        let gathered = ctx.pipeline.gather(&mb, rank);
         ctx.minibatch = Some(mb);
-        ctx.features = Some(features);
-        t_gather
+        ctx.features = Some(gathered.features);
+        ctx.storage = (gathered.storage_time, gathered.storage_io);
+        gathered.time
     }
 }
 
@@ -212,11 +213,10 @@ impl Stage for TrainStage {
             ctx.update,
             p.cfg.seed ^ ctx.epoch.rotate_left(13) ^ ctx.iter,
         );
-        let mut batch_ids = std::mem::take(&mut p.scratch.batch_ids);
-        p.stable_ids_into(&ctx.handles, &mut batch_ids);
         let mut labels = std::mem::take(&mut p.scratch.labels);
         labels.clear();
-        labels.extend(batch_ids.iter().map(|&v| p.dataset.labels[v as usize]));
+        let dataset_labels = &p.dataset.labels;
+        labels.extend(ctx.batch_nodes.iter().map(|&v| dataset_labels[v as usize]));
         let (rows, cols) = {
             let logits = tape.value(out);
             (logits.rows(), logits.cols())
@@ -242,7 +242,6 @@ impl Stage for TrainStage {
         p.reclaim_feature_buf(tape.take_value(wg_autograd::NodeId::first()).into_vec());
         p.scratch.tape = tape;
         p.scratch.blocks = blocks;
-        p.scratch.batch_ids = batch_ids;
         p.scratch.labels = labels;
         p.scratch.ce_losses = ce_losses;
         p.scratch.preds = preds;

@@ -17,10 +17,15 @@
 //!   sequential planning loop**, so they are identical at any worker
 //!   count — determinism does not depend on the copy kernel's schedule.
 //!
+//! A cache does nothing on its own: it is the `cache` member of a
+//! gather's [`TierStack`](crate::gather::TierStack), consulted first by
+//! the one `plan` and filled and read by the one `execute`.
+//!
 //! The cache changes *cost only, never values*: a hit copies the exact
-//! bytes the owning region holds (placed there at build time or by a
-//! planned insert reading the owning region), it is merely priced at
-//! local-HBM bandwidth instead of NVLink by the gather path. The cache
+//! bytes the source tier holds (placed there at build time or by a
+//! planned insert reading the owning region or the disk tier's staging
+//! buffer), it is merely priced at local-HBM bandwidth instead of NVLink
+//! by the gather. The cache
 //! assumes the feature store is immutable while it is live — a
 //! `global_scatter` into cached rows must be followed by [`FeatureCache::clear`].
 //!
@@ -347,7 +352,7 @@ impl<T: Element> FeatureCache<T> {
 
     /// Build an empty CLOCK cache with `capacity` row slots on each of
     /// `devices` devices; slots fill as misses stream through
-    /// `plan_gather_cached`.
+    /// [`TierStack::plan`](crate::gather::TierStack::plan).
     pub fn new_clock(wm: &WholeMemory<T>, devices: u32, capacity: usize) -> Self {
         let capacity = capacity.min(wm.rows());
         let width = wm.width();

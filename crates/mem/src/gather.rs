@@ -6,6 +6,15 @@
 //! whichever region owns it, and "the underlying NVLink and NVSwitch handle
 //! all the necessary communication without the involvement of software."
 //!
+//! There is one gather: [`TierStack::plan`] resolves rows to their
+//! sources, [`TierStack::execute`] copies them. The tiers this repo adds
+//! around the DSM — the feature cache above it ([`crate::cache`]), the
+//! out-of-core tier below it ([`crate::ooc`]) — are optional members of
+//! the stack, not separate entry points: with neither attached the pair
+//! *is* the paper's gather ([`global_gather`] is that, in one call), and
+//! attaching one changes where a row is read from and what the read
+//! costs, never its value.
+//!
 //! The copy below is real (a rayon-parallel loop standing in for the CUDA
 //! kernel). The simulated duration comes from the Figure 8 bandwidth curve:
 //! random reads of `width × sizeof(T)`-byte segments achieve a
@@ -23,7 +32,7 @@ use wg_sim::{CostModel, SimTime};
 use crate::access::{ChunkLocator, Element};
 use crate::cache::{CacheMode, FeatureCache};
 use crate::handle::WholeMemory;
-use crate::ooc::{OocTier, Persist};
+use crate::ooc::OocTier;
 
 /// Out-of-core storage-tier traffic, field for field the
 /// `mem.storage.{rows,bytes,requests,read_bytes}` counters: `rows` and
@@ -86,7 +95,7 @@ impl std::ops::AddAssign for StorageIo {
 }
 
 /// Statistics of one global gather.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GatherStats {
     /// Rows gathered.
     pub rows: usize,
@@ -100,15 +109,15 @@ pub struct GatherStats {
     /// Bytes that actually crossed NVLink (remote rows only) — the
     /// numerator of BusBW.
     pub bus_bytes: u64,
-    /// Rows served out of the per-device feature cache (zero on the
-    /// uncached path).
+    /// Rows served out of the per-device feature cache (zero without
+    /// one).
     pub cache_hits: usize,
     /// Bytes that would have crossed the bus had their rows not been
     /// cached: cache hits whose owning rank is not the executing device,
     /// times the row size.
     pub saved_bus_bytes: u64,
     /// What the out-of-core storage tier staged for this gather (all
-    /// zero on untiered paths and at full residency).
+    /// zero without one and at full residency).
     pub storage_io: StorageIo,
     /// Priced time of exactly the reads issued — a sub-component of
     /// [`sim_time`](Self::sim_time), split out so the executor can
@@ -168,35 +177,28 @@ struct PlannedInsert {
     src_start: usize,
 }
 
-/// A precomputed gather plan: the address translation of
-/// [`global_gather`] hoisted out of the copy kernel.
+/// A precomputed gather plan: the address translation of a gather
+/// hoisted out of the copy kernel.
 ///
-/// Building the plan resolves every index through a pooled
+/// [`TierStack::plan`] resolves every index through a pooled
 /// [`ChunkLocator`] (division-free, built once per partition) and counts
-/// rows per owning rank, so the planned gather itself is a pure
-/// peer-to-peer copy loop — no `locate()`, no reduction, and with a warm
-/// plan no heap allocation beyond the region read-guard table.
+/// rows per owning rank, so [`TierStack::execute`] is a pure copy loop —
+/// no `locate()`, no reduction, and with a warm plan no heap allocation
+/// beyond the region read-guard table.
 #[derive(Default)]
 pub struct RowPlan {
     slots: Vec<PlannedRow>,
     rank_counts: Vec<usize>,
     locator: Option<ChunkLocator>,
     width: usize,
-    /// CLOCK fills scheduled this batch (empty on the uncached path and
-    /// in static mode).
+    /// CLOCK fills scheduled this batch (empty without a cache and in
+    /// static mode).
     inserts: Vec<PlannedInsert>,
     /// Planned rows served from the cache.
     cache_hits: usize,
     /// Cache hits whose owning rank is not the executing device (the
     /// rows whose bus crossing the cache saved).
     cache_remote_hits: usize,
-    /// Whether this plan was built by [`plan_gather_cached`] — routes the
-    /// per-call stats into the `mem.cache.*` metrics.
-    cached: bool,
-    /// Whether this plan resolved rows against an [`OocTier`]: it must
-    /// be executed by [`global_gather_planned_tiered`] with the same
-    /// tier, which stages `disk_slots` before the copy kernel runs.
-    tiered: bool,
     /// Global row ids of disk-served rows, in staging-slot order: slot
     /// `i` of the tier's staging buffer receives row `disk_slots[i]`.
     /// This list *is* the prefetch queue's request batch.
@@ -220,394 +222,185 @@ impl RowPlan {
     }
 }
 
-/// Resolve `indices` (global row ids) of `wm` into a reusable [`RowPlan`].
-pub fn plan_gather<T: Element>(wm: &WholeMemory<T>, indices: &[usize], plan: &mut RowPlan) {
-    let partition = wm.partition();
-    if plan
-        .locator
-        .as_ref()
-        .is_none_or(|l| l.partition() != partition)
-    {
-        plan.locator = Some(ChunkLocator::new(partition));
-    }
-    let locator = plan.locator.as_ref().unwrap();
-    let width = wm.width();
-    plan.width = width;
-    plan.rank_counts.clear();
-    plan.rank_counts.resize(partition.ranks as usize, 0);
-    plan.slots.clear();
-    plan.slots.reserve(indices.len());
-    plan.inserts.clear();
-    plan.cache_hits = 0;
-    plan.cache_remote_hits = 0;
-    plan.cached = false;
-    plan.tiered = false;
-    plan.disk_slots.clear();
-    for &row in indices {
-        let loc = locator.locate(row);
-        plan.rank_counts[loc.device_rank as usize] += 1;
-        plan.slots.push(PlannedRow {
-            rank: loc.device_rank,
-            start: loc.local_row * width,
-        });
-    }
+/// The tiers a gather resolves rows through, top to bottom: **cache →
+/// DSM → disk**. The DSM is the [`WholeMemory`] every call passes; the
+/// per-device feature cache above it and the out-of-core tier below it
+/// are each optional, and the access API is the same whichever are
+/// attached (PyTorch-Direct's shape: the backing moves, the call does
+/// not). The empty stack — [`TierStack::default`] — is the paper's plain
+/// one-kernel gather.
+#[derive(Default)]
+pub struct TierStack<T> {
+    /// The per-device feature cache consulted first, if any.
+    pub cache: Option<FeatureCache<T>>,
+    /// The out-of-core tier serving rows beyond its residency budget, if
+    /// any.
+    pub disk: Option<OocTier<T>>,
 }
 
-/// Resolve `indices` into a [`RowPlan`], consulting `cache` (the cache
-/// of the device `executing_rank`) first: hits are planned against the
-/// cache store, misses fall through to the owning region exactly as in
-/// [`plan_gather`]. In [`CacheMode::Clock`] mode, misses also claim a
-/// cache slot here — the whole consult/insert loop is sequential, so
-/// eviction order is identical at any worker count.
-///
-/// The plan is bound to `executing_rank`'s cache: execute it with
-/// [`global_gather_planned_cached`] passing the same cache and rank.
-/// With a warm plan this path is allocation-free except for CLOCK
-/// insert-list growth beyond previously seen capacity.
-pub fn plan_gather_cached<T: Element>(
-    wm: &WholeMemory<T>,
-    indices: &[usize],
-    plan: &mut RowPlan,
-    cache: &mut FeatureCache<T>,
-    executing_rank: u32,
-) {
-    let partition = wm.partition();
-    if plan
-        .locator
-        .as_ref()
-        .is_none_or(|l| l.partition() != partition)
-    {
-        plan.locator = Some(ChunkLocator::new(partition));
-    }
-    let locator = plan.locator.as_ref().unwrap();
-    let width = wm.width();
-    assert_eq!(cache.width(), width, "cache built for a different width");
-    plan.width = width;
-    plan.rank_counts.clear();
-    plan.rank_counts.resize(partition.ranks as usize, 0);
-    plan.slots.clear();
-    plan.slots.reserve(indices.len());
-    plan.inserts.clear();
-    plan.cache_hits = 0;
-    plan.cache_remote_hits = 0;
-    plan.cached = true;
-    plan.tiered = false;
-    plan.disk_slots.clear();
-    let fill_on_miss = cache.mode() == CacheMode::Clock;
-    let dc = cache.device_mut(executing_rank);
-    dc.begin_batch();
-    for &row in indices {
-        let loc = locator.locate(row);
-        if let Some(slot) = dc.lookup(row) {
-            dc.touch(slot);
-            plan.cache_hits += 1;
-            if loc.device_rank != executing_rank {
-                plan.cache_remote_hits += 1;
+impl<T: Element> TierStack<T> {
+    /// Resolve `indices` (global row ids of `wm`) into a reusable
+    /// [`RowPlan`]. Rows found in `executing_rank`'s cache are planned
+    /// against the cache store; misses that are DSM-**resident** (every
+    /// row, when no disk tier is attached) are planned against their
+    /// owning region; everything else falls to the storage tier and joins
+    /// the plan's prefetch batch. In [`CacheMode::Clock`] mode, misses
+    /// claim cache slots here regardless of which lower tier serves them
+    /// — a hot disk row graduates straight into the top tier.
+    ///
+    /// Planning is one sequential pass, so CLOCK eviction order is
+    /// identical at any worker count, and with a warm plan it is
+    /// allocation-free except for insert-list growth beyond previously
+    /// seen capacity. The plan is bound to this stack and rank: hand it
+    /// to [`execute`](Self::execute) on the same stack.
+    pub fn plan(
+        &mut self,
+        wm: &WholeMemory<T>,
+        indices: &[usize],
+        executing_rank: u32,
+        plan: &mut RowPlan,
+    ) {
+        let partition = wm.partition();
+        if plan
+            .locator
+            .as_ref()
+            .is_none_or(|l| l.partition() != partition)
+        {
+            plan.locator = Some(ChunkLocator::new(partition));
+        }
+        let locator = plan.locator.as_ref().unwrap();
+        let width = wm.width();
+        let disk = self.disk.as_ref();
+        if let Some(tier) = disk {
+            assert_eq!(tier.rows(), wm.rows(), "tier built for a different store");
+            assert_eq!(tier.width(), width, "tier built for a different width");
+        }
+        plan.width = width;
+        plan.rank_counts.clear();
+        plan.rank_counts.resize(partition.ranks as usize, 0);
+        plan.slots.clear();
+        plan.slots.reserve(indices.len());
+        plan.inserts.clear();
+        plan.cache_hits = 0;
+        plan.cache_remote_hits = 0;
+        plan.disk_slots.clear();
+        let fill_on_miss = self
+            .cache
+            .as_ref()
+            .is_some_and(|c| c.mode() == CacheMode::Clock);
+        let mut dc = self.cache.as_mut().map(|c| {
+            assert_eq!(c.width(), width, "cache built for a different width");
+            let dc = c.device_mut(executing_rank);
+            dc.begin_batch();
+            dc
+        });
+        for &row in indices {
+            let loc = locator.locate(row);
+            if let Some(slot) = dc.as_deref_mut().and_then(|dc| dc.lookup(row)) {
+                let dc = dc.as_deref_mut().unwrap();
+                dc.touch(slot);
+                plan.cache_hits += 1;
+                if loc.device_rank != executing_rank {
+                    plan.cache_remote_hits += 1;
+                }
+                plan.slots.push(PlannedRow {
+                    rank: CACHE_RANK,
+                    start: slot as usize * width,
+                });
+                continue;
             }
-            plan.slots.push(PlannedRow {
-                rank: CACHE_RANK,
-                start: slot as usize * width,
-            });
-        } else {
-            plan.rank_counts[loc.device_rank as usize] += 1;
-            let start = loc.local_row * width;
-            plan.slots.push(PlannedRow {
-                rank: loc.device_rank,
-                start,
-            });
+            // Miss in the top tier: resolve DSM residency, then disk.
+            let (rank, start) = if disk.is_none_or(|t| t.is_resident(row)) {
+                plan.rank_counts[loc.device_rank as usize] += 1;
+                (loc.device_rank, loc.local_row * width)
+            } else {
+                let disk_slot = plan.disk_slots.len();
+                plan.disk_slots.push(row as u32);
+                (DISK_RANK, disk_slot * width)
+            };
+            plan.slots.push(PlannedRow { rank, start });
             if fill_on_miss {
-                if let Some(slot) = dc.insert(row) {
+                if let Some(slot) = dc.as_deref_mut().unwrap().insert(row) {
                     plan.inserts.push(PlannedInsert {
                         slot,
-                        src_rank: loc.device_rank,
+                        src_rank: rank,
                         src_start: start,
                     });
                 }
             }
         }
     }
-}
 
-/// Resolve `indices` into a [`RowPlan`] through the full tier stack:
-/// **cache → DSM → disk**. Rows found in `executing_rank`'s cache (when
-/// one is passed) are planned against the cache store; cache misses that
-/// are DSM-**resident** under `tier`'s budget are planned against their
-/// owning region exactly as in [`plan_gather`]; everything else falls to
-/// the storage tier and joins the plan's prefetch batch. In CLOCK mode,
-/// misses claim cache slots here regardless of which lower tier serves
-/// them — a hot disk row graduates straight into the top tier.
-///
-/// Planning is sequential (one pass, deterministic at any worker
-/// count), and with a warm plan allocation-free. Execute the plan with
-/// [`global_gather_planned_tiered`], passing the same tier (and cache).
-pub fn plan_gather_tiered<T: Element + Persist>(
-    wm: &WholeMemory<T>,
-    indices: &[usize],
-    plan: &mut RowPlan,
-    tier: &OocTier<T>,
-    cache: Option<&mut FeatureCache<T>>,
-    executing_rank: u32,
-) {
-    let partition = wm.partition();
-    if plan
-        .locator
-        .as_ref()
-        .is_none_or(|l| l.partition() != partition)
-    {
-        plan.locator = Some(ChunkLocator::new(partition));
-    }
-    let locator = plan.locator.as_ref().unwrap();
-    let width = wm.width();
-    assert_eq!(tier.rows(), wm.rows(), "tier built for a different store");
-    assert_eq!(tier.width(), width, "tier built for a different width");
-    plan.width = width;
-    plan.rank_counts.clear();
-    plan.rank_counts.resize(partition.ranks as usize, 0);
-    plan.slots.clear();
-    plan.slots.reserve(indices.len());
-    plan.inserts.clear();
-    plan.cache_hits = 0;
-    plan.cache_remote_hits = 0;
-    plan.cached = cache.is_some();
-    plan.tiered = true;
-    plan.disk_slots.clear();
-    let fill_on_miss = cache
-        .as_deref()
-        .is_some_and(|c| c.mode() == CacheMode::Clock);
-    let mut dc = cache.map(|c| {
-        assert_eq!(c.width(), width, "cache built for a different width");
-        let dc = c.device_mut(executing_rank);
-        dc.begin_batch();
-        dc
-    });
-    for &row in indices {
-        let loc = locator.locate(row);
-        if let Some(slot) = dc.as_deref_mut().and_then(|dc| dc.lookup(row)) {
-            let dc = dc.as_deref_mut().unwrap();
-            dc.touch(slot);
-            plan.cache_hits += 1;
-            if loc.device_rank != executing_rank {
-                plan.cache_remote_hits += 1;
+    /// Execute a plan built by [`plan`](Self::plan) on this stack, on
+    /// device `executing_rank`: the disk tier's batched prefetch stages
+    /// every disk-planned row first (real file I/O, in coalesced ranged
+    /// reads; the storage cost model prices exactly the reads issued),
+    /// this batch's CLOCK fills land in the cache — from DSM regions or
+    /// the staging buffer, whichever tier served the miss — and the copy
+    /// kernel then reads cache hits from the cache store at local-HBM
+    /// cost, resident rows from their owning regions at DSM cost, and
+    /// spilled rows from staging. `out` must hold `plan.rows() *
+    /// wm.width()` elements.
+    ///
+    /// A failed spill-file read is returned before anything is copied; the
+    /// plan already advanced the CLOCK cache's directory, so after an `Err`
+    /// that cache's slots no longer match its data and it must be rebuilt.
+    /// A stack without a disk tier issues no I/O and never returns `Err`.
+    pub fn execute(
+        &mut self,
+        wm: &WholeMemory<T>,
+        plan: &RowPlan,
+        out: &mut [T],
+        executing_rank: u32,
+        model: &CostModel,
+        spec: &DeviceSpec,
+    ) -> io::Result<GatherStats> {
+        // Without this, a plan executed on the wrong stack would index
+        // an empty cache store or staging buffer out of bounds.
+        assert!(
+            (self.cache.is_some() || plan.cache_hits == 0 && plan.inserts.is_empty())
+                && (self.disk.is_some() || plan.disk_slots.is_empty()),
+            "plan holds cache hits or disk slots this stack has no tier for: \
+             execute a plan on the stack that planned it"
+        );
+        let mut storage_io = StorageIo::default();
+        let mut storage_time = SimTime::ZERO;
+        if let Some(tier) = self.disk.as_mut() {
+            let fetch_start = wg_trace::metrics_enabled().then(Instant::now);
+            storage_io = tier.fetch(&plan.disk_slots, &model.storage)?;
+            if let Some(t0) = fetch_start {
+                wg_trace::counter!("mem.storage.fetch_host_s", t0.elapsed().as_secs_f64());
             }
-            plan.slots.push(PlannedRow {
-                rank: CACHE_RANK,
-                start: slot as usize * width,
-            });
-            continue;
-        }
-        // Miss in the top tier: resolve DSM residency, then disk.
-        let (rank, start) = if tier.is_resident(row) {
-            plan.rank_counts[loc.device_rank as usize] += 1;
-            (loc.device_rank, loc.local_row * width)
-        } else {
-            let disk_slot = plan.disk_slots.len();
-            plan.disk_slots.push(row as u32);
-            (DISK_RANK, disk_slot * width)
-        };
-        plan.slots.push(PlannedRow { rank, start });
-        if fill_on_miss {
-            if let Some(slot) = dc.as_deref_mut().unwrap().insert(row) {
-                plan.inserts.push(PlannedInsert {
-                    slot,
-                    src_rank: rank,
-                    src_start: start,
-                });
-            }
-        }
-    }
-}
-
-/// Gather `indices` (global row ids) from `wm` into `out`, executing on
-/// device `executing_rank`.
-///
-/// `out` must hold `indices.len() * wm.width()` elements. Returns the
-/// per-op statistics including the simulated kernel duration. Allocating
-/// convenience wrapper over [`plan_gather`] + [`global_gather_planned`];
-/// hot loops keep a pooled [`RowPlan`] and call those directly.
-pub fn global_gather<T: Element>(
-    wm: &WholeMemory<T>,
-    indices: &[usize],
-    out: &mut [T],
-    executing_rank: u32,
-    model: &CostModel,
-    spec: &DeviceSpec,
-) -> GatherStats {
-    let mut plan = RowPlan::default();
-    plan_gather(wm, indices, &mut plan);
-    global_gather_planned(wm, &plan, out, executing_rank, model, spec)
-}
-
-/// Execute a precomputed gather plan: copy every planned row from its
-/// owning region into `out`.
-pub fn global_gather_planned<T: Element>(
-    wm: &WholeMemory<T>,
-    plan: &RowPlan,
-    out: &mut [T],
-    executing_rank: u32,
-    model: &CostModel,
-    spec: &DeviceSpec,
-) -> GatherStats {
-    assert!(
-        !plan.cached,
-        "plan consulted a cache; execute it with global_gather_planned_cached"
-    );
-    assert!(
-        !plan.tiered,
-        "plan resolved a storage tier; execute it with global_gather_planned_tiered"
-    );
-    execute_planned(
-        wm,
-        plan,
-        out,
-        executing_rank,
-        model,
-        spec,
-        None,
-        Staged::none(),
-    )
-}
-
-/// Execute a plan built by [`plan_gather_cached`]: cache hits copy out
-/// of `cache`'s store at local-HBM cost, misses copy from their owning
-/// regions at DSM cost, and this batch's CLOCK fills land in the cache
-/// first so same-batch re-references read valid data. `cache` and
-/// `executing_rank` must be the ones the plan was built with.
-pub fn global_gather_planned_cached<T: Element>(
-    wm: &WholeMemory<T>,
-    plan: &RowPlan,
-    out: &mut [T],
-    executing_rank: u32,
-    model: &CostModel,
-    spec: &DeviceSpec,
-    cache: &mut FeatureCache<T>,
-) -> GatherStats {
-    assert!(
-        !plan.tiered,
-        "plan resolved a storage tier; execute it with global_gather_planned_tiered"
-    );
-    execute_planned(
-        wm,
-        plan,
-        out,
-        executing_rank,
-        model,
-        spec,
-        Some(cache),
-        Staged::none(),
-    )
-}
-
-/// Execute a plan built by [`plan_gather_tiered`]: the tier's batched
-/// prefetch stages every disk-planned row first (real file I/O, in
-/// coalesced ranged reads; the storage cost model prices exactly the
-/// reads issued), this batch's CLOCK fills land in the cache — from DSM
-/// regions or the staging buffer, whichever tier served the miss — and
-/// the copy kernel then reads cache hits from the cache store, resident
-/// rows from their owning regions, and spilled rows from staging.
-/// `tier` (and `cache`, when the plan consulted one) must be the ones
-/// the plan was built with.
-///
-/// A failed spill-file read is returned before anything is copied; the
-/// plan already advanced the CLOCK cache's directory, so after an `Err`
-/// that cache's slots no longer match its data and it must be rebuilt.
-#[allow(clippy::too_many_arguments)] // mirrors the cached execute + tier
-pub fn global_gather_planned_tiered<T: Element + Persist>(
-    wm: &WholeMemory<T>,
-    plan: &RowPlan,
-    out: &mut [T],
-    executing_rank: u32,
-    model: &CostModel,
-    spec: &DeviceSpec,
-    cache: Option<&mut FeatureCache<T>>,
-    tier: &mut OocTier<T>,
-) -> io::Result<GatherStats> {
-    assert!(
-        plan.tiered,
-        "plan did not resolve a storage tier; use global_gather_planned[_cached]"
-    );
-    assert_eq!(
-        plan.cached,
-        cache.is_some(),
-        "plan and execute disagree about the cache tier"
-    );
-    let fetch_start = wg_trace::metrics_enabled().then(Instant::now);
-    let io = tier.fetch(&plan.disk_slots, &model.storage)?;
-    if let Some(t0) = fetch_start {
-        wg_trace::counter!("mem.storage.fetch_host_s", t0.elapsed().as_secs_f64());
-    }
-    Ok(execute_planned(
-        wm,
-        plan,
-        out,
-        executing_rank,
-        model,
-        spec,
-        cache,
-        Staged {
-            rows: tier.staging(),
-            io,
             // Priced as issued: one seek share per ranged read, each
-            // read's bytes at the bandwidth its size achieves.
-            time: model
+            // read's bytes at the bandwidth its size achieves. Zero when
+            // every planned row was cache- or DSM-resident.
+            storage_time = model
                 .storage
-                .requests_time(tier.issued().iter().map(|&(_, b)| b)),
-        },
-    ))
-}
-
-/// What the storage tier staged ahead of one planned gather: the
-/// staging rows the copy kernel reads disk-planned slots from, the
-/// traffic that staged them and its priced time.
-struct Staged<'a, T> {
-    rows: &'a [T],
-    io: StorageIo,
-    time: SimTime,
-}
-
-impl<T> Staged<'_, T> {
-    /// Untiered paths: nothing staged, nothing priced.
-    fn none() -> Self {
-        Staged {
-            rows: &[],
-            io: StorageIo::default(),
-            time: SimTime::ZERO,
+                .requests_time(tier.issued().iter().map(|&(_, b)| b));
         }
-    }
-}
+        let staged: &[T] = self.disk.as_ref().map_or(&[], |t| t.staging());
 
-#[allow(clippy::too_many_arguments)] // shared body behind the cached + tiered entry points
-fn execute_planned<T: Element>(
-    wm: &WholeMemory<T>,
-    plan: &RowPlan,
-    out: &mut [T],
-    executing_rank: u32,
-    model: &CostModel,
-    spec: &DeviceSpec,
-    mut cache: Option<&mut FeatureCache<T>>,
-    staged: Staged<'_, T>,
-) -> GatherStats {
-    let _span = wg_trace::span!("mem.gather");
-    let width = wm.width();
-    assert_eq!(plan.width, width, "plan was built for a different width");
-    assert_eq!(
-        out.len(),
-        plan.rows() * width,
-        "gather output buffer has wrong size"
-    );
-    let regions = wm.read_all();
-    let level = wg_tensor::simd::level();
+        let _span = wg_trace::span!("mem.gather");
+        let width = wm.width();
+        assert_eq!(plan.width, width, "plan was built for a different width");
+        assert_eq!(
+            out.len(),
+            plan.rows() * width,
+            "gather output buffer has wrong size"
+        );
+        let regions = wm.read_all();
+        let level = wg_tensor::simd::level();
 
-    // Apply this batch's CLOCK fills before the copy loop: a hit planned
-    // after the miss that claimed the slot must read the freshly cached
-    // values. Slots in the insert list are unique (a just-filled slot is
-    // stamped with the current batch and cannot be re-evicted), so the
-    // sequential fill order is immaterial.
-    if let Some(cache) = cache.as_deref_mut() {
-        if !plan.inserts.is_empty() {
+        // Apply this batch's CLOCK fills before the copy loop: a hit planned
+        // after the miss that claimed the slot must read the freshly cached
+        // values. Slots in the insert list are unique (a just-filled slot is
+        // stamped with the current batch and cannot be re-evicted), so the
+        // sequential fill order is immaterial.
+        if let Some(cache) = self.cache.as_mut() {
             let dc = cache.device_mut(executing_rank);
             for ins in &plan.inserts {
                 let src = if ins.src_rank == DISK_RANK {
-                    staged.rows
+                    staged
                 } else {
                     regions.region(ins.src_rank as usize)
                 };
@@ -619,102 +412,124 @@ fn execute_planned<T: Element>(
                 );
             }
         }
-    }
-    let cache_store: &[T] = cache
-        .as_deref()
-        .map(|c| c.device(executing_rank).data.as_slice())
-        .unwrap_or(&[]);
+        let cache_store: &[T] = self
+            .cache
+            .as_ref()
+            .map_or(&[], |c| c.device(executing_rank).data.as_slice());
 
-    // The "kernel": every thread block copies one output row from the
-    // owning region through the pointer table (or from the device's own
-    // cache store for hits). All address translation already happened at
-    // plan time; the guard table is inline (no heap allocation at ≤ 16
-    // ranks) and the row copy streams through the SIMD path.
-    out.par_chunks_mut(width.max(1))
-        .zip(plan.slots.par_iter())
-        .for_each(|(dst, slot)| {
-            let src = if slot.rank == CACHE_RANK {
-                cache_store
-            } else if slot.rank == DISK_RANK {
-                staged.rows
-            } else {
-                regions.region(slot.rank as usize)
-            };
-            wg_tensor::simd::copy_slice(level, dst, &src[slot.start..slot.start + width]);
-        });
+        // The "kernel": every thread block copies one output row from the
+        // owning region through the pointer table (or from the device's own
+        // cache store for hits, or the staging buffer for spilled rows). All
+        // address translation already happened at plan time; the guard
+        // table is inline (no heap allocation at ≤ 16 ranks) and the row
+        // copy streams through the SIMD path.
+        out.par_chunks_mut(width.max(1))
+            .zip(plan.slots.par_iter())
+            .for_each(|(dst, slot)| {
+                let src = if slot.rank == CACHE_RANK {
+                    cache_store
+                } else if slot.rank == DISK_RANK {
+                    staged
+                } else {
+                    regions.region(slot.rank as usize)
+                };
+                wg_tensor::simd::copy_slice(level, dst, &src[slot.start..slot.start + width]);
+            });
 
-    let rows = plan.rows();
-    let hit_rows = plan.cache_hits;
-    let disk_rows = staged.io.rows as usize;
-    // DSM-served misses: everything the cache and the storage tier did
-    // not absorb. With no tiers both terms are zero and this is `rows`.
-    let miss_rows = rows - hit_rows - disk_rows;
-    let miss_local = plan
-        .rank_counts
-        .get(executing_rank as usize)
-        .copied()
-        .unwrap_or(0);
-    // Cache hits are served from the executing device's HBM: local by
-    // construction, whoever owns the row's home region.
-    let local_rows = miss_local + hit_rows;
-    let remote_rows = rows - local_rows - disk_rows;
-    let row_bytes = width * std::mem::size_of::<T>();
-    let algo_bytes = (rows * row_bytes) as u64;
-    let bus_bytes = (remote_rows * row_bytes) as u64;
-    let saved_bus_bytes = (plan.cache_remote_hits * row_bytes) as u64;
-    // The storage tier's batched prefetch: zero when every planned row
-    // was cache- or DSM-resident.
-    let storage_time = staged.time;
+        let rows = plan.rows();
+        let hit_rows = plan.cache_hits;
+        let disk_rows = storage_io.rows as usize;
+        // DSM-served misses: everything the cache and the storage tier did
+        // not absorb. On the empty stack both terms are zero and this is
+        // `rows`.
+        let miss_rows = rows - hit_rows - disk_rows;
+        let miss_local = plan
+            .rank_counts
+            .get(executing_rank as usize)
+            .copied()
+            .unwrap_or(0);
+        // Cache hits are served from the executing device's HBM: local by
+        // construction, whoever owns the row's home region.
+        let local_rows = miss_local + hit_rows;
+        let remote_rows = rows - local_rows - disk_rows;
+        let row_bytes = width * std::mem::size_of::<T>();
+        let algo_bytes = (rows * row_bytes) as u64;
+        let bus_bytes = (remote_rows * row_bytes) as u64;
+        let saved_bus_bytes = (plan.cache_remote_hits * row_bytes) as u64;
 
-    // Hits ride the same kernel but stream out of local HBM; only the
-    // misses pay the DSM price. With no cache (hit_rows == 0) both terms
-    // reduce to exactly the uncached formula.
-    let hit_time = model.hbm_gather_time(hit_rows as u64, row_bytes, spec);
-    let sim_time = match wm.mode() {
-        AccessMode::PeerAccess => {
-            model.dsm_gather_time(miss_rows as u64, row_bytes, spec) + hit_time + storage_time
+        // Hits ride the same kernel but stream out of local HBM; only the
+        // misses pay the DSM price. On the empty stack (no hits, no
+        // storage time) both formulas reduce to exactly the paper's.
+        let hit_time = model.hbm_gather_time(hit_rows as u64, row_bytes, spec);
+        let sim_time = match wm.mode() {
+            AccessMode::PeerAccess => {
+                model.dsm_gather_time(miss_rows as u64, row_bytes, spec) + hit_time + storage_time
+            }
+            AccessMode::UnifiedMemory => {
+                // Every remote row triggers a page fault serviced by the host;
+                // faults for distinct rows overlap poorly because the fault
+                // handler serializes on the driver. We charge a per-fault
+                // latency amortized over a small service parallelism, plus the
+                // migration of the touched pages.
+                const FAULT_PARALLELISM: f64 = 16.0;
+                let fault = model.um_access_latency(wm.logical_bytes());
+                let fault_time = fault * (remote_rows as f64 / FAULT_PARALLELISM);
+                let page = 64 * 1024;
+                let pages = remote_rows as u64 * row_bytes.div_ceil(page) as u64;
+                let migrate = SimTime::from_secs(
+                    (pages * page as u64) as f64 / model.topology.nvlink_bandwidth,
+                );
+                SimTime::from_secs(spec.kernel_launch_overhead_s)
+                    + fault_time
+                    + migrate
+                    + hit_time
+                    + storage_time
+            }
+        };
+
+        let stats = GatherStats {
+            rows,
+            local_rows,
+            remote_rows,
+            algo_bytes,
+            bus_bytes,
+            cache_hits: hit_rows,
+            saved_bus_bytes,
+            storage_io,
+            storage_time,
+            sim_time,
+        };
+        record_gather_metrics(&stats, model);
+        if self.cache.is_some() {
+            record_cache_metrics(&stats);
         }
-        AccessMode::UnifiedMemory => {
-            // Every remote row triggers a page fault serviced by the host;
-            // faults for distinct rows overlap poorly because the fault
-            // handler serializes on the driver. We charge a per-fault
-            // latency amortized over a small service parallelism, plus the
-            // migration of the touched pages.
-            const FAULT_PARALLELISM: f64 = 16.0;
-            let fault = model.um_access_latency(wm.logical_bytes());
-            let fault_time = fault * (remote_rows as f64 / FAULT_PARALLELISM);
-            let page = 64 * 1024;
-            let pages = remote_rows as u64 * row_bytes.div_ceil(page) as u64;
-            let migrate =
-                SimTime::from_secs((pages * page as u64) as f64 / model.topology.nvlink_bandwidth);
-            SimTime::from_secs(spec.kernel_launch_overhead_s)
-                + fault_time
-                + migrate
-                + hit_time
-                + storage_time
+        if self.disk.is_some() {
+            record_storage_metrics(&stats);
         }
-    };
+        Ok(stats)
+    }
+}
 
-    let stats = GatherStats {
-        rows,
-        local_rows,
-        remote_rows,
-        algo_bytes,
-        bus_bytes,
-        cache_hits: hit_rows,
-        saved_bus_bytes,
-        storage_io: staged.io,
-        storage_time,
-        sim_time,
-    };
-    record_gather_metrics(&stats, model);
-    if plan.cached {
-        record_cache_metrics(&stats);
-    }
-    if plan.tiered {
-        record_storage_metrics(&stats);
-    }
-    stats
+/// Gather `indices` (global row ids) from `wm` into `out`, executing on
+/// device `executing_rank` — the paper's plain gather: the empty
+/// [`TierStack`], planned and executed in one shot.
+///
+/// `out` must hold `indices.len() * wm.width()` elements. Returns the
+/// per-op statistics including the simulated kernel duration. Allocates
+/// its plan; hot loops keep a pooled [`RowPlan`] and call the pair.
+pub fn global_gather<T: Element>(
+    wm: &WholeMemory<T>,
+    indices: &[usize],
+    out: &mut [T],
+    executing_rank: u32,
+    model: &CostModel,
+    spec: &DeviceSpec,
+) -> GatherStats {
+    let (mut stack, mut plan) = (TierStack::default(), RowPlan::default());
+    stack.plan(wm, indices, executing_rank, &mut plan);
+    stack
+        .execute(wm, &plan, out, executing_rank, model, spec)
+        .expect("the empty stack issues no I/O")
 }
 
 /// Rows-per-gather histogram bucket bounds (mini-batch input sets run
@@ -757,10 +572,10 @@ fn record_gather_metrics(stats: &GatherStats, model: &CostModel) {
 /// Per-call hit-rate histogram bounds.
 const HIT_RATE_BUCKETS: [f64; 6] = [0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
 
-/// Accrue one cached gather's statistics into the `mem.cache.*` metrics.
-/// Hits and misses partition the gathered rows, so summed over a run
-/// `mem.cache.hits + mem.cache.misses == mem.gather.rows` whenever every
-/// gather went through the cached path.
+/// Accrue the statistics of one gather on a stack with a cache into the
+/// `mem.cache.*` metrics. Hits and misses partition the gathered rows, so
+/// summed over a run `mem.cache.hits + mem.cache.misses ==
+/// mem.gather.rows` whenever every gather's stack had one.
 fn record_cache_metrics(stats: &GatherStats) {
     if !wg_trace::metrics_enabled() {
         return;
@@ -773,8 +588,8 @@ fn record_cache_metrics(stats: &GatherStats) {
     }
 }
 
-/// Accrue one tiered gather's storage-side statistics into the
-/// `mem.storage.*` metrics. `rows`/`bytes` are logical (what the plan
+/// Accrue the storage side of one gather on a stack with a disk tier
+/// into the `mem.storage.*` metrics. `rows`/`bytes` are logical (what the plan
 /// asked the tier for), `requests`/`read_bytes` physical (what the
 /// tier issued to serve them). Summed over a run with the cache
 /// disabled, `mem.storage.bytes + mem.gather.bus_bytes + local DSM
@@ -946,6 +761,7 @@ mod tests {
     fn planned_gather_matches_adhoc_and_reuses_plan() {
         let (wm, model, spec) = setup(1000, 16, 8, AccessMode::PeerAccess);
         let mut rng = SmallRng::seed_from_u64(11);
+        let mut stack = TierStack::default();
         let mut plan = RowPlan::default();
         let mut planned = vec![0.0f32; 0];
         let mut adhoc = vec![0.0f32; 0];
@@ -957,22 +773,36 @@ mod tests {
             planned.resize(batch * 16, 0.0);
             adhoc.clear();
             adhoc.resize(batch * 16, 0.0);
-            plan_gather(&wm, &indices, &mut plan);
+            stack.plan(&wm, &indices, 2, &mut plan);
             assert_eq!(plan.rows(), batch);
-            let sp = global_gather_planned(&wm, &plan, &mut planned, 2, &model, &spec);
+            let sp = stack
+                .execute(&wm, &plan, &mut planned, 2, &model, &spec)
+                .unwrap();
             let sa = global_gather(&wm, &indices, &mut adhoc, 2, &model, &spec);
             assert_eq!(planned, adhoc);
-            assert_eq!(sp.local_rows, sa.local_rows);
-            assert_eq!(sp.bus_bytes, sa.bus_bytes);
-            assert_eq!(sp.sim_time, sa.sim_time);
+            assert_eq!(sp, sa);
         }
     }
 
-    /// Gather `indices` through a cache and through the plain path; the
-    /// values must be bit-identical. Returns (cached stats, plain stats).
-    fn gather_both_ways(
+    fn with_cache(cache: FeatureCache<f32>) -> TierStack<f32> {
+        TierStack {
+            cache: Some(cache),
+            disk: None,
+        }
+    }
+
+    fn with_disk(disk: OocTier<f32>) -> TierStack<f32> {
+        TierStack {
+            cache: None,
+            disk: Some(disk),
+        }
+    }
+
+    /// Gather `indices` through `stack` and through the plain gather; the
+    /// values must be bit-identical. Returns (stack stats, plain stats).
+    fn gather_vs_plain(
         wm: &WholeMemory<f32>,
-        cache: &mut FeatureCache<f32>,
+        stack: &mut TierStack<f32>,
         indices: &[usize],
         rank: u32,
         model: &CostModel,
@@ -980,13 +810,15 @@ mod tests {
     ) -> (GatherStats, GatherStats) {
         let width = wm.width();
         let mut plan = RowPlan::default();
-        let mut cached = vec![0.0f32; indices.len() * width];
+        let mut stacked = vec![0.0f32; indices.len() * width];
         let mut plain = vec![0.0f32; indices.len() * width];
-        plan_gather_cached(wm, indices, &mut plan, cache, rank);
-        let sc = global_gather_planned_cached(wm, &plan, &mut cached, rank, model, spec, cache);
+        stack.plan(wm, indices, rank, &mut plan);
+        let ss = stack
+            .execute(wm, &plan, &mut stacked, rank, model, spec)
+            .expect("spill file read");
         let sp = global_gather(wm, indices, &mut plain, rank, model, spec);
-        assert_eq!(cached, plain, "cache changed gathered values");
-        (sc, sp)
+        assert_eq!(stacked, plain, "a tier changed gathered values");
+        (ss, sp)
     }
 
     #[test]
@@ -994,7 +826,7 @@ mod tests {
         let (wm, model, spec) = setup(1000, 16, 8, AccessMode::PeerAccess);
         // Hot set = rows 0..100; the access stream is 80% hot.
         let hot: Vec<u64> = (0..1000).map(|r| if r < 100 { 10 } else { 0 }).collect();
-        let mut cache = FeatureCache::new_static(&wm, &hot, 100);
+        let mut stack = with_cache(FeatureCache::new_static(&wm, &hot, 100));
         let mut rng = SmallRng::seed_from_u64(3);
         let indices: Vec<usize> = (0..500)
             .map(|_| {
@@ -1005,7 +837,7 @@ mod tests {
                 }
             })
             .collect();
-        let (sc, sp) = gather_both_ways(&wm, &mut cache, &indices, 2, &model, &spec);
+        let (sc, sp) = gather_vs_plain(&wm, &mut stack, &indices, 2, &model, &spec);
         let expected_hits = indices.iter().filter(|&&r| r < 100).count();
         assert_eq!(sc.cache_hits, expected_hits);
         assert_eq!(sc.rows, sp.rows);
@@ -1027,42 +859,38 @@ mod tests {
     #[test]
     fn zero_capacity_cache_is_cost_identical_to_uncached() {
         let (wm, model, spec) = setup(500, 8, 4, AccessMode::PeerAccess);
-        let mut cache = FeatureCache::new_clock(&wm, 4, 0);
+        let mut stack = with_cache(FeatureCache::new_clock(&wm, 4, 0));
         let indices: Vec<usize> = (0..300).map(|i| (i * 7) % 500).collect();
-        let (sc, sp) = gather_both_ways(&wm, &mut cache, &indices, 1, &model, &spec);
-        assert_eq!(sc.cache_hits, 0);
-        assert_eq!(sc.saved_bus_bytes, 0);
-        assert_eq!(sc.remote_rows, sp.remote_rows);
-        assert_eq!(sc.bus_bytes, sp.bus_bytes);
-        assert_eq!(sc.sim_time, sp.sim_time);
+        let (sc, sp) = gather_vs_plain(&wm, &mut stack, &indices, 1, &model, &spec);
+        assert_eq!(sc, sp);
     }
 
     #[test]
     fn clock_cache_warms_to_full_hits_at_working_set_size() {
         let (wm, model, spec) = setup(400, 8, 4, AccessMode::PeerAccess);
         // Capacity ≥ working set: after one pass everything is resident.
-        let mut cache = FeatureCache::new_clock(&wm, 4, 128);
+        let mut stack = with_cache(FeatureCache::new_clock(&wm, 4, 128));
         let working_set: Vec<usize> = (0..100).map(|i| i * 3).collect();
-        let (first, _) = gather_both_ways(&wm, &mut cache, &working_set, 0, &model, &spec);
+        let (first, _) = gather_vs_plain(&wm, &mut stack, &working_set, 0, &model, &spec);
         assert_eq!(first.cache_hits, 0, "cold cache");
-        let (second, plain) = gather_both_ways(&wm, &mut cache, &working_set, 0, &model, &spec);
+        let (second, plain) = gather_vs_plain(&wm, &mut stack, &working_set, 0, &model, &spec);
         assert_eq!(second.cache_hits, working_set.len());
         assert_eq!(second.remote_rows, 0);
         assert_eq!(second.bus_bytes, 0);
         assert!(second.sim_time < plain.sim_time);
         // A different device's cache is still cold.
-        let (other, _) = gather_both_ways(&wm, &mut cache, &working_set, 3, &model, &spec);
+        let (other, _) = gather_vs_plain(&wm, &mut stack, &working_set, 3, &model, &spec);
         assert_eq!(other.cache_hits, 0);
     }
 
     #[test]
     fn clock_same_batch_reuse_hits_the_fresh_insert() {
         let (wm, model, spec) = setup(100, 4, 4, AccessMode::PeerAccess);
-        let mut cache = FeatureCache::new_clock(&wm, 1, 16);
+        let mut stack = with_cache(FeatureCache::new_clock(&wm, 1, 16));
         // Row 42 appears three times in one batch: miss+insert, then two
         // hits that must read the values the insert wrote.
         let indices = vec![42usize, 7, 42, 42, 9];
-        let (stats, _) = gather_both_ways(&wm, &mut cache, &indices, 0, &model, &spec);
+        let (stats, _) = gather_vs_plain(&wm, &mut stack, &indices, 0, &model, &spec);
         assert_eq!(stats.cache_hits, 2);
     }
 
@@ -1070,11 +898,11 @@ mod tests {
     fn um_mode_cache_hits_skip_fault_costs() {
         let (wm, model, spec) = setup(512, 16, 8, AccessMode::UnifiedMemory);
         let hot: Vec<u64> = (0..512).map(|r| if r < 64 { 1 } else { 0 }).collect();
-        let mut cache = FeatureCache::new_static(&wm, &hot, 64);
+        let mut stack = with_cache(FeatureCache::new_static(&wm, &hot, 64));
         // Execute on rank 3: rows 0..64 all live on rank 0, so every
         // uncached access is a remote fault.
         let indices: Vec<usize> = (0..256).map(|i| i % 64).collect();
-        let (sc, sp) = gather_both_ways(&wm, &mut cache, &indices, 3, &model, &spec);
+        let (sc, sp) = gather_vs_plain(&wm, &mut stack, &indices, 3, &model, &spec);
         assert_eq!(sc.cache_hits, indices.len());
         assert!(
             sp.sim_time / sc.sim_time > 10.0,
@@ -1085,50 +913,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "global_gather_planned_cached")]
-    fn cached_plan_rejected_by_plain_execute() {
-        let (wm, model, spec) = setup(100, 4, 4, AccessMode::PeerAccess);
-        let mut cache = FeatureCache::new_clock(&wm, 4, 8);
-        let mut plan = RowPlan::default();
-        plan_gather_cached(&wm, &[1, 2, 3], &mut plan, &mut cache, 0);
-        let mut out = vec![0.0f32; 12];
-        global_gather_planned(&wm, &plan, &mut out, 0, &model, &spec);
-    }
-
-    /// Gather `indices` through a storage tier (optionally with a cache
-    /// above it) and through the plain path; values must be bit-identical.
-    /// Returns (tiered stats, plain stats).
-    fn gather_tiered_vs_plain(
-        wm: &WholeMemory<f32>,
-        tier: &mut OocTier<f32>,
-        cache: Option<&mut FeatureCache<f32>>,
-        indices: &[usize],
-        rank: u32,
-        model: &CostModel,
-        spec: &DeviceSpec,
-    ) -> (GatherStats, GatherStats) {
-        let width = wm.width();
-        let mut plan = RowPlan::default();
-        let mut tiered = vec![0.0f32; indices.len() * width];
-        let mut plain = vec![0.0f32; indices.len() * width];
-        let mut cache = cache;
-        plan_gather_tiered(wm, indices, &mut plan, tier, cache.as_deref_mut(), rank);
-        let st =
-            global_gather_planned_tiered(wm, &plan, &mut tiered, rank, model, spec, cache, tier)
-                .expect("spill file read");
-        let sp = global_gather(wm, indices, &mut plain, rank, model, spec);
-        assert_eq!(tiered, plain, "storage tier changed gathered values");
-        (st, sp)
-    }
-
-    #[test]
     fn tiered_gather_preserves_values_at_any_residency() {
         let (wm, model, spec) = setup(600, 8, 4, AccessMode::PeerAccess);
         let hotness: Vec<u64> = (0..600).map(|r| (600 - r) as u64).collect();
         let indices: Vec<usize> = (0..400).map(|i| (i * 13) % 600).collect();
         for budget in [0usize, 150, 300, 600] {
-            let mut tier = OocTier::build(&wm, &hotness, budget).unwrap();
-            let (st, sp) = gather_tiered_vs_plain(&wm, &mut tier, None, &indices, 1, &model, &spec);
+            let mut stack = with_disk(OocTier::build(&wm, &hotness, budget).unwrap());
+            let (st, sp) = gather_vs_plain(&wm, &mut stack, &indices, 1, &model, &spec);
             // Hotness is highest for the lowest row ids, so residency is
             // exactly the prefix 0..budget.
             let expect_disk = indices.iter().filter(|&&r| r >= budget).count();
@@ -1142,14 +933,10 @@ mod tests {
     fn full_residency_tier_is_cost_identical_to_uncached() {
         let (wm, model, spec) = setup(500, 8, 4, AccessMode::PeerAccess);
         let hotness = vec![1u64; 500];
-        let mut tier = OocTier::build(&wm, &hotness, 500).unwrap();
+        let mut stack = with_disk(OocTier::build(&wm, &hotness, 500).unwrap());
         let indices: Vec<usize> = (0..300).map(|i| (i * 7) % 500).collect();
-        let (st, sp) = gather_tiered_vs_plain(&wm, &mut tier, None, &indices, 2, &model, &spec);
-        assert_eq!(st.storage_io, StorageIo::default());
-        assert_eq!(st.storage_time, SimTime::ZERO);
-        assert_eq!(st.remote_rows, sp.remote_rows);
-        assert_eq!(st.bus_bytes, sp.bus_bytes);
-        assert_eq!(st.sim_time, sp.sim_time);
+        let (st, sp) = gather_vs_plain(&wm, &mut stack, &indices, 2, &model, &spec);
+        assert_eq!(st, sp);
     }
 
     #[test]
@@ -1157,9 +944,9 @@ mod tests {
         let (wm, model, spec) = setup(800, 16, 8, AccessMode::PeerAccess);
         let hotness: Vec<u64> = (0..800).map(|r| (800 - r) as u64).collect();
         // 25% residency: rows 0..200 stay in the DSM.
-        let mut tier = OocTier::build(&wm, &hotness, 200).unwrap();
+        let mut stack = with_disk(OocTier::build(&wm, &hotness, 200).unwrap());
         let indices: Vec<usize> = (0..800).collect();
-        let (st, sp) = gather_tiered_vs_plain(&wm, &mut tier, None, &indices, 3, &model, &spec);
+        let (st, sp) = gather_vs_plain(&wm, &mut stack, &indices, 3, &model, &spec);
         let row_bytes = 16 * 4;
         // Conservation: disk + bus + local-HBM bytes == uncached algo bytes.
         assert_eq!(
@@ -1171,7 +958,7 @@ mod tests {
         // Priced == issued: the stats and the storage time are those of
         // the reads the tier's file logged, and the 600 adjacent rows
         // went out as one ranged read with no amplification.
-        let issued = tier.issued();
+        let issued = stack.disk.as_ref().unwrap().issued();
         assert_eq!(issued, &[(200 * row_bytes as u64, 600 * row_bytes)]);
         assert_eq!(st.storage_io.requests, issued.len() as u64);
         assert_eq!(st.storage_io.read_bytes, (600 * row_bytes) as u64);
@@ -1195,43 +982,42 @@ mod tests {
         let hotness = vec![1u64; 300];
         // Nothing resident: every miss is disk-served, and the CLOCK
         // inserts must copy from the staging buffer, not a DSM region.
-        let mut tier = OocTier::build(&wm, &hotness, 0).unwrap();
-        let mut cache = FeatureCache::new_clock(&wm, 4, 128);
+        let mut stack = TierStack {
+            cache: Some(FeatureCache::new_clock(&wm, 4, 128)),
+            disk: Some(OocTier::build(&wm, &hotness, 0).unwrap()),
+        };
         let working_set: Vec<usize> = (0..90).map(|i| i * 3).collect();
-        let (first, _) = gather_tiered_vs_plain(
-            &wm,
-            &mut tier,
-            Some(&mut cache),
-            &working_set,
-            0,
-            &model,
-            &spec,
-        );
+        let (first, _) = gather_vs_plain(&wm, &mut stack, &working_set, 0, &model, &spec);
         assert_eq!(first.cache_hits, 0);
         assert_eq!(first.storage_io.rows, working_set.len() as u64);
-        let (second, _) = gather_tiered_vs_plain(
-            &wm,
-            &mut tier,
-            Some(&mut cache),
-            &working_set,
-            0,
-            &model,
-            &spec,
-        );
+        let (second, _) = gather_vs_plain(&wm, &mut stack, &working_set, 0, &model, &spec);
         assert_eq!(second.cache_hits, working_set.len(), "warmed from disk");
         assert_eq!(second.storage_io, StorageIo::default());
         assert_eq!(second.storage_time, SimTime::ZERO);
     }
 
+    /// A plan that holds cache hits or disk slots, executed on a stack
+    /// without that tier, is refused by name — not by an index error
+    /// into an empty cache store or staging buffer.
     #[test]
-    #[should_panic(expected = "global_gather_planned_tiered")]
-    fn tiered_plan_rejected_by_plain_execute() {
+    fn plan_rejected_by_a_stack_without_its_tier() {
         let (wm, model, spec) = setup(100, 4, 4, AccessMode::PeerAccess);
-        let tier = OocTier::build(&wm, &[1; 100], 10).unwrap();
-        let mut plan = RowPlan::default();
-        plan_gather_tiered(&wm, &[1, 2, 3], &mut plan, &tier, None, 0);
-        let mut out = vec![0.0f32; 12];
-        global_gather_planned(&wm, &plan, &mut out, 0, &model, &spec);
+        let stacks = [
+            with_cache(FeatureCache::new_static(&wm, &[1; 100], 8)),
+            with_disk(OocTier::build(&wm, &[1; 100], 0).unwrap()),
+        ];
+        for mut stack in stacks {
+            let mut plan = RowPlan::default();
+            stack.plan(&wm, &[1, 2, 3], 0, &mut plan);
+            assert_eq!(plan.cache_hits() + plan.disk_rows(), 3);
+            let mut out = vec![0.0f32; 12];
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                TierStack::default().execute(&wm, &plan, &mut out, 0, &model, &spec)
+            }));
+            let msg = refused.expect_err("the empty stack must refuse the plan");
+            let msg = msg.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("this stack has no tier for"), "{msg:?}");
+        }
     }
 
     #[test]
@@ -1272,15 +1058,17 @@ mod tests {
             }
         }
 
-        /// For any shape, mode and capacity: cached gathers return the
-        /// exact uncached values, and hits + misses partition the rows
-        /// (`stats.cache_hits + (mem.cache.misses contribution) == rows`).
+        /// For any shape, cache mode, capacity and residency budget, on
+        /// each of the four stacks (∅, cache, disk, cache + disk): values
+        /// equal the plain gather's, the tiers partition the rows, and the
+        /// bytes each tier absorbs are conserved.
         #[test]
         fn cached_gather_preserves_values_and_partitions_rows(
             rows in 1usize..300,
             width in 1usize..16,
             ranks in 1u32..8,
             capacity in 0usize..64,
+            budget in 0usize..300,
             seed in 0u64..1000,
         ) {
             let clock = seed % 2 == 0;
@@ -1291,32 +1079,52 @@ mod tests {
                     *v = (row * 37 + j) as f32;
                 }
             });
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let hot: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..10)).collect();
-            let mut cache = if clock {
-                FeatureCache::new_clock(&wm, ranks, capacity)
-            } else {
-                FeatureCache::new_static(&wm, &hot, capacity)
-            };
             let spec = DeviceSpec::a100_40gb();
-            let mut plan = RowPlan::default();
-            // Several batches so CLOCK actually warms and evicts.
-            for _ in 0..3 {
-                let n = rng.gen_range(1..=rows * 2);
-                let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..rows)).collect();
-                let rank = rng.gen_range(0..ranks);
-                let mut out = vec![0.0f32; n * width];
-                plan_gather_cached(&wm, &indices, &mut plan, &mut cache, rank);
-                let stats =
-                    global_gather_planned_cached(&wm, &plan, &mut out, rank, &model, &spec, &mut cache);
-                prop_assert_eq!(stats.rows, n);
-                prop_assert!(stats.cache_hits <= n);
-                prop_assert_eq!(stats.cache_hits + (stats.rows - stats.cache_hits), stats.rows);
-                prop_assert_eq!(stats.local_rows + stats.remote_rows, n);
-                prop_assert!(stats.saved_bus_bytes <= (stats.cache_hits * width * 4) as u64);
-                for (i, &row) in indices.iter().enumerate() {
-                    for j in 0..width {
-                        prop_assert_eq!(out[i * width + j], (row * 37 + j) as f32);
+            let row_bytes = (width * 4) as u64;
+            for (has_cache, has_disk) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let hot: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..10)).collect();
+                let mut stack = TierStack {
+                    cache: has_cache.then(|| if clock {
+                        FeatureCache::new_clock(&wm, ranks, capacity)
+                    } else {
+                        FeatureCache::new_static(&wm, &hot, capacity)
+                    }),
+                    disk: has_disk.then(|| OocTier::build(&wm, &hot, budget).unwrap()),
+                };
+                let mut plan = RowPlan::default();
+                // Several batches so CLOCK actually warms and evicts.
+                for _ in 0..3 {
+                    let n = rng.gen_range(1..=rows * 2);
+                    let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..rows)).collect();
+                    let rank = rng.gen_range(0..ranks);
+                    let mut out = vec![0.0f32; n * width];
+                    let mut plain_out = vec![0.0f32; n * width];
+                    stack.plan(&wm, &indices, rank, &mut plan);
+                    let stats = stack.execute(&wm, &plan, &mut out, rank, &model, &spec).unwrap();
+                    let plain = global_gather(&wm, &indices, &mut plain_out, rank, &model, &spec);
+                    prop_assert_eq!(&out, &plain_out);
+                    prop_assert_eq!(stats.rows, n);
+                    prop_assert!(stats.cache_hits <= n);
+                    prop_assert_eq!(
+                        stats.local_rows + stats.remote_rows + stats.storage_io.rows as usize,
+                        n
+                    );
+                    prop_assert!(stats.saved_bus_bytes <= stats.cache_hits as u64 * row_bytes);
+                    if !has_disk {
+                        prop_assert_eq!(stats.bus_bytes + stats.saved_bus_bytes, plain.bus_bytes);
+                    }
+                    if !has_cache {
+                        let dsm_bytes = (stats.local_rows + stats.remote_rows) as u64 * row_bytes;
+                        prop_assert_eq!(stats.storage_io.bytes + dsm_bytes, stats.algo_bytes);
+                    }
+                    if !has_cache && !has_disk {
+                        prop_assert_eq!(stats, plain);
+                    }
+                    for (i, &row) in indices.iter().enumerate() {
+                        for j in 0..width {
+                            prop_assert_eq!(out[i * width + j], (row * 37 + j) as f32);
+                        }
                     }
                 }
             }

@@ -17,7 +17,9 @@
 //! * [`access`] — element-level global reads/writes and address
 //!   translation;
 //! * [`gather`] — the **one-kernel global gather** of §III-C3 (each GPU
-//!   directly reads peer memory; NVLink handles the communication);
+//!   directly reads peer memory; NVLink handles the communication): one
+//!   `plan` / `execute` pair on a [`TierStack`], whose two optional
+//!   members are the next two modules;
 //! * [`cache`] — the hotness-aware per-device feature cache (static
 //!   replication of the top-K hot set, or dynamic CLOCK eviction) that
 //!   turns remote gathers into local-HBM hits — cost changes, values
@@ -52,10 +54,7 @@ pub mod probe;
 pub use access::{ChunkLocator, Element};
 pub use cache::{CacheMode, FeatureCache};
 pub use embedding::EmbeddingTable;
-pub use gather::{
-    global_gather_planned, global_gather_planned_cached, global_gather_planned_tiered, plan_gather,
-    plan_gather_cached, plan_gather_tiered, GatherStats, RowPlan, StorageIo,
-};
+pub use gather::{GatherStats, RowPlan, StorageIo, TierStack};
 pub use halo::{count_halo_rows, halo_exchange, HaloStats};
 pub use handle::{RegionView, WholeMemory};
 pub use ipc::{IpcHandle, MemoryPointerTable, SetupReport};

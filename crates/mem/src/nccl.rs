@@ -15,7 +15,10 @@
 //!
 //! Each step's real data movement is executed, and each step is charged
 //! simulated time, so Figure 10's comparison (one-kernel DSM gather vs this
-//! pipeline) falls out of the same cost model.
+//! pipeline) falls out of the same cost model. The DSM side of that
+//! comparison is [`crate::gather::global_gather`] — the gather's empty
+//! tier stack, no cache and no disk tier — because the paper compares
+//! the two *protocols*; this baseline deliberately has no tiers either.
 
 use rayon::prelude::*;
 

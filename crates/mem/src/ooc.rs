@@ -2,16 +2,16 @@
 //!
 //! [`OocTier`] spills a [`WholeMemory`] allocation's feature rows to a
 //! file-backed store and keeps only the hottest `budget_rows` rows
-//! **resident** in the DSM. The tiered gather path
-//! (`plan_gather_tiered`) resolves each requested row cache → DSM →
-//! disk; rows that fall to disk are staged by [`OocTier::fetch`], the
-//! batched prefetch queue. A gather plan's disk rows are sorted into
+//! **resident** in the DSM. Attached to a gather's
+//! [`TierStack`](crate::gather::TierStack) as its `disk` member, it is
+//! the last stop of the cache → DSM → disk resolution; rows that fall to
+//! disk are staged by [`OocTier::fetch`], the batched prefetch queue. A gather plan's disk rows are sorted into
 //! file order and run through a coalescing **accumulator** (GIDS's
 //! mechanism): file-adjacent rows merge into byte ranges, a range
 //! extending across a gap of unrequested rows only while
 //! [`StorageCostModel::request_time`] prices the merged request no
 //! dearer than the two it replaces, up to [`MAX_TRANSFER_BYTES`]. Each
-//! range is one positional read ([`RowFile`], std-only) into a bounce
+//! range is one positional read (`RowFile`, std-only) into a bounce
 //! buffer, from which only the requested rows are decoded into the
 //! pooled staging buffer the copy kernel treats as one more source
 //! region.
@@ -35,9 +35,10 @@ use crate::access::Element;
 use crate::gather::StorageIo;
 use crate::handle::WholeMemory;
 
-/// Fixed-width little-endian persistence for element types the tier can
-/// spill. Kept separate from [`Element`] so the DSM stays open to types
-/// nobody needs on disk.
+/// Fixed-width little-endian persistence: how the tier spills an
+/// element. A supertrait of [`Element`] — every type the DSM stores can
+/// be spilled, so the gather carries one bound whichever tiers its stack
+/// holds.
 pub trait Persist: Copy + Default {
     /// Encoded size in bytes.
     const BYTES: usize;
@@ -81,7 +82,7 @@ macro_rules! persist_via_le_bytes {
     )*};
 }
 
-persist_via_le_bytes!(f32, f64, u32, i32, u64, i64);
+persist_via_le_bytes!(f32, f64, u8, u32, i32, u64, i64);
 
 /// Largest single ranged read the accumulator issues, and so the bound
 /// on the tier's bounce buffer (a row wider than this is still one
@@ -154,7 +155,7 @@ pub struct OocTier<T> {
     reqs: Vec<(u32, u32)>,
 }
 
-impl<T: Element + Persist> OocTier<T> {
+impl<T: Element> OocTier<T> {
     /// Spill `wm` to a fresh temp file and keep the `budget_rows` rows
     /// with the highest `hotness` resident (ties break toward lower row
     /// ids — the same deterministic ranking the static cache tier uses).
@@ -350,6 +351,30 @@ mod tests {
                 &tier.staging()[slot * 7..(slot + 1) * 7],
                 &expect[..],
                 "row {r} at slot {slot}"
+            );
+        }
+    }
+
+    #[test]
+    fn u8_rows_roundtrip_through_the_spill_file() {
+        let model = CostModel::dgx_a100();
+        let wm = WholeMemory::<u8>::allocate(&model, 2, 40, 5, AccessMode::PeerAccess);
+        wm.init_rows(|row, out| {
+            for (j, v) in out.iter_mut().enumerate() {
+                *v = (row * 7 + j) as u8;
+            }
+        });
+        let mut tier = OocTier::build(&wm, &[0; 40], 0).unwrap();
+        let rows: Vec<u32> = vec![39, 0, 17];
+        let io = tier.fetch(&rows, &StorageCostModel::nvme()).unwrap();
+        assert_eq!(io.bytes, 15, "one byte per element");
+        let mut expect = [0u8; 5];
+        for (slot, &r) in rows.iter().enumerate() {
+            wm.read_row(r as usize, &mut expect);
+            assert_eq!(
+                &tier.staging()[slot * 5..(slot + 1) * 5],
+                &expect,
+                "row {r}"
             );
         }
     }

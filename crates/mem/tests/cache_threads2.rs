@@ -1,7 +1,7 @@
 //! The thread-count leg of the feature-cache determinism contract.
 //!
 //! CLOCK eviction decisions happen inside the *sequential* planning loop
-//! of `plan_gather_cached`, so cache contents, hit/miss splits and the
+//! of `TierStack::plan`, so cache contents, hit/miss splits and the
 //! gathered values must not depend on how many workers execute the copy
 //! kernel. This binary forces a **two-worker** pool via `init_threads(2)`
 //! before any gather runs and replays the same access stream a
@@ -13,7 +13,7 @@
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_mem::cache::{CacheMode, FeatureCache};
-use wg_mem::gather::{global_gather_planned_cached, plan_gather_cached, RowPlan};
+use wg_mem::gather::{RowPlan, TierStack};
 use wg_mem::WholeMemory;
 use wg_sim::cost::AccessMode;
 use wg_sim::device::DeviceSpec;
@@ -34,6 +34,19 @@ fn setup() -> (WholeMemory<f32>, CostModel, DeviceSpec) {
     (wm, model, DeviceSpec::a100_40gb())
 }
 
+/// A stack holding only `cache` — the shape every test here gathers
+/// through.
+fn cache_stack(cache: FeatureCache<f32>) -> TierStack<f32> {
+    TierStack {
+        cache: Some(cache),
+        disk: None,
+    }
+}
+
+fn occupied(stack: &TierStack<f32>, rank: u32) -> usize {
+    stack.cache.as_ref().unwrap().occupied(rank)
+}
+
 /// Replay a Zipf-ish access stream through a small CLOCK cache on a
 /// two-worker pool; the per-batch (hits, occupancy, membership-sample)
 /// trajectory must equal the hardcoded one recorded from the sequential
@@ -44,8 +57,9 @@ fn clock_trajectory_is_identical_on_two_workers() {
     assert!(width >= 1, "pool must initialize");
     let (wm, model, spec) = setup();
     // Capacity far below the working set so eviction churns constantly.
-    let mut cache = FeatureCache::new_clock(&wm, RANKS, 24);
+    let cache = FeatureCache::new_clock(&wm, RANKS, 24);
     assert_eq!(cache.mode(), CacheMode::Clock);
+    let mut stack = cache_stack(cache);
     let mut plan = RowPlan::default();
     let mut rng = SmallRng::seed_from_u64(99);
     let mut trajectory = Vec::new();
@@ -61,9 +75,10 @@ fn clock_trajectory_is_identical_on_two_workers() {
             })
             .collect();
         let mut out = vec![0.0f32; indices.len() * WIDTH];
-        plan_gather_cached(&wm, &indices, &mut plan, &mut cache, rank);
-        let stats =
-            global_gather_planned_cached(&wm, &plan, &mut out, rank, &model, &spec, &mut cache);
+        stack.plan(&wm, &indices, rank, &mut plan);
+        let stats = stack
+            .execute(&wm, &plan, &mut out, rank, &model, &spec)
+            .unwrap();
         // Values never depend on the cache.
         for (i, &row) in indices.iter().enumerate() {
             assert_eq!(out[i * WIDTH], (row * 131) as f32, "row {row}");
@@ -72,7 +87,7 @@ fn clock_trajectory_is_identical_on_two_workers() {
             stats.cache_hits + (stats.rows - stats.cache_hits),
             stats.rows
         );
-        trajectory.push((stats.cache_hits, cache.occupied(rank)));
+        trajectory.push((stats.cache_hits, occupied(&stack, rank)));
     }
     // The per-device trajectories recorded from the sequential reference
     // schedule (WG_THREADS=1). Planning is sequential by construction,
@@ -85,12 +100,12 @@ fn clock_trajectory_is_identical_on_two_workers() {
 }
 
 /// Recompute the expected trajectory with a second, independently warmed
-/// cache using the identical stream. `plan_gather_cached` is a plain
+/// cache using the identical stream. `TierStack::plan` is a plain
 /// sequential loop over `indices`, so this expectation is worker-count
 /// free even though the test process runs a two-worker pool.
 fn sequential_reference_trajectory() -> Vec<(usize, usize)> {
     let (wm, model, spec) = setup();
-    let mut cache = FeatureCache::new_clock(&wm, RANKS, 24);
+    let mut stack = cache_stack(FeatureCache::new_clock(&wm, RANKS, 24));
     let mut plan = RowPlan::default();
     let mut rng = SmallRng::seed_from_u64(99);
     let mut trajectory = Vec::new();
@@ -105,15 +120,13 @@ fn sequential_reference_trajectory() -> Vec<(usize, usize)> {
                 }
             })
             .collect();
-        plan_gather_cached(&wm, &indices, &mut plan, &mut cache, rank);
+        stack.plan(&wm, &indices, rank, &mut plan);
         let hits = plan.cache_hits();
         // Execute sequentially (run_sequential = the reference schedule)
         // so the expectation never touches the pool.
         let mut out = vec![0.0f32; indices.len() * WIDTH];
-        rayon::run_sequential(|| {
-            global_gather_planned_cached(&wm, &plan, &mut out, rank, &model, &spec, &mut cache)
-        });
-        trajectory.push((hits, cache.occupied(rank)));
+        rayon::run_sequential(|| stack.execute(&wm, &plan, &mut out, rank, &model, &spec)).unwrap();
+        trajectory.push((hits, occupied(&stack, rank)));
     }
     trajectory
 }
@@ -125,16 +138,17 @@ fn static_hits_are_stable_on_two_workers() {
     rayon::init_threads(2);
     let (wm, model, spec) = setup();
     let hot: Vec<u64> = (0..ROWS as u64).rev().collect(); // hottest = row 0
-    let mut cache = FeatureCache::new_static(&wm, &hot, 50);
+    let mut stack = cache_stack(FeatureCache::new_static(&wm, &hot, 50));
     let indices: Vec<usize> = (0..200).map(|i| (i * 13) % ROWS).collect();
     let expected_hits = indices.iter().filter(|&&r| r < 50).count();
     let mut plan = RowPlan::default();
     let mut out = vec![0.0f32; indices.len() * WIDTH];
     for rank in 0..RANKS {
-        plan_gather_cached(&wm, &indices, &mut plan, &mut cache, rank);
-        let stats =
-            global_gather_planned_cached(&wm, &plan, &mut out, rank, &model, &spec, &mut cache);
+        stack.plan(&wm, &indices, rank, &mut plan);
+        let stats = stack
+            .execute(&wm, &plan, &mut out, rank, &model, &spec)
+            .unwrap();
         assert_eq!(stats.cache_hits, expected_hits);
-        assert_eq!(cache.occupied(rank), 50);
+        assert_eq!(occupied(&stack, rank), 50);
     }
 }

@@ -9,13 +9,13 @@
 //!   replacement using the path-doubling method, plus sequential reference
 //!   samplers it is property-tested against;
 //! * [`radix`] — the packed 64-bit radix sort the paper uses inside
-//!   Algorithm 1 ("we pack 32-bit array r[M] and its index array to one
+//!   Algorithm 1 ("we pack 32-bit array `r[M]` and its index array to one
 //!   64-bit array ... then use radix-sort");
 //! * [`hashtable`] — a GPU-style (Warpcore-like) open-addressing hash
 //!   table with atomic CAS insertion, one packed 16-byte slot per key;
 //! * [`prefix`] — exclusive prefix sums (used for sub-graph ID
 //!   assignment);
-//! * [`append_unique`] — the **AppendUnique** op of §III-C2 / Figure 5:
+//! * [`mod@append_unique`] — the **AppendUnique** op of §III-C2 / Figure 5:
 //!   targets first, hash-based dedup, first-occurrence + prefix-sum ID
 //!   assignment, duplicate counts (consumed by the g-SpMM backward
 //!   optimization), plus the sort-based baseline other frameworks use;

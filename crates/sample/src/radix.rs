@@ -2,8 +2,8 @@
 //!
 //! §III-C1: "the function parallel_sort() ... needs to return two arrays.
 //! One is for the sorted array, and the other is for the original index. We
-//! pack 32-bit array r[M] and its index array to one 64-bit array, high
-//! 32-bit of which stores array r[M] and low 32-bit stores the index. Then
+//! pack 32-bit array `r[M]` and its index array to one 64-bit array, high
+//! 32-bit of which stores array `r[M]` and low 32-bit stores the index. Then
 //! we use radix-sort method to sort the new 64-bit array."
 //!
 //! Because the index occupies the low bits, the sort is automatically

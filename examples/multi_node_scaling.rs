@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use wholegraph::multinode::scaling_sweep;
+use wholegraph::multinode::projected_sweep;
 use wholegraph::prelude::*;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     let mut pipe = Pipeline::new(machine, dataset, cfg).unwrap();
 
     println!("measuring per-iteration times (2 real iterations)...");
-    let points = scaling_sweep(&mut pipe, &[1, 2, 4, 8], 2);
+    let points = projected_sweep(&mut pipe, &[1, 2, 4, 8], 2);
 
     println!(
         "\n{:>6} {:>16} {:>10} {:>12}",

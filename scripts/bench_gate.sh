@@ -29,9 +29,10 @@
 #
 # The storage legs hold the out-of-core tier to its contract:
 #   * a wallclock run with the tier built at full residency
-#     (--storage-rows 999999) must reproduce every pinned checksum
-#     and allocation budget bit-for-bit — tiering changes cost, never
-#     values (`check_bench gate` on the tiered run);
+#     (--storage-rows 999999, honoured by the gather and epoch rows)
+#     must reproduce every pinned checksum and allocation budget
+#     bit-for-bit — tiering changes cost, never values (`check_bench
+#     gate` on the tiered run);
 #   * the storage sweep regenerates BENCH_storage.json and `check_bench
 #     storage` gates it: numerics pinned to the tier-off baseline,
 #     dsm + disk bytes conserved exactly, zero disk traffic at full
@@ -47,7 +48,7 @@
 # Leaves in <out-dir>: baseline.json (committed numbers), current.json
 # (this run), wallclock_trace.json (merged host/sim Chrome trace — load
 # in chrome://tracing or ui.perfetto.dev), criterion_benches.txt (the
-# kernel, AppendUnique and sampler criterion microbenchmarks —
+# kernel, gather, AppendUnique and sampler criterion microbenchmarks —
 # informational, never gated), multinode.json and multinode_trace.json (executed sweep +
 # 4-node cluster trace, one Chrome process per node), serving.json and
 # serving_trace.json (serving sweep + traced coalesced replay),
@@ -79,15 +80,8 @@ cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
     gate "$OUT_DIR/current.json"
 
 echo "bench_gate: time drift vs committed baseline (warn-only)"
-# --expect-improvement gather: the feature-cache PR's baseline refresh,
-# registered per the procedure in check_bench.rs — the refreshed
-# BENCH_wallclock.json landed in the same commit, so this exempts gather
-# from the drift thresholds while the cache-era baseline soaks (it warns,
-# never fails, if gather is not faster). Drop the flag once the
-# post-cache baseline has a few quiet CI runs behind it.
 cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
-    compare "$OUT_DIR/baseline.json" "$OUT_DIR/current.json" --warn-pct 25 \
-    --expect-improvement gather
+    compare "$OUT_DIR/baseline.json" "$OUT_DIR/current.json" --warn-pct 25
 
 echo "bench_gate: cached wallclock leg (checksums must not move)"
 cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin wallclock -- \
@@ -123,14 +117,16 @@ cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
 # built from: dispatched vs forced-scalar vs naive-reference matmul
 # (wide and narrow-n/k shapes), the sparse kernels (g-SpMM, g-SDDMM,
 # weighted g-SpMM, edge softmax), the gather row-copy / checksum
-# loops, AppendUnique (input-length vs universe-bounded table vs sort)
+# loops, the one-kernel gather against the NCCL baseline (the empty tier
+# stack: what the plain gather costs through the one plan/execute pair),
+# AppendUnique (input-length vs universe-bounded table vs sort)
 # and the mini-batch sampler (uniform and power-law 1/94 graphs, fused
 # path vs reference). The criterion shim prints
 # "bench <label>: best N ns" lines to stdout; keep them as an artifact
 # so SIMD speedups are inspectable per-kernel, not just per-stage.
-echo "bench_gate: criterion microbenchmarks (matmul, spmm, gather_copy, append_unique, sampling)"
+echo "bench_gate: criterion microbenchmarks (matmul, spmm, gather_copy, gather, append_unique, sampling)"
 cargo bench -q "${OFFLINE_FLAGS[@]}" -p wg-bench --bench matmul --bench spmm --bench gather_copy \
-    --bench append_unique --bench sampling \
+    --bench gather --bench append_unique --bench sampling \
     | tee "$OUT_DIR/criterion_benches.txt"
 
 echo "bench_gate: serving sweep (coalesced trace on)"

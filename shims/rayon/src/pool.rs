@@ -17,7 +17,7 @@
 //!   ("steal until done"). All higher-level parallelism (the iterator
 //!   adapters, [`scope`]) reduces to trees of `join` calls.
 //! - A thread outside the pool that starts a parallel op injects one root
-//!   job and blocks on a condvar latch; the whole op then runs on workers.
+//!   job and parks on its latch; the whole op then runs on workers.
 //!
 //! Determinism: the pool decides only *where* closures run, never *what*
 //! they compute or in which order results are combined — the iterator layer
@@ -89,32 +89,41 @@ impl Latch for SpinLatch {
     }
 }
 
-/// Completion flag a non-pool thread blocks on.
-struct LockLatch {
-    done: Mutex<bool>,
-    cv: Condvar,
+/// Completion flag a non-pool thread blocks on: the creating thread
+/// parks until a worker sets the flag and unparks it.
+struct ParkLatch {
+    done: AtomicBool,
+    /// The thread that created the latch and will wait on it.
+    waiter: std::thread::Thread,
 }
 
-impl LockLatch {
+impl ParkLatch {
     fn new() -> Self {
-        LockLatch {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
+        ParkLatch {
+            done: AtomicBool::new(false),
+            waiter: std::thread::current(),
         }
     }
 
     fn wait(&self) {
-        let mut done = self.done.lock().unwrap();
-        while !*done {
-            done = self.cv.wait(done).unwrap();
+        // `park` may return spuriously (or on a token left by an unrelated
+        // `unpark`), so the flag alone decides.
+        while !self.done.load(Ordering::Acquire) {
+            std::thread::park();
         }
     }
 }
 
-impl Latch for LockLatch {
+impl Latch for ParkLatch {
     fn set(&self) {
-        *self.done.lock().unwrap() = true;
-        self.cv.notify_all();
+        // The latch lives in the waiter's stack frame, and the waiter
+        // frees it as soon as it has seen `done` — which it may without
+        // ever being unparked. The store must therefore be the last
+        // touch of `self`: take the handle first and wake through the
+        // copy.
+        let waiter = self.waiter.clone();
+        self.done.store(true, Ordering::Release);
+        waiter.unpark();
     }
 }
 
@@ -427,7 +436,7 @@ where
 
 /// Inject `f` as a root job and block until a worker has run it.
 fn run_in_pool<R: Send>(reg: &Registry, f: impl FnOnce() -> R + Send) -> R {
-    let job = StackJob::new(f, LockLatch::new());
+    let job = StackJob::new(f, ParkLatch::new());
     // SAFETY: we block on the latch below, so `job` outlives execution.
     let job_ref = unsafe { job.as_job_ref() };
     reg.injector.push(job_ref);

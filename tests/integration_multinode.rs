@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use wholegraph::multinode::{executed_sweep, scaling_sweep};
+use wholegraph::multinode::{executed_sweep, projected_sweep};
 use wholegraph::prelude::*;
 
 fn pipeline() -> Pipeline {
@@ -21,9 +21,9 @@ fn pipeline() -> Pipeline {
 }
 
 #[test]
-fn scaling_sweep_matches_figure13_shape() {
+fn projected_sweep_matches_figure13_shape() {
     let mut pipe = pipeline();
-    let pts = scaling_sweep(&mut pipe, &[1, 2, 4, 8], 2);
+    let pts = projected_sweep(&mut pipe, &[1, 2, 4, 8], 2);
     assert_eq!(pts.len(), 4);
     // Speedups grow with node count and 8-node efficiency is high.
     for w in pts.windows(2) {
@@ -58,9 +58,9 @@ fn gradient_averaging_equalizes_replicas() {
 #[test]
 fn more_real_iterations_refine_but_do_not_flip_the_sweep() {
     let mut pipe = pipeline();
-    let one = scaling_sweep(&mut pipe, &[1, 8], 1);
+    let one = projected_sweep(&mut pipe, &[1, 8], 1);
     let mut pipe = pipeline();
-    let three = scaling_sweep(&mut pipe, &[1, 8], 3);
+    let three = projected_sweep(&mut pipe, &[1, 8], 3);
     // Both sweeps agree that 8 nodes is much faster than 1.
     assert!(one[1].speedup > 3.0);
     assert!(three[1].speedup > 3.0);
