@@ -8,24 +8,33 @@
 //! `BENCH_cache.json` with per-point hit rates, remote-row counts, bus
 //! traffic, saved bus bytes, and epoch times.
 //!
-//! Two invariants make the artifact gateable (`check_bench cache`):
+//! The sweep gates itself — measure, [`gate`], write — so a
+//! `BENCH_cache.json` on disk is one that passed:
 //!
-//! * **Values never move** — every point's loss/accuracy bits equal the
-//!   uncached baseline's. Caching changes cost, never numerics.
+//! * **Values never move** — every point's loss/accuracy bits (and every
+//!   hot-set point's gathered-value checksum) equal the uncached
+//!   baseline's. Caching changes cost, never numerics.
 //! * **Bytes are conserved** — `bus_bytes + saved_bus_bytes` equals the
 //!   baseline's `bus_bytes` exactly: every remote row is either fetched
 //!   (a miss) or saved (a cached hit), never dropped or double-counted.
+//! * **The cache pays** — static hit rates grow with cache size, a point
+//!   with hits strictly improves epoch time, and on the hot-set stream a
+//!   static cache of at most 10% of the rows cuts remote gather rows by
+//!   at least half (the headline).
 //!
 //! Each configuration trains two epochs and reports the *second*: epoch 0
 //! warms the CLOCK caches (and the scratch pools), so the recorded hit
 //! rates are steady-state figures, not cold-start ones. The per-point
 //! traffic numbers are metric-registry deltas over exactly that epoch.
+//! The disk tier is pinned off and the cache set per point, so the
+//! artifact never depends on ambient `WG_CACHE_*` /
+//! `WG_STORAGE_BUDGET_ROWS`.
 
 use std::sync::Arc;
 
 use rand::prelude::*;
 use rand::rngs::SmallRng;
-use wg_bench::{banner, Table};
+use wg_bench::{banner, counter, flags, Table};
 use wg_graph::{DatasetKind, DegreeProfile, MultiGpuGraph, SyntheticDataset};
 use wg_mem::{FeatureCache, RowPlan, TierStack};
 use wholegraph::prelude::*;
@@ -37,6 +46,7 @@ const FRACTIONS: [f64; 4] = [0.01, 0.025, 0.05, 0.10];
 
 /// One swept configuration's measurements (mode `None` = the uncached
 /// baseline).
+#[derive(Default)]
 struct Point {
     mode: Option<CacheMode>,
     rows: usize,
@@ -58,21 +68,14 @@ impl Point {
     }
 }
 
-/// Counter value by exact name, zero when the counter never fired.
-fn counter(snap: &wg_trace::metrics::Snapshot, name: &str) -> f64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0.0, |&(_, v)| v)
-}
-
 /// Train two epochs of the wallclock-shaped pipeline under `cache` and
 /// measure the second one (report + metric deltas).
 fn run(dataset: &Arc<SyntheticDataset>, rows: usize, mode: Option<CacheMode>, frac: f64) -> Point {
     let machine = Machine::new(MachineConfig::dgx_like(4));
     let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
         .with_seed(3)
-        .with_cache(rows, mode.unwrap_or(CacheMode::Static));
+        .with_cache(rows, mode.unwrap_or(CacheMode::Static))
+        .with_storage(0);
     let mut pipe = Pipeline::new(machine, Arc::clone(dataset), cfg).expect("pipeline");
     pipe.train_epoch(0); // warm-up epoch: fills CLOCK caches + pools
     let before = wg_trace::metrics::snapshot();
@@ -132,6 +135,7 @@ const HOTSET_BATCH_ROWS: usize = 2048;
 const ZIPF_S: f64 = 1.1;
 
 /// One hot-set gather configuration's measurements.
+#[derive(Default)]
 struct HotPoint {
     mode: Option<CacheMode>,
     rows: usize,
@@ -147,6 +151,11 @@ struct HotPoint {
 impl HotPoint {
     fn hit_rate(&self) -> f64 {
         self.hits as f64 / (HOTSET_BATCHES * HOTSET_BATCH_ROWS) as f64
+    }
+
+    /// Share of the baseline's remote rows this point's cache removed.
+    fn remote_row_reduction(&self, baseline: &HotPoint) -> f64 {
+        1.0 - self.remote_rows as f64 / (baseline.remote_rows as f64).max(1.0)
     }
 }
 
@@ -177,11 +186,6 @@ fn hotset_stream(store: &MultiGpuGraph, n: usize) -> Vec<Vec<usize>> {
                 .collect()
         })
         .collect()
-}
-
-/// FNV-1a over the gathered f32 words (bit-exactness witness).
-fn checksum_f32(h: u64, data: &[f32]) -> u64 {
-    wg_tensor::simd::fnv1a_f32(h, data)
 }
 
 /// Replay the hot-set stream through the gather (a stack holding `mode`'s
@@ -235,7 +239,7 @@ fn run_hotset(
         bus += stats.bus_bytes;
         saved += stats.saved_bus_bytes;
         sim += stats.sim_time;
-        sum = checksum_f32(sum, &out);
+        sum = wg_tensor::simd::fnv1a_f32(sum, &out);
     }
     HotPoint {
         mode,
@@ -266,8 +270,57 @@ fn hot_point_json(p: &HotPoint, baseline: &HotPoint) -> String {
         p.saved_bus_bytes,
         p.sim_time.as_secs(),
         p.checksum,
-        1.0 - p.remote_rows as f64 / (baseline.remote_rows as f64).max(1.0),
+        p.remote_row_reduction(baseline),
     )
+}
+
+/// Every invariant the artifact claims, on the typed points, before it
+/// is written (`points` / `hot_points` exclude their baselines).
+fn gate(base: &Point, points: &[Point], hot_base: &HotPoint, hot_points: &[HotPoint]) {
+    // Epoch section.
+    let mut prev_static_rate = -1.0;
+    for p in points {
+        let (at, rate) = (format!("{:?}/{} rows", p.mode, p.rows), p.hit_rate());
+        assert_eq!(p.loss_bits, base.loss_bits, "{at}: loss diverged");
+        assert_eq!(
+            p.accuracy_bits, base.accuracy_bits,
+            "{at}: accuracy diverged"
+        );
+        let conserved = p.bus_bytes + p.saved_bus_bytes;
+        assert_eq!(conserved, base.bus_bytes, "{at}: bus bytes not conserved");
+        if p.mode == Some(CacheMode::Static) {
+            assert!(
+                rate >= prev_static_rate,
+                "{at}: static hit rate not monotone ({rate} < {prev_static_rate})"
+            );
+            prev_static_rate = rate;
+        }
+        assert!(
+            p.hits == 0 || p.epoch_time < base.epoch_time,
+            "{at}: hits but no epoch-time improvement"
+        );
+    }
+    // Hot-set section, where the headline is measured.
+    for p in hot_points {
+        let at = format!("hot-set {:?}/{} rows", p.mode, p.rows);
+        assert_eq!(
+            p.checksum, hot_base.checksum,
+            "{at}: gathered values diverged"
+        );
+        assert_eq!(
+            p.bus_bytes + p.saved_bus_bytes,
+            hot_base.bus_bytes,
+            "{at}: bus bytes not conserved"
+        );
+    }
+    assert!(
+        hot_points.iter().any(|p| {
+            p.mode == Some(CacheMode::Static)
+                && p.frac <= 0.10
+                && p.remote_row_reduction(hot_base) >= 0.50
+        }),
+        "no static hot-set point with frac <= 0.10 cuts remote rows by >= 50%"
+    );
 }
 
 fn main() {
@@ -275,6 +328,7 @@ fn main() {
         "cache sweep",
         "feature-cache size vs remote traffic and epoch time",
     );
+    flags(&[]); // takes none: any argument is an error
     wg_trace::enable_metrics();
     // Power-law degree profile: the real ogbn-products graph is heavy-
     // tailed, and neighbor sampling visits vertices roughly in proportion
@@ -330,26 +384,10 @@ fn main() {
     }
     t.print();
 
-    for p in &points {
-        assert_eq!(
-            p.loss_bits, baseline.loss_bits,
-            "{:?}/{} rows: cached loss diverged from baseline",
-            p.mode, p.rows
-        );
-        assert_eq!(
-            p.bus_bytes + p.saved_bus_bytes,
-            baseline.bus_bytes,
-            "{:?}/{} rows: bus bytes not conserved",
-            p.mode,
-            p.rows
-        );
-    }
-    println!("\nall epoch points bit-identical to baseline; bus bytes conserved");
-
     // Phase 2: the hot-set gather sweep — same gather kernel, an access
     // stream with the skew real power-law graphs produce. This is where
     // the headline claim (≥50% of remote rows cut by a ≤10% cache) is
-    // measured and gated.
+    // measured.
     println!("\nhot-set gather stream: {HOTSET_BATCHES} batches x {HOTSET_BATCH_ROWS} rows, Zipf({ZIPF_S})\n");
     let machine = Machine::new(MachineConfig::dgx_like(8));
     let store = MultiGpuGraph::build(
@@ -395,10 +433,7 @@ fn main() {
             format!("{:.1}%", p.frac * 100.0),
             format!("{:.1}%", p.hit_rate() * 100.0),
             p.remote_rows.to_string(),
-            format!(
-                "{:.1}%",
-                (1.0 - p.remote_rows as f64 / hot_baseline.remote_rows as f64) * 100.0
-            ),
+            format!("{:.1}%", p.remote_row_reduction(&hot_baseline) * 100.0),
             format!("{:.2}", p.saved_bus_bytes as f64 / 1e6),
             format!("{}", p.sim_time),
         ]);
@@ -409,21 +444,8 @@ fn main() {
     }
     ht.print();
 
-    for p in &hot_points {
-        assert_eq!(
-            p.checksum, hot_baseline.checksum,
-            "{:?}/{} rows: cached hot-set gather diverged from baseline",
-            p.mode, p.rows
-        );
-        assert_eq!(
-            p.bus_bytes + p.saved_bus_bytes,
-            hot_baseline.bus_bytes,
-            "{:?}/{} rows: hot-set bus bytes not conserved",
-            p.mode,
-            p.rows
-        );
-    }
-    println!("\nall hot-set points bit-identical to baseline; bus bytes conserved");
+    gate(&baseline, &points, &hot_baseline, &hot_points);
+    println!("\ngate: OK (values pinned, bus bytes conserved, >= 50% remote-row cut at <= 10%)");
 
     let points_json: Vec<String> = std::iter::once(&baseline)
         .chain(points.iter())
@@ -447,4 +469,58 @@ fn main() {
     );
     std::fs::write("BENCH_cache.json", &json).expect("write BENCH_cache.json");
     println!("Wrote BENCH_cache.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ROW_BYTES: u64 = 400;
+
+    /// A static-cache epoch point that hits `hits` of 1000 remote rows.
+    fn point(rows: usize, hits: u64) -> Point {
+        Point {
+            mode: (rows > 0).then_some(CacheMode::Static),
+            rows,
+            hits,
+            misses: 1000 - hits,
+            bus_bytes: (1000 - hits) * ROW_BYTES,
+            saved_bus_bytes: hits * ROW_BYTES,
+            epoch_time: SimTime::from_secs(1.0 - hits as f64 * 1e-4),
+            ..Default::default()
+        }
+    }
+
+    /// Baseline + a two-size static sweep, and a hot-set pair, that pass.
+    fn passing() -> (Point, Vec<Point>, HotPoint, Vec<HotPoint>) {
+        let hot = |mode, remote_rows| HotPoint {
+            mode,
+            remote_rows,
+            bus_bytes: remote_rows * ROW_BYTES,
+            saved_bus_bytes: (1000 - remote_rows) * ROW_BYTES,
+            ..Default::default()
+        };
+        (
+            point(0, 0),
+            vec![point(80, 100), point(800, 300)],
+            hot(None, 1000),
+            vec![hot(Some(CacheMode::Static), 400)],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "Some(Static)/800 rows: bus bytes not conserved")]
+    fn gate_catches_bus_bytes_off_by_one_row() {
+        let (b, mut p, hb, hp) = passing();
+        p[1].bus_bytes += ROW_BYTES;
+        gate(&b, &p, &hb, &hp);
+    }
+
+    #[test]
+    #[should_panic(expected = "Some(Static)/800 rows: static hit rate not monotone")]
+    fn gate_catches_a_falling_static_hit_rate() {
+        let (b, mut p, hb, hp) = passing();
+        p[1] = point(800, 50);
+        gate(&b, &p, &hb, &hp);
+    }
 }

@@ -4,7 +4,10 @@
 //! ogbn-products stand-in, and writes `BENCH_multinode.json` with the
 //! measured epoch times, speedups, halo and gradient-sync traffic, and
 //! the N=1 equivalence checksum (the executed single-node epoch must be
-//! bit-identical to a plain [`Pipeline::train_epoch`]).
+//! bit-identical to a plain [`Pipeline::train_epoch`]). The sweep gates
+//! itself — measure, [`gate`], write — so a `BENCH_multinode.json` on
+//! disk is one that passed: N=1 equivalence, halo traffic exactly when
+//! N > 1, and a genuine end-to-end speedup at the largest node count.
 //!
 //! `--trace <out.json>` additionally records a 4-node cluster epoch with
 //! span tracing on and writes the merged Chrome trace (one process per
@@ -17,32 +20,20 @@
 
 use std::sync::Arc;
 
-use wg_bench::{banner, Table};
+use wg_bench::{banner, flags, fnv1a, Table};
 use wg_graph::{DatasetKind, SyntheticDataset};
 use wholegraph::multinode::{executed_sweep, ExecutedPoint, MultiNode};
 use wholegraph::prelude::*;
 
 const NODE_COUNTS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// FNV-1a over a word stream (same witness the wallclock bench pins).
-fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for w in words {
-        h = (h ^ w).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// The N=1 equivalence witness: loss, accuracy and epoch-time bits.
 fn epoch_checksum(loss: f32, accuracy: f64, epoch_time: SimTime) -> u64 {
-    fnv1a(
-        [
-            loss.to_bits() as u64,
-            accuracy.to_bits(),
-            epoch_time.as_secs().to_bits(),
-        ]
-        .into_iter(),
-    )
+    fnv1a([
+        loss.to_bits() as u64,
+        accuracy.to_bits(),
+        epoch_time.as_secs().to_bits(),
+    ])
 }
 
 fn dataset() -> Arc<SyntheticDataset> {
@@ -53,23 +44,28 @@ fn dataset() -> Arc<SyntheticDataset> {
     ))
 }
 
-/// The swept pipeline config. The cache defaults to pinned *off* (not
-/// the environment) so the committed artifact never depends on ambient
-/// `WG_CACHE_*`; `--cache-rows`/`--cache-mode` turn it on for both the
-/// single-pipeline witness and every cluster replica — N=1 equivalence
-/// must hold at any cache setting.
-fn pipe_cfg(cache: Option<(usize, CacheMode)>) -> PipelineConfig {
-    let (rows, mode) = cache.unwrap_or((0, CacheMode::Static));
+/// The swept pipeline config, for both the single-pipeline witness and
+/// every cluster replica. The cache and the disk tier are pinned *off*
+/// (not the environment) so the committed artifact never depends on
+/// ambient `WG_CACHE_*` / `WG_STORAGE_BUDGET_ROWS`; N=1 equivalence under
+/// a cache is `tests/integration_multinode.rs` on CI's clock-cache leg.
+fn pipe_cfg() -> PipelineConfig {
     let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
         .with_seed(7)
-        .with_cache(rows, mode);
+        .with_cache(0, CacheMode::Static)
+        .with_storage(0);
     cfg.batch_size = 16;
     cfg
 }
 
+/// Halo bytes exchanged across the whole cluster at one sweep point.
+fn halo_bytes(p: &ExecutedPoint) -> u64 {
+    p.report.per_node.iter().map(|n| n.halo_bytes).sum()
+}
+
 fn point_json(p: &ExecutedPoint) -> String {
     let r = &p.report;
-    let halo_bytes: u64 = r.per_node.iter().map(|n| n.halo_bytes).sum();
+    let halo_bytes = halo_bytes(p);
     let halo_rows: u64 = r.per_node.iter().map(|n| n.halo_rows).sum();
     // Critical-path comm and occupancy come from the slowest node's
     // report (the one that sets the cluster epoch time).
@@ -101,34 +97,42 @@ fn point_json(p: &ExecutedPoint) -> String {
     )
 }
 
+/// Every invariant the artifact claims, on the typed points, before it
+/// is written (`points` in [`NODE_COUNTS`] order, N=1 first).
+fn gate(n1_sum: u64, single_sum: u64, points: &[ExecutedPoint]) {
+    assert!(
+        n1_sum == single_sum,
+        "executed N=1 diverged from the single pipeline: {n1_sum:016x} != {single_sum:016x}"
+    );
+    for p in points {
+        let (n, halo) = (p.nodes, halo_bytes(p));
+        assert!(
+            p.epoch_time > SimTime::ZERO,
+            "non-positive epoch time at {n} nodes"
+        );
+        // One node owns every row; more than one must exchange some.
+        assert_eq!(halo == 0, n == 1, "{halo} halo bytes at {n} nodes");
+    }
+    let (first, last) = (&points[0], &points[points.len() - 1]);
+    assert_eq!(first.nodes, 1, "sweep must start at 1 node");
+    assert!(
+        (first.speedup - 1.0).abs() <= 1e-9,
+        "first point's speedup is not 1.0"
+    );
+    assert!(
+        last.epoch_time < first.epoch_time,
+        "no end-to-end speedup: {} at max nodes vs {} at 1",
+        last.epoch_time,
+        first.epoch_time
+    );
+}
+
 fn main() {
     banner(
         "multi-node sweep",
         "executed data-parallel scaling, 1 -> 64 nodes",
     );
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned());
-    let cache = args
-        .iter()
-        .position(|a| a == "--cache-rows")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            let rows: usize = v.parse().expect("--cache-rows expects a row count");
-            let mode = args
-                .iter()
-                .position(|a| a == "--cache-mode")
-                .and_then(|i| args.get(i + 1))
-                .map_or(CacheMode::Static, |m| {
-                    CacheMode::parse(m).expect("--cache-mode expects static|clock")
-                });
-            (rows, mode)
-        });
-    if let Some((rows, mode)) = cache {
-        println!("feature cache: {rows} rows/device, {} mode", mode.as_str());
-    }
+    let flags = flags(&["--trace"]);
 
     let ds = dataset();
     println!(
@@ -141,14 +145,13 @@ fn main() {
     // epoch; the executed cluster at N=1 must reproduce its numbers bit
     // for bit.
     let machine = Machine::new(MachineConfig::dgx_like(1));
-    let mut single =
-        Pipeline::new(machine, Arc::clone(&ds), pipe_cfg(cache)).expect("single pipeline");
+    let mut single = Pipeline::new(machine, Arc::clone(&ds), pipe_cfg()).expect("single pipeline");
     let s = single.train_epoch(0);
     let single_sum = epoch_checksum(s.loss, s.train_accuracy, s.epoch_time);
 
     let points = executed_sweep(
         Arc::clone(&ds),
-        pipe_cfg(cache),
+        pipe_cfg(),
         MultiNodeConfig::new(1).with_gpus(1),
         &NODE_COUNTS,
     )
@@ -157,10 +160,6 @@ fn main() {
     let n1 = &points[0].report;
     let n1_sum = epoch_checksum(n1.loss, n1.train_accuracy, n1.epoch_time);
     let bit_identical = n1_sum == single_sum;
-    assert!(
-        bit_identical,
-        "executed N=1 diverged from the single pipeline: {n1_sum:016x} != {single_sum:016x}"
-    );
 
     let mut t = Table::new(&[
         "nodes",
@@ -173,28 +172,29 @@ fn main() {
         "cut",
     ]);
     for p in &points {
-        let halo_bytes: u64 = p.report.per_node.iter().map(|n| n.halo_bytes).sum();
         t.row(&[
             p.nodes.to_string(),
             format!("{}", p.epoch_time),
             format!("{:.2}x", p.speedup),
             format!("{:.0}%", p.efficiency * 100.0),
             format!("{:.4}", p.report.loss),
-            format!("{:.2}", halo_bytes as f64 / 1e6),
+            format!("{:.2}", halo_bytes(p) as f64 / 1e6),
             format!("{:.1}", p.report.sync_bytes as f64 / 1e3),
             format!("{:.0}%", p.cut_fraction * 100.0),
         ]);
     }
     t.print();
-    println!("\nN=1 equivalence: executed == single pipeline ({n1_sum:016x})");
 
-    if let Some(path) = &trace_path {
+    gate(n1_sum, single_sum, &points);
+    println!("\ngate: OK (N=1 equivalence: executed == single pipeline ({n1_sum:016x}))");
+
+    if let Some(path) = flags.get("--trace") {
         // A 4-node traced epoch: one Chrome process per node, per-phase
         // busy/idle spans per GPU.
         wg_trace::enable_all();
         let mut mn = MultiNode::new(
             Arc::clone(&ds),
-            pipe_cfg(cache),
+            pipe_cfg(),
             MultiNodeConfig::new(4).with_gpus(1),
         )
         .expect("traced cluster");

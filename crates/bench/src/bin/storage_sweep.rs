@@ -9,7 +9,8 @@
 //! prefetch-overlapped), host time spent in the fetches, and epoch
 //! times.
 //!
-//! Four invariants make the artifact gateable (`check_bench storage`):
+//! The sweep gates itself — measure, [`gate`], write — so a
+//! `BENCH_storage.json` on disk is one that passed. Four invariants:
 //!
 //! * **Values never move** — every point's loss/accuracy bits equal the
 //!   tier-off baseline's, even though the non-resident rows genuinely
@@ -27,7 +28,9 @@
 //! * **Prefetch overlaps** — the storage time left exposed after
 //!   double-buffering each wave's NVMe reads against the previous
 //!   wave's compute is *strictly* below the blocking sum whenever the
-//!   tier actually serves rows from disk.
+//!   tier actually serves rows from disk — and it must serve some at
+//!   every point with <= 50% residency, none at full residency, and
+//!   monotonically more as residency shrinks.
 //!
 //! Each configuration trains two epochs and reports the *second*, with
 //! per-point traffic numbers taken as metric-registry deltas over
@@ -36,7 +39,7 @@
 
 use std::sync::Arc;
 
-use wg_bench::{banner, Table};
+use wg_bench::{banner, counter, flags, Table};
 use wg_graph::{DatasetKind, DegreeProfile, SyntheticDataset};
 use wholegraph::prelude::*;
 
@@ -47,6 +50,7 @@ const FRACTIONS: [f64; 4] = [1.0, 0.5, 0.25, 0.1];
 
 /// One swept configuration's measurements (`frac` < 0 = tier-off
 /// baseline).
+#[derive(Default)]
 struct Point {
     frac: f64,
     budget_rows: usize,
@@ -71,14 +75,6 @@ struct Point {
     gather_time: SimTime,
     loss_bits: u32,
     accuracy_bits: u64,
-}
-
-/// Counter value by exact name, zero when the counter never fired.
-fn counter(snap: &wg_trace::metrics::Snapshot, name: &str) -> f64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0.0, |&(_, v)| v)
 }
 
 /// Train two epochs of the wallclock-shaped pipeline with `budget_rows`
@@ -145,11 +141,75 @@ fn point_json(p: &Point, row_bytes: u64) -> String {
     )
 }
 
+/// Every invariant the artifact claims, on the typed points, before it
+/// is written (`points` in [`FRACTIONS`] order, largest residency first).
+fn gate(base: &Point, points: &[Point], row_bytes: u64) {
+    for p in points {
+        let at = format!("{:.0}% resident", p.frac * 100.0);
+        // Values never move: the staged rows really came back from disk
+        // bit-identical.
+        assert_eq!(p.loss_bits, base.loss_bits, "{at}: loss diverged");
+        assert_eq!(
+            p.accuracy_bits, base.accuracy_bits,
+            "{at}: accuracy diverged"
+        );
+        // Same gather work at every point...
+        assert_eq!(p.rows, base.rows, "{at}: gathered row count moved");
+        assert_eq!(
+            p.algo_bytes, base.algo_bytes,
+            "{at}: algorithmic bytes moved"
+        );
+        // ...split exactly between the DSM and the disk tier.
+        assert_eq!(
+            p.storage_bytes + (p.rows - p.storage_rows) * row_bytes,
+            base.algo_bytes,
+            "{at}: dsm + disk bytes != uncached total"
+        );
+        assert_eq!(p.storage_bytes, p.storage_rows * row_bytes);
+        // Issued I/O vs logical traffic: coalescing only ever merges
+        // requests and only ever adds gap bytes (a gather's rows are
+        // unique, so none are saved).
+        let (disk, requests) = (p.storage_rows, p.storage_requests);
+        assert!(
+            requests <= disk && (disk == 0 || requests > 0),
+            "{at}: {requests} requests for {disk} disk rows"
+        );
+        assert!(
+            p.storage_read_bytes >= p.storage_bytes,
+            "{at}: read less than delivered"
+        );
+        assert!(p.fetch_host >= 0.0, "{at}: negative host fetch time");
+        // The prefetch overlap must genuinely hide NVMe time behind
+        // compute whenever the tier serves rows — and at <= 50% residency
+        // it must be serving some.
+        let (blocking, exposed) = (p.blocking, p.exposed);
+        if disk > 0 {
+            assert!(
+                exposed < blocking,
+                "{at}: prefetch-overlapped storage time {exposed} not strictly below blocking {blocking}"
+            );
+        } else {
+            assert!(p.frac > 0.50, "{at}: no disk traffic at <= 50% residency");
+            assert!(blocking.is_zero() && exposed.is_zero());
+        }
+    }
+    // Lower residency → monotonically nondecreasing disk traffic, and a
+    // fully-resident tier serves nothing from disk.
+    assert_eq!(points[0].storage_rows, 0, "100% resident still hit disk");
+    for w in points.windows(2) {
+        assert!(
+            w[1].storage_rows >= w[0].storage_rows,
+            "disk rows not monotone in residency"
+        );
+    }
+}
+
 fn main() {
     banner(
         "storage sweep",
         "DSM residency fraction vs disk traffic and epoch time",
     );
+    flags(&[]); // takes none: any argument is an error
     wg_trace::enable_metrics();
     // Same heavy-tailed stand-in the cache sweep uses: residency is
     // hotness-ranked, so the tail is what actually falls to disk.
@@ -213,70 +273,8 @@ fn main() {
     }
     t.print();
 
-    for p in &points {
-        // Values never move: the staged rows really came back from disk
-        // bit-identical.
-        assert_eq!(
-            p.loss_bits,
-            baseline.loss_bits,
-            "{:.0}% resident: loss diverged from tier-off baseline",
-            p.frac * 100.0
-        );
-        assert_eq!(
-            p.accuracy_bits,
-            baseline.accuracy_bits,
-            "{:.0}% resident: accuracy diverged from tier-off baseline",
-            p.frac * 100.0
-        );
-        // Same gather work at every point...
-        assert_eq!(p.rows, baseline.rows, "gathered row count moved");
-        assert_eq!(p.algo_bytes, baseline.algo_bytes, "algorithmic bytes moved");
-        // ...split exactly between the DSM and the disk tier.
-        assert_eq!(
-            p.storage_bytes + (p.rows - p.storage_rows) * row_bytes,
-            baseline.algo_bytes,
-            "{:.0}% resident: dsm + disk bytes != uncached total",
-            p.frac * 100.0
-        );
-        assert_eq!(p.storage_bytes, p.storage_rows * row_bytes);
-        // Coalescing only ever merges requests and only ever adds gap
-        // bytes (a gather's rows are unique, so none are saved).
-        assert!(
-            p.storage_requests <= p.storage_rows,
-            "more requests than rows"
-        );
-        assert!(
-            p.storage_read_bytes >= p.storage_bytes,
-            "read less than delivered"
-        );
-        // The prefetch overlap must genuinely hide NVMe time behind
-        // compute whenever the tier serves rows.
-        if p.storage_rows > 0 {
-            assert!(
-                p.exposed < p.blocking,
-                "{:.0}% resident: prefetch-overlapped storage time {} not below blocking {}",
-                p.frac * 100.0,
-                p.exposed,
-                p.blocking
-            );
-        } else {
-            assert!(p.blocking.is_zero() && p.exposed.is_zero());
-        }
-    }
-    // Lower residency → monotonically nondecreasing disk traffic, and a
-    // fully-resident tier serves nothing from disk.
-    assert_eq!(points[0].storage_rows, 0, "100% resident still hit disk");
-    for w in points.windows(2) {
-        assert!(
-            w[1].storage_rows >= w[0].storage_rows,
-            "disk rows not monotone in residency"
-        );
-    }
-    println!(
-        "\nall points bit-identical to tier-off baseline; dsm + disk bytes == uncached total; \
-         requests <= rows and read bytes >= delivered bytes; prefetch overlap strictly hides \
-         NVMe time"
-    );
+    gate(&baseline, &points, row_bytes);
+    println!("\ngate: OK (values pinned, dsm + disk bytes conserved, prefetch overlap strict)");
 
     let points_json: Vec<String> = points.iter().map(|p| point_json(p, row_bytes)).collect();
     let json = format!(
@@ -288,4 +286,51 @@ fn main() {
     );
     std::fs::write("BENCH_storage.json", &json).expect("write BENCH_storage.json");
     println!("Wrote BENCH_storage.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ROW_BYTES: u64 = 400;
+
+    /// A point gathering 1000 rows, `disk_rows` of them from the spill
+    /// file in a tenth as many ranged reads.
+    fn point(frac: f64, disk_rows: u64) -> Point {
+        let blocking = SimTime::from_secs(disk_rows as f64 * 1e-6);
+        Point {
+            frac,
+            rows: 1000,
+            algo_bytes: 1000 * ROW_BYTES,
+            storage_rows: disk_rows,
+            storage_bytes: disk_rows * ROW_BYTES,
+            storage_requests: disk_rows.div_ceil(10),
+            storage_read_bytes: 2 * disk_rows * ROW_BYTES,
+            blocking,
+            exposed: blocking / 2.0,
+            ..Default::default()
+        }
+    }
+
+    /// Tier-off baseline plus a full- and a half-residency point.
+    fn passing() -> (Point, Vec<Point>) {
+        (point(-1.0, 0), vec![point(1.0, 0), point(0.5, 300)])
+    }
+
+    #[test]
+    #[should_panic(expected = "50% resident: dsm + disk bytes != uncached total")]
+    fn gate_catches_a_row_missing_from_the_split() {
+        let (b, mut p) = passing();
+        // A disk row counted whose bytes never arrived.
+        p[1].storage_rows += 1;
+        gate(&b, &p, ROW_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "50% resident: prefetch-overlapped storage time")]
+    fn gate_catches_an_overlap_that_hides_nothing() {
+        let (b, mut p) = passing();
+        p[1].exposed = p[1].blocking;
+        gate(&b, &p, ROW_BYTES);
+    }
 }

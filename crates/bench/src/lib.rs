@@ -10,9 +10,13 @@
 //! are *comparable in structure* (who wins, by what factor, where
 //! crossovers fall) but not in absolute scale to a physical DGX-A100 —
 //! see DESIGN.md.
+//!
+//! The five artifact-writing bins (`wallclock` and the four `*_sweep`s)
+//! gate themselves: measure → `gate` (plain `assert!`s over the typed
+//! points) → write, in one process, so a `BENCH_*.json` on disk is one
+//! that passed and the bin's exit status is the gate.
 
-pub mod json;
-
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use wg_graph::DatasetKind;
@@ -53,15 +57,58 @@ pub fn bench_pipeline_config(fw: Framework, model: ModelKind) -> PipelineConfig 
     }
 }
 
+/// Parse a bench bin's command line against its own flag list: a flag
+/// takes the next non-flag argument as its value, else `"true"` (the `wg`
+/// CLI's rule). Any other argument is an error naming it — a typo'd
+/// `--cache-row 4096` must not silently run, and pass, the default leg.
+pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
+    let mut out = HashMap::new();
+    let mut it = args.iter().peekable();
+    while let Some(flag) = it.next() {
+        if !known.contains(&flag.as_str()) {
+            return Err(format!("unknown argument `{flag}` (known: {known:?})"));
+        }
+        let value = it.next_if(|v| !v.starts_with("--")).cloned();
+        out.insert(flag.clone(), value.unwrap_or_else(|| "true".to_string()));
+    }
+    Ok(out)
+}
+
+/// [`parse_flags`] over the process's own arguments; exits 2 on an error.
+pub fn flags(known: &[&str]) -> HashMap<String, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flags(&args, known).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// Executor mode requested on the regenerator's command line: passing
 /// `--overlap` re-runs the experiment under the double-buffered
 /// overlapped executor (same numerics, pipelined schedule).
 pub fn overlap_mode() -> ExecMode {
-    if std::env::args().any(|a| a == "--overlap") {
+    if flags(&["--overlap"]).contains_key("--overlap") {
         ExecMode::Overlapped
     } else {
         ExecMode::Serial
     }
+}
+
+/// FNV-1a over a word stream: the bit-exactness witness the benches pin
+/// (`wg_tensor::simd::fnv1a_f32` is its byte-identical `f32` twin).
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    use wg_tensor::simd::{FNV_OFFSET, FNV_PRIME};
+    words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
+}
+
+/// Counter value by exact name, zero when the counter never fired.
+pub fn counter(snap: &wg_trace::metrics::Snapshot, name: &str) -> f64 {
+    snap.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0.0, |&(_, v)| v)
 }
 
 /// A *harder* learnable stand-in for the accuracy experiments: noisier
@@ -197,6 +244,19 @@ mod tests {
             assert!(expect > 10_000, "{kind:?} stand-in too small");
             assert!(expect < 200_000, "{kind:?} stand-in too large for CI");
         }
+    }
+
+    #[test]
+    fn flags_parse_known_and_reject_typos() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = ["--trace", "--cache-rows", "--overlap"];
+        let f = parse_flags(&args(&["--cache-rows", "4096", "--overlap"]), &known).unwrap();
+        assert_eq!(f["--cache-rows"], "4096");
+        assert_eq!(f["--overlap"], "true");
+        assert!(!f.contains_key("--trace"));
+        let err = parse_flags(&args(&["--cache-row", "4096"]), &known).unwrap_err();
+        assert!(err.contains("`--cache-row`"), "{err}");
+        assert!(parse_flags(&args(&["stray"]), &[]).is_err());
     }
 
     #[test]

@@ -18,21 +18,35 @@ use wg_graph::io::{load_dataset, save_dataset};
 use wg_graph::{DatasetKind, SyntheticDataset};
 use wholegraph::prelude::*;
 
+/// The usage text — also the flag list: [`parse_flags`] accepts exactly
+/// the `--flags` named here.
+const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints WG_STORAGE_BUDGET_ROWS)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>] [--overlap]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--gpus <per-node>] [--epochs <N>] [--trace <out.json>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [dataset/model/batch/seed flags as in train]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  --data <file>";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints WG_STORAGE_BUDGET_ROWS)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>] [--overlap]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--gpus <per-node>] [--epochs <N>] [--trace <out.json>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [dataset/model/batch/seed flags as in train]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  --data <file>"
-    );
+    eprintln!("{USAGE}");
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Whether `flag` (with its `--`) is named, as a whole word, in [`USAGE`].
+fn known_flag(flag: &str) -> bool {
+    USAGE.match_indices(flag).any(|(i, _)| {
+        !USAGE[i + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+    })
+}
+
+/// Split `args` into flag → value pairs. Anything that is not a flag the
+/// usage text names is an error naming it: a typo'd `--overlapp` must not
+/// silently run serial.
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let k = &args[i];
         if !k.starts_with("--") {
-            eprintln!("bad argument: {k}");
-            usage();
+            return Err(format!("bad argument: {k}"));
+        }
+        if !known_flag(k) {
+            return Err(format!("unknown flag: {k}"));
         }
         // A flag with no value (end of args, or followed by another
         // flag) is a boolean switch, e.g. `--overlap`.
@@ -44,7 +58,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             i += 2;
         }
     }
-    out
+    Ok(out)
 }
 
 fn dataset_kind(name: &str) -> DatasetKind {
@@ -617,7 +631,10 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let flags = parse_flags(rest);
+    let flags = parse_flags(rest).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    });
     match cmd.as_str() {
         "gen" => cmd_gen(flags),
         "info" => cmd_info(flags),
@@ -625,5 +642,25 @@ fn main() {
         "multinode" => cmd_multinode(flags),
         "serve" => cmd_serve(flags),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_flags_takes_usage_flags_and_rejects_typos() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let flags = parse_flags(&args(&["--epochs", "2", "--overlap", "--gpus", "4"])).unwrap();
+        assert_eq!(flags["epochs"], "2");
+        assert_eq!(flags["overlap"], "true");
+        assert_eq!(flags["gpus"], "4");
+        // A typo, and a strict prefix of a real flag, are both refused by name.
+        for typo in ["--overlapp", "--cache", "--"] {
+            let err = parse_flags(&args(&["--epochs", "2", typo])).unwrap_err();
+            assert_eq!(err, format!("unknown flag: {typo}"));
+        }
+        assert!(parse_flags(&args(&["epochs"])).is_err());
     }
 }

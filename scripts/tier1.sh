@@ -7,31 +7,26 @@
 # planes), cargo is forced offline — all dependencies resolve to the
 # path-based shims under shims/, so offline builds are fully supported.
 #
-# With CI=1 (set by .github/workflows/ci.yml), the wall-clock *timing*
-# comparison against the committed baseline is skipped — shared runners
-# are too noisy for time assertions — while the bit-exactness checksums
-# and allocation budgets (machine-independent) are still enforced.
+# The last step runs the wallclock harness, whose exit status is the
+# checksum + allocation gate (machine-independent, so it applies on any
+# runner). Host *timings* are not judged here; `benchmark/`'s `compare`
+# is the instrument for those (alternating, speed-normalised runs).
 #
-# Baseline refresh (after a commit that legitimately step-changes a bench
-# time, e.g. a SIMD or cache-blocking optimization):
-#   1. on the reference machine run
-#        cargo run --release -p wg-bench --bin wallclock
-#      (the harness asserts bit-identical checksums and the allocation
-#      budgets itself; checksums must NOT move for a perf-only change);
-#   2. `check_bench gate BENCH_wallclock.json` must pass — if a commit
-#      intentionally moved numerics, update the pinned checksums in
-#      crates/bench/src/bin/check_bench.rs in the same commit;
-#   3. commit the regenerated BENCH_wallclock.json with the code change.
-#   Until the refreshed baseline lands, `check_bench compare` accepts
-#   `--expect-improvement <bench>` to exempt the intentionally-faster
-#   bench from the drift thresholds (it warns if the bench did NOT
-#   improve instead).
+# Baseline refresh: rerun
+#     cargo run --release -p wg-bench --bin wallclock
+# and commit the regenerated BENCH_wallclock.json; if a commit
+# legitimately moved numerics, update `EXPECT` in
+# crates/bench/src/bin/wallclock.rs in the same commit.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# An exported CARGO_NET_OFFLINE=true settles it without a probe (a
+# sandbox may forbid even the attempt).
 OFFLINE_FLAGS=()
-if ! curl -sfI --max-time 5 https://index.crates.io/config.json >/dev/null 2>&1; then
+if [ "${CARGO_NET_OFFLINE:-}" = "true" ]; then
+    OFFLINE_FLAGS=(--offline)
+elif ! curl -sfI --max-time 5 https://index.crates.io/config.json >/dev/null 2>&1; then
     echo "tier1: registry unreachable, building offline"
     export CARGO_NET_OFFLINE=true
     OFFLINE_FLAGS=(--offline)
@@ -57,26 +52,14 @@ echo "tier1: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets "${OFFLINE_FLAGS[@]}" -- -D warnings
 
 # The wallclock harness is a correctness gate as much as a benchmark:
-# every kernel's FNV-1a checksum must stay pinned to the committed value
-# (the numerics may never move), and every hot path must stay within its
-# steady-state allocation budget (the workspace/scratch-arena contract —
-# the harness itself asserts the same budgets under its counting
-# allocator, with span tracing and metrics enabled throughout). The pins
-# and budgets live in one place: crates/bench/src/bin/check_bench.rs.
+# every kernel's FNV-1a checksum must stay pinned (the numerics may never
+# move), and every hot path must stay within its steady-state allocation
+# budget (the workspace/scratch-arena contract, counted under the
+# harness's own allocator with span tracing and metrics enabled). The
+# pins and budgets live in one table: `EXPECT` in
+# crates/bench/src/bin/wallclock.rs; a violation panics before the
+# artifact is written.
 echo "tier1: wallclock bench (checksum + allocation gate)"
-cp BENCH_wallclock.json "${TMPDIR:-/tmp}/tier1_bench_baseline.json"
 cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin wallclock
-cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
-    gate BENCH_wallclock.json
-echo "tier1: wallclock checksums pinned, alloc budgets held"
-
-if [ "${CI:-0}" = "1" ]; then
-    echo "tier1: CI=1 — skipping wall-clock timing comparison (noisy runners)"
-else
-    echo "tier1: wall-clock drift vs committed baseline (warn-only)"
-    cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin check_bench -- \
-        compare "${TMPDIR:-/tmp}/tier1_bench_baseline.json" BENCH_wallclock.json \
-        --warn-pct 25
-fi
 
 echo "tier1: OK"

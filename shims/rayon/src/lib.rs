@@ -5,7 +5,7 @@
 //!   overridable via `WG_THREADS` / `RAYON_NUM_THREADS`; first
 //!   initialization wins, like rayon's `build_global`), a global injector
 //!   plus per-worker LIFO deques from the `crossbeam` shim, and the
-//!   [`join`]/[`scope`] fork primitives every adapter reduces to.
+//!   [`join`] fork primitive every adapter reduces to.
 //! - [`iter`]: indexed parallel iterators (`par_iter`, `par_iter_mut`,
 //!   `par_chunks`, `par_chunks_mut`, `into_par_iter` on ranges) with `map`,
 //!   `zip`, `enumerate`, `chunks`, `flat_map_iter`, `with_min_len` and the
@@ -23,8 +23,8 @@ pub mod iter;
 pub mod pool;
 
 pub use pool::{
-    current_num_threads, init_threads, is_sequential, join, run_sequential, scope, Scope,
-    RAYON_THREADS_ENV, THREADS_ENV,
+    current_num_threads, init_threads, is_sequential, join, run_sequential, RAYON_THREADS_ENV,
+    THREADS_ENV,
 };
 
 pub mod prelude {
@@ -148,20 +148,6 @@ mod tests {
             a + b
         }
         assert_eq!(fib(20), 6765);
-    }
-
-    #[test]
-    fn scope_runs_all_spawned_tasks() {
-        crate::init_threads(4);
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        crate::scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|_| {
-                    counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 64);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   left half inline, then pops the right half back — or, if it was
 //!   stolen, helps execute other tasks until the thief finishes
 //!   ("steal until done"). All higher-level parallelism (the iterator
-//!   adapters, [`scope`]) reduces to trees of `join` calls.
+//!   adapters) reduces to trees of `join` calls.
 //! - A thread outside the pool that starts a parallel op injects one root
 //!   job and parks on its latch; the whole op then runs on workers.
 //!
@@ -42,8 +42,8 @@ pub const RAYON_THREADS_ENV: &str = "RAYON_NUM_THREADS";
 // Jobs
 // ---------------------------------------------------------------------------
 
-/// A type-erased pointer to a job living on some stack frame (or heap box)
-/// that is guaranteed by its owner to outlive execution.
+/// A type-erased pointer to a job living on some stack frame that is
+/// guaranteed by its owner to outlive execution.
 #[derive(Clone, Copy)]
 struct JobRef {
     data: *const (),
@@ -52,7 +52,7 @@ struct JobRef {
 
 // SAFETY: a JobRef is only ever executed once, and the referent is kept
 // alive by the thread that created it (it blocks until the job's latch is
-// set, or until the owning scope completes).
+// set).
 unsafe impl Send for JobRef {}
 
 impl JobRef {
@@ -176,25 +176,6 @@ where
         self.result
             .take()
             .expect("job result taken before execution")
-    }
-}
-
-/// A heap-allocated fire-and-forget job (used by [`Scope::spawn`]).
-struct HeapJob {
-    body: Box<dyn FnOnce() + Send>,
-}
-
-impl HeapJob {
-    fn into_job_ref(self: Box<Self>) -> JobRef {
-        JobRef {
-            data: Box::into_raw(self) as *const (),
-            execute: Self::execute_erased,
-        }
-    }
-
-    unsafe fn execute_erased(ptr: *const ()) {
-        let this = Box::from_raw(ptr as *mut Self);
-        (this.body)();
     }
 }
 
@@ -499,131 +480,6 @@ fn steal_until(reg: &Registry, local: &WorkerLocal, latch: &SpinLatch) {
             std::hint::spin_loop();
         } else {
             std::thread::yield_now();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// scope
-// ---------------------------------------------------------------------------
-
-/// A scope in which tasks spawned via [`Scope::spawn`] may borrow from the
-/// enclosing stack frame; [`scope`] does not return until all of them have
-/// completed.
-pub struct Scope<'scope> {
-    pending: AtomicUsize,
-    gate: Mutex<()>,
-    cv: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    _marker: std::marker::PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn `body` into the pool. The closure receives the scope again so
-    /// it can spawn recursively.
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let reg = registry();
-        if reg.n_threads <= 1 || is_sequential() {
-            // Immediate inline execution is a legal schedule.
-            self.run_spawned(body);
-            return;
-        }
-        let scope_ptr = SendConst(self as *const Scope<'scope>);
-        let erased: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            // SAFETY: `scope()` blocks until `pending` drains, so the
-            // referent outlives this job.
-            let scope = unsafe { &*scope_ptr.get() };
-            scope.run_spawned(body);
-        });
-        // SAFETY: lifetime erasure to 'static is sound for the same reason:
-        // the job cannot outlive `scope()`'s completion wait.
-        let erased: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(erased) };
-        let job = Box::new(HeapJob { body: erased });
-        if let Some(local) = current_worker() {
-            local.queue.push(job.into_job_ref());
-        } else {
-            reg.injector.push(job.into_job_ref());
-        }
-        notify_work(reg);
-    }
-
-    fn run_spawned<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(self))) {
-            let mut slot = self.panic.lock().unwrap();
-            slot.get_or_insert(payload);
-        }
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _gate = self.gate.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait_all(&self, reg: &Registry) {
-        if let Some(local) = current_worker() {
-            let mut idle_spins = 0u32;
-            while self.pending.load(Ordering::SeqCst) > 0 {
-                if let Some(job) = find_work(reg, Some(local)) {
-                    unsafe { job.execute() };
-                    idle_spins = 0;
-                } else if idle_spins < 64 {
-                    idle_spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        } else {
-            let mut gate = self.gate.lock().unwrap();
-            while self.pending.load(Ordering::SeqCst) > 0 {
-                gate = self.cv.wait(gate).unwrap();
-            }
-        }
-    }
-}
-
-struct SendConst<T>(*const T);
-// SAFETY: only used to smuggle a `&Scope` (which is Sync) into a job.
-unsafe impl<T> Send for SendConst<T> {}
-
-impl<T> SendConst<T> {
-    // Method (not field) access, so closures capture the Send wrapper
-    // rather than the bare pointer under 2021 disjoint-capture rules.
-    fn get(&self) -> *const T {
-        self.0
-    }
-}
-
-/// Create a [`Scope`], run `f` in it, and wait for every spawned task.
-/// Panics from the body or any task are propagated (body's first).
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    let reg = registry();
-    let s = Scope {
-        pending: AtomicUsize::new(0),
-        gate: Mutex::new(()),
-        cv: Condvar::new(),
-        panic: Mutex::new(None),
-        _marker: std::marker::PhantomData,
-    };
-    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&s)));
-    s.wait_all(reg);
-    match result {
-        Err(payload) => panic::resume_unwind(payload),
-        Ok(r) => {
-            if let Some(payload) = s.panic.lock().unwrap().take() {
-                panic::resume_unwind(payload);
-            }
-            r
         }
     }
 }
