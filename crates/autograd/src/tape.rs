@@ -236,7 +236,7 @@ impl Tape {
 
     /// `a + b`.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut v = self.ws.matrix_with_capacity(self.nodes[a.0].value.len());
+        let mut v = self.ws.matrix_stale_like(&self.nodes[a.0].value);
         ops::add_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
         self.push(v, Op::Add(a, b))
     }
@@ -244,37 +244,38 @@ impl Tape {
     /// Broadcast-add a `[1, n]` bias node to every row of `x`.
     pub fn bias(&mut self, x: NodeId, b: NodeId) -> NodeId {
         assert_eq!(self.nodes[b.0].value.rows(), 1, "bias must be a row vector");
-        let mut v = self.ws.matrix_from(&self.nodes[x.0].value);
-        ops::add_bias(&mut v, self.nodes[b.0].value.row(0));
+        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
+        let bias = self.nodes[b.0].value.row(0);
+        ops::add_bias(&self.nodes[x.0].value, bias, &mut v);
         self.push(v, Op::Bias(x, b))
     }
 
     /// ReLU.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let mut v = self.ws.matrix_from(&self.nodes[x.0].value);
-        ops::relu(&mut v);
+        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
+        ops::relu(&self.nodes[x.0].value, &mut v);
         self.push(v, Op::Relu(x))
     }
 
     /// ELU (GAT's activation).
     pub fn elu(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let mut v = self.ws.matrix_from(&self.nodes[x.0].value);
-        ops::elu(&mut v, alpha);
+        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
+        ops::elu(&self.nodes[x.0].value, alpha, &mut v);
         self.push(v, Op::Elu(x, alpha))
     }
 
     /// LeakyReLU (GAT attention logits).
     pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
-        let mut v = self.ws.matrix_from(&self.nodes[x.0].value);
-        ops::leaky_relu(v.data_mut(), slope);
+        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
+        ops::leaky_relu(&self.nodes[x.0].value, slope, &mut v);
         self.push(v, Op::LeakyRelu(x, slope))
     }
 
     /// Inverted dropout (training mode; pass `p = 0` to disable).
     pub fn dropout(&mut self, x: NodeId, p: f32, seed: u64) -> NodeId {
-        let mut v = self.ws.matrix_from(&self.nodes[x.0].value);
-        let mut mask = self.ws.take_f32(if p == 0.0 { 0 } else { v.len() });
-        ops::dropout_into(&mut v, p, seed, &mut mask);
+        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
+        let mut mask = self.ws.take_f32_stale(if p == 0.0 { 0 } else { v.len() });
+        ops::dropout_into(&self.nodes[x.0].value, p, seed, &mut v, &mut mask);
         self.push(v, Op::Dropout(x, mask))
     }
 
@@ -298,8 +299,8 @@ impl Tape {
 
     /// `x · s`.
     pub fn scale(&mut self, x: NodeId, s: f32) -> NodeId {
-        let mut v = self.ws.matrix_from(&self.nodes[x.0].value);
-        ops::scale(&mut v, s);
+        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
+        ops::scale(&self.nodes[x.0].value, s, &mut v);
         self.push(v, Op::Scale(x, s))
     }
 
@@ -471,30 +472,26 @@ impl Tape {
             }
             Op::Relu(x) => {
                 let x = *x;
-                let mut g = self.ws.matrix_from(grad);
-                ops::relu_backward(&mut g, &self.nodes[x.0].value);
+                let mut g = self.ws.matrix_stale_like(grad);
+                ops::relu_backward(grad, &self.nodes[x.0].value, &mut g);
                 self.accumulate(x, g);
             }
             Op::Elu(x, alpha) => {
                 let (x, alpha) = (*x, *alpha);
-                let mut g = self.ws.matrix_from(grad);
-                ops::elu_backward(&mut g, &self.nodes[i].value, alpha);
+                let mut g = self.ws.matrix_stale_like(grad);
+                ops::elu_backward(grad, &self.nodes[i].value, alpha, &mut g);
                 self.accumulate(x, g);
             }
             Op::LeakyRelu(x, slope) => {
                 let (x, slope) = (*x, *slope);
-                let mut g = self.ws.matrix_from(grad);
-                ops::leaky_relu_backward(g.data_mut(), self.nodes[x.0].value.data(), slope);
+                let mut g = self.ws.matrix_stale_like(grad);
+                ops::leaky_relu_backward(grad, &self.nodes[x.0].value, slope, &mut g);
                 self.accumulate(x, g);
             }
             Op::Dropout(x, mask) => {
                 let x = *x;
-                let mut g = self.ws.matrix_from(grad);
-                if !mask.is_empty() {
-                    for (v, m) in g.data_mut().iter_mut().zip(mask.iter()) {
-                        *v *= m;
-                    }
-                }
+                let mut g = self.ws.matrix_stale_like(grad);
+                ops::dropout_backward(grad, mask, &mut g);
                 self.accumulate(x, g);
             }
             Op::ConcatCols(a, b) => {
@@ -520,8 +517,8 @@ impl Tape {
             }
             Op::Scale(x, s) => {
                 let (x, s) = (*x, *s);
-                let mut g = self.ws.matrix_from(grad);
-                ops::scale(&mut g, s);
+                let mut g = self.ws.matrix_stale_like(grad);
+                ops::scale(grad, s, &mut g);
                 self.accumulate(x, g);
             }
             Op::Spmm {
@@ -940,6 +937,38 @@ mod tests {
         assert_eq!((leaf_grad.rows(), leaf_grad.cols()), (4, 3));
         assert!(leaf_grad.data().iter().any(|&v| v != 0.0));
         assert_eq!(leaf_reached, 5);
+    }
+
+    /// Dropout's backward is `grad · mask` with the mask the forward drew:
+    /// `keep` where the output survived, `0.0` where it was dropped — read
+    /// back here from the forward output itself — and `p = 0` passes the
+    /// gradient through untouched.
+    #[test]
+    fn dropout_backward_routes_through_the_drawn_mask() {
+        let x = Matrix::from_fn(9, 37, |i, j| 1.0 + (i * 37 + j) as f32);
+        let g = randm(9, 37, 71);
+        for p in [0.0f32, 0.1, 0.5, 0.9] {
+            let mut params = Params::new();
+            let mut t = Tape::new();
+            let xi = t.leaf(x.clone());
+            let out = t.dropout(xi, p, 72);
+            t.backward(out, g.clone(), &mut params);
+            let keep = 1.0 / (1.0 - p);
+            let (y, gx) = (t.value(out), t.grad(xi).expect("leaf gradient"));
+            let mut dropped = 0;
+            for ((&y, &x), (&g, &gx)) in
+                (y.data().iter().zip(x.data())).zip(g.data().iter().zip(gx.data()))
+            {
+                // `x > 0`, so the output is `+0.0` exactly where it dropped.
+                let m = if y.to_bits() == 0 { 0.0 } else { keep };
+                dropped += usize::from(m == 0.0);
+                assert_eq!(y.to_bits(), (x * m).to_bits());
+                let want = if p == 0.0 { g } else { g * m };
+                assert_eq!(gx.to_bits(), want.to_bits(), "p {p}");
+            }
+            let share = dropped as f32 / x.len() as f32;
+            assert!((share - p).abs() < 0.08, "p {p}: dropped {share}");
+        }
     }
 
     #[test]

@@ -58,20 +58,38 @@ impl Workspace {
         Self::default()
     }
 
-    /// A cleared `f32` buffer, preferably with capacity ≥ `len`.
-    pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
+    /// The pooled buffer [`best_slot`] picks for `len` elements (contents
+    /// and length as its last user left them), or a fresh one.
+    fn pick_f32(&mut self, len: usize) -> Vec<f32> {
         match best_slot(&self.f32_pool, len) {
             Some(i) => self.f32_pool.swap_remove(i),
             None => Vec::with_capacity(len),
         }
     }
 
-    /// Return an `f32` buffer to the pool (contents discarded).
-    pub fn recycle_f32(&mut self, mut buf: Vec<f32>) {
+    /// A cleared `f32` buffer, preferably with capacity ≥ `len`.
+    pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.pick_f32(len);
+        buf.clear();
+        buf
+    }
+
+    /// An `f32` buffer of exactly `len` elements holding *stale* values —
+    /// whatever its last user left, zeros only in a grown tail. For
+    /// kernels that overwrite every element: a warm pool serves them with
+    /// no fill pass at all.
+    pub fn take_f32_stale(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.pick_f32(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Return an `f32` buffer to the pool. Its contents stay behind as the
+    /// stale values [`Workspace::take_f32_stale`] hands out.
+    pub fn recycle_f32(&mut self, buf: Vec<f32>) {
         if buf.capacity() == 0 || self.f32_pool.len() >= MAX_POOLED {
             return;
         }
-        buf.clear();
         self.f32_pool.push(buf);
     }
 
@@ -104,6 +122,13 @@ impl Workspace {
         let mut buf = self.take_f32(rows * cols);
         buf.resize(rows * cols, 0.0);
         Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// A pooled matrix shaped like `like`, holding stale values
+    /// ([`Workspace::take_f32_stale`]) — the output of a one-pass `(src,
+    /// dst)` kernel that overwrites every element.
+    pub fn matrix_stale_like(&mut self, like: &Matrix) -> Matrix {
+        Matrix::from_vec(like.rows(), like.cols(), self.take_f32_stale(like.len()))
     }
 
     /// A pooled copy of `src`.
@@ -160,6 +185,30 @@ mod tests {
         let m2 = ws.matrix_from(&Matrix::zeros(4, 4));
         assert_eq!(m2.data().as_ptr(), ptr, "same buffer came back");
         assert_eq!((m2.rows(), m2.cols()), (4, 4));
+    }
+
+    #[test]
+    fn stale_takes_keep_contents_and_plain_takes_come_back_cleared() {
+        let mut ws = Workspace::new();
+        ws.recycle_f32(vec![7.0; 6]);
+        let b = ws.take_f32_stale(4);
+        assert_eq!(b, [7.0; 4], "exact length, stale values");
+        ws.recycle_f32(b);
+        let b = ws.take_f32_stale(8);
+        assert_eq!(
+            b,
+            [7.0, 7.0, 7.0, 7.0, 0.0, 0.0, 0.0, 0.0],
+            "grown tail is zero"
+        );
+        ws.recycle_f32(b);
+        let like = Matrix::zeros(2, 3);
+        let m = ws.matrix_stale_like(&like);
+        assert_eq!((m.rows(), m.cols(), m.len()), (2, 3, 6));
+        ws.recycle_matrix(m);
+        assert!(
+            ws.take_f32(2).is_empty(),
+            "take_f32 still hands out cleared"
+        );
     }
 
     #[test]

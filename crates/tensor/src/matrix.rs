@@ -147,6 +147,16 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Re-shape in place to `rows × cols` *without* clearing: elements the
+    /// buffer already held keep their stale values, only a grown tail is
+    /// zero-filled. For kernels that overwrite every element of their
+    /// output — it spares them [`Matrix::reset_shape`]'s zero-fill pass.
+    pub fn set_shape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Become a copy of `src` (shape and contents), reusing capacity.
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
@@ -207,6 +217,16 @@ mod tests {
         let t = m.top_rows(2);
         assert_eq!(t.rows(), 2);
         assert_eq!(t.data(), &[0.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn set_shape_keeps_stale_values_and_zero_fills_growth() {
+        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        m.set_shape(1, 3);
+        assert_eq!((m.rows(), m.cols()), (1, 3));
+        assert_eq!(m.data(), &[1.0, 2.0, 3.0]);
+        m.set_shape(1, 5);
+        assert_eq!(m.data(), &[1.0, 2.0, 3.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use rayon::prelude::*;
 
 use crate::matrix::Matrix;
-use crate::simd::{self, Level};
+use crate::simd::{self, Level, RowVisits};
 
 // ---------------------------------------------------------------------------
 // Dense matmul family.
@@ -31,6 +31,22 @@ use crate::simd::{self, Level};
 // *which element is worked on when* — never the per-element float
 // reduction — so results are bit-identical to the references at any
 // thread count.
+//
+// The zero-skip rule is a *visit list*, not a branch. The references
+// `continue` past `a[i,l] == 0.0`; on the operands training feeds these
+// kernels — post-dropout(0.5) and post-ReLU activations, ~50 % exact
+// zeros — that test inside the register tile mispredicts every other
+// element and gives back everything the skipped work saved. So the
+// blocked kernels build, once per (band row, k-block), the ascending list
+// of the reference's non-skipped `l` ([`RowVisits`], compacted
+// branch-free on the stack) and every column tile of that row-block walks
+// the list: the same adds in the same order, hence the same bits, with
+// no test on the data in the hot loop. A row-block with no zero in it has
+// nothing to skip and runs the plain loop without a list (dense operands
+// — raw features, `matmul_nt`'s gradients — pay one vectorised zero scan
+// and nothing else). Multiplying by the zero instead of skipping it would
+// NOT be the same: `acc + 0.0·b` differs from `acc` on a `-0.0`
+// accumulator and whenever `b` is infinite or NaN.
 // ---------------------------------------------------------------------------
 
 /// Rows of `C` handled per parallel task — the `B` panel loaded into cache
@@ -38,8 +54,9 @@ use crate::simd::{self, Level};
 const MR: usize = 8;
 /// Column-tile width: per-row accumulators for one tile live in registers.
 const NR: usize = 32;
-/// k-block depth: one `B` panel is `KB × NR` floats (32 KiB) — L1-sized.
-const KB: usize = 256;
+/// k-block depth: one `B` panel is `KB × NR` floats (32 KiB) — L1-sized —
+/// and one visit list covers one row's k-block.
+const KB: usize = simd::VISIT_CAP;
 /// At most this many columns (`n`) or inner terms (`k`) selects a narrow
 /// kernel: one YMM register's worth.
 const NARROW: usize = 8;
@@ -92,8 +109,9 @@ pub fn matmul_into_with(level: Level, a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// `[a.cols(), n]` slice — cache-blocked, or one of the narrow kernels
 /// when `n` or `k` is at most [`NARROW`]. `skip_zero` selects the reference
 /// zero-skip rule (`matmul` skips `a[i,l] == 0.0`; `matmul_nt`'s oracle
-/// does not skip). The register tile itself is [`simd::matmul_rowtile`],
-/// which adds contributions in ascending-`l` order per element at either
+/// does not skip), applied as one visit list per band row and k-block.
+/// The register tile itself is [`simd::matmul_rowtile`], which adds the
+/// visited contributions in ascending-`l` order per element at either
 /// level.
 fn blocked_gemm_into(
     level: Level,
@@ -125,25 +143,33 @@ fn blocked_gemm_into(
         .for_each(|(band, cband)| {
             let i0 = band * MR;
             let band_rows = cband.len() / n.max(1);
+            // Visit-list storage, on the stack, touched only once a zero
+            // turns up: a dense operand never pays for clearing it.
+            let mut bufs = None;
             let mut k0 = 0;
             while k0 < k {
                 let k1 = k.min(k0 + KB);
+                let mut rows = [RowVisits::all(&[]); MR];
+                for (bi, row) in rows[..band_rows].iter_mut().enumerate() {
+                    *row = RowVisits::all(&a.row(i0 + bi)[k0..k1]);
+                }
+                // One visit list per band row and k-block, shared by every
+                // column tile below; rows with nothing to skip keep `all`.
+                let zeros = rows.map(|row| skip_zero && row.has_zero());
+                if zeros.contains(&true) {
+                    let bufs = bufs.get_or_insert([[0; KB]; MR]);
+                    for ((row, buf), _) in rows.iter_mut().zip(bufs).zip(zeros).filter(|z| z.1) {
+                        *row = row.listed(buf);
+                    }
+                }
                 let mut j0 = 0;
                 while j0 < n {
                     let nb = NR.min(n - j0);
-                    for bi in 0..band_rows {
-                        let arow = &a.row(i0 + bi)[k0..k1];
+                    for (bi, &row) in rows[..band_rows].iter().enumerate() {
                         let crow = &mut cband[bi * n + j0..bi * n + j0 + nb];
                         let mut acc = [0.0f32; NR];
                         acc[..nb].copy_from_slice(crow);
-                        simd::matmul_rowtile(
-                            level,
-                            arow,
-                            &b[k0 * n + j0..],
-                            n,
-                            &mut acc[..nb],
-                            skip_zero,
-                        );
+                        simd::matmul_rowtile(level, row, &b[k0 * n + j0..], n, &mut acc[..nb]);
                         crow.copy_from_slice(&acc[..nb]);
                     }
                     j0 += nb;
@@ -365,15 +391,67 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Add a bias row vector to every row.
-pub fn add_bias(x: &mut Matrix, bias: &[f32]) {
+// ---------------------------------------------------------------------------
+// Elementwise family.
+//
+// Every kernel here is a `(src, dst)` form: it reads its operand(s) and
+// writes a caller-provided (pooled) output in ONE pass — `out` takes the
+// operand's shape with stale contents ([`Matrix::set_shape`]) and every
+// element is overwritten, so there is neither a copy of the operand nor a
+// zero-fill ahead of the kernel.
+//
+// No loop branches on the data. Activations after dropout(0.5) or ReLU are
+// ~50 % zeros and pre-activations ~50 % negative, so an `if v < 0.0`
+// around a store mispredicts every other element; each op instead computes
+// both arms and *selects* (`if c { a } else { b }` as an expression over
+// two already-computed values), which the compiler turns into a compare +
+// blend and vectorises. The comparison is the old branch's, so NaN and
+// `±0.0` land on the arm they always did, and the selected value is the
+// one the old arm computed — same bits.
+// ---------------------------------------------------------------------------
+
+/// Elements per parallel task of the elementwise kernels (16 KiB in, 16
+/// KiB out: L1-resident, and a multiple of [`elu`]'s 32-lane chunk).
+const EW_CHUNK: usize = 4096;
+
+/// `out = f(x)` chunk by chunk, in one pass over `x`.
+fn map_into(x: &Matrix, out: &mut Matrix, f: impl Fn(&[f32], &mut [f32]) + Sync) {
+    out.set_shape(x.rows(), x.cols());
+    out.data_mut()
+        .par_chunks_mut(EW_CHUNK)
+        .zip(x.data().par_chunks(EW_CHUNK))
+        .for_each(|(o, x)| f(x, o));
+}
+
+/// `out = f(a, b)` chunk by chunk, in one pass over two same-sized operands.
+fn zip_map_into(
+    a: &Matrix,
+    b: &[f32],
+    out: &mut Matrix,
+    f: impl Fn(&[f32], &[f32], &mut [f32]) + Sync,
+) {
+    assert_eq!(a.len(), b.len(), "elementwise operand length mismatch");
+    out.set_shape(a.rows(), a.cols());
+    out.data_mut()
+        .par_chunks_mut(EW_CHUNK)
+        .zip(a.data().par_chunks(EW_CHUNK))
+        .zip(b.par_chunks(EW_CHUNK))
+        .for_each(|((o, a), b)| f(a, b, o));
+}
+
+/// `out = x + bias`, the bias row vector added to every row.
+pub fn add_bias(x: &Matrix, bias: &[f32], out: &mut Matrix) {
     assert_eq!(bias.len(), x.cols(), "bias width mismatch");
-    let n = x.cols();
-    x.data_mut().par_chunks_mut(n).for_each(|row| {
-        for (v, b) in row.iter_mut().zip(bias) {
-            *v += b;
-        }
-    });
+    let n = x.cols().max(1);
+    out.set_shape(x.rows(), x.cols());
+    out.data_mut()
+        .par_chunks_mut(n)
+        .zip(x.data().par_chunks(n))
+        .for_each(|(orow, xrow)| {
+            for ((o, &v), &b) in orow.iter_mut().zip(xrow).zip(bias) {
+                *o = v + b;
+            }
+        });
 }
 
 /// Elementwise sum `a + b` into a caller-provided output.
@@ -383,11 +461,11 @@ pub fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         (b.rows(), b.cols()),
         "add shape mismatch"
     );
-    out.copy_from(a);
-    out.data_mut()
-        .par_iter_mut()
-        .zip(b.data().par_iter())
-        .for_each(|(o, y)| *o += y);
+    zip_map_into(a, b.data(), out, |a, b, o| {
+        for ((o, &x), &y) in o.iter_mut().zip(a).zip(b) {
+            *o = x + y;
+        }
+    });
 }
 
 /// Elementwise sum `a + b`.
@@ -397,111 +475,155 @@ pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Elementwise scale.
-pub fn scale(x: &mut Matrix, s: f32) {
-    x.data_mut().par_iter_mut().for_each(|v| *v *= s);
-}
-
-/// ReLU forward (in place).
-pub fn relu(x: &mut Matrix) {
-    x.data_mut().par_iter_mut().for_each(|v| {
-        if *v < 0.0 {
-            *v = 0.0;
+/// Elementwise scale `out = x · s`.
+pub fn scale(x: &Matrix, s: f32, out: &mut Matrix) {
+    map_into(x, out, |x, o| {
+        for (o, &v) in o.iter_mut().zip(x) {
+            *o = v * s;
         }
     });
 }
 
-/// ReLU backward: zero gradients where the forward input was negative.
-pub fn relu_backward(grad: &mut Matrix, forward_input: &Matrix) {
-    assert_eq!(grad.len(), forward_input.len());
-    grad.data_mut()
-        .par_iter_mut()
-        .zip(forward_input.data().par_iter())
-        .for_each(|(g, &x)| {
-            if x <= 0.0 {
-                *g = 0.0;
-            }
-        });
+/// ReLU forward: `out = +0.0` where `x < 0.0`, else `x`.
+pub fn relu(x: &Matrix, out: &mut Matrix) {
+    map_into(x, out, |x, o| {
+        for (o, &v) in o.iter_mut().zip(x) {
+            *o = if v < 0.0 { 0.0 } else { v };
+        }
+    });
+}
+
+/// ReLU backward: `out = grad`, zeroed where the forward input was `<= 0`.
+pub fn relu_backward(grad: &Matrix, forward_input: &Matrix, out: &mut Matrix) {
+    zip_map_into(grad, forward_input.data(), out, |g, x, o| {
+        for ((o, &g), &x) in o.iter_mut().zip(g).zip(x) {
+            *o = if x <= 0.0 { 0.0 } else { g };
+        }
+    });
 }
 
 /// LeakyReLU forward (GAT uses slope 0.2 on attention logits).
-pub fn leaky_relu(x: &mut [f32], slope: f32) {
-    x.par_iter_mut().for_each(|v| {
-        if *v < 0.0 {
-            *v *= slope;
+pub fn leaky_relu(x: &Matrix, slope: f32, out: &mut Matrix) {
+    map_into(x, out, |x, o| {
+        for (o, &v) in o.iter_mut().zip(x) {
+            let scaled = v * slope;
+            *o = if v < 0.0 { scaled } else { v };
         }
     });
 }
 
-/// LeakyReLU backward.
-pub fn leaky_relu_backward(grad: &mut [f32], forward_input: &[f32], slope: f32) {
-    grad.par_iter_mut()
-        .zip(forward_input.par_iter())
-        .for_each(|(g, &x)| {
-            if x < 0.0 {
-                *g *= slope;
-            }
-        });
-}
-
-/// ELU forward (GAT's inter-layer activation).
-pub fn elu(x: &mut Matrix, alpha: f32) {
-    x.data_mut().par_iter_mut().for_each(|v| {
-        if *v < 0.0 {
-            *v = alpha * (v.exp() - 1.0);
+/// LeakyReLU backward: `out = grad`, times `slope` where the forward input
+/// was negative.
+pub fn leaky_relu_backward(grad: &Matrix, forward_input: &Matrix, slope: f32, out: &mut Matrix) {
+    zip_map_into(grad, forward_input.data(), out, |g, x, o| {
+        for ((o, &g), &x) in o.iter_mut().zip(g).zip(x) {
+            let scaled = g * slope;
+            *o = if x < 0.0 { scaled } else { g };
         }
     });
 }
 
-/// ELU backward given the forward *output*.
-pub fn elu_backward(grad: &mut Matrix, forward_output: &Matrix, alpha: f32) {
-    grad.data_mut()
-        .par_iter_mut()
-        .zip(forward_output.data().par_iter())
-        .for_each(|(g, &y)| {
-            if y < 0.0 {
-                *g *= y + alpha;
+/// ELU forward (GAT's inter-layer activation): `alpha · (exp(x) - 1)` where
+/// `x < 0.0`, else `x`. Each 32-element chunk is copied while its negative
+/// lanes are gathered into a bitmask (compare, shift, or — no branch), then
+/// libm's scalar `exp` runs on exactly the set lanes: the same calls on the
+/// same inputs as a per-element `if`, with one loop-exit mispredict per
+/// chunk instead of one sign mispredict per two elements.
+pub fn elu(x: &Matrix, alpha: f32, out: &mut Matrix) {
+    map_into(x, out, |x, o| {
+        for (x, o) in x.chunks(32).zip(o.chunks_mut(32)) {
+            let mut negative = 0u32;
+            for (lane, (o, &v)) in o.iter_mut().zip(x).enumerate() {
+                *o = v;
+                negative |= u32::from(v < 0.0) << lane;
             }
-        });
+            while negative != 0 {
+                let lane = negative.trailing_zeros() as usize;
+                negative &= negative - 1;
+                o[lane] = alpha * (x[lane].exp() - 1.0);
+            }
+        }
+    });
 }
 
-/// Inverted dropout: zero with probability `p`, scale survivors by
-/// `1/(1-p)`. The mask (1/(1-p) or 0 per element) is returned for backward.
-pub fn dropout(x: &mut Matrix, p: f32, seed: u64) -> Vec<f32> {
-    let mut mask = Vec::new();
-    dropout_into(x, p, seed, &mut mask);
-    mask
+/// ELU backward given the forward *output*: `out = grad · (y + alpha)`
+/// where `y < 0.0`, else `grad`.
+pub fn elu_backward(grad: &Matrix, forward_output: &Matrix, alpha: f32, out: &mut Matrix) {
+    zip_map_into(grad, forward_output.data(), out, |g, y, o| {
+        for ((o, &g), &y) in o.iter_mut().zip(g).zip(y) {
+            let scaled = g * (y + alpha);
+            *o = if y < 0.0 { scaled } else { g };
+        }
+    });
 }
 
-/// [`dropout`] with the mask written into a caller-provided (pooled)
-/// buffer. Mask contents are identical to the allocating form.
-pub fn dropout_into(x: &mut Matrix, p: f32, seed: u64, mask: &mut Vec<f32>) {
-    use rand::prelude::*;
-    use rand::rngs::SmallRng;
+/// Inverted dropout: `out` is `x` zeroed with probability `p`, survivors
+/// scaled by `1/(1-p)`; `mask` (pooled, `1/(1-p)` or `0.0` per element) is
+/// kept for [`dropout_backward`]. `p == 0` copies `x` and leaves the mask
+/// empty.
+///
+/// Drawing is separate from applying. Row `r` draws from its own
+/// `SmallRng::seed_from_u64(seed ^ r·φ)` stream, one `gen::<f32>()` per
+/// element in column order — the generator is inherently serial, but the
+/// mask store is a select, so the loop carries no data-dependent branch.
+/// A second, vectorisable pass over the (L1-hot) row then writes `x · mask`
+/// on the kept lanes and `+0.0` on the dropped ones — `+0.0` whatever `x`
+/// holds there (negative, NaN, infinite), which `x · 0.0` would not give.
+pub fn dropout_into(x: &Matrix, p: f32, seed: u64, out: &mut Matrix, mask: &mut Vec<f32>) {
     assert!((0.0..1.0).contains(&p));
-    mask.clear();
     if p == 0.0 {
+        mask.clear();
+        out.copy_from(x);
         return;
     }
     let keep = 1.0 / (1.0 - p);
     let n = x.cols().max(1);
+    // Stale contents are fine: every element is overwritten below.
     mask.resize(x.len(), 0.0);
+    out.set_shape(x.rows(), x.cols());
     mask.par_chunks_mut(n)
-        .zip(x.data_mut().par_chunks_mut(n))
+        .zip(out.data_mut().par_chunks_mut(n))
+        .zip(x.data().par_chunks(n))
         .enumerate()
-        .for_each(|(row, (mrow, xrow))| {
-            let mut rng =
-                SmallRng::seed_from_u64(seed ^ (row as u64).wrapping_mul(0x9e3779b97f4a7c15));
-            for (m, v) in mrow.iter_mut().zip(xrow.iter_mut()) {
-                if rng.gen::<f32>() < p {
-                    *m = 0.0;
-                    *v = 0.0;
-                } else {
-                    *m = keep;
-                    *v *= keep;
-                }
+        .for_each(|(row, ((mrow, orow), xrow))| {
+            draw_mask_row(
+                mrow,
+                p,
+                keep,
+                seed ^ (row as u64).wrapping_mul(0x9e3779b97f4a7c15),
+            );
+            for ((o, &v), &m) in orow.iter_mut().zip(xrow).zip(mrow.iter()) {
+                let kept = v * m;
+                *o = if m != 0.0 { kept } else { 0.0 };
             }
         });
+}
+
+/// One row of the dropout mask from the row's own generator: `0.0` where
+/// the draw falls below `p`, else `keep`, chosen by masking `keep`'s bits
+/// with the comparison (all ones or all zeros) — written as integer
+/// arithmetic so no compiler turns it back into a branch on a coin flip.
+fn draw_mask_row(mrow: &mut [f32], p: f32, keep: f32, row_seed: u64) {
+    use rand::prelude::*;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(row_seed);
+    for m in mrow.iter_mut() {
+        let dropped = u32::from(rng.gen::<f32>() < p);
+        *m = f32::from_bits(keep.to_bits() & dropped.wrapping_sub(1));
+    }
+}
+
+/// Dropout backward: `out = grad · mask` (`out = grad` under the empty
+/// mask of `p == 0`).
+pub fn dropout_backward(grad: &Matrix, mask: &[f32], out: &mut Matrix) {
+    if mask.is_empty() {
+        out.copy_from(grad);
+        return;
+    }
+    zip_map_into(grad, mask, out, |g, m, o| {
+        for ((o, &g), &m) in o.iter_mut().zip(g).zip(m) {
+            *o = g * m;
+        }
+    });
 }
 
 /// Fused softmax + cross-entropy over rows. Returns `(mean_loss,
@@ -725,19 +847,19 @@ mod tests {
 
     #[test]
     fn relu_and_backward() {
-        let mut x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
-        let input = x.clone();
-        relu(&mut x);
-        assert_eq!(x.data(), &[0.0, 0.0, 2.0, 0.0]);
-        let mut g = Matrix::from_vec(1, 4, vec![1.0; 4]);
-        relu_backward(&mut g, &input);
-        assert_eq!(g.data(), &[0.0, 0.0, 1.0, 0.0]);
+        let input = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
+        let mut out = Matrix::empty();
+        relu(&input, &mut out);
+        assert_eq!(out.data(), &[0.0, 0.0, 2.0, 0.0]);
+        let g = Matrix::from_vec(1, 4, vec![1.0; 4]);
+        relu_backward(&g, &input, &mut out);
+        assert_eq!(out.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn bias_and_sum_rows_are_adjoint_shapes() {
-        let mut x = Matrix::zeros(3, 2);
-        add_bias(&mut x, &[1.0, -2.0]);
+        let mut x = Matrix::empty();
+        add_bias(&Matrix::zeros(3, 2), &[1.0, -2.0], &mut x);
         assert_eq!(x.row(2), &[1.0, -2.0]);
         assert_eq!(sum_rows(&x), vec![3.0, -6.0]);
     }
@@ -781,8 +903,9 @@ mod tests {
 
     #[test]
     fn dropout_scales_survivors() {
-        let mut x = Matrix::from_vec(1, 10_000, vec![1.0; 10_000]);
-        let mask = dropout(&mut x, 0.5, 42);
+        let ones = Matrix::from_vec(1, 10_000, vec![1.0; 10_000]);
+        let (mut x, mut mask) = (Matrix::empty(), Vec::new());
+        dropout_into(&ones, 0.5, 42, &mut x, &mut mask);
         let kept = x.data().iter().filter(|v| **v > 0.0).count();
         // ~50% kept; survivors scaled to 2.0.
         assert!((kept as f64 / 10_000.0 - 0.5).abs() < 0.03);
@@ -809,8 +932,8 @@ mod tests {
 
     #[test]
     fn elu_matches_definition() {
-        let mut x = Matrix::from_vec(1, 2, vec![-1.0, 2.0]);
-        elu(&mut x, 1.0);
+        let mut x = Matrix::empty();
+        elu(&Matrix::from_vec(1, 2, vec![-1.0, 2.0]), 1.0, &mut x);
         assert!((x.get(0, 0) - ((-1.0f32).exp() - 1.0)).abs() < 1e-6);
         assert_eq!(x.get(0, 1), 2.0);
     }
@@ -853,8 +976,8 @@ mod tests {
             let a = randm(6, 4, seed);
             let b = randm(4, 5, seed + 1);
             let a2 = add(&a, &a);
-            let mut twice = matmul(&a, &b);
-            scale(&mut twice, 2.0);
+            let mut twice = Matrix::empty();
+            scale(&matmul(&a, &b), 2.0, &mut twice);
             prop_assert!(matmul(&a2, &b).max_abs_diff(&twice) < 1e-4);
         }
 

@@ -14,8 +14,20 @@
 //! * multiply and add are separate intrinsics (`_mm256_mul_ps` then
 //!   `_mm256_add_ps`), matching the two separately-rounded scalar ops —
 //!   intrinsics are never contraction-fused, so no implicit FMA;
-//! * the zero-skip rules of the scalar kernels (`av == 0.0 → skip`) are
-//!   applied to the same scalar operand before broadcasting.
+//! * the zero-skip rule of the wide kernels (`matmul_rowtile`,
+//!   `tn_accumulate`) arrives as a [`RowVisits`]: the visit list is the
+//!   reference's non-skipped `l`, ascending, so the register tile walks
+//!   it with no test on `arow`'s values — the same adds in the same order
+//!   as the scalar loop that `continue`s, without its mispredicts on
+//!   half-zero activations. The narrow kernels at the end of this file
+//!   keep their per-lane blend.
+//!
+//! Memory safety of the list walk: a listed `l` is `< arow.len()` by
+//! construction of the compaction ([`RowVisits::listed`] enumerates
+//! `arow`, and debug-asserts the result), and [`RowVisits`]' walk indexes
+//! `arow[l]` checked before handing `l` to the kernel; the `B` panel and
+//! accumulator bounds for every `l < arow.len()` are asserted by the safe
+//! dispatchers in [`super`] before any pointer is formed.
 
 // The safety contract is documented on the module; the `0..NV` loops
 // index both the register array and the `v * 8` lane offsets of raw
@@ -25,74 +37,71 @@
 
 use core::arch::x86_64::*;
 
+use super::RowVisits;
+
 /// `acc += av * b` on `NV` consecutive YMM lanes, accumulators kept in
-/// registers across the whole `l` loop. `NV` = 4 gives the 8x32 tile the
-/// blocked GEMM hands us; 2 and 1 mop up narrower tiles.
+/// registers across the whole walk over the visited `l`. `NV` = 4 gives
+/// the 8x32 tile the blocked GEMM hands us; 2 and 1 mop up narrower tiles.
+/// The loop body is straight-line either way: no test on `arow`'s values.
 #[target_feature(enable = "avx2")]
-unsafe fn rowtile_block<const NV: usize>(
-    arow: &[f32],
-    b: *const f32,
-    ldb: usize,
-    acc: *mut f32,
-    skip_zero: bool,
-) {
+unsafe fn rowtile_block<const NV: usize>(row: RowVisits, b: *const f32, ldb: usize, acc: *mut f32) {
     let mut r = [_mm256_setzero_ps(); NV];
     for v in 0..NV {
-        r[v] = _mm256_loadu_ps(acc.add(v * 8));
+        // SAFETY: the caller passes `acc` with `NV * 8` floats left.
+        r[v] = unsafe { _mm256_loadu_ps(acc.add(v * 8)) };
     }
-    for (l, &av) in arow.iter().enumerate() {
-        if skip_zero && av == 0.0 {
-            continue;
-        }
+    let step = |l: usize, av: f32| {
         let avv = _mm256_set1_ps(av);
-        let brow = b.add(l * ldb);
         for v in 0..NV {
-            let bv = _mm256_loadu_ps(brow.add(v * 8));
+            // SAFETY: `l < arow.len()` — `RowVisits::for_each` yields
+            // enumerated positions or listed ones (`< arow.len()` by
+            // construction of the compaction, and index-checked by the
+            // walk) — and the dispatcher's `check_rowtile_bounds` put
+            // `b[l*ldb..][..NV*8]` inside the panel for every such `l`.
+            let bv = unsafe { _mm256_loadu_ps(b.add(l * ldb + v * 8)) };
             r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(avv, bv));
         }
-    }
+    };
+    row.for_each(step);
     for v in 0..NV {
-        _mm256_storeu_ps(acc.add(v * 8), r[v]);
+        // SAFETY: as for the loads above.
+        unsafe { _mm256_storeu_ps(acc.add(v * 8), r[v]) };
     }
 }
 
-/// AVX2 matmul register tile: `acc[j] += arow[l] * b[l*ldb + j]`,
-/// ascending `l`, optional zero-skip. Caller checked that every row
-/// segment `b[l*ldb..l*ldb+acc.len()]` is in bounds.
+/// AVX2 matmul register tile: `acc[j] += arow[l] * b[l*ldb + j]` over the
+/// visited `l`, ascending. Caller checked that every row segment
+/// `b[l*ldb..l*ldb+acc.len()]`, `l < arow.len()`, is in bounds.
 #[target_feature(enable = "avx2")]
-pub unsafe fn matmul_rowtile(
-    arow: &[f32],
-    b: &[f32],
-    ldb: usize,
-    acc: &mut [f32],
-    skip_zero: bool,
-) {
+pub unsafe fn matmul_rowtile(row: RowVisits, b: &[f32], ldb: usize, acc: &mut [f32]) {
     let nb = acc.len();
     let bp = b.as_ptr();
     let ap = acc.as_mut_ptr();
     let mut j = 0;
+    // SAFETY (all three blocks): `j + NV*8 <= nb`, so the tile's columns
+    // lie inside `acc` and inside every checked row segment of `b`.
     while j + 32 <= nb {
-        rowtile_block::<4>(arow, bp.add(j), ldb, ap.add(j), skip_zero);
+        unsafe { rowtile_block::<4>(row, bp.add(j), ldb, ap.add(j)) };
         j += 32;
     }
     if j + 16 <= nb {
-        rowtile_block::<2>(arow, bp.add(j), ldb, ap.add(j), skip_zero);
+        unsafe { rowtile_block::<2>(row, bp.add(j), ldb, ap.add(j)) };
         j += 16;
     }
     if j + 8 <= nb {
-        rowtile_block::<1>(arow, bp.add(j), ldb, ap.add(j), skip_zero);
+        unsafe { rowtile_block::<1>(row, bp.add(j), ldb, ap.add(j)) };
         j += 8;
     }
     if j < nb {
-        for (l, &av) in arow.iter().enumerate() {
-            if skip_zero && av == 0.0 {
-                continue;
-            }
-            let brow = bp.add(l * ldb);
+        let step = |l: usize, av: f32| {
             for jj in j..nb {
-                *ap.add(jj) += av * *brow.add(jj);
+                // SAFETY: `jj < nb = acc.len()`, and `b[l*ldb + jj]` is in
+                // the row segment `check_rowtile_bounds` checked for this
+                // `l < arow.len()` (as in `rowtile_block`).
+                unsafe { *ap.add(jj) += av * *bp.add(l * ldb + jj) };
             }
-        }
+        };
+        row.for_each(step);
     }
 }
 
@@ -342,21 +351,25 @@ unsafe fn axpy_raw(acc: *mut f32, x: *const f32, n: usize, s: f32) {
 }
 
 /// AVX2 rank-1 panel update for `matmul_tn`: row `i` of the accumulator
-/// gets `arow[i] * brow`, with the reference's zero-skip on `arow[i]`.
+/// gets `arow[i] * brow` for every visited `i` (the reference's zero-skip
+/// on `arow[i]`, as a visit list).
 #[target_feature(enable = "avx2")]
-pub unsafe fn tn_accumulate(arow: &[f32], brow: &[f32], acc: &mut [f32], n: usize) {
-    assert!(arow.len() * n <= acc.len(), "tn_accumulate: acc too short");
+pub unsafe fn tn_accumulate(row: RowVisits, brow: &[f32], acc: &mut [f32], n: usize) {
     assert!(
-        n <= brow.len() || arow.is_empty(),
+        row.arow.len() * n <= acc.len(),
+        "tn_accumulate: acc too short"
+    );
+    assert!(
+        n <= brow.len() || row.arow.is_empty(),
         "tn_accumulate: brow too short"
     );
     let ap = acc.as_mut_ptr();
-    for (i, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        axpy_raw(ap.add(i * n), brow.as_ptr(), n, av);
-    }
+    // SAFETY: `i < arow.len()` — enumerated, or listed (`< arow.len()` by
+    // construction of the compaction, index-checked by the walk) — so
+    // `acc[i*n..][..n]` is inside `acc` by the first assert, and `brow`
+    // holds `n` floats by the second.
+    let step = |i: usize, av: f32| unsafe { axpy_raw(ap.add(i * n), brow.as_ptr(), n, av) };
+    row.for_each(step);
 }
 
 /// AVX2 `dst[j] += src[j]` (equal lengths asserted by the caller).

@@ -35,9 +35,16 @@
 //! * `edge_softmax_dst`, `edge_softmax_backward_dst`: lanes are heads; the
 //!   per-head max, denominator and dot run over the edges in order, and
 //!   `exp` is libm's, called per element at either level.
-//! * Zero-skip rules are per output element: a lane whose `a` operand is
-//!   `0.0` keeps its old value (blend), exactly as if the scalar loop had
-//!   `continue`d — observable when `B` holds an `inf`.
+//! * Zero-skip rules are per output element, and never a branch on the
+//!   data inside a hot loop. Where one `a` operand feeds a whole row of
+//!   lanes (`matmul_rowtile`, `tn_accumulate`) the kernel walks a
+//!   [`RowVisits`] list — the reference's non-skipped `l`, ascending,
+//!   built once per row segment and reused by every column tile — so it
+//!   performs exactly the reference's adds. Where the lanes hold different
+//!   `a` operands (the narrow kernels) a lane whose operand is `0.0` keeps
+//!   its old value (blend), exactly as if the scalar loop had `continue`d.
+//!   Either way the skip is observable when `B` holds an `inf`, which is
+//!   why multiplying by the zero is not an option.
 //! * No FMA contraction anywhere: the scalar paths (and the reference
 //!   oracles) round the multiply and the add separately, so the vector
 //!   paths use explicit `mul` + `add` intrinsics, never `fmadd`.
@@ -151,20 +158,100 @@ impl Pod for u64 {}
 // these loops before dispatch existed.
 // ---------------------------------------------------------------------------
 
-/// One matmul register tile, scalar: `acc[j] += arow[l] * b[l*ldb + j]`
-/// for every `l` in ascending order, skipping `arow[l] == 0.0` when
-/// `skip_zero` (the reference kernels' zero-skip rule).
-fn matmul_rowtile_scalar(arow: &[f32], b: &[f32], ldb: usize, acc: &mut [f32], skip_zero: bool) {
-    let nb = acc.len();
-    for (l, &av) in arow.iter().enumerate() {
-        if skip_zero && av == 0.0 {
-            continue;
+/// Longest row segment one visit list covers — the blocked GEMM's k-block
+/// depth, so a list's `u16` entries and its stack buffer are both small.
+pub const VISIT_CAP: usize = 256;
+
+/// Stack storage for one [`RowVisits`] list.
+pub type VisitBuf = [u16; VISIT_CAP];
+
+/// One row segment of `A` together with the positions a kernel visits of
+/// it: every `l`, or the ascending list of `l` with `arow[l] != 0.0` —
+/// exactly the `l` the reference loops do not `continue` past, in their
+/// order, so a kernel that walks the list performs the reference's adds
+/// and no others (`-0.0` is skipped, NaN is visited, as `== 0.0` decides).
+///
+/// Invariant (the fields are private so only the constructors establish
+/// it, and the AVX2 kernels rely on it for memory safety): `list` entries
+/// are strictly ascending and each is `< arow.len()`.
+#[derive(Clone, Copy)]
+pub struct RowVisits<'a> {
+    arow: &'a [f32],
+    list: Option<&'a [u16]>,
+}
+
+impl<'a> RowVisits<'a> {
+    /// Visit every element (kernels whose reference has no zero-skip).
+    #[inline]
+    pub fn all(arow: &'a [f32]) -> Self {
+        RowVisits { arow, list: None }
+    }
+
+    /// True when the segment holds a `±0.0` — something to skip. An
+    /// or-reduction, not `any`: no early exit, so it vectorises.
+    #[inline]
+    pub fn has_zero(&self) -> bool {
+        self.arow.iter().fold(false, |zero, &av| zero | (av == 0.0))
+    }
+
+    /// The same segment (at most [`VISIT_CAP`] long), visiting only its
+    /// nonzero elements: their positions are compacted into `buf`
+    /// branch-free — store the position, then advance by the comparison —
+    /// so no branch depends on the data.
+    #[inline]
+    pub fn listed(self, buf: &'a mut VisitBuf) -> Self {
+        assert!(self.arow.len() <= VISIT_CAP, "visit list: segment too long");
+        let mut n = 0;
+        for (l, &av) in self.arow.iter().enumerate() {
+            // `n <= l < VISIT_CAP`: the modulo changes nothing, it only
+            // spares the loop a bounds check (a third of its time).
+            buf[n % VISIT_CAP] = l as u16;
+            n += usize::from(av != 0.0);
         }
+        let list = &buf[..n];
+        debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(list.last().is_none_or(|&l| (l as usize) < self.arow.len()));
+        RowVisits {
+            arow: self.arow,
+            list: Some(list),
+        }
+    }
+
+    /// Visit the nonzero elements of `arow`. A segment with no zero in it
+    /// has nothing to skip and stays [`RowVisits::all`], so dense operands
+    /// run the plain loop with no list and no per-element test.
+    #[inline]
+    pub fn skipping_zeros(arow: &'a [f32], buf: &'a mut VisitBuf) -> Self {
+        let row = Self::all(arow);
+        if row.has_zero() {
+            row.listed(buf)
+        } else {
+            row
+        }
+    }
+
+    /// Call `f(l, arow[l])` for every visited position, ascending.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(usize, f32)) {
+        match self.list {
+            None => self.arow.iter().enumerate().for_each(|(l, &av)| f(l, av)),
+            Some(list) => list
+                .iter()
+                .for_each(|&l| f(l as usize, self.arow[l as usize])),
+        }
+    }
+}
+
+/// One matmul register tile, scalar: `acc[j] += arow[l] * b[l*ldb + j]`
+/// for every visited `l` in ascending order.
+fn matmul_rowtile_scalar(row: RowVisits, b: &[f32], ldb: usize, acc: &mut [f32]) {
+    let nb = acc.len();
+    row.for_each(|l, av| {
         let brow = &b[l * ldb..l * ldb + nb];
         for (a, &bv) in acc.iter_mut().zip(brow) {
             *a += av * bv;
         }
-    }
+    });
 }
 
 /// One spmm forward channel tile, scalar: for every edge source index,
@@ -234,17 +321,14 @@ fn scatter_scale(offsets: &[u32], d: usize, mean: bool) -> f32 {
 }
 
 /// One k-row's rank-1 update `acc[i*n..][j] += arow[i] * brow[j]`,
-/// scalar, with the matmul_tn zero-skip rule on `arow[i]`.
-fn tn_accumulate_scalar(arow: &[f32], brow: &[f32], acc: &mut [f32], n: usize) {
-    for (i, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
+/// scalar, over the visited `i` (the matmul_tn zero-skip rule).
+fn tn_accumulate_scalar(row: RowVisits, brow: &[f32], acc: &mut [f32], n: usize) {
+    row.for_each(|i, av| {
         let dst = &mut acc[i * n..(i + 1) * n];
         for (d, &bv) in dst.iter_mut().zip(brow) {
             *d += av * bv;
         }
-    }
+    });
 }
 
 /// g-SDDMM for one destination, scalar: `out[i*heads + h] = scale *
@@ -273,12 +357,21 @@ fn sddmm_dst_scalar(
 }
 
 /// `C = A·B` row by row, scalar (the narrow kernels' portable twin): each
-/// row of `C` accumulates `a[i,l] * b[l,:]` over ascending `l` from `0.0`.
+/// row of `C` accumulates `a[i,l] * b[l,:]` over ascending `l` from `0.0`,
+/// one [`VISIT_CAP`]-long segment of the row at a time.
 fn matmul_rows_scalar(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip: bool) {
     c.fill(0.0);
     if k > 0 {
+        let mut buf = [0; VISIT_CAP];
         for (crow, arow) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
-            matmul_rowtile_scalar(arow, b, n, crow, skip);
+            for (seg, bseg) in arow.chunks(VISIT_CAP).zip(b.chunks(VISIT_CAP * n)) {
+                let row = if skip {
+                    RowVisits::skipping_zeros(seg, &mut buf)
+                } else {
+                    RowVisits::all(seg)
+                };
+                matmul_rowtile_scalar(row, bseg, n, crow);
+            }
         }
     }
 }
@@ -343,26 +436,19 @@ fn check_rowtile_bounds(rows: usize, b_len: usize, ldb: usize, nb: usize) {
     }
 }
 
-/// `acc[j] += arow[l] * b[l*ldb + j]`, ascending `l`, optional zero-skip
-/// on `arow[l]`. The matmul register-tile inner loop.
+/// `acc[j] += arow[l] * b[l*ldb + j]` over the visited `l`, ascending. The
+/// matmul register-tile inner loop.
 #[inline]
-pub fn matmul_rowtile(
-    level: Level,
-    arow: &[f32],
-    b: &[f32],
-    ldb: usize,
-    acc: &mut [f32],
-    skip_zero: bool,
-) {
-    check_rowtile_bounds(arow.len(), b.len(), ldb, acc.len());
+pub fn matmul_rowtile(level: Level, row: RowVisits, b: &[f32], ldb: usize, acc: &mut [f32]) {
+    check_rowtile_bounds(row.arow.len(), b.len(), ldb, acc.len());
     match level {
-        Level::Scalar => matmul_rowtile_scalar(arow, b, ldb, acc, skip_zero),
+        Level::Scalar => matmul_rowtile_scalar(row, b, ldb, acc),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() only reports Avx2 when the host supports it, and
         // the bounds of every row segment were checked above.
-        Level::Avx2 => unsafe { avx2::matmul_rowtile(arow, b, ldb, acc, skip_zero) },
+        Level::Avx2 => unsafe { avx2::matmul_rowtile(row, b, ldb, acc) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => matmul_rowtile_scalar(arow, b, ldb, acc, skip_zero),
+        Level::Avx2 => matmul_rowtile_scalar(row, b, ldb, acc),
     }
 }
 
@@ -429,8 +515,10 @@ pub fn spmm_scatter_rowtile(
 
 /// A run of `matmul_tn` k-rows: for each row `l` of `a: [rows, m]` and `b:
 /// [rows, n]` in order, `acc[i*n + j] += a[l,i] * b[l,j]` with the
-/// zero-skip rule on `a[l,i]`. At `n <= 8` the AVX2 level sweeps `acc`
-/// flat instead of one sub-vector row at a time.
+/// zero-skip rule on `a[l,i]` — each k-row is walked by the visit list of
+/// its nonzero `i`, one [`VISIT_CAP`]-long segment at a time. At `n <= 8`
+/// the AVX2 level sweeps `acc` flat instead of one sub-vector row at a
+/// time.
 #[inline]
 pub fn tn_accumulate_rows(level: Level, a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut [f32]) {
     assert!(
@@ -439,15 +527,24 @@ pub fn tn_accumulate_rows(level: Level, a: &[f32], m: usize, b: &[f32], n: usize
     );
     assert_eq!(b.len(), a.len() / m * n, "tn_accumulate: B rows");
     assert!(m * n <= acc.len(), "tn_accumulate: acc too short");
-    let rows = a.chunks_exact(m).zip(b.chunks_exact(n));
-    match level {
-        #[cfg(target_arch = "x86_64")]
+    #[cfg(target_arch = "x86_64")]
+    if level == Level::Avx2 && n <= 8 {
         // SAFETY: AVX2 verified by level(); slice shapes asserted above.
-        Level::Avx2 if n <= 8 => unsafe { avx2::tn_accumulate_narrow(a, m, b, n, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => rows.for_each(|(ar, br)| unsafe { avx2::tn_accumulate(ar, br, acc, n) }),
-        _ => rows.for_each(|(ar, br)| tn_accumulate_scalar(ar, br, acc, n)),
+        return unsafe { avx2::tn_accumulate_narrow(a, m, b, n, acc) };
+    }
+    let mut buf = [0; VISIT_CAP];
+    for (ar, br) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        for (seg, aseg) in ar.chunks(VISIT_CAP).zip(acc.chunks_mut(VISIT_CAP * n)) {
+            let row = RowVisits::skipping_zeros(seg, &mut buf);
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: AVX2 verified by level(); `aseg` holds the
+                // segment's `seg.len() * n` accumulators (asserted above,
+                // and again by the kernel) and `br` is `n` long.
+                Level::Avx2 => unsafe { avx2::tn_accumulate(row, br, aseg, n) },
+                _ => tn_accumulate_scalar(row, br, aseg, n),
+            }
+        }
     }
 }
 

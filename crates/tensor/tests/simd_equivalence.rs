@@ -18,7 +18,16 @@
 //! way, always writing into dirty (NaN-filled, wrongly shaped) pooled
 //! buffers. Nothing is `#[cfg]`-gated: off x86, or under CI's
 //! `WG_SIMD=scalar` leg, the scalar-vs-reference comparisons still run.
+//!
+//! The last part pins what the training loop actually feeds the dense
+//! path (the checks live in `common/mod.rs`, shared with the two-worker
+//! leg): matmuls whose `A` is 0–100 % zeros with `±inf`/NaN behind the
+//! skipped entries, every elementwise op against its one-line scalar
+//! definition on special values, and dropout against the loop it replaced.
 
+mod common;
+
+use common::{assert_bits_eq, dirty, levels, mat};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -34,11 +43,6 @@ use wg_tensor::sparse::{
     spmm_into_with, spmm_reference, Agg, BlockCsr, ReverseScratch,
 };
 use wg_tensor::Matrix;
-
-fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
-}
 
 fn block(dst: usize, src: usize, fanout: usize, seed: u64) -> BlockCsr {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -61,22 +65,6 @@ fn block(dst: usize, src: usize, fanout: usize, seed: u64) -> BlockCsr {
         indices,
         dup_count: dup,
     }
-}
-
-fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
-    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
-    }
-}
-
-/// Both SIMD levels on the host: `Scalar` always, `Avx2` when supported.
-fn levels() -> Vec<Level> {
-    let mut l = vec![Level::Scalar];
-    if simd::avx2_available() {
-        l.push(Level::Avx2);
-    }
-    l
 }
 
 /// Shapes that straddle every lane-block boundary of the 8/16/32-wide
@@ -266,11 +254,6 @@ fn copy_slice_matches_at_every_level_and_width() {
             assert_eq!(dst64, src64);
         }
     }
-}
-
-/// A pooled buffer as a kernel may find it: wrong shape, NaN contents.
-fn dirty() -> Matrix {
-    Matrix::from_fn(3, 5, |_, _| f32::NAN)
 }
 
 /// A block whose destination `d` has exactly `degrees[d]` sampled edges.
@@ -586,5 +569,84 @@ proptest! {
     ) {
         check_matmuls(m, wide, narrow, seed);
         check_matmuls(m, narrow, wide, seed ^ 0xf00d);
+    }
+}
+
+/// Every kind of row-block a visit list can meet, side by side in one
+/// band, at each output width.
+#[test]
+fn visit_lists_cover_empty_dense_and_mixed_row_blocks() {
+    for (i, &n) in common::WIDTHS.iter().enumerate() {
+        common::check_mixed_row_blocks(n, 70 + i as u64);
+    }
+}
+
+/// The whole zero-share x k x width grid once, deterministically (the
+/// proptest below samples it with random `m` and seeds).
+#[test]
+fn zero_share_matmuls_match_their_oracles_on_the_grid() {
+    for (s, &share) in common::ZERO_SHARES.iter().enumerate() {
+        for (i, &k) in common::K_STRADDLING_KB.iter().enumerate() {
+            let n = common::WIDTHS[(s + i) % common::WIDTHS.len()];
+            common::check_zero_share_matmuls(9 + i, k, n, share, 10 * s as u64 + i as u64);
+        }
+        // `tn` walks a k-row of `A: [k, m]` by visit list: m past one list.
+        common::check_zero_share_matmuls(300, 17, 16, share, 60 + s as u64);
+        common::check_zero_share_matmuls(513, 9, 47, share, 65 + s as u64);
+    }
+}
+
+/// Lengths below, at and across the 8-lane, 32-lane and 4096-element
+/// chunk boundaries of the elementwise kernels.
+#[test]
+fn elementwise_ops_match_their_scalar_definitions() {
+    for (i, &(rows, cols)) in [
+        (1usize, 1usize),
+        (1, 7),
+        (3, 11),
+        (1, 32),
+        (5, 37),
+        (2, 4099),
+    ]
+    .iter()
+    .enumerate()
+    {
+        common::check_elementwise(rows, cols, 500 + i as u64);
+    }
+}
+
+#[test]
+fn dropout_matches_the_loop_it_replaced() {
+    for (i, &(rows, cols)) in [(1usize, 1usize), (3, 1), (7, 33), (1, 1000), (40, 256)]
+        .iter()
+        .enumerate()
+    {
+        common::check_dropout(rows, cols, 900 + i as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn zero_share_matmuls_match_on_random_shapes(
+        m in 1usize..40,
+        k in 0usize..8,
+        n in 0usize..4,
+        share in 0usize..5,
+        seed in 0u64..10_000,
+    ) {
+        let (k, n) = (common::K_STRADDLING_KB[k], common::WIDTHS[n]);
+        common::check_zero_share_matmuls(m, k, n, common::ZERO_SHARES[share], seed);
+    }
+
+    #[test]
+    fn elementwise_and_dropout_match_on_random_shapes(
+        rows in 1usize..9,
+        cols in 1usize..700,
+        seed in 0u64..10_000,
+    ) {
+        common::check_elementwise(rows, cols, seed);
+        common::check_dropout(rows, cols, seed);
     }
 }

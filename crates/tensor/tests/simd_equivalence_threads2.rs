@@ -6,26 +6,17 @@
 //! the SIMD lane blocking is inside each worker's tile, orthogonal to
 //! the pool schedule, so forced-scalar and forced-AVX2 must still agree
 //! bitwise, and both must match the within-process sequential schedule.
+//! The zero-share, elementwise and dropout checks of `common/mod.rs` run
+//! here a second time, on that pool.
 
-use rand::prelude::*;
-use rand::rngs::SmallRng;
+mod common;
+
+use common::{assert_bits_eq, mat};
 use wg_tensor::ops::{
     matmul_into_with, matmul_nt_into_with, matmul_reference, matmul_tn_into_with,
 };
 use wg_tensor::simd::{self, Level};
 use wg_tensor::Matrix;
-
-fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
-}
-
-fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
-    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
-    }
-}
 
 #[test]
 fn simd_levels_agree_on_two_workers() {
@@ -72,5 +63,14 @@ fn simd_levels_agree_on_two_workers() {
             assert_bits_eq(&pair[0].2, &pair[1].2, "matmul_nt cross-level 2-worker");
         }
     }
+    // The training loop's own traffic on the two-worker pool: a slice of
+    // the zero-share grid, wide enough for several bands per worker, and
+    // the elementwise / dropout kernels across their chunk boundaries.
+    for (i, &share) in common::ZERO_SHARES.iter().enumerate() {
+        common::check_zero_share_matmuls(70, 300, common::WIDTHS[i % 4], share, 80 + i as u64);
+    }
+    common::check_mixed_row_blocks(100, 90);
+    common::check_elementwise(9, 4099, 91);
+    common::check_dropout(130, 257, 92);
     assert!(width >= 1);
 }
