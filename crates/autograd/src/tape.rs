@@ -229,7 +229,7 @@ impl Tape {
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let mut v = self
             .ws
-            .matrix_with_capacity(self.nodes[a.0].value.rows() * self.nodes[b.0].value.cols());
+            .matrix_stale(self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
         ops::matmul_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
         self.push(v, Op::Matmul(a, b))
     }
@@ -428,7 +428,7 @@ impl Tape {
                 if self.needs(a) {
                     let mut ga = self
                         .ws
-                        .matrix_with_capacity(grad.rows() * self.nodes[b.0].value.rows());
+                        .matrix_stale(grad.rows(), self.nodes[b.0].value.rows());
                     ops::matmul_nt_into(
                         grad,
                         &self.nodes[b.0].value,
@@ -440,7 +440,7 @@ impl Tape {
                 if self.needs(b) {
                     let mut gb = self
                         .ws
-                        .matrix_with_capacity(self.nodes[a.0].value.cols() * grad.cols());
+                        .matrix_stale(self.nodes[a.0].value.cols(), grad.cols());
                     ops::matmul_tn_into(
                         &self.nodes[a.0].value,
                         grad,

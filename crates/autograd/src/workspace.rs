@@ -27,7 +27,7 @@ pub struct Workspace {
     u32_pool: Vec<Vec<u32>>,
     /// Partial-sum slab for [`wg_tensor::ops::matmul_tn_into`].
     pub tn_scratch: Vec<f32>,
-    /// Transposed-`B` panel for [`wg_tensor::ops::matmul_nt_into`].
+    /// `Bᵀ`, packed into panels, for [`wg_tensor::ops::matmul_nt_into`].
     pub nt_scratch: Vec<f32>,
     /// Transposed-CSR scratch for
     /// [`wg_tensor::sparse::spmm_backward_src_into`].
@@ -124,11 +124,17 @@ impl Workspace {
         Matrix::from_vec(rows, cols, buf)
     }
 
-    /// A pooled matrix shaped like `like`, holding stale values
-    /// ([`Workspace::take_f32_stale`]) — the output of a one-pass `(src,
-    /// dst)` kernel that overwrites every element.
+    /// A pooled `rows × cols` matrix holding stale values
+    /// ([`Workspace::take_f32_stale`]) — the output of a kernel that
+    /// overwrites every element (the one-pass `(src, dst)` ops, the
+    /// blocked matmuls).
+    pub fn matrix_stale(&mut self, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_vec(rows, cols, self.take_f32_stale(rows * cols))
+    }
+
+    /// [`Workspace::matrix_stale`] in the shape of `like`.
     pub fn matrix_stale_like(&mut self, like: &Matrix) -> Matrix {
-        Matrix::from_vec(like.rows(), like.cols(), self.take_f32_stale(like.len()))
+        self.matrix_stale(like.rows(), like.cols())
     }
 
     /// A pooled copy of `src`.

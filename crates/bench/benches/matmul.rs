@@ -13,7 +13,10 @@
 //! `A` with 0 / 50 / 90 % exact zeros (post-dropout and post-ReLU
 //! activations) at the paper shape 25 531x256x256 and at `train_input`'s
 //! dense 21 795x100x16, forward (`A·B`) and `tn` (`Aᵀ·G`, the weight
-//! gradient, whose zero-skip is on the same `A`). The `elementwise` group
+//! gradient, whose zero-skip is on the same `A`), plus two dense rows: `nt`
+//! (`G·Wᵀ`, the other gradient) at the paper shape, and the forward at
+//! `n = 272` — the control for the L1 set aliasing a row-major `B` suffers
+//! at exactly `n = 256` and packed panels do not. The `elementwise` group
 //! times the activation and dropout kernels on sign-random data at
 //! 25 531x256 — the operands whose sign or zero test used to mispredict
 //! every other element.
@@ -22,7 +25,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_tensor::ops::{
-    dropout_into, elu, elu_backward, leaky_relu, matmul_into, matmul_into_with,
+    dropout_into, elu, elu_backward, leaky_relu, matmul_into, matmul_into_with, matmul_nt_into,
     matmul_nt_into_with, matmul_nt_reference, matmul_reference, matmul_tn_into,
     matmul_tn_into_with, matmul_tn_reference, relu, relu_backward,
 };
@@ -186,6 +189,31 @@ fn bench_matmul_zeros(c: &mut Criterion) {
             });
         }
     }
+    // The gradient through the weights at the paper shape: `G · Wᵀ` with a
+    // dense `G` — no zero to skip, every row takes the 2-row tile.
+    let (g, w) = mats(25_531, 256, 256, 24);
+    let (mut out, mut scratch) = (Matrix::empty(), Vec::new());
+    let id = "paper25531x256x256/zeros0";
+    group.bench_with_input(BenchmarkId::new("blocked_nt", id), &(), |bch, _| {
+        bch.iter(|| {
+            matmul_nt_into(black_box(&g), black_box(&w), &mut out, &mut scratch);
+            black_box(out.rows())
+        });
+    });
+    // The aliasing control. A row-major `B` at n = 256 puts a tile's panel
+    // rows exactly 1 KiB apart — 8 of the L1D's 64 sets — and at n = 272
+    // it does not: the strided kernel ran 28.0 vs 22.8 GFLOP/s on these two.
+    // Read through packed panels the layout of `B` is the same for both, so
+    // this row and `blocked/paper25531x256x256/zeros0` must agree per flop
+    // (272/256 = 1.0625x the time).
+    let (a, b) = mats(25_531, 256, 272, 26);
+    let id = "alias25531x256x272/zeros0";
+    group.bench_with_input(BenchmarkId::new("blocked", id), &(), |bch, _| {
+        bch.iter(|| {
+            matmul_into(black_box(&a), black_box(&b), &mut out);
+            black_box(out.rows())
+        });
+    });
     group.finish();
 }
 

@@ -21,8 +21,29 @@ use crate::simd::{self, Level, RowVisits};
 //   * the plain name — an allocating convenience wrapper over `*_into`.
 //
 // Shapes with a narrow side (n <= 8 or k <= 8 — GAT's `h·a_src` products
-// and their gradients) leave the 8x32 register tile almost empty, so the
-// `*_into` kernels pick a narrow kernel by shape; same sums, same bits.
+// and their gradients) leave the register tile almost empty, so the
+// `*_into` kernels pick a narrow kernel by shape — before anything is
+// packed: the narrow kernels read row-major `B`. Same sums, same bits.
+//
+// Everything wider runs ONE body, `gemm_block`, and reads `B` only
+// through **packed panels**: `B`'s columns cut into `NR = 32`-wide panels,
+// each stored `[k][nb]` contiguous (the ragged last panel keeps its own
+// width `nb`, so `n = 47` does 32 + 15 lanes of work, not 64), panel after
+// panel. A row-major `B` at `ldb = n = 256` spreads the `KB x NR` block a
+// tile sweeps over 256 segments of 128 B, one KiB apart — 512 cache lines
+// that fall into 8 of the L1D's 64 sets, i.e. 96 lines of room for 512 —
+// so the "L1-sized" panel was re-fetched from L2 for every row; packed,
+// it is 32 KiB of consecutive lines and really is L1-resident. The copy
+// is made once per call (`matmul`: into this thread's scratch;
+// `matmul_nt`: `Bᵀ` is written straight into the layout; `matmul_tn`:
+// per 512-row chunk, see `tn_chunk`); a `B` of at most `NR` columns
+// already *is* its one panel and is used in place. `C` is cut into row
+// blocks of `MC = 64` rows, one parallel task each, and a block loops
+// k-block → visit lists (once per row) → panel → rows, so each panel
+// k-block is loaded once per 64 rows instead of once per row. Rows with
+// nothing to skip go through the register tile two at a time, sharing
+// the panel loads (`simd::matmul_rowtile2`); the first k-block of a tile
+// starts from zero registers, so `C` is never zero-filled.
 //
 // Determinism contract: for every output element the blocked kernels add
 // contributions in ascending-k order with exactly the reference kernels'
@@ -37,9 +58,9 @@ use crate::simd::{self, Level, RowVisits};
 // kernels — post-dropout(0.5) and post-ReLU activations, ~50 % exact
 // zeros — that test inside the register tile mispredicts every other
 // element and gives back everything the skipped work saved. So the
-// blocked kernels build, once per (band row, k-block), the ascending list
+// blocked kernels build, once per (block row, k-block), the ascending list
 // of the reference's non-skipped `l` ([`RowVisits`], compacted
-// branch-free on the stack) and every column tile of that row-block walks
+// branch-free on the stack) and every panel's tile of that row walks
 // the list: the same adds in the same order, hence the same bits, with
 // no test on the data in the hot loop. A row-block with no zero in it has
 // nothing to skip and runs the plain loop without a list (dense operands
@@ -49,13 +70,13 @@ use crate::simd::{self, Level, RowVisits};
 // accumulator and whenever `b` is infinite or NaN.
 // ---------------------------------------------------------------------------
 
-/// Rows of `C` handled per parallel task — the `B` panel loaded into cache
-/// for one (k-block × column-tile) is reused across this many rows.
-const MR: usize = 8;
-/// Column-tile width: per-row accumulators for one tile live in registers.
-const NR: usize = 32;
-/// k-block depth: one `B` panel is `KB × NR` floats (32 KiB) — L1-sized —
-/// and one visit list covers one row's k-block.
+/// Rows of `C` per parallel task: one row block. Every `B` panel is read
+/// from L1 by all of the block's rows before the next panel replaces it.
+const MC: usize = 64;
+/// Panel width: per-row accumulators for one tile live in registers.
+const NR: usize = simd::TILE_COLS;
+/// k-block depth: one `B` panel k-block is `KB × NR` contiguous floats
+/// (32 KiB) — L1-sized — and one visit list covers one row's k-block.
 const KB: usize = simd::VISIT_CAP;
 /// At most this many columns (`n`) or inner terms (`k`) selects a narrow
 /// kernel: one YMM register's worth.
@@ -89,11 +110,13 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `C = A · B` into a caller-provided output (re-shaped in place, capacity
-/// reused). Cache-blocked: parallel over `MR`-row bands, k-blocked so the
-/// `KB × NR` panel of `B` stays cache-resident across the band's rows, and
-/// each row × column-tile accumulates in an `NR`-wide register tile.
-/// Bit-identical to [`matmul_reference`] (ascending-k adds, same
-/// zero-skip) at any thread count.
+/// reused; stale contents are overwritten, not cleared). Cache-blocked:
+/// `B` is packed once into `NR`-wide panels (this thread's scratch — warm
+/// calls allocate nothing), then 64-row blocks run in parallel, each
+/// k-block's panel staying L1-resident across the block's rows and each
+/// row × panel accumulating in a register tile. Bit-identical to
+/// [`matmul_reference`] (ascending-k adds, same zero-skip) at any thread
+/// count.
 pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     matmul_into_with(simd::level(), a, b, c);
 }
@@ -102,17 +125,83 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// pin the scalar and AVX2 paths against each other bitwise.
 pub fn matmul_into_with(level: Level, a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
-    blocked_gemm_into(level, a, b.data(), b.cols(), c, true);
+    let (k, n) = (b.rows(), b.cols());
+    if is_narrow(k, n) || n <= NR {
+        // Row-major `B` is what the narrow kernels read, and up to `NR`
+        // columns it *is* its own single panel: nothing to pack.
+        return blocked_gemm_into(level, a, b.data(), n, c, true);
+    }
+    with_scratch(|panels| {
+        panels.resize(k * n, 0.0);
+        pack_row_major(b.data(), k, n, panels);
+        blocked_gemm_into(level, a, panels, n, c, true);
+    });
 }
 
-/// The shared GEMM body: `C = A · B` with `B` given as a row-major
-/// `[a.cols(), n]` slice — cache-blocked, or one of the narrow kernels
-/// when `n` or `k` is at most [`NARROW`]. `skip_zero` selects the reference
-/// zero-skip rule (`matmul` skips `a[i,l] == 0.0`; `matmul_nt`'s oracle
-/// does not skip), applied as one visit list per band row and k-block.
-/// The register tile itself is [`simd::matmul_rowtile`], which adds the
-/// visited contributions in ascending-`l` order per element at either
-/// level.
+/// True for the shapes the narrow kernels serve (they read row-major `B`).
+fn is_narrow(k: usize, n: usize) -> bool {
+    n > 0 && (n <= NARROW || (1..=NARROW).contains(&k))
+}
+
+thread_local! {
+    /// This thread's packing scratch: `B`'s panels for a forward product
+    /// (on the calling thread), a `matmul_tn` chunk's transposed `A` strip
+    /// and packed `B` (on the worker running the chunk). It grows to the
+    /// largest operand the thread has packed — `k · n` floats, 256 KiB at
+    /// the paper's 256 x 256; `TN_CHUNK · n + MC · TN_LDA` floats, 644 KiB,
+    /// for a chunk — and is then reused, so warm calls allocate nothing.
+    static SCRATCH: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Run `f` with this thread's scratch. The buffer is *taken* for the
+/// duration, so a nested use on the same thread (a worker that steals
+/// another product while it waits on this one's tasks) finds an empty one
+/// and allocates its own instead of aliasing this one.
+fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    let mut buf = SCRATCH.take();
+    let out = f(&mut buf);
+    SCRATCH.set(buf);
+    out
+}
+
+/// Lay a `[k, n]` operand out as `width`-wide column panels, each `[k][nb]`
+/// contiguous (`nb = width` but for a ragged last panel, which keeps its
+/// own width), panel after panel: the panel of columns `j0..j0+nb` starts
+/// at `k * j0`. `fill(l, j0, dst)` writes elements `(l, j0..j0 + dst.len())`
+/// of the operand into `dst`; every float of `out` (`k * n` long) is
+/// written, so it may come in stale.
+fn pack_panels(
+    k: usize,
+    n: usize,
+    width: usize,
+    out: &mut [f32],
+    fill: impl Fn(usize, usize, &mut [f32]),
+) {
+    debug_assert_eq!(out.len(), k * n);
+    if out.is_empty() {
+        return;
+    }
+    for (p, panel) in out.chunks_mut(k * width).enumerate() {
+        let nb = panel.len() / k;
+        for (l, dst) in panel.chunks_exact_mut(nb).enumerate() {
+            fill(l, p * width, dst);
+        }
+    }
+}
+
+/// [`pack_panels`] of a row-major `b: [k, n]` into `NR`-wide panels.
+fn pack_row_major(b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    pack_panels(k, n, NR, out, |l, j0, dst| {
+        dst.copy_from_slice(&b[l * n + j0..][..dst.len()]);
+    });
+}
+
+/// The shared GEMM driver: `C = A · B` with `B` given as `NR`-wide packed
+/// panels (see [`pack_panels`]; a `B` of at most `NR` columns is its own
+/// panel) — or, for the shapes [`is_narrow`] names, row-major for one of
+/// the narrow kernels. `skip_zero` selects the reference zero-skip rule
+/// (`matmul` skips `a[i,l] == 0.0`; `matmul_nt`'s oracle does not skip).
+/// Parallel over row blocks; each block is one call of [`gemm_block`].
 fn blocked_gemm_into(
     level: Level,
     a: &Matrix,
@@ -123,11 +212,15 @@ fn blocked_gemm_into(
 ) {
     let (m, k) = (a.rows(), a.cols());
     debug_assert_eq!(b.len(), k * n);
-    c.reset_shape(m, n);
-    if n > 0 && (n <= NARROW || (1..=NARROW).contains(&k)) {
+    if k == 0 || n == 0 {
+        return c.reset_shape(m, n);
+    }
+    // Stale contents stay: every kernel below overwrites all of `C`.
+    c.set_shape(m, n);
+    if is_narrow(k, n) {
         c.data_mut()
             .par_chunks_mut(n * NARROW_BAND)
-            .zip(a.data().par_chunks((k * NARROW_BAND).max(1)))
+            .zip(a.data().par_chunks(k * NARROW_BAND))
             .for_each(|(cband, aband)| {
                 if n <= NARROW {
                     simd::matmul_narrow_n(level, aband, k, b, n, cband, skip_zero);
@@ -138,45 +231,72 @@ fn blocked_gemm_into(
         return;
     }
     c.data_mut()
-        .par_chunks_mut((n * MR).max(1))
-        .enumerate()
-        .for_each(|(band, cband)| {
-            let i0 = band * MR;
-            let band_rows = cband.len() / n.max(1);
-            // Visit-list storage, on the stack, touched only once a zero
-            // turns up: a dense operand never pays for clearing it.
-            let mut bufs = None;
-            let mut k0 = 0;
-            while k0 < k {
-                let k1 = k.min(k0 + KB);
-                let mut rows = [RowVisits::all(&[]); MR];
-                for (bi, row) in rows[..band_rows].iter_mut().enumerate() {
-                    *row = RowVisits::all(&a.row(i0 + bi)[k0..k1]);
+        .par_chunks_mut(n * MC)
+        .zip(a.data().par_chunks(k * MC))
+        .for_each(|(cblock, ablock)| gemm_block(level, ablock, k, k, b, n, cblock, skip_zero));
+}
+
+/// The one blocked body — `matmul`, `matmul_nt` and every wide `matmul_tn`
+/// chunk end here. One row block: `c: [rows <= MC, n]` gets rows
+/// `a[i*lda..][..k]` times the packed `B`. Loop order: k-block → the
+/// block's visit lists (one per row, built once and shared by every panel)
+/// → panel → rows, so the `KB x NR` panel k-block — 32 KiB, contiguous —
+/// is fetched into L1 once and read by all of the block's rows. Rows with
+/// nothing to skip in this k-block go two at a time through
+/// [`simd::matmul_rowtile2`], sharing the panel loads; a row with a visit
+/// list takes [`simd::matmul_rowtile`] alone (two lists do not line up).
+/// Which rows pair up decides only who computes an element when — each
+/// `c[i,j]` is its own ascending-`l` sum either way, started from `0.0`
+/// in the first k-block, so `c`'s stale contents never matter.
+#[allow(clippy::too_many_arguments)]
+fn gemm_block(
+    level: Level,
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    panels: &[f32],
+    n: usize,
+    c: &mut [f32],
+    skip_zero: bool,
+) {
+    let rows = c.len() / n;
+    debug_assert!(rows <= MC && k <= lda && (rows - 1) * lda + k <= a.len());
+    // Visit-list storage, on the stack, touched only once a zero turns
+    // up: a dense operand never pays for clearing it.
+    let mut bufs = None;
+    for k0 in (0..k).step_by(KB) {
+        let k1 = k.min(k0 + KB);
+        let mut visits = [RowVisits::all(&[]); MC];
+        for (i, row) in visits[..rows].iter_mut().enumerate() {
+            *row = RowVisits::all(&a[i * lda + k0..i * lda + k1]);
+        }
+        if skip_zero {
+            let zeros = visits.map(|row| row.has_zero());
+            if zeros.contains(&true) {
+                let bufs = bufs.get_or_insert([[0; KB]; MC]);
+                for ((row, buf), _) in visits.iter_mut().zip(bufs).zip(zeros).filter(|z| z.1) {
+                    *row = row.listed(buf);
                 }
-                // One visit list per band row and k-block, shared by every
-                // column tile below; rows with nothing to skip keep `all`.
-                let zeros = rows.map(|row| skip_zero && row.has_zero());
-                if zeros.contains(&true) {
-                    let bufs = bufs.get_or_insert([[0; KB]; MR]);
-                    for ((row, buf), _) in rows.iter_mut().zip(bufs).zip(zeros).filter(|z| z.1) {
-                        *row = row.listed(buf);
-                    }
-                }
-                let mut j0 = 0;
-                while j0 < n {
-                    let nb = NR.min(n - j0);
-                    for (bi, &row) in rows[..band_rows].iter().enumerate() {
-                        let crow = &mut cband[bi * n + j0..bi * n + j0 + nb];
-                        let mut acc = [0.0f32; NR];
-                        acc[..nb].copy_from_slice(crow);
-                        simd::matmul_rowtile(level, row, &b[k0 * n + j0..], n, &mut acc[..nb]);
-                        crow.copy_from_slice(&acc[..nb]);
-                    }
-                    j0 += nb;
-                }
-                k0 = k1;
             }
-        });
+        }
+        for j0 in (0..n).step_by(NR) {
+            let nb = NR.min(n - j0);
+            let panel = &panels[k * j0 + k0 * nb..k * j0 + k1 * nb];
+            let mut i = 0;
+            while i < rows {
+                let (at, first) = (i * n + j0, k0 == 0);
+                let next = visits[..rows].get(i + 1).and_then(RowVisits::dense);
+                if let (Some(a0), Some(a1)) = (visits[i].dense(), next) {
+                    let tile = &mut c[at..at + n + nb];
+                    simd::matmul_rowtile2(level, a0, a1, panel, tile, n, first);
+                    i += 2;
+                } else {
+                    simd::matmul_rowtile(level, visits[i], panel, &mut c[at..at + nb], first);
+                    i += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Allocating wrapper over [`matmul_into`].
@@ -261,7 +381,10 @@ fn tree_reduce_partials(partials: &mut [Vec<f32>]) -> Vec<f32> {
 /// floats, capacity reused across calls) instead of per-chunk `Vec`s, and
 /// are merged by the same midpoint tree as [`matmul_tn_reference`] — same
 /// chunk boundaries, same merge order, bit-identical output, zero steady-
-/// state allocations.
+/// state allocations. Each chunk's partial is one product `Aᵀ_chunk ·
+/// B_chunk` computed on the blocked GEMM body, the chunk's `A` transposed a
+/// strip at a time (or, for a `B` of at most eight columns, by the
+/// flat-sweep narrow kernel).
 pub fn matmul_tn_into(a: &Matrix, b: &Matrix, c: &mut Matrix, scratch: &mut Vec<f32>) {
     matmul_tn_into_with(simd::level(), a, b, c, scratch);
 }
@@ -277,12 +400,11 @@ pub fn matmul_tn_into_with(
     assert_eq!(a.rows(), b.rows(), "matmul_tn shape mismatch");
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
     let stride = m * n;
-    c.reset_shape(m, n);
     if k == 0 || stride == 0 {
-        return;
+        return c.reset_shape(m, n);
     }
     let nchunks = k.div_ceil(TN_CHUNK);
-    scratch.clear();
+    // Stale contents stay: every chunk overwrites its whole partial.
     scratch.resize(nchunks * stride, 0.0);
     scratch
         .par_chunks_mut(stride)
@@ -291,10 +413,52 @@ pub fn matmul_tn_into_with(
             let lo = ci * TN_CHUNK;
             let hi = k.min(lo + TN_CHUNK);
             let (ad, bd) = (&a.data()[lo * m..hi * m], &b.data()[lo * n..hi * n]);
-            simd::tn_accumulate_rows(level, ad, m, bd, n, acc);
+            if n > NARROW || !simd::tn_accumulate_narrow(level, ad, m, bd, n, acc) {
+                with_scratch(|buf| tn_chunk(level, ad, m, bd, n, acc, buf));
+            }
         });
     tree_reduce_slabs(level, &mut scratch[..nchunks * stride], nchunks, stride);
+    c.set_shape(m, n);
     c.data_mut().copy_from_slice(&scratch[..stride]);
+}
+
+/// Row stride of a chunk's transposed `A` strip: a chunk's length plus one
+/// cache line, so the strip's rows do not all land in the same L1 sets
+/// (at exactly 2 KiB apart they would share two of the 64).
+const TN_LDA: usize = TN_CHUNK + 16;
+
+/// One `matmul_tn` chunk, `acc: [m, n] = aᵀ · b` for `a: [rows, m]`, `b:
+/// [rows, n]`, `rows <= TN_CHUNK` — as calls of the forward's body. `b` is
+/// packed into panels once; then, [`MC`] columns of `a` at a time, the
+/// strip is transposed into `MC` rows of `buf` and [`gemm_block`] runs on
+/// it. Per `(i, j)` the adds are still ascending `l` with the skip on
+/// `a[l,i] == 0.0` (the body's visit lists now run over `l`), summed from
+/// `0.0` — exactly [`tn_accumulate_row`] applied to the chunk's rows in
+/// order.
+fn tn_chunk(
+    level: Level,
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    acc: &mut [f32],
+    buf: &mut Vec<f32>,
+) {
+    let rows = b.len() / n;
+    let packed = if n > NR { rows * n } else { 0 };
+    buf.resize(MC * TN_LDA + packed, 0.0);
+    let (strip, panels) = buf.split_at_mut(MC * TN_LDA);
+    let panels = if n > NR {
+        pack_row_major(b, rows, n, panels);
+        &*panels
+    } else {
+        b
+    };
+    for (block, cblock) in acc.chunks_mut(n * MC).enumerate() {
+        let (i0, cols) = (block * MC, cblock.len() / n);
+        simd::transpose(level, &a[i0..], m, rows, cols, strip, TN_LDA);
+        gemm_block(level, strip, TN_LDA, rows, panels, n, cblock, true);
+    }
 }
 
 /// Slab form of [`tree_reduce_partials`]: reduce `count` contiguous
@@ -347,13 +511,15 @@ pub fn matmul_nt_reference(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `C = A · Bᵀ` into a caller-provided output, with `scratch` a pooled
-/// buffer that holds `Bᵀ` (`[k, n]` row-major, capacity reused across
-/// calls). A per-cell dot product reduces over `k` — the one shape a
-/// column-lane SIMD kernel cannot vectorize without re-associating the
-/// sum — so instead `B` is transposed once and the same blocked GEMM body
-/// as [`matmul_into`] runs on it. Per element the contributions still add
-/// in ascending-`k` order (the reference has no zero-skip, so the body
-/// runs with `skip_zero = false`) — bit-identical to
+/// buffer that holds `Bᵀ` (`k · n` floats, capacity reused across calls).
+/// A per-cell dot product reduces over `k` — the one shape a column-lane
+/// SIMD kernel cannot vectorize without re-associating the sum — so
+/// instead `Bᵀ` is written once, straight into the packed panels the
+/// blocked GEMM body reads (row-major — one panel as wide as `n` — for
+/// the narrow kernels), and the same body as [`matmul_into`] runs on it.
+/// Per element the contributions still add in ascending-`k` order (the
+/// reference has no zero-skip, so the body runs with `skip_zero = false`
+/// and every row takes the dense tiles) — bit-identical to
 /// [`matmul_nt_reference`] at any thread count and SIMD level.
 pub fn matmul_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix, scratch: &mut Vec<f32>) {
     matmul_nt_into_with(simd::level(), a, b, c, scratch);
@@ -369,17 +535,14 @@ pub fn matmul_nt_into_with(
 ) {
     assert_eq!(a.cols(), b.cols(), "matmul_nt shape mismatch");
     let (k, n) = (a.cols(), b.rows());
-    scratch.clear();
-    scratch.resize(k * n, 0.0);
+    let width = if is_narrow(k, n) { n } else { NR };
     let bd = b.data();
-    scratch
-        .par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(l, row)| {
-            for (j, o) in row.iter_mut().enumerate() {
-                *o = bd[j * k + l];
-            }
-        });
+    scratch.resize(k * n, 0.0);
+    pack_panels(k, n, width, scratch, |l, j0, dst| {
+        for (jj, o) in dst.iter_mut().enumerate() {
+            *o = bd[(j0 + jj) * k + l];
+        }
+    });
     blocked_gemm_into(level, a, scratch, n, c, false);
 }
 
@@ -981,16 +1144,21 @@ mod tests {
             prop_assert!(matmul(&a2, &b).max_abs_diff(&twice) < 1e-4);
         }
 
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
         /// Blocked kernels must equal the naive reference kernels *in
         /// bits*, for any shape — including shapes that don't divide the
-        /// MR/NR/KB/NT_JT tile sizes, and k large enough to span several
-        /// k-blocks. Together with the pool-vs-sequential tests this pins
-        /// the blocked kernels at every thread count.
+        /// MC/NR/KB sizes: m past two row blocks, n past nine panels with a
+        /// ragged last one, and k large enough to span several k-blocks.
+        /// Together with the pool-vs-sequential tests this pins the blocked
+        /// kernels at every thread count.
         #[test]
         fn blocked_matmul_family_is_bit_identical_to_reference(
-            m in 1usize..40,
+            m in 1usize..150,
             k in 1usize..600,
-            n in 1usize..40,
+            n in 1usize..300,
             seed in 0u64..1000,
         ) {
             let a = randm(m, k, seed);

@@ -14,20 +14,27 @@
 //! * multiply and add are separate intrinsics (`_mm256_mul_ps` then
 //!   `_mm256_add_ps`), matching the two separately-rounded scalar ops —
 //!   intrinsics are never contraction-fused, so no implicit FMA;
-//! * the zero-skip rule of the wide kernels (`matmul_rowtile`,
-//!   `tn_accumulate`) arrives as a [`RowVisits`]: the visit list is the
-//!   reference's non-skipped `l`, ascending, so the register tile walks
-//!   it with no test on `arow`'s values — the same adds in the same order
-//!   as the scalar loop that `continue`s, without its mispredicts on
-//!   half-zero activations. The narrow kernels at the end of this file
-//!   keep their per-lane blend.
+//! * the zero-skip rule of the wide kernel (`matmul_tile`) arrives as a
+//!   [`super::RowVisits`] list: the reference's non-skipped `l`,
+//!   ascending, so the register tile walks it with no test on `arow`'s
+//!   values — the same adds in the same order as the scalar loop that
+//!   `continue`s, without its mispredicts on half-zero activations. The
+//!   narrow kernels at the end of this file keep their per-lane blend;
+//! * the 2-row tile (`matmul_tile::<2>`, rows with nothing to skip) holds
+//!   two rows' accumulators — 2 x 4 YMM — and loads each row of the packed
+//!   `B` panel once for both. A lane is still one output element `c[r][j]`
+//!   summed over ascending `l` in its own register, exactly the one-row
+//!   tile's sequence; the second row only fills the issue slots the first
+//!   row's add chain leaves empty. Which rows share a tile is therefore
+//!   invisible in the output.
 //!
 //! Memory safety of the list walk: a listed `l` is `< arow.len()` by
-//! construction of the compaction ([`RowVisits::listed`] enumerates
-//! `arow`, and debug-asserts the result), and [`RowVisits`]' walk indexes
-//! `arow[l]` checked before handing `l` to the kernel; the `B` panel and
-//! accumulator bounds for every `l < arow.len()` are asserted by the safe
-//! dispatchers in [`super`] before any pointer is formed.
+//! construction of the compaction ([`super::RowVisits::listed`] enumerates
+//! `arow`, and debug-asserts the result), and the walk indexes `a[r][l]`
+//! checked before it forms the panel pointer; the panel and `C` tile
+//! bounds for every `l < arow.len()` are asserted by the safe dispatchers
+//! in [`super`] (`check_rowtile_bounds`, `ldb` = the panel's own width)
+//! before any pointer is formed.
 
 // The safety contract is documented on the module; the `0..NV` loops
 // index both the register array and the `v * 8` lane offsets of raw
@@ -37,71 +44,134 @@
 
 use core::arch::x86_64::*;
 
-use super::RowVisits;
+use super::TILE_COLS;
 
-/// `acc += av * b` on `NV` consecutive YMM lanes, accumulators kept in
-/// registers across the whole walk over the visited `l`. `NV` = 4 gives
-/// the 8x32 tile the blocked GEMM hands us; 2 and 1 mop up narrower tiles.
-/// The loop body is straight-line either way: no test on `arow`'s values.
+/// `R` rows by `NV` YMM lanes of one register tile: `c[r][j] = Σ a[r][l] *
+/// panel[l*nb + j]` over the visited `l`, the `R * NV` accumulators in
+/// registers across the whole walk and every panel row loaded once for
+/// all `R` rows. `NV` = 4 is the full 32-wide panel; under `RAGGED` the
+/// last of the `NV` vectors is loaded and stored through `tail` (the lanes
+/// a narrower panel really has — masked-off lanes are neither read nor
+/// written). `R` = 2 (dense rows only, `list` is `None`) gives the adds of
+/// one row's chain another row's to hide behind. The accumulators start
+/// from zero when `first`, else from `c`. The loop body is straight-line:
+/// no test on `a`'s values.
 #[target_feature(enable = "avx2")]
-unsafe fn rowtile_block<const NV: usize>(row: RowVisits, b: *const f32, ldb: usize, acc: *mut f32) {
-    let mut r = [_mm256_setzero_ps(); NV];
-    for v in 0..NV {
-        // SAFETY: the caller passes `acc` with `NV * 8` floats left.
-        r[v] = unsafe { _mm256_loadu_ps(acc.add(v * 8)) };
-    }
-    let step = |l: usize, av: f32| {
-        let avv = _mm256_set1_ps(av);
-        for v in 0..NV {
-            // SAFETY: `l < arow.len()` — `RowVisits::for_each` yields
-            // enumerated positions or listed ones (`< arow.len()` by
-            // construction of the compaction, and index-checked by the
-            // walk) — and the dispatcher's `check_rowtile_bounds` put
-            // `b[l*ldb..][..NV*8]` inside the panel for every such `l`.
-            let bv = unsafe { _mm256_loadu_ps(b.add(l * ldb + v * 8)) };
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(avv, bv));
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_block<const NV: usize, const R: usize, const RAGGED: bool>(
+    a: [&[f32]; R],
+    list: Option<&[u16]>,
+    panel: *const f32,
+    nb: usize,
+    c: *mut f32,
+    ldc: usize,
+    first: bool,
+    tail: __m256i,
+) {
+    // Equal lengths let the dense walk index every row without a check.
+    assert!(a.iter().all(|row| row.len() == a[0].len()));
+    // SAFETY (both closures): vector `v` of the tile row starting `at`
+    // floats into `p`. For `c`, `at = r * ldc` with `r < R`: the caller
+    // passes the tile's `R` rows of `NV` vectors, `ldc` apart. For the
+    // panel, `at = l * nb` with `l < a[0].len()` — an enumerated position,
+    // or a listed one (`< arow.len()` by construction of the compaction;
+    // `a[r][l]` is index-checked besides) — and the dispatcher's
+    // `check_rowtile_bounds` (`ldb = nb`, the panel's own width) put every
+    // such panel row inside the panel. Under `RAGGED` the last vector is
+    // touched in its `tail` lanes only, the ones the panel really has.
+    let load = |p: *const f32, at: usize, v: usize| unsafe {
+        if RAGGED && v == NV - 1 {
+            _mm256_maskload_ps(p.add(at + v * 8), tail)
+        } else {
+            _mm256_loadu_ps(p.add(at + v * 8))
         }
     };
-    row.for_each(step);
-    for v in 0..NV {
-        // SAFETY: as for the loads above.
-        unsafe { _mm256_storeu_ps(acc.add(v * 8), r[v]) };
+    let store = |p: *mut f32, at: usize, v: usize, x: __m256| unsafe {
+        if RAGGED && v == NV - 1 {
+            _mm256_maskstore_ps(p.add(at + v * 8), tail, x)
+        } else {
+            _mm256_storeu_ps(p.add(at + v * 8), x)
+        }
+    };
+    let mut acc = [[_mm256_setzero_ps(); NV]; R];
+    if !first {
+        for r in 0..R {
+            for v in 0..NV {
+                acc[r][v] = load(c, r * ldc, v);
+            }
+        }
+    }
+    let mut step = |l: usize| {
+        let mut bv = [_mm256_setzero_ps(); NV];
+        for v in 0..NV {
+            bv[v] = load(panel, l * nb, v);
+        }
+        for r in 0..R {
+            let av = _mm256_set1_ps(a[r][l]);
+            for v in 0..NV {
+                acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+            }
+        }
+    };
+    match list {
+        None => (0..a[0].len()).for_each(&mut step),
+        Some(list) => list.iter().for_each(|&l| step(l as usize)),
+    }
+    for r in 0..R {
+        for v in 0..NV {
+            store(c, r * ldc, v, acc[r][v]);
+        }
     }
 }
 
-/// AVX2 matmul register tile: `acc[j] += arow[l] * b[l*ldb + j]` over the
-/// visited `l`, ascending. Caller checked that every row segment
-/// `b[l*ldb..l*ldb+acc.len()]`, `l < arow.len()`, is in bounds.
+/// AVX2 matmul register tile over a packed panel (`[a[0].len()][nb]`
+/// contiguous): row `r` of the tile, `c[r*ldc..][..nb]`, gets `Σ a[r][l] *
+/// panel[l*nb + j]` over the visited `l`, ascending — from `0.0` when
+/// `first`, else added to what it holds. `nb` is `c`'s length past the
+/// last row's start.
+///
+/// # Safety
+///
+/// AVX2 must be available; `nb <= TILE_COLS`; all `R` rows of `a` are
+/// equally long and the panel holds that many rows of `nb` floats
+/// (`check_rowtile_bounds`); `c` is the `R` tile rows, `ldc` apart, and
+/// nothing else; `list`, if any, comes from a [`super::RowVisits`] over
+/// `a[0]`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn matmul_rowtile(row: RowVisits, b: &[f32], ldb: usize, acc: &mut [f32]) {
-    let nb = acc.len();
-    let bp = b.as_ptr();
-    let ap = acc.as_mut_ptr();
-    let mut j = 0;
-    // SAFETY (all three blocks): `j + NV*8 <= nb`, so the tile's columns
-    // lie inside `acc` and inside every checked row segment of `b`.
-    while j + 32 <= nb {
-        unsafe { rowtile_block::<4>(row, bp.add(j), ldb, ap.add(j)) };
-        j += 32;
-    }
-    if j + 16 <= nb {
-        unsafe { rowtile_block::<2>(row, bp.add(j), ldb, ap.add(j)) };
-        j += 16;
-    }
-    if j + 8 <= nb {
-        unsafe { rowtile_block::<1>(row, bp.add(j), ldb, ap.add(j)) };
-        j += 8;
-    }
-    if j < nb {
-        let step = |l: usize, av: f32| {
-            for jj in j..nb {
-                // SAFETY: `jj < nb = acc.len()`, and `b[l*ldb + jj]` is in
-                // the row segment `check_rowtile_bounds` checked for this
-                // `l < arow.len()` (as in `rowtile_block`).
-                unsafe { *ap.add(jj) += av * *bp.add(l * ldb + jj) };
+pub unsafe fn matmul_tile<const R: usize>(
+    a: [&[f32]; R],
+    list: Option<&[u16]>,
+    panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
+) {
+    let nb = c.len() - (R - 1) * ldc;
+    let (pp, cp) = (panel.as_ptr(), c.as_mut_ptr());
+    let full = _mm256_set1_epi32(-1);
+    // A narrower panel goes in one walk too: whole vectors, then one
+    // masked to the panel's last `nb % 8` lanes.
+    let tail = if nb.is_multiple_of(8) {
+        full
+    } else {
+        lane_mask(nb % 8)
+    };
+    // SAFETY: the tile's `nb <= TILE_COLS` columns — `NV = ⌈nb / 8⌉`
+    // vectors, the last cut to `nb` by `tail` — lie inside every row of
+    // `c` and inside every panel row the caller checked.
+    unsafe {
+        match nb.div_ceil(8) {
+            0 => {}
+            // The full width as a literal: the list walk scales `l` by a
+            // shift, not a multiply that competes with the tile for a port.
+            4 if nb == TILE_COLS => {
+                tile_block::<4, R, false>(a, list, pp, TILE_COLS, cp, ldc, first, full)
             }
-        };
-        row.for_each(step);
+            1 => tile_block::<1, R, true>(a, list, pp, nb, cp, ldc, first, tail),
+            2 => tile_block::<2, R, true>(a, list, pp, nb, cp, ldc, first, tail),
+            3 => tile_block::<3, R, true>(a, list, pp, nb, cp, ldc, first, tail),
+            _ => tile_block::<4, R, true>(a, list, pp, nb, cp, ldc, first, tail),
+        }
     }
 }
 
@@ -333,45 +403,6 @@ unsafe fn scatter_tile<const W: bool>(
     }
 }
 
-/// `acc[j] += s * x[j]` over `n` raw elements.
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_raw(acc: *mut f32, x: *const f32, n: usize, s: f32) {
-    let sv = _mm256_set1_ps(s);
-    let mut j = 0;
-    while j + 8 <= n {
-        let a = _mm256_loadu_ps(acc.add(j));
-        let v = _mm256_loadu_ps(x.add(j));
-        _mm256_storeu_ps(acc.add(j), _mm256_add_ps(a, _mm256_mul_ps(sv, v)));
-        j += 8;
-    }
-    while j < n {
-        *acc.add(j) += s * *x.add(j);
-        j += 1;
-    }
-}
-
-/// AVX2 rank-1 panel update for `matmul_tn`: row `i` of the accumulator
-/// gets `arow[i] * brow` for every visited `i` (the reference's zero-skip
-/// on `arow[i]`, as a visit list).
-#[target_feature(enable = "avx2")]
-pub unsafe fn tn_accumulate(row: RowVisits, brow: &[f32], acc: &mut [f32], n: usize) {
-    assert!(
-        row.arow.len() * n <= acc.len(),
-        "tn_accumulate: acc too short"
-    );
-    assert!(
-        n <= brow.len() || row.arow.is_empty(),
-        "tn_accumulate: brow too short"
-    );
-    let ap = acc.as_mut_ptr();
-    // SAFETY: `i < arow.len()` — enumerated, or listed (`< arow.len()` by
-    // construction of the compaction, index-checked by the walk) — so
-    // `acc[i*n..][..n]` is inside `acc` by the first assert, and `brow`
-    // holds `n` floats by the second.
-    let step = |i: usize, av: f32| unsafe { axpy_raw(ap.add(i * n), brow.as_ptr(), n, av) };
-    row.for_each(step);
-}
-
 /// AVX2 `dst[j] += src[j]` (equal lengths asserted by the caller).
 #[target_feature(enable = "avx2")]
 pub unsafe fn add_assign(dst: &mut [f32], src: &[f32]) {
@@ -469,6 +500,50 @@ unsafe fn cols4<const MASKED: bool>(
         _mm256_shuffle_ps::<0x44>(t1, t3),
         _mm256_shuffle_ps::<0xEE>(t1, t3),
     ]
+}
+
+/// AVX2 block transpose `dst[c*ld_dst + r] = src[r*ld_src + c]` (`r <
+/// rows`, `c < cols`): eight source rows at a time, four columns of them
+/// transposed in registers ([`cols4`]) and stored as four 8-float runs of
+/// destination rows. The ragged last rows and columns are copied element
+/// by element.
+///
+/// # Safety
+///
+/// AVX2 must be available, and both blocks in bounds: `(rows-1)*ld_src +
+/// cols <= src.len()`, `(cols-1)*ld_dst + rows <= dst.len()`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn transpose(
+    src: &[f32],
+    ld_src: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    ld_dst: usize,
+) {
+    let (rows8, cols4_end) = (rows / 8 * 8, cols / 4 * 4);
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    for r0 in (0..rows8).step_by(8) {
+        // SAFETY: rows `r0..r0+8` are `< rows`, so each lane pointer starts
+        // a source row with `cols` floats inside `src`, of which columns
+        // `c0..c0+4 <= cols` are read; destination rows `c0..c0+4 < cols`
+        // hold `rows >= r0 + 8` floats each inside `dst`.
+        unsafe {
+            let lanes = lane_rows(sp, ld_src, 8, |l| r0 + l);
+            for c0 in (0..cols4_end).step_by(4) {
+                let t = cols4::<false>(&lanes, c0, _mm_setzero_si128());
+                for (i, v) in t.into_iter().enumerate() {
+                    _mm256_storeu_ps(dp.add((c0 + i) * ld_dst + r0), v);
+                }
+            }
+        }
+    }
+    for r in 0..rows {
+        let from = if r < rows8 { cols4_end } else { 0 };
+        for c in from..cols {
+            dst[c * ld_dst + r] = src[r * ld_src + c];
+        }
+    }
 }
 
 /// Row pointers of one lane group: lane `l` reads row `index(min(l,

@@ -16,12 +16,15 @@
 //! kernel here vectorizes **across independent output elements**, never
 //! across a single element's reduction:
 //!
-//! * `matmul_rowtile`, `matmul_narrow_k`, `spmm_gather_rowtile`,
-//!   `spmm_scatter_rowtile` (unweighted or with a per-edge head weight),
-//!   `tn_accumulate`, `add_assign`: each output element `acc[j]`
+//! * `matmul_rowtile`, `matmul_rowtile2`, `matmul_narrow_k`,
+//!   `spmm_gather_rowtile`, `spmm_scatter_rowtile` (unweighted or with a
+//!   per-edge head weight), `add_assign`: each output element `acc[j]`
 //!   accumulates its contributions in the same ascending order (ascending
 //!   `k` / edge index) whether `j` lives in a YMM lane or a scalar
-//!   register. Lanes are just eight adjacent `j`s computed together.
+//!   register. Lanes are just eight adjacent `j`s computed together — and
+//!   the two rows of `matmul_rowtile2` are just two such tiles computed
+//!   together, sharing the loads of `B`: no sum crosses from one row's
+//!   registers to the other's.
 //! * `sddmm_dst`, `matmul_narrow_n` — the **edge-lane rule**: an edge's dot
 //!   product is one output element; lanes are eight edges. A reduction
 //!   over channels (or over `k` when `B` has only a few columns) may not
@@ -29,17 +32,16 @@
 //!   one destination, eight rows of `A` — transposed in registers, each
 //!   lane keeping the scalar ascending-index sum of its own row. Ragged
 //!   groups are padded with a repeated row and the padding is discarded.
-//! * `tn_accumulate_rows` at `n <= 8` sweeps the `[m, n]` accumulator as a
-//!   flat array (2 rows x 4 columns per vector at `n = 4`); every flat
+//! * `tn_accumulate_narrow` (`n <= 8`) sweeps the `[m, n]` accumulator as
+//!   a flat array (2 rows x 4 columns per vector at `n = 4`); every flat
 //!   element is still its own ascending-`k` sum.
 //! * `edge_softmax_dst`, `edge_softmax_backward_dst`: lanes are heads; the
 //!   per-head max, denominator and dot run over the edges in order, and
 //!   `exp` is libm's, called per element at either level.
 //! * Zero-skip rules are per output element, and never a branch on the
 //!   data inside a hot loop. Where one `a` operand feeds a whole row of
-//!   lanes (`matmul_rowtile`, `tn_accumulate`) the kernel walks a
-//!   [`RowVisits`] list — the reference's non-skipped `l`, ascending,
-//!   built once per row segment and reused by every column tile — so it
+//!   lanes (`matmul_rowtile`) the kernel walks a [`RowVisits`] list — the reference's non-skipped `l`, ascending,
+//!   built once per row segment and reused by every panel's tile — so it
 //!   performs exactly the reference's adds. Where the lanes hold different
 //!   `a` operands (the narrow kernels) a lane whose operand is `0.0` keeps
 //!   its old value (blend), exactly as if the scalar loop had `continue`d.
@@ -48,7 +50,8 @@
 //! * No FMA contraction anywhere: the scalar paths (and the reference
 //!   oracles) round the multiply and the add separately, so the vector
 //!   paths use explicit `mul` + `add` intrinsics, never `fmadd`.
-//! * `copy_slice` moves bytes; `fnv1a_f32` is an order-serial hash chain
+//! * `copy_slice` and `transpose` move bytes; `fnv1a_f32` is an
+//!   order-serial hash chain
 //!   (each step consumes the previous hash), so it cannot be lane-split
 //!   without changing the digest — it is kept as one scalar chain,
 //!   unrolled, and stays byte-identical to the naive fold.
@@ -162,6 +165,9 @@ impl Pod for u64 {}
 /// depth, so a list's `u16` entries and its stack buffer are both small.
 pub const VISIT_CAP: usize = 256;
 
+/// Widest panel one register tile covers: four YMM accumulators per row.
+pub const TILE_COLS: usize = 32;
+
 /// Stack storage for one [`RowVisits`] list.
 pub type VisitBuf = [u16; VISIT_CAP];
 
@@ -230,6 +236,13 @@ impl<'a> RowVisits<'a> {
         }
     }
 
+    /// The whole segment, when every element of it is visited (no list):
+    /// such a row can share a register tile with another one.
+    #[inline]
+    pub fn dense(&self) -> Option<&'a [f32]> {
+        self.list.is_none().then_some(self.arow)
+    }
+
     /// Call `f(l, arow[l])` for every visited position, ascending.
     #[inline]
     fn for_each(self, mut f: impl FnMut(usize, f32)) {
@@ -242,13 +255,17 @@ impl<'a> RowVisits<'a> {
     }
 }
 
-/// One matmul register tile, scalar: `acc[j] += arow[l] * b[l*ldb + j]`
-/// for every visited `l` in ascending order.
-fn matmul_rowtile_scalar(row: RowVisits, b: &[f32], ldb: usize, acc: &mut [f32]) {
-    let nb = acc.len();
+/// One matmul tile row, scalar: `c[j] = Σ arow[l] * panel[l*nb + j]` over
+/// the visited `l` in ascending order, `nb = c.len()` — summed from `0.0`
+/// when `first`, else on top of what `c` holds.
+fn matmul_rowtile_scalar(row: RowVisits, panel: &[f32], c: &mut [f32], first: bool) {
+    let nb = c.len();
+    if first {
+        c.fill(0.0);
+    }
     row.for_each(|l, av| {
-        let brow = &b[l * ldb..l * ldb + nb];
-        for (a, &bv) in acc.iter_mut().zip(brow) {
+        let brow = &panel[l * nb..(l + 1) * nb];
+        for (a, &bv) in c.iter_mut().zip(brow) {
             *a += av * bv;
         }
     });
@@ -320,17 +337,6 @@ fn scatter_scale(offsets: &[u32], d: usize, mean: bool) -> f32 {
     }
 }
 
-/// One k-row's rank-1 update `acc[i*n..][j] += arow[i] * brow[j]`,
-/// scalar, over the visited `i` (the matmul_tn zero-skip rule).
-fn tn_accumulate_scalar(row: RowVisits, brow: &[f32], acc: &mut [f32], n: usize) {
-    row.for_each(|i, av| {
-        let dst = &mut acc[i * n..(i + 1) * n];
-        for (d, &bv) in dst.iter_mut().zip(brow) {
-            *d += av * bv;
-        }
-    });
-}
-
 /// g-SDDMM for one destination, scalar: `out[i*heads + h] = scale *
 /// Σ_j arow[h*hd + j] * b[srcs[i]*ldb + h*hd + j]`, `j` ascending from
 /// `0.0` — the reference float sequence.
@@ -358,20 +364,22 @@ fn sddmm_dst_scalar(
 
 /// `C = A·B` row by row, scalar (the narrow kernels' portable twin): each
 /// row of `C` accumulates `a[i,l] * b[l,:]` over ascending `l` from `0.0`,
-/// one [`VISIT_CAP`]-long segment of the row at a time.
+/// one [`VISIT_CAP`]-long segment of the row at a time — row-major `B` is
+/// one full-width panel.
 fn matmul_rows_scalar(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip: bool) {
-    c.fill(0.0);
-    if k > 0 {
-        let mut buf = [0; VISIT_CAP];
-        for (crow, arow) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
-            for (seg, bseg) in arow.chunks(VISIT_CAP).zip(b.chunks(VISIT_CAP * n)) {
-                let row = if skip {
-                    RowVisits::skipping_zeros(seg, &mut buf)
-                } else {
-                    RowVisits::all(seg)
-                };
-                matmul_rowtile_scalar(row, bseg, n, crow);
-            }
+    if k == 0 {
+        return c.fill(0.0);
+    }
+    let mut buf = [0; VISIT_CAP];
+    for (crow, arow) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        let segments = arow.chunks(VISIT_CAP).zip(b.chunks(VISIT_CAP * n));
+        for (s, (seg, bseg)) in segments.enumerate() {
+            let row = if skip {
+                RowVisits::skipping_zeros(seg, &mut buf)
+            } else {
+                RowVisits::all(seg)
+            };
+            matmul_rowtile_scalar(row, bseg, crow, s == 0);
         }
     }
 }
@@ -423,32 +431,100 @@ fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
 // Dispatched entry points.
 // ---------------------------------------------------------------------------
 
-/// Validate the geometry the rowtile kernels assume: `b` must cover every
-/// `l*ldb..l*ldb+acc.len()` row segment the tile reads.
+/// Validate the geometry the tile kernels assume: `panel` holds one
+/// `nb`-wide row (`ldb` is the panel's own width — panels are contiguous)
+/// for every position of a `kb`-long row segment, and `nb` fits one tile.
 #[inline]
-fn check_rowtile_bounds(rows: usize, b_len: usize, ldb: usize, nb: usize) {
-    if rows > 0 && nb > 0 {
-        assert!(
-            (rows - 1) * ldb + nb <= b_len,
-            "rowtile: B panel too short ({b_len} < {})",
-            (rows - 1) * ldb + nb
-        );
+fn check_rowtile_bounds(kb: usize, panel_len: usize, nb: usize) {
+    assert!(nb <= TILE_COLS, "rowtile: panel of {nb} columns");
+    assert!(
+        kb * nb <= panel_len,
+        "rowtile: B panel too short ({panel_len} < {kb} x {nb})"
+    );
+}
+
+/// One row of a matmul register tile against a packed panel: `c[j] = Σ
+/// arow[l] * panel[l*nb + j]` over the visited `l`, ascending, with `nb =
+/// c.len()` the panel's width. The sum starts from `0.0` when `first` (the
+/// row's first k-block: `c` may hold stale values) and from `c` otherwise.
+#[inline]
+pub fn matmul_rowtile(level: Level, row: RowVisits, panel: &[f32], c: &mut [f32], first: bool) {
+    check_rowtile_bounds(row.arow.len(), panel.len(), c.len());
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() only reports Avx2 when the host supports it; the
+        // panel covers `arow.len()` rows of `c.len()` floats (checked
+        // above), and `c` is the one tile row.
+        Level::Avx2 => unsafe { avx2::matmul_tile([row.arow], row.list, panel, c, 0, first) },
+        _ => matmul_rowtile_scalar(row, panel, c, first),
     }
 }
 
-/// `acc[j] += arow[l] * b[l*ldb + j]` over the visited `l`, ascending. The
-/// matmul register-tile inner loop.
+/// Two rows of `A` with nothing to skip through one register tile, every
+/// panel row loaded once for both: `c[..nb]` is `a0`'s tile row and
+/// `c[ldc..]` (also `nb` long, so `nb = c.len() - ldc`) is `a1`'s. Each
+/// output element is the same ascending-`l` sum as in [`matmul_rowtile`];
+/// the scalar level just runs the two rows one after the other.
 #[inline]
-pub fn matmul_rowtile(level: Level, row: RowVisits, b: &[f32], ldb: usize, acc: &mut [f32]) {
-    check_rowtile_bounds(row.arow.len(), b.len(), ldb, acc.len());
+pub fn matmul_rowtile2(
+    level: Level,
+    a0: &[f32],
+    a1: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
+) {
+    assert!(ldc < c.len(), "rowtile2: C holds no second row");
+    assert_eq!(a0.len(), a1.len(), "rowtile2: row segments differ");
+    let nb = c.len() - ldc;
+    check_rowtile_bounds(a0.len(), panel.len(), nb);
     match level {
-        Level::Scalar => matmul_rowtile_scalar(row, b, ldb, acc),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: level() only reports Avx2 when the host supports it, and
-        // the bounds of every row segment were checked above.
-        Level::Avx2 => unsafe { avx2::matmul_rowtile(row, b, ldb, acc) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => matmul_rowtile_scalar(row, b, ldb, acc),
+        // SAFETY: AVX2 verified by level(); both rows are `a0.len()` long
+        // and the panel covers that many rows of `nb` floats (checked
+        // above); `c` is exactly the two `nb`-wide tile rows, `ldc` apart.
+        Level::Avx2 => unsafe { avx2::matmul_tile([a0, a1], None, panel, c, ldc, first) },
+        _ => {
+            let (c0, c1) = c.split_at_mut(ldc);
+            matmul_rowtile_scalar(RowVisits::all(a0), panel, &mut c0[..nb], first);
+            matmul_rowtile_scalar(RowVisits::all(a1), panel, c1, first);
+        }
+    }
+}
+
+/// `dst[c*ld_dst + r] = src[r*ld_src + c]` for `r < rows`, `c < cols`: a
+/// `[rows, cols]` block (row stride `ld_src`) transposed into rows `ld_dst`
+/// apart. A copy — `matmul_tn` turns a chunk of `Aᵀ` into the row-major
+/// operand the blocked GEMM body reads.
+#[inline]
+pub fn transpose(
+    level: Level,
+    src: &[f32],
+    ld_src: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    ld_dst: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(
+        (rows - 1) * ld_src + cols <= src.len() && (cols - 1) * ld_dst + rows <= dst.len(),
+        "transpose: block out of bounds"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); both blocks asserted in bounds.
+        Level::Avx2 => unsafe { avx2::transpose(src, ld_src, rows, cols, dst, ld_dst) },
+        _ => {
+            for (r, srow) in src.chunks(ld_src).take(rows).enumerate() {
+                for (c, &v) in srow[..cols].iter().enumerate() {
+                    dst[c * ld_dst + r] = v;
+                }
+            }
+        }
     }
 }
 
@@ -513,38 +589,37 @@ pub fn spmm_scatter_rowtile(
     }
 }
 
-/// A run of `matmul_tn` k-rows: for each row `l` of `a: [rows, m]` and `b:
-/// [rows, n]` in order, `acc[i*n + j] += a[l,i] * b[l,j]` with the
-/// zero-skip rule on `a[l,i]` — each k-row is walked by the visit list of
-/// its nonzero `i`, one [`VISIT_CAP`]-long segment at a time. At `n <= 8`
-/// the AVX2 level sweeps `acc` flat instead of one sub-vector row at a
-/// time.
+/// A run of `matmul_tn` k-rows against a `B` of at most eight columns:
+/// `acc[i*n + j] = Σ_l a[l,i] * b[l,j]` from `0.0` over the rows `l` of `a:
+/// [rows, m]` and `b: [rows, n]` in order (stale `acc` contents are
+/// overwritten), with the zero-skip rule on `a[l,i]`, `acc` swept
+/// flat, `8/n` rows by `n` columns per vector. Returns `false`, having done
+/// nothing, at a level that has no such kernel — the caller then runs the
+/// chunk through the blocked GEMM body like any wider one.
 #[inline]
-pub fn tn_accumulate_rows(level: Level, a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut [f32]) {
+pub fn tn_accumulate_narrow(
+    level: Level,
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    acc: &mut [f32],
+) -> bool {
     assert!(
-        m > 0 && n > 0 && a.len().is_multiple_of(m),
-        "tn_accumulate: shape"
+        (1..=8).contains(&n) && m > 0 && a.len().is_multiple_of(m),
+        "tn_accumulate_narrow: shape"
     );
-    assert_eq!(b.len(), a.len() / m * n, "tn_accumulate: B rows");
-    assert!(m * n <= acc.len(), "tn_accumulate: acc too short");
-    #[cfg(target_arch = "x86_64")]
-    if level == Level::Avx2 && n <= 8 {
-        // SAFETY: AVX2 verified by level(); slice shapes asserted above.
-        return unsafe { avx2::tn_accumulate_narrow(a, m, b, n, acc) };
-    }
-    let mut buf = [0; VISIT_CAP];
-    for (ar, br) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        for (seg, aseg) in ar.chunks(VISIT_CAP).zip(acc.chunks_mut(VISIT_CAP * n)) {
-            let row = RowVisits::skipping_zeros(seg, &mut buf);
-            match level {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: AVX2 verified by level(); `aseg` holds the
-                // segment's `seg.len() * n` accumulators (asserted above,
-                // and again by the kernel) and `br` is `n` long.
-                Level::Avx2 => unsafe { avx2::tn_accumulate(row, br, aseg, n) },
-                _ => tn_accumulate_scalar(row, br, aseg, n),
-            }
+    assert_eq!(b.len(), a.len() / m * n, "tn_accumulate_narrow: B rows");
+    assert!(m * n <= acc.len(), "tn_accumulate_narrow: acc too short");
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            acc[..m * n].fill(0.0);
+            // SAFETY: AVX2 verified by level(); slice shapes asserted above.
+            unsafe { avx2::tn_accumulate_narrow(a, m, b, n, acc) };
+            true
         }
+        _ => false,
     }
 }
 

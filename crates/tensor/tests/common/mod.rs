@@ -2,7 +2,17 @@
 //! CI's `WG_SIMD=scalar` leg) and `simd_equivalence_threads2.rs` (the
 //! two-worker pool): the traffic the training loop actually feeds the
 //! dense kernels — zero-laden `A` operands, sign-random activations,
-//! dropout — pinned bitwise. No tolerance anywhere.
+//! dropout — and the geometry of the packed-panel GEMM body (row blocks,
+//! ragged panels, 2-row tiles, `tn` chunks), pinned bitwise. No tolerance
+//! anywhere.
+//!
+//! What "bitwise" claims about NaN: *that* a lane is NaN, always; *which*
+//! NaN — sign and payload — only where at most one operand of the
+//! operation is NaN. An `addps` of two NaNs returns its first operand's,
+//! and the compiler is free to commute a `fadd` differently in a
+//! vectorised kernel and in the scalar definition it is checked against
+//! (it does, between the dev and release profiles), so the two-operand
+//! checks below never let two NaNs meet in one lane.
 
 // Each test binary compiles this module for itself and uses its own subset.
 #![allow(dead_code)]
@@ -157,6 +167,127 @@ pub fn check_mixed_row_blocks(n: usize, seed: u64) {
     }
 }
 
+/// Row counts around the 64-row block and its 2-row tiles: a lone row, one
+/// pair, one short of / exactly / one past a block (an odd last row in the
+/// second block), two blocks and a lone row.
+pub const BLOCK_ROWS: [usize; 6] = [1, 2, 63, 64, 65, 129];
+/// Output widths around the 32-wide panel: below one (`B` is its own
+/// panel), exactly one, one plus a ragged last panel of 1 / 15 / 4 / 16
+/// columns, many panels.
+pub const PANEL_WIDTHS: [usize; 10] = [9, 16, 31, 32, 33, 47, 64, 100, 256, 272];
+/// `matmul_tn` reduction depths around its 512-row chunks.
+pub const TN_DEPTHS: [usize; 5] = [1, 511, 512, 513, 1300];
+/// `matmul_tn` output row counts: the transposed strip's rows.
+pub const TN_ROWS: [usize; 4] = [1, 7, 100, 256];
+
+/// `[rows, cols]` whose rows are, by `mix`: all dense (every row pairs up
+/// in a 2-row tile), all ~50 % zeros (every row walks a visit list),
+/// alternating (a dense row is always next to a zero-laden one: nothing
+/// pairs), two dense then one zero-laden, or dense in the first 256-deep
+/// k-block and zero-laden after it on even rows and the reverse on odd
+/// ones (who pairs changes from k-block to k-block). Where a row is
+/// zero-laden at column `line`, it holds a zero there.
+fn row_mix(rows: usize, cols: usize, mix: usize, line: usize, seed: u64) -> Matrix {
+    let mut a = zero_laden(rows, cols, 0.5, None, true, seed);
+    let fill = mat(rows, cols, seed ^ 0x11);
+    for i in 0..rows {
+        for l in 0..cols {
+            let dense = match mix % 5 {
+                0 => true,
+                1 => false,
+                2 => i % 2 == 0,
+                3 => i % 3 != 2,
+                _ => (i % 2 == 0) == (l < 256),
+            };
+            if dense {
+                let v = fill.get(i, l);
+                a.set(i, l, v.abs().max(0.25).copysign(v));
+            } else if l == line {
+                a.set(i, l, if i % 2 == 0 { 0.0 } else { -0.0 });
+            }
+        }
+    }
+    a
+}
+
+/// The three matmuls at every level against their oracles on one shape of
+/// the packed-panel body, `A`'s rows mixed by [`row_mix`]: `matmul` and
+/// `matmul_nt` on `[m, k] x [k, n]`, `matmul_tn` on the transpose (`k` is
+/// its reduction depth, `m` its output rows, so the transposed strip holds
+/// the same row mix). Every fifth column of one row of `B` is `±inf` / NaN
+/// and every zero-laden row of `A` has a zero in front of it: a row that
+/// shares a tile with a dense neighbour must still skip what it skipped
+/// alone, or its finite sums turn NaN (the dense rows do read the row —
+/// once, so no two NaNs ever meet). Every call finds its output and
+/// scratch as a warm pool leaves them — right size, every float NaN —
+/// after a first round on wrongly shaped ones: nothing is zero-filled
+/// ahead of the kernels any more, so whatever they fail to overwrite shows.
+pub fn check_panel_geometry(m: usize, k: usize, n: usize, mix: usize, seed: u64) {
+    let line = seed as usize % k;
+    let a = row_mix(m, k, mix, line, seed);
+    let mut b = mat(k, n, seed ^ 0x22);
+    for (j, v) in b.row_mut(line).iter_mut().enumerate().step_by(5) {
+        *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j / 5 % 3];
+    }
+    let at = Matrix::from_fn(k, m, |l, i| a.get(i, l));
+    let mut bt = mat(n, k, seed ^ 0x33);
+    bt.data_mut()[seed as usize % (n * k)] = f32::INFINITY;
+    bt.data_mut()[(seed as usize * 31 + 7) % (n * k)] = f32::NEG_INFINITY;
+    let want = matmul_reference(&a, &b);
+    let want_nt = matmul_nt_reference(&a, &bt);
+    let want_tn = matmul_tn_reference(&at, &b);
+    for level in levels() {
+        let what = format!("{} {m}x{k}x{n} mix {}", level.name(), mix % 5);
+        let (mut c, mut scratch) = (dirty(), vec![f32::NAN; 3]);
+        for round in 0..2 {
+            let poison = |c: &mut Matrix, scratch: &mut Vec<f32>| {
+                if round == 1 {
+                    c.data_mut().fill(f32::NAN);
+                    scratch.fill(f32::NAN);
+                }
+            };
+            poison(&mut c, &mut scratch);
+            matmul_into_with(level, &a, &b, &mut c);
+            assert_bits_eq(&c, &want, &format!("matmul/{what} round {round}"));
+            poison(&mut c, &mut scratch);
+            matmul_nt_into_with(level, &a, &bt, &mut c, &mut scratch);
+            assert_bits_eq(&c, &want_nt, &format!("matmul_nt/{what} round {round}"));
+            poison(&mut c, &mut scratch);
+            matmul_tn_into_with(level, &at, &b, &mut c, &mut scratch);
+            assert_bits_eq(&c, &want_tn, &format!("matmul_tn/{what} round {round}"));
+        }
+    }
+}
+
+/// [`check_panel_geometry`] over row counts x widths (inner dimensions
+/// straddling the k-block, row mixes rotating) and over `tn` depths x
+/// output rows, then the poisoned-`B` check on shapes that reach the row
+/// blocks, the ragged panels and several `tn` chunks.
+pub fn check_panel_geometry_grid() {
+    for (i, &m) in BLOCK_ROWS.iter().enumerate() {
+        for (j, &n) in PANEL_WIDTHS.iter().enumerate() {
+            let k = K_STRADDLING_KB[2 + (i + j) % 6];
+            check_panel_geometry(m, k, n, i + j, 1000 + (10 * i + j) as u64);
+        }
+    }
+    for (i, &k) in TN_DEPTHS.iter().enumerate() {
+        for (j, &m) in TN_ROWS.iter().enumerate() {
+            let n = PANEL_WIDTHS[(4 * i + j) % PANEL_WIDTHS.len()];
+            check_panel_geometry(m, k, n, i + j + 1, 2000 + (10 * i + j) as u64);
+        }
+    }
+    let poisoned = [
+        (65usize, 300usize, 33usize),
+        (129, 257, 272),
+        (100, 1300, 47),
+    ];
+    for (i, &(m, k, n)) in poisoned.iter().enumerate() {
+        for share in [0.0, 0.5] {
+            check_zero_share_matmuls(m, k, n, share, 3000 + i as u64);
+        }
+    }
+}
+
 /// Values on which a sign or zero test can go wrong.
 const SPECIALS: [f32; 16] = [
     0.0,
@@ -238,11 +369,20 @@ pub fn check_elementwise(rows: usize, cols: usize, seed: u64) {
     ops::scale(&x, s, &mut out);
     assert_bits_eq(&out, &map1(&x, |v| v * s), &format!("scale {what}"));
 
-    ops::add_into(&x, &g, &mut out);
-    let want = map2(&x, &g, |x, g| x + g);
+    // The two adds are the checks where both operands can be NaN: keep
+    // `g`'s special values except a NaN that would meet one of `x`'s.
+    let g_add = map2(&g, &x, |g, x| if g.is_nan() && x.is_nan() { s } else { g });
+    ops::add_into(&x, &g_add, &mut out);
+    let want = map2(&x, &g_add, |x, g| x + g);
     assert_bits_eq(&out, &want, &format!("add {what}"));
 
-    let bias: Vec<f32> = g.data()[..cols].to_vec();
+    let column_has_nan = |j: usize| (0..rows).any(|i| x.get(i, j).is_nan());
+    let mut bias: Vec<f32> = g.data()[..cols].to_vec();
+    for (j, b) in bias.iter_mut().enumerate() {
+        if b.is_nan() && column_has_nan(j) {
+            *b = s;
+        }
+    }
     ops::add_bias(&x, &bias, &mut out);
     let want = Matrix::from_fn(rows, cols, |i, j| x.get(i, j) + bias[j]);
     assert_bits_eq(&out, &want, &format!("add_bias {what}"));

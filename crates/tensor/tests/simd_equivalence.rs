@@ -581,6 +581,13 @@ fn visit_lists_cover_empty_dense_and_mixed_row_blocks() {
     }
 }
 
+/// The packed-panel body's own geometry: row blocks and their 2-row tiles,
+/// ragged and many panels, `tn` chunks and strips, on stale buffers.
+#[test]
+fn packed_panel_geometry_matches_the_oracles() {
+    common::check_panel_geometry_grid();
+}
+
 /// The whole zero-share x k x width grid once, deterministically (the
 /// proptest below samples it with random `m` and seeds).
 #[test]

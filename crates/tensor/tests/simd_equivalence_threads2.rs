@@ -6,8 +6,8 @@
 //! the SIMD lane blocking is inside each worker's tile, orthogonal to
 //! the pool schedule, so forced-scalar and forced-AVX2 must still agree
 //! bitwise, and both must match the within-process sequential schedule.
-//! The zero-share, elementwise and dropout checks of `common/mod.rs` run
-//! here a second time, on that pool.
+//! The zero-share, panel-geometry, elementwise and dropout checks of
+//! `common/mod.rs` run here a second time, on that pool.
 
 mod common;
 
@@ -70,6 +70,7 @@ fn simd_levels_agree_on_two_workers() {
         common::check_zero_share_matmuls(70, 300, common::WIDTHS[i % 4], share, 80 + i as u64);
     }
     common::check_mixed_row_blocks(100, 90);
+    common::check_panel_geometry_grid();
     common::check_elementwise(9, 4099, 91);
     common::check_dropout(130, 257, 92);
     assert!(width >= 1);

@@ -45,6 +45,13 @@ cargo test -q "${OFFLINE_FLAGS[@]}"
 echo "tier1: WG_THREADS=1 cargo test -q"
 WG_THREADS=1 cargo test -q "${OFFLINE_FLAGS[@]}"
 
+# The kernel crates once more at the optimisation level the benchmarks
+# measure: the bit-identity claims are about release binaries, and the
+# compiler vectorises (and commutes) differently there than in the dev
+# profile the two passes above test.
+echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn"
+cargo test -q --release "${OFFLINE_FLAGS[@]}" -p wg-tensor -p wg-autograd -p wg-gnn
+
 echo "tier1: cargo fmt --check"
 cargo fmt --check
 
