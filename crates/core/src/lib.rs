@@ -34,9 +34,10 @@
 //! * [`framework`] — the three systems under comparison: WholeGraph and
 //!   the DGL/PyG-style host-memory baselines;
 //! * [`convert`] — sampled-block → sparse-kernel format conversion;
-//! * [`pipeline`] — the stage-graph engine (sample → gather → train
-//!   stages, scheduled by a serial or stream-overlapped executor) with
-//!   per-phase simulated timing and utilization traces;
+//! * [`pipeline`] — the per-iteration engine (one straight-line sample →
+//!   gather → train iteration, laid onto the machine by a serial or
+//!   stream-overlapped [`ExecMode`]) with per-phase simulated timing and
+//!   utilization traces;
 //! * [`trainer`] — multi-epoch training and evaluation (accuracy
 //!   experiments: Table III, Figure 7);
 //! * [`multinode`] — data-parallel multi-node scaling (§III-D,
@@ -44,8 +45,6 @@
 //! * [`observability`] — merged host-span / simulated-device Chrome
 //!   trace export (pairs with the `wg-trace` crate);
 //! * [`memstats`] — per-GPU memory accounting by phase (Table IV);
-//! * [`fullbatch`] — whole-graph training for graphs that fit (§II-A's
-//!   contrast case);
 //! * [`metrics`] — confusion matrix / precision / recall / macro-F1.
 //!
 //! The `wg` binary (the `wg-cli` crate) exposes dataset generation, IO,
@@ -53,7 +52,6 @@
 
 pub mod convert;
 pub mod framework;
-pub mod fullbatch;
 pub mod memstats;
 pub mod metrics;
 pub mod multinode;

@@ -18,10 +18,11 @@
 //!    compressed, or replaced by delayed parameter averaging), the
 //!    inter-node ring AllReduce time is charged to the wave's comm
 //!    phase, and replicas step.
-//! 4. At epoch end each node's iteration results go through the
-//!    configured PR 1/4 executor (`Pipeline::finish_epoch` →
-//!    per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`] aligns
-//!    the machines: the epoch takes as long as the slowest node.
+//! 4. At epoch end each node's iteration results are scheduled by the
+//!    pipeline's configured
+//!    [`ExecMode`](crate::pipeline::ExecMode) (`Pipeline::finish_epoch`
+//!    → per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`]
+//!    aligns the machines: the epoch takes as long as the slowest node.
 //!
 //! At `nodes == 1` every multi-node term is exactly zero and the run is
 //! bit-identical to the single pipeline (see the module docs of
@@ -29,16 +30,15 @@
 
 use std::sync::Arc;
 
-use rand::prelude::*;
-use rand::rngs::SmallRng;
-
 use wg_graph::{NodeId, SyntheticDataset};
 use wg_sim::memory::OutOfMemory;
 use wg_sim::{cluster_barrier, Machine, MachineConfig, SimTime};
 
 use crate::multinode::partition_plan::PartitionPlan;
 use crate::multinode::sync::{GradSync, SyncConfig};
-use crate::pipeline::{DistContext, EpochReport, IterationResult, Pipeline, PipelineConfig};
+use crate::pipeline::{
+    epoch_order_into, DistContext, EpochReport, IterationResult, Pipeline, PipelineConfig,
+};
 
 /// Shape of the simulated cluster.
 #[derive(Clone, Debug)]
@@ -142,7 +142,7 @@ impl MultiNode {
         for k in 0..cfg.nodes {
             let machine = Machine::new(MachineConfig::dgx_like(cfg.gpus_per_node));
             let mut pipe = Pipeline::new(machine, Arc::clone(&dataset), pipe_cfg.clone())?;
-            pipe.set_dist(DistContext::new(k, Arc::clone(plan.partition())));
+            pipe.dist = Some(DistContext::new(k, Arc::clone(plan.partition())));
             pipes.push(pipe);
         }
         let cost = pipes[0].machine().cost().clone();
@@ -170,11 +170,6 @@ impl MultiNode {
         &self.pipes[k as usize]
     }
 
-    /// Mutable access to node `k`'s pipeline replica.
-    pub fn pipeline_mut(&mut self, k: u32) -> &mut Pipeline {
-        &mut self.pipes[k as usize]
-    }
-
     /// Every node's simulated machine (for cluster trace export).
     pub fn machines(&self) -> Vec<&Machine> {
         self.pipes.iter().map(|p| p.machine()).collect()
@@ -186,13 +181,13 @@ impl MultiNode {
     /// dataset order, so the batches are identical to the single-node
     /// epoch's.
     pub fn local_batches(&self, k: u32, epoch: u64) -> Vec<Vec<NodeId>> {
-        let mut order = self.plan.local_train(k).to_vec();
-        let seed = self.pipes[k as usize].config().seed;
-        order.shuffle(&mut SmallRng::seed_from_u64(
-            seed ^ epoch.wrapping_mul(0x9e37),
-        ));
-        let bs = self.pipes[k as usize].config().batch_size;
-        order.chunks(bs).map(<[NodeId]>::to_vec).collect()
+        let cfg = self.pipes[k as usize].config();
+        let mut order = Vec::new();
+        epoch_order_into(self.plan.local_train(k), cfg.seed, epoch, &mut order);
+        order
+            .chunks(cfg.batch_size)
+            .map(<[NodeId]>::to_vec)
+            .collect()
     }
 
     /// Execute one data-parallel epoch across all nodes.
@@ -260,7 +255,7 @@ impl MultiNode {
             }
         }
         // Per-node accounting: hand each node's iterations to its
-        // configured executor (charges machine clocks and traces).
+        // configured `ExecMode` (charges machine clocks and traces).
         let mut per_node = Vec::with_capacity(nodes);
         for (k, node_results) in results.iter().enumerate() {
             let report = if node_results.is_empty() {
@@ -279,7 +274,7 @@ impl MultiNode {
         }
         // The slowest node sets the cluster epoch time. Each per-node
         // report measures its own epoch with the node's configured
-        // executor (phase-sum for serial, schedule length for
+        // `ExecMode` (phase-sum for serial, schedule length for
         // overlapped), so the max — not a clock subtraction, which
         // accumulates float error in a different order — is the honest
         // cluster figure, and bitwise the pipeline's at N=1.
@@ -294,8 +289,8 @@ impl MultiNode {
                 self.pipes.iter_mut().map(|p| p.machine_mut()).collect();
             cluster_barrier(&mut machines);
         }
-        // Cluster numerics, node-major — the same reductions the
-        // single-node executor applies, so N=1 is bitwise identical.
+        // Cluster numerics, node-major — the same reductions
+        // `ExecMode::finish_epoch` applies, so N=1 is bitwise identical.
         let losses: Vec<f32> = results.iter().flatten().map(|r| r.loss).collect();
         let loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
         let correct: usize = results.iter().flatten().map(|r| r.correct).sum();

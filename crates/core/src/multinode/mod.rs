@@ -8,7 +8,7 @@
 //!
 //! Earlier revisions *projected* multi-node scaling from single-node
 //! means (that projection survives as [`projected_sweep`]); this module
-//! **executes** it: N simulated machines, each running its own stage-graph
+//! **executes** it: N simulated machines, each running its own
 //! [`Pipeline`](crate::pipeline::Pipeline) over a machine-level
 //! [`wg_graph::HashPartition`] of the training set, with halo
 //! (boundary-node) feature fetches priced through [`wg_mem::halo`] and
@@ -20,8 +20,9 @@
 //!   boundary set, balance).
 //! * [`exec`] — [`MultiNode`], the cluster executor: the per-wave loop
 //!   (every node runs one deferred-step iteration, gradients sync, all
-//!   replicas step in lockstep), per-node epoch reports from the PR 1/4
-//!   executors, and the trailing [`wg_sim::cluster_barrier`].
+//!   replicas step in lockstep), per-node epoch reports from each
+//!   replica's [`ExecMode`](crate::pipeline::ExecMode), and the trailing
+//!   [`wg_sim::cluster_barrier`].
 //! * [`sync`] — [`GradSync`]: full gradient averaging, optional top-k
 //!   gradient compression with error feedback, and a DistGNN-style
 //!   delayed partial-aggregation mode (local steps, periodic parameter

@@ -6,7 +6,7 @@
 //!   code (`pipeline.sample`, `mem.gather`, …) on every participating
 //!   thread, and
 //! * **simulated device intervals** — the per-GPU busy/idle phase
-//!   intervals the executors charge into [`wg_sim::UtilizationTrace`]s
+//!   intervals the schedules charge into [`wg_sim::UtilizationTrace`]s
 //!   (what the paper's utilization timeline plots).
 //!
 //! [`chrome_trace_json`] merges both into one Chrome trace-event JSON:

@@ -107,7 +107,7 @@ impl FeaturePlacement {
     }
 }
 
-/// How the executor schedules each wave's stages onto the machine.
+/// How each wave's phases are scheduled onto the machine.
 ///
 /// Both modes run the *same* iterations with the *same* numerics (same
 /// seeds → same sub-graphs → same losses and parameter updates); they

@@ -1,20 +1,23 @@
-//! Epoch executors: how stage times are scheduled onto the machine.
+//! Epoch scheduling: how an epoch's priced iterations are laid onto the
+//! machine's timelines. [`ExecMode`] is the seam — *when* work runs — and
+//! schedules itself.
 //!
-//! Both executors consume the same per-iteration [`IterationResult`]s —
-//! all numerics are fixed before scheduling starts — and differ only in
-//! the simulated timeline they lay the phases onto:
+//! Both modes consume the same per-iteration [`IterationResult`]s — all
+//! numerics are fixed before scheduling starts — and differ only in the
+//! simulated timeline they lay the phases onto:
 //!
-//! * [`SerialExecutor`] charges sample → gather → train → AllReduce
+//! * [`ExecMode::Serial`] charges sample → gather → train → AllReduce
 //!   back-to-back per wave, the synchronous-DataLoader behavior every
 //!   result in the paper's evaluation is measured under.
-//! * [`OverlappedExecutor`] is a double-buffered software pipeline built
+//! * [`ExecMode::Overlapped`] is a double-buffered software pipeline built
 //!   on [`wg_sim::stream`]: wave `i+1`'s sampling and gathering run on an
 //!   *input stream* while wave `i` trains on the *compute stream*. With
 //!   two mini-batch buffers, wave `w`'s input may start once wave `w-2`'s
 //!   training has consumed its buffer. The epoch time is the schedule
-//!   length, which is strictly shorter than the serial sum whenever there
-//!   are ≥ 2 waves with nonzero input and compute phases — the largest
-//!   win going to the host pipelines, whose input phases dominate.
+//!   length, which is strictly shorter than the serial sum whenever some
+//!   wave with a nonzero compute phase is followed by one with a nonzero
+//!   input phase — the largest win going to the host pipelines, whose
+//!   input phases dominate.
 
 use wg_sim::stream::{self, Event};
 use wg_sim::trace::Phase;
@@ -26,47 +29,64 @@ use crate::pipeline::report::{
     occupancy_from_trace, EpochReport, IterTimes, IterationResult, StorageIo,
 };
 
-/// An epoch-scheduling strategy.
-pub trait Executor {
-    /// The mode this executor implements.
-    fn mode(&self) -> ExecMode;
-
-    /// Display name.
-    fn name(&self) -> &'static str {
-        self.mode().name()
-    }
-
+impl ExecMode {
     /// Steady-state simulated time one wave occupies under this schedule
     /// (used by throughput projections, e.g. multi-node scaling).
-    fn wave_time(&self, times: &IterTimes) -> SimTime;
+    pub fn wave_time(self, times: &IterTimes) -> SimTime {
+        match self {
+            ExecMode::Serial => times.total(),
+            // Input and compute proceed concurrently; the wave rate is
+            // set by whichever stream is longer.
+            ExecMode::Overlapped => times.input().max(times.compute()),
+        }
+    }
 
     /// Charge the executed iterations' phase times onto the machine's
     /// clocks and traces, wave by wave, and build the epoch report.
     /// `results` is cycled when the epoch extrapolates beyond the
     /// executed iterations.
-    fn finish_epoch(
-        &self,
+    pub fn finish_epoch(
+        self,
         machine: &mut Machine,
         framework: Framework,
         results: &[IterationResult],
         total_iters: usize,
-    ) -> EpochReport;
-}
-
-/// The executor implementing `mode`.
-pub fn executor_for(mode: ExecMode) -> &'static dyn Executor {
-    match mode {
-        ExecMode::Serial => &SerialExecutor,
-        ExecMode::Overlapped => &OverlappedExecutor,
+    ) -> EpochReport {
+        assert!(!results.is_empty());
+        let waves = total_iters.div_ceil(machine.num_gpus() as usize);
+        let busy_input = framework.gpu_busy_in_input_phases();
+        let gpu0 = DeviceId::Gpu(0);
+        let epoch_start = machine.now(gpu0);
+        let (totals, exposed, storage_io, loss, train_accuracy) = aggregate(results, waves);
+        let epoch_time = match self {
+            ExecMode::Serial => serial_schedule(machine, busy_input, results, waves, &totals),
+            ExecMode::Overlapped => overlapped_schedule(machine, busy_input, results, waves),
+        };
+        let epoch_end = machine.now(gpu0);
+        EpochReport {
+            epoch_time,
+            sample_time: totals.sample,
+            gather_time: totals.gather,
+            train_time: totals.train,
+            comm_time: totals.comm,
+            storage_time: totals.storage,
+            storage_exposed_time: exposed,
+            storage_io,
+            loss,
+            train_accuracy,
+            iterations: total_iters,
+            executed_iterations: results.len(),
+            occupancy: occupancy_from_trace(machine.trace(gpu0), epoch_start, epoch_end),
+        }
     }
 }
 
 /// Phase-time totals, exposed storage time, storage traffic, mean loss
-/// and accuracy over the (cycled) waves — identical for every executor. The exposed sum
-/// prices the storage tier's async prefetch: wave `w`'s NVMe reads are
-/// double-buffered against wave `w-1`'s compute, so only the part of
-/// each wave's storage time exceeding its compute time surfaces as
-/// added wall clock.
+/// and accuracy over the (cycled) waves — identical for every schedule.
+/// The exposed sum prices the storage tier's async prefetch: wave `w`'s
+/// NVMe reads are double-buffered against wave `w-1`'s compute, so only
+/// the part of each wave's storage time exceeding its compute time
+/// surfaces as added wall clock.
 fn aggregate(
     results: &[IterationResult],
     waves: usize,
@@ -99,139 +119,73 @@ fn aggregate(
     )
 }
 
-/// Sample → gather → train → AllReduce back-to-back per wave.
-pub struct SerialExecutor;
-
-impl Executor for SerialExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Serial
+/// Sample → gather → train → AllReduce back-to-back per wave on every
+/// GPU. The epoch time is the phase-time sum, not the clock difference:
+/// the clock accumulates the same terms in a different order, and the
+/// sum is what the multi-node executor reproduces bitwise at N=1.
+fn serial_schedule(
+    machine: &mut Machine,
+    busy_input: bool,
+    results: &[IterationResult],
+    waves: usize,
+    totals: &IterTimes,
+) -> SimTime {
+    for w in 0..waves {
+        let t = results[w % results.len()].times;
+        machine.run_all_gpus(Phase::Sampling, busy_input, t.sample);
+        machine.run_all_gpus(Phase::Gather, busy_input, t.gather);
+        machine.run_all_gpus(Phase::Training, true, t.train);
+        machine.run_all_gpus(Phase::Communication, true, t.comm);
     }
-
-    fn wave_time(&self, times: &IterTimes) -> SimTime {
-        times.total()
-    }
-
-    fn finish_epoch(
-        &self,
-        machine: &mut Machine,
-        framework: Framework,
-        results: &[IterationResult],
-        total_iters: usize,
-    ) -> EpochReport {
-        assert!(!results.is_empty());
-        let g = machine.num_gpus() as usize;
-        let waves = total_iters.div_ceil(g);
-        let busy_input = framework.gpu_busy_in_input_phases();
-        let gpu0 = DeviceId::Gpu(0);
-        let epoch_start = machine.now(gpu0);
-        for w in 0..waves {
-            let t = results[w % results.len()].times;
-            machine.run_all_gpus(Phase::Sampling, busy_input, t.sample);
-            machine.run_all_gpus(Phase::Gather, busy_input, t.gather);
-            machine.run_all_gpus(Phase::Training, true, t.train);
-            machine.run_all_gpus(Phase::Communication, true, t.comm);
-        }
-        let epoch_end = machine.now(gpu0);
-        let (totals, exposed, storage_io, loss, train_accuracy) = aggregate(results, waves);
-        EpochReport {
-            epoch_time: totals.total(),
-            sample_time: totals.sample,
-            gather_time: totals.gather,
-            train_time: totals.train,
-            comm_time: totals.comm,
-            storage_time: totals.storage,
-            storage_exposed_time: exposed,
-            storage_io,
-            loss,
-            train_accuracy,
-            iterations: total_iters,
-            executed_iterations: results.len(),
-            occupancy: occupancy_from_trace(machine.trace(gpu0), epoch_start, epoch_end),
-        }
-    }
+    totals.total()
 }
-
-/// Double-buffered sample/gather/train overlap on two streams per GPU.
-pub struct OverlappedExecutor;
 
 /// Mini-batch buffer slots: wave `w`'s input phases may run while wave
 /// `w-1` trains, but must wait for wave `w-2`'s training to have
 /// consumed its buffer (classic double buffering).
 const BUFFER_SLOTS: usize = 2;
 
-impl Executor for OverlappedExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Overlapped
-    }
-
-    fn wave_time(&self, times: &IterTimes) -> SimTime {
-        // Steady state: input and compute proceed concurrently; the wave
-        // rate is set by whichever stream is longer.
-        times.input().max(times.compute())
-    }
-
-    fn finish_epoch(
-        &self,
-        machine: &mut Machine,
-        framework: Framework,
-        results: &[IterationResult],
-        total_iters: usize,
-    ) -> EpochReport {
-        assert!(!results.is_empty());
-        let g = machine.num_gpus() as usize;
-        let waves = total_iters.div_ceil(g);
-        let busy_input = framework.gpu_busy_in_input_phases();
-        let gpu0 = DeviceId::Gpu(0);
-        let epoch_start = machine.now(gpu0);
-
-        // Schedule once on a representative GPU's streams (data-parallel
-        // ranks execute identical schedules), then record the spans on
-        // every GPU.
-        let mut input = machine.stream(gpu0);
-        let mut train = machine.stream(gpu0);
-        let mut train_done: Vec<Event> = Vec::with_capacity(waves);
-        let mut spans: Vec<(Phase, bool, SimTime, SimTime)> = Vec::with_capacity(4 * waves);
-        for w in 0..waves {
-            let t = results[w % results.len()].times;
-            if w >= BUFFER_SLOTS {
-                input.wait(train_done[w - BUFFER_SLOTS]);
-            }
-            let (s0, s1) = input.run(t.sample);
-            let (g0, g1) = input.run(t.gather);
-            let ready = input.record();
-            train.wait(ready);
-            let (t0, t1) = train.run(t.train);
-            let (c0, c1) = train.run(t.comm);
-            train_done.push(train.record());
-            spans.push((Phase::Sampling, busy_input, s0, s1));
-            spans.push((Phase::Gather, busy_input, g0, g1));
-            spans.push((Phase::Training, true, t0, t1));
-            spans.push((Phase::Communication, true, c0, c1));
+/// Double-buffered sample/gather/train overlap on two streams per GPU.
+/// The epoch time is the schedule length.
+fn overlapped_schedule(
+    machine: &mut Machine,
+    busy_input: bool,
+    results: &[IterationResult],
+    waves: usize,
+) -> SimTime {
+    // Schedule once on a representative GPU's streams (data-parallel
+    // ranks execute identical schedules), then record the spans on
+    // every GPU.
+    let gpu0 = DeviceId::Gpu(0);
+    let epoch_start = machine.now(gpu0);
+    let mut input = machine.stream(gpu0);
+    let mut train = machine.stream(gpu0);
+    let mut train_done: Vec<Event> = Vec::with_capacity(waves);
+    let mut spans: Vec<(Phase, bool, SimTime, SimTime)> = Vec::with_capacity(4 * waves);
+    for w in 0..waves {
+        let t = results[w % results.len()].times;
+        if w >= BUFFER_SLOTS {
+            input.wait(train_done[w - BUFFER_SLOTS]);
         }
-        let epoch_end = stream::sync(&mut [&mut input, &mut train]);
-        for gpu in machine.gpus() {
-            for &(phase, busy, start, end) in &spans {
-                machine.record_span(gpu, phase, busy, start, end);
-            }
-        }
-
-        let (totals, exposed, storage_io, loss, train_accuracy) = aggregate(results, waves);
-        EpochReport {
-            epoch_time: epoch_end - epoch_start,
-            sample_time: totals.sample,
-            gather_time: totals.gather,
-            train_time: totals.train,
-            comm_time: totals.comm,
-            storage_time: totals.storage,
-            storage_exposed_time: exposed,
-            storage_io,
-            loss,
-            train_accuracy,
-            iterations: total_iters,
-            executed_iterations: results.len(),
-            occupancy: occupancy_from_trace(machine.trace(gpu0), epoch_start, epoch_end),
+        let (s0, s1) = input.run(t.sample);
+        let (g0, g1) = input.run(t.gather);
+        let ready = input.record();
+        train.wait(ready);
+        let (t0, t1) = train.run(t.train);
+        let (c0, c1) = train.run(t.comm);
+        train_done.push(train.record());
+        spans.push((Phase::Sampling, busy_input, s0, s1));
+        spans.push((Phase::Gather, busy_input, g0, g1));
+        spans.push((Phase::Training, true, t0, t1));
+        spans.push((Phase::Communication, true, c0, c1));
+    }
+    let epoch_end = stream::sync(&mut [&mut input, &mut train]);
+    for gpu in machine.gpus() {
+        for &(phase, busy, start, end) in &spans {
+            machine.record_span(gpu, phase, busy, start, end);
         }
     }
+    epoch_end - epoch_start
 }
 
 /// Wall time of a pipelined batched *inference* run: each batch's input
@@ -252,6 +206,9 @@ pub fn pipelined_wall_time(batch_times: &[(SimTime, SimTime)]) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use wg_sample::SampleStats;
+    use wg_sim::MachineConfig;
 
     fn times(sample: f64, gather: f64, train: f64, comm: f64) -> IterTimes {
         IterTimes {
@@ -265,8 +222,6 @@ mod tests {
 
     #[test]
     fn exposed_storage_is_the_over_compute_excess() {
-        use crate::pipeline::report::IterationResult;
-        use wg_sample::SampleStats;
         // Wave A: storage 1s hides under 3.5s of compute; wave B: 5s of
         // storage against 2s of compute leaves 3s exposed.
         let mk = |storage: f64, train: f64| IterationResult {
@@ -298,10 +253,8 @@ mod tests {
     #[test]
     fn wave_time_serial_vs_overlapped() {
         let t = times(3.0, 1.0, 2.0, 0.5);
-        assert_eq!(SerialExecutor.wave_time(&t).as_secs(), 6.5);
-        assert_eq!(OverlappedExecutor.wave_time(&t).as_secs(), 4.0);
-        assert_eq!(executor_for(ExecMode::Serial).mode(), ExecMode::Serial);
-        assert_eq!(executor_for(ExecMode::Overlapped).name(), "overlapped");
+        assert_eq!(ExecMode::Serial.wave_time(&t).as_secs(), 6.5);
+        assert_eq!(ExecMode::Overlapped.wave_time(&t).as_secs(), 4.0);
     }
 
     #[test]
@@ -320,5 +273,104 @@ mod tests {
         ];
         assert_eq!(pipelined_wall_time(&batches).as_secs(), 9.0);
         assert_eq!(pipelined_wall_time(&[]), SimTime::ZERO);
+    }
+
+    /// `a == b` up to the rounding a clock difference and a sum of the
+    /// same terms may disagree by.
+    fn close(a: SimTime, b: SimTime) -> bool {
+        (a.as_secs() - b.as_secs()).abs() <= 1e-9 * a.as_secs().max(b.as_secs())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The two schedules over the same synthetic iterations: same
+        /// totals and numerics, and an overlapped epoch that is never
+        /// longer than the serial one, never shorter than its longer
+        /// stream, and strictly shorter exactly when some wave's compute
+        /// has a following wave's input to hide.
+        #[test]
+        fn schedules_agree_on_totals_and_order_on_epoch_time(
+            // Per result: (sample, gather), (train, comm), storage — in
+            // units of 0.37 ms, so exact zeros and inexact sums both occur.
+            codes in proptest::collection::vec(((0u32..5, 0u32..5), (0u32..5, 0u32..5), 0u32..4), 1..13),
+            shape in (1usize..41, 1u32..9, 0usize..3),
+            lead in 0u32..3,
+        ) {
+            let unit = |c: u32| SimTime::from_secs(c as f64 * 0.37e-3);
+            let results: Vec<IterationResult> = codes
+                .iter()
+                .enumerate()
+                .map(|(i, &((sample, gather), (train, comm), storage))| IterationResult {
+                    times: IterTimes {
+                        sample: unit(sample),
+                        gather: unit(gather) + unit(storage),
+                        train: unit(train),
+                        comm: unit(comm),
+                        storage: unit(storage),
+                    },
+                    storage_io: StorageIo {
+                        rows: storage as u64,
+                        bytes: storage as u64 * 400,
+                        requests: storage.min(1) as u64,
+                        read_bytes: storage as u64 * 512,
+                    },
+                    loss: 0.1 + i as f32 * 0.3,
+                    correct: i % 3,
+                    batch: 4,
+                    shapes: Vec::new(),
+                    sample_stats: SampleStats::default(),
+                })
+                .collect();
+            let (total_iters, gpus, fw) = shape;
+            let framework = Framework::ALL[fw];
+            let run = |mode: ExecMode| {
+                let mut machine = Machine::new(MachineConfig::dgx_like(gpus));
+                // Epochs after the first start on a clock that is not zero.
+                machine.run_all_gpus(Phase::Setup, false, unit(lead));
+                mode.finish_epoch(&mut machine, framework, &results, total_iters)
+            };
+            let (serial, overlapped) = (run(ExecMode::Serial), run(ExecMode::Overlapped));
+
+            // Everything but `epoch_time` and the occupancy is the
+            // schedule's input, not its output.
+            let numerics = |r: &EpochReport| {
+                let times = [r.sample_time, r.gather_time, r.train_time, r.comm_time];
+                let storage = (r.storage_time, r.storage_exposed_time, r.storage_io);
+                (times, storage, r.loss.to_bits(), r.train_accuracy.to_bits())
+            };
+            prop_assert_eq!(numerics(&serial), numerics(&overlapped));
+            prop_assert_eq!(serial.iterations, total_iters);
+            prop_assert_eq!(overlapped.executed_iterations, results.len());
+
+            let waves: Vec<IterTimes> = (0..total_iters.div_ceil(gpus as usize))
+                .map(|w| results[w % results.len()].times)
+                .collect();
+            let sum = |f: fn(&IterTimes) -> SimTime| waves.iter().map(f).sum::<SimTime>();
+            prop_assert!(close(serial.epoch_time, sum(IterTimes::total)));
+            let hides = waves
+                .windows(2)
+                .any(|w| w[0].compute() > SimTime::ZERO && w[1].input() > SimTime::ZERO);
+            if hides {
+                prop_assert!(
+                    overlapped.epoch_time.as_secs() < serial.epoch_time.as_secs() * (1.0 - 1e-9),
+                    "overlapped {} !< serial {}", overlapped.epoch_time, serial.epoch_time
+                );
+            } else {
+                prop_assert!(
+                    close(overlapped.epoch_time, serial.epoch_time),
+                    "overlapped {} != serial {}", overlapped.epoch_time, serial.epoch_time
+                );
+            }
+            let floor = sum(IterTimes::input).max(sum(IterTimes::compute));
+            prop_assert!(overlapped.epoch_time.as_secs() >= floor.as_secs() * (1.0 - 1e-9));
+
+            for r in [&serial, &overlapped] {
+                prop_assert!(close(r.occupancy.busy + r.occupancy.idle, r.epoch_time));
+            }
+            for t in &waves {
+                prop_assert_eq!(ExecMode::Serial.wave_time(t), t.total());
+                prop_assert_eq!(ExecMode::Overlapped.wave_time(t), t.input().max(t.compute()));
+            }
+        }
     }
 }

@@ -18,47 +18,50 @@
 //!
 //! # Structure
 //!
-//! The engine is a small stage graph:
+//! The iteration is one straight-line function,
+//! `Pipeline::run_iteration_inner`: sample → price the sampling → gather
+//! → forward → loss → backward → step → price the training and its
+//! AllReduce. The order never varies; the two things the paper's
+//! evaluation does vary each sit behind one seam:
 //!
-//! * [`config`] — [`PipelineConfig`], [`FeaturePlacement`], [`ExecMode`].
-//! * `store` — the `FeatureStore` seam: where a feature row lives and
-//!   what fetching it costs (DSM with its cache and disk tiers,
+//! * **where a row lives** — `store`, the `FeatureStore` seam: what
+//!   fetching a feature row costs (DSM with its cache and disk tiers,
 //!   host-mapped, or host DRAM) is decided behind it, once, at build
-//!   time. Nothing in this module, the stages or the executors knows
-//!   which store it is running on.
-//! * [`stages`] — the [`Stage`] trait and the Sample/Gather/Train stage
-//!   implementations. Stages do the real math and price their phase, but
-//!   never touch the machine's clocks.
-//! * [`executor`] — [`SerialExecutor`] and [`OverlappedExecutor`]
-//!   schedule the priced stages onto the machine: serially (synchronous
-//!   DataLoader), or double-buffered on [`wg_sim::stream`]s so wave
-//!   `i+1`'s input phases hide under wave `i`'s training.
-//! * [`report`] — iteration/epoch/inference reports, including the
-//!   per-phase busy/idle occupancy derived from the recorded traces.
+//!   time. Nothing in this module or the schedules knows which store it
+//!   is running on.
+//! * **when a wave runs** — [`executor`]: [`ExecMode`] lays the priced
+//!   iterations onto the machine, serially (synchronous DataLoader) or
+//!   double-buffered on [`wg_sim::stream`]s so wave `i+1`'s input phases
+//!   hide under wave `i`'s training.
+//!
+//! Around them: [`config`] — [`PipelineConfig`], [`FeaturePlacement`],
+//! [`ExecMode`]; [`report`] — iteration/epoch/inference reports,
+//! including the per-phase busy/idle occupancy derived from the recorded
+//! traces. Training and the forward-only passes (inference, evaluation,
+//! serving) share one forward: `Pipeline::forward`.
 //!
 //! Timing model: with `G` GPUs training data-parallel, iterations are
 //! processed in **waves** of `G` (one batch per GPU). We execute
 //! iterations one after another (mathematically a single training stream
-//! — what synchronized DDP computes), then hand the per-iteration phase
-//! times to the configured executor, which charges simulated wave time to
-//! all GPU clocks and records the busy/idle trace intervals that
-//! Figure 12 plots. Because the numerics complete before scheduling
-//! starts, both executors produce bit-identical losses, parameters and
-//! predictions — only `epoch_time` and the traces differ.
+//! — what synchronized DDP computes); an iteration does the real math
+//! and prices its phases but never touches the machine's clocks. The
+//! per-iteration phase times then go to the configured [`ExecMode`],
+//! which charges simulated wave time to all GPU clocks and records the
+//! busy/idle trace intervals that Figure 12 plots. Because the numerics
+//! complete before scheduling starts, both modes produce bit-identical
+//! losses, parameters and predictions — only `epoch_time` and the traces
+//! differ.
 
 pub mod config;
 pub mod executor;
 pub mod report;
-pub mod stages;
 mod store;
 
 pub use config::{CacheConfig, ExecMode, FeaturePlacement, PipelineConfig, StorageConfig};
-pub use executor::{executor_for, Executor, OverlappedExecutor, SerialExecutor};
 pub use report::{
     EpochOccupancy, EpochReport, InferenceReport, IterTimes, IterationResult, PhaseOccupancy,
     StorageIo,
 };
-pub use stages::{GatherStage, IterContext, SampleStage, Stage, TrainStage};
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,25 +70,29 @@ use rand::prelude::*;
 use rand::rngs::SmallRng;
 
 use wg_autograd::{Adam, Optimizer, Tape};
+use wg_gnn::cost::train_step_time;
 use wg_gnn::{GnnModel, LayerProvider};
 use wg_graph::{NodeId, SyntheticDataset};
 use wg_sample::{MiniBatch, SampleScratch, SampleStats, SamplerConfig};
+use wg_sim::collective::allreduce_intra_node;
 use wg_sim::memory::OutOfMemory;
 use wg_sim::{DeviceId, Machine, SimTime};
-use wg_tensor::ops::argmax_rows_into;
+use wg_tensor::ops::{argmax_rows_into, softmax_cross_entropy_into};
 use wg_tensor::{BlockCsr, Matrix};
 
 use crate::convert::{minibatch_blocks_into, minibatch_shapes};
 use store::{FeatureStore, Gathered};
 
 /// Recycled per-iteration buffers (DESIGN.md, "Hot-path memory
-/// discipline"): the sampler's scratch arena plus small pools of
-/// mini-batch and feature buffers, so steady-state iterations reuse warm
-/// capacity instead of reallocating it every batch.
+/// discipline"): the sampler's scratch arena, the mini-batch shell and
+/// the feature buffer, so steady-state iterations reuse warm capacity
+/// instead of reallocating it every batch.
 #[derive(Default)]
 struct IterScratch {
     sample: SampleScratch,
-    minibatches: Vec<MiniBatch>,
+    /// One shell is enough: training, inference, evaluation and serving
+    /// passes run one after another on a pipeline, never two in flight.
+    minibatch: MiniBatch,
     feature_buf: Vec<f32>,
     /// The persistent autograd tape. Its [`wg_autograd::Workspace`] pool
     /// recycles every activation, gradient, and kernel scratch buffer
@@ -104,10 +111,31 @@ struct IterScratch {
     results: Vec<IterationResult>,
 }
 
-/// Pool size for recycled mini-batch buffers. Serial iteration holds at
-/// most one in flight; a little slack covers inference and evaluation
-/// interleaving with training.
-const ITER_POOL_CAP: usize = 4;
+/// What a training iteration does once it has the loss.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Nothing: forward with dropout off, no backward, no AllReduce — a
+    /// timing-only run that moves no parameter and no optimizer state.
+    Skip,
+    /// Backward, then the optimizer step.
+    Apply,
+    /// Backward only: gradients are left in the parameters for the
+    /// multi-node executor to average across replicas before
+    /// [`Pipeline::apply_step`].
+    Defer,
+}
+
+/// `ids` in the order epoch `epoch` visits them, into `order`. This is
+/// the one definition of the epoch shuffle: a lone pipeline and every
+/// multi-node replica (over its shard) draw from it, which is what keeps
+/// an N=1 cluster bit-identical to the pipeline.
+pub(crate) fn epoch_order_into(ids: &[NodeId], seed: u64, epoch: u64, order: &mut Vec<NodeId>) {
+    order.clear();
+    order.extend_from_slice(ids);
+    order.shuffle(&mut SmallRng::seed_from_u64(
+        seed ^ epoch.wrapping_mul(0x9e37),
+    ));
+}
 
 /// The fixed sampling epoch for [`Pipeline::serve_forward`]. Evaluation
 /// samples at `u64::MAX` and batched inference at `u64::MAX - 1`;
@@ -243,12 +271,6 @@ impl Pipeline {
         })
     }
 
-    /// Attach the multi-node execution context (machine rank, feature
-    /// partition, per-node counters).
-    pub(crate) fn set_dist(&mut self, dist: DistContext) {
-        self.dist = Some(dist);
-    }
-
     /// Drain the halo rows/bytes accumulated since the last call (zero
     /// for single-node pipelines).
     pub(crate) fn take_halo_stats(&mut self) -> (u64, u64) {
@@ -302,14 +324,11 @@ impl Pipeline {
         self.setup_time
     }
 
-    /// The layer provider training runs with.
-    pub fn provider(&self) -> LayerProvider {
-        self.provider
-    }
-
-    /// The executor the configured [`ExecMode`] selects.
-    pub fn executor(&self) -> &'static dyn Executor {
-        executor_for(self.cfg.exec)
+    /// The configured schedule: [`ExecMode::finish_epoch`] charges a list
+    /// of executed iterations to a machine, [`ExecMode::wave_time`]
+    /// projects one wave.
+    pub fn executor(&self) -> ExecMode {
+        self.cfg.exec
     }
 
     /// Iterations per epoch (ceil of train split / batch size).
@@ -322,32 +341,35 @@ impl Pipeline {
         &self.dataset
     }
 
-    /// Sample the sub-graph seeded at `nodes` into a pooled mini-batch.
+    /// Sample the sub-graph seeded at `nodes` into the pooled mini-batch
+    /// shell; the caller hands it back to `scratch.minibatch` when done.
     fn sample(&mut self, nodes: &[NodeId], epoch: u64, iter: u64) -> (MiniBatch, SampleStats) {
-        let mut mb = self
-            .scratch
-            .minibatches
-            .pop()
-            .unwrap_or_else(MiniBatch::empty);
+        let mut mb = std::mem::take(&mut self.scratch.minibatch);
         let (cfg, scratch) = (&self.sampler_cfg, &mut self.scratch.sample);
         let stats = self.store.sample(nodes, cfg, epoch, iter, scratch, &mut mb);
         (mb, stats)
     }
 
-    /// Return an iteration's mini-batch to the recycle pool so the next
-    /// iteration starts with warm capacity.
-    pub(crate) fn recycle_minibatch(&mut self, mb: MiniBatch) {
-        if self.scratch.minibatches.len() < ITER_POOL_CAP {
-            self.scratch.minibatches.push(mb);
+    /// Simulated sampling time of a training iteration.
+    fn train_sample_time(&self, stats: SampleStats) -> SimTime {
+        let cost = self.machine.cost();
+        let gpu_spec = self.machine.spec(DeviceId::Gpu(0));
+        let sampler = self.cfg.framework.sampler_backend();
+        let mut t_sample = sampler.sample_time(cost, gpu_spec, stats);
+        if !self.cfg.framework.uses_dsm() {
+            // Host pipelines also run the CPU-side sub-graph construction
+            // (unique etc.) inside the sampling phase:
+            t_sample +=
+                SimTime::from_secs(stats.keys_inserted as f64 / cost.cpu_sample_edges_per_s);
+            // ... and, crucially, all G trainer processes contend for the
+            // same host cores: the sampler rates are *aggregate* CPU
+            // rates, so when G GPUs each demand a mini-batch per wave,
+            // each wave pays G iterations' worth of CPU sampling. This is
+            // why DGL/PyG epochs do not shrink 8x on an 8-GPU node while
+            // WholeGraph's GPU sampling does.
+            t_sample = t_sample * self.machine.num_gpus() as f64;
         }
-    }
-
-    /// Hand a spent feature buffer (e.g. the gathered-input matrix the
-    /// train stage reclaims from the tape) back to the gather pool.
-    pub(crate) fn reclaim_feature_buf(&mut self, buf: Vec<f32>) {
-        if buf.capacity() > self.scratch.feature_buf.capacity() {
-            self.scratch.feature_buf = buf;
-        }
+        t_sample
     }
 
     /// Gather the input features of a mini-batch on GPU `rank` (training
@@ -396,9 +418,49 @@ impl Pipeline {
         gathered
     }
 
-    /// Execute one full iteration through the stage graph (sample →
-    /// gather → train). `update` applies the optimizer; pass `false` for
-    /// timing-only runs.
+    /// The forward pass training, inference, evaluation and serving all
+    /// run: convert the mini-batch's blocks, run the model over the
+    /// gathered `input` on the pooled tape (`train` turns dropout on,
+    /// drawn from `seed`), argmax the logits — then let `then` read or extend
+    /// the tape (`out` is the logits node) before the gathered-input
+    /// buffer and the scratch go back to their pools. Everything
+    /// transient comes out of the iteration scratch — the persistent tape
+    /// (whose workspace pool recycles all forward activations and
+    /// backward gradients), the CSR block list, the prediction buffer —
+    /// taken out so `then` can still borrow the pipeline, and put back at
+    /// the end: steady-state passes allocate nothing here.
+    fn forward<R>(
+        &mut self,
+        mb: &MiniBatch,
+        input: Matrix,
+        train: bool,
+        seed: u64,
+        then: impl FnOnce(&mut Self, &mut Tape, wg_autograd::NodeId, &[u32]) -> R,
+    ) -> R {
+        // Reset first: it drops the previous pass's op-held clones of the
+        // blocks, so the conversion can rebuild the CSRs in place.
+        let mut tape = std::mem::take(&mut self.scratch.tape);
+        tape.reset();
+        let mut blocks = std::mem::take(&mut self.scratch.blocks);
+        minibatch_blocks_into(mb, &mut blocks);
+        let out = self.model.forward(&mut tape, &blocks, input, train, seed);
+        let mut preds = std::mem::take(&mut self.scratch.preds);
+        argmax_rows_into(tape.value(out), &mut preds);
+        let r = then(self, &mut tape, out, &preds);
+        // The tape is done with the gathered-input matrix; reclaim its
+        // buffer for the next pass's gather.
+        let buf = tape.take_value(wg_autograd::NodeId::first()).into_vec();
+        if buf.capacity() > self.scratch.feature_buf.capacity() {
+            self.scratch.feature_buf = buf;
+        }
+        self.scratch.tape = tape;
+        self.scratch.blocks = blocks;
+        self.scratch.preds = preds;
+        r
+    }
+
+    /// Execute one full iteration (sample → gather → train). `update`
+    /// applies the optimizer; pass `false` for timing-only runs.
     pub fn run_iteration(
         &mut self,
         epoch: u64,
@@ -411,7 +473,7 @@ impl Pipeline {
     }
 
     /// [`run_iteration`](Self::run_iteration), additionally accumulating
-    /// the *host* wall-clock time each stage spends into `wall` (sample,
+    /// the *host* wall-clock time each phase spends into `wall` (sample,
     /// gather, train) — the wallclock bench uses this to report where the
     /// real time goes. Numerics are identical.
     pub fn run_iteration_timed(
@@ -422,7 +484,8 @@ impl Pipeline {
         update: bool,
         wall: &mut [Duration; 3],
     ) -> IterationResult {
-        self.run_iteration_inner(epoch, iter, batch_nodes, update, false, wall)
+        let step = if update { Step::Apply } else { Step::Skip };
+        self.run_iteration_inner(epoch, iter, batch_nodes, step, wall)
     }
 
     /// Like [`run_iteration`](Self::run_iteration) with `update = true`,
@@ -439,7 +502,7 @@ impl Pipeline {
         batch_nodes: &[NodeId],
     ) -> IterationResult {
         let mut wall = [Duration::ZERO; 3];
-        self.run_iteration_inner(epoch, iter, batch_nodes, true, true, &mut wall)
+        self.run_iteration_inner(epoch, iter, batch_nodes, Step::Defer, &mut wall)
     }
 
     /// Apply the optimizer step deferred by
@@ -448,52 +511,126 @@ impl Pipeline {
         self.opt.step(&mut self.model.params);
     }
 
+    /// The iteration: does the real math of every phase and prices it,
+    /// but never touches the machine's clocks or traces — laying the
+    /// times onto the timeline is [`ExecMode::finish_epoch`]'s job, which
+    /// is what lets both schedules run over bit-identical numerics.
     fn run_iteration_inner(
         &mut self,
         epoch: u64,
         iter: u64,
         batch_nodes: &[NodeId],
-        update: bool,
-        defer_step: bool,
+        step: Step,
         wall: &mut [Duration; 3],
     ) -> IterationResult {
-        let mut ctx = IterContext::new(self, epoch, iter, batch_nodes, update);
-        ctx.defer_step = defer_step;
         let t0 = Instant::now();
-        let sample = {
+        let (mb, sample_stats, t_sample) = {
             let _s = wg_trace::span!("pipeline.sample");
-            SampleStage.run(&mut ctx)
+            let (mb, stats) = self.sample(batch_nodes, epoch, iter);
+            (mb, stats, self.train_sample_time(stats))
         };
         let t1 = Instant::now();
-        let gather = {
+        let gathered = {
             let _s = wg_trace::span!("pipeline.gather");
-            GatherStage.run(&mut ctx)
+            // Iterations round-robin across the data-parallel ranks.
+            let rank = (iter % self.machine.num_gpus() as u64) as u32;
+            self.gather(&mb, rank)
         };
         let t2 = Instant::now();
-        let train = {
-            let _s = wg_trace::span!("pipeline.train");
-            TrainStage.run(&mut ctx)
+        let train_span = wg_trace::span!("pipeline.train");
+        let update = step != Step::Skip;
+        let dropout_seed = self.cfg.seed ^ epoch.rotate_left(13) ^ iter;
+        let (loss, correct) = self.forward(
+            &mb,
+            gathered.features,
+            update,
+            dropout_seed,
+            |p, tape, out, preds| {
+                let mut labels = std::mem::take(&mut p.scratch.labels);
+                labels.clear();
+                let dataset_labels = &p.dataset.labels;
+                labels.extend(batch_nodes.iter().map(|&v| dataset_labels[v as usize]));
+                let (rows, cols) = {
+                    let logits = tape.value(out);
+                    (logits.rows(), logits.cols())
+                };
+                let mut grad = tape.alloc(rows, cols);
+                let mut ce_losses = std::mem::take(&mut p.scratch.ce_losses);
+                let loss =
+                    softmax_cross_entropy_into(tape.value(out), &labels, &mut grad, &mut ce_losses);
+                let correct = preds.iter().zip(&labels).filter(|(pr, l)| pr == l).count();
+                match step {
+                    Step::Skip => tape.recycle(grad),
+                    Step::Apply | Step::Defer => {
+                        p.model.params.zero_grads();
+                        tape.backward(out, grad, &mut p.model.params);
+                        if step == Step::Apply {
+                            p.opt.step(&mut p.model.params);
+                        }
+                    }
+                }
+                p.scratch.labels = labels;
+                p.scratch.ce_losses = ce_losses;
+                (loss, correct)
+            },
+        );
+        let shapes = minibatch_shapes(&mb);
+        self.scratch.minibatch = mb;
+        let cost = self.machine.cost();
+        let t_train = train_step_time(
+            &self
+                .cfg
+                .gnn_config(self.dataset.feature_dim, self.dataset.num_classes),
+            &shapes,
+            self.provider,
+            cost,
+            self.machine.spec(DeviceId::Gpu(0)),
+            self.model.params.num_scalars(),
+        );
+        let t_comm = if update {
+            // Ring allreduce moves 2*(G-1)/G of the gradient bytes per rank.
+            let g = self.machine.num_gpus() as f64;
+            let param_bytes = self.model.params.param_bytes();
+            let allreduce_bytes = param_bytes as f64 * 2.0 * (g - 1.0) / g;
+            wg_trace::counter!("pipeline.allreduce.bytes", allreduce_bytes);
+            if let Some(dist) = &self.dist {
+                // Per-node attribution: the global counter sums over all
+                // replicas; this one lets the sweep split comm by node.
+                wg_trace::metrics::add_dyn(&dist.allreduce_bytes_metric, allreduce_bytes);
+            }
+            allreduce_intra_node(cost, param_bytes, self.machine.num_gpus())
+        } else {
+            SimTime::ZERO
         };
+        drop(train_span);
         let t3 = Instant::now();
         wall[0] += t1 - t0;
         wall[1] += t2 - t1;
         wall[2] += t3 - t2;
-        let (comm, storage) = (ctx.comm, ctx.storage.0);
-        ctx.into_result(IterTimes {
-            sample,
-            gather,
-            train,
-            comm,
-            storage,
-        })
+        IterationResult {
+            times: IterTimes {
+                sample: t_sample,
+                gather: gathered.time,
+                train: t_train,
+                // The AllReduce is priced here and scheduled by the
+                // `ExecMode` as its own `Communication` span.
+                comm: t_comm,
+                // Already inside `gather`; carried beside it.
+                storage: gathered.storage_time,
+            },
+            storage_io: gathered.storage_io,
+            loss,
+            correct,
+            batch: batch_nodes.len(),
+            shapes,
+            sample_stats,
+        }
     }
 
     /// The epoch's shuffled batches.
     pub fn epoch_batches(&self, epoch: u64) -> Vec<Vec<NodeId>> {
-        let mut order = self.dataset.train.clone();
-        order.shuffle(&mut SmallRng::seed_from_u64(
-            self.cfg.seed ^ epoch.wrapping_mul(0x9e37),
-        ));
+        let mut order = Vec::new();
+        epoch_order_into(&self.dataset.train, self.cfg.seed, epoch, &mut order);
         order
             .chunks(self.cfg.batch_size)
             .map(<[NodeId]>::to_vec)
@@ -506,7 +643,7 @@ impl Pipeline {
     }
 
     /// [`train_epoch`](Self::train_epoch) plus the host wall-clock split
-    /// across the three stages. The shuffle order and result list come
+    /// across the three phases. The shuffle order and result list come
     /// from the iteration scratch, so steady-state epochs reuse warm
     /// capacity; batch order is identical to [`epoch_batches`].
     ///
@@ -514,11 +651,7 @@ impl Pipeline {
     pub fn train_epoch_timed(&mut self, epoch: u64) -> (EpochReport, [Duration; 3]) {
         let _epoch_span = wg_trace::span!("pipeline.epoch");
         let mut order = std::mem::take(&mut self.scratch.epoch_order);
-        order.clear();
-        order.extend_from_slice(&self.dataset.train);
-        order.shuffle(&mut SmallRng::seed_from_u64(
-            self.cfg.seed ^ epoch.wrapping_mul(0x9e37),
-        ));
+        epoch_order_into(&self.dataset.train, self.cfg.seed, epoch, &mut order);
         let mut results = std::mem::take(&mut self.scratch.results);
         results.clear();
         let bs = self.cfg.batch_size;
@@ -549,7 +682,7 @@ impl Pipeline {
         self.finish_epoch(&results, batches.len())
     }
 
-    /// Hand the executed iterations to the configured executor, which
+    /// Hand the executed iterations to the configured [`ExecMode`], which
     /// charges the machine's clocks/traces wave by wave and builds the
     /// epoch report.
     pub(crate) fn finish_epoch(
@@ -557,12 +690,8 @@ impl Pipeline {
         results: &[IterationResult],
         total_iters: usize,
     ) -> EpochReport {
-        executor_for(self.cfg.exec).finish_epoch(
-            &mut self.machine,
-            self.cfg.framework,
-            results,
-            total_iters,
-        )
+        let (exec, framework) = (self.cfg.exec, self.cfg.framework);
+        exec.finish_epoch(&mut self.machine, framework, results, total_iters)
     }
 
     /// One forward-only pass over `nodes`: sample at the coordinates
@@ -588,15 +717,9 @@ impl Pipeline {
             self.gather(&mb, rank)
         };
         let _s = wg_trace::span!("pipeline.forward.compute");
-        let mut blocks = std::mem::take(&mut self.scratch.blocks);
-        minibatch_blocks_into(&mb, &mut blocks);
-        let mut tape = std::mem::take(&mut self.scratch.tape);
-        tape.reset();
-        let features = gathered.features;
-        let out = self.model.forward(&mut tape, &blocks, features, false, 0);
-        let mut preds = std::mem::take(&mut self.scratch.preds);
-        argmax_rows_into(tape.value(out), &mut preds);
-        read(tape.value(out), &preds);
+        self.forward(&mb, gathered.features, false, 0, |_, tape, out, preds| {
+            read(tape.value(out), preds)
+        });
         let (cost, gpu_spec) = (self.machine.cost(), self.machine.spec(DeviceId::Gpu(rank)));
         let sampler = self.cfg.framework.sampler_backend();
         let gnn_cfg = self
@@ -610,11 +733,7 @@ impl Pipeline {
             storage: gathered.storage_time,
             storage_io: gathered.storage_io,
         };
-        self.reclaim_feature_buf(tape.take_value(wg_autograd::NodeId::first()).into_vec());
-        self.scratch.tape = tape;
-        self.scratch.blocks = blocks;
-        self.scratch.preds = preds;
-        self.recycle_minibatch(mb);
+        self.scratch.minibatch = mb;
         times
     }
 
@@ -761,6 +880,69 @@ mod tests {
                 let r = p.run_iteration(0, 0, &batch, true);
                 assert!(r.loss.is_finite(), "{fw:?}/{model:?}");
                 assert!(r.times.total() > SimTime::ZERO);
+            }
+        }
+    }
+
+    /// FNV-1a over every parameter's bit pattern.
+    fn params_fnv(p: &Pipeline) -> u64 {
+        use wg_tensor::simd::{fnv1a_f32, FNV_OFFSET};
+        let params = &p.model.params;
+        params
+            .ids()
+            .fold(FNV_OFFSET, |h, id| fnv1a_f32(h, params.value(id).data()))
+    }
+
+    #[test]
+    fn timing_only_iterations_move_no_parameter_and_no_optimizer_state() {
+        for fw in [Framework::WholeGraph, Framework::Dgl] {
+            let mut p = pipeline(fw, ModelKind::GraphSage);
+            let batch: Vec<NodeId> = p.dataset().train[..32].to_vec();
+            let before = params_fnv(&p);
+            // Times are not compared: a CLOCK-cache leg warms between
+            // the two calls.
+            let a = p.run_iteration(0, 0, &batch, false);
+            let b = p.run_iteration(0, 0, &batch, false);
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{fw:?}");
+            assert_eq!(a.correct, b.correct, "{fw:?}");
+            assert_eq!(
+                a.times.comm,
+                SimTime::ZERO,
+                "{fw:?}: no AllReduce without grads"
+            );
+            assert_eq!(params_fnv(&p), before, "{fw:?}: a parameter moved");
+            // Adam's moments and step count feed its first update, so an
+            // update after the timing-only runs matches a fresh
+            // pipeline's only if they left the optimizer untouched too.
+            let mut fresh = pipeline(fw, ModelKind::GraphSage);
+            for iter in 0..2 {
+                let c = p.run_iteration(0, iter, &batch, true);
+                let f = fresh.run_iteration(0, iter, &batch, true);
+                assert_eq!(c.loss.to_bits(), f.loss.to_bits(), "{fw:?} iter {iter}");
+                assert_eq!(params_fnv(&p), params_fnv(&fresh), "{fw:?} iter {iter}");
+            }
+            assert_ne!(params_fnv(&p), before, "{fw:?}: the update must move them");
+        }
+    }
+
+    #[test]
+    fn deferred_iteration_plus_apply_step_is_the_immediate_update() {
+        for fw in [Framework::WholeGraph, Framework::Dgl] {
+            let mut now = pipeline(fw, ModelKind::GraphSage);
+            let mut later = pipeline(fw, ModelKind::GraphSage);
+            let batch: Vec<NodeId> = now.dataset().train[..32].to_vec();
+            // Two iterations: the second starts from stale gradients and
+            // nonzero moments.
+            for iter in 0..2 {
+                let a = now.run_iteration(0, iter, &batch, true);
+                let before_step = params_fnv(&later);
+                let b = later.run_iteration_deferred(0, iter, &batch);
+                assert_eq!(params_fnv(&later), before_step, "{fw:?}: deferred stepped");
+                later.apply_step();
+                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{fw:?} iter {iter}");
+                assert_eq!(a.correct, b.correct, "{fw:?} iter {iter}");
+                assert_eq!(a.times.comm, b.times.comm, "{fw:?} iter {iter}");
+                assert_eq!(params_fnv(&now), params_fnv(&later), "{fw:?} iter {iter}");
             }
         }
     }

@@ -31,8 +31,8 @@ impl IterTimes {
         self.sample + self.gather + self.train + self.comm
     }
 
-    /// The input-pipeline half (sampling + gather) — what an overlapped
-    /// executor runs on the input stream.
+    /// The input-pipeline half (sampling + gather) — what the overlapped
+    /// schedule runs on the input stream.
     pub fn input(&self) -> SimTime {
         self.sample + self.gather
     }
@@ -80,8 +80,8 @@ impl PhaseOccupancy {
 }
 
 /// Per-phase busy/idle accounting of one epoch on one GPU, derived from
-/// the trace intervals the executor recorded. Under the overlapped
-/// executor, phase spans on different streams cover the same simulated
+/// the trace intervals the schedule recorded. Under the overlapped
+/// schedule, phase spans on different streams cover the same simulated
 /// time, so the per-phase totals can *sum* to more than the epoch span —
 /// that is the overlap. `busy`/`idle` are union measures over the epoch
 /// window and always add up to exactly the epoch span.
@@ -125,7 +125,8 @@ impl EpochOccupancy {
 }
 
 /// Derive the epoch occupancy from a device's trace over `[from, to)`.
-/// Executors call this on GPU 0 after recording the epoch's spans.
+/// `ExecMode::finish_epoch` calls this on GPU 0 after recording the
+/// epoch's spans.
 pub(crate) fn occupancy_from_trace(
     trace: &UtilizationTrace,
     from: SimTime,
@@ -161,7 +162,7 @@ pub(crate) fn occupancy_from_trace(
 #[derive(Clone, Copy, Debug)]
 pub struct EpochReport {
     /// Wall-clock epoch time (per-GPU, data-parallel waves). Under the
-    /// overlapped executor this is the schedule length, which is shorter
+    /// overlapped schedule this is the schedule length, which is shorter
     /// than the phase-time sum whenever input and compute overlap.
     pub epoch_time: SimTime,
     /// Total sampling time across the epoch.
@@ -212,7 +213,7 @@ pub struct InferenceReport {
     /// Total forward compute time.
     pub compute_time: SimTime,
     /// End-to-end wall time: equals [`InferenceReport::total_time`] when
-    /// batches run serially, less when the executor overlaps each batch's
+    /// batches run serially, less when the schedule overlaps each batch's
     /// input phases with the previous batch's forward pass.
     pub wall_time: SimTime,
 }

@@ -31,7 +31,6 @@ pub mod neighbor;
 pub mod prefix;
 pub mod radix;
 mod sync_slice;
-pub mod weighted;
 pub mod wrs;
 
 pub use append_unique::{
@@ -43,5 +42,4 @@ pub use neighbor::{
     HostGraphAccess, MiniBatch, MultiGpuAccess, SampleBlock, SampleScratch, SampleStats,
     SamplerBackend, SamplerConfig,
 };
-pub use weighted::weighted_sample_without_replacement;
 pub use wrs::{sample_small, sample_without_replacement, PathDoublingSampler, STACK_FANOUT_MAX};

@@ -160,7 +160,7 @@ impl SampleBlock {
 }
 
 /// A fully sampled mini-batch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MiniBatch {
     /// Per hop, outermost (dst = the training batch) first. The model
     /// consumes them in reverse: the **last** block feeds the first GNN
@@ -178,11 +178,7 @@ impl MiniBatch {
     /// An empty mini-batch shell for [`sample_minibatch_into`] to fill
     /// (and refill: recycled shells keep their buffer capacities).
     pub fn empty() -> Self {
-        MiniBatch {
-            blocks: Vec::new(),
-            frontiers: Vec::new(),
-            batch_size: 0,
-        }
+        Self::default()
     }
 
     /// Node handles whose features must be gathered: the source space of
@@ -210,16 +206,6 @@ pub struct SamplerConfig {
     pub fanouts: Vec<usize>,
     /// Base RNG seed.
     pub seed: u64,
-}
-
-impl SamplerConfig {
-    /// The paper's 3-layer, fanout-30 configuration.
-    pub fn paper_default() -> Self {
-        SamplerConfig {
-            fanouts: vec![30, 30, 30],
-            seed: 0,
-        }
-    }
 }
 
 /// Which system executes sampling — decides the simulated cost.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, format and lint the whole workspace.
+# Tier-1 verification: build, test, format and lint the whole workspace,
+# and type-check the out-of-workspace benchmark package against it.
 #
 # Usage: scripts/tier1.sh
 #
@@ -34,6 +35,12 @@ fi
 
 echo "tier1: cargo build --release"
 cargo build --release "${OFFLINE_FLAGS[@]}"
+
+# benchmark/ is a package of its own, outside the workspace, so the
+# build above never compiles it: without this step a renamed `Pipeline`
+# method passes tier-1 and fails only when the benchmark is next built.
+echo "tier1: cargo check --manifest-path benchmark/Cargo.toml"
+cargo check --offline --manifest-path benchmark/Cargo.toml
 
 # The suite runs twice: once on the work-stealing pool at its natural
 # width and once pinned to one worker (WG_THREADS=1). The rayon shim
