@@ -65,7 +65,7 @@ struct Point {
     storage_requests: u64,
     storage_read_bytes: u64,
     /// Host wall-clock spent inside the tier's fetches (sort, coalesce,
-    /// `pread`, decode) over the measured epoch.
+    /// range check — no bytes move there) over the measured epoch.
     fetch_host: f64,
     /// NVMe time charged as if every prefetch blocked its gather.
     blocking: SimTime,

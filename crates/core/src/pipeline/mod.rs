@@ -350,7 +350,8 @@ impl Pipeline {
         (mb, stats)
     }
 
-    /// Simulated sampling time of a training iteration.
+    /// Simulated sampling time of one mini-batch — the same price whether
+    /// a training iteration or a forward-only pass drew it.
     fn train_sample_time(&self, stats: SampleStats) -> SimTime {
         let cost = self.machine.cost();
         let gpu_spec = self.machine.spec(DeviceId::Gpu(0));
@@ -721,13 +722,12 @@ impl Pipeline {
             read(tape.value(out), preds)
         });
         let (cost, gpu_spec) = (self.machine.cost(), self.machine.spec(DeviceId::Gpu(rank)));
-        let sampler = self.cfg.framework.sampler_backend();
         let gnn_cfg = self
             .cfg
             .gnn_config(self.dataset.feature_dim, self.dataset.num_classes);
         let shapes = minibatch_shapes(&mb);
         let times = ServeTimes {
-            sample: sampler.sample_time(cost, gpu_spec, stats),
+            sample: self.train_sample_time(stats),
             gather: gathered.time,
             compute: wg_gnn::cost::eval_step_time(&gnn_cfg, &shapes, self.provider, cost, gpu_spec),
             storage: gathered.storage_time,
@@ -1154,6 +1154,23 @@ mod tests {
             per_batch_infer < train_total,
             "infer {per_batch_infer} !< train {train_total}"
         );
+    }
+
+    /// A forward-only pass prices the batch it sampled exactly as a
+    /// training iteration prices the same batch: on the host frameworks
+    /// that includes CPU sub-graph construction and the G-way contention
+    /// for host cores (ROADMAP item 2(c)); on the DSM both terms are zero.
+    #[test]
+    fn inference_prices_sampling_like_training() {
+        for fw in [Framework::WholeGraph, Framework::Dgl, Framework::Pyg] {
+            let mut p = pipeline(fw, ModelKind::Gcn);
+            let nodes: Vec<NodeId> = (0..p.config().batch_size as u64).collect();
+            let (_, report) = p.infer(&nodes);
+            assert_eq!(report.batches, 1);
+            // `infer` samples batch `i` at the coordinates (u64::MAX - 1, i).
+            let it = p.run_iteration(u64::MAX - 1, 0, &nodes, false);
+            assert_eq!(report.sample_time, it.times.sample, "{fw:?}");
+        }
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Element types and global address translation.
 
-use crate::ooc::Persist;
-
 /// Marker trait for element types storable in a [`crate::WholeMemory`].
 ///
 /// Stands in for "plain old device data": fixed-size, copyable, and safely
 /// zero-initializable. Implemented for the scalar types GNN training needs.
 /// The [`wg_tensor::simd::Pod`] bound lets the gather kernel move rows as
-/// raw byte streams through the SIMD copy path; [`Persist`] lets the
-/// out-of-core tier spill them.
-pub trait Element: Copy + Default + Send + Sync + 'static + wg_tensor::simd::Pod + Persist {}
+/// raw byte streams through the SIMD copy path, and the out-of-core tier
+/// spill and map them as they are.
+pub trait Element: Copy + Default + Send + Sync + 'static + wg_tensor::simd::Pod {}
 
 impl Element for f32 {}
 impl Element for f64 {}

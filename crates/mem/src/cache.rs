@@ -23,9 +23,9 @@
 //!
 //! The cache changes *cost only, never values*: a hit copies the exact
 //! bytes the source tier holds (placed there at build time or by a
-//! planned insert reading the owning region or the disk tier's staging
-//! buffer), it is merely priced at local-HBM bandwidth instead of NVLink
-//! by the gather. The cache
+//! planned insert reading the owning region or the disk tier's mapped
+//! spill file), it is merely priced at local-HBM bandwidth instead of
+//! NVLink by the gather. The cache
 //! assumes the feature store is immutable while it is live — a
 //! `global_scatter` into cached rows must be followed by [`FeatureCache::clear`].
 //!

@@ -38,7 +38,7 @@ use crate::ooc::OocTier;
 /// `mem.storage.{rows,bytes,requests,read_bytes}` counters: `rows` and
 /// `bytes` are logical (what gather plans asked the tier for),
 /// `requests` and `read_bytes` physical (the ranged reads
-/// [`OocTier::fetch`] issued to serve them). One fetch returns it, one
+/// [`OocTier::fetch`] issued for them). One fetch returns it, one
 /// gather reports it, and epoch/serve reports sum it. All zero whenever
 /// the tier is off or every row was cache- or DSM-resident.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub struct StorageIo {
     /// invariant of the tier: DSM-served bytes plus these (plus
     /// cache-served bytes) always equal `algo_bytes`.
     pub bytes: u64,
-    /// Positional reads issued (file-adjacent rows coalesce, so
+    /// Ranged reads issued (file-adjacent rows coalesce, so
     /// `requests <= rows`).
     pub requests: u64,
     /// Bytes the reads transferred, bridged gaps included — at least
@@ -153,10 +153,9 @@ impl GatherStats {
 /// cache store rather than a region.
 const CACHE_RANK: u32 = u32::MAX;
 
-/// Sentinel "owning rank" marking a planned row staged from the
-/// out-of-core storage tier; `start` is then an offset into the tier's
-/// staging buffer (filled by the batched prefetch fetch that runs
-/// before the copy kernel).
+/// Sentinel "owning rank" marking a planned row served from the
+/// out-of-core storage tier; `start` is then the row's offset into the
+/// tier's mapped spill file ([`OocTier::spill`]).
 const DISK_RANK: u32 = u32::MAX - 1;
 
 /// One gather row resolved to its owning region and element offset.
@@ -199,10 +198,9 @@ pub struct RowPlan {
     /// Cache hits whose owning rank is not the executing device (the
     /// rows whose bus crossing the cache saved).
     cache_remote_hits: usize,
-    /// Global row ids of disk-served rows, in staging-slot order: slot
-    /// `i` of the tier's staging buffer receives row `disk_slots[i]`.
-    /// This list *is* the prefetch queue's request batch.
-    disk_slots: Vec<u32>,
+    /// Global row ids of disk-served rows, in plan order — the prefetch
+    /// queue's request batch.
+    disk_batch: Vec<u32>,
 }
 
 impl RowPlan {
@@ -218,7 +216,7 @@ impl RowPlan {
 
     /// Rows this plan serves from the out-of-core storage tier.
     pub fn disk_rows(&self) -> usize {
-        self.disk_slots.len()
+        self.disk_batch.len()
     }
 }
 
@@ -283,7 +281,7 @@ impl<T: Element> TierStack<T> {
         plan.inserts.clear();
         plan.cache_hits = 0;
         plan.cache_remote_hits = 0;
-        plan.disk_slots.clear();
+        plan.disk_batch.clear();
         let fill_on_miss = self
             .cache
             .as_ref()
@@ -314,9 +312,8 @@ impl<T: Element> TierStack<T> {
                 plan.rank_counts[loc.device_rank as usize] += 1;
                 (loc.device_rank, loc.local_row * width)
             } else {
-                let disk_slot = plan.disk_slots.len();
-                plan.disk_slots.push(row as u32);
-                (DISK_RANK, disk_slot * width)
+                plan.disk_batch.push(row as u32);
+                (DISK_RANK, row * width)
             };
             plan.slots.push(PlannedRow { rank, start });
             if fill_on_miss {
@@ -332,20 +329,22 @@ impl<T: Element> TierStack<T> {
     }
 
     /// Execute a plan built by [`plan`](Self::plan) on this stack, on
-    /// device `executing_rank`: the disk tier's batched prefetch stages
-    /// every disk-planned row first (real file I/O, in coalesced ranged
-    /// reads; the storage cost model prices exactly the reads issued),
-    /// this batch's CLOCK fills land in the cache — from DSM regions or
-    /// the staging buffer, whichever tier served the miss — and the copy
-    /// kernel then reads cache hits from the cache store at local-HBM
-    /// cost, resident rows from their owning regions at DSM cost, and
-    /// spilled rows from staging. `out` must hold `plan.rows() *
-    /// wm.width()` elements.
+    /// device `executing_rank`: the disk tier's batched prefetch turns
+    /// the disk-planned rows into coalesced ranged requests first (the
+    /// list a device would be sent, which the storage cost model
+    /// prices), this batch's CLOCK fills land in the cache — from DSM
+    /// regions or the mapped spill file, whichever tier served the miss
+    /// — and the copy kernel then reads cache hits from the cache store
+    /// at local-HBM cost, resident rows from their owning regions at DSM
+    /// cost, and spilled rows straight out of the mapping: file to
+    /// output in one copy. `out` must hold `plan.rows() * wm.width()`
+    /// elements.
     ///
-    /// A failed spill-file read is returned before anything is copied; the
-    /// plan already advanced the CLOCK cache's directory, so after an `Err`
-    /// that cache's slots no longer match its data and it must be rebuilt.
-    /// A stack without a disk tier issues no I/O and never returns `Err`.
+    /// A request the spill file cannot serve is returned before anything
+    /// is copied; the plan already advanced the CLOCK cache's directory,
+    /// so after an `Err` that cache's slots no longer match its data and
+    /// it must be rebuilt. A stack without a disk tier issues no requests
+    /// and never returns `Err`.
     pub fn execute(
         &mut self,
         wm: &WholeMemory<T>,
@@ -356,18 +355,18 @@ impl<T: Element> TierStack<T> {
         spec: &DeviceSpec,
     ) -> io::Result<GatherStats> {
         // Without this, a plan executed on the wrong stack would index
-        // an empty cache store or staging buffer out of bounds.
+        // an empty cache store or spill mapping out of bounds.
         assert!(
             (self.cache.is_some() || plan.cache_hits == 0 && plan.inserts.is_empty())
-                && (self.disk.is_some() || plan.disk_slots.is_empty()),
-            "plan holds cache hits or disk slots this stack has no tier for: \
+                && (self.disk.is_some() || plan.disk_batch.is_empty()),
+            "plan holds cache hits or disk rows this stack has no tier for: \
              execute a plan on the stack that planned it"
         );
         let mut storage_io = StorageIo::default();
         let mut storage_time = SimTime::ZERO;
         if let Some(tier) = self.disk.as_mut() {
             let fetch_start = wg_trace::metrics_enabled().then(Instant::now);
-            storage_io = tier.fetch(&plan.disk_slots, &model.storage)?;
+            storage_io = tier.fetch(&plan.disk_batch, &model.storage)?;
             if let Some(t0) = fetch_start {
                 wg_trace::counter!("mem.storage.fetch_host_s", t0.elapsed().as_secs_f64());
             }
@@ -378,7 +377,7 @@ impl<T: Element> TierStack<T> {
                 .storage
                 .requests_time(tier.issued().iter().map(|&(_, b)| b));
         }
-        let staged: &[T] = self.disk.as_ref().map_or(&[], |t| t.staging());
+        let spilled: &[T] = self.disk.as_ref().map_or(&[], |t| t.spill());
 
         let _span = wg_trace::span!("mem.gather");
         let width = wm.width();
@@ -400,7 +399,7 @@ impl<T: Element> TierStack<T> {
             let dc = cache.device_mut(executing_rank);
             for ins in &plan.inserts {
                 let src = if ins.src_rank == DISK_RANK {
-                    staged
+                    spilled
                 } else {
                     regions.region(ins.src_rank as usize)
                 };
@@ -419,7 +418,7 @@ impl<T: Element> TierStack<T> {
 
         // The "kernel": every thread block copies one output row from the
         // owning region through the pointer table (or from the device's own
-        // cache store for hits, or the staging buffer for spilled rows). All
+        // cache store for hits, or the mapped spill file for spilled rows). All
         // address translation already happened at plan time; the guard
         // table is inline (no heap allocation at ≤ 16 ranks) and the row
         // copy streams through the SIMD path.
@@ -429,7 +428,7 @@ impl<T: Element> TierStack<T> {
                 let src = if slot.rank == CACHE_RANK {
                     cache_store
                 } else if slot.rank == DISK_RANK {
-                    staged
+                    spilled
                 } else {
                     regions.region(slot.rank as usize)
                 };
@@ -981,7 +980,7 @@ mod tests {
         let (wm, model, spec) = setup(300, 8, 4, AccessMode::PeerAccess);
         let hotness = vec![1u64; 300];
         // Nothing resident: every miss is disk-served, and the CLOCK
-        // inserts must copy from the staging buffer, not a DSM region.
+        // inserts must copy from the mapped spill file, not a DSM region.
         let mut stack = TierStack {
             cache: Some(FeatureCache::new_clock(&wm, 4, 128)),
             disk: Some(OocTier::build(&wm, &hotness, 0).unwrap()),
@@ -996,9 +995,9 @@ mod tests {
         assert_eq!(second.storage_time, SimTime::ZERO);
     }
 
-    /// A plan that holds cache hits or disk slots, executed on a stack
+    /// A plan that holds cache hits or disk rows, executed on a stack
     /// without that tier, is refused by name — not by an index error
-    /// into an empty cache store or staging buffer.
+    /// into an empty cache store or spill mapping.
     #[test]
     fn plan_rejected_by_a_stack_without_its_tier() {
         let (wm, model, spec) = setup(100, 4, 4, AccessMode::PeerAccess);

@@ -25,10 +25,10 @@
 //!   turns remote gathers into local-HBM hits — cost changes, values
 //!   never do;
 //! * [`ooc`] — the file-backed out-of-core tier *below* the DSM: feature
-//!   rows spilled to disk, a batched prefetch queue staging each gather
-//!   plan's non-resident rows in coalesced ranged reads, the NVMe
-//!   storage cost model pricing exactly the reads issued — again, cost
-//!   changes, values never do;
+//!   rows spilled to a mapped file the copy kernel reads in place, a
+//!   batched prefetch queue turning each gather plan's non-resident rows
+//!   into coalesced ranged requests, the NVMe storage cost model pricing
+//!   exactly that request list — again, cost changes, values never do;
 //! * [`nccl`] — the 5-step distributed-memory gather baseline of Figure 4
 //!   (bucket → exchange counts → alltoallv IDs → local gather → alltoallv
 //!   features → reorder), used by Figure 10;
@@ -59,4 +59,4 @@ pub use halo::{count_halo_rows, halo_exchange, HaloStats};
 pub use handle::{RegionView, WholeMemory};
 pub use ipc::{IpcHandle, MemoryPointerTable, SetupReport};
 pub use nccl::NcclGatherStats;
-pub use ooc::{OocTier, Persist, MAX_TRANSFER_BYTES};
+pub use ooc::{OocTier, MAX_TRANSFER_BYTES};

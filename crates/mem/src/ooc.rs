@@ -5,141 +5,158 @@
 //! **resident** in the DSM. Attached to a gather's
 //! [`TierStack`](crate::gather::TierStack) as its `disk` member, it is
 //! the last stop of the cache → DSM → disk resolution; rows that fall to
-//! disk are staged by [`OocTier::fetch`], the batched prefetch queue. A gather plan's disk rows are sorted into
-//! file order and run through a coalescing **accumulator** (GIDS's
-//! mechanism): file-adjacent rows merge into byte ranges, a range
-//! extending across a gap of unrequested rows only while
-//! [`StorageCostModel::request_time`] prices the merged request no
-//! dearer than the two it replaces, up to [`MAX_TRANSFER_BYTES`]. Each
-//! range is one positional read (`RowFile`, std-only) into a bounce
-//! buffer, from which only the requested rows are decoded into the
-//! pooled staging buffer the copy kernel treats as one more source
-//! region.
+//! disk go through [`OocTier::fetch`], the batched prefetch queue. A
+//! gather plan's disk rows are sorted into file order and run through a
+//! coalescing **accumulator** (GIDS's mechanism): file-adjacent rows
+//! merge into byte ranges, a range extending across a gap of unrequested
+//! rows only while [`StorageCostModel::request_time`] prices the merged
+//! request no dearer than the two it replaces, up to
+//! [`MAX_TRANSFER_BYTES`]. That request list ([`OocTier::issued`]) is
+//! what a device would be sent and what the cost model prices: a seek
+//! share per read, its bytes (gaps included) at its size's bandwidth.
+//!
+//! The host moves none of those bytes itself: the spill file is mapped
+//! read-only at build, and the mapping ([`OocTier::spill`]) *is* the
+//! region the copy kernel reads spilled rows from — file → output in one
+//! copy, the gap bytes a device's DMA carries for free never touched by
+//! the CPU (PyTorch-Direct's point: delete the staging copy).
 //!
 //! The contract is the same as the cache tier's: **values never move**.
-//! The staged bytes really do round-trip through the file — the
-//! bit-identity tests are witnessing actual disk I/O, not a simulated
-//! flag — while the *cost* of the detour is the cost model's price of
-//! exactly the requests issued ([`OocTier::issued`]): one seek share
-//! per ranged read, each read's bytes (gaps included) at the bandwidth
-//! its size achieves.
+//! The gathered bytes really are the file's — a row patched on disk is
+//! the row the next gather returns — so the bit-identity tests witness
+//! the file, not a simulated flag.
 
+#[cfg(all(unix, target_pointer_width = "64"))]
+use std::ffi::{c_int, c_void};
 use std::fs::File;
-use std::io;
-use std::path::PathBuf;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::{mem, slice};
 
 use wg_sim::cost::StorageCostModel;
+use wg_tensor::simd::Pod;
 
 use crate::access::Element;
 use crate::gather::StorageIo;
 use crate::handle::WholeMemory;
 
-/// Fixed-width little-endian persistence: how the tier spills an
-/// element. A supertrait of [`Element`] — every type the DSM stores can
-/// be spilled, so the gather carries one bound whichever tiers its stack
-/// holds.
-pub trait Persist: Copy + Default {
-    /// Encoded size in bytes.
-    const BYTES: usize;
-    /// Encode into `out` (exactly `BYTES` long).
-    fn write_le(&self, out: &mut [u8]);
-    /// Decode the packed run `bytes` (exactly `out.len() * BYTES` long)
-    /// into `out`.
-    fn read_le_into(bytes: &[u8], out: &mut [Self]);
-}
-
-macro_rules! persist_via_le_bytes {
-    ($($t:ty),*) => {$(
-        impl Persist for $t {
-            const BYTES: usize = std::mem::size_of::<$t>();
-            #[inline]
-            fn write_le(&self, out: &mut [u8]) {
-                out.copy_from_slice(&self.to_le_bytes());
-            }
-            #[inline]
-            fn read_le_into(bytes: &[u8], out: &mut [Self]) {
-                assert_eq!(bytes.len(), std::mem::size_of_val(out), "persist run length");
-                // One bulk copy where the encoded run *is* the in-memory
-                // representation.
-                #[cfg(target_endian = "little")]
-                {
-                    // SAFETY: `$t` is a primitive number — no padding,
-                    // every bit pattern a valid value — so `out` may be
-                    // written through a byte view of exactly its own
-                    // length (asserted above).
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), bytes.len())
-                    };
-                    wg_tensor::simd::copy_slice(wg_tensor::simd::level(), dst, bytes);
-                }
-                #[cfg(not(target_endian = "little"))]
-                for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(Self::BYTES)) {
-                    *v = Self::from_le_bytes(chunk.try_into().expect("persist width"));
-                }
-            }
-        }
-    )*};
-}
-
-persist_via_le_bytes!(f32, f64, u8, u32, i32, u64, i64);
-
-/// Largest single ranged read the accumulator issues, and so the bound
-/// on the tier's bounce buffer (a row wider than this is still one
-/// request). Large enough that a dense batch streams at the saturated
-/// bandwidth with a negligible seek share per range.
+/// Largest single ranged read the accumulator issues (a row wider than
+/// this is still one request). Large enough that a dense batch streams
+/// at the saturated bandwidth with a negligible seek share per range.
 pub const MAX_TRANSFER_BYTES: usize = 1 << 20;
 
-/// Std-only positional-read file abstraction: the reader half of a
-/// memory-mapped view, without reaching for `mmap` (no new
-/// dependencies). On Unix this is `pread(2)` — offset reads with no
-/// shared cursor, so concurrent readers never seek over each other.
-///
-/// Every read is logged where it is issued: `issued` holds the
-/// `(offset, bytes)` of each request since the log was last cleared,
-/// and is the list the cost model prices.
+// The two libc calls `std` has no wrapper for, declared against the libc
+// `std` already links on every unix target (no new dependency). 64-bit
+// only, so that `off_t` is an `i64` on every target this compiles for.
+#[cfg(all(unix, target_pointer_width = "64"))]
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+/// The spill file's contents as one `&[T]`, fixed at build: `len`
+/// elements, row-major, in native byte order.
+enum SpillMap<T> {
+    /// A read-only shared mapping of the whole file, unmapped on drop.
+    Mapped(*const [T]),
+    /// The file read back into memory: every target without `mmap`, and
+    /// the empty file everywhere (a zero-length mapping is `EINVAL`).
+    Owned(Vec<T>),
+}
+
+impl<T: Pod + Default> SpillMap<T> {
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    fn new(file: &File, len: usize) -> io::Result<Self> {
+        use std::os::fd::AsRawFd;
+        const PROT_READ: c_int = 1;
+        const MAP_SHARED: c_int = 1;
+        if len == 0 {
+            return Ok(SpillMap::Owned(Vec::new()));
+        }
+        let (bytes, fd) = (len * mem::size_of::<T>(), file.as_raw_fd());
+        // SAFETY: a fresh mapping at an address the kernel picks aliases
+        // nothing; `fd` is open for reading and `bytes` is non-zero.
+        let base = unsafe { mmap(std::ptr::null_mut(), bytes, PROT_READ, MAP_SHARED, fd, 0) };
+        if base as isize == -1 {
+            return Err(io::Error::last_os_error());
+        }
+        let rows = std::ptr::slice_from_raw_parts(base.cast(), len);
+        Ok(SpillMap::Mapped(rows))
+    }
+
+    #[cfg(not(all(unix, target_pointer_width = "64")))]
+    fn new(file: &File, len: usize) -> io::Result<Self> {
+        use std::io::{Read, Seek};
+        let mut rows = vec![T::default(); len];
+        // SAFETY: `T: Pod` — every bit pattern is a value — so the rows
+        // may be filled through a byte view of exactly their own length.
+        let bytes = unsafe {
+            slice::from_raw_parts_mut(rows.as_mut_ptr().cast::<u8>(), mem::size_of_val(&*rows))
+        };
+        let mut file = file;
+        file.rewind()?;
+        file.read_exact(bytes)?;
+        Ok(SpillMap::Owned(rows))
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            // SAFETY: the mapping lives until drop, `len * size_of::<T>()`
+            // bytes long — the file's length, fixed at build; its base is
+            // page-aligned, so every element is `T`-aligned; `T: Pod`, so
+            // any bytes are values. Pages past a truncated file's end would
+            // fault: `fetch` checks each range's end against the current
+            // length first, and the tier alone owns the unlinked file.
+            SpillMap::Mapped(rows) => unsafe { &**rows },
+            SpillMap::Owned(rows) => rows,
+        }
+    }
+}
+
+impl<T> Drop for SpillMap<T> {
+    fn drop(&mut self) {
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        if let SpillMap::Mapped(rows) = *self {
+            // SAFETY: `new`'s mapping, unmapped once; no `&[T]` outlives `self`.
+            unsafe { munmap(rows as *mut c_void, rows.len() * mem::size_of::<T>()) };
+        }
+    }
+}
+
+// SAFETY: an immutable buffer the `SpillMap` alone owns — a `PROT_READ`
+// mapping or a `Vec<T>` — moves and shares across threads as `Vec<T>` does.
+unsafe impl<T: Send> Send for SpillMap<T> {}
+unsafe impl<T: Sync> Sync for SpillMap<T> {}
+
+/// The spill file's handle and the log of requests made of it: `issued`
+/// holds the `(offset, bytes)` of each ranged read of the last batch,
+/// pushed where the accumulator closes a range — what the model prices.
 struct RowFile {
     file: File,
     issued: Vec<(u64, usize)>,
-}
-
-impl RowFile {
-    fn read_exact_at(&mut self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        self.issued.push((offset, buf.len()));
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)
-        }
-        #[cfg(not(unix))]
-        {
-            // Fallback for non-Unix hosts: seek + read on a cloned handle
-            // so the tier's logical cursor never moves.
-            use std::io::{Read, Seek, SeekFrom};
-            let mut f = self.file.try_clone()?;
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(buf)
-        }
-    }
 }
 
 /// Unique suffix for spill files: pid + a process-wide counter, so
 /// parallel test binaries (and parallel tiers within one) never collide.
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn spill_path() -> PathBuf {
-    let n = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("wg_ooc_{}_{n}.bin", std::process::id()))
-}
-
 /// The file-backed storage tier for one [`WholeMemory`] allocation.
 ///
-/// Construction writes every feature row to the spill file and marks the
-/// `budget_rows` hottest rows resident; [`fetch`](Self::fetch) stages a
-/// gather plan's non-resident rows. The spill file is deleted on drop.
+/// Construction writes every feature row to the spill file, maps it and
+/// marks the `budget_rows` hottest rows resident; [`fetch`](Self::fetch)
+/// turns a gather plan's non-resident rows into the priced request list,
+/// and the copy kernel reads them out of [`spill`](Self::spill). The
+/// file has no name once the tier exists, so it cannot outlive it.
 pub struct OocTier<T> {
     file: RowFile,
-    path: PathBuf,
+    map: SpillMap<T>,
     rows: usize,
     width: usize,
     budget_rows: usize,
@@ -147,12 +164,8 @@ pub struct OocTier<T> {
     /// served from disk.
     resident: Vec<bool>,
     resident_rows: usize,
-    // Pooled prefetch-queue state: allocation-free once warm.
-    staging: Vec<T>,
-    /// Bounce buffer one ranged read lands in: sized once at build to
-    /// the largest range the accumulator can form.
-    byte_buf: Vec<u8>,
-    reqs: Vec<(u32, u32)>,
+    /// Pooled accumulator input: a batch's rows in file order.
+    reqs: Vec<u32>,
 }
 
 impl<T: Element> OocTier<T> {
@@ -161,33 +174,31 @@ impl<T: Element> OocTier<T> {
     /// ids — the same deterministic ranking the static cache tier uses).
     /// `hotness.len()` must equal `wm.rows()`.
     pub fn build(wm: &WholeMemory<T>, hotness: &[u64], budget_rows: usize) -> io::Result<Self> {
-        let rows = wm.rows();
-        let width = wm.width();
+        let (rows, width) = (wm.rows(), wm.width());
         assert_eq!(hotness.len(), rows, "hotness signal shape mismatch");
-        let path = spill_path();
+        let n = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("wg_ooc_{}_{n}.bin", std::process::id()));
         let file = File::options()
             .read(true)
             .write(true)
             .create_new(true)
             .open(&path)?;
+        // Unlinked at once: the handle (and then the mapping) keeps the
+        // inode alive, so no error, panic or kill from here on can leave a
+        // spill file behind and no destructor has anything to clean up.
+        std::fs::remove_file(&path)?;
 
-        // Write every row in global order: the file IS the feature
-        // matrix, row-major, little-endian.
-        let row_bytes = width * T::BYTES;
-        let mut buf = vec![0u8; row_bytes];
-        let mut row_buf = vec![T::default(); width];
-        {
-            use std::io::Write;
-            let mut w = io::BufWriter::new(&file);
-            for row in 0..rows {
-                wm.read_row(row, &mut row_buf);
-                for (v, chunk) in row_buf.iter().zip(buf.chunks_exact_mut(T::BYTES)) {
-                    v.write_le(chunk);
-                }
-                w.write_all(&buf)?;
-            }
-            w.flush()?;
+        // The file IS the feature matrix, row-major in native byte order:
+        // a chunked partition's regions, in rank order, are its rows.
+        for rank in 0..wm.ranks() {
+            wm.with_region(rank, |region| {
+                let bytes = mem::size_of_val(region);
+                // SAFETY: `T: Pod` — no padding, so every byte of the
+                // region is initialised — and the view is exactly as long.
+                (&file).write_all(unsafe { slice::from_raw_parts(region.as_ptr().cast(), bytes) })
+            })?;
         }
+        let map = SpillMap::new(&file, rows * width)?;
 
         // Residency: top `budget_rows` by hotness, ties by lower id.
         let mut resident = vec![false; rows];
@@ -207,14 +218,12 @@ impl<T: Element> OocTier<T> {
                 file,
                 issued: Vec::new(),
             },
-            path,
+            map,
             rows,
             width,
             budget_rows,
             resident,
             resident_rows,
-            staging: Vec::new(),
-            byte_buf: vec![0u8; MAX_TRANSFER_BYTES.min(rows * row_bytes).max(row_bytes)],
             reqs: Vec::new(),
         })
     }
@@ -245,33 +254,31 @@ impl<T: Element> OocTier<T> {
         self.resident[row]
     }
 
-    /// Stage `rows` (global row ids, in plan-slot order) from the spill
-    /// file into the pooled staging buffer: slot `i` of the buffer holds
-    /// row `rows[i]`. Requests are sorted into file order and coalesced
-    /// by the module-level merge rule, so the priced time of
-    /// [`issued`](Self::issued) never exceeds the per-row price of the
-    /// same batch and equals it when no two rows merge. One positional
-    /// read per range; a warm tier stages an arbitrary batch with zero
-    /// heap allocations. Returns the traffic: the rows asked for and the
-    /// reads issued for them. A failed or short read (truncated spill
-    /// file) is returned, and leaves the staging buffer unspecified.
+    /// Turn `rows` (global row ids, any order, duplicates allowed) into
+    /// the requests a device would be sent for them: sorted into file
+    /// order and coalesced by the module-level merge rule, so the priced
+    /// time of [`issued`](Self::issued) never exceeds the per-row price
+    /// of the same batch and equals it when no two rows merge. Moves no
+    /// bytes — the rows are read where they lie, in [`spill`](Self::spill)
+    /// — and a warm tier takes any batch with zero heap allocations.
+    /// Returns the traffic: the rows asked for and the reads issued for
+    /// them. A range the file no longer holds (truncated spill file) is
+    /// `UnexpectedEof`, returned before any of the batch's rows is touched.
     pub fn fetch(&mut self, rows: &[u32], storage: &StorageCostModel) -> io::Result<StorageIo> {
-        // No clear: every slot is overwritten below; fill only new growth.
-        self.staging.resize(rows.len() * self.width, T::default());
         self.reqs.clear();
-        self.reqs
-            .extend(rows.iter().enumerate().map(|(slot, &r)| (r, slot as u32)));
+        self.reqs.extend_from_slice(rows);
         self.reqs.sort_unstable();
         self.file.issued.clear();
-        let row_bytes = self.width * T::BYTES;
+        let file_len = self.file.file.metadata()?.len();
+        let row_bytes = self.width * mem::size_of::<T>();
         let row_time = storage.request_time(row_bytes);
         let mut i = 0;
         while i < self.reqs.len() {
-            let start = self.reqs[i].0 as usize * row_bytes;
+            let start = self.reqs[i] as usize * row_bytes;
             let (mut len, mut time) = (row_bytes, row_time);
             let mut j = i + 1;
             while j < self.reqs.len() {
-                let merged_len = (self.reqs[j].0 as usize + 1) * row_bytes - start;
+                let merged_len = (self.reqs[j] as usize + 1) * row_bytes - start;
                 // A duplicate of the range's last row extends nothing.
                 if merged_len > len {
                     let merged_time = storage.request_time(merged_len);
@@ -282,12 +289,9 @@ impl<T: Element> OocTier<T> {
                 }
                 j += 1;
             }
-            let buf = &mut self.byte_buf[..len];
-            self.file.read_exact_at(buf, start as u64)?;
-            for &(row, slot) in &self.reqs[i..j] {
-                let at = row as usize * row_bytes - start;
-                let dst = &mut self.staging[slot as usize * self.width..][..self.width];
-                T::read_le_into(&buf[at..at + row_bytes], dst);
+            self.file.issued.push((start as u64, len));
+            if (start + len) as u64 > file_len {
+                return Err(io::ErrorKind::UnexpectedEof.into());
             }
             i = j;
         }
@@ -299,22 +303,18 @@ impl<T: Element> OocTier<T> {
         })
     }
 
-    /// The staging buffer filled by the last [`fetch`](Self::fetch).
-    pub fn staging(&self) -> &[T] {
-        &self.staging
+    /// The spill file's rows, as mapped: row `r` is
+    /// `spill()[r * width..][..width]`. Read only rows a
+    /// [`fetch`](Self::fetch) since the file last changed has accepted.
+    pub fn spill(&self) -> &[T] {
+        self.map.as_slice()
     }
 
-    /// `(offset, bytes)` of each positional read the last
+    /// `(offset, bytes)` of each ranged read the last
     /// [`fetch`](Self::fetch) issued, in file order — the requests
     /// [`StorageCostModel::requests_time`] prices.
     pub fn issued(&self) -> &[(u64, usize)] {
         &self.file.issued
-    }
-}
-
-impl<T> Drop for OocTier<T> {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -340,18 +340,13 @@ mod tests {
         let wm = wm(300, 7, 4);
         let hot = vec![0u64; 300];
         let mut tier = OocTier::build(&wm, &hot, 0).unwrap();
-        // Out-of-order, duplicated request batch: slot order must follow
-        // the request order, not the sorted file order.
+        // Out-of-order, duplicated request batch.
         let rows: Vec<u32> = vec![299, 0, 150, 0, 42, 299];
         tier.fetch(&rows, &StorageCostModel::nvme()).unwrap();
         let mut expect = vec![0.0f32; 7];
-        for (slot, &r) in rows.iter().enumerate() {
+        for &r in &rows {
             wm.read_row(r as usize, &mut expect);
-            assert_eq!(
-                &tier.staging()[slot * 7..(slot + 1) * 7],
-                &expect[..],
-                "row {r} at slot {slot}"
-            );
+            assert_eq!(&tier.spill()[r as usize * 7..][..7], &expect[..], "row {r}");
         }
     }
 
@@ -369,13 +364,46 @@ mod tests {
         let io = tier.fetch(&rows, &StorageCostModel::nvme()).unwrap();
         assert_eq!(io.bytes, 15, "one byte per element");
         let mut expect = [0u8; 5];
-        for (slot, &r) in rows.iter().enumerate() {
+        for &r in &rows {
             wm.read_row(r as usize, &mut expect);
-            assert_eq!(
-                &tier.staging()[slot * 5..(slot + 1) * 5],
-                &expect,
-                "row {r}"
-            );
+            assert_eq!(&tier.spill()[r as usize * 5..][..5], &expect, "row {r}");
+        }
+    }
+
+    /// The "bytes genuinely round-trip the file" witness: a row patched
+    /// on disk, through a second handle on the tier's file, is the row
+    /// the next gather returns. (No `&[T]` into the mapping is alive
+    /// across the write: `spill()` is re-borrowed by each `execute`.)
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    #[test]
+    fn the_mapping_is_the_file() {
+        use crate::gather::{RowPlan, TierStack};
+        use std::os::unix::fs::FileExt;
+        use wg_sim::DeviceSpec;
+        let wm = wm(50, 6, 2);
+        let mut stack = TierStack {
+            cache: None,
+            disk: Some(OocTier::build(&wm, &[0; 50], 0).unwrap()),
+        };
+        let patched: [f32; 6] = [-0.0, f32::NAN, 1e-40, 7.0, f32::MIN, 42.5];
+        let bytes: Vec<u8> = patched.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        let handle = stack.disk.as_ref().unwrap().file.file.try_clone().unwrap();
+        handle.write_all_at(&bytes, 33 * 6 * 4).unwrap();
+
+        let (model, spec) = (CostModel::dgx_a100(), DeviceSpec::a100_40gb());
+        let mut plan = RowPlan::default();
+        let mut out = vec![0.0f32; 3 * 6];
+        stack.plan(&wm, &[32, 33, 34], 0, &mut plan);
+        let stats = stack
+            .execute(&wm, &plan, &mut out, 0, &model, &spec)
+            .unwrap();
+        assert_eq!(stats.storage_io.rows, 3);
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out[6..12]), bits(&patched), "the file's bytes");
+        let mut expect = [0.0f32; 6];
+        for (slot, row) in [(0, 32), (2, 34)] {
+            wm.read_row(row, &mut expect);
+            assert_eq!(&out[slot * 6..][..6], &expect, "neighbour row {row}");
         }
     }
 
@@ -410,37 +438,79 @@ mod tests {
         assert!((0..50).all(|r| tier.is_resident(r)));
     }
 
+    /// Every spill file this process ever names starts `wg_ooc_<pid>_`.
+    fn spill_files_in_temp_dir() -> Vec<std::ffi::OsString> {
+        let prefix = format!("wg_ooc_{}_", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().starts_with(&prefix))
+            .collect()
+    }
+
     #[test]
-    fn spill_file_is_deleted_on_drop() {
+    fn a_live_tier_has_no_spill_file_to_leak() {
+        // Other tests build tiers concurrently; one is only ever visible
+        // between its create and its unlink, so look more than once.
         let wm = wm(10, 2, 1);
-        let tier = OocTier::build(&wm, &[0; 10], 0).unwrap();
-        let path = tier.path.clone();
-        assert!(path.exists());
-        drop(tier);
-        assert!(!path.exists());
+        let mut tier = OocTier::build(&wm, &[0; 10], 0).unwrap();
+        let seen = (0..50)
+            .map(|_| spill_files_in_temp_dir())
+            .min_by_key(Vec::len)
+            .unwrap();
+        assert_eq!(seen, Vec::<std::ffi::OsString>::new());
+        // ...and the nameless file still serves.
+        tier.fetch(&[9, 0], &StorageCostModel::nvme()).unwrap();
+        assert_eq!(&tier.spill()[18..], &[9.0 * 131.0, 9.0 * 131.0 + 1.0]);
+    }
+
+    #[test]
+    fn empty_files_build_without_a_mapping() {
+        // `WholeMemory::allocate` refuses 0 rows and width 0, so the two
+        // empty shapes exist only below `OocTier::build`: `rows * width`
+        // is 0 either way, and a zero-length `mmap` would be `EINVAL`.
+        let path = std::env::temp_dir().join(format!("wg_ooc_empty_{}", std::process::id()));
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        for (rows, width) in [(0usize, 4usize), (5, 0)] {
+            let map = SpillMap::<f32>::new(&file, rows * width).unwrap();
+            assert!(matches!(map, SpillMap::Owned(_)), "{rows}x{width}");
+            assert!(map.as_slice().is_empty());
+        }
+    }
+
+    #[test]
+    fn one_row_store_with_nothing_resident() {
+        let wm = wm(1, 3, 1);
+        let mut tier = OocTier::build(&wm, &[9], 0).unwrap();
+        assert_eq!((tier.rows(), tier.resident_rows()), (1, 0));
+        assert!(!tier.is_resident(0));
+        let nvme = StorageCostModel::nvme();
+        assert_eq!(tier.fetch(&[], &nvme).unwrap(), StorageIo::default());
+        assert!(tier.issued().is_empty());
+        let io = tier.fetch(&[0, 0], &nvme).unwrap();
+        assert_eq!((io.rows, io.requests, io.read_bytes), (2, 1, 12));
+        assert_eq!(tier.spill(), &[0.0, 1.0, 2.0]);
     }
 
     #[test]
     fn warm_fetch_does_not_grow_buffers() {
         // 4000 rows x 400 B = 1.6 MB: a dense batch must split at the
         // transfer cap, and neither that nor a sparse batch may grow
-        // the bounce buffer sized at build.
+        // the pooled request list or the log once warm.
         let wm = wm(4000, 100, 4);
         let mut tier = OocTier::build(&wm, &[0; 4000], 0).unwrap();
         let nvme = StorageCostModel::nvme();
-        assert_eq!(tier.byte_buf.len(), MAX_TRANSFER_BYTES);
         let dense: Vec<u32> = (0..4000).rev().collect();
         let st = tier.fetch(&dense, &nvme).unwrap();
         assert_eq!((st.requests, st.read_bytes), (2, 1_600_000));
         assert!(tier.issued().iter().all(|&(_, b)| b <= MAX_TRANSFER_BYTES));
-        let caps = |t: &OocTier<f32>| {
-            (
-                t.staging.capacity(),
-                t.reqs.capacity(),
-                t.byte_buf.capacity(),
-                t.file.issued.capacity(),
-            )
-        };
+        let caps = |t: &OocTier<f32>| (t.reqs.capacity(), t.file.issued.capacity());
         let warm = caps(&tier);
         for _ in 0..5 {
             // Rows 7 and 6 merge; 3000 is too far away to be worth it.

@@ -9,12 +9,17 @@
 //! `WG_THREADS=1`, pinning the other leg): every per-batch hit count,
 //! eviction victim and output byte is asserted against values computed
 //! from the plan alone — worker count never appears in the expectation.
+//!
+//! The same holds one tier down: rows the out-of-core tier serves are
+//! copied by that kernel straight out of the mapped spill file (CLOCK
+//! fills included), so cache + tier must return the tier-off gather's
+//! bits on two workers and on the sequential schedule alike.
 
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_mem::cache::{CacheMode, FeatureCache};
-use wg_mem::gather::{RowPlan, TierStack};
-use wg_mem::WholeMemory;
+use wg_mem::gather::{global_gather, RowPlan, TierStack};
+use wg_mem::{Element, OocTier, WholeMemory};
 use wg_sim::cost::AccessMode;
 use wg_sim::device::DeviceSpec;
 use wg_sim::CostModel;
@@ -151,4 +156,86 @@ fn static_hits_are_stable_on_two_workers() {
         assert_eq!(stats.cache_hits, expected_hits);
         assert_eq!(occupied(&stack, rank), 50);
     }
+}
+
+/// Gather a hot-headed stream through CLOCK cache + disk tier at the
+/// given residency, on the pool and on the sequential schedule; every
+/// batch must equal the tier-off gather bit for bit (`bits` makes NaN
+/// and -0.0 comparable), and the tier must really have served rows —
+/// misses at residency below 100% read the mapping, for the output and
+/// for the CLOCK fill both.
+fn cache_and_tier_match_the_plain_gather<T: Element>(
+    width: usize,
+    value: impl Fn(usize, usize) -> T + Send + Sync,
+    bits: impl Fn(&T) -> u64,
+) {
+    let (model, spec) = (CostModel::dgx_a100(), DeviceSpec::a100_40gb());
+    let wm = WholeMemory::<T>::allocate(&model, RANKS, ROWS, width, AccessMode::PeerAccess);
+    wm.init_rows(|row, out| {
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = value(row, j);
+        }
+    });
+    let hotness: Vec<u64> = (0..ROWS as u64).rev().collect(); // resident = a prefix
+    for budget in [0, ROWS / 4, ROWS] {
+        for sequential in [false, true] {
+            let mut stack = TierStack {
+                cache: Some(FeatureCache::new_clock(&wm, RANKS, 24)),
+                disk: Some(OocTier::build(&wm, &hotness, budget).unwrap()),
+            };
+            let mut plan = RowPlan::default();
+            let mut rng = SmallRng::seed_from_u64(5);
+            let (mut disk_rows, mut hits) = (0, 0);
+            for batch in 0..12 {
+                let rank = batch % RANKS;
+                let indices: Vec<usize> = (0..90)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            rng.gen_range(ROWS - 20..ROWS) // hot, and on disk below 100%
+                        } else {
+                            rng.gen_range(0..ROWS)
+                        }
+                    })
+                    .collect();
+                let mut out = vec![T::default(); indices.len() * width];
+                let mut plain = out.clone();
+                stack.plan(&wm, &indices, rank, &mut plan);
+                let stats = if sequential {
+                    rayon::run_sequential(|| {
+                        stack.execute(&wm, &plan, &mut out, rank, &model, &spec)
+                    })
+                } else {
+                    stack.execute(&wm, &plan, &mut out, rank, &model, &spec)
+                }
+                .unwrap();
+                global_gather(&wm, &indices, &mut plain, rank, &model, &spec);
+                assert!(
+                    out.iter().map(&bits).eq(plain.iter().map(&bits)),
+                    "budget {budget} sequential {sequential} batch {batch}"
+                );
+                disk_rows += stats.storage_io.rows;
+                hits += stats.cache_hits;
+            }
+            assert_eq!(disk_rows == 0, budget == ROWS, "budget {budget}");
+            assert!(hits > 0, "the hot tail must be served from its CLOCK fills");
+        }
+    }
+}
+
+#[test]
+fn u8_rows_through_cache_and_tier_equal_the_plain_gather() {
+    rayon::init_threads(2);
+    cache_and_tier_match_the_plain_gather::<u8>(5, |row, j| (row * 7 + j * 3) as u8, |&v| v as u64);
+}
+
+#[test]
+fn odd_width_f32_rows_through_cache_and_tier_equal_the_plain_gather() {
+    rayon::init_threads(2);
+    // Arbitrary bit patterns, NaNs and negative zero among them; 28-byte
+    // rows, so most rows of the mapping start off any 16- or 32-byte line.
+    cache_and_tier_match_the_plain_gather::<f32>(
+        7,
+        |row, j| f32::from_bits((row as u32).wrapping_mul(0x9e37_79b9) ^ j as u32),
+        |v| v.to_bits() as u64,
+    );
 }

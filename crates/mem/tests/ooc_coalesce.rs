@@ -1,7 +1,7 @@
 //! The coalescing accumulator's contract, over arbitrary request
 //! batches: the ranged reads `OocTier::fetch` issues are sorted,
-//! disjoint, capped, and cover every requested row; the staged values
-//! are the stored ones bit for bit in request order; the fetch's own
+//! disjoint, capped, and cover every requested row; the rows read out of
+//! the mapped file are the stored ones bit for bit; the fetch's own
 //! summary is the log of the reads; and the cost model's price of those
 //! reads never exceeds the per-row price of the same batch.
 
@@ -61,14 +61,14 @@ proptest! {
         let requested = batch(shape, rows, &mut SmallRng::seed_from_u64(seed));
         let stats = tier.fetch(&requested, &storage).unwrap();
 
-        // Staged values: the stored bits, in request-slot order.
+        // Requested rows, read where they lie: the stored bits.
         let mut expect = vec![0.0f32; width];
-        for (slot, &r) in requested.iter().enumerate() {
+        for &r in &requested {
             wm.read_row(r as usize, &mut expect);
-            let got = &tier.staging()[slot * width..(slot + 1) * width];
+            let got = &tier.spill()[r as usize * width..][..width];
             prop_assert!(
                 got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "row {r} at slot {slot}"
+                "row {r}"
             );
         }
 
@@ -142,10 +142,10 @@ fn sparse_zipf_batch_read_amplification_stays_bounded() {
     // of 400 B rows, the hottest quarter is DSM-resident and a batch is
     // deduplicated, so what reaches the tier is a few hundred rows from
     // the distribution's tail, scattered in file order. Bridging buys
-    // simulated time with gap bytes the host really copies — over 10x
-    // the payload under `nvme()`, where one seek share is worth ~21 KB
-    // of transfer. Pin that trade so a change to the merge rule or the
-    // model cannot grow it unnoticed.
+    // simulated time with gap bytes a device would really move — over
+    // 10x the payload under `nvme()`, where one seek share is worth
+    // ~21 KB of transfer. Pin that trade so a change to the merge rule
+    // or the model cannot grow it unnoticed.
     let (rows, width, draws) = (26_000usize, 100usize, 3000usize);
     let wm = store(rows, width);
     let storage = StorageCostModel::nvme();

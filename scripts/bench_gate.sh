@@ -86,7 +86,9 @@ cp BENCH_storage.json "$OUT_DIR/storage.json"
 # built from: dispatched vs forced-scalar vs naive-reference matmul
 # (wide and narrow-n/k shapes), the sparse kernels (g-SpMM, g-SDDMM,
 # weighted g-SpMM, edge softmax), the gather row-copy / checksum
-# loops, the one-kernel gather against the NCCL baseline (the empty tier
+# loops and the disk tier's host cost per spilled row (`ooc_fetch`: the
+# serve_zipf and train_input batch shapes through a disk-only stack),
+# the one-kernel gather against the NCCL baseline (the empty tier
 # stack: what the plain gather costs through the one plan/execute pair),
 # AppendUnique (input-length vs universe-bounded table vs sort)
 # and the mini-batch sampler (uniform and power-law 1/94 graphs, fused

@@ -55,9 +55,11 @@ WG_THREADS=1 cargo test -q "${OFFLINE_FLAGS[@]}"
 # The kernel crates once more at the optimisation level the benchmarks
 # measure: the bit-identity claims are about release binaries, and the
 # compiler vectorises (and commutes) differently there than in the dev
-# profile the two passes above test.
-echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn"
-cargo test -q --release "${OFFLINE_FLAGS[@]}" -p wg-tensor -p wg-autograd -p wg-gnn
+# profile the two passes above test. wg-mem rides along for its `unsafe`:
+# the `&[T]` view over the mapped spill file and the `extern "C"` block
+# are exercised least by the profile that optimises least.
+echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem"
+cargo test -q --release "${OFFLINE_FLAGS[@]}" -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem
 
 echo "tier1: cargo fmt --check"
 cargo fmt --check
