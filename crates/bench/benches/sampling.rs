@@ -1,5 +1,6 @@
 //! Ablation: Algorithm 1 (path-doubling sampling without replacement) vs
-//! the rejection-sampling and reservoir-style baselines (§III-C1), plus
+//! the host kernel that equals it (`sample_small`, sequential Fisher–Yates
+//! over the same draws) and the rejection-sampling baseline (§III-C1), plus
 //! the mini-batch hot path: the old-API shape (per-node neighbor copies,
 //! Vec-of-Vecs, serial flatten) vs the zero-copy scratch-arena path with
 //! fused AppendUnique insertion — on a sparse uniform graph and on the
@@ -10,7 +11,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wg_graph::{gen, DatasetKind, DegreeProfile, MultiGpuGraph, SyntheticDataset};
-use wg_sample::wrs::{rejection_sample, sample_without_replacement, PathDoublingSampler};
+use wg_sample::wrs::{
+    rejection_sample, sample_small, sample_without_replacement, PathDoublingSampler,
+    STACK_FANOUT_MAX,
+};
 use wg_sample::{
     sample_minibatch_into, sample_minibatch_reference, GraphAccess, HostGraphAccess, MiniBatch,
     MultiGpuAccess, SampleScratch, SamplerConfig,
@@ -19,9 +23,32 @@ use wg_sample::{
 fn bench_samplers(c: &mut Criterion) {
     let mut group = c.benchmark_group("sample_without_replacement");
     group.sample_size(20);
-    // The paper's shape: fanout 30 out of various neighbor counts, plus a
-    // stress shape where m approaches n (rejection's worst case).
-    for (m, n) in [(30usize, 100usize), (30, 10_000), (256, 512), (900, 1000)] {
+    // The paper's shape: fanout 30 out of various neighbor counts (both
+    // sides of `sample_small`'s dense/sparse split at n = 256), the stack
+    // bound 64, plus stress shapes where m approaches n (rejection's worst
+    // case).
+    for (m, n) in [
+        (30usize, 31usize),
+        (30, 100),
+        (30, 10_000),
+        (64, 128),
+        (256, 512),
+        (900, 1000),
+    ] {
+        if m <= STACK_FANOUT_MAX {
+            group.bench_with_input(
+                BenchmarkId::new("host_fisher_yates", format!("{m}of{n}")),
+                &(m, n),
+                |b, &(m, n)| {
+                    let mut rng = SmallRng::seed_from_u64(1);
+                    let mut out = [0u32; STACK_FANOUT_MAX];
+                    b.iter(|| {
+                        sample_small(black_box(m), black_box(n), &mut rng, &mut out[..m]);
+                        black_box(out[0])
+                    });
+                },
+            );
+        }
         group.bench_with_input(
             BenchmarkId::new("path_doubling", format!("{m}of{n}")),
             &(m, n),

@@ -5,9 +5,11 @@
 //! node set, and construction of the computation sub-graph. WholeGraph
 //! moves all three onto the GPU; this crate reproduces them:
 //!
-//! * [`wrs`] — **Algorithm 1**: fully parallel random sampling without
-//!   replacement using the path-doubling method, plus sequential reference
-//!   samplers it is property-tested against;
+//! * [`wrs`] — sampling without replacement: **Algorithm 1** (fully
+//!   parallel, path doubling) verbatim, and the host kernel
+//!   [`sample_small`], sequential Fisher–Yates over the same draws — the
+//!   same output, tested draw for draw against Algorithm 1 and a
+//!   reference Fisher–Yates;
 //! * [`radix`] — the packed 64-bit radix sort the paper uses inside
 //!   Algorithm 1 ("we pack 32-bit array `r[M]` and its index array to one
 //!   64-bit array ... then use radix-sort");

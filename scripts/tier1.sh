@@ -57,9 +57,12 @@ WG_THREADS=1 cargo test -q "${OFFLINE_FLAGS[@]}"
 # compiler vectorises (and commutes) differently there than in the dev
 # profile the two passes above test. wg-mem rides along for its `unsafe`:
 # the `&[T]` view over the mapped spill file and the `extern "C"` block
-# are exercised least by the profile that optimises least.
-echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem"
-cargo test -q --release "${OFFLINE_FLAGS[@]}" -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem
+# are exercised least by the profile that optimises least. wg-sample
+# rides along for its host sampling kernel: the `u16` identity array and
+# the overlay table's wrap-around probing are index arithmetic that the
+# dev profile's overflow checks would trap and release wraps silently.
+echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample"
+cargo test -q --release "${OFFLINE_FLAGS[@]}" -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample
 
 echo "tier1: cargo fmt --check"
 cargo fmt --check
