@@ -26,9 +26,6 @@
 //! warms the CLOCK caches (and the scratch pools), so the recorded hit
 //! rates are steady-state figures, not cold-start ones. The per-point
 //! traffic numbers are metric-registry deltas over exactly that epoch.
-//! The disk tier is pinned off and the cache set per point, so the
-//! artifact never depends on ambient `WG_CACHE_*` /
-//! `WG_STORAGE_BUDGET_ROWS`.
 
 use std::sync::Arc;
 
@@ -74,8 +71,7 @@ fn run(dataset: &Arc<SyntheticDataset>, rows: usize, mode: Option<CacheMode>, fr
     let machine = Machine::new(MachineConfig::dgx_like(4));
     let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
         .with_seed(3)
-        .with_cache(rows, mode.unwrap_or(CacheMode::Static))
-        .with_storage(0);
+        .with_cache(rows, mode.unwrap_or_default());
     let mut pipe = Pipeline::new(machine, Arc::clone(dataset), cfg).expect("pipeline");
     pipe.train_epoch(0); // warm-up epoch: fills CLOCK caches + pools
     let before = wg_trace::metrics::snapshot();

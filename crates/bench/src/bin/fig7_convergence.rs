@@ -5,15 +5,14 @@ use wg_bench::{banner, hard_accuracy_dataset, Table};
 use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
+/// Epochs per curve (EXPERIMENTS.md's figure was produced at 10).
+const EPOCHS: u64 = 10;
+
 fn main() {
     banner(
         "Figure 7",
         "validation accuracy per epoch: DGL vs WholeGraph",
     );
-    let epochs: u64 = std::env::var("WG_EPOCHS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
     let dataset = hard_accuracy_dataset(DatasetKind::OgbnProducts, 600, 19);
 
     let mut curves = Vec::new();
@@ -31,7 +30,7 @@ fn main() {
         .with_seed(19);
         let mut pipe = Pipeline::new(machine, dataset.clone(), cfg).unwrap();
         let out = Trainer::new(TrainerConfig {
-            epochs,
+            epochs: EPOCHS,
             eval_every: 1,
             patience: None,
         })

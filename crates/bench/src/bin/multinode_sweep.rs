@@ -45,15 +45,10 @@ fn dataset() -> Arc<SyntheticDataset> {
 }
 
 /// The swept pipeline config, for both the single-pipeline witness and
-/// every cluster replica. The cache and the disk tier are pinned *off*
-/// (not the environment) so the committed artifact never depends on
-/// ambient `WG_CACHE_*` / `WG_STORAGE_BUDGET_ROWS`; N=1 equivalence under
-/// a cache is `tests/integration_multinode.rs` on CI's clock-cache leg.
+/// every cluster replica; no cache, no disk tier (N=1 equivalence under
+/// every tier combination is `crates/serve/tests/config_space.rs`).
 fn pipe_cfg() -> PipelineConfig {
-    let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
-        .with_seed(7)
-        .with_cache(0, CacheMode::Static)
-        .with_storage(0);
+    let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage).with_seed(7);
     cfg.batch_size = 16;
     cfg
 }

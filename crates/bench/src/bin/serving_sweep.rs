@@ -46,16 +46,12 @@ const MAX_BATCH: usize = 64;
 const MAX_DELAY_US: f64 = 2000.0;
 
 /// The serving pipeline: ogbn-products stand-in at 1/1500, tiny
-/// GraphSage warmed by one training epoch, 4 simulated GPUs, cache and
-/// disk tier pinned *off* so the artifact never depends on ambient
-/// `WG_CACHE_*` / `WG_STORAGE_BUDGET_ROWS` (bit-identity across cache
-/// modes and residency is covered by the serve tests).
+/// GraphSage warmed by one training epoch, 4 simulated GPUs, no cache
+/// and no disk tier (bit-identity across cache modes and residency is
+/// covered by the serve tests).
 fn pipeline(dataset: &Arc<SyntheticDataset>) -> Pipeline {
     let machine = Machine::new(MachineConfig::dgx_like(4));
-    let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
-        .with_seed(11)
-        .with_cache(0, CacheMode::Static)
-        .with_storage(0);
+    let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage).with_seed(11);
     let mut p = Pipeline::new(machine, Arc::clone(dataset), cfg).expect("pipeline");
     p.train_epoch(0);
     p

@@ -34,8 +34,8 @@
 //!
 //! Each configuration trains two epochs and reports the *second*, with
 //! per-point traffic numbers taken as metric-registry deltas over
-//! exactly that epoch. The feature cache is pinned off throughout so the
-//! DSM/disk split is not confounded by a third tier.
+//! exactly that epoch. There is no feature cache, so the DSM/disk split
+//! is not confounded by a third tier.
 
 use std::sync::Arc;
 
@@ -83,7 +83,6 @@ fn run(dataset: &Arc<SyntheticDataset>, budget_rows: Option<usize>, frac: f64) -
     let machine = Machine::new(MachineConfig::dgx_like(4));
     let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
         .with_seed(3)
-        .with_cache(0, CacheMode::Static)
         .with_storage(budget_rows.unwrap_or(0));
     let mut pipe = Pipeline::new(machine, Arc::clone(dataset), cfg).expect("pipeline");
     pipe.train_epoch(0); // warm-up epoch: fills scratch pools

@@ -3,20 +3,18 @@
 //!
 //! All frameworks share seeds, so they sample the same sub-graphs and
 //! compute the same training — the accuracy columns must (and do) agree,
-//! which is the point of the paper's table. Set `WG_EPOCHS` to override
-//! the default epoch count.
+//! which is the point of the paper's table.
 
 use wg_bench::{banner, Table};
 use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
+/// Epochs each cell trains (EXPERIMENTS.md's table was produced at 10).
+const EPOCHS: u64 = 10;
+
 fn main() {
     banner("Table III", "validation and test accuracy parity");
-    let epochs: u64 = std::env::var("WG_EPOCHS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    println!("training {epochs} epochs per cell (WG_EPOCHS to override)\n");
+    println!("training {EPOCHS} epochs per cell\n");
 
     let mut t = Table::new(&[
         "dataset",
@@ -76,7 +74,7 @@ fn main() {
                 .with_seed(55);
                 let mut pipe = Pipeline::new(machine, dataset.clone(), cfg).unwrap();
                 let out = Trainer::new(TrainerConfig {
-                    epochs,
+                    epochs: EPOCHS,
                     eval_every: 0,
                     patience: None,
                 })

@@ -357,12 +357,10 @@ fn bench_epoch(
         8,
     ));
     let machine = Machine::new(MachineConfig::dgx_like(4));
-    // Default to the cache and storage tiers pinned *off* (not the
-    // environment) so the published checksum and timings never depend on
-    // ambient WG_CACHE_* / WG_STORAGE_BUDGET_ROWS. With `--storage-rows`
-    // the epoch runs through the out-of-core tier — the pinned checksum
-    // must not move (values never move; only simulated cost does).
-    let (cache_rows, cache_mode) = cache.unwrap_or((0, CacheMode::Static));
+    // With `--cache-rows` / `--storage-rows` the epoch runs through those
+    // tiers — the pinned checksum must not move (values never move; only
+    // simulated cost does).
+    let (cache_rows, cache_mode) = cache.unwrap_or_default();
     let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
         .with_seed(3)
         .with_cache(cache_rows, cache_mode)
@@ -407,10 +405,7 @@ fn bench_gat_step() -> Measurement {
         8,
     ));
     let machine = Machine::new(MachineConfig::dgx_like(4));
-    let cfg = PipelineConfig::paper(Framework::WholeGraph, ModelKind::Gat)
-        .with_seed(3)
-        .with_cache(0, CacheMode::Static)
-        .with_storage(0);
+    let cfg = PipelineConfig::paper(Framework::WholeGraph, ModelKind::Gat).with_seed(3);
     let mut pipe = Pipeline::new(machine, dataset, cfg).unwrap();
     let batches = pipe.epoch_batches(0);
     measure("gat_step", 2, move || {

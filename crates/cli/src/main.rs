@@ -20,7 +20,7 @@ use wholegraph::prelude::*;
 
 /// The usage text — also the flag list: [`parse_flags`] accepts exactly
 /// the `--flags` named here.
-const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints WG_STORAGE_BUDGET_ROWS)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>] [--overlap]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--gpus <per-node>] [--epochs <N>] [--trace <out.json>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [dataset/model/batch/seed flags as in train]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  --data <file>";
+const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the --storage-rows budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>] [--overlap]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--gpus <per-node>] [--epochs <N>] [--trace <out.json>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [dataset/model/batch/seed flags as in train]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  --data <file>";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -108,37 +108,37 @@ fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     }
 }
 
-/// Parse `--cache-rows <N>` / `--cache-mode <static|clock>` into a
-/// [`CacheConfig`]. Absent flags return `None`, leaving the pipeline on
-/// its environment default (`WG_CACHE_ROWS`/`WG_CACHE_MODE`);
-/// `--cache-rows 0` pins the cache off regardless of the environment.
-fn cache_config(flags: &HashMap<String, String>) -> Option<CacheConfig> {
-    let rows = flags.get("cache-rows")?;
-    let rows: usize = rows.parse().unwrap_or_else(|_| {
-        eprintln!("--cache-rows expects a row count, got {rows}");
-        usage();
-    });
-    let mode = match flags.get("cache-mode").map(String::as_str) {
-        None => CacheMode::Static,
-        Some(m) => CacheMode::parse(m).unwrap_or_else(|| {
-            eprintln!("--cache-mode expects static|clock, got {m}");
-            usage();
-        }),
+/// Set `cfg`'s tiers from `--cache-rows <N>` / `--cache-mode
+/// <static|clock>` / `--storage-rows <N>`; an absent flag leaves its tier
+/// off. A `--cache-mode` without `--cache-rows` is refused by name: it
+/// would configure nothing.
+fn with_tiers(
+    flags: &HashMap<String, String>,
+    cfg: PipelineConfig,
+) -> Result<PipelineConfig, String> {
+    let rows = |key: &str| {
+        flags.get(key).map_or(Ok(0), |v| {
+            v.parse()
+                .map_err(|_| format!("--{key} expects a row count, got {v}"))
+        })
     };
-    Some(CacheConfig { rows, mode })
+    let mode = match flags.get("cache-mode") {
+        None => CacheMode::default(),
+        Some(_) if !flags.contains_key("cache-rows") => {
+            return Err("--cache-mode needs --cache-rows <N>".to_string())
+        }
+        Some(m) => CacheMode::parse(m)
+            .ok_or_else(|| format!("--cache-mode expects static|clock, got {m}"))?,
+    };
+    Ok(cfg
+        .with_cache(rows("cache-rows")?, mode)
+        .with_storage(rows("storage-rows")?))
 }
 
-/// Parse `--storage-rows <N>` into a [`StorageConfig`]. An absent flag
-/// returns `None`, leaving the pipeline on its environment default
-/// (`WG_STORAGE_BUDGET_ROWS`); `--storage-rows 0` pins the out-of-core
-/// tier off regardless of the environment.
-fn storage_config(flags: &HashMap<String, String>) -> Option<StorageConfig> {
-    let rows = flags.get("storage-rows")?;
-    let budget_rows: usize = rows.parse().unwrap_or_else(|_| {
-        eprintln!("--storage-rows expects a row count, got {rows}");
-        usage();
-    });
-    Some(StorageConfig { budget_rows })
+/// Report a command-line error, then the usage text, and exit 2.
+fn usage_error(e: String) -> ! {
+    eprintln!("{e}");
+    usage();
 }
 
 fn load_or_generate(flags: &HashMap<String, String>) -> Arc<SyntheticDataset> {
@@ -207,7 +207,7 @@ fn cmd_gen(flags: HashMap<String, String>) {
     if let Some(budget) = budget {
         println!(
             "out-of-core: keep {budget} of {} feature rows DSM-resident — train with \
-             `--storage-rows {budget}` or `WG_STORAGE_BUDGET_ROWS={budget}`",
+             `--storage-rows {budget}`",
             d.num_nodes()
         );
     }
@@ -249,7 +249,7 @@ fn cmd_train(flags: HashMap<String, String>) {
     } else {
         ExecMode::Serial
     };
-    let mut cfg = PipelineConfig {
+    let cfg = PipelineConfig {
         batch_size: num(&flags, "batch", 128),
         hidden: num(&flags, "hidden", 64),
         num_layers: layers,
@@ -258,21 +258,16 @@ fn cmd_train(flags: HashMap<String, String>) {
     }
     .with_seed(num(&flags, "seed", 0))
     .with_exec(exec);
-    if let Some(cc) = cache_config(&flags) {
-        cfg.cache = Some(cc);
-    }
-    if let Some(sc) = storage_config(&flags) {
-        cfg.storage = Some(sc);
-    }
+    let cfg = with_tiers(&flags, cfg).unwrap_or_else(|e| usage_error(e));
 
     let machine = Machine::new(MachineConfig::dgx_like(gpus));
-    let cache_desc = match cfg.resolved_cache() {
-        Some(cc) => format!(", {} cache of {} rows/device", cc.mode.as_str(), cc.rows),
-        None => String::new(),
+    let cache_desc = match cfg.cache.rows {
+        0 => String::new(),
+        rows => format!(", {} cache of {rows} rows/device", cfg.cache.mode.as_str()),
     };
-    let storage_desc = match cfg.resolved_storage() {
-        Some(sc) => format!(", out-of-core tier with {} resident rows", sc.budget_rows),
-        None => String::new(),
+    let storage_desc = match cfg.storage.budget_rows {
+        0 => String::new(),
+        rows => format!(", out-of-core tier with {rows} resident rows"),
     };
     println!(
         "training {} with {} on {} ({} GPUs simulated, {} executor{cache_desc}{storage_desc})",
@@ -385,7 +380,7 @@ fn cmd_multinode(flags: HashMap<String, String>) {
     let epochs: u64 = num(&flags, "epochs", 3);
     let layers: usize = num(&flags, "layers", 2);
     let fanout: usize = num(&flags, "fanout", 10);
-    let mut pipe_cfg = PipelineConfig {
+    let pipe_cfg = PipelineConfig {
         batch_size: num(&flags, "batch", 128),
         hidden: num(&flags, "hidden", 64),
         num_layers: layers,
@@ -393,12 +388,7 @@ fn cmd_multinode(flags: HashMap<String, String>) {
         ..PipelineConfig::tiny(fw, model)
     }
     .with_seed(num(&flags, "seed", 0));
-    if let Some(cc) = cache_config(&flags) {
-        pipe_cfg.cache = Some(cc);
-    }
-    if let Some(sc) = storage_config(&flags) {
-        pipe_cfg.storage = Some(sc);
-    }
+    let pipe_cfg = with_tiers(&flags, pipe_cfg).unwrap_or_else(|e| usage_error(e));
     let sync = sync_config(&flags);
     let mode = if let Some(f) = sync.compress_topk {
         format!("top-k {:.0}% compressed sync", f * 100.0)
@@ -488,7 +478,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
     let layers: usize = num(&flags, "layers", 2);
     let fanout: usize = num(&flags, "fanout", 10);
     let seed: u64 = num(&flags, "seed", 0);
-    let mut cfg = PipelineConfig {
+    let cfg = PipelineConfig {
         batch_size: num(&flags, "batch", 128),
         hidden: num(&flags, "hidden", 64),
         num_layers: layers,
@@ -496,12 +486,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
         ..PipelineConfig::tiny(Framework::WholeGraph, model)
     }
     .with_seed(seed);
-    if let Some(cc) = cache_config(&flags) {
-        cfg.cache = Some(cc);
-    }
-    if let Some(sc) = storage_config(&flags) {
-        cfg.storage = Some(sc);
-    }
+    let cfg = with_tiers(&flags, cfg).unwrap_or_else(|e| usage_error(e));
 
     let rate_qps: f64 = num(&flags, "rate", 10_000.0);
     let burst: usize = num(&flags, "burst", 0);
@@ -540,9 +525,9 @@ fn cmd_serve(flags: HashMap<String, String>) {
     };
 
     let machine = Machine::new(MachineConfig::dgx_like(gpus));
-    let cache_desc = match cfg.resolved_cache() {
-        Some(cc) => format!(", {} cache of {} rows/device", cc.mode.as_str(), cc.rows),
-        None => String::new(),
+    let cache_desc = match cfg.cache.rows {
+        0 => String::new(),
+        rows => format!(", {} cache of {rows} rows/device", cfg.cache.mode.as_str()),
     };
     println!(
         "serving {} on {} ({} GPUs simulated{cache_desc}); {} requests at {} qps, zipf {}",
@@ -631,10 +616,7 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let flags = parse_flags(rest).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    });
+    let flags = parse_flags(rest).unwrap_or_else(|e| usage_error(e));
     match cmd.as_str() {
         "gen" => cmd_gen(flags),
         "info" => cmd_info(flags),
@@ -662,5 +644,30 @@ mod tests {
             assert_eq!(err, format!("unknown flag: {typo}"));
         }
         assert!(parse_flags(&args(&["epochs"])).is_err());
+
+        // Tier flags: absent means off; a mode with no row count is
+        // refused naming the flag rather than dropped.
+        let tiny = || PipelineConfig::tiny(Framework::WholeGraph, ModelKind::Gcn);
+        let tiers = |a: &[&str]| with_tiers(&parse_flags(&args(a)).unwrap(), tiny());
+        let off = tiers(&[]).unwrap();
+        assert_eq!((off.cache, off.storage), (tiny().cache, tiny().storage));
+        let on = [
+            "--cache-rows",
+            "8",
+            "--cache-mode",
+            "clock",
+            "--storage-rows",
+            "9",
+        ];
+        let on = tiers(&on).unwrap();
+        assert_eq!((on.cache.rows, on.cache.mode), (8, CacheMode::Clock));
+        assert_eq!(on.storage.budget_rows, 9);
+        let err = tiers(&["--cache-mode", "clock"]).unwrap_err();
+        assert!(
+            err.contains("--cache-mode") && err.contains("--cache-rows"),
+            "{err}"
+        );
+        let err = tiers(&["--cache-rows", "8", "--cache-mode", "lru"]).unwrap_err();
+        assert!(err.contains("--cache-mode"), "{err}");
     }
 }

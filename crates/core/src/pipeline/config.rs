@@ -6,49 +6,16 @@ use wg_mem::CacheMode;
 
 use crate::framework::Framework;
 
-/// The row-count seam behind `WG_CACHE_ROWS` and
-/// `WG_STORAGE_BUDGET_ROWS`. Absent or empty → `None` (CI matrices
-/// export unset legs as `""`); a present but malformed value panics at
-/// startup naming `var`, same convention as `WG_SIMD` — a typo must not
-/// silently run with the tier off. Takes the raw value so these
-/// conventions are testable without mutating process-global environment
-/// in a parallel test harness.
-fn parse_rows(var: &str, value: Option<&str>) -> Option<usize> {
-    let value = value.filter(|v| !v.is_empty())?;
-    let rows = value.parse();
-    Some(rows.unwrap_or_else(|_| panic!("{var}: expected a row count, got {value:?}")))
-}
-
-fn env_rows(var: &str) -> Option<usize> {
-    parse_rows(var, std::env::var(var).ok().as_deref())
-}
-
 /// Per-device feature-cache configuration: `rows` row slots per device,
 /// filled by static top-K replication or dynamic CLOCK eviction. Caching
 /// changes gather *cost only, never values* — every checksum is
 /// bit-identical with the cache on or off.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheConfig {
     /// Cache row slots per device. Zero disables the cache.
     pub rows: usize,
     /// Replacement policy.
     pub mode: CacheMode,
-}
-
-impl CacheConfig {
-    /// Read the cache configuration from `WG_CACHE_ROWS` /
-    /// `WG_CACHE_MODE` (the CI matrix's cache-enabled leg runs the whole
-    /// suite this way). `None` when `WG_CACHE_ROWS` is absent or empty;
-    /// malformed values of either variable panic at startup.
-    pub fn from_env() -> Option<CacheConfig> {
-        let rows = env_rows("WG_CACHE_ROWS")?;
-        let mode = match std::env::var("WG_CACHE_MODE") {
-            Ok(m) if !m.is_empty() => CacheMode::parse(&m)
-                .unwrap_or_else(|| panic!("WG_CACHE_MODE: expected static|clock, got {m:?}")),
-            _ => CacheMode::Static,
-        };
-        Some(CacheConfig { rows, mode })
-    }
 }
 
 /// Out-of-core storage-tier configuration: cap the DSM-resident feature
@@ -57,21 +24,11 @@ impl CacheConfig {
 /// model. Like the cache above it, the tier changes gather *cost only,
 /// never values* — training through the disk tier is bit-identical to
 /// in-memory, at any residency.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageConfig {
     /// DSM-resident feature-row budget. Zero disables the tier (pure
     /// in-memory DSM, the default).
     pub budget_rows: usize,
-}
-
-impl StorageConfig {
-    /// Read the storage configuration from `WG_STORAGE_BUDGET_ROWS` (the
-    /// CI matrix's storage leg runs the whole suite at ~25% residency
-    /// this way). `None` when absent or empty; a malformed value panics
-    /// at startup.
-    pub fn from_env() -> Option<StorageConfig> {
-        env_rows("WG_STORAGE_BUDGET_ROWS").map(|budget_rows| StorageConfig { budget_rows })
-    }
 }
 
 /// Where the node features physically live and how the training GPU
@@ -167,15 +124,12 @@ pub struct PipelineConfig {
     /// How epochs are scheduled onto the machine (timing only — the
     /// numerics are identical across modes).
     pub exec: ExecMode,
-    /// Per-device feature cache (WholeGraph DSM placements only).
-    /// `None` defers to the `WG_CACHE_ROWS`/`WG_CACHE_MODE` environment;
-    /// `Some` pins it programmatically (use `rows: 0` to force-disable).
-    pub cache: Option<CacheConfig>,
+    /// Per-device feature cache (WholeGraph DSM placements only); off
+    /// at zero rows, the default.
+    pub cache: CacheConfig,
     /// Out-of-core storage tier below the DSM (WholeGraph DSM placements
-    /// only). `None` defers to the `WG_STORAGE_BUDGET_ROWS` environment;
-    /// `Some` pins it programmatically (use `budget_rows: 0` to
-    /// force-disable).
-    pub storage: Option<StorageConfig>,
+    /// only); off at a zero-row budget, the default.
+    pub storage: StorageConfig,
 }
 
 impl PipelineConfig {
@@ -195,8 +149,8 @@ impl PipelineConfig {
             provider_override: None,
             feature_placement: FeaturePlacement::DeviceP2p,
             exec: ExecMode::Serial,
-            cache: None,
-            storage: None,
+            cache: CacheConfig::default(),
+            storage: StorageConfig::default(),
         }
     }
 
@@ -216,8 +170,8 @@ impl PipelineConfig {
             provider_override: None,
             feature_placement: FeaturePlacement::DeviceP2p,
             exec: ExecMode::Serial,
-            cache: None,
-            storage: None,
+            cache: CacheConfig::default(),
+            storage: StorageConfig::default(),
         }
     }
 
@@ -245,34 +199,16 @@ impl PipelineConfig {
         self
     }
 
-    /// Pin the feature-cache configuration (overrides the environment).
+    /// Set the feature cache: `rows` slots per device, zero for off.
     pub fn with_cache(mut self, rows: usize, mode: CacheMode) -> Self {
-        self.cache = Some(CacheConfig { rows, mode });
+        self.cache = CacheConfig { rows, mode };
         self
     }
 
-    /// The effective cache configuration: the explicit setting if
-    /// present, else the `WG_CACHE_*` environment, normalized so a
-    /// zero-row cache reads as disabled.
-    pub fn resolved_cache(&self) -> Option<CacheConfig> {
-        self.cache
-            .or_else(CacheConfig::from_env)
-            .filter(|c| c.rows > 0)
-    }
-
-    /// Pin the storage-tier configuration (overrides the environment).
+    /// Set the storage tier's DSM-resident row budget, zero for off.
     pub fn with_storage(mut self, budget_rows: usize) -> Self {
-        self.storage = Some(StorageConfig { budget_rows });
+        self.storage = StorageConfig { budget_rows };
         self
-    }
-
-    /// The effective storage configuration: the explicit setting if
-    /// present, else the `WG_STORAGE_BUDGET_ROWS` environment, normalized
-    /// so a zero-row budget reads as disabled.
-    pub fn resolved_storage(&self) -> Option<StorageConfig> {
-        self.storage
-            .or_else(StorageConfig::from_env)
-            .filter(|s| s.budget_rows > 0)
     }
 
     pub(crate) fn gnn_config(&self, in_dim: usize, num_classes: usize) -> GnnConfig {
@@ -291,64 +227,21 @@ impl PipelineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::Framework;
-    use wg_gnn::ModelKind;
-
-    /// The two variables the row-count seam serves.
-    const ROW_VARS: [&str; 2] = ["WG_CACHE_ROWS", "WG_STORAGE_BUDGET_ROWS"];
 
     #[test]
-    fn storage_env_absent_or_empty_is_none() {
-        // CI matrices export unset legs as "" — both shapes read as off.
-        for var in ROW_VARS {
-            assert_eq!(parse_rows(var, None), None);
-            assert_eq!(parse_rows(var, Some("")), None);
-        }
-    }
-
-    #[test]
-    fn storage_env_parses_a_row_count() {
-        for var in ROW_VARS {
-            assert_eq!(parse_rows(var, Some("400")), Some(400));
-            // "0" parses (it is not malformed) but resolves to disabled
-            // below.
-            assert_eq!(parse_rows(var, Some("0")), Some(0));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "WG_STORAGE_BUDGET_ROWS")]
-    fn storage_env_malformed_panics_at_startup() {
-        parse_rows("WG_STORAGE_BUDGET_ROWS", Some("lots"));
-    }
-
-    #[test]
-    #[should_panic(expected = "WG_CACHE_ROWS")]
-    fn cache_env_malformed_panics_at_startup() {
-        parse_rows("WG_CACHE_ROWS", Some("-1"));
-    }
-
-    #[test]
-    fn explicit_storage_config_wins_over_env() {
-        // `resolved_storage` short-circuits on the explicit setting, so
-        // these hold regardless of the ambient WG_STORAGE_BUDGET_ROWS —
-        // including under the CI leg that forces ~25% residency.
+    fn with_storage_sets_the_budget_and_zero_is_off() {
         let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::Gcn);
-        assert_eq!(
-            cfg.clone().with_storage(123).resolved_storage(),
-            Some(StorageConfig { budget_rows: 123 })
-        );
-        // Zero pins the tier off even when the environment enables it.
-        assert_eq!(cfg.with_storage(0).resolved_storage(), None);
+        assert_eq!(cfg.storage, StorageConfig::default(), "off by default");
+        assert_eq!(cfg.clone().with_storage(123).storage.budget_rows, 123);
+        assert_eq!(cfg.with_storage(0).storage, StorageConfig::default());
     }
 
     #[test]
-    fn zero_row_cache_resolves_to_disabled() {
-        let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::Gcn);
-        assert_eq!(
-            cfg.with_cache(0, wg_mem::CacheMode::Static)
-                .resolved_cache(),
-            None
-        );
+    fn with_cache_sets_the_cache_and_zero_is_off() {
+        let cfg = PipelineConfig::paper(Framework::WholeGraph, ModelKind::Gat);
+        assert_eq!(cfg.cache, CacheConfig::default(), "off by default");
+        assert_eq!(cfg.cache.rows, 0);
+        let clock = cfg.with_cache(64, CacheMode::Clock).cache;
+        assert_eq!((clock.rows, clock.mode), (64, CacheMode::Clock));
     }
 }

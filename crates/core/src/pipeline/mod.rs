@@ -899,12 +899,11 @@ mod tests {
             let mut p = pipeline(fw, ModelKind::GraphSage);
             let batch: Vec<NodeId> = p.dataset().train[..32].to_vec();
             let before = params_fnv(&p);
-            // Times are not compared: a CLOCK-cache leg warms between
-            // the two calls.
             let a = p.run_iteration(0, 0, &batch, false);
             let b = p.run_iteration(0, 0, &batch, false);
             assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{fw:?}");
             assert_eq!(a.correct, b.correct, "{fw:?}");
+            assert_eq!(a.times.total(), b.times.total(), "{fw:?}");
             assert_eq!(
                 a.times.comm,
                 SimTime::ZERO,
@@ -949,17 +948,11 @@ mod tests {
 
     #[test]
     fn wholegraph_is_faster_than_dgl_than_pyg() {
-        // The headline result at test scale: epoch time ordering. Pins
-        // the storage tier off — the ordering is about DSM vs host
-        // gathers, and must not inherit a CI matrix leg's
-        // `WG_STORAGE_BUDGET_ROWS` (NVMe reads would slow WholeGraph
-        // only; the host baselines never build the tier).
+        // The headline result at test scale: epoch time ordering.
         let mut times = Vec::new();
         for fw in [Framework::WholeGraph, Framework::Dgl, Framework::Pyg] {
             let machine = Machine::new(MachineConfig::dgx_like(4));
-            let cfg = PipelineConfig::tiny(fw, ModelKind::GraphSage)
-                .with_seed(11)
-                .with_storage(0);
+            let cfg = PipelineConfig::tiny(fw, ModelKind::GraphSage).with_seed(11);
             let mut p = Pipeline::new(machine, dataset(), cfg).unwrap();
             let r = p.measure_epoch(0, 2);
             times.push((fw, r.epoch_time));
@@ -981,8 +974,6 @@ mod tests {
     /// A paper-shaped (but test-sized) pipeline: 8 GPUs, realistic batch
     /// and fanout so the bottleneck asymmetries of Figures 9/12 are
     /// visible (at toy scale, kernel-launch overheads dominate instead).
-    /// Storage is pinned off: these tests assert the in-memory phase
-    /// shapes and must not inherit a CI leg's `WG_STORAGE_BUDGET_ROWS`.
     fn paper_ish_pipeline(fw: Framework, model: ModelKind) -> Pipeline {
         let dataset = Arc::new(SyntheticDataset::generate(
             DatasetKind::OgbnProducts,
@@ -991,21 +982,10 @@ mod tests {
         ));
         let machine = Machine::new(MachineConfig::dgx_like(8));
         let cfg = PipelineConfig {
-            framework: fw,
-            model,
             hidden: 64,
-            num_layers: 2,
-            heads: 2,
             fanouts: vec![15, 15],
             batch_size: 256,
-            dropout: 0.0,
-            lr: 1e-2,
-            seed: 5,
-            provider_override: None,
-            feature_placement: FeaturePlacement::DeviceP2p,
-            exec: ExecMode::Serial,
-            cache: None,
-            storage: Some(StorageConfig { budget_rows: 0 }),
+            ..PipelineConfig::tiny(fw, model).with_seed(5)
         };
         Pipeline::new(machine, dataset, cfg).unwrap()
     }
@@ -1218,8 +1198,7 @@ mod tests {
             let machine = Machine::new(MachineConfig::dgx_like(4));
             let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::Gcn)
                 .with_seed(44)
-                .with_feature_placement(placement)
-                .with_storage(0);
+                .with_feature_placement(placement);
             let mut p = Pipeline::new(machine, dataset(), cfg).unwrap();
             let batch: Vec<NodeId> = p.dataset().train[..48].to_vec();
             let r = p.run_iteration(0, 0, &batch, false);
@@ -1240,13 +1219,10 @@ mod tests {
         assert!(mapped < um, "host-mapped {mapped} !< UM {um}");
     }
 
-    /// Train two epochs with both tiers explicitly pinned — zero rows
-    /// pins a tier *off*; these tests must not inherit a CI matrix leg's
-    /// `WG_CACHE_ROWS` / `WG_STORAGE_BUDGET_ROWS`, and each tier's cost
-    /// deltas are measured against pure DSM gathers — and return the
-    /// second epoch's report: the small batch gives every rank several
-    /// iterations, so epoch 0 warms a CLOCK cache and epoch 1 measures it
-    /// in steady state.
+    /// Train two epochs with the given tiers — zero rows is a tier off —
+    /// and return the second epoch's report: the small batch gives every
+    /// rank several iterations, so epoch 0 warms a CLOCK cache and epoch
+    /// 1 measures it in steady state.
     fn epoch_with_tiers(cache: (usize, CacheMode), budget_rows: usize) -> EpochReport {
         let machine = Machine::new(MachineConfig::dgx_like(4));
         let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
@@ -1259,7 +1235,7 @@ mod tests {
         p.train_epoch(1)
     }
 
-    /// The cache pinned off.
+    /// The cache off.
     const NO_CACHE: (usize, CacheMode) = (0, CacheMode::Static);
 
     #[test]

@@ -145,15 +145,17 @@ pub(crate) fn build(
             }
             hotness
         };
-        tiers.cache = cfg.resolved_cache().map(|cc| match cc.mode {
+        let cc = cfg.cache;
+        tiers.cache = (cc.rows > 0).then(|| match cc.mode {
             CacheMode::Static => FeatureCache::new_static(wm, &degree_hotness(), cc.rows),
             CacheMode::Clock => FeatureCache::new_clock(wm, gpus, cc.rows),
         });
         // Every row goes to the spill file; the `budget_rows` hottest
         // stay DSM-resident, the rest are priced by the NVMe storage
         // model.
-        tiers.disk = cfg.resolved_storage().map(|sc| {
-            OocTier::build(wm, &degree_hotness(), sc.budget_rows)
+        let budget_rows = cfg.storage.budget_rows;
+        tiers.disk = (budget_rows > 0).then(|| {
+            OocTier::build(wm, &degree_hotness(), budget_rows)
                 .expect("ooc: failed to build the storage-tier spill file")
         });
     }

@@ -4,9 +4,8 @@
 //! was vectorised, and the workspace contract — a warm GAT iteration on a
 //! persistent tape draws every buffer from the pool, like GraphSAGE.
 //!
-//! The loss pin holds at every SIMD level and pool width: tier-1 reruns
-//! this binary under `WG_THREADS=1`, CI's `forced-scalar-simd` leg under
-//! `WG_SIMD=scalar`.
+//! The loss pin holds at every SIMD level and pool width: CI's
+//! `forced-scalar-simd` leg reruns this binary under `WG_SIMD=scalar`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

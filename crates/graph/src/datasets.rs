@@ -220,8 +220,8 @@ impl SyntheticDataset {
     /// hotness-ranked residency set covers most accesses, and the
     /// returned budget holds only `resident_fraction` of the feature
     /// rows in the DSM — the rest live in the spill file below it.
-    /// Feed the budget to `PipelineConfig::with_storage` or
-    /// `WG_STORAGE_BUDGET_ROWS` to exercise the disk tier.
+    /// Feed the budget to `PipelineConfig::with_storage` (`wg train
+    /// --storage-rows`) to exercise the disk tier.
     pub fn generate_out_of_core(
         kind: DatasetKind,
         scale: u64,

@@ -38,10 +38,11 @@ use crate::access::Element;
 use crate::handle::WholeMemory;
 
 /// Replacement policy of a [`FeatureCache`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CacheMode {
     /// Top-K hottest rows pinned at build time, replicated to every
     /// device; no eviction.
+    #[default]
     Static,
     /// Fill-on-miss per-device caches with deterministic CLOCK
     /// (second-chance) eviction.
@@ -49,7 +50,7 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
-    /// Parse a CLI/env spelling (`static` | `clock`).
+    /// Parse a CLI spelling (`static` | `clock`).
     pub fn parse(s: &str) -> Option<CacheMode> {
         match s {
             "static" => Some(CacheMode::Static),

@@ -5,8 +5,7 @@
 //! gathered values must not depend on how many workers execute the copy
 //! kernel. This binary forces a **two-worker** pool via `init_threads(2)`
 //! before any gather runs and replays the same access stream a
-//! single-worker process would see (tier-1 runs the suite again under
-//! `WG_THREADS=1`, pinning the other leg): every per-batch hit count,
+//! single-worker process would see: every per-batch hit count,
 //! eviction victim and output byte is asserted against values computed
 //! from the plan alone — worker count never appears in the expectation.
 //!
@@ -94,9 +93,9 @@ fn clock_trajectory_is_identical_on_two_workers() {
         );
         trajectory.push((stats.cache_hits, occupied(&stack, rank)));
     }
-    // The per-device trajectories recorded from the sequential reference
-    // schedule (WG_THREADS=1). Planning is sequential by construction,
-    // so two workers must reproduce them exactly.
+    // The per-device trajectories of the sequential reference schedule.
+    // Planning is sequential by construction, so two workers must
+    // reproduce them exactly.
     let expect = sequential_reference_trajectory();
     assert_eq!(
         trajectory, expect,

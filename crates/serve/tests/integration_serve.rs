@@ -25,12 +25,10 @@ fn dataset() -> Arc<SyntheticDataset> {
 }
 
 /// A serving pipeline with one short training epoch behind it (so the
-/// logits are not the init weights) and an explicitly pinned cache
-/// config — `None` pins the cache *off* so these tests don't inherit a
-/// CI matrix leg's `WG_CACHE_ROWS`.
+/// logits are not the init weights), with the given cache (`None`: off).
 fn pipeline(cache: Option<(usize, CacheMode)>) -> Pipeline {
     let machine = Machine::new(MachineConfig::dgx_like(4));
-    let (rows, mode) = cache.unwrap_or((0, CacheMode::Static));
+    let (rows, mode) = cache.unwrap_or_default();
     let cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
         .with_seed(11)
         .with_cache(rows, mode);
@@ -92,8 +90,8 @@ fn coalesced_is_bit_identical_to_sequential_across_cache_modes() {
 fn coalesced_results_are_thread_count_invariant() {
     // The work-stealing pool promises bit-identical numerics at any
     // width; `run_sequential` pins one run to a single thread in-process
-    // (the CI matrix additionally re-runs the whole suite under
-    // `WG_THREADS=1` and the clock-cache leg).
+    // (`one_worker.rs` replays on a one-worker pool, and
+    // `config_space.rs` replays under every cache and residency).
     let traffic = zipf_traffic(120, 4000.0, 17);
     let cfg = ServeConfig::coalesced(32, SimTime::from_millis(2.0));
     let parallel = run_sorted(&mut pipeline(None), cfg, &traffic);

@@ -1,13 +1,12 @@
 //! The thread-count leg of the blocked-kernel bit-identity contract.
 //!
 //! The unit proptests in `ops.rs`/`sparse.rs` pin blocked == reference at
-//! whatever width the test process runs (tier-1 runs the suite at the
-//! natural width and again under `WG_THREADS=1`). This integration binary
-//! pins the remaining leg: a **two-worker** pool, requested via
+//! whatever width the test process runs (the host's cores). This
+//! integration binary pins a **two-worker** pool, requested via
 //! `init_threads(2)` before any kernel runs (first initialization wins;
-//! an explicit `WG_THREADS` override still takes precedence, which keeps
-//! the tier-1 sequential pass meaningful). Every output is also compared
-//! against the sequential reference schedule within the same process.
+//! an explicit `WG_THREADS` override still takes precedence). Every
+//! output is also compared against the sequential reference schedule
+//! within the same process.
 
 use proptest::prelude::*;
 use rand::prelude::*;

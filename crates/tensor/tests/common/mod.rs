@@ -1,5 +1,5 @@
-//! Checks shared by `simd_equivalence.rs` (natural width, `WG_THREADS=1`,
-//! CI's `WG_SIMD=scalar` leg) and `simd_equivalence_threads2.rs` (the
+//! Checks shared by `simd_equivalence.rs` (natural width, and CI's
+//! `WG_SIMD=scalar` leg) and `simd_equivalence_threads2.rs` (the
 //! two-worker pool): the traffic the training loop actually feeds the
 //! dense kernels — zero-laden `A` operands, sign-random activations,
 //! dropout — and the geometry of the packed-panel GEMM body (row blocks,

@@ -9,8 +9,7 @@
 //! the forced-`Scalar` vs forced-`Avx2` tests pin the two code paths
 //! against each other directly (gated on host AVX2 support — the
 //! dispatched-vs-reference tests run everywhere). The two-worker pool
-//! leg lives in `simd_equivalence_threads2.rs`; tier-1 reruns this
-//! binary under `WG_THREADS=1`.
+//! leg lives in `simd_equivalence_threads2.rs`.
 //!
 //! The second half pins the GAT kernel families — g-SDDMM, weighted
 //! multi-head g-SpMM (forward and backward-src), edge softmax (forward

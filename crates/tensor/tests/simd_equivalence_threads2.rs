@@ -1,7 +1,7 @@
 //! The two-worker pool leg of the SIMD bit-identity contract.
 //!
 //! `simd_equivalence.rs` pins the levels against each other at whatever
-//! width its process runs (tier-1: natural width and `WG_THREADS=1`).
+//! width its process runs (the host's cores).
 //! This binary requests a **two-worker** pool before any kernel runs —
 //! the SIMD lane blocking is inside each worker's tile, orthogonal to
 //! the pool schedule, so forced-scalar and forced-AVX2 must still agree

@@ -42,20 +42,17 @@ cargo build --release "${OFFLINE_FLAGS[@]}"
 echo "tier1: cargo check --manifest-path benchmark/Cargo.toml"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-# The suite runs twice: once on the work-stealing pool at its natural
-# width and once pinned to one worker (WG_THREADS=1). The rayon shim
-# guarantees bit-identical numerics at any thread count, so both passes
-# must agree with the same expectations.
+# One pass: the settings earlier passes varied process-wide are checked
+# in-process — the one-worker pool by crates/serve/tests/one_worker.rs,
+# every cache x residency x schedule combination by
+# crates/serve/tests/config_space.rs.
 echo "tier1: cargo test -q"
 cargo test -q "${OFFLINE_FLAGS[@]}"
-
-echo "tier1: WG_THREADS=1 cargo test -q"
-WG_THREADS=1 cargo test -q "${OFFLINE_FLAGS[@]}"
 
 # The kernel crates once more at the optimisation level the benchmarks
 # measure: the bit-identity claims are about release binaries, and the
 # compiler vectorises (and commutes) differently there than in the dev
-# profile the two passes above test. wg-mem rides along for its `unsafe`:
+# profile the pass above tests. wg-mem rides along for its `unsafe`:
 # the `&[T]` view over the mapped spill file and the `extern "C"` block
 # are exercised least by the profile that optimises least. wg-sample
 # rides along for its host sampling kernel: the `u16` identity array and

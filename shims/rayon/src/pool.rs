@@ -242,15 +242,22 @@ fn current_worker() -> Option<&'static WorkerLocal> {
 
 static REGISTRY: OnceLock<&'static Registry> = OnceLock::new();
 
+/// Parse the raw value of thread-count variable `var`. Absent or blank
+/// reads as unset; anything else must be a count, or startup panics
+/// naming `var` (the `WG_SIMD` convention) — a typo'd `WG_THREADS=one`
+/// must not silently run on every core.
+fn parse_threads(var: &str, value: Option<&str>) -> Option<usize> {
+    let value = value.map(str::trim).filter(|v| !v.is_empty())?;
+    let n: usize = value
+        .parse()
+        .unwrap_or_else(|_| panic!("{var}: expected a thread count, got {value:?}"));
+    Some(n.clamp(1, 512))
+}
+
 fn env_threads() -> Option<usize> {
-    for var in [THREADS_ENV, RAYON_THREADS_ENV] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return Some(n.clamp(1, 512));
-            }
-        }
-    }
-    None
+    [THREADS_ENV, RAYON_THREADS_ENV]
+        .into_iter()
+        .find_map(|var| parse_threads(var, std::env::var(var).ok().as_deref()))
 }
 
 fn default_threads() -> usize {
@@ -481,5 +488,23 @@ fn steal_until(reg: &Registry, local: &WorkerLocal, latch: &SpinLatch) {
         } else {
             std::thread::yield_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_count_env_parses_or_panics_naming_the_variable() {
+        assert_eq!(parse_threads(THREADS_ENV, None), None);
+        assert_eq!(parse_threads(THREADS_ENV, Some(" ")), None);
+        assert_eq!(parse_threads(THREADS_ENV, Some(" 3 ")), Some(3));
+        assert_eq!(parse_threads(RAYON_THREADS_ENV, Some("0")), Some(1));
+        let err = panic::catch_unwind(|| parse_threads(THREADS_ENV, Some("one"))).unwrap_err();
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(msg.contains("WG_THREADS") && msg.contains("one"), "{msg}");
     }
 }

@@ -50,8 +50,8 @@ fn run_epoch(fw: Framework, model: ModelKind) -> EpochFingerprint {
 
 /// One epoch per framework, sequential reference vs. two pool runs.
 /// `init_threads(8)` is a request — `WG_THREADS`/`RAYON_NUM_THREADS`
-/// win if set, so the tier-1 `WG_THREADS=1` pass exercises the same
-/// assertions with a degenerate (but still distinct) schedule.
+/// win if set. The one-worker pool, a degenerate but distinct schedule,
+/// has a binary of its own: `crates/serve/tests/one_worker.rs`.
 #[test]
 fn training_epoch_is_bit_identical_at_any_thread_count() {
     rayon::init_threads(8);

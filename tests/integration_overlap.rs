@@ -98,23 +98,20 @@ fn executors_agree_numerically_for_every_framework_and_model() {
     }
 }
 
-/// One framework's serial and overlapped GraphSAGE epochs. `storage`
-/// pins the out-of-core tier's budget; `None` follows the environment
-/// (`WG_STORAGE_BUDGET_ROWS`, i.e. the CI leg the suite runs under).
+/// One framework's serial and overlapped GraphSAGE epochs, with the
+/// out-of-core tier's resident-row budget at `storage` (0: tier off).
 struct OverlapWin {
     serial: EpochReport,
     overlapped: EpochReport,
 }
 
 impl OverlapWin {
-    fn of(fw: Framework, storage: Option<usize>, data: &Arc<SyntheticDataset>) -> Self {
+    fn of(fw: Framework, storage: usize, data: &Arc<SyntheticDataset>) -> Self {
         let epoch = |exec| {
-            let mut cfg = PipelineConfig::tiny(fw, ModelKind::GraphSage)
+            let cfg = PipelineConfig::tiny(fw, ModelKind::GraphSage)
                 .with_seed(23)
-                .with_exec(exec);
-            if let Some(budget_rows) = storage {
-                cfg = cfg.with_storage(budget_rows);
-            }
+                .with_exec(exec)
+                .with_storage(storage);
             epoch_with(cfg, data).0
         };
         OverlapWin {
@@ -140,10 +137,9 @@ fn overlap_win_is_largest_for_host_pipelines() {
     // DGL/PyG input phases dominate their epochs (Figure 9), so hiding
     // them under training shrinks the epoch far more than for WholeGraph,
     // whose input phases are already small. That is the paper's
-    // in-memory ordering, so the storage tier is pinned off; the two
-    // tests below cover the tier.
+    // in-memory ordering; the two tests below add the storage tier.
     let data = dataset();
-    let saving = |fw| OverlapWin::of(fw, Some(0), &data).saving();
+    let saving = |fw| OverlapWin::of(fw, 0, &data).saving();
     let wg = saving(Framework::WholeGraph);
     let dgl = saving(Framework::Dgl);
     let pyg = saving(Framework::Pyg);
@@ -153,43 +149,44 @@ fn overlap_win_is_largest_for_host_pipelines() {
 
 #[test]
 fn overlap_win_follows_the_input_share() {
-    // The rule behind the ordering above, stated so that it holds
-    // whatever tier the environment switches on: overlap hides input
-    // under training, so of two pipelines the one spending the larger
-    // share of its serial epoch in input phases saves the larger share.
-    // In memory that is DGL/PyG over WholeGraph; on the CI storage leg
-    // WholeGraph's gather carries the NVMe reads, its input share is the
-    // largest of the three, and so is its saving.
+    // The rule behind the ordering above, checked with the storage tier
+    // off and at ~25% residency: overlap hides input under training, so
+    // of two pipelines the one spending the larger share of its serial
+    // epoch in input phases saves the larger share. In memory that is
+    // DGL/PyG over WholeGraph; with the tier on, WholeGraph's gather
+    // carries the NVMe reads, its input share is the largest of the
+    // three, and so is its saving.
     let data = dataset();
-    let wg = OverlapWin::of(Framework::WholeGraph, None, &data);
-    for fw in [Framework::Dgl, Framework::Pyg] {
-        let host = OverlapWin::of(fw, None, &data);
-        assert_eq!(
-            host.saving() > wg.saving(),
-            host.input_share() > wg.input_share(),
-            "{fw:?}: saving {:.3} / input share {:.3} vs WholeGraph {:.3} / {:.3} \
-             (storage rows {})",
-            host.saving(),
-            host.input_share(),
-            wg.saving(),
-            wg.input_share(),
-            wg.serial.storage_io.rows
-        );
+    for storage in [0, 400] {
+        let wg = OverlapWin::of(Framework::WholeGraph, storage, &data);
+        for fw in [Framework::Dgl, Framework::Pyg] {
+            let host = OverlapWin::of(fw, storage, &data);
+            assert_eq!(
+                host.saving() > wg.saving(),
+                host.input_share() > wg.input_share(),
+                "{fw:?}: saving {:.3} / input share {:.3} vs WholeGraph {:.3} / {:.3} \
+                 (storage rows {})",
+                host.saving(),
+                host.input_share(),
+                wg.saving(),
+                wg.input_share(),
+                wg.serial.storage_io.rows
+            );
+        }
     }
 }
 
 #[test]
 fn overlap_hides_wholegraph_storage_reads() {
-    // Tier on at ~25% residency, pinned so every CI leg runs it. Priced
-    // as the ranged reads issued, a wave's storage time is below its
-    // training step (per-row pricing charged several steps), so it fits
-    // under the previous wave's compute: nothing stays exposed, and
-    // WholeGraph's saving overtakes both its own in-memory saving and
-    // DGL's.
+    // Tier on at ~25% residency. Priced as the ranged reads issued, a
+    // wave's storage time is below its training step (per-row pricing
+    // charged several steps), so it fits under the previous wave's
+    // compute: nothing stays exposed, and WholeGraph's saving overtakes
+    // both its own in-memory saving and DGL's.
     let data = dataset();
-    let tiered = OverlapWin::of(Framework::WholeGraph, Some(400), &data);
-    let in_memory = OverlapWin::of(Framework::WholeGraph, Some(0), &data);
-    let dgl = OverlapWin::of(Framework::Dgl, Some(400), &data);
+    let tiered = OverlapWin::of(Framework::WholeGraph, 400, &data);
+    let in_memory = OverlapWin::of(Framework::WholeGraph, 0, &data);
+    let dgl = OverlapWin::of(Framework::Dgl, 400, &data);
 
     let r = &tiered.serial;
     assert!(r.storage_io.rows > 0, "tier served no rows");

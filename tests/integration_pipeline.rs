@@ -56,10 +56,7 @@ fn wholegraph_learns_and_beats_random_guessing() {
 #[test]
 fn epoch_speedup_ordering_holds_at_paper_shape() {
     // Table V's qualitative result: WholeGraph < DGL < PyG epoch time,
-    // with meaningful gaps. Storage pinned off: the speedup ratios are
-    // about in-memory DSM vs host gathers and must not inherit a CI
-    // matrix leg's `WG_STORAGE_BUDGET_ROWS` (the tier slows WholeGraph
-    // only — the host baselines never build it).
+    // with meaningful gaps.
     let mut times = Vec::new();
     for fw in [Framework::WholeGraph, Framework::Dgl, Framework::Pyg] {
         let d = Arc::new(SyntheticDataset::generate(
@@ -73,7 +70,7 @@ fn epoch_speedup_ordering_holds_at_paper_shape() {
             fanouts: vec![15, 15],
             num_layers: 2,
             hidden: 64,
-            ..PipelineConfig::tiny(fw, ModelKind::GraphSage).with_storage(0)
+            ..PipelineConfig::tiny(fw, ModelKind::GraphSage)
         };
         let mut pipe = Pipeline::new(machine, d, cfg).unwrap();
         let r = pipe.measure_epoch(0, 2);
