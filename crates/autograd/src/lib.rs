@@ -7,22 +7,20 @@
 //! activations, dropout, and the sparse g-SpMM / g-SDDMM / edge-softmax
 //! message-passing ops of §III-C4.
 //!
-//! * [`params`] — named parameter store with gradient slots (plus the
-//!   data-parallel gradient averaging that stands in for Apex DDP's
-//!   AllReduce, §III-D);
+//! * [`params`] — named parameter store with gradient slots (the
+//!   data-parallel AllReduce of §III-D averages these slots in
+//!   `wholegraph::multinode::GradSync`);
 //! * [`tape`] — the autograd tape: forward ops record their inputs, and
 //!   [`tape::Tape::backward`] walks the tape in reverse accumulating
 //!   gradients into the parameter store;
 //! * [`optim`] — SGD and Adam.
 
-pub mod checkpoint;
 pub mod optim;
 pub mod params;
 pub mod tape;
 pub mod workspace;
 
-pub use checkpoint::{load_params, save_params};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use params::{average_gradients, ParamId, Params};
+pub use params::{ParamId, Params};
 pub use tape::{NodeId, Tape};
 pub use workspace::Workspace;

@@ -1,4 +1,4 @@
-//! Parameter storage and data-parallel gradient averaging.
+//! Parameter storage.
 
 use rand::rngs::SmallRng;
 
@@ -117,65 +117,6 @@ impl Params {
     pub fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         (0..self.values.len()).map(ParamId)
     }
-
-    /// Global L2 norm of all gradients.
-    pub fn grad_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(|g| g.data().iter().map(|v| v * v).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// Clip gradients to a global L2 norm (training stability).
-    pub fn clip_grad_norm(&mut self, max_norm: f32) {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let s = max_norm / norm;
-            for g in &mut self.grads {
-                for v in g.data_mut() {
-                    *v *= s;
-                }
-            }
-        }
-    }
-}
-
-/// Average gradients across data-parallel replicas in place — the
-/// stand-in for the AllReduce Apex DDP performs after every backward
-/// (§III-D: "all GPUs synchronize the computed gradients with each other
-/// using the Allreduce communication").
-///
-/// All replicas must have identical parameter shapes. After the call,
-/// every replica holds the element-wise mean of all gradients.
-pub fn average_gradients(replicas: &mut [&mut Params]) {
-    let n = replicas.len();
-    if n <= 1 {
-        return;
-    }
-    let num_params = replicas[0].len();
-    for r in replicas.iter() {
-        assert_eq!(
-            r.len(),
-            num_params,
-            "replicas have different parameter counts"
-        );
-    }
-    for p in 0..num_params {
-        let len = replicas[0].grads[p].len();
-        let mut sum = vec![0.0f32; len];
-        for r in replicas.iter() {
-            for (s, v) in sum.iter_mut().zip(r.grads[p].data()) {
-                *s += v;
-            }
-        }
-        let inv = 1.0 / n as f32;
-        for r in replicas.iter_mut() {
-            for (g, s) in r.grads[p].data_mut().iter_mut().zip(&sum) {
-                *g = s * inv;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -198,16 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_clipping() {
-        let mut p = Params::new();
-        let w = p.add("w", Matrix::zeros(1, 2));
-        p.accumulate_grad(w, &Matrix::from_vec(1, 2, vec![3.0, 4.0])); // norm 5
-        p.clip_grad_norm(1.0);
-        assert!((p.grad_norm() - 1.0).abs() < 1e-6);
-        assert!((p.grad(w).get(0, 0) - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
     fn xavier_param_shapes() {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut p = Params::new();
@@ -215,27 +146,5 @@ mod tests {
         let b = p.add_bias("b", 8);
         assert_eq!((p.value(w).rows(), p.value(w).cols()), (4, 8));
         assert_eq!((p.value(b).rows(), p.value(b).cols()), (1, 8));
-    }
-
-    #[test]
-    fn allreduce_averages_gradients() {
-        let mut a = Params::new();
-        let mut b = Params::new();
-        let ai = a.add("w", Matrix::zeros(1, 2));
-        let bi = b.add("w", Matrix::zeros(1, 2));
-        a.accumulate_grad(ai, &Matrix::from_vec(1, 2, vec![1.0, 3.0]));
-        b.accumulate_grad(bi, &Matrix::from_vec(1, 2, vec![3.0, 5.0]));
-        average_gradients(&mut [&mut a, &mut b]);
-        assert_eq!(a.grad(ai).data(), &[2.0, 4.0]);
-        assert_eq!(b.grad(bi).data(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn single_replica_allreduce_is_noop() {
-        let mut a = Params::new();
-        let ai = a.add("w", Matrix::zeros(1, 1));
-        a.accumulate_grad(ai, &Matrix::from_vec(1, 1, vec![7.0]));
-        average_gradients(&mut [&mut a]);
-        assert_eq!(a.grad(ai).data(), &[7.0]);
     }
 }

@@ -59,8 +59,6 @@ enum Op {
     LeakyRelu(NodeId, f32),
     /// Inverted dropout with saved mask.
     Dropout(NodeId, Vec<f32>),
-    /// `[a | b]` column concat.
-    ConcatCols(NodeId, NodeId),
     /// First `n` rows of `x` (targets-first feature reuse).
     TopRows(NodeId, usize),
     /// `x * s`.
@@ -72,12 +70,6 @@ enum Op {
         block: Arc<BlockCsr>,
         heads: usize,
         agg: Agg,
-    },
-    /// g-SpMM with max aggregation; saved argmax routes the backward.
-    SpmmMax {
-        src: NodeId,
-        block: Arc<BlockCsr>,
-        argmax: Vec<u32>,
     },
     /// Per-dst edge softmax; backward uses this node's output value.
     EdgeSoftmax {
@@ -128,10 +120,8 @@ impl Tape {
             if let Some(g) = node.grad {
                 ws.recycle_matrix(g);
             }
-            match node.op {
-                Op::Dropout(_, mask) => ws.recycle_f32(mask),
-                Op::SpmmMax { argmax, .. } => ws.recycle_u32(argmax),
-                _ => {}
+            if let Op::Dropout(_, mask) = node.op {
+                ws.recycle_f32(mask);
             }
         }
     }
@@ -159,13 +149,10 @@ impl Tape {
             | Op::Dropout(x, _)
             | Op::TopRows(x, _)
             | Op::Scale(x, _) => self.needs(*x),
-            Op::Matmul(a, b) | Op::Add(a, b) | Op::Bias(a, b) | Op::ConcatCols(a, b) => {
-                self.needs(*a) || self.needs(*b)
-            }
+            Op::Matmul(a, b) | Op::Add(a, b) | Op::Bias(a, b) => self.needs(*a) || self.needs(*b),
             Op::Spmm { src, weights, .. } => {
                 self.needs(*src) || weights.is_some_and(|w| self.needs(w))
             }
-            Op::SpmmMax { src, .. } => self.needs(*src),
             Op::EdgeSoftmax { logits, .. } => self.needs(*logits),
             Op::EdgeScores { dst, src, .. } => self.needs(*dst) || self.needs(*src),
         };
@@ -279,15 +266,6 @@ impl Tape {
         self.push(v, Op::Dropout(x, mask))
     }
 
-    /// `[a | b]`.
-    pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut v = self
-            .ws
-            .matrix_with_capacity(self.nodes[a.0].value.len() + self.nodes[b.0].value.len());
-        ops::concat_cols_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
-        self.push(v, Op::ConcatCols(a, b))
-    }
-
     /// First `n` rows of `x`.
     pub fn top_rows(&mut self, x: NodeId, n: usize) -> NodeId {
         let cols = self.nodes[x.0].value.cols();
@@ -331,15 +309,6 @@ impl Tape {
                 agg,
             },
         )
-    }
-
-    /// g-SpMM with max aggregation (GraphSage-pool style).
-    pub fn spmm_max(&mut self, block: Arc<BlockCsr>, src: NodeId) -> NodeId {
-        let len = block.num_dst * self.nodes[src.0].value.cols();
-        let mut v = self.ws.matrix_with_capacity(len);
-        let mut argmax = self.ws.take_u32(len);
-        sparse::spmm_max_into(&block, &self.nodes[src.0].value, &mut v, &mut argmax);
-        self.push(v, Op::SpmmMax { src, block, argmax })
     }
 
     /// A pooled matrix able to hold one row per edge of `block`, as wide
@@ -494,17 +463,6 @@ impl Tape {
                 ops::dropout_backward(grad, mask, &mut g);
                 self.accumulate(x, g);
             }
-            Op::ConcatCols(a, b) => {
-                let (a, b) = (*a, *b);
-                let na = self.nodes[a.0].value.cols();
-                let mut ga = self.ws.matrix_with_capacity(grad.rows() * na);
-                let mut gb = self
-                    .ws
-                    .matrix_with_capacity(grad.rows() * (grad.cols() - na));
-                ops::split_cols_into(grad, na, &mut ga, &mut gb);
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
-            }
             Op::TopRows(x, n) => {
                 let (x, n) = (*x, *n);
                 let (rows, cols) = {
@@ -551,12 +509,6 @@ impl Tape {
                     sparse::sddmm_into(&block, grad, h, heads, agg, &mut gw);
                     self.accumulate(w, gw);
                 }
-            }
-            Op::SpmmMax { src, block, argmax } => {
-                let src = *src;
-                let mut g = self.ws.matrix_with_capacity(block.num_src * grad.cols());
-                sparse::spmm_max_backward_into(block, grad, argmax, &mut g, &mut self.ws.rev);
-                self.accumulate(src, g);
             }
             Op::EdgeSoftmax { logits, block } => {
                 let logits = *logits;
@@ -738,39 +690,19 @@ mod tests {
     }
 
     #[test]
-    fn spmm_max_path_gradients() {
-        // GraphSage-pool shape: per-src transform, max-aggregate,
-        // differentiated through the winning edges.
-        let mut rng = SmallRng::seed_from_u64(61);
-        let block = tiny_block();
-        let mut params = Params::new();
-        let w = params.add_xavier("w", 4, 3, &mut rng);
-        let x = randm(4, 4, 62);
-        let probe = randm(2, 3, 63);
-        let blk = Arc::clone(&block);
-        let build = move |p: &Params, t: &mut Tape| {
-            let xi = t.input(x.clone());
-            let wi = t.param(p, w);
-            let h = t.matmul(xi, wi);
-            t.spmm_max(Arc::clone(&blk), h)
-        };
-        check_param_grad(&build, &mut params, w, &probe);
-    }
-
-    #[test]
-    fn concat_and_toprows_gradients() {
+    fn top_rows_gradients() {
+        // The parameter feeds the rows `top_rows` keeps and the rows it
+        // drops; only the kept rows may carry gradient back.
         let mut rng = SmallRng::seed_from_u64(20);
         let mut params = Params::new();
-        let w = params.add_xavier("w", 6, 2, &mut rng);
+        let w = params.add_xavier("w", 3, 2, &mut rng);
         let x = randm(5, 3, 21);
         let probe = randm(3, 2, 22);
         let build = move |p: &Params, t: &mut Tape| {
             let xi = t.input(x.clone());
-            let top = t.top_rows(xi, 3); // [3,3]
-            let xi3 = t.input(randm(3, 3, 23)); // deterministic same value each call
-            let cat = t.concat_cols(top, xi3); // [3,6]
             let wi = t.param(p, w);
-            t.matmul(cat, wi)
+            let h = t.matmul(xi, wi); // [5,2]
+            t.top_rows(h, 3) // [3,2]
         };
         check_param_grad(&build, &mut params, w, &probe);
     }

@@ -3,7 +3,7 @@
 //! WholeGraph's per-iteration math (§III-C3, §III-D) runs out of
 //! preallocated device memory — nothing on the hot path asks the
 //! allocator for anything. [`Workspace`] is the reproduction's analogue: a
-//! free-list of `f32`/`u32` buffers that forward activations, gradients
+//! free-list of `f32` buffers that forward activations, gradients
 //! and kernel scratch are drawn from and returned to, so a tape that is
 //! [`reset`](crate::Tape::reset) between batches reuses the previous
 //! batch's buffers instead of reallocating them. Because the training
@@ -24,7 +24,6 @@ const MAX_POOLED: usize = 96;
 #[derive(Default)]
 pub struct Workspace {
     f32_pool: Vec<Vec<f32>>,
-    u32_pool: Vec<Vec<u32>>,
     /// Partial-sum slab for [`wg_tensor::ops::matmul_tn_into`].
     pub tn_scratch: Vec<f32>,
     /// `Bᵀ`, packed into panels, for [`wg_tensor::ops::matmul_nt_into`].
@@ -37,7 +36,7 @@ pub struct Workspace {
 /// Pick the pooled buffer to hand out for a `len`-element request: the
 /// smallest buffer whose capacity already fits (no growth), else the
 /// largest buffer (grows once, then fits forever).
-fn best_slot<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
+fn best_slot(pool: &[Vec<f32>], len: usize) -> Option<usize> {
     let mut fit: Option<usize> = None;
     let mut largest: Option<usize> = None;
     for (i, buf) in pool.iter().enumerate() {
@@ -93,23 +92,6 @@ impl Workspace {
         self.f32_pool.push(buf);
     }
 
-    /// A cleared `u32` buffer, preferably with capacity ≥ `len`.
-    pub fn take_u32(&mut self, len: usize) -> Vec<u32> {
-        match best_slot(&self.u32_pool, len) {
-            Some(i) => self.u32_pool.swap_remove(i),
-            None => Vec::with_capacity(len),
-        }
-    }
-
-    /// Return a `u32` buffer to the pool (contents discarded).
-    pub fn recycle_u32(&mut self, mut buf: Vec<u32>) {
-        if buf.capacity() == 0 || self.u32_pool.len() >= MAX_POOLED {
-            return;
-        }
-        buf.clear();
-        self.u32_pool.push(buf);
-    }
-
     /// A pooled `0×0` matrix whose buffer can hold `len` floats — the
     /// shape the `*_into` kernels expect (they `reset_shape` it
     /// themselves).
@@ -148,11 +130,6 @@ impl Workspace {
     pub fn recycle_matrix(&mut self, m: Matrix) {
         self.recycle_f32(m.into_vec());
     }
-
-    /// Buffers currently parked in the pools (tests / introspection).
-    pub fn pooled_buffers(&self) -> usize {
-        self.f32_pool.len() + self.u32_pool.len()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +156,7 @@ mod tests {
         // Handed the 16-cap buffer: the caller's resize grows it once and
         // the pool converges.
         assert!(b.capacity() >= 16);
-        assert_eq!(ws.pooled_buffers(), 1);
+        assert_eq!(ws.f32_pool.len(), 1);
     }
 
     #[test]
@@ -221,7 +198,6 @@ mod tests {
     fn empty_buffers_are_not_pooled() {
         let mut ws = Workspace::new();
         ws.recycle_f32(Vec::new());
-        ws.recycle_u32(Vec::new());
-        assert_eq!(ws.pooled_buffers(), 0);
+        assert!(ws.f32_pool.is_empty());
     }
 }

@@ -50,14 +50,6 @@ fn main() {
             r.epoch_time
         );
         println!("  |{strip}|");
-        // Optional CSV artifacts for external plotting.
-        if let Ok(dir) = std::env::var("WG_TRACE_CSV") {
-            let base = format!("{dir}/fig12_{}", fw.name().to_lowercase());
-            std::fs::write(format!("{base}_trace.csv"), trace.to_csv()).expect("write trace csv");
-            std::fs::write(format!("{base}_util.csv"), trace.utilization_csv(200))
-                .expect("write utilization csv");
-            println!("  wrote {base}_trace.csv / _util.csv");
-        }
     }
     println!("\nPaper shape: PyG/DGL utilization fluctuates and repeatedly");
     println!("drops to zero while the CPU prepares data; WholeGraph sustains");

@@ -32,7 +32,6 @@ fn main() {
         let out = Trainer::new(TrainerConfig {
             epochs: EPOCHS,
             eval_every: 1,
-            patience: None,
         })
         .run(&mut pipe);
         curves.push((fw, out.val_curve));

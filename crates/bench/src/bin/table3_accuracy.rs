@@ -76,7 +76,6 @@ fn main() {
                 let out = Trainer::new(TrainerConfig {
                     epochs: EPOCHS,
                     eval_every: 0,
-                    patience: None,
                 })
                 .run(&mut pipe);
                 let (pv, pt) = paper(kind, model, fw);

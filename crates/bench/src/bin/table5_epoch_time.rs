@@ -27,8 +27,6 @@ fn paper_speedups(kind: DatasetKind, model: ModelKind) -> (f64, f64) {
         (UkDomain, Gcn) => (44.26, 27.83),
         (UkDomain, GraphSage) => (42.35, 14.17),
         (UkDomain, Gat) => (14.17, 7.84),
-        // Models beyond the paper's evaluation have no reference numbers.
-        _ => (f64::NAN, f64::NAN),
     }
 }
 

@@ -108,6 +108,43 @@ fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     }
 }
 
+/// `--<key> <N>` for a count that must be at least 1, or `default` when
+/// the flag is absent. Zero is refused by name here rather than left to
+/// divide by zero or trip an assertion inside the library.
+fn positive<T>(flags: &HashMap<String, String>, key: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let Some(v) = flags.get(key) else {
+        return Ok(default);
+    };
+    match v.parse::<T>() {
+        Ok(n) if n >= T::from(1) => Ok(n),
+        _ => Err(format!("--{key} expects a count of at least 1, got {v}")),
+    }
+}
+
+/// The pipeline configuration `train`, `multinode` and `serve` share:
+/// [`PipelineConfig::tiny`] resized by `--batch` / `--hidden` / `--layers`
+/// / `--fanout`, seeded by `--seed`, with the tiers of [`with_tiers`].
+fn pipeline_config(
+    flags: &HashMap<String, String>,
+    fw: Framework,
+    model: ModelKind,
+) -> Result<PipelineConfig, String> {
+    let layers: usize = positive(flags, "layers", 2)?;
+    let fanout: usize = num(flags, "fanout", 10);
+    let cfg = PipelineConfig {
+        batch_size: positive(flags, "batch", 128)?,
+        hidden: num(flags, "hidden", 64),
+        num_layers: layers,
+        fanouts: vec![fanout; layers],
+        ..PipelineConfig::tiny(fw, model)
+    }
+    .with_seed(num(flags, "seed", 0));
+    with_tiers(flags, cfg)
+}
+
 /// Set `cfg`'s tiers from `--cache-rows <N>` / `--cache-mode
 /// <static|clock>` / `--storage-rows <N>`; an absent flag leaves its tier
 /// off. A `--cache-mode` without `--cache-rows` is refused by name: it
@@ -241,24 +278,15 @@ fn cmd_train(flags: HashMap<String, String>) {
     );
     let model = model_kind(flags.get("model").map(String::as_str).unwrap_or("sage"));
     let epochs: u64 = num(&flags, "epochs", 5);
-    let gpus: u32 = num(&flags, "gpus", 8);
-    let layers: usize = num(&flags, "layers", 2);
-    let fanout: usize = num(&flags, "fanout", 10);
+    let gpus: u32 = positive(&flags, "gpus", 8).unwrap_or_else(|e| usage_error(e));
     let exec = if flags.contains_key("overlap") {
         ExecMode::Overlapped
     } else {
         ExecMode::Serial
     };
-    let cfg = PipelineConfig {
-        batch_size: num(&flags, "batch", 128),
-        hidden: num(&flags, "hidden", 64),
-        num_layers: layers,
-        fanouts: vec![fanout; layers],
-        ..PipelineConfig::tiny(fw, model)
-    }
-    .with_seed(num(&flags, "seed", 0))
-    .with_exec(exec);
-    let cfg = with_tiers(&flags, cfg).unwrap_or_else(|e| usage_error(e));
+    let cfg = pipeline_config(&flags, fw, model)
+        .unwrap_or_else(|e| usage_error(e))
+        .with_exec(exec);
 
     let machine = Machine::new(MachineConfig::dgx_like(gpus));
     let cache_desc = match cfg.cache.rows {
@@ -341,29 +369,25 @@ fn cmd_train(flags: HashMap<String, String>) {
 
 /// Parse `--compress topk:<frac>` / `--delayed-agg [<period>]` into a
 /// [`SyncConfig`].
-fn sync_config(flags: &HashMap<String, String>) -> SyncConfig {
+fn sync_config(flags: &HashMap<String, String>) -> Result<SyncConfig, String> {
     let mut sync = SyncConfig::default();
     if let Some(spec) = flags.get("compress") {
         match spec.strip_prefix("topk:").map(str::parse::<f64>) {
             Some(Ok(frac)) if frac > 0.0 && frac <= 1.0 => sync.compress_topk = Some(frac),
             _ => {
-                eprintln!("--compress expects topk:<frac in (0,1]>, got {spec}");
-                usage();
+                return Err(format!(
+                    "--compress expects topk:<frac in (0,1]>, got {spec}"
+                ))
             }
         }
     }
-    if let Some(v) = flags.get("delayed-agg") {
-        // Bare `--delayed-agg` defaults to syncing every 4th wave.
-        sync.delayed_agg_period = if v == "true" {
-            4
-        } else {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--delayed-agg expects a wave period, got {v}");
-                usage();
-            })
-        };
+    // Bare `--delayed-agg` defaults to syncing every 4th wave.
+    match flags.get("delayed-agg").map(String::as_str) {
+        None => {}
+        Some("true") => sync.delayed_agg_period = 4,
+        Some(_) => sync.delayed_agg_period = positive(flags, "delayed-agg", 4)?,
     }
-    sync
+    Ok(sync)
 }
 
 fn cmd_multinode(flags: HashMap<String, String>) {
@@ -375,21 +399,11 @@ fn cmd_multinode(flags: HashMap<String, String>) {
             .unwrap_or("wholegraph"),
     );
     let model = model_kind(flags.get("model").map(String::as_str).unwrap_or("sage"));
-    let nodes: u32 = num(&flags, "nodes", 4);
-    let gpus: u32 = num(&flags, "gpus", 8);
+    let nodes: u32 = positive(&flags, "nodes", 4).unwrap_or_else(|e| usage_error(e));
+    let gpus: u32 = positive(&flags, "gpus", 8).unwrap_or_else(|e| usage_error(e));
     let epochs: u64 = num(&flags, "epochs", 3);
-    let layers: usize = num(&flags, "layers", 2);
-    let fanout: usize = num(&flags, "fanout", 10);
-    let pipe_cfg = PipelineConfig {
-        batch_size: num(&flags, "batch", 128),
-        hidden: num(&flags, "hidden", 64),
-        num_layers: layers,
-        fanouts: vec![fanout; layers],
-        ..PipelineConfig::tiny(fw, model)
-    }
-    .with_seed(num(&flags, "seed", 0));
-    let pipe_cfg = with_tiers(&flags, pipe_cfg).unwrap_or_else(|e| usage_error(e));
-    let sync = sync_config(&flags);
+    let pipe_cfg = pipeline_config(&flags, fw, model).unwrap_or_else(|e| usage_error(e));
+    let sync = sync_config(&flags).unwrap_or_else(|e| usage_error(e));
     let mode = if let Some(f) = sync.compress_topk {
         format!("top-k {:.0}% compressed sync", f * 100.0)
     } else if sync.delayed_agg_period > 1 {
@@ -474,19 +488,11 @@ fn cmd_serve(flags: HashMap<String, String>) {
     let dataset = load_or_generate(&flags);
     let model = model_kind(flags.get("model").map(String::as_str).unwrap_or("sage"));
     let warmup: u64 = num(&flags, "epochs", 1);
-    let gpus: u32 = num(&flags, "gpus", 8);
-    let layers: usize = num(&flags, "layers", 2);
-    let fanout: usize = num(&flags, "fanout", 10);
+    let gpus: u32 = positive(&flags, "gpus", 8).unwrap_or_else(|e| usage_error(e));
     let seed: u64 = num(&flags, "seed", 0);
-    let cfg = PipelineConfig {
-        batch_size: num(&flags, "batch", 128),
-        hidden: num(&flags, "hidden", 64),
-        num_layers: layers,
-        fanouts: vec![fanout; layers],
-        ..PipelineConfig::tiny(Framework::WholeGraph, model)
-    }
-    .with_seed(seed);
-    let cfg = with_tiers(&flags, cfg).unwrap_or_else(|e| usage_error(e));
+    let cfg =
+        pipeline_config(&flags, Framework::WholeGraph, model).unwrap_or_else(|e| usage_error(e));
+    let queue_capacity = positive(&flags, "queue-cap", 4096).unwrap_or_else(|e| usage_error(e));
 
     let rate_qps: f64 = num(&flags, "rate", 10_000.0);
     let burst: usize = num(&flags, "burst", 0);
@@ -511,12 +517,12 @@ fn cmd_serve(flags: HashMap<String, String>) {
     };
     let serve_cfg = if flags.contains_key("sequential") {
         ServeConfig {
-            queue_capacity: num(&flags, "queue-cap", 4096),
+            queue_capacity,
             ..ServeConfig::sequential()
         }
     } else {
         ServeConfig {
-            queue_capacity: num(&flags, "queue-cap", 4096),
+            queue_capacity,
             ..ServeConfig::coalesced(
                 num(&flags, "max-batch", 64),
                 SimTime::from_micros(num(&flags, "max-delay-us", 1000.0)),
@@ -669,5 +675,37 @@ mod tests {
         );
         let err = tiers(&["--cache-rows", "8", "--cache-mode", "lru"]).unwrap_err();
         assert!(err.contains("--cache-mode"), "{err}");
+    }
+
+    #[test]
+    fn zero_counts_are_refused_naming_the_flag() {
+        let flags = |a: &[&str]| parse_flags(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let (fw, model) = (Framework::WholeGraph, ModelKind::Gcn);
+        for key in ["batch", "layers"] {
+            let f = flags(&[&format!("--{key}"), "0"]).unwrap();
+            let err = pipeline_config(&f, fw, model).unwrap_err();
+            assert!(err.starts_with(&format!("--{key} ")), "{err}");
+        }
+        for key in ["gpus", "nodes", "queue-cap"] {
+            let f = flags(&[&format!("--{key}"), "0"]).unwrap();
+            let err = positive::<u32>(&f, key, 1).unwrap_err();
+            assert!(err.starts_with(&format!("--{key} ")), "{err}");
+            let f = flags(&[&format!("--{key}"), "-3"]).unwrap();
+            assert!(positive::<usize>(&f, key, 1).is_err());
+        }
+        let err = sync_config(&flags(&["--delayed-agg", "0"]).unwrap()).unwrap_err();
+        assert!(err.starts_with("--delayed-agg "), "{err}");
+
+        // Absent flags keep their defaults; positive values pass through.
+        let f = flags(&["--batch", "7", "--layers", "3", "--delayed-agg", "2"]).unwrap();
+        let cfg = pipeline_config(&f, fw, model).unwrap();
+        assert_eq!(
+            (cfg.batch_size, cfg.num_layers, cfg.fanouts.len()),
+            (7, 3, 3)
+        );
+        assert_eq!(sync_config(&f).unwrap().delayed_agg_period, 2);
+        assert_eq!(positive::<u32>(&f, "gpus", 8), Ok(8));
+        let bare = flags(&["--delayed-agg"]).unwrap();
+        assert_eq!(sync_config(&bare).unwrap().delayed_agg_period, 4);
     }
 }

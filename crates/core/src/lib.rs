@@ -44,8 +44,7 @@
 //!   Figure 13);
 //! * [`observability`] — merged host-span / simulated-device Chrome
 //!   trace export (pairs with the `wg-trace` crate);
-//! * [`memstats`] — per-GPU memory accounting by phase (Table IV);
-//! * [`metrics`] — confusion matrix / precision / recall / macro-F1.
+//! * [`memstats`] — per-GPU memory accounting by phase (Table IV).
 //!
 //! The `wg` binary (the `wg-cli` crate) exposes dataset generation, IO,
 //! training, and online serving from the command line.
@@ -53,7 +52,6 @@
 pub mod convert;
 pub mod framework;
 pub mod memstats;
-pub mod metrics;
 pub mod multinode;
 pub mod observability;
 pub mod pipeline;

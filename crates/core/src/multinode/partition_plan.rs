@@ -55,28 +55,9 @@ impl PartitionPlan {
         &self.quality
     }
 
-    /// Owning machine of a vertex.
-    pub fn owner(&self, v: NodeId) -> u32 {
-        self.partition.rank_of(v)
-    }
-
     /// Training vertices owned by `node`, in dataset train-split order.
     pub fn local_train(&self, node: u32) -> &[NodeId] {
         &self.local_train[node as usize]
-    }
-
-    /// Total training vertices across all shards (= the train split).
-    pub fn total_train(&self) -> usize {
-        self.local_train.iter().map(Vec::len).sum()
-    }
-
-    /// Largest shard over ideal shard size (1.0 = perfectly balanced).
-    pub fn train_imbalance(&self) -> f64 {
-        let ideal = self.total_train() as f64 / self.nodes() as f64;
-        if ideal == 0.0 {
-            return 1.0;
-        }
-        self.local_train.iter().map(Vec::len).max().unwrap_or(0) as f64 / ideal
     }
 }
 
@@ -95,27 +76,25 @@ mod tests {
         let plan = PartitionPlan::new(&ds, 1);
         assert_eq!(plan.local_train(0), &ds.train[..]);
         assert_eq!(plan.quality().edge_cut, 0);
-        assert_eq!(plan.train_imbalance(), 1.0);
     }
 
     #[test]
     fn shards_are_a_disjoint_cover_of_the_train_split() {
         let ds = dataset();
         let plan = PartitionPlan::new(&ds, 4);
-        assert_eq!(plan.total_train(), ds.train.len());
         let mut seen = std::collections::HashSet::new();
         for k in 0..4 {
             for &v in plan.local_train(k) {
-                assert_eq!(plan.owner(v), k);
+                assert_eq!(plan.partition().rank_of(v), k);
                 assert!(seen.insert(v), "vertex {v} in two shards");
             }
         }
-        // Hash sharding of a sizeable train split stays roughly balanced.
-        assert!(
-            plan.train_imbalance() < 1.5,
-            "train imbalance {}",
-            plan.train_imbalance()
-        );
+        assert_eq!(seen.len(), ds.train.len());
+        // Hash sharding of a sizeable train split stays roughly balanced:
+        // the largest shard is under 1.5x the ideal size.
+        let largest = (0..4).map(|k| plan.local_train(k).len()).max().unwrap();
+        let imbalance = largest as f64 * 4.0 / ds.train.len() as f64;
+        assert!(imbalance < 1.5, "train imbalance {imbalance}");
     }
 
     #[test]
@@ -128,7 +107,7 @@ mod tests {
                 .train
                 .iter()
                 .copied()
-                .filter(|&v| plan.owner(v) == k)
+                .filter(|&v| plan.partition().rank_of(v) == k)
                 .collect();
             assert_eq!(shard, &filtered[..]);
         }

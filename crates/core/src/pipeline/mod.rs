@@ -803,26 +803,22 @@ impl Pipeline {
     }
 
     /// Evaluate accuracy on a node set (validation or test split) with
-    /// sampled inference.
+    /// sampled inference: the share of `nodes` whose argmax prediction
+    /// equals the label.
     pub fn evaluate(&mut self, nodes: &[NodeId]) -> f64 {
-        self.evaluate_detailed(nodes).accuracy()
-    }
-
-    /// Evaluate with a full confusion matrix (accuracy, per-class
-    /// precision/recall/F1, macro-F1).
-    pub fn evaluate_detailed(&mut self, nodes: &[NodeId]) -> crate::metrics::ConfusionMatrix {
-        let mut cm = crate::metrics::ConfusionMatrix::new(self.dataset.num_classes);
+        let (mut correct, mut total) = (0u64, 0u64);
         let dataset = Arc::clone(&self.dataset);
         let gpus = self.machine.num_gpus() as u64;
         for (i, batch) in nodes.chunks(self.cfg.batch_size).enumerate() {
             let i = i as u64;
             self.forward_only(batch, (u64::MAX, i), (i % gpus) as u32, |_, preds| {
                 for (pred, &v) in preds.iter().zip(batch) {
-                    cm.record(dataset.labels[v as usize], *pred);
+                    correct += u64::from(*pred == dataset.labels[v as usize]);
+                    total += 1;
                 }
             });
         }
-        cm
+        correct as f64 / total.max(1) as f64
     }
 }
 
@@ -1107,6 +1103,32 @@ mod tests {
         let val = p.dataset().val.clone();
         let acc = p.evaluate(&val);
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    fn evaluate_is_the_share_of_argmax_predictions_matching_labels() {
+        let mut p = pipeline(Framework::WholeGraph, ModelKind::GraphSage);
+        p.train_epoch(0);
+        let val = p.dataset().val.clone();
+        let acc = p.evaluate(&val);
+        // The same passes evaluate runs — batch `i` sampled at `(u64::MAX,
+        // i)` on GPU `i % gpus` — with the argmax taken here from the logits.
+        let (labels, gpus) = (p.dataset().labels.clone(), p.machine().num_gpus() as u64);
+        let mut correct = 0usize;
+        for (i, batch) in val.chunks(p.cfg.batch_size).enumerate() {
+            let i = i as u64;
+            p.forward_only(batch, (u64::MAX, i), (i % gpus) as u32, |logits, preds| {
+                let argmax = wg_tensor::ops::argmax_rows(logits);
+                assert_eq!(&argmax[..batch.len()], preds);
+                correct += batch
+                    .iter()
+                    .zip(&argmax)
+                    .filter(|&(&v, &pred)| labels[v as usize] == pred)
+                    .count();
+            });
+        }
+        assert!(correct > 0, "a trained model gets some of the split right");
+        assert_eq!(acc.to_bits(), (correct as f64 / val.len() as f64).to_bits());
     }
 
     #[test]

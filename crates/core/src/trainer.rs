@@ -14,10 +14,6 @@ pub struct TrainerConfig {
     /// Evaluate on the validation split every `eval_every` epochs
     /// (0 disables periodic evaluation).
     pub eval_every: u64,
-    /// Early stopping: end training when validation accuracy has not
-    /// improved for this many consecutive evaluations (`None` disables;
-    /// requires `eval_every > 0`).
-    pub patience: Option<u64>,
 }
 
 impl Default for TrainerConfig {
@@ -25,7 +21,6 @@ impl Default for TrainerConfig {
         TrainerConfig {
             epochs: 24,
             eval_every: 1,
-            patience: None,
         }
     }
 }
@@ -46,22 +41,6 @@ pub struct TrainOutcome {
     pub total_time: SimTime,
 }
 
-impl TrainOutcome {
-    /// Mean GPU-0 utilization across the trained epochs, from each
-    /// epoch's busy/idle occupancy accounting (union busy over the epoch
-    /// span, so overlapped schedules never exceed 1.0).
-    pub fn mean_utilization(&self) -> f64 {
-        if self.epochs.is_empty() {
-            return 0.0;
-        }
-        self.epochs
-            .iter()
-            .map(|r| r.occupancy.utilization())
-            .sum::<f64>()
-            / self.epochs.len() as f64
-    }
-}
-
 /// Drives a [`Pipeline`] through epochs with periodic evaluation.
 pub struct Trainer {
     cfg: TrainerConfig,
@@ -73,32 +52,18 @@ impl Trainer {
         Trainer { cfg }
     }
 
-    /// Train to completion (or early stop), evaluating on the dataset's
+    /// Train for the configured epochs, evaluating on the dataset's
     /// splits.
     pub fn run(&self, pipe: &mut Pipeline) -> TrainOutcome {
         let mut epochs = Vec::with_capacity(self.cfg.epochs as usize);
         let mut val_curve = Vec::new();
         let val: Vec<NodeId> = pipe.dataset().val.clone();
         let test: Vec<NodeId> = pipe.dataset().test.clone();
-        let mut best = f64::NEG_INFINITY;
-        let mut since_best = 0u64;
         for e in 0..self.cfg.epochs {
             let report = pipe.train_epoch(e);
             epochs.push(report);
             if self.cfg.eval_every > 0 && (e + 1) % self.cfg.eval_every == 0 {
-                let acc = pipe.evaluate(&val);
-                val_curve.push((e, acc));
-                if acc > best {
-                    best = acc;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if let Some(p) = self.cfg.patience {
-                        if since_best >= p {
-                            break;
-                        }
-                    }
-                }
+                val_curve.push((e, pipe.evaluate(&val)));
             }
         }
         let val_accuracy = pipe.evaluate(&val);
@@ -143,7 +108,6 @@ mod tests {
         let out = Trainer::new(TrainerConfig {
             epochs: 6,
             eval_every: 2,
-            patience: None,
         })
         .run(&mut pipe);
         assert_eq!(out.epochs.len(), 6);
@@ -164,28 +128,14 @@ mod tests {
         assert!(out.epochs.last().unwrap().loss < out.epochs[0].loss);
         assert!(out.total_time > wg_sim::SimTime::ZERO);
         // WholeGraph keeps the GPU busy in every phase, so the occupancy
-        // accounting must report near-full utilization.
-        assert!(out.mean_utilization() > 0.99, "{}", out.mean_utilization());
-    }
-
-    #[test]
-    fn early_stopping_halts_training() {
-        // The tiny SBM saturates quickly; with patience 1, training must
-        // stop well before the (absurd) 50-epoch budget.
-        let mut pipe = learnable_pipeline(Framework::WholeGraph);
-        let out = Trainer::new(TrainerConfig {
-            epochs: 50,
-            eval_every: 1,
-            patience: Some(1),
-        })
-        .run(&mut pipe);
-        assert!(out.epochs.len() < 50, "ran all {} epochs", out.epochs.len());
-        // Accuracy is still good — stopping happened at the plateau.
-        assert!(
-            out.val_accuracy > 0.5,
-            "stopped too early: {}",
-            out.val_accuracy
-        );
+        // accounting must report near-full mean utilization.
+        let mean_util = out
+            .epochs
+            .iter()
+            .map(|r| r.occupancy.utilization())
+            .sum::<f64>()
+            / out.epochs.len() as f64;
+        assert!(mean_util > 0.99, "{mean_util}");
     }
 
     #[test]
@@ -197,7 +147,6 @@ mod tests {
         let t = Trainer::new(TrainerConfig {
             epochs: 4,
             eval_every: 0,
-            patience: None,
         });
         let a = t.run(&mut wg);
         let b = t.run(&mut dgl);

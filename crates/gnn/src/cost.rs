@@ -49,11 +49,6 @@ pub fn forward_flops(cfg: &GnnConfig, blocks: &[BlockShape]) -> (f64, f64) {
                 sparse += 2.0 * e * in_dim as f64;
                 dense += 2.0 * 2.0 * m * in_dim as f64 * out_dim as f64; // self + neigh
             }
-            ModelKind::Gin => {
-                sparse += 2.0 * e * in_dim as f64; // sum aggregate
-                dense += 2.0 * m * in_dim as f64 * out_dim as f64; // MLP layer 1
-                dense += 2.0 * m * out_dim as f64 * out_dim as f64; // MLP layer 2
-            }
             ModelKind::Gat => {
                 let heads = if l == cfg.num_layers - 1 {
                     1

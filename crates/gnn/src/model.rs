@@ -16,8 +16,7 @@ use wg_autograd::{NodeId, ParamId, Params, Tape};
 use wg_tensor::sparse::{Agg, BlockCsr};
 use wg_tensor::Matrix;
 
-/// Which GNN architecture (paper §IV "GNN Models", plus GIN as an
-/// extension).
+/// Which GNN architecture (paper §IV "GNN Models").
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum ModelKind {
     /// Graph convolution (with the sampling strategy the paper adds to it).
@@ -26,22 +25,11 @@ pub enum ModelKind {
     GraphSage,
     /// Graph attention network (4 heads in the paper).
     Gat,
-    /// Graph isomorphism network (sum aggregation + per-layer MLP) — not
-    /// in the paper's evaluation; included as a library extension.
-    Gin,
 }
 
 impl ModelKind {
     /// The paper's three models, in its table order.
     pub const ALL: [ModelKind; 3] = [ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gat];
-
-    /// The paper's models plus the GIN extension.
-    pub const EXTENDED: [ModelKind; 4] = [
-        ModelKind::Gcn,
-        ModelKind::GraphSage,
-        ModelKind::Gat,
-        ModelKind::Gin,
-    ];
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -49,7 +37,6 @@ impl ModelKind {
             ModelKind::Gcn => "GCN",
             ModelKind::GraphSage => "GraphSage",
             ModelKind::Gat => "GAT",
-            ModelKind::Gin => "GIN",
         }
     }
 }
@@ -120,12 +107,6 @@ enum LayerParams {
         a_src: ParamId,
         b: ParamId,
     },
-    Gin {
-        w1: ParamId,
-        b1: ParamId,
-        w2: ParamId,
-        b2: ParamId,
-    },
 }
 
 /// A GNN model: parameter store + per-layer parameter handles.
@@ -173,12 +154,6 @@ impl GnnModel {
                         &mut rng,
                     ),
                     b: params.add_bias(&format!("sage{l}.b"), out_dim),
-                },
-                ModelKind::Gin => LayerParams::Gin {
-                    w1: params.add_xavier(&format!("gin{l}.w1"), in_dim, out_dim, &mut rng),
-                    b1: params.add_bias(&format!("gin{l}.b1"), out_dim),
-                    w2: params.add_xavier(&format!("gin{l}.w2"), out_dim, out_dim, &mut rng),
-                    b2: params.add_bias(&format!("gin{l}.b2"), out_dim),
                 },
                 ModelKind::Gat => {
                     // Hidden layers use `heads` heads over out_dim channels;
@@ -324,21 +299,6 @@ impl GnnModel {
                 let h = tape.add(hs, hn);
                 tape.bias(h, bi)
             }
-            LayerParams::Gin { w1, b1, w2, b2 } => {
-                // GIN: MLP((1 + ε)·x_dst + Σ_src), ε = 0.
-                let agg = tape.spmm(Arc::clone(&block), x, None, 1, Agg::Sum);
-                let own = tape.top_rows(x, block.num_dst);
-                let sum = tape.add(agg, own);
-                let w1i = tape.param(&self.params, *w1);
-                let b1i = tape.param(&self.params, *b1);
-                let h = tape.matmul(sum, w1i);
-                let h = tape.bias(h, b1i);
-                let h = tape.relu(h);
-                let w2i = tape.param(&self.params, *w2);
-                let b2i = tape.param(&self.params, *b2);
-                let h = tape.matmul(h, w2i);
-                tape.bias(h, b2i)
-            }
             LayerParams::Gat { w, a_dst, a_src, b } => {
                 let heads = self.layer_heads(l);
                 let wi = tape.param(&self.params, *w);
@@ -392,7 +352,7 @@ mod tests {
 
     #[test]
     fn all_models_produce_batch_sized_logits() {
-        for kind in ModelKind::EXTENDED {
+        for kind in ModelKind::ALL {
             let cfg = GnnConfig::tiny(kind, 6, 4);
             let model = GnnModel::new(cfg, 42);
             let mut tape = Tape::new();
@@ -421,7 +381,7 @@ mod tests {
     #[test]
     fn one_sgd_step_reduces_loss_for_every_model() {
         use wg_autograd::{Optimizer, Sgd};
-        for kind in ModelKind::EXTENDED {
+        for kind in ModelKind::ALL {
             let cfg = GnnConfig::tiny(kind, 6, 4);
             let mut model = GnnModel::new(cfg, 3);
             let labels = [1u32, 3];
@@ -454,7 +414,7 @@ mod tests {
         // (dropout on, so the pooled mask path is exercised too).
         use wg_autograd::{Adam, Optimizer};
         use wg_tensor::ops::softmax_cross_entropy_into;
-        for kind in ModelKind::EXTENDED {
+        for kind in ModelKind::ALL {
             let labels = [1u32, 3];
             let train = |persistent: bool| -> Vec<u32> {
                 let mut cfg = GnnConfig::tiny(kind, 6, 4);

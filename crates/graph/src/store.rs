@@ -294,27 +294,24 @@ impl MultiGpuGraph {
         meta[1] as usize
     }
 
-    /// Run `f` over the neighbor list (raw GlobalIds) of a node.
+    /// Neighbor list of a node as GlobalIds (allocating convenience).
     ///
     /// The span is contiguous within the owning rank's edge region, so a
     /// sampling kernel reads `degree` consecutive 8-byte entries — this is
     /// the access the multi-GPU sampler charges remote-read costs for.
-    pub fn with_neighbors<R>(&self, g: GlobalId, f: impl FnOnce(&[u64]) -> R) -> R {
-        let rank = g.rank();
+    pub fn neighbors_of(&self, v: NodeId) -> Vec<GlobalId> {
+        let g = self.partition.global_id(v);
         let mut meta = [0u64; 2];
         self.node_meta.read_row(
-            rank as usize * self.partition.rows_per_rank() + g.local() as usize,
+            g.rank() as usize * self.partition.rows_per_rank() + g.local() as usize,
             &mut meta,
         );
         let (start, deg) = (meta[0] as usize, meta[1] as usize);
-        self.edges
-            .with_region(rank, |region| f(&region[start..start + deg]))
-    }
-
-    /// Neighbor list of a node as GlobalIds (allocating convenience).
-    pub fn neighbors_of(&self, v: NodeId) -> Vec<GlobalId> {
-        self.with_neighbors(self.partition.global_id(v), |raw| {
-            raw.iter().map(|&r| GlobalId::from_raw(r)).collect()
+        self.edges.with_region(g.rank(), |region| {
+            region[start..start + deg]
+                .iter()
+                .map(|&r| GlobalId::from_raw(r))
+                .collect()
         })
     }
 

@@ -26,8 +26,7 @@
 //! planned insert reading the owning region or the disk tier's mapped
 //! spill file), it is merely priced at local-HBM bandwidth instead of
 //! NVLink by the gather. The cache
-//! assumes the feature store is immutable while it is live — a
-//! `global_scatter` into cached rows must be followed by [`FeatureCache::clear`].
+//! assumes the feature store is immutable while it is live.
 //!
 //! Steady-state lookups are allocation-free: the row→slot map is a fixed
 //! open-addressed table (linear probing, backward-shift deletion — no
@@ -280,20 +279,6 @@ impl<T: Element> DeviceCache<T> {
         }
     }
 
-    /// Drop every cached row (the store mutated underneath us).
-    fn clear(&mut self) {
-        for e in &mut self.table {
-            e.row = EMPTY_ROW;
-        }
-        self.slot_rows.fill(EMPTY_ROW);
-        self.ref_bits.fill(false);
-        self.stamp.fill(0);
-        self.hand = 0;
-        self.len = 0;
-        // `batch` stays monotone, so zeroed stamps never read as current.
-        self.stamped = 0;
-    }
-
     /// Occupied slots.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -310,7 +295,6 @@ impl<T: Element> DeviceCache<T> {
 /// for the two modes and the determinism argument.
 pub struct FeatureCache<T> {
     mode: CacheMode,
-    capacity: usize,
     width: usize,
     /// One store per device in [`CacheMode::Clock`]; a single shared
     /// store in [`CacheMode::Static`] (every device pins the same top-K,
@@ -345,7 +329,6 @@ impl<T: Element> FeatureCache<T> {
         }
         FeatureCache {
             mode: CacheMode::Static,
-            capacity,
             width,
             devices: vec![dc],
         }
@@ -359,7 +342,6 @@ impl<T: Element> FeatureCache<T> {
         let width = wm.width();
         FeatureCache {
             mode: CacheMode::Clock,
-            capacity,
             width,
             devices: (0..devices.max(1))
                 .map(|_| DeviceCache::new(capacity, width))
@@ -370,11 +352,6 @@ impl<T: Element> FeatureCache<T> {
     /// The replacement policy.
     pub fn mode(&self) -> CacheMode {
         self.mode
-    }
-
-    /// Row slots per device.
-    pub fn rows_per_device(&self) -> usize {
-        self.capacity
     }
 
     /// Elements per cached row.
@@ -391,15 +368,6 @@ impl<T: Element> FeatureCache<T> {
     /// Rows currently cached on `device`.
     pub fn occupied(&self, device: u32) -> usize {
         self.device(device).len()
-    }
-
-    /// Drop all cached rows on every device. Required after any
-    /// `global_scatter` that may have touched cached rows — the cache
-    /// never observes writes to the backing store.
-    pub fn clear(&mut self) {
-        for d in &mut self.devices {
-            d.clear();
-        }
     }
 
     #[inline]
@@ -491,9 +459,9 @@ mod tests {
     fn capacity_is_clamped_to_row_count() {
         let wm = wm(10, 2, 2);
         let cache = FeatureCache::new_static(&wm, &[1; 10], 1000);
-        assert_eq!(cache.rows_per_device(), 10);
+        assert_eq!(cache.device(0).capacity, 10);
         let clock = FeatureCache::new_clock(&wm, 2, 1000);
-        assert_eq!(clock.rows_per_device(), 10);
+        assert!((0..2).all(|d| clock.device(d).capacity == 10));
     }
 
     #[test]
@@ -557,26 +525,6 @@ mod tests {
         // Next batch the protection lapses.
         dc.begin_batch();
         assert!(dc.insert(3).is_some());
-    }
-
-    #[test]
-    fn clear_empties_every_device() {
-        let wm = wm(20, 2, 2);
-        let mut cache = FeatureCache::new_clock(&wm, 2, 4);
-        for dev in 0..2 {
-            let dc = cache.device_mut(dev);
-            dc.begin_batch();
-            dc.insert(5);
-        }
-        assert!(cache.contains(0, 5) && cache.contains(1, 5));
-        cache.clear();
-        assert!(!cache.contains(0, 5) && !cache.contains(1, 5));
-        assert_eq!(cache.occupied(0), 0);
-        // Reusable after clear.
-        let dc = cache.device_mut(0);
-        dc.begin_batch();
-        assert!(dc.insert(7).is_some());
-        assert!(cache.contains(0, 7));
     }
 
     proptest! {

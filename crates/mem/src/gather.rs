@@ -606,67 +606,6 @@ fn record_storage_metrics(stats: &GatherStats) {
     wg_trace::counter!("mem.storage.time_s", stats.storage_time.as_secs());
 }
 
-/// Scatter rows back into the distributed allocation (the write-side
-/// counterpart, used for embedding updates and for building storage).
-/// Returns the simulated kernel duration.
-pub fn global_scatter<T: Element>(
-    wm: &WholeMemory<T>,
-    indices: &[usize],
-    data: &[T],
-    model: &CostModel,
-    spec: &DeviceSpec,
-) -> SimTime {
-    let width = wm.width();
-    assert_eq!(
-        data.len(),
-        indices.len() * width,
-        "scatter input buffer has wrong size"
-    );
-    // Writes take region write locks; group updates per owning rank so the
-    // locks are taken once per rank rather than once per row.
-    let partition = wm.partition();
-    let mut by_rank: Vec<Vec<(usize, &[T])>> = (0..wm.ranks()).map(|_| Vec::new()).collect();
-    for (i, &row) in indices.iter().enumerate() {
-        let loc = partition.locate(row);
-        by_rank[loc.device_rank as usize].push((loc.local_row, &data[i * width..(i + 1) * width]));
-    }
-    for (rank, updates) in by_rank.into_iter().enumerate() {
-        if updates.is_empty() {
-            continue;
-        }
-        wm_write_rank(wm, rank as u32, width, &updates);
-    }
-    let row_bytes = width * std::mem::size_of::<T>();
-    model.dsm_gather_time(indices.len() as u64, row_bytes, spec)
-}
-
-fn wm_write_rank<T: Element>(
-    wm: &WholeMemory<T>,
-    rank: u32,
-    width: usize,
-    updates: &[(usize, &[T])],
-) {
-    // Private helper: apply a batch of (local_row, data) writes to a rank.
-    wm.with_region_mut(rank, |region| {
-        for (local_row, row) in updates {
-            let start = local_row * width;
-            region[start..start + width].copy_from_slice(row);
-        }
-    });
-}
-
-impl<T: Element> WholeMemory<T> {
-    /// Run `f` with write access to the region of `rank`. Hands out a
-    /// slice, not the backing `Vec`: batched writers update rows in place
-    /// and must not be able to resize a region out from under the
-    /// partition map.
-    pub fn with_region_mut<R>(&self, rank: u32, f: impl FnOnce(&mut [T]) -> R) -> R {
-        // Exposed here (rather than handle.rs) because scatter is the only
-        // batched writer.
-        f(&mut self.region_write(rank))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,17 +682,6 @@ mod tests {
             algobw > 0.8 * model.gather_algobw(512),
             "algo bandwidth {algobw:.3e}"
         );
-    }
-
-    #[test]
-    fn scatter_then_gather_roundtrips() {
-        let (wm, model, spec) = setup(100, 8, 4, AccessMode::PeerAccess);
-        let indices = vec![3usize, 77, 42, 99];
-        let data: Vec<f32> = (0..indices.len() * 8).map(|x| x as f32 * 0.5).collect();
-        global_scatter(&wm, &indices, &data, &model, &spec);
-        let mut out = vec![0.0f32; indices.len() * 8];
-        global_gather(&wm, &indices, &mut out, 0, &model, &spec);
-        assert_eq!(out, data);
     }
 
     #[test]

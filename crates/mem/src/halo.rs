@@ -68,20 +68,6 @@ pub fn halo_exchange(
     stats
 }
 
-/// Count how many of `owners` differ from `home` — the halo-row count of
-/// a minibatch whose input rows are owned by the given ranks.
-pub fn count_halo_rows(owners: impl Iterator<Item = u32>, home: u32) -> (u64, u64) {
-    let mut total = 0u64;
-    let mut halo = 0u64;
-    for r in owners {
-        total += 1;
-        if r != home {
-            halo += 1;
-        }
-    }
-    (total, halo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,14 +96,6 @@ mod tests {
         let ideal = a.halo_bytes as f64 / m.topology.node_ib_bandwidth();
         assert!(a.time.as_secs() >= ideal);
         assert!(a.time.as_secs() <= ideal + 2.0 * m.ib_latency_s);
-    }
-
-    #[test]
-    fn count_halo_rows_splits_by_owner() {
-        let owners = [0u32, 1, 0, 2, 0, 1];
-        let (total, halo) = count_halo_rows(owners.iter().copied(), 0);
-        assert_eq!(total, 6);
-        assert_eq!(halo, 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use wg_sim::memory::{AllocKind, MemoryAccounting, OutOfMemory};
 use wg_sim::{CostModel, DeviceId, SimTime};
 
 use crate::access::{ChunkedPartition, Element, RowLocation};
-use crate::ipc::{self, MemoryPointerTable};
+use crate::ipc;
 
 /// A matrix distributed across the device memories of one node.
 ///
@@ -45,7 +45,6 @@ pub struct WholeMemory<T> {
     partition: ChunkedPartition,
     width: usize,
     mode: AccessMode,
-    tables: Vec<MemoryPointerTable>,
     setup_time: SimTime,
     /// Logical size used by the latency models. Normally the real byte
     /// size; probes reproducing Table I at "128 GB" scale override it so the
@@ -79,7 +78,6 @@ impl<T: Element> WholeMemory<T> {
             partition,
             width,
             mode,
-            tables: setup.tables,
             setup_time: setup.setup_time,
             logical_bytes,
         }
@@ -133,11 +131,6 @@ impl<T: Element> WholeMemory<T> {
     /// Simulated time the IPC setup took.
     pub fn setup_time(&self) -> SimTime {
         self.setup_time
-    }
-
-    /// Per-device pointer tables built during setup.
-    pub fn pointer_tables(&self) -> &[MemoryPointerTable] {
-        &self.tables
     }
 
     /// Real total size in bytes.
@@ -208,6 +201,14 @@ impl<T: Element> WholeMemory<T> {
         f(&self.regions[rank as usize].read())
     }
 
+    /// Run `f` with write access to the region of `rank`. Hands out a
+    /// slice, not the backing `Vec`: batched writers update rows in place
+    /// and must not be able to resize a region out from under the
+    /// partition map.
+    pub fn with_region_mut<R>(&self, rank: u32, f: impl FnOnce(&mut [T]) -> R) -> R {
+        f(&mut self.regions[rank as usize].write())
+    }
+
     /// Pin every region under a read guard and return a [`RegionView`] that
     /// hands out borrowed slices — the zero-copy analogue of a kernel
     /// holding the DSM pointer table: one lock acquisition per region up
@@ -238,11 +239,6 @@ impl<T: Element> WholeMemory<T> {
             guards.heap = self.regions.iter().map(|r| r.read()).collect();
         }
         guards
-    }
-
-    /// Acquire a write guard on one rank's region.
-    pub(crate) fn region_write(&self, rank: u32) -> parking_lot::RwLockWriteGuard<'_, Vec<T>> {
-        self.regions[rank as usize].write()
     }
 }
 
@@ -302,7 +298,6 @@ mod tests {
         assert_eq!(wm.width(), 3);
         assert_eq!(wm.ranks(), 4);
         assert_eq!(wm.total_bytes(), 10 * 3 * 4);
-        assert_eq!(wm.pointer_tables().len(), 4);
         assert!(wm.setup_time() > SimTime::ZERO);
     }
 

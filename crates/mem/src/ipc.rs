@@ -43,14 +43,6 @@ pub struct MemoryPointerTable {
     pub entries: Vec<IpcHandle>,
 }
 
-impl MemoryPointerTable {
-    /// Size of the table itself in bytes (the paper: 8 pointers × 8 bytes =
-    /// 64 bytes on a DGX-A100 — "this will not hurt scalability").
-    pub fn size_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<u64>()
-    }
-}
-
 /// Result of the setup protocol.
 #[derive(Clone, Debug)]
 pub struct SetupReport {
@@ -172,7 +164,9 @@ mod tests {
         // bytes. So this will not hurt scalability."
         let model = CostModel::dgx_a100();
         let report = exchange_handles(&model, 8, 1 << 20);
-        assert_eq!(report.tables[0].size_bytes(), 64);
+        // One 8-byte mapped pointer per rank.
+        let table_bytes = report.tables[0].entries.len() * std::mem::size_of::<u64>();
+        assert_eq!(table_bytes, 64);
     }
 
     #[test]

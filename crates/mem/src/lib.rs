@@ -55,7 +55,7 @@ pub use access::{ChunkLocator, Element};
 pub use cache::{CacheMode, FeatureCache};
 pub use embedding::EmbeddingTable;
 pub use gather::{GatherStats, RowPlan, StorageIo, TierStack};
-pub use halo::{count_halo_rows, halo_exchange, HaloStats};
+pub use halo::{halo_exchange, HaloStats};
 pub use handle::{RegionView, WholeMemory};
 pub use ipc::{IpcHandle, MemoryPointerTable, SetupReport};
 pub use nccl::NcclGatherStats;

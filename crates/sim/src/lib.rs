@@ -22,8 +22,8 @@
 //! * [`memory`] — per-device memory capacity accounting (Table IV),
 //! * [`trace`] — busy/idle utilization traces (Figure 12),
 //! * [`collective`] — cost models for AllGather / AllReduce / AlltoAllV,
-//! * [`machine`] — the assembled [`machine::Machine`] and multi-node
-//!   [`machine::Cluster`].
+//! * [`machine`] — the assembled [`machine::Machine`] and the
+//!   cross-machine [`machine::cluster_barrier`].
 //!
 //! Nothing here depends on CUDA; a "kernel" elsewhere in the workspace is a
 //! rayon parallel loop whose simulated duration is computed by these models.
@@ -42,7 +42,7 @@ pub mod trace;
 pub use clock::DeviceClock;
 pub use cost::CostModel;
 pub use device::{DeviceId, DeviceKind, DeviceSpec};
-pub use machine::{cluster_barrier, Cluster, Machine, MachineConfig};
+pub use machine::{cluster_barrier, Machine, MachineConfig};
 pub use memory::{MemoryAccounting, MemoryPool};
 pub use stream::{Event, Stream};
 pub use time::SimTime;

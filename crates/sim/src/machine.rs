@@ -1,4 +1,4 @@
-//! The assembled simulated machine and multi-node cluster.
+//! The assembled simulated machine and the cross-machine barrier.
 //!
 //! A [`Machine`] bundles the pieces every higher layer needs: device specs,
 //! the interconnect cost model, one virtual clock and one utilization trace
@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::clock::{barrier, DeviceClock};
+use crate::clock::DeviceClock;
 use crate::cost::CostModel;
 use crate::device::{DeviceId, DeviceSpec};
 use crate::memory::MemoryAccounting;
@@ -207,17 +207,6 @@ impl Machine {
         }
     }
 
-    /// Barrier across all GPU clocks; returns the barrier time.
-    pub fn barrier_gpus(&mut self) -> SimTime {
-        let gpus = self.gpus();
-        let mut clocks: Vec<DeviceClock> = gpus.iter().map(|g| self.clocks[g].clone()).collect();
-        let t = barrier(&mut clocks);
-        for (g, c) in gpus.into_iter().zip(clocks) {
-            self.clocks.insert(g, c);
-        }
-        t
-    }
-
     /// Utilization trace of one device.
     pub fn trace(&self, device: DeviceId) -> &UtilizationTrace {
         &self.traces[&device]
@@ -251,57 +240,6 @@ pub fn cluster_barrier(machines: &mut [&mut Machine]) -> SimTime {
         m.idle_until(t);
     }
     t
-}
-
-/// A cluster of identical machine nodes for multi-node scaling experiments
-/// (§III-D / Figure 13). Each node has its own clocks and traces; in
-/// data-parallel training every node runs its own pipeline and the nodes
-/// rendezvous at [`Cluster::barrier`].
-pub struct Cluster {
-    nodes: Vec<Machine>,
-}
-
-impl Cluster {
-    /// A cluster of `num_nodes` nodes with the given per-node config.
-    pub fn new(num_nodes: u32, config: MachineConfig) -> Self {
-        assert!(num_nodes >= 1, "a cluster needs at least one node");
-        Cluster {
-            nodes: (0..num_nodes)
-                .map(|_| Machine::new(config.clone()))
-                .collect(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> u32 {
-        self.nodes.len() as u32
-    }
-
-    /// One node, immutably.
-    pub fn node(&self, k: usize) -> &Machine {
-        &self.nodes[k]
-    }
-
-    /// One node, mutably.
-    pub fn node_mut(&mut self, k: usize) -> &mut Machine {
-        &mut self.nodes[k]
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[Machine] {
-        &self.nodes
-    }
-
-    /// Total GPU count across the cluster.
-    pub fn total_gpus(&self) -> u32 {
-        self.nodes.iter().map(Machine::num_gpus).sum()
-    }
-
-    /// Cluster-wide GPU barrier (see [`cluster_barrier`]).
-    pub fn barrier(&mut self) -> SimTime {
-        let mut refs: Vec<&mut Machine> = self.nodes.iter_mut().collect();
-        cluster_barrier(&mut refs)
-    }
 }
 
 #[cfg(test)]
@@ -358,7 +296,7 @@ mod tests {
             true,
             SimTime::from_secs(1.0),
         );
-        let t = m.barrier_gpus();
+        let t = cluster_barrier(&mut [&mut m]);
         assert_eq!(t.as_secs(), 1.0);
         assert_eq!(m.now(DeviceId::Gpu(1)).as_secs(), 1.0);
     }
@@ -375,13 +313,6 @@ mod tests {
         m.reset_time();
         assert_eq!(m.now(DeviceId::Gpu(0)), SimTime::ZERO);
         assert!(m.trace(DeviceId::Gpu(0)).events().is_empty());
-    }
-
-    #[test]
-    fn cluster_counts_gpus() {
-        let c = Cluster::new(4, MachineConfig::dgx_a100());
-        assert_eq!(c.num_nodes(), 4);
-        assert_eq!(c.total_gpus(), 32);
     }
 
     #[test]
@@ -404,25 +335,20 @@ mod tests {
 
     #[test]
     fn cluster_barrier_gates_on_slowest_node() {
-        let mut c = Cluster::new(2, MachineConfig::dgx_like(2));
-        c.node_mut(1).run(
+        let mut a = Machine::new(MachineConfig::dgx_like(2));
+        let mut b = Machine::new(MachineConfig::dgx_like(2));
+        b.run(
             DeviceId::Gpu(0),
             Phase::Training,
             true,
             SimTime::from_secs(2.0),
         );
-        let t = c.barrier();
+        let t = cluster_barrier(&mut [&mut a, &mut b]);
         assert_eq!(t, SimTime::from_secs(2.0));
-        for k in 0..2 {
-            for g in c.node(k).gpus() {
-                assert_eq!(c.node(k).now(g), t);
+        for m in [&a, &b] {
+            for g in m.gpus() {
+                assert_eq!(m.now(g), t);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_cluster_rejected() {
-        Cluster::new(0, MachineConfig::dgx_a100());
     }
 }

@@ -198,22 +198,6 @@ impl UtilizationTrace {
             .sum()
     }
 
-    /// Render the trace as CSV (`start_s,end_s,phase,busy`), for plotting
-    /// Figure 12 outside the ASCII harness.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("start_s,end_s,phase,busy\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "{:.9},{:.9},{},{}\n",
-                e.start.as_secs(),
-                e.end.as_secs(),
-                e.phase.name(),
-                u8::from(e.busy)
-            ));
-        }
-        out
-    }
-
     /// Append this device's intervals to a Chrome trace as one `(pid,
     /// tid)` track, labeled `label`. Timestamps are **simulated** time
     /// mapped to trace microseconds; `busy` is carried as an event arg
@@ -231,15 +215,6 @@ impl UtilizationTrace {
                 &format!("\"busy\":{}", e.busy),
             );
         }
-    }
-
-    /// Render the binned utilization series as CSV (`t_s,utilization`).
-    pub fn utilization_csv(&self, bins: usize) -> String {
-        let mut out = String::from("t_s,utilization\n");
-        for (t, u) in self.utilization_series(bins) {
-            out.push_str(&format!("{:.9},{u:.4}\n", t.as_secs()));
-        }
-        out
     }
 }
 
@@ -414,21 +389,5 @@ mod tests {
         // Other concurrently-running tests may also record comm intervals
         // (the registry is process-global), so lower-bound the total.
         assert!(comm.1 >= 3.5 - 1e-12, "comm seconds {}", comm.1);
-    }
-
-    #[test]
-    fn csv_exports_are_well_formed() {
-        let mut t = UtilizationTrace::new();
-        t.record(ev(0.0, 1.0, Phase::Sampling, false));
-        t.record(ev(1.0, 2.0, Phase::Training, true));
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "start_s,end_s,phase,busy");
-        assert!(lines[1].ends_with(",sampling,0"));
-        assert!(lines[2].ends_with(",training,1"));
-        let ucsv = t.utilization_csv(4);
-        assert_eq!(ucsv.trim().lines().count(), 5);
-        assert!(ucsv.starts_with("t_s,utilization"));
     }
 }

@@ -861,56 +861,6 @@ pub fn argmax_rows_into(x: &Matrix, out: &mut Vec<u32>) {
     });
 }
 
-/// Horizontal concatenation `[A | B]` into a caller-provided output.
-pub fn concat_cols_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.rows(), b.rows(), "concat row mismatch");
-    let (m, na, nb) = (a.rows(), a.cols(), b.cols());
-    out.reset_shape(m, na + nb);
-    out.data_mut()
-        .par_chunks_mut(na + nb)
-        .enumerate()
-        .for_each(|(i, row)| {
-            row[..na].copy_from_slice(a.row(i));
-            row[na..].copy_from_slice(b.row(i));
-        });
-}
-
-/// Horizontal concatenation `[A | B]`.
-pub fn concat_cols(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "concat row mismatch");
-    let (m, na, nb) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, na + nb);
-    out.data_mut()
-        .par_chunks_mut(na + nb)
-        .enumerate()
-        .for_each(|(i, row)| {
-            row[..na].copy_from_slice(a.row(i));
-            row[na..].copy_from_slice(b.row(i));
-        });
-    out
-}
-
-/// Split the columns of `x` into caller-provided outputs of widths `na`,
-/// rest — the backward of [`concat_cols`].
-pub fn split_cols_into(x: &Matrix, na: usize, a: &mut Matrix, b: &mut Matrix) {
-    assert!(na <= x.cols());
-    let (m, n) = (x.rows(), x.cols());
-    a.reset_shape(m, na);
-    b.reset_shape(m, n - na);
-    for i in 0..m {
-        a.row_mut(i).copy_from_slice(&x.row(i)[..na]);
-        b.row_mut(i).copy_from_slice(&x.row(i)[na..]);
-    }
-}
-
-/// Split the columns of `x` back into two matrices of widths `na`, rest —
-/// the backward of [`concat_cols`].
-pub fn split_cols(x: &Matrix, na: usize) -> (Matrix, Matrix) {
-    let (mut a, mut b) = (Matrix::empty(), Matrix::empty());
-    split_cols_into(x, na, &mut a, &mut b);
-    (a, b)
-}
-
 /// Column-wise sum (bias gradients) into a caller-provided slice of
 /// length `x.cols()`.
 pub fn sum_rows_into(x: &Matrix, out: &mut [f32]) {
@@ -1074,17 +1024,6 @@ mod tests {
         assert!((kept as f64 / 10_000.0 - 0.5).abs() < 0.03);
         assert!(x.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
         assert_eq!(mask.len(), 10_000);
-    }
-
-    #[test]
-    fn concat_split_roundtrip() {
-        let a = randm(3, 2, 7);
-        let b = randm(3, 4, 8);
-        let c = concat_cols(&a, &b);
-        assert_eq!(c.cols(), 6);
-        let (a2, b2) = split_cols(&c, 2);
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
     }
 
     #[test]

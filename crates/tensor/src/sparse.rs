@@ -8,9 +8,9 @@
 //! using atomic add operations to avoid the sparse matrix transpose."
 //!
 //! The paper's atomic scatter commits float adds in race order, so its
-//! results vary run to run. [`spmm_backward_src_into`] and
-//! [`spmm_max_backward_into`] instead gather over a transposed CSR (built
-//! with a stable counting sort), accumulating each source row's
+//! results vary run to run. [`spmm_backward_src_into`] instead gathers
+//! over a transposed CSR (built with a stable counting sort), accumulating
+//! each source row's
 //! contributions in ascending edge order — bit-identical at any thread
 //! count.
 //!
@@ -454,95 +454,6 @@ pub fn spmm_backward_src(
         agg,
         &mut out,
         &mut rev,
-    );
-    out
-}
-
-/// g-SpMM with **max** aggregation (GraphSage's pooling aggregator) into
-/// caller-provided (pooled) buffers: `out[d, c] = max over edges (d←s) of
-/// src[s, c]`, zeros for isolated destinations, and per `(dst, channel)`
-/// the *edge index* that won in `argmax` (`u32::MAX` when the dst has no
-/// edges) — the backward routes gradients through exactly those edges.
-pub fn spmm_max_into(block: &BlockCsr, src: &Matrix, out: &mut Matrix, argmax: &mut Vec<u32>) {
-    assert_eq!(src.rows(), block.num_src, "src feature rows != num_src");
-    let channels = src.cols();
-    out.reset_shape(block.num_dst, channels);
-    argmax.clear();
-    argmax.resize(block.num_dst * channels, u32::MAX);
-    out.data_mut()
-        .par_chunks_mut(channels.max(1))
-        .zip(argmax.par_chunks_mut(channels.max(1)))
-        .enumerate()
-        .for_each(|(d, (orow, arow))| {
-            let (lo, hi) = block.edges(d);
-            if lo == hi {
-                return; // isolated dst: zeros, argmax stays MAX
-            }
-            orow.fill(f32::NEG_INFINITY);
-            for e in lo..hi {
-                let s = block.indices[e] as usize;
-                let srow = src.row(s);
-                for c in 0..channels {
-                    if srow[c] > orow[c] {
-                        orow[c] = srow[c];
-                        arow[c] = e as u32;
-                    }
-                }
-            }
-        });
-}
-
-/// Allocating wrapper over [`spmm_max_into`].
-pub fn spmm_max(block: &BlockCsr, src: &Matrix) -> (Matrix, Vec<u32>) {
-    let (mut out, mut argmax) = (Matrix::empty(), Vec::new());
-    spmm_max_into(block, src, &mut out, &mut argmax);
-    (out, argmax)
-}
-
-/// Backward of [`spmm_max`] into a caller-provided output: each `(dst,
-/// channel)` gradient flows only to the source node of its winning edge.
-/// Gathers over the transposed CSR (rebuilt in the pooled `rev`), so each
-/// source row checks its incoming edges in ascending order against the
-/// argmax and accumulates schedule-free.
-pub fn spmm_max_backward_into(
-    block: &BlockCsr,
-    grad_dst: &Matrix,
-    argmax: &[u32],
-    out: &mut Matrix,
-    rev: &mut ReverseScratch,
-) {
-    let channels = grad_dst.cols();
-    assert_eq!(argmax.len(), block.num_dst * channels);
-    reverse_csr_into(block, rev);
-    let rev = &*rev;
-    out.reset_shape(block.num_src, channels);
-    out.data_mut()
-        .par_chunks_mut(channels.max(1))
-        .enumerate()
-        .for_each(|(s, orow)| {
-            for i in rev.offsets[s] as usize..rev.offsets[s + 1] as usize {
-                let e = rev.edges[i];
-                let d = rev.dsts[i] as usize;
-                let grow = grad_dst.row(d);
-                let arow = &argmax[d * channels..(d + 1) * channels];
-                for c in 0..channels {
-                    if arow[c] == e {
-                        orow[c] += grow[c];
-                    }
-                }
-            }
-        });
-}
-
-/// Allocating wrapper over [`spmm_max_backward_into`].
-pub fn spmm_max_backward(block: &BlockCsr, grad_dst: &Matrix, argmax: &[u32]) -> Matrix {
-    let mut out = Matrix::empty();
-    spmm_max_backward_into(
-        block,
-        grad_dst,
-        argmax,
-        &mut out,
-        &mut ReverseScratch::default(),
     );
     out
 }
@@ -1000,68 +911,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spmm_max_matches_scalar_reference() {
-        let b = tiny_block();
-        let src = randm(4, 5, 50);
-        let (out, argmax) = spmm_max(&b, &src);
-        // dst0 ← {src2, src3}: per-channel max; dst1 ← {src2}: identity.
-        for c in 0..5 {
-            assert_eq!(out.get(0, c), src.get(2, c).max(src.get(3, c)));
-            assert_eq!(out.get(1, c), src.get(2, c));
-        }
-        // Winning edges are real edges of the right dst.
-        for d in 0..2 {
-            for c in 0..5 {
-                let e = argmax[d * 5 + c] as usize;
-                assert!(e >= b.offsets[d] as usize && e < b.offsets[d + 1] as usize);
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_max_isolated_dst_is_zero() {
-        let b = BlockCsr {
-            num_dst: 2,
-            num_src: 3,
-            offsets: vec![0, 0, 1],
-            indices: vec![2],
-            dup_count: vec![0, 0, 1],
-        };
-        let src = randm(3, 4, 51);
-        let (out, argmax) = spmm_max(&b, &src);
-        assert!(out.row(0).iter().all(|&v| v == 0.0));
-        assert!(argmax[..4].iter().all(|&e| e == u32::MAX));
-    }
-
-    #[test]
-    fn spmm_max_backward_matches_finite_difference() {
-        let b = tiny_block();
-        let src = randm(4, 3, 52);
-        let g = randm(2, 3, 53);
-        let (_, argmax) = spmm_max(&b, &src);
-        let bwd = spmm_max_backward(&b, &g, &argmax);
-        let eps = 1e-3;
-        let loss = |x: &Matrix| -> f32 {
-            let (o, _) = spmm_max(&b, x);
-            o.data().iter().zip(g.data()).map(|(a, b)| a * b).sum()
-        };
-        for s in 0..4 {
-            for c in 0..3 {
-                let mut xp = src.clone();
-                xp.set(s, c, src.get(s, c) + eps);
-                let mut xm = src.clone();
-                xm.set(s, c, src.get(s, c) - eps);
-                let fd = (loss(&xp) - loss(&xm)) / (2.0 * eps);
-                assert!(
-                    (fd - bwd.get(s, c)).abs() < 1e-2,
-                    "({s},{c}): fd {fd} vs {}",
-                    bwd.get(s, c)
-                );
-            }
-        }
-    }
-
     /// Random block with a dense duplicate structure (sources shared by
     /// many destinations).
     fn random_block(seed: u64, num_dst: usize, num_src: usize, max_deg: usize) -> BlockCsr {
@@ -1090,29 +939,20 @@ mod tests {
         b
     }
 
-    /// The default backwards must be bit-identical between the parallel
+    /// The default backward must be bit-identical between the parallel
     /// pool and the forced-sequential schedule.
     #[test]
     fn deterministic_backward_is_bit_identical_across_schedules() {
         rayon::init_threads(4);
         let b = random_block(70, 128, 160, 12);
         let g = randm(128, 16, 71);
-        let src = randm(160, 16, 72);
-        let (_, argmax) = spmm_max(&b, &src);
         let seq_src = rayon::run_sequential(|| spmm_backward_src(&b, &g, None, 1, Agg::Mean));
-        let seq_max = rayon::run_sequential(|| spmm_max_backward(&b, &g, &argmax));
         for _ in 0..3 {
             let par_src = spmm_backward_src(&b, &g, None, 1, Agg::Mean);
             assert!(par_src
                 .data()
                 .iter()
                 .zip(seq_src.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-            let par_max = spmm_max_backward(&b, &g, &argmax);
-            assert!(par_max
-                .data()
-                .iter()
-                .zip(seq_max.data())
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }

@@ -1,15 +1,15 @@
 //! Thread-local event ring buffers and the global drain.
 //!
-//! Each thread records into its own fixed-capacity ring (allocated once,
-//! on the thread's first event; `WG_TRACE_BUFFER` overrides the default
-//! capacity). The buffer sits behind the thread's own `Mutex`, which is
+//! Each thread records into its own fixed-capacity ring of
+//! `DEFAULT_CAPACITY` events, allocated once, on the thread's first
+//! event. The buffer sits behind the thread's own `Mutex`, which is
 //! uncontended on the record path — the only cross-thread touch is
 //! [`drain`], which walks the registry of every buffer ever created.
 //! When a ring fills, the oldest events are overwritten and counted in
 //! [`ThreadTrace::dropped`] — recording never blocks and never grows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One recorded event. `Copy`, fixed-size, no heap — names are interned
 /// `'static` strings supplied by the probe sites.
@@ -34,21 +34,9 @@ pub enum Event {
     },
 }
 
-/// Default per-thread ring capacity (events). At 32 bytes per event this
+/// Per-thread ring capacity (events). At 32 bytes per event this
 /// is ~2 MiB per recording thread.
 const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// Per-thread ring capacity: `WG_TRACE_BUFFER` if set, else the default.
-fn capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("WG_TRACE_BUFFER")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY)
-    })
-}
 
 /// A fixed-capacity overwrite-oldest ring of events.
 #[derive(Debug)]
@@ -124,7 +112,7 @@ fn register_current_thread() -> Arc<ThreadBuf> {
     let buf = Arc::new(ThreadBuf {
         id,
         label,
-        ring: Mutex::new(RingVec::new(capacity())),
+        ring: Mutex::new(RingVec::new(DEFAULT_CAPACITY)),
     });
     REGISTRY.lock().unwrap().push(Arc::clone(&buf));
     buf

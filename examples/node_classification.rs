@@ -43,7 +43,6 @@ fn main() {
             let out = Trainer::new(TrainerConfig {
                 epochs: 5,
                 eval_every: 0,
-                patience: None,
             })
             .run(&mut pipe);
             let mean_epoch = out.total_time / out.epochs.len() as f64;

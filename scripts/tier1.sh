@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, format and lint the whole workspace,
-# and type-check the out-of-workspace benchmark package against it.
+# Tier-1 verification: build, test, format, lint and document the whole
+# workspace, and type-check the out-of-workspace benchmark package against it.
 #
 # Usage: scripts/tier1.sh
 #
@@ -66,6 +66,12 @@ cargo fmt --check
 
 echo "tier1: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets "${OFFLINE_FLAGS[@]}" -- -D warnings
+
+# CI's lint job builds the docs with warnings denied; running it here too
+# means a doc comment that still links a deleted or renamed item fails
+# locally, not only in CI.
+echo "tier1: cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${OFFLINE_FLAGS[@]}"
 
 # The wallclock harness is a correctness gate as much as a benchmark:
 # every kernel's FNV-1a checksum must stay pinned (the numerics may never

@@ -42,15 +42,19 @@ fn gradient_averaging_equalizes_replicas() {
     // Two replicas with different local gradients end up identical after
     // the simulated AllReduce — the §III-D invariant ("each GPU has the
     // same GNN model parameters").
-    use wg_autograd::{average_gradients, Params};
+    use wg_autograd::Params;
+    use wg_sim::CostModel;
     use wg_tensor::Matrix;
+    use wholegraph::multinode::GradSync;
     let mut a = Params::new();
     let mut b = Params::new();
     let ia = a.add("w", Matrix::zeros(2, 2));
     let ib = b.add("w", Matrix::zeros(2, 2));
     a.accumulate_grad(ia, &Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
     b.accumulate_grad(ib, &Matrix::from_vec(2, 2, vec![3.0, 2.0, 1.0, 0.0]));
-    average_gradients(&mut [&mut a, &mut b]);
+    let mut sync = GradSync::new(SyncConfig::default(), CostModel::dgx_a100(), 2);
+    let wave = sync.sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
+    assert!(wave.synced && wave.bytes > 0);
     assert_eq!(a.grad(ia).data(), b.grad(ib).data());
     assert_eq!(a.grad(ia).data(), &[2.0, 2.0, 2.0, 2.0]);
 }

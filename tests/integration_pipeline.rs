@@ -40,7 +40,6 @@ fn wholegraph_learns_and_beats_random_guessing() {
     let out = Trainer::new(TrainerConfig {
         epochs: 6,
         eval_every: 3,
-        patience: None,
     })
     .run(&mut pipe);
     let classes = pipe.dataset().num_classes as f64;
