@@ -29,9 +29,8 @@ fn main() {
         for e in 1..4 {
             r = pipe.measure_epoch(e, 1);
         }
-        let gpu = wg_sim::DeviceId::Gpu(0);
-        let end = pipe.machine().now(gpu);
-        let trace = pipe.machine().trace(gpu);
+        let end = pipe.machine().now();
+        let trace = pipe.machine().trace();
         let series = trace.utilization_series(72);
         let strip: String = series
             .iter()

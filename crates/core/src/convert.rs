@@ -86,7 +86,6 @@ mod tests {
             num_src: 4,
             offsets: vec![0, 1, 3],
             indices: vec![2, 3, 1],
-            edge_ids: vec![10, 20, 30],
             dup_count: vec![0, 1, 1, 1],
         }
     }
@@ -107,7 +106,6 @@ mod tests {
         let mb = MiniBatch {
             blocks: vec![sample_block()],
             frontiers: vec![vec![10, 11], vec![10, 11, 12, 13]],
-            batch_size: 2,
         };
         let shapes = minibatch_shapes(&mb);
         assert_eq!(shapes.len(), 1);

@@ -36,7 +36,7 @@
 //! * [`convert`] — sampled-block → sparse-kernel format conversion;
 //! * [`pipeline`] — the per-iteration engine (one straight-line sample →
 //!   gather → train iteration, laid onto the machine by a serial or
-//!   stream-overlapped [`ExecMode`]) with per-phase simulated timing and
+//!   double-buffered [`ExecMode`]) with per-phase simulated timing and
 //!   utilization traces;
 //! * [`trainer`] — multi-epoch training and evaluation (accuracy
 //!   experiments: Table III, Figure 7);

@@ -255,7 +255,7 @@ impl MultiNode {
             }
         }
         // Per-node accounting: hand each node's iterations to its
-        // configured `ExecMode` (charges machine clocks and traces).
+        // configured `ExecMode` (charges each machine's clock and trace).
         let mut per_node = Vec::with_capacity(nodes);
         for (k, node_results) in results.iter().enumerate() {
             let report = if node_results.is_empty() {

@@ -82,7 +82,7 @@ pub fn projected_sweep(
     let cost = pipe.machine().cost().clone();
     // Project with the pipeline's configured executor: serial waves cost
     // the phase sum, overlapped waves the max of the input and compute
-    // streams (steady state of the double-buffered schedule).
+    // halves (steady state of the double-buffered schedule).
     let exec = pipe.executor();
 
     let epoch_time = |nodes: u32| -> SimTime {

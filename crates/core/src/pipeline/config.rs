@@ -77,8 +77,8 @@ pub enum ExecMode {
     #[default]
     Serial,
     /// Double-buffered software pipeline: wave `i+1`'s sampling and
-    /// gathering run on an input stream while wave `i` trains on the
-    /// compute stream — the overlap a prefetching DataLoader achieves.
+    /// gathering run on an input cursor while wave `i` trains on the
+    /// train cursor — the overlap a prefetching DataLoader achieves.
     Overlapped,
 }
 

@@ -1,5 +1,5 @@
 //! Epoch scheduling: how an epoch's priced iterations are laid onto the
-//! machine's timelines. [`ExecMode`] is the seam — *when* work runs — and
+//! machine's timeline. [`ExecMode`] is the seam — *when* work runs — and
 //! schedules itself.
 //!
 //! Both modes consume the same per-iteration [`IterationResult`]s — all
@@ -9,9 +9,9 @@
 //! * [`ExecMode::Serial`] charges sample → gather → train → AllReduce
 //!   back-to-back per wave, the synchronous-DataLoader behavior every
 //!   result in the paper's evaluation is measured under.
-//! * [`ExecMode::Overlapped`] is a double-buffered software pipeline built
-//!   on [`wg_sim::stream`]: wave `i+1`'s sampling and gathering run on an
-//!   *input stream* while wave `i` trains on the *compute stream*. With
+//! * [`ExecMode::Overlapped`] is a double-buffered software pipeline on two
+//!   simulated-time cursors: wave `i+1`'s sampling and gathering advance
+//!   the *input cursor* while wave `i` trains on the *train cursor*. With
 //!   two mini-batch buffers, wave `w`'s input may start once wave `w-2`'s
 //!   training has consumed its buffer. The epoch time is the schedule
 //!   length, which is strictly shorter than the serial sum whenever some
@@ -19,9 +19,8 @@
 //!   input phase — the largest win going to the host pipelines, whose
 //!   input phases dominate.
 
-use wg_sim::stream::{self, Event};
 use wg_sim::trace::Phase;
-use wg_sim::{DeviceId, Machine, SimTime};
+use wg_sim::{Machine, SimTime};
 
 use crate::framework::Framework;
 use crate::pipeline::config::ExecMode;
@@ -36,13 +35,13 @@ impl ExecMode {
         match self {
             ExecMode::Serial => times.total(),
             // Input and compute proceed concurrently; the wave rate is
-            // set by whichever stream is longer.
+            // set by whichever half is longer.
             ExecMode::Overlapped => times.input().max(times.compute()),
         }
     }
 
     /// Charge the executed iterations' phase times onto the machine's
-    /// clocks and traces, wave by wave, and build the epoch report.
+    /// clock and trace, wave by wave, and build the epoch report.
     /// `results` is cycled when the epoch extrapolates beyond the
     /// executed iterations.
     pub fn finish_epoch(
@@ -55,14 +54,13 @@ impl ExecMode {
         assert!(!results.is_empty());
         let waves = total_iters.div_ceil(machine.num_gpus() as usize);
         let busy_input = framework.gpu_busy_in_input_phases();
-        let gpu0 = DeviceId::Gpu(0);
-        let epoch_start = machine.now(gpu0);
+        let epoch_start = machine.now();
         let (totals, exposed, storage_io, loss, train_accuracy) = aggregate(results, waves);
         let epoch_time = match self {
             ExecMode::Serial => serial_schedule(machine, busy_input, results, waves, &totals),
             ExecMode::Overlapped => overlapped_schedule(machine, busy_input, results, waves),
         };
-        let epoch_end = machine.now(gpu0);
+        let epoch_end = machine.now();
         EpochReport {
             epoch_time,
             sample_time: totals.sample,
@@ -76,7 +74,7 @@ impl ExecMode {
             train_accuracy,
             iterations: total_iters,
             executed_iterations: results.len(),
-            occupancy: occupancy_from_trace(machine.trace(gpu0), epoch_start, epoch_end),
+            occupancy: occupancy_from_trace(machine.trace(), epoch_start, epoch_end),
         }
     }
 }
@@ -119,8 +117,8 @@ fn aggregate(
     )
 }
 
-/// Sample → gather → train → AllReduce back-to-back per wave on every
-/// GPU. The epoch time is the phase-time sum, not the clock difference:
+/// Sample → gather → train → AllReduce back-to-back per wave. The epoch
+/// time is the phase-time sum, not the clock difference:
 /// the clock accumulates the same terms in a different order, and the
 /// sum is what the multi-node executor reproduces bitwise at N=1.
 fn serial_schedule(
@@ -132,10 +130,10 @@ fn serial_schedule(
 ) -> SimTime {
     for w in 0..waves {
         let t = results[w % results.len()].times;
-        machine.run_all_gpus(Phase::Sampling, busy_input, t.sample);
-        machine.run_all_gpus(Phase::Gather, busy_input, t.gather);
-        machine.run_all_gpus(Phase::Training, true, t.train);
-        machine.run_all_gpus(Phase::Communication, true, t.comm);
+        machine.run(Phase::Sampling, busy_input, t.sample);
+        machine.run(Phase::Gather, busy_input, t.gather);
+        machine.run(Phase::Training, true, t.train);
+        machine.run(Phase::Communication, true, t.comm);
     }
     totals.total()
 }
@@ -145,47 +143,36 @@ fn serial_schedule(
 /// consumed its buffer (classic double buffering).
 const BUFFER_SLOTS: usize = 2;
 
-/// Double-buffered sample/gather/train overlap on two streams per GPU.
-/// The epoch time is the schedule length.
+/// Double-buffered sample/gather/train overlap on two cursors, input and
+/// train, each a running end time like [`pipelined_wall_time`]'s. A wait
+/// is a `max`, a phase is a `+=`. The epoch time is the schedule length.
 fn overlapped_schedule(
     machine: &mut Machine,
     busy_input: bool,
     results: &[IterationResult],
     waves: usize,
 ) -> SimTime {
-    // Schedule once on a representative GPU's streams (data-parallel
-    // ranks execute identical schedules), then record the spans on
-    // every GPU.
-    let gpu0 = DeviceId::Gpu(0);
-    let epoch_start = machine.now(gpu0);
-    let mut input = machine.stream(gpu0);
-    let mut train = machine.stream(gpu0);
-    let mut train_done: Vec<Event> = Vec::with_capacity(waves);
-    let mut spans: Vec<(Phase, bool, SimTime, SimTime)> = Vec::with_capacity(4 * waves);
+    let epoch_start = machine.now();
+    let (mut input, mut train) = (epoch_start, epoch_start);
+    let mut train_done: Vec<SimTime> = Vec::with_capacity(waves);
+    let mut charge = |cursor: &mut SimTime, phase: Phase, busy: bool, dt: SimTime| {
+        let start = *cursor;
+        *cursor += dt;
+        machine.record_span(phase, busy, start, *cursor);
+    };
     for w in 0..waves {
         let t = results[w % results.len()].times;
         if w >= BUFFER_SLOTS {
-            input.wait(train_done[w - BUFFER_SLOTS]);
+            input = input.max(train_done[w - BUFFER_SLOTS]);
         }
-        let (s0, s1) = input.run(t.sample);
-        let (g0, g1) = input.run(t.gather);
-        let ready = input.record();
-        train.wait(ready);
-        let (t0, t1) = train.run(t.train);
-        let (c0, c1) = train.run(t.comm);
-        train_done.push(train.record());
-        spans.push((Phase::Sampling, busy_input, s0, s1));
-        spans.push((Phase::Gather, busy_input, g0, g1));
-        spans.push((Phase::Training, true, t0, t1));
-        spans.push((Phase::Communication, true, c0, c1));
+        charge(&mut input, Phase::Sampling, busy_input, t.sample);
+        charge(&mut input, Phase::Gather, busy_input, t.gather);
+        train = train.max(input);
+        charge(&mut train, Phase::Training, true, t.train);
+        charge(&mut train, Phase::Communication, true, t.comm);
+        train_done.push(train);
     }
-    let epoch_end = stream::sync(&mut [&mut input, &mut train]);
-    for gpu in machine.gpus() {
-        for &(phase, busy, start, end) in &spans {
-            machine.record_span(gpu, phase, busy, start, end);
-        }
-    }
-    epoch_end - epoch_start
+    input.max(train) - epoch_start
 }
 
 /// Wall time of a pipelined batched *inference* run: each batch's input
@@ -326,7 +313,7 @@ mod tests {
             let run = |mode: ExecMode| {
                 let mut machine = Machine::new(MachineConfig::dgx_like(gpus));
                 // Epochs after the first start on a clock that is not zero.
-                machine.run_all_gpus(Phase::Setup, false, unit(lead));
+                machine.run(Phase::Setup, false, unit(lead));
                 mode.finish_epoch(&mut machine, framework, &results, total_iters)
             };
             let (serial, overlapped) = (run(ExecMode::Serial), run(ExecMode::Overlapped));

@@ -31,8 +31,8 @@
 //!   is running on.
 //! * **when a wave runs** — [`executor`]: [`ExecMode`] lays the priced
 //!   iterations onto the machine, serially (synchronous DataLoader) or
-//!   double-buffered on [`wg_sim::stream`]s so wave `i+1`'s input phases
-//!   hide under wave `i`'s training.
+//!   double-buffered on an input and a train cursor so wave `i+1`'s input
+//!   phases hide under wave `i`'s training.
 //!
 //! Around them: [`config`] — [`PipelineConfig`], [`FeaturePlacement`],
 //! [`ExecMode`]; [`report`] — iteration/epoch/inference reports,
@@ -44,9 +44,10 @@
 //! processed in **waves** of `G` (one batch per GPU). We execute
 //! iterations one after another (mathematically a single training stream
 //! — what synchronized DDP computes); an iteration does the real math
-//! and prices its phases but never touches the machine's clocks. The
+//! and prices its phases but never touches the machine's clock. The
 //! per-iteration phase times then go to the configured [`ExecMode`],
-//! which charges simulated wave time to all GPU clocks and records the
+//! which charges simulated wave time to the node's one clock (its GPUs
+//! run each wave in lockstep) and records the
 //! busy/idle trace intervals that Figure 12 plots. Because the numerics
 //! complete before scheduling starts, both modes produce bit-identical
 //! losses, parameters and predictions — only `epoch_time` and the traces
@@ -285,8 +286,8 @@ impl Pipeline {
         }
     }
 
-    /// Restore parameters, optimizer moments, and the machine's clocks and
-    /// traces to their just-constructed state — *without* dropping any
+    /// Restore parameters, optimizer moments, and the machine's clock and
+    /// trace to their just-constructed state — *without* dropping any
     /// pooled scratch buffers. Benches use this to replay bit-identical
     /// epochs against warm pools instead of rebuilding the pipeline.
     pub fn reset_training_state(&mut self) {
@@ -308,7 +309,7 @@ impl Pipeline {
         &self.cfg
     }
 
-    /// The simulated machine (clocks, traces, memory accounting).
+    /// The simulated machine (clock, trace, memory accounting).
     pub fn machine(&self) -> &Machine {
         &self.machine
     }
@@ -513,7 +514,7 @@ impl Pipeline {
     }
 
     /// The iteration: does the real math of every phase and prices it,
-    /// but never touches the machine's clocks or traces — laying the
+    /// but never touches the machine's clock or trace — laying the
     /// times onto the timeline is [`ExecMode::finish_epoch`]'s job, which
     /// is what lets both schedules run over bit-identical numerics.
     fn run_iteration_inner(
@@ -684,7 +685,7 @@ impl Pipeline {
     }
 
     /// Hand the executed iterations to the configured [`ExecMode`], which
-    /// charges the machine's clocks/traces wave by wave and builds the
+    /// charges the machine's clock and trace wave by wave and builds the
     /// epoch report.
     pub(crate) fn finish_epoch(
         &mut self,
@@ -1016,18 +1017,12 @@ mod tests {
         // Figure 12's shape.
         let mut wg = paper_ish_pipeline(Framework::WholeGraph, ModelKind::GraphSage);
         wg.measure_epoch(0, 2);
-        let end = wg.machine().now(wg_sim::DeviceId::Gpu(0));
-        let u_wg = wg
-            .machine()
-            .trace(wg_sim::DeviceId::Gpu(0))
-            .utilization(SimTime::ZERO, end);
+        let end = wg.machine().now();
+        let u_wg = wg.machine().trace().utilization(SimTime::ZERO, end);
         let mut dgl = paper_ish_pipeline(Framework::Dgl, ModelKind::GraphSage);
         dgl.measure_epoch(0, 2);
-        let end = dgl.machine().now(wg_sim::DeviceId::Gpu(0));
-        let u_dgl = dgl
-            .machine()
-            .trace(wg_sim::DeviceId::Gpu(0))
-            .utilization(SimTime::ZERO, end);
+        let end = dgl.machine().now();
+        let u_dgl = dgl.machine().trace().utilization(SimTime::ZERO, end);
         assert!(u_wg > 0.95, "WholeGraph utilization {u_wg}");
         assert!(u_dgl < 0.5, "DGL utilization {u_dgl}");
     }

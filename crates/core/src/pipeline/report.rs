@@ -1,5 +1,5 @@
 //! Iteration and epoch reports: phase times, numerics, and the busy/idle
-//! occupancy accounting derived from stream traces.
+//! occupancy accounting derived from the machine's trace.
 
 use wg_gnn::cost::BlockShape;
 pub use wg_mem::StorageIo;
@@ -32,13 +32,13 @@ impl IterTimes {
     }
 
     /// The input-pipeline half (sampling + gather) — what the overlapped
-    /// schedule runs on the input stream.
+    /// schedule runs on the input cursor.
     pub fn input(&self) -> SimTime {
         self.sample + self.gather
     }
 
     /// The compute half (training + AllReduce) — what runs on the train
-    /// stream.
+    /// cursor.
     pub fn compute(&self) -> SimTime {
         self.train + self.comm
     }
@@ -63,12 +63,12 @@ pub struct IterationResult {
     pub sample_stats: SampleStats,
 }
 
-/// Busy/idle split of the simulated time one phase occupied on a GPU.
+/// Busy/idle split of the simulated time one phase occupied on the GPUs.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseOccupancy {
-    /// Time the GPU actively computed in this phase.
+    /// Time the GPUs actively computed in this phase.
     pub busy: SimTime,
-    /// Time the phase occupied while the GPU waited (host-side work).
+    /// Time the phase occupied while the GPUs waited (host-side work).
     pub idle: SimTime,
 }
 
@@ -79,11 +79,11 @@ impl PhaseOccupancy {
     }
 }
 
-/// Per-phase busy/idle accounting of one epoch on one GPU, derived from
-/// the trace intervals the schedule recorded. Under the overlapped
-/// schedule, phase spans on different streams cover the same simulated
-/// time, so the per-phase totals can *sum* to more than the epoch span —
-/// that is the overlap. `busy`/`idle` are union measures over the epoch
+/// Per-phase busy/idle accounting of one epoch on the node's GPUs, which
+/// run every wave in lockstep, derived from the trace intervals the
+/// schedule recorded. Under the overlapped schedule, input and train
+/// spans cover the same simulated time, so the per-phase totals can *sum*
+/// to more than the epoch span — that is the overlap. `busy`/`idle` are union measures over the epoch
 /// window and always add up to exactly the epoch span.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochOccupancy {
@@ -95,7 +95,7 @@ pub struct EpochOccupancy {
     pub training: PhaseOccupancy,
     /// AllReduce-phase occupancy.
     pub comm: PhaseOccupancy,
-    /// Union busy time of the GPU over the epoch window (overlapping
+    /// Union busy time of the GPUs over the epoch window (overlapping
     /// busy spans counted once).
     pub busy: SimTime,
     /// Epoch span minus union busy time.
@@ -124,9 +124,8 @@ impl EpochOccupancy {
     }
 }
 
-/// Derive the epoch occupancy from a device's trace over `[from, to)`.
-/// `ExecMode::finish_epoch` calls this on GPU 0 after recording the
-/// epoch's spans.
+/// Derive the epoch occupancy from a machine's trace over `[from, to)`.
+/// `ExecMode::finish_epoch` calls this after recording the epoch's spans.
 pub(crate) fn occupancy_from_trace(
     trace: &UtilizationTrace,
     from: SimTime,
@@ -195,7 +194,7 @@ pub struct EpochReport {
     pub iterations: usize,
     /// Iterations actually executed (≤ `iterations` when extrapolating).
     pub executed_iterations: usize,
-    /// Per-phase busy/idle accounting on GPU 0, from the recorded trace.
+    /// Per-phase busy/idle accounting of the GPUs, from the recorded trace.
     pub occupancy: EpochOccupancy,
 }
 
@@ -238,11 +237,10 @@ impl InferenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wg_sim::{DeviceId, TraceEvent};
+    use wg_sim::TraceEvent;
 
     fn ev(start: f64, end: f64, phase: Phase, busy: bool) -> TraceEvent {
         TraceEvent {
-            device: DeviceId::Gpu(0),
             start: SimTime::from_secs(start),
             end: SimTime::from_secs(end),
             phase,

@@ -27,16 +27,8 @@ pub struct MultiGpuGraph {
     node_meta: WholeMemory<u64>,
     /// Concatenated per-rank edge lists; entries are raw [`GlobalId`]s.
     edges: WholeMemory<u64>,
-    /// Stride of each rank's slice of the edge allocation.
-    edge_rows_per_rank: usize,
     /// Node features, padded-row indexed.
     features: WholeMemory<f32>,
-    /// Optional per-edge features, laid out congruently with `edges`
-    /// (edge slot `e` of rank `r` holds the feature of the same edge) —
-    /// "all the edges are stored together with the source node", and so
-    /// are their features (§III-B's "node or edge features").
-    edge_features: Option<WholeMemory<f32>>,
-    edge_feature_dim: usize,
     feature_dim: usize,
     num_edges: usize,
     setup_time: SimTime,
@@ -80,34 +72,6 @@ impl MultiGpuGraph {
         graph: &Csr,
         features: &[f32],
         feature_dim: usize,
-        acct: &MemoryAccounting,
-        feature_mode: AccessMode,
-    ) -> Result<Self, OutOfMemory> {
-        Self::build_full(
-            model,
-            ranks,
-            graph,
-            features,
-            feature_dim,
-            None,
-            0,
-            acct,
-            feature_mode,
-        )
-    }
-
-    /// Full builder: node features plus optional per-edge features
-    /// (`edge_features` is row-major `num_edges × edge_feature_dim`, in
-    /// CSR edge order).
-    #[allow(clippy::too_many_arguments)] // the assembled store simply has this many parts
-    pub fn build_full(
-        model: &CostModel,
-        ranks: u32,
-        graph: &Csr,
-        features: &[f32],
-        feature_dim: usize,
-        edge_features: Option<&[f32]>,
-        edge_feature_dim: usize,
         acct: &MemoryAccounting,
         feature_mode: AccessMode,
     ) -> Result<Self, OutOfMemory> {
@@ -159,26 +123,6 @@ impl MultiGpuGraph {
             acct,
             AllocKind::Features,
         )?;
-        if let Some(ef) = edge_features {
-            assert_eq!(
-                ef.len(),
-                graph.num_edges() * edge_feature_dim,
-                "edge feature matrix shape mismatch"
-            );
-            assert!(edge_feature_dim > 0, "edge features need a positive width");
-        }
-        let edge_features_wm = match edge_features {
-            None => None,
-            Some(_) => Some(WholeMemory::<f32>::allocate_tracked(
-                model,
-                ranks,
-                edge_rows_per_rank * ranks as usize,
-                edge_feature_dim,
-                feature_mode,
-                acct,
-                AllocKind::Features,
-            )?),
-        };
 
         // Each rank fills its own partition (concurrently in the real
         // system; sequential per rank here keeps the cursor logic clear).
@@ -199,38 +143,16 @@ impl MultiGpuGraph {
                         &features[v as usize * feature_dim..(v as usize + 1) * feature_dim],
                     );
                 }
-                if let (Some(wm), Some(ef)) = (&edge_features_wm, edge_features) {
-                    // CSR edge order: edge (v, k) is global CSR slot
-                    // offsets[v] + k; its DSM slot is the rank-local
-                    // cursor + k (same order the edge list was written).
-                    let csr_base = graph.offsets()[v as usize] as usize;
-                    for k in 0..deg as usize {
-                        let row = r as usize * edge_rows_per_rank + cursor as usize + k;
-                        wm.write_row(
-                            row,
-                            &ef[(csr_base + k) * edge_feature_dim
-                                ..(csr_base + k + 1) * edge_feature_dim],
-                        );
-                    }
-                }
                 cursor += deg;
             }
         }
 
-        let setup_time = node_meta.setup_time()
-            + edges.setup_time()
-            + features_wm.setup_time()
-            + edge_features_wm
-                .as_ref()
-                .map_or(SimTime::ZERO, |wm| wm.setup_time());
+        let setup_time = node_meta.setup_time() + edges.setup_time() + features_wm.setup_time();
         Ok(MultiGpuGraph {
             partition,
             node_meta,
             edges,
-            edge_rows_per_rank,
             features: features_wm,
-            edge_features: edge_features_wm,
-            edge_feature_dim,
             feature_dim,
             num_edges: graph.num_edges(),
             setup_time,
@@ -294,67 +216,15 @@ impl MultiGpuGraph {
         meta[1] as usize
     }
 
-    /// Neighbor list of a node as GlobalIds (allocating convenience).
-    ///
-    /// The span is contiguous within the owning rank's edge region, so a
-    /// sampling kernel reads `degree` consecutive 8-byte entries — this is
-    /// the access the multi-GPU sampler charges remote-read costs for.
-    pub fn neighbors_of(&self, v: NodeId) -> Vec<GlobalId> {
-        let g = self.partition.global_id(v);
-        let mut meta = [0u64; 2];
-        self.node_meta.read_row(
-            g.rank() as usize * self.partition.rows_per_rank() + g.local() as usize,
-            &mut meta,
-        );
-        let (start, deg) = (meta[0] as usize, meta[1] as usize);
-        self.edges.with_region(g.rank(), |region| {
-            region[start..start + deg]
-                .iter()
-                .map(|&r| GlobalId::from_raw(r))
-                .collect()
-        })
-    }
-
-    /// Stride of one rank's slice of the edge allocation.
-    pub fn edge_rows_per_rank(&self) -> usize {
-        self.edge_rows_per_rank
-    }
-
-    /// The distributed edge-feature allocation, if the graph has edge
-    /// features (rows are global edge slots — see
-    /// [`edge_slot_base`](Self::edge_slot_base)).
-    pub fn edge_features(&self) -> Option<&WholeMemory<f32>> {
-        self.edge_features.as_ref()
-    }
-
-    /// Edge feature width (0 when absent).
-    pub fn edge_feature_dim(&self) -> usize {
-        self.edge_feature_dim
-    }
-
-    /// Global edge slot of a node's first edge: the node's `k`-th sampled
-    /// neighbor position maps to edge slot `base + k`, which indexes both
-    /// the edge list and the edge-feature allocation.
-    pub fn edge_slot_base(&self, g: GlobalId) -> u64 {
-        let rank = g.rank();
-        let mut meta = [0u64; 2];
-        self.node_meta.read_row(
-            rank as usize * self.partition.rows_per_rank() + g.local() as usize,
-            &mut meta,
-        );
-        rank as u64 * self.edge_rows_per_rank as u64 + meta[0]
-    }
-
     /// Pin the structure allocations (node metadata + edge lists) and
-    /// return a zero-copy [`AdjacencyView`]: degree / neighbor / edge-slot
-    /// lookups become plain indexed loads into the pinned regions, with no
+    /// return a zero-copy [`AdjacencyView`]: degree / neighbor lookups
+    /// become plain indexed loads into the pinned regions, with no
     /// per-call locking and no copying — the CPU analogue of a sampling
     /// kernel dereferencing the DSM pointer table directly.
     pub fn adjacency(&self) -> AdjacencyView<'_> {
         AdjacencyView {
             meta: self.node_meta.pin(),
             edges: self.edges.pin(),
-            edge_rows_per_rank: self.edge_rows_per_rank,
         }
     }
 }
@@ -366,7 +236,6 @@ impl MultiGpuGraph {
 pub struct AdjacencyView<'a> {
     meta: RegionView<'a, u64>,
     edges: RegionView<'a, u64>,
-    edge_rows_per_rank: usize,
 }
 
 impl AdjacencyView<'_> {
@@ -389,14 +258,6 @@ impl AdjacencyView<'_> {
     pub fn neighbors(&self, g: GlobalId) -> &[u64] {
         let (start, deg) = self.meta_of(g);
         &self.edges.region(g.rank())[start..start + deg]
-    }
-
-    /// Global edge slot of a node's first edge (see
-    /// [`MultiGpuGraph::edge_slot_base`]).
-    #[inline]
-    pub fn edge_slot_base(&self, g: GlobalId) -> u64 {
-        let (start, _) = self.meta_of(g);
-        g.rank() as u64 * self.edge_rows_per_rank as u64 + start as u64
     }
 }
 
@@ -490,12 +351,13 @@ mod tests {
     #[test]
     fn adjacency_roundtrips_through_dsm() {
         let (store, g, _) = tiny_store(8);
+        let adj = store.adjacency();
         for v in 0..200u64 {
             assert_eq!(store.degree(v), g.degree(v), "degree of {v}");
-            let got: Vec<NodeId> = store
-                .neighbors_of(v)
-                .into_iter()
-                .map(|gid| store.partition().node_of(gid))
+            let got: Vec<NodeId> = adj
+                .neighbors(store.partition().global_id(v))
+                .iter()
+                .map(|&raw| store.partition().node_of(GlobalId::from_raw(raw)))
                 .collect();
             let mut got_sorted = got.clone();
             got_sorted.sort_unstable();

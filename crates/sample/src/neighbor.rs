@@ -61,15 +61,10 @@ pub trait GraphAccess: Sync {
     fn stable_id(&self, handle: u64) -> u64;
     /// Handle of a dataset node id.
     fn handle_of(&self, v: NodeId) -> u64;
-    /// Edge slot of the node's first adjacency entry: sampled neighbor
-    /// position `k` corresponds to edge slot `base + k`, which indexes
-    /// the store's edge-feature array (DSM slots for the multi-GPU store,
-    /// CSR positions for the host store).
-    fn edge_slot_base(&self, handle: u64) -> u64;
 }
 
 /// Sampler view of [`MultiGpuGraph`]: handles are raw GlobalIds. Holds a
-/// pinned [`AdjacencyView`], so degree/neighbor/edge-slot lookups are plain
+/// pinned [`AdjacencyView`], so degree/neighbor lookups are plain
 /// indexed loads with no locking or copying.
 pub struct MultiGpuAccess<'a> {
     graph: &'a MultiGpuGraph,
@@ -102,9 +97,6 @@ impl GraphAccess for MultiGpuAccess<'_> {
     fn handle_of(&self, v: NodeId) -> u64 {
         self.graph.partition().global_id(v).raw()
     }
-    fn edge_slot_base(&self, handle: u64) -> u64 {
-        self.adj.edge_slot_base(GlobalId::from_raw(handle))
-    }
 }
 
 /// Sampler view of [`HostGraph`]: handles are the node ids themselves.
@@ -126,9 +118,6 @@ impl GraphAccess for HostGraphAccess<'_> {
     fn handle_of(&self, v: NodeId) -> u64 {
         v
     }
-    fn edge_slot_base(&self, handle: u64) -> u64 {
-        self.0.csr().offsets()[handle as usize]
-    }
 }
 
 /// One sampled layer: a bipartite block mapping `num_src` source nodes to
@@ -144,9 +133,6 @@ pub struct SampleBlock {
     pub offsets: Vec<u32>,
     /// CSR column indices into the source space.
     pub indices: Vec<u32>,
-    /// Per-edge store slot (parallel to `indices`): where each sampled
-    /// edge's features live, for edge-featured graphs.
-    pub edge_ids: Vec<u64>,
     /// Per-source-node duplicate count from AppendUnique (how many times
     /// the node was sampled as a neighbor in this layer).
     pub dup_count: Vec<u32>,
@@ -170,8 +156,6 @@ pub struct MiniBatch {
     /// `frontiers[l+1]` is the source space of `blocks[l]` (targets first —
     /// `frontiers[l]` is always a prefix of `frontiers[l+1]`).
     pub frontiers: Vec<Vec<u64>>,
-    /// Batch target count.
-    pub batch_size: usize,
 }
 
 impl MiniBatch {
@@ -298,7 +282,7 @@ pub fn sample_minibatch<G: GraphAccess>(
 /// from per-node degrees, then a parallel pass samples each node through
 /// its disjoint `[offsets[i], offsets[i+1])` range, inserting every drawn
 /// neighbor into the AppendUnique table at its CSR position and writing its
-/// slot and edge id straight into the block. Neighbor lists are borrowed
+/// slot straight into the block. Neighbor lists are borrowed
 /// from the store ([`GraphAccess::neighbors`]) and per-node index sets come
 /// from the stack sampler — so once `scratch` and `out` are warm (steady
 /// state: batch shapes repeat), no heap allocation occurs. Output is
@@ -318,14 +302,12 @@ pub fn sample_minibatch_into<G: GraphAccess>(
     let _span = wg_trace::span!("sample.minibatch");
     let mut stats = SampleStats::default();
     let num_layers = cfg.fanouts.len();
-    out.batch_size = batch_handles.len();
     out.blocks.truncate(num_layers);
     out.blocks.resize_with(num_layers, || SampleBlock {
         num_dst: 0,
         num_src: 0,
         offsets: Vec::new(),
         indices: Vec::new(),
-        edge_ids: Vec::new(),
         dup_count: Vec::new(),
     });
     out.frontiers.truncate(num_layers + 1);
@@ -359,18 +341,16 @@ pub fn sample_minibatch_into<G: GraphAccess>(
 
         // Pass 2: per-node sampling ("M threads in the thread block ...
         // grouped together to generate the sampled neighbors for one
-        // target node"), each neighbor inserted as it is drawn. Both
-        // buffers are overwritten whole, so stale contents need no clearing.
+        // target node"), each neighbor inserted as it is drawn. The
+        // buffer is overwritten whole, so stale contents need no clearing.
         scratch
             .au
             .begin(frontier, (n + total).min(graph.num_nodes()));
         block.indices.resize(total, 0);
-        block.edge_ids.resize(total, 0);
         {
             let offsets = &block.offsets;
             let au = &scratch.au;
             let slot_out = SyncSliceMut::new(&mut block.indices);
-            let eid_out = SyncSliceMut::new(&mut block.edge_ids);
             frontier
                 .par_iter()
                 .enumerate()
@@ -390,14 +370,10 @@ pub fn sample_minibatch_into<G: GraphAccess>(
                         layer,
                         graph.stable_id(t),
                     ));
-                    let base = graph.edge_slot_base(t);
                     let write_at = |k: usize, j: u32| {
                         // SAFETY: this node owns [lo, offsets[i+1]) and
                         // k < m; CSR ranges of distinct nodes are disjoint.
-                        unsafe {
-                            slot_out.write(lo + k, au.insert(lo + k, nbrs[j as usize]));
-                            eid_out.write(lo + k, base + j as u64);
-                        }
+                        unsafe { slot_out.write(lo + k, au.insert(lo + k, nbrs[j as usize])) };
                     };
                     if m <= STACK_FANOUT_MAX {
                         let mut idx = [0u32; STACK_FANOUT_MAX];
@@ -470,7 +446,7 @@ pub fn sample_minibatch_reference<G: GraphAccess>(
 
     for (layer, &fanout) in cfg.fanouts.iter().enumerate() {
         let frontier = frontiers.last().expect("frontier exists");
-        let sampled: Vec<Vec<(u64, u64)>> = frontier
+        let sampled: Vec<Vec<u64>> = frontier
             .par_iter()
             .map(|&t| {
                 let deg = graph.degree(t);
@@ -489,10 +465,7 @@ pub fn sample_minibatch_reference<G: GraphAccess>(
                 ));
                 let mut idx = Vec::with_capacity(m);
                 PathDoublingSampler::new().sample(m, deg, &mut rng, &mut idx);
-                let base = graph.edge_slot_base(t);
-                idx.into_iter()
-                    .map(|i| (nbrs[i as usize], base + i as u64))
-                    .collect()
+                idx.into_iter().map(|i| nbrs[i as usize]).collect()
             })
             .collect();
 
@@ -500,12 +473,8 @@ pub fn sample_minibatch_reference<G: GraphAccess>(
         let mut offsets = Vec::with_capacity(frontier.len() + 1);
         offsets.push(0u32);
         let mut flat: Vec<u64> = Vec::new();
-        let mut edge_ids: Vec<u64> = Vec::new();
         for s in &sampled {
-            for &(nbr, eid) in s {
-                flat.push(nbr);
-                edge_ids.push(eid);
-            }
+            flat.extend_from_slice(s);
             offsets.push(flat.len() as u32);
         }
         stats.edges_sampled += flat.len() as u64;
@@ -524,20 +493,12 @@ pub fn sample_minibatch_reference<G: GraphAccess>(
             num_src: unique.len(),
             offsets,
             indices: neighbor_ids,
-            edge_ids,
             dup_count,
         });
         frontiers.push(unique);
     }
 
-    (
-        MiniBatch {
-            batch_size: batch_handles.len(),
-            frontiers,
-            blocks,
-        },
-        stats,
-    )
+    (MiniBatch { frontiers, blocks }, stats)
 }
 
 #[cfg(test)]
@@ -571,7 +532,7 @@ mod tests {
         let batch: Vec<u64> = (0..32u64).map(|v| access.handle_of(v)).collect();
         let (mb, stats) = sample_minibatch(&access, &batch, &cfg, 0, 0);
         assert_eq!(mb.blocks.len(), 2);
-        assert_eq!(mb.batch_size, 32);
+        assert_eq!(mb.frontiers[0].len(), 32);
         let mut dst = 32;
         for (i, b) in mb.blocks.iter().enumerate() {
             assert_eq!(b.num_dst, dst, "layer {i}");

@@ -22,14 +22,6 @@ pub enum DeviceId {
 }
 
 impl DeviceId {
-    /// The GPU rank, if this is a GPU.
-    pub fn gpu_rank(self) -> Option<u32> {
-        match self {
-            DeviceId::Gpu(r) => Some(r),
-            DeviceId::Cpu => None,
-        }
-    }
-
     /// True if this is a GPU device.
     pub fn is_gpu(self) -> bool {
         matches!(self, DeviceId::Gpu(_))
@@ -134,8 +126,6 @@ mod tests {
 
     #[test]
     fn device_id_accessors() {
-        assert_eq!(DeviceId::Gpu(3).gpu_rank(), Some(3));
-        assert_eq!(DeviceId::Cpu.gpu_rank(), None);
         assert!(DeviceId::Gpu(0).is_gpu());
         assert!(!DeviceId::Cpu.is_gpu());
     }

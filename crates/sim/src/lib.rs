@@ -16,35 +16,29 @@
 //! * [`time`] — the simulated time type,
 //! * [`cost`] — calibrated latency/bandwidth/compute cost models (every
 //!   constant cites the paper table or figure it is fitted against),
-//! * [`clock`] — per-device virtual clocks,
-//! * [`stream`] — CUDA-stream-like execution timelines and events layered
-//!   on the clocks (the substrate for sample/gather/train overlap),
 //! * [`memory`] — per-device memory capacity accounting (Table IV),
 //! * [`trace`] — busy/idle utilization traces (Figure 12),
 //! * [`collective`] — cost models for AllGather / AllReduce / AlltoAllV,
-//! * [`machine`] — the assembled [`machine::Machine`] and the
+//! * [`machine`] — the assembled [`machine::Machine`], with one simulated
+//!   clock and one trace per node (its GPUs train in lockstep), and the
 //!   cross-machine [`machine::cluster_barrier`].
 //!
 //! Nothing here depends on CUDA; a "kernel" elsewhere in the workspace is a
 //! rayon parallel loop whose simulated duration is computed by these models.
 
-pub mod clock;
 pub mod collective;
 pub mod cost;
 pub mod device;
 pub mod machine;
 pub mod memory;
-pub mod stream;
 pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use clock::DeviceClock;
 pub use cost::CostModel;
 pub use device::{DeviceId, DeviceKind, DeviceSpec};
 pub use machine::{cluster_barrier, Machine, MachineConfig};
 pub use memory::{MemoryAccounting, MemoryPool};
-pub use stream::{Event, Stream};
 pub use time::SimTime;
 pub use topology::{LinkKind, Path, Topology};
 pub use trace::{Phase, TraceEvent, UtilizationTrace};

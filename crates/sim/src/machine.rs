@@ -1,19 +1,18 @@
 //! The assembled simulated machine and the cross-machine barrier.
 //!
 //! A [`Machine`] bundles the pieces every higher layer needs: device specs,
-//! the interconnect cost model, one virtual clock and one utilization trace
-//! per device, and shared memory-capacity accounting. Pipelines "run" work
-//! on a device by calling [`Machine::run`], which advances that device's
-//! clock and appends a trace interval.
+//! the interconnect cost model, one simulated clock and one utilization
+//! trace, and shared memory-capacity accounting. Training is synchronous —
+//! every GPU of the node runs each wave in lockstep and meets the others at
+//! the gradient AllReduce (§III-D) — so the node has one timeline, not one
+//! per device. Pipelines "run" work by calling [`Machine::run`], which
+//! advances that timeline and appends a trace interval.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::clock::DeviceClock;
 use crate::cost::CostModel;
 use crate::device::{DeviceId, DeviceSpec};
 use crate::memory::MemoryAccounting;
-use crate::stream::Stream;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::{Phase, TraceEvent, UtilizationTrace};
@@ -52,8 +51,8 @@ impl MachineConfig {
 pub struct Machine {
     config: MachineConfig,
     cost: CostModel,
-    clocks: HashMap<DeviceId, DeviceClock>,
-    traces: HashMap<DeviceId, UtilizationTrace>,
+    now: SimTime,
+    trace: UtilizationTrace,
     memory: Arc<MemoryAccounting>,
 }
 
@@ -61,22 +60,17 @@ impl Machine {
     /// Build a machine from a configuration.
     pub fn new(config: MachineConfig) -> Self {
         let cost = CostModel::for_topology(config.topology.clone());
-        let mut clocks = HashMap::new();
-        let mut traces = HashMap::new();
-        let mut mem = Vec::new();
-        for gpu in config.topology.gpus() {
-            clocks.insert(gpu, DeviceClock::new());
-            traces.insert(gpu, UtilizationTrace::new());
-            mem.push((gpu, config.gpu_spec.memory_capacity));
-        }
-        clocks.insert(DeviceId::Cpu, DeviceClock::new());
-        traces.insert(DeviceId::Cpu, UtilizationTrace::new());
+        let mut mem: Vec<(DeviceId, u64)> = config
+            .topology
+            .gpus()
+            .map(|gpu| (gpu, config.gpu_spec.memory_capacity))
+            .collect();
         mem.push((DeviceId::Cpu, config.host_spec.memory_capacity));
         Machine {
             config,
             cost,
-            clocks,
-            traces,
+            now: SimTime::ZERO,
+            trace: UtilizationTrace::new(),
             memory: Arc::new(MemoryAccounting::new(mem)),
         }
     }
@@ -84,11 +78,6 @@ impl Machine {
     /// The paper's 8-GPU DGX-A100.
     pub fn dgx_a100() -> Self {
         Machine::new(MachineConfig::dgx_a100())
-    }
-
-    /// Node configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
     }
 
     /// Number of GPUs on the node.
@@ -119,123 +108,81 @@ impl Machine {
         Arc::clone(&self.memory)
     }
 
-    /// Current simulated time on a device.
-    pub fn now(&self, device: DeviceId) -> SimTime {
-        self.clocks[&device].now()
+    /// Current simulated time on the node.
+    pub fn now(&self) -> SimTime {
+        self.now
     }
 
-    /// Run `dt` of work on `device` in the given phase, recording a trace
-    /// interval. `busy` distinguishes "the device computed" from "the
-    /// device waited for this long" (Figure 12).
-    pub fn run(&mut self, device: DeviceId, phase: Phase, busy: bool, dt: SimTime) -> SimTime {
-        let clock = self
-            .clocks
-            .get_mut(&device)
-            .unwrap_or_else(|| panic!("unknown device {device}"));
-        let start = clock.now();
-        let end = clock.advance(dt);
-        self.traces.get_mut(&device).unwrap().record(TraceEvent {
-            device,
+    /// Run `dt` of work on every GPU at once in the given phase, recording
+    /// a trace interval; returns the new time. `busy` distinguishes "the
+    /// GPUs computed" from "the GPUs waited for this long" (Figure 12).
+    ///
+    /// Negative spans are rejected — simulated work cannot take negative
+    /// time, and silently accepting one would corrupt every downstream
+    /// utilization figure.
+    pub fn run(&mut self, phase: Phase, busy: bool, dt: SimTime) -> SimTime {
+        assert!(
+            dt.as_secs() >= 0.0,
+            "cannot run a negative span ({dt}) on the simulated clock"
+        );
+        let start = self.now;
+        self.now += dt;
+        self.trace.record(TraceEvent {
+            start,
+            end: self.now,
+            phase,
+            busy,
+        });
+        self.now
+    }
+
+    /// Record a span a schedule placed itself and move the clock to the
+    /// span's end if it is later. This is how the overlapped schedule
+    /// publishes overlapping per-phase intervals: several spans may cover
+    /// the same simulated time, and [`UtilizationTrace::busy_time`] counts
+    /// the covered time once.
+    pub fn record_span(&mut self, phase: Phase, busy: bool, start: SimTime, end: SimTime) {
+        self.trace.record(TraceEvent {
             start,
             end,
             phase,
             busy,
         });
-        end
+        self.now = self.now.max(end);
     }
 
-    /// Run the same span of work on every GPU concurrently (the usual
-    /// data-parallel situation: all ranks execute the phase at once).
-    pub fn run_all_gpus(&mut self, phase: Phase, busy: bool, dt: SimTime) -> SimTime {
-        let mut end = SimTime::ZERO;
-        for gpu in self.gpus() {
-            end = end.max(self.run(gpu, phase, busy, dt));
-        }
-        end
-    }
-
-    /// Open a new [`Stream`] on `device`, positioned at the device's
-    /// current clock time so stream spans line up with work already
-    /// charged through [`Machine::run`]. The stream is an independent
-    /// timeline: advancing it does not move the device clock — use
-    /// [`Machine::record_span`] to charge its spans back to the device.
-    pub fn stream(&self, device: DeviceId) -> Stream {
-        assert!(self.clocks.contains_key(&device), "unknown device {device}");
-        Stream::new_at(&self.config.topology, device, self.now(device))
-    }
-
-    /// Record a span scheduled on a stream into `device`'s trace and move
-    /// the device clock to the span's end if it is later. This is how
-    /// stream-scheduled executors publish overlapping per-phase intervals:
-    /// several spans may cover the same simulated time, and
-    /// [`UtilizationTrace::busy_time`] counts the covered time once.
-    pub fn record_span(
-        &mut self,
-        device: DeviceId,
-        phase: Phase,
-        busy: bool,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        assert!(
-            end >= start,
-            "span on {device} ends before it starts ({start} > {end})"
-        );
-        self.traces
-            .get_mut(&device)
-            .unwrap_or_else(|| panic!("unknown device {device}"))
-            .record(TraceEvent {
-                device,
-                start,
-                end,
-                phase,
-                busy,
-            });
-        self.clocks.get_mut(&device).unwrap().advance_to(end);
-    }
-
-    /// Advance every GPU clock to `t`, recording the wait as an `Idle`
-    /// (non-busy) trace interval. Clocks already at or past `t` are left
+    /// Advance the clock to `t`, recording the wait as an `Idle`
+    /// (non-busy) trace interval. A clock already at or past `t` is left
     /// untouched. This is the per-node half of a cross-machine barrier:
     /// the idle spans make inter-node load imbalance visible in traces.
     pub fn idle_until(&mut self, t: SimTime) {
-        for gpu in self.gpus() {
-            let now = self.now(gpu);
-            if now < t {
-                self.run(gpu, Phase::Idle, false, t - now);
-            }
+        if self.now < t {
+            self.run(Phase::Idle, false, t - self.now);
         }
     }
 
-    /// Utilization trace of one device.
-    pub fn trace(&self, device: DeviceId) -> &UtilizationTrace {
-        &self.traces[&device]
+    /// The node's utilization trace.
+    pub fn trace(&self) -> &UtilizationTrace {
+        &self.trace
     }
 
-    /// Reset all clocks and traces (fresh experiment on a warm machine —
+    /// Reset the clock and trace (fresh experiment on a warm machine —
     /// memory accounting, i.e. loaded data, is preserved).
     pub fn reset_time(&mut self) {
-        for c in self.clocks.values_mut() {
-            c.reset();
-        }
-        for t in self.traces.values_mut() {
-            *t = UtilizationTrace::new();
-        }
+        self.now = SimTime::ZERO;
+        self.trace = UtilizationTrace::new();
     }
 }
 
-/// Rendezvous across several machines' GPU clocks: every GPU on every
-/// machine idles (with a visible `Idle` trace interval) until the
-/// cluster-wide maximum, which is returned. This is the trailing barrier
-/// of a data-parallel epoch — the point where the slowest node gates
-/// everyone else.
+/// Rendezvous across several machines' clocks: every machine idles (with
+/// a visible `Idle` trace interval) until the cluster-wide maximum, which
+/// is returned. This is the trailing barrier of a data-parallel epoch —
+/// the point where the slowest node gates everyone else.
 pub fn cluster_barrier(machines: &mut [&mut Machine]) -> SimTime {
-    let mut t = SimTime::ZERO;
-    for m in machines.iter() {
-        for gpu in m.gpus() {
-            t = t.max(m.now(gpu));
-        }
-    }
+    let t = machines
+        .iter()
+        .map(|m| m.now())
+        .fold(SimTime::ZERO, SimTime::max);
     for m in machines.iter_mut() {
         m.idle_until(t);
     }
@@ -251,104 +198,91 @@ mod tests {
         let m = Machine::dgx_a100();
         assert_eq!(m.num_gpus(), 8);
         assert_eq!(m.gpus().len(), 8);
-        assert_eq!(m.now(DeviceId::Gpu(7)), SimTime::ZERO);
-        assert_eq!(m.now(DeviceId::Cpu), SimTime::ZERO);
+        assert_eq!(m.now(), SimTime::ZERO);
+        assert!(m.trace().events().is_empty());
+        assert_eq!(m.spec(DeviceId::Gpu(7)).name, "A100-SXM4-40GB");
+        assert_eq!(m.spec(DeviceId::Cpu).name, "2x AMD Rome 7742");
     }
 
     #[test]
     fn run_advances_clock_and_traces() {
-        let mut m = Machine::dgx_a100();
-        m.run(
-            DeviceId::Gpu(0),
-            Phase::Training,
-            true,
-            SimTime::from_millis(5.0),
-        );
-        m.run(
-            DeviceId::Gpu(0),
-            Phase::Idle,
-            false,
-            SimTime::from_millis(5.0),
-        );
-        assert!((m.now(DeviceId::Gpu(0)).as_millis() - 10.0).abs() < 1e-9);
-        let tr = m.trace(DeviceId::Gpu(0));
+        let mut m = Machine::new(MachineConfig::dgx_like(4));
+        let end = m.run(Phase::Training, true, SimTime::from_millis(5.0));
+        assert_eq!(end, m.now());
+        m.run(Phase::Idle, false, SimTime::from_millis(5.0));
+        assert!((m.now().as_millis() - 10.0).abs() < 1e-9);
+        // One interval per call, not one per GPU.
+        let tr = m.trace();
         assert_eq!(tr.events().len(), 2);
-        let u = tr.utilization(SimTime::ZERO, m.now(DeviceId::Gpu(0)));
+        assert_eq!(tr.events()[1].start, end);
+        let u = tr.utilization(SimTime::ZERO, m.now());
         assert!((u - 0.5).abs() < 1e-9);
     }
 
     #[test]
-    fn run_all_gpus_moves_every_clock() {
-        let mut m = Machine::new(MachineConfig::dgx_like(4));
-        let end = m.run_all_gpus(Phase::Sampling, true, SimTime::from_millis(1.0));
-        assert!((end.as_millis() - 1.0).abs() < 1e-9);
-        for g in m.gpus() {
-            assert!((m.now(g).as_millis() - 1.0).abs() < 1e-9);
-        }
+    #[should_panic(expected = "negative")]
+    fn run_rejects_a_negative_span() {
+        let mut m = Machine::new(MachineConfig::dgx_like(2));
+        m.run(Phase::Training, true, SimTime::from_secs(-1.0));
     }
 
     #[test]
-    fn barrier_aligns_gpu_clocks() {
+    fn record_span_never_moves_the_clock_back() {
         let mut m = Machine::new(MachineConfig::dgx_like(2));
-        m.run(
-            DeviceId::Gpu(0),
-            Phase::Training,
+        m.record_span(
+            Phase::Gather,
             true,
             SimTime::from_secs(1.0),
+            SimTime::from_secs(3.0),
         );
-        let t = cluster_barrier(&mut [&mut m]);
-        assert_eq!(t.as_secs(), 1.0);
-        assert_eq!(m.now(DeviceId::Gpu(1)).as_secs(), 1.0);
+        m.record_span(
+            Phase::Sampling,
+            false,
+            SimTime::ZERO,
+            SimTime::from_secs(2.0),
+        );
+        assert_eq!(m.now(), SimTime::from_secs(3.0));
+        assert_eq!(m.trace().events().len(), 2);
+        let busy = m.trace().busy_time(SimTime::ZERO, m.now());
+        assert_eq!(busy, SimTime::from_secs(2.0));
     }
 
     #[test]
     fn reset_time_clears_clocks_and_traces() {
         let mut m = Machine::new(MachineConfig::dgx_like(2));
-        m.run(
-            DeviceId::Gpu(0),
-            Phase::Training,
-            true,
-            SimTime::from_secs(1.0),
-        );
+        m.run(Phase::Training, true, SimTime::from_secs(1.0));
         m.reset_time();
-        assert_eq!(m.now(DeviceId::Gpu(0)), SimTime::ZERO);
-        assert!(m.trace(DeviceId::Gpu(0)).events().is_empty());
+        assert_eq!(m.now(), SimTime::ZERO);
+        assert!(m.trace().events().is_empty());
     }
 
     #[test]
     fn idle_until_records_visible_wait() {
         let mut m = Machine::new(MachineConfig::dgx_like(2));
-        m.run(
-            DeviceId::Gpu(0),
-            Phase::Training,
-            true,
-            SimTime::from_secs(1.0),
-        );
+        m.run(Phase::Training, true, SimTime::from_secs(1.0));
+        // Already at the target: no span.
         m.idle_until(SimTime::from_secs(1.0));
-        // GPU 0 is already at the target — no span; GPU 1 idles for 1 s.
-        assert_eq!(m.trace(DeviceId::Gpu(0)).events().len(), 1);
-        let ev = &m.trace(DeviceId::Gpu(1)).events()[0];
+        m.idle_until(SimTime::from_secs(0.5));
+        assert_eq!(m.trace().events().len(), 1);
+        m.idle_until(SimTime::from_secs(2.5));
+        let ev = &m.trace().events()[1];
         assert_eq!(ev.phase, Phase::Idle);
         assert!(!ev.busy);
-        assert_eq!(m.now(DeviceId::Gpu(1)), SimTime::from_secs(1.0));
+        assert_eq!(ev.duration(), SimTime::from_secs(1.5));
+        assert_eq!(m.now(), SimTime::from_secs(2.5));
     }
 
     #[test]
     fn cluster_barrier_gates_on_slowest_node() {
         let mut a = Machine::new(MachineConfig::dgx_like(2));
         let mut b = Machine::new(MachineConfig::dgx_like(2));
-        b.run(
-            DeviceId::Gpu(0),
-            Phase::Training,
-            true,
-            SimTime::from_secs(2.0),
-        );
+        b.run(Phase::Training, true, SimTime::from_secs(2.0));
         let t = cluster_barrier(&mut [&mut a, &mut b]);
         assert_eq!(t, SimTime::from_secs(2.0));
-        for m in [&a, &b] {
-            for g in m.gpus() {
-                assert_eq!(m.now(g), t);
-            }
-        }
+        assert_eq!((a.now(), b.now()), (t, t));
+        // The fast node waited visibly; the slow one recorded nothing new.
+        assert_eq!(a.trace().events()[0].phase, Phase::Idle);
+        assert_eq!(b.trace().events().len(), 1);
+        assert_eq!(cluster_barrier(&mut []), SimTime::ZERO);
     }
 }

@@ -175,16 +175,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Compute a bandwidth in GB/s given a byte volume and the simulated span it
-/// took to move it. Returns 0 for a zero span.
-pub fn bandwidth_gbps(bytes: u64, elapsed: SimTime) -> f64 {
-    if elapsed.is_zero() {
-        0.0
-    } else {
-        bytes as f64 / elapsed.as_secs() / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,14 +221,6 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_micros(1.35)), "1.350us");
         assert_eq!(format!("{}", SimTime::from_millis(23.4)), "23.400ms");
         assert_eq!(format!("{}", SimTime::from_secs(6.0)), "6.000s");
-    }
-
-    #[test]
-    fn bandwidth_helper() {
-        // 300 GB moved in one second is 300 GB/s.
-        let bw = bandwidth_gbps(300_000_000_000, SimTime::from_secs(1.0));
-        assert!((bw - 300.0).abs() < 1e-9);
-        assert_eq!(bandwidth_gbps(100, SimTime::ZERO), 0.0);
     }
 
     #[test]

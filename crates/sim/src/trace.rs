@@ -4,10 +4,10 @@
 //! PyG, DGL and WholeGraph: the host-memory frameworks oscillate between 0%
 //! (GPU starving while the CPU samples/gathers) and bursts of activity,
 //! while WholeGraph stays ≥95% busy. We reproduce this by recording, per
-//! device, the simulated interval every pipeline phase occupies, tagged
-//! with whether the *device under measurement* was busy or idle-waiting.
+//! machine, the simulated interval every pipeline phase occupies, tagged
+//! with whether the node's GPUs — which run each wave in lockstep — were
+//! busy or idle-waiting.
 
-use crate::device::DeviceId;
 use crate::time::SimTime;
 
 /// Pipeline phase labels (also the legend of Figures 9 and 11).
@@ -66,18 +66,16 @@ impl Phase {
     }
 }
 
-/// One recorded interval on one device.
+/// One recorded interval on a machine's timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceEvent {
-    /// Device the interval belongs to.
-    pub device: DeviceId,
     /// Interval start (simulated).
     pub start: SimTime,
     /// Interval end (simulated).
     pub end: SimTime,
-    /// What the device was doing.
+    /// What the GPUs were doing.
     pub phase: Phase,
-    /// Whether the device was actively computing during the interval
+    /// Whether the GPUs were actively computing during the interval
     /// (`false` = stalled waiting for data — the utilization dips of
     /// Figure 12).
     pub busy: bool,
@@ -90,7 +88,7 @@ impl TraceEvent {
     }
 }
 
-/// An append-only utilization trace for one device.
+/// An append-only utilization trace for one machine.
 #[derive(Clone, Debug, Default)]
 pub struct UtilizationTrace {
     events: Vec<TraceEvent>,
@@ -105,10 +103,12 @@ impl UtilizationTrace {
     /// Record an interval. Intervals must be well-formed (`end >= start`).
     ///
     /// This is the chokepoint every simulated interval passes through
-    /// ([`crate::Machine::run`] and stream-span recording both land
-    /// here), so it also accrues the interval into the per-phase
+    /// ([`crate::Machine::run`] and [`crate::Machine::record_span`] both
+    /// land here), so it also accrues the interval into the per-phase
     /// `sim.phase.*_s` counters when `wg-trace` metrics are enabled —
-    /// one atomic-load probe otherwise.
+    /// one atomic-load probe otherwise. Each interval accrues once: the
+    /// counters are machine seconds, not GPU-seconds summed over the
+    /// node's GPUs.
     pub fn record(&mut self, ev: TraceEvent) {
         assert!(
             ev.end >= ev.start,
@@ -125,12 +125,12 @@ impl UtilizationTrace {
 
     /// Total busy time in `[from, to)`.
     ///
-    /// Busy intervals are **unioned**, not summed: stream-scheduled
-    /// executors record overlapping busy spans on the same device (e.g.
-    /// gather on the input stream while training runs on the compute
-    /// stream), and a device that is doing two things at once is still
-    /// only busy once. For non-overlapping traces (everything the serial
-    /// executor records) union and sum agree exactly.
+    /// Busy intervals are **unioned**, not summed: the overlapped
+    /// schedule records overlapping busy spans (e.g. gather on the input
+    /// cursor while training runs on the train cursor), and GPUs doing two
+    /// things at once are still only busy once. For non-overlapping traces
+    /// (everything the serial schedule records) union and sum agree
+    /// exactly.
     pub fn busy_time(&self, from: SimTime, to: SimTime) -> SimTime {
         let mut spans: Vec<(SimTime, SimTime)> = self
             .events
@@ -168,7 +168,7 @@ impl UtilizationTrace {
     }
 
     /// Utilization sampled over `bins` equal windows spanning the whole
-    /// trace — the Figure 12 time series for one device.
+    /// trace — the Figure 12 time series.
     pub fn utilization_series(&self, bins: usize) -> Vec<(SimTime, f64)> {
         let end = self
             .events
@@ -188,17 +188,7 @@ impl UtilizationTrace {
             .collect()
     }
 
-    /// Total time attributed to each phase (busy or not) — Figures 9/11
-    /// breakdowns.
-    pub fn phase_total(&self, phase: Phase) -> SimTime {
-        self.events
-            .iter()
-            .filter(|e| e.phase == phase)
-            .map(|e| e.duration())
-            .sum()
-    }
-
-    /// Append this device's intervals to a Chrome trace as one `(pid,
+    /// Append this machine's intervals to a Chrome trace as one `(pid,
     /// tid)` track, labeled `label`. Timestamps are **simulated** time
     /// mapped to trace microseconds; `busy` is carried as an event arg
     /// so Perfetto can color/filter the starvation dips of Figure 12.
@@ -224,7 +214,6 @@ mod tests {
 
     fn ev(start: f64, end: f64, phase: Phase, busy: bool) -> TraceEvent {
         TraceEvent {
-            device: DeviceId::Gpu(0),
             start: SimTime::from_secs(start),
             end: SimTime::from_secs(end),
             phase,
@@ -249,8 +238,8 @@ mod tests {
 
     #[test]
     fn overlapping_busy_intervals_count_once() {
-        // Two streams of the same device busy over the same wall-clock
-        // span must not push utilization past 100%.
+        // Input and train spans busy over the same simulated time must
+        // not push utilization past 100%.
         let mut t = UtilizationTrace::new();
         t.record(ev(0.0, 3.0, Phase::Training, true));
         t.record(ev(1.0, 4.0, Phase::Gather, true));
@@ -278,18 +267,6 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert!((s[0].1 - 1.0).abs() < 1e-12);
         assert!((s[3].1 - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_totals() {
-        let mut t = UtilizationTrace::new();
-        t.record(ev(0.0, 1.5, Phase::Sampling, false));
-        t.record(ev(1.5, 2.0, Phase::Gather, false));
-        t.record(ev(2.0, 3.0, Phase::Training, true));
-        t.record(ev(3.0, 4.5, Phase::Sampling, false));
-        assert_eq!(t.phase_total(Phase::Sampling).as_secs(), 3.0);
-        assert_eq!(t.phase_total(Phase::Gather).as_secs(), 0.5);
-        assert_eq!(t.phase_total(Phase::Training).as_secs(), 1.0);
     }
 
     #[test]
@@ -341,12 +318,11 @@ mod tests {
     #[test]
     fn busy_tag_not_phase_decides_occupancy() {
         // Phase labels say what ran; only the busy flag says whether the
-        // device under measurement was utilized (host-side sampling is
-        // recorded as Sampling/busy=false — a Figure 12 dip).
+        // GPUs were utilized (host-side sampling is recorded as
+        // Sampling/busy=false — a Figure 12 dip).
         let mut t = UtilizationTrace::new();
         t.record(ev(0.0, 1.0, Phase::Sampling, false));
         t.record(ev(1.0, 2.0, Phase::Sampling, true));
-        assert_eq!(t.phase_total(Phase::Sampling).as_secs(), 2.0);
         assert_eq!(
             t.busy_time(SimTime::ZERO, SimTime::from_secs(2.0))
                 .as_secs(),

@@ -22,6 +22,11 @@
 #     halo-free N=1 and a real end-to-end speedup).
 #   * every JSON left in <out-dir> — artifacts and Chrome traces alike —
 #     must parse.
+#   * the sweeps are simulated-clock artifacts, so they must regenerate
+#     as committed: BENCH_cache.json, BENCH_serving.json and
+#     BENCH_multinode.json byte for byte, BENCH_storage.json in
+#     everything but `fetch_ms` (its one host-clock column). A change
+#     that re-prices on purpose commits the new JSON and passes.
 #
 # Leaves in <out-dir>: baseline.json (committed numbers), current.json
 # (this run), wallclock_trace.json (merged host/sim Chrome trace — load
@@ -107,11 +112,37 @@ cp BENCH_multinode.json "$OUT_DIR/multinode.json"
 echo "bench_gate: every JSON in $OUT_DIR parses"
 for f in "$OUT_DIR"/*.json; do python3 -m json.tool "$f" >/dev/null; done
 
+echo "bench_gate: simulated-clock artifacts match the committed copies"
+MOVED=()
+for f in BENCH_cache.json BENCH_serving.json BENCH_multinode.json; do
+    git diff --quiet -- "$f" || MOVED+=("$f")
+done
+python3 - <<'PY' || MOVED+=("BENCH_storage.json (beyond fetch_ms)")
+import json, subprocess, sys
+
+def strip(x):
+    if isinstance(x, dict):
+        return {k: strip(v) for k, v in x.items() if k != "fetch_ms"}
+    if isinstance(x, list):
+        return [strip(v) for v in x]
+    return x
+
+new = json.load(open("BENCH_storage.json"))
+old = json.loads(subprocess.check_output(["git", "show", ":BENCH_storage.json"]))
+sys.exit(0 if strip(new) == strip(old) else 1)
+PY
+
 # The benches rewrote BENCH_wallclock.json / BENCH_multinode.json /
 # BENCH_cache.json / BENCH_storage.json / BENCH_serving.json in place;
 # restore the committed copies so the gate leaves the tree clean (this
 # run's copies live in $OUT_DIR).
 git checkout -- BENCH_wallclock.json BENCH_multinode.json BENCH_cache.json \
     BENCH_storage.json BENCH_serving.json 2>/dev/null || true
+
+if [ ${#MOVED[@]} -gt 0 ]; then
+    echo "bench_gate: FAIL: the simulated clock moved in: ${MOVED[*]}" >&2
+    echo "  (this run's copies are in $OUT_DIR/; commit them if the change re-prices on purpose)" >&2
+    exit 1
+fi
 
 echo "bench_gate: OK (artifacts in $OUT_DIR/)"

@@ -116,11 +116,12 @@ fn dsm_and_host_stores_hold_the_same_graph() {
         &machine.memory(),
     )
     .unwrap();
+    let adj = store.adjacency();
     for v in (0..d.num_nodes() as u64).step_by(97) {
-        let via_dsm: HashSet<u64> = store
-            .neighbors_of(v)
-            .into_iter()
-            .map(|g| store.partition().node_of(g))
+        let via_dsm: HashSet<u64> = adj
+            .neighbors(store.partition().global_id(v))
+            .iter()
+            .map(|&raw| store.partition().node_of(wg_graph::GlobalId::from_raw(raw)))
             .collect();
         let via_host: HashSet<u64> = d.graph.neighbors(v).iter().copied().collect();
         assert_eq!(via_dsm, via_host, "adjacency of node {v} diverges");

@@ -255,16 +255,23 @@ fn per_node_attribution_covers_metrics_and_the_cluster_trace() {
         "per-node halo counters {halo_sum} < report {report_halo}"
     );
 
-    // Trace half: the merged cluster export gives every node its own
-    // Chrome process, with per-phase spans for comm and compute.
+    // Trace half: the merged cluster export gives every node one Chrome
+    // process holding its one simulated track (the node's GPUs run in
+    // lockstep), with per-phase spans for comm and compute.
     let machines = mn.machines();
     let json = wholegraph::observability::cluster_chrome_trace_json(&machines);
     for k in 0..2 {
         assert!(
-            json.contains(&format!("node{k} devices (sim time)")),
+            json.contains(&format!("node{k} (sim time)")),
             "node {k} missing its Chrome process"
         );
     }
+    assert_eq!(
+        json.matches(" (sim time)").count(),
+        2,
+        "one process per node"
+    );
+    assert_eq!(json.matches("\"2 GPUs\"").count(), 2, "one track per node");
     // Per-phase spans for comm and compute are present in the merged
     // trace (the occupancy evidence the sweep points summarize).
     assert!(json.contains("\"training\""));

@@ -18,7 +18,6 @@ use wg_sample::{
 use wg_sim::Machine;
 
 fn assert_minibatch_eq(a: &MiniBatch, b: &MiniBatch, what: &str) {
-    assert_eq!(a.batch_size, b.batch_size, "{what}: batch_size");
     assert_eq!(a.frontiers, b.frontiers, "{what}: frontiers");
     assert_eq!(a.blocks.len(), b.blocks.len(), "{what}: block count");
     for (l, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
@@ -26,7 +25,6 @@ fn assert_minibatch_eq(a: &MiniBatch, b: &MiniBatch, what: &str) {
         assert_eq!(x.num_src, y.num_src, "{what}: block {l} num_src");
         assert_eq!(x.offsets, y.offsets, "{what}: block {l} offsets");
         assert_eq!(x.indices, y.indices, "{what}: block {l} indices");
-        assert_eq!(x.edge_ids, y.edge_ids, "{what}: block {l} edge_ids");
         assert_eq!(x.dup_count, y.dup_count, "{what}: block {l} dup_count");
     }
 }
