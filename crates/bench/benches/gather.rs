@@ -16,7 +16,7 @@ fn bench_gather(c: &mut Criterion) {
     let spec = DeviceSpec::a100_40gb();
     let rows = 100_000usize;
     let width = 128usize;
-    let wm = WholeMemory::<f32>::allocate(&model, 8, rows, width, AccessMode::PeerAccess);
+    let mut wm = WholeMemory::<f32>::allocate(&model, 8, rows, width, AccessMode::PeerAccess);
     wm.init_rows(|r, out| {
         for (j, v) in out.iter_mut().enumerate() {
             *v = (r + j) as f32;

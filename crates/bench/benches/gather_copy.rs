@@ -109,7 +109,7 @@ fn bench_ooc_fetch(c: &mut Criterion) {
     ];
     for (name, rows, resident_share, batch, zipf_tail) in shapes {
         let width = 100usize;
-        let wm = WholeMemory::<f32>::allocate(&model, 4, rows, width, AccessMode::PeerAccess);
+        let mut wm = WholeMemory::<f32>::allocate(&model, 4, rows, width, AccessMode::PeerAccess);
         wm.init_rows(|r, out| out.fill(r as f32));
         // Popularity rank -> row through a seeded permutation; hotness is
         // the rank reversed, so the hottest `rows / share` stay resident.

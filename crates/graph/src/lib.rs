@@ -35,4 +35,4 @@ pub use csr::Csr;
 pub use datasets::{DatasetKind, DegreeProfile, SyntheticDataset};
 pub use global_id::GlobalId;
 pub use partition::{HashPartition, PartitionQuality};
-pub use store::{AdjacencyView, HostGraph, MultiGpuGraph};
+pub use store::{HostGraph, MultiGpuGraph};

@@ -10,7 +10,7 @@
 //! feature matrix stay in host DRAM ("Graph Store Server" of Figure 1), and
 //! every mini-batch must be assembled on the CPU and shipped over PCIe.
 
-use wg_mem::{RegionView, WholeMemory};
+use wg_mem::WholeMemory;
 use wg_sim::cost::AccessMode;
 use wg_sim::memory::{AllocKind, MemoryAccounting, OutOfMemory};
 use wg_sim::{CostModel, DeviceId, SimTime};
@@ -96,7 +96,7 @@ impl MultiGpuGraph {
         let edge_rows_per_rank = edge_counts.iter().copied().max().unwrap_or(0).max(1);
         let padded = partition.padded_rows();
 
-        let node_meta = WholeMemory::<u64>::allocate_tracked(
+        let mut node_meta = WholeMemory::<u64>::allocate_tracked(
             model,
             ranks,
             padded,
@@ -105,7 +105,7 @@ impl MultiGpuGraph {
             acct,
             AllocKind::GraphStructure,
         )?;
-        let edges = WholeMemory::<u64>::allocate_tracked(
+        let mut edges = WholeMemory::<u64>::allocate_tracked(
             model,
             ranks,
             edge_rows_per_rank * ranks as usize,
@@ -114,7 +114,7 @@ impl MultiGpuGraph {
             acct,
             AllocKind::GraphStructure,
         )?;
-        let features_wm = WholeMemory::<f32>::allocate_tracked(
+        let mut features_wm = WholeMemory::<f32>::allocate_tracked(
             model,
             ranks,
             padded,
@@ -127,16 +127,15 @@ impl MultiGpuGraph {
         // Each rank fills its own partition (concurrently in the real
         // system; sequential per rank here keeps the cursor logic clear).
         for r in 0..ranks {
+            let edge_region = edges.region_mut(r);
             let mut cursor = 0u64;
             for (local, &v) in partition.nodes_on_rank(r).iter().enumerate() {
                 let deg = graph.degree(v) as u64;
                 let meta_row = r as usize * partition.rows_per_rank() + local;
                 node_meta.write_row(meta_row, &[cursor, deg]);
-                edges.with_region_mut(r, |region| {
-                    for (k, &t) in graph.neighbors(v).iter().enumerate() {
-                        region[cursor as usize + k] = partition.global_id(t).raw();
-                    }
-                });
+                for (k, &t) in graph.neighbors(v).iter().enumerate() {
+                    edge_region[cursor as usize + k] = partition.global_id(t).raw();
+                }
                 if feature_dim > 0 {
                     features_wm.write_row(
                         meta_row,
@@ -206,54 +205,26 @@ impl MultiGpuGraph {
         self.degree_of_global(self.partition.global_id(v))
     }
 
-    /// Out-degree by GlobalId.
-    pub fn degree_of_global(&self, g: GlobalId) -> usize {
-        let mut meta = [0u64; 2];
-        self.node_meta.read_row(
-            g.rank() as usize * self.partition.rows_per_rank() + g.local() as usize,
-            &mut meta,
-        );
-        meta[1] as usize
-    }
-
-    /// Pin the structure allocations (node metadata + edge lists) and
-    /// return a zero-copy [`AdjacencyView`]: degree / neighbor lookups
-    /// become plain indexed loads into the pinned regions, with no
-    /// per-call locking and no copying — the CPU analogue of a sampling
-    /// kernel dereferencing the DSM pointer table directly.
-    pub fn adjacency(&self) -> AdjacencyView<'_> {
-        AdjacencyView {
-            meta: self.node_meta.pin(),
-            edges: self.edges.pin(),
-        }
-    }
-}
-
-/// Zero-copy adjacency access over a pinned [`MultiGpuGraph`], created by
-/// [`MultiGpuGraph::adjacency`]. Neighbor lists are borrowed straight out
-/// of the pinned edge regions — sampling `m ≤ fanout` of `deg` neighbors
-/// never materializes the `deg`-entry list.
-pub struct AdjacencyView<'a> {
-    meta: RegionView<'a, u64>,
-    edges: RegionView<'a, u64>,
-}
-
-impl AdjacencyView<'_> {
-    /// `[edge_start_local, degree]` metadata of a node.
+    /// `[edge_start_local, degree]` metadata of a node, read in place out
+    /// of its owner's region.
     #[inline]
     fn meta_of(&self, g: GlobalId) -> (usize, usize) {
         let row = g.local() as usize * 2;
-        let meta = &self.meta.region(g.rank())[row..row + 2];
+        let meta = &self.node_meta.region(g.rank())[row..row + 2];
         (meta[0] as usize, meta[1] as usize)
     }
 
-    /// Out-degree of a node.
+    /// Out-degree by GlobalId.
     #[inline]
-    pub fn degree(&self, g: GlobalId) -> usize {
+    pub fn degree_of_global(&self, g: GlobalId) -> usize {
         self.meta_of(g).1
     }
 
-    /// Borrowed neighbor list (raw [`GlobalId`]s) of a node.
+    /// Neighbor list (raw [`GlobalId`]s) of a node, borrowed straight out
+    /// of its owner's edge region — the CPU analogue of a sampling kernel
+    /// dereferencing the DSM pointer table: no locking, no copying, and
+    /// sampling `m ≤ fanout` of `deg` neighbors never materializes the
+    /// `deg`-entry list.
     #[inline]
     pub fn neighbors(&self, g: GlobalId) -> &[u64] {
         let (start, deg) = self.meta_of(g);
@@ -351,10 +322,9 @@ mod tests {
     #[test]
     fn adjacency_roundtrips_through_dsm() {
         let (store, g, _) = tiny_store(8);
-        let adj = store.adjacency();
         for v in 0..200u64 {
             assert_eq!(store.degree(v), g.degree(v), "degree of {v}");
-            let got: Vec<NodeId> = adj
+            let got: Vec<NodeId> = store
                 .neighbors(store.partition().global_id(v))
                 .iter()
                 .map(|&raw| store.partition().node_of(GlobalId::from_raw(raw)))

@@ -400,7 +400,8 @@ mod tests {
 
     fn wm(rows: usize, width: usize, ranks: u32) -> WholeMemory<f32> {
         let model = CostModel::dgx_a100();
-        let wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
+        let mut wm =
+            WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
         wm.init_rows(|row, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (row * 100 + j) as f32;

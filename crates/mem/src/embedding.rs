@@ -34,7 +34,8 @@ impl EmbeddingTable {
     /// Allocate a `rows × dim` table across `ranks` GPUs, initialized
     /// N(0, 0.1)-ish via Box–Muller.
     pub fn new(model: &CostModel, ranks: u32, rows: usize, dim: usize, seed: u64) -> Self {
-        let weights = WholeMemory::<f32>::allocate(model, ranks, rows, dim, AccessMode::PeerAccess);
+        let mut weights =
+            WholeMemory::<f32>::allocate(model, ranks, rows, dim, AccessMode::PeerAccess);
         let state = WholeMemory::<f32>::allocate(model, ranks, rows, dim, AccessMode::PeerAccess);
         weights.init_rows(|row, out| {
             let mut rng =
@@ -85,7 +86,7 @@ impl EmbeddingTable {
     /// `grads` (`rows.len() × dim`). Returns the simulated time of the
     /// scatter-update kernel (reads + writes both weight and state rows).
     pub fn apply_sparse_adagrad(
-        &self,
+        &mut self,
         rows: &[usize],
         grads: &[f32],
         lr: f32,
@@ -106,31 +107,16 @@ impl EmbeddingTable {
             "rows passed to sparse update must be unique"
         );
         let dim = self.dim;
-        // Group updates per home rank so region locks are taken once.
         let partition = self.weights.partition();
-        let mut by_rank: Vec<Vec<(usize, &[f32])>> =
-            (0..self.weights.ranks()).map(|_| Vec::new()).collect();
-        for (i, &row) in rows.iter().enumerate() {
+        for (&row, g) in rows.iter().zip(grads.chunks_exact(dim)) {
             let loc = partition.locate(row);
-            by_rank[loc.device_rank as usize].push((loc.local_row, &grads[i * dim..(i + 1) * dim]));
-        }
-        for (rank, updates) in by_rank.iter().enumerate() {
-            if updates.is_empty() {
-                continue;
+            let base = loc.local_row * dim;
+            let state = &mut self.state.region_mut(loc.device_rank)[base..base + dim];
+            let weights = &mut self.weights.region_mut(loc.device_rank)[base..base + dim];
+            for ((s, w), &gj) in state.iter_mut().zip(weights).zip(g) {
+                *s += gj * gj;
+                *w -= lr * gj / (s.sqrt() + eps);
             }
-            self.state.with_region_mut(rank as u32, |sregion| {
-                self.weights.with_region_mut(rank as u32, |wregion| {
-                    for (local, g) in updates {
-                        let base = local * dim;
-                        for j in 0..dim {
-                            let gj = g[j];
-                            let s = &mut sregion[base + j];
-                            *s += gj * gj;
-                            wregion[base + j] -= lr * gj / (s.sqrt() + eps);
-                        }
-                    }
-                });
-            });
         }
         // Kernel cost: each touched row moves 4 row-widths (read w, read
         // s, write w, write s) over the gather path.
@@ -162,7 +148,7 @@ mod tests {
 
     #[test]
     fn adagrad_update_matches_scalar_reference() {
-        let (t, model, spec) = setup(10, 4);
+        let (mut t, model, spec) = setup(10, 4);
         let rows = vec![3usize, 7];
         let mut before = vec![0.0f32; 2 * 4];
         t.gather(&rows, &mut before, 0, &model, &spec);
@@ -193,7 +179,7 @@ mod tests {
     #[test]
     fn repeated_updates_shrink_step_size() {
         // Adagrad: same gradient applied twice moves less the second time.
-        let (t, model, spec) = setup(4, 2);
+        let (mut t, model, spec) = setup(4, 2);
         let rows = vec![1usize];
         let grads = vec![1.0f32, 1.0];
         let read = |t: &EmbeddingTable| {
@@ -215,7 +201,7 @@ mod tests {
     fn embeddings_learn_a_regression_target() {
         // Minimize ||e_r - target_r||² over a handful of rows with sparse
         // updates; distance must collapse.
-        let (t, model, spec) = setup(32, 4);
+        let (mut t, model, spec) = setup(32, 4);
         let rows: Vec<usize> = (0..8).collect();
         let target: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
         let mut dist_start = None;
@@ -245,7 +231,7 @@ mod tests {
 
     #[test]
     fn update_time_scales_with_rows() {
-        let (t, model, spec) = setup(1000, 16);
+        let (mut t, model, spec) = setup(1000, 16);
         let few: Vec<usize> = (0..10).collect();
         let many: Vec<usize> = (0..500).collect();
         let tf = t.apply_sparse_adagrad(&few, &vec![0.0; 10 * 16], 0.1, 1e-8, &model, &spec);

@@ -182,8 +182,7 @@ struct PlannedInsert {
 /// [`TierStack::plan`] resolves every index through a pooled
 /// [`ChunkLocator`] (division-free, built once per partition) and counts
 /// rows per owning rank, so [`TierStack::execute`] is a pure copy loop —
-/// no `locate()`, no reduction, and with a warm plan no heap allocation
-/// beyond the region read-guard table.
+/// no `locate()`, no reduction, and with a warm plan no heap allocation.
 #[derive(Default)]
 pub struct RowPlan {
     slots: Vec<PlannedRow>,
@@ -387,7 +386,7 @@ impl<T: Element> TierStack<T> {
             plan.rows() * width,
             "gather output buffer has wrong size"
         );
-        let regions = wm.read_all();
+        let regions = wm.regions();
         let level = wg_tensor::simd::level();
 
         // Apply this batch's CLOCK fills before the copy loop: a hit planned
@@ -401,7 +400,7 @@ impl<T: Element> TierStack<T> {
                 let src = if ins.src_rank == DISK_RANK {
                     spilled
                 } else {
-                    regions.region(ins.src_rank as usize)
+                    &regions[ins.src_rank as usize]
                 };
                 let slot = ins.slot as usize;
                 wg_tensor::simd::copy_slice(
@@ -419,8 +418,7 @@ impl<T: Element> TierStack<T> {
         // The "kernel": every thread block copies one output row from the
         // owning region through the pointer table (or from the device's own
         // cache store for hits, or the mapped spill file for spilled rows). All
-        // address translation already happened at plan time; the guard
-        // table is inline (no heap allocation at ≤ 16 ranks) and the row
+        // address translation already happened at plan time, and the row
         // copy streams through the SIMD path.
         out.par_chunks_mut(width.max(1))
             .zip(plan.slots.par_iter())
@@ -430,7 +428,7 @@ impl<T: Element> TierStack<T> {
                 } else if slot.rank == DISK_RANK {
                     spilled
                 } else {
-                    regions.region(slot.rank as usize)
+                    &regions[slot.rank as usize]
                 };
                 wg_tensor::simd::copy_slice(level, dst, &src[slot.start..slot.start + width]);
             });
@@ -620,7 +618,7 @@ mod tests {
         mode: AccessMode,
     ) -> (WholeMemory<f32>, CostModel, DeviceSpec) {
         let model = CostModel::dgx_a100();
-        let wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, mode);
+        let mut wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, mode);
         wm.init_rows(|row, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (row * 1000 + j) as f32;
@@ -965,7 +963,7 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let model = CostModel::dgx_a100();
-            let wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
+            let mut wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
             wm.init_rows(|row, out| {
                 for (j, v) in out.iter_mut().enumerate() {
                     *v = (row * 37 + j) as f32;
@@ -1000,7 +998,7 @@ mod tests {
         ) {
             let clock = seed % 2 == 0;
             let model = CostModel::dgx_a100();
-            let wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
+            let mut wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
             wm.init_rows(|row, out| {
                 for (j, v) in out.iter_mut().enumerate() {
                     *v = (row * 37 + j) as f32;

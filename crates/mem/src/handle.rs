@@ -3,12 +3,12 @@
 //! A [`WholeMemory`] is a matrix of `rows × width` elements whose rows are
 //! chunk-partitioned across the GPUs of a node (Figure 3 of the paper).
 //! Every device holds one region; after the IPC setup every device can read
-//! any region directly. In this reproduction a region is a `Vec<T>` behind
-//! an `RwLock` (concurrent gather kernels take read guards; initialization
-//! takes write guards), and "direct peer access" is a slice read whose
-//! simulated cost is charged by the calling op.
+//! any region directly. In this reproduction a region is an owned `Vec<T>`
+//! and the rank-indexed vector of regions *is* the memory pointer table:
+//! "direct peer access" is a slice read whose simulated cost is charged by
+//! the calling op. Writers take `&mut self`, so the borrow checker — not a
+//! lock — keeps them apart from readers.
 
-use parking_lot::RwLock;
 use rayon::prelude::*;
 
 use wg_sim::cost::AccessMode;
@@ -28,7 +28,7 @@ use crate::ipc;
 ///
 /// let model = CostModel::dgx_a100();
 /// // 1000 rows of 8 floats spread over 8 simulated GPUs.
-/// let wm = WholeMemory::<f32>::allocate(&model, 8, 1000, 8, AccessMode::PeerAccess);
+/// let mut wm = WholeMemory::<f32>::allocate(&model, 8, 1000, 8, AccessMode::PeerAccess);
 /// wm.init_rows(|row, out| out.fill(row as f32));
 ///
 /// // Any GPU gathers arbitrary rows with one kernel.
@@ -41,7 +41,8 @@ use crate::ipc;
 /// assert!(stats.sim_time.as_micros() > 0.0);
 /// ```
 pub struct WholeMemory<T> {
-    regions: Vec<RwLock<Vec<T>>>,
+    /// One region per rank, indexed by owning rank.
+    regions: Vec<Vec<T>>,
     partition: ChunkedPartition,
     width: usize,
     mode: AccessMode,
@@ -55,7 +56,7 @@ pub struct WholeMemory<T> {
 
 impl<T: Element> WholeMemory<T> {
     /// Allocate a `rows × width` matrix partitioned across `ranks` devices,
-    /// running the IPC handle-exchange setup protocol.
+    /// charging the IPC setup's simulated time ([`ipc::setup_time`]).
     pub fn allocate(
         model: &CostModel,
         ranks: u32,
@@ -67,24 +68,25 @@ impl<T: Element> WholeMemory<T> {
         assert!(rows > 0, "cannot allocate an empty WholeMemory");
         let partition = ChunkedPartition::new(rows, ranks);
         let elem = std::mem::size_of::<T>();
-        let regions: Vec<RwLock<Vec<T>>> = (0..ranks)
-            .map(|r| RwLock::new(vec![T::default(); partition.rows_on_rank(r) * width]))
+        let regions: Vec<Vec<T>> = (0..ranks)
+            .map(|r| vec![T::default(); partition.rows_on_rank(r) * width])
             .collect();
         let bytes_per_rank = (partition.rows_per_rank * width * elem) as u64;
-        let setup = ipc::exchange_handles(model, ranks, bytes_per_rank);
         let logical_bytes = (rows * width * elem) as u64;
         WholeMemory {
             regions,
             partition,
             width,
             mode,
-            setup_time: setup.setup_time,
+            setup_time: ipc::setup_time(model, ranks, bytes_per_rank),
             logical_bytes,
         }
     }
 
     /// Allocate and register the per-device byte usage with the machine's
-    /// memory accounting (Table IV).
+    /// memory accounting (Table IV). All or nothing: every rank is
+    /// registered before any memory is allocated, and an `OutOfMemory` on
+    /// one rank rolls back the ranks already registered.
     pub fn allocate_tracked(
         model: &CostModel,
         ranks: u32,
@@ -94,13 +96,18 @@ impl<T: Element> WholeMemory<T> {
         acct: &MemoryAccounting,
         kind: AllocKind,
     ) -> Result<Self, OutOfMemory> {
-        let wm = Self::allocate(model, ranks, rows, width, mode);
-        let elem = std::mem::size_of::<T>() as u64;
+        let partition = ChunkedPartition::new(rows, ranks);
+        let rank_bytes =
+            |r: u32| (partition.rows_on_rank(r) * width * std::mem::size_of::<T>()) as u64;
         for r in 0..ranks {
-            let bytes = wm.partition.rows_on_rank(r) as u64 * width as u64 * elem;
-            acct.alloc(DeviceId::Gpu(r), kind, bytes)?;
+            if let Err(oom) = acct.alloc(DeviceId::Gpu(r), kind, rank_bytes(r)) {
+                for done in 0..r {
+                    acct.free(DeviceId::Gpu(done), kind, rank_bytes(done));
+                }
+                return Err(oom);
+            }
         }
-        Ok(wm)
+        Ok(Self::allocate(model, ranks, rows, width, mode))
     }
 
     /// Number of rows.
@@ -159,18 +166,17 @@ impl<T: Element> WholeMemory<T> {
     pub fn read_row(&self, row: usize, out: &mut [T]) {
         assert_eq!(out.len(), self.width);
         let loc = self.locate(row);
-        let region = self.regions[loc.device_rank as usize].read();
         let start = loc.local_row * self.width;
-        out.copy_from_slice(&region[start..start + self.width]);
+        out.copy_from_slice(&self.region(loc.device_rank)[start..start + self.width]);
     }
 
     /// Overwrite a global row from `data` (length must equal `width`).
-    pub fn write_row(&self, row: usize, data: &[T]) {
+    pub fn write_row(&mut self, row: usize, data: &[T]) {
         assert_eq!(data.len(), self.width);
         let loc = self.locate(row);
-        let mut region = self.regions[loc.device_rank as usize].write();
-        let start = loc.local_row * self.width;
-        region[start..start + self.width].copy_from_slice(data);
+        let width = self.width;
+        let start = loc.local_row * width;
+        self.region_mut(loc.device_rank)[start..start + width].copy_from_slice(data);
     }
 
     /// Initialize every row in parallel: `f(global_row, row_slice)`.
@@ -178,17 +184,16 @@ impl<T: Element> WholeMemory<T> {
     /// This is the data-load path — each device fills its own partition
     /// concurrently, as the real library does when constructing graph
     /// storage.
-    pub fn init_rows<F>(&self, f: F)
+    pub fn init_rows<F>(&mut self, f: F)
     where
         F: Fn(usize, &mut [T]) + Send + Sync,
     {
         let width = self.width;
         let partition = self.partition;
         self.regions
-            .par_iter()
+            .par_iter_mut()
             .enumerate()
             .for_each(|(rank, region)| {
-                let mut region = region.write();
                 for (local, chunk) in region.chunks_mut(width).enumerate() {
                     let global = partition.global_row(rank as u32, local);
                     f(global, chunk);
@@ -196,90 +201,25 @@ impl<T: Element> WholeMemory<T> {
             });
     }
 
-    /// Run `f` with read access to the region of `rank`.
-    pub fn with_region<R>(&self, rank: u32, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&self.regions[rank as usize].read())
-    }
-
-    /// Run `f` with write access to the region of `rank`. Hands out a
-    /// slice, not the backing `Vec`: batched writers update rows in place
-    /// and must not be able to resize a region out from under the
-    /// partition map.
-    pub fn with_region_mut<R>(&self, rank: u32, f: impl FnOnce(&mut [T]) -> R) -> R {
-        f(&mut self.regions[rank as usize].write())
-    }
-
-    /// Pin every region under a read guard and return a [`RegionView`] that
-    /// hands out borrowed slices — the zero-copy analogue of a kernel
-    /// holding the DSM pointer table: one lock acquisition per region up
-    /// front, then plain indexed loads with no per-access locking or
-    /// copying. Writers block while a view is live, so callers should keep
-    /// views scoped to read-only phases (e.g. one sampling pass).
-    pub fn pin(&self) -> RegionView<'_, T> {
-        RegionView {
-            guards: self.regions.iter().map(|r| r.read()).collect(),
-        }
-    }
-
-    /// Acquire read guards on all regions (a gather kernel's view of the
-    /// whole address space through its pointer table). The guards live in
-    /// a fixed-size inline table up to [`INLINE_REGIONS`] ranks — one
-    /// node's worth of GPUs — so the per-batch gather takes zero heap
-    /// allocations; only >16-rank allocations spill to a heap table.
-    pub(crate) fn read_all(&self) -> RegionGuards<'_, T> {
-        let mut guards = RegionGuards {
-            inline: [const { None }; INLINE_REGIONS],
-            heap: Vec::new(),
-        };
-        if self.regions.len() <= INLINE_REGIONS {
-            for (slot, region) in guards.inline.iter_mut().zip(&self.regions) {
-                *slot = Some(region.read());
-            }
-        } else {
-            guards.heap = self.regions.iter().map(|r| r.read()).collect();
-        }
-        guards
-    }
-}
-
-/// How many region read-guards the gather path stores inline: one DGX
-/// node's worth of GPUs with headroom. Allocations on up to this many
-/// ranks get their whole-address-space view without heap allocation.
-pub(crate) const INLINE_REGIONS: usize = 16;
-
-/// An allocation-free table of read guards over every region — the gather
-/// kernel's view of the address space. Guards sit in a fixed inline array
-/// for ≤ [`INLINE_REGIONS`] ranks; larger (multi-node-scale) allocations
-/// spill to a heap table.
-pub(crate) struct RegionGuards<'a, T> {
-    inline: [Option<parking_lot::RwLockReadGuard<'a, Vec<T>>>; INLINE_REGIONS],
-    heap: Vec<parking_lot::RwLockReadGuard<'a, Vec<T>>>,
-}
-
-impl<T> RegionGuards<'_, T> {
     /// The memory region owned by `rank`.
     #[inline]
-    pub(crate) fn region(&self, rank: usize) -> &[T] {
-        if self.heap.is_empty() {
-            self.inline[rank].as_ref().expect("rank out of range")
-        } else {
-            &self.heap[rank]
-        }
-    }
-}
-
-/// Read guards over every region of a [`WholeMemory`], created by
-/// [`WholeMemory::pin`]. Region slices are borrowed straight out of the
-/// guards, so reads through a view neither lock nor copy.
-pub struct RegionView<'a, T> {
-    guards: Vec<parking_lot::RwLockReadGuard<'a, Vec<T>>>,
-}
-
-impl<T: Element> RegionView<'_, T> {
-    /// The full memory region owned by `rank`.
-    #[inline]
     pub fn region(&self, rank: u32) -> &[T] {
-        &self.guards[rank as usize]
+        &self.regions[rank as usize]
+    }
+
+    /// Every region, indexed by owning rank — the memory pointer table a
+    /// gather kernel indexes with a row's owner.
+    #[inline]
+    pub fn regions(&self) -> &[Vec<T>] {
+        &self.regions
+    }
+
+    /// Mutable access to the region of `rank`. Hands out a slice, not the
+    /// backing `Vec`: batched writers update rows in place and must not be
+    /// able to resize a region out from under the partition map.
+    #[inline]
+    pub fn region_mut(&mut self, rank: u32) -> &mut [T] {
+        &mut self.regions[rank as usize]
     }
 }
 
@@ -303,7 +243,7 @@ mod tests {
 
     #[test]
     fn read_write_roundtrip() {
-        let wm = WholeMemory::<f32>::allocate(&model(), 3, 7, 2, AccessMode::PeerAccess);
+        let mut wm = WholeMemory::<f32>::allocate(&model(), 3, 7, 2, AccessMode::PeerAccess);
         for row in 0..7 {
             wm.write_row(row, &[row as f32, -(row as f32)]);
         }
@@ -316,7 +256,7 @@ mod tests {
 
     #[test]
     fn init_rows_covers_every_row() {
-        let wm = WholeMemory::<u32>::allocate(&model(), 5, 23, 4, AccessMode::PeerAccess);
+        let mut wm = WholeMemory::<u32>::allocate(&model(), 5, 23, 4, AccessMode::PeerAccess);
         wm.init_rows(|row, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (row * 10 + j) as u32;
@@ -369,6 +309,31 @@ mod tests {
             AllocKind::Features,
         );
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn tracked_allocation_oom_charges_no_rank() {
+        // Fits rank 0's 1 MiB but not rank 1's 16 bytes: the refusal must
+        // leave rank 0 uncharged too.
+        let acct = MemoryAccounting::new([(DeviceId::Gpu(0), 1 << 20), (DeviceId::Gpu(1), 16)]);
+        let res = WholeMemory::<f32>::allocate_tracked(
+            &model(),
+            2,
+            100,
+            8,
+            AccessMode::PeerAccess,
+            &acct,
+            AllocKind::Features,
+        );
+        let err = res.err().expect("rank 1 cannot hold its half");
+        assert_eq!(err.device, DeviceId::Gpu(1));
+        for r in 0..2 {
+            assert_eq!(
+                acct.pool(DeviceId::Gpu(r)).used(),
+                0,
+                "gpu{r} still charged"
+            );
+        }
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! This crate reproduces §III-B of the WholeGraph paper: a library that
 //! treats the device memory of all GPUs on a node as **one logically shared
-//! address space**. Each (simulated) GPU process allocates its partition,
-//! exposes it through a CUDA-IPC-style handle, the handles are AllGathered,
-//! and every device ends up with a *memory pointer table* through which it
-//! can directly load/store any peer's memory — the GPUDirect P2P path.
+//! address space**. On the real system each GPU process allocates its
+//! partition, exports a CUDA IPC handle, the handles are AllGathered, and
+//! every device ends up with a *memory pointer table* through which it can
+//! directly load/store any peer's memory — the GPUDirect P2P path. Here a
+//! [`WholeMemory`] owns one region per GPU, its rank-indexed region vector
+//! is that pointer table, and the one-time setup is priced, not re-enacted.
 //!
 //! On top of the address space the crate implements the paper's
 //! communication primitives:
 //!
 //! * [`handle`] — [`WholeMemory`], the distributed allocation itself, with
 //!   chunked row partitioning and global addressing;
-//! * [`ipc`] — the handle-exchange setup protocol (AllGather of handles,
-//!   pointer-table construction, setup-time cost);
+//! * [`ipc`] — the closed-form price of the IPC setup (`cudaMalloc`,
+//!   AllGather of handles, opening peer handles);
 //! * [`access`] — element-level global reads/writes and address
 //!   translation;
 //! * [`gather`] — the **one-kernel global gather** of §III-C3 (each GPU
@@ -56,7 +58,6 @@ pub use cache::{CacheMode, FeatureCache};
 pub use embedding::EmbeddingTable;
 pub use gather::{GatherStats, RowPlan, StorageIo, TierStack};
 pub use halo::{halo_exchange, HaloStats};
-pub use handle::{RegionView, WholeMemory};
-pub use ipc::{IpcHandle, MemoryPointerTable, SetupReport};
+pub use handle::WholeMemory;
 pub use nccl::NcclGatherStats;
 pub use ooc::{OocTier, MAX_TRANSFER_BYTES};

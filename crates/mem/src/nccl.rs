@@ -116,12 +116,11 @@ pub fn nccl_gather<T: Element>(
         .enumerate()
         .map(|(rank, bucket)| {
             let mut buf = vec![T::default(); bucket.len() * width];
-            wm.with_region(rank as u32, |region| {
-                for ((_, row), dst) in bucket.iter().zip(buf.chunks_mut(width)) {
-                    let local = partition.locate(*row).local_row;
-                    dst.copy_from_slice(&region[local * width..local * width + width]);
-                }
-            });
+            let region = wm.region(rank as u32);
+            for ((_, row), dst) in bucket.iter().zip(buf.chunks_mut(width)) {
+                let local = partition.locate(*row).local_row;
+                dst.copy_from_slice(&region[local * width..local * width + width]);
+            }
             buf
         })
         .collect();
@@ -172,7 +171,7 @@ mod tests {
 
     fn setup(rows: usize, width: usize) -> (WholeMemory<f32>, CostModel, DeviceSpec) {
         let model = CostModel::dgx_a100();
-        let wm = WholeMemory::<f32>::allocate(&model, 8, rows, width, AccessMode::PeerAccess);
+        let mut wm = WholeMemory::<f32>::allocate(&model, 8, rows, width, AccessMode::PeerAccess);
         wm.init_rows(|row, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (row * 31 + j) as f32;

@@ -190,13 +190,11 @@ impl<T: Element> OocTier<T> {
 
         // The file IS the feature matrix, row-major in native byte order:
         // a chunked partition's regions, in rank order, are its rows.
-        for rank in 0..wm.ranks() {
-            wm.with_region(rank, |region| {
-                let bytes = mem::size_of_val(region);
-                // SAFETY: `T: Pod` — no padding, so every byte of the
-                // region is initialised — and the view is exactly as long.
-                (&file).write_all(unsafe { slice::from_raw_parts(region.as_ptr().cast(), bytes) })
-            })?;
+        for region in wm.regions() {
+            let bytes = mem::size_of_val(region.as_slice());
+            // SAFETY: `T: Pod` — no padding, so every byte of the region
+            // is initialised — and the view is exactly as long.
+            (&file).write_all(unsafe { slice::from_raw_parts(region.as_ptr().cast(), bytes) })?;
         }
         let map = SpillMap::new(&file, rows * width)?;
 
@@ -326,7 +324,8 @@ mod tests {
 
     fn wm(rows: usize, width: usize, ranks: u32) -> WholeMemory<f32> {
         let model = CostModel::dgx_a100();
-        let wm = WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
+        let mut wm =
+            WholeMemory::<f32>::allocate(&model, ranks, rows, width, AccessMode::PeerAccess);
         wm.init_rows(|row, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (row * 131 + j) as f32;
@@ -353,7 +352,7 @@ mod tests {
     #[test]
     fn u8_rows_roundtrip_through_the_spill_file() {
         let model = CostModel::dgx_a100();
-        let wm = WholeMemory::<u8>::allocate(&model, 2, 40, 5, AccessMode::PeerAccess);
+        let mut wm = WholeMemory::<u8>::allocate(&model, 2, 40, 5, AccessMode::PeerAccess);
         wm.init_rows(|row, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (row * 7 + j) as u8;

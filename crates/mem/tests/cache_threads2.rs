@@ -29,7 +29,7 @@ const RANKS: u32 = 4;
 
 fn setup() -> (WholeMemory<f32>, CostModel, DeviceSpec) {
     let model = CostModel::dgx_a100();
-    let wm = WholeMemory::<f32>::allocate(&model, RANKS, ROWS, WIDTH, AccessMode::PeerAccess);
+    let mut wm = WholeMemory::<f32>::allocate(&model, RANKS, ROWS, WIDTH, AccessMode::PeerAccess);
     wm.init_rows(|row, out| {
         for (j, v) in out.iter_mut().enumerate() {
             *v = (row * 131 + j) as f32;
@@ -169,7 +169,7 @@ fn cache_and_tier_match_the_plain_gather<T: Element>(
     bits: impl Fn(&T) -> u64,
 ) {
     let (model, spec) = (CostModel::dgx_a100(), DeviceSpec::a100_40gb());
-    let wm = WholeMemory::<T>::allocate(&model, RANKS, ROWS, width, AccessMode::PeerAccess);
+    let mut wm = WholeMemory::<T>::allocate(&model, RANKS, ROWS, width, AccessMode::PeerAccess);
     wm.init_rows(|row, out| {
         for (j, v) in out.iter_mut().enumerate() {
             *v = value(row, j);

@@ -14,7 +14,7 @@ use wg_sim::CostModel;
 
 fn store(rows: usize, width: usize) -> WholeMemory<f32> {
     let model = CostModel::dgx_a100();
-    let wm = WholeMemory::<f32>::allocate(&model, 3, rows, width, AccessMode::PeerAccess);
+    let mut wm = WholeMemory::<f32>::allocate(&model, 3, rows, width, AccessMode::PeerAccess);
     wm.init_rows(|row, out| {
         for (j, v) in out.iter_mut().enumerate() {
             // Distinct bit patterns, NaNs and negative zero included.

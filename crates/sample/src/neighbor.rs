@@ -33,7 +33,7 @@
 
 use rayon::prelude::*;
 
-use wg_graph::{AdjacencyView, GlobalId, HostGraph, MultiGpuGraph, NodeId};
+use wg_graph::{GlobalId, HostGraph, MultiGpuGraph, NodeId};
 use wg_sim::device::DeviceSpec;
 use wg_sim::{CostModel, SimTime};
 
@@ -63,21 +63,17 @@ pub trait GraphAccess: Sync {
     fn handle_of(&self, v: NodeId) -> u64;
 }
 
-/// Sampler view of [`MultiGpuGraph`]: handles are raw GlobalIds. Holds a
-/// pinned [`AdjacencyView`], so degree/neighbor lookups are plain
-/// indexed loads with no locking or copying.
+/// Sampler view of [`MultiGpuGraph`]: handles are raw GlobalIds, and
+/// degree/neighbor lookups are plain indexed loads into the store's
+/// regions, with no locking or copying.
 pub struct MultiGpuAccess<'a> {
     graph: &'a MultiGpuGraph,
-    adj: AdjacencyView<'a>,
 }
 
 impl<'a> MultiGpuAccess<'a> {
-    /// Pin the store's structure allocations and build the access view.
+    /// The access view over `graph`.
     pub fn new(graph: &'a MultiGpuGraph) -> Self {
-        MultiGpuAccess {
-            graph,
-            adj: graph.adjacency(),
-        }
+        MultiGpuAccess { graph }
     }
 }
 
@@ -86,10 +82,10 @@ impl GraphAccess for MultiGpuAccess<'_> {
         self.graph.num_nodes()
     }
     fn degree(&self, handle: u64) -> usize {
-        self.adj.degree(GlobalId::from_raw(handle))
+        self.graph.degree_of_global(GlobalId::from_raw(handle))
     }
     fn neighbors(&self, handle: u64) -> &[u64] {
-        self.adj.neighbors(GlobalId::from_raw(handle))
+        self.graph.neighbors(GlobalId::from_raw(handle))
     }
     fn stable_id(&self, handle: u64) -> u64 {
         self.graph.partition().node_of(GlobalId::from_raw(handle))

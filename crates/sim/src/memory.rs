@@ -7,8 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::device::DeviceId;
 
@@ -157,9 +156,16 @@ impl MemoryAccounting {
         }
     }
 
+    /// The pools, taken as they stand even if a holder panicked: the only
+    /// panics under the lock (an unknown device, an over-free) fire before
+    /// a pool is touched, so a poisoned lock still guards consistent books.
+    fn pools(&self) -> MutexGuard<'_, HashMap<DeviceId, MemoryPool>> {
+        self.pools.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record an allocation on a device.
     pub fn alloc(&self, device: DeviceId, kind: AllocKind, bytes: u64) -> Result<(), OutOfMemory> {
-        let mut pools = self.pools.lock();
+        let mut pools = self.pools();
         pools
             .get_mut(&device)
             .unwrap_or_else(|| panic!("unknown device {device}"))
@@ -168,7 +174,7 @@ impl MemoryAccounting {
 
     /// Record a free on a device.
     pub fn free(&self, device: DeviceId, kind: AllocKind, bytes: u64) {
-        let mut pools = self.pools.lock();
+        let mut pools = self.pools();
         pools
             .get_mut(&device)
             .unwrap_or_else(|| panic!("unknown device {device}"))
@@ -177,13 +183,13 @@ impl MemoryAccounting {
 
     /// Snapshot of one device's pool.
     pub fn pool(&self, device: DeviceId) -> MemoryPool {
-        self.pools.lock()[&device].clone()
+        self.pools()[&device].clone()
     }
 
     /// Per-device bytes in use for a kind, over GPU devices only, as
     /// `(device, bytes)` sorted by rank — the Table IV per-GPU columns.
     pub fn gpu_usage_by(&self, kind: AllocKind) -> Vec<(DeviceId, u64)> {
-        let pools = self.pools.lock();
+        let pools = self.pools();
         let mut rows: Vec<_> = pools
             .iter()
             .filter(|(d, _)| d.is_gpu())

@@ -13,8 +13,6 @@
 //! cargo run --release --example learnable_embeddings
 //! ```
 
-use std::sync::Arc;
-
 use wg_autograd::{Adam, Optimizer, Tape};
 use wg_gnn::{GnnConfig, GnnModel, ModelKind};
 use wg_graph::{gen, GlobalId, MultiGpuGraph, NodeId};
@@ -47,13 +45,13 @@ fn main() {
 
     // Trainable embeddings, one row per padded DSM slot.
     let emb_dim = 32;
-    let table = Arc::new(EmbeddingTable::new(
+    let mut table = EmbeddingTable::new(
         machine.cost(),
         machine.num_gpus(),
         store.partition().padded_rows(),
         emb_dim,
         7,
-    ));
+    );
 
     let cfg = GnnConfig {
         kind: ModelKind::GraphSage,

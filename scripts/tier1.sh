@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, format, lint and document the whole
-# workspace, and type-check the out-of-workspace benchmark package against it.
+# Tier-1 verification: check every manifest dependency is used, then build,
+# test, format, lint and document the whole workspace, and type-check the
+# out-of-workspace benchmark package against it.
 #
 # Usage: scripts/tier1.sh
 #
@@ -32,6 +33,12 @@ elif ! curl -sfI --max-time 5 https://index.crates.io/config.json >/dev/null 2>&
     export CARGO_NET_OFFLINE=true
     OFFLINE_FLAGS=(--offline)
 fi
+
+# A dependency no source names still builds, links and slows every
+# build; nothing else here notices it. The check reads the manifests and
+# sources only, so it runs first.
+echo "tier1: unused manifest dependencies"
+python3 scripts/unused_deps.py
 
 echo "tier1: cargo build --release"
 cargo build --release "${OFFLINE_FLAGS[@]}"

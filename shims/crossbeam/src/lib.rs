@@ -1,10 +1,6 @@
-//! Offline shim for the parts of `crossbeam` this workspace uses:
-//! bounded MPMC-ish channels (backed by `std::sync::mpsc::sync_channel`,
-//! which covers the workspace's single-consumer usage), scoped thread
-//! spawning (backed by `std::thread::scope`, with crossbeam's
-//! closure-takes-the-scope signature), and the `deque` work-stealing
-//! primitives (`Injector`/`Worker`/`Stealer`) that back the rayon shim's
-//! thread pool.
+//! Offline shim for the one part of `crossbeam` this workspace uses: the
+//! `deque` work-stealing primitives (`Injector`/`Worker`/`Stealer`) that
+//! back the rayon shim's thread pool.
 
 pub mod deque {
     //! `crossbeam::deque` stand-in: a global FIFO [`Injector`] plus
@@ -149,101 +145,9 @@ pub mod deque {
     }
 }
 
-pub mod channel {
-    //! `crossbeam::channel` stand-in.
-
-    use std::sync::mpsc;
-
-    /// Sending half of a bounded channel.
-    #[derive(Clone)]
-    pub struct Sender<T>(mpsc::SyncSender<T>);
-
-    /// Receiving half of a bounded channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    /// Error returned when the receiving side hung up.
-    pub type SendError<T> = mpsc::SendError<T>;
-    /// Error returned when the sending side hung up.
-    pub type RecvError = mpsc::RecvError;
-
-    /// A bounded channel with capacity `cap`.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(tx), Receiver(rx))
-    }
-
-    impl<T> Sender<T> {
-        /// Send, blocking while the channel is full.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Receive, blocking while the channel is empty.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-    }
-}
-
-/// A handle to a scoped thread (crossbeam's `ScopedJoinHandle`).
-pub struct ScopedJoinHandle<'scope, T> {
-    inner: std::thread::ScopedJoinHandle<'scope, T>,
-}
-
-impl<'scope, T> ScopedJoinHandle<'scope, T> {
-    /// Wait for the thread to finish; `Err` if it panicked.
-    pub fn join(self) -> std::thread::Result<T> {
-        self.inner.join()
-    }
-}
-
-/// The scope passed to [`scope`]'s closure and to spawned threads.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a thread inside the scope. Crossbeam hands the closure a
-    /// scope reference (for nested spawns); we reconstruct one from the
-    /// underlying std scope.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        ScopedJoinHandle {
-            inner: inner.spawn(move || f(&Scope { inner })),
-        }
-    }
-}
-
-/// Run `f` with a scope that joins all spawned threads before returning
-/// (crossbeam's `scope`). The `Result` mirrors crossbeam's signature; the
-/// std backend propagates child panics by panicking, so this never
-/// actually returns `Err`.
-pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn channels_deliver_in_order() {
-        let (tx, rx) = channel::bounded(4);
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        let got: Vec<i32> = (0..4).map(|_| rx.recv().unwrap()).collect();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
 
     #[test]
     fn deque_owner_is_lifo_thieves_are_fifo() {
@@ -284,36 +188,5 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scoped_threads_exchange_over_channels() {
-        let n = 4usize;
-        let mut txs = Vec::new();
-        let mut rxs = Vec::new();
-        for _ in 0..n {
-            let (tx, rx) = channel::bounded::<usize>(1);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let mut results = vec![0usize; n];
-        scope(|s| {
-            let mut joins = Vec::new();
-            for (rank, rx) in rxs.into_iter().enumerate() {
-                let txs = txs.clone();
-                joins.push(s.spawn(move |_| {
-                    txs[(rank + 1) % txs.len()].send(rank).unwrap();
-                    rx.recv().unwrap()
-                }));
-            }
-            for (rank, j) in joins.into_iter().enumerate() {
-                results[rank] = j.join().unwrap();
-            }
-        })
-        .unwrap();
-        // Each rank received its left neighbor's rank.
-        for (rank, &got) in results.iter().enumerate() {
-            assert_eq!(got, (rank + n - 1) % n);
-        }
     }
 }

@@ -1,8 +1,6 @@
 //! Joint GNN + trainable-embedding training over the distributed shared
 //! memory (the featureless-graph workflow of `examples/learnable_embeddings`).
 
-use std::sync::Arc;
-
 use wg_autograd::{Adam, Optimizer, Tape};
 use wg_gnn::{GnnConfig, GnnModel, ModelKind};
 use wg_graph::{gen, GlobalId, MultiGpuGraph};
@@ -34,13 +32,13 @@ fn setup() -> Setup {
 fn embeddings_plus_gnn_learn_a_featureless_graph() {
     let s = setup();
     let emb_dim = 16;
-    let table = Arc::new(EmbeddingTable::new(
+    let mut table = EmbeddingTable::new(
         s.machine.cost(),
         8,
         s.store.partition().padded_rows(),
         emb_dim,
         3,
-    ));
+    );
     let cfg = GnnConfig {
         kind: ModelKind::GraphSage,
         in_dim: emb_dim,
@@ -61,7 +59,7 @@ fn embeddings_plus_gnn_learn_a_featureless_graph() {
 
     let run_batch = |model: &mut GnnModel,
                      opt: &mut Adam,
-                     table: &EmbeddingTable,
+                     table: &mut EmbeddingTable,
                      epoch: u64,
                      update: bool|
      -> f32 {
@@ -94,11 +92,11 @@ fn embeddings_plus_gnn_learn_a_featureless_graph() {
         loss
     };
 
-    let loss0 = run_batch(&mut model, &mut opt, &table, 0, false);
+    let loss0 = run_batch(&mut model, &mut opt, &mut table, 0, false);
     for epoch in 0..20 {
-        run_batch(&mut model, &mut opt, &table, epoch, true);
+        run_batch(&mut model, &mut opt, &mut table, epoch, true);
     }
-    let loss1 = run_batch(&mut model, &mut opt, &table, 99, false);
+    let loss1 = run_batch(&mut model, &mut opt, &mut table, 99, false);
     assert!(
         loss1 < 0.5 * loss0,
         "joint training failed to learn: {loss0} -> {loss1}"
@@ -109,7 +107,7 @@ fn embeddings_plus_gnn_learn_a_featureless_graph() {
 fn embedding_gradients_reach_only_touched_rows() {
     let s = setup();
     let emb_dim = 8;
-    let table = EmbeddingTable::new(
+    let mut table = EmbeddingTable::new(
         s.machine.cost(),
         8,
         s.store.partition().padded_rows(),
@@ -120,12 +118,12 @@ fn embedding_gradients_reach_only_touched_rows() {
     // Snapshot two rows, update one of them, verify the other is intact.
     let touched = vec![3usize];
     let untouched = vec![900usize.min(table.rows() - 1)];
-    let read = |rows: &[usize]| {
+    let read = |table: &EmbeddingTable, rows: &[usize]| {
         let mut o = vec![0.0f32; rows.len() * emb_dim];
         table.gather(rows, &mut o, 0, s.machine.cost(), spec);
         o
     };
-    let before = read(&untouched);
+    let before = read(&table, &untouched);
     table.apply_sparse_adagrad(
         &touched,
         &vec![1.0; emb_dim],
@@ -134,6 +132,6 @@ fn embedding_gradients_reach_only_touched_rows() {
         s.machine.cost(),
         spec,
     );
-    assert_eq!(read(&untouched), before, "untouched row changed");
-    assert_ne!(read(&touched), vec![0.0; emb_dim]);
+    assert_eq!(read(&table, &untouched), before, "untouched row changed");
+    assert_ne!(read(&table, &touched), vec![0.0; emb_dim]);
 }

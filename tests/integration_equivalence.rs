@@ -116,9 +116,8 @@ fn dsm_and_host_stores_hold_the_same_graph() {
         &machine.memory(),
     )
     .unwrap();
-    let adj = store.adjacency();
     for v in (0..d.num_nodes() as u64).step_by(97) {
-        let via_dsm: HashSet<u64> = adj
+        let via_dsm: HashSet<u64> = store
             .neighbors(store.partition().global_id(v))
             .iter()
             .map(|&raw| store.partition().node_of(wg_graph::GlobalId::from_raw(raw)))
