@@ -91,9 +91,9 @@ fn bench_fnv(c: &mut Criterion) {
     group.finish();
 }
 
-/// What a gather through the disk tier costs the host per spilled row:
-/// the request list is built and priced, then the rows are copied out of
-/// the mapped spill file. (i) the `serve_zipf` shape — what reaches the
+/// What a gather through the disk tier costs the host per disk row:
+/// the request list is built and priced, then the rows are copied from
+/// their owning regions. (i) the `serve_zipf` shape — what reaches the
 /// tier from a coalesced batch: 345 distinct Zipf(1.1) draws from beyond
 /// the resident hottest quarter of 24 000 x 100 f32, scattered through
 /// the file; (ii) the `train_input` shape — a dense 18 900-of-25 531
@@ -142,10 +142,9 @@ fn bench_ooc_fetch(c: &mut Criterion) {
         } else {
             by_rank[..batch].to_vec()
         };
-        let tier = OocTier::build(&wm, &hotness, resident).expect("spill file");
         let mut stack = TierStack {
             cache: None,
-            disk: Some(tier),
+            disk: Some(OocTier::build(&wm, &hotness, resident)),
         };
         let mut plan = RowPlan::default();
         let mut out = vec![0.0f32; indices.len() * width];
@@ -154,9 +153,7 @@ fn bench_ooc_fetch(c: &mut Criterion) {
             b.iter(|| {
                 let t0 = std::time::Instant::now();
                 stack.plan(&wm, black_box(&indices), 0, &mut plan);
-                let stats = stack
-                    .execute(&wm, &plan, &mut out, 0, &model, &spec)
-                    .expect("spill file read");
+                let stats = stack.execute(&wm, &plan, &mut out, 0, &model, &spec);
                 best_ns = best_ns.min(t0.elapsed().as_nanos());
                 disk_rows = stats.storage_io.rows;
                 black_box(stats.rows)

@@ -220,16 +220,14 @@ fn run_hotset(
     for (b, batch) in stream.iter().enumerate() {
         let rank = (b % gpus as usize) as u32;
         stack.plan(store.features(), batch, rank, &mut plan);
-        let stats = stack
-            .execute(
-                store.features(),
-                &plan,
-                &mut out,
-                rank,
-                machine.cost(),
-                &spec,
-            )
-            .expect("no disk tier, no I/O");
+        let stats = stack.execute(
+            store.features(),
+            &plan,
+            &mut out,
+            rank,
+            machine.cost(),
+            &spec,
+        );
         hits += stats.cache_hits as u64;
         remote += stats.remote_rows as u64;
         bus += stats.bus_bytes;

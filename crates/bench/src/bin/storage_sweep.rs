@@ -13,9 +13,8 @@
 //! `BENCH_storage.json` on disk is one that passed. Four invariants:
 //!
 //! * **Values never move** — every point's loss/accuracy bits equal the
-//!   tier-off baseline's, even though the non-resident rows genuinely
-//!   round-trip through the spill file. Tiering changes cost, never
-//!   numerics.
+//!   tier-off baseline's: the tier prices the non-resident rows' reads
+//!   and the DSM serves them. Tiering changes cost, never numerics.
 //! * **Bytes are conserved** — each point's gathered bytes split exactly
 //!   into DSM-served and disk-served: `storage_bytes + dsm_bytes`
 //!   equals the baseline's `algo_bytes`. No row is dropped or fetched

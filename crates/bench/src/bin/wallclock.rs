@@ -229,8 +229,8 @@ fn bench_sample() -> Measurement {
 /// whatever tier stack the flags attach. With `--cache-rows` /
 /// `--cache-mode`, planning consults a per-device [`FeatureCache`] first
 /// — CLOCK warms dynamically, static mode pins by hotness; with
-/// `--storage-rows`, rows beyond that residency budget are staged from
-/// an [`OocTier`]'s spill file. Hotness is the *observed access
+/// `--storage-rows`, rows beyond that residency budget are priced as
+/// reads from an [`OocTier`]. Hotness is the *observed access
 /// frequency* of the bench's own index stream (the paper's hotness
 /// signal at its purest). The checksum must not move: tiers change cost,
 /// never values, and the zero-allocation budget must hold with them in
@@ -266,15 +266,13 @@ fn bench_gather(cache: Option<(usize, CacheMode)>, storage: Option<usize>) -> Me
             CacheMode::Static => FeatureCache::new_static(wm, &freq, slots),
             CacheMode::Clock => FeatureCache::new_clock(wm, machine.num_gpus(), slots),
         }),
-        disk: storage.map(|budget| OocTier::build(wm, &freq, budget).expect("spill file build")),
+        disk: storage.map(|budget| OocTier::build(wm, &freq, budget)),
     };
     measure("gather", 1, move || {
         let start = Instant::now();
         let wm = store.features();
         stack.plan(wm, &rows, 0, &mut plan);
-        let stats = stack
-            .execute(wm, &plan, &mut out, 0, machine.cost(), &spec)
-            .expect("spill file read");
+        let stats = stack.execute(wm, &plan, &mut out, 0, machine.cost(), &spec);
         RunOut {
             elapsed: start.elapsed(),
             checksum: fnv1a_f32(FNV_OFFSET, &out),

@@ -147,12 +147,25 @@ fn pipeline_config(
 
 /// Set `cfg`'s tiers from `--cache-rows <N>` / `--cache-mode
 /// <static|clock>` / `--storage-rows <N>`; an absent flag leaves its tier
-/// off. A `--cache-mode` without `--cache-rows` is refused by name: it
-/// would configure nothing.
+/// off. A `--cache-mode` without `--cache-rows`, and either row count
+/// for a framework that gathers from host memory, are refused by name:
+/// they would configure nothing.
 fn with_tiers(
     flags: &HashMap<String, String>,
     cfg: PipelineConfig,
 ) -> Result<PipelineConfig, String> {
+    if !cfg.framework.uses_dsm() {
+        if let Some(key) = ["cache-rows", "storage-rows"]
+            .into_iter()
+            .find(|k| flags.contains_key(*k))
+        {
+            return Err(format!(
+                "--{key} needs --framework wholegraph: {} gathers features \
+                 from host memory, which has no tiers",
+                cfg.framework.name()
+            ));
+        }
+    }
     let rows = |key: &str| {
         flags.get(key).map_or(Ok(0), |v| {
             v.parse()
@@ -675,6 +688,20 @@ mod tests {
         );
         let err = tiers(&["--cache-rows", "8", "--cache-mode", "lru"]).unwrap_err();
         assert!(err.contains("--cache-mode"), "{err}");
+
+        // The baselines gather from host memory: a tier flag there is
+        // refused naming it, not announced and then ignored.
+        for fw in [Framework::Dgl, Framework::Pyg] {
+            let host = |a: &[&str]| {
+                let cfg = PipelineConfig::tiny(fw, ModelKind::Gcn);
+                with_tiers(&parse_flags(&args(a)).unwrap(), cfg)
+            };
+            for key in ["--cache-rows", "--storage-rows"] {
+                let err = host(&[key, "8"]).unwrap_err();
+                assert!(err.starts_with(key) && err.contains(fw.name()), "{err}");
+            }
+            assert_eq!(host(&[]).unwrap().cache, tiny().cache);
+        }
     }
 
     #[test]

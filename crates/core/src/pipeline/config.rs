@@ -19,11 +19,13 @@ pub struct CacheConfig {
 }
 
 /// Out-of-core storage-tier configuration: cap the DSM-resident feature
-/// rows at `budget_rows` and serve everything else from the file-backed
-/// tier below ([`wg_mem::OocTier`]), priced by the NVMe storage cost
-/// model. Like the cache above it, the tier changes gather *cost only,
-/// never values* — training through the disk tier is bit-identical to
-/// in-memory, at any residency.
+/// rows at `budget_rows` and price reads of everything else as NVMe
+/// requests from the tier below ([`wg_mem::OocTier`]). The tier prices
+/// reads, the DSM serves them: like the cache above it, it changes
+/// gather *cost only, never values* — training through the disk tier is
+/// bit-identical to in-memory, at any residency. The simulated device
+/// memory is still charged for the whole feature table whatever the
+/// budget.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageConfig {
     /// DSM-resident feature-row budget. Zero disables the tier (pure

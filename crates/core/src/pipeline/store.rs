@@ -67,8 +67,9 @@ pub(crate) trait FeatureStore {
 struct DsmStore {
     graph: MultiGpuGraph,
     /// The cache above and the disk tier below the DSM feature rows, as
-    /// configured; cost-only — numerics are identical with any of them.
-    tiers: TierStack<f32>,
+    /// configured; they price reads, the DSM serves them — numerics are
+    /// identical with any of them.
+    tiers: TierStack,
     /// Set under [`FeaturePlacement::HostMapped`]: the features never
     /// left host memory, `graph` carries structure only, and the gather
     /// kernel reads these rows over PCIe.
@@ -137,7 +138,7 @@ pub(crate) fn build(
         // sampling revisits high-degree vertices far more often than the
         // tail. The `+1` keeps isolated real vertices ahead of the DSM
         // padding rows, which stay at hotness 0 — never pinned by the
-        // static cache, first to spill to disk.
+        // static cache, first to be disk-served.
         let degree_hotness = || {
             let mut hotness = vec![0u64; wm.rows()];
             for v in 0..graph.num_nodes() as NodeId {
@@ -150,14 +151,10 @@ pub(crate) fn build(
             CacheMode::Static => FeatureCache::new_static(wm, &degree_hotness(), cc.rows),
             CacheMode::Clock => FeatureCache::new_clock(wm, gpus, cc.rows),
         });
-        // Every row goes to the spill file; the `budget_rows` hottest
-        // stay DSM-resident, the rest are priced by the NVMe storage
-        // model.
+        // The `budget_rows` hottest rows stay DSM-resident; reads of the
+        // rest are priced by the NVMe storage model.
         let budget_rows = cfg.storage.budget_rows;
-        tiers.disk = (budget_rows > 0).then(|| {
-            OocTier::build(wm, &degree_hotness(), budget_rows)
-                .expect("ooc: failed to build the storage-tier spill file")
-        });
+        tiers.disk = (budget_rows > 0).then(|| OocTier::build(wm, &degree_hotness(), budget_rows));
     }
     let setup = graph.setup_time();
     let store = DsmStore {
@@ -192,8 +189,8 @@ impl FeatureStore for DsmStore {
         let cache = self.tiers.cache.as_ref();
         let remote = |&&h: &&u64| {
             let g = GlobalId::from_raw(h);
-            // A row already in `rank`'s feature cache is served by the
-            // cached copy and skips the IB fetch.
+            // A row already in `rank`'s feature cache is a local hit
+            // and skips the IB fetch.
             owners.rank_of(self.graph.partition().node_of(g)) != home
                 && !cache.is_some_and(|c| c.contains(rank, self.graph.feature_row_of_global(g)))
         };
@@ -232,23 +229,19 @@ impl FeatureStore for DsmStore {
                 .map(|&h| self.graph.feature_row_of_global(GlobalId::from_raw(h))),
         );
         out.resize(self.rows.len() * wm.width(), 0.0);
-        // Row locations are resolved once into the pooled plan, cache →
-        // DSM → disk through whichever tiers are attached; the copy
-        // kernel then runs straight off the plan's slots. A spill-file
-        // read error stops the run here — the one gather-side I/O
-        // `expect`, until epoch reports can carry the error.
+        // Row locations are resolved once into the pooled plan, and
+        // priced cache → DSM → disk through whichever tiers are
+        // attached; the copy kernel then runs straight off the plan's
+        // slots.
         self.tiers.plan(wm, &self.rows, rank, &mut self.plan);
-        let stats = self
-            .tiers
-            .execute(
-                wm,
-                &self.plan,
-                &mut out,
-                rank,
-                machine.cost(),
-                machine.spec(DeviceId::Gpu(rank)),
-            )
-            .expect("ooc: spill file read failed");
+        let stats = self.tiers.execute(
+            wm,
+            &self.plan,
+            &mut out,
+            rank,
+            machine.cost(),
+            machine.spec(DeviceId::Gpu(rank)),
+        );
         Gathered {
             features: Matrix::from_vec(self.rows.len(), wm.width(), out),
             time: stats.sim_time,

@@ -218,8 +218,9 @@ impl SyntheticDataset {
     /// is built with a heavy-tailed degree profile (power-law SBM for
     /// the learnable graphs; R-MAT is heavy-tailed already) so that a
     /// hotness-ranked residency set covers most accesses, and the
-    /// returned budget holds only `resident_fraction` of the feature
-    /// rows in the DSM — the rest live in the spill file below it.
+    /// returned budget keeps only `resident_fraction` of the feature
+    /// rows DSM-resident — reads of the rest are priced as NVMe reads by
+    /// the disk tier below it, while the DSM still serves their values.
     /// Feed the budget to `PipelineConfig::with_storage` (`wg train
     /// --storage-rows`) to exercise the disk tier.
     pub fn generate_out_of_core(

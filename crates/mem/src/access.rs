@@ -5,8 +5,7 @@
 /// Stands in for "plain old device data": fixed-size, copyable, and safely
 /// zero-initializable. Implemented for the scalar types GNN training needs.
 /// The [`wg_tensor::simd::Pod`] bound lets the gather kernel move rows as
-/// raw byte streams through the SIMD copy path, and the out-of-core tier
-/// spill and map them as they are.
+/// raw byte streams through the SIMD copy path.
 pub trait Element: Copy + Default + Send + Sync + 'static + wg_tensor::simd::Pod {}
 
 impl Element for f32 {}

@@ -10,7 +10,7 @@
 //! * [`CacheMode::Static`] — rank rows by a hotness score (degree or
 //!   observed access frequency), pin the top-K into the cache at load
 //!   time, and replicate that hot set to every device. Never evicts, so
-//!   one shared store serves all devices.
+//!   one shared directory serves all devices.
 //! * [`CacheMode::Clock`] — per-device caches that fill on miss with
 //!   CLOCK (second-chance) eviction for streaming/serving traffic whose
 //!   hot set drifts. Eviction decisions run **at plan time inside the
@@ -19,14 +19,13 @@
 //!
 //! A cache does nothing on its own: it is the `cache` member of a
 //! gather's [`TierStack`](crate::gather::TierStack), consulted first by
-//! the one `plan` and filled and read by the one `execute`.
+//! the one `plan`.
 //!
-//! The cache changes *cost only, never values*: a hit copies the exact
-//! bytes the source tier holds (placed there at build time or by a
-//! planned insert reading the owning region or the disk tier's mapped
-//! spill file), it is merely priced at local-HBM bandwidth instead of
-//! NVLink by the gather. The cache
-//! assumes the feature store is immutable while it is live.
+//! The cache prices reads; the DSM serves them. A [`FeatureCache`] is a
+//! *directory* — which rows each device's cache would hold — and keeps
+//! no row values: a hit is copied from the DSM region that owns the row,
+//! like any other, and merely priced at local-HBM bandwidth instead of
+//! NVLink by the gather. So the cache changes *cost only, never values*.
 //!
 //! Steady-state lookups are allocation-free: the row→slot map is a fixed
 //! open-addressed table (linear probing, backward-shift deletion — no
@@ -76,9 +75,9 @@ struct TableEntry {
     slot: u32,
 }
 
-/// One device's cache store: a `capacity × width` row array plus an
-/// open-addressed row→slot lookup table and the CLOCK bookkeeping.
-pub(crate) struct DeviceCache<T> {
+/// One device's cache directory: an open-addressed row→slot lookup
+/// table and the CLOCK bookkeeping.
+pub(crate) struct DeviceCache {
     capacity: usize,
     /// Open-addressed lookup table, linear probing, power-of-two size.
     table: Vec<TableEntry>,
@@ -86,14 +85,14 @@ pub(crate) struct DeviceCache<T> {
     hash_shift: u32,
     /// slot → global row currently cached there ([`EMPTY_ROW`] if free).
     slot_rows: Vec<usize>,
-    /// Cached row values, `capacity × width`.
-    pub(crate) data: Vec<T>,
     /// CLOCK reference bits (second chance).
     ref_bits: Vec<bool>,
     /// slot → id of the batch that last referenced it. A slot stamped
-    /// with the current batch is never evicted: a hit planned earlier in
-    /// the same batch still points at it, and the copy kernel runs after
-    /// planning finishes.
+    /// with the current batch is never evicted: a row the batch has
+    /// already hit or inserted stays a hit for the rest of that batch.
+    /// Values do not depend on it (every row is read from its owning
+    /// region), but the hit trajectory — and so the simulated clock
+    /// that prices it — does.
     stamp: Vec<u64>,
     /// CLOCK hand.
     hand: usize,
@@ -109,8 +108,8 @@ pub(crate) struct DeviceCache<T> {
     stamped: usize,
 }
 
-impl<T: Element> DeviceCache<T> {
-    fn new(capacity: usize, width: usize) -> Self {
+impl DeviceCache {
+    fn new(capacity: usize) -> Self {
         let table_len = (2 * capacity).next_power_of_two().max(2);
         DeviceCache {
             capacity,
@@ -124,7 +123,6 @@ impl<T: Element> DeviceCache<T> {
             mask: table_len - 1,
             hash_shift: 64 - table_len.trailing_zeros(),
             slot_rows: vec![EMPTY_ROW; capacity],
-            data: vec![T::default(); capacity * width],
             ref_bits: vec![false; capacity],
             stamp: vec![0; capacity],
             hand: 0,
@@ -187,9 +185,8 @@ impl<T: Element> DeviceCache<T> {
 
     /// Claim a slot for `row`: a free slot while the cache is filling,
     /// then CLOCK eviction. Returns `None` when every slot is protected
-    /// by the current batch (evicting one would corrupt a hit already
-    /// planned against it). Updates the lookup table; the caller copies
-    /// the row values into the slot at execute time.
+    /// by the current batch. Updates the lookup table — the only thing
+    /// an insert changes.
     pub(crate) fn insert(&mut self, row: usize) -> Option<u32> {
         if self.capacity == 0 {
             return None;
@@ -291,45 +288,37 @@ impl<T: Element> DeviceCache<T> {
     }
 }
 
-/// A per-device feature cache over a [`WholeMemory`]. See the module docs
-/// for the two modes and the determinism argument.
-pub struct FeatureCache<T> {
+/// A per-device feature cache directory over a [`WholeMemory`]. See the
+/// module docs for the two modes and the determinism argument.
+pub struct FeatureCache {
     mode: CacheMode,
-    width: usize,
-    /// One store per device in [`CacheMode::Clock`]; a single shared
-    /// store in [`CacheMode::Static`] (every device pins the same top-K,
-    /// so replicating the bytes would only multiply host memory — the
-    /// *simulated* layout is still one copy per device).
-    devices: Vec<DeviceCache<T>>,
+    /// One directory per device in [`CacheMode::Clock`]; a single shared
+    /// one in [`CacheMode::Static`] (every device pins the same top-K —
+    /// the *simulated* layout is still one copy per device).
+    devices: Vec<DeviceCache>,
 }
 
-impl<T: Element> FeatureCache<T> {
+impl FeatureCache {
     /// Build a static cache: the `capacity` rows with the highest
     /// `hotness` score (ties broken by lower row id — fully
-    /// deterministic) are copied out of `wm` and pinned. `hotness` is
-    /// one score per global row: vertex degree at load time, or an
-    /// observed access-frequency profile.
-    pub fn new_static(wm: &WholeMemory<T>, hotness: &[u64], capacity: usize) -> Self {
+    /// deterministic) are pinned. `hotness` is one score per global row
+    /// of `wm`: vertex degree at load time, or an observed
+    /// access-frequency profile.
+    pub fn new_static<T: Element>(wm: &WholeMemory<T>, hotness: &[u64], capacity: usize) -> Self {
         assert_eq!(
             hotness.len(),
             wm.rows(),
             "hotness scores must cover every row"
         );
         let capacity = capacity.min(wm.rows());
-        let width = wm.width();
         let mut order: Vec<usize> = (0..wm.rows()).collect();
         order.sort_by(|&a, &b| hotness[b].cmp(&hotness[a]).then(a.cmp(&b)));
-        order.truncate(capacity);
-        let mut dc = DeviceCache::new(capacity, width);
-        let mut buf = vec![T::default(); width];
-        for &row in &order {
-            let slot = dc.insert(row).expect("static build fills free slots") as usize;
-            wm.read_row(row, &mut buf);
-            dc.data[slot * width..(slot + 1) * width].copy_from_slice(&buf);
+        let mut dc = DeviceCache::new(capacity);
+        for &row in &order[..capacity] {
+            dc.insert(row).expect("static build fills free slots");
         }
         FeatureCache {
             mode: CacheMode::Static,
-            width,
             devices: vec![dc],
         }
     }
@@ -337,14 +326,12 @@ impl<T: Element> FeatureCache<T> {
     /// Build an empty CLOCK cache with `capacity` row slots on each of
     /// `devices` devices; slots fill as misses stream through
     /// [`TierStack::plan`](crate::gather::TierStack::plan).
-    pub fn new_clock(wm: &WholeMemory<T>, devices: u32, capacity: usize) -> Self {
+    pub fn new_clock<T: Element>(wm: &WholeMemory<T>, devices: u32, capacity: usize) -> Self {
         let capacity = capacity.min(wm.rows());
-        let width = wm.width();
         FeatureCache {
             mode: CacheMode::Clock,
-            width,
             devices: (0..devices.max(1))
-                .map(|_| DeviceCache::new(capacity, width))
+                .map(|_| DeviceCache::new(capacity))
                 .collect(),
         }
     }
@@ -352,11 +339,6 @@ impl<T: Element> FeatureCache<T> {
     /// The replacement policy.
     pub fn mode(&self) -> CacheMode {
         self.mode
-    }
-
-    /// Elements per cached row.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Whether `device`'s cache currently holds `row`. Allocation-free —
@@ -379,12 +361,12 @@ impl<T: Element> FeatureCache<T> {
     }
 
     #[inline]
-    pub(crate) fn device(&self, device: u32) -> &DeviceCache<T> {
+    pub(crate) fn device(&self, device: u32) -> &DeviceCache {
         &self.devices[self.device_index(device)]
     }
 
     #[inline]
-    pub(crate) fn device_mut(&mut self, device: u32) -> &mut DeviceCache<T> {
+    pub(crate) fn device_mut(&mut self, device: u32) -> &mut DeviceCache {
         let i = self.device_index(device);
         &mut self.devices[i]
     }
@@ -441,19 +423,6 @@ mod tests {
         assert!(!cache.contains(0, 0));
         assert_eq!(cache.occupied(0), 4);
         assert_eq!(cache.mode(), CacheMode::Static);
-    }
-
-    #[test]
-    fn static_cache_holds_exact_row_values() {
-        let wm = wm(64, 8, 4);
-        let hot: Vec<u64> = (0..64u64).collect(); // hottest = highest ids
-        let cache = FeatureCache::new_static(&wm, &hot, 6);
-        let mut expect = vec![0.0f32; 8];
-        for row in 58..64 {
-            let slot = cache.device(0).lookup(row).unwrap() as usize;
-            wm.read_row(row, &mut expect);
-            assert_eq!(&cache.device(0).data[slot * 8..(slot + 1) * 8], &expect[..]);
-        }
     }
 
     #[test]
@@ -537,7 +506,7 @@ mod tests {
             capacity in 1usize..24,
             rows in proptest::collection::vec(0usize..64, 1..200),
         ) {
-            let mut dc = DeviceCache::<f32>::new(capacity, 1);
+            let mut dc = DeviceCache::new(capacity);
             let mut oracle: HashMap<usize, u32> = HashMap::new();
             for row in rows {
                 dc.begin_batch();

@@ -6,21 +6,22 @@
 //! whichever region owns it, and "the underlying NVLink and NVSwitch handle
 //! all the necessary communication without the involvement of software."
 //!
-//! There is one gather: [`TierStack::plan`] resolves rows to their
-//! sources, [`TierStack::execute`] copies them. The tiers this repo adds
-//! around the DSM — the feature cache above it ([`crate::cache`]), the
-//! out-of-core tier below it ([`crate::ooc`]) — are optional members of
-//! the stack, not separate entry points: with neither attached the pair
-//! *is* the paper's gather ([`global_gather`] is that, in one call), and
-//! attaching one changes where a row is read from and what the read
-//! costs, never its value.
+//! There is one gather: [`TierStack::plan`] resolves every row to the
+//! region that owns it, [`TierStack::execute`] copies them. The tiers
+//! this repo adds around the DSM — the feature cache above it
+//! ([`crate::cache`]), the out-of-core tier below it ([`crate::ooc`]) —
+//! are optional members of the stack, not separate entry points: with
+//! neither attached the pair *is* the paper's gather ([`global_gather`]
+//! is that, in one call). The tiers price reads; the DSM serves them.
+//! Attaching one changes what a row's read costs — a cache hit is
+//! priced at local HBM, a disk row at the NVMe request that would fetch
+//! it — and never where its value comes from.
 //!
 //! The copy below is real (a rayon-parallel loop standing in for the CUDA
 //! kernel). The simulated duration comes from the Figure 8 bandwidth curve:
 //! random reads of `width × sizeof(T)`-byte segments achieve a
 //! segment-size-dependent fraction of NVLink bandwidth.
 
-use std::io;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -43,7 +44,7 @@ use crate::ooc::OocTier;
 /// the tier is off or every row was cache- or DSM-resident.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageIo {
-    /// Rows served from the spill file.
+    /// Rows served from the disk tier.
     pub rows: u64,
     /// Bytes of those rows (`rows × row bytes`). The conservation
     /// invariant of the tier: DSM-served bytes plus these (plus
@@ -116,7 +117,7 @@ pub struct GatherStats {
     /// cached: cache hits whose owning rank is not the executing device,
     /// times the row size.
     pub saved_bus_bytes: u64,
-    /// What the out-of-core storage tier staged for this gather (all
+    /// What the out-of-core storage tier priced for this gather (all
     /// zero without one and at full residency).
     pub storage_io: StorageIo,
     /// Priced time of exactly the reads issued — a sub-component of
@@ -148,32 +149,11 @@ impl GatherStats {
     }
 }
 
-/// Sentinel "owning rank" marking a planned row served from the
-/// executing device's feature cache; `start` is then an offset into the
-/// cache store rather than a region.
-const CACHE_RANK: u32 = u32::MAX;
-
-/// Sentinel "owning rank" marking a planned row served from the
-/// out-of-core storage tier; `start` is then the row's offset into the
-/// tier's mapped spill file ([`OocTier::spill`]).
-const DISK_RANK: u32 = u32::MAX - 1;
-
 /// One gather row resolved to its owning region and element offset.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PlannedRow {
     rank: u32,
     start: usize,
-}
-
-/// A CLOCK fill scheduled at plan time: at execute time the row at
-/// `src_start` of `src_rank`'s region is copied into cache slot `slot`
-/// *before* the output copy loop, so later same-batch hits on the row
-/// read valid data.
-#[derive(Clone, Copy, Debug)]
-struct PlannedInsert {
-    slot: u32,
-    src_rank: u32,
-    src_start: usize,
 }
 
 /// A precomputed gather plan: the address translation of a gather
@@ -181,17 +161,17 @@ struct PlannedInsert {
 ///
 /// [`TierStack::plan`] resolves every index through a pooled
 /// [`ChunkLocator`] (division-free, built once per partition) and counts
-/// rows per owning rank, so [`TierStack::execute`] is a pure copy loop —
+/// rows per tier, so [`TierStack::execute`] is a pure copy loop —
 /// no `locate()`, no reduction, and with a warm plan no heap allocation.
 #[derive(Default)]
 pub struct RowPlan {
+    /// Every row's owning region and offset, whichever tier prices it.
     slots: Vec<PlannedRow>,
+    /// DSM-priced rows per owning rank (cache hits and disk rows are
+    /// counted by their own tier instead).
     rank_counts: Vec<usize>,
     locator: Option<ChunkLocator>,
     width: usize,
-    /// CLOCK fills scheduled this batch (empty without a cache and in
-    /// static mode).
-    inserts: Vec<PlannedInsert>,
     /// Planned rows served from the cache.
     cache_hits: usize,
     /// Cache hits whose owning rank is not the executing device (the
@@ -227,30 +207,30 @@ impl RowPlan {
 /// not). The empty stack — [`TierStack::default`] — is the paper's plain
 /// one-kernel gather.
 #[derive(Default)]
-pub struct TierStack<T> {
+pub struct TierStack {
     /// The per-device feature cache consulted first, if any.
-    pub cache: Option<FeatureCache<T>>,
+    pub cache: Option<FeatureCache>,
     /// The out-of-core tier serving rows beyond its residency budget, if
     /// any.
-    pub disk: Option<OocTier<T>>,
+    pub disk: Option<OocTier>,
 }
 
-impl<T: Element> TierStack<T> {
+impl TierStack {
     /// Resolve `indices` (global row ids of `wm`) into a reusable
-    /// [`RowPlan`]. Rows found in `executing_rank`'s cache are planned
-    /// against the cache store; misses that are DSM-**resident** (every
-    /// row, when no disk tier is attached) are planned against their
-    /// owning region; everything else falls to the storage tier and joins
-    /// the plan's prefetch batch. In [`CacheMode::Clock`] mode, misses
-    /// claim cache slots here regardless of which lower tier serves them
-    /// — a hot disk row graduates straight into the top tier.
+    /// [`RowPlan`]. Every row is planned against its owning region; what
+    /// differs is the tier that prices it. Rows found in
+    /// `executing_rank`'s cache count as hits; misses that are
+    /// DSM-**resident** (every row, when no disk tier is attached) count
+    /// against their owning rank; everything else falls to the storage
+    /// tier and joins the plan's prefetch batch. In [`CacheMode::Clock`]
+    /// mode, misses claim cache slots here regardless of which lower tier
+    /// serves them — a hot disk row graduates straight into the top tier.
     ///
     /// Planning is one sequential pass, so CLOCK eviction order is
     /// identical at any worker count, and with a warm plan it is
-    /// allocation-free except for insert-list growth beyond previously
-    /// seen capacity. The plan is bound to this stack and rank: hand it
+    /// allocation-free. The plan is bound to this stack and rank: hand it
     /// to [`execute`](Self::execute) on the same stack.
-    pub fn plan(
+    pub fn plan<T: Element>(
         &mut self,
         wm: &WholeMemory<T>,
         indices: &[usize],
@@ -270,14 +250,17 @@ impl<T: Element> TierStack<T> {
         let disk = self.disk.as_ref();
         if let Some(tier) = disk {
             assert_eq!(tier.rows(), wm.rows(), "tier built for a different store");
-            assert_eq!(tier.width(), width, "tier built for a different width");
+            assert_eq!(
+                tier.row_bytes(),
+                width * std::mem::size_of::<T>(),
+                "tier built for a different row size"
+            );
         }
         plan.width = width;
         plan.rank_counts.clear();
         plan.rank_counts.resize(partition.ranks as usize, 0);
         plan.slots.clear();
         plan.slots.reserve(indices.len());
-        plan.inserts.clear();
         plan.cache_hits = 0;
         plan.cache_remote_hits = 0;
         plan.disk_batch.clear();
@@ -286,65 +269,47 @@ impl<T: Element> TierStack<T> {
             .as_ref()
             .is_some_and(|c| c.mode() == CacheMode::Clock);
         let mut dc = self.cache.as_mut().map(|c| {
-            assert_eq!(c.width(), width, "cache built for a different width");
             let dc = c.device_mut(executing_rank);
             dc.begin_batch();
             dc
         });
         for &row in indices {
             let loc = locator.locate(row);
-            if let Some(slot) = dc.as_deref_mut().and_then(|dc| dc.lookup(row)) {
-                let dc = dc.as_deref_mut().unwrap();
-                dc.touch(slot);
-                plan.cache_hits += 1;
-                if loc.device_rank != executing_rank {
-                    plan.cache_remote_hits += 1;
+            plan.slots.push(PlannedRow {
+                rank: loc.device_rank,
+                start: loc.local_row * width,
+            });
+            if let Some(dc) = dc.as_deref_mut() {
+                if let Some(slot) = dc.lookup(row) {
+                    dc.touch(slot);
+                    plan.cache_hits += 1;
+                    if loc.device_rank != executing_rank {
+                        plan.cache_remote_hits += 1;
+                    }
+                    continue;
                 }
-                plan.slots.push(PlannedRow {
-                    rank: CACHE_RANK,
-                    start: slot as usize * width,
-                });
-                continue;
+                if fill_on_miss {
+                    dc.insert(row);
+                }
             }
             // Miss in the top tier: resolve DSM residency, then disk.
-            let (rank, start) = if disk.is_none_or(|t| t.is_resident(row)) {
+            if disk.is_none_or(|t| t.is_resident(row)) {
                 plan.rank_counts[loc.device_rank as usize] += 1;
-                (loc.device_rank, loc.local_row * width)
             } else {
                 plan.disk_batch.push(row as u32);
-                (DISK_RANK, row * width)
-            };
-            plan.slots.push(PlannedRow { rank, start });
-            if fill_on_miss {
-                if let Some(slot) = dc.as_deref_mut().unwrap().insert(row) {
-                    plan.inserts.push(PlannedInsert {
-                        slot,
-                        src_rank: rank,
-                        src_start: start,
-                    });
-                }
             }
         }
     }
 
     /// Execute a plan built by [`plan`](Self::plan) on this stack, on
-    /// device `executing_rank`: the disk tier's batched prefetch turns
-    /// the disk-planned rows into coalesced ranged requests first (the
-    /// list a device would be sent, which the storage cost model
-    /// prices), this batch's CLOCK fills land in the cache — from DSM
-    /// regions or the mapped spill file, whichever tier served the miss
-    /// — and the copy kernel then reads cache hits from the cache store
-    /// at local-HBM cost, resident rows from their owning regions at DSM
-    /// cost, and spilled rows straight out of the mapping: file to
-    /// output in one copy. `out` must hold `plan.rows() * wm.width()`
-    /// elements.
-    ///
-    /// A request the spill file cannot serve is returned before anything
-    /// is copied; the plan already advanced the CLOCK cache's directory,
-    /// so after an `Err` that cache's slots no longer match its data and
-    /// it must be rebuilt. A stack without a disk tier issues no requests
-    /// and never returns `Err`.
-    pub fn execute(
+    /// device `executing_rank`: the copy kernel reads every row from the
+    /// region that owns it, and the tiers price the reads — cache hits at
+    /// local-HBM cost, DSM-resident misses at DSM cost, and disk rows at
+    /// the cost of the coalesced ranged requests the disk tier's batched
+    /// prefetch turns them into (the list a device would be sent, which
+    /// the storage cost model prices). `out` must hold
+    /// `plan.rows() * wm.width()` elements.
+    pub fn execute<T: Element>(
         &mut self,
         wm: &WholeMemory<T>,
         plan: &RowPlan,
@@ -352,11 +317,11 @@ impl<T: Element> TierStack<T> {
         executing_rank: u32,
         model: &CostModel,
         spec: &DeviceSpec,
-    ) -> io::Result<GatherStats> {
-        // Without this, a plan executed on the wrong stack would index
-        // an empty cache store or spill mapping out of bounds.
+    ) -> GatherStats {
+        // Without this, a plan executed on the wrong stack would price
+        // its cache hits or disk rows as DSM reads.
         assert!(
-            (self.cache.is_some() || plan.cache_hits == 0 && plan.inserts.is_empty())
+            (self.cache.is_some() || plan.cache_hits == 0)
                 && (self.disk.is_some() || plan.disk_batch.is_empty()),
             "plan holds cache hits or disk rows this stack has no tier for: \
              execute a plan on the stack that planned it"
@@ -365,7 +330,7 @@ impl<T: Element> TierStack<T> {
         let mut storage_time = SimTime::ZERO;
         if let Some(tier) = self.disk.as_mut() {
             let fetch_start = wg_trace::metrics_enabled().then(Instant::now);
-            storage_io = tier.fetch(&plan.disk_batch, &model.storage)?;
+            storage_io = tier.fetch(&plan.disk_batch, &model.storage);
             if let Some(t0) = fetch_start {
                 wg_trace::counter!("mem.storage.fetch_host_s", t0.elapsed().as_secs_f64());
             }
@@ -376,7 +341,6 @@ impl<T: Element> TierStack<T> {
                 .storage
                 .requests_time(tier.issued().iter().map(|&(_, b)| b));
         }
-        let spilled: &[T] = self.disk.as_ref().map_or(&[], |t| t.spill());
 
         let _span = wg_trace::span!("mem.gather");
         let width = wm.width();
@@ -389,48 +353,15 @@ impl<T: Element> TierStack<T> {
         let regions = wm.regions();
         let level = wg_tensor::simd::level();
 
-        // Apply this batch's CLOCK fills before the copy loop: a hit planned
-        // after the miss that claimed the slot must read the freshly cached
-        // values. Slots in the insert list are unique (a just-filled slot is
-        // stamped with the current batch and cannot be re-evicted), so the
-        // sequential fill order is immaterial.
-        if let Some(cache) = self.cache.as_mut() {
-            let dc = cache.device_mut(executing_rank);
-            for ins in &plan.inserts {
-                let src = if ins.src_rank == DISK_RANK {
-                    spilled
-                } else {
-                    &regions[ins.src_rank as usize]
-                };
-                let slot = ins.slot as usize;
-                wg_tensor::simd::copy_slice(
-                    level,
-                    &mut dc.data[slot * width..(slot + 1) * width],
-                    &src[ins.src_start..ins.src_start + width],
-                );
-            }
-        }
-        let cache_store: &[T] = self
-            .cache
-            .as_ref()
-            .map_or(&[], |c| c.device(executing_rank).data.as_slice());
-
         // The "kernel": every thread block copies one output row from the
-        // owning region through the pointer table (or from the device's own
-        // cache store for hits, or the mapped spill file for spilled rows). All
-        // address translation already happened at plan time, and the row
-        // copy streams through the SIMD path.
+        // owning region through the pointer table. All address translation
+        // already happened at plan time, and the row copy streams through
+        // the SIMD path.
         out.par_chunks_mut(width.max(1))
             .zip(plan.slots.par_iter())
             .for_each(|(dst, slot)| {
-                let src = if slot.rank == CACHE_RANK {
-                    cache_store
-                } else if slot.rank == DISK_RANK {
-                    spilled
-                } else {
-                    &regions[slot.rank as usize]
-                };
-                wg_tensor::simd::copy_slice(level, dst, &src[slot.start..slot.start + width]);
+                let src = &regions[slot.rank as usize][slot.start..slot.start + width];
+                wg_tensor::simd::copy_slice(level, dst, src);
             });
 
         let rows = plan.rows();
@@ -503,7 +434,7 @@ impl<T: Element> TierStack<T> {
         if self.disk.is_some() {
             record_storage_metrics(&stats);
         }
-        Ok(stats)
+        stats
     }
 }
 
@@ -524,9 +455,7 @@ pub fn global_gather<T: Element>(
 ) -> GatherStats {
     let (mut stack, mut plan) = (TierStack::default(), RowPlan::default());
     stack.plan(wm, indices, executing_rank, &mut plan);
-    stack
-        .execute(wm, &plan, out, executing_rank, model, spec)
-        .expect("the empty stack issues no I/O")
+    stack.execute(wm, &plan, out, executing_rank, model, spec)
 }
 
 /// Rows-per-gather histogram bucket bounds (mini-batch input sets run
@@ -700,23 +629,21 @@ mod tests {
             adhoc.resize(batch * 16, 0.0);
             stack.plan(&wm, &indices, 2, &mut plan);
             assert_eq!(plan.rows(), batch);
-            let sp = stack
-                .execute(&wm, &plan, &mut planned, 2, &model, &spec)
-                .unwrap();
+            let sp = stack.execute(&wm, &plan, &mut planned, 2, &model, &spec);
             let sa = global_gather(&wm, &indices, &mut adhoc, 2, &model, &spec);
             assert_eq!(planned, adhoc);
             assert_eq!(sp, sa);
         }
     }
 
-    fn with_cache(cache: FeatureCache<f32>) -> TierStack<f32> {
+    fn with_cache(cache: FeatureCache) -> TierStack {
         TierStack {
             cache: Some(cache),
             disk: None,
         }
     }
 
-    fn with_disk(disk: OocTier<f32>) -> TierStack<f32> {
+    fn with_disk(disk: OocTier) -> TierStack {
         TierStack {
             cache: None,
             disk: Some(disk),
@@ -727,7 +654,7 @@ mod tests {
     /// values must be bit-identical. Returns (stack stats, plain stats).
     fn gather_vs_plain(
         wm: &WholeMemory<f32>,
-        stack: &mut TierStack<f32>,
+        stack: &mut TierStack,
         indices: &[usize],
         rank: u32,
         model: &CostModel,
@@ -738,9 +665,7 @@ mod tests {
         let mut stacked = vec![0.0f32; indices.len() * width];
         let mut plain = vec![0.0f32; indices.len() * width];
         stack.plan(wm, indices, rank, &mut plan);
-        let ss = stack
-            .execute(wm, &plan, &mut stacked, rank, model, spec)
-            .expect("spill file read");
+        let ss = stack.execute(wm, &plan, &mut stacked, rank, model, spec);
         let sp = global_gather(wm, indices, &mut plain, rank, model, spec);
         assert_eq!(stacked, plain, "a tier changed gathered values");
         (ss, sp)
@@ -843,7 +768,7 @@ mod tests {
         let hotness: Vec<u64> = (0..600).map(|r| (600 - r) as u64).collect();
         let indices: Vec<usize> = (0..400).map(|i| (i * 13) % 600).collect();
         for budget in [0usize, 150, 300, 600] {
-            let mut stack = with_disk(OocTier::build(&wm, &hotness, budget).unwrap());
+            let mut stack = with_disk(OocTier::build(&wm, &hotness, budget));
             let (st, sp) = gather_vs_plain(&wm, &mut stack, &indices, 1, &model, &spec);
             // Hotness is highest for the lowest row ids, so residency is
             // exactly the prefix 0..budget.
@@ -858,7 +783,7 @@ mod tests {
     fn full_residency_tier_is_cost_identical_to_uncached() {
         let (wm, model, spec) = setup(500, 8, 4, AccessMode::PeerAccess);
         let hotness = vec![1u64; 500];
-        let mut stack = with_disk(OocTier::build(&wm, &hotness, 500).unwrap());
+        let mut stack = with_disk(OocTier::build(&wm, &hotness, 500));
         let indices: Vec<usize> = (0..300).map(|i| (i * 7) % 500).collect();
         let (st, sp) = gather_vs_plain(&wm, &mut stack, &indices, 2, &model, &spec);
         assert_eq!(st, sp);
@@ -869,7 +794,7 @@ mod tests {
         let (wm, model, spec) = setup(800, 16, 8, AccessMode::PeerAccess);
         let hotness: Vec<u64> = (0..800).map(|r| (800 - r) as u64).collect();
         // 25% residency: rows 0..200 stay in the DSM.
-        let mut stack = with_disk(OocTier::build(&wm, &hotness, 200).unwrap());
+        let mut stack = with_disk(OocTier::build(&wm, &hotness, 200));
         let indices: Vec<usize> = (0..800).collect();
         let (st, sp) = gather_vs_plain(&wm, &mut stack, &indices, 3, &model, &spec);
         let row_bytes = 16 * 4;
@@ -881,7 +806,7 @@ mod tests {
         assert_eq!(st.storage_io.rows, 600);
         assert!(st.storage_time > SimTime::ZERO);
         // Priced == issued: the stats and the storage time are those of
-        // the reads the tier's file logged, and the 600 adjacent rows
+        // the reads the tier logged, and the 600 adjacent rows
         // went out as one ranged read with no amplification.
         let issued = stack.disk.as_ref().unwrap().issued();
         assert_eq!(issued, &[(200 * row_bytes as u64, 600 * row_bytes)]);
@@ -906,10 +831,10 @@ mod tests {
         let (wm, model, spec) = setup(300, 8, 4, AccessMode::PeerAccess);
         let hotness = vec![1u64; 300];
         // Nothing resident: every miss is disk-served, and the CLOCK
-        // inserts must copy from the mapped spill file, not a DSM region.
+        // directory still fills from those misses.
         let mut stack = TierStack {
             cache: Some(FeatureCache::new_clock(&wm, 4, 128)),
-            disk: Some(OocTier::build(&wm, &hotness, 0).unwrap()),
+            disk: Some(OocTier::build(&wm, &hotness, 0)),
         };
         let working_set: Vec<usize> = (0..90).map(|i| i * 3).collect();
         let (first, _) = gather_vs_plain(&wm, &mut stack, &working_set, 0, &model, &spec);
@@ -922,14 +847,14 @@ mod tests {
     }
 
     /// A plan that holds cache hits or disk rows, executed on a stack
-    /// without that tier, is refused by name — not by an index error
-    /// into an empty cache store or spill mapping.
+    /// without that tier, is refused by name — not silently priced as
+    /// DSM reads.
     #[test]
     fn plan_rejected_by_a_stack_without_its_tier() {
         let (wm, model, spec) = setup(100, 4, 4, AccessMode::PeerAccess);
         let stacks = [
             with_cache(FeatureCache::new_static(&wm, &[1; 100], 8)),
-            with_disk(OocTier::build(&wm, &[1; 100], 0).unwrap()),
+            with_disk(OocTier::build(&wm, &[1; 100], 0)),
         ];
         for mut stack in stacks {
             let mut plan = RowPlan::default();
@@ -943,6 +868,44 @@ mod tests {
             let msg = msg.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("this stack has no tier for"), "{msg:?}");
         }
+    }
+
+    /// Whatever tiers are attached, a plan reads every row from the
+    /// region that owns it: the tiers only sort the rows into hits, DSM
+    /// reads and disk reads, and those partition the plan.
+    #[test]
+    fn every_stack_plans_rows_against_their_owning_region() {
+        let (wm, ..) = setup(300, 4, 4, AccessMode::PeerAccess);
+        let hot: Vec<u64> = (0..300).map(|r| 300 - r).collect();
+        let indices: Vec<usize> = (0..200).map(|i| (i * 37) % 150).collect();
+        let stacks = [
+            TierStack::default(),
+            with_cache(FeatureCache::new_static(&wm, &hot, 40)),
+            with_cache(FeatureCache::new_clock(&wm, 4, 40)),
+            with_disk(OocTier::build(&wm, &hot, 60)),
+            TierStack {
+                cache: Some(FeatureCache::new_clock(&wm, 4, 40)),
+                disk: Some(OocTier::build(&wm, &hot, 60)),
+            },
+        ];
+        let mut slots = Vec::new();
+        for (i, mut stack) in stacks.into_iter().enumerate() {
+            let mut plan = RowPlan::default();
+            stack.plan(&wm, &indices, 1, &mut plan);
+            let dsm_rows: usize = plan.rank_counts.iter().sum();
+            assert_eq!(
+                plan.cache_hits() + plan.disk_rows() + dsm_rows,
+                plan.rows(),
+                "stack {i}"
+            );
+            assert_eq!(
+                i == 0,
+                plan.cache_hits() + plan.disk_rows() == 0,
+                "stack {i}"
+            );
+            slots.push(plan.slots);
+        }
+        assert!(slots.iter().all(|s| *s == slots[0]));
     }
 
     #[test]
@@ -1015,7 +978,7 @@ mod tests {
                     } else {
                         FeatureCache::new_static(&wm, &hot, capacity)
                     }),
-                    disk: has_disk.then(|| OocTier::build(&wm, &hot, budget).unwrap()),
+                    disk: has_disk.then(|| OocTier::build(&wm, &hot, budget)),
                 };
                 let mut plan = RowPlan::default();
                 // Several batches so CLOCK actually warms and evicts.
@@ -1026,7 +989,7 @@ mod tests {
                     let mut out = vec![0.0f32; n * width];
                     let mut plain_out = vec![0.0f32; n * width];
                     stack.plan(&wm, &indices, rank, &mut plan);
-                    let stats = stack.execute(&wm, &plan, &mut out, rank, &model, &spec).unwrap();
+                    let stats = stack.execute(&wm, &plan, &mut out, rank, &model, &spec);
                     let plain = global_gather(&wm, &indices, &mut plain_out, rank, &model, &spec);
                     prop_assert_eq!(&out, &plain_out);
                     prop_assert_eq!(stats.rows, n);

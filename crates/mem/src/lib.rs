@@ -21,13 +21,14 @@
 //! * [`gather`] — the **one-kernel global gather** of §III-C3 (each GPU
 //!   directly reads peer memory; NVLink handles the communication): one
 //!   `plan` / `execute` pair on a [`TierStack`], whose two optional
-//!   members are the next two modules;
-//! * [`cache`] — the hotness-aware per-device feature cache (static
-//!   replication of the top-K hot set, or dynamic CLOCK eviction) that
-//!   turns remote gathers into local-HBM hits — cost changes, values
-//!   never do;
-//! * [`ooc`] — the file-backed out-of-core tier *below* the DSM: feature
-//!   rows spilled to a mapped file the copy kernel reads in place, a
+//!   members are the next two modules. The tiers price reads; the DSM
+//!   serves them — every row is copied from the region that owns it;
+//! * [`cache`] — the hotness-aware per-device feature cache directory
+//!   (static replication of the top-K hot set, or dynamic CLOCK
+//!   eviction) that prices remote gathers as local-HBM hits — cost
+//!   changes, values never do;
+//! * [`ooc`] — the out-of-core tier *below* the DSM: a residency map
+//!   marking which rows a storage budget keeps in device memory, and a
 //!   batched prefetch queue turning each gather plan's non-resident rows
 //!   into coalesced ranged requests, the NVMe storage cost model pricing
 //!   exactly that request list — again, cost changes, values never do;
@@ -41,6 +42,8 @@
 //! by rayon-parallel loops standing in for CUDA kernels); the simulated
 //! elapsed time of every operation comes from the calibrated cost models in
 //! [`wg_sim`].
+
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod cache;

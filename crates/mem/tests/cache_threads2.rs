@@ -9,10 +9,10 @@
 //! eviction victim and output byte is asserted against values computed
 //! from the plan alone — worker count never appears in the expectation.
 //!
-//! The same holds one tier down: rows the out-of-core tier serves are
-//! copied by that kernel straight out of the mapped spill file (CLOCK
-//! fills included), so cache + tier must return the tier-off gather's
-//! bits on two workers and on the sequential schedule alike.
+//! The same holds one tier down: rows the out-of-core tier prices are
+//! still copied by that kernel from their owning regions, so cache +
+//! tier must return the tier-off gather's bits on two workers and on the
+//! sequential schedule alike.
 
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -40,14 +40,14 @@ fn setup() -> (WholeMemory<f32>, CostModel, DeviceSpec) {
 
 /// A stack holding only `cache` — the shape every test here gathers
 /// through.
-fn cache_stack(cache: FeatureCache<f32>) -> TierStack<f32> {
+fn cache_stack(cache: FeatureCache) -> TierStack {
     TierStack {
         cache: Some(cache),
         disk: None,
     }
 }
 
-fn occupied(stack: &TierStack<f32>, rank: u32) -> usize {
+fn occupied(stack: &TierStack, rank: u32) -> usize {
     stack.cache.as_ref().unwrap().occupied(rank)
 }
 
@@ -80,9 +80,7 @@ fn clock_trajectory_is_identical_on_two_workers() {
             .collect();
         let mut out = vec![0.0f32; indices.len() * WIDTH];
         stack.plan(&wm, &indices, rank, &mut plan);
-        let stats = stack
-            .execute(&wm, &plan, &mut out, rank, &model, &spec)
-            .unwrap();
+        let stats = stack.execute(&wm, &plan, &mut out, rank, &model, &spec);
         // Values never depend on the cache.
         for (i, &row) in indices.iter().enumerate() {
             assert_eq!(out[i * WIDTH], (row * 131) as f32, "row {row}");
@@ -129,7 +127,7 @@ fn sequential_reference_trajectory() -> Vec<(usize, usize)> {
         // Execute sequentially (run_sequential = the reference schedule)
         // so the expectation never touches the pool.
         let mut out = vec![0.0f32; indices.len() * WIDTH];
-        rayon::run_sequential(|| stack.execute(&wm, &plan, &mut out, rank, &model, &spec)).unwrap();
+        rayon::run_sequential(|| stack.execute(&wm, &plan, &mut out, rank, &model, &spec));
         trajectory.push((hits, occupied(&stack, rank)));
     }
     trajectory
@@ -149,9 +147,7 @@ fn static_hits_are_stable_on_two_workers() {
     let mut out = vec![0.0f32; indices.len() * WIDTH];
     for rank in 0..RANKS {
         stack.plan(&wm, &indices, rank, &mut plan);
-        let stats = stack
-            .execute(&wm, &plan, &mut out, rank, &model, &spec)
-            .unwrap();
+        let stats = stack.execute(&wm, &plan, &mut out, rank, &model, &spec);
         assert_eq!(stats.cache_hits, expected_hits);
         assert_eq!(occupied(&stack, rank), 50);
     }
@@ -160,9 +156,9 @@ fn static_hits_are_stable_on_two_workers() {
 /// Gather a hot-headed stream through CLOCK cache + disk tier at the
 /// given residency, on the pool and on the sequential schedule; every
 /// batch must equal the tier-off gather bit for bit (`bits` makes NaN
-/// and -0.0 comparable), and the tier must really have served rows —
-/// misses at residency below 100% read the mapping, for the output and
-/// for the CLOCK fill both.
+/// and -0.0 comparable), and the tier must really have priced rows —
+/// misses at residency below 100% are disk reads, and their CLOCK
+/// inserts turn later reads of the hot tail into hits.
 fn cache_and_tier_match_the_plain_gather<T: Element>(
     width: usize,
     value: impl Fn(usize, usize) -> T + Send + Sync,
@@ -180,7 +176,7 @@ fn cache_and_tier_match_the_plain_gather<T: Element>(
         for sequential in [false, true] {
             let mut stack = TierStack {
                 cache: Some(FeatureCache::new_clock(&wm, RANKS, 24)),
-                disk: Some(OocTier::build(&wm, &hotness, budget).unwrap()),
+                disk: Some(OocTier::build(&wm, &hotness, budget)),
             };
             let mut plan = RowPlan::default();
             let mut rng = SmallRng::seed_from_u64(5);
@@ -205,8 +201,7 @@ fn cache_and_tier_match_the_plain_gather<T: Element>(
                     })
                 } else {
                     stack.execute(&wm, &plan, &mut out, rank, &model, &spec)
-                }
-                .unwrap();
+                };
                 global_gather(&wm, &indices, &mut plain, rank, &model, &spec);
                 assert!(
                     out.iter().map(&bits).eq(plain.iter().map(&bits)),

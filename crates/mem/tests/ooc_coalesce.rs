@@ -1,9 +1,9 @@
 //! The coalescing accumulator's contract, over arbitrary request
 //! batches: the ranged reads `OocTier::fetch` issues are sorted,
-//! disjoint, capped, and cover every requested row; the rows read out of
-//! the mapped file are the stored ones bit for bit; the fetch's own
-//! summary is the log of the reads; and the cost model's price of those
-//! reads never exceeds the per-row price of the same batch.
+//! disjoint, capped, inside the table, and cover every requested row;
+//! the fetch's own summary is the log of the reads; and the cost model's
+//! price of those reads never exceeds the per-row price of the same
+//! batch.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -14,14 +14,7 @@ use wg_sim::CostModel;
 
 fn store(rows: usize, width: usize) -> WholeMemory<f32> {
     let model = CostModel::dgx_a100();
-    let mut wm = WholeMemory::<f32>::allocate(&model, 3, rows, width, AccessMode::PeerAccess);
-    wm.init_rows(|row, out| {
-        for (j, v) in out.iter_mut().enumerate() {
-            // Distinct bit patterns, NaNs and negative zero included.
-            *v = f32::from_bits((row as u32).wrapping_mul(0x9e37_79b9) ^ j as u32);
-        }
-    });
-    wm
+    WholeMemory::<f32>::allocate(&model, 3, rows, width, AccessMode::PeerAccess)
 }
 
 /// One request batch of the given shape over `rows` rows.
@@ -57,22 +50,11 @@ proptest! {
     ) {
         let wm = store(rows, width);
         let storage = StorageCostModel::nvme();
-        let mut tier = OocTier::build(&wm, &vec![0; rows], 0).unwrap();
+        let mut tier = OocTier::build(&wm, &vec![0; rows], 0);
         let requested = batch(shape, rows, &mut SmallRng::seed_from_u64(seed));
-        let stats = tier.fetch(&requested, &storage).unwrap();
+        let stats = tier.fetch(&requested, &storage);
 
-        // Requested rows, read where they lie: the stored bits.
-        let mut expect = vec![0.0f32; width];
-        for &r in &requested {
-            wm.read_row(r as usize, &mut expect);
-            let got = &tier.spill()[r as usize * width..][..width];
-            prop_assert!(
-                got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "row {r}"
-            );
-        }
-
-        // Ranges: row-aligned, sorted, disjoint, capped, inside the file.
+        // Ranges: row-aligned, sorted, disjoint, capped, inside the table.
         let row_bytes = width * 4;
         let issued = tier.issued();
         let mut prev_end = 0u64;
@@ -123,9 +105,9 @@ fn isolated_rows_cost_exactly_the_per_row_price() {
     let (rows, width, stride) = (4000usize, 100usize, 164usize);
     let wm = store(rows, width);
     let storage = StorageCostModel::nvme();
-    let mut tier = OocTier::build(&wm, &vec![0; rows], 0).unwrap();
+    let mut tier = OocTier::build(&wm, &vec![0; rows], 0);
     let requested: Vec<u32> = (0..rows as u32).step_by(stride).collect();
-    let stats = tier.fetch(&requested, &storage).unwrap();
+    let stats = tier.fetch(&requested, &storage);
     assert_eq!(stats.requests, requested.len() as u64);
     assert_eq!(stats.read_bytes, stats.bytes);
     assert_eq!(stats.read_amplification(), 1.0);
@@ -149,7 +131,7 @@ fn sparse_zipf_batch_read_amplification_stays_bounded() {
     let (rows, width, draws) = (26_000usize, 100usize, 3000usize);
     let wm = store(rows, width);
     let storage = StorageCostModel::nvme();
-    let mut tier = OocTier::build(&wm, &vec![0; rows], 0).unwrap();
+    let mut tier = OocTier::build(&wm, &vec![0; rows], 0);
     let mut rng = SmallRng::seed_from_u64(7);
     let mut by_rank: Vec<u32> = (0..rows as u32).collect();
     by_rank.shuffle(&mut rng);
@@ -170,7 +152,7 @@ fn sparse_zipf_batch_read_amplification_stays_bounded() {
     requested.dedup();
     requested.shuffle(&mut rng);
 
-    let io = tier.fetch(&requested, &storage).unwrap();
+    let io = tier.fetch(&requested, &storage);
     assert!((200..500).contains(&io.rows), "batch shape drifted: {io}");
     assert!(io.requests < io.rows, "{io}");
     assert!(

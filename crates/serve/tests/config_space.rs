@@ -41,7 +41,8 @@ const SMALL_CACHE: usize = 16;
 enum Residency {
     /// No disk tier.
     Off,
-    /// One DSM-resident row: nearly every gather reads the spill file.
+    /// One DSM-resident row: nearly every gather row is priced as a disk
+    /// read.
     OneRow,
     /// About a quarter of the rows DSM-resident.
     Quarter,

@@ -87,7 +87,7 @@ cp BENCH_storage.json "$OUT_DIR/storage.json"
 # built from: dispatched vs forced-scalar vs naive-reference matmul
 # (wide and narrow-n/k shapes), the sparse kernels (g-SpMM, g-SDDMM,
 # weighted g-SpMM, edge softmax), the gather row-copy / checksum
-# loops and the disk tier's host cost per spilled row (`ooc_fetch`: the
+# loops and the disk tier's host cost per disk row (`ooc_fetch`: the
 # serve_zipf and train_input batch shapes through a disk-only stack),
 # the one-kernel gather against the NCCL baseline (the empty tier
 # stack: what the plain gather costs through the one plan/execute pair),

@@ -59,9 +59,9 @@ cargo test -q "${OFFLINE_FLAGS[@]}"
 # The kernel crates once more at the optimisation level the benchmarks
 # measure: the bit-identity claims are about release binaries, and the
 # compiler vectorises (and commutes) differently there than in the dev
-# profile the pass above tests. wg-mem rides along for its `unsafe`:
-# the `&[T]` view over the mapped spill file and the `extern "C"` block
-# are exercised least by the profile that optimises least. wg-sample
+# profile the pass above tests. wg-mem rides along for the gather's
+# plan/execute index arithmetic and the CLOCK cache's open-addressed
+# table probing, at the release codegen the benchmarks run. wg-sample
 # rides along for its host sampling kernel: the `u16` identity array and
 # the overlay table's wrap-around probing are index arithmetic that the
 # dev profile's overflow checks would trap and release wraps silently.
