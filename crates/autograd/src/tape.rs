@@ -14,6 +14,17 @@
 //! that does not: the gradient w.r.t. the gathered features — the widest
 //! g-SpMM backward and `dL/dX` matmul of a GNN — is never computed unless
 //! the caller asked for it with `leaf`.
+//!
+//! Like PyTorch's saved tensors, a buffer lives only until its last use.
+//! `Op::backward_reads` says what each backward reads besides its
+//! incoming gradient; `backward` uses it to return every value no recorded
+//! backward reads to the [`Workspace`] before the walk starts, and once
+//! the walk has passed a node — all of whose readers have higher ids — it
+//! returns that node's value, gradient and dropout mask too. The kernels
+//! and their order are unchanged; only the live set shrinks, and the walk's
+//! own allocations reuse what it released. After `backward`, gradients
+//! remain only for [`Tape::input`]/[`Tape::leaf`] nodes and values only
+//! for those and the output; reading any other panics.
 
 #![allow(clippy::needless_range_loop)] // kernel-style indexed loops
 
@@ -57,10 +68,16 @@ enum Op {
     Elu(NodeId, f32),
     /// LeakyReLU with slope; saved input is the argument's value.
     LeakyRelu(NodeId, f32),
-    /// Inverted dropout with saved mask.
-    Dropout(NodeId, Vec<f32>),
-    /// First `n` rows of `x` (targets-first feature reuse).
-    TopRows(NodeId, usize),
+    /// Inverted dropout with probability `p` and its saved keep-mask, one
+    /// bit per element.
+    Dropout { x: NodeId, p: f32, mask: Vec<u64> },
+    /// First `n` rows of `x`, which has `src_rows` rows (targets-first
+    /// feature reuse).
+    TopRows {
+        x: NodeId,
+        n: usize,
+        src_rows: usize,
+    },
     /// `x * s`.
     Scale(NodeId, f32),
     /// g-SpMM over a block (optionally edge-weighted, multi-head).
@@ -85,19 +102,62 @@ enum Op {
     },
 }
 
+impl Op {
+    /// What this op's backward reads besides its incoming gradient: the
+    /// operand values, and whether it reads its own output value. The one
+    /// liveness table — shapes a backward needs come from the op itself
+    /// or from the gradient, never from a value not listed here.
+    fn backward_reads(&self) -> ([Option<NodeId>; 2], bool) {
+        match self {
+            // `dL/da = g·bᵀ`, `dL/db = aᵀ·g`.
+            Op::Matmul(a, b) => ([Some(*a), Some(*b)], false),
+            // Masks of the forward input's sign.
+            Op::Relu(x) | Op::LeakyRelu(x, _) => ([Some(*x), None], false),
+            // `y + alpha` / the softmax Jacobian from the output.
+            Op::Elu(..) | Op::EdgeSoftmax { .. } => ([None, None], true),
+            // `dL/dh` weighs by the edge weights, `dL/dα` is an SDDMM
+            // with `h`; unweighted, the src gradient is the reverse
+            // aggregation of `g` alone.
+            Op::Spmm {
+                src,
+                weights: Some(w),
+                ..
+            } => ([Some(*src), Some(*w)], false),
+            Op::Input
+            | Op::Param(_)
+            | Op::Add(..)
+            | Op::Bias(..)
+            | Op::Dropout { .. }
+            | Op::TopRows { .. }
+            | Op::Scale(..)
+            | Op::Spmm { weights: None, .. }
+            | Op::EdgeScores { .. } => ([None, None], false),
+        }
+    }
+}
+
 struct Node {
-    value: Matrix,
+    /// `None` once released (or taken by [`Tape::take_value`]).
+    value: Option<Matrix>,
     grad: Option<Matrix>,
     op: Op,
     /// Whether `backward` must deliver a gradient to this node (see the
     /// module docs).
     needs_grad: bool,
+    /// Whether a backward that will run reads this node's value: set when
+    /// a reader that takes a gradient is recorded (a node that takes none
+    /// runs no backward).
+    read: bool,
+    /// The backward walk has passed this node and released its gradient.
+    passed: bool,
 }
 
 /// An autograd tape (one forward pass at a time). Owns a [`Workspace`]
-/// buffer pool: [`Tape::reset`] recycles every node's value, gradient and
-/// saved op state back into the pool, so a long-lived tape that is reset
-/// between batches records subsequent passes without heap allocation.
+/// buffer pool: `backward` returns each value, gradient and dropout mask
+/// to the pool after its last use (see the module docs) and
+/// [`Tape::reset`] returns whatever is left, so a long-lived tape that is
+/// reset between batches records subsequent passes without heap
+/// allocation.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
@@ -110,19 +170,14 @@ impl Tape {
         Self::default()
     }
 
-    /// Clear the tape for the next forward pass, recycling every node's
-    /// buffers into the workspace pool. The node list keeps its capacity,
-    /// so a reset tape records the same op sequence allocation-free.
+    /// Clear the tape for the next forward pass, recycling every buffer a
+    /// node still holds into the workspace pool. The node list keeps its
+    /// capacity, so a reset tape records the same op sequence
+    /// allocation-free.
     pub fn reset(&mut self) {
         let Tape { nodes, ws } = self;
-        for node in nodes.drain(..) {
-            ws.recycle_matrix(node.value);
-            if let Some(g) = node.grad {
-                ws.recycle_matrix(g);
-            }
-            if let Op::Dropout(_, mask) = node.op {
-                ws.recycle_f32(mask);
-            }
+        for mut node in nodes.drain(..) {
+            release(ws, &mut node, false);
         }
     }
 
@@ -146,50 +201,70 @@ impl Tape {
             Op::Relu(x)
             | Op::Elu(x, _)
             | Op::LeakyRelu(x, _)
-            | Op::Dropout(x, _)
-            | Op::TopRows(x, _)
-            | Op::Scale(x, _) => self.needs(*x),
-            Op::Matmul(a, b) | Op::Add(a, b) | Op::Bias(a, b) => self.needs(*a) || self.needs(*b),
-            Op::Spmm { src, weights, .. } => {
-                self.needs(*src) || weights.is_some_and(|w| self.needs(w))
+            | Op::Dropout { x, .. }
+            | Op::TopRows { x, .. }
+            | Op::Scale(x, _) => self.needs_grad(*x),
+            Op::Matmul(a, b) | Op::Add(a, b) | Op::Bias(a, b) => {
+                self.needs_grad(*a) || self.needs_grad(*b)
             }
-            Op::EdgeSoftmax { logits, .. } => self.needs(*logits),
-            Op::EdgeScores { dst, src, .. } => self.needs(*dst) || self.needs(*src),
+            Op::Spmm { src, weights, .. } => {
+                self.needs_grad(*src) || weights.is_some_and(|w| self.needs_grad(w))
+            }
+            Op::EdgeSoftmax { logits, .. } => self.needs_grad(*logits),
+            Op::EdgeScores { dst, src, .. } => self.needs_grad(*dst) || self.needs_grad(*src),
         };
+        let (operands, own_output) = op.backward_reads();
+        if needs_grad {
+            for x in operands.into_iter().flatten() {
+                self.nodes[x.0].read = true;
+            }
+        }
         self.nodes.push(Node {
-            value,
+            value: Some(value),
             grad: None,
             op,
             needs_grad,
+            read: needs_grad && own_output,
+            passed: false,
         });
         NodeId(self.nodes.len() - 1)
     }
 
-    fn needs(&self, id: NodeId) -> bool {
+    /// Whether `backward` delivers a gradient to this node: false for
+    /// [`Tape::input`] constants and everything computed only from them.
+    pub fn needs_grad(&self, id: NodeId) -> bool {
         self.nodes[id.0].needs_grad
     }
 
-    /// Value of a node.
+    /// Value of a node. Panics once `backward` has released it — every
+    /// node's but the inputs' and the output's.
     pub fn value(&self, id: NodeId) -> &Matrix {
-        &self.nodes[id.0].value
+        value_of(&self.nodes, id)
     }
 
-    /// Gradient of a node after `backward` (None if no gradient reached it
-    /// — always the case for [`Tape::input`] constants and anything
-    /// computed only from them).
+    /// Gradient of an input node after `backward` (None if no gradient
+    /// reached it — always the case for [`Tape::input`] constants). Panics
+    /// for any other node `backward` has passed: its gradient went back to
+    /// the pool (a parameter's lives on in [`Params`]).
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
-        self.nodes[id.0].grad.as_ref()
+        let node = &self.nodes[id.0];
+        assert!(
+            !node.passed,
+            "tape node {}: gradient was released after its last use",
+            id.0
+        );
+        node.grad.as_ref()
     }
 
-    /// Move a node's value matrix out of the tape, leaving an empty matrix
-    /// behind. Lets callers reclaim a large buffer (e.g. the gathered input
-    /// features at [`NodeId::first`]) once the tape is done with it — after
-    /// `backward`, before the tape is dropped.
+    /// Move a node's value matrix out of the tape. Lets callers reclaim a
+    /// large buffer (e.g. the gathered input features at
+    /// [`NodeId::first`]) once the tape is done with it — after
+    /// `backward`, before the tape is reset.
     pub fn take_value(&mut self, id: NodeId) -> Matrix {
-        std::mem::replace(
-            &mut self.nodes[id.0].value,
-            Matrix::from_vec(0, 0, Vec::new()),
-        )
+        self.nodes[id.0]
+            .value
+            .take()
+            .unwrap_or_else(|| panic!("tape node {}: value already released or taken", id.0))
     }
 
     /// Constant input (e.g. gathered features): takes no gradient, and
@@ -214,71 +289,78 @@ impl Tape {
 
     /// `a · b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut v = self
-            .ws
-            .matrix_stale(self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
-        ops::matmul_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
+        let (av, bv) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
+        let mut v = self.ws.matrix_stale(av.rows(), bv.cols());
+        ops::matmul_into(av, bv, &mut v);
         self.push(v, Op::Matmul(a, b))
     }
 
     /// `a + b`.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut v = self.ws.matrix_stale_like(&self.nodes[a.0].value);
-        ops::add_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
+        let (av, bv) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
+        let mut v = self.ws.matrix_stale_like(av);
+        ops::add_into(av, bv, &mut v);
         self.push(v, Op::Add(a, b))
     }
 
     /// Broadcast-add a `[1, n]` bias node to every row of `x`.
     pub fn bias(&mut self, x: NodeId, b: NodeId) -> NodeId {
-        assert_eq!(self.nodes[b.0].value.rows(), 1, "bias must be a row vector");
-        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
-        let bias = self.nodes[b.0].value.row(0);
-        ops::add_bias(&self.nodes[x.0].value, bias, &mut v);
+        let (xv, bv) = (value_of(&self.nodes, x), value_of(&self.nodes, b));
+        assert_eq!(bv.rows(), 1, "bias must be a row vector");
+        let mut v = self.ws.matrix_stale_like(xv);
+        ops::add_bias(xv, bv.row(0), &mut v);
         self.push(v, Op::Bias(x, b))
     }
 
     /// ReLU.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
-        ops::relu(&self.nodes[x.0].value, &mut v);
+        let xv = value_of(&self.nodes, x);
+        let mut v = self.ws.matrix_stale_like(xv);
+        ops::relu(xv, &mut v);
         self.push(v, Op::Relu(x))
     }
 
     /// ELU (GAT's activation).
     pub fn elu(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
-        ops::elu(&self.nodes[x.0].value, alpha, &mut v);
+        let xv = value_of(&self.nodes, x);
+        let mut v = self.ws.matrix_stale_like(xv);
+        ops::elu(xv, alpha, &mut v);
         self.push(v, Op::Elu(x, alpha))
     }
 
     /// LeakyReLU (GAT attention logits).
     pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
-        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
-        ops::leaky_relu(&self.nodes[x.0].value, slope, &mut v);
+        let xv = value_of(&self.nodes, x);
+        let mut v = self.ws.matrix_stale_like(xv);
+        ops::leaky_relu(xv, slope, &mut v);
         self.push(v, Op::LeakyRelu(x, slope))
     }
 
     /// Inverted dropout (training mode; pass `p = 0` to disable).
     pub fn dropout(&mut self, x: NodeId, p: f32, seed: u64) -> NodeId {
-        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
-        let mut mask = self.ws.take_f32_stale(if p == 0.0 { 0 } else { v.len() });
-        ops::dropout_into(&self.nodes[x.0].value, p, seed, &mut v, &mut mask);
-        self.push(v, Op::Dropout(x, mask))
+        let xv = value_of(&self.nodes, x);
+        let mut v = self.ws.matrix_stale_like(xv);
+        let words = xv.rows() * ops::dropout_mask_words(xv.cols());
+        let mut mask = self.ws.take_u64(if p == 0.0 { 0 } else { words });
+        ops::dropout_into(xv, p, seed, &mut v, &mut mask);
+        self.push(v, Op::Dropout { x, p, mask })
     }
 
     /// First `n` rows of `x`.
     pub fn top_rows(&mut self, x: NodeId, n: usize) -> NodeId {
-        let cols = self.nodes[x.0].value.cols();
+        let xv = value_of(&self.nodes, x);
+        let (src_rows, cols) = (xv.rows(), xv.cols());
         let mut buf = self.ws.take_f32(n * cols);
-        buf.extend_from_slice(&self.nodes[x.0].value.data()[..n * cols]);
+        buf.extend_from_slice(&xv.data()[..n * cols]);
         let v = Matrix::from_vec(n, cols, buf);
-        self.push(v, Op::TopRows(x, n))
+        self.push(v, Op::TopRows { x, n, src_rows })
     }
 
     /// `x · s`.
     pub fn scale(&mut self, x: NodeId, s: f32) -> NodeId {
-        let mut v = self.ws.matrix_stale_like(&self.nodes[x.0].value);
-        ops::scale(&self.nodes[x.0].value, s, &mut v);
+        let xv = value_of(&self.nodes, x);
+        let mut v = self.ws.matrix_stale_like(xv);
+        ops::scale(xv, s, &mut v);
         self.push(v, Op::Scale(x, s))
     }
 
@@ -292,13 +374,10 @@ impl Tape {
         heads: usize,
         agg: Agg,
     ) -> NodeId {
-        let mut v = self
-            .ws
-            .matrix_with_capacity(block.num_dst * self.nodes[src.0].value.cols());
-        {
-            let w = weights.map(|w| &self.nodes[w.0].value);
-            sparse::spmm_into(&block, &self.nodes[src.0].value, w, heads, agg, &mut v);
-        }
+        let sv = value_of(&self.nodes, src);
+        let w = weights.map(|w| value_of(&self.nodes, w));
+        let mut v = self.ws.matrix_with_capacity(block.num_dst * sv.cols());
+        sparse::spmm_into(&block, sv, w, heads, agg, &mut v);
         self.push(
             v,
             Op::Spmm {
@@ -311,52 +390,64 @@ impl Tape {
         )
     }
 
-    /// A pooled matrix able to hold one row per edge of `block`, as wide
-    /// as node `like` — the shape of every per-edge GAT intermediate.
-    fn edge_matrix(&mut self, block: &BlockCsr, like: NodeId) -> Matrix {
-        let heads = self.nodes[like.0].value.cols();
-        self.ws.matrix_with_capacity(block.num_edges() * heads)
-    }
-
     /// Per-dst, per-head edge softmax over `block`.
     pub fn edge_softmax(&mut self, block: Arc<BlockCsr>, logits: NodeId) -> NodeId {
-        let mut v = self.edge_matrix(&block, logits);
-        sparse::edge_softmax_into(&block, &self.nodes[logits.0].value, &mut v);
+        let lv = value_of(&self.nodes, logits);
+        // One row per edge, one column per head, like every per-edge
+        // GAT intermediate.
+        let mut v = self.ws.matrix_with_capacity(block.num_edges() * lv.cols());
+        sparse::edge_softmax_into(&block, lv, &mut v);
         self.push(v, Op::EdgeSoftmax { logits, block })
     }
 
     /// GAT attention logits: `out[e, h] = dst_scores[d(e), h] +
     /// src_scores[s(e), h]` over the block's edges.
     pub fn edge_scores(&mut self, block: Arc<BlockCsr>, dst: NodeId, src: NodeId) -> NodeId {
-        let mut v = self.edge_matrix(&block, dst);
-        let (d, s) = (&self.nodes[dst.0].value, &self.nodes[src.0].value);
+        let (d, s) = (value_of(&self.nodes, dst), value_of(&self.nodes, src));
+        let mut v = self.ws.matrix_with_capacity(block.num_edges() * d.cols());
         sparse::edge_scores_into(&block, d, s, &mut v);
         self.push(v, Op::EdgeScores { dst, src, block })
     }
 
     /// Backward pass: seed `seed_grad` at `output` and accumulate
-    /// parameter gradients into `params`.
+    /// parameter gradients into `params`, returning every buffer to the
+    /// pool after its last use (see the module docs).
     pub fn backward(&mut self, output: NodeId, seed_grad: Matrix, params: &mut Params) {
-        {
-            let out = &mut self.nodes[output.0];
-            assert_eq!(
-                (out.value.rows(), out.value.cols()),
-                (seed_grad.rows(), seed_grad.cols()),
-                "seed gradient shape mismatch"
-            );
-            out.grad = Some(seed_grad);
-        }
+        let out = value_of(&self.nodes, output);
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (seed_grad.rows(), seed_grad.cols()),
+            "seed gradient shape mismatch"
+        );
+        self.nodes[output.0].grad = Some(seed_grad);
+        self.release_unread(output);
         for i in (0..=output.0).rev() {
             // Only `output` itself can hold a gradient it has no use for.
-            if !self.nodes[i].needs_grad {
-                continue;
+            if self.nodes[i].needs_grad {
+                if let Some(grad) = self.nodes[i].grad.take() {
+                    self.propagate(i, &grad, params);
+                    self.nodes[i].grad = Some(grad);
+                }
             }
-            let Some(grad) = self.nodes[i].grad.take() else {
-                continue;
-            };
-            // Re-insert so callers can inspect grads afterwards.
-            self.propagate(i, &grad, params);
-            self.nodes[i].grad = Some(grad);
+            // Every reader of node `i` has a higher id and has run; an
+            // input keeps its value and (a leaf's) gradient for the caller.
+            let node = &mut self.nodes[i];
+            if !matches!(node.op, Op::Input) {
+                release(&mut self.ws, node, i == output.0);
+                node.passed = true;
+            }
+        }
+    }
+
+    /// Return to the pool every value below `output` that no backward
+    /// which will run reads — inputs excepted.
+    fn release_unread(&mut self, output: NodeId) {
+        for node in &mut self.nodes[..output.0] {
+            if !node.read && !matches!(node.op, Op::Input) {
+                if let Some(v) = node.value.take() {
+                    self.ws.recycle_matrix(v);
+                }
+            }
         }
     }
 
@@ -364,7 +455,7 @@ impl Tape {
     /// pool when the node takes none (kernels that produce both operands'
     /// gradients at once; single-operand kernels are skipped instead).
     fn accumulate(&mut self, id: NodeId, g: Matrix) {
-        if !self.needs(id) {
+        if !self.needs_grad(id) {
             self.ws.recycle_matrix(g);
             return;
         }
@@ -372,6 +463,12 @@ impl Tape {
         match slot {
             None => *slot = Some(g),
             Some(acc) => {
+                assert_eq!(
+                    (acc.rows(), acc.cols()),
+                    (g.rows(), g.cols()),
+                    "tape node {}: gradient contribution shape mismatch",
+                    id.0
+                );
                 for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
                     *a += b;
                 }
@@ -389,29 +486,30 @@ impl Tape {
         // the workspace pool, and never resizes `self.nodes`; the op enum
         // itself is not mutated.
         let op: &Op = unsafe { &*op };
+        let own = NodeId(i);
         match op {
             Op::Input => {}
             Op::Param(pid) => params.accumulate_grad(*pid, grad),
             Op::Matmul(a, b) => {
                 let (a, b) = (*a, *b);
-                if self.needs(a) {
+                if self.needs_grad(a) {
                     let mut ga = self
                         .ws
-                        .matrix_stale(grad.rows(), self.nodes[b.0].value.rows());
+                        .matrix_stale(grad.rows(), value_of(&self.nodes, b).rows());
                     ops::matmul_nt_into(
                         grad,
-                        &self.nodes[b.0].value,
+                        value_of(&self.nodes, b),
                         &mut ga,
                         &mut self.ws.nt_scratch,
                     );
                     self.accumulate(a, ga);
                 }
-                if self.needs(b) {
+                if self.needs_grad(b) {
                     let mut gb = self
                         .ws
-                        .matrix_stale(self.nodes[a.0].value.cols(), grad.cols());
+                        .matrix_stale(value_of(&self.nodes, a).cols(), grad.cols());
                     ops::matmul_tn_into(
-                        &self.nodes[a.0].value,
+                        value_of(&self.nodes, a),
                         grad,
                         &mut gb,
                         &mut self.ws.tn_scratch,
@@ -421,7 +519,7 @@ impl Tape {
             }
             Op::Add(a, b) => {
                 for operand in [*a, *b] {
-                    if self.needs(operand) {
+                    if self.needs_grad(operand) {
                         let g = self.ws.matrix_from(grad);
                         self.accumulate(operand, g);
                     }
@@ -429,11 +527,11 @@ impl Tape {
             }
             Op::Bias(x, b) => {
                 let (x, b) = (*x, *b);
-                if self.needs(x) {
+                if self.needs_grad(x) {
                     let gx = self.ws.matrix_from(grad);
                     self.accumulate(x, gx);
                 }
-                if self.needs(b) {
+                if self.needs_grad(b) {
                     let mut gb = self.ws.matrix_zeros(1, grad.cols());
                     ops::sum_rows_into(grad, gb.data_mut());
                     self.accumulate(b, gb);
@@ -442,34 +540,30 @@ impl Tape {
             Op::Relu(x) => {
                 let x = *x;
                 let mut g = self.ws.matrix_stale_like(grad);
-                ops::relu_backward(grad, &self.nodes[x.0].value, &mut g);
+                ops::relu_backward(grad, value_of(&self.nodes, x), &mut g);
                 self.accumulate(x, g);
             }
             Op::Elu(x, alpha) => {
                 let (x, alpha) = (*x, *alpha);
                 let mut g = self.ws.matrix_stale_like(grad);
-                ops::elu_backward(grad, &self.nodes[i].value, alpha, &mut g);
+                ops::elu_backward(grad, value_of(&self.nodes, own), alpha, &mut g);
                 self.accumulate(x, g);
             }
             Op::LeakyRelu(x, slope) => {
                 let (x, slope) = (*x, *slope);
                 let mut g = self.ws.matrix_stale_like(grad);
-                ops::leaky_relu_backward(grad, &self.nodes[x.0].value, slope, &mut g);
+                ops::leaky_relu_backward(grad, value_of(&self.nodes, x), slope, &mut g);
                 self.accumulate(x, g);
             }
-            Op::Dropout(x, mask) => {
+            Op::Dropout { x, p, mask } => {
                 let x = *x;
                 let mut g = self.ws.matrix_stale_like(grad);
-                ops::dropout_backward(grad, mask, &mut g);
+                ops::dropout_backward(grad, mask, *p, &mut g);
                 self.accumulate(x, g);
             }
-            Op::TopRows(x, n) => {
-                let (x, n) = (*x, *n);
-                let (rows, cols) = {
-                    let src = &self.nodes[x.0].value;
-                    (src.rows(), src.cols())
-                };
-                let mut g = self.ws.matrix_zeros(rows, cols);
+            Op::TopRows { x, n, src_rows } => {
+                let (x, n, cols) = (*x, *n, grad.cols());
+                let mut g = self.ws.matrix_zeros(*src_rows, cols);
                 g.data_mut()[..n * cols].copy_from_slice(grad.data());
                 self.accumulate(x, g);
             }
@@ -488,9 +582,9 @@ impl Tape {
             } => {
                 let (src, weights, heads, agg) = (*src, *weights, *heads, *agg);
                 let block = Arc::clone(block);
-                if self.needs(src) {
+                if self.needs_grad(src) {
                     let mut gsrc = self.ws.matrix_with_capacity(block.num_src * grad.cols());
-                    let w = weights.map(|w| &self.nodes[w.0].value);
+                    let w = weights.map(|w| value_of(&self.nodes, w));
                     sparse::spmm_backward_src_into(
                         &block,
                         grad,
@@ -502,18 +596,20 @@ impl Tape {
                     );
                     self.accumulate(src, gsrc);
                 }
-                if let Some(w) = weights.filter(|&w| self.needs(w)) {
+                if let Some(w) = weights.filter(|&w| self.needs_grad(w)) {
                     // dL/dw = g-SDDMM(grad_dst, src) with the forward scale.
-                    let mut gw = self.edge_matrix(&block, w);
-                    let h = &self.nodes[src.0].value;
+                    let mut gw = self.ws.matrix_with_capacity(block.num_edges() * heads);
+                    let h = value_of(&self.nodes, src);
                     sparse::sddmm_into(&block, grad, h, heads, agg, &mut gw);
                     self.accumulate(w, gw);
                 }
             }
             Op::EdgeSoftmax { logits, block } => {
                 let logits = *logits;
-                let mut g = self.edge_matrix(block, logits);
-                sparse::edge_softmax_backward_into(block, &self.nodes[i].value, grad, &mut g);
+                let mut g = self
+                    .ws
+                    .matrix_with_capacity(block.num_edges() * grad.cols());
+                sparse::edge_softmax_backward_into(block, value_of(&self.nodes, own), grad, &mut g);
                 self.accumulate(logits, g);
             }
             Op::EdgeScores { dst, src, block } => {
@@ -529,12 +625,66 @@ impl Tape {
     }
 }
 
+/// `id`'s value; panics naming the node once it has been released.
+fn value_of(nodes: &[Node], id: NodeId) -> &Matrix {
+    nodes[id.0].value.as_ref().unwrap_or_else(|| {
+        panic!(
+            "tape node {}: value was released after its last use (or taken)",
+            id.0
+        )
+    })
+}
+
+/// Return a node's buffers to the pool: its gradient, its dropout mask
+/// and, unless `keep_value`, its value.
+fn release(ws: &mut Workspace, node: &mut Node, keep_value: bool) {
+    if !keep_value {
+        if let Some(v) = node.value.take() {
+            ws.recycle_matrix(v);
+        }
+    }
+    if let Some(g) = node.grad.take() {
+        ws.recycle_matrix(g);
+    }
+    if let Op::Dropout { mask, .. } = &mut node.op {
+        ws.recycle_u64(std::mem::take(mask));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::prelude::*;
     use rand::rngs::SmallRng;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use wg_tensor::ops::softmax_cross_entropy;
+
+    thread_local! {
+        /// Heap allocations made by this thread (tests run one per thread).
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct CountingAlloc;
+
+    // SAFETY: defers every operation to `System`; the counter is a
+    // const-initialised thread-local `Cell`, which never allocates.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|a| a.set(a.get() + 1));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCS.with(|a| a.set(a.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
 
     fn randm(r: usize, c: usize, seed: u64) -> Matrix {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -796,7 +946,7 @@ mod tests {
     /// `input` vs `leaf` differ only in what `backward` skips: the same
     /// network over a constant input and over a gradient-taking leaf must
     /// accumulate bit-identical parameter gradients, while only the leaf
-    /// (and nothing computed from constants alone) ends up with a gradient.
+    /// (and nothing computed from constants alone) takes a gradient.
     #[test]
     fn constant_input_skips_its_gradient_and_moves_no_parameter_bit() {
         let block = tiny_block();
@@ -853,7 +1003,7 @@ mod tests {
             );
             let constants_with_grad = [x, agg, own, sum, half]
                 .iter()
-                .filter(|&&n| t.grad(n).is_some())
+                .filter(|&&n| t.needs_grad(n))
                 .count();
             (bits, t.grad(NodeId::first()).cloned(), constants_with_grad)
         };
@@ -874,11 +1024,18 @@ mod tests {
     /// Dropout's backward is `grad · mask` with the mask the forward drew:
     /// `keep` where the output survived, `0.0` where it was dropped — read
     /// back here from the forward output itself — and `p = 0` passes the
-    /// gradient through untouched.
+    /// gradient through untouched — at row widths below, at and across
+    /// the bit mask's 64-bit word.
     #[test]
     fn dropout_backward_routes_through_the_drawn_mask() {
-        let x = Matrix::from_fn(9, 37, |i, j| 1.0 + (i * 37 + j) as f32);
-        let g = randm(9, 37, 71);
+        for (rows, cols) in [(9, 37), (9, 64), (9, 130)] {
+            check_dropout_through_the_tape(rows, cols);
+        }
+    }
+
+    fn check_dropout_through_the_tape(rows: usize, cols: usize) {
+        let x = Matrix::from_fn(rows, cols, |i, j| 1.0 + (i * cols + j) as f32);
+        let g = randm(rows, cols, 71);
         for p in [0.0f32, 0.1, 0.5, 0.9] {
             let mut params = Params::new();
             let mut t = Tape::new();
@@ -896,11 +1053,113 @@ mod tests {
                 dropped += usize::from(m == 0.0);
                 assert_eq!(y.to_bits(), (x * m).to_bits());
                 let want = if p == 0.0 { g } else { g * m };
-                assert_eq!(gx.to_bits(), want.to_bits(), "p {p}");
+                assert_eq!(gx.to_bits(), want.to_bits(), "{rows}x{cols} p {p}");
             }
             let share = dropped as f32 / x.len() as f32;
-            assert!((share - p).abs() < 0.08, "p {p}: dropped {share}");
+            assert!(
+                (share - p).abs() < 0.08,
+                "{rows}x{cols} p {p}: dropped {share}"
+            );
         }
+    }
+
+    /// A GCN-like layer with dropout over a gradient-taking `[4, 3]` leaf
+    /// and [`tiny_block`]; returns `[leaf, a released intermediate,
+    /// output]`.
+    fn record_pass(
+        t: &mut Tape,
+        params: &Params,
+        (w, b): (ParamId, ParamId),
+        (block, input): (&Arc<BlockCsr>, Matrix),
+    ) -> [NodeId; 3] {
+        let x = t.leaf(input);
+        let agg = t.spmm(Arc::clone(block), x, None, 1, Agg::Mean);
+        let own = t.top_rows(x, 2);
+        let sum = t.add(agg, own);
+        let h = t.dropout(sum, 0.5, 82);
+        let (wi, bi) = (t.param(params, w), t.param(params, b));
+        let h = t.matmul(h, wi);
+        let out = t.bias(h, bi);
+        [x, sum, out]
+    }
+
+    fn two_param_model() -> (Params, ParamId, ParamId) {
+        let mut rng = SmallRng::seed_from_u64(80);
+        let mut params = Params::new();
+        let w = params.add_xavier("w", 3, 5, &mut rng);
+        let b = params.add_bias("b", 5);
+        (params, w, b)
+    }
+
+    #[test]
+    fn leaf_gradients_and_the_output_value_survive_backward() {
+        let (mut params, w, b) = two_param_model();
+        let mut t = Tape::new();
+        let [x, _, out] = record_pass(&mut t, &params, (w, b), (&tiny_block(), randm(4, 3, 81)));
+        let want_out = t.value(out).clone();
+        t.backward(out, randm(2, 5, 83), &mut params);
+        assert_eq!(t.value(out).data(), want_out.data());
+        let gx = t.grad(x).expect("a leaf keeps its gradient");
+        assert_eq!((gx.rows(), gx.cols()), (4, 3));
+        assert_eq!(t.value(x).rows(), 4, "inputs keep their values");
+        assert!(params.grad(w).data().iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 3: value was released")]
+    fn reading_a_released_value_panics() {
+        let (mut params, w, b) = two_param_model();
+        let mut t = Tape::new();
+        let [_, sum, out] = record_pass(&mut t, &params, (w, b), (&tiny_block(), randm(4, 3, 81)));
+        assert_eq!(sum, NodeId(3));
+        t.backward(out, randm(2, 5, 83), &mut params);
+        t.value(sum);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 3: gradient was released")]
+    fn reading_a_released_gradient_panics() {
+        let (mut params, w, b) = two_param_model();
+        let mut t = Tape::new();
+        let [_, sum, out] = record_pass(&mut t, &params, (w, b), (&tiny_block(), randm(4, 3, 81)));
+        t.backward(out, randm(2, 5, 83), &mut params);
+        t.grad(sum);
+    }
+
+    /// Buffers released mid-walk return to the pool, so once a pass has
+    /// warmed it a reset tape records, differentiates and resets the same
+    /// pass without asking the allocator for anything.
+    #[test]
+    fn a_reset_tape_replays_the_same_pass_without_allocating() {
+        let (mut params, w, b) = two_param_model();
+        let seed = randm(2, 5, 83);
+        let mut t = Tape::new();
+        let (block, mut input) = (tiny_block(), randm(4, 3, 81));
+        let pass = |t: &mut Tape, params: &mut Params, input: Matrix| {
+            t.reset();
+            let [x, _, out] = record_pass(t, params, (w, b), (&block, input));
+            let mut g = t.alloc(2, 5);
+            g.data_mut().copy_from_slice(seed.data());
+            t.backward(out, g, params);
+            // The input comes back out, as the pipeline reclaims it.
+            t.take_value(x)
+        };
+        for _ in 0..2 {
+            input = pass(&mut t, &mut params, input);
+        }
+        let before = ALLOCS.with(Cell::get);
+        let input = pass(&mut t, &mut params, input);
+        assert_eq!(ALLOCS.with(Cell::get) - before, 0, "warm pass allocated");
+        assert_eq!((input.rows(), input.cols()), (4, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 0: gradient contribution shape mismatch")]
+    fn a_misshapen_gradient_contribution_panics() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::zeros(2, 3));
+        t.accumulate(x, Matrix::zeros(2, 3));
+        t.accumulate(x, Matrix::zeros(3, 2));
     }
 
     #[test]

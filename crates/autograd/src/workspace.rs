@@ -4,12 +4,13 @@
 //! preallocated device memory — nothing on the hot path asks the
 //! allocator for anything. [`Workspace`] is the reproduction's analogue: a
 //! free-list of `f32` buffers that forward activations, gradients
-//! and kernel scratch are drawn from and returned to, so a tape that is
-//! [`reset`](crate::Tape::reset) between batches reuses the previous
-//! batch's buffers instead of reallocating them. Because the training
-//! loop requests the same shape sequence every iteration, the pool's
-//! capacities converge after the first batch and steady-state epochs
-//! perform (almost) zero heap allocations.
+//! and kernel scratch are drawn from and returned to (and one of `u64`
+//! buffers for dropout's bit masks), so a tape reuses buffers its
+//! backward pass released — and, after [`reset`](crate::Tape::reset),
+//! the previous batch's — instead of reallocating them. Because the
+//! training loop requests the same shape sequence every iteration, the
+//! pool's capacities converge after the first batch and steady-state
+//! epochs perform (almost) zero heap allocations.
 
 use wg_tensor::matrix::Matrix;
 use wg_tensor::sparse::ReverseScratch;
@@ -24,6 +25,8 @@ const MAX_POOLED: usize = 96;
 #[derive(Default)]
 pub struct Workspace {
     f32_pool: Vec<Vec<f32>>,
+    /// Dropout keep-masks, one bit per element.
+    u64_pool: Vec<Vec<u64>>,
     /// Partial-sum slab for [`wg_tensor::ops::matmul_tn_into`].
     pub tn_scratch: Vec<f32>,
     /// `Bᵀ`, packed into panels, for [`wg_tensor::ops::matmul_nt_into`].
@@ -36,7 +39,7 @@ pub struct Workspace {
 /// Pick the pooled buffer to hand out for a `len`-element request: the
 /// smallest buffer whose capacity already fits (no growth), else the
 /// largest buffer (grows once, then fits forever).
-fn best_slot(pool: &[Vec<f32>], len: usize) -> Option<usize> {
+fn best_slot<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
     let mut fit: Option<usize> = None;
     let mut largest: Option<usize> = None;
     for (i, buf) in pool.iter().enumerate() {
@@ -51,24 +54,32 @@ fn best_slot(pool: &[Vec<f32>], len: usize) -> Option<usize> {
     fit.or(largest)
 }
 
+/// The pooled buffer [`best_slot`] picks for `len` elements (contents
+/// and length as its last user left them), or a fresh one.
+fn pick<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+    match best_slot(pool, len) {
+        Some(i) => pool.swap_remove(i),
+        None => Vec::with_capacity(len),
+    }
+}
+
+/// Keep `buf` for reuse unless it holds no memory or the pool is full.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
+    if buf.capacity() == 0 || pool.len() >= MAX_POOLED {
+        return;
+    }
+    pool.push(buf);
+}
+
 impl Workspace {
     /// Fresh empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The pooled buffer [`best_slot`] picks for `len` elements (contents
-    /// and length as its last user left them), or a fresh one.
-    fn pick_f32(&mut self, len: usize) -> Vec<f32> {
-        match best_slot(&self.f32_pool, len) {
-            Some(i) => self.f32_pool.swap_remove(i),
-            None => Vec::with_capacity(len),
-        }
-    }
-
     /// A cleared `f32` buffer, preferably with capacity ≥ `len`.
     pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = self.pick_f32(len);
+        let mut buf = pick(&mut self.f32_pool, len);
         buf.clear();
         buf
     }
@@ -78,7 +89,7 @@ impl Workspace {
     /// kernels that overwrite every element: a warm pool serves them with
     /// no fill pass at all.
     pub fn take_f32_stale(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = self.pick_f32(len);
+        let mut buf = pick(&mut self.f32_pool, len);
         buf.resize(len, 0.0);
         buf
     }
@@ -86,10 +97,18 @@ impl Workspace {
     /// Return an `f32` buffer to the pool. Its contents stay behind as the
     /// stale values [`Workspace::take_f32_stale`] hands out.
     pub fn recycle_f32(&mut self, buf: Vec<f32>) {
-        if buf.capacity() == 0 || self.f32_pool.len() >= MAX_POOLED {
-            return;
-        }
-        self.f32_pool.push(buf);
+        recycle(&mut self.f32_pool, buf);
+    }
+
+    /// A pooled `u64` buffer (contents stale) with capacity ≥ `len`
+    /// preferred — a dropout mask, which the kernel resizes and fills.
+    pub fn take_u64(&mut self, len: usize) -> Vec<u64> {
+        pick(&mut self.u64_pool, len)
+    }
+
+    /// Return a `u64` buffer to the pool.
+    pub fn recycle_u64(&mut self, buf: Vec<u64>) {
+        recycle(&mut self.u64_pool, buf);
     }
 
     /// A pooled `0×0` matrix whose buffer can hold `len` floats — the

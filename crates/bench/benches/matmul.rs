@@ -25,8 +25,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_tensor::ops::{
-    dropout_into, elu, elu_backward, leaky_relu, matmul_into, matmul_into_with, matmul_nt_into,
-    matmul_nt_into_with, matmul_nt_reference, matmul_reference, matmul_tn_into,
+    dropout_backward, dropout_into, elu, elu_backward, leaky_relu, matmul_into, matmul_into_with,
+    matmul_nt_into, matmul_nt_into_with, matmul_nt_reference, matmul_reference, matmul_tn_into,
     matmul_tn_into_with, matmul_tn_reference, relu, relu_backward,
 };
 use wg_tensor::simd::{self, Level};
@@ -225,7 +225,8 @@ fn bench_elementwise(c: &mut Criterion) {
     let mut y = Matrix::empty();
     elu(&x, 1.0, &mut y);
     let mut out = Matrix::empty();
-    let mut mask = Vec::new();
+    // The keep-mask, one bit per element.
+    let mut mask: Vec<u64> = Vec::new();
     let mut group = c.benchmark_group("elementwise");
     group.sample_size(15);
     group.bench_function("dropout_into", |bch| {
@@ -233,6 +234,9 @@ fn bench_elementwise(c: &mut Criterion) {
             dropout_into(black_box(&x), 0.5, 7, &mut out, &mut mask);
             black_box(mask.len())
         });
+    });
+    group.bench_function("dropout_backward", |bch| {
+        bch.iter(|| dropout_backward(black_box(&g), &mask, 0.5, &mut out));
     });
     group.bench_function("elu", |bch| {
         bch.iter(|| elu(black_box(&x), 1.0, &mut out));

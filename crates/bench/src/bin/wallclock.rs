@@ -16,10 +16,14 @@
 //! `allocs_per_batch` for every bench: the minimum number of heap
 //! allocations observed across the (already warm) pool-schedule repeats.
 //! For the sampling bench this must be **zero** — the scratch-arena hot
-//! path's contract — and [`gate`] holds every bench to its budget.
+//! path's contract — and [`gate`] holds every bench to its budget. The
+//! same allocator tracks live bytes, and every row reports
+//! `peak_heap_mb`: the highest live heap while the bench's runs execute
+//! (its set-up state included), which [`gate`] holds to a budget where
+//! [`EXPECT`] sets one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,25 +42,38 @@ use wholegraph::prelude::*;
 
 /// Global allocation counter (all threads, pool workers included).
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated, and the highest value since [`measure`]
+/// last restarted it.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
-/// System allocator with an allocation counter in front: the witness that
-/// the sampling hot path performs zero steady-state heap allocations.
+fn on_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+/// System allocator with an allocation and live-byte counter in front:
+/// the witness that the sampling hot path performs zero steady-state
+/// heap allocations, and of how much heap a bench holds at its peak.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        on_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        on_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        on_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,29 +88,35 @@ const REPEATS: usize = 3;
 const POOL_REPEATS: usize = 5;
 
 /// The pinned per-bench contract: (name, FNV-1a checksum, allocation
-/// budget per warm batch) — the one place the pins and budgets live. The
-/// checksums are schedule- and thread-count-invariant by the harness's
+/// budget per warm batch, peak live-heap budget in MiB where the bench
+/// has one) — the one place the pins and budgets live. The checksums
+/// are schedule- and thread-count-invariant by the harness's
 /// bit-identical construction, so the gate holds under any `WG_THREADS`
 /// and on every tier leg (`--cache-rows`, `--storage-rows`: tiers change
 /// cost, never values, and their hot paths allocate nothing). A kernel
 /// change that legitimately moves numerics must update the pin here — in
 /// the same commit, with the bench rerun.
-const EXPECT: [(&str, u64, u64); 5] = [
-    ("sample", 0xf0d397b0ce92dc84, 0),
-    ("gather", 0x2b272988158bae37, 0),
-    ("spmm", 0x9ca0fe519fc2bdf1, 0),
+const EXPECT: [(&str, u64, u64, Option<f64>); 5] = [
+    ("sample", 0xf0d397b0ce92dc84, 0, None),
+    ("gather", 0x2b272988158bae37, 0, None),
+    ("spmm", 0x9ca0fe519fc2bdf1, 0, None),
     // The epoch checksum covers loss + train-accuracy bits only (not
     // epoch_time): the feature-cache tier moves simulated time without
     // touching a trained bit, and this pin is the witness. The budget is
     // the measured steady-state figure with warm pools, cache lookups and
-    // CLOCK maintenance included.
-    ("epoch", 0x2f1ecc574fe94d6a, 1),
+    // CLOCK maintenance included. The peak budget is the highest figure
+    // measured at `WG_THREADS` 1 and 4 on the three tier legs (18.9 MiB,
+    // the CLOCK cache leg), plus 10%.
+    ("epoch", 0x2f1ecc574fe94d6a, 1, Some(20.8)),
     // Two paper-config GAT iterations: the checksum covers both loss
     // bits and was recorded before g-SDDMM, edge softmax, weighted g-SpMM
     // and the narrow matmuls had SIMD twins — those kernels may get
     // faster, never different. The budget is the warm-pool figure: every
-    // GAT intermediate is drawn from the tape's workspace.
-    ("gat_step", 0xd7da30127959a9cb, 2),
+    // GAT intermediate is drawn from the tape's workspace. The peak
+    // budget is set like the epoch's (135.9 MiB at `WG_THREADS=4`, plus
+    // 10%); a tape that held every buffer until `Tape::reset` peaks at
+    // 278 MiB here.
+    ("gat_step", 0xd7da30127959a9cb, 2, Some(149.5)),
 ];
 
 /// One timed run of a bench's workload.
@@ -116,6 +139,8 @@ struct Measurement {
     allocs: u64,
     /// Logical batches per run (divides `allocs` into a per-batch figure).
     batches: u64,
+    /// Highest live heap while the runs executed, bytes.
+    peak_bytes: usize,
     sim: Option<SimTime>,
     stages: Option<[Duration; 3]>,
 }
@@ -128,6 +153,10 @@ impl Measurement {
     fn allocs_per_batch(&self) -> u64 {
         self.allocs / self.batches.max(1)
     }
+
+    fn peak_mb(&self) -> f64 {
+        self.peak_bytes as f64 / (1 << 20) as f64
+    }
 }
 
 /// Run `work` once as an untimed warm-up (filling every pooled buffer),
@@ -135,8 +164,9 @@ impl Measurement {
 /// `POOL_REPEATS` times on the pool; keep the best time of each and
 /// insist the checksums never differ between (or within) the two
 /// schedules. The minimum pool-repeat allocation count is the
-/// steady-state figure.
+/// steady-state figure; the peak live heap covers every run.
 fn measure(name: &'static str, batches: u64, mut work: impl FnMut() -> RunOut) -> Measurement {
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let warm = work();
     let mut best = |sequential: bool, repeats: usize| {
         let mut t = Duration::MAX;
@@ -175,6 +205,7 @@ fn measure(name: &'static str, batches: u64, mut work: impl FnMut() -> RunOut) -
         checksum: c1,
         allocs,
         batches,
+        peak_bytes: PEAK.load(Ordering::Relaxed),
         sim,
         stages,
     }
@@ -427,10 +458,10 @@ fn bench_gat_step() -> Measurement {
 
 /// The hard gate, on the typed measurements, before anything is written:
 /// every bench `expect` pins ([`EXPECT`], outside the tests) ran, its
-/// checksum has not moved and its hot path stayed within its
-/// steady-state allocation budget.
-fn gate(results: &[Measurement], expect: &[(&str, u64, u64)]) {
-    for &(name, pinned, budget) in expect {
+/// checksum has not moved, its hot path stayed within its steady-state
+/// allocation budget and its peak live heap within its peak budget.
+fn gate(results: &[Measurement], expect: &[(&str, u64, u64, Option<f64>)]) {
+    for &(name, pinned, budget, peak_budget) in expect {
         let m = results.iter().find(|m| m.name == name);
         let m = m.unwrap_or_else(|| panic!("bench '{name}' did not run"));
         let (checksum, allocs) = (m.checksum, m.allocs_per_batch());
@@ -442,6 +473,13 @@ fn gate(results: &[Measurement], expect: &[(&str, u64, u64)]) {
             allocs <= budget,
             "{name}: {allocs} allocs per warm batch exceeds budget {budget}"
         );
+        if let Some(budget) = peak_budget {
+            let peak = m.peak_mb();
+            assert!(
+                peak <= budget,
+                "{name}: peak heap {peak:.1} MiB exceeds budget {budget} MiB"
+            );
+        }
     }
 }
 
@@ -496,6 +534,7 @@ fn main() {
         tn_header.as_str(),
         "speedup",
         "allocs/batch",
+        "peak heap (MiB)",
         "checksum",
         "sim device time",
     ]);
@@ -506,6 +545,7 @@ fn main() {
             format!("{:.2}", m.tn.as_secs_f64() * 1e3),
             format!("{:.2}x", m.speedup()),
             m.allocs_per_batch().to_string(),
+            format!("{:.1}", m.peak_mb()),
             format!("{:016x}", m.checksum),
             m.sim
                 .map_or_else(|| "-".to_string(), |s| format!("{:.3} ms", s.as_millis())),
@@ -527,7 +567,7 @@ fn main() {
     }
 
     gate(&results, &EXPECT);
-    println!("\ngate: OK (checksums pinned, alloc budgets held)");
+    println!("\ngate: OK (checksums pinned, alloc and peak-heap budgets held)");
 
     let benches: Vec<String> = results
         .iter()
@@ -544,13 +584,14 @@ fn main() {
             format!(
                 "    {{\"name\": \"{}\", \"t1_ms\": {:.4}, \"tn_ms\": {:.4}, \
                  \"speedup\": {:.4}, \"allocs_per_batch\": {}, \"batches\": {}, \
-                 \"checksum\": \"{:016x}\"{stages}}}",
+                 \"peak_heap_mb\": {:.2}, \"checksum\": \"{:016x}\"{stages}}}",
                 m.name,
                 m.t1.as_secs_f64() * 1e3,
                 m.tn.as_secs_f64() * 1e3,
                 m.speedup(),
                 m.allocs_per_batch(),
                 m.batches,
+                m.peak_mb(),
                 m.checksum
             )
         })
@@ -579,27 +620,39 @@ mod tests {
     use super::*;
 
     /// A contract of one bench, so the tests repeat none of the real pins.
-    const TOY: [(&str, u64, u64); 1] = [("toy", 0xabc, 2)];
+    const TOY: [(&str, u64, u64, Option<f64>); 1] = [("toy", 0xabc, 2, Some(4.0))];
 
-    fn toy(checksum: u64, allocs: u64) -> [Measurement; 1] {
+    fn toy(checksum: u64, allocs: u64, peak_bytes: usize) -> [Measurement; 1] {
         [Measurement {
             name: "toy",
             checksum,
             allocs,
             batches: 1,
+            peak_bytes,
             ..Default::default()
         }]
     }
 
     #[test]
+    fn gate_passes_a_bench_inside_every_budget() {
+        gate(&toy(0xabc, 2, 4 << 20), &TOY);
+    }
+
+    #[test]
     #[should_panic(expected = "toy: checksum 0000000000000abd != pinned 0000000000000abc")]
     fn gate_names_a_moved_checksum() {
-        gate(&toy(0xabd, 2), &TOY);
+        gate(&toy(0xabd, 2, 0), &TOY);
     }
 
     #[test]
     #[should_panic(expected = "toy: 3 allocs per warm batch exceeds budget 2")]
     fn gate_names_an_over_budget_bench() {
-        gate(&toy(0xabc, 3), &TOY);
+        gate(&toy(0xabc, 3, 0), &TOY);
+    }
+
+    #[test]
+    #[should_panic(expected = "toy: peak heap 4.5 MiB exceeds budget 4 MiB")]
+    fn gate_names_a_bench_over_its_peak_heap() {
+        gate(&toy(0xabc, 2, 9 << 19), &TOY);
     }
 }

@@ -721,18 +721,21 @@ pub fn elu_backward(grad: &Matrix, forward_output: &Matrix, alpha: f32, out: &mu
 }
 
 /// Inverted dropout: `out` is `x` zeroed with probability `p`, survivors
-/// scaled by `1/(1-p)`; `mask` (pooled, `1/(1-p)` or `0.0` per element) is
-/// kept for [`dropout_backward`]. `p == 0` copies `x` and leaves the mask
-/// empty.
+/// scaled by `1/(1-p)`; `mask` (pooled) keeps one bit per element — set
+/// where the element survived — for [`dropout_backward`]. Each row's bits
+/// start on a word boundary ([`dropout_mask_words`] words per row), so
+/// rows draw in parallel. `p == 0` copies `x` and leaves the mask empty.
 ///
 /// Drawing is separate from applying. Row `r` draws from its own
 /// `SmallRng::seed_from_u64(seed ^ r·φ)` stream, one `gen::<f32>()` per
 /// element in column order — the generator is inherently serial, but the
-/// mask store is a select, so the loop carries no data-dependent branch.
-/// A second, vectorisable pass over the (L1-hot) row then writes `x · mask`
-/// on the kept lanes and `+0.0` on the dropped ones — `+0.0` whatever `x`
-/// holds there (negative, NaN, infinite), which `x · 0.0` would not give.
-pub fn dropout_into(x: &Matrix, p: f32, seed: u64, out: &mut Matrix, mask: &mut Vec<f32>) {
+/// bit is an integer compare shifted into place, so the loop carries no
+/// data-dependent branch. A second pass over the (L1-hot) row then writes
+/// `x · (1/(1-p))` on the kept lanes and `+0.0` on the dropped ones —
+/// `+0.0` whatever `x` holds there (negative, NaN, infinite), which
+/// `x · 0.0` would not give. It ANDs the product's bits with the lane
+/// masks `BYTE_LANES` holds for each 8-element group's mask byte.
+pub fn dropout_into(x: &Matrix, p: f32, seed: u64, out: &mut Matrix, mask: &mut Vec<u64>) {
     assert!((0.0..1.0).contains(&p));
     if p == 0.0 {
         mask.clear();
@@ -741,52 +744,115 @@ pub fn dropout_into(x: &Matrix, p: f32, seed: u64, out: &mut Matrix, mask: &mut 
     }
     let keep = 1.0 / (1.0 - p);
     let n = x.cols().max(1);
-    // Stale contents are fine: every element is overwritten below.
-    mask.resize(x.len(), 0.0);
+    let words = dropout_mask_words(x.cols());
+    // Stale contents are fine: every word is overwritten below.
+    mask.resize(x.rows() * words, 0);
     out.set_shape(x.rows(), x.cols());
-    mask.par_chunks_mut(n)
+    mask.par_chunks_mut(words.max(1))
         .zip(out.data_mut().par_chunks_mut(n))
         .zip(x.data().par_chunks(n))
         .enumerate()
         .for_each(|(row, ((mrow, orow), xrow))| {
             draw_mask_row(
                 mrow,
+                xrow.len(),
                 p,
-                keep,
                 seed ^ (row as u64).wrapping_mul(0x9e3779b97f4a7c15),
             );
-            for ((o, &v), &m) in orow.iter_mut().zip(xrow).zip(mrow.iter()) {
-                let kept = v * m;
-                *o = if m != 0.0 { kept } else { 0.0 };
-            }
+            for_mask_lanes(orow, xrow, mrow, |o, &v, lane| {
+                *o = f32::from_bits((v * keep).to_bits() & lane);
+            });
         });
 }
 
-/// One row of the dropout mask from the row's own generator: `0.0` where
-/// the draw falls below `p`, else `keep`, chosen by masking `keep`'s bits
-/// with the comparison (all ones or all zeros) — written as integer
-/// arithmetic so no compiler turns it back into a branch on a coin flip.
-fn draw_mask_row(mrow: &mut [f32], p: f32, keep: f32, row_seed: u64) {
-    use rand::prelude::*;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(row_seed);
-    for m in mrow.iter_mut() {
-        let dropped = u32::from(rng.gen::<f32>() < p);
-        *m = f32::from_bits(keep.to_bits() & dropped.wrapping_sub(1));
+/// Per mask byte, its eight lanes as AND masks: all ones where the
+/// byte's bit is set, zero where it is clear. Expanding a bit mask
+/// through this table is a load and an AND per lane, which vectorises;
+/// shifting each lane's bit out of the word does not on the baseline
+/// target.
+static BYTE_LANES: [[u32; 8]; 256] = byte_lanes();
+
+const fn byte_lanes() -> [[u32; 8]; 256] {
+    let mut table = [[0u32; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut lane = 0;
+        while lane < 8 {
+            if (byte >> lane) & 1 != 0 {
+                table[byte][lane] = u32::MAX;
+            }
+            lane += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// `f(out, src, lane mask)` for every element of a row, the lane mask
+/// ([`BYTE_LANES`]) all ones where the row's mask bit is set.
+fn for_mask_lanes(out: &mut [f32], src: &[f32], mask: &[u64], f: impl Fn(&mut f32, &f32, u32)) {
+    for ((o, s), &word) in out.chunks_mut(64).zip(src.chunks(64)).zip(mask) {
+        for (k, (o, s)) in o.chunks_mut(8).zip(s.chunks(8)).enumerate() {
+            let lanes = &BYTE_LANES[(word >> (8 * k)) as usize & 0xff];
+            for ((o, s), &lane) in o.iter_mut().zip(s).zip(lanes) {
+                f(o, s, lane);
+            }
+        }
     }
 }
 
-/// Dropout backward: `out = grad · mask` (`out = grad` under the empty
-/// mask of `p == 0`).
-pub fn dropout_backward(grad: &Matrix, mask: &[f32], out: &mut Matrix) {
+/// `u64` words of dropout mask per row of `cols` elements.
+pub fn dropout_mask_words(cols: usize) -> usize {
+    cols.div_ceil(64)
+}
+
+/// One row of the dropout mask from the row's own generator: bit `j` of
+/// the row is set where draw `j` is at least `p` (the element survives).
+fn draw_mask_row(mrow: &mut [u64], cols: usize, p: f32, row_seed: u64) {
+    use rand::prelude::*;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(row_seed);
+    for (w, word) in mrow.iter_mut().enumerate() {
+        let mut bits = 0u64;
+        for lane in 0..(cols - w * 64).min(64) {
+            bits |= u64::from(rng.gen::<f32>() >= p) << lane;
+        }
+        *word = bits;
+    }
+}
+
+/// Dropout backward: `out = grad · m` with `m = 1/(1-p)` where the mask
+/// bit is set and `0.0` where it is clear — the product the forward's
+/// per-element multiplier gives, so `-0.0` and NaN gradients propagate as
+/// they would through an `f32` mask. `out = grad` under the empty mask of
+/// `p == 0`.
+pub fn dropout_backward(grad: &Matrix, mask: &[u64], p: f32, out: &mut Matrix) {
     if mask.is_empty() {
         out.copy_from(grad);
         return;
     }
-    zip_map_into(grad, mask, out, |g, m, o| {
-        for ((o, &g), &m) in o.iter_mut().zip(g).zip(m) {
-            *o = g * m;
-        }
-    });
+    let keep = 1.0f32 / (1.0 - p);
+    let n = grad.cols().max(1);
+    let words = dropout_mask_words(grad.cols());
+    assert_eq!(
+        mask.len(),
+        grad.rows() * words,
+        "dropout mask length mismatch"
+    );
+    // Whole rows per task, about `EW_CHUNK` elements of them.
+    let rows = (EW_CHUNK / n).max(1);
+    out.set_shape(grad.rows(), grad.cols());
+    out.data_mut()
+        .par_chunks_mut(rows * n)
+        .zip(grad.data().par_chunks(rows * n))
+        .zip(mask.par_chunks(rows * words))
+        .for_each(|((o, g), m)| {
+            for ((orow, grow), mrow) in o.chunks_mut(n).zip(g.chunks(n)).zip(m.chunks(words)) {
+                // `m` is `keep` or `+0.0`, the `f32` mask's two values.
+                for_mask_lanes(orow, grow, mrow, |o, &g, lane| {
+                    *o = g * f32::from_bits(keep.to_bits() & lane);
+                });
+            }
+        });
 }
 
 /// Fused softmax + cross-entropy over rows. Returns `(mean_loss,
@@ -1023,7 +1089,10 @@ mod tests {
         // ~50% kept; survivors scaled to 2.0.
         assert!((kept as f64 / 10_000.0 - 0.5).abs() < 0.03);
         assert!(x.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
-        assert_eq!(mask.len(), 10_000);
+        // One bit per element, set exactly on the survivors.
+        assert_eq!(mask.len(), 10_000usize.div_ceil(64));
+        let bits: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+        assert_eq!(bits, kept);
     }
 
     #[test]

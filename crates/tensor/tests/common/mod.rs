@@ -417,33 +417,48 @@ fn dropout_reference(x: &mut Matrix, p: f32, seed: u64) -> Vec<f32> {
     mask
 }
 
-/// `dropout_into`'s mask and output, bit for bit, against the loop it
-/// replaced — negative, infinite and NaN inputs included (a dropped
-/// element is `+0.0` whatever it held) — and `dropout_backward` against
-/// `grad · mask`.
+/// `dropout_into`'s output bit for bit against the loop it replaced —
+/// negative, infinite and NaN inputs included (a dropped element is
+/// `+0.0` whatever it held) — its bit mask against that loop's `f32` mask
+/// (a bit set exactly where the multiplier is `keep`, the padding bits of
+/// a row's last word clear), and `dropout_backward` against `grad · mask`
+/// over the `f32` mask.
 pub fn check_dropout(rows: usize, cols: usize, seed: u64) {
     let x = sign_random(rows, cols, seed);
     let g = sign_random(rows, cols, seed ^ 0x51);
+    let words = ops::dropout_mask_words(cols);
     for p in [0.0f32, 0.1, 0.5, 0.9] {
         let what = format!("{rows}x{cols} p {p} seed {seed}");
         let mut want = x.clone();
         let want_mask = dropout_reference(&mut want, p, seed);
-        // Stale pooled buffers: wrong shape, wrong length, NaN contents.
-        let (mut out, mut mask) = (dirty(), vec![f32::NAN; 7]);
+        // Stale pooled buffers: wrong shape, wrong length, set bits.
+        let (mut out, mut mask) = (dirty(), vec![u64::MAX; 7]);
         ops::dropout_into(&x, p, seed, &mut out, &mut mask);
         assert_bits_eq(&out, &want, &format!("dropout output {what}"));
-        assert_eq!(mask.len(), want_mask.len(), "dropout mask length {what}");
-        for (i, (m, w)) in mask.iter().zip(&want_mask).enumerate() {
-            assert_eq!(m.to_bits(), w.to_bits(), "dropout mask {what}: {i}");
+        if p == 0.0 {
+            assert!(mask.is_empty(), "p = 0 keeps no mask");
+        } else {
+            assert_eq!(mask.len(), rows * words, "dropout mask length {what}");
+            for i in 0..rows {
+                for w in 0..words {
+                    let word = mask[i * words + w];
+                    for lane in 0..64 {
+                        let j = w * 64 + lane;
+                        let bit = (word >> lane) & 1 != 0;
+                        let want_bit = j < cols && want_mask[i * cols + j] != 0.0;
+                        assert_eq!(bit, want_bit, "dropout mask {what}: ({i}, {j})");
+                    }
+                }
+            }
         }
-        let mut dropped = mask.iter().zip(out.data()).filter(|(&m, _)| m == 0.0);
+        let mut dropped = want_mask.iter().zip(out.data()).filter(|(&m, _)| m == 0.0);
         assert!(dropped.all(|(_, o)| o.to_bits() == 0), "dropped is +0.0");
         let mut back = dirty();
-        ops::dropout_backward(&g, &mask, &mut back);
+        ops::dropout_backward(&g, &mask, p, &mut back);
         let want_back = if p == 0.0 {
             g.clone()
         } else {
-            let data = g.data().iter().zip(&mask).map(|(g, m)| g * m);
+            let data = g.data().iter().zip(&want_mask).map(|(g, m)| g * m);
             Matrix::from_vec(rows, cols, data.collect())
         };
         assert_bits_eq(&back, &want_back, &format!("dropout_backward {what}"));

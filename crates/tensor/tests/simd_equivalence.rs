@@ -621,11 +621,22 @@ fn elementwise_ops_match_their_scalar_definitions() {
     }
 }
 
+/// Row widths below, at and across the mask's 64-bit word boundary.
 #[test]
 fn dropout_matches_the_loop_it_replaced() {
-    for (i, &(rows, cols)) in [(1usize, 1usize), (3, 1), (7, 33), (1, 1000), (40, 256)]
-        .iter()
-        .enumerate()
+    for (i, &(rows, cols)) in [
+        (1usize, 1usize),
+        (3, 1),
+        (7, 33),
+        (3, 63),
+        (2, 64),
+        (5, 65),
+        (4, 129),
+        (1, 1000),
+        (40, 256),
+    ]
+    .iter()
+    .enumerate()
     {
         common::check_dropout(rows, cols, 900 + i as u64);
     }

@@ -11,8 +11,8 @@
 #     CLOCK feature cache (--cache-rows 4096 --cache-mode clock) and
 #     through the out-of-core tier at full residency (--storage-rows
 #     999999): every leg must reproduce the pinned checksums and hold
-#     the allocation budgets (`EXPECT` in wallclock.rs) — tiers change
-#     cost, never values. Host timings are printed, never judged:
+#     the allocation and peak-heap budgets (`EXPECT` in wallclock.rs) —
+#     tiers change cost, never values. Host timings are printed, never judged:
 #     `benchmark/`'s `compare` is the instrument for those.
 #   * cache_sweep, storage_sweep, serving_sweep, multinode_sweep — each
 #     against its own invariant list (bit-identity to the tier-off /

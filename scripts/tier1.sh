@@ -82,13 +82,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${OFFLINE_FLAGS[@]}"
 
 # The wallclock harness is a correctness gate as much as a benchmark:
 # every kernel's FNV-1a checksum must stay pinned (the numerics may never
-# move), and every hot path must stay within its steady-state allocation
+# move), every hot path must stay within its steady-state allocation
 # budget (the workspace/scratch-arena contract, counted under the
-# harness's own allocator with span tracing and metrics enabled). The
-# pins and budgets live in one table: `EXPECT` in
+# harness's own allocator with span tracing and metrics enabled), and
+# the `epoch` / `gat_step` benches within their peak live-heap budgets
+# (the tape's release-at-last-use contract, counted by the same
+# allocator). The pins and budgets live in one table: `EXPECT` in
 # crates/bench/src/bin/wallclock.rs; a violation panics before the
 # artifact is written.
-echo "tier1: wallclock bench (checksum + allocation gate)"
+echo "tier1: wallclock bench (checksum + allocation + peak-heap gate)"
 cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin wallclock
 
 echo "tier1: OK"
