@@ -9,6 +9,7 @@ use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner(
         "Ablation",
         "feature placement: P2P vs UM vs host zero-copy vs CPU gather",

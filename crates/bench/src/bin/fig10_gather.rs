@@ -14,6 +14,7 @@ use wg_mem::nccl::nccl_gather;
 use wg_sim::Machine;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Figure 10", "gathering features: NCCL-based vs ours");
     let mut t = Table::new(&[
         "dataset",

@@ -7,6 +7,7 @@ use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner(
         "Figure 11",
         "layer providers on top of WholeGraph sampling/gather",

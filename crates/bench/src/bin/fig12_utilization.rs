@@ -5,23 +5,17 @@
 //! bin: '#' ≥ 90%, '+' ≥ 50%, '.' ≥ 10%, ' ' below) plus the aggregate
 //! ratio.
 
-use wg_bench::{banner, bench_dataset, bench_pipeline_config, overlap_mode};
+use wg_bench::{banner, bench_dataset, bench_pipeline_config};
 use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
 fn main() {
-    let exec = overlap_mode();
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Figure 12", "GPU utilization over time (GPU0 of 8)");
-    println!(
-        "executor: {} (pass --overlap for the pipelined schedule)",
-        exec.name()
-    );
     let dataset = bench_dataset(DatasetKind::OgbnPapers100M, 17);
     for fw in [Framework::Pyg, Framework::Dgl, Framework::WholeGraph] {
         let machine = Machine::dgx_a100();
-        let cfg = bench_pipeline_config(fw, ModelKind::GraphSage)
-            .with_seed(17)
-            .with_exec(exec);
+        let cfg = bench_pipeline_config(fw, ModelKind::GraphSage).with_seed(17);
         let mut pipe = Pipeline::new(machine, dataset.clone(), cfg).unwrap();
         // A few measured epochs populate the trace wave-by-wave so the
         // strip shows the periodic idle/busy pattern.

@@ -7,6 +7,7 @@ use wholegraph::multinode::projected_sweep;
 use wholegraph::prelude::*;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Figure 13", "multi-node scaling on three large datasets");
     let mut t = Table::new(&[
         "dataset",

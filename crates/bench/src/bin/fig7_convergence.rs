@@ -9,6 +9,7 @@ use wholegraph::prelude::*;
 const EPOCHS: u64 = 10;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner(
         "Figure 7",
         "validation accuracy per epoch: DGL vs WholeGraph",

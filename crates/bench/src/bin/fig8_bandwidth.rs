@@ -11,6 +11,7 @@ use wg_mem::probe::bandwidth_sweep;
 use wg_sim::{CostModel, DeviceSpec};
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Figure 8", "random gather bandwidth vs segment size");
     let model = CostModel::dgx_a100();
     let spec = DeviceSpec::a100_40gb();

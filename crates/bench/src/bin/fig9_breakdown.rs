@@ -2,17 +2,13 @@
 //! PyG, DGL and WholeGraph on ogbn-products and ogbn-papers100M for all
 //! three models.
 
-use wg_bench::{banner, bench_dataset, bench_pipeline_config, overlap_mode, secs, Table};
+use wg_bench::{banner, bench_dataset, bench_pipeline_config, secs, Table};
 use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
 fn main() {
-    let exec = overlap_mode();
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Figure 9", "epoch time breakdown per framework");
-    println!(
-        "executor: {} (pass --overlap for the pipelined schedule)",
-        exec.name()
-    );
     for kind in [DatasetKind::OgbnProducts, DatasetKind::OgbnPapers100M] {
         let dataset = bench_dataset(kind, 31);
         println!("\n--- {} ---", kind.name());
@@ -28,9 +24,7 @@ fn main() {
         for fw in [Framework::Pyg, Framework::Dgl, Framework::WholeGraph] {
             for model in ModelKind::ALL {
                 let machine = Machine::dgx_a100();
-                let cfg = bench_pipeline_config(fw, model)
-                    .with_seed(31)
-                    .with_exec(exec);
+                let cfg = bench_pipeline_config(fw, model).with_seed(31);
                 let mut pipe = Pipeline::new(machine, dataset.clone(), cfg).unwrap();
                 let r = pipe.measure_epoch(0, 1);
                 let input = (r.sample_time + r.gather_time) / r.epoch_time;

@@ -5,6 +5,7 @@
 use std::process::Command;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     let bins = [
         "table1_latency",
         "table2_datasets",

@@ -11,6 +11,7 @@ use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner(
         "Sweep",
         "epoch time vs fanout and batch size (GraphSage, papers stand-in)",

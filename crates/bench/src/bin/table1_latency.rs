@@ -11,6 +11,7 @@ use wg_sim::cost::AccessMode;
 use wg_sim::CostModel;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Table I", "UM and GPUDirect P2P memory access latency");
     let model = CostModel::dgx_a100();
     const GB: u64 = 1 << 30;

@@ -4,6 +4,7 @@ use wg_bench::{banner, bench_dataset, bench_scale, Table};
 use wg_graph::DatasetKind;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Table II", "graph datasets used in evaluating WholeGraph");
     let mut t = Table::new(&[
         "graph",

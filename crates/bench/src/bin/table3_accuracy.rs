@@ -13,6 +13,7 @@ use wholegraph::prelude::*;
 const EPOCHS: u64 = 10;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Table III", "validation and test accuracy parity");
     println!("training {EPOCHS} epochs per cell\n");
 

@@ -14,6 +14,7 @@ use wholegraph::prelude::*;
 const GIB: f64 = (1u64 << 30) as f64;
 
 fn main() {
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner("Table IV", "memory usage of WholeGraph for ogbn-papers100M");
     let kind = DatasetKind::OgbnPapers100M;
     let scale = bench_scale(kind);

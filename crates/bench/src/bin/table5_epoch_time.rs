@@ -6,7 +6,7 @@
 //! wave-by-wave (iterations are statistically identical). The paper's
 //! speedup columns are printed alongside for comparison.
 
-use wg_bench::{banner, bench_dataset, bench_pipeline_config, overlap_mode, secs, speedup, Table};
+use wg_bench::{banner, bench_dataset, bench_pipeline_config, secs, speedup, Table};
 use wg_graph::DatasetKind;
 use wholegraph::prelude::*;
 
@@ -31,14 +31,10 @@ fn paper_speedups(kind: DatasetKind, model: ModelKind) -> (f64, f64) {
 }
 
 fn main() {
-    let exec = overlap_mode();
+    wg_bench::flags(&[]); // takes none: any argument is an error
     banner(
         "Table V",
         "average epoch time and speedups (3 models x 4 datasets)",
-    );
-    println!(
-        "executor: {} (pass --overlap for the pipelined schedule)",
-        exec.name()
     );
     let mut t = Table::new(&[
         "dataset",
@@ -62,9 +58,7 @@ fn main() {
             let mut times = Vec::new();
             for fw in [Framework::Pyg, Framework::Dgl, Framework::WholeGraph] {
                 let machine = Machine::dgx_a100();
-                let cfg = bench_pipeline_config(fw, model)
-                    .with_seed(77)
-                    .with_exec(exec);
+                let cfg = bench_pipeline_config(fw, model).with_seed(77);
                 let mut pipe = Pipeline::new(machine, dataset.clone(), cfg)
                     .expect("stand-in fits in simulated GPU memory");
                 let r = pipe.measure_epoch(0, 1);

@@ -83,17 +83,6 @@ pub fn flags(known: &[&str]) -> HashMap<String, String> {
     })
 }
 
-/// Executor mode requested on the regenerator's command line: passing
-/// `--overlap` re-runs the experiment under the double-buffered
-/// overlapped executor (same numerics, pipelined schedule).
-pub fn overlap_mode() -> ExecMode {
-    if flags(&["--overlap"]).contains_key("--overlap") {
-        ExecMode::Overlapped
-    } else {
-        ExecMode::Serial
-    }
-}
-
 /// FNV-1a over a word stream: the bit-exactness witness the benches pin
 /// (`wg_tensor::simd::fnv1a_f32` is its byte-identical `f32` twin).
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -249,10 +238,10 @@ mod tests {
     #[test]
     fn flags_parse_known_and_reject_typos() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let known = ["--trace", "--cache-rows", "--overlap"];
-        let f = parse_flags(&args(&["--cache-rows", "4096", "--overlap"]), &known).unwrap();
+        let known = ["--trace", "--cache-rows", "--sequential"];
+        let f = parse_flags(&args(&["--cache-rows", "4096", "--sequential"]), &known).unwrap();
         assert_eq!(f["--cache-rows"], "4096");
-        assert_eq!(f["--overlap"], "true");
+        assert_eq!(f["--sequential"], "true");
         assert!(!f.contains_key("--trace"));
         let err = parse_flags(&args(&["--cache-row", "4096"]), &known).unwrap_err();
         assert!(err.contains("`--cache-row`"), "{err}");

@@ -19,25 +19,35 @@ use wg_graph::{DatasetKind, SyntheticDataset};
 use wholegraph::prelude::*;
 
 /// The usage text — also the flag list: [`parse_flags`] accepts exactly
-/// the `--flags` named here.
-const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the --storage-rows budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>] [--overlap]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--gpus <per-node>] [--epochs <N>] [--trace <out.json>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [dataset/model/batch/seed flags as in train]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  --data <file>";
+/// the `--flags` a subcommand's own entry names.
+const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the resident-row budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <per-node>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--batch <N>] [--hidden <N>] [--layers <N>]\n           [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  [--data <file> | --dataset <kind> --scale <N> [--seed <N>]]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
     exit(2);
 }
 
-/// Whether `flag` (with its `--`) is named, as a whole word, in [`USAGE`].
-fn known_flag(flag: &str) -> bool {
-    USAGE.match_indices(flag).any(|(i, _)| {
-        !USAGE[i + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+/// Subcommand `cmd`'s entry in [`USAGE`]: its `wg <cmd>` line up to the
+/// next subcommand's.
+fn usage_of(cmd: &str) -> Option<&'static str> {
+    let entry = &USAGE[USAGE.find(&format!("\n  wg {cmd} "))? + 1..];
+    let end = entry[1..].find("\n  wg ").map_or(entry.len(), |i| i + 1);
+    Some(&entry[..end])
+}
+
+/// Whether `flag` (with its `--`) is named, as a whole word, in `text`.
+fn names_flag(text: &str, flag: &str) -> bool {
+    text.match_indices(flag).any(|(i, _)| {
+        !text[i + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
     })
 }
 
-/// Split `args` into flag → value pairs. Anything that is not a flag the
-/// usage text names is an error naming it: a typo'd `--overlapp` must not
-/// silently run serial.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Split `args` of subcommand `cmd` into flag → value pairs. Anything
+/// that is not a flag `cmd`'s usage entry names is an error naming it: a
+/// typo'd `--cache-row`, or another subcommand's flag such as `wg serve
+/// --framework pyg`, must not silently run the default.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let text = usage_of(cmd).ok_or_else(|| format!("unknown command: {cmd}"))?;
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -45,11 +55,11 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         if !k.starts_with("--") {
             return Err(format!("bad argument: {k}"));
         }
-        if !known_flag(k) {
-            return Err(format!("unknown flag: {k}"));
+        if !names_flag(text, k) {
+            return Err(format!("unknown flag for wg {cmd}: {k}"));
         }
         // A flag with no value (end of args, or followed by another
-        // flag) is a boolean switch, e.g. `--overlap`.
+        // flag) is a boolean switch, e.g. `--sequential`.
         if i + 1 >= args.len() || args[i + 1].starts_with("--") {
             out.insert(k[2..].to_string(), "true".to_string());
             i += 1;
@@ -292,14 +302,7 @@ fn cmd_train(flags: HashMap<String, String>) {
     let model = model_kind(flags.get("model").map(String::as_str).unwrap_or("sage"));
     let epochs: u64 = num(&flags, "epochs", 5);
     let gpus: u32 = positive(&flags, "gpus", 8).unwrap_or_else(|e| usage_error(e));
-    let exec = if flags.contains_key("overlap") {
-        ExecMode::Overlapped
-    } else {
-        ExecMode::Serial
-    };
-    let cfg = pipeline_config(&flags, fw, model)
-        .unwrap_or_else(|e| usage_error(e))
-        .with_exec(exec);
+    let cfg = pipeline_config(&flags, fw, model).unwrap_or_else(|e| usage_error(e));
 
     let machine = Machine::new(MachineConfig::dgx_like(gpus));
     let cache_desc = match cfg.cache.rows {
@@ -311,12 +314,11 @@ fn cmd_train(flags: HashMap<String, String>) {
         rows => format!(", out-of-core tier with {rows} resident rows"),
     };
     println!(
-        "training {} with {} on {} ({} GPUs simulated, {} executor{cache_desc}{storage_desc})",
+        "training {} with {} on {} ({} GPUs simulated{cache_desc}{storage_desc})",
         model.name(),
         fw.name(),
         dataset.kind.name(),
-        gpus,
-        exec.name()
+        gpus
     );
     let trace_path = flags.get("trace").cloned();
     if trace_path.is_some() {
@@ -635,7 +637,7 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let flags = parse_flags(rest).unwrap_or_else(|e| usage_error(e));
+    let flags = parse_flags(cmd, rest).unwrap_or_else(|e| usage_error(e));
     match cmd.as_str() {
         "gen" => cmd_gen(flags),
         "info" => cmd_info(flags),
@@ -650,24 +652,30 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// A command line split at whitespace.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn parse_flags_takes_usage_flags_and_rejects_typos() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let flags = parse_flags(&args(&["--epochs", "2", "--overlap", "--gpus", "4"])).unwrap();
+        let flags = parse_flags("serve", &words("--epochs 2 --sequential --gpus 4")).unwrap();
         assert_eq!(flags["epochs"], "2");
-        assert_eq!(flags["overlap"], "true");
+        assert_eq!(flags["sequential"], "true");
         assert_eq!(flags["gpus"], "4");
         // A typo, and a strict prefix of a real flag, are both refused by name.
-        for typo in ["--overlapp", "--cache", "--"] {
-            let err = parse_flags(&args(&["--epochs", "2", typo])).unwrap_err();
-            assert_eq!(err, format!("unknown flag: {typo}"));
+        for typo in ["--sequentiall", "--cache", "--"] {
+            let err = parse_flags("serve", &args(&["--epochs", "2", typo])).unwrap_err();
+            assert_eq!(err, format!("unknown flag for wg serve: {typo}"));
         }
-        assert!(parse_flags(&args(&["epochs"])).is_err());
+        assert!(parse_flags("train", &args(&["epochs"])).is_err());
+        assert!(parse_flags("fit", &[]).is_err());
 
         // Tier flags: absent means off; a mode with no row count is
         // refused naming the flag rather than dropped.
         let tiny = || PipelineConfig::tiny(Framework::WholeGraph, ModelKind::Gcn);
-        let tiers = |a: &[&str]| with_tiers(&parse_flags(&args(a)).unwrap(), tiny());
+        let tiers = |a: &[&str]| with_tiers(&parse_flags("train", &args(a)).unwrap(), tiny());
         let off = tiers(&[]).unwrap();
         assert_eq!((off.cache, off.storage), (tiny().cache, tiny().storage));
         let on = [
@@ -694,7 +702,7 @@ mod tests {
         for fw in [Framework::Dgl, Framework::Pyg] {
             let host = |a: &[&str]| {
                 let cfg = PipelineConfig::tiny(fw, ModelKind::Gcn);
-                with_tiers(&parse_flags(&args(a)).unwrap(), cfg)
+                with_tiers(&parse_flags("train", &args(a)).unwrap(), cfg)
             };
             for key in ["--cache-rows", "--storage-rows"] {
                 let err = host(&[key, "8"]).unwrap_err();
@@ -706,25 +714,29 @@ mod tests {
 
     #[test]
     fn zero_counts_are_refused_naming_the_flag() {
-        let flags = |a: &[&str]| parse_flags(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let flags = |a: &str| parse_flags("multinode", &words(a));
         let (fw, model) = (Framework::WholeGraph, ModelKind::Gcn);
         for key in ["batch", "layers"] {
-            let f = flags(&[&format!("--{key}"), "0"]).unwrap();
+            let f = flags(&format!("--{key} 0")).unwrap();
             let err = pipeline_config(&f, fw, model).unwrap_err();
             assert!(err.starts_with(&format!("--{key} ")), "{err}");
         }
-        for key in ["gpus", "nodes", "queue-cap"] {
-            let f = flags(&[&format!("--{key}"), "0"]).unwrap();
+        for (cmd, key) in [
+            ("train", "gpus"),
+            ("multinode", "nodes"),
+            ("serve", "queue-cap"),
+        ] {
+            let f = parse_flags(cmd, &words(&format!("--{key} 0"))).unwrap();
             let err = positive::<u32>(&f, key, 1).unwrap_err();
             assert!(err.starts_with(&format!("--{key} ")), "{err}");
-            let f = flags(&[&format!("--{key}"), "-3"]).unwrap();
+            let f = parse_flags(cmd, &words(&format!("--{key} -3"))).unwrap();
             assert!(positive::<usize>(&f, key, 1).is_err());
         }
-        let err = sync_config(&flags(&["--delayed-agg", "0"]).unwrap()).unwrap_err();
+        let err = sync_config(&flags("--delayed-agg 0").unwrap()).unwrap_err();
         assert!(err.starts_with("--delayed-agg "), "{err}");
 
         // Absent flags keep their defaults; positive values pass through.
-        let f = flags(&["--batch", "7", "--layers", "3", "--delayed-agg", "2"]).unwrap();
+        let f = flags("--batch 7 --layers 3 --delayed-agg 2").unwrap();
         let cfg = pipeline_config(&f, fw, model).unwrap();
         assert_eq!(
             (cfg.batch_size, cfg.num_layers, cfg.fanouts.len()),
@@ -732,7 +744,43 @@ mod tests {
         );
         assert_eq!(sync_config(&f).unwrap().delayed_agg_period, 2);
         assert_eq!(positive::<u32>(&f, "gpus", 8), Ok(8));
-        let bare = flags(&["--delayed-agg"]).unwrap();
+        let bare = flags("--delayed-agg").unwrap();
         assert_eq!(sync_config(&bare).unwrap().delayed_agg_period, 4);
+    }
+
+    /// Each subcommand takes the flags on its own usage entry and refuses
+    /// another subcommand's by name: `wg serve` reads no `--framework`,
+    /// so accepting one would serve WholeGraph whatever it names.
+    #[test]
+    fn each_subcommand_refuses_flags_it_does_not_read() {
+        let refused = |cmd: &str, flag: &str| {
+            let err = parse_flags(cmd, &words(&format!("{flag} 3"))).unwrap_err();
+            assert_eq!(err, format!("unknown flag for wg {cmd}: {flag}"));
+        };
+        refused("serve", "--framework");
+        for flag in ["--epochs", "--nodes", "--requests"] {
+            refused("gen", flag);
+        }
+        refused("train", "--nodes");
+        refused("train", "--rate");
+        refused("info", "--out");
+        for cmd in ["gen", "train", "multinode", "serve", "info"] {
+            assert!(usage_of(cmd).unwrap().starts_with(&format!("  wg {cmd} ")));
+            refused(cmd, "--overlap");
+        }
+
+        // `multinode` builds each replica's pipeline from train's flags.
+        let train = words(
+            "--dataset uk --scale 9 --model gat --framework dgl --epochs 1 --batch 8 \
+             --hidden 4 --layers 1 --fanout 2 --gpus 2 --seed 5 --trace t.json",
+        );
+        let f = parse_flags("multinode", &train).unwrap();
+        assert_eq!(f, parse_flags("train", &train).unwrap());
+        // `serve` sizes its warm-up pipeline with the same shape flags.
+        let shape = words("--batch 8 --hidden 4 --layers 1 --fanout 2");
+        assert_eq!(parse_flags("serve", &shape).unwrap().len(), 4);
+        // `info` reads the dataset flags `load_or_generate` takes.
+        let data = words("--dataset uk --scale 9 --seed 5");
+        assert_eq!(parse_flags("info", &data).unwrap().len(), 3);
     }
 }

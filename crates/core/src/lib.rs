@@ -35,9 +35,8 @@
 //!   the DGL/PyG-style host-memory baselines;
 //! * [`convert`] — sampled-block → sparse-kernel format conversion;
 //! * [`pipeline`] — the per-iteration engine (one straight-line sample →
-//!   gather → train iteration, laid onto the machine by a serial or
-//!   double-buffered [`ExecMode`]) with per-phase simulated timing and
-//!   utilization traces;
+//!   gather → train iteration, laid onto the machine wave by wave) with
+//!   per-phase simulated timing and utilization traces;
 //! * [`trainer`] — multi-epoch training and evaluation (accuracy
 //!   experiments: Table III, Figure 7);
 //! * [`multinode`] — data-parallel multi-node scaling (§III-D,
@@ -59,8 +58,8 @@ pub mod trainer;
 
 pub use framework::Framework;
 pub use pipeline::{
-    CacheConfig, EpochOccupancy, EpochReport, ExecMode, FeaturePlacement, InferenceReport,
-    Pipeline, PipelineConfig, ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
+    CacheConfig, EpochOccupancy, EpochReport, FeaturePlacement, InferenceReport, Pipeline,
+    PipelineConfig, ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
 };
 pub use trainer::{TrainOutcome, Trainer, TrainerConfig};
 
@@ -69,8 +68,8 @@ pub mod prelude {
     pub use crate::framework::Framework;
     pub use crate::multinode::{MultiNode, MultiNodeConfig, MultiNodeEpochReport, SyncConfig};
     pub use crate::pipeline::{
-        CacheConfig, EpochOccupancy, EpochReport, ExecMode, FeaturePlacement, Pipeline,
-        PipelineConfig, ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
+        CacheConfig, EpochOccupancy, EpochReport, FeaturePlacement, Pipeline, PipelineConfig,
+        ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
     };
     pub use crate::trainer::{TrainOutcome, Trainer, TrainerConfig};
     pub use wg_gnn::{GnnConfig, GnnModel, LayerProvider, ModelKind};

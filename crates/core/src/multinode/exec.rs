@@ -18,9 +18,8 @@
 //!    compressed, or replaced by delayed parameter averaging), the
 //!    inter-node ring AllReduce time is charged to the wave's comm
 //!    phase, and replicas step.
-//! 4. At epoch end each node's iteration results are scheduled by the
-//!    pipeline's configured
-//!    [`ExecMode`](crate::pipeline::ExecMode) (`Pipeline::finish_epoch`
+//! 4. At epoch end each node's iteration results are scheduled by
+//!    [`Schedule`](crate::pipeline::Schedule) (`Pipeline::finish_epoch`
 //!    → per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`]
 //!    aligns the machines: the epoch takes as long as the slowest node.
 //!
@@ -254,8 +253,8 @@ impl MultiNode {
                 sync_bytes += ws.bytes;
             }
         }
-        // Per-node accounting: hand each node's iterations to its
-        // configured `ExecMode` (charges each machine's clock and trace).
+        // Per-node accounting: schedule each node's iterations (charges
+        // each machine's clock and trace).
         let mut per_node = Vec::with_capacity(nodes);
         for (k, node_results) in results.iter().enumerate() {
             let report = if node_results.is_empty() {
@@ -273,11 +272,10 @@ impl MultiNode {
             });
         }
         // The slowest node sets the cluster epoch time. Each per-node
-        // report measures its own epoch with the node's configured
-        // `ExecMode` (phase-sum for serial, schedule length for
-        // overlapped), so the max — not a clock subtraction, which
-        // accumulates float error in a different order — is the honest
-        // cluster figure, and bitwise the pipeline's at N=1.
+        // report measures its own epoch as its phase-time sum, so the
+        // max — not a clock subtraction, which accumulates float error in
+        // a different order — is the honest cluster figure, and bitwise
+        // the pipeline's at N=1.
         let epoch_time = per_node
             .iter()
             .filter_map(|n| n.report.map(|r| r.epoch_time))
@@ -290,7 +288,7 @@ impl MultiNode {
             cluster_barrier(&mut machines);
         }
         // Cluster numerics, node-major — the same reductions
-        // `ExecMode::finish_epoch` applies, so N=1 is bitwise identical.
+        // `Schedule::finish_epoch` applies, so N=1 is bitwise identical.
         let losses: Vec<f32> = results.iter().flatten().map(|r| r.loss).collect();
         let loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
         let correct: usize = results.iter().flatten().map(|r| r.correct).sum();
@@ -321,7 +319,6 @@ impl MultiNode {
 mod tests {
     use super::*;
     use crate::framework::Framework;
-    use crate::pipeline::ExecMode;
     use wg_gnn::ModelKind;
     use wg_graph::DatasetKind;
 
@@ -495,30 +492,6 @@ mod tests {
             let a: Vec<u32> = p0.value(id).data().iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = p1.value(id).data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn overlapped_executor_carries_through_per_node() {
-        // DGL's big input phases and a 1-GPU node (several waves per
-        // shard) make the overlap win strict on every node.
-        let mut cfg = PipelineConfig::tiny(Framework::Dgl, ModelKind::GraphSage).with_seed(11);
-        cfg.batch_size = 16;
-        cfg.exec = ExecMode::Overlapped;
-        let mut mn = MultiNode::new(dataset(), cfg, MultiNodeConfig::new(2).with_gpus(1)).unwrap();
-        let r = mn.train_epoch(0);
-        assert!(r.loss.is_finite());
-        for n in &r.per_node {
-            let rep = n.report.unwrap();
-            assert!(
-                rep.iterations >= 2,
-                "node {} needs waves to overlap",
-                n.node
-            );
-            // Overlap: schedule shorter than the phase-time sum.
-            assert!(
-                rep.epoch_time < rep.sample_time + rep.gather_time + rep.train_time + rep.comm_time
-            );
         }
     }
 }

@@ -20,8 +20,8 @@
 //!   boundary set, balance).
 //! * [`exec`] — [`MultiNode`], the cluster executor: the per-wave loop
 //!   (every node runs one deferred-step iteration, gradients sync, all
-//!   replicas step in lockstep), per-node epoch reports from each
-//!   replica's [`ExecMode`](crate::pipeline::ExecMode), and the trailing
+//!   replicas step in lockstep), per-node epoch reports from
+//!   [`Schedule`](crate::pipeline::Schedule), and the trailing
 //!   [`wg_sim::cluster_barrier`].
 //! * [`sync`] — [`GradSync`]: full gradient averaging, optional top-k
 //!   gradient compression with error feedback, and a DistGNN-style

@@ -1,5 +1,5 @@
 //! Pipeline configuration: framework/model/hyper-parameters, feature
-//! placement, and the executor mode.
+//! placement, and the cache and storage tiers.
 
 use wg_gnn::{GnnConfig, LayerProvider, ModelKind};
 use wg_mem::CacheMode;
@@ -66,34 +66,6 @@ impl FeaturePlacement {
     }
 }
 
-/// How each wave's phases are scheduled onto the machine.
-///
-/// Both modes run the *same* iterations with the *same* numerics (same
-/// seeds → same sub-graphs → same losses and parameter updates); they
-/// differ only in how the simulated phase times are laid onto the device
-/// timelines.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
-pub enum ExecMode {
-    /// Sample → gather → train → AllReduce back-to-back on one timeline
-    /// per wave (synchronous DataLoader semantics).
-    #[default]
-    Serial,
-    /// Double-buffered software pipeline: wave `i+1`'s sampling and
-    /// gathering run on an input cursor while wave `i` trains on the
-    /// train cursor — the overlap a prefetching DataLoader achieves.
-    Overlapped,
-}
-
-impl ExecMode {
-    /// Display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Serial => "serial",
-            ExecMode::Overlapped => "overlapped",
-        }
-    }
-}
-
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -123,9 +95,6 @@ pub struct PipelineConfig {
     /// Feature placement for the WholeGraph framework (storage-mode
     /// ablation; ignored by the host baselines).
     pub feature_placement: FeaturePlacement,
-    /// How epochs are scheduled onto the machine (timing only — the
-    /// numerics are identical across modes).
-    pub exec: ExecMode,
     /// Per-device feature cache (WholeGraph DSM placements only); off
     /// at zero rows, the default.
     pub cache: CacheConfig,
@@ -150,7 +119,6 @@ impl PipelineConfig {
             seed: 0,
             provider_override: None,
             feature_placement: FeaturePlacement::DeviceP2p,
-            exec: ExecMode::Serial,
             cache: CacheConfig::default(),
             storage: StorageConfig::default(),
         }
@@ -171,7 +139,6 @@ impl PipelineConfig {
             seed: 0,
             provider_override: None,
             feature_placement: FeaturePlacement::DeviceP2p,
-            exec: ExecMode::Serial,
             cache: CacheConfig::default(),
             storage: StorageConfig::default(),
         }
@@ -192,12 +159,6 @@ impl PipelineConfig {
     /// Set the feature placement (storage-mode ablation).
     pub fn with_feature_placement(mut self, p: FeaturePlacement) -> Self {
         self.feature_placement = p;
-        self
-    }
-
-    /// Set the executor mode.
-    pub fn with_exec(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
         self
     }
 

@@ -21,21 +21,16 @@
 //! The iteration is one straight-line function,
 //! `Pipeline::run_iteration_inner`: sample → price the sampling → gather
 //! → forward → loss → backward → step → price the training and its
-//! AllReduce. The order never varies; the two things the paper's
-//! evaluation does vary each sit behind one seam:
+//! AllReduce. The order never varies. What the paper's evaluation does
+//! vary — where a row lives — sits behind one seam, `store`, the
+//! `FeatureStore` trait: what fetching a feature row costs (DSM with its
+//! cache and disk tiers, host-mapped, or host DRAM) is decided behind it,
+//! once, at build time. Nothing in this module or the schedule knows
+//! which store it is running on.
 //!
-//! * **where a row lives** — `store`, the `FeatureStore` seam: what
-//!   fetching a feature row costs (DSM with its cache and disk tiers,
-//!   host-mapped, or host DRAM) is decided behind it, once, at build
-//!   time. Nothing in this module or the schedules knows which store it
-//!   is running on.
-//! * **when a wave runs** — [`executor`]: [`ExecMode`] lays the priced
-//!   iterations onto the machine, serially (synchronous DataLoader) or
-//!   double-buffered on an input and a train cursor so wave `i+1`'s input
-//!   phases hide under wave `i`'s training.
-//!
-//! Around them: [`config`] — [`PipelineConfig`], [`FeaturePlacement`],
-//! [`ExecMode`]; [`report`] — iteration/epoch/inference reports,
+//! Around it: [`executor`] — [`Schedule`], which lays the priced
+//! iterations onto the machine; [`config`] — [`PipelineConfig`],
+//! [`FeaturePlacement`]; [`report`] — iteration/epoch/inference reports,
 //! including the per-phase busy/idle occupancy derived from the recorded
 //! traces. Training and the forward-only passes (inference, evaluation,
 //! serving) share one forward: `Pipeline::forward`.
@@ -45,20 +40,18 @@
 //! iterations one after another (mathematically a single training stream
 //! — what synchronized DDP computes); an iteration does the real math
 //! and prices its phases but never touches the machine's clock. The
-//! per-iteration phase times then go to the configured [`ExecMode`],
+//! per-iteration phase times then go to [`Schedule::finish_epoch`],
 //! which charges simulated wave time to the node's one clock (its GPUs
-//! run each wave in lockstep) and records the
-//! busy/idle trace intervals that Figure 12 plots. Because the numerics
-//! complete before scheduling starts, both modes produce bit-identical
-//! losses, parameters and predictions — only `epoch_time` and the traces
-//! differ.
+//! run each wave in lockstep) and records the busy/idle trace intervals
+//! that Figure 12 plots.
 
 pub mod config;
 pub mod executor;
 pub mod report;
 mod store;
 
-pub use config::{CacheConfig, ExecMode, FeaturePlacement, PipelineConfig, StorageConfig};
+pub use config::{CacheConfig, FeaturePlacement, PipelineConfig, StorageConfig};
+pub use executor::Schedule;
 pub use report::{
     EpochOccupancy, EpochReport, InferenceReport, IterTimes, IterationResult, PhaseOccupancy,
     StorageIo,
@@ -325,11 +318,12 @@ impl Pipeline {
         self.setup_time
     }
 
-    /// The configured schedule: [`ExecMode::finish_epoch`] charges a list
-    /// of executed iterations to a machine, [`ExecMode::wave_time`]
-    /// projects one wave.
-    pub fn executor(&self) -> ExecMode {
-        self.cfg.exec
+    /// The epoch schedule. The pipeline's own epochs go through it
+    /// already; this accessor exists for the out-of-tree `benchmark/`
+    /// package, which runs each iteration itself and then charges the
+    /// epoch with [`Schedule::finish_epoch`].
+    pub fn executor(&self) -> Schedule {
+        Schedule
     }
 
     /// Iterations per epoch (ceil of train split / batch size).
@@ -515,8 +509,7 @@ impl Pipeline {
 
     /// The iteration: does the real math of every phase and prices it,
     /// but never touches the machine's clock or trace — laying the
-    /// times onto the timeline is [`ExecMode::finish_epoch`]'s job, which
-    /// is what lets both schedules run over bit-identical numerics.
+    /// times onto the timeline is [`Schedule::finish_epoch`]'s job.
     fn run_iteration_inner(
         &mut self,
         epoch: u64,
@@ -614,8 +607,8 @@ impl Pipeline {
                 sample: t_sample,
                 gather: gathered.time,
                 train: t_train,
-                // The AllReduce is priced here and scheduled by the
-                // `ExecMode` as its own `Communication` span.
+                // The AllReduce is priced here and scheduled as its own
+                // `Communication` span.
                 comm: t_comm,
                 // Already inside `gather`; carried beside it.
                 storage: gathered.storage_time,
@@ -684,7 +677,7 @@ impl Pipeline {
         self.finish_epoch(&results, batches.len())
     }
 
-    /// Hand the executed iterations to the configured [`ExecMode`], which
+    /// Hand the executed iterations to [`Schedule::finish_epoch`], which
     /// charges the machine's clock and trace wave by wave and builds the
     /// epoch report.
     pub(crate) fn finish_epoch(
@@ -692,8 +685,7 @@ impl Pipeline {
         results: &[IterationResult],
         total_iters: usize,
     ) -> EpochReport {
-        let (exec, framework) = (self.cfg.exec, self.cfg.framework);
-        exec.finish_epoch(&mut self.machine, framework, results, total_iters)
+        Schedule.finish_epoch(&mut self.machine, self.cfg.framework, results, total_iters)
     }
 
     /// One forward-only pass over `nodes`: sample at the coordinates
@@ -742,13 +734,10 @@ impl Pipeline {
     /// backward pass or gradient AllReduce (§I: WholeGraph's ops "also
     /// can be used in inference scenarios, since it does not require
     /// collective communication"). Returns per-node predictions in input
-    /// order plus a timing report. Under [`ExecMode::Overlapped`] each
-    /// batch's input phases prefetch under the previous batch's forward
-    /// pass, shrinking `wall_time` below the phase-time sum.
+    /// order plus a timing report.
     pub fn infer(&mut self, nodes: &[NodeId]) -> (Vec<u32>, InferenceReport) {
         let mut preds = Vec::with_capacity(nodes.len());
         let mut report = InferenceReport::default();
-        let mut batch_times = Vec::new();
         let gpus = self.machine.num_gpus() as u64;
         for (i, batch) in nodes.chunks(self.cfg.batch_size).enumerate() {
             let i = i as u64;
@@ -759,13 +748,8 @@ impl Pipeline {
             report.gather_time += t.gather;
             report.compute_time += t.compute;
             report.batches += 1;
-            batch_times.push((t.sample + t.gather, t.compute));
         }
         report.nodes = nodes.len();
-        report.wall_time = match self.cfg.exec {
-            ExecMode::Serial => report.total_time(),
-            ExecMode::Overlapped => executor::pipelined_wall_time(&batch_times),
-        };
         (preds, report)
     }
 
@@ -1028,44 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_executor_matches_serial_numerics_and_is_not_slower() {
-        // The executor contract: same iterations, same numerics, shorter
-        // (or equal) schedule. The host pipeline has big input phases and
-        // the small batch gives the epoch several waves, so the overlap
-        // win must be strict.
-        let run = |exec: ExecMode| {
-            let machine = Machine::new(MachineConfig::dgx_like(2));
-            let mut cfg = PipelineConfig::tiny(Framework::Dgl, ModelKind::GraphSage)
-                .with_seed(11)
-                .with_exec(exec);
-            cfg.batch_size = 32;
-            let mut p = Pipeline::new(machine, dataset(), cfg).unwrap();
-            let waves = p
-                .iters_per_epoch()
-                .div_ceil(p.machine().num_gpus() as usize);
-            assert!(
-                waves >= 2,
-                "need >= 2 waves for a strict overlap win, got {waves}"
-            );
-            p.measure_epoch(0, 2)
-        };
-        let serial = run(ExecMode::Serial);
-        let overlapped = run(ExecMode::Overlapped);
-        assert_eq!(serial.loss.to_bits(), overlapped.loss.to_bits());
-        assert_eq!(serial.train_accuracy, overlapped.train_accuracy);
-        assert_eq!(serial.sample_time, overlapped.sample_time);
-        assert!(
-            overlapped.epoch_time < serial.epoch_time,
-            "overlapped {} !< serial {}",
-            overlapped.epoch_time,
-            serial.epoch_time
-        );
-        // The occupancy accounting still covers the (shorter) epoch span.
-        let span = overlapped.occupancy.busy + overlapped.occupancy.idle;
-        assert!((span.as_secs() - overlapped.epoch_time.as_secs()).abs() < 1e-9);
-    }
-
-    #[test]
     fn losses_match_across_frameworks_with_same_seed() {
         // Table III / Figure 7: same seeds → same sub-graphs → (numerically
         // near-)identical training. Dropout is 0 in the tiny config, so
@@ -1138,8 +1084,6 @@ mod tests {
         assert_eq!(report.nodes, 150);
         assert_eq!(report.batches, 150usize.div_ceil(p.config().batch_size));
         assert!(report.total_time() > SimTime::ZERO);
-        // Serial inference wall time is the plain phase sum.
-        assert_eq!(report.wall_time, report.total_time());
         assert!(report.throughput() > 0.0);
         // Inference is cheaper per node than training (no backward, no
         // AllReduce).
@@ -1177,28 +1121,6 @@ mod tests {
         let (a, _) = p.infer(&nodes);
         let (b, _) = p.infer(&nodes);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn overlapped_inference_same_predictions_shorter_wall_time() {
-        let nodes: Vec<NodeId> = (0..200u64).collect();
-        let mut serial = pipeline(Framework::Dgl, ModelKind::Gcn);
-        let (a, ra) = serial.infer(&nodes);
-        let machine = Machine::new(MachineConfig::dgx_like(4));
-        let cfg = PipelineConfig::tiny(Framework::Dgl, ModelKind::Gcn)
-            .with_seed(11)
-            .with_exec(ExecMode::Overlapped);
-        let mut overlapped = Pipeline::new(machine, dataset(), cfg).unwrap();
-        let (b, rb) = overlapped.infer(&nodes);
-        assert_eq!(a, b);
-        assert_eq!(ra.total_time(), rb.total_time());
-        assert!(
-            rb.wall_time < ra.wall_time,
-            "overlapped {} !< serial {}",
-            rb.wall_time,
-            ra.wall_time
-        );
-        assert!(rb.throughput() > ra.throughput());
     }
 
     #[test]

@@ -31,14 +31,8 @@ impl IterTimes {
         self.sample + self.gather + self.train + self.comm
     }
 
-    /// The input-pipeline half (sampling + gather) — what the overlapped
-    /// schedule runs on the input cursor.
-    pub fn input(&self) -> SimTime {
-        self.sample + self.gather
-    }
-
-    /// The compute half (training + AllReduce) — what runs on the train
-    /// cursor.
+    /// The compute half (training + AllReduce) — what a wave's storage
+    /// prefetch hides under.
     pub fn compute(&self) -> SimTime {
         self.train + self.comm
     }
@@ -81,9 +75,7 @@ impl PhaseOccupancy {
 
 /// Per-phase busy/idle accounting of one epoch on the node's GPUs, which
 /// run every wave in lockstep, derived from the trace intervals the
-/// schedule recorded. Under the overlapped schedule, input and train
-/// spans cover the same simulated time, so the per-phase totals can *sum*
-/// to more than the epoch span — that is the overlap. `busy`/`idle` are union measures over the epoch
+/// schedule recorded. `busy`/`idle` are union measures over the epoch
 /// window and always add up to exactly the epoch span.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochOccupancy {
@@ -95,8 +87,8 @@ pub struct EpochOccupancy {
     pub training: PhaseOccupancy,
     /// AllReduce-phase occupancy.
     pub comm: PhaseOccupancy,
-    /// Union busy time of the GPUs over the epoch window (overlapping
-    /// busy spans counted once).
+    /// Union busy time of the GPUs over the epoch window (abutting busy
+    /// spans merged).
     pub busy: SimTime,
     /// Epoch span minus union busy time.
     pub idle: SimTime,
@@ -125,7 +117,7 @@ impl EpochOccupancy {
 }
 
 /// Derive the epoch occupancy from a machine's trace over `[from, to)`.
-/// `ExecMode::finish_epoch` calls this after recording the epoch's spans.
+/// `Schedule::finish_epoch` calls this after recording the epoch's spans.
 pub(crate) fn occupancy_from_trace(
     trace: &UtilizationTrace,
     from: SimTime,
@@ -160,9 +152,8 @@ pub(crate) fn occupancy_from_trace(
 /// Aggregated report of one (possibly extrapolated) epoch.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochReport {
-    /// Wall-clock epoch time (per-GPU, data-parallel waves). Under the
-    /// overlapped schedule this is the schedule length, which is shorter
-    /// than the phase-time sum whenever input and compute overlap.
+    /// Wall-clock epoch time (per-GPU, data-parallel waves): the sum of
+    /// the four phase times.
     pub epoch_time: SimTime,
     /// Total sampling time across the epoch.
     pub sample_time: SimTime,
@@ -211,26 +202,18 @@ pub struct InferenceReport {
     pub gather_time: SimTime,
     /// Total forward compute time.
     pub compute_time: SimTime,
-    /// End-to-end wall time: equals [`InferenceReport::total_time`] when
-    /// batches run serially, less when the schedule overlaps each batch's
-    /// input phases with the previous batch's forward pass.
-    pub wall_time: SimTime,
 }
 
 impl InferenceReport {
-    /// Sum of all phase times (the serial end-to-end time).
+    /// Sum of all phase times: the end-to-end time, batches running one
+    /// after another.
     pub fn total_time(&self) -> SimTime {
         self.sample_time + self.gather_time + self.compute_time
     }
 
-    /// Predicted nodes per simulated second of wall time.
+    /// Predicted nodes per simulated second.
     pub fn throughput(&self) -> f64 {
-        let t = if self.wall_time.is_zero() {
-            self.total_time()
-        } else {
-            self.wall_time
-        };
-        self.nodes as f64 / t.as_secs().max(f64::MIN_POSITIVE)
+        self.nodes as f64 / self.total_time().as_secs().max(f64::MIN_POSITIVE)
     }
 }
 
@@ -251,7 +234,7 @@ mod tests {
     #[test]
     fn occupancy_splits_phases_and_unions_busy() {
         let mut t = UtilizationTrace::new();
-        // Overlapped-style wave: input phases idle-overlapping training.
+        // Overlapping spans: input phases idle under training.
         t.record(ev(0.0, 1.0, Phase::Sampling, false));
         t.record(ev(1.0, 2.0, Phase::Gather, false));
         t.record(ev(0.5, 2.5, Phase::Training, true));
@@ -285,24 +268,23 @@ mod tests {
             comm: SimTime::from_secs(4.0),
             storage: SimTime::from_secs(0.5),
         };
-        assert_eq!(t.input().as_secs(), 3.0);
         assert_eq!(t.compute().as_secs(), 7.0);
         assert_eq!(t.total().as_secs(), 10.0);
     }
 
     #[test]
-    fn inference_throughput_prefers_wall_time() {
+    fn inference_throughput_is_nodes_over_total_time() {
         let mut r = InferenceReport {
             nodes: 100,
             batches: 2,
             sample_time: SimTime::from_secs(1.0),
             gather_time: SimTime::from_secs(1.0),
             compute_time: SimTime::from_secs(2.0),
-            wall_time: SimTime::ZERO,
         };
-        let serial = r.throughput();
-        r.wall_time = SimTime::from_secs(2.0);
-        assert!((serial - 25.0).abs() < 1e-9);
-        assert!((r.throughput() - 50.0).abs() < 1e-9);
+        assert_eq!(r.total_time().as_secs(), 4.0);
+        assert!((r.throughput() - 25.0).abs() < 1e-9);
+        // An empty run divides by the smallest positive time, not zero.
+        r = InferenceReport::default();
+        assert_eq!(r.throughput(), 0.0);
     }
 }

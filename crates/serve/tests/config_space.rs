@@ -1,9 +1,9 @@
 //! The configuration space in one process: every combination of
 //! framework × model × cache (off / static / CLOCK, small or covering the
-//! working set) × storage residency (tier off, 1 row, ~25%, full) ×
-//! `ExecMode`, each run on the work-stealing pool and again under
-//! `rayon::run_sequential`. The tiers and the schedules move cost, never
-//! values, so every case holds the same invariants:
+//! working set) × storage residency (tier off, 1 row, ~25%, full), each
+//! run on the work-stealing pool and again under `rayon::run_sequential`.
+//! The tiers move cost, never values, and the thread schedule moves
+//! nothing, so every case holds the same invariants:
 //!
 //! * loss bits, train accuracy and `infer` predictions equal the all-off
 //!   baseline of its (framework, model);
@@ -30,8 +30,7 @@ use std::sync::Arc;
 use wg_serve::{ArrivalProcess, Request, ServeConfig, ServeEngine, ServeReport, TrafficConfig};
 use wholegraph::prelude::*;
 
-/// Simulated GPUs per machine: two, so an epoch has several waves and
-/// the overlapped schedule has something to overlap.
+/// Simulated GPUs per machine: two, so an epoch has several waves.
 const GPUS: u32 = 2;
 /// Cache slots per device in the "small" cache: far below the working
 /// set, so CLOCK evicts constantly.
@@ -91,7 +90,6 @@ struct Case {
     model: ModelKind,
     cache: Cache,
     residency: Residency,
-    exec: ExecMode,
     /// Whether this configuration also replays serve traffic.
     serve: bool,
 }
@@ -103,19 +101,16 @@ fn cases() -> Vec<Case> {
         for model in ModelKind::ALL {
             for cache in CACHES {
                 for residency in Residency::ALL {
-                    for exec in [ExecMode::Serial, ExecMode::Overlapped] {
-                        // 3 is coprime to the 2 x 4 inner loops, so the
-                        // replays reach every residency and schedule.
-                        let serve = out.len() % 3 == 0;
-                        out.push(Case {
-                            framework,
-                            model,
-                            cache,
-                            residency,
-                            exec,
-                            serve,
-                        });
-                    }
+                    // 3 is coprime to the 4 residencies, so the replays
+                    // reach every one.
+                    let serve = out.len() % 3 == 0;
+                    out.push(Case {
+                        framework,
+                        model,
+                        cache,
+                        residency,
+                        serve,
+                    });
                 }
             }
         }
@@ -182,9 +177,8 @@ struct Fingerprint {
     loss: u32,
     accuracy: u64,
     /// Epoch, sample, gather, train, comm, storage and exposed storage
-    /// time, then the inference pass's sample, gather, compute and wall
-    /// time.
-    times: [u64; 11],
+    /// time, then the inference pass's sample, gather and compute time.
+    times: [u64; 10],
     storage_io: StorageIo,
     iterations: usize,
     predictions: Vec<u32>,
@@ -239,7 +233,6 @@ impl Fixture {
         };
         let mut cfg = PipelineConfig::tiny(case.framework, case.model)
             .with_seed(13)
-            .with_exec(case.exec)
             .with_cache(rows, mode)
             .with_storage(case.residency.budget_rows(self.dataset.num_nodes()));
         cfg.batch_size = 32;
@@ -289,7 +282,6 @@ impl Fixture {
                 t(inf.sample_time),
                 t(inf.gather_time),
                 t(inf.compute_time),
-                t(inf.wall_time),
             ],
             storage_io: r.storage_io,
             iterations: r.executed_iterations,
@@ -417,7 +409,6 @@ fn every_tier_and_schedule_combination_keeps_values_and_books() {
         let off = Case {
             cache: None,
             residency: Residency::Off,
-            exec: ExecMode::Serial,
             serve: false,
             ..*case
         };

@@ -4,8 +4,8 @@
 //! tree depends on input lengths alone, so one training epoch per
 //! framework and one coalesced serve replay must come out bit for bit as
 //! they do under `run_sequential`. This binary requests its one worker
-//! before anything else runs (an explicit `WG_THREADS` /
-//! `RAYON_NUM_THREADS` still takes precedence).
+//! before anything else runs (an explicit `WG_THREADS` still takes
+//! precedence).
 
 use std::sync::Arc;
 

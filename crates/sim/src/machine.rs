@@ -136,21 +136,6 @@ impl Machine {
         self.now
     }
 
-    /// Record a span a schedule placed itself and move the clock to the
-    /// span's end if it is later. This is how the overlapped schedule
-    /// publishes overlapping per-phase intervals: several spans may cover
-    /// the same simulated time, and [`UtilizationTrace::busy_time`] counts
-    /// the covered time once.
-    pub fn record_span(&mut self, phase: Phase, busy: bool, start: SimTime, end: SimTime) {
-        self.trace.record(TraceEvent {
-            start,
-            end,
-            phase,
-            busy,
-        });
-        self.now = self.now.max(end);
-    }
-
     /// Advance the clock to `t`, recording the wait as an `Idle`
     /// (non-busy) trace interval. A clock already at or past `t` is left
     /// untouched. This is the per-node half of a cross-machine barrier:
@@ -224,27 +209,6 @@ mod tests {
     fn run_rejects_a_negative_span() {
         let mut m = Machine::new(MachineConfig::dgx_like(2));
         m.run(Phase::Training, true, SimTime::from_secs(-1.0));
-    }
-
-    #[test]
-    fn record_span_never_moves_the_clock_back() {
-        let mut m = Machine::new(MachineConfig::dgx_like(2));
-        m.record_span(
-            Phase::Gather,
-            true,
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(3.0),
-        );
-        m.record_span(
-            Phase::Sampling,
-            false,
-            SimTime::ZERO,
-            SimTime::from_secs(2.0),
-        );
-        assert_eq!(m.now(), SimTime::from_secs(3.0));
-        assert_eq!(m.trace().events().len(), 2);
-        let busy = m.trace().busy_time(SimTime::ZERO, m.now());
-        assert_eq!(busy, SimTime::from_secs(2.0));
     }
 
     #[test]

@@ -103,12 +103,11 @@ impl UtilizationTrace {
     /// Record an interval. Intervals must be well-formed (`end >= start`).
     ///
     /// This is the chokepoint every simulated interval passes through
-    /// ([`crate::Machine::run`] and [`crate::Machine::record_span`] both
-    /// land here), so it also accrues the interval into the per-phase
-    /// `sim.phase.*_s` counters when `wg-trace` metrics are enabled —
-    /// one atomic-load probe otherwise. Each interval accrues once: the
-    /// counters are machine seconds, not GPU-seconds summed over the
-    /// node's GPUs.
+    /// (every [`crate::Machine::run`] lands here), so it also accrues the
+    /// interval into the per-phase `sim.phase.*_s` counters when
+    /// `wg-trace` metrics are enabled — one atomic-load probe otherwise.
+    /// Each interval accrues once: the counters are machine seconds, not
+    /// GPU-seconds summed over the node's GPUs.
     pub fn record(&mut self, ev: TraceEvent) {
         assert!(
             ev.end >= ev.start,
@@ -125,12 +124,14 @@ impl UtilizationTrace {
 
     /// Total busy time in `[from, to)`.
     ///
-    /// Busy intervals are **unioned**, not summed: the overlapped
-    /// schedule records overlapping busy spans (e.g. gather on the input
-    /// cursor while training runs on the train cursor), and GPUs doing two
-    /// things at once are still only busy once. For non-overlapping traces
-    /// (everything the serial schedule records) union and sum agree
-    /// exactly.
+    /// Busy intervals are **unioned**, not summed: a trace may hold
+    /// overlapping busy spans, and GPUs doing two things at once are
+    /// still only busy once. The schedule records back-to-back spans, and
+    /// the union merges each abutting run into one `end - start`, which
+    /// can round differently in floating point from the sum of the
+    /// run's span lengths — so union and sum need not agree to the bit
+    /// even on the schedule's traces. Figure 12's percentages and the
+    /// benchmark's `sim.gpu0_busy_share` are the union's.
     pub fn busy_time(&self, from: SimTime, to: SimTime) -> SimTime {
         let mut spans: Vec<(SimTime, SimTime)> = self
             .events

@@ -51,7 +51,7 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 
 # One pass: the settings earlier passes varied process-wide are checked
 # in-process — the one-worker pool by crates/serve/tests/one_worker.rs,
-# every cache x residency x schedule combination by
+# every cache x residency combination, on the pool and sequentially, by
 # crates/serve/tests/config_space.rs.
 echo "tier1: cargo test -q"
 cargo test -q "${OFFLINE_FLAGS[@]}"

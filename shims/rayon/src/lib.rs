@@ -2,10 +2,9 @@
 //! **real work-stealing thread pool**, not sequential stand-ins.
 //!
 //! - [`pool`]: N worker threads (default `available_parallelism()`,
-//!   overridable via `WG_THREADS` / `RAYON_NUM_THREADS`; first
-//!   initialization wins, like rayon's `build_global`), a global injector
-//!   plus per-worker LIFO deques from the `crossbeam` shim, and the
-//!   [`join`] fork primitive every adapter reduces to.
+//!   overridable via `WG_THREADS`; first initialization wins, like
+//!   rayon's `build_global`), a global injector plus per-worker LIFO
+//!   deques, and the [`join`] fork primitive every adapter reduces to.
 //! - [`iter`]: indexed parallel iterators (`par_iter`, `par_iter_mut`,
 //!   `par_chunks`, `par_chunks_mut`, `into_par_iter` on ranges) with `map`,
 //!   `zip`, `enumerate`, `chunks`, `flat_map_iter`, `with_min_len` and the
@@ -23,8 +22,7 @@ pub mod iter;
 pub mod pool;
 
 pub use pool::{
-    current_num_threads, init_threads, is_sequential, join, run_sequential, RAYON_THREADS_ENV,
-    THREADS_ENV,
+    current_num_threads, init_threads, is_sequential, join, run_sequential, THREADS_ENV,
 };
 
 pub mod prelude {

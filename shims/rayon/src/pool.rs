@@ -2,14 +2,14 @@
 //!
 //! Architecture (a deliberately small cousin of rayon-core):
 //!
-//! - N worker threads (`WG_THREADS` > `RAYON_NUM_THREADS` >
-//!   `available_parallelism()`), each owning a LIFO deque
-//!   ([`crossbeam::deque::Worker`]) plus one global FIFO queue for jobs
-//!   arriving from non-pool threads. The global queue is a mutex-guarded
-//!   `VecDeque` rather than a segmented injector: root injections are rare
-//!   (one per parallel op entered off-pool), and a `VecDeque` retains its
-//!   capacity, so steady-state injection performs no heap allocation —
-//!   which the wallclock harness's allocation gate relies on.
+//! - N worker threads (`WG_THREADS`, else `available_parallelism()`),
+//!   each owning a job deque (owner LIFO, thieves FIFO), plus one global
+//!   FIFO queue for jobs arriving from non-pool threads. The global queue
+//!   is a mutex-guarded `VecDeque` rather than a segmented injector: root
+//!   injections are rare (one per parallel op entered off-pool), and a
+//!   `VecDeque` retains its capacity, so steady-state injection performs
+//!   no heap allocation — which the wallclock harness's allocation gate
+//!   relies on.
 //! - [`join`] is the only fork primitive: it pushes the right half onto the
 //!   caller's deque (stealable from the FIFO end by idle workers), runs the
 //!   left half inline, then pops the right half back — or, if it was
@@ -29,14 +29,10 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crossbeam::deque::{Steal, Stealer, Worker};
-
-/// Environment variable naming the thread count (checked first).
+/// Environment variable naming the thread count.
 pub const THREADS_ENV: &str = "WG_THREADS";
-/// Rayon's own thread-count variable (checked second, for drop-in parity).
-pub const RAYON_THREADS_ENV: &str = "RAYON_NUM_THREADS";
 
 // ---------------------------------------------------------------------------
 // Jobs
@@ -183,6 +179,7 @@ where
 // Registry
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct Sleep {
     /// Bumped on every job push so sleepers re-scan; guarded by `gate`.
     epoch: Mutex<u64>,
@@ -196,6 +193,7 @@ struct Sleep {
 /// a mutex keeps its allocation across pushes (unlike a segmented
 /// lock-free injector, which allocates blocks as entries flow through);
 /// the atomic length lets idle workers skip the lock when it is empty.
+#[derive(Default)]
 struct GlobalQueue {
     len: AtomicUsize,
     jobs: Mutex<VecDeque<JobRef>>,
@@ -219,71 +217,76 @@ impl GlobalQueue {
     }
 }
 
+/// A worker's job deque. The owner pushes and pops at the back (LIFO, so
+/// it keeps working on the most recently split — cache-hot — half of a
+/// divide-and-conquer tree) while thieves pop at the front (FIFO, so they
+/// take the oldest, i.e. largest, pending subtree). A mutex rather than a
+/// lock-free Chase–Lev deque: the pool schedules coarse chunk tasks, so
+/// lock hold times are tens of nanoseconds.
+type Deque = Mutex<VecDeque<JobRef>>;
+
+/// Lock a deque. A panicking job poisons nothing: the deque only holds
+/// plain job handles, so keep going.
+fn lock(deque: &Deque) -> MutexGuard<'_, VecDeque<JobRef>> {
+    deque.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Registry {
     injector: GlobalQueue,
-    stealers: Vec<Stealer<JobRef>>,
-    n_threads: usize,
+    /// One deque per worker, indexed by the worker's index.
+    deques: Vec<Deque>,
     sleep: Sleep,
 }
 
-struct WorkerLocal {
-    index: usize,
-    queue: Worker<JobRef>,
-}
-
 thread_local! {
-    static WORKER: Cell<Option<&'static WorkerLocal>> = const { Cell::new(None) };
+    /// This thread's worker index, `None` off the pool.
+    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
     static SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
 }
 
-fn current_worker() -> Option<&'static WorkerLocal> {
+fn current_worker() -> Option<usize> {
     WORKER.with(Cell::get)
 }
 
 static REGISTRY: OnceLock<&'static Registry> = OnceLock::new();
 
-/// Parse the raw value of thread-count variable `var`. Absent or blank
-/// reads as unset; anything else must be a count, or startup panics
-/// naming `var` (the `WG_SIMD` convention) — a typo'd `WG_THREADS=one`
-/// must not silently run on every core.
-fn parse_threads(var: &str, value: Option<&str>) -> Option<usize> {
+/// Parse the raw value of [`THREADS_ENV`]. Absent or blank reads as
+/// unset; anything else must be a count, or startup panics naming the
+/// variable (the `WG_SIMD` convention) — a typo'd `WG_THREADS=one` must
+/// not silently run on every core.
+fn parse_threads(value: Option<&str>) -> Option<usize> {
     let value = value.map(str::trim).filter(|v| !v.is_empty())?;
     let n: usize = value
         .parse()
-        .unwrap_or_else(|_| panic!("{var}: expected a thread count, got {value:?}"));
+        .unwrap_or_else(|_| panic!("{THREADS_ENV}: expected a thread count, got {value:?}"));
     Some(n.clamp(1, 512))
 }
 
 fn env_threads() -> Option<usize> {
-    [THREADS_ENV, RAYON_THREADS_ENV]
-        .into_iter()
-        .find_map(|var| parse_threads(var, std::env::var(var).ok().as_deref()))
+    parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
 }
 
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+impl Registry {
+    /// `n_threads` empty deques, an empty injector, nobody asleep.
+    fn new(n_threads: usize) -> Self {
+        Registry {
+            injector: GlobalQueue::default(),
+            deques: (0..n_threads).map(|_| Deque::default()).collect(),
+            sleep: Sleep::default(),
+        }
+    }
+}
+
 fn build_registry(n_threads: usize) -> &'static Registry {
-    let workers: Vec<Worker<JobRef>> = (0..n_threads).map(|_| Worker::new_lifo()).collect();
-    let stealers = workers.iter().map(Worker::stealer).collect();
-    let reg: &'static Registry = Box::leak(Box::new(Registry {
-        injector: GlobalQueue {
-            len: AtomicUsize::new(0),
-            jobs: Mutex::new(VecDeque::new()),
-        },
-        stealers,
-        n_threads,
-        sleep: Sleep {
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-        },
-    }));
-    for (index, queue) in workers.into_iter().enumerate() {
+    let reg: &'static Registry = Box::leak(Box::new(Registry::new(n_threads)));
+    for index in 0..n_threads {
         std::thread::Builder::new()
             .name(format!("wg-rayon-{index}"))
-            .spawn(move || worker_main(reg, index, queue))
+            .spawn(move || worker_main(reg, index))
             .expect("failed to spawn pool worker");
     }
     reg
@@ -294,7 +297,7 @@ fn registry() -> &'static Registry {
 }
 
 /// Initialize the global pool with `requested` threads **unless** the
-/// `WG_THREADS` / `RAYON_NUM_THREADS` environment variables override it or
+/// `WG_THREADS` environment variable overrides it or
 /// the pool already started (first initialization wins, like rayon's
 /// `build_global`). Returns the actual thread count. Tests use this to get
 /// a truly parallel pool on small CI machines while still honoring an
@@ -302,12 +305,13 @@ fn registry() -> &'static Registry {
 pub fn init_threads(requested: usize) -> usize {
     REGISTRY
         .get_or_init(|| build_registry(env_threads().unwrap_or(requested.clamp(1, 512))))
-        .n_threads
+        .deques
+        .len()
 }
 
 /// Number of threads the global pool runs (1 means fully sequential).
 pub fn current_num_threads() -> usize {
-    registry().n_threads
+    registry().deques.len()
 }
 
 /// Run `f` with all parallel adapters forced inline on this thread.
@@ -335,23 +339,18 @@ pub fn is_sequential() -> bool {
 // Worker loop
 // ---------------------------------------------------------------------------
 
-fn find_work(reg: &Registry, local: Option<&WorkerLocal>) -> Option<JobRef> {
-    if let Some(local) = local {
-        if let Some(job) = local.queue.pop() {
-            return Some(job);
-        }
+/// Worker `me`'s next job: its own newest, else the oldest injected,
+/// else the oldest of the next worker round the ring that has one.
+fn find_work(reg: &Registry, me: usize) -> Option<JobRef> {
+    if let Some(job) = lock(&reg.deques[me]).pop_back() {
+        return Some(job);
     }
     if let Some(job) = reg.injector.pop() {
         return Some(job);
     }
-    let n = reg.stealers.len();
-    let start = local.map_or(0, |l| l.index + 1);
-    for i in 0..n {
-        let idx = (start + i) % n;
-        if local.is_some_and(|l| l.index == idx) {
-            continue;
-        }
-        if let Steal::Success(job) = reg.stealers[idx].steal() {
+    let n = reg.deques.len();
+    for i in 1..n {
+        if let Some(job) = lock(&reg.deques[(me + i) % n]).pop_front() {
             return Some(job);
         }
     }
@@ -368,11 +367,10 @@ fn notify_work(reg: &Registry) {
     }
 }
 
-fn worker_main(reg: &'static Registry, index: usize, queue: Worker<JobRef>) {
-    let local: &'static WorkerLocal = Box::leak(Box::new(WorkerLocal { index, queue }));
-    WORKER.with(|w| w.set(Some(local)));
+fn worker_main(reg: &'static Registry, index: usize) {
+    WORKER.with(|w| w.set(Some(index)));
     loop {
-        if let Some(job) = find_work(reg, Some(local)) {
+        if let Some(job) = find_work(reg, index) {
             unsafe { job.execute() };
             continue;
         }
@@ -380,7 +378,7 @@ fn worker_main(reg: &'static Registry, index: usize, queue: Worker<JobRef>) {
         // announcement is never lost), then wait for the epoch to move.
         reg.sleep.sleepers.fetch_add(1, Ordering::SeqCst);
         let epoch0 = *reg.sleep.epoch.lock().unwrap();
-        if let Some(job) = find_work(reg, Some(local)) {
+        if let Some(job) = find_work(reg, index) {
             reg.sleep.sleepers.fetch_sub(1, Ordering::SeqCst);
             unsafe { job.execute() };
             continue;
@@ -411,7 +409,7 @@ where
     RB: Send,
 {
     let reg = registry();
-    if reg.n_threads <= 1 || is_sequential() {
+    if reg.deques.len() <= 1 || is_sequential() {
         return (a(), b());
     }
     if current_worker().is_some() {
@@ -445,12 +443,12 @@ where
     RA: Send,
     RB: Send,
 {
-    let local = current_worker().expect("join_worker off the pool");
+    let me = current_worker().expect("join_worker off the pool");
     let job_b = StackJob::new(b, SpinLatch::new());
     // SAFETY: this frame does not return until `job_b` has executed (inline
     // or on a thief) — see the completion handling below.
     let ref_b = unsafe { job_b.as_job_ref() };
-    local.queue.push(ref_b);
+    lock(&reg.deques[me]).push_back(ref_b);
     notify_work(reg);
 
     let result_a = panic::catch_unwind(AssertUnwindSafe(a));
@@ -458,13 +456,14 @@ where
     // Reclaim b: by LIFO discipline the top of our deque is `ref_b` unless
     // a thief took it from the FIFO end (possibly leaving an *older* job of
     // ours on top — executing that here is ordinary work-stealing).
-    match local.queue.pop() {
+    let top = lock(&reg.deques[me]).pop_back();
+    match top {
         Some(job) if std::ptr::eq(job.data, ref_b.data) => unsafe { job.execute() },
         Some(job) => {
             unsafe { job.execute() };
-            steal_until(reg, local, &job_b.latch);
+            steal_until(reg, me, &job_b.latch);
         }
-        None => steal_until(reg, local, &job_b.latch),
+        None => steal_until(reg, me, &job_b.latch),
     }
 
     let result_b = unsafe { job_b.take_result() };
@@ -476,10 +475,10 @@ where
 }
 
 /// Help execute other tasks until `latch` fires.
-fn steal_until(reg: &Registry, local: &WorkerLocal, latch: &SpinLatch) {
+fn steal_until(reg: &Registry, me: usize, latch: &SpinLatch) {
     let mut idle_spins = 0u32;
     while !latch.probe() {
-        if let Some(job) = find_work(reg, Some(local)) {
+        if let Some(job) = find_work(reg, me) {
             unsafe { job.execute() };
             idle_spins = 0;
         } else if idle_spins < 64 {
@@ -495,13 +494,74 @@ fn steal_until(reg: &Registry, local: &WorkerLocal, latch: &SpinLatch) {
 mod tests {
     use super::*;
 
+    /// A job handle told apart by its data pointer; never executed.
+    fn job(tag: usize) -> JobRef {
+        unsafe fn never(_: *const ()) {
+            unreachable!("test jobs are only queued")
+        }
+        JobRef {
+            data: tag as *const (),
+            execute: never,
+        }
+    }
+
+    fn tag(job: Option<JobRef>) -> Option<usize> {
+        job.map(|j| j.data as usize)
+    }
+
+    #[test]
+    fn deque_owner_is_lifo_thieves_are_fifo() {
+        let reg = Registry::new(3);
+        for t in 1..=3 {
+            lock(&reg.deques[0]).push_back(job(t));
+        }
+        reg.injector.push(job(9));
+        // A thief takes the oldest job of the next worker round the ring
+        // that has one, after the injector's…
+        assert_eq!(tag(find_work(&reg, 2)), Some(9));
+        assert_eq!(tag(find_work(&reg, 2)), Some(1));
+        // …the owner takes its newest.
+        assert_eq!(tag(find_work(&reg, 0)), Some(3));
+        assert_eq!(tag(find_work(&reg, 0)), Some(2));
+        assert_eq!(tag(find_work(&reg, 0)), None);
+        assert_eq!(tag(find_work(&reg, 1)), None);
+    }
+
+    #[test]
+    fn injector_is_concurrent_fifo() {
+        let queue = GlobalQueue::default();
+        for t in 0..100 {
+            queue.push(job(t));
+        }
+        let mut all: Vec<usize> = std::thread::scope(|s| {
+            let takers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        while let Some(t) = tag(queue.pop()) {
+                            got.push(t);
+                        }
+                        // Each taker sees the queue's order.
+                        assert!(got.windows(2).all(|w| w[0] < w[1]), "{got:?}");
+                        got
+                    })
+                })
+                .collect();
+            takers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        all.sort_unstable();
+        assert_eq!(all, (0..100).collect::<Vec<_>>());
+        assert_eq!(queue.len.load(Ordering::Acquire), 0);
+    }
+
     #[test]
     fn thread_count_env_parses_or_panics_naming_the_variable() {
-        assert_eq!(parse_threads(THREADS_ENV, None), None);
-        assert_eq!(parse_threads(THREADS_ENV, Some(" ")), None);
-        assert_eq!(parse_threads(THREADS_ENV, Some(" 3 ")), Some(3));
-        assert_eq!(parse_threads(RAYON_THREADS_ENV, Some("0")), Some(1));
-        let err = panic::catch_unwind(|| parse_threads(THREADS_ENV, Some("one"))).unwrap_err();
+        assert_eq!(parse_threads(None), None);
+        assert_eq!(parse_threads(Some(" ")), None);
+        assert_eq!(parse_threads(Some(" 3 ")), Some(3));
+        assert_eq!(parse_threads(Some("0")), Some(1));
+        assert_eq!(parse_threads(Some("9999")), Some(512));
+        let err = panic::catch_unwind(|| parse_threads(Some("one"))).unwrap_err();
         let msg = err
             .downcast_ref::<String>()
             .expect("a formatted panic message");

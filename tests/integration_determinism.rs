@@ -49,9 +49,9 @@ fn run_epoch(fw: Framework, model: ModelKind) -> EpochFingerprint {
 }
 
 /// One epoch per framework, sequential reference vs. two pool runs.
-/// `init_threads(8)` is a request — `WG_THREADS`/`RAYON_NUM_THREADS`
-/// win if set. The one-worker pool, a degenerate but distinct schedule,
-/// has a binary of its own: `crates/serve/tests/one_worker.rs`.
+/// `init_threads(8)` is a request — `WG_THREADS` wins if set. The
+/// one-worker pool, a degenerate but distinct schedule, has a binary of
+/// its own: `crates/serve/tests/one_worker.rs`.
 #[test]
 fn training_epoch_is_bit_identical_at_any_thread_count() {
     rayon::init_threads(8);

@@ -152,3 +152,44 @@ fn memory_accounting_covers_all_phases_after_training() {
     assert_eq!(rows.len(), 3);
     assert!(rows.iter().all(|r| r.total_bytes > 0));
 }
+
+#[test]
+fn prefetch_hides_wholegraph_storage_reads() {
+    // Tier on at ~25% residency. Priced as the ranged reads issued, a
+    // wave's storage time is below its training step (per-row pricing
+    // charged several steps), so the prefetch fits it under the previous
+    // wave's compute and nothing stays exposed.
+    let data = Arc::new(SyntheticDataset::generate(
+        DatasetKind::OgbnProducts,
+        1500,
+        5,
+    ));
+    let epoch = |storage_rows: usize| {
+        // 2 GPUs and a small batch give the epoch several waves.
+        let machine = Machine::new(MachineConfig::dgx_like(2));
+        let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage)
+            .with_seed(23)
+            .with_storage(storage_rows);
+        cfg.batch_size = 32;
+        Pipeline::new(machine, data.clone(), cfg)
+            .unwrap()
+            .train_epoch(0)
+    };
+    let r = epoch(400);
+    assert!(r.storage_io.rows > 0, "tier served no rows");
+    assert!(
+        r.storage_io.requests < r.storage_io.rows,
+        "{}",
+        r.storage_io
+    );
+    assert!(r.storage_time > SimTime::ZERO);
+    assert!(
+        r.storage_time < r.train_time + r.comm_time,
+        "storage {} should fit under compute {}",
+        r.storage_time,
+        r.train_time + r.comm_time
+    );
+    assert_eq!(r.storage_exposed_time, SimTime::ZERO);
+    // Values never move: the tier changes the clock, not the numbers.
+    assert_eq!(r.loss.to_bits(), epoch(0).loss.to_bits());
+}
