@@ -13,14 +13,14 @@
 //! * [`tape`] — the autograd tape: forward ops record their inputs, and
 //!   [`tape::Tape::backward`] walks the tape in reverse accumulating
 //!   gradients into the parameter store;
-//! * [`optim`] — SGD and Adam.
+//! * [`optim`] — the [`Optimizer`] trait and Adam.
 
 pub mod optim;
 pub mod params;
 pub mod tape;
 pub mod workspace;
 
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use params::{ParamId, Params};
 pub use tape::{NodeId, Tape};
 pub use workspace::Workspace;

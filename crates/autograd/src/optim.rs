@@ -16,58 +16,6 @@ pub trait Optimizer {
     fn reset(&mut self) {}
 }
 
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and momentum.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .ids()
-                .map(|id| Matrix::zeros(params.value(id).rows(), params.value(id).cols()))
-                .collect();
-        }
-        // Two borrow phases per parameter — velocity update reads the
-        // gradient, then the weight update reads the velocity — so no
-        // clones are needed and steady-state steps allocate nothing.
-        for k in 0..params.len() {
-            let id = ParamId(k);
-            let v = &mut self.velocity[k];
-            for (vv, gv) in v.data_mut().iter_mut().zip(params.grad(id).data()) {
-                *vv = self.momentum * *vv + gv;
-            }
-            let lr = self.lr;
-            let v = &self.velocity[k];
-            for (p, vv) in params.value_mut(id).data_mut().iter_mut().zip(v.data()) {
-                *p -= lr * vv;
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        for v in &mut self.velocity {
-            v.data_mut().fill(0.0);
-        }
-    }
-}
-
 /// Adam (Kingma & Ba) — the optimizer the OGB baselines train with.
 pub struct Adam {
     /// Learning rate.
@@ -110,9 +58,9 @@ impl Optimizer for Adam {
         self.step += 1;
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        // Same two-phase borrow discipline as SGD: moment update reads the
-        // gradient, weight update reads the moments — clone-free, so
-        // steady-state steps allocate nothing.
+        // Two borrow phases per parameter — the moment update reads the
+        // gradient, then the weight update reads the moments — so no
+        // clones are needed and steady-state steps allocate nothing.
         for k in 0..params.len() {
             let id = ParamId(k);
             let (m, v) = (&mut self.m[k], &mut self.v[k]);
@@ -156,7 +104,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimize f(w) = ||w - target||² with each optimizer.
+    /// Minimize f(w) = ||w - target||² with `opt`.
     fn quadratic_descent(mut opt: impl Optimizer, iters: usize) -> f32 {
         let mut params = Params::new();
         let target = [3.0f32, -2.0];
@@ -185,18 +133,6 @@ mod tests {
             .map(|(p, t)| (p - t).powi(2))
             .sum::<f32>()
             .sqrt()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let dist = quadratic_descent(Sgd::new(0.1, 0.0), 100);
-        assert!(dist < 1e-3, "distance {dist}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let dist = quadratic_descent(Sgd::new(0.05, 0.9), 200);
-        assert!(dist < 1e-2, "distance {dist}");
     }
 
     #[test]

@@ -82,8 +82,8 @@ impl Params {
         &self.grads[id.0]
     }
 
-    /// Mutable gradient (gradient synchronization: AllReduce averaging,
-    /// compression residuals).
+    /// Mutable gradient (gradient synchronization writes the AllReduce
+    /// average here).
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
         &mut self.grads[id.0]
     }

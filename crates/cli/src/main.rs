@@ -20,7 +20,7 @@ use wholegraph::prelude::*;
 
 /// The usage text — also the flag list: [`parse_flags`] accepts exactly
 /// the `--flags` a subcommand's own entry names.
-const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the resident-row budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N> [--compress topk:<frac>] [--delayed-agg [<period>]]\n           [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <per-node>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--batch <N>] [--hidden <N>] [--layers <N>]\n           [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  [--data <file> | --dataset <kind> --scale <N> [--seed <N>]]";
+const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the resident-row budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N>\n           [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <per-node>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--batch <N>] [--hidden <N>] [--layers <N>]\n           [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  [--data <file> | --dataset <kind> --scale <N> [--seed <N>]]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -131,6 +131,29 @@ where
     match v.parse::<T>() {
         Ok(n) if n >= T::from(1) => Ok(n),
         _ => Err(format!("--{key} expects a count of at least 1, got {v}")),
+    }
+}
+
+/// `--<key> <f>` for a finite real that must be above 0 when `strict`
+/// and at least 0 otherwise, or `default` when the flag is absent. A zero
+/// rate would panic in the traffic generator and a negative delay would
+/// launch a batch before its head request arrives, so they are refused
+/// by name here.
+fn real(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: f64,
+    strict: bool,
+) -> Result<f64, String> {
+    let Some(v) = flags.get(key) else {
+        return Ok(default);
+    };
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && (x > 0.0 || (!strict && x == 0.0)) => Ok(x),
+        _ if strict => Err(format!("--{key} expects a finite number above 0, got {v}")),
+        _ => Err(format!(
+            "--{key} expects a finite number of at least 0, got {v}"
+        )),
     }
 }
 
@@ -382,29 +405,6 @@ fn cmd_train(flags: HashMap<String, String>) {
     }
 }
 
-/// Parse `--compress topk:<frac>` / `--delayed-agg [<period>]` into a
-/// [`SyncConfig`].
-fn sync_config(flags: &HashMap<String, String>) -> Result<SyncConfig, String> {
-    let mut sync = SyncConfig::default();
-    if let Some(spec) = flags.get("compress") {
-        match spec.strip_prefix("topk:").map(str::parse::<f64>) {
-            Some(Ok(frac)) if frac > 0.0 && frac <= 1.0 => sync.compress_topk = Some(frac),
-            _ => {
-                return Err(format!(
-                    "--compress expects topk:<frac in (0,1]>, got {spec}"
-                ))
-            }
-        }
-    }
-    // Bare `--delayed-agg` defaults to syncing every 4th wave.
-    match flags.get("delayed-agg").map(String::as_str) {
-        None => {}
-        Some("true") => sync.delayed_agg_period = 4,
-        Some(_) => sync.delayed_agg_period = positive(flags, "delayed-agg", 4)?,
-    }
-    Ok(sync)
-}
-
 fn cmd_multinode(flags: HashMap<String, String>) {
     let dataset = load_or_generate(&flags);
     let fw = framework(
@@ -418,18 +418,7 @@ fn cmd_multinode(flags: HashMap<String, String>) {
     let gpus: u32 = positive(&flags, "gpus", 8).unwrap_or_else(|e| usage_error(e));
     let epochs: u64 = num(&flags, "epochs", 3);
     let pipe_cfg = pipeline_config(&flags, fw, model).unwrap_or_else(|e| usage_error(e));
-    let sync = sync_config(&flags).unwrap_or_else(|e| usage_error(e));
-    let mode = if let Some(f) = sync.compress_topk {
-        format!("top-k {:.0}% compressed sync", f * 100.0)
-    } else if sync.delayed_agg_period > 1 {
-        format!(
-            "delayed aggregation every {} waves",
-            sync.delayed_agg_period
-        )
-    } else {
-        "full per-wave sync".to_string()
-    };
-    let cfg = MultiNodeConfig::new(nodes).with_gpus(gpus).with_sync(sync);
+    let cfg = MultiNodeConfig::new(nodes).with_gpus(gpus);
     let trace_path = flags.get("trace").cloned();
     if trace_path.is_some() {
         wg_trace::enable_all();
@@ -443,12 +432,11 @@ fn cmd_multinode(flags: HashMap<String, String>) {
     };
     let q = mn.plan().quality();
     println!(
-        "multi-node {} x {} GPUs on {} ({} with {}; edge cut {:.1}%, {} boundary nodes)",
+        "multi-node {} x {} GPUs on {} ({} with full per-wave sync; edge cut {:.1}%, {} boundary nodes)",
         nodes,
         gpus,
         mn.pipeline(0).dataset().kind.name(),
         model.name(),
-        mode,
         q.cut_fraction * 100.0,
         q.boundary_nodes
     );
@@ -509,7 +497,10 @@ fn cmd_serve(flags: HashMap<String, String>) {
         pipeline_config(&flags, Framework::WholeGraph, model).unwrap_or_else(|e| usage_error(e));
     let queue_capacity = positive(&flags, "queue-cap", 4096).unwrap_or_else(|e| usage_error(e));
 
-    let rate_qps: f64 = num(&flags, "rate", 10_000.0);
+    let real_arg = |key, default, strict| {
+        real(&flags, key, default, strict).unwrap_or_else(|e| usage_error(e))
+    };
+    let rate_qps = real_arg("rate", 10_000.0, true);
     let burst: usize = num(&flags, "burst", 0);
     let process = if burst > 1 {
         ArrivalProcess::Bursty { rate_qps, burst }
@@ -519,17 +510,15 @@ fn cmd_serve(flags: HashMap<String, String>) {
     let traffic_cfg = TrafficConfig {
         requests: num(&flags, "requests", 2000),
         process,
-        zipf_s: num(&flags, "zipf", 1.1),
+        zipf_s: real_arg("zipf", 1.1, false),
         num_nodes: dataset.num_nodes() as u64,
         seed: seed ^ 0x5e21,
-        deadline: flags.get("deadline-us").map(|v| match v.parse::<f64>() {
-            Ok(us) => SimTime::from_micros(us),
-            Err(_) => {
-                eprintln!("--deadline-us expects microseconds, got {v}");
-                usage();
-            }
-        }),
+        deadline: flags
+            .contains_key("deadline-us")
+            .then(|| SimTime::from_micros(real_arg("deadline-us", 0.0, false))),
     };
+    let max_batch = positive(&flags, "max-batch", 64).unwrap_or_else(|e| usage_error(e));
+    let max_delay = SimTime::from_micros(real_arg("max-delay-us", 1000.0, false));
     let serve_cfg = if flags.contains_key("sequential") {
         ServeConfig {
             queue_capacity,
@@ -538,10 +527,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
     } else {
         ServeConfig {
             queue_capacity,
-            ..ServeConfig::coalesced(
-                num(&flags, "max-batch", 64),
-                SimTime::from_micros(num(&flags, "max-delay-us", 1000.0)),
-            )
+            ..ServeConfig::coalesced(max_batch, max_delay)
         }
     };
 
@@ -732,20 +718,51 @@ mod tests {
             let f = parse_flags(cmd, &words(&format!("--{key} -3"))).unwrap();
             assert!(positive::<usize>(&f, key, 1).is_err());
         }
-        let err = sync_config(&flags("--delayed-agg 0").unwrap()).unwrap_err();
-        assert!(err.starts_with("--delayed-agg "), "{err}");
 
         // Absent flags keep their defaults; positive values pass through.
-        let f = flags("--batch 7 --layers 3 --delayed-agg 2").unwrap();
+        let f = flags("--batch 7 --layers 3").unwrap();
         let cfg = pipeline_config(&f, fw, model).unwrap();
         assert_eq!(
             (cfg.batch_size, cfg.num_layers, cfg.fanouts.len()),
             (7, 3, 3)
         );
-        assert_eq!(sync_config(&f).unwrap().delayed_agg_period, 2);
         assert_eq!(positive::<u32>(&f, "gpus", 8), Ok(8));
-        let bare = flags("--delayed-agg").unwrap();
-        assert_eq!(sync_config(&bare).unwrap().delayed_agg_period, 4);
+    }
+
+    /// `wg serve`'s real-valued knobs: a zero rate panicked in the traffic
+    /// generator, a negative coalescing window let a batch launch before
+    /// its head request, and `--max-batch 0` silently served one request
+    /// per batch. Each is refused naming the flag.
+    #[test]
+    fn serve_refuses_rates_and_windows_the_engine_cannot_run() {
+        let flags = |a: &str| parse_flags("serve", &words(a)).unwrap();
+        for (key, bad) in [
+            ("rate", "0"),
+            ("rate", "-5"),
+            ("rate", "inf"),
+            ("rate", "NaN"),
+            ("max-delay-us", "-500"),
+            ("deadline-us", "-1"),
+            ("zipf", "-0.5"),
+            ("zipf", "NaN"),
+        ] {
+            let strict = key == "rate";
+            let err = real(&flags(&format!("--{key} {bad}")), key, 1.0, strict).unwrap_err();
+            assert!(err.starts_with(&format!("--{key} ")), "{err}");
+        }
+        let err = positive::<usize>(&flags("--max-batch 0"), "max-batch", 64).unwrap_err();
+        assert!(err.starts_with("--max-batch "), "{err}");
+
+        // Zero is a valid window, deadline and exponent (uniform
+        // popularity); absent flags keep their defaults.
+        for key in ["max-delay-us", "deadline-us", "zipf"] {
+            assert_eq!(
+                real(&flags(&format!("--{key} 0")), key, 1.0, false),
+                Ok(0.0)
+            );
+        }
+        assert_eq!(real(&flags("--rate 2.5"), "rate", 1.0, true), Ok(2.5));
+        assert_eq!(real(&flags(""), "rate", 10_000.0, true), Ok(10_000.0));
     }
 
     /// Each subcommand takes the flags on its own usage entry and refuses
@@ -768,6 +785,8 @@ mod tests {
             assert!(usage_of(cmd).unwrap().starts_with(&format!("  wg {cmd} ")));
             refused(cmd, "--overlap");
         }
+        refused("multinode", "--compress");
+        refused("multinode", "--delayed-agg");
 
         // `multinode` builds each replica's pipeline from train's flags.
         let train = words(

@@ -14,10 +14,9 @@
 //!    iteration on its own simulated [`wg_sim::Machine`] (sample → halo
 //!    fetch → gather → train); halo rows — input rows owned by another
 //!    machine — are priced over IB by [`wg_mem::halo`].
-//! 3. [`GradSync`] averages gradients across replicas (optionally top-k
-//!    compressed, or replaced by delayed parameter averaging), the
-//!    inter-node ring AllReduce time is charged to the wave's comm
-//!    phase, and replicas step.
+//! 3. [`GradSync`] averages gradients across replicas, the inter-node
+//!    ring AllReduce time is charged to the wave's comm phase, and every
+//!    replica steps.
 //! 4. At epoch end each node's iteration results are scheduled by
 //!    [`Schedule`](crate::pipeline::Schedule) (`Pipeline::finish_epoch`
 //!    → per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`]
@@ -46,8 +45,6 @@ pub struct MultiNodeConfig {
     pub nodes: u32,
     /// GPUs per machine (each node is a dgx-like box).
     pub gpus_per_node: u32,
-    /// Gradient synchronization mode.
-    pub sync: SyncConfig,
 }
 
 impl MultiNodeConfig {
@@ -56,7 +53,6 @@ impl MultiNodeConfig {
         MultiNodeConfig {
             nodes,
             gpus_per_node: 8,
-            sync: SyncConfig::default(),
         }
     }
 
@@ -66,9 +62,9 @@ impl MultiNodeConfig {
         self
     }
 
-    /// Override the gradient sync mode.
-    pub fn with_sync(mut self, sync: SyncConfig) -> Self {
-        self.sync = sync;
+    /// A no-op: the gradient sync has one mode. It exists only because
+    /// the out-of-tree `benchmark/` package calls it.
+    pub fn with_sync(self, _sync: SyncConfig) -> Self {
         self
     }
 }
@@ -145,7 +141,7 @@ impl MultiNode {
             pipes.push(pipe);
         }
         let cost = pipes[0].machine().cost().clone();
-        let sync = GradSync::new(cfg.sync.clone(), cost, cfg.nodes);
+        let sync = GradSync::new(cost, cfg.nodes);
         Ok(MultiNode {
             cfg,
             plan,
@@ -201,7 +197,6 @@ impl MultiNode {
         let mut active: Vec<usize> = Vec::with_capacity(nodes);
         let mut sync_time = SimTime::ZERO;
         let mut sync_bytes: u64 = 0;
-        let delayed = self.sync.config().is_delayed();
         for wave in 0..waves {
             active.clear();
             for k in 0..nodes {
@@ -211,25 +206,16 @@ impl MultiNode {
                     active.push(k);
                 }
             }
-            if delayed {
-                // Delayed partial aggregation: local step first, periodic
-                // parameter averaging after (DistGNN-style).
-                for &k in &active {
-                    self.pipes[k].apply_step();
-                }
-            }
             let ws = {
                 let mut replicas: Vec<&mut wg_autograd::Params> =
                     self.pipes.iter_mut().map(|p| &mut p.model.params).collect();
-                self.sync.sync_wave(wave as u64, &mut replicas, &active)
+                self.sync.sync_wave(&mut replicas, &active)
             };
-            if !delayed {
-                // Synchronized DDP: every replica received the same
-                // averaged gradients, so every replica steps — parameters
-                // (and optimizer moments) stay bitwise in lockstep.
-                for p in &mut self.pipes {
-                    p.apply_step();
-                }
+            // Synchronized DDP: every replica received the same averaged
+            // gradients, so every replica steps — parameters (and
+            // optimizer moments) stay bitwise in lockstep.
+            for p in &mut self.pipes {
+                p.apply_step();
             }
             if ws.time > SimTime::ZERO {
                 for &k in &active {
@@ -242,16 +228,6 @@ impl MultiNode {
             }
             sync_time += ws.time;
             sync_bytes += ws.bytes;
-        }
-        {
-            // Delayed mode drifts between periodic syncs; flush so the
-            // replicas agree before evaluation.
-            let mut replicas: Vec<&mut wg_autograd::Params> =
-                self.pipes.iter_mut().map(|p| &mut p.model.params).collect();
-            if let Some(ws) = self.sync.finish_epoch(&mut replicas) {
-                sync_time += ws.time;
-                sync_bytes += ws.bytes;
-            }
         }
         // Per-node accounting: schedule each node's iterations (charges
         // each machine's clock and trace).
@@ -409,15 +385,25 @@ mod tests {
 
     #[test]
     fn replicas_stay_in_bitwise_lockstep_under_full_sync() {
-        let mut mn = cluster(3);
-        mn.train_epoch(0);
-        let p0 = &mn.pipeline(0).model.params;
-        for k in 1..3 {
-            let pk = &mn.pipeline(k).model.params;
-            for id in p0.ids() {
-                let a: Vec<u32> = p0.value(id).data().iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u32> = pk.value(id).data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "replica {k} diverged on {id:?}");
+        // Three nodes run every wave together (the averaging path). Two
+        // nodes end on a wave only one of them runs (3 batches against
+        // 2), whose gradients reach the idle replica through the verbatim
+        // broadcast.
+        for nodes in [3u32, 2] {
+            let mut mn = cluster(nodes);
+            let r = mn.train_epoch(0);
+            let mut iters: Vec<usize> = r.per_node.iter().map(|n| n.iterations).collect();
+            iters.sort_unstable();
+            let single_trailing_wave = iters[iters.len() - 1] > iters[iters.len() - 2];
+            assert_eq!(single_trailing_wave, nodes == 2, "{nodes} nodes: {iters:?}");
+            let p0 = &mn.pipeline(0).model.params;
+            for k in 1..nodes {
+                let pk = &mn.pipeline(k).model.params;
+                for id in p0.ids() {
+                    let a: Vec<u32> = p0.value(id).data().iter().map(|v| v.to_bits()).collect();
+                    let b: Vec<u32> = pk.value(id).data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(a, b, "{nodes} nodes: replica {k} diverged on {id:?}");
+                }
             }
         }
     }
@@ -437,61 +423,6 @@ mod tests {
         // Epoch time covers the slowest node.
         for n in &r.per_node {
             assert!(r.epoch_time >= n.report.unwrap().epoch_time);
-        }
-    }
-
-    #[test]
-    fn compression_reduces_sync_traffic_and_still_trains() {
-        let mut full = cluster(2);
-        let rf = full.train_epoch(0);
-        let mut mn = MultiNode::new(
-            dataset(),
-            pipe_cfg(),
-            MultiNodeConfig::new(2).with_gpus(2).with_sync(SyncConfig {
-                compress_topk: Some(0.1),
-                delayed_agg_period: 1,
-            }),
-        )
-        .unwrap();
-        let rc = mn.train_epoch(0);
-        assert!(rc.loss.is_finite() && rc.loss > 0.0);
-        assert!(
-            rc.sync_bytes < rf.sync_bytes / 2,
-            "top-k {} !<< full {}",
-            rc.sync_bytes,
-            rf.sync_bytes
-        );
-        assert!(rc.sync_time < rf.sync_time);
-    }
-
-    #[test]
-    fn delayed_aggregation_syncs_fewer_waves() {
-        let mut mn = MultiNode::new(
-            dataset(),
-            pipe_cfg(),
-            MultiNodeConfig::new(2).with_gpus(2).with_sync(SyncConfig {
-                compress_topk: None,
-                delayed_agg_period: 4,
-            }),
-        )
-        .unwrap();
-        let r = mn.train_epoch(0);
-        assert!(r.loss.is_finite() && r.loss > 0.0);
-        let mut full = cluster(2);
-        let rf = full.train_epoch(0);
-        assert!(
-            r.sync_bytes < rf.sync_bytes,
-            "delayed {} !< full {}",
-            r.sync_bytes,
-            rf.sync_bytes
-        );
-        // After the end-of-epoch flush the replicas agree again.
-        let p0 = &mn.pipeline(0).model.params;
-        let p1 = &mn.pipeline(1).model.params;
-        for id in p0.ids() {
-            let a: Vec<u32> = p0.value(id).data().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = p1.value(id).data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b);
         }
     }
 }

@@ -23,10 +23,8 @@
 //!   replicas step in lockstep), per-node epoch reports from
 //!   [`Schedule`](crate::pipeline::Schedule), and the trailing
 //!   [`wg_sim::cluster_barrier`].
-//! * [`sync`] — [`GradSync`]: full gradient averaging, optional top-k
-//!   gradient compression with error feedback, and a DistGNN-style
-//!   delayed partial-aggregation mode (local steps, periodic parameter
-//!   averaging).
+//! * [`sync`] — [`GradSync`]: the per-wave gradient AllReduce that
+//!   averages the active replicas' gradients into every replica.
 //! * [`sweep`] — [`executed_sweep`] (run one epoch per node count) and
 //!   the legacy mean-based [`projected_sweep`].
 //!

@@ -1,57 +1,27 @@
-//! Gradient synchronization across machine nodes.
+//! Gradient synchronization across machine nodes (§III-D): after every
+//! wave "all GPUs synchronize the computed gradients with each other
+//! using the Allreduce communication".
 //!
-//! Three modes, all deterministic:
+//! Per wave, the active replicas' gradients are averaged and written into
+//! *every* replica, and every replica then steps — synchronized DDP.
+//! Because all replicas always see identical gradients, their parameters
+//! (and Adam moments) stay bitwise in lockstep.
 //!
-//! * **Full** (default): per wave, the active replicas' gradients are
-//!   averaged and written into *every* replica, and every replica steps —
-//!   synchronized DDP. Because all replicas always see identical
-//!   gradients, their parameters (and Adam moments) stay bitwise in
-//!   lockstep.
-//! * **Top-k compression with error feedback**: each replica sends only
-//!   the k largest-magnitude entries of `gradient + residual` per
-//!   parameter; unsent mass accumulates in the residual and is retried
-//!   next wave (the standard sparsification recipe). The inter-node
-//!   payload shrinks from 4 bytes/element to `frac · 8` bytes/element
-//!   (value + index).
-//! * **Delayed partial aggregation** (DistGNN-style): replicas take
-//!   *local* optimizer steps and only every `delayed_agg_period`-th wave
-//!   average their parameters. Comm becomes bursty and cheaper; the
-//!   replicas drift between syncs.
-//!
-//! With a single replica every mode is a complete no-op — gradients are
-//!   not even read — which preserves the N=1 bit identity (summing one
-//!   value can still flip `-0.0` to `+0.0`).
+//! With a single replica the sync is a complete no-op — gradients are not
+//! even read — which preserves the N=1 bit identity (summing one value can
+//! still flip `-0.0` to `+0.0`).
 
 use wg_autograd::{ParamId, Params};
 use wg_sim::collective::allreduce_inter_node;
 use wg_sim::{CostModel, SimTime};
 
-/// How gradients are synchronized across nodes.
-#[derive(Clone, Debug)]
-pub struct SyncConfig {
-    /// `Some(f)`: per parameter, send only the top `ceil(f · len)`
-    /// entries of gradient + residual (error feedback). `0 < f <= 1`.
-    pub compress_topk: Option<f64>,
-    /// Sync every `period` waves with local steps in between; `1` =
-    /// synchronized DDP every wave.
-    pub delayed_agg_period: u32,
-}
-
-impl Default for SyncConfig {
-    fn default() -> Self {
-        SyncConfig {
-            compress_topk: None,
-            delayed_agg_period: 1,
-        }
-    }
-}
-
-impl SyncConfig {
-    /// Whether replicas step locally between periodic parameter syncs.
-    pub fn is_delayed(&self) -> bool {
-        self.delayed_agg_period > 1
-    }
-}
+/// The gradient sync: no modes, no fields. It is a type only because the
+/// out-of-tree `benchmark/` package passes `SyncConfig::default()` to
+/// [`MultiNodeConfig::with_sync`].
+///
+/// [`MultiNodeConfig::with_sync`]: crate::multinode::MultiNodeConfig::with_sync
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SyncConfig;
 
 /// What one wave's sync did.
 #[derive(Clone, Copy, Debug)]
@@ -60,39 +30,14 @@ pub struct WaveSync {
     pub time: SimTime,
     /// Inter-node bytes each node moved this wave (ring volume).
     pub bytes: u64,
-    /// Whether a sync actually happened (false on skipped delayed waves).
-    pub synced: bool,
 }
 
-impl WaveSync {
-    fn skipped() -> Self {
-        WaveSync {
-            time: SimTime::ZERO,
-            bytes: 0,
-            synced: false,
-        }
-    }
-
-    fn noop() -> Self {
-        WaveSync {
-            time: SimTime::ZERO,
-            bytes: 0,
-            synced: true,
-        }
-    }
-}
-
-/// The cross-node gradient synchronizer, with its compression residuals
-/// and reusable scratch (steady-state waves reuse warm capacity).
+/// The cross-node gradient synchronizer, with its reusable scratch
+/// (steady-state waves reuse warm capacity).
 pub struct GradSync {
-    cfg: SyncConfig,
     cost: CostModel,
     nodes: u32,
-    /// `residuals[node][param]` — error-feedback state, compression only.
-    residuals: Vec<Vec<Vec<f32>>>,
     sum: Vec<f32>,
-    eff: Vec<f32>,
-    order: Vec<u32>,
 }
 
 /// Bytes a ring collective moves per node for `payload` bytes of data.
@@ -105,71 +50,25 @@ fn ring_bytes(payload: u64, nodes: u32) -> u64 {
 }
 
 impl GradSync {
-    /// A synchronizer for `nodes` replicas under `cfg`.
-    pub fn new(cfg: SyncConfig, cost: CostModel, nodes: u32) -> Self {
-        if let Some(f) = cfg.compress_topk {
-            assert!(
-                f > 0.0 && f <= 1.0,
-                "top-k fraction must be in (0, 1], got {f}"
-            );
-        }
-        assert!(cfg.delayed_agg_period >= 1, "sync period must be >= 1");
+    /// A synchronizer for `nodes` replicas.
+    pub fn new(cost: CostModel, nodes: u32) -> Self {
         GradSync {
-            cfg,
             cost,
             nodes,
-            residuals: Vec::new(),
             sum: Vec::new(),
-            eff: Vec::new(),
-            order: Vec::new(),
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SyncConfig {
-        &self.cfg
-    }
-
-    /// Synchronize after wave `wave`. `active` lists the replica indices
-    /// that ran an iteration this wave (trailing waves may have fewer).
-    ///
-    /// In full/compressed mode this averages **gradients** over the
-    /// active replicas into every replica (callers then step all
-    /// replicas in lockstep). In delayed mode it averages **parameters**
-    /// across all replicas on period waves (callers step locally before
-    /// calling this).
-    pub fn sync_wave(
-        &mut self,
-        wave: u64,
-        replicas: &mut [&mut Params],
-        active: &[usize],
-    ) -> WaveSync {
+    /// Average the gradients of the `active` replicas (the ones that ran
+    /// an iteration this wave; trailing waves may have fewer) into every
+    /// replica. Callers then step all replicas in lockstep.
+    pub fn sync_wave(&mut self, replicas: &mut [&mut Params], active: &[usize]) -> WaveSync {
         if replicas.len() <= 1 || active.is_empty() {
-            return WaveSync::noop();
+            return WaveSync {
+                time: SimTime::ZERO,
+                bytes: 0,
+            };
         }
-        if self.cfg.is_delayed() {
-            if !(wave + 1).is_multiple_of(self.cfg.delayed_agg_period as u64) {
-                return WaveSync::skipped();
-            }
-            return self.sync_params(replicas);
-        }
-        match self.cfg.compress_topk {
-            None => self.sync_full(replicas, active),
-            Some(frac) => self.sync_topk(replicas, active, frac),
-        }
-    }
-
-    /// End-of-epoch flush: in delayed mode, force a final parameter
-    /// average so the replicas agree before evaluation. Returns `None`
-    /// when no flush is needed (full mode keeps replicas in lockstep).
-    pub fn finish_epoch(&mut self, replicas: &mut [&mut Params]) -> Option<WaveSync> {
-        if replicas.len() <= 1 || !self.cfg.is_delayed() {
-            return None;
-        }
-        Some(self.sync_params(replicas))
-    }
-
-    fn sync_full(&mut self, replicas: &mut [&mut Params], active: &[usize]) -> WaveSync {
         let ids: Vec<ParamId> = replicas[0].ids().collect();
         if active.len() == 1 {
             // Single participant: its gradients are broadcast verbatim
@@ -208,106 +107,6 @@ impl GradSync {
         WaveSync {
             time: allreduce_inter_node(&self.cost, payload, self.nodes),
             bytes: ring_bytes(payload, self.nodes),
-            synced: true,
-        }
-    }
-
-    fn sync_topk(&mut self, replicas: &mut [&mut Params], active: &[usize], frac: f64) -> WaveSync {
-        let n = replicas.len();
-        if self.residuals.len() != n {
-            self.residuals = vec![Vec::new(); n];
-        }
-        let ids: Vec<ParamId> = replicas[0].ids().collect();
-        for r in &mut self.residuals {
-            if r.len() != ids.len() {
-                *r = vec![Vec::new(); ids.len()];
-            }
-        }
-        let inv = 1.0 / active.len() as f32;
-        let mut payload: u64 = 0;
-        for (pi, &id) in ids.iter().enumerate() {
-            let len = replicas[0].grad(id).data().len();
-            let k = ((frac * len as f64).ceil() as usize).clamp(1, len);
-            // Value + index per sent element.
-            payload += (k * 8) as u64;
-            self.sum.clear();
-            self.sum.resize(len, 0.0);
-            for &node in active {
-                let res = &mut self.residuals[node][pi];
-                if res.len() != len {
-                    res.clear();
-                    res.resize(len, 0.0);
-                }
-                // Error feedback: compress gradient + carried residual.
-                self.eff.clear();
-                self.eff.extend(
-                    replicas[node]
-                        .grad(id)
-                        .data()
-                        .iter()
-                        .zip(res.iter())
-                        .map(|(g, r)| g + r),
-                );
-                // Deterministic top-k: |value| descending, index
-                // ascending as the tie-break (total order — replay-safe).
-                self.order.clear();
-                self.order.extend(0..len as u32);
-                let eff = &self.eff;
-                if k < len {
-                    self.order.select_nth_unstable_by(k - 1, |&a, &b| {
-                        eff[b as usize]
-                            .abs()
-                            .total_cmp(&eff[a as usize].abs())
-                            .then(a.cmp(&b))
-                    });
-                }
-                // Selected entries ship (and sum toward the mean);
-                // everything else stays behind as the new residual.
-                res.copy_from_slice(&self.eff);
-                for &i in &self.order[..k] {
-                    let i = i as usize;
-                    self.sum[i] += self.eff[i];
-                    res[i] = 0.0;
-                }
-            }
-            for s in self.sum.iter_mut() {
-                *s *= inv;
-            }
-            for r in replicas.iter_mut() {
-                r.grad_mut(id).data_mut().copy_from_slice(&self.sum);
-            }
-        }
-        WaveSync {
-            time: allreduce_inter_node(&self.cost, payload, self.nodes),
-            bytes: ring_bytes(payload, self.nodes),
-            synced: true,
-        }
-    }
-
-    fn sync_params(&mut self, replicas: &mut [&mut Params]) -> WaveSync {
-        let ids: Vec<ParamId> = replicas[0].ids().collect();
-        let inv = 1.0 / replicas.len() as f32;
-        for &id in &ids {
-            let len = replicas[0].value(id).data().len();
-            self.sum.clear();
-            self.sum.resize(len, 0.0);
-            for r in replicas.iter() {
-                for (s, v) in self.sum.iter_mut().zip(r.value(id).data()) {
-                    *s += v;
-                }
-            }
-            for s in self.sum.iter_mut() {
-                *s *= inv;
-            }
-            for r in replicas.iter_mut() {
-                r.value_mut(id).data_mut().copy_from_slice(&self.sum);
-            }
-        }
-        let payload = replicas[0].param_bytes();
-        WaveSync {
-            time: allreduce_inter_node(&self.cost, payload, self.nodes),
-            bytes: ring_bytes(payload, self.nodes),
-            synced: true,
         }
     }
 }
@@ -332,7 +131,7 @@ mod tests {
     }
 
     fn sync() -> GradSync {
-        GradSync::new(SyncConfig::default(), CostModel::dgx_a100(), 2)
+        GradSync::new(CostModel::dgx_a100(), 2)
     }
 
     #[test]
@@ -340,8 +139,8 @@ mod tests {
         let mut p = params_with_grad(&[1.0, -0.0, 3.0]);
         let before = grad(&p);
         let before_bits: Vec<u32> = before.iter().map(|v| v.to_bits()).collect();
-        let mut s = GradSync::new(SyncConfig::default(), CostModel::dgx_a100(), 1);
-        let ws = s.sync_wave(0, &mut [&mut p], &[0]);
+        let mut s = GradSync::new(CostModel::dgx_a100(), 1);
+        let ws = s.sync_wave(&mut [&mut p], &[0]);
         assert!(ws.time.is_zero());
         assert_eq!(ws.bytes, 0);
         let after_bits: Vec<u32> = grad(&p).iter().map(|v| v.to_bits()).collect();
@@ -353,8 +152,7 @@ mod tests {
     fn full_sync_averages_into_every_replica() {
         let mut a = params_with_grad(&[1.0, 2.0, 3.0]);
         let mut b = params_with_grad(&[3.0, 2.0, 1.0]);
-        let ws = sync().sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
-        assert!(ws.synced);
+        let ws = sync().sync_wave(&mut [&mut a, &mut b], &[0, 1]);
         assert!(ws.time > SimTime::ZERO);
         assert!(ws.bytes > 0);
         assert_eq!(grad(&a), vec![2.0, 2.0, 2.0]);
@@ -365,95 +163,12 @@ mod tests {
     fn single_active_participant_broadcasts_verbatim() {
         let mut a = params_with_grad(&[1.0, -0.0, 3.0]);
         let mut b = params_with_grad(&[9.0, 9.0, 9.0]);
-        sync().sync_wave(0, &mut [&mut a, &mut b], &[0]);
+        sync().sync_wave(&mut [&mut a, &mut b], &[0]);
         let ab: Vec<u32> = grad(&a).iter().map(|v| v.to_bits()).collect();
         let bb: Vec<u32> = grad(&b).iter().map(|v| v.to_bits()).collect();
         assert_eq!(ab, bb);
         assert_eq!(grad(&b)[0], 1.0);
         // The -0.0 survived the broadcast bit-exactly.
         assert_eq!(grad(&b)[1].to_bits(), (-0.0f32).to_bits());
-    }
-
-    #[test]
-    fn topk_keeps_largest_and_carries_residual() {
-        let cfg = SyncConfig {
-            compress_topk: Some(0.5),
-            delayed_agg_period: 1,
-        };
-        let mut s = GradSync::new(cfg, CostModel::dgx_a100(), 2);
-        let mut a = params_with_grad(&[4.0, 0.1, -3.0, 0.2]);
-        let mut b = params_with_grad(&[4.0, 0.1, -3.0, 0.2]);
-        let ws = s.sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
-        assert!(ws.synced);
-        // k = 2 of 4: the two largest |values| (4.0, -3.0) ship; the
-        // small entries stay as residual.
-        assert_eq!(grad(&a), vec![4.0, 0.0, -3.0, 0.0]);
-        assert_eq!(grad(&a), grad(&b));
-        // Next wave with zero fresh gradient: the residual alone is now
-        // the largest mass and finally ships.
-        a.zero_grads();
-        b.zero_grads();
-        let _ = s.sync_wave(1, &mut [&mut a, &mut b], &[0, 1]);
-        assert_eq!(grad(&a), vec![0.0, 0.1, 0.0, 0.2]);
-    }
-
-    #[test]
-    fn topk_moves_fewer_bytes_than_full() {
-        let cfg = SyncConfig {
-            compress_topk: Some(0.1),
-            delayed_agg_period: 1,
-        };
-        let g: Vec<f32> = (0..1000).map(|i| i as f32).collect();
-        let mut a = params_with_grad(&g);
-        let mut b = params_with_grad(&g);
-        let full = sync().sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
-        let mut s = GradSync::new(cfg, CostModel::dgx_a100(), 2);
-        let mut a = params_with_grad(&g);
-        let mut b = params_with_grad(&g);
-        let topk = s.sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
-        assert!(
-            topk.bytes < full.bytes / 2,
-            "top-k {} !<< full {}",
-            topk.bytes,
-            full.bytes
-        );
-        assert!(topk.time < full.time);
-    }
-
-    #[test]
-    fn delayed_mode_skips_off_period_waves_and_averages_params() {
-        let cfg = SyncConfig {
-            compress_topk: None,
-            delayed_agg_period: 2,
-        };
-        let mut s = GradSync::new(cfg, CostModel::dgx_a100(), 2);
-        let mut a = Params::new();
-        let ia = a.add("w", Matrix::from_vec(1, 2, vec![1.0, 3.0]));
-        let mut b = Params::new();
-        let ib = b.add("w", Matrix::from_vec(1, 2, vec![3.0, 5.0]));
-        // Wave 0: off-period — nothing happens.
-        let ws = s.sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
-        assert!(!ws.synced);
-        assert_eq!(a.value(ia).data(), &[1.0, 3.0]);
-        // Wave 1: period hit — parameters average.
-        let ws = s.sync_wave(1, &mut [&mut a, &mut b], &[0, 1]);
-        assert!(ws.synced);
-        assert_eq!(a.value(ia).data(), &[2.0, 4.0]);
-        assert_eq!(b.value(ib).data(), &[2.0, 4.0]);
-        // finish_epoch forces a flush in delayed mode.
-        assert!(s.finish_epoch(&mut [&mut a, &mut b]).is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "top-k fraction")]
-    fn zero_topk_fraction_rejected() {
-        GradSync::new(
-            SyncConfig {
-                compress_topk: Some(0.0),
-                delayed_agg_period: 1,
-            },
-            CostModel::dgx_a100(),
-            2,
-        );
     }
 }

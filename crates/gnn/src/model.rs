@@ -379,8 +379,8 @@ mod tests {
     }
 
     #[test]
-    fn one_sgd_step_reduces_loss_for_every_model() {
-        use wg_autograd::{Optimizer, Sgd};
+    fn adam_steps_reduce_loss_for_every_model() {
+        use wg_autograd::{Adam, Optimizer};
         for kind in ModelKind::ALL {
             let cfg = GnnConfig::tiny(kind, 6, 4);
             let mut model = GnnModel::new(cfg, 3);
@@ -391,7 +391,7 @@ mod tests {
                 softmax_cross_entropy(tape.value(out), &labels).0
             };
             let loss0 = loss_of(&model);
-            let mut opt = Sgd::new(0.1, 0.0);
+            let mut opt = Adam::new(0.01);
             for _ in 0..5 {
                 let mut tape = Tape::new();
                 let out = model.forward(&mut tape, &blocks(), input(), false, 0);

@@ -20,8 +20,6 @@ pub enum AllocKind {
     Features,
     /// Model parameters, activations, gradients, optimizer state.
     Training,
-    /// Scratch buffers (sampling outputs, hash tables, gather staging).
-    Scratch,
 }
 
 impl fmt::Display for AllocKind {
@@ -30,7 +28,6 @@ impl fmt::Display for AllocKind {
             AllocKind::GraphStructure => "graph structure",
             AllocKind::Features => "node feature",
             AllocKind::Training => "training",
-            AllocKind::Scratch => "scratch",
         };
         f.write_str(s)
     }
@@ -230,7 +227,7 @@ mod tests {
     #[should_panic(expected = "never allocated")]
     fn free_of_unallocated_kind_panics() {
         let mut p = MemoryPool::new(DeviceId::Gpu(0), 100);
-        p.free(AllocKind::Scratch, 1);
+        p.free(AllocKind::Training, 1);
     }
 
     #[test]

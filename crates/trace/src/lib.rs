@@ -33,8 +33,9 @@
 //!     let _g = wg_trace::span!("demo.work");
 //!     wg_trace::counter!("demo.bytes", 4096.0);
 //! }
-//! let threads = wg_trace::drain();
-//! assert_eq!(threads.iter().map(|t| t.events.len()).sum::<usize>(), 1);
+//! let events: usize = wg_trace::drain().iter().map(|t| t.events.len()).sum();
+//! // One span; the `disabled` feature compiles even that out.
+//! assert_eq!(events, if cfg!(feature = "disabled") { 0 } else { 1 });
 //! wg_trace::disable_all();
 //! ```
 
@@ -196,6 +197,8 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
+    // Asserts recording, which the `disabled` feature compiles out.
+    #[cfg(not(feature = "disabled"))]
     #[test]
     fn disabled_probes_are_inert_and_enabled_probes_record() {
         let _guard = test_guard();
@@ -229,6 +232,28 @@ mod tests {
         disable_all();
         metrics::reset();
         assert!(!spans_enabled() && !metrics_enabled());
+    }
+
+    /// The `disabled` feature's contract: even after `enable_all()`, no
+    /// probe kind records anything.
+    #[cfg(feature = "disabled")]
+    #[test]
+    fn disabled_feature_records_nothing_even_when_enabled() {
+        let _guard = test_guard();
+        drain();
+        metrics::reset();
+        enable_all();
+        assert!(!spans_enabled() && !metrics_enabled());
+        {
+            let _g = span!("off.span");
+            instant("off.instant");
+            counter!("off.counter", 1.0);
+            gauge!("off.gauge", 7.0);
+            histogram!("off.hist", &[1.0, 10.0], 3.0);
+        }
+        assert!(drain().iter().all(|t| t.events.is_empty()));
+        assert!(metrics::snapshot().is_empty());
+        disable_all();
     }
 
     #[test]

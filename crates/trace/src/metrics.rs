@@ -360,6 +360,7 @@ mod tests {
 
     static BOUNDS: [f64; 3] = [1.0, 10.0, 100.0];
 
+    #[cfg(not(feature = "disabled"))]
     #[test]
     fn counters_gauges_histograms_accumulate_and_snapshot() {
         let _guard = crate::test_guard();
@@ -388,6 +389,7 @@ mod tests {
         reset();
     }
 
+    #[cfg(not(feature = "disabled"))]
     #[test]
     fn dynamic_names_intern_once_and_accumulate() {
         let _guard = crate::test_guard();
@@ -460,6 +462,7 @@ mod tests {
         assert!(snapshot().is_empty());
     }
 
+    #[cfg(not(feature = "disabled"))]
     #[test]
     fn concurrent_counter_adds_do_not_lose_updates() {
         let _guard = crate::test_guard();

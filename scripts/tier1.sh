@@ -56,6 +56,12 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 echo "tier1: cargo test -q"
 cargo test -q "${OFFLINE_FLAGS[@]}"
 
+# wg-trace's `disabled` feature compiles every probe to nothing, and no
+# other step builds it: its own tests check that, enabled or not, no
+# probe records (the recording tests are gated to the default build).
+echo "tier1: cargo test -q -p wg-trace --features disabled"
+cargo test -q "${OFFLINE_FLAGS[@]}" -p wg-trace --features disabled
+
 # The kernel crates once more at the optimisation level the benchmarks
 # measure: the bit-identity claims are about release binaries, and the
 # compiler vectorises (and commutes) differently there than in the dev

@@ -52,9 +52,9 @@ fn gradient_averaging_equalizes_replicas() {
     let ib = b.add("w", Matrix::zeros(2, 2));
     a.accumulate_grad(ia, &Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
     b.accumulate_grad(ib, &Matrix::from_vec(2, 2, vec![3.0, 2.0, 1.0, 0.0]));
-    let mut sync = GradSync::new(SyncConfig::default(), CostModel::dgx_a100(), 2);
-    let wave = sync.sync_wave(0, &mut [&mut a, &mut b], &[0, 1]);
-    assert!(wave.synced && wave.bytes > 0);
+    let mut sync = GradSync::new(CostModel::dgx_a100(), 2);
+    let wave = sync.sync_wave(&mut [&mut a, &mut b], &[0, 1]);
+    assert!(wave.bytes > 0);
     assert_eq!(a.grad(ia).data(), b.grad(ib).data());
     assert_eq!(a.grad(ia).data(), &[2.0, 2.0, 2.0, 2.0]);
 }
@@ -176,39 +176,6 @@ fn executed_sweep_beats_single_node_and_stays_sublinear() {
         assert!(p.speedup > 1.0);
         assert!(p.speedup < p.nodes as f64);
     }
-}
-
-#[test]
-fn compression_and_delayed_aggregation_cut_sync_traffic() {
-    let run = |sync: SyncConfig| {
-        let mut mn = MultiNode::new(
-            cluster_dataset(),
-            cluster_cfg(),
-            MultiNodeConfig::new(2).with_gpus(2).with_sync(sync),
-        )
-        .unwrap();
-        mn.train_epoch(0)
-    };
-    let full = run(SyncConfig::default());
-    let topk = run(SyncConfig {
-        compress_topk: Some(0.05),
-        delayed_agg_period: 1,
-    });
-    let delayed = run(SyncConfig {
-        compress_topk: None,
-        delayed_agg_period: 4,
-    });
-    for r in [&topk, &delayed] {
-        assert!(r.loss.is_finite() && r.loss > 0.0);
-    }
-    assert!(
-        topk.sync_bytes < full.sync_bytes / 4,
-        "top-k 5% moved {} vs full {}",
-        topk.sync_bytes,
-        full.sync_bytes
-    );
-    assert!(delayed.sync_bytes < full.sync_bytes);
-    assert!(delayed.sync_time < full.sync_time);
 }
 
 #[test]
