@@ -6,7 +6,8 @@
 //! so a `BENCH_serving.json` on disk is one that passed: the coalesced
 //! run answered every request with bit-identical predictions and logits
 //! checksums, at >= 2x the sequential QPS and equal-or-better exact p99,
-//! inside the absolute service bounds, with the shed books balanced.
+//! inside the absolute service bounds, with the shed books balanced and
+//! no request started before it arrived or finished before it started.
 //!
 //! Latencies are reported two ways on purpose: exact order statistics
 //! over the per-request completions (what the ≥2x-at-equal-p99 gate
@@ -26,9 +27,7 @@ use std::sync::Arc;
 
 use wg_bench::{banner, flags, Table};
 use wg_graph::{DatasetKind, SyntheticDataset};
-use wg_serve::{
-    ArrivalProcess, BatchMode, Request, ServeConfig, ServeEngine, ServeReport, TrafficConfig,
-};
+use wg_serve::{ArrivalProcess, Request, ServeConfig, ServeEngine, ServeReport, TrafficConfig};
 use wg_trace::metrics::HistogramSnapshot;
 use wholegraph::prelude::*;
 
@@ -127,6 +126,24 @@ type Leg<'a> = (&'a ServeReport, Option<&'a HistogramSnapshot>);
 
 /// Every invariant the artifact claims, on the typed reports, before the write.
 fn gate(bit_identical: bool, seq: Leg, coal: Leg, over: &ServeReport) {
+    // Causality on every leg: a request starts no earlier than it
+    // arrives and finishes no earlier than it starts.
+    for (name, r) in [
+        ("sequential", seq.0),
+        ("coalesced", coal.0),
+        ("overload", over),
+    ] {
+        for c in &r.completions {
+            assert!(
+                c.arrival <= c.start && c.start <= c.finish,
+                "{name}: request {} not causal (arrival {}, start {}, finish {})",
+                c.id,
+                c.arrival,
+                c.start,
+                c.finish
+            );
+        }
+    }
     // The tentpole invariant: coalescing moved time, not values.
     assert_eq!(seq.0.admitted, coal.0.admitted);
     assert!(bit_identical, "coalesced serving diverged from sequential");
@@ -253,10 +270,8 @@ fn main() {
     let overload = run_mode(
         &dataset,
         ServeConfig {
-            mode: BatchMode::Coalesced {
-                max_batch: 8,
-                max_delay: SimTime::from_micros(50.0),
-            },
+            max_batch: 8,
+            max_delay: SimTime::from_micros(50.0),
             queue_capacity: 16,
         },
         &burst_traffic,
@@ -272,7 +287,9 @@ fn main() {
         (&coal, coal_hist.as_ref()),
         &overload,
     );
-    println!("\ngate: OK (bit-identical, >= 2x qps at equal-or-better p99, shed books balance)");
+    println!(
+        "\ngate: OK (causal, bit-identical, >= 2x qps at equal-or-better p99, shed books balance)"
+    );
 
     if let Some(path) = flags.get("--trace") {
         // A traced coalesced replay: per-batch serve.batch spans with
@@ -305,4 +322,93 @@ fn main() {
     );
     std::fs::write("BENCH_serving.json", &json).expect("write BENCH_serving.json");
     println!("Wrote BENCH_serving.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wg_serve::Completion;
+
+    /// A report of requests served as `(arrival, start, finish)` in µs,
+    /// `per_batch` to a dispatch, each batch querying one node.
+    fn report(served: &[(f64, f64, f64)], per_batch: usize) -> ServeReport {
+        let us = SimTime::from_micros;
+        let completions: Vec<Completion> = served
+            .iter()
+            .enumerate()
+            .map(|(i, &(arrival, start, finish))| Completion {
+                id: i as u64,
+                node: 0,
+                arrival: us(arrival),
+                start: us(start),
+                finish: us(finish),
+                batch: (i / per_batch) as u64,
+                pred: 0,
+                logits_checksum: 0,
+                expired: false,
+            })
+            .collect();
+        let batches = served.len().div_ceil(per_batch);
+        ServeReport {
+            offered: served.len(),
+            admitted: served.len(),
+            batches,
+            batched_rows: served.len() as u64,
+            unique_rows: batches as u64,
+            makespan: completions
+                .iter()
+                .fold(SimTime::ZERO, |m, c| m.max(c.finish)),
+            completions,
+            ..ServeReport::default()
+        }
+    }
+
+    /// Four requests 10 µs apart: one at a time (20 µs each), two at a
+    /// time (10 µs each), and a burst that shed half of what it offered.
+    fn legs() -> (ServeReport, ServeReport, ServeReport) {
+        let arrivals = [0.0, 10.0, 20.0, 30.0];
+        let seq: Vec<_> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| (a, 20.0 * i as f64, 20.0 * (i + 1) as f64))
+            .collect();
+        let coal: Vec<_> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let start = if i < 2 { 10.0 } else { 30.0 };
+                (a, start, start + 10.0)
+            })
+            .collect();
+        let over = ServeReport {
+            offered: 4,
+            shed: 2,
+            ..report(&coal[..2], 2)
+        };
+        (report(&seq, 1), report(&coal, 2), over)
+    }
+
+    fn hist() -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: "serve.latency_us".into(),
+            bounds: vec![100.0],
+            buckets: vec![4, 0],
+            count: 4,
+            sum: 40.0,
+        }
+    }
+
+    #[test]
+    fn causal_legs_pass() {
+        let ((seq, coal, over), h) = (legs(), hist());
+        gate(true, (&seq, Some(&h)), (&coal, Some(&h)), &over);
+    }
+
+    #[test]
+    #[should_panic(expected = "coalesced: request 2 not causal")]
+    fn a_request_started_before_it_arrived_fails_the_gate() {
+        let ((seq, mut coal, over), h) = (legs(), hist());
+        coal.completions[2].start = SimTime::from_micros(15.0);
+        gate(true, (&seq, Some(&h)), (&coal, Some(&h)), &over);
+    }
 }

@@ -57,10 +57,12 @@ pub fn bench_pipeline_config(fw: Framework, model: ModelKind) -> PipelineConfig 
     }
 }
 
-/// Parse a bench bin's command line against its own flag list: a flag
-/// takes the next non-flag argument as its value, else `"true"` (the `wg`
-/// CLI's rule). Any other argument is an error naming it — a typo'd
-/// `--cache-row 4096` must not silently run, and pass, the default leg.
+/// Parse a bench bin's command line against its own flag list: every
+/// flag takes the next argument as its value (the `wg` CLI's rule). Any
+/// other argument is an error naming it — a typo'd `--cache-row 4096`
+/// must not silently run, and pass, the default leg — and so is a flag
+/// with no value (end of args, or followed by another flag): `--trace`
+/// alone must not write a trace to a file named `true`.
 pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut it = args.iter().peekable();
@@ -68,8 +70,10 @@ pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, St
         if !known.contains(&flag.as_str()) {
             return Err(format!("unknown argument `{flag}` (known: {known:?})"));
         }
-        let value = it.next_if(|v| !v.starts_with("--")).cloned();
-        out.insert(flag.clone(), value.unwrap_or_else(|| "true".to_string()));
+        let value = it
+            .next_if(|v| !v.starts_with("--"))
+            .ok_or_else(|| format!("`{flag}` expects a value"))?;
+        out.insert(flag.clone(), value.clone());
     }
     Ok(out)
 }
@@ -238,14 +242,30 @@ mod tests {
     #[test]
     fn flags_parse_known_and_reject_typos() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let known = ["--trace", "--cache-rows", "--sequential"];
-        let f = parse_flags(&args(&["--cache-rows", "4096", "--sequential"]), &known).unwrap();
+        let known = ["--trace", "--cache-rows", "--storage-rows"];
+        let f = parse_flags(
+            &args(&["--cache-rows", "4096", "--storage-rows", "9"]),
+            &known,
+        )
+        .unwrap();
         assert_eq!(f["--cache-rows"], "4096");
-        assert_eq!(f["--sequential"], "true");
+        assert_eq!(f["--storage-rows"], "9");
         assert!(!f.contains_key("--trace"));
         let err = parse_flags(&args(&["--cache-row", "4096"]), &known).unwrap_err();
         assert!(err.contains("`--cache-row`"), "{err}");
         assert!(parse_flags(&args(&["stray"]), &[]).is_err());
+    }
+
+    /// `wallclock --trace` (and each sweep's) used to read a missing value
+    /// as `"true"` and write the trace to a file of that name.
+    #[test]
+    fn a_flag_with_no_value_is_refused_naming_it() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = ["--trace", "--cache-rows"];
+        for line in [&["--trace"][..], &["--trace", "--cache-rows", "8"]] {
+            let err = parse_flags(&args(line), &known).unwrap_err();
+            assert_eq!(err, "`--trace` expects a value", "{line:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! wg info  --data data.wgds                                    dataset summary
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free (flag pairs only).
+//! Argument parsing is deliberately dependency-free: every flag takes a
+//! value (`--flag value`).
 
 use std::collections::HashMap;
 use std::process::exit;
@@ -20,7 +21,7 @@ use wholegraph::prelude::*;
 
 /// The usage text — also the flag list: [`parse_flags`] accepts exactly
 /// the `--flags` a subcommand's own entry names.
-const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the resident-row budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N>\n           [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <per-node>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--batch <N>] [--hidden <N>] [--layers <N>]\n           [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>] [--sequential]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  [--data <file> | --dataset <kind> --scale <N> [--seed <N>]]";
+const USAGE: &str = "usage:\n  wg gen   --dataset <products|papers100m|friendster|uk> --scale <N> --out <file> [--seed <N>]\n           [--out-of-core <resident-frac>]   (heavy-tailed profile; prints the resident-row budget)\n  wg train [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg multinode --nodes <N>\n           [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--framework <wholegraph|dgl|pyg>] [--epochs <N>] [--batch <N>] [--hidden <N>]\n           [--layers <N>] [--fanout <N>] [--gpus <per-node>] [--seed <N>]\n           [--cache-rows <N>] [--cache-mode <static|clock>] [--storage-rows <N>]\n           [--trace <out.json>]\n  wg serve [--data <file> | --dataset <kind> --scale <N>] [--model <gcn|sage|gat>]\n           [--epochs <warmup-epochs>] [--batch <N>] [--hidden <N>] [--layers <N>]\n           [--fanout <N>] [--gpus <N>] [--seed <N>]\n           [--requests <N>] [--rate <qps>] [--burst <N>] [--zipf <s>]\n           [--max-batch <N>] [--max-delay-us <f>] [--queue-cap <N>]\n           [--deadline-us <f>] [--cache-rows <N>] [--cache-mode <static|clock>]\n           [--storage-rows <N>] [--trace <out.json>]\n  wg info  [--data <file> | --dataset <kind> --scale <N> [--seed <N>]]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -45,7 +46,10 @@ fn names_flag(text: &str, flag: &str) -> bool {
 /// Split `args` of subcommand `cmd` into flag → value pairs. Anything
 /// that is not a flag `cmd`'s usage entry names is an error naming it: a
 /// typo'd `--cache-row`, or another subcommand's flag such as `wg serve
-/// --framework pyg`, must not silently run the default.
+/// --framework pyg`, must not silently run the default. So is a flag with
+/// no value (end of args, or followed by another flag): every flag takes
+/// one, and `wg train --trace` must not write a trace to a file named
+/// `true`.
 fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let text = usage_of(cmd).ok_or_else(|| format!("unknown command: {cmd}"))?;
     let mut out = HashMap::new();
@@ -58,15 +62,13 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, St
         if !names_flag(text, k) {
             return Err(format!("unknown flag for wg {cmd}: {k}"));
         }
-        // A flag with no value (end of args, or followed by another
-        // flag) is a boolean switch, e.g. `--sequential`.
-        if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-            out.insert(k[2..].to_string(), "true".to_string());
-            i += 1;
-        } else {
-            out.insert(k[2..].to_string(), args[i + 1].clone());
-            i += 2;
+        match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => {
+                out.insert(k[2..].to_string(), v.clone());
+            }
+            _ => return Err(format!("{k} expects a value")),
         }
+        i += 2;
     }
     Ok(out)
 }
@@ -400,7 +402,7 @@ fn cmd_train(flags: HashMap<String, String>) {
         let snap = wg_trace::metrics::snapshot();
         println!(
             "chrome trace written to {path} ({} metric series; load in chrome://tracing or ui.perfetto.dev)",
-            snap.counters.len() + snap.gauges.len() + snap.histograms.len()
+            snap.counters.len() + snap.histograms.len()
         );
     }
 }
@@ -519,16 +521,10 @@ fn cmd_serve(flags: HashMap<String, String>) {
     };
     let max_batch = positive(&flags, "max-batch", 64).unwrap_or_else(|e| usage_error(e));
     let max_delay = SimTime::from_micros(real_arg("max-delay-us", 1000.0, false));
-    let serve_cfg = if flags.contains_key("sequential") {
-        ServeConfig {
-            queue_capacity,
-            ..ServeConfig::sequential()
-        }
-    } else {
-        ServeConfig {
-            queue_capacity,
-            ..ServeConfig::coalesced(max_batch, max_delay)
-        }
+    let serve_cfg = ServeConfig {
+        max_batch,
+        max_delay,
+        queue_capacity,
     };
 
     let machine = Machine::new(MachineConfig::dgx_like(gpus));
@@ -613,7 +609,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
         }
         println!(
             "chrome trace written to {path} ({} metric series; load in chrome://tracing or ui.perfetto.dev)",
-            snap.counters.len() + snap.gauges.len() + snap.histograms.len()
+            snap.counters.len() + snap.histograms.len()
         );
     }
 }
@@ -646,12 +642,12 @@ mod tests {
     #[test]
     fn parse_flags_takes_usage_flags_and_rejects_typos() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let flags = parse_flags("serve", &words("--epochs 2 --sequential --gpus 4")).unwrap();
+        let flags = parse_flags("serve", &words("--epochs 2 --max-batch 1 --gpus 4")).unwrap();
         assert_eq!(flags["epochs"], "2");
-        assert_eq!(flags["sequential"], "true");
+        assert_eq!(flags["max-batch"], "1");
         assert_eq!(flags["gpus"], "4");
         // A typo, and a strict prefix of a real flag, are both refused by name.
-        for typo in ["--sequentiall", "--cache", "--"] {
+        for typo in ["--max-batchh", "--cache", "--"] {
             let err = parse_flags("serve", &args(&["--epochs", "2", typo])).unwrap_err();
             assert_eq!(err, format!("unknown flag for wg serve: {typo}"));
         }
@@ -787,6 +783,7 @@ mod tests {
         }
         refused("multinode", "--compress");
         refused("multinode", "--delayed-agg");
+        refused("serve", "--sequential");
 
         // `multinode` builds each replica's pipeline from train's flags.
         let train = words(
@@ -801,5 +798,29 @@ mod tests {
         // `info` reads the dataset flags `load_or_generate` takes.
         let data = words("--dataset uk --scale 9 --seed 5");
         assert_eq!(parse_flags("info", &data).unwrap().len(), 3);
+    }
+
+    /// Every flag takes a value. One with none — at the end of the line,
+    /// or followed by another flag — is refused naming it: `wg train
+    /// --trace` used to write its Chrome trace to a file named `true`.
+    #[test]
+    fn a_flag_with_no_value_is_refused_naming_it() {
+        for (cmd, line, flag) in [
+            (
+                "train",
+                "--dataset products --scale 3000 --epochs 1 --trace",
+                "--trace",
+            ),
+            ("train", "--trace --epochs 1", "--trace"),
+            ("serve", "--max-batch --rate 5", "--max-batch"),
+            ("info", "--data", "--data"),
+        ] {
+            let err = parse_flags(cmd, &words(line)).unwrap_err();
+            assert_eq!(err, format!("{flag} expects a value"), "wg {cmd} {line}");
+        }
+        // A negative number is a value, not a flag (the range checks
+        // refuse it later, by name).
+        let f = parse_flags("serve", &words("--max-delay-us -500")).unwrap();
+        assert_eq!(f["max-delay-us"], "-500");
     }
 }

@@ -58,8 +58,8 @@ pub mod trainer;
 
 pub use framework::Framework;
 pub use pipeline::{
-    CacheConfig, EpochOccupancy, EpochReport, FeaturePlacement, InferenceReport, Pipeline,
-    PipelineConfig, ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
+    CacheConfig, EpochOccupancy, EpochReport, FeaturePlacement, Pipeline, PipelineConfig,
+    ServeTimes, StorageConfig, StorageIo, SERVE_EPOCH,
 };
 pub use trainer::{TrainOutcome, Trainer, TrainerConfig};
 

@@ -30,10 +30,10 @@
 //!
 //! Around it: [`executor`] — [`Schedule`], which lays the priced
 //! iterations onto the machine; [`config`] — [`PipelineConfig`],
-//! [`FeaturePlacement`]; [`report`] — iteration/epoch/inference reports,
-//! including the per-phase busy/idle occupancy derived from the recorded
-//! traces. Training and the forward-only passes (inference, evaluation,
-//! serving) share one forward: `Pipeline::forward`.
+//! [`FeaturePlacement`]; [`report`] — iteration/epoch reports, including
+//! the per-phase busy/idle occupancy derived from the recorded traces.
+//! Training and the two forward-only passes (evaluation and serving)
+//! share one forward: `Pipeline::forward`.
 //!
 //! Timing model: with `G` GPUs training data-parallel, iterations are
 //! processed in **waves** of `G` (one batch per GPU). We execute
@@ -53,8 +53,7 @@ mod store;
 pub use config::{CacheConfig, FeaturePlacement, PipelineConfig, StorageConfig};
 pub use executor::Schedule;
 pub use report::{
-    EpochOccupancy, EpochReport, InferenceReport, IterTimes, IterationResult, PhaseOccupancy,
-    StorageIo,
+    EpochOccupancy, EpochReport, IterTimes, IterationResult, PhaseOccupancy, StorageIo,
 };
 
 use std::sync::Arc;
@@ -84,8 +83,8 @@ use store::{FeatureStore, Gathered};
 #[derive(Default)]
 struct IterScratch {
     sample: SampleScratch,
-    /// One shell is enough: training, inference, evaluation and serving
-    /// passes run one after another on a pipeline, never two in flight.
+    /// One shell is enough: training, evaluation and serving passes run
+    /// one after another on a pipeline, never two in flight.
     minibatch: MiniBatch,
     feature_buf: Vec<f32>,
     /// The persistent autograd tape. Its [`wg_autograd::Workspace`] pool
@@ -131,12 +130,13 @@ pub(crate) fn epoch_order_into(ids: &[NodeId], seed: u64, epoch: u64, order: &mu
     ));
 }
 
-/// The fixed sampling epoch for [`Pipeline::serve_forward`]. Evaluation
-/// samples at `u64::MAX` and batched inference at `u64::MAX - 1`;
-/// serving takes the next slot down so its per-node RNG streams collide
-/// with neither. Every serving pass also pins the iteration index to 0,
-/// making a query node's sampled ego-graph a pure function of its stable
-/// id — the property `wg-serve`'s coalescer relies on for bit-identity.
+/// The fixed sampling epoch for [`Pipeline::serve_forward`]: far from
+/// every training epoch and from evaluation's `u64::MAX`, so its per-node
+/// RNG streams collide with no other pass's. (`u64::MAX - 1` is free;
+/// moving serving there would change every served answer.) Every serving
+/// pass also pins the iteration index to 0, making a query node's sampled
+/// ego-graph a pure function of its stable id — the property `wg-serve`'s
+/// coalescer relies on for bit-identity.
 pub const SERVE_EPOCH: u64 = u64::MAX - 2;
 
 /// Simulated phase times of one [`Pipeline::serve_forward`] pass.
@@ -414,12 +414,12 @@ impl Pipeline {
         gathered
     }
 
-    /// The forward pass training, inference, evaluation and serving all
-    /// run: convert the mini-batch's blocks, run the model over the
-    /// gathered `input` on the pooled tape (`train` turns dropout on,
-    /// drawn from `seed`), argmax the logits — then let `then` read or extend
-    /// the tape (`out` is the logits node) before the gathered-input
-    /// buffer and the scratch go back to their pools. Everything
+    /// The forward pass training, evaluation and serving all run: convert
+    /// the mini-batch's blocks, run the model over the gathered `input` on
+    /// the pooled tape (`train` turns dropout on, drawn from `seed`), argmax
+    /// the logits — then let `then` read or extend the tape (`out` is the
+    /// logits node) before the gathered-input buffer and the scratch go
+    /// back to their pools. Everything
     /// transient comes out of the iteration scratch — the persistent tape
     /// (whose workspace pool recycles all forward activations and
     /// backward gradients), the CSR block list, the prediction buffer —
@@ -730,34 +730,13 @@ impl Pipeline {
         times
     }
 
-    /// Batched inference: predict classes for `nodes` without any
-    /// backward pass or gradient AllReduce (§I: WholeGraph's ops "also
-    /// can be used in inference scenarios, since it does not require
-    /// collective communication"). Returns per-node predictions in input
-    /// order plus a timing report.
-    pub fn infer(&mut self, nodes: &[NodeId]) -> (Vec<u32>, InferenceReport) {
-        let mut preds = Vec::with_capacity(nodes.len());
-        let mut report = InferenceReport::default();
-        let gpus = self.machine.num_gpus() as u64;
-        for (i, batch) in nodes.chunks(self.cfg.batch_size).enumerate() {
-            let i = i as u64;
-            let t = self.forward_only(batch, (u64::MAX - 1, i), (i % gpus) as u32, |_, p| {
-                preds.extend_from_slice(p)
-            });
-            report.sample_time += t.sample;
-            report.gather_time += t.gather;
-            report.compute_time += t.compute;
-            report.batches += 1;
-        }
-        report.nodes = nodes.len();
-        (preds, report)
-    }
-
     /// One serving forward pass over a (possibly coalesced) set of query
     /// nodes: sample → gather → forward, no backward, no collective
-    /// communication. Appends one prediction and one per-row logits
-    /// checksum (FNV-1a over the output row's bit patterns) per query
-    /// node, in input order, and returns the simulated phase times.
+    /// communication (§I: WholeGraph's ops "also can be used in inference
+    /// scenarios, since it does not require collective communication").
+    /// Appends one prediction and one per-row logits checksum (FNV-1a over
+    /// the output row's bit patterns) per query node, in input order, and
+    /// returns the simulated phase times.
     ///
     /// Sampling runs at the **fixed** coordinates (`SERVE_EPOCH`,
     /// iteration 0), so each node's per-node RNG stream — keyed on its
@@ -1072,25 +1051,36 @@ mod tests {
         assert_eq!(acc.to_bits(), (correct as f64 / val.len() as f64).to_bits());
     }
 
+    /// Every query node's prediction and logits checksum, in input order,
+    /// served `batch_size` nodes to a pass round-robin over the GPUs, and
+    /// each pass's phase times.
+    fn serve_all(p: &mut Pipeline, nodes: &[NodeId]) -> (Vec<u32>, Vec<u64>, Vec<ServeTimes>) {
+        let (mut preds, mut sums, mut times) = (Vec::new(), Vec::new(), Vec::new());
+        let gpus = p.machine().num_gpus() as usize;
+        for (i, batch) in nodes.chunks(p.config().batch_size).enumerate() {
+            times.push(p.serve_forward(batch, (i % gpus) as u32, &mut preds, &mut sums));
+        }
+        (preds, sums, times)
+    }
+
     #[test]
     fn inference_predicts_every_node_without_comm() {
         let mut p = pipeline(Framework::WholeGraph, ModelKind::GraphSage);
         let nodes: Vec<NodeId> = (0..150u64).collect();
-        let (preds, report) = p.infer(&nodes);
-        assert_eq!(preds.len(), 150);
+        let (preds, sums, times) = serve_all(&mut p, &nodes);
+        assert_eq!((preds.len(), sums.len()), (150, 150));
         assert!(preds
             .iter()
             .all(|&c| (c as usize) < p.dataset().num_classes));
-        assert_eq!(report.nodes, 150);
-        assert_eq!(report.batches, 150usize.div_ceil(p.config().batch_size));
-        assert!(report.total_time() > SimTime::ZERO);
-        assert!(report.throughput() > 0.0);
-        // Inference is cheaper per node than training (no backward, no
+        assert_eq!(times.len(), 150usize.div_ceil(p.config().batch_size));
+        let total = times.iter().fold(SimTime::ZERO, |t, x| t + x.total());
+        assert!(total > SimTime::ZERO);
+        // Inference is cheaper per batch than training (no backward, no
         // AllReduce).
         let batch: Vec<NodeId> = nodes[..64].to_vec();
         let it = p.run_iteration(0, 0, &batch, true);
         let train_total = it.times.total();
-        let per_batch_infer = report.total_time() / report.batches as f64;
+        let per_batch_infer = total / times.len() as f64;
         assert!(
             per_batch_infer < train_total,
             "infer {per_batch_infer} !< train {train_total}"
@@ -1106,11 +1096,11 @@ mod tests {
         for fw in [Framework::WholeGraph, Framework::Dgl, Framework::Pyg] {
             let mut p = pipeline(fw, ModelKind::Gcn);
             let nodes: Vec<NodeId> = (0..p.config().batch_size as u64).collect();
-            let (_, report) = p.infer(&nodes);
-            assert_eq!(report.batches, 1);
-            // `infer` samples batch `i` at the coordinates (u64::MAX - 1, i).
-            let it = p.run_iteration(u64::MAX - 1, 0, &nodes, false);
-            assert_eq!(report.sample_time, it.times.sample, "{fw:?}");
+            let (_, _, times) = serve_all(&mut p, &nodes);
+            assert_eq!(times.len(), 1);
+            // `serve_forward` samples at the coordinates (SERVE_EPOCH, 0).
+            let it = p.run_iteration(SERVE_EPOCH, 0, &nodes, false);
+            assert_eq!(times[0].sample, it.times.sample, "{fw:?}");
         }
     }
 
@@ -1118,9 +1108,9 @@ mod tests {
     fn inference_is_deterministic() {
         let mut p = pipeline(Framework::WholeGraph, ModelKind::Gcn);
         let nodes: Vec<NodeId> = (0..80u64).collect();
-        let (a, _) = p.infer(&nodes);
-        let (b, _) = p.infer(&nodes);
-        assert_eq!(a, b);
+        let (a, a_sums, _) = serve_all(&mut p, &nodes);
+        let (b, b_sums, _) = serve_all(&mut p, &nodes);
+        assert_eq!((a, a_sums), (b, b_sums));
     }
 
     #[test]

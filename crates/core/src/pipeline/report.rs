@@ -189,34 +189,6 @@ pub struct EpochReport {
     pub occupancy: EpochOccupancy,
 }
 
-/// Timing summary of an inference run (no backward, no AllReduce).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct InferenceReport {
-    /// Nodes predicted.
-    pub nodes: usize,
-    /// Batches executed.
-    pub batches: usize,
-    /// Total sampling time.
-    pub sample_time: SimTime,
-    /// Total gather time.
-    pub gather_time: SimTime,
-    /// Total forward compute time.
-    pub compute_time: SimTime,
-}
-
-impl InferenceReport {
-    /// Sum of all phase times: the end-to-end time, batches running one
-    /// after another.
-    pub fn total_time(&self) -> SimTime {
-        self.sample_time + self.gather_time + self.compute_time
-    }
-
-    /// Predicted nodes per simulated second.
-    pub fn throughput(&self) -> f64 {
-        self.nodes as f64 / self.total_time().as_secs().max(f64::MIN_POSITIVE)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,21 +242,5 @@ mod tests {
         };
         assert_eq!(t.compute().as_secs(), 7.0);
         assert_eq!(t.total().as_secs(), 10.0);
-    }
-
-    #[test]
-    fn inference_throughput_is_nodes_over_total_time() {
-        let mut r = InferenceReport {
-            nodes: 100,
-            batches: 2,
-            sample_time: SimTime::from_secs(1.0),
-            gather_time: SimTime::from_secs(1.0),
-            compute_time: SimTime::from_secs(2.0),
-        };
-        assert_eq!(r.total_time().as_secs(), 4.0);
-        assert!((r.throughput() - 25.0).abs() < 1e-9);
-        // An empty run divides by the smallest positive time, not zero.
-        r = InferenceReport::default();
-        assert_eq!(r.throughput(), 0.0);
     }
 }

@@ -16,21 +16,33 @@
 //! A batch launches at the earliest instant the server is free AND the
 //! coalescing window has closed. The window opens when the head request
 //! arrived and closes after `max_delay`, or *early* the moment the queue
-//! holds `max_batch` requests. Arrivals strictly before the launch
-//! instant are admitted first (an arrival exactly at the launch instant
-//! misses the batch — the documented tie-break); the batch then takes
-//! the first `min(queue, max_batch)` requests. Every quantity involved
-//! is simulated time or queue arithmetic, so the schedule — batch
-//! compositions, shed decisions, latencies — is a pure function of the
-//! request timeline and the configuration.
+//! holds `max_batch` requests. The engine keeps one launch bound per
+//! batch and takes arrivals as its events, in time order:
 //!
-//! Sequential mode (`BatchMode::Sequential`) is the degenerate window
-//! (`max_batch = 1`, `max_delay = 0`): one request per forward pass.
-//! Because the pipeline's serving pass is batch-composition-invariant
-//! (see [`wholegraph::pipeline::Pipeline::serve_forward`]), coalesced
-//! and sequential runs return bit-identical predictions and logits
-//! checksums for every request — coalescing changes *when* answers
-//! arrive, never *what* they are.
+//! * the bound starts at `free.max(head + max_delay)` — or at
+//!   `free.max(head)` when the queue already holds `max_batch` requests;
+//! * each arrival strictly before the bound is admitted or shed (an
+//!   arrival exactly at the bound misses the batch — the documented
+//!   tie-break);
+//! * an admitted arrival `r` that brings the queue to `max_batch`
+//!   closes the window: the bound becomes `bound.min(free.max(r.arrival))`.
+//!
+//! The bound only moves earlier, and never before an admitted arrival,
+//! so every request in the queue arrived before its batch launches:
+//! `arrival <= start <= finish` holds by construction. The batch then
+//! takes the first `min(queue, max_batch)` requests. Every quantity
+//! involved is simulated time or queue arithmetic, so the schedule —
+//! batch compositions, shed decisions, latencies — is a pure function of
+//! the request timeline and the configuration.
+//!
+//! The per-request baseline is the degenerate window
+//! ([`ServeConfig::sequential`]: `max_batch = 1`, `max_delay = 0`): one
+//! request per forward pass. Because the pipeline's serving pass is
+//! batch-composition-invariant (see
+//! [`wholegraph::pipeline::Pipeline::serve_forward`]), coalesced and
+//! sequential runs return bit-identical predictions and logits checksums
+//! for every request — coalescing changes *when* answers arrive, never
+//! *what* they are.
 
 use std::collections::VecDeque;
 
@@ -40,66 +52,33 @@ use wholegraph::{Pipeline, StorageIo};
 use crate::coalesce::Coalescer;
 use crate::request::{Completion, Request};
 
-/// Batch formation policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BatchMode {
-    /// One request per forward pass (the baseline the coalescer is
-    /// measured against).
-    Sequential,
-    /// Adaptive micro-batching: wait up to `max_delay` past the head
-    /// request's arrival (or until `max_batch` requests are queued,
-    /// whichever is first), then serve the whole window in one shared
-    /// pass.
-    Coalesced {
-        /// Largest batch one dispatch may take.
-        max_batch: usize,
-        /// Longest a head-of-line request may wait for company.
-        max_delay: SimTime,
-    },
-}
-
-impl BatchMode {
-    fn max_batch(self) -> usize {
-        match self {
-            BatchMode::Sequential => 1,
-            BatchMode::Coalesced { max_batch, .. } => max_batch.max(1),
-        }
-    }
-
-    fn max_delay(self) -> SimTime {
-        match self {
-            BatchMode::Sequential => SimTime::ZERO,
-            BatchMode::Coalesced { max_delay, .. } => max_delay,
-        }
-    }
-}
-
-/// Engine configuration.
+/// Engine configuration: the coalescing window and the admission queue.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Batch formation policy.
-    pub mode: BatchMode,
+    /// Largest batch one dispatch may take (at least 1).
+    pub max_batch: usize,
+    /// Longest a head-of-line request may wait for company.
+    pub max_delay: SimTime,
     /// Admission-queue capacity: an arrival finding this many requests
     /// queued is shed.
     pub queue_capacity: usize,
 }
 
 impl ServeConfig {
-    /// Sequential serving with a generous queue.
+    /// Sequential serving — one request per forward pass, the baseline
+    /// the coalescer is measured against — with a generous queue.
     pub fn sequential() -> Self {
-        ServeConfig {
-            mode: BatchMode::Sequential,
-            queue_capacity: 4096,
-        }
+        Self::coalesced(1, SimTime::ZERO)
     }
 
-    /// Coalesced serving with a generous queue.
+    /// Adaptive micro-batching with a generous queue: wait up to
+    /// `max_delay` past the head request's arrival (or until `max_batch`
+    /// requests are queued, whichever is first), then serve the whole
+    /// window in one shared pass.
     pub fn coalesced(max_batch: usize, max_delay: SimTime) -> Self {
         ServeConfig {
-            mode: BatchMode::Coalesced {
-                max_batch,
-                max_delay,
-            },
+            max_batch,
+            max_delay,
             queue_capacity: 4096,
         }
     }
@@ -211,6 +190,7 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Build an engine.
     pub fn new(cfg: ServeConfig) -> Self {
+        assert!(cfg.max_batch > 0, "max batch must be positive");
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         ServeEngine {
             cfg,
@@ -219,11 +199,6 @@ impl ServeEngine {
             preds: Vec::new(),
             checksums: Vec::new(),
         }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// Serve a request timeline (sorted by arrival) against a trained
@@ -235,8 +210,11 @@ impl ServeEngine {
             "request timeline must be sorted by arrival"
         );
         let _span = wg_trace::span!("serve.run");
-        let max_batch = self.cfg.mode.max_batch();
-        let max_delay = self.cfg.mode.max_delay();
+        let ServeConfig {
+            max_batch,
+            max_delay,
+            queue_capacity,
+        } = self.cfg;
         let num_gpus = pipe.machine().num_gpus() as u64;
 
         let mut report = ServeReport {
@@ -247,30 +225,6 @@ impl ServeEngine {
         let mut next = 0usize; // next arrival to process
         let mut free = SimTime::ZERO; // when the server frees up
         let mut batch_seq = 0u64;
-
-        // Admit (or shed) every arrival strictly before `t`.
-        let capacity = self.cfg.queue_capacity;
-        let admit_before = |t: SimTime,
-                            next: &mut usize,
-                            queue: &mut VecDeque<Request>,
-                            report: &mut ServeReport|
-         -> Option<SimTime> {
-            let mut filled_at = None;
-            while *next < requests.len() && requests[*next].arrival < t {
-                let r = requests[*next];
-                *next += 1;
-                if queue.len() >= capacity {
-                    report.shed += 1;
-                    wg_trace::counter!("serve.shed", 1.0);
-                    continue;
-                }
-                queue.push_back(r);
-                if queue.len() == max_batch && filled_at.is_none() {
-                    filled_at = Some(r.arrival);
-                }
-            }
-            filled_at
-        };
 
         while next < requests.len() || !queue.is_empty() {
             if queue.is_empty() {
@@ -287,19 +241,20 @@ impl ServeEngine {
             } else {
                 free.max(head + max_delay)
             };
-            // Admit arrivals up to the launch instant; if one of them
-            // fills the batch while the server is already free, the
-            // window closes early and the launch moves up. Re-admit
-            // against the earlier launch until it stabilizes (arrivals
-            // are sorted, so this converges).
-            loop {
-                let filled_at = admit_before(launch, &mut next, &mut queue, &mut report);
-                let Some(at) = filled_at else { break };
-                let early = free.max(at);
-                if early < launch {
-                    launch = early;
-                } else {
-                    break;
+            // Admit (or shed) arrivals strictly before the launch, in
+            // time order. The one that fills the batch closes the window:
+            // the launch moves up to it (or to `free`), never before it.
+            while next < requests.len() && requests[next].arrival < launch {
+                let r = requests[next];
+                next += 1;
+                if queue.len() >= queue_capacity {
+                    report.shed += 1;
+                    wg_trace::counter!("serve.shed", 1.0);
+                    continue;
+                }
+                queue.push_back(r);
+                if queue.len() == max_batch {
+                    launch = launch.min(free.max(r.arrival));
                 }
             }
 
@@ -338,6 +293,11 @@ impl ServeEngine {
             report.unique_rows += self.coalescer.unique().len() as u64;
             report.makespan = report.makespan.max(finish);
             for (i, r) in queue.drain(..take).enumerate() {
+                debug_assert!(
+                    r.arrival <= launch,
+                    "request {} starts before it arrives",
+                    r.id
+                );
                 let row = self.coalescer.map()[i] as usize;
                 let expired = r.deadline.is_some_and(|d| finish > d);
                 if expired {

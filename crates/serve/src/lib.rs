@@ -7,7 +7,7 @@
 //! per-node queries with sample → gather → forward.
 //!
 //! The headline optimisation is **adaptive micro-batching**
-//! ([`engine::BatchMode::Coalesced`]): the engine drains the request
+//! ([`ServeConfig::coalesced`]): the engine drains the request
 //! queue up to a deadline- and size-bounded window, merges the query
 //! nodes of the window into one deduplicated frontier with the paper's
 //! AppendUnique op ([`coalesce::Coalescer`]), runs a *single* shared
@@ -46,6 +46,6 @@ pub mod request;
 pub mod traffic;
 
 pub use coalesce::Coalescer;
-pub use engine::{BatchMode, ServeConfig, ServeEngine, ServeReport};
+pub use engine::{ServeConfig, ServeEngine, ServeReport};
 pub use request::{Completion, Request};
 pub use traffic::{ArrivalProcess, TrafficConfig};

@@ -5,8 +5,9 @@
 //! The tiers move cost, never values, and the thread schedule moves
 //! nothing, so every case holds the same invariants:
 //!
-//! * loss bits, train accuracy and `infer` predictions equal the all-off
-//!   baseline of its (framework, model);
+//! * loss bits, train accuracy, and the predictions and logits checksums
+//!   of `serve_forward` over a probe set, equal the all-off baseline of
+//!   its (framework, model);
 //! * the full fingerprint — simulated times and `mem.*` counters
 //!   included — is the same on the pool and on the sequential schedule;
 //! * the disk tier's books: `bytes == rows × row bytes`, `requests <=
@@ -119,7 +120,7 @@ fn cases() -> Vec<Case> {
 }
 
 /// The `mem.*` counters one case moves, as deltas over its epoch and
-/// inference (host-clock counters excluded).
+/// probe passes (host-clock counters excluded).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 struct Counters {
     rows: u64,
@@ -177,11 +178,14 @@ struct Fingerprint {
     loss: u32,
     accuracy: u64,
     /// Epoch, sample, gather, train, comm, storage and exposed storage
-    /// time, then the inference pass's sample, gather and compute time.
+    /// time, then the probe passes' summed sample, gather and compute
+    /// time.
     times: [u64; 10],
     storage_io: StorageIo,
     iterations: usize,
     predictions: Vec<u32>,
+    /// Per-row logits checksums of the probe passes.
+    checksums: Vec<u64>,
     counters: Counters,
     /// The cluster executor's N=1 epoch (WholeGraph only): loss,
     /// accuracy and epoch-time bits, executed iterations.
@@ -244,15 +248,24 @@ impl Fixture {
         Pipeline::new(machine, Arc::clone(&self.dataset), cfg).unwrap()
     }
 
-    /// Train one epoch of `case`, infer the probe set, and (where the
-    /// case says so) run the cluster executor at N=1 and replay serve
-    /// traffic — on whatever schedule the caller runs this under.
+    /// Train one epoch of `case`, serve the probe set `batch_size` nodes
+    /// to a pass round-robin over the GPUs, and (where the case says so)
+    /// run the cluster executor at N=1 and replay serve traffic — on
+    /// whatever schedule the caller runs this under.
     fn run(&self, case: &Case) -> Fingerprint {
         let cfg = self.config(case);
         let mut pipe = self.pipeline(cfg.clone());
         let before = Counters::read();
         let r = pipe.train_epoch(0);
-        let (predictions, inf) = pipe.infer(&self.probe);
+        let (mut predictions, mut checksums) = (Vec::new(), Vec::new());
+        let (mut sample, mut gather, mut compute) = (SimTime::ZERO, SimTime::ZERO, SimTime::ZERO);
+        for (i, batch) in self.probe.chunks(cfg.batch_size).enumerate() {
+            let rank = i as u32 % GPUS;
+            let p = pipe.serve_forward(batch, rank, &mut predictions, &mut checksums);
+            sample += p.sample;
+            gather += p.gather;
+            compute += p.compute;
+        }
         let counters = Counters::read().since(before);
         let t = |s: SimTime| s.as_secs().to_bits();
         let multinode = (case.framework == Framework::WholeGraph).then(|| {
@@ -279,13 +292,14 @@ impl Fixture {
                 t(r.comm_time),
                 t(r.storage_time),
                 t(r.storage_exposed_time),
-                t(inf.sample_time),
-                t(inf.gather_time),
-                t(inf.compute_time),
+                t(sample),
+                t(gather),
+                t(compute),
             ],
             storage_io: r.storage_io,
             iterations: r.executed_iterations,
             predictions,
+            checksums,
             counters,
             multinode,
             serve,
@@ -342,6 +356,7 @@ fn check(
     assert_eq!(fp.loss, base.loss, "{tag}: loss");
     assert_eq!(fp.accuracy, base.accuracy, "{tag}: accuracy");
     assert_eq!(fp.predictions, base.predictions, "{tag}: predictions");
+    assert_eq!(fp.checksums, base.checksums, "{tag}: logits checksums");
     assert_eq!(fp.iterations, base.iterations, "{tag}: iterations");
 
     // The disk tier, as the epoch report and as the counters see it.

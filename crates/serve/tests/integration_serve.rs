@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use wg_serve::{ArrivalProcess, BatchMode, Request, ServeConfig, ServeEngine, TrafficConfig};
+use wg_serve::{ArrivalProcess, Request, ServeConfig, ServeEngine, TrafficConfig};
 use wg_sim::SimTime;
 use wholegraph::prelude::*;
 
@@ -124,10 +124,8 @@ fn shed_accounting_balances_under_overload() {
     .generate();
     let mut pipe = pipeline(None);
     let report = ServeEngine::new(ServeConfig {
-        mode: BatchMode::Coalesced {
-            max_batch: 8,
-            max_delay: SimTime::from_micros(50.0),
-        },
+        max_batch: 8,
+        max_delay: SimTime::from_micros(50.0),
         queue_capacity: 16,
     })
     .run(&mut pipe, &traffic);

@@ -24,7 +24,7 @@ fn pipeline(fw: Framework) -> Pipeline {
 }
 
 /// One epoch's loss, accuracy and simulated phase times as bits, then
-/// the trained model's predictions on a probe set.
+/// the trained model's predictions and logits checksums on a probe set.
 fn epoch(fw: Framework) -> Vec<u64> {
     let mut pipe = pipeline(fw);
     let r = pipe.train_epoch(0);
@@ -38,7 +38,10 @@ fn epoch(fw: Framework) -> Vec<u64> {
     ];
     bits.extend(times.map(|t| t.as_secs().to_bits()));
     let probe: Vec<_> = pipe.dataset().val.iter().take(64).copied().collect();
-    bits.extend(pipe.infer(&probe).0.into_iter().map(u64::from));
+    let (mut preds, mut checksums) = (Vec::new(), Vec::new());
+    pipe.serve_forward(&probe, 0, &mut preds, &mut checksums);
+    bits.extend(preds.into_iter().map(u64::from));
+    bits.extend(checksums);
     bits
 }
 

@@ -8,7 +8,7 @@
 //! utilization traces) can sit side by side in one file, each process
 //! labeled with its time base.
 
-use crate::ring::{Event, ThreadTrace};
+use crate::ring::ThreadTrace;
 
 /// Escape a string for embedding in a JSON literal.
 pub fn escape(s: &str) -> String {
@@ -94,16 +94,6 @@ impl ChromeTrace {
         ));
     }
 
-    /// An instantaneous marker (`"i"` event, thread scope).
-    pub fn instant(&mut self, pid: u32, tid: u32, name: &str, cat: &str, ts_us: f64) {
-        self.events.push(format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{}\",\
-             \"cat\":\"{}\",\"ts\":{ts_us:.3}}}",
-            escape(name),
-            escape(cat)
-        ));
-    }
-
     /// Add one drained host thread's events under `pid`, using the
     /// thread's registry id as `tid` and labeling the track.
     pub fn add_host_thread(&mut self, pid: u32, trace: &ThreadTrace) {
@@ -115,24 +105,15 @@ impl ChromeTrace {
         };
         self.thread_name(pid, tid, &label);
         for ev in &trace.events {
-            match *ev {
-                Event::Span {
-                    name,
-                    start_ns,
-                    dur_ns,
-                } => self.complete(
-                    pid,
-                    tid,
-                    name,
-                    "host",
-                    start_ns as f64 / 1e3,
-                    dur_ns as f64 / 1e3,
-                    "",
-                ),
-                Event::Instant { name, t_ns } => {
-                    self.instant(pid, tid, name, "host", t_ns as f64 / 1e3);
-                }
-            }
+            self.complete(
+                pid,
+                tid,
+                ev.name,
+                "host",
+                ev.start_ns as f64 / 1e3,
+                ev.dur_ns as f64 / 1e3,
+                "",
+            );
         }
     }
 
@@ -149,6 +130,7 @@ impl ChromeTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::Event;
 
     #[test]
     fn escape_handles_quotes_and_control_chars() {
@@ -164,8 +146,7 @@ mod tests {
         t.thread_name(1, 0, "main");
         t.complete(1, 0, "pipeline.sample", "host", 10.0, 5.5, "");
         t.complete(2, 3, "training", "sim", 0.0, 100.0, "\"busy\":true");
-        t.instant(1, 0, "epoch-done", "host", 20.0);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len(), 4);
         let json = t.finish();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"ph\":\"X\""));
@@ -176,19 +157,20 @@ mod tests {
     }
 
     #[test]
-    fn host_thread_events_become_x_and_i_events() {
+    fn host_thread_spans_become_x_events() {
         let trace = ThreadTrace {
             id: 2,
             label: "worker-2".into(),
             events: vec![
-                Event::Span {
+                Event {
                     name: "s",
                     start_ns: 1_500,
                     dur_ns: 2_000,
                 },
-                Event::Instant {
+                Event {
                     name: "m",
-                    t_ns: 4_000,
+                    start_ns: 4_000,
+                    dur_ns: 0,
                 },
             ],
             dropped: 1,
@@ -198,6 +180,7 @@ mod tests {
         let json = t.finish();
         assert!(json.contains("worker-2 (dropped 1)"));
         assert!(json.contains("\"ts\":1.500,\"dur\":2.000"));
-        assert!(json.contains("\"ph\":\"i\""));
+        assert!(json.contains("\"name\":\"m\",\"cat\":\"host\",\"ts\":4.000,\"dur\":0.000"));
+        assert!(!json.contains("\"ph\":\"i\""));
     }
 }

@@ -8,7 +8,7 @@
 //!   oldest events are overwritten when full). Dropping the guard stamps
 //!   the span's duration — no channels, no locks on the record path
 //!   beyond the thread's own uncontended buffer mutex.
-//! * [`counter!`], [`gauge!`] and [`histogram!`] feed the global
+//! * [`counter!`] and [`histogram!`] feed the global
 //!   [`metrics`] registry: lock-free atomic updates after the first use
 //!   of a name interns its entry (warm-up traffic pays the one-time
 //!   allocation; steady state allocates nothing).
@@ -107,7 +107,7 @@ pub fn now_ns() -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// A scoped span: created by [`span!`], records one [`Event::Span`] into
+/// A scoped span: created by [`span!`], records one [`Event`] into
 /// the current thread's ring buffer when dropped. When spans are
 /// disabled the guard is inert (no timestamp is ever taken).
 pub struct SpanGuard {
@@ -128,23 +128,12 @@ impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
         if let Some((name, start_ns)) = self.open.take() {
-            ring::record(Event::Span {
+            ring::record(Event {
                 name,
                 start_ns,
                 dur_ns: now_ns().saturating_sub(start_ns),
             });
         }
-    }
-}
-
-/// Record an instantaneous marker event on the current thread.
-#[inline]
-pub fn instant(name: &'static str) {
-    if spans_enabled() {
-        ring::record(Event::Instant {
-            name,
-            t_ns: now_ns(),
-        });
     }
 }
 
@@ -163,14 +152,6 @@ macro_rules! span {
 macro_rules! counter {
     ($name:expr, $value:expr) => {
         $crate::metrics::add($name, $value)
-    };
-}
-
-/// Set a last-value-wins gauge: `gauge!("pool.threads", n as f64);`
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr, $value:expr) => {
-        $crate::metrics::set($name, $value)
     };
 }
 
@@ -207,7 +188,6 @@ mod tests {
         disable_all();
         {
             let _g = span!("off.span");
-            instant("off.instant");
             counter!("off.counter", 1.0);
         }
         assert!(drain().iter().all(|t| t.events.is_empty()));
@@ -217,16 +197,13 @@ mod tests {
         assert!(spans_enabled() && metrics_enabled());
         {
             let _g = span!("on.span");
-            instant("on.instant");
             counter!("on.counter", 2.5);
-            gauge!("on.gauge", 7.0);
             histogram!("on.hist", &[1.0, 10.0], 3.0);
         }
         let events: usize = drain().iter().map(|t| t.events.len()).sum();
-        assert_eq!(events, 2, "span + instant");
+        assert_eq!(events, 1, "the span");
         let snap = metrics::snapshot();
         assert_eq!(snap.counters[0], ("on.counter".into(), 2.5));
-        assert_eq!(snap.gauges[0], ("on.gauge".into(), 7.0));
         assert_eq!(snap.histograms[0].count, 1);
 
         disable_all();
@@ -246,9 +223,7 @@ mod tests {
         assert!(!spans_enabled() && !metrics_enabled());
         {
             let _g = span!("off.span");
-            instant("off.instant");
             counter!("off.counter", 1.0);
-            gauge!("off.gauge", 7.0);
             histogram!("off.hist", &[1.0, 10.0], 3.0);
         }
         assert!(drain().iter().all(|t| t.events.is_empty()));

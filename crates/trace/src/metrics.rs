@@ -1,5 +1,4 @@
-//! The global metrics registry: counters, gauges, and fixed-bucket
-//! histograms.
+//! The global metrics registry: counters and fixed-bucket histograms.
 //!
 //! Values live in atomics and update lock-free; the registry itself is a
 //! small mutex-guarded vector that is only locked to *intern* a name on
@@ -24,10 +23,6 @@ impl AtomicF64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 
-    fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
     fn add(&self, v: f64) {
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
@@ -45,7 +40,6 @@ impl AtomicF64 {
 
 enum Kind {
     Counter(AtomicF64),
-    Gauge(AtomicF64),
     Histogram {
         /// Upper bucket bounds (inclusive); an implicit `+inf` bucket
         /// follows. Must be the same `'static` slice on every call.
@@ -123,19 +117,6 @@ pub fn add_dyn(name: &str, v: f64) {
     match &e.kind {
         Kind::Counter(c) => c.add(v),
         _ => panic!("metric {name} is not a counter"),
-    }
-}
-
-/// Set the gauge `name` to `v` (created on first use).
-#[inline]
-pub fn set(name: &'static str, v: f64) {
-    if !crate::metrics_enabled() {
-        return;
-    }
-    let e = intern(Cow::Borrowed(name), || Kind::Gauge(AtomicF64::default()));
-    match &e.kind {
-        Kind::Gauge(g) => g.set(v),
-        _ => panic!("metric {name} is not a gauge"),
     }
 }
 
@@ -247,8 +228,6 @@ impl HistogramSnapshot {
 pub struct Snapshot {
     /// Counter name → accumulated value.
     pub counters: Vec<(String, f64)>,
-    /// Gauge name → last value.
-    pub gauges: Vec<(String, f64)>,
     /// Histograms.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -256,23 +235,16 @@ pub struct Snapshot {
 impl Snapshot {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Render as a JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
+    /// `{"counters": {...}, "histograms": {...}}`.
     /// Histograms carry `count`, `sum`, `mean`, and per-bucket
     /// `{"le": bound, "count": n}` rows (the last bound is `"inf"`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", crate::chrome::escape(name), num(*v)));
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -328,7 +300,6 @@ pub fn snapshot() -> Snapshot {
     for e in reg.iter() {
         match &e.kind {
             Kind::Counter(c) => snap.counters.push((e.name.to_string(), c.get())),
-            Kind::Gauge(g) => snap.gauges.push((e.name.to_string(), g.get())),
             Kind::Histogram {
                 bounds,
                 buckets,
@@ -344,7 +315,6 @@ pub fn snapshot() -> Snapshot {
         }
     }
     snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
     snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     snap
 }
@@ -362,20 +332,17 @@ mod tests {
 
     #[cfg(not(feature = "disabled"))]
     #[test]
-    fn counters_gauges_histograms_accumulate_and_snapshot() {
+    fn counters_and_histograms_accumulate_and_snapshot() {
         let _guard = crate::test_guard();
         crate::enable_metrics();
         reset();
         add("m.counter", 1.5);
         add("m.counter", 2.5);
-        set("m.gauge", 3.0);
-        set("m.gauge", 9.0);
         for v in [0.5, 1.0, 5.0, 50.0, 5000.0] {
             observe("m.hist", &BOUNDS, v);
         }
         let snap = snapshot();
         assert_eq!(snap.counters, vec![("m.counter".to_string(), 4.0)]);
-        assert_eq!(snap.gauges, vec![("m.gauge".to_string(), 9.0)]);
         let h = &snap.histograms[0];
         // 0.5 and 1.0 land in the ≤1 bucket (inclusive bounds), then one
         // observation per remaining bucket including overflow.
@@ -385,6 +352,7 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"m.counter\": 4"));
         assert!(json.contains("{\"le\": \"inf\", \"count\": 1}"));
+        assert!(json.starts_with("{\"counters\": {") && !json.contains("gauges"));
         crate::disable_all();
         reset();
     }

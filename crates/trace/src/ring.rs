@@ -11,27 +11,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One recorded event. `Copy`, fixed-size, no heap — names are interned
-/// `'static` strings supplied by the probe sites.
+/// One recorded event: a completed span (start + duration, both in
+/// nanoseconds since the trace epoch). `Copy`, fixed-size, no heap —
+/// names are interned `'static` strings supplied by the probe sites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Event {
-    /// A completed span (start + duration, both in nanoseconds since the
-    /// trace epoch).
-    Span {
-        /// Span label.
-        name: &'static str,
-        /// Start, ns since the trace epoch.
-        start_ns: u64,
-        /// Duration in ns.
-        dur_ns: u64,
-    },
-    /// An instantaneous marker.
-    Instant {
-        /// Marker label.
-        name: &'static str,
-        /// Timestamp, ns since the trace epoch.
-        t_ns: u64,
-    },
+pub struct Event {
+    /// Span label.
+    pub name: &'static str,
+    /// Start, ns since the trace epoch.
+    pub start_ns: u64,
+    /// Duration in ns.
+    pub dur_ns: u64,
 }
 
 /// Per-thread ring capacity (events). At 32 bytes per event this
@@ -161,7 +151,7 @@ mod tests {
     use super::*;
 
     fn span(name: &'static str, start_ns: u64) -> Event {
-        Event::Span {
+        Event {
             name,
             start_ns,
             dur_ns: 1,

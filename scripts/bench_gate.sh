@@ -19,6 +19,7 @@
 #     sequential / single-pipeline baseline, byte conservation, the
 #     >=50% hot-set headline, strict prefetch overlap, >=2x QPS at
 #     equal-or-better p99 inside the service bounds, balanced shed books,
+#     arrival <= start <= finish for every request of every serving leg,
 #     halo-free N=1 and a real end-to-end speedup).
 #   * every JSON left in <out-dir> — artifacts and Chrome traces alike —
 #     must parse.

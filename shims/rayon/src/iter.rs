@@ -144,17 +144,6 @@ pub trait ParallelIterator: Sized + Send + Sync {
         }
     }
 
-    /// Map each item to a sequential iterator and concatenate the results
-    /// in item order (rayon's cheap per-item `flat_map`).
-    fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(Self::Item) -> U + Send + Sync,
-    {
-        FlatMapIter { base: self, f }
-    }
-
     // -- consumers ---------------------------------------------------------
 
     /// Run `f` on every item.
@@ -665,50 +654,5 @@ impl<P: ParallelIterator> Iterator for ChunkSeq<'_, P> {
         // SAFETY: chunk index ranges are disjoint across leaves, so the
         // underlying item ranges are too.
         Some(unsafe { self.base.iter_range(lo, hi - lo) }.collect())
-    }
-}
-
-/// See [`ParallelIterator::flat_map_iter`]. Not indexed (item counts vary),
-/// so it only offers terminal [`FlatMapIter::collect`].
-pub struct FlatMapIter<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, U, F> FlatMapIter<P, F>
-where
-    P: ParallelIterator,
-    U: IntoIterator,
-    U::Item: Send,
-    F: Fn(P::Item) -> U + Send + Sync,
-{
-    /// Collect the concatenation, preserving item order (leaf outputs are
-    /// appended left-before-right up the reduction tree).
-    pub fn collect<C>(self) -> C
-    where
-        C: FromIterator<U::Item>,
-    {
-        let len = self.base.len();
-        if len == 0 {
-            return std::iter::empty().collect();
-        }
-        let flat: Vec<U::Item> = map_reduce(
-            0,
-            len,
-            grain_for(len, self.base.min_len_hint()),
-            &|s, n| {
-                let mut out = Vec::new();
-                // SAFETY: disjoint ranges per leaf.
-                for item in unsafe { self.base.iter_range(s, n) } {
-                    out.extend((self.f)(item));
-                }
-                out
-            },
-            &|mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-        flat.into_iter().collect()
     }
 }

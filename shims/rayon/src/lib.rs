@@ -7,7 +7,7 @@
 //!   deques, and the [`join`] fork primitive every adapter reduces to.
 //! - [`iter`]: indexed parallel iterators (`par_iter`, `par_iter_mut`,
 //!   `par_chunks`, `par_chunks_mut`, `into_par_iter` on ranges) with `map`,
-//!   `zip`, `enumerate`, `chunks`, `flat_map_iter`, `with_min_len` and the
+//!   `zip`, `enumerate`, `chunks`, `with_min_len` and the
 //!   `for_each` / `collect` / `sum` / `max` consumers.
 //!
 //! **Determinism guarantee:** results are bit-identical at every thread
@@ -100,16 +100,6 @@ mod tests {
             seq.to_bits(),
             "float reduction depends on schedule"
         );
-    }
-
-    #[test]
-    fn flat_map_iter_concatenates_in_order() {
-        let out: Vec<usize> = (0usize..1000)
-            .into_par_iter()
-            .flat_map_iter(|i| vec![i; i % 3])
-            .collect();
-        let expect: Vec<usize> = (0usize..1000).flat_map(|i| vec![i; i % 3]).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]

@@ -22,6 +22,7 @@ struct EpochFingerprint {
     train_time: u64,
     comm_time: u64,
     predictions: Vec<u32>,
+    checksums: Vec<u64>,
 }
 
 fn run_epoch(fw: Framework, model: ModelKind) -> EpochFingerprint {
@@ -35,7 +36,8 @@ fn run_epoch(fw: Framework, model: ModelKind) -> EpochFingerprint {
     let mut pipe = Pipeline::new(machine, dataset, cfg).unwrap();
     let r = pipe.train_epoch(0);
     let probe: Vec<_> = pipe.dataset().val.iter().take(64).copied().collect();
-    let (predictions, _) = pipe.infer(&probe);
+    let (mut predictions, mut checksums) = (Vec::new(), Vec::new());
+    pipe.serve_forward(&probe, 0, &mut predictions, &mut checksums);
     EpochFingerprint {
         loss: r.loss.to_bits(),
         train_accuracy: r.train_accuracy.to_bits(),
@@ -45,6 +47,7 @@ fn run_epoch(fw: Framework, model: ModelKind) -> EpochFingerprint {
         train_time: r.train_time.as_secs().to_bits(),
         comm_time: r.comm_time.as_secs().to_bits(),
         predictions,
+        checksums,
     }
 }
 
