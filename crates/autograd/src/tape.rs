@@ -273,8 +273,8 @@ impl Tape {
         self.push(value, Op::Input)
     }
 
-    /// An input whose gradient is kept (e.g. gathered rows of a learnable
-    /// embedding table): read it back with [`Tape::grad`] after `backward`.
+    /// An input whose gradient is kept — the gradient checks' instrument:
+    /// read it back with [`Tape::grad`] after `backward`.
     pub fn leaf(&mut self, value: Matrix) -> NodeId {
         let id = self.push(value, Op::Input);
         self.nodes[id.0].needs_grad = true;

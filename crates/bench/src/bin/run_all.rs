@@ -20,7 +20,6 @@ fn main() {
         "fig12_utilization",
         "fig13_scaling",
         "ablation_storage",
-        "sweep_hyperparams",
         "wallclock",
     ];
     let exe = std::env::current_exe().expect("own path");

@@ -62,7 +62,8 @@ pub fn bench_pipeline_config(fw: Framework, model: ModelKind) -> PipelineConfig 
 /// other argument is an error naming it — a typo'd `--cache-row 4096`
 /// must not silently run, and pass, the default leg — and so is a flag
 /// with no value (end of args, or followed by another flag): `--trace`
-/// alone must not write a trace to a file named `true`.
+/// alone must not write a trace to a file named `true` — and a flag given
+/// twice, whose last value would otherwise win silently.
 pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut it = args.iter().peekable();
@@ -73,7 +74,9 @@ pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, St
         let value = it
             .next_if(|v| !v.starts_with("--"))
             .ok_or_else(|| format!("`{flag}` expects a value"))?;
-        out.insert(flag.clone(), value.clone());
+        if out.insert(flag.clone(), value.clone()).is_some() {
+            return Err(format!("`{flag}` given twice"));
+        }
     }
     Ok(out)
 }
@@ -266,6 +269,15 @@ mod tests {
             let err = parse_flags(&args(line), &known).unwrap_err();
             assert_eq!(err, "`--trace` expects a value", "{line:?}");
         }
+    }
+
+    #[test]
+    fn a_repeated_flag_is_refused_naming_it() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = ["--trace", "--cache-rows"];
+        let line = args(&["--cache-rows", "8", "--trace", "t", "--cache-rows", "9"]);
+        let err = parse_flags(&line, &known).unwrap_err();
+        assert_eq!(err, "`--cache-rows` given twice");
     }
 
     #[test]

@@ -64,7 +64,9 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, St
         }
         match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => {
-                out.insert(k[2..].to_string(), v.clone());
+                if out.insert(k[2..].to_string(), v.clone()).is_some() {
+                    return Err(format!("{k} given twice"));
+                }
             }
             _ => return Err(format!("{k} expects a value")),
         }
@@ -692,6 +694,16 @@ mod tests {
             }
             assert_eq!(host(&[]).unwrap().cache, tiny().cache);
         }
+    }
+
+    /// A repeated flag used to let its last value win silently: `wg serve
+    /// ... --rate 30000 --burst 50 --rate 100000` served at 100 000 qps.
+    #[test]
+    fn a_repeated_flag_is_refused_naming_it() {
+        let err = parse_flags("serve", &words("--rate 30000 --burst 50 --rate 100000"));
+        assert_eq!(err.unwrap_err(), "--rate given twice");
+        let err = parse_flags("train", &words("--epochs 2 --epochs 2"));
+        assert_eq!(err.unwrap_err(), "--epochs given twice");
     }
 
     #[test]

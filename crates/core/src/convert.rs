@@ -35,15 +35,8 @@ pub fn to_block_csr_into(b: &SampleBlock, csr: &mut BlockCsr) {
     });
 }
 
-/// Convert a whole mini-batch (outermost-first order preserved).
-pub fn minibatch_blocks(mb: &MiniBatch) -> Vec<Arc<BlockCsr>> {
-    mb.blocks
-        .iter()
-        .map(|b| Arc::new(to_block_csr(b)))
-        .collect()
-}
-
-/// [`minibatch_blocks`] into a pooled block list. When a slot's `Arc` is
+/// Convert a whole mini-batch (outermost-first order preserved) into a
+/// pooled block list. When a slot's `Arc` is
 /// unshared (the tape's op-held clones were dropped by `Tape::reset`),
 /// the CSR is rebuilt in place via `clone_from` — steady-state iterations
 /// convert without heap allocation. Shared or missing slots fall back to
@@ -111,7 +104,8 @@ mod tests {
         assert_eq!(shapes.len(), 1);
         assert_eq!(shapes[0].num_dst, 2);
         assert_eq!(shapes[0].num_edges, 3);
-        let blocks = minibatch_blocks(&mb);
+        let mut blocks = Vec::new();
+        minibatch_blocks_into(&mb, &mut blocks);
         assert_eq!(blocks[0].num_src, 4);
     }
 }

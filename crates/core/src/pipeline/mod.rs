@@ -164,9 +164,7 @@ impl ServeTimes {
 
 /// Multi-node execution context attached to a pipeline replica by the
 /// [`crate::multinode`] executor: which machine this replica is, the
-/// machine-level feature partition, pre-built per-node counter names
-/// (no per-call `format!` on the hot path), and accumulated halo
-/// traffic.
+/// machine-level feature partition, and accumulated halo traffic.
 pub(crate) struct DistContext {
     /// This replica's machine rank.
     pub node: u32,
@@ -174,12 +172,6 @@ pub(crate) struct DistContext {
     /// input rows owned by another machine are halo rows, charged an IB
     /// fetch.
     pub partition: Arc<wg_graph::HashPartition>,
-    /// Per-node `multinode.node<k>.gather.feature_bytes` counter name.
-    pub gather_bytes_metric: String,
-    /// Per-node `multinode.node<k>.allreduce.bytes` counter name.
-    pub allreduce_bytes_metric: String,
-    /// Per-node `multinode.node<k>.halo.bytes` counter name.
-    pub halo_bytes_metric: String,
     /// Halo rows accumulated since the last [`Pipeline::take_halo_stats`].
     pub halo_rows: u64,
     /// Halo bytes accumulated since the last take.
@@ -191,9 +183,6 @@ impl DistContext {
         DistContext {
             node,
             partition,
-            gather_bytes_metric: format!("multinode.node{node}.gather.feature_bytes"),
-            allreduce_bytes_metric: format!("multinode.node{node}.allreduce.bytes"),
-            halo_bytes_metric: format!("multinode.node{node}.halo.bytes"),
             halo_rows: 0,
             halo_bytes: 0,
         }
@@ -396,18 +385,14 @@ impl Pipeline {
                 );
                 dist.halo_rows += ex.halo_rows;
                 dist.halo_bytes += ex.halo_bytes;
-                if ex.halo_bytes > 0 {
-                    wg_trace::metrics::add_dyn(&dist.halo_bytes_metric, ex.halo_bytes as f64);
-                }
                 ex.time
             }
             _ => SimTime::ZERO,
         };
-        let feature_bytes = (input.len() * row_bytes) as f64;
-        wg_trace::counter!("pipeline.gather.feature_bytes", feature_bytes);
-        if let Some(dist) = &self.dist {
-            wg_trace::metrics::add_dyn(&dist.gather_bytes_metric, feature_bytes);
-        }
+        wg_trace::counter!(
+            "pipeline.gather.feature_bytes",
+            (input.len() * row_bytes) as f64
+        );
         let buf = std::mem::take(&mut self.scratch.feature_buf);
         let mut gathered = self.store.gather(mb, rank, &self.machine, buf);
         gathered.time += t_halo;
@@ -588,11 +573,6 @@ impl Pipeline {
             let param_bytes = self.model.params.param_bytes();
             let allreduce_bytes = param_bytes as f64 * 2.0 * (g - 1.0) / g;
             wg_trace::counter!("pipeline.allreduce.bytes", allreduce_bytes);
-            if let Some(dist) = &self.dist {
-                // Per-node attribution: the global counter sums over all
-                // replicas; this one lets the sweep split comm by node.
-                wg_trace::metrics::add_dyn(&dist.allreduce_bytes_metric, allreduce_bytes);
-            }
             allreduce_intra_node(cost, param_bytes, self.machine.num_gpus())
         } else {
             SimTime::ZERO

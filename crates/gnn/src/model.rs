@@ -228,21 +228,7 @@ impl GnnModel {
         training: bool,
         dropout_seed: u64,
     ) -> NodeId {
-        let x = tape.input(input);
-        self.forward_from(tape, blocks, x, training, dropout_seed)
-    }
-
-    /// [`forward`](Self::forward) from an input node the caller recorded —
-    /// a [`Tape::leaf`] when the gradient w.r.t. the input rows is wanted
-    /// (learnable embeddings read it back with [`Tape::grad`]).
-    pub fn forward_from(
-        &self,
-        tape: &mut Tape,
-        blocks: &[Arc<BlockCsr>],
-        mut x: NodeId,
-        training: bool,
-        dropout_seed: u64,
-    ) -> NodeId {
+        let mut x = tape.input(input);
         assert_eq!(blocks.len(), self.cfg.num_layers, "one block per layer");
         assert_eq!(
             tape.value(x).rows(),

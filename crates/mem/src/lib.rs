@@ -47,7 +47,6 @@
 
 pub mod access;
 pub mod cache;
-pub mod embedding;
 pub mod gather;
 pub mod halo;
 pub mod handle;
@@ -58,7 +57,6 @@ pub mod probe;
 
 pub use access::{ChunkLocator, Element};
 pub use cache::{CacheMode, FeatureCache};
-pub use embedding::EmbeddingTable;
 pub use gather::{GatherStats, RowPlan, StorageIo, TierStack};
 pub use halo::{halo_exchange, HaloStats};
 pub use handle::WholeMemory;

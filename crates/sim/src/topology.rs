@@ -54,10 +54,6 @@ pub struct Topology {
     pub ib_bandwidth_per_nic: f64,
     /// Number of IB NICs on the node (DGX-A100: 8 compute NICs).
     pub num_nics: u32,
-    /// Whether peer access has been enabled between all GPU pairs
-    /// (`cudaDeviceEnablePeerAccess` in the paper). Disabled peer access
-    /// forces GPU↔GPU traffic to bounce through host PCIe.
-    pub peer_access_enabled: bool,
 }
 
 impl Topology {
@@ -70,7 +66,6 @@ impl Topology {
             gpus_per_pcie_switch: 2,
             ib_bandwidth_per_nic: 25.0e9,
             num_nics: 8,
-            peer_access_enabled: true,
         }
     }
 
@@ -97,21 +92,10 @@ impl Topology {
             };
         }
         match (src, dst) {
-            (DeviceId::Gpu(_), DeviceId::Gpu(_)) => {
-                if self.peer_access_enabled {
-                    Path {
-                        link: LinkKind::NvLink,
-                        bandwidth_share: 1.0,
-                    }
-                } else {
-                    // Without peer access the transfer is staged through
-                    // host memory over both GPUs' PCIe uplinks.
-                    Path {
-                        link: LinkKind::Pcie,
-                        bandwidth_share: self.pcie_share(concurrent_gpus_on_pcie),
-                    }
-                }
-            }
+            (DeviceId::Gpu(_), DeviceId::Gpu(_)) => Path {
+                link: LinkKind::NvLink,
+                bandwidth_share: 1.0,
+            },
             (DeviceId::Cpu, DeviceId::Gpu(_)) | (DeviceId::Gpu(_), DeviceId::Cpu) => Path {
                 link: LinkKind::Pcie,
                 bandwidth_share: self.pcie_share(concurrent_gpus_on_pcie),
@@ -169,15 +153,6 @@ mod tests {
         let p = t.path(DeviceId::Gpu(0), DeviceId::Gpu(5), 8);
         assert_eq!(p.link, LinkKind::NvLink);
         assert_eq!(p.bandwidth_share, 1.0);
-    }
-
-    #[test]
-    fn gpu_to_gpu_without_peer_access_bounces_over_pcie() {
-        let mut t = Topology::dgx_a100();
-        t.peer_access_enabled = false;
-        let p = t.path(DeviceId::Gpu(0), DeviceId::Gpu(1), 8);
-        assert_eq!(p.link, LinkKind::Pcie);
-        assert!(p.bandwidth_share < 1.0);
     }
 
     #[test]

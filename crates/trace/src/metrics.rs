@@ -1,5 +1,6 @@
 //! The global metrics registry: counters and fixed-bucket histograms.
 //!
+//! Every metric is named by a `&'static str` spelled at its probe site.
 //! Values live in atomics and update lock-free; the registry itself is a
 //! small mutex-guarded vector that is only locked to *intern* a name on
 //! its first use (and to snapshot). Probe sites therefore allocate only
@@ -10,7 +11,6 @@
 //! All recording is gated on [`crate::metrics_enabled`]: a disabled
 //! probe is one atomic load.
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -52,9 +52,7 @@ enum Kind {
 }
 
 struct Entry {
-    /// Static for the common macro path; owned for runtime-built names
-    /// (e.g. per-node counters like `multinode.node3.halo.bytes`).
-    name: Cow<'static, str>,
+    name: &'static str,
     kind: Kind,
 }
 
@@ -63,7 +61,7 @@ struct Entry {
 /// the first touch.
 static REGISTRY: Mutex<Vec<Arc<Entry>>> = Mutex::new(Vec::new());
 
-fn intern(name: Cow<'static, str>, make: impl FnOnce() -> Kind) -> Arc<Entry> {
+fn intern(name: &'static str, make: impl FnOnce() -> Kind) -> Arc<Entry> {
     let mut reg = REGISTRY.lock().unwrap();
     if let Some(e) = reg.iter().find(|e| e.name == name) {
         return Arc::clone(e);
@@ -79,41 +77,7 @@ pub fn add(name: &'static str, v: f64) {
     if !crate::metrics_enabled() {
         return;
     }
-    let e = intern(Cow::Borrowed(name), || Kind::Counter(AtomicF64::default()));
-    match &e.kind {
-        Kind::Counter(c) => c.add(v),
-        _ => panic!("metric {name} is not a counter"),
-    }
-}
-
-/// Add `v` to the counter `name`, where `name` is built at runtime (e.g.
-/// a per-node counter like `multinode.node3.allreduce.bytes`).
-///
-/// The name is copied into the registry the first time it is seen;
-/// subsequent calls only compare strings. Callers on hot paths should
-/// pre-build the `String` once (not `format!` per call) so the probe
-/// itself stays allocation-free after the first touch.
-#[inline]
-pub fn add_dyn(name: &str, v: f64) {
-    if !crate::metrics_enabled() {
-        return;
-    }
-    // Fast path: already interned — no allocation.
-    {
-        let reg = REGISTRY.lock().unwrap();
-        if let Some(e) = reg.iter().find(|e| e.name == name) {
-            match &e.kind {
-                Kind::Counter(c) => {
-                    c.add(v);
-                    return;
-                }
-                _ => panic!("metric {name} is not a counter"),
-            }
-        }
-    }
-    let e = intern(Cow::Owned(name.to_string()), || {
-        Kind::Counter(AtomicF64::default())
-    });
+    let e = intern(name, || Kind::Counter(AtomicF64::default()));
     match &e.kind {
         Kind::Counter(c) => c.add(v),
         _ => panic!("metric {name} is not a counter"),
@@ -128,7 +92,7 @@ pub fn observe(name: &'static str, bounds: &'static [f64], v: f64) {
     if !crate::metrics_enabled() {
         return;
     }
-    let e = intern(Cow::Borrowed(name), || Kind::Histogram {
+    let e = intern(name, || Kind::Histogram {
         bounds,
         buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
         count: AtomicU64::new(0),
@@ -353,24 +317,6 @@ mod tests {
         assert!(json.contains("\"m.counter\": 4"));
         assert!(json.contains("{\"le\": \"inf\", \"count\": 1}"));
         assert!(json.starts_with("{\"counters\": {") && !json.contains("gauges"));
-        crate::disable_all();
-        reset();
-    }
-
-    #[cfg(not(feature = "disabled"))]
-    #[test]
-    fn dynamic_names_intern_once_and_accumulate() {
-        let _guard = crate::test_guard();
-        crate::enable_metrics();
-        reset();
-        let name = format!("m.node{}.bytes", 3);
-        add_dyn(&name, 10.0);
-        add_dyn(&name, 32.0);
-        // A dynamic and a static probe with the same spelling share one
-        // entry.
-        add("m.node3.bytes", 8.0);
-        let snap = snapshot();
-        assert_eq!(snap.counters, vec![("m.node3.bytes".to_string(), 50.0)]);
         crate::disable_all();
         reset();
     }

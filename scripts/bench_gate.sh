@@ -47,19 +47,10 @@ cd "$(dirname "$0")/.."
 OUT_DIR="${1:-bench-artifacts}"
 mkdir -p "$OUT_DIR"
 
-# An exported CARGO_NET_OFFLINE=true settles it without a probe (a
-# sandbox may forbid even the attempt).
-OFFLINE_FLAGS=()
-if [ "${CARGO_NET_OFFLINE:-}" = "true" ]; then
-    OFFLINE_FLAGS=(--offline)
-elif ! curl -sfI --max-time 5 https://index.crates.io/config.json >/dev/null 2>&1; then
-    echo "bench_gate: registry unreachable, building offline"
-    export CARGO_NET_OFFLINE=true
-    OFFLINE_FLAGS=(--offline)
-fi
-
+# Every dependency is a path shim (Cargo.lock names no registry
+# package), so every cargo call runs with --offline.
 bench() {
-    cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin "$@"
+    cargo run -q --release --offline -p wg-bench --bin "$@"
 }
 
 cp BENCH_wallclock.json "$OUT_DIR/baseline.json"
@@ -98,7 +89,7 @@ cp BENCH_storage.json "$OUT_DIR/storage.json"
 # "bench <label>: best N ns" lines to stdout; keep them as an artifact
 # so SIMD speedups are inspectable per-kernel, not just per-stage.
 echo "bench_gate: criterion microbenchmarks (matmul, spmm, gather_copy, gather, append_unique, sampling)"
-cargo bench -q "${OFFLINE_FLAGS[@]}" -p wg-bench --bench matmul --bench spmm --bench gather_copy \
+cargo bench -q --offline -p wg-bench --bench matmul --bench spmm --bench gather_copy \
     --bench gather --bench append_unique --bench sampling \
     | tee "$OUT_DIR/criterion_benches.txt"
 

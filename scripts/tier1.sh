@@ -5,9 +5,9 @@
 #
 # Usage: scripts/tier1.sh
 #
-# When the crates.io registry is unreachable (air-gapped CI, laptops on
-# planes), cargo is forced offline — all dependencies resolve to the
-# path-based shims under shims/, so offline builds are fully supported.
+# Every dependency is a path shim under shims/ (Cargo.lock names no
+# registry package), so every cargo call that resolves dependencies runs
+# with --offline: nothing here ever needs the network.
 #
 # The last step runs the wallclock harness, whose exit status is the
 # checksum + allocation gate (machine-independent, so it applies on any
@@ -23,17 +23,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# An exported CARGO_NET_OFFLINE=true settles it without a probe (a
-# sandbox may forbid even the attempt).
-OFFLINE_FLAGS=()
-if [ "${CARGO_NET_OFFLINE:-}" = "true" ]; then
-    OFFLINE_FLAGS=(--offline)
-elif ! curl -sfI --max-time 5 https://index.crates.io/config.json >/dev/null 2>&1; then
-    echo "tier1: registry unreachable, building offline"
-    export CARGO_NET_OFFLINE=true
-    OFFLINE_FLAGS=(--offline)
-fi
-
 # A dependency no source names still builds, links and slows every
 # build; nothing else here notices it. The check reads the manifests and
 # sources only, so it runs first.
@@ -41,7 +30,7 @@ echo "tier1: unused manifest dependencies"
 python3 scripts/unused_deps.py
 
 echo "tier1: cargo build --release"
-cargo build --release "${OFFLINE_FLAGS[@]}"
+cargo build --release --offline
 
 # benchmark/ is a package of its own, outside the workspace, so the
 # build above never compiles it: without this step a renamed `Pipeline`
@@ -54,13 +43,13 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 # every cache x residency combination, on the pool and sequentially, by
 # crates/serve/tests/config_space.rs.
 echo "tier1: cargo test -q"
-cargo test -q "${OFFLINE_FLAGS[@]}"
+cargo test -q --offline
 
 # wg-trace's `disabled` feature compiles every probe to nothing, and no
 # other step builds it: its own tests check that, enabled or not, no
 # probe records (the recording tests are gated to the default build).
 echo "tier1: cargo test -q -p wg-trace --features disabled"
-cargo test -q "${OFFLINE_FLAGS[@]}" -p wg-trace --features disabled
+cargo test -q --offline -p wg-trace --features disabled
 
 # The kernel crates once more at the optimisation level the benchmarks
 # measure: the bit-identity claims are about release binaries, and the
@@ -72,19 +61,19 @@ cargo test -q "${OFFLINE_FLAGS[@]}" -p wg-trace --features disabled
 # the overlay table's wrap-around probing are index arithmetic that the
 # dev profile's overflow checks would trap and release wraps silently.
 echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample"
-cargo test -q --release "${OFFLINE_FLAGS[@]}" -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample
+cargo test -q --release --offline -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample
 
 echo "tier1: cargo fmt --check"
 cargo fmt --check
 
 echo "tier1: cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets "${OFFLINE_FLAGS[@]}" -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # CI's lint job builds the docs with warnings denied; running it here too
 # means a doc comment that still links a deleted or renamed item fails
 # locally, not only in CI.
 echo "tier1: cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${OFFLINE_FLAGS[@]}"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The wallclock harness is a correctness gate as much as a benchmark:
 # every kernel's FNV-1a checksum must stay pinned (the numerics may never
@@ -97,6 +86,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${OFFLINE_FLAGS[@]}"
 # crates/bench/src/bin/wallclock.rs; a violation panics before the
 # artifact is written.
 echo "tier1: wallclock bench (checksum + allocation + peak-heap gate)"
-cargo run -q --release "${OFFLINE_FLAGS[@]}" -p wg-bench --bin wallclock
+cargo run -q --release --offline -p wg-bench --bin wallclock
 
 echo "tier1: OK"
