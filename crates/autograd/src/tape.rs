@@ -64,10 +64,6 @@ enum Op {
     Bias(NodeId, NodeId),
     /// ReLU; saved input is the argument node's value.
     Relu(NodeId),
-    /// ELU; backward uses this node's own (output) value.
-    Elu(NodeId, f32),
-    /// LeakyReLU with slope; saved input is the argument's value.
-    LeakyRelu(NodeId, f32),
     /// Inverted dropout with probability `p` and its saved keep-mask, one
     /// bit per element.
     Dropout { x: NodeId, p: f32, mask: Vec<u64> },
@@ -80,25 +76,34 @@ enum Op {
     },
     /// `x * s`.
     Scale(NodeId, f32),
-    /// g-SpMM over a block (optionally edge-weighted, multi-head).
+    /// Unweighted g-SpMM over a block (GCN / GraphSAGE aggregation).
     Spmm {
         src: NodeId,
-        weights: Option<NodeId>,
         block: Arc<BlockCsr>,
-        heads: usize,
         agg: Agg,
     },
-    /// Per-dst edge softmax; backward uses this node's output value.
-    EdgeSoftmax {
-        logits: NodeId,
-        block: Arc<BlockCsr>,
+    /// GAT attention scores `h · [a_dst | a_src]`.
+    AttentionScores {
+        h: NodeId,
+        a_dst: NodeId,
+        a_src: NodeId,
     },
-    /// Per-edge sum of a dst-side and a src-side per-node score:
-    /// `out[e, h] = dst[d(e), h] + src[s(e), h]` (GAT attention logits).
-    EdgeScores {
-        dst: NodeId,
-        src: NodeId,
+    /// GAT edge attention: per-dst softmax of `LeakyReLU(s_dst + s_src)`
+    /// over the block's edges; backward uses this node's output value.
+    EdgeAttention {
+        scores: NodeId,
         block: Arc<BlockCsr>,
+        slope: f32,
+    },
+    /// GAT aggregation: attention-weighted multi-head g-SpMM, `+ bias`,
+    /// then ELU with `alpha` on hidden layers; backward uses this node's
+    /// output value when the ELU is on.
+    GatAggregate {
+        h: NodeId,
+        att: NodeId,
+        bias: NodeId,
+        block: Arc<BlockCsr>,
+        elu: Option<f32>,
     },
 }
 
@@ -107,22 +112,23 @@ impl Op {
     /// operand values, and whether it reads its own output value. The one
     /// liveness table — shapes a backward needs come from the op itself
     /// or from the gradient, never from a value not listed here.
-    fn backward_reads(&self) -> ([Option<NodeId>; 2], bool) {
+    fn backward_reads(&self) -> ([Option<NodeId>; 3], bool) {
         match self {
             // `dL/da = g·bᵀ`, `dL/db = aᵀ·g`.
-            Op::Matmul(a, b) => ([Some(*a), Some(*b)], false),
-            // Masks of the forward input's sign.
-            Op::Relu(x) | Op::LeakyRelu(x, _) => ([Some(*x), None], false),
-            // `y + alpha` / the softmax Jacobian from the output.
-            Op::Elu(..) | Op::EdgeSoftmax { .. } => ([None, None], true),
-            // `dL/dh` weighs by the edge weights, `dL/dα` is an SDDMM
-            // with `h`; unweighted, the src gradient is the reverse
-            // aggregation of `g` alone.
-            Op::Spmm {
-                src,
-                weights: Some(w),
-                ..
-            } => ([Some(*src), Some(*w)], false),
+            Op::Matmul(a, b) => ([Some(*a), Some(*b), None], false),
+            // Mask of the forward input's sign.
+            Op::Relu(x) => ([Some(*x), None, None], false),
+            // `dL/dh = g·aᵀ` for both vectors, `dL/da = hᵀ·g`.
+            Op::AttentionScores { h, a_dst, a_src } => {
+                ([Some(*h), Some(*a_dst), Some(*a_src)], false)
+            }
+            // The LeakyReLU's sign from the scores; the softmax Jacobian
+            // from the output.
+            Op::EdgeAttention { scores, .. } => ([Some(*scores), None, None], true),
+            // `dL/dh` weighs by the attention, `dL/d att` is an SDDMM
+            // with `h`; the ELU's derivative comes from the output.
+            Op::GatAggregate { h, att, elu, .. } => ([Some(*h), Some(*att), None], elu.is_some()),
+            // The src gradient is the reverse aggregation of `g` alone.
             Op::Input
             | Op::Param(_)
             | Op::Add(..)
@@ -130,8 +136,7 @@ impl Op {
             | Op::Dropout { .. }
             | Op::TopRows { .. }
             | Op::Scale(..)
-            | Op::Spmm { weights: None, .. }
-            | Op::EdgeScores { .. } => ([None, None], false),
+            | Op::Spmm { .. } => ([None, None, None], false),
         }
     }
 }
@@ -198,20 +203,20 @@ impl Tape {
         let needs_grad = match &op {
             Op::Input => false,
             Op::Param(_) => true,
-            Op::Relu(x)
-            | Op::Elu(x, _)
-            | Op::LeakyRelu(x, _)
-            | Op::Dropout { x, .. }
-            | Op::TopRows { x, .. }
-            | Op::Scale(x, _) => self.needs_grad(*x),
+            Op::Relu(x) | Op::Dropout { x, .. } | Op::TopRows { x, .. } | Op::Scale(x, _) => {
+                self.needs_grad(*x)
+            }
             Op::Matmul(a, b) | Op::Add(a, b) | Op::Bias(a, b) => {
                 self.needs_grad(*a) || self.needs_grad(*b)
             }
-            Op::Spmm { src, weights, .. } => {
-                self.needs_grad(*src) || weights.is_some_and(|w| self.needs_grad(w))
+            Op::Spmm { src, .. } => self.needs_grad(*src),
+            Op::AttentionScores { h, a_dst, a_src } => {
+                [h, a_dst, a_src].iter().any(|&&x| self.needs_grad(x))
             }
-            Op::EdgeSoftmax { logits, .. } => self.needs_grad(*logits),
-            Op::EdgeScores { dst, src, .. } => self.needs_grad(*dst) || self.needs_grad(*src),
+            Op::EdgeAttention { scores, .. } => self.needs_grad(*scores),
+            Op::GatAggregate { h, att, bias, .. } => {
+                [h, att, bias].iter().any(|&&x| self.needs_grad(x))
+            }
         };
         let (operands, own_output) = op.backward_reads();
         if needs_grad {
@@ -320,22 +325,6 @@ impl Tape {
         self.push(v, Op::Relu(x))
     }
 
-    /// ELU (GAT's activation).
-    pub fn elu(&mut self, x: NodeId, alpha: f32) -> NodeId {
-        let xv = value_of(&self.nodes, x);
-        let mut v = self.ws.matrix_stale_like(xv);
-        ops::elu(xv, alpha, &mut v);
-        self.push(v, Op::Elu(x, alpha))
-    }
-
-    /// LeakyReLU (GAT attention logits).
-    pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
-        let xv = value_of(&self.nodes, x);
-        let mut v = self.ws.matrix_stale_like(xv);
-        ops::leaky_relu(xv, slope, &mut v);
-        self.push(v, Op::LeakyRelu(x, slope))
-    }
-
     /// Inverted dropout (training mode; pass `p = 0` to disable).
     pub fn dropout(&mut self, x: NodeId, p: f32, seed: u64) -> NodeId {
         let xv = value_of(&self.nodes, x);
@@ -364,49 +353,72 @@ impl Tape {
         self.push(v, Op::Scale(x, s))
     }
 
-    /// g-SpMM message passing over `block` (optionally edge-weighted,
-    /// multi-head).
-    pub fn spmm(
-        &mut self,
-        block: Arc<BlockCsr>,
-        src: NodeId,
-        weights: Option<NodeId>,
-        heads: usize,
-        agg: Agg,
-    ) -> NodeId {
+    /// Unweighted g-SpMM message passing over `block`.
+    pub fn spmm(&mut self, block: Arc<BlockCsr>, src: NodeId, agg: Agg) -> NodeId {
         let sv = value_of(&self.nodes, src);
-        let w = weights.map(|w| value_of(&self.nodes, w));
         let mut v = self.ws.matrix_with_capacity(block.num_dst * sv.cols());
-        sparse::spmm_into(&block, sv, w, heads, agg, &mut v);
+        sparse::spmm_into(&block, sv, None, 1, agg, &mut v);
+        self.push(v, Op::Spmm { src, block, agg })
+    }
+
+    /// GAT attention scores of every source row, both projections in one
+    /// pass: `[h·a_dst | h·a_src]`, `[rows, 2·heads]` (the destinations
+    /// are the first rows of the source space, so their scores are the
+    /// first rows of the left half).
+    pub fn attention_scores(&mut self, h: NodeId, a_dst: NodeId, a_src: NodeId) -> NodeId {
+        let hv = value_of(&self.nodes, h);
+        let (ad, as_) = (value_of(&self.nodes, a_dst), value_of(&self.nodes, a_src));
+        let mut v = self.ws.matrix_stale(hv.rows(), 2 * ad.cols());
+        ops::attention_scores_into(hv, ad, as_, &mut v);
+        self.push(v, Op::AttentionScores { h, a_dst, a_src })
+    }
+
+    /// GAT edge attention over `block`: per destination and head, the
+    /// softmax over its edges of `LeakyReLU(slope)(s_dst[d] + s_src[s])`,
+    /// `[E, heads]`, from [`Tape::attention_scores`]' output.
+    pub fn edge_attention(&mut self, block: Arc<BlockCsr>, scores: NodeId, slope: f32) -> NodeId {
+        let sv = value_of(&self.nodes, scores);
+        let mut v = self
+            .ws
+            .matrix_with_capacity(block.num_edges() * sv.cols() / 2);
+        sparse::edge_attention_into(&block, sv, slope, &mut v);
         self.push(
             v,
-            Op::Spmm {
-                src,
-                weights,
+            Op::EdgeAttention {
+                scores,
                 block,
-                heads,
-                agg,
+                slope,
             },
         )
     }
 
-    /// Per-dst, per-head edge softmax over `block`.
-    pub fn edge_softmax(&mut self, block: Arc<BlockCsr>, logits: NodeId) -> NodeId {
-        let lv = value_of(&self.nodes, logits);
-        // One row per edge, one column per head, like every per-edge
-        // GAT intermediate.
-        let mut v = self.ws.matrix_with_capacity(block.num_edges() * lv.cols());
-        sparse::edge_softmax_into(&block, lv, &mut v);
-        self.push(v, Op::EdgeSoftmax { logits, block })
-    }
-
-    /// GAT attention logits: `out[e, h] = dst_scores[d(e), h] +
-    /// src_scores[s(e), h]` over the block's edges.
-    pub fn edge_scores(&mut self, block: Arc<BlockCsr>, dst: NodeId, src: NodeId) -> NodeId {
-        let (d, s) = (value_of(&self.nodes, dst), value_of(&self.nodes, src));
-        let mut v = self.ws.matrix_with_capacity(block.num_edges() * d.cols());
-        sparse::edge_scores_into(&block, d, s, &mut v);
-        self.push(v, Op::EdgeScores { dst, src, block })
+    /// GAT aggregation over `block`: the `att`-weighted multi-head
+    /// g-SpMM of `h` plus the `[1, n]` `bias`, then ELU with `alpha` when
+    /// `elu` is `Some(alpha)` — one pass, no intermediate buffer.
+    pub fn gat_aggregate(
+        &mut self,
+        block: Arc<BlockCsr>,
+        h: NodeId,
+        att: NodeId,
+        heads: usize,
+        bias: NodeId,
+        elu: Option<f32>,
+    ) -> NodeId {
+        let (hv, av) = (value_of(&self.nodes, h), value_of(&self.nodes, att));
+        let bv = value_of(&self.nodes, bias);
+        assert_eq!(bv.rows(), 1, "bias must be a row vector");
+        let mut v = self.ws.matrix_stale(block.num_dst, hv.cols());
+        sparse::gat_aggregate_into(&block, hv, av, heads, bv.row(0), elu, &mut v);
+        self.push(
+            v,
+            Op::GatAggregate {
+                h,
+                att,
+                bias,
+                block,
+                elu,
+            },
+        )
     }
 
     /// Backward pass: seed `seed_grad` at `output` and accumulate
@@ -424,8 +436,8 @@ impl Tape {
         for i in (0..=output.0).rev() {
             // Only `output` itself can hold a gradient it has no use for.
             if self.nodes[i].needs_grad {
-                if let Some(grad) = self.nodes[i].grad.take() {
-                    self.propagate(i, &grad, params);
+                if let Some(mut grad) = self.nodes[i].grad.take() {
+                    self.propagate(i, &mut grad, params);
                     self.nodes[i].grad = Some(grad);
                 }
             }
@@ -478,7 +490,9 @@ impl Tape {
         }
     }
 
-    fn propagate(&mut self, i: usize, grad: &Matrix, params: &mut Params) {
+    /// Run node `i`'s backward. `grad` is the node's own gradient, which
+    /// the walk releases right after: an op may rewrite it in place.
+    fn propagate(&mut self, i: usize, grad: &mut Matrix, params: &mut Params) {
         // Take op by reference via a raw split to satisfy the borrow
         // checker: ops never alias the node's own grad slot.
         let op = std::ptr::addr_of!(self.nodes[i].op);
@@ -543,18 +557,6 @@ impl Tape {
                 ops::relu_backward(grad, value_of(&self.nodes, x), &mut g);
                 self.accumulate(x, g);
             }
-            Op::Elu(x, alpha) => {
-                let (x, alpha) = (*x, *alpha);
-                let mut g = self.ws.matrix_stale_like(grad);
-                ops::elu_backward(grad, value_of(&self.nodes, own), alpha, &mut g);
-                self.accumulate(x, g);
-            }
-            Op::LeakyRelu(x, slope) => {
-                let (x, slope) = (*x, *slope);
-                let mut g = self.ws.matrix_stale_like(grad);
-                ops::leaky_relu_backward(grad, value_of(&self.nodes, x), slope, &mut g);
-                self.accumulate(x, g);
-            }
             Op::Dropout { x, p, mask } => {
                 let x = *x;
                 let mut g = self.ws.matrix_stale_like(grad);
@@ -573,53 +575,100 @@ impl Tape {
                 ops::scale(grad, s, &mut g);
                 self.accumulate(x, g);
             }
-            Op::Spmm {
-                src,
-                weights,
-                block,
-                heads,
-                agg,
-            } => {
-                let (src, weights, heads, agg) = (*src, *weights, *heads, *agg);
-                let block = Arc::clone(block);
-                if self.needs_grad(src) {
-                    let mut gsrc = self.ws.matrix_with_capacity(block.num_src * grad.cols());
-                    let w = weights.map(|w| value_of(&self.nodes, w));
-                    sparse::spmm_backward_src_into(
-                        &block,
+            Op::Spmm { src, block, agg } => {
+                let (src, agg) = (*src, *agg);
+                let mut gsrc = self.ws.matrix_with_capacity(block.num_src * grad.cols());
+                sparse::spmm_backward_src_into(
+                    block,
+                    grad,
+                    None,
+                    1,
+                    agg,
+                    &mut gsrc,
+                    &mut self.ws.rev,
+                );
+                self.accumulate(src, gsrc);
+            }
+            Op::AttentionScores { h, a_dst, a_src } => {
+                let (h, a_dst, a_src) = (*h, *a_dst, *a_src);
+                if self.needs_grad(h) {
+                    // Added into `h`'s gradient where it stands: the two
+                    // projections' terms follow what is already there.
+                    let slot = self.nodes[h.0].grad.take();
+                    let fresh = slot.is_none();
+                    let len = grad.rows() * value_of(&self.nodes, a_dst).rows();
+                    let mut gh = slot.unwrap_or_else(|| self.ws.matrix_with_capacity(len));
+                    ops::attention_scores_backward_into(
                         grad,
-                        w,
-                        heads,
-                        agg,
-                        &mut gsrc,
-                        &mut self.ws.rev,
+                        value_of(&self.nodes, a_dst),
+                        value_of(&self.nodes, a_src),
+                        &mut gh,
+                        fresh,
+                        &mut self.ws.nt_scratch,
                     );
-                    self.accumulate(src, gsrc);
+                    self.nodes[h.0].grad = Some(gh);
                 }
-                if let Some(w) = weights.filter(|&w| self.needs_grad(w)) {
-                    // dL/dw = g-SDDMM(grad_dst, src) with the forward scale.
-                    let mut gw = self.ws.matrix_with_capacity(block.num_edges() * heads);
-                    let h = value_of(&self.nodes, src);
-                    sparse::sddmm_into(&block, grad, h, heads, agg, &mut gw);
-                    self.accumulate(w, gw);
+                if self.needs_grad(a_dst) || self.needs_grad(a_src) {
+                    // One `hᵀ·g` for both vectors: each column is its own
+                    // sum over the same chunks and reduction tree.
+                    let hv = value_of(&self.nodes, h);
+                    let (c, heads) = (hv.cols(), grad.cols() / 2);
+                    let mut both = self.ws.matrix_stale(c, 2 * heads);
+                    ops::matmul_tn_into(hv, grad, &mut both, &mut self.ws.tn_scratch);
+                    let mut gd = self.ws.matrix_stale(c, heads);
+                    let mut gs = self.ws.matrix_stale(c, heads);
+                    let halves = gd
+                        .data_mut()
+                        .chunks_exact_mut(heads)
+                        .zip(gs.data_mut().chunks_exact_mut(heads));
+                    for (row, (d, s)) in both.data().chunks_exact(2 * heads).zip(halves) {
+                        d.copy_from_slice(&row[..heads]);
+                        s.copy_from_slice(&row[heads..]);
+                    }
+                    self.ws.recycle_matrix(both);
+                    self.accumulate(a_dst, gd);
+                    self.accumulate(a_src, gs);
                 }
             }
-            Op::EdgeSoftmax { logits, block } => {
-                let logits = *logits;
-                let mut g = self
-                    .ws
-                    .matrix_with_capacity(block.num_edges() * grad.cols());
-                sparse::edge_softmax_backward_into(block, value_of(&self.nodes, own), grad, &mut g);
-                self.accumulate(logits, g);
+            Op::EdgeAttention {
+                scores,
+                block,
+                slope,
+            } => {
+                let scores = *scores;
+                let sv = value_of(&self.nodes, scores);
+                let mut g = self.ws.matrix_with_capacity(sv.len());
+                let att = value_of(&self.nodes, own);
+                sparse::edge_attention_backward_into(block, sv, att, *slope, grad, &mut g);
+                self.accumulate(scores, g);
             }
-            Op::EdgeScores { dst, src, block } => {
-                let (dst, src) = (*dst, *src);
-                let heads = grad.cols();
-                let mut gd = self.ws.matrix_with_capacity(block.num_dst * heads);
-                let mut gs = self.ws.matrix_with_capacity(block.num_src * heads);
-                sparse::edge_scores_backward_into(block, grad, &mut gd, &mut gs);
-                self.accumulate(dst, gd);
-                self.accumulate(src, gs);
+            Op::GatAggregate {
+                h,
+                att,
+                bias,
+                block,
+                elu,
+            } => {
+                let (h, att, bias, elu) = (*h, *att, *bias, *elu);
+                let block = Arc::clone(block);
+                let (hv, av) = (value_of(&self.nodes, h), value_of(&self.nodes, att));
+                let mut gh = self.ws.matrix_with_capacity(hv.len());
+                let mut gatt = self.ws.matrix_with_capacity(av.len());
+                let mut gb = self.ws.matrix_zeros(1, grad.cols());
+                sparse::gat_aggregate_backward_into(
+                    &block,
+                    grad,
+                    elu.map(|alpha| (alpha, value_of(&self.nodes, own))),
+                    hv,
+                    av,
+                    &mut gh,
+                    &mut gatt,
+                    gb.data_mut(),
+                    &mut self.ws.rev,
+                );
+                self.accumulate(h, gh);
+                self.accumulate(att, gatt);
+                self.accumulate(bias, gb);
             }
         }
     }
@@ -802,41 +851,86 @@ mod tests {
             let xi = t.input(x.clone());
             let wi = t.param(p, w);
             let h = t.matmul(xi, wi); // [4,3] per-src transform
-            t.spmm(Arc::clone(&b2), h, None, 1, Agg::Mean)
+            t.spmm(Arc::clone(&b2), h, Agg::Mean)
         };
         check_param_grad(&build, &mut params, w, &probe);
     }
 
     #[test]
     fn gat_attention_path_gradients() {
-        // Full single-head GAT attention: scores -> leakyrelu -> softmax ->
-        // weighted spmm, differentiated end to end.
-        let mut rng = SmallRng::seed_from_u64(11);
+        // A full GAT layer — both score projections, edge attention
+        // (scores -> LeakyReLU -> softmax) and the weighted aggregation
+        // with its bias, with and without the ELU — differentiated end to
+        // end, at one and two heads.
         let block = tiny_block();
+        for (heads, elu) in [(1, None), (1, Some(1.0)), (2, None), (2, Some(1.0))] {
+            let mut rng = SmallRng::seed_from_u64(11);
+            let mut params = Params::new();
+            let w = params.add_xavier("w", 3, 4, &mut rng);
+            let a_dst = params.add_xavier("a_dst", 4, heads, &mut rng);
+            let a_src = params.add_xavier("a_src", 4, heads, &mut rng);
+            let b = params.add("b", randm(1, 4, 14));
+            let x = randm(4, 3, 12);
+            let probe = randm(2, 4, 13);
+            let blk = Arc::clone(&block);
+            let build = move |p: &Params, t: &mut Tape| {
+                let xi = t.input(x.clone());
+                let wi = t.param(p, w);
+                let h = t.matmul(xi, wi); // [num_src, 4]
+                let adi = t.param(p, a_dst);
+                let asi = t.param(p, a_src);
+                let scores = t.attention_scores(h, adi, asi); // [num_src, 2·heads]
+                let att = t.edge_attention(Arc::clone(&blk), scores, 0.2);
+                let bi = t.param(p, b);
+                t.gat_aggregate(Arc::clone(&blk), h, att, heads, bi, elu)
+            };
+            for pid in [w, a_dst, a_src, b] {
+                check_param_grad(&build, &mut params, pid, &probe);
+            }
+        }
+    }
+
+    /// The attention scores' input gradient, by central differences on a
+    /// gradient-taking leaf: alone (nothing to add to) and after another
+    /// consumer's contribution reached the leaf first.
+    #[test]
+    fn attention_scores_input_gradients() {
+        let mut rng = SmallRng::seed_from_u64(15);
         let mut params = Params::new();
-        let w = params.add_xavier("w", 3, 4, &mut rng);
-        let a_dst = params.add_xavier("a_dst", 4, 1, &mut rng);
-        let a_src = params.add_xavier("a_src", 4, 1, &mut rng);
-        let x = randm(4, 3, 12);
-        let probe = randm(2, 4, 13);
-        let blk = Arc::clone(&block);
-        let build = move |p: &Params, t: &mut Tape| {
-            let xi = t.input(x.clone());
-            let wi = t.param(p, w);
-            let h = t.matmul(xi, wi); // [num_src, 4]
-            let adi = t.param(p, a_dst);
-            let asi = t.param(p, a_src);
-            let sd_all = t.matmul(h, adi); // [num_src, 1]
-            let sd = t.top_rows(sd_all, blk.num_dst);
-            let ss = t.matmul(h, asi); // [num_src, 1]
-            let logits = t.edge_scores(Arc::clone(&blk), sd, ss);
-            let logits = t.leaky_relu(logits, 0.2);
-            let att = t.edge_softmax(Arc::clone(&blk), logits);
-            t.spmm(Arc::clone(&blk), h, Some(att), 1, Agg::Sum)
-        };
-        check_param_grad(&build, &mut params, w, &probe);
-        check_param_grad(&build, &mut params, a_dst, &probe);
-        check_param_grad(&build, &mut params, a_src, &probe);
+        let a_dst = params.add_xavier("a_dst", 4, 2, &mut rng);
+        let a_src = params.add_xavier("a_src", 4, 2, &mut rng);
+        let probe = randm(5, 4, 17);
+        for shared in [false, true] {
+            let run = |x: &Matrix, params: &mut Params| {
+                let mut t = Tape::new();
+                let xi = t.leaf(x.clone());
+                let (adi, asi) = (t.param(params, a_dst), t.param(params, a_src));
+                let mut out = t.attention_scores(xi, adi, asi); // [5, 4]
+                if shared {
+                    // Recorded later, so its backward reaches `xi` first.
+                    let other = t.scale(xi, 0.5);
+                    out = t.add(out, other);
+                }
+                let loss = probe_loss(t.value(out), &probe);
+                t.backward(out, probe.clone(), params);
+                (loss, t.grad(xi).expect("leaf gradient").clone())
+            };
+            let x = randm(5, 4, 16);
+            let (_, analytic) = run(&x, &mut params);
+            let eps = 1e-3f32;
+            for idx in 0..x.len() {
+                let mut xp = x.clone();
+                xp.data_mut()[idx] += eps;
+                let mut xm = x.clone();
+                xm.data_mut()[idx] -= eps;
+                let fd = (run(&xp, &mut params).0 - run(&xm, &mut params).0) / (2.0 * eps);
+                let an = analytic.data()[idx];
+                assert!(
+                    (fd - an).abs() < 2e-2 * (1.0 + fd.abs()),
+                    "shared {shared}, elem {idx}: fd {fd} vs analytic {an}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -918,7 +1012,7 @@ mod tests {
                 let wi = tape.param(&params, w);
                 let bi = tape.param(&params, b);
                 let h = tape.matmul(xi, wi);
-                let h = tape.spmm(Arc::clone(&block), h, None, 1, Agg::Mean);
+                let h = tape.spmm(Arc::clone(&block), h, Agg::Mean);
                 let h = tape.bias(h, bi);
                 let h = tape.relu(h);
                 let out = tape.dropout(h, 0.25, 7 + step);
@@ -957,6 +1051,7 @@ mod tests {
             let b = params.add_bias("b", 4);
             let a_dst = params.add_xavier("a_dst", 4, 2, &mut rng);
             let a_src = params.add_xavier("a_src", 4, 2, &mut rng);
+            let b2 = params.add("b2", randm(1, 4, 54));
             let mut t = Tape::new();
             let x = if as_leaf {
                 t.leaf(randm(4, 3, 52))
@@ -965,7 +1060,7 @@ mod tests {
             };
             // GCN-style prologue on the raw input (every op here has only
             // constant operands under `input`) ...
-            let agg = t.spmm(Arc::clone(&block), x, None, 1, Agg::Mean);
+            let agg = t.spmm(Arc::clone(&block), x, Agg::Mean);
             let own = t.top_rows(x, block.num_dst);
             let sum = t.add(agg, own);
             let half = t.scale(sum, 0.5);
@@ -984,16 +1079,13 @@ mod tests {
                 dup_count: vec![1, 1],
             });
             let (adi, asi) = (t.param(&params, a_dst), t.param(&params, a_src));
-            let s_all = t.matmul(h, adi);
-            let s_dst = t.top_rows(s_all, 1);
-            let s_src = t.matmul(h, asi);
-            let logits = t.edge_scores(Arc::clone(&blk), s_dst, s_src);
-            let logits = t.leaky_relu(logits, 0.2);
-            let att = t.edge_softmax(Arc::clone(&blk), logits);
-            let out = t.spmm(blk, h, Some(att), 2, Agg::Sum);
+            let scores = t.attention_scores(h, adi, asi);
+            let att = t.edge_attention(Arc::clone(&blk), scores, 0.2);
+            let b2i = t.param(&params, b2);
+            let out = t.gat_aggregate(blk, h, att, 2, b2i, Some(1.0));
             params.zero_grads();
             t.backward(out, randm(1, 4, 53), &mut params);
-            let bits: Vec<u32> = [w, b, a_dst, a_src]
+            let bits: Vec<u32> = [w, b, a_dst, a_src, b2]
                 .iter()
                 .flat_map(|&p| params.grad(p).data().iter().map(|v| v.to_bits()))
                 .collect();
@@ -1073,7 +1165,7 @@ mod tests {
         (block, input): (&Arc<BlockCsr>, Matrix),
     ) -> [NodeId; 3] {
         let x = t.leaf(input);
-        let agg = t.spmm(Arc::clone(block), x, None, 1, Agg::Mean);
+        let agg = t.spmm(Arc::clone(block), x, Agg::Mean);
         let own = t.top_rows(x, 2);
         let sum = t.add(agg, own);
         let h = t.dropout(sum, 0.5, 82);

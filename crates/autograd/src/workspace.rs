@@ -36,22 +36,33 @@ pub struct Workspace {
     pub rev: ReverseScratch,
 }
 
+/// A request takes no pooled buffer more than this many times its size
+/// (below [`SMALL`] elements, no more than [`SMALL`] ones): a small
+/// request handed a large buffer leaves the next large request to grow a
+/// smaller one, and the pool then never settles.
+const MAX_WASTE: usize = 8;
+/// The waste bound's floor: any request may take a buffer of up to this
+/// many elements.
+const SMALL: usize = 4096;
+
 /// Pick the pooled buffer to hand out for a `len`-element request: the
-/// smallest buffer whose capacity already fits (no growth), else the
-/// largest buffer (grows once, then fits forever).
+/// smallest buffer whose capacity already fits without being more than
+/// [`MAX_WASTE`] times too large, else the largest buffer smaller than
+/// `len` (grows once, then fits forever), else none.
 fn best_slot<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
+    let limit = len.saturating_mul(MAX_WASTE).max(SMALL);
     let mut fit: Option<usize> = None;
-    let mut largest: Option<usize> = None;
+    let mut grow: Option<usize> = None;
     for (i, buf) in pool.iter().enumerate() {
         let cap = buf.capacity();
-        if cap >= len && fit.is_none_or(|j| pool[j].capacity() > cap) {
+        if (len..=limit).contains(&cap) && fit.is_none_or(|j| pool[j].capacity() > cap) {
             fit = Some(i);
         }
-        if largest.is_none_or(|j| pool[j].capacity() < cap) {
-            largest = Some(i);
+        if cap < len && grow.is_none_or(|j| pool[j].capacity() < cap) {
+            grow = Some(i);
         }
     }
-    fit.or(largest)
+    fit.or(grow)
 }
 
 /// The pooled buffer [`best_slot`] picks for `len` elements (contents
@@ -77,10 +88,14 @@ impl Workspace {
         Self::default()
     }
 
-    /// A cleared `f32` buffer, preferably with capacity ≥ `len`.
+    /// A cleared `f32` buffer with capacity ≥ `len`. A pooled buffer too
+    /// small for `len` grows to exactly `len`, not by `Vec`'s amortized
+    /// doubling: a pool whose requests differ by a few rows would
+    /// otherwise keep buffers up to twice the largest request.
     pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
         let mut buf = pick(&mut self.f32_pool, len);
         buf.clear();
+        buf.reserve_exact(len);
         buf
     }
 
@@ -90,6 +105,7 @@ impl Workspace {
     /// no fill pass at all.
     pub fn take_f32_stale(&mut self, len: usize) -> Vec<f32> {
         let mut buf = pick(&mut self.f32_pool, len);
+        buf.reserve_exact(len.saturating_sub(buf.len()));
         buf.resize(len, 0.0);
         buf
     }
@@ -211,6 +227,46 @@ mod tests {
             ws.take_f32(2).is_empty(),
             "take_f32 still hands out cleared"
         );
+    }
+
+    /// Requests that alternate between two close sizes — a layer's rows at
+    /// two batch sizes — never leave a buffer above the larger one: a
+    /// pooled buffer grows exactly, not by `Vec`'s doubling.
+    #[test]
+    fn alternating_requests_grow_buffers_exactly() {
+        let (small, large) = (18_111 * 256, 18_113 * 256);
+        let mut ws = Workspace::new();
+        for round in 0..3 {
+            for len in [small, large] {
+                let stale = ws.take_f32_stale(len);
+                assert!(
+                    stale.capacity() <= large,
+                    "round {round}: stale take of {len}"
+                );
+                ws.recycle_f32(stale);
+                let cleared = ws.take_f32(len);
+                assert!(cleared.capacity() <= large, "round {round}: take of {len}");
+                ws.recycle_f32(cleared);
+                let zeros = ws.matrix_zeros(len / 256, 256);
+                assert!(zeros.len() <= large, "round {round}: zeros of {len}");
+                ws.recycle_matrix(zeros);
+            }
+        }
+        assert_eq!(ws.f32_pool.len(), 1, "one buffer served every request");
+        assert_eq!(ws.f32_pool[0].capacity(), large);
+    }
+
+    /// A small request handed a far larger buffer would leave the next
+    /// large request to grow a small one: it gets its own buffer instead.
+    #[test]
+    fn small_requests_leave_large_buffers_pooled() {
+        let mut ws = Workspace::new();
+        ws.recycle_f32(Vec::with_capacity(1 << 20));
+        let b = ws.take_f32(1000);
+        assert_eq!(b.capacity(), 1000, "a fresh exact buffer");
+        assert_eq!(ws.f32_pool[0].capacity(), 1 << 20, "the large one stays");
+        let tiny = ws.take_f32(16);
+        assert!(tiny.capacity() < 1 << 20);
     }
 
     #[test]

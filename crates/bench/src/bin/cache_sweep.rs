@@ -318,11 +318,11 @@ fn gate(base: &Point, points: &[Point], hot_base: &HotPoint, hot_points: &[HotPo
 }
 
 fn main() {
+    flags(&[]); // takes none: any argument is an error
     banner(
         "cache sweep",
         "feature-cache size vs remote traffic and epoch time",
     );
-    flags(&[]); // takes none: any argument is an error
     wg_trace::enable_metrics();
     // Power-law degree profile: the real ogbn-products graph is heavy-
     // tailed, and neighbor sampling visits vertices roughly in proportion

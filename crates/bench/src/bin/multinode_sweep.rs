@@ -123,11 +123,11 @@ fn gate(n1_sum: u64, single_sum: u64, points: &[ExecutedPoint]) {
 }
 
 fn main() {
+    let flags = flags(&["--trace"]);
     banner(
         "multi-node sweep",
         "executed data-parallel scaling, 1 -> 64 nodes",
     );
-    let flags = flags(&["--trace"]);
 
     let ds = dataset();
     println!(

@@ -203,11 +203,11 @@ fn gate(base: &Point, points: &[Point], row_bytes: u64) {
 }
 
 fn main() {
+    flags(&[]); // takes none: any argument is an error
     banner(
         "storage sweep",
         "DSM residency fraction vs disk traffic and epoch time",
     );
-    flags(&[]); // takes none: any argument is an error
     wg_trace::enable_metrics();
     // Same heavy-tailed stand-in the cache sweep uses: residency is
     // hotness-ranked, so the tail is what actually falls to disk.

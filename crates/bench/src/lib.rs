@@ -82,12 +82,39 @@ pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, St
 }
 
 /// [`parse_flags`] over the process's own arguments; exits 2 on an error.
+/// Call it before printing anything, so a refused command line prints
+/// only the error.
 pub fn flags(known: &[&str]) -> HashMap<String, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_flags(&args, known).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    parse_flags(&args(), known).unwrap_or_else(|e| refuse(&e))
+}
+
+/// The process's arguments after the program name.
+pub fn args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// Print a command-line error and exit 2 — how every bench bin refuses
+/// its arguments (the `wg` CLI's convention).
+pub fn refuse(e: &str) -> ! {
+    eprintln!("{e}");
+    std::process::exit(2);
+}
+
+/// `flag`'s value parsed as a `T`, `None` when the flag is absent; a
+/// value that does not parse is an error naming the flag and `what` it
+/// expects, not a panic.
+pub fn parse_value<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("`{flag}` expects {what}, got `{v}`"))
+        })
+        .transpose()
 }
 
 /// FNV-1a over a word stream: the bit-exactness witness the benches pin
@@ -278,6 +305,19 @@ mod tests {
         let line = args(&["--cache-rows", "8", "--trace", "t", "--cache-rows", "9"]);
         let err = parse_flags(&line, &known).unwrap_err();
         assert_eq!(err, "`--cache-rows` given twice");
+    }
+
+    #[test]
+    fn a_malformed_value_is_refused_naming_its_flag() {
+        let f = HashMap::from([("--rows".to_string(), "abc".to_string())]);
+        let err = parse_value::<usize>(&f, "--rows", "a row count").unwrap_err();
+        assert_eq!(err, "`--rows` expects a row count, got `abc`");
+        assert_eq!(parse_value::<usize>(&f, "--other", "a count"), Ok(None));
+        let f = HashMap::from([("--rows".to_string(), "12".to_string())]);
+        assert_eq!(
+            parse_value::<usize>(&f, "--rows", "a row count"),
+            Ok(Some(12))
+        );
     }
 
     #[test]

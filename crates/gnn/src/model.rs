@@ -241,11 +241,9 @@ impl GnnModel {
                 x = tape.dropout(x, self.cfg.dropout, dropout_seed ^ ((l as u64) << 32));
             }
             x = self.layer_forward(tape, layer, l, block, x);
-            if l + 1 < self.cfg.num_layers {
-                x = match self.cfg.kind {
-                    ModelKind::Gat => tape.elu(x, 1.0),
-                    _ => tape.relu(x),
-                };
+            // GAT's ELU runs inside its aggregation (`Tape::gat_aggregate`).
+            if l + 1 < self.cfg.num_layers && self.cfg.kind != ModelKind::Gat {
+                x = tape.relu(x);
             }
             // `x` becomes the src features of the next (smaller) block.
         }
@@ -265,7 +263,7 @@ impl GnnModel {
                 // Sampled GCN: mean-aggregate neighbors, average with the
                 // node's own embedding (self-loop of the normalized
                 // adjacency), then linear.
-                let agg = tape.spmm(Arc::clone(&block), x, None, 1, Agg::Mean);
+                let agg = tape.spmm(Arc::clone(&block), x, Agg::Mean);
                 let own = tape.top_rows(x, block.num_dst);
                 let sum = tape.add(agg, own);
                 let half = tape.scale(sum, 0.5);
@@ -275,7 +273,7 @@ impl GnnModel {
                 tape.bias(h, bi)
             }
             LayerParams::Sage { w_self, w_neigh, b } => {
-                let agg = tape.spmm(Arc::clone(&block), x, None, 1, Agg::Mean);
+                let agg = tape.spmm(Arc::clone(&block), x, Agg::Mean);
                 let own = tape.top_rows(x, block.num_dst);
                 let wsi = tape.param(&self.params, *w_self);
                 let wni = tape.param(&self.params, *w_neigh);
@@ -291,15 +289,12 @@ impl GnnModel {
                 let h = tape.matmul(x, wi); // [num_src, out_dim]
                 let adi = tape.param(&self.params, *a_dst);
                 let asi = tape.param(&self.params, *a_src);
-                let s_src = tape.matmul(h, asi); // [num_src, heads]
-                let s_all = tape.matmul(h, adi); // [num_src, heads]
-                let s_dst = tape.top_rows(s_all, block.num_dst);
-                let logits = tape.edge_scores(Arc::clone(&block), s_dst, s_src);
-                let logits = tape.leaky_relu(logits, 0.2);
-                let att = tape.edge_softmax(Arc::clone(&block), logits);
-                let h2 = tape.spmm(Arc::clone(&block), h, Some(att), heads, Agg::Sum);
+                // [num_src, 2·heads]: the dst scores are its first rows.
+                let scores = tape.attention_scores(h, adi, asi);
+                let att = tape.edge_attention(Arc::clone(&block), scores, 0.2); // [E, heads]
                 let bi = tape.param(&self.params, *b);
-                tape.bias(h2, bi)
+                let elu = (l + 1 < self.cfg.num_layers).then_some(1.0);
+                tape.gat_aggregate(block, h, att, heads, bi, elu)
             }
         }
     }

@@ -554,6 +554,120 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// GAT's two attention-score projections in one banded pass over `h`:
+/// `out = h · [a_dst | a_src]`, `[rows, 2·heads]`, the destination scores
+/// in the first `heads` columns and the source scores in the rest. The
+/// concatenated `B` is packed once into this thread's scratch and run
+/// through [`matmul_into`]'s body, where every element is the sum of its
+/// own column — ascending `l` from `0.0`, skipping `h[i, l] == 0.0` — so
+/// each half is bit-identical to `h · a_dst` and `h · a_src`, while `h` is
+/// read once instead of twice.
+pub fn attention_scores_into(h: &Matrix, a_dst: &Matrix, a_src: &Matrix, out: &mut Matrix) {
+    attention_scores_into_with(simd::level(), h, a_dst, a_src, out);
+}
+
+/// [`attention_scores_into`] at an explicit SIMD [`Level`].
+pub fn attention_scores_into_with(
+    level: Level,
+    h: &Matrix,
+    a_dst: &Matrix,
+    a_src: &Matrix,
+    out: &mut Matrix,
+) {
+    let (k, heads) = (h.cols(), a_dst.cols());
+    assert_eq!(a_dst.rows(), k, "attention scores: a_dst rows");
+    assert_eq!(
+        (a_src.rows(), a_src.cols()),
+        (k, heads),
+        "attention scores: a_src shape"
+    );
+    let n = 2 * heads;
+    // `matmul_into`'s layout for this `B`: one row-major panel for the
+    // narrow kernels and up to `NR` columns, `NR`-wide panels beyond.
+    let width = if is_narrow(k, n) || n <= NR { n } else { NR };
+    with_scratch(|b| {
+        b.resize(k * n, 0.0);
+        pack_panels(k, n, width, b, |l, j0, dst| {
+            for (jj, o) in dst.iter_mut().enumerate() {
+                let j = j0 + jj;
+                *o = if j < heads {
+                    a_dst.get(l, j)
+                } else {
+                    a_src.get(l, j - heads)
+                };
+            }
+        });
+        blocked_gemm_into(level, h, b, n, out, true);
+    });
+}
+
+/// Backward of [`attention_scores_into`] w.r.t. `h`, added into `dh`
+/// where it stands: `dh[i, j] = (dh[i, j] + Σ_l g[i, l]·a_dst[j, l]) +
+/// Σ_l g[i, heads + l]·a_src[j, l]`, each Σ over ascending `l` from `0.0`
+/// — the [`matmul_nt_into`] sums of the two projections, added in the
+/// order the tape accumulates them, in one pass over `dh` instead of two
+/// products and two accumulations. Under `fresh` (no earlier
+/// contribution) `dh` is overwritten with `Σ_dst + Σ_src`. `scratch`
+/// holds `a_dstᵀ` and `a_srcᵀ` (capacity reused).
+pub fn attention_scores_backward_into(
+    g: &Matrix,
+    a_dst: &Matrix,
+    a_src: &Matrix,
+    dh: &mut Matrix,
+    fresh: bool,
+    scratch: &mut Vec<f32>,
+) {
+    attention_scores_backward_into_with(simd::level(), g, a_dst, a_src, dh, fresh, scratch);
+}
+
+/// [`attention_scores_backward_into`] at an explicit SIMD [`Level`].
+pub fn attention_scores_backward_into_with(
+    level: Level,
+    g: &Matrix,
+    a_dst: &Matrix,
+    a_src: &Matrix,
+    dh: &mut Matrix,
+    fresh: bool,
+    scratch: &mut Vec<f32>,
+) {
+    let (c, heads) = (a_dst.rows(), a_dst.cols());
+    assert_eq!(
+        (a_src.rows(), a_src.cols()),
+        (c, heads),
+        "attention scores: a_src shape"
+    );
+    assert_eq!(g.cols(), 2 * heads, "attention scores: gradient width");
+    if fresh {
+        dh.set_shape(g.rows(), c);
+    }
+    assert_eq!(
+        (dh.rows(), dh.cols()),
+        (g.rows(), c),
+        "attention scores: dh shape"
+    );
+    if c == 0 {
+        return;
+    }
+    // `[a_dstᵀ; a_srcᵀ]`: row `l` of the stack is column `l` of the
+    // concatenated `[a_dst | a_src]`, contiguous over the channels.
+    scratch.resize(2 * heads * c, 0.0);
+    for (l, row) in scratch.chunks_exact_mut(c).enumerate() {
+        let a = if l < heads { a_dst } else { a_src };
+        for (j, o) in row.iter_mut().enumerate() {
+            *o = a.get(j, l % heads);
+        }
+    }
+    let at = &scratch[..];
+    dh.data_mut()
+        .par_chunks_mut(c * NARROW_BAND)
+        .zip(g.data().par_chunks(2 * heads * NARROW_BAND))
+        .for_each(|(dband, gband)| {
+            for (drow, grow) in dband.chunks_exact_mut(c).zip(gband.chunks_exact(2 * heads)) {
+                simd::scores_backward_row(level, grow, at, drow, fresh);
+            }
+        });
+}
+
 // ---------------------------------------------------------------------------
 // Elementwise family.
 //

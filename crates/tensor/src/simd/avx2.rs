@@ -255,6 +255,10 @@ unsafe fn gather_tile<const W: bool>(
     let sp = src.as_ptr().add(j0);
     let ap = acc.as_mut_ptr();
     let mut j = 0;
+    while j + 64 <= cb {
+        gather_block::<8, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
+        j += 64;
+    }
     while j + 32 <= cb {
         gather_block::<4, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
         j += 32;
@@ -653,6 +657,203 @@ pub unsafe fn sddmm_dst(
     }
 }
 
+/// One channel block of the fused backward's `dL/dh`: `dh[j..j + 8·NV]
+/// += w[l] * row_l[j..]` over the group's `valid` edges in order, the
+/// block resident in `NV` registers — `scatter_block`'s sequence under sum
+/// aggregation, with the rows the dot products just pulled into L1.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn dh_block<const NV: usize>(
+    rows: &[*const f32; 8],
+    w: &[f32; 8],
+    valid: usize,
+    j: usize,
+    dh: *mut f32,
+) {
+    let mut r = [_mm256_setzero_ps(); NV];
+    for v in 0..NV {
+        r[v] = _mm256_loadu_ps(dh.add(j + v * 8));
+    }
+    for l in 0..valid {
+        let sv = _mm256_set1_ps(w[l]);
+        let g = rows[l].add(j);
+        for v in 0..NV {
+            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, _mm256_loadu_ps(g.add(v * 8))));
+        }
+    }
+    for v in 0..NV {
+        _mm256_storeu_ps(dh.add(j + v * 8), r[v]);
+    }
+}
+
+/// AVX2 weighted g-SpMM backward of one source row (see
+/// [`super::weighted_spmm_backward_row`]). The incoming edges go eight at
+/// a time: their gradient rows are the lanes of the per-head dot products
+/// with `hrow` (the edge-lane rule: each lane is one edge's ascending-
+/// channel sum from `0.0`, the product `grad * h` as g-SDDMM forms it),
+/// then, from L1, the terms of `dh`, added a channel block at a time in
+/// edge order. The next eight rows are prefetched while these are used.
+///
+/// # Safety
+///
+/// AVX2 must be available, `heads` must divide `hrow.len() == dh.len()`,
+/// and every destination in `dsts` and `next` must index a full
+/// `hrow.len()`-float row of `grad` (edge weights are read with bounds
+/// checks).
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn weighted_spmm_backward_row(
+    dsts: &[u32],
+    edges: &[u32],
+    att: &[f32],
+    heads: usize,
+    grad: &[f32],
+    hrow: &[f32],
+    dh: &mut [f32],
+    next: &[u32],
+    datt: &mut impl FnMut(usize, usize, f32),
+) {
+    let c = hrow.len();
+    let head_dim = c / heads;
+    dh.fill(0.0);
+    let n = dsts.len();
+    let (gp, hp, dp) = (grad.as_ptr(), hrow.as_ptr(), dh.as_mut_ptr());
+    let tail = head_dim % 4;
+    let mask = _mm256_castsi256_si128(lane_mask(tail));
+    for g0 in (0..n).step_by(8) {
+        let valid = (n - g0).min(8);
+        let rows = lane_rows(gp, c, valid, |l| dsts[g0 + l] as usize);
+        let ahead = if g0 + 8 < n { &dsts[g0 + 8..] } else { next };
+        for &d in ahead.iter().take(8) {
+            let next = gp.add(d as usize * c);
+            for off in (0..c).step_by(16) {
+                _mm_prefetch::<_MM_HINT_T0>(next.add(off).cast());
+            }
+        }
+        let mut w = [0.0f32; 8];
+        for h in 0..heads {
+            let (base, end) = (h * head_dim, (h + 1) * head_dim);
+            let mut acc = _mm256_setzero_ps();
+            let mut j = base;
+            while j + 4 <= end {
+                let cols = cols4::<false>(&rows, j, mask);
+                for t in 0..4 {
+                    let hv = _mm256_broadcast_ss(&*hp.add(j + t));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(cols[t], hv));
+                }
+                j += 4;
+            }
+            if tail > 0 {
+                let cols = cols4::<true>(&rows, j, mask);
+                for t in 0..tail {
+                    let hv = _mm256_broadcast_ss(&*hp.add(j + t));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(cols[t], hv));
+                }
+            }
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+            for l in 0..valid {
+                datt(g0 + l, h, lanes[l]);
+                w[l] = att[edges[g0 + l] as usize * heads + h];
+            }
+            let mut j = base;
+            while j + 32 <= end {
+                dh_block::<4>(&rows, &w, valid, j, dp);
+                j += 32;
+            }
+            if j + 16 <= end {
+                dh_block::<2>(&rows, &w, valid, j, dp);
+                j += 16;
+            }
+            if j + 8 <= end {
+                dh_block::<1>(&rows, &w, valid, j, dp);
+                j += 8;
+            }
+            for l in 0..valid {
+                for jj in j..end {
+                    *dp.add(jj) += w[l] * *rows[l].add(jj);
+                }
+            }
+        }
+    }
+}
+
+/// `Σ_l g[l] * at[l*c + j..][..8·NV]` from zero, ascending `l`: one half
+/// of [`scores_backward_row`]'s sum for `NV` vectors of channels.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn stacked_sum<const NV: usize>(
+    g: &[f32],
+    at: *const f32,
+    c: usize,
+    j: usize,
+) -> [__m256; NV] {
+    let mut acc = [_mm256_setzero_ps(); NV];
+    for (l, &gl) in g.iter().enumerate() {
+        let (gv, row) = (_mm256_set1_ps(gl), at.add(l * c + j));
+        for v in 0..NV {
+            acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(gv, _mm256_loadu_ps(row.add(v * 8))));
+        }
+    }
+    acc
+}
+
+/// AVX2 row of the attention scores' input gradient (see
+/// [`super::scores_backward_row`]): 32 channels at a time, the two sums in
+/// eight registers, each term `g[l] * at[l, j]` added in ascending `l`
+/// from zero — `matmul_narrow_k`'s sequence — then folded into `dh`.
+///
+/// # Safety
+///
+/// AVX2 must be available, `g.len()` even and `at.len() == g.len() *
+/// dh.len()`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
+    let c = dh.len();
+    let (gd, gs) = g.split_at(g.len() / 2);
+    let (ap, sp, dp) = (at.as_ptr(), at.as_ptr().add(gd.len() * c), dh.as_mut_ptr());
+    let mut j = 0;
+    while j + 32 <= c {
+        let (d, s) = (
+            stacked_sum::<4>(gd, ap, c, j),
+            stacked_sum::<4>(gs, sp, c, j),
+        );
+        for v in 0..4 {
+            let p = dp.add(j + v * 8);
+            let acc = if fresh {
+                d[v]
+            } else {
+                _mm256_add_ps(_mm256_loadu_ps(p), d[v])
+            };
+            _mm256_storeu_ps(p, _mm256_add_ps(acc, s[v]));
+        }
+        j += 32;
+    }
+    while j + 8 <= c {
+        let (d, s) = (
+            stacked_sum::<1>(gd, ap, c, j),
+            stacked_sum::<1>(gs, sp, c, j),
+        );
+        let p = dp.add(j);
+        let acc = if fresh {
+            d[0]
+        } else {
+            _mm256_add_ps(_mm256_loadu_ps(p), d[0])
+        };
+        _mm256_storeu_ps(p, _mm256_add_ps(acc, s[0]));
+        j += 8;
+    }
+    for jj in j..c {
+        let (mut d, mut s) = (0.0f32, 0.0f32);
+        for (l, (&dl, &sl)) in gd.iter().zip(gs).enumerate() {
+            d += dl * at[l * c + jj];
+            s += sl * at[(gd.len() + l) * c + jj];
+        }
+        let acc = if fresh { d } else { dh[jj] + d };
+        dh[jj] = acc + s;
+    }
+}
+
 /// Eight rows of `A` against all `N` columns of a narrow `B`: lane `r` of
 /// `acc[j]` is `C[i0+r, j]`, summed over `l` in ascending order with the
 /// zero-skip rule applied per lane (a skipped lane keeps its old value).
@@ -875,15 +1076,20 @@ pub unsafe fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc
 
 /// AVX2 edge softmax of one destination, heads as lanes (`heads % 4 ==
 /// 0`): the per-head max and denominator run over the edges in order,
-/// four heads abreast; `exp` is libm's, called per element.
+/// four heads abreast; `exp` is libm's, called per element. `len` floats
+/// are read from `lp` and written to `op`; the two may be one buffer —
+/// every element is read before it is written.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `lp` valid for reads and `op` for writes
+/// of `len` floats.
 #[target_feature(enable = "avx2")]
-pub unsafe fn edge_softmax_dst(logits: &[f32], heads: usize, out: &mut [f32]) {
-    assert!(
-        heads.is_multiple_of(4) && logits.len().is_multiple_of(heads) && out.len() == logits.len()
-    );
-    let deg = logits.len() / heads;
+pub unsafe fn edge_softmax_dst(lp: *const f32, op: *mut f32, len: usize, heads: usize) {
+    assert!(heads.is_multiple_of(4) && len.is_multiple_of(heads));
+    let deg = len / heads;
     for h0 in (0..heads).step_by(4) {
-        let (lp, op) = (logits.as_ptr().add(h0), out.as_mut_ptr().add(h0));
+        let (lp, op) = (lp.add(h0), op.add(h0));
         let mut max = _mm_set1_ps(f32::NEG_INFINITY);
         for e in 0..deg {
             max = _mm_max_ps(max, _mm_loadu_ps(lp.add(e * heads)));
@@ -911,14 +1117,24 @@ pub unsafe fn edge_softmax_dst(logits: &[f32], heads: usize, out: &mut [f32]) {
 
 /// AVX2 edge-softmax backward of one destination, heads as lanes (`heads
 /// % 4 == 0`): `out = soft * (grad - Σ_e soft*grad)`, the dot summed over
-/// the edges in order.
+/// the edges in order. `grad` and `out` hold `soft.len()` floats and may be
+/// one buffer — every element is read before it is written.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `grad` valid for reads and `out` for
+/// writes of `soft.len()` floats.
 #[target_feature(enable = "avx2")]
-pub unsafe fn edge_softmax_backward_dst(soft: &[f32], grad: &[f32], heads: usize, out: &mut [f32]) {
+pub unsafe fn edge_softmax_backward_dst(
+    soft: &[f32],
+    grad: *const f32,
+    out: *mut f32,
+    heads: usize,
+) {
     assert!(heads.is_multiple_of(4) && soft.len().is_multiple_of(heads));
-    assert!(grad.len() == soft.len() && out.len() == soft.len());
     let deg = soft.len() / heads;
     for h0 in (0..heads).step_by(4) {
-        let (sp, gp) = (soft.as_ptr().add(h0), grad.as_ptr().add(h0));
+        let (sp, gp) = (soft.as_ptr().add(h0), grad.add(h0));
         let mut dot = _mm_setzero_ps();
         for e in 0..deg {
             let (s, g) = (
@@ -932,10 +1148,7 @@ pub unsafe fn edge_softmax_backward_dst(soft: &[f32], grad: &[f32], heads: usize
                 _mm_loadu_ps(sp.add(e * heads)),
                 _mm_loadu_ps(gp.add(e * heads)),
             );
-            _mm_storeu_ps(
-                out.as_mut_ptr().add(h0 + e * heads),
-                _mm_mul_ps(s, _mm_sub_ps(g, dot)),
-            );
+            _mm_storeu_ps(out.add(h0 + e * heads), _mm_mul_ps(s, _mm_sub_ps(g, dot)));
         }
     }
 }

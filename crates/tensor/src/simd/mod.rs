@@ -384,40 +384,93 @@ fn matmul_rows_scalar(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], s
     }
 }
 
-/// Edge softmax of one destination's `[deg, heads]` logits, scalar: per
-/// head, max then `exp(x - max)` with a running denominator then the
-/// divide, each over the edges in order.
-fn edge_softmax_dst_scalar(logits: &[f32], heads: usize, out: &mut [f32]) {
+/// Edge softmax of one destination's `[deg, heads]` logits, scalar, in
+/// place: per head, max then `exp(x - max)` with a running denominator then
+/// the divide, each over the edges in order.
+fn edge_softmax_dst_scalar(x: &mut [f32], heads: usize) {
+    let len = x.len();
     for h in 0..heads {
-        let head = || (h..logits.len()).step_by(heads);
+        let head = || (h..len).step_by(heads);
         let mut max = f32::NEG_INFINITY;
         for i in head() {
-            max = max.max(logits[i]);
+            max = max.max(x[i]);
         }
         let mut denom = 0.0f32;
         for i in head() {
-            let v = (logits[i] - max).exp();
-            out[i] = v;
+            let v = (x[i] - max).exp();
+            x[i] = v;
             denom += v;
         }
         for i in head() {
-            out[i] /= denom;
+            x[i] /= denom;
         }
     }
 }
 
-/// Edge-softmax backward of one destination, scalar: `out = soft * (grad
-/// - dot)` with `dot = Σ_e soft*grad` per head over the edges in order.
-fn edge_softmax_backward_dst_scalar(soft: &[f32], grad: &[f32], heads: usize, out: &mut [f32]) {
+/// Edge-softmax backward of one destination, scalar, in place: `grad =
+/// soft * (grad - dot)` with `dot = Σ_e soft*grad` per head over the edges
+/// in order.
+fn edge_softmax_backward_dst_scalar(soft: &[f32], grad: &mut [f32], heads: usize) {
+    let len = soft.len();
     for h in 0..heads {
-        let head = || (h..soft.len()).step_by(heads);
+        let head = || (h..len).step_by(heads);
         let mut dot = 0.0f32;
         for i in head() {
             dot += soft[i] * grad[i];
         }
         for i in head() {
-            out[i] = soft[i] * (grad[i] - dot);
+            grad[i] = soft[i] * (grad[i] - dot);
         }
+    }
+}
+
+/// Weighted g-SpMM backward of one source row, scalar: per incoming edge
+/// `i` (destination `dsts[i]`, edge `edges[i]`, ascending edge order) and
+/// head `h`, `datt(i, h, Σ_j g[j] * hrow[j])` over the head's channels
+/// from `0.0` — the g-SDDMM sequence — and `dh[j] += w[e, h] * g[j]` —
+/// the transposed g-SpMM sequence, `dh` summed from `0.0`.
+#[allow(clippy::too_many_arguments)]
+fn weighted_spmm_backward_row_scalar(
+    dsts: &[u32],
+    edges: &[u32],
+    att: &[f32],
+    heads: usize,
+    grad: &[f32],
+    hrow: &[f32],
+    dh: &mut [f32],
+    datt: &mut impl FnMut(usize, usize, f32),
+) {
+    let c = hrow.len();
+    let head_dim = c / heads;
+    dh.fill(0.0);
+    for (i, (&d, &e)) in dsts.iter().zip(edges).enumerate() {
+        let grow = &grad[d as usize * c..][..c];
+        for h in 0..heads {
+            let span = h * head_dim..(h + 1) * head_dim;
+            let mut acc = 0.0f32;
+            for j in span.clone() {
+                acc += grow[j] * hrow[j];
+            }
+            datt(i, h, acc);
+            let w = att[e as usize * heads + h];
+            for j in span {
+                dh[j] += w * grow[j];
+            }
+        }
+    }
+}
+
+/// One row of the attention scores' input gradient, scalar: per channel
+/// `j`, `Σ_l g[l]·at[l, j]` over the destination half's `l` and over the
+/// source half's, each ascending from `0.0`, then `dh[j] = (dh[j] +
+/// Σ_dst) + Σ_src` — or `Σ_dst + Σ_src` when `fresh`.
+fn scores_backward_row_scalar(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
+    let (c, heads) = (dh.len(), g.len() / 2);
+    for (j, o) in dh.iter_mut().enumerate() {
+        let half = |l0: usize| (l0..l0 + heads).fold(0.0f32, |acc, l| acc + g[l] * at[l * c + j]);
+        let (sd, ss) = (half(0), half(heads));
+        let acc = if fresh { sd } else { *o + sd };
+        *o = acc + ss;
     }
 }
 
@@ -713,9 +766,29 @@ pub fn edge_softmax_dst(level: Level, logits: &[f32], heads: usize, out: &mut [f
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified by level(); lengths asserted above.
         Level::Avx2 if heads.is_multiple_of(4) => unsafe {
-            avx2::edge_softmax_dst(logits, heads, out)
+            avx2::edge_softmax_dst(logits.as_ptr(), out.as_mut_ptr(), out.len(), heads)
         },
-        _ => edge_softmax_dst_scalar(logits, heads, out),
+        _ => {
+            out.copy_from_slice(logits);
+            edge_softmax_dst_scalar(out, heads)
+        }
+    }
+}
+
+/// [`edge_softmax_dst`] over logits that already sit in the output: the
+/// same operations, each element read before it is overwritten.
+#[inline]
+pub fn edge_softmax_dst_in_place(level: Level, x: &mut [f32], heads: usize) {
+    assert!(heads >= 1 && x.len().is_multiple_of(heads));
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); the kernel reads each element
+        // before it writes it, so input and output may be one slice.
+        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
+            let p = x.as_mut_ptr();
+            avx2::edge_softmax_dst(p, p, x.len(), heads)
+        },
+        _ => edge_softmax_dst_scalar(x, heads),
     }
 }
 
@@ -735,9 +808,130 @@ pub fn edge_softmax_backward_dst(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified by level(); lengths asserted above.
         Level::Avx2 if heads.is_multiple_of(4) => unsafe {
-            avx2::edge_softmax_backward_dst(soft, grad, heads, out)
+            avx2::edge_softmax_backward_dst(soft, grad.as_ptr(), out.as_mut_ptr(), heads)
         },
-        _ => edge_softmax_backward_dst_scalar(soft, grad, heads, out),
+        _ => {
+            out.copy_from_slice(grad);
+            edge_softmax_backward_dst_scalar(soft, out, heads)
+        }
+    }
+}
+
+/// [`edge_softmax_backward_dst`] in the gradient's own buffer: `grad =
+/// soft * (grad - Σ soft*grad)` per head.
+#[inline]
+pub fn edge_softmax_backward_dst_in_place(
+    level: Level,
+    soft: &[f32],
+    grad: &mut [f32],
+    heads: usize,
+) {
+    assert!(heads >= 1 && soft.len().is_multiple_of(heads));
+    assert_eq!(grad.len(), soft.len());
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); lengths asserted above, and
+        // the kernel reads each gradient element before it writes it.
+        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
+            let p = grad.as_mut_ptr();
+            avx2::edge_softmax_backward_dst(soft, p, p, heads)
+        },
+        _ => edge_softmax_backward_dst_scalar(soft, grad, heads),
+    }
+}
+
+/// Weighted g-SpMM backward of one source row `s`, both gradients in one
+/// walk over its incoming edges (`dsts[i]`, `edges[i]`, ascending edge
+/// order), each gradient row `grad[dsts[i]]` loaded once for both:
+///
+/// * `dh` (`hrow.len()` channels) `= Σ_i att[edges[i], h] * grad[dsts[i]]`
+///   per head `h`, over `i` ascending from `0.0` — the sequence of
+///   [`spmm_scatter_rowtile`] under sum aggregation;
+/// * `datt(i, h, v)` receives `v = Σ_j grad[dsts[i], j] * hrow[j]` over the
+///   head's channels ascending from `0.0` — the g-SDDMM sequence of
+///   [`sddmm_dst`] with `a = grad`, `b = h`.
+///
+/// The AVX2 level takes the edges eight at a time: their gradient rows
+/// transposed into lanes for the dot products (the edge-lane rule), the
+/// same rows, now in L1, added into `dh` a channel tile at a time, and the
+/// next eight rows prefetched — from `next`, the next source row's first
+/// destinations, while this row's last eight are in use.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn weighted_spmm_backward_row(
+    level: Level,
+    dsts: &[u32],
+    edges: &[u32],
+    att: &[f32],
+    heads: usize,
+    grad: &[f32],
+    hrow: &[f32],
+    dh: &mut [f32],
+    next: &[u32],
+    mut datt: impl FnMut(usize, usize, f32),
+) {
+    let c = hrow.len();
+    assert!(
+        heads >= 1 && c.is_multiple_of(heads),
+        "heads must divide channels"
+    );
+    assert_eq!(dh.len(), c, "weighted spmm backward: dh length");
+    assert_eq!(
+        dsts.len(),
+        edges.len(),
+        "weighted spmm backward: one edge per dst"
+    );
+    let max_d = dsts
+        .iter()
+        .chain(next)
+        .copied()
+        .max()
+        .map_or(0, |d| d as usize + 1);
+    let max_e = edges.iter().copied().max().map_or(0, |e| e as usize + 1);
+    assert!(
+        max_d * c <= grad.len(),
+        "weighted spmm backward: grad row out of bounds"
+    );
+    assert!(
+        max_e * heads <= att.len(),
+        "weighted spmm backward: edge weight out of bounds"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); every gradient row and edge
+        // weight the walk reads is asserted in bounds above.
+        Level::Avx2 => unsafe {
+            avx2::weighted_spmm_backward_row(
+                dsts, edges, att, heads, grad, hrow, dh, next, &mut datt,
+            )
+        },
+        _ => weighted_spmm_backward_row_scalar(dsts, edges, att, heads, grad, hrow, dh, &mut datt),
+    }
+}
+
+/// One row of the GAT attention scores' input gradient: `g` is the row's
+/// `[2·heads]` score gradient (destination half first), `at` the stacked
+/// `[a_dstᵀ; a_srcᵀ]` (`2·heads` rows of `dh.len()` channels). Per
+/// channel `j`, `dh[j] = (dh[j] + Σ_{l<heads} g[l]·at[l, j]) + Σ_{l≥heads}
+/// g[l]·at[l, j]`, each Σ ascending from `0.0` — the sums of
+/// `matmul_nt(g_dst, a_dst)` and `matmul_nt(g_src, a_src)` added in the
+/// order the tape accumulates them; under `fresh`, `Σ_dst + Σ_src`.
+#[inline]
+pub fn scores_backward_row(level: Level, g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
+    assert!(
+        !g.is_empty() && g.len().is_multiple_of(2),
+        "scores backward: g holds two halves"
+    );
+    assert_eq!(
+        at.len(),
+        g.len() * dh.len(),
+        "scores backward: stacked vectors"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 verified by level(); lengths asserted above.
+        Level::Avx2 => unsafe { avx2::scores_backward_row(g, at, dh, fresh) },
+        _ => scores_backward_row_scalar(g, at, dh, fresh),
     }
 }
 

@@ -458,13 +458,29 @@ pub fn spmm_backward_src(
     out
 }
 
-/// Re-shape the `[E, heads]` edge matrix `out` and hand every destination
-/// its own rows: `f(d, lo, rows)` runs in parallel over destinations with
-/// `rows = out[lo*heads..hi*heads]`, the destination's edge range.
+/// Re-shape the `[E, heads]` edge matrix `out` (contents stale) and hand
+/// every destination its own rows to overwrite: `f(d, lo, rows)` runs in
+/// parallel over destinations with `rows = out[lo*heads..hi*heads]`, the
+/// destination's edge range.
 fn for_each_dst_edges(
     block: &BlockCsr,
     heads: usize,
     out: &mut Matrix,
+    f: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    // Stale contents stay: the destinations' ranges cover every edge and
+    // each kernel run through here writes all of its rows.
+    out.set_shape(block.num_edges(), heads);
+    for_each_dst_rows(block, heads, out.data_mut(), f);
+}
+
+/// Hand every destination its own rows of the `[E, heads]` edge data
+/// `data` as it stands: `f(d, lo, rows)` runs in parallel over
+/// destinations with `rows = data[lo*heads..hi*heads]`.
+fn for_each_dst_rows(
+    block: &BlockCsr,
+    heads: usize,
+    data: &mut [f32],
     f: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
     let num_edges = block.num_edges();
@@ -474,16 +490,16 @@ fn for_each_dst_edges(
             && block.offsets[block.num_dst] as usize == num_edges,
         "offsets must ascend to the edge count"
     );
-    out.reset_shape(num_edges, heads);
-    let out_ptr = out.data_mut().as_mut_ptr() as usize;
+    assert_eq!(data.len(), num_edges * heads, "edge data length");
+    let ptr = data.as_mut_ptr() as usize;
     (0..block.num_dst).into_par_iter().for_each(|d| {
         let (lo, hi) = block.edges(d);
         // SAFETY: the offsets ascend to `num_edges` (asserted above), so
         // the destinations' edge ranges are disjoint sub-ranges of the
-        // `num_edges * heads` floats `out` holds: each task writes a
+        // `num_edges * heads` floats `data` holds: each task writes a
         // private slice.
         let rows = unsafe {
-            std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(lo * heads), (hi - lo) * heads)
+            std::slice::from_raw_parts_mut((ptr as *mut f32).add(lo * heads), (hi - lo) * heads)
         };
         f(d, lo, rows);
     });
@@ -686,52 +702,316 @@ pub fn edge_softmax_backward(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> 
     out
 }
 
-/// GAT attention logits into a caller-provided `[E, heads]` output:
-/// `out[e, h] = dst_scores[d(e), h] + src_scores[s(e), h]`.
-pub fn edge_scores_into(
+/// GAT edge attention in one op: for every edge `d ← s` and head `h`,
+/// the logit `x = scores[d, h] + scores[s, heads + h]`, its LeakyReLU
+/// (`x * slope` where `x < 0.0`), then the softmax over `d`'s edges, each
+/// destination's rows written straight into `out: [E, heads]`. `scores:
+/// [num_src, 2·heads]` holds the destination scores in its first `heads`
+/// columns and the source scores in the rest (see
+/// [`crate::ops::attention_scores_into`]). Bit-identical to the unfused
+/// chain `edge_softmax(leaky_relu(s_dst[d] + s_src[s]))`: the same adds,
+/// the same select and the same [`simd::edge_softmax_dst`] sequence — only
+/// the `[E, heads]` logits and their LeakyReLU are never stored.
+pub fn edge_attention_into(block: &BlockCsr, scores: &Matrix, slope: f32, out: &mut Matrix) {
+    edge_attention_into_with(simd::level(), block, scores, slope, out);
+}
+
+/// [`edge_attention_into`] at an explicit SIMD [`Level`].
+pub fn edge_attention_into_with(
+    level: Level,
     block: &BlockCsr,
-    dst_scores: &Matrix,
-    src_scores: &Matrix,
+    scores: &Matrix,
+    slope: f32,
     out: &mut Matrix,
 ) {
-    assert_eq!(dst_scores.rows(), block.num_dst);
-    assert_eq!(src_scores.rows(), block.num_src);
-    assert_eq!(dst_scores.cols(), src_scores.cols());
-    let heads = dst_scores.cols();
+    let heads = attention_heads(block, scores);
     for_each_dst_edges(block, heads, out, |d, lo, rows| {
-        let drow = dst_scores.row(d);
+        let sd = &scores.row(d)[..heads];
         for (orow, &s) in rows.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
-            for ((o, &dv), &sv) in orow.iter_mut().zip(drow).zip(src_scores.row(s as usize)) {
-                *o = dv + sv;
+            let ss = &scores.row(s as usize)[heads..];
+            for ((o, &dv), &sv) in orow.iter_mut().zip(sd).zip(ss) {
+                let x = dv + sv;
+                let scaled = x * slope;
+                *o = if x < 0.0 { scaled } else { x };
             }
         }
+        simd::edge_softmax_dst_in_place(level, rows, heads);
     });
 }
 
-/// Backward of [`edge_scores_into`]: every edge's `[heads]` gradient is
-/// added to its destination's row of `grad_dst` and its source's row of
-/// `grad_src`, serially in edge order (sources are shared between
-/// destinations, and the edge order fixes each sum's bits).
-pub fn edge_scores_backward_into(
+/// Head count of a `[num_src, 2·heads]` attention-score matrix.
+fn attention_heads(block: &BlockCsr, scores: &Matrix) -> usize {
+    assert_eq!(scores.rows(), block.num_src, "scores must cover num_src");
+    assert!(
+        scores.cols() >= 2 && scores.cols().is_multiple_of(2),
+        "scores hold a dst and a src half"
+    );
+    scores.cols() / 2
+}
+
+/// Backward of [`edge_attention_into`]. `grad: [E, heads]` comes in as
+/// `dL/d att` and is overwritten, destination by destination, with
+/// `dL/d logit`: the edge-softmax backward of `att` (the forward output),
+/// then LeakyReLU's `g * slope` where the logit — recomputed from
+/// `scores` with the forward's add — is negative. `out: [num_src,
+/// 2·heads]` receives `dL/d scores`: the destination half sums each
+/// destination's edge gradients in edge order (zero below row
+/// `num_dst`), the source half each source's, over all edges in
+/// ascending order — the sums of the unfused edge-scores backward.
+pub fn edge_attention_backward_into(
     block: &BlockCsr,
-    grad: &Matrix,
-    grad_dst: &mut Matrix,
-    grad_src: &mut Matrix,
+    scores: &Matrix,
+    att: &Matrix,
+    slope: f32,
+    grad: &mut Matrix,
+    out: &mut Matrix,
 ) {
-    assert_eq!(grad.rows(), block.num_edges());
-    let heads = grad.cols();
-    grad_dst.reset_shape(block.num_dst, heads);
-    grad_src.reset_shape(block.num_src, heads);
-    for d in 0..block.num_dst {
-        let (lo, hi) = block.edges(d);
-        for e in lo..hi {
-            let srow = grad_src.row_mut(block.indices[e] as usize);
-            for ((g, dv), sv) in grad.row(e).iter().zip(grad_dst.row_mut(d)).zip(srow) {
-                *dv += g;
-                *sv += g;
+    edge_attention_backward_into_with(simd::level(), block, scores, att, slope, grad, out);
+}
+
+/// [`edge_attention_backward_into`] at an explicit SIMD [`Level`].
+pub fn edge_attention_backward_into_with(
+    level: Level,
+    block: &BlockCsr,
+    scores: &Matrix,
+    att: &Matrix,
+    slope: f32,
+    grad: &mut Matrix,
+    out: &mut Matrix,
+) {
+    let heads = attention_heads(block, scores);
+    assert_eq!((att.rows(), att.cols()), (block.num_edges(), heads));
+    assert_eq!((grad.rows(), grad.cols()), (att.rows(), att.cols()));
+    out.reset_shape(block.num_src, 2 * heads);
+    let out_ptr = out.data_mut().as_mut_ptr() as usize;
+    for_each_dst_rows(block, heads, grad.data_mut(), |d, lo, g| {
+        let soft = &att.data()[lo * heads..lo * heads + g.len()];
+        simd::edge_softmax_backward_dst_in_place(level, soft, g, heads);
+        // SAFETY: row `d < num_dst <= num_src` of the `[num_src,
+        // 2·heads]` output starts at `d * 2·heads`; its first `heads`
+        // floats are written by this destination's task only.
+        let gd = unsafe {
+            std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(d * 2 * heads), heads)
+        };
+        let sd = &scores.row(d)[..heads];
+        for (grow, &s) in g.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
+            let ss = &scores.row(s as usize)[heads..];
+            for (((gv, &dv), &sv), acc) in grow.iter_mut().zip(sd).zip(ss).zip(gd.iter_mut()) {
+                let scaled = *gv * slope;
+                *gv = if dv + sv < 0.0 { scaled } else { *gv };
+                *acc += *gv;
             }
         }
+    });
+    // The source half: serially in edge order, as sources are shared.
+    let (g, od) = (grad.data(), out.data_mut());
+    for (grow, &s) in g.chunks_exact(heads).zip(&block.indices) {
+        let orow = &mut od[s as usize * 2 * heads + heads..][..heads];
+        for (o, &gv) in orow.iter_mut().zip(grow) {
+            *o += gv;
+        }
     }
+}
+
+/// Channel-tile width of [`gat_aggregate_into`]: a 64-channel head in one
+/// sweep over the destination's edges (eight YMM accumulators).
+const GAT_CB: usize = 64;
+
+/// GAT aggregation in one op: the weighted multi-head g-SpMM under sum
+/// aggregation (`att: [E, heads]` the edge weights, as in
+/// [`spmm_into`]), with `x + bias` and — on hidden layers — ELU's
+/// `alpha · (exp(x) - 1)` where `x < 0.0` applied to each register tile
+/// before it is stored. The same operations as `elu(add_bias(spmm(..)))`
+/// — libm `exp` on exactly the negative lanes, as [`crate::ops::elu`]
+/// calls it — with no pre-bias or pre-activation buffer.
+#[allow(clippy::too_many_arguments)]
+pub fn gat_aggregate_into(
+    block: &BlockCsr,
+    h: &Matrix,
+    att: &Matrix,
+    heads: usize,
+    bias: &[f32],
+    elu: Option<f32>,
+    out: &mut Matrix,
+) {
+    gat_aggregate_into_with(simd::level(), block, h, att, heads, bias, elu, out);
+}
+
+/// [`gat_aggregate_into`] at an explicit SIMD [`Level`].
+#[allow(clippy::too_many_arguments)]
+pub fn gat_aggregate_into_with(
+    level: Level,
+    block: &BlockCsr,
+    h: &Matrix,
+    att: &Matrix,
+    heads: usize,
+    bias: &[f32],
+    elu: Option<f32>,
+    out: &mut Matrix,
+) {
+    assert_eq!(h.rows(), block.num_src, "src feature rows != num_src");
+    let channels = h.cols();
+    let head_dim = spmm_head_dim(block, channels, Some(att), heads);
+    assert_eq!(bias.len(), channels, "bias width mismatch");
+    // Stale contents stay: every element is stored once below.
+    out.set_shape(block.num_dst, channels);
+    out.data_mut()
+        .par_chunks_mut(channels.max(1))
+        .enumerate()
+        .for_each(|(d, orow)| {
+            let (lo, hi) = block.edges(d);
+            let edges = &block.indices[lo..hi];
+            for hd in 0..heads {
+                let mut j0 = hd * head_dim;
+                while j0 < (hd + 1) * head_dim {
+                    let cb = GAT_CB.min((hd + 1) * head_dim - j0);
+                    let mut acc = [0.0f32; GAT_CB];
+                    let tile = &mut acc[..cb];
+                    if lo < hi {
+                        let wh = Some((&att.data()[lo * heads + hd..], heads));
+                        let x = h.data();
+                        simd::spmm_gather_rowtile(level, edges, wh, x, channels, j0, 1.0, tile);
+                    }
+                    bias_act_store(tile, &bias[j0..j0 + cb], elu, &mut orow[j0..j0 + cb]);
+                    j0 += cb;
+                }
+            }
+        });
+}
+
+/// The aggregation's tile store: `out = acc + bias`, then under `elu =
+/// Some(alpha)` `alpha · (exp(x) - 1)` on the lanes where that sum `x` is
+/// negative — gathered into a bitmask first, as [`crate::ops::elu`] does,
+/// so `exp` runs on exactly those lanes and no branch tests the data.
+#[inline]
+fn bias_act_store(acc: &[f32], bias: &[f32], elu: Option<f32>, out: &mut [f32]) {
+    let mut negative = 0u64;
+    for (lane, ((o, &a), &b)) in out.iter_mut().zip(acc).zip(bias).enumerate() {
+        let x = a + b;
+        *o = x;
+        negative |= u64::from(x < 0.0) << lane;
+    }
+    if let Some(alpha) = elu {
+        while negative != 0 {
+            let lane = negative.trailing_zeros() as usize;
+            negative &= negative - 1;
+            out[lane] = alpha * (out[lane].exp() - 1.0);
+        }
+    }
+}
+
+/// Backward of [`gat_aggregate_into`]; under ELU, `elu` holds its
+/// `alpha` and the forward output `y`. `grad: [num_dst, channels]` is
+/// rewritten in its own buffer to the gradient at the pre-activation —
+/// ELU's `g · (y + alpha)` where `y < 0.0` — while the
+/// same row-ordered pass sums it into `dbias` (from `0.0`, row by row, as
+/// [`crate::ops::sum_rows_into`] does). Then one reverse-CSR walk over
+/// the sources produces both `dh: [num_src, channels]` and `datt: [E,
+/// heads]` ([`simd::weighted_spmm_backward_row`]): per source row, each
+/// incoming edge's gradient row is read once for `dL/dh` (the sums of
+/// [`spmm_backward_src_into`]) and `dL/d att` (those of [`sddmm_into`]
+/// with `a = grad`, `b = h`).
+#[allow(clippy::too_many_arguments)]
+pub fn gat_aggregate_backward_into(
+    block: &BlockCsr,
+    grad: &mut Matrix,
+    elu: Option<(f32, &Matrix)>,
+    h: &Matrix,
+    att: &Matrix,
+    dh: &mut Matrix,
+    datt: &mut Matrix,
+    dbias: &mut [f32],
+    rev: &mut ReverseScratch,
+) {
+    gat_aggregate_backward_into_with(
+        simd::level(),
+        block,
+        grad,
+        elu,
+        h,
+        att,
+        dh,
+        datt,
+        dbias,
+        rev,
+    );
+}
+
+/// [`gat_aggregate_backward_into`] at an explicit SIMD [`Level`].
+#[allow(clippy::too_many_arguments)]
+pub fn gat_aggregate_backward_into_with(
+    level: Level,
+    block: &BlockCsr,
+    grad: &mut Matrix,
+    elu: Option<(f32, &Matrix)>,
+    h: &Matrix,
+    att: &Matrix,
+    dh: &mut Matrix,
+    datt: &mut Matrix,
+    dbias: &mut [f32],
+    rev: &mut ReverseScratch,
+) {
+    let channels = h.cols();
+    assert_eq!(h.rows(), block.num_src, "src feature rows != num_src");
+    assert_eq!((grad.rows(), grad.cols()), (block.num_dst, channels));
+    assert_eq!(dbias.len(), channels, "bias width mismatch");
+    let heads = att.cols();
+    spmm_head_dim(block, channels, Some(att), heads);
+    if let Some((_, y)) = elu {
+        assert_eq!((y.rows(), y.cols()), (grad.rows(), grad.cols()));
+    }
+    dbias.fill(0.0);
+    for (i, grow) in grad
+        .data_mut()
+        .chunks_exact_mut(channels.max(1))
+        .enumerate()
+    {
+        if let Some((alpha, y)) = elu {
+            for (g, &yv) in grow.iter_mut().zip(y.row(i)) {
+                let scaled = *g * (yv + alpha);
+                *g = if yv < 0.0 { scaled } else { *g };
+            }
+        }
+        for (b, &g) in dbias.iter_mut().zip(grow.iter()) {
+            *b += g;
+        }
+    }
+    reverse_csr_into(block, rev);
+    let rev = &*rev;
+    // Every edge has one source, so every `datt` row is stored once.
+    datt.set_shape(block.num_edges(), heads);
+    let datt_ptr = datt.data_mut().as_mut_ptr() as usize;
+    dh.set_shape(block.num_src, channels);
+    dh.data_mut()
+        .par_chunks_mut(channels.max(1))
+        .enumerate()
+        .for_each(|(s, dhrow)| {
+            let (lo, hi) = (rev.offsets[s] as usize, rev.offsets[s + 1] as usize);
+            let edges = &rev.edges[lo..hi];
+            let (g, w) = (grad.data(), att.data());
+            let next = rev
+                .offsets
+                .get(s + 2)
+                .map_or(&[][..], |&end| &rev.dsts[hi..end as usize]);
+            simd::weighted_spmm_backward_row(
+                level,
+                &rev.dsts[lo..hi],
+                edges,
+                w,
+                heads,
+                g,
+                h.row(s),
+                dhrow,
+                next,
+                |i, hd, v| {
+                    // SAFETY: edge `edges[i] < E` (the reverse CSR is a
+                    // permutation of the edge ids), `hd < heads`, and
+                    // each edge belongs to exactly one source row, so no
+                    // two tasks write the same element of `datt`.
+                    unsafe { *(datt_ptr as *mut f32).add(edges[i] as usize * heads + hd) = v }
+                },
+            );
+        });
 }
 
 #[cfg(test)]

@@ -13,9 +13,10 @@
 //!
 //! The second half pins the GAT kernel families — g-SDDMM, weighted
 //! multi-head g-SpMM (forward and backward-src), edge softmax (forward
-//! and backward), edge scores and the narrow-`n`/`k` matmuls — the same
-//! way, always writing into dirty (NaN-filled, wrongly shaped) pooled
-//! buffers. Nothing is `#[cfg]`-gated: off x86, or under CI's
+//! and backward) and the narrow-`n`/`k` matmuls — the same way, always
+//! writing into dirty (NaN-filled, wrongly shaped) pooled buffers — and
+//! the GAT layer's fused kernels against the unfused chain of those
+//! kernels and oracles. Nothing is `#[cfg]`-gated: off x86, or under CI's
 //! `WG_SIMD=scalar` leg, the scalar-vs-reference comparisons still run.
 //!
 //! The last part pins what the training loop actually feeds the dense
@@ -31,15 +32,17 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_tensor::ops::{
-    matmul_into_with, matmul_nt_into_with, matmul_nt_reference, matmul_reference,
-    matmul_tn_into_with, matmul_tn_reference,
+    self, attention_scores_backward_into_with, attention_scores_into_with, matmul_into_with,
+    matmul_nt_into_with, matmul_nt_reference, matmul_reference, matmul_tn_into_with,
+    matmul_tn_reference,
 };
 use wg_tensor::simd::{self, Level};
 use wg_tensor::sparse::{
-    edge_scores_backward_into, edge_scores_into, edge_softmax_backward_into_with,
+    edge_attention_backward_into_with, edge_attention_into_with, edge_softmax_backward_into_with,
     edge_softmax_backward_reference, edge_softmax_into_with, edge_softmax_reference,
-    sddmm_into_with, sddmm_reference, spmm_backward_src_into_with, spmm_backward_src_reference,
-    spmm_into_with, spmm_reference, Agg, BlockCsr, ReverseScratch,
+    gat_aggregate_backward_into_with, gat_aggregate_into_with, sddmm_into_with, sddmm_reference,
+    spmm_backward_src_into_with, spmm_backward_src_reference, spmm_into_with, spmm_reference, Agg,
+    BlockCsr, ReverseScratch,
 };
 use wg_tensor::Matrix;
 
@@ -234,6 +237,83 @@ fn forced_scalar_and_forced_avx2_agree_bitwise() {
     }
 }
 
+/// The score projections at head counts whose concatenated `[a_dst |
+/// a_src]` leaves the narrow kernels (16 columns: one panel) and spans
+/// several 32-wide panels (40 columns), forward and backward.
+#[test]
+fn attention_scores_match_the_two_products_at_wide_head_counts() {
+    for (heads, c) in [(8usize, 24usize), (20, 60)] {
+        let seed = 8000 + heads as u64;
+        let h = features_with_zeros(37, c, seed);
+        let (a_dst, a_src) = (mat(c, heads, seed ^ 1), mat(c, heads, seed ^ 2));
+        let g = mat(37, 2 * heads, seed ^ 3);
+        let acc0 = mat(37, c, seed ^ 4);
+        let dst_part = matmul_nt_reference(&cols(&g, 0, heads), &a_dst);
+        let src_part = matmul_nt_reference(&cols(&g, heads, 2 * heads), &a_src);
+        let mut want = acc0.clone();
+        for ((w, &d), &s) in want
+            .data_mut()
+            .iter_mut()
+            .zip(dst_part.data())
+            .zip(src_part.data())
+        {
+            *w = (*w + d) + s;
+        }
+        for level in levels() {
+            let what = format!("{} heads {heads}", level.name());
+            let mut scores = dirty();
+            attention_scores_into_with(level, &h, &a_dst, &a_src, &mut scores);
+            let halves = [cols(&scores, 0, heads), cols(&scores, heads, 2 * heads)];
+            assert_bits_eq(
+                &halves[0],
+                &matmul_reference(&h, &a_dst),
+                &format!("scores dst {what}"),
+            );
+            assert_bits_eq(
+                &halves[1],
+                &matmul_reference(&h, &a_src),
+                &format!("scores src {what}"),
+            );
+            let (mut dh, mut scratch) = (acc0.clone(), Vec::new());
+            attention_scores_backward_into_with(
+                level,
+                &g,
+                &a_dst,
+                &a_src,
+                &mut dh,
+                false,
+                &mut scratch,
+            );
+            assert_bits_eq(&dh, &want, &format!("scores dh {what}"));
+        }
+    }
+}
+
+/// The fused GAT kernels, forced scalar against forced AVX2, end to end
+/// through one layer's forward and backward.
+#[test]
+fn fused_gat_kernels_agree_across_levels() {
+    if !simd::avx2_available() {
+        eprintln!("host has no AVX2 — forced-level cross-check skipped");
+        return;
+    }
+    for heads in [1usize, 2, 4] {
+        for head_dim in [16usize, 60, 64] {
+            let b = gat_grid_block(90 + head_dim as u64);
+            let seed = 900 + heads as u64 * 100 + head_dim as u64;
+            let scalar = gat_fused_outputs(Level::Scalar, &b, heads, head_dim, seed);
+            let avx2 = gat_fused_outputs(Level::Avx2, &b, heads, head_dim, seed);
+            for (i, (s, v)) in scalar.iter().zip(&avx2).enumerate() {
+                assert_bits_eq(
+                    s,
+                    v,
+                    &format!("fused output {i}, heads {heads} dim {head_dim}"),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn copy_slice_matches_at_every_level_and_width() {
     let mut rng = SmallRng::seed_from_u64(50);
@@ -373,34 +453,316 @@ fn edge_softmax_is_bit_identical_on_extreme_logits() {
     }
 }
 
-/// `edge_scores` moved out of the tape without an oracle of its own; this
-/// is the tape's old `get`/`set` loop.
+/// The per-element edge-scores loop (the tape's old `get`/`set` form):
+/// logits `s_dst[d] + s_src[s]` per edge and head, and its backward —
+/// every edge's gradient added to its destination's and its source's row
+/// in edge order — as one `[num_src, 2·heads]` matrix, destination half
+/// first.
+fn edge_scores_loop(b: &BlockCsr, scores: &Matrix, grad: Option<&Matrix>) -> Matrix {
+    let heads = scores.cols() / 2;
+    let mut logits = Matrix::zeros(b.num_edges(), heads);
+    let mut back = Matrix::zeros(b.num_src, 2 * heads);
+    for d in 0..b.num_dst {
+        for e in b.offsets[d] as usize..b.offsets[d + 1] as usize {
+            let s = b.indices[e] as usize;
+            for h in 0..heads {
+                logits.set(e, h, scores.get(d, h) + scores.get(s, heads + h));
+                if let Some(g) = grad {
+                    back.set(d, h, back.get(d, h) + g.get(e, h));
+                    back.set(s, heads + h, back.get(s, heads + h) + g.get(e, h));
+                }
+            }
+        }
+    }
+    if grad.is_some() {
+        back
+    } else {
+        logits
+    }
+}
+
+/// Scores whose sums straddle zero: entries from a small set with `±0.0`
+/// and exact negatives of each other, so that logits land on `+0.0`,
+/// `-0.0` and both sides of zero, mixed with random values.
+fn straddling_scores(rows: usize, heads: usize, seed: u64) -> Matrix {
+    const SET: [f32; 7] = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 0.25];
+    let mut rng = SmallRng::seed_from_u64(seed);
+    Matrix::from_fn(rows, 2 * heads, |_, _| {
+        if rng.gen_bool(0.6) {
+            SET[rng.gen_range(0..SET.len())]
+        } else {
+            rng.gen_range(-1.0f32..1.0)
+        }
+    })
+}
+
+/// The fused edge attention equals the unfused chain — the per-element
+/// edge-scores loop, `ops::leaky_relu`, `edge_softmax_reference` and back
+/// through `edge_softmax_backward_reference` and
+/// `ops::leaky_relu_backward` — bit for bit, on logits at and around
+/// `±0.0`.
 #[test]
 fn edge_scores_match_the_per_element_loop() {
     for degrees in degree_patterns() {
         let b = block_with_degrees(&degrees, 6, 3);
         for heads in [1usize, 2, 4] {
-            let (sd, ss) = (mat(b.num_dst, heads, 4), mat(b.num_src, heads, 5));
-            let grad = mat(b.num_edges(), heads, 6);
-            let mut want = Matrix::zeros(b.num_edges(), heads);
-            let mut want_gd = Matrix::zeros(b.num_dst, heads);
-            let mut want_gs = Matrix::zeros(b.num_src, heads);
-            for d in 0..b.num_dst {
-                for e in b.offsets[d] as usize..b.offsets[d + 1] as usize {
-                    let s = b.indices[e] as usize;
-                    for h in 0..heads {
-                        want.set(e, h, sd.get(d, h) + ss.get(s, h));
-                        want_gd.set(d, h, want_gd.get(d, h) + grad.get(e, h));
-                        want_gs.set(s, h, want_gs.get(s, h) + grad.get(e, h));
-                    }
+            let scores = straddling_scores(b.num_src, heads, 4);
+            let up = mat(b.num_edges(), heads, 6);
+            let logits = edge_scores_loop(&b, &scores, None);
+            let mut leaky = Matrix::empty();
+            ops::leaky_relu(&logits, 0.2, &mut leaky);
+            let soft = edge_softmax_reference(&b, &leaky);
+            let mut dlogit = Matrix::empty();
+            let dleaky = edge_softmax_backward_reference(&b, &soft, &up);
+            ops::leaky_relu_backward(&dleaky, &logits, 0.2, &mut dlogit);
+            let dscores = edge_scores_loop(&b, &scores, Some(&dlogit));
+            for level in levels() {
+                let what = format!("{} heads {heads} degrees {degrees:?}", level.name());
+                let mut att = dirty();
+                edge_attention_into_with(level, &b, &scores, 0.2, &mut att);
+                assert_bits_eq(&att, &soft, &format!("edge_attention {what}"));
+                let (mut grad, mut out) = (up.clone(), dirty());
+                edge_attention_backward_into_with(
+                    level, &b, &scores, &att, 0.2, &mut grad, &mut out,
+                );
+                assert_bits_eq(&grad, &dlogit, &format!("edge_attention dlogit {what}"));
+                assert_bits_eq(&out, &dscores, &format!("edge_attention dscores {what}"));
+            }
+        }
+    }
+}
+
+/// `h` with exact zeros (the projections' zero-skip) and special rows.
+fn features_with_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut h = mat(rows, cols, seed);
+    for (i, v) in h.data_mut().iter_mut().enumerate() {
+        if i % 5 == 2 {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    h
+}
+
+/// Columns `c0..c1` of `m`.
+fn cols(m: &Matrix, c0: usize, c1: usize) -> Matrix {
+    Matrix::from_fn(m.rows(), c1 - c0, |i, j| m.get(i, c0 + j))
+}
+
+/// What every fused GAT kernel produces at one level, for the cross-level
+/// comparison.
+fn gat_fused_outputs(
+    level: Level,
+    b: &BlockCsr,
+    heads: usize,
+    head_dim: usize,
+    seed: u64,
+) -> Vec<Matrix> {
+    let c = heads * head_dim;
+    let h = features_with_zeros(b.num_src, c, seed);
+    let (a_dst, a_src) = (mat(c, heads, seed ^ 1), mat(c, heads, seed ^ 2));
+    let (mut scores, mut att, mut y) = (dirty(), dirty(), dirty());
+    attention_scores_into_with(level, &h, &a_dst, &a_src, &mut scores);
+    edge_attention_into_with(level, b, &scores, 0.2, &mut att);
+    let bias = mat(1, c, seed ^ 3);
+    gat_aggregate_into_with(level, b, &h, &att, heads, bias.row(0), Some(1.0), &mut y);
+    let mut grad = mat(b.num_dst, c, seed ^ 4);
+    let (mut dh, mut datt, mut dbias) = (dirty(), dirty(), vec![f32::NAN; c]);
+    let mut rev = ReverseScratch::default();
+    gat_aggregate_backward_into_with(
+        level,
+        b,
+        &mut grad,
+        Some((1.0, &y)),
+        &h,
+        &att,
+        &mut dh,
+        &mut datt,
+        &mut dbias,
+        &mut rev,
+    );
+    let mut dscores = dirty();
+    edge_attention_backward_into_with(level, b, &scores, &att, 0.2, &mut datt, &mut dscores);
+    let mut scratch = Vec::new();
+    attention_scores_backward_into_with(
+        level,
+        &dscores,
+        &a_dst,
+        &a_src,
+        &mut dh,
+        false,
+        &mut scratch,
+    );
+    vec![
+        scores,
+        att,
+        y,
+        grad,
+        Matrix::from_vec(1, c, dbias),
+        datt,
+        dscores,
+        dh,
+    ]
+}
+
+/// A block with an isolated destination, degree-1 destinations, a source
+/// no edge samples, and the paper's fanout.
+fn gat_grid_block(seed: u64) -> BlockCsr {
+    let mut b = block_with_degrees(&[30, 0, 1, 9, 1, 33, 7, 8], 5, seed);
+    let never = b.num_src as u32 - 1;
+    for s in &mut b.indices {
+        if *s == never {
+            *s = 0;
+        }
+    }
+    b.dup_count = vec![0; b.num_src];
+    for &s in &b.indices {
+        b.dup_count[s as usize] += 1;
+    }
+    b.validate();
+    b
+}
+
+/// The GAT layer's four fused kernels against the unfused chain of kept
+/// whole-matrix kernels and oracles, bit for bit, at every level: heads
+/// 1/2/4, head widths 16/60/64 (60: a ragged channel tile), an isolated
+/// destination, degree-1 destinations and a never-sampled source.
+#[test]
+fn gat_fused_ops_equal_the_unfused_chain() {
+    for heads in [1usize, 2, 4] {
+        for head_dim in [16usize, 60, 64] {
+            let seed = 7000 + 10 * heads as u64 + head_dim as u64;
+            let b = gat_grid_block(seed);
+            let c = heads * head_dim;
+            let what = |level: Level| format!("{} heads {heads} dim {head_dim}", level.name());
+            let h = features_with_zeros(b.num_src, c, seed);
+            let (a_dst, a_src) = (mat(c, heads, seed ^ 1), mat(c, heads, seed ^ 2));
+            let w = mat(b.num_edges(), heads, seed ^ 5);
+            let bias = mat(1, c, seed ^ 3);
+            let up = mat(b.num_dst, c, seed ^ 4);
+            // The score projections and their gradients: `h·a`, `g·aᵀ`
+            // added in the tape's order, `hᵀ·g` column by column.
+            let proj = [matmul_reference(&h, &a_dst), matmul_reference(&h, &a_src)];
+            let mut g = mat(b.num_src, 2 * heads, seed ^ 6);
+            for i in b.num_dst..b.num_src {
+                for j in 0..heads {
+                    g.set(i, j, 0.0); // the rows `top_rows` fed no gradient
                 }
             }
-            let (mut out, mut gd, mut gs) = (dirty(), dirty(), dirty());
-            edge_scores_into(&b, &sd, &ss, &mut out);
-            assert_bits_eq(&out, &want, "edge_scores");
-            edge_scores_backward_into(&b, &grad, &mut gd, &mut gs);
-            assert_bits_eq(&gd, &want_gd, "edge_scores grad_dst");
-            assert_bits_eq(&gs, &want_gs, "edge_scores grad_src");
+            let (gd, gs) = (cols(&g, 0, heads), cols(&g, heads, 2 * heads));
+            let (dst_part, src_part) = (
+                matmul_nt_reference(&gd, &a_dst),
+                matmul_nt_reference(&gs, &a_src),
+            );
+            let acc0 = mat(b.num_src, c, seed ^ 7);
+            let mut shared = acc0.clone();
+            let mut fresh = dst_part.clone();
+            for ((a, &d), (f, &s)) in shared
+                .data_mut()
+                .iter_mut()
+                .zip(dst_part.data())
+                .zip(fresh.data_mut().iter_mut().zip(src_part.data()))
+            {
+                *a = (*a + d) + s;
+                *f += s;
+            }
+            let params = [matmul_tn_reference(&h, &gd), matmul_tn_reference(&h, &gs)];
+            for elu in [None, Some(1.0f32)] {
+                // The aggregation: `elu(add_bias(spmm))` and back.
+                let mut want_y = Matrix::empty();
+                ops::add_bias(
+                    &spmm_reference(&b, &h, Some(&w), heads, Agg::Sum),
+                    bias.row(0),
+                    &mut want_y,
+                );
+                let mut grad_in = up.clone();
+                if let Some(alpha) = elu {
+                    let pre = want_y.clone();
+                    ops::elu(&pre, alpha, &mut want_y);
+                    ops::elu_backward(&up, &want_y, alpha, &mut grad_in);
+                }
+                let want_db = ops::sum_rows(&grad_in);
+                let want_dh = spmm_backward_src_reference(&b, &grad_in, Some(&w), heads, Agg::Sum);
+                let want_dw = sddmm_reference(&b, &grad_in, &h, heads, Agg::Sum);
+                for level in levels() {
+                    let what = format!("{} elu {elu:?}", what(level));
+                    let mut y = dirty();
+                    gat_aggregate_into_with(level, &b, &h, &w, heads, bias.row(0), elu, &mut y);
+                    assert_bits_eq(&y, &want_y, &format!("gat_aggregate {what}"));
+                    let mut grad = up.clone();
+                    let (mut dh, mut dw, mut db) = (dirty(), dirty(), vec![f32::NAN; c]);
+                    let mut rev = ReverseScratch::default();
+                    gat_aggregate_backward_into_with(
+                        level,
+                        &b,
+                        &mut grad,
+                        elu.map(|alpha| (alpha, &y)),
+                        &h,
+                        &w,
+                        &mut dh,
+                        &mut dw,
+                        &mut db,
+                        &mut rev,
+                    );
+                    assert_bits_eq(&grad, &grad_in, &format!("gat_aggregate grad {what}"));
+                    assert_bits_eq(
+                        &Matrix::from_vec(1, c, db),
+                        &Matrix::from_vec(1, c, want_db.clone()),
+                        &format!("gat_aggregate dbias {what}"),
+                    );
+                    assert_bits_eq(&dh, &want_dh, &format!("gat_aggregate dh {what}"));
+                    assert_bits_eq(&dw, &want_dw, &format!("gat_aggregate datt {what}"));
+                }
+            }
+            for level in levels() {
+                let what = what(level);
+                let mut scores = dirty();
+                attention_scores_into_with(level, &h, &a_dst, &a_src, &mut scores);
+                assert_bits_eq(
+                    &cols(&scores, 0, heads),
+                    &proj[0],
+                    &format!("scores dst {what}"),
+                );
+                assert_bits_eq(
+                    &cols(&scores, heads, 2 * heads),
+                    &proj[1],
+                    &format!("scores src {what}"),
+                );
+                let mut scratch = vec![f32::NAN; 3];
+                let mut dh = acc0.clone();
+                attention_scores_backward_into_with(
+                    level,
+                    &g,
+                    &a_dst,
+                    &a_src,
+                    &mut dh,
+                    false,
+                    &mut scratch,
+                );
+                assert_bits_eq(&dh, &shared, &format!("scores dh {what}"));
+                let mut dh = dirty();
+                attention_scores_backward_into_with(
+                    level,
+                    &g,
+                    &a_dst,
+                    &a_src,
+                    &mut dh,
+                    true,
+                    &mut scratch,
+                );
+                assert_bits_eq(&dh, &fresh, &format!("scores dh fresh {what}"));
+                let mut both = dirty();
+                matmul_tn_into_with(level, &h, &g, &mut both, &mut scratch);
+                assert_bits_eq(
+                    &cols(&both, 0, heads),
+                    &params[0],
+                    &format!("scores da_dst {what}"),
+                );
+                assert_bits_eq(
+                    &cols(&both, heads, 2 * heads),
+                    &params[1],
+                    &format!("scores da_src {what}"),
+                );
+            }
         }
     }
 }
