@@ -1,20 +1,20 @@
 //! The §III-C4 sparse kernels on a batch-shaped block: unweighted g-SpMM
-//! (what GCN/GraphSAGE run), and the GAT families — g-SDDMM, weighted
-//! multi-head g-SpMM forward + backward-src, edge softmax forward +
-//! backward — each as the dispatched kernel, the forced-scalar kernel
-//! and the `*_reference` oracle, all bit-identical to each other. The
-//! `simd-avx2` rows only appear on hosts with AVX2; `dispatched` is
-//! whatever the runtime dispatcher picked (`WG_SIMD` overrides it).
+//! (what GCN/GraphSAGE run), and the fused GAT kernels a training
+//! iteration runs — edge attention, the weighted multi-head aggregation
+//! with bias and ELU, and its one-walk backward (g-SpMM `dL/dh` and
+//! g-SDDMM `dL/dα`) — each as the dispatched kernel and the forced
+//! levels, all bit-identical to each other. The `simd-avx2` rows only
+//! appear on hosts with AVX2; `dispatched` is whatever the runtime
+//! dispatcher picked (`WG_SIMD` overrides it).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_bench::simd_levels;
 use wg_tensor::sparse::{
-    edge_softmax_backward_into_with, edge_softmax_backward_reference, edge_softmax_into_with,
-    edge_softmax_reference, sddmm_into_with, sddmm_reference, spmm, spmm_backward_src,
-    spmm_backward_src_into_with, spmm_backward_src_reference, spmm_into_with, spmm_reference, Agg,
-    BlockCsr, ReverseScratch,
+    edge_attention_into, edge_attention_into_with, gat_aggregate_backward_into_with,
+    gat_aggregate_into, gat_aggregate_into_with, spmm, spmm_backward_src, Agg, BlockCsr,
+    ReverseScratch,
 };
 use wg_tensor::Matrix;
 
@@ -66,118 +66,75 @@ fn bench_spmm(c: &mut Criterion) {
 
 /// The paper's GAT layer shape: 4 heads x 64 channels over fanout-30
 /// edges, on a deep-layer block (the frontier has saturated the graph, so
-/// sources are shared by ~25 destinations each, as in `train_paper`).
+/// sources are shared by ~25 destinations each, as in `train_paper`). The
+/// three fused kernels a GAT hidden layer trains with, each at every
+/// level: edge attention (score sum, LeakyReLU, edge softmax), the
+/// aggregation with bias and ELU in its store, and its one-walk backward.
 fn bench_gat_kernels(c: &mut Criterion) {
     let (dst, src, fanout, heads, channels) = (8192usize, 10_000usize, 30usize, 4usize, 256usize);
     let b = block(dst, src, fanout, 1);
     let h = mat(src, channels, 4);
     let g = mat(dst, channels, 5);
-    let att = mat(b.num_edges(), heads, 6);
-    let up = mat(b.num_edges(), heads, 7);
-    let mut out = Matrix::empty();
-    let mut rev = ReverseScratch::default();
+    let scores = mat(src, 2 * heads, 6);
+    let bias = mat(1, channels, 7);
+    let (mut att, mut y) = (Matrix::empty(), Matrix::empty());
+    edge_attention_into(&b, &scores, 0.2, &mut att);
+    gat_aggregate_into(&b, &h, &att, heads, bias.row(0), Some(1.0), &mut y);
 
-    let mut group = c.benchmark_group("sddmm");
+    let mut group = c.benchmark_group("edge_attention");
     group.sample_size(15);
     for (name, level) in simd_levels() {
         group.bench_with_input(BenchmarkId::new(name, "4x64"), &(), |bch, _| {
+            let mut out = Matrix::empty();
             bch.iter(|| {
-                sddmm_into_with(level, &b, black_box(&g), &h, heads, Agg::Sum, &mut out);
+                edge_attention_into_with(level, &b, black_box(&scores), 0.2, &mut out);
                 black_box(out.rows())
             });
         });
     }
-    group.bench_with_input(BenchmarkId::new("reference", "4x64"), &(), |bch, _| {
-        bch.iter(|| black_box(sddmm_reference(&b, black_box(&g), &h, heads, Agg::Sum)).rows());
-    });
     group.finish();
 
-    let mut group = c.benchmark_group("spmm_weighted");
+    let mut group = c.benchmark_group("gat_aggregate");
     group.sample_size(15);
     for (name, level) in simd_levels() {
-        group.bench_with_input(BenchmarkId::new(name, "forward"), &(), |bch, _| {
+        group.bench_with_input(BenchmarkId::new(name, "4x64"), &(), |bch, _| {
+            let mut out = Matrix::empty();
             bch.iter(|| {
-                spmm_into_with(
-                    level,
-                    &b,
-                    black_box(&h),
-                    Some(&att),
-                    heads,
-                    Agg::Sum,
-                    &mut out,
-                );
+                let (bias, elu) = (bias.row(0), Some(1.0));
+                gat_aggregate_into_with(level, &b, black_box(&h), &att, heads, bias, elu, &mut out);
                 black_box(out.rows())
             });
         });
-        group.bench_with_input(BenchmarkId::new(name, "backward_src"), &(), |bch, _| {
+    }
+    group.finish();
+
+    // The backward rewrites the incoming gradient in place (ELU's factor),
+    // so every iteration starts by restoring it: one `[dst, channels]`
+    // copy inside each timed call.
+    let mut group = c.benchmark_group("gat_aggregate_backward");
+    group.sample_size(15);
+    for (name, level) in simd_levels() {
+        group.bench_with_input(BenchmarkId::new(name, "4x64"), &(), |bch, _| {
+            let (mut grad, mut dh, mut datt) = (Matrix::empty(), Matrix::empty(), Matrix::empty());
+            let (mut dbias, mut rev) = (vec![0.0; channels], ReverseScratch::default());
             bch.iter(|| {
-                spmm_backward_src_into_with(
+                grad.copy_from(black_box(&g));
+                gat_aggregate_backward_into_with(
                     level,
                     &b,
-                    black_box(&g),
-                    Some(&att),
-                    heads,
-                    Agg::Sum,
-                    &mut out,
+                    &mut grad,
+                    Some((1.0, &y)),
+                    &h,
+                    &att,
+                    &mut dh,
+                    &mut datt,
+                    &mut dbias,
                     &mut rev,
                 );
-                black_box(out.rows())
+                black_box(dh.rows())
             });
         });
     }
-    group.bench_with_input(BenchmarkId::new("reference", "forward"), &(), |bch, _| {
-        bch.iter(|| {
-            black_box(spmm_reference(
-                &b,
-                black_box(&h),
-                Some(&att),
-                heads,
-                Agg::Sum,
-            ))
-            .rows()
-        });
-    });
-    group.bench_with_input(
-        BenchmarkId::new("reference", "backward_src"),
-        &(),
-        |bch, _| {
-            bch.iter(|| {
-                black_box(spmm_backward_src_reference(
-                    &b,
-                    black_box(&g),
-                    Some(&att),
-                    heads,
-                    Agg::Sum,
-                ))
-                .rows()
-            });
-        },
-    );
-    group.finish();
-
-    let soft = edge_softmax_reference(&b, &att);
-    let mut group = c.benchmark_group("edge_softmax");
-    group.sample_size(15);
-    for (name, level) in simd_levels() {
-        group.bench_with_input(BenchmarkId::new(name, "forward"), &(), |bch, _| {
-            bch.iter(|| {
-                edge_softmax_into_with(level, &b, black_box(&att), &mut out);
-                black_box(out.rows())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new(name, "backward"), &(), |bch, _| {
-            bch.iter(|| {
-                edge_softmax_backward_into_with(level, &b, black_box(&soft), &up, &mut out);
-                black_box(out.rows())
-            });
-        });
-    }
-    group.bench_with_input(BenchmarkId::new("reference", "forward"), &(), |bch, _| {
-        bch.iter(|| black_box(edge_softmax_reference(&b, black_box(&att))).rows());
-    });
-    group.bench_with_input(BenchmarkId::new("reference", "backward"), &(), |bch, _| {
-        bch.iter(|| black_box(edge_softmax_backward_reference(&b, black_box(&soft), &up)).rows());
-    });
     group.finish();
 }
 

@@ -161,24 +161,38 @@ fn real(
     }
 }
 
+/// `--scale <N>` (default 800): the stand-in is 1/N of the real graph,
+/// so 0 is refused by name rather than left to the generator's assertion.
+fn scale(flags: &HashMap<String, String>) -> Result<u64, String> {
+    positive(flags, "scale", 800)
+}
+
 /// The pipeline configuration `train`, `multinode` and `serve` share:
 /// [`PipelineConfig::tiny`] resized by `--batch` / `--hidden` / `--layers`
 /// / `--fanout`, seeded by `--seed`, with the tiers of [`with_tiers`].
+/// A zero width or fanout — a model of constant outputs, blocks with no
+/// edges — and a GAT width its heads do not divide are refused by name.
 fn pipeline_config(
     flags: &HashMap<String, String>,
     fw: Framework,
     model: ModelKind,
 ) -> Result<PipelineConfig, String> {
     let layers: usize = positive(flags, "layers", 2)?;
-    let fanout: usize = num(flags, "fanout", 10);
+    let fanout: usize = positive(flags, "fanout", 10)?;
     let cfg = PipelineConfig {
         batch_size: positive(flags, "batch", 128)?,
-        hidden: num(flags, "hidden", 64),
+        hidden: positive(flags, "hidden", 64)?,
         num_layers: layers,
         fanouts: vec![fanout; layers],
         ..PipelineConfig::tiny(fw, model)
     }
     .with_seed(num(flags, "seed", 0));
+    if model == ModelKind::Gat && !cfg.hidden.is_multiple_of(cfg.heads) {
+        return Err(format!(
+            "--hidden {} must be a multiple of the {} GAT heads",
+            cfg.hidden, cfg.heads
+        ));
+    }
     with_tiers(flags, cfg)
 }
 
@@ -239,7 +253,7 @@ fn load_or_generate(flags: &HashMap<String, String>) -> Arc<SyntheticDataset> {
         }
     } else if let Some(name) = flags.get("dataset") {
         let kind = dataset_kind(name);
-        let scale = num(flags, "scale", 800u64);
+        let scale = scale(flags).unwrap_or_else(|e| usage_error(e));
         let seed = num(flags, "seed", 0u64);
         Arc::new(SyntheticDataset::generate(kind, scale, seed))
     } else {
@@ -255,7 +269,7 @@ fn cmd_gen(flags: HashMap<String, String>) {
             .map(String::as_str)
             .unwrap_or_else(|| usage()),
     );
-    let scale = num(&flags, "scale", 800u64);
+    let scale = scale(&flags).unwrap_or_else(|e| usage_error(e));
     let seed = num(&flags, "seed", 0u64);
     let out = flags.get("out").cloned().unwrap_or_else(|| usage());
     // `--out-of-core <frac>` generates a larger-than-memory configuration:
@@ -735,6 +749,61 @@ mod tests {
             (7, 3, 3)
         );
         assert_eq!(positive::<u32>(&f, "gpus", 8), Ok(8));
+    }
+
+    /// `--scale 0` panicked in the generator (`scale >= 1`) under `wg
+    /// gen`, `train` and `info`, exiting 101.
+    #[test]
+    fn a_zero_scale_is_refused_naming_the_flag() {
+        for cmd in ["gen", "train", "multinode", "serve", "info"] {
+            let f = parse_flags(cmd, &words("--dataset products --scale 0")).unwrap();
+            let err = scale(&f).unwrap_err();
+            assert!(err.starts_with("--scale "), "wg {cmd}: {err}");
+        }
+        let f = parse_flags("info", &words("--dataset uk")).unwrap();
+        assert_eq!(scale(&f), Ok(800));
+    }
+
+    /// `--hidden 0` trained a constant model to chance accuracy and
+    /// exited 0.
+    #[test]
+    fn a_zero_hidden_width_is_refused_naming_the_flag() {
+        for model in ModelKind::ALL {
+            let f = parse_flags("train", &words("--hidden 0")).unwrap();
+            let err = pipeline_config(&f, Framework::WholeGraph, model).unwrap_err();
+            assert!(err.starts_with("--hidden "), "{err}");
+        }
+    }
+
+    /// `--fanout 0` trained on blocks with no edges (GAT reached 3.8 %
+    /// test accuracy) and exited 0.
+    #[test]
+    fn a_zero_fanout_is_refused_naming_the_flag() {
+        for cmd in ["train", "multinode", "serve"] {
+            let f = parse_flags(cmd, &words("--fanout 0")).unwrap();
+            let err = pipeline_config(&f, Framework::WholeGraph, ModelKind::Gat).unwrap_err();
+            assert!(err.starts_with("--fanout "), "wg {cmd}: {err}");
+        }
+        let f = parse_flags("train", &words("--fanout 3 --layers 2")).unwrap();
+        let cfg = pipeline_config(&f, Framework::WholeGraph, ModelKind::Gat).unwrap();
+        assert_eq!(cfg.fanouts, vec![3, 3]);
+    }
+
+    /// A GAT width its heads do not divide panicked in `GnnModel::new`
+    /// ("heads must divide hidden"), exiting 101. The other models take
+    /// any width.
+    #[test]
+    fn a_gat_width_the_heads_do_not_divide_is_refused_naming_the_flag() {
+        let gat = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::Gat).heads;
+        let f = parse_flags("train", &words(&format!("--hidden {}", gat + 1))).unwrap();
+        let err = pipeline_config(&f, Framework::WholeGraph, ModelKind::Gat).unwrap_err();
+        assert!(err.starts_with("--hidden "), "{err}");
+        for model in [ModelKind::Gcn, ModelKind::GraphSage] {
+            assert!(pipeline_config(&f, Framework::WholeGraph, model).is_ok());
+        }
+        let f = parse_flags("train", &words(&format!("--hidden {}", 3 * gat))).unwrap();
+        let cfg = pipeline_config(&f, Framework::WholeGraph, ModelKind::Gat).unwrap();
+        assert_eq!(cfg.hidden, 3 * gat);
     }
 
     /// `wg serve`'s real-valued knobs: a zero rate panicked in the traffic

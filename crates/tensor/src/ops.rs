@@ -9,7 +9,8 @@ use crate::simd::{self, Level, RowVisits};
 // ---------------------------------------------------------------------------
 // Dense matmul family.
 //
-// Each kernel comes in three forms:
+// Each of the three products (`matmul`, `matmul_tn`, `matmul_nt`) comes
+// in three forms:
 //   * `*_reference` — the original naive row-parallel loop, kept as the
 //     bit-exactness oracle (property tests pin the blocked kernels to it);
 //   * `*_into`      — the cache-blocked kernel writing into a
@@ -19,6 +20,10 @@ use crate::simd::{self, Level, RowVisits};
 //     otherwise), and an `*_into_with` twin takes an explicit
 //     [`Level`] so tests and benches can pin both paths;
 //   * the plain name — an allocating convenience wrapper over `*_into`.
+//
+// GAT's fused score projection (`attention_scores_into` and its backward)
+// runs on the same body in the `*_into` / `*_into_with` forms only: its
+// oracles are the products above.
 //
 // Shapes with a narrow side (n <= 8 or k <= 8 — GAT's `h·a_src` products
 // and their gradients) leave the register tile almost empty, so the
@@ -688,7 +693,7 @@ pub fn attention_scores_backward_into_with(
 // ---------------------------------------------------------------------------
 
 /// Elements per parallel task of the elementwise kernels (16 KiB in, 16
-/// KiB out: L1-resident, and a multiple of [`elu`]'s 32-lane chunk).
+/// KiB out: L1-resident).
 const EW_CHUNK: usize = 4096;
 
 /// `out = f(x)` chunk by chunk, in one pass over `x`.
@@ -801,24 +806,13 @@ pub fn leaky_relu_backward(grad: &Matrix, forward_input: &Matrix, slope: f32, ou
 }
 
 /// ELU forward (GAT's inter-layer activation): `alpha · (exp(x) - 1)` where
-/// `x < 0.0`, else `x`. Each 32-element chunk is copied while its negative
-/// lanes are gathered into a bitmask (compare, shift, or — no branch), then
-/// libm's scalar `exp` runs on exactly the set lanes: the same calls on the
-/// same inputs as a per-element `if`, with one loop-exit mispredict per
-/// chunk instead of one sign mispredict per two elements.
+/// `x < 0.0`, else `x`. The oracle of the ELU that
+/// [`crate::sparse::gat_aggregate_into`] applies in its tile store.
 pub fn elu(x: &Matrix, alpha: f32, out: &mut Matrix) {
     map_into(x, out, |x, o| {
-        for (x, o) in x.chunks(32).zip(o.chunks_mut(32)) {
-            let mut negative = 0u32;
-            for (lane, (o, &v)) in o.iter_mut().zip(x).enumerate() {
-                *o = v;
-                negative |= u32::from(v < 0.0) << lane;
-            }
-            while negative != 0 {
-                let lane = negative.trailing_zeros() as usize;
-                negative &= negative - 1;
-                o[lane] = alpha * (x[lane].exp() - 1.0);
-            }
+        for (o, &v) in o.iter_mut().zip(x) {
+            let neg = alpha * (v.exp() - 1.0);
+            *o = if v < 0.0 { neg } else { v };
         }
     });
 }

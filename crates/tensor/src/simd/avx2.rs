@@ -8,7 +8,7 @@
 //!
 //! * vector lanes are always eight **independent output elements** — eight
 //!   adjacent output columns `j` in the column-tile kernels, eight rows
-//!   (edges of one destination, rows of `A`) in the row-lane kernels at
+//!   (incoming edges of one source, rows of `A`) in the row-lane kernels at
 //!   the end of this file — and the reduction over `k`/edges/channels
 //!   stays in program order per element;
 //! * multiply and add are separate intrinsics (`_mm256_mul_ps` then
@@ -282,13 +282,12 @@ unsafe fn gather_tile<const W: bool>(
     }
 }
 
-/// Per-edge-scaled gather block for the backward pass: each destination
-/// row carries its own `agg_scale` (1/deg under mean, 1 under sum), times
-/// the incoming edge's head weight `w[edges[i] * stride]` under `W`.
+/// Per-destination-scaled gather block for the backward pass: each
+/// destination row carries its own `agg_scale` (1/deg under mean, 1 under
+/// sum).
 #[target_feature(enable = "avx2")]
-unsafe fn scatter_block<const NV: usize, const W: bool>(
+unsafe fn scatter_block<const NV: usize>(
     dsts: &[u32],
-    (w, edges, stride): (*const f32, *const u32, usize),
     offsets: &[u32],
     mean: bool,
     grad: *const f32,
@@ -299,13 +298,9 @@ unsafe fn scatter_block<const NV: usize, const W: bool>(
     for v in 0..NV {
         r[v] = _mm256_loadu_ps(acc.add(v * 8));
     }
-    for (i, &d) in dsts.iter().enumerate() {
+    for &d in dsts {
         let d = d as usize;
-        let mut scale = super::scatter_scale(offsets, d, mean);
-        if W {
-            scale *= *w.add(*edges.add(i) as usize * stride);
-        }
-        let sv = _mm256_set1_ps(scale);
+        let sv = _mm256_set1_ps(super::scatter_scale(offsets, d, mean));
         let grow = grad.add(d * ldg);
         for v in 0..NV {
             let g = _mm256_loadu_ps(grow.add(v * 8));
@@ -318,45 +313,10 @@ unsafe fn scatter_block<const NV: usize, const W: bool>(
 }
 
 /// AVX2 spmm backward channel tile: `acc[j] += agg_scale(d) *
-/// grad[d*ldg+j0+j]` over the incoming edges' destinations; with `weights
-/// = (w, edges, stride)`, incoming edge `i`'s scale is additionally
-/// multiplied by `w[edges[i]*stride]`.
+/// grad[d*ldg+j0+j]` over the incoming edges' destinations.
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 pub unsafe fn spmm_scatter_rowtile(
     dsts: &[u32],
-    weights: Option<(&[f32], &[u32], usize)>,
-    offsets: &[u32],
-    mean: bool,
-    grad: &[f32],
-    ldg: usize,
-    j0: usize,
-    acc: &mut [f32],
-) {
-    match weights {
-        None => {
-            let w = (grad.as_ptr(), dsts.as_ptr(), 0);
-            scatter_tile::<false>(dsts, w, offsets, mean, grad, ldg, j0, acc)
-        }
-        Some((w, edges, stride)) => {
-            assert_eq!(edges.len(), dsts.len(), "spmm scatter: one edge id per dst");
-            let max_e = edges.iter().copied().max().unwrap_or(0);
-            assert!(
-                edges.is_empty() || max_e as usize * stride < w.len(),
-                "spmm scatter: edge weight out of bounds"
-            );
-            let w = (w.as_ptr(), edges.as_ptr(), stride);
-            scatter_tile::<true>(dsts, w, offsets, mean, grad, ldg, j0, acc)
-        }
-    }
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn scatter_tile<const W: bool>(
-    dsts: &[u32],
-    w: (*const f32, *const u32, usize),
     offsets: &[u32],
     mean: bool,
     grad: &[f32],
@@ -381,24 +341,21 @@ unsafe fn scatter_tile<const W: bool>(
     let ap = acc.as_mut_ptr();
     let mut j = 0;
     while j + 32 <= cb {
-        scatter_block::<4, W>(dsts, w, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<4>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
         j += 32;
     }
     if j + 16 <= cb {
-        scatter_block::<2, W>(dsts, w, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<2>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
         j += 16;
     }
     if j + 8 <= cb {
-        scatter_block::<1, W>(dsts, w, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<1>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
         j += 8;
     }
     if j < cb {
-        for (i, &d) in dsts.iter().enumerate() {
+        for &d in dsts {
             let d = d as usize;
-            let mut scale = super::scatter_scale(offsets, d, mean);
-            if W {
-                scale *= *w.0.add(*w.1.add(i) as usize * w.2);
-            }
+            let scale = super::scatter_scale(offsets, d, mean);
             let grow = gp.add(d * ldg);
             for jj in j..cb {
                 *ap.add(jj) += scale * *grow.add(jj);
@@ -458,7 +415,7 @@ pub unsafe fn copy_bytes(dst: *mut u8, src: *const u8, len: usize) {
 // Row-lane kernels. A dot product over channels (g-SDDMM) or over `k` (a
 // matmul with only a few output columns) is ONE output element, so its
 // sum cannot be spread over lanes. Instead the eight lanes are eight
-// *rows* — eight edges of one destination, eight rows of `A` — loaded
+// *rows* — eight incoming edges of one source, eight rows of `A` — loaded
 // contiguously, transposed in registers, and each lane runs the scalar
 // ascending-index sum of its own row. Ragged groups are padded with a
 // repeat of the last valid row and the padded lanes are never stored.
@@ -564,97 +521,6 @@ unsafe fn lane_rows(
         *r = base.add(index(l.min(valid - 1)) * ld);
     }
     rows
-}
-
-/// `G` groups of eight edges of one destination, all heads: lane `l` of
-/// `acc[g]` is edge `8g+l`'s running dot product with the destination row.
-/// Several groups are in flight so one group's add latency hides behind
-/// the others' loads and transposes.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sddmm_groups<const G: usize>(
-    arow: *const f32,
-    heads: usize,
-    head_dim: usize,
-    b: *const f32,
-    ldb: usize,
-    srcs: &[u32],
-    scale: f32,
-    out: *mut f32,
-) {
-    let valid = srcs.len();
-    let mut rows = [[b; 8]; G];
-    for g in 0..G {
-        rows[g] = lane_rows(b, ldb, valid - g * 8, |l| srcs[g * 8 + l] as usize);
-    }
-    let sv = _mm256_set1_ps(scale);
-    let tail = head_dim % 4;
-    let mask = _mm256_castsi256_si128(lane_mask(tail));
-    for h in 0..heads {
-        let base = h * head_dim;
-        let mut acc = [_mm256_setzero_ps(); G];
-        let mut j = base;
-        while j + 4 <= base + head_dim {
-            for g in 0..G {
-                let c = cols4::<false>(&rows[g], j, mask);
-                for t in 0..4 {
-                    let av = _mm256_broadcast_ss(&*arow.add(j + t));
-                    acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(av, c[t]));
-                }
-            }
-            j += 4;
-        }
-        if tail > 0 {
-            for g in 0..G {
-                let c = cols4::<true>(&rows[g], j, mask);
-                for t in 0..tail {
-                    let av = _mm256_broadcast_ss(&*arow.add(j + t));
-                    acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(av, c[t]));
-                }
-            }
-        }
-        for g in 0..G {
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_mul_ps(sv, acc[g]));
-            for l in 0..(valid - g * 8).min(8) {
-                *out.add((g * 8 + l) * heads + h) = lanes[l];
-            }
-        }
-    }
-}
-
-/// AVX2 g-SDDMM for one destination: `out[i*heads + h] = scale *
-/// <arow, b[srcs[i]]>_h`, each dot product summed in ascending channel
-/// order from `0.0` exactly like the scalar loop.
-#[target_feature(enable = "avx2")]
-pub unsafe fn sddmm_dst(
-    arow: &[f32],
-    b: &[f32],
-    ldb: usize,
-    srcs: &[u32],
-    heads: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let Some(max_s) = srcs.iter().copied().max() else {
-        return;
-    };
-    assert!(
-        max_s as usize * ldb + arow.len() <= b.len(),
-        "sddmm: source row out of bounds"
-    );
-    assert_eq!(out.len(), srcs.len() * heads, "sddmm: output length");
-    let head_dim = arow.len() / heads;
-    let (ap, bp, op) = (arow.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    for (c, chunk) in srcs.chunks(32).enumerate() {
-        let o = op.add(c * 32 * heads);
-        match chunk.len().div_ceil(8) {
-            1 => sddmm_groups::<1>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
-            2 => sddmm_groups::<2>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
-            3 => sddmm_groups::<3>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
-            _ => sddmm_groups::<4>(ap, heads, head_dim, bp, ldb, chunk, scale, o),
-        }
-    }
 }
 
 /// One channel block of the fused backward's `dL/dh`: `dh[j..j + 8·NV]
@@ -1074,67 +940,65 @@ pub unsafe fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc
     }
 }
 
-/// AVX2 edge softmax of one destination, heads as lanes (`heads % 4 ==
-/// 0`): the per-head max and denominator run over the edges in order,
-/// four heads abreast; `exp` is libm's, called per element. `len` floats
-/// are read from `lp` and written to `op`; the two may be one buffer —
-/// every element is read before it is written.
+/// AVX2 edge softmax of one destination's `[deg, heads]` logits in place,
+/// heads as lanes (`heads % 4 == 0`): the per-head max and denominator run
+/// over the edges in order, four heads abreast; `exp` is libm's, called
+/// per element.
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and `lp` valid for reads and `op` for writes
-/// of `len` floats.
+/// AVX2 must be available.
 #[target_feature(enable = "avx2")]
-pub unsafe fn edge_softmax_dst(lp: *const f32, op: *mut f32, len: usize, heads: usize) {
-    assert!(heads.is_multiple_of(4) && len.is_multiple_of(heads));
-    let deg = len / heads;
+pub unsafe fn edge_softmax_dst(x: &mut [f32], heads: usize) {
+    assert!(heads.is_multiple_of(4) && x.len().is_multiple_of(heads));
+    let deg = x.len() / heads;
+    if deg == 0 {
+        return; // no edges: nothing to read, and no lane pointer to form
+    }
     for h0 in (0..heads).step_by(4) {
-        let (lp, op) = (lp.add(h0), op.add(h0));
+        let p = x.as_mut_ptr().add(h0);
         let mut max = _mm_set1_ps(f32::NEG_INFINITY);
         for e in 0..deg {
-            max = _mm_max_ps(max, _mm_loadu_ps(lp.add(e * heads)));
+            max = _mm_max_ps(max, _mm_loadu_ps(p.add(e * heads)));
         }
         let mut denom = _mm_setzero_ps();
         for e in 0..deg {
-            let mut x = [0.0f32; 4];
+            let mut t = [0.0f32; 4];
             _mm_storeu_ps(
-                x.as_mut_ptr(),
-                _mm_sub_ps(_mm_loadu_ps(lp.add(e * heads)), max),
+                t.as_mut_ptr(),
+                _mm_sub_ps(_mm_loadu_ps(p.add(e * heads)), max),
             );
-            for v in &mut x {
+            for v in &mut t {
                 *v = v.exp();
             }
-            let v = _mm_loadu_ps(x.as_ptr());
-            _mm_storeu_ps(op.add(e * heads), v);
+            let v = _mm_loadu_ps(t.as_ptr());
+            _mm_storeu_ps(p.add(e * heads), v);
             denom = _mm_add_ps(denom, v);
         }
         for e in 0..deg {
-            let p = op.add(e * heads);
-            _mm_storeu_ps(p, _mm_div_ps(_mm_loadu_ps(p), denom));
+            let q = p.add(e * heads);
+            _mm_storeu_ps(q, _mm_div_ps(_mm_loadu_ps(q), denom));
         }
     }
 }
 
-/// AVX2 edge-softmax backward of one destination, heads as lanes (`heads
-/// % 4 == 0`): `out = soft * (grad - Σ_e soft*grad)`, the dot summed over
-/// the edges in order. `grad` and `out` hold `soft.len()` floats and may be
-/// one buffer — every element is read before it is written.
+/// AVX2 edge-softmax backward of one destination in the gradient's own
+/// buffer, heads as lanes (`heads % 4 == 0`): `grad = soft * (grad -
+/// Σ_e soft*grad)`, the dot summed over the edges in order.
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and `grad` valid for reads and `out` for
-/// writes of `soft.len()` floats.
+/// AVX2 must be available.
 #[target_feature(enable = "avx2")]
-pub unsafe fn edge_softmax_backward_dst(
-    soft: &[f32],
-    grad: *const f32,
-    out: *mut f32,
-    heads: usize,
-) {
+pub unsafe fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: usize) {
     assert!(heads.is_multiple_of(4) && soft.len().is_multiple_of(heads));
+    assert_eq!(grad.len(), soft.len(), "edge softmax backward: lengths");
     let deg = soft.len() / heads;
+    if deg == 0 {
+        return; // no edges: nothing to read, and no lane pointer to form
+    }
     for h0 in (0..heads).step_by(4) {
-        let (sp, gp) = (soft.as_ptr().add(h0), grad.add(h0));
+        let (sp, gp) = (soft.as_ptr().add(h0), grad.as_mut_ptr().add(h0));
         let mut dot = _mm_setzero_ps();
         for e in 0..deg {
             let (s, g) = (
@@ -1148,7 +1012,7 @@ pub unsafe fn edge_softmax_backward_dst(
                 _mm_loadu_ps(sp.add(e * heads)),
                 _mm_loadu_ps(gp.add(e * heads)),
             );
-            _mm_storeu_ps(out.add(h0 + e * heads), _mm_mul_ps(s, _mm_sub_ps(g, dot)));
+            _mm_storeu_ps(gp.add(e * heads), _mm_mul_ps(s, _mm_sub_ps(g, dot)));
         }
     }
 }

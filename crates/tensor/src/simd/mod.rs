@@ -2,7 +2,8 @@
 //!
 //! Every kernel in this module comes in two implementations selected at
 //! runtime: a portable scalar loop (the reference semantics, exactly the
-//! float sequences the `*_reference` oracles execute) and an AVX2 version
+//! float sequences of the plain oracle loops in [`crate::ops`] and
+//! [`crate::sparse`]) and an AVX2 version
 //! using 8-wide `f32` lanes via `std::arch::x86_64`. Dispatch is decided
 //! once per process by [`level`] — `is_x86_feature_detected!("avx2")`
 //! cached in a `OnceLock`, overridable with the `WG_SIMD` environment
@@ -17,19 +18,21 @@
 //! across a single element's reduction:
 //!
 //! * `matmul_rowtile`, `matmul_rowtile2`, `matmul_narrow_k`,
-//!   `spmm_gather_rowtile`, `spmm_scatter_rowtile` (unweighted or with a
-//!   per-edge head weight), `add_assign`: each output element `acc[j]`
+//!   `spmm_gather_rowtile` (unweighted or with a per-edge head weight),
+//!   `spmm_scatter_rowtile`, `add_assign`, the `dL/dh` half of
+//!   `weighted_spmm_backward_row`: each output element `acc[j]`
 //!   accumulates its contributions in the same ascending order (ascending
 //!   `k` / edge index) whether `j` lives in a YMM lane or a scalar
 //!   register. Lanes are just eight adjacent `j`s computed together — and
 //!   the two rows of `matmul_rowtile2` are just two such tiles computed
 //!   together, sharing the loads of `B`: no sum crosses from one row's
 //!   registers to the other's.
-//! * `sddmm_dst`, `matmul_narrow_n` — the **edge-lane rule**: an edge's dot
-//!   product is one output element; lanes are eight edges. A reduction
-//!   over channels (or over `k` when `B` has only a few columns) may not
-//!   be split across lanes, so the lanes are eight *rows* — eight edges of
-//!   one destination, eight rows of `A` — transposed in registers, each
+//! * the `dL/d att` half of `weighted_spmm_backward_row` (a g-SDDMM),
+//!   `matmul_narrow_n` — the **edge-lane rule**: an edge's dot product is
+//!   one output element; lanes are eight edges. A reduction over channels
+//!   (or over `k` when `B` has only a few columns) may not be split
+//!   across lanes, so the lanes are eight *rows* — eight incoming edges of
+//!   one source, eight rows of `A` — transposed in registers, each
 //!   lane keeping the scalar ascending-index sum of its own row. Ragged
 //!   groups are padded with a repeated row and the padding is discarded.
 //! * `tn_accumulate_narrow` (`n <= 8`) sweeps the `[m, n]` accumulator as
@@ -297,12 +300,9 @@ fn spmm_gather_scalar(
 /// One spmm backward channel tile, scalar: for every incoming edge's
 /// destination `d` (ascending edge order), accumulate
 /// `agg_scale * grad[d*ldg + j0 + j]`, where `agg_scale` is `1/deg(d)`
-/// under mean aggregation (0 for isolated destinations) and 1 under sum —
-/// times `w[edges[i]*stride]` under `weights = (w, edges, stride)`.
-#[allow(clippy::too_many_arguments)]
+/// under mean aggregation (0 for isolated destinations) and 1 under sum.
 fn spmm_scatter_scalar(
     dsts: &[u32],
-    weights: Option<(&[f32], &[u32], usize)>,
     offsets: &[u32],
     mean: bool,
     grad: &[f32],
@@ -311,10 +311,9 @@ fn spmm_scatter_scalar(
     acc: &mut [f32],
 ) {
     let cb = acc.len();
-    for (i, &d) in dsts.iter().enumerate() {
+    for &d in dsts {
         let d = d as usize;
         let scale = scatter_scale(offsets, d, mean);
-        let scale = weights.map_or(scale, |(w, e, stride)| scale * w[e[i] as usize * stride]);
         let grow = &grad[d * ldg + j0..d * ldg + j0 + cb];
         for (a, &g) in acc.iter_mut().zip(grow) {
             *a += scale * g;
@@ -334,31 +333,6 @@ fn scatter_scale(offsets: &[u32], d: usize, mean: bool) -> f32 {
         0.0
     } else {
         1.0 / degree as f32
-    }
-}
-
-/// g-SDDMM for one destination, scalar: `out[i*heads + h] = scale *
-/// Σ_j arow[h*hd + j] * b[srcs[i]*ldb + h*hd + j]`, `j` ascending from
-/// `0.0` — the reference float sequence.
-fn sddmm_dst_scalar(
-    arow: &[f32],
-    b: &[f32],
-    ldb: usize,
-    srcs: &[u32],
-    heads: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let head_dim = arow.len() / heads;
-    for (&s, orow) in srcs.iter().zip(out.chunks_exact_mut(heads)) {
-        let brow = &b[s as usize * ldb..][..arow.len()];
-        for (h, o) in orow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for j in h * head_dim..(h + 1) * head_dim {
-                acc += arow[j] * brow[j];
-            }
-            *o = scale * acc;
-        }
     }
 }
 
@@ -612,16 +586,12 @@ pub fn spmm_gather_rowtile(
 }
 
 /// Backward g-SpMM channel tile: gather `agg_scale(d) * grad[d]` over the
-/// incoming edges' destinations, ascending edge order. `weights = (w,
-/// edges, stride)` makes it one head of the weighted form: incoming edge
-/// `i` is additionally scaled by `w[edges[i]*stride]` (`w` starting at
-/// the head's column).
+/// incoming edges' destinations, ascending edge order.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_scatter_rowtile(
     level: Level,
     dsts: &[u32],
-    weights: Option<(&[f32], &[u32], usize)>,
     offsets: &[u32],
     mean: bool,
     grad: &[f32],
@@ -630,15 +600,15 @@ pub fn spmm_scatter_rowtile(
     acc: &mut [f32],
 ) {
     match level {
-        Level::Scalar => spmm_scatter_scalar(dsts, weights, offsets, mean, grad, ldg, j0, acc),
+        Level::Scalar => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified by level(); the kernel asserts the largest
-        // destination row and every edge weight in bounds before any load.
+        // destination row in bounds before any load.
         Level::Avx2 => unsafe {
-            avx2::spmm_scatter_rowtile(dsts, weights, offsets, mean, grad, ldg, j0, acc)
+            avx2::spmm_scatter_rowtile(dsts, offsets, mean, grad, ldg, j0, acc)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => spmm_scatter_scalar(dsts, weights, offsets, mean, grad, ldg, j0, acc),
+        Level::Avx2 => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
     }
 }
 
@@ -726,115 +696,33 @@ pub fn matmul_narrow_k(
     }
 }
 
-/// g-SDDMM for one destination: `out[i*heads + h] = scale * <arow,
-/// b[srcs[i]*ldb..]>_h` for each of its edges, every dot product summed
-/// in ascending channel order. The AVX2 level puts eight edges in the
-/// lanes (the edge-lane rule of the module docs).
+/// Edge softmax over one destination's `[deg, heads]` logits, in place:
+/// per head, the max, then `exp(x - max)` with a running denominator, then
+/// the divide, each over the edges in order. The AVX2 level runs four
+/// heads abreast when `heads` is a multiple of four.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn sddmm_dst(
-    level: Level,
-    arow: &[f32],
-    b: &[f32],
-    ldb: usize,
-    srcs: &[u32],
-    heads: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert!(
-        heads >= 1 && arow.len().is_multiple_of(heads),
-        "sddmm: heads"
-    );
-    assert_eq!(out.len(), srcs.len() * heads, "sddmm: output length");
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); the kernel asserts the largest
-        // source row in bounds before any load.
-        Level::Avx2 => unsafe { avx2::sddmm_dst(arow, b, ldb, srcs, heads, scale, out) },
-        _ => sddmm_dst_scalar(arow, b, ldb, srcs, heads, scale, out),
-    }
-}
-
-/// Edge softmax over one destination's `[deg, heads]` logits into `out`
-/// (same layout). The AVX2 level runs four heads abreast when `heads` is
-/// a multiple of four.
-#[inline]
-pub fn edge_softmax_dst(level: Level, logits: &[f32], heads: usize, out: &mut [f32]) {
-    assert!(heads >= 1 && logits.len().is_multiple_of(heads) && out.len() == logits.len());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); lengths asserted above.
-        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
-            avx2::edge_softmax_dst(logits.as_ptr(), out.as_mut_ptr(), out.len(), heads)
-        },
-        _ => {
-            out.copy_from_slice(logits);
-            edge_softmax_dst_scalar(out, heads)
-        }
-    }
-}
-
-/// [`edge_softmax_dst`] over logits that already sit in the output: the
-/// same operations, each element read before it is overwritten.
-#[inline]
-pub fn edge_softmax_dst_in_place(level: Level, x: &mut [f32], heads: usize) {
+pub fn edge_softmax_dst(level: Level, x: &mut [f32], heads: usize) {
     assert!(heads >= 1 && x.len().is_multiple_of(heads));
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); the kernel reads each element
-        // before it writes it, so input and output may be one slice.
-        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
-            let p = x.as_mut_ptr();
-            avx2::edge_softmax_dst(p, p, x.len(), heads)
-        },
+        // SAFETY: AVX2 verified by level(); lengths asserted above.
+        Level::Avx2 if heads.is_multiple_of(4) => unsafe { avx2::edge_softmax_dst(x, heads) },
         _ => edge_softmax_dst_scalar(x, heads),
     }
 }
 
-/// Edge-softmax backward over one destination's edges: `out = soft *
-/// (grad - Σ soft*grad)` per head.
+/// Edge-softmax backward over one destination's edges, in the gradient's
+/// own buffer: `grad = soft * (grad - Σ soft*grad)` per head, the dot
+/// over the edges in order.
 #[inline]
-pub fn edge_softmax_backward_dst(
-    level: Level,
-    soft: &[f32],
-    grad: &[f32],
-    heads: usize,
-    out: &mut [f32],
-) {
-    assert!(heads >= 1 && soft.len().is_multiple_of(heads));
-    assert!(grad.len() == soft.len() && out.len() == soft.len());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); lengths asserted above.
-        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
-            avx2::edge_softmax_backward_dst(soft, grad.as_ptr(), out.as_mut_ptr(), heads)
-        },
-        _ => {
-            out.copy_from_slice(grad);
-            edge_softmax_backward_dst_scalar(soft, out, heads)
-        }
-    }
-}
-
-/// [`edge_softmax_backward_dst`] in the gradient's own buffer: `grad =
-/// soft * (grad - Σ soft*grad)` per head.
-#[inline]
-pub fn edge_softmax_backward_dst_in_place(
-    level: Level,
-    soft: &[f32],
-    grad: &mut [f32],
-    heads: usize,
-) {
+pub fn edge_softmax_backward_dst(level: Level, soft: &[f32], grad: &mut [f32], heads: usize) {
     assert!(heads >= 1 && soft.len().is_multiple_of(heads));
     assert_eq!(grad.len(), soft.len());
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); lengths asserted above, and
-        // the kernel reads each gradient element before it writes it.
+        // SAFETY: AVX2 verified by level(); lengths asserted above.
         Level::Avx2 if heads.is_multiple_of(4) => unsafe {
-            let p = grad.as_mut_ptr();
-            avx2::edge_softmax_backward_dst(soft, p, p, heads)
+            avx2::edge_softmax_backward_dst(soft, grad, heads)
         },
         _ => edge_softmax_backward_dst_scalar(soft, grad, heads),
     }
@@ -849,7 +737,7 @@ pub fn edge_softmax_backward_dst_in_place(
 ///   [`spmm_scatter_rowtile`] under sum aggregation;
 /// * `datt(i, h, v)` receives `v = Σ_j grad[dsts[i], j] * hrow[j]` over the
 ///   head's channels ascending from `0.0` — the g-SDDMM sequence of
-///   [`sddmm_dst`] with `a = grad`, `b = h`.
+///   [`crate::sparse::sddmm`] with `a = grad`, `b = h`.
 ///
 /// The AVX2 level takes the edges eight at a time: their gradient rows
 /// transposed into lanes for the dot products (the edge-lane rule), the

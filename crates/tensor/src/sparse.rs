@@ -14,10 +14,16 @@
 //! contributions in ascending edge order — bit-identical at any thread
 //! count.
 //!
-//! Every kernel comes in the three forms of [`crate::ops`]: a
-//! `*_reference` oracle (the plain loop), a pooled `*_into` kernel whose
-//! inner loops dispatch through [`crate::simd`], and an `*_into_with`
-//! twin pinned to an explicit [`Level`].
+//! The unweighted g-SpMM that GCN and GraphSAGE run comes in the three
+//! forms of [`crate::ops`]: a `*_reference` oracle (the plain loop), a
+//! pooled `*_into` kernel whose inner loops dispatch through
+//! [`crate::simd`], and an `*_into_with` twin pinned to an explicit
+//! [`Level`]. The GAT layer runs fused kernels ([`edge_attention_into`],
+//! [`gat_aggregate_into`] and their backwards, each with its `*_with`
+//! twin). The unfused GAT kernels they replaced keep one body each, the
+//! plain loop: [`sddmm`], [`edge_softmax`], [`edge_softmax_backward`]
+//! and the weighted forms of [`spmm_reference`] /
+//! [`spmm_backward_src_reference`] are the fused kernels' oracles.
 
 #![allow(clippy::needless_range_loop)] // kernel-style indexed loops mirror the CUDA code
 
@@ -122,7 +128,8 @@ fn spmm_head_dim(
 }
 
 /// g-SpMM forward — the original unblocked loop, kept as the bit-exactness
-/// oracle for [`spmm_into`].
+/// oracle for [`spmm_into`] (unweighted) and [`gat_aggregate_into`]
+/// (weighted).
 ///
 /// `src`: `[num_src, H·D]` source features. `edge_weights`: optional
 /// `[E, H]` per-edge per-head weights (`heads` must divide `src.cols()`);
@@ -176,9 +183,10 @@ const SPMM_CB: usize = 32;
 
 /// g-SpMM forward into a caller-provided output (re-shaped in place,
 /// capacity reused). Register-tiled: every output element accumulates its
-/// edges in ascending edge order with the same `agg` scaling (and per-edge
-/// head weight), so results are bit-identical to [`spmm_reference`] at any
-/// thread count.
+/// edges in ascending edge order with the same `agg` scaling, so results
+/// are bit-identical to [`spmm_reference`] at any thread count. `heads`
+/// and `edge_weights` keep the weighted form's signature (see
+/// [`spmm_into_with`]).
 pub fn spmm_into(
     block: &BlockCsr,
     src: &Matrix,
@@ -190,7 +198,10 @@ pub fn spmm_into(
     spmm_into_with(simd::level(), block, src, edge_weights, heads, agg, out);
 }
 
-/// [`spmm_into`] at an explicit SIMD [`Level`].
+/// [`spmm_into`] at an explicit SIMD [`Level`]. The register tiles serve
+/// the unweighted form every model runs (GAT aggregates through
+/// [`gat_aggregate_into`]); a weighted call gets [`spmm_reference`]'s
+/// result.
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_into_with(
     level: Level,
@@ -201,9 +212,13 @@ pub fn spmm_into_with(
     agg: Agg,
     out: &mut Matrix,
 ) {
+    if edge_weights.is_some() {
+        *out = spmm_reference(block, src, edge_weights, heads, agg);
+        return;
+    }
     assert_eq!(src.rows(), block.num_src, "src feature rows != num_src");
     let channels = src.cols();
-    let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
+    spmm_head_dim(block, channels, None, heads);
     out.reset_shape(block.num_dst, channels);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
@@ -215,36 +230,23 @@ pub fn spmm_into_with(
             }
             let scale = agg_scale(agg, hi - lo);
             let edges = &block.indices[lo..hi];
-            let x = src.data();
-            // The unweighted loop is spelled out with a literal `None`
-            // rather than shared with the per-head loop below: routing it
-            // through a closure or a runtime `Option` measured 5-15%
-            // slower at 16 channels (GCN/GraphSAGE's path).
-            let Some(w) = edge_weights else {
-                let mut j0 = 0;
-                while j0 < channels {
-                    let cb = SPMM_CB.min(channels - j0);
-                    let mut acc = [0.0f32; SPMM_CB];
-                    let tile = &mut acc[..cb];
-                    simd::spmm_gather_rowtile(level, edges, None, x, channels, j0, scale, tile);
-                    orow[j0..j0 + cb].copy_from_slice(tile);
-                    j0 += cb;
-                }
-                return;
-            };
-            // A head's weight is a per-edge scalar on its `head_dim`
-            // columns, so the same register tiles apply head by head.
-            for h in 0..heads {
-                let wh = Some((&w.data()[lo * heads + h..], heads));
-                let mut j0 = h * head_dim;
-                while j0 < (h + 1) * head_dim {
-                    let cb = SPMM_CB.min((h + 1) * head_dim - j0);
-                    let mut acc = [0.0f32; SPMM_CB];
-                    let tile = &mut acc[..cb];
-                    simd::spmm_gather_rowtile(level, edges, wh, x, channels, j0, scale, tile);
-                    orow[j0..j0 + cb].copy_from_slice(tile);
-                    j0 += cb;
-                }
+            let mut j0 = 0;
+            while j0 < channels {
+                let cb = SPMM_CB.min(channels - j0);
+                let mut acc = [0.0f32; SPMM_CB];
+                let tile = &mut acc[..cb];
+                simd::spmm_gather_rowtile(
+                    level,
+                    edges,
+                    None,
+                    src.data(),
+                    channels,
+                    j0,
+                    scale,
+                    tile,
+                );
+                orow[j0..j0 + cb].copy_from_slice(tile);
+                j0 += cb;
             }
         });
 }
@@ -305,7 +307,9 @@ fn reverse_csr_into(block: &BlockCsr, rev: &mut ReverseScratch) {
 }
 
 /// g-SpMM backward w.r.t. source features — the original unblocked
-/// transpose-gather, kept as the oracle for [`spmm_backward_src_into`].
+/// transpose-gather, kept as the oracle for [`spmm_backward_src_into`]
+/// (unweighted) and the `dL/dh` of [`gat_aggregate_backward_into`]
+/// (weighted).
 pub fn spmm_backward_src_reference(
     block: &BlockCsr,
     grad_dst: &Matrix,
@@ -378,7 +382,9 @@ pub fn spmm_backward_src_into(
     );
 }
 
-/// [`spmm_backward_src_into`] at an explicit SIMD [`Level`].
+/// [`spmm_backward_src_into`] at an explicit SIMD [`Level`]. Like
+/// [`spmm_into_with`], the register tiles serve the unweighted form; a
+/// weighted call gets [`spmm_backward_src_reference`]'s result.
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_backward_src_into_with(
     level: Level,
@@ -390,9 +396,13 @@ pub fn spmm_backward_src_into_with(
     out: &mut Matrix,
     rev: &mut ReverseScratch,
 ) {
+    if edge_weights.is_some() {
+        *out = spmm_backward_src_reference(block, grad_dst, edge_weights, heads, agg);
+        return;
+    }
     assert_eq!(grad_dst.rows(), block.num_dst);
     let channels = grad_dst.cols();
-    let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
+    spmm_head_dim(block, channels, None, heads);
     reverse_csr_into(block, rev);
     let rev = &*rev;
     let mean = agg == Agg::Mean;
@@ -407,31 +417,14 @@ pub fn spmm_backward_src_into_with(
             }
             let dsts = &rev.dsts[lo..hi];
             let (offs, g) = (&block.offsets[..], grad_dst.data());
-            let Some(w) = edge_weights else {
-                let mut j0 = 0;
-                while j0 < channels {
-                    let cb = SPMM_CB.min(channels - j0);
-                    let mut acc = [0.0f32; SPMM_CB];
-                    let tile = &mut acc[..cb];
-                    simd::spmm_scatter_rowtile(
-                        level, dsts, None, offs, mean, g, channels, j0, tile,
-                    );
-                    orow[j0..j0 + cb].copy_from_slice(tile);
-                    j0 += cb;
-                }
-                return;
-            };
-            for h in 0..heads {
-                let wh = Some((&w.data()[h..], &rev.edges[lo..hi], heads));
-                let mut j0 = h * head_dim;
-                while j0 < (h + 1) * head_dim {
-                    let cb = SPMM_CB.min((h + 1) * head_dim - j0);
-                    let mut acc = [0.0f32; SPMM_CB];
-                    let tile = &mut acc[..cb];
-                    simd::spmm_scatter_rowtile(level, dsts, wh, offs, mean, g, channels, j0, tile);
-                    orow[j0..j0 + cb].copy_from_slice(tile);
-                    j0 += cb;
-                }
+            let mut j0 = 0;
+            while j0 < channels {
+                let cb = SPMM_CB.min(channels - j0);
+                let mut acc = [0.0f32; SPMM_CB];
+                let tile = &mut acc[..cb];
+                simd::spmm_scatter_rowtile(level, dsts, offs, mean, g, channels, j0, tile);
+                orow[j0..j0 + cb].copy_from_slice(tile);
+                j0 += cb;
             }
         });
 }
@@ -456,22 +449,6 @@ pub fn spmm_backward_src(
         &mut rev,
     );
     out
-}
-
-/// Re-shape the `[E, heads]` edge matrix `out` (contents stale) and hand
-/// every destination its own rows to overwrite: `f(d, lo, rows)` runs in
-/// parallel over destinations with `rows = out[lo*heads..hi*heads]`, the
-/// destination's edge range.
-fn for_each_dst_edges(
-    block: &BlockCsr,
-    heads: usize,
-    out: &mut Matrix,
-    f: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    // Stale contents stay: the destinations' ranges cover every edge and
-    // each kernel run through here writes all of its rows.
-    out.set_shape(block.num_edges(), heads);
-    for_each_dst_rows(block, heads, out.data_mut(), f);
 }
 
 /// Hand every destination its own rows of the `[E, heads]` edge data
@@ -505,25 +482,19 @@ fn for_each_dst_rows(
     });
 }
 
-/// Shape checks shared by the g-SDDMM forms; returns `head_dim`.
-fn sddmm_head_dim(block: &BlockCsr, a_dst: &Matrix, b_src: &Matrix, heads: usize) -> usize {
+/// g-SDDMM: per-edge, per-head dot products `out[e,h] = scale_d ·
+/// <a_dst[d], b_src[s]>_h` for each edge `d←s`, each summed in ascending
+/// channel order from `0.0` (one dependent scalar add per multiply). This
+/// is both the GAT attention-logit kernel and the backward of weighted
+/// g-SpMM w.r.t. the edge weights (`a = grad_dst, b = src`, with the
+/// forward's aggregation scale) — the oracle of the `dL/d att` that
+/// [`gat_aggregate_backward_into`] produces.
+pub fn sddmm(block: &BlockCsr, a_dst: &Matrix, b_src: &Matrix, heads: usize, agg: Agg) -> Matrix {
     assert_eq!(a_dst.rows(), block.num_dst);
     assert_eq!(b_src.rows(), block.num_src);
     assert_eq!(a_dst.cols(), b_src.cols());
     assert!(heads >= 1 && a_dst.cols().is_multiple_of(heads));
-    a_dst.cols() / heads
-}
-
-/// g-SDDMM — the original per-edge loop (one dependent scalar add per
-/// multiply), kept as the bit-exactness oracle for [`sddmm_into`].
-pub fn sddmm_reference(
-    block: &BlockCsr,
-    a_dst: &Matrix,
-    b_src: &Matrix,
-    heads: usize,
-    agg: Agg,
-) -> Matrix {
-    let head_dim = sddmm_head_dim(block, a_dst, b_src, heads);
+    let head_dim = a_dst.cols() / heads;
     let mut out = Matrix::zeros(block.num_edges(), heads);
     for d in 0..block.num_dst {
         let (lo, hi) = block.edges(d);
@@ -544,54 +515,12 @@ pub fn sddmm_reference(
     out
 }
 
-/// g-SDDMM into a caller-provided `[E, heads]` output: per-edge, per-head
-/// dot products `out[e,h] = scale_d · <a_dst[d], b_src[s]>_h` for each edge
-/// `d←s`. This is both the GAT attention-logit kernel and the backward of
-/// weighted g-SpMM w.r.t. the edge weights (`a = grad_dst, b = src`, with
-/// the forward's aggregation scale). Parallel over destinations, whose
-/// edges share `a_dst[d]`; each dot product is summed in ascending channel
-/// order — bit-identical to [`sddmm_reference`].
-pub fn sddmm_into(
-    block: &BlockCsr,
-    a_dst: &Matrix,
-    b_src: &Matrix,
-    heads: usize,
-    agg: Agg,
-    out: &mut Matrix,
-) {
-    sddmm_into_with(simd::level(), block, a_dst, b_src, heads, agg, out);
-}
-
-/// [`sddmm_into`] at an explicit SIMD [`Level`].
-#[allow(clippy::too_many_arguments)]
-pub fn sddmm_into_with(
-    level: Level,
-    block: &BlockCsr,
-    a_dst: &Matrix,
-    b_src: &Matrix,
-    heads: usize,
-    agg: Agg,
-    out: &mut Matrix,
-) {
-    sddmm_head_dim(block, a_dst, b_src, heads);
-    let (b, ldb) = (b_src.data(), b_src.cols());
-    for_each_dst_edges(block, heads, out, |d, lo, rows| {
-        let srcs = &block.indices[lo..lo + rows.len() / heads];
-        let scale = agg_scale(agg, srcs.len());
-        simd::sddmm_dst(level, a_dst.row(d), b, ldb, srcs, heads, scale, rows);
-    });
-}
-
-/// Allocating wrapper over [`sddmm_into`].
-pub fn sddmm(block: &BlockCsr, a_dst: &Matrix, b_src: &Matrix, heads: usize, agg: Agg) -> Matrix {
-    let mut out = Matrix::empty();
-    sddmm_into(block, a_dst, b_src, heads, agg, &mut out);
-    out
-}
-
-/// Edge softmax — the original clone-then-normalize-in-place loop, kept
-/// as the oracle for [`edge_softmax_into`].
-pub fn edge_softmax_reference(block: &BlockCsr, logits: &Matrix) -> Matrix {
+/// Softmax over each destination's incoming edges, per head (GAT's
+/// attention normalization), `[E, H]` in and out: per head, the max, then
+/// `exp(x - max)` with a running denominator, then the divide, each over
+/// the edges in order — the sequence [`simd::edge_softmax_dst`] runs
+/// inside [`edge_attention_into`], whose oracle this is.
+pub fn edge_softmax(block: &BlockCsr, logits: &Matrix) -> Matrix {
     assert_eq!(logits.rows(), block.num_edges());
     let heads = logits.cols();
     let mut out = logits.clone();
@@ -617,34 +546,12 @@ pub fn edge_softmax_reference(block: &BlockCsr, logits: &Matrix) -> Matrix {
     out
 }
 
-/// Softmax over each destination's incoming edges, per head (GAT's
-/// attention normalization), `[E, H]` in and out, written into a
-/// caller-provided output one destination at a time. Bit-identical to
-/// [`edge_softmax_reference`] for finite logits.
-pub fn edge_softmax_into(block: &BlockCsr, logits: &Matrix, out: &mut Matrix) {
-    edge_softmax_into_with(simd::level(), block, logits, out);
-}
-
-/// [`edge_softmax_into`] at an explicit SIMD [`Level`].
-pub fn edge_softmax_into_with(level: Level, block: &BlockCsr, logits: &Matrix, out: &mut Matrix) {
-    assert_eq!(logits.rows(), block.num_edges());
-    let heads = logits.cols();
-    for_each_dst_edges(block, heads, out, |_, lo, rows| {
-        let src = &logits.data()[lo * heads..lo * heads + rows.len()];
-        simd::edge_softmax_dst(level, src, heads, rows);
-    });
-}
-
-/// Allocating wrapper over [`edge_softmax_into`].
-pub fn edge_softmax(block: &BlockCsr, logits: &Matrix) -> Matrix {
-    let mut out = Matrix::empty();
-    edge_softmax_into(block, logits, &mut out);
-    out
-}
-
-/// Edge-softmax backward — the original bounds-checked loop, kept as the
-/// oracle for [`edge_softmax_backward_into`].
-pub fn edge_softmax_backward_reference(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> Matrix {
+/// Backward of [`edge_softmax`]: given the forward output `soft` and
+/// upstream gradient `grad`, the gradient w.r.t. the logits `g_e = soft_e
+/// · (grad_e − Σ_f soft_f · grad_f)` per destination, per head, the dot
+/// summed over the edges in order — the oracle of
+/// [`simd::edge_softmax_backward_dst`].
+pub fn edge_softmax_backward(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> Matrix {
     assert_eq!(soft.rows(), block.num_edges());
     assert_eq!(grad.rows(), block.num_edges());
     let heads = soft.cols();
@@ -664,44 +571,6 @@ pub fn edge_softmax_backward_reference(block: &BlockCsr, soft: &Matrix, grad: &M
     out
 }
 
-/// Backward of [`edge_softmax`] into a caller-provided output: given the
-/// forward output `soft` and upstream gradient `grad`, the gradient
-/// w.r.t. the logits `g_e = soft_e · (grad_e − Σ_f soft_f · grad_f)` per
-/// destination, per head.
-pub fn edge_softmax_backward_into(
-    block: &BlockCsr,
-    soft: &Matrix,
-    grad: &Matrix,
-    out: &mut Matrix,
-) {
-    edge_softmax_backward_into_with(simd::level(), block, soft, grad, out);
-}
-
-/// [`edge_softmax_backward_into`] at an explicit SIMD [`Level`].
-pub fn edge_softmax_backward_into_with(
-    level: Level,
-    block: &BlockCsr,
-    soft: &Matrix,
-    grad: &Matrix,
-    out: &mut Matrix,
-) {
-    assert_eq!(soft.rows(), block.num_edges());
-    assert_eq!((grad.rows(), grad.cols()), (soft.rows(), soft.cols()));
-    let heads = soft.cols();
-    for_each_dst_edges(block, heads, out, |_, lo, rows| {
-        let span = lo * heads..lo * heads + rows.len();
-        let (s, g) = (&soft.data()[span.clone()], &grad.data()[span]);
-        simd::edge_softmax_backward_dst(level, s, g, heads, rows);
-    });
-}
-
-/// Allocating wrapper over [`edge_softmax_backward_into`].
-pub fn edge_softmax_backward(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> Matrix {
-    let mut out = Matrix::empty();
-    edge_softmax_backward_into(block, soft, grad, &mut out);
-    out
-}
-
 /// GAT edge attention in one op: for every edge `d ← s` and head `h`,
 /// the logit `x = scores[d, h] + scores[s, heads + h]`, its LeakyReLU
 /// (`x * slope` where `x < 0.0`), then the softmax over `d`'s edges, each
@@ -710,8 +579,9 @@ pub fn edge_softmax_backward(block: &BlockCsr, soft: &Matrix, grad: &Matrix) -> 
 /// columns and the source scores in the rest (see
 /// [`crate::ops::attention_scores_into`]). Bit-identical to the unfused
 /// chain `edge_softmax(leaky_relu(s_dst[d] + s_src[s]))`: the same adds,
-/// the same select and the same [`simd::edge_softmax_dst`] sequence — only
-/// the `[E, heads]` logits and their LeakyReLU are never stored.
+/// the same select and [`simd::edge_softmax_dst`], [`edge_softmax`]'s
+/// sequence — only the `[E, heads]` logits and their LeakyReLU are never
+/// stored.
 pub fn edge_attention_into(block: &BlockCsr, scores: &Matrix, slope: f32, out: &mut Matrix) {
     edge_attention_into_with(simd::level(), block, scores, slope, out);
 }
@@ -725,7 +595,10 @@ pub fn edge_attention_into_with(
     out: &mut Matrix,
 ) {
     let heads = attention_heads(block, scores);
-    for_each_dst_edges(block, heads, out, |d, lo, rows| {
+    // Stale contents stay: the destinations' ranges cover every edge and
+    // each destination writes all of its rows.
+    out.set_shape(block.num_edges(), heads);
+    for_each_dst_rows(block, heads, out.data_mut(), |d, lo, rows| {
         let sd = &scores.row(d)[..heads];
         for (orow, &s) in rows.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
             let ss = &scores.row(s as usize)[heads..];
@@ -735,7 +608,7 @@ pub fn edge_attention_into_with(
                 *o = if x < 0.0 { scaled } else { x };
             }
         }
-        simd::edge_softmax_dst_in_place(level, rows, heads);
+        simd::edge_softmax_dst(level, rows, heads);
     });
 }
 
@@ -786,7 +659,7 @@ pub fn edge_attention_backward_into_with(
     let out_ptr = out.data_mut().as_mut_ptr() as usize;
     for_each_dst_rows(block, heads, grad.data_mut(), |d, lo, g| {
         let soft = &att.data()[lo * heads..lo * heads + g.len()];
-        simd::edge_softmax_backward_dst_in_place(level, soft, g, heads);
+        simd::edge_softmax_backward_dst(level, soft, g, heads);
         // SAFETY: row `d < num_dst <= num_src` of the `[num_src,
         // 2·heads]` output starts at `d * 2·heads`; its first `heads`
         // floats are written by this destination's task only.
@@ -819,7 +692,7 @@ const GAT_CB: usize = 64;
 
 /// GAT aggregation in one op: the weighted multi-head g-SpMM under sum
 /// aggregation (`att: [E, heads]` the edge weights, as in
-/// [`spmm_into`]), with `x + bias` and — on hidden layers — ELU's
+/// [`spmm_reference`]), with `x + bias` and — on hidden layers — ELU's
 /// `alpha · (exp(x) - 1)` where `x < 0.0` applied to each register tile
 /// before it is stored. The same operations as `elu(add_bias(spmm(..)))`
 /// — libm `exp` on exactly the negative lanes, as [`crate::ops::elu`]
@@ -881,8 +754,9 @@ pub fn gat_aggregate_into_with(
 
 /// The aggregation's tile store: `out = acc + bias`, then under `elu =
 /// Some(alpha)` `alpha · (exp(x) - 1)` on the lanes where that sum `x` is
-/// negative — gathered into a bitmask first, as [`crate::ops::elu`] does,
-/// so `exp` runs on exactly those lanes and no branch tests the data.
+/// negative — gathered into a bitmask first, so `exp` runs on exactly
+/// those lanes and no branch tests the data. The selected lanes hold what
+/// [`crate::ops::elu`]'s per-element select picks.
 #[inline]
 fn bias_act_store(acc: &[f32], bias: &[f32], elu: Option<f32>, out: &mut [f32]) {
     let mut negative = 0u64;
@@ -909,7 +783,7 @@ fn bias_act_store(acc: &[f32], bias: &[f32], elu: Option<f32>, out: &mut [f32]) 
 /// the sources produces both `dh: [num_src, channels]` and `datt: [E,
 /// heads]` ([`simd::weighted_spmm_backward_row`]): per source row, each
 /// incoming edge's gradient row is read once for `dL/dh` (the sums of
-/// [`spmm_backward_src_into`]) and `dL/d att` (those of [`sddmm_into`]
+/// [`spmm_backward_src_reference`]) and `dL/d att` (those of [`sddmm`]
 /// with `a = grad`, `b = h`).
 #[allow(clippy::too_many_arguments)]
 pub fn gat_aggregate_backward_into(

@@ -11,12 +11,14 @@
 //! dispatched-vs-reference tests run everywhere). The two-worker pool
 //! leg lives in `simd_equivalence_threads2.rs`.
 //!
-//! The second half pins the GAT kernel families — g-SDDMM, weighted
-//! multi-head g-SpMM (forward and backward-src), edge softmax (forward
-//! and backward) and the narrow-`n`/`k` matmuls — the same way, always
-//! writing into dirty (NaN-filled, wrongly shaped) pooled buffers — and
-//! the GAT layer's fused kernels against the unfused chain of those
-//! kernels and oracles. Nothing is `#[cfg]`-gated: off x86, or under CI's
+//! The second half pins the GAT kernels — the edge-softmax row kernels,
+//! the weighted multi-head g-SpMM tiles and the one-walk backward inside
+//! the fused aggregation, and the narrow-`n`/`k` matmuls — against the
+//! plain oracle loops (`sddmm`, `edge_softmax`, `edge_softmax_backward`,
+//! the weighted `spmm_*_reference`), always writing into dirty
+//! (NaN-filled, wrongly shaped) pooled buffers, and the GAT layer's fused
+//! kernels against the unfused chain of those oracles. Nothing is
+//! `#[cfg]`-gated: off x86, or under CI's
 //! `WG_SIMD=scalar` leg, the scalar-vs-reference comparisons still run.
 //!
 //! The last part pins what the training loop actually feeds the dense
@@ -31,6 +33,7 @@ use common::{assert_bits_eq, dirty, levels, mat};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
+use std::ops::Range;
 use wg_tensor::ops::{
     self, attention_scores_backward_into_with, attention_scores_into_with, matmul_into_with,
     matmul_nt_into_with, matmul_nt_reference, matmul_reference, matmul_tn_into_with,
@@ -38,9 +41,8 @@ use wg_tensor::ops::{
 };
 use wg_tensor::simd::{self, Level};
 use wg_tensor::sparse::{
-    edge_attention_backward_into_with, edge_attention_into_with, edge_softmax_backward_into_with,
-    edge_softmax_backward_reference, edge_softmax_into_with, edge_softmax_reference,
-    gat_aggregate_backward_into_with, gat_aggregate_into_with, sddmm_into_with, sddmm_reference,
+    edge_attention_backward_into_with, edge_attention_into_with, edge_softmax,
+    edge_softmax_backward, gat_aggregate_backward_into_with, gat_aggregate_into_with, sddmm,
     spmm_backward_src_into_with, spmm_backward_src_reference, spmm_into_with, spmm_reference, Agg,
     BlockCsr, ReverseScratch,
 };
@@ -153,37 +155,32 @@ fn empty_matrices_at_every_level() {
 #[test]
 fn spmm_kernels_bit_identical_at_every_level() {
     for level in levels() {
-        for (dst, src, fanout, channels, heads, seed) in [
-            (1usize, 2usize, 1usize, 1usize, 1usize, 20u64),
-            (7, 15, 3, 9, 1, 21),    // one lane + tail
-            (23, 60, 5, 31, 1, 22),  // just under a lane block
-            (40, 100, 8, 33, 3, 23), // multi-head, 32 + tail
-            (16, 50, 4, 64, 4, 24),
+        for (dst, src, fanout, channels, seed) in [
+            (1usize, 2usize, 1usize, 1usize, 20u64),
+            (7, 15, 3, 9, 21),    // one lane + tail
+            (23, 60, 5, 31, 22),  // just under a lane block
+            (40, 100, 8, 33, 23), // 32 + tail
+            (16, 50, 4, 64, 24),
         ] {
             let b = block(dst, src, fanout, seed);
             let x = mat(src, channels, seed ^ 0x77);
-            let w = mat(b.num_edges(), heads, seed ^ 0x88);
             let name = level.name();
             for agg in [Agg::Mean, Agg::Sum] {
-                for weights in [None, Some(&w)] {
-                    let mut y = Matrix::empty();
-                    spmm_into_with(level, &b, &x, weights, heads, agg, &mut y);
-                    assert_bits_eq(
-                        &y,
-                        &spmm_reference(&b, &x, weights, heads, agg),
-                        &format!("spmm/{name}"),
-                    );
-                    let mut g = Matrix::empty();
-                    let mut rev = ReverseScratch::default();
-                    spmm_backward_src_into_with(
-                        level, &b, &y, weights, heads, agg, &mut g, &mut rev,
-                    );
-                    assert_bits_eq(
-                        &g,
-                        &spmm_backward_src_reference(&b, &y, weights, heads, agg),
-                        &format!("spmm_backward/{name}"),
-                    );
-                }
+                let mut y = Matrix::empty();
+                spmm_into_with(level, &b, &x, None, 1, agg, &mut y);
+                assert_bits_eq(
+                    &y,
+                    &spmm_reference(&b, &x, None, 1, agg),
+                    &format!("spmm/{name}"),
+                );
+                let mut g = Matrix::empty();
+                let mut rev = ReverseScratch::default();
+                spmm_backward_src_into_with(level, &b, &y, None, 1, agg, &mut g, &mut rev);
+                assert_bits_eq(
+                    &g,
+                    &spmm_backward_src_reference(&b, &y, None, 1, agg),
+                    &format!("spmm_backward/{name}"),
+                );
             }
         }
     }
@@ -373,46 +370,67 @@ fn degree_patterns() -> Vec<Vec<usize>> {
     p
 }
 
-/// Every GAT sparse kernel at every level against its oracle, on one
-/// block and one `(heads, head_dim)` shape.
+/// `f(span, rows)` for every destination's rows of the `[E, heads]` edge
+/// matrix `m`, `span` being their range in `m`'s data.
+fn for_each_dst(b: &BlockCsr, m: &mut Matrix, mut f: impl FnMut(Range<usize>, &mut [f32])) {
+    let heads = m.cols();
+    for d in 0..b.num_dst {
+        let span = b.offsets[d] as usize * heads..b.offsets[d + 1] as usize * heads;
+        f(span.clone(), &mut m.data_mut()[span]);
+    }
+}
+
+/// The edge-softmax row kernel at `level`, destination by destination.
+fn softmax_rows(level: Level, b: &BlockCsr, logits: &Matrix) -> Matrix {
+    let (mut x, heads) = (logits.clone(), logits.cols());
+    for_each_dst(b, &mut x, |_, rows| {
+        simd::edge_softmax_dst(level, rows, heads)
+    });
+    x
+}
+
+/// Every GAT sparse kernel that ships, at every level, against its plain
+/// oracle loop on one block and one `(heads, head_dim)` shape: the
+/// edge-softmax row kernels destination by destination, and the weighted
+/// g-SpMM tiles and the one-walk backward through the fused aggregation
+/// (with no ELU and a `-0.0` bias, which adds nothing to any sum).
 fn check_sparse_kernels(b: &BlockCsr, heads: usize, head_dim: usize, seed: u64) {
     let channels = heads * head_dim;
     let (e, what) = (b.num_edges(), format!("heads {heads} x dim {head_dim}"));
-    let a_dst = mat(b.num_dst, channels, seed);
-    let b_src = mat(b.num_src, channels, seed ^ 0x51);
+    let g = mat(b.num_dst, channels, seed);
+    let h = mat(b.num_src, channels, seed ^ 0x51);
     let w = mat(e, heads, seed ^ 0x77);
     let up = mat(e, heads, seed ^ 0x99);
-    let soft_ref = edge_softmax_reference(b, &w);
-    let soft_bwd_ref = edge_softmax_backward_reference(b, &soft_ref, &up);
+    let soft = edge_softmax(b, &w);
+    let soft_bwd = edge_softmax_backward(b, &soft, &up);
+    let want_y = spmm_reference(b, &h, Some(&w), heads, Agg::Sum);
+    let want_dh = spmm_backward_src_reference(b, &g, Some(&w), heads, Agg::Sum);
+    let want_dw = sddmm(b, &g, &h, heads, Agg::Sum);
+    let no_bias = vec![-0.0f32; channels];
     for level in levels() {
-        let name = level.name();
-        let mut out = dirty();
-        for agg in [Agg::Sum, Agg::Mean] {
-            sddmm_into_with(level, b, &a_dst, &b_src, heads, agg, &mut out);
-            let want = sddmm_reference(b, &a_dst, &b_src, heads, agg);
-            assert_bits_eq(&out, &want, &format!("sddmm/{name} {agg:?} {what}"));
-
-            spmm_into_with(level, b, &b_src, Some(&w), heads, agg, &mut out);
-            let want = spmm_reference(b, &b_src, Some(&w), heads, agg);
-            assert_bits_eq(&out, &want, &format!("spmm_weighted/{name} {agg:?} {what}"));
-
-            let mut rev = ReverseScratch::default();
-            spmm_backward_src_into_with(level, b, &a_dst, Some(&w), heads, agg, &mut out, &mut rev);
-            let want = spmm_backward_src_reference(b, &a_dst, Some(&w), heads, agg);
-            assert_bits_eq(
-                &out,
-                &want,
-                &format!("spmm_weighted_bwd/{name} {agg:?} {what}"),
-            );
-        }
-        edge_softmax_into_with(level, b, &w, &mut out);
-        assert_bits_eq(&out, &soft_ref, &format!("edge_softmax/{name} {what}"));
-        edge_softmax_backward_into_with(level, b, &soft_ref, &up, &mut out);
+        let what = format!("{} {what}", level.name());
         assert_bits_eq(
-            &out,
-            &soft_bwd_ref,
-            &format!("edge_softmax_bwd/{name} {what}"),
+            &softmax_rows(level, b, &w),
+            &soft,
+            &format!("edge_softmax {what}"),
         );
+        let mut grad = up.clone();
+        for_each_dst(b, &mut grad, |span, rows| {
+            simd::edge_softmax_backward_dst(level, &soft.data()[span], rows, heads)
+        });
+        assert_bits_eq(&grad, &soft_bwd, &format!("edge_softmax_bwd {what}"));
+
+        let mut y = dirty();
+        gat_aggregate_into_with(level, b, &h, &w, heads, &no_bias, None, &mut y);
+        assert_bits_eq(&y, &want_y, &format!("spmm_weighted {what}"));
+        let mut grad = g.clone();
+        let (mut dh, mut dw, mut db) = (dirty(), dirty(), vec![f32::NAN; channels]);
+        let mut rev = ReverseScratch::default();
+        gat_aggregate_backward_into_with(
+            level, b, &mut grad, None, &h, &w, &mut dh, &mut dw, &mut db, &mut rev,
+        );
+        assert_bits_eq(&dh, &want_dh, &format!("spmm_weighted_bwd {what}"));
+        assert_bits_eq(&dw, &want_dw, &format!("sddmm {what}"));
     }
 }
 
@@ -429,7 +447,8 @@ fn gat_sparse_kernels_match_their_oracles_on_the_shape_grid() {
 }
 
 /// Softmax rows that overflow a naive `exp` and rows that are constant:
-/// the max subtraction is part of the pinned float sequence.
+/// the max subtraction is part of the pinned float sequence. The row
+/// kernel runs them at every level (4 and 8 heads take the AVX2 kernel).
 #[test]
 fn edge_softmax_is_bit_identical_on_extreme_logits() {
     let b = block_with_degrees(&[30, 9, 1, 0, 8], 4, 7);
@@ -443,11 +462,10 @@ fn edge_softmax_is_bit_identical_on_extreme_logits() {
                 _ => *v,
             };
         }
-        let want = edge_softmax_reference(&b, &logits);
+        let want = edge_softmax(&b, &logits);
         assert!(want.data().iter().all(|v| v.is_finite()));
         for level in levels() {
-            let mut out = dirty();
-            edge_softmax_into_with(level, &b, &logits, &mut out);
+            let out = softmax_rows(level, &b, &logits);
             assert_bits_eq(&out, &want, &format!("edge_softmax/{}", level.name()));
         }
     }
@@ -497,8 +515,8 @@ fn straddling_scores(rows: usize, heads: usize, seed: u64) -> Matrix {
 }
 
 /// The fused edge attention equals the unfused chain — the per-element
-/// edge-scores loop, `ops::leaky_relu`, `edge_softmax_reference` and back
-/// through `edge_softmax_backward_reference` and
+/// edge-scores loop, `ops::leaky_relu`, `edge_softmax` and back
+/// through `edge_softmax_backward` and
 /// `ops::leaky_relu_backward` — bit for bit, on logits at and around
 /// `±0.0`.
 #[test]
@@ -511,9 +529,9 @@ fn edge_scores_match_the_per_element_loop() {
             let logits = edge_scores_loop(&b, &scores, None);
             let mut leaky = Matrix::empty();
             ops::leaky_relu(&logits, 0.2, &mut leaky);
-            let soft = edge_softmax_reference(&b, &leaky);
+            let soft = edge_softmax(&b, &leaky);
             let mut dlogit = Matrix::empty();
-            let dleaky = edge_softmax_backward_reference(&b, &soft, &up);
+            let dleaky = edge_softmax_backward(&b, &soft, &up);
             ops::leaky_relu_backward(&dleaky, &logits, 0.2, &mut dlogit);
             let dscores = edge_scores_loop(&b, &scores, Some(&dlogit));
             for level in levels() {
@@ -682,7 +700,7 @@ fn gat_fused_ops_equal_the_unfused_chain() {
                 }
                 let want_db = ops::sum_rows(&grad_in);
                 let want_dh = spmm_backward_src_reference(&b, &grad_in, Some(&w), heads, Agg::Sum);
-                let want_dw = sddmm_reference(&b, &grad_in, &h, heads, Agg::Sum);
+                let want_dw = sddmm(&b, &grad_in, &h, heads, Agg::Sum);
                 for level in levels() {
                     let what = format!("{} elu {elu:?}", what(level));
                     let mut y = dirty();

@@ -77,8 +77,10 @@ cp BENCH_storage.json "$OUT_DIR/storage.json"
 
 # Criterion microbenchmarks for the kernels the wallclock stages are
 # built from: dispatched vs forced-scalar vs naive-reference matmul
-# (wide and narrow-n/k shapes), the sparse kernels (g-SpMM, g-SDDMM,
-# weighted g-SpMM, edge softmax), the gather row-copy / checksum
+# (wide and narrow-n/k shapes), the sparse kernels (unweighted g-SpMM,
+# and the fused GAT kernels training runs — edge attention, the
+# aggregation with bias + ELU, its one-walk backward — per SIMD level),
+# the gather row-copy / checksum
 # loops and the disk tier's host cost per disk row (`ooc_fetch`: the
 # serve_zipf and train_input batch shapes through a disk-only stack),
 # the one-kernel gather against the NCCL baseline (the empty tier
