@@ -493,15 +493,11 @@ impl Tape {
     /// Run node `i`'s backward. `grad` is the node's own gradient, which
     /// the walk releases right after: an op may rewrite it in place.
     fn propagate(&mut self, i: usize, grad: &mut Matrix, params: &mut Params) {
-        // Take op by reference via a raw split to satisfy the borrow
-        // checker: ops never alias the node's own grad slot.
-        let op = std::ptr::addr_of!(self.nodes[i].op);
-        // SAFETY: `accumulate` only touches *other* nodes' grad slots and
-        // the workspace pool, and never resizes `self.nodes`; the op enum
-        // itself is not mutated.
-        let op: &Op = unsafe { &*op };
+        // Move the op out for the match and put it back after: no arm
+        // reads node `i`'s op (`own` reads only its value).
+        let op = std::mem::replace(&mut self.nodes[i].op, Op::Input);
         let own = NodeId(i);
-        match op {
+        match &op {
             Op::Input => {}
             Op::Param(pid) => params.accumulate_grad(*pid, grad),
             Op::Matmul(a, b) => {
@@ -671,6 +667,7 @@ impl Tape {
                 self.accumulate(bias, gb);
             }
         }
+        self.nodes[i].op = op;
     }
 }
 

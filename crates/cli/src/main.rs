@@ -11,6 +11,8 @@
 //! Argument parsing is deliberately dependency-free: every flag takes a
 //! value (`--flag value`).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::Arc;

@@ -48,6 +48,8 @@
 //! The `wg` binary (the `wg-cli` crate) exposes dataset generation, IO,
 //! training, and online serving from the command line.
 
+#![forbid(unsafe_code)]
+
 pub mod convert;
 pub mod framework;
 pub mod memstats;

@@ -14,6 +14,8 @@
 //! "up to 1.31×/2.43× faster than WholeGraph using DGL/PyG layers" result
 //! in Figure 11.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod model;
 pub mod provider;

@@ -80,6 +80,20 @@ fn write_u64_slice(w: &mut impl Write, s: &[u64]) -> io::Result<()> {
     Ok(())
 }
 
+/// Bytes of the fixed header, magic through `scale`.
+const HEADER_BYTES: u64 = 44;
+
+/// Take `count` items of `item_bytes` each from the `left` bytes the file
+/// still holds, before anything sized by `count` is allocated: a corrupt
+/// header then fails naming `field` instead of aborting on the
+/// allocation.
+fn take_bytes(left: &mut u64, field: &str, count: u64, item_bytes: u64) -> io::Result<usize> {
+    let exceeds = || bad(format!("{field} count {count} exceeds the file"));
+    let need = count.checked_mul(item_bytes).filter(|&n| n <= *left);
+    *left -= need.ok_or_else(exceeds)?;
+    usize::try_from(count).map_err(|_| exceeds())
+}
+
 fn read_u64_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<u64>> {
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -117,7 +131,9 @@ pub fn save_dataset(dataset: &SyntheticDataset, path: impl AsRef<Path>) -> io::R
 /// Load a dataset from `path`, validating the header and structural
 /// invariants.
 pub fn load_dataset(path: impl AsRef<Path>) -> io::Result<SyntheticDataset> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let mut left = file.metadata()?.len().saturating_sub(HEADER_BYTES);
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -127,12 +143,19 @@ pub fn load_dataset(path: impl AsRef<Path>) -> io::Result<SyntheticDataset> {
     if version != VERSION {
         return Err(bad(format!("unsupported WGDS version {version}")));
     }
-    let num_nodes = read_u64(&mut r)? as usize;
-    let num_edges = read_u64(&mut r)? as usize;
+    let nodes = read_u64(&mut r)?;
+    let edges = read_u64(&mut r)?;
     let feature_dim = read_u32(&mut r)? as usize;
     let num_classes = read_u32(&mut r)? as usize;
     let kind = kind_from_tag(read_u32(&mut r)?)?;
     let scale = read_u64(&mut r)?;
+    // Labels, then offsets: `nodes` is bounded before `nodes + 1` is formed.
+    let num_nodes = take_bytes(&mut left, "num_nodes", nodes, 4)?;
+    take_bytes(&mut left, "num_nodes", nodes + 1, 8)?;
+    let num_edges = take_bytes(&mut left, "num_edges", edges, 8)?;
+    // Saturated, a product past u64 fails the byte check.
+    let values = nodes.saturating_mul(feature_dim as u64);
+    let feature_values = take_bytes(&mut left, "num_nodes * feature_dim", values, 4)?;
 
     let offsets = read_u64_vec(&mut r, num_nodes + 1)?;
     if offsets.first() != Some(&0) || offsets.last() != Some(&(num_edges as u64)) {
@@ -146,9 +169,9 @@ pub fn load_dataset(path: impl AsRef<Path>) -> io::Result<SyntheticDataset> {
         return Err(bad("edge target out of range".into()));
     }
 
-    let mut features = Vec::with_capacity(num_nodes * feature_dim);
+    let mut features = Vec::with_capacity(feature_values);
     let mut fb = [0u8; 4];
-    for _ in 0..num_nodes * feature_dim {
+    for _ in 0..feature_values {
         r.read_exact(&mut fb)?;
         features.push(f32::from_le_bytes(fb));
     }
@@ -162,7 +185,8 @@ pub fn load_dataset(path: impl AsRef<Path>) -> io::Result<SyntheticDataset> {
     }
     let mut splits: Vec<Vec<NodeId>> = Vec::with_capacity(3);
     for _ in 0..3 {
-        let len = read_u64(&mut r)? as usize;
+        take_bytes(&mut left, "split length", 1, 8)?;
+        let len = take_bytes(&mut left, "split", read_u64(&mut r)?, 8)?;
         let s = read_u64_vec(&mut r, len)?;
         if s.iter().any(|&v| v as usize >= num_nodes) {
             return Err(bad("split node out of range".into()));
@@ -233,6 +257,42 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(load_dataset(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_header_counts_the_file_cannot_hold() {
+        let d = SyntheticDataset::generate(DatasetKind::OgbnProducts, 3000, 5);
+        let path = tmp("counts");
+        save_dataset(&d, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        // (byte offset of the field, value, field the error must name)
+        let splits_at = bytes.len() - 8 * (d.train.len() + d.val.len() + d.test.len() + 3);
+        for (at, value, field) in [
+            (8, 1u64 << 40, "num_nodes"),
+            (16, 1u64 << 40, "num_edges"),
+            (splits_at, 1u64 << 40, "split"),
+            (splits_at, u64::MAX, "split"),
+        ] {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, &b).unwrap();
+            let err = load_dataset(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}: {err}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+        // A 44-byte header alone, claiming 2^40 nodes.
+        let mut b = bytes[..HEADER_BYTES as usize].to_vec();
+        b[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(&path, &b).unwrap();
+        let err = load_dataset(&path).unwrap_err();
+        assert!(err.to_string().contains("num_nodes"), "{err}");
+        // A feature width the file cannot hold.
+        let mut b = bytes.clone();
+        b[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &b).unwrap();
+        let err = load_dataset(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.to_string().contains("feature_dim"), "{err}");
     }
 
     #[test]

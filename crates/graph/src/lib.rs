@@ -20,6 +20,8 @@
 //! * [`datasets`] — scaled stand-ins for the paper's four evaluation
 //!   graphs (Table II).
 
+#![forbid(unsafe_code)]
+
 pub mod csr;
 pub mod datasets;
 pub mod gen;

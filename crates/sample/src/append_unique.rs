@@ -37,7 +37,6 @@ use rayon::prelude::*;
 
 use crate::hashtable::{GpuHashTable, Insert};
 use crate::prefix::parallel_exclusive_scan_with;
-use crate::sync_slice::SyncSliceMut;
 
 /// Positions per leaf task of `finish`'s streaming passes.
 const POSITION_GRAIN: usize = 4096;
@@ -53,6 +52,9 @@ pub struct AppendUniqueScratch {
     target_slots: Vec<u32>,
     first_marks: Vec<u32>,
     scan_totals: Vec<u32>,
+    /// The scan's rank at every `POSITION_GRAIN`-th position, then the
+    /// total: the output range each chunk of positions owns in `finish`.
+    chunk_ranks: Vec<u32>,
 }
 
 impl AppendUniqueScratch {
@@ -130,31 +132,33 @@ impl AppendUniqueScratch {
         for (d, &slot) in dup_count.iter_mut().zip(&self.target_slots) {
             *d = table.count_at(slot);
         }
-        {
-            // At each first occurrence (where the scan steps), emit the key
-            // and its count at the rank and leave the ID in the slot. Ranks
-            // are distinct by construction of the exclusive scan, and
-            // distinct first occurrences are distinct keys, hence slots.
-            let unique_new = SyncSliceMut::new(&mut unique[num_targets..]);
-            let dup_new = SyncSliceMut::new(&mut dup_count[num_targets..]);
-            (0..ids.len())
-                .into_par_iter()
-                .with_min_len(POSITION_GRAIN)
-                .for_each(|k| {
+        // At each first occurrence (where the scan steps), emit the key
+        // and its count at the rank and leave the ID in the slot. Ranks
+        // ascend with the position, so a chunk of `POSITION_GRAIN`
+        // positions owns the output range between its first rank and the
+        // next chunk's; distinct first occurrences are distinct keys,
+        // hence slots.
+        let bounds = &mut self.chunk_ranks;
+        bounds.clear();
+        bounds.extend(ranks.iter().step_by(POSITION_GRAIN));
+        bounds.push(new_neighbors as u32);
+        ids.par_chunks(POSITION_GRAIN)
+            .zip(unique[num_targets..].par_ranges_mut(bounds, 1))
+            .zip(dup_count[num_targets..].par_ranges_mut(bounds, 1))
+            .enumerate()
+            .for_each(|(c, ((slots, u), dup))| {
+                let k0 = c * POSITION_GRAIN;
+                for (k, &slot) in (k0..).zip(slots) {
                     let rank = ranks[k] as usize;
                     let next = ranks.get(k + 1).map_or(new_neighbors, |&r| r as usize);
                     if next != rank {
-                        let slot = ids[k];
-                        // SAFETY: `rank < new_neighbors`, the length of both
-                        // slices, and no other position has this rank.
-                        unsafe {
-                            unique_new.write(rank, table.key_at(slot));
-                            dup_new.write(rank, table.count_at(slot));
-                        }
+                        let at = rank - bounds[c] as usize;
+                        u[at] = table.key_at(slot);
+                        dup[at] = table.count_at(slot);
                         table.set_mark(slot, (num_targets + rank) as u32);
                     }
-                });
-        }
+                }
+            });
         // Every slot's mark is now its sub-graph ID.
         ids.par_iter_mut()
             .with_min_len(POSITION_GRAIN)

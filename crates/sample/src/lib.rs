@@ -26,13 +26,19 @@
 //!   a [`neighbor::GraphAccess`], so WholeGraph and the DGL/PyG-style
 //!   baselines provably sample identical sub-graphs), with per-backend
 //!   simulated cost accounting.
+//!
+//! The kernels' positional writes — each frontier node's CSR range in the
+//! sampler, each chunk's exclusive-scan range in AppendUnique — go through
+//! the rayon shim's `par_ranges_mut`, which hands every task its own
+//! `split_at_mut` borrow, so the crate is `#![forbid(unsafe_code)]`.
+
+#![forbid(unsafe_code)]
 
 pub mod append_unique;
 pub mod hashtable;
 pub mod neighbor;
 pub mod prefix;
 pub mod radix;
-mod sync_slice;
 pub mod wrs;
 
 pub use append_unique::{

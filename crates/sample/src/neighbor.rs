@@ -38,7 +38,6 @@ use wg_sim::device::DeviceSpec;
 use wg_sim::{CostModel, SimTime};
 
 use crate::append_unique::{append_unique, AppendUniqueResult, AppendUniqueScratch};
-use crate::sync_slice::SyncSliceMut;
 use crate::wrs::{sample_small, PathDoublingSampler, STACK_FANOUT_MAX};
 
 /// Uniform view of a graph store for the sampler.
@@ -346,14 +345,14 @@ pub fn sample_minibatch_into<G: GraphAccess>(
         {
             let offsets = &block.offsets;
             let au = &scratch.au;
-            let slot_out = SyncSliceMut::new(&mut block.indices);
             frontier
                 .par_iter()
+                .zip(block.indices.par_ranges_mut(offsets, 1))
                 .enumerate()
                 .with_min_len(SAMPLE_GRAIN)
-                .for_each(|(i, &t)| {
+                .for_each(|(i, (&t, out))| {
                     let lo = offsets[i] as usize;
-                    let m = offsets[i + 1] as usize - lo;
+                    let m = out.len();
                     if m == 0 {
                         return;
                     }
@@ -366,26 +365,22 @@ pub fn sample_minibatch_into<G: GraphAccess>(
                         layer,
                         graph.stable_id(t),
                     ));
-                    let write_at = |k: usize, j: u32| {
-                        // SAFETY: this node owns [lo, offsets[i+1]) and
-                        // k < m; CSR ranges of distinct nodes are disjoint.
-                        unsafe { slot_out.write(lo + k, au.insert(lo + k, nbrs[j as usize])) };
+                    let mut write_all = |idx: &[u32]| {
+                        for (k, (o, &j)) in out.iter_mut().zip(idx).enumerate() {
+                            *o = au.insert(lo + k, nbrs[j as usize]);
+                        }
                     };
                     if m <= STACK_FANOUT_MAX {
                         let mut idx = [0u32; STACK_FANOUT_MAX];
                         sample_small(m, deg, &mut rng, &mut idx[..m]);
-                        for (k, &j) in idx[..m].iter().enumerate() {
-                            write_at(k, j);
-                        }
+                        write_all(&idx[..m]);
                     } else {
                         // Fanouts beyond the stack bound fall back to the
                         // heap sampler (allocates; off the paper's
                         // fanout-30 hot path). Same draws, same output.
                         let mut idx = Vec::with_capacity(m);
                         PathDoublingSampler::new().sample(m, deg, &mut rng, &mut idx);
-                        for (k, &j) in idx.iter().enumerate() {
-                            write_at(k, j);
-                        }
+                        write_all(&idx);
                     }
                 });
         }

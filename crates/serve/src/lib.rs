@@ -40,6 +40,8 @@
 //! simulated clock ([`wg_sim::SimTime`]), so a (seed, config) pair fully
 //! determines every latency, shed decision, and batch composition.
 
+#![forbid(unsafe_code)]
+
 pub mod coalesce;
 pub mod engine;
 pub mod request;

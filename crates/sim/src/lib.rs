@@ -26,6 +26,8 @@
 //! Nothing here depends on CUDA; a "kernel" elsewhere in the workspace is a
 //! rayon parallel loop whose simulated duration is computed by these models.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod cost;
 pub mod device;

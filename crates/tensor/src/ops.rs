@@ -324,12 +324,11 @@ pub fn matmul_tn_reference(a: &Matrix, b: &Matrix) -> Matrix {
     // Chunk the k dimension; the chunk partials are then merged by a
     // pairwise tree whose shape depends only on the partial count, so the
     // result is bit-identical at any thread count.
-    let mut partials: Vec<Vec<f32>> = (0..k)
+    let mut partials: Vec<Vec<f32>> = (0..k.div_ceil(TN_CHUNK))
         .into_par_iter()
-        .chunks(TN_CHUNK)
-        .map(|rows| {
+        .map(|c| {
             let mut acc = vec![0.0f32; m * n];
-            for l in rows {
+            for l in c * TN_CHUNK..((c + 1) * TN_CHUNK).min(k) {
                 tn_accumulate_row(a.row(l), b.row(l), &mut acc, n);
             }
             acc

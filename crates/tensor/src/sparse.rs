@@ -451,37 +451,6 @@ pub fn spmm_backward_src(
     out
 }
 
-/// Hand every destination its own rows of the `[E, heads]` edge data
-/// `data` as it stands: `f(d, lo, rows)` runs in parallel over
-/// destinations with `rows = data[lo*heads..hi*heads]`.
-fn for_each_dst_rows(
-    block: &BlockCsr,
-    heads: usize,
-    data: &mut [f32],
-    f: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    let num_edges = block.num_edges();
-    assert_eq!(block.offsets.len(), block.num_dst + 1);
-    assert!(
-        block.offsets.windows(2).all(|w| w[0] <= w[1])
-            && block.offsets[block.num_dst] as usize == num_edges,
-        "offsets must ascend to the edge count"
-    );
-    assert_eq!(data.len(), num_edges * heads, "edge data length");
-    let ptr = data.as_mut_ptr() as usize;
-    (0..block.num_dst).into_par_iter().for_each(|d| {
-        let (lo, hi) = block.edges(d);
-        // SAFETY: the offsets ascend to `num_edges` (asserted above), so
-        // the destinations' edge ranges are disjoint sub-ranges of the
-        // `num_edges * heads` floats `data` holds: each task writes a
-        // private slice.
-        let rows = unsafe {
-            std::slice::from_raw_parts_mut((ptr as *mut f32).add(lo * heads), (hi - lo) * heads)
-        };
-        f(d, lo, rows);
-    });
-}
-
 /// g-SDDMM: per-edge, per-head dot products `out[e,h] = scale_d ·
 /// <a_dst[d], b_src[s]>_h` for each edge `d←s`, each summed in ascending
 /// channel order from `0.0` (one dependent scalar add per multiply). This
@@ -598,7 +567,8 @@ pub fn edge_attention_into_with(
     // Stale contents stay: the destinations' ranges cover every edge and
     // each destination writes all of its rows.
     out.set_shape(block.num_edges(), heads);
-    for_each_dst_rows(block, heads, out.data_mut(), |d, lo, rows| {
+    dst_rows(block, heads, out.data_mut()).for_each(|(d, rows)| {
+        let lo = block.offsets[d] as usize;
         let sd = &scores.row(d)[..heads];
         for (orow, &s) in rows.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
             let ss = &scores.row(s as usize)[heads..];
@@ -610,6 +580,18 @@ pub fn edge_attention_into_with(
         }
         simd::edge_softmax_dst(level, rows, heads);
     });
+}
+
+/// Every destination `d` paired with its own rows `data[lo*heads ..
+/// hi*heads]` of the `[E, heads]` edge data, as a parallel iterator.
+fn dst_rows<'a>(
+    block: &'a BlockCsr,
+    heads: usize,
+    data: &'a mut [f32],
+) -> impl IndexedParallelIterator<Item = (usize, &'a mut [f32])> {
+    assert_eq!(block.offsets.len(), block.num_dst + 1);
+    assert_eq!(block.offsets[0], 0, "offsets must start at 0");
+    data.par_ranges_mut(&block.offsets, heads).enumerate()
 }
 
 /// Head count of a `[num_src, 2·heads]` attention-score matrix.
@@ -656,26 +638,28 @@ pub fn edge_attention_backward_into_with(
     assert_eq!((att.rows(), att.cols()), (block.num_edges(), heads));
     assert_eq!((grad.rows(), grad.cols()), (att.rows(), att.cols()));
     out.reset_shape(block.num_src, 2 * heads);
-    let out_ptr = out.data_mut().as_mut_ptr() as usize;
-    for_each_dst_rows(block, heads, grad.data_mut(), |d, lo, g| {
-        let soft = &att.data()[lo * heads..lo * heads + g.len()];
-        simd::edge_softmax_backward_dst(level, soft, g, heads);
-        // SAFETY: row `d < num_dst <= num_src` of the `[num_src,
-        // 2·heads]` output starts at `d * 2·heads`; its first `heads`
-        // floats are written by this destination's task only.
-        let gd = unsafe {
-            std::slice::from_raw_parts_mut((out_ptr as *mut f32).add(d * 2 * heads), heads)
-        };
-        let sd = &scores.row(d)[..heads];
-        for (grow, &s) in g.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
-            let ss = &scores.row(s as usize)[heads..];
-            for (((gv, &dv), &sv), acc) in grow.iter_mut().zip(sd).zip(ss).zip(gd.iter_mut()) {
-                let scaled = *gv * slope;
-                *gv = if dv + sv < 0.0 { scaled } else { *gv };
-                *acc += *gv;
+    // Destination `d` also owns the first `heads` floats of output row `d`.
+    assert!(
+        block.num_dst <= block.num_src,
+        "destinations are sources too"
+    );
+    dst_rows(block, heads, grad.data_mut())
+        .zip(out.data_mut().par_chunks_mut(2 * heads))
+        .for_each(|((d, g), orow)| {
+            let lo = block.offsets[d] as usize;
+            let soft = &att.data()[lo * heads..lo * heads + g.len()];
+            simd::edge_softmax_backward_dst(level, soft, g, heads);
+            let gd = &mut orow[..heads];
+            let sd = &scores.row(d)[..heads];
+            for (grow, &s) in g.chunks_exact_mut(heads).zip(&block.indices[lo..]) {
+                let ss = &scores.row(s as usize)[heads..];
+                for (((gv, &dv), &sv), acc) in grow.iter_mut().zip(sd).zip(ss).zip(gd.iter_mut()) {
+                    let scaled = *gv * slope;
+                    *gv = if dv + sv < 0.0 { scaled } else { *gv };
+                    *acc += *gv;
+                }
             }
-        }
-    });
+        });
     // The source half: serially in edge order, as sources are shared.
     let (g, od) = (grad.data(), out.data_mut());
     for (grow, &s) in g.chunks_exact(heads).zip(&block.indices) {

@@ -39,6 +39,8 @@
 //! wg_trace::disable_all();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod metrics;
 pub mod ring;

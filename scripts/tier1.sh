@@ -60,8 +60,11 @@ cargo test -q --offline -p wg-trace --features disabled
 # rides along for its host sampling kernel: the `u16` identity array and
 # the overlay table's wrap-around probing are index arithmetic that the
 # dev profile's overflow checks would trap and release wraps silently.
-echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample"
-cargo test -q --release --offline -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample
+# The rayon shim rides along for its split arithmetic (clamped chunk
+# cuts, `par_ranges_mut`'s offset bounds): every parallel write's
+# disjointness rests on that index code.
+echo "tier1: cargo test -q --release -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample -p rayon"
+cargo test -q --release --offline -p wg-tensor -p wg-autograd -p wg-gnn -p wg-mem -p wg-sample -p rayon
 
 echo "tier1: cargo fmt --check"
 cargo fmt --check

@@ -6,6 +6,8 @@
 //! timer that prints one line per benchmark. Good enough to run the
 //! benches and eyeball relative cost; not a measurement instrument.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Opaque-to-the-optimizer value passthrough.

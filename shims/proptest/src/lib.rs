@@ -8,6 +8,8 @@
 //! case reports the sampled inputs and panics — which is enough for the
 //! property tests here, whose inputs are small and printable.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 pub mod test_runner {

@@ -8,6 +8,8 @@
 //! Everything is deterministic per seed, which is all the simulation
 //! relies on — no cryptographic or statistical-test claims.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core RNG interface: a source of uniform `u64`s.

@@ -1,19 +1,22 @@
 //! Deterministic indexed parallel iterators.
 //!
-//! Every iterator here is **indexed**: it knows its exact length and can
-//! produce a sequential iterator over any sub-range (`iter_range`). That is
-//! what lets consumers split work into a binary tree of [`crate::join`]
-//! calls whose shape depends **only on the input length** (and an optional
-//! `with_min_len` hint) — never on the thread count or on scheduling. The
-//! consequences:
+//! Every iterator here is **indexed**: it knows its exact length, splits
+//! *by value* into two iterators over `[0, mid)` and `[mid, len)`
+//! (`split_at`), and turns into a sequential iterator over what it holds
+//! (`into_seq`). That is what lets consumers split work into a binary tree
+//! of [`crate::join`] calls whose shape depends **only on the input
+//! length** (and an optional `with_min_len` hint) — never on the thread
+//! count or on scheduling. The consequences:
 //!
 //! - `collect` writes item `i` to output position `i` (order-preserving);
 //! - `sum`/`max` merge leaf results pairwise in index order, so float
 //!   reductions are bit-identical at every thread count (including the
 //!   `WG_THREADS=1` pool and [`crate::run_sequential`], which execute the
 //!   *same* tree inline);
-//! - mutable slice parallelism (`par_iter_mut`, `par_chunks_mut`) is sound
-//!   because the driver hands every index range to exactly one leaf.
+//! - mutable slice parallelism (`par_iter_mut`, `par_chunks_mut`,
+//!   `par_ranges_mut`) is sound by construction: a mutable source splits
+//!   its slice with `split_at_mut`, so every leaf holds its own borrow and
+//!   the compiler checks that no two leaves share an element.
 //!
 //! The split granule is `max(len / MAX_LEAVES, min_len)`: at most
 //! [`MAX_LEAVES`] leaves per op, so scheduling overhead stays bounded while
@@ -30,38 +33,38 @@ fn grain_for(len: usize, min_len: usize) -> usize {
     len.div_ceil(MAX_LEAVES).max(min_len).max(1)
 }
 
-/// Ordered divide-and-conquer over `[start, start + len)`: split at the
-/// midpoint down to `grain`, run leaves (possibly on other workers), merge
-/// left-before-right. The tree shape is a pure function of `(len, grain)`.
-fn map_reduce<T, L, M>(start: usize, len: usize, grain: usize, leaf: &L, merge: &M) -> T
+/// Ordered divide-and-conquer: split `iter` at its midpoint down to
+/// `grain`, run leaves (possibly on other workers), merge left-before-right.
+/// The tree shape is a pure function of `(len, grain)`.
+fn drive<P, T, L, M>(iter: P, grain: usize, leaf: &L, merge: &M) -> T
 where
+    P: ParallelIterator,
     T: Send,
-    L: Fn(usize, usize) -> T + Sync,
+    L: Fn(P) -> T + Sync,
     M: Fn(T, T) -> T + Sync,
 {
+    let len = iter.len();
     if len <= grain {
-        return leaf(start, len);
+        return leaf(iter);
     }
-    let half = len / 2;
+    let (a, b) = iter.split_at(len / 2);
     let (a, b) = pool::join(
-        || map_reduce(start, half, grain, leaf, merge),
-        || map_reduce(start + half, len - half, grain, leaf, merge),
+        || drive(a, grain, leaf, merge),
+        || drive(b, grain, leaf, merge),
     );
     merge(a, b)
 }
 
-/// A raw pointer that may cross threads (each leaf writes a disjoint
-/// range).
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    // Method (not field) access, so closures capture the Sync wrapper
-    // rather than the bare pointer under 2021 disjoint-capture rules.
-    fn get(&self) -> *mut T {
-        self.0
-    }
+/// [`drive`] at the iterator's own granule.
+fn drive_all<P, T, L, M>(iter: P, leaf: &L, merge: &M) -> T
+where
+    P: ParallelIterator,
+    T: Send,
+    L: Fn(P) -> T + Sync,
+    M: Fn(T, T) -> T + Sync,
+{
+    let grain = grain_for(iter.len(), iter.min_len_hint());
+    drive(iter, grain, leaf, merge)
 }
 
 // ---------------------------------------------------------------------------
@@ -70,13 +73,11 @@ impl<T> SendPtr<T> {
 
 /// An indexed parallel iterator (rayon's `IndexedParallelIterator`, fused
 /// with `ParallelIterator` — every iterator in this shim knows its length).
-pub trait ParallelIterator: Sized + Send + Sync {
+pub trait ParallelIterator: Sized + Send {
     /// The element type.
     type Item: Send;
-    /// Sequential iterator over a sub-range of the items.
-    type SeqIter<'s>: Iterator<Item = Self::Item>
-    where
-        Self: 's;
+    /// Sequential iterator over the items.
+    type Seq: Iterator<Item = Self::Item>;
 
     /// Exact number of items.
     fn len(&self) -> usize;
@@ -91,22 +92,20 @@ pub trait ParallelIterator: Sized + Send + Sync {
         1
     }
 
-    /// Sequential iterator over items `[start, start + len)`.
-    ///
-    /// # Safety
-    ///
-    /// Across all concurrently live iterators from one `self`, every index
-    /// must be covered by **at most one** call (ranges disjoint). Mutable
-    /// sources hand out `&mut` items on this basis.
-    unsafe fn iter_range(&self, start: usize, len: usize) -> Self::SeqIter<'_>;
+    /// Split into the items `[0, mid)` and `[mid, len)`; `mid <= len`.
+    fn split_at(self, mid: usize) -> (Self, Self);
+
+    /// Sequential iterator over every item, in order.
+    fn into_seq(self) -> Self::Seq;
 
     // -- adapters ----------------------------------------------------------
 
-    /// Map each item through `f` (applied on the leaf's thread).
+    /// Map each item through `f` (applied on the leaf's thread; each split
+    /// carries its own clone of `f`).
     fn map<R, F>(self, f: F) -> Map<Self, F>
     where
         R: Send,
-        F: Fn(Self::Item) -> R + Send + Sync,
+        F: Fn(Self::Item) -> R + Send + Clone,
     {
         Map { base: self, f }
     }
@@ -121,7 +120,10 @@ pub trait ParallelIterator: Sized + Send + Sync {
 
     /// Pair each item with its global index.
     fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { base: self }
+        Enumerate {
+            base: self,
+            offset: 0,
+        }
     }
 
     /// Require at least `min` items per leaf task. Raises the split granule
@@ -134,37 +136,16 @@ pub trait ParallelIterator: Sized + Send + Sync {
         }
     }
 
-    /// Group items into `Vec` chunks of (at most) `chunk_size`, preserving
-    /// order; the chunks themselves are the new parallel items.
-    fn chunks(self, chunk_size: usize) -> IterChunks<Self> {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        IterChunks {
-            base: self,
-            size: chunk_size,
-        }
-    }
-
     // -- consumers ---------------------------------------------------------
 
     /// Run `f` on every item.
     fn for_each<F>(self, f: F)
     where
-        F: Fn(Self::Item) + Send + Sync,
+        F: Fn(Self::Item) + Sync,
     {
-        let len = self.len();
-        if len == 0 {
-            return;
-        }
-        map_reduce(
-            0,
-            len,
-            grain_for(len, self.min_len_hint()),
-            &|s, n| {
-                // SAFETY: map_reduce hands each index range to one leaf.
-                for item in unsafe { self.iter_range(s, n) } {
-                    f(item);
-                }
-            },
+        drive_all(
+            self,
+            &|leaf: Self| leaf.into_seq().for_each(&f),
             &|(), ()| (),
         );
     }
@@ -183,18 +164,9 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         S: std::iter::Sum<Self::Item> + std::iter::Sum<S> + Send,
     {
-        let len = self.len();
-        if len == 0 {
-            return std::iter::empty::<Self::Item>().sum();
-        }
-        map_reduce(
-            0,
-            len,
-            grain_for(len, self.min_len_hint()),
-            // SAFETY: disjoint ranges per leaf.
-            &|s, n| unsafe { self.iter_range(s, n) }.sum::<S>(),
-            &|a, b| [a, b].into_iter().sum(),
-        )
+        drive_all(self, &|leaf: Self| leaf.into_seq().sum::<S>(), &|a, b| {
+            [a, b].into_iter().sum()
+        })
     }
 
     /// Largest item (last one on ties, like `Iterator::max`).
@@ -202,27 +174,15 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         Self::Item: Ord,
     {
-        let len = self.len();
-        if len == 0 {
-            return None;
-        }
-        map_reduce(
-            0,
-            len,
-            grain_for(len, self.min_len_hint()),
-            // SAFETY: disjoint ranges per leaf.
-            &|s, n| unsafe { self.iter_range(s, n) }.max(),
+        drive_all(
+            self,
+            &|leaf: Self| leaf.into_seq().max(),
             &|a, b| match (a, b) {
                 (Some(x), Some(y)) => Some(if y >= x { y } else { x }),
                 (x, None) => x,
                 (None, y) => y,
             },
         )
-    }
-
-    /// Number of items (exact, from the index).
-    fn count(self) -> usize {
-        self.len()
     }
 }
 
@@ -241,32 +201,24 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
     {
         let len = par_iter.len();
         let mut out: Vec<T> = Vec::with_capacity(len);
-        if len > 0 {
-            let base = SendPtr(out.as_mut_ptr());
-            map_reduce(
-                0,
-                len,
-                grain_for(len, par_iter.min_len_hint()),
-                &|s, n| {
-                    // SAFETY: each leaf owns output slots [s, s+n), and the
-                    // source yields exactly n items for an n-long range.
-                    let mut dst = unsafe { base.get().add(s) };
-                    let mut written = 0usize;
-                    for item in unsafe { par_iter.iter_range(s, n) } {
-                        debug_assert!(written < n, "source yielded too many items");
-                        unsafe {
-                            dst.write(item);
-                            dst = dst.add(1);
-                        }
-                        written += 1;
-                    }
-                    debug_assert_eq!(written, n, "source yielded too few items");
-                },
-                &|(), ()| (),
-            );
-            // SAFETY: every slot in [0, len) was initialized exactly once.
-            unsafe { out.set_len(len) };
-        }
+        // Item `i` lands in spare slot `i`: the slots split with the
+        // source, so each leaf writes only the slots it was handed.
+        let slots = out.spare_capacity_mut()[..len].par_iter_mut();
+        let written = drive_all(
+            par_iter.zip(slots),
+            &|leaf| {
+                let mut n = 0usize;
+                for (item, slot) in leaf.into_seq() {
+                    slot.write(item);
+                    n += 1;
+                }
+                n
+            },
+            &|a, b| a + b,
+        );
+        assert_eq!(written, len, "parallel source yielded too few items");
+        // SAFETY: slots [0, len) were each written once (the count above).
+        unsafe { out.set_len(len) };
         out
     }
 }
@@ -311,18 +263,22 @@ macro_rules! range_par_iter {
 
         impl ParallelIterator for RangeParIter<$t> {
             type Item = $t;
-            type SeqIter<'s>
-                = std::ops::Range<$t>
-            where
-                Self: 's;
+            type Seq = std::ops::Range<$t>;
 
             fn len(&self) -> usize {
                 self.len
             }
 
-            unsafe fn iter_range(&self, start: usize, len: usize) -> std::ops::Range<$t> {
-                let lo = self.start + start as $t;
-                lo..lo + len as $t
+            fn split_at(self, mid: usize) -> (Self, Self) {
+                let right = RangeParIter {
+                    start: self.start + mid as $t,
+                    len: self.len - mid,
+                };
+                (RangeParIter { start: self.start, len: mid }, right)
+            }
+
+            fn into_seq(self) -> std::ops::Range<$t> {
+                self.start..self.start + self.len as $t
             }
         }
     )*};
@@ -352,31 +308,59 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     }
 }
 
-/// `par_iter_mut()` / `par_chunks_mut()` on mutable slices.
+/// `par_iter_mut()` / `par_chunks_mut()` / `par_ranges_mut()` on mutable
+/// slices.
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel iterator over `&mut T` items.
     fn par_iter_mut(&mut self) -> SliceParIterMut<'_, T>;
     /// Parallel iterator over `&mut [T]` chunks of (at most) `chunk_size`.
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMutParIter<'_, T>;
+    /// Parallel iterator over the variable-length pieces `bounds` cuts:
+    /// item `i` is `self[(bounds[i] - bounds[0]) * width .. (bounds[i+1] -
+    /// bounds[0]) * width]` — a CSR row's edge range, an exclusive scan's
+    /// output range. Panics unless `bounds` is non-empty, never descends,
+    /// and covers the slice exactly (`(last - first) * width ==
+    /// self.len()`).
+    fn par_ranges_mut<'a>(&'a mut self, bounds: &'a [u32], width: usize)
+        -> RangesMutParIter<'a, T>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> SliceParIterMut<'_, T> {
-        SliceParIterMut {
-            ptr: self.as_mut_ptr(),
-            len: self.len(),
-            _marker: std::marker::PhantomData,
-        }
+        SliceParIterMut { slice: self }
     }
 
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMutParIter<'_, T> {
         assert!(chunk_size > 0, "chunk_size must be positive");
         ChunksMutParIter {
-            ptr: self.as_mut_ptr(),
-            slice_len: self.len(),
+            slice: self,
             size: chunk_size,
-            _marker: std::marker::PhantomData,
         }
+    }
+
+    fn par_ranges_mut<'a>(
+        &'a mut self,
+        bounds: &'a [u32],
+        width: usize,
+    ) -> RangesMutParIter<'a, T> {
+        let (&first, &last) = bounds
+            .first()
+            .zip(bounds.last())
+            .expect("par_ranges_mut needs at least one bound");
+        assert!(
+            bounds.windows(2).all(|w| w[0] <= w[1]),
+            "par_ranges_mut bounds must not descend"
+        );
+        assert_eq!(
+            (last - first) as usize * width,
+            self.len(),
+            "par_ranges_mut bounds must cover the slice"
+        );
+        RangesMutParIter(RangesMut {
+            rest: self,
+            cuts: bounds,
+            width,
+        })
     }
 }
 
@@ -391,46 +375,42 @@ pub struct SliceParIter<'a, T> {
 
 impl<'a, T: Sync> ParallelIterator for SliceParIter<'a, T> {
     type Item = &'a T;
-    type SeqIter<'s>
-        = std::slice::Iter<'a, T>
-    where
-        Self: 's;
+    type Seq = std::slice::Iter<'a, T>;
 
     fn len(&self) -> usize {
         self.slice.len()
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> std::slice::Iter<'a, T> {
-        self.slice[start..start + len].iter()
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.slice.split_at(mid);
+        (SliceParIter { slice: a }, SliceParIter { slice: b })
+    }
+
+    fn into_seq(self) -> std::slice::Iter<'a, T> {
+        self.slice.iter()
     }
 }
 
 /// See [`ParallelSliceMut::par_iter_mut`].
 pub struct SliceParIterMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
+    slice: &'a mut [T],
 }
-
-// SAFETY: stands for an exclusive slice borrow; leaves receive disjoint
-// sub-slices (the iter_range contract), so sharing the pointer is sound.
-unsafe impl<T: Send> Send for SliceParIterMut<'_, T> {}
-unsafe impl<T: Send> Sync for SliceParIterMut<'_, T> {}
 
 impl<'a, T: Send> ParallelIterator for SliceParIterMut<'a, T> {
     type Item = &'a mut T;
-    type SeqIter<'s>
-        = std::slice::IterMut<'a, T>
-    where
-        Self: 's;
+    type Seq = std::slice::IterMut<'a, T>;
 
     fn len(&self) -> usize {
-        self.len
+        self.slice.len()
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> std::slice::IterMut<'a, T> {
-        debug_assert!(start + len <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len).iter_mut()
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.slice.split_at_mut(mid);
+        (SliceParIterMut { slice: a }, SliceParIterMut { slice: b })
+    }
+
+    fn into_seq(self) -> std::slice::IterMut<'a, T> {
+        self.slice.iter_mut()
     }
 }
 
@@ -442,49 +422,91 @@ pub struct ChunksParIter<'a, T> {
 
 impl<'a, T: Sync> ParallelIterator for ChunksParIter<'a, T> {
     type Item = &'a [T];
-    type SeqIter<'s>
-        = std::slice::Chunks<'a, T>
-    where
-        Self: 's;
+    type Seq = std::slice::Chunks<'a, T>;
 
     fn len(&self) -> usize {
         self.slice.len().div_ceil(self.size)
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> std::slice::Chunks<'a, T> {
-        let lo = start * self.size;
-        let hi = ((start + len) * self.size).min(self.slice.len());
-        self.slice[lo..hi].chunks(self.size)
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (size, len) = (self.size, self.slice.len());
+        let (a, b) = self.slice.split_at((mid * size).min(len));
+        (Self { slice: a, size }, Self { slice: b, size })
+    }
+
+    fn into_seq(self) -> std::slice::Chunks<'a, T> {
+        self.slice.chunks(self.size)
     }
 }
 
 /// See [`ParallelSliceMut::par_chunks_mut`].
 pub struct ChunksMutParIter<'a, T> {
-    ptr: *mut T,
-    slice_len: usize,
+    slice: &'a mut [T],
     size: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
 }
-
-// SAFETY: as for SliceParIterMut — disjoint chunk ranges per leaf.
-unsafe impl<T: Send> Send for ChunksMutParIter<'_, T> {}
-unsafe impl<T: Send> Sync for ChunksMutParIter<'_, T> {}
 
 impl<'a, T: Send> ParallelIterator for ChunksMutParIter<'a, T> {
     type Item = &'a mut [T];
-    type SeqIter<'s>
-        = std::slice::ChunksMut<'a, T>
-    where
-        Self: 's;
+    type Seq = std::slice::ChunksMut<'a, T>;
 
     fn len(&self) -> usize {
-        self.slice_len.div_ceil(self.size)
+        self.slice.len().div_ceil(self.size)
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> std::slice::ChunksMut<'a, T> {
-        let lo = (start * self.size).min(self.slice_len);
-        let hi = ((start + len) * self.size).min(self.slice_len);
-        std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo).chunks_mut(self.size)
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (size, len) = (self.size, self.slice.len());
+        let (a, b) = self.slice.split_at_mut((mid * size).min(len));
+        (Self { slice: a, size }, Self { slice: b, size })
+    }
+
+    fn into_seq(self) -> std::slice::ChunksMut<'a, T> {
+        self.slice.chunks_mut(self.size)
+    }
+}
+
+/// See [`ParallelSliceMut::par_ranges_mut`].
+pub struct RangesMutParIter<'a, T>(RangesMut<'a, T>);
+
+impl<'a, T: Send> ParallelIterator for RangesMutParIter<'a, T> {
+    type Item = &'a mut [T];
+    type Seq = RangesMut<'a, T>;
+
+    fn len(&self) -> usize {
+        self.0.cuts.len() - 1
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let RangesMut { rest, cuts, width } = self.0;
+        let (a, b) = rest.split_at_mut((cuts[mid] - cuts[0]) as usize * width);
+        let piece = |rest, cuts| Self(RangesMut { rest, cuts, width });
+        (piece(a, &cuts[..=mid]), piece(b, &cuts[mid..]))
+    }
+
+    fn into_seq(self) -> RangesMut<'a, T> {
+        self.0
+    }
+}
+
+/// Sequential iterator over the pieces of a [`RangesMutParIter`].
+pub struct RangesMut<'a, T> {
+    /// The pieces not yet handed out; starts at `cuts[0]`.
+    rest: &'a mut [T],
+    /// Piece bounds (`par_ranges_mut` checked that they ascend and cover
+    /// the slice).
+    cuts: &'a [u32],
+    width: usize,
+}
+
+impl<'a, T> Iterator for RangesMut<'a, T> {
+    type Item = &'a mut [T];
+
+    fn next(&mut self) -> Option<&'a mut [T]> {
+        let (&lo, cuts) = self.cuts.split_first()?;
+        let &hi = cuts.first()?;
+        let n = (hi - lo) as usize * self.width;
+        let (piece, rest) = std::mem::take(&mut self.rest).split_at_mut(n);
+        (self.rest, self.cuts) = (rest, cuts);
+        Some(piece)
     }
 }
 
@@ -502,13 +524,10 @@ impl<P, R, F> ParallelIterator for Map<P, F>
 where
     P: ParallelIterator,
     R: Send,
-    F: Fn(P::Item) -> R + Send + Sync,
+    F: Fn(P::Item) -> R + Send + Clone,
 {
     type Item = R;
-    type SeqIter<'s>
-        = std::iter::Map<P::SeqIter<'s>, &'s F>
-    where
-        Self: 's;
+    type Seq = std::iter::Map<P::Seq, F>;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -518,8 +537,14 @@ where
         self.base.min_len_hint()
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> Self::SeqIter<'_> {
-        self.base.iter_range(start, len).map(&self.f)
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.base.split_at(mid);
+        let (fa, f) = (self.f.clone(), self.f);
+        (Self { base: a, f: fa }, Self { base: b, f })
+    }
+
+    fn into_seq(self) -> Self::Seq {
+        self.base.into_seq().map(self.f)
     }
 }
 
@@ -535,10 +560,7 @@ where
     B: ParallelIterator,
 {
     type Item = (A::Item, B::Item);
-    type SeqIter<'s>
-        = std::iter::Zip<A::SeqIter<'s>, B::SeqIter<'s>>
-    where
-        Self: 's;
+    type Seq = std::iter::Zip<A::Seq, B::Seq>;
 
     fn len(&self) -> usize {
         self.a.len().min(self.b.len())
@@ -548,24 +570,27 @@ where
         self.a.min_len_hint().max(self.b.min_len_hint())
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> Self::SeqIter<'_> {
-        self.a
-            .iter_range(start, len)
-            .zip(self.b.iter_range(start, len))
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a0, a1) = self.a.split_at(mid);
+        let (b0, b1) = self.b.split_at(mid);
+        (Zip { a: a0, b: b0 }, Zip { a: a1, b: b1 })
+    }
+
+    fn into_seq(self) -> Self::Seq {
+        self.a.into_seq().zip(self.b.into_seq())
     }
 }
 
 /// See [`ParallelIterator::enumerate`].
 pub struct Enumerate<P> {
     base: P,
+    /// Global index of the first item.
+    offset: usize,
 }
 
 impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
     type Item = (usize, P::Item);
-    type SeqIter<'s>
-        = std::iter::Zip<std::ops::Range<usize>, P::SeqIter<'s>>
-    where
-        Self: 's;
+    type Seq = std::iter::Zip<std::ops::Range<usize>, P::Seq>;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -575,8 +600,23 @@ impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
         self.base.min_len_hint()
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> Self::SeqIter<'_> {
-        (start..start + len).zip(self.base.iter_range(start, len))
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.base.split_at(mid);
+        (
+            Enumerate {
+                base: a,
+                offset: self.offset,
+            },
+            Enumerate {
+                base: b,
+                offset: self.offset + mid,
+            },
+        )
+    }
+
+    fn into_seq(self) -> Self::Seq {
+        let end = self.offset + self.base.len();
+        (self.offset..end).zip(self.base.into_seq())
     }
 }
 
@@ -588,10 +628,7 @@ pub struct MinLen<P> {
 
 impl<P: ParallelIterator> ParallelIterator for MinLen<P> {
     type Item = P::Item;
-    type SeqIter<'s>
-        = P::SeqIter<'s>
-    where
-        Self: 's;
+    type Seq = P::Seq;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -601,58 +638,13 @@ impl<P: ParallelIterator> ParallelIterator for MinLen<P> {
         self.base.min_len_hint().max(self.min)
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> Self::SeqIter<'_> {
-        self.base.iter_range(start, len)
-    }
-}
-
-/// See [`ParallelIterator::chunks`].
-pub struct IterChunks<P> {
-    base: P,
-    size: usize,
-}
-
-impl<P: ParallelIterator> ParallelIterator for IterChunks<P> {
-    type Item = Vec<P::Item>;
-    type SeqIter<'s>
-        = ChunkSeq<'s, P>
-    where
-        Self: 's;
-
-    fn len(&self) -> usize {
-        self.base.len().div_ceil(self.size)
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.base.split_at(mid);
+        let min = self.min;
+        (MinLen { base: a, min }, MinLen { base: b, min })
     }
 
-    unsafe fn iter_range(&self, start: usize, len: usize) -> ChunkSeq<'_, P> {
-        ChunkSeq {
-            base: &self.base,
-            size: self.size,
-            next: start,
-            end: start + len,
-        }
-    }
-}
-
-/// Sequential iterator over the chunks of an [`IterChunks`] range.
-pub struct ChunkSeq<'s, P: ParallelIterator> {
-    base: &'s P,
-    size: usize,
-    next: usize,
-    end: usize,
-}
-
-impl<P: ParallelIterator> Iterator for ChunkSeq<'_, P> {
-    type Item = Vec<P::Item>;
-
-    fn next(&mut self) -> Option<Vec<P::Item>> {
-        if self.next >= self.end {
-            return None;
-        }
-        let lo = self.next * self.size;
-        let hi = ((self.next + 1) * self.size).min(self.base.len());
-        self.next += 1;
-        // SAFETY: chunk index ranges are disjoint across leaves, so the
-        // underlying item ranges are too.
-        Some(unsafe { self.base.iter_range(lo, hi - lo) }.collect())
+    fn into_seq(self) -> P::Seq {
+        self.base.into_seq()
     }
 }

@@ -6,9 +6,11 @@
 //!   rayon's `build_global`), a global injector plus per-worker LIFO
 //!   deques, and the [`join`] fork primitive every adapter reduces to.
 //! - [`iter`]: indexed parallel iterators (`par_iter`, `par_iter_mut`,
-//!   `par_chunks`, `par_chunks_mut`, `into_par_iter` on ranges) with `map`,
-//!   `zip`, `enumerate`, `chunks`, `with_min_len` and the
-//!   `for_each` / `collect` / `sum` / `max` consumers.
+//!   `par_chunks`, `par_chunks_mut`, `par_ranges_mut`, `into_par_iter` on
+//!   ranges) with `map`, `zip`, `enumerate`, `with_min_len` and the
+//!   `for_each` / `collect` / `sum` / `max` consumers. Iterators split by
+//!   value — a mutable source hands each half its own `split_at_mut`
+//!   borrow — so the layer's one unchecked step is `collect`'s `set_len`.
 //!
 //! **Determinism guarantee:** results are bit-identical at every thread
 //! count. Work splits into a binary tree whose shape depends only on input
@@ -103,18 +105,191 @@ mod tests {
     }
 
     #[test]
-    fn chunks_adapter_matches_sequential_chunking() {
-        let sums: Vec<usize> = (0usize..10_000)
-            .into_par_iter()
-            .chunks(97)
-            .map(|c| c.into_iter().sum())
+    fn ranges_mut_pieces_land_in_place() {
+        // Width 1, with empty pieces at the start, middle and end, and a
+        // first bound above 0 (pieces are relative to it).
+        let bounds = [3u32, 3, 5, 5, 9, 9];
+        let mut data = vec![0u32; 6];
+        data.par_ranges_mut(&bounds, 1)
+            .enumerate()
+            .for_each(|(i, piece)| piece.iter_mut().for_each(|v| *v = i as u32));
+        assert_eq!(data, vec![1, 1, 3, 3, 3, 3]);
+        // Width > 1, many pieces (so the source splits), every third empty.
+        let bounds: Vec<u32> = (0..2000u32).map(|i| i - i / 3).collect();
+        let width = 3;
+        let mut data = vec![u32::MAX; *bounds.last().unwrap() as usize * width];
+        let lens: Vec<usize> = data
+            .par_ranges_mut(&bounds, width)
+            .enumerate()
+            .map(|(i, piece)| {
+                piece.iter_mut().for_each(|v| *v = i as u32);
+                piece.len()
+            })
             .collect();
-        let expect: Vec<usize> = (0..10_000)
-            .collect::<Vec<usize>>()
-            .chunks(97)
+        assert_eq!(lens.len(), bounds.len() - 1);
+        for (i, w) in bounds.windows(2).enumerate() {
+            assert_eq!(lens[i], (w[1] - w[0]) as usize * width);
+            let piece = &data[w[0] as usize * width..w[1] as usize * width];
+            assert!(piece.iter().all(|&v| v == i as u32), "piece {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cover the slice")]
+    fn ranges_mut_refuses_bounds_short_of_the_slice() {
+        let mut data = [0u32; 10];
+        data.par_ranges_mut(&[0, 4, 9], 1).for_each(|_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "cover the slice")]
+    fn ranges_mut_refuses_bounds_past_the_slice() {
+        let mut data = [0u32; 10];
+        data.par_ranges_mut(&[0, 2, 6], 2).for_each(|_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "must not descend")]
+    fn ranges_mut_refuses_descending_bounds() {
+        // Would cover the slice by its ends, but 6 -> 2 descends.
+        let mut data = [0u32; 8];
+        data.par_ranges_mut(&[0, 6, 2, 8], 1).for_each(|_| {});
+    }
+
+    /// `collect`, `sum` and `for_each` over every source at `len` items,
+    /// each against std's sequential result.
+    fn check_every_source(len: usize, min_len: usize) {
+        let ctx = format!("len {len}, min_len {min_len}");
+        let data: Vec<u64> = (0..len as u64).map(|i| i * 7 + 1).collect();
+        let seq_sum: u64 = data.iter().sum();
+        let chunk = 5;
+        let chunk_sums: Vec<u64> = data.chunks(chunk).map(|c| c.iter().sum()).collect();
+
+        // Ranges.
+        let v: Vec<u64> = (0..len as u64)
+            .into_par_iter()
+            .with_min_len(min_len)
+            .map(|i| i * 7 + 1)
+            .collect();
+        assert_eq!(v, data, "range collect, {ctx}");
+        let s: u64 = (0..len as u64)
+            .into_par_iter()
+            .with_min_len(min_len)
+            .map(|i| i * 7 + 1)
+            .sum();
+        assert_eq!(s, seq_sum, "range sum, {ctx}");
+        let mut out = vec![0u64; len];
+        (0..len as u64)
+            .into_par_iter()
+            .zip(out.par_iter_mut())
+            .with_min_len(min_len)
+            .for_each(|(i, o)| *o = i * 7 + 1);
+        assert_eq!(out, data, "range for_each, {ctx}");
+
+        // Shared slices.
+        let v: Vec<u64> = data.par_iter().with_min_len(min_len).map(|&x| x).collect();
+        assert_eq!(v, data, "par_iter collect, {ctx}");
+        let s: u64 = data.par_iter().with_min_len(min_len).map(|&x| x).sum();
+        assert_eq!(s, seq_sum, "par_iter sum, {ctx}");
+        let mut out = vec![0u64; len];
+        data.par_iter()
+            .zip(out.par_iter_mut())
+            .with_min_len(min_len)
+            .for_each(|(&x, o)| *o = x);
+        assert_eq!(out, data, "par_iter for_each, {ctx}");
+        let v: Vec<u64> = data
+            .par_chunks(chunk)
+            .with_min_len(min_len)
             .map(|c| c.iter().sum())
             .collect();
-        assert_eq!(sums, expect);
+        assert_eq!(v, chunk_sums, "par_chunks collect, {ctx}");
+        let s: u64 = data
+            .par_chunks(chunk)
+            .with_min_len(min_len)
+            .map(|c| c.iter().sum::<u64>())
+            .sum();
+        assert_eq!(s, seq_sum, "par_chunks sum, {ctx}");
+
+        // Mutable slices: write through each, then read back.
+        let mut m = vec![0u64; len];
+        m.par_iter_mut()
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(i, x)| *x = i as u64 * 7 + 1);
+        assert_eq!(m, data, "par_iter_mut for_each, {ctx}");
+        let v: Vec<u64> = m.par_iter_mut().with_min_len(min_len).map(|x| *x).collect();
+        assert_eq!(v, data, "par_iter_mut collect, {ctx}");
+        let s: u64 = m.par_iter_mut().with_min_len(min_len).map(|x| *x).sum();
+        assert_eq!(s, seq_sum, "par_iter_mut sum, {ctx}");
+        let mut m = vec![0u64; len];
+        m.par_chunks_mut(chunk)
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(c, xs)| {
+                for (j, x) in xs.iter_mut().enumerate() {
+                    *x = (c * chunk + j) as u64 * 7 + 1;
+                }
+            });
+        assert_eq!(m, data, "par_chunks_mut for_each, {ctx}");
+        let v: Vec<u64> = m
+            .par_chunks_mut(chunk)
+            .with_min_len(min_len)
+            .map(|c| c.iter().sum())
+            .collect();
+        assert_eq!(v, chunk_sums, "par_chunks_mut collect, {ctx}");
+        let s: u64 = m
+            .par_chunks_mut(chunk)
+            .with_min_len(min_len)
+            .map(|c| c.iter().sum::<u64>())
+            .sum();
+        assert_eq!(s, seq_sum, "par_chunks_mut sum, {ctx}");
+        // Ranges cut like the chunks above.
+        let bounds: Vec<u32> = (0..=len.div_ceil(chunk))
+            .map(|c| (c * chunk).min(len) as u32)
+            .collect();
+        let mut m = vec![0u64; len];
+        m.par_ranges_mut(&bounds, 1)
+            .enumerate()
+            .with_min_len(min_len)
+            .for_each(|(c, xs)| {
+                for (j, x) in xs.iter_mut().enumerate() {
+                    *x = (c * chunk + j) as u64 * 7 + 1;
+                }
+            });
+        assert_eq!(m, data, "par_ranges_mut for_each, {ctx}");
+        let v: Vec<u64> = m
+            .par_ranges_mut(&bounds, 1)
+            .with_min_len(min_len)
+            .map(|c| c.iter().sum())
+            .collect();
+        assert_eq!(v, chunk_sums, "par_ranges_mut collect, {ctx}");
+        let s: u64 = m
+            .par_ranges_mut(&bounds, 1)
+            .with_min_len(min_len)
+            .map(|c| c.iter().sum::<u64>())
+            .sum();
+        assert_eq!(s, seq_sum, "par_ranges_mut sum, {ctx}");
+    }
+
+    #[test]
+    fn every_source_matches_std_around_the_grain() {
+        crate::init_threads(4);
+        // Lengths just below and above where a leaf stops being one item
+        // (MAX_LEAVES) and where `with_min_len` stops keeping one leaf.
+        let leaves = crate::iter::MAX_LEAVES;
+        for (len, min_len) in [
+            (0, 1),
+            (1, 1),
+            (leaves - 1, 1),
+            (leaves + 1, 1),
+            (3 * leaves + 7, 1),
+            (63, 64),
+            (65, 64),
+            (1000, 64),
+        ] {
+            check_every_source(len, min_len);
+            crate::run_sequential(|| check_every_source(len, min_len));
+        }
     }
 
     #[test]
