@@ -2,12 +2,13 @@
 //! claim, measured instead of projected. Builds a real [`MultiNode`]
 //! cluster per node count (1 → 64), trains one epoch of GraphSage on the
 //! ogbn-products stand-in, and writes `BENCH_multinode.json` with the
-//! measured epoch times, speedups, halo and gradient-sync traffic, and
-//! the N=1 equivalence checksum (the executed single-node epoch must be
+//! measured epoch times, speedups, gradient-sync traffic, and the N=1
+//! equivalence checksum (the executed single-node epoch must be
 //! bit-identical to a plain [`Pipeline::train_epoch`]). The sweep gates
 //! itself — measure, [`gate`], write — so a `BENCH_multinode.json` on
-//! disk is one that passed: N=1 equivalence, halo traffic exactly when
-//! N > 1, and a genuine end-to-end speedup at the largest node count.
+//! disk is one that passed: N=1 equivalence, gradient-sync traffic
+//! exactly when N > 1, and a genuine end-to-end speedup at the largest
+//! node count.
 //!
 //! `--trace <out.json>` additionally records a 4-node cluster epoch with
 //! span tracing on and writes the merged Chrome trace (one process per
@@ -53,15 +54,8 @@ fn pipe_cfg() -> PipelineConfig {
     cfg
 }
 
-/// Halo bytes exchanged across the whole cluster at one sweep point.
-fn halo_bytes(p: &ExecutedPoint) -> u64 {
-    p.report.per_node.iter().map(|n| n.halo_bytes).sum()
-}
-
 fn point_json(p: &ExecutedPoint) -> String {
     let r = &p.report;
-    let halo_bytes = halo_bytes(p);
-    let halo_rows: u64 = r.per_node.iter().map(|n| n.halo_rows).sum();
     // Critical-path comm and occupancy come from the slowest node's
     // report (the one that sets the cluster epoch time).
     let slowest = r
@@ -74,8 +68,7 @@ fn point_json(p: &ExecutedPoint) -> String {
         "    {{\"nodes\": {}, \"epoch_time_s\": {:.9}, \"speedup\": {:.4}, \
          \"efficiency\": {:.4}, \"loss\": {:.6}, \"train_accuracy\": {:.6}, \
          \"iterations\": {}, \"waves\": {}, \"comm_s\": {:.9}, \"occupancy\": {:.4}, \
-         \"halo_rows\": {halo_rows}, \"halo_bytes\": {halo_bytes}, \
-         \"sync_bytes\": {}, \"sync_time_s\": {:.9}, \"cut_fraction\": {:.4}}}",
+         \"sync_bytes\": {}, \"sync_time_s\": {:.9}}}",
         p.nodes,
         p.epoch_time.as_secs(),
         p.speedup,
@@ -88,7 +81,6 @@ fn point_json(p: &ExecutedPoint) -> String {
         slowest.occupancy.utilization(),
         r.sync_bytes,
         r.sync_time.as_secs(),
-        p.cut_fraction,
     )
 }
 
@@ -100,13 +92,14 @@ fn gate(n1_sum: u64, single_sum: u64, points: &[ExecutedPoint]) {
         "executed N=1 diverged from the single pipeline: {n1_sum:016x} != {single_sum:016x}"
     );
     for p in points {
-        let (n, halo) = (p.nodes, halo_bytes(p));
+        let (n, sync) = (p.nodes, p.report.sync_bytes);
         assert!(
             p.epoch_time > SimTime::ZERO,
             "non-positive epoch time at {n} nodes"
         );
-        // One node owns every row; more than one must exchange some.
-        assert_eq!(halo == 0, n == 1, "{halo} halo bytes at {n} nodes");
+        // Gradients are the only inter-node traffic: none on one node,
+        // some on more than one.
+        assert_eq!(sync > 0, n > 1, "{sync} sync bytes at {n} nodes");
     }
     let (first, last) = (&points[0], &points[points.len() - 1]);
     assert_eq!(first.nodes, 1, "sweep must start at 1 node");
@@ -156,16 +149,7 @@ fn main() {
     let n1_sum = epoch_checksum(n1.loss, n1.train_accuracy, n1.epoch_time);
     let bit_identical = n1_sum == single_sum;
 
-    let mut t = Table::new(&[
-        "nodes",
-        "epoch",
-        "speedup",
-        "efficiency",
-        "loss",
-        "halo MB",
-        "sync KB",
-        "cut",
-    ]);
+    let mut t = Table::new(&["nodes", "epoch", "speedup", "efficiency", "loss", "sync KB"]);
     for p in &points {
         t.row(&[
             p.nodes.to_string(),
@@ -173,9 +157,7 @@ fn main() {
             format!("{:.2}x", p.speedup),
             format!("{:.0}%", p.efficiency * 100.0),
             format!("{:.4}", p.report.loss),
-            format!("{:.2}", halo_bytes(p) as f64 / 1e6),
             format!("{:.1}", p.report.sync_bytes as f64 / 1e3),
-            format!("{:.0}%", p.cut_fraction * 100.0),
         ]);
     }
     t.print();
@@ -203,7 +185,7 @@ fn main() {
 
     let points_json: Vec<String> = points.iter().map(point_json).collect();
     let json = format!(
-        "{{\n  \"schema\": \"wg-multinode-sweep-v1\",\n  \"dataset\": \"ogbn-products\",\n  \
+        "{{\n  \"schema\": \"wg-multinode-sweep-v2\",\n  \"dataset\": \"ogbn-products\",\n  \
          \"scale\": 400,\n  \"seed\": 7,\n  \"batch_size\": 16,\n  \"gpus_per_node\": 1,\n  \
          \"n1\": {{\"bit_identical\": {bit_identical}, \"checksum\": \"{n1_sum:016x}\", \
          \"single_checksum\": \"{single_sum:016x}\"}},\n  \"points\": [\n{}\n  ]\n}}\n",

@@ -450,22 +450,18 @@ fn cmd_multinode(flags: HashMap<String, String>) {
             exit(1);
         }
     };
-    let q = mn.plan().quality();
     println!(
-        "multi-node {} x {} GPUs on {} ({} with full per-wave sync; edge cut {:.1}%, {} boundary nodes)",
+        "multi-node {} x {} GPUs on {} ({}; full replica per node, gradient AllReduce over IB)",
         nodes,
         gpus,
         mn.pipeline(0).dataset().kind.name(),
         model.name(),
-        q.cut_fraction * 100.0,
-        q.boundary_nodes
     );
     for epoch in 0..epochs {
         let r = mn.train_epoch(epoch);
         let val = mn.evaluate(&mn.pipeline(0).dataset().val.clone());
-        let halo_bytes: u64 = r.per_node.iter().map(|n| n.halo_bytes).sum();
         println!(
-            "epoch {epoch}: loss {:.4}  val-acc {:5.1}%  epoch {}  ({} iters / {} waves; sync {} over {} B; halo {} B)",
+            "epoch {epoch}: loss {:.4}  val-acc {:5.1}%  epoch {}  ({} iters / {} waves; sync {} over {} B)",
             r.loss,
             val * 100.0,
             r.epoch_time,
@@ -473,12 +469,11 @@ fn cmd_multinode(flags: HashMap<String, String>) {
             r.waves,
             r.sync_time,
             r.sync_bytes,
-            halo_bytes
         );
         for n in &r.per_node {
             let Some(rep) = n.report else { continue };
             println!(
-                "  node {}: epoch {}  ({} iters; sample {} | gather {} | train {} | comm {}; halo {} rows)",
+                "  node {}: epoch {}  ({} iters; sample {} | gather {} | train {} | comm {})",
                 n.node,
                 rep.epoch_time,
                 n.iterations,
@@ -486,7 +481,6 @@ fn cmd_multinode(flags: HashMap<String, String>) {
                 rep.gather_time,
                 rep.train_time,
                 rep.comm_time,
-                n.halo_rows
             );
         }
     }

@@ -1,22 +1,22 @@
 //! The multi-node cluster executor: N machines, N pipeline replicas, one
 //! synchronized training stream per wave.
 //!
-//! Execution model (paper §III-D): every machine holds a replica of the
-//! graph and features, trains on its own shard of the training split, and
-//! synchronizes gradients with the other machines after each wave.
-//! Structurally:
+//! Execution model (paper §III-D): every machine holds a full replica of
+//! the graph and features, trains on its own shard of the training split,
+//! and synchronizes gradients with the other machines after each wave.
+//! Shard → local pipeline → AllReduce:
 //!
-//! 1. [`PartitionPlan`] splits the training split by the machine-level
-//!    hash partition; each node shuffles and batches its shard with the
-//!    same seed schedule as
+//! 1. `train_shards` splits the training split by a machine-level
+//!    [`HashPartition`] of the node ids; each node shuffles and batches its
+//!    shard with the same seed schedule as
 //!    [`Pipeline::train_epoch`](crate::pipeline::Pipeline::train_epoch).
 //! 2. Per wave, every node with batches left runs one deferred-step
-//!    iteration on its own simulated [`wg_sim::Machine`] (sample → halo
-//!    fetch → gather → train); halo rows — input rows owned by another
-//!    machine — are priced over IB by [`wg_mem::halo`].
+//!    iteration on its own simulated [`wg_sim::Machine`] — sample, gather
+//!    and train, all from its local replica, exactly as a lone pipeline
+//!    would.
 //! 3. [`GradSync`] averages gradients across replicas, the inter-node
-//!    ring AllReduce time is charged to the wave's comm phase, and every
-//!    replica steps.
+//!    ring AllReduce time is charged to the wave's comm phase — the only
+//!    traffic that crosses InfiniBand — and every replica steps.
 //! 4. At epoch end each node's iteration results are scheduled by
 //!    [`Schedule`](crate::pipeline::Schedule) (`Pipeline::finish_epoch`
 //!    → per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`]
@@ -28,15 +28,12 @@
 
 use std::sync::Arc;
 
-use wg_graph::{NodeId, SyntheticDataset};
+use wg_graph::{HashPartition, NodeId, SyntheticDataset};
 use wg_sim::memory::OutOfMemory;
 use wg_sim::{cluster_barrier, Machine, MachineConfig, SimTime};
 
-use crate::multinode::partition_plan::PartitionPlan;
 use crate::multinode::sync::{GradSync, SyncConfig};
-use crate::pipeline::{
-    epoch_order_into, DistContext, EpochReport, IterationResult, Pipeline, PipelineConfig,
-};
+use crate::pipeline::{epoch_order_into, EpochReport, IterationResult, Pipeline, PipelineConfig};
 
 /// Shape of the simulated cluster.
 #[derive(Clone, Debug)]
@@ -76,9 +73,11 @@ pub struct NodeEpochReport {
     pub node: u32,
     /// The node's pipeline epoch report (`None` if its shard was empty).
     pub report: Option<EpochReport>,
-    /// Input feature rows this node fetched from other machines.
+    /// Always 0: a node gathers every row from its own replica. Kept
+    /// only for `benchmark/`; deleted with ROADMAP item 4(a).
     pub halo_rows: u64,
-    /// Bytes those halo rows moved over IB.
+    /// Always 0, as `halo_rows`. Kept only for `benchmark/`; deleted with
+    /// ROADMAP item 4(a).
     pub halo_bytes: u64,
     /// Iterations the node executed.
     pub iterations: usize,
@@ -113,38 +112,50 @@ pub struct MultiNodeEpochReport {
     pub per_node: Vec<NodeEpochReport>,
 }
 
+/// Each machine's training shard: the train vertices a machine-level
+/// hash partition assigns it, in dataset train-split order — so at
+/// `nodes == 1` the single shard *is* `dataset.train`, the first link in
+/// the N=1 bit-identity chain.
+fn train_shards(dataset: &SyntheticDataset, nodes: u32) -> Vec<Vec<NodeId>> {
+    let owners = HashPartition::new(dataset.graph.num_nodes(), nodes);
+    let mut shards = vec![Vec::new(); nodes as usize];
+    for &v in &dataset.train {
+        shards[owners.rank_of(v) as usize].push(v);
+    }
+    shards
+}
+
 /// The multi-node executor: one [`Pipeline`] replica per machine plus the
 /// cross-node gradient synchronizer.
 pub struct MultiNode {
     cfg: MultiNodeConfig,
-    plan: PartitionPlan,
+    shards: Vec<Vec<NodeId>>,
     pipes: Vec<Pipeline>,
     sync: GradSync,
 }
 
 impl MultiNode {
     /// Build `cfg.nodes` machines, each with its own pipeline replica
-    /// over (a full local copy of) `dataset`, sharded by a machine-level
-    /// hash partition.
+    /// over (a full local copy of) `dataset`, training on its
+    /// `train_shards` shard.
     pub fn new(
         dataset: Arc<SyntheticDataset>,
         pipe_cfg: PipelineConfig,
         cfg: MultiNodeConfig,
     ) -> Result<Self, OutOfMemory> {
         assert!(cfg.nodes >= 1, "a cluster needs at least one node");
-        let plan = PartitionPlan::new(&dataset, cfg.nodes);
-        let mut pipes = Vec::with_capacity(cfg.nodes as usize);
-        for k in 0..cfg.nodes {
-            let machine = Machine::new(MachineConfig::dgx_like(cfg.gpus_per_node));
-            let mut pipe = Pipeline::new(machine, Arc::clone(&dataset), pipe_cfg.clone())?;
-            pipe.dist = Some(DistContext::new(k, Arc::clone(plan.partition())));
-            pipes.push(pipe);
-        }
+        let shards = train_shards(&dataset, cfg.nodes);
+        let pipes = (0..cfg.nodes)
+            .map(|_| {
+                let machine = Machine::new(MachineConfig::dgx_like(cfg.gpus_per_node));
+                Pipeline::new(machine, Arc::clone(&dataset), pipe_cfg.clone())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let cost = pipes[0].machine().cost().clone();
         let sync = GradSync::new(cost, cfg.nodes);
         Ok(MultiNode {
             cfg,
-            plan,
+            shards,
             pipes,
             sync,
         })
@@ -153,11 +164,6 @@ impl MultiNode {
     /// The cluster configuration.
     pub fn config(&self) -> &MultiNodeConfig {
         &self.cfg
-    }
-
-    /// The machine-level partition plan.
-    pub fn plan(&self) -> &PartitionPlan {
-        &self.plan
     }
 
     /// Node `k`'s pipeline replica.
@@ -178,7 +184,7 @@ impl MultiNode {
     pub fn local_batches(&self, k: u32, epoch: u64) -> Vec<Vec<NodeId>> {
         let cfg = self.pipes[k as usize].config();
         let mut order = Vec::new();
-        epoch_order_into(self.plan.local_train(k), cfg.seed, epoch, &mut order);
+        epoch_order_into(&self.shards[k as usize], cfg.seed, epoch, &mut order);
         order
             .chunks(cfg.batch_size)
             .map(<[NodeId]>::to_vec)
@@ -238,12 +244,11 @@ impl MultiNode {
             } else {
                 Some(self.pipes[k].finish_epoch(node_results, node_results.len()))
             };
-            let (halo_rows, halo_bytes) = self.pipes[k].take_halo_stats();
             per_node.push(NodeEpochReport {
                 node: k as u32,
                 report,
-                halo_rows,
-                halo_bytes,
+                halo_rows: 0,
+                halo_bytes: 0,
                 iterations: node_results.len(),
             });
         }
@@ -343,7 +348,6 @@ mod tests {
         // No multi-node terms at N=1.
         assert_eq!(r.sync_bytes, 0);
         assert!(r.sync_time.is_zero());
-        assert_eq!(r.per_node[0].halo_rows, 0);
         // ... and the model parameters end up bitwise identical too.
         let a = &mn.pipeline(0).model.params;
         let b = &single.model.params;
@@ -409,20 +413,85 @@ mod tests {
     }
 
     #[test]
-    fn halo_traffic_appears_only_with_multiple_nodes() {
-        let mut mn = cluster(2);
+    fn a_node_is_a_lone_pipeline_plus_the_allreduce() {
+        // Each node samples and gathers from its own full replica, so the
+        // only inter-node cost is the per-wave gradient AllReduce (§III-D):
+        // a node's sample, gather, storage and train times are bitwise
+        // those of a lone pipeline on the same machine running the node's
+        // batches, and its comm time exceeds the lone pipeline's by
+        // exactly the wave syncs charged to its iterations.
+        let nodes = 4;
+        let mut mn = cluster(nodes);
         let r = mn.train_epoch(0);
-        // Hash partitioning cuts most edges, so two-node sampling pulls
-        // remote input rows on essentially every batch.
         for n in &r.per_node {
-            assert!(n.halo_rows > 0, "node {} saw no halo rows", n.node);
-            assert!(n.halo_bytes > 0);
-            let rep = n.report.unwrap();
+            let rep = n.report.expect("every shard is non-empty at this scale");
+            let machine = Machine::new(MachineConfig::dgx_like(2));
+            let mut lone = Pipeline::new(machine, dataset(), pipe_cfg()).unwrap();
+            let results: Vec<IterationResult> = mn
+                .local_batches(n.node, 0)
+                .iter()
+                .enumerate()
+                .map(|(i, batch)| lone.run_iteration(0, i as u64, batch, true))
+                .collect();
+            let l = lone.finish_epoch(&results, results.len());
+            assert_eq!(rep.sample_time, l.sample_time, "node {}", n.node);
             assert!(rep.gather_time > SimTime::ZERO);
+            assert_eq!(rep.gather_time, l.gather_time, "node {}", n.node);
+            assert_eq!(rep.storage_time, l.storage_time, "node {}", n.node);
+            assert_eq!(rep.train_time, l.train_time, "node {}", n.node);
+            let wave_sync = wg_sim::collective::allreduce_inter_node(
+                lone.machine().cost(),
+                lone.model.params.param_bytes(),
+                nodes,
+            );
+            assert!(wave_sync > SimTime::ZERO);
+            let charged = results.len().div_ceil(2);
+            let comm = results[..charged]
+                .iter()
+                .fold(SimTime::ZERO, |t, x| t + (x.times.comm + wave_sync));
+            assert_eq!(rep.comm_time, comm, "node {}", n.node);
+            assert!(r.epoch_time >= rep.epoch_time);
         }
-        // Epoch time covers the slowest node.
-        for n in &r.per_node {
-            assert!(r.epoch_time >= n.report.unwrap().epoch_time);
+    }
+
+    #[test]
+    fn single_node_shard_is_the_whole_train_split_in_order() {
+        let ds = dataset();
+        assert_eq!(train_shards(&ds, 1), vec![ds.train.clone()]);
+    }
+
+    #[test]
+    fn shards_are_a_disjoint_cover_of_the_train_split() {
+        let ds = dataset();
+        let owners = HashPartition::new(ds.graph.num_nodes(), 4);
+        let shards = train_shards(&ds, 4);
+        let mut seen = std::collections::HashSet::new();
+        for (k, shard) in shards.iter().enumerate() {
+            for &v in shard {
+                assert_eq!(owners.rank_of(v), k as u32);
+                assert!(seen.insert(v), "vertex {v} in two shards");
+            }
+        }
+        assert_eq!(seen.len(), ds.train.len());
+        // Hash sharding of a sizeable train split stays roughly balanced:
+        // the largest shard is under 1.5x the ideal size.
+        let largest = shards.iter().map(Vec::len).max().unwrap();
+        let imbalance = largest as f64 * 4.0 / ds.train.len() as f64;
+        assert!(imbalance < 1.5, "train imbalance {imbalance}");
+    }
+
+    #[test]
+    fn shards_preserve_dataset_order() {
+        let ds = dataset();
+        let owners = HashPartition::new(ds.graph.num_nodes(), 3);
+        for (k, shard) in train_shards(&ds, 3).iter().enumerate() {
+            let filtered: Vec<_> = ds
+                .train
+                .iter()
+                .copied()
+                .filter(|&v| owners.rank_of(v) == k as u32)
+                .collect();
+            assert_eq!(shard, &filtered);
         }
     }
 }

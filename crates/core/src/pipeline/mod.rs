@@ -162,33 +162,6 @@ impl ServeTimes {
     }
 }
 
-/// Multi-node execution context attached to a pipeline replica by the
-/// [`crate::multinode`] executor: which machine this replica is, the
-/// machine-level feature partition, and accumulated halo traffic.
-pub(crate) struct DistContext {
-    /// This replica's machine rank.
-    pub node: u32,
-    /// Machine-level feature partition over stable dataset node ids —
-    /// input rows owned by another machine are halo rows, charged an IB
-    /// fetch.
-    pub partition: Arc<wg_graph::HashPartition>,
-    /// Halo rows accumulated since the last [`Pipeline::take_halo_stats`].
-    pub halo_rows: u64,
-    /// Halo bytes accumulated since the last take.
-    pub halo_bytes: u64,
-}
-
-impl DistContext {
-    pub(crate) fn new(node: u32, partition: Arc<wg_graph::HashPartition>) -> Self {
-        DistContext {
-            node,
-            partition,
-            halo_rows: 0,
-            halo_bytes: 0,
-        }
-    }
-}
-
 /// An end-to-end training pipeline for one framework on one dataset.
 pub struct Pipeline {
     cfg: PipelineConfig,
@@ -204,8 +177,6 @@ pub struct Pipeline {
     setup_time: SimTime,
     sampler_cfg: SamplerConfig,
     scratch: IterScratch,
-    /// Present when this pipeline is one replica of a multi-node run.
-    pub(crate) dist: Option<DistContext>,
     /// Snapshot of the freshly initialized parameters, so
     /// [`reset_training_state`](Self::reset_training_state) can replay
     /// training from the same starting point without rebuilding the
@@ -249,23 +220,8 @@ impl Pipeline {
             setup_time,
             sampler_cfg,
             scratch: IterScratch::default(),
-            dist: None,
             init_params,
         })
-    }
-
-    /// Drain the halo rows/bytes accumulated since the last call (zero
-    /// for single-node pipelines).
-    pub(crate) fn take_halo_stats(&mut self) -> (u64, u64) {
-        match &mut self.dist {
-            Some(d) => {
-                let out = (d.halo_rows, d.halo_bytes);
-                d.halo_rows = 0;
-                d.halo_bytes = 0;
-                out
-            }
-            None => (0, 0),
-        }
     }
 
     /// Restore parameters, optimizer moments, and the machine's clock and
@@ -360,43 +316,14 @@ impl Pipeline {
     /// Gather the input features of a mini-batch on GPU `rank` (training
     /// round-robins iterations across the data-parallel ranks; serving
     /// pins the rank its batch was dispatched to).
-    ///
-    /// The returned time includes the machine-level halo exchange: input
-    /// rows whose features another machine owns are fetched over IB
-    /// before the local gather. Exactly [`SimTime::ZERO`] for single-node
-    /// runs (no `dist` context, one rank, or no halo rows) — the numerics
-    /// are untouched either way (the values come from the local replica;
-    /// the exchange only costs time, per the repo's caching convention).
     fn gather(&mut self, mb: &MiniBatch, rank: u32) -> Gathered {
-        let input = mb.input_nodes();
         let row_bytes = self.dataset.feature_dim * 4;
-        let t_halo = match self.dist.as_mut() {
-            Some(dist) if dist.partition.ranks() > 1 => {
-                let nodes = dist.partition.ranks();
-                let halo = self
-                    .store
-                    .halo_rows(input, &dist.partition, dist.node, rank);
-                let ex = wg_mem::halo::halo_exchange(
-                    self.machine.cost(),
-                    input.len() as u64,
-                    halo,
-                    row_bytes,
-                    nodes,
-                );
-                dist.halo_rows += ex.halo_rows;
-                dist.halo_bytes += ex.halo_bytes;
-                ex.time
-            }
-            _ => SimTime::ZERO,
-        };
         wg_trace::counter!(
             "pipeline.gather.feature_bytes",
-            (input.len() * row_bytes) as f64
+            (mb.input_nodes().len() * row_bytes) as f64
         );
         let buf = std::mem::take(&mut self.scratch.feature_buf);
-        let mut gathered = self.store.gather(mb, rank, &self.machine, buf);
-        gathered.time += t_halo;
-        gathered
+        self.store.gather(mb, rank, &self.machine, buf)
     }
 
     /// The forward pass training, evaluation and serving all run: convert

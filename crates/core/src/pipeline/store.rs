@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use wg_graph::{GlobalId, HashPartition, HostGraph, MultiGpuGraph, NodeId, SyntheticDataset};
+use wg_graph::{GlobalId, HostGraph, MultiGpuGraph, NodeId, SyntheticDataset};
 use wg_mem::{CacheMode, FeatureCache, OocTier, RowPlan, StorageIo, TierStack};
 use wg_sample::{
     sample_minibatch_into, GraphAccess, HostGraphAccess, MiniBatch, MultiGpuAccess, SampleScratch,
@@ -50,12 +50,6 @@ pub(crate) trait FeatureStore {
         scratch: &mut SampleScratch,
         mb: &mut MiniBatch,
     ) -> SampleStats;
-
-    /// How many of `input`'s rows GPU `rank` on machine `home` must fetch
-    /// from another machine: rows `owners` assigns elsewhere, minus any a
-    /// local tier already holds a copy of. Called before the iteration's
-    /// gather, so this batch's own cache fills never discount its halo.
-    fn halo_rows(&self, input: &[u64], owners: &HashPartition, home: u32, rank: u32) -> u64;
 
     /// Gather `mb`'s input features on GPU `rank`, reusing `buf`'s
     /// capacity for the output.
@@ -185,18 +179,6 @@ impl FeatureStore for DsmStore {
         sample_minibatch_into(&access, &self.seeds, cfg, epoch, iter, scratch, mb)
     }
 
-    fn halo_rows(&self, input: &[u64], owners: &HashPartition, home: u32, rank: u32) -> u64 {
-        let cache = self.tiers.cache.as_ref();
-        let remote = |&&h: &&u64| {
-            let g = GlobalId::from_raw(h);
-            // A row already in `rank`'s feature cache is a local hit
-            // and skips the IB fetch.
-            owners.rank_of(self.graph.partition().node_of(g)) != home
-                && !cache.is_some_and(|c| c.contains(rank, self.graph.feature_row_of_global(g)))
-        };
-        input.iter().filter(remote).count() as u64
-    }
-
     fn gather(&mut self, mb: &MiniBatch, rank: u32, machine: &Machine, buf: Vec<f32>) -> Gathered {
         let (input, mut out) = (mb.input_nodes(), buf);
         out.clear();
@@ -263,10 +245,6 @@ impl FeatureStore for HostStore {
     ) -> SampleStats {
         let access = HostGraphAccess(&self.0);
         sample_minibatch_into(&access, nodes, cfg, epoch, iter, scratch, mb)
-    }
-
-    fn halo_rows(&self, input: &[u64], owners: &HashPartition, home: u32, _rank: u32) -> u64 {
-        input.iter().filter(|&&h| owners.rank_of(h) != home).count() as u64
     }
 
     fn gather(&mut self, mb: &MiniBatch, _: u32, machine: &Machine, buf: Vec<f32>) -> Gathered {

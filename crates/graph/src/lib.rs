@@ -36,5 +36,5 @@ pub type NodeId = u64;
 pub use csr::Csr;
 pub use datasets::{DatasetKind, DegreeProfile, SyntheticDataset};
 pub use global_id::GlobalId;
-pub use partition::{HashPartition, PartitionQuality};
+pub use partition::HashPartition;
 pub use store::{HostGraph, MultiGpuGraph};

@@ -10,29 +10,8 @@
 //! the price of fixed-stride addressing, just like the real library's
 //! per-rank `cudaMalloc`s of equal size).
 
-use crate::csr::Csr;
 use crate::global_id::GlobalId;
 use crate::NodeId;
-
-/// Summary statistics of a partition against a concrete graph — the
-/// quality measures DistGNN-style partitioned training cares about:
-/// how much of the edge set crosses partition boundaries (driving halo
-/// traffic) and how evenly the vertices spread.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartitionQuality {
-    /// Directed edges whose endpoints live on different ranks.
-    pub edge_cut: u64,
-    /// `edge_cut / num_edges` (0.0 on an edgeless graph).
-    pub cut_fraction: f64,
-    /// Vertices with at least one neighbor on another rank — the
-    /// boundary (halo) set whose features cross the interconnect.
-    pub boundary_nodes: usize,
-    /// `boundary_nodes / num_nodes` (0.0 on an empty graph).
-    pub boundary_fraction: f64,
-    /// Max per-rank vertex count over ideal (see
-    /// [`HashPartition::imbalance`]).
-    pub imbalance: f64,
-}
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) — a stand-in for the
 /// node-ID hash the paper partitions with.
@@ -73,11 +52,6 @@ impl HashPartition {
             local_of,
             nodes_of,
         }
-    }
-
-    /// Number of ranks.
-    pub fn ranks(&self) -> u32 {
-        self.ranks
     }
 
     /// Number of nodes partitioned.
@@ -134,66 +108,6 @@ impl HashPartition {
             return 1.0;
         }
         self.rows_per_rank() as f64 / ideal
-    }
-
-    /// Number of directed edges of `g` whose endpoints live on different
-    /// ranks. With a single rank this is zero by construction.
-    pub fn edge_cut(&self, g: &Csr) -> u64 {
-        assert_eq!(
-            g.num_nodes(),
-            self.num_nodes(),
-            "partition covers a different vertex set than the graph"
-        );
-        let mut cut = 0u64;
-        for v in 0..g.num_nodes() as u64 {
-            let rv = self.rank_of(v);
-            cut += g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| self.rank_of(u) != rv)
-                .count() as u64;
-        }
-        cut
-    }
-
-    /// Number of vertices of `g` with at least one neighbor on another
-    /// rank — the boundary (halo) set of DistGNN-style partitioned
-    /// training.
-    pub fn boundary_nodes(&self, g: &Csr) -> usize {
-        assert_eq!(
-            g.num_nodes(),
-            self.num_nodes(),
-            "partition covers a different vertex set than the graph"
-        );
-        (0..g.num_nodes() as u64)
-            .filter(|&v| {
-                let rv = self.rank_of(v);
-                g.neighbors(v).iter().any(|&u| self.rank_of(u) != rv)
-            })
-            .count()
-    }
-
-    /// Full quality summary against a concrete graph.
-    pub fn quality(&self, g: &Csr) -> PartitionQuality {
-        let edge_cut = self.edge_cut(g);
-        let boundary = self.boundary_nodes(g);
-        let edges = g.num_edges() as f64;
-        let nodes = g.num_nodes() as f64;
-        PartitionQuality {
-            edge_cut,
-            cut_fraction: if edges > 0.0 {
-                edge_cut as f64 / edges
-            } else {
-                0.0
-            },
-            boundary_nodes: boundary,
-            boundary_fraction: if nodes > 0.0 {
-                boundary as f64 / nodes
-            } else {
-                0.0
-            },
-            imbalance: self.imbalance(),
-        }
     }
 }
 
@@ -283,52 +197,6 @@ mod tests {
                 p.imbalance()
             );
         }
-    }
-
-    #[test]
-    fn edge_cut_matches_brute_force_recount_on_rmat() {
-        // Partition invariant 3: edge_cut agrees with an independent
-        // walk over the raw CSR arrays.
-        let g = crate::gen::rmat(8, 2048, 3);
-        for ranks in [1u32, 2, 5, 8] {
-            let p = HashPartition::new(g.num_nodes(), ranks);
-            let mut brute = 0u64;
-            let offsets = g.offsets();
-            let targets = g.targets();
-            for v in 0..g.num_nodes() {
-                for &t in &targets[offsets[v] as usize..offsets[v + 1] as usize] {
-                    if p.rank_of(t) != p.rank_of(v as NodeId) {
-                        brute += 1;
-                    }
-                }
-            }
-            assert_eq!(p.edge_cut(&g), brute, "ranks={ranks}");
-            if ranks == 1 {
-                assert_eq!(brute, 0);
-            } else {
-                // A hash partition of a connected-ish RMAT graph cuts
-                // plenty of edges — the halo path is exercised for real.
-                assert!(brute > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn quality_summary_is_consistent() {
-        let g = crate::gen::rmat(8, 2048, 3);
-        let p = HashPartition::new(g.num_nodes(), 4);
-        let q = p.quality(&g);
-        assert_eq!(q.edge_cut, p.edge_cut(&g));
-        assert_eq!(q.boundary_nodes, p.boundary_nodes(&g));
-        assert!((q.cut_fraction - q.edge_cut as f64 / g.num_edges() as f64).abs() < 1e-12);
-        assert!(q.boundary_fraction > 0.0 && q.boundary_fraction <= 1.0);
-        // With 4 ranks a random hash cuts roughly 3/4 of edges.
-        assert!(q.cut_fraction > 0.5 && q.cut_fraction < 0.95);
-        // Single-rank quality is the degenerate all-local case.
-        let q1 = HashPartition::new(g.num_nodes(), 1).quality(&g);
-        assert_eq!(q1.edge_cut, 0);
-        assert_eq!(q1.boundary_nodes, 0);
-        assert_eq!(q1.imbalance, 1.0);
     }
 
     proptest! {

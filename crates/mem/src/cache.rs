@@ -341,12 +341,6 @@ impl FeatureCache {
         self.mode
     }
 
-    /// Whether `device`'s cache currently holds `row`. Allocation-free —
-    /// this is the halo path's pre-check.
-    pub fn contains(&self, device: u32, row: usize) -> bool {
-        self.device(device).lookup(row).is_some()
-    }
-
     /// Rows currently cached on `device`.
     pub fn occupied(&self, device: u32) -> usize {
         self.device(device).len()
@@ -415,12 +409,18 @@ mod tests {
         hot[50] = 5;
         let cache = FeatureCache::new_static(&wm, &hot, 4);
         for row in [10, 20, 30, 40] {
-            assert!(cache.contains(0, row), "row {row} should be pinned");
+            assert!(
+                cache.device(0).lookup(row).is_some(),
+                "row {row} should be pinned"
+            );
             // Static mode replicates: every device sees the same set.
-            assert!(cache.contains(3, row));
+            assert!(cache.device(3).lookup(row).is_some());
         }
-        assert!(!cache.contains(0, 50), "tie loser must not be pinned");
-        assert!(!cache.contains(0, 0));
+        assert!(
+            cache.device(0).lookup(50).is_none(),
+            "tie loser must not be pinned"
+        );
+        assert!(cache.device(0).lookup(0).is_none());
         assert_eq!(cache.occupied(0), 4);
         assert_eq!(cache.mode(), CacheMode::Static);
     }
@@ -442,7 +442,7 @@ mod tests {
         dc.begin_batch();
         assert_eq!(dc.insert(3), None);
         assert_eq!(dc.lookup(3), None);
-        assert!(!cache.contains(0, 3));
+        assert!(cache.device(0).lookup(3).is_none());
     }
 
     #[test]

@@ -48,7 +48,6 @@
 pub mod access;
 pub mod cache;
 pub mod gather;
-pub mod halo;
 pub mod handle;
 pub mod ipc;
 pub mod nccl;
@@ -58,7 +57,6 @@ pub mod probe;
 pub use access::{ChunkLocator, Element};
 pub use cache::{CacheMode, FeatureCache};
 pub use gather::{GatherStats, RowPlan, StorageIo, TierStack};
-pub use halo::{halo_exchange, HaloStats};
 pub use handle::WholeMemory;
 pub use nccl::NcclGatherStats;
 pub use ooc::{OocTier, MAX_TRANSFER_BYTES};

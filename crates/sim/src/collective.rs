@@ -59,8 +59,9 @@ pub fn alltoallv_intra_node(model: &CostModel, bytes_per_rank: u64, ranks: u32) 
     )
 }
 
-/// The inter-node ring term of the hierarchical AllReduce alone: `bytes`
-/// per node over the node's aggregate IB bandwidth.
+/// The inter-node stage of the hierarchical AllReduce (§III-D; the
+/// intra-node stage is [`allreduce_intra_node`]): a ring over `nodes`
+/// machines, `bytes` per node over the node's aggregate IB bandwidth.
 ///
 /// Exactly **zero** (not overhead-only) at `nodes <= 1`: a single node
 /// never touches the IB fabric, and the multi-node executor relies on
@@ -78,18 +79,6 @@ pub fn allreduce_inter_node(model: &CostModel, bytes: u64, nodes: u32) -> SimTim
             + steps * model.ib_latency_s
             + moved / model.topology.node_ib_bandwidth(),
     )
-}
-
-/// Hierarchical AllReduce for multi-node data-parallel training (§III-D):
-/// intra-node ring reduce, inter-node ring over the node's aggregate IB
-/// bandwidth, intra-node broadcast.
-pub fn allreduce_multi_node(
-    model: &CostModel,
-    bytes: u64,
-    nodes: u32,
-    gpus_per_node: u32,
-) -> SimTime {
-    allreduce_intra_node(model, bytes, gpus_per_node) + allreduce_inter_node(model, bytes, nodes)
 }
 
 #[cfg(test)]
@@ -128,12 +117,11 @@ mod tests {
     fn multi_node_allreduce_adds_ib_term() {
         let m = CostModel::dgx_a100();
         let b = 200 * (1 << 20); // ~200 MB of gradients
-        let one = allreduce_multi_node(&m, b, 1, 8);
-        let four = allreduce_multi_node(&m, b, 4, 8);
-        assert!(four > one);
+        let four = allreduce_inter_node(&m, b, 4);
+        assert!(four > SimTime::ZERO);
         // The inter-node term is bounded by 2·bytes/IB-bandwidth plus
         // overheads — check it's in the right ballpark (not 100x off).
-        let extra = (four - one).as_secs();
+        let extra = four.as_secs();
         let bound = 2.0 * b as f64 / m.topology.node_ib_bandwidth();
         assert!(extra < 2.0 * bound + 1e-3);
         assert!(extra > 0.25 * bound);
@@ -146,10 +134,6 @@ mod tests {
         let m = CostModel::dgx_a100();
         assert!(allreduce_inter_node(&m, 1 << 30, 1).is_zero());
         assert!(allreduce_inter_node(&m, 0, 8).is_zero());
-        // Hierarchical AllReduce decomposes exactly as intra + inter.
-        let b = 200 * (1 << 20);
-        let sum = allreduce_intra_node(&m, b, 8) + allreduce_inter_node(&m, b, 4);
-        assert_eq!(sum, allreduce_multi_node(&m, b, 4, 8));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 #     >=50% hot-set headline, strict prefetch overlap, >=2x QPS at
 #     equal-or-better p99 inside the service bounds, balanced shed books,
 #     arrival <= start <= finish for every request of every serving leg,
-#     halo-free N=1 and a real end-to-end speedup).
+#     gradient-sync traffic exactly when N > 1 and a real end-to-end
+#     speedup).
 #   * every JSON left in <out-dir> — artifacts and Chrome traces alike —
 #     must parse.
 #   * the sweeps are simulated-clock artifacts, so they must regenerate

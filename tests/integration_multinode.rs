@@ -1,41 +1,11 @@
 //! Multi-node data-parallel integration (§III-D / Figure 13): the
-//! executed cluster path (partitioned shards, halo exchange, gradient
-//! sync) end to end, the legacy projection it replaced, and
-//! gradient-averaging semantics.
+//! executed cluster path (per-node shards of full replicas, gradient
+//! sync) end to end, and gradient-averaging semantics.
 
 use std::sync::Arc;
 
-use wholegraph::multinode::{executed_sweep, projected_sweep};
+use wholegraph::multinode::executed_sweep;
 use wholegraph::prelude::*;
-
-fn pipeline() -> Pipeline {
-    let dataset = Arc::new(SyntheticDataset::generate(
-        DatasetKind::OgbnPapers100M,
-        2000,
-        31,
-    ));
-    let machine = Machine::dgx_a100();
-    let mut cfg = PipelineConfig::tiny(Framework::WholeGraph, ModelKind::GraphSage).with_seed(31);
-    cfg.batch_size = 16;
-    Pipeline::new(machine, dataset, cfg).unwrap()
-}
-
-#[test]
-fn projected_sweep_matches_figure13_shape() {
-    let mut pipe = pipeline();
-    let pts = projected_sweep(&mut pipe, &[1, 2, 4, 8], 2);
-    assert_eq!(pts.len(), 4);
-    // Speedups grow with node count and 8-node efficiency is high.
-    for w in pts.windows(2) {
-        assert!(w[1].speedup > w[0].speedup);
-    }
-    let eff8 = pts[3].speedup / 8.0;
-    assert!(eff8 > 0.55, "8-node efficiency {eff8:.2}");
-    // 2-node efficiency should be nearly perfect (tiny gradients over fat
-    // IB pipes).
-    let eff2 = pts[1].speedup / 2.0;
-    assert!(eff2 > 0.8, "2-node efficiency {eff2:.2}");
-}
 
 #[test]
 fn gradient_averaging_equalizes_replicas() {
@@ -59,17 +29,6 @@ fn gradient_averaging_equalizes_replicas() {
     assert_eq!(a.grad(ia).data(), &[2.0, 2.0, 2.0, 2.0]);
 }
 
-#[test]
-fn more_real_iterations_refine_but_do_not_flip_the_sweep() {
-    let mut pipe = pipeline();
-    let one = projected_sweep(&mut pipe, &[1, 8], 1);
-    let mut pipe = pipeline();
-    let three = projected_sweep(&mut pipe, &[1, 8], 3);
-    // Both sweeps agree that 8 nodes is much faster than 1.
-    assert!(one[1].speedup > 3.0);
-    assert!(three[1].speedup > 3.0);
-}
-
 fn cluster_dataset() -> Arc<SyntheticDataset> {
     Arc::new(SyntheticDataset::generate(
         DatasetKind::OgbnPapers100M,
@@ -87,8 +46,7 @@ fn cluster_cfg() -> PipelineConfig {
 #[test]
 fn executed_single_node_epoch_is_bit_identical_to_the_pipeline() {
     // The tentpole correctness bar: the full cluster machinery at N=1 —
-    // partition plan, deferred steps, gradient sync, halo accounting,
-    // barrier — collapses to exactly the single-pipeline epoch, bit for
+    // train shards, deferred steps, gradient sync, barrier — collapses to exactly the single-pipeline epoch, bit for
     // bit, across several epochs.
     let mut mn = MultiNode::new(
         cluster_dataset(),
@@ -106,7 +64,6 @@ fn executed_single_node_epoch_is_bit_identical_to_the_pipeline() {
         assert_eq!(r.epoch_time, s.epoch_time);
         assert_eq!(r.executed_iterations, s.executed_iterations);
         assert_eq!(r.sync_bytes, 0);
-        assert_eq!(r.per_node[0].halo_bytes, 0);
     }
 }
 
@@ -138,11 +95,10 @@ fn executed_multi_node_loss_parity_and_comm_accounting() {
         let r = mn.train_epoch(0);
         let rel = (r.loss - s.loss).abs() / s.loss.abs();
         assert!(rel < 0.15, "{nodes} nodes: loss {} vs {} ", r.loss, s.loss);
-        // Every node paid inter-node gradient sync and halo traffic.
+        // Every node paid inter-node gradient sync.
         assert!(r.sync_bytes > 0);
         assert!(r.sync_time > SimTime::ZERO);
         for n in &r.per_node {
-            assert!(n.halo_bytes > 0, "node {} fetched no halo rows", n.node);
             let rep = n.report.expect("every shard is non-empty at this scale");
             assert!(rep.comm_time > SimTime::ZERO);
         }
@@ -169,9 +125,8 @@ fn executed_sweep_beats_single_node_and_stays_sublinear() {
     for w in pts.windows(2) {
         assert!(w[1].epoch_time < w[0].epoch_time);
     }
-    // Real execution pays halo + sync, so speedup is genuinely sublinear
-    // (the projection's near-linear curve was the assumption, not the
-    // measurement).
+    // Real execution pays the gradient sync and wave quantization, so
+    // speedup is genuinely sublinear.
     for p in &pts[1..] {
         assert!(p.speedup > 1.0);
         assert!(p.speedup < p.nodes as f64);
@@ -181,8 +136,7 @@ fn executed_sweep_beats_single_node_and_stays_sublinear() {
 #[test]
 fn per_node_attribution_covers_metrics_and_the_cluster_trace() {
     // The global `pipeline.gather.feature_bytes` /
-    // `pipeline.allreduce.bytes` / `mem.halo.*` counters sum over all
-    // replicas; the per-node halo traffic lives in `NodeEpochReport`.
+    // `pipeline.allreduce.bytes` counters sum over all replicas.
     // (The registry is process-global and the enable flags affect the
     // whole process, so the metric and trace halves share one test and
     // assert presence and cross-series consistency rather than exact
@@ -205,17 +159,6 @@ fn per_node_attribution_covers_metrics_and_the_cluster_trace() {
             .unwrap_or_else(|| panic!("counter {name} missing"))
     };
     assert_eq!(r.per_node.len(), 2);
-    for n in &r.per_node {
-        assert!(n.halo_bytes > 0, "node {} fetched no halo bytes", n.node);
-    }
-    // The global halo counter covers every node's reported traffic (other
-    // tests in this process may add to it, never take from it).
-    let halo = counter("mem.halo.bytes");
-    let report_halo: u64 = r.per_node.iter().map(|n| n.halo_bytes).sum();
-    assert!(
-        halo >= report_halo as f64,
-        "mem.halo.bytes {halo} < the reports' sum {report_halo}"
-    );
     assert!(counter("pipeline.gather.feature_bytes") > 0.0);
     assert!(counter("pipeline.allreduce.bytes") > 0.0);
 
