@@ -65,13 +65,16 @@ fn bench_spmm(c: &mut Criterion) {
 }
 
 /// The paper's GAT layer shape: 4 heads x 64 channels over fanout-30
-/// edges, on a deep-layer block (the frontier has saturated the graph, so
-/// sources are shared by ~25 destinations each, as in `train_paper`). The
-/// three fused kernels a GAT hidden layer trains with, each at every
-/// level: edge attention (score sum, LeakyReLU, edge softmax), the
-/// aggregation with bias and ELU in its store, and its one-walk backward.
+/// edges, on a block sized like `train_paper`'s deepest one: 25 531
+/// sources (the frontier has saturated the graph, so each is shared by
+/// ~28 destinations) and 720k edges. Its `h` and gradient operands are
+/// 26 and 25 MB, too large to stay in cache between passes, so the rows
+/// stream from DRAM as they do in training. The three fused kernels
+/// a GAT hidden layer trains with, each at every level: edge attention
+/// (score sum, LeakyReLU, edge softmax), the aggregation with bias and
+/// ELU in its store, and its one-walk backward.
 fn bench_gat_kernels(c: &mut Criterion) {
-    let (dst, src, fanout, heads, channels) = (8192usize, 10_000usize, 30usize, 4usize, 256usize);
+    let (dst, src, fanout, heads, channels) = (24_000usize, 25_531usize, 30usize, 4usize, 256usize);
     let b = block(dst, src, fanout, 1);
     let h = mat(src, channels, 4);
     let g = mat(dst, channels, 5);

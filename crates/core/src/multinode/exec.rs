@@ -15,8 +15,10 @@
 //!    and train, all from its local replica, exactly as a lone pipeline
 //!    would.
 //! 3. [`GradSync`] averages gradients across replicas, the inter-node
-//!    ring AllReduce time is charged to the wave's comm phase — the only
-//!    traffic that crosses InfiniBand — and every replica steps.
+//!    ring AllReduce time is charged to the node's comm phase — the only
+//!    traffic that crosses InfiniBand — and every replica steps. A node's
+//!    clock lays its batches out `gpus_per_node` to a wave, so each of its
+//!    clock waves carries the syncs of all the batches it covers.
 //! 4. At epoch end each node's iteration results are scheduled by
 //!    [`Schedule`](crate::pipeline::Schedule) (`Pipeline::finish_epoch`
 //!    → per-node [`EpochReport`]), and [`wg_sim::cluster_barrier`]
@@ -223,13 +225,15 @@ impl MultiNode {
             for p in &mut self.pipes {
                 p.apply_step();
             }
+            // A node's schedule lays its batches out `gpus_per_node` to a
+            // clock wave and charges each clock wave with its first
+            // batch's times, so every sync goes to the batch that stands
+            // for the clock wave this batch falls in: the node's clock then
+            // charges every sync the numerics ran.
             if ws.time > SimTime::ZERO {
+                let per_wave = self.cfg.gpus_per_node.max(1) as usize;
                 for &k in &active {
-                    results[k]
-                        .last_mut()
-                        .expect("active node ran this wave")
-                        .times
-                        .comm += ws.time;
+                    results[k][wave / per_wave].times.comm += ws.time;
                 }
             }
             sync_time += ws.time;
@@ -419,7 +423,8 @@ mod tests {
         // a node's sample, gather, storage and train times are bitwise
         // those of a lone pipeline on the same machine running the node's
         // batches, and its comm time exceeds the lone pipeline's by
-        // exactly the wave syncs charged to its iterations.
+        // exactly the wave syncs: one per batch, each clock wave (two
+        // batches on these 2-GPU nodes) carrying those of its batches.
         let nodes = 4;
         let mut mn = cluster(nodes);
         let r = mn.train_epoch(0);
@@ -445,13 +450,48 @@ mod tests {
                 nodes,
             );
             assert!(wave_sync > SimTime::ZERO);
-            let charged = results.len().div_ceil(2);
-            let comm = results[..charged]
-                .iter()
-                .fold(SimTime::ZERO, |t, x| t + (x.times.comm + wave_sync));
+            let comm = results
+                .chunks(2)
+                .map(|wave| (wave, wave[0].times.comm))
+                .fold(SimTime::ZERO, |t, (wave, intra)| {
+                    t + wave.iter().fold(intra, |c, _| c + wave_sync)
+                });
             assert_eq!(rep.comm_time, comm, "node {}", n.node);
             assert!(r.epoch_time >= rep.epoch_time);
         }
+    }
+
+    #[test]
+    fn a_multi_gpu_node_is_charged_every_wave_sync() {
+        // Two GPUs per node: a node's clock lays its batches out two to a
+        // wave, but the numerics sync after every batch. A node that runs
+        // in every wave must be charged the whole cluster sync time.
+        let mut mn = cluster(4);
+        let r = mn.train_epoch(0);
+        assert!(r.sync_time > SimTime::ZERO);
+        let mut full = 0;
+        for n in r.per_node.iter().filter(|n| n.iterations == r.waves) {
+            let rep = n.report.expect("a node that ran every wave");
+            let machine = Machine::new(MachineConfig::dgx_like(2));
+            let mut lone = Pipeline::new(machine, dataset(), pipe_cfg()).unwrap();
+            let results: Vec<IterationResult> = mn
+                .local_batches(n.node, 0)
+                .iter()
+                .enumerate()
+                .map(|(i, batch)| lone.run_iteration(0, i as u64, batch, true))
+                .collect();
+            let l = lone.finish_epoch(&results, results.len());
+            let charged = rep.comm_time - l.comm_time;
+            let gap = (charged - r.sync_time).as_secs().abs();
+            assert!(
+                gap <= 1e-9 * r.sync_time.as_secs(),
+                "node {}: charged {charged} of sync {}",
+                n.node,
+                r.sync_time
+            );
+            full += 1;
+        }
+        assert!(full > 0, "no node ran every wave");
     }
 
     #[test]

@@ -280,7 +280,7 @@ fn gemm_block(
             if zeros.contains(&true) {
                 let bufs = bufs.get_or_insert([[0; KB]; MC]);
                 for ((row, buf), _) in visits.iter_mut().zip(bufs).zip(zeros).filter(|z| z.1) {
-                    *row = row.listed(buf);
+                    *row = row.listed(level, buf);
                 }
             }
         }
@@ -835,14 +835,30 @@ pub fn elu_backward(grad: &Matrix, forward_output: &Matrix, alpha: f32, out: &mu
 ///
 /// Drawing is separate from applying. Row `r` draws from its own
 /// `SmallRng::seed_from_u64(seed ^ r·φ)` stream, one `gen::<f32>()` per
-/// element in column order — the generator is inherently serial, but the
-/// bit is an integer compare shifted into place, so the loop carries no
-/// data-dependent branch. A second pass over the (L1-hot) row then writes
-/// `x · (1/(1-p))` on the kept lanes and `+0.0` on the dropped ones —
-/// `+0.0` whatever `x` holds there (negative, NaN, infinite), which
-/// `x · 0.0` would not give. It ANDs the product's bits with the lane
-/// masks `BYTE_LANES` holds for each 8-element group's mask byte.
+/// element in column order — each stream is serial, so the AVX2 level runs
+/// four rows' streams abreast, one per 64-bit lane
+/// ([`simd::dropout_mask_rows4`]); rows past the last full group of four,
+/// and every row at the scalar level, draw one at a time. The bit is an
+/// integer compare shifted into place, so the loop carries no
+/// data-dependent branch. A second pass over the (L1-hot) rows then
+/// writes `x · (1/(1-p))` on the kept lanes and `+0.0` on the dropped ones
+/// — `+0.0` whatever `x` holds there (negative, NaN, infinite), which `x ·
+/// 0.0` would not give. It ANDs the product's bits with the lane masks
+/// `BYTE_LANES` holds for each 8-element group's mask byte.
 pub fn dropout_into(x: &Matrix, p: f32, seed: u64, out: &mut Matrix, mask: &mut Vec<u64>) {
+    dropout_into_with(simd::level(), x, p, seed, out, mask);
+}
+
+/// [`dropout_into`] at an explicit SIMD [`Level`]: the same mask words
+/// and output at either.
+pub fn dropout_into_with(
+    level: Level,
+    x: &Matrix,
+    p: f32,
+    seed: u64,
+    out: &mut Matrix,
+    mask: &mut Vec<u64>,
+) {
     assert!((0.0..1.0).contains(&p));
     if p == 0.0 {
         mask.clear();
@@ -852,23 +868,30 @@ pub fn dropout_into(x: &Matrix, p: f32, seed: u64, out: &mut Matrix, mask: &mut 
     let keep = 1.0 / (1.0 - p);
     let n = x.cols().max(1);
     let words = dropout_mask_words(x.cols());
+    let row_seed = |row: usize| seed ^ (row as u64).wrapping_mul(0x9e3779b97f4a7c15);
     // Stale contents are fine: every word is overwritten below.
     mask.resize(x.rows() * words, 0);
     out.set_shape(x.rows(), x.cols());
-    mask.par_chunks_mut(words.max(1))
-        .zip(out.data_mut().par_chunks_mut(n))
-        .zip(x.data().par_chunks(n))
+    // Zero columns leave no words and no data: nothing to chunk.
+    let words = words.max(1);
+    mask.par_chunks_mut(4 * words)
+        .zip(out.data_mut().par_chunks_mut(4 * n))
+        .zip(x.data().par_chunks(4 * n))
         .enumerate()
-        .for_each(|(row, ((mrow, orow), xrow))| {
-            draw_mask_row(
-                mrow,
-                xrow.len(),
-                p,
-                seed ^ (row as u64).wrapping_mul(0x9e3779b97f4a7c15),
-            );
-            for_mask_lanes(orow, xrow, mrow, |o, &v, lane| {
-                *o = f32::from_bits((v * keep).to_bits() & lane);
-            });
+        .for_each(|(group, ((m4, o4), x4))| {
+            let row0 = 4 * group;
+            let seeds = [0, 1, 2, 3].map(|r| row_seed(row0 + r));
+            if !simd::dropout_mask_rows4(level, m4, x.cols(), p, seeds) {
+                for (r, mrow) in m4.chunks_mut(words).enumerate() {
+                    draw_mask_row(mrow, x.cols(), p, seeds[r]);
+                }
+            }
+            let rows = o4.chunks_mut(n).zip(x4.chunks(n)).zip(m4.chunks(words));
+            for ((orow, xrow), mrow) in rows {
+                for_mask_lanes(orow, xrow, mrow, |o, &v, lane| {
+                    *o = f32::from_bits((v * keep).to_bits() & lane);
+                });
+            }
         });
 }
 
@@ -915,6 +938,8 @@ pub fn dropout_mask_words(cols: usize) -> usize {
 
 /// One row of the dropout mask from the row's own generator: bit `j` of
 /// the row is set where draw `j` is at least `p` (the element survives).
+/// The scalar level's draw and the oracle of
+/// [`simd::dropout_mask_rows4`].
 fn draw_mask_row(mrow: &mut [u64], cols: usize, p: f32, row_seed: u64) {
     use rand::prelude::*;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(row_seed);

@@ -2,7 +2,10 @@
 //!
 //! Every function here is `#[target_feature(enable = "avx2")]` and only
 //! reachable through [`super::level`]-guarded dispatch (or an explicit
-//! [`super::Level::Avx2`] that the caller asserted is executable).
+//! [`super::Level::Avx2`] that the caller asserted is executable). The
+//! ones that touch memory only through slices ([`dropout_mask_rows4`],
+//! [`visit_list`]) are safe functions: the feature is their one
+//! requirement.
 //!
 //! Bit-identity discipline, enforced throughout this file:
 //!
@@ -44,7 +47,7 @@
 
 use core::arch::x86_64::*;
 
-use super::TILE_COLS;
+use super::{VisitBuf, TILE_COLS};
 
 /// `R` rows by `NV` YMM lanes of one register tile: `c[r][j] = Σ a[r][l] *
 /// panel[l*nb + j]` over the visited `l`, the `R * NV` accumulators in
@@ -178,14 +181,19 @@ pub unsafe fn matmul_tile<const R: usize>(
 /// `acc += scale * src_row` over the edge list, `NV` lanes resident. With
 /// `W`, edge `i` is additionally weighted: `(scale * w[i * stride]) * row`
 /// (the product the weighted reference forms before touching the row).
+/// With `PF`, edge `i` first prefetches the whole row `ahead[i]` of
+/// `whole` (the full source matrix `src` points into); without, the loop
+/// is the plain gather.
 #[target_feature(enable = "avx2")]
-unsafe fn gather_block<const NV: usize, const W: bool>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn gather_block<const NV: usize, const W: bool, const PF: bool>(
     indices: &[u32],
     (w, stride): (*const f32, usize),
     src: *const f32,
     lds: usize,
     scale: f32,
     acc: *mut f32,
+    (whole, ahead): (&[f32], &[u32]),
 ) {
     let mut sv = _mm256_set1_ps(scale);
     let mut r = [_mm256_setzero_ps(); NV];
@@ -193,6 +201,9 @@ unsafe fn gather_block<const NV: usize, const W: bool>(
         r[v] = _mm256_loadu_ps(acc.add(v * 8));
     }
     for (i, &s) in indices.iter().enumerate() {
+        if PF {
+            super::prefetch_source_row(whole, lds, ahead, i);
+        }
         if W {
             sv = _mm256_set1_ps(scale * *w.add(i * stride));
         }
@@ -209,8 +220,11 @@ unsafe fn gather_block<const NV: usize, const W: bool>(
 
 /// AVX2 spmm forward channel tile: `acc[j] += scale * src[s*lds+j0+j]`
 /// for every source in `indices`, ascending edge order; with `weights =
-/// (w, stride)`, edge `i`'s scale is `scale * w[i*stride]`.
+/// (w, stride)`, edge `i`'s scale is `scale * w[i*stride]`. Edge `i`
+/// prefetches source row `ahead[i]`; an empty `ahead` runs the plain
+/// gather, with no test per edge.
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn spmm_gather_rowtile(
     indices: &[u32],
     weights: Option<(&[f32], usize)>,
@@ -219,22 +233,31 @@ pub unsafe fn spmm_gather_rowtile(
     j0: usize,
     scale: f32,
     acc: &mut [f32],
+    ahead: &[u32],
 ) {
-    match weights {
-        None => gather_tile::<false>(indices, (src.as_ptr(), 0), src, lds, j0, scale, acc),
+    let w = match weights {
+        None => (src.as_ptr(), 0),
         Some((w, stride)) => {
             assert!(
                 indices.is_empty() || (indices.len() - 1) * stride < w.len(),
                 "spmm gather: edge weight out of bounds"
             );
-            gather_tile::<true>(indices, (w.as_ptr(), stride), src, lds, j0, scale, acc)
+            (w.as_ptr(), stride)
         }
+    };
+    let pf = (src, ahead);
+    match (weights.is_some(), ahead.is_empty()) {
+        (false, true) => gather_tile::<false, false>(indices, w, src, lds, j0, scale, acc, pf),
+        (false, false) => gather_tile::<false, true>(indices, w, src, lds, j0, scale, acc, pf),
+        (true, true) => gather_tile::<true, false>(indices, w, src, lds, j0, scale, acc, pf),
+        (true, false) => gather_tile::<true, true>(indices, w, src, lds, j0, scale, acc, pf),
     }
 }
 
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_tile<const W: bool>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn gather_tile<const W: bool, const PF: bool>(
     indices: &[u32],
     w: (*const f32, usize),
     src: &[f32],
@@ -242,6 +265,7 @@ unsafe fn gather_tile<const W: bool>(
     j0: usize,
     scale: f32,
     acc: &mut [f32],
+    pf: (&[f32], &[u32]),
 ) {
     let cb = acc.len();
     if let Some(max_s) = indices.iter().copied().max() {
@@ -254,21 +278,24 @@ unsafe fn gather_tile<const W: bool>(
     }
     let sp = src.as_ptr().add(j0);
     let ap = acc.as_mut_ptr();
+    // Under `PF` every block prefetches: a 64-channel tile (the paper's
+    // head) is one block, and the lines a narrower tile's later blocks ask
+    // for again are already on their way.
     let mut j = 0;
     while j + 64 <= cb {
-        gather_block::<8, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<8, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
         j += 64;
     }
     while j + 32 <= cb {
-        gather_block::<4, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<4, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
         j += 32;
     }
     if j + 16 <= cb {
-        gather_block::<2, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<2, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
         j += 16;
     }
     if j + 8 <= cb {
-        gather_block::<1, W>(indices, w, sp.add(j), lds, scale, ap.add(j));
+        gather_block::<1, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
         j += 8;
     }
     if j < cb {
@@ -563,38 +590,35 @@ unsafe fn dh_block<const NV: usize>(
 /// # Safety
 ///
 /// AVX2 must be available, `heads` must divide `hrow.len() == dh.len()`,
-/// and every destination in `dsts` and `next` must index a full
+/// and every destination in `pairs` and `next` must index a full
 /// `hrow.len()`-float row of `grad` (edge weights are read with bounds
 /// checks).
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn weighted_spmm_backward_row(
-    dsts: &[u32],
-    edges: &[u32],
+    pairs: &[u64],
     att: &[f32],
     heads: usize,
     grad: &[f32],
     hrow: &[f32],
     dh: &mut [f32],
-    next: &[u32],
+    next: &[u64],
     datt: &mut impl FnMut(usize, usize, f32),
 ) {
     let c = hrow.len();
     let head_dim = c / heads;
     dh.fill(0.0);
-    let n = dsts.len();
+    let n = pairs.len();
     let (gp, hp, dp) = (grad.as_ptr(), hrow.as_ptr(), dh.as_mut_ptr());
     let tail = head_dim % 4;
     let mask = _mm256_castsi256_si128(lane_mask(tail));
     for g0 in (0..n).step_by(8) {
         let valid = (n - g0).min(8);
-        let rows = lane_rows(gp, c, valid, |l| dsts[g0 + l] as usize);
-        let ahead = if g0 + 8 < n { &dsts[g0 + 8..] } else { next };
-        for &d in ahead.iter().take(8) {
-            let next = gp.add(d as usize * c);
-            for off in (0..c).step_by(16) {
-                _mm_prefetch::<_MM_HINT_T0>(next.add(off).cast());
-            }
+        let rows = lane_rows(gp, c, valid, |l| super::unpack_edge(pairs[g0 + l]).0);
+        let ahead = if g0 + 8 < n { &pairs[g0 + 8..] } else { next };
+        for &pair in ahead.iter().take(8) {
+            let d = super::unpack_edge(pair).0;
+            super::prefetch(&grad[d * c..][..c], false);
         }
         let mut w = [0.0f32; 8];
         for h in 0..heads {
@@ -619,8 +643,9 @@ pub unsafe fn weighted_spmm_backward_row(
             let mut lanes = [0.0f32; 8];
             _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
             for l in 0..valid {
-                datt(g0 + l, h, lanes[l]);
-                w[l] = att[edges[g0 + l] as usize * heads + h];
+                let e = super::unpack_edge(pairs[g0 + l]).1;
+                datt(e, h, lanes[l]);
+                w[l] = att[e * heads + h];
             }
             let mut j = base;
             while j + 32 <= end {
@@ -1015,4 +1040,113 @@ pub unsafe fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: u
             _mm_storeu_ps(gp.add(e * heads), _mm_mul_ps(s, _mm_sub_ps(g, dot)));
         }
     }
+}
+
+/// The four-word state `SmallRng::seed_from_u64(seed)` starts from: four
+/// SplitMix64 outputs.
+fn splitmix_state(mut x: u64) -> [u64; 4] {
+    [0; 4].map(|_| {
+        x = x.wrapping_add(0x9e3779b97f4a7c15);
+        let z = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    })
+}
+
+/// `x` rotated left by `R` bits in each 64-bit lane (`L` = 64 - `R`).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn rotl<const R: i32, const L: i32>(x: __m256i) -> __m256i {
+    _mm256_or_si256(_mm256_slli_epi64::<R>(x), _mm256_srli_epi64::<L>(x))
+}
+
+/// Four rows' dropout masks (see [`super::dropout_mask_rows4`]): lane `r`
+/// of the four state vectors is row `r`'s xoshiro256++ state, each step
+/// yields one draw per row, and a draw `x` keeps its element where `x >>
+/// 40` is at least `threshold`. Bit `j` of a row's word is set through a
+/// one-hot lane that shifts left every step. All memory goes through
+/// `mask` — no pointer is formed — so the kernel is a safe function that
+/// only needs AVX2.
+#[target_feature(enable = "avx2")]
+pub fn dropout_mask_rows4(mask: &mut [u64], cols: usize, threshold: u64, seeds: [u64; 4]) {
+    let words = cols.div_ceil(64);
+    assert_eq!(mask.len(), 4 * words, "dropout mask: four rows of words");
+    let rows = seeds.map(splitmix_state);
+    let lanes = |i: usize| {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|r| rows[r][i] as i64);
+        _mm256_setr_epi64x(a, b, c, d)
+    };
+    let (mut s0, mut s1, mut s2, mut s3) = (lanes(0), lanes(1), lanes(2), lanes(3));
+    // `x >> 40 < 2^24` and `threshold <= 2^24`: the signed compare is exact.
+    let limit = _mm256_set1_epi64x(threshold as i64);
+    for w in 0..words {
+        let mut bits = _mm256_setzero_si256();
+        let mut bit = _mm256_set1_epi64x(1);
+        for _ in 0..(cols - w * 64).min(64) {
+            // xoshiro256++: the output, then the state update.
+            let x = _mm256_add_epi64(rotl::<23, 41>(_mm256_add_epi64(s0, s3)), s0);
+            let t = _mm256_slli_epi64::<17>(s1);
+            s2 = _mm256_xor_si256(s2, s0);
+            s3 = _mm256_xor_si256(s3, s1);
+            s1 = _mm256_xor_si256(s1, s2);
+            s0 = _mm256_xor_si256(s0, s3);
+            s2 = _mm256_xor_si256(s2, t);
+            s3 = rotl::<45, 19>(s3);
+            let dropped = _mm256_cmpgt_epi64(limit, _mm256_srli_epi64::<40>(x));
+            bits = _mm256_or_si256(bits, _mm256_andnot_si256(dropped, bit));
+            bit = _mm256_add_epi64(bit, bit);
+        }
+        mask[w] = _mm256_extract_epi64::<0>(bits) as u64;
+        mask[words + w] = _mm256_extract_epi64::<1>(bits) as u64;
+        mask[2 * words + w] = _mm256_extract_epi64::<2>(bits) as u64;
+        mask[3 * words + w] = _mm256_extract_epi64::<3>(bits) as u64;
+    }
+}
+
+/// Per byte of nonzero flags: the positions of its set bits, ascending
+/// (the rest zero), and how many there are.
+static VISIT_POSITIONS: [([u8; 8], u8); 256] = visit_positions();
+
+const fn visit_positions() -> [([u8; 8], u8); 256] {
+    let mut table = [([0u8; 8], 0u8); 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut n) = (0, 0);
+        while bit < 8 {
+            if (byte >> bit) & 1 != 0 {
+                table[byte].0[n] = bit as u8;
+                n += 1;
+            }
+            bit += 1;
+        }
+        table[byte].1 = n as u8;
+        byte += 1;
+    }
+    table
+}
+
+/// [`super::RowVisits::listed`]'s list, eight elements a time: one compare
+/// and `movemask` give the group's nonzero flags as a byte, whose
+/// ascending set positions ([`VISIT_POSITIONS`]) plus the group's offset
+/// are stored as eight slots at once, and the list end advances by their
+/// count. Slots past the end hold garbage the next group overwrites. The
+/// compare is not-equal-or-unordered, the scalar `av != 0.0`: `±0.0` is
+/// skipped, NaN is visited. Returns the list length.
+#[target_feature(enable = "avx2")]
+pub fn visit_list(arow: &[f32], buf: &mut VisitBuf) -> usize {
+    let zero = _mm256_setzero_ps();
+    let mut n = 0;
+    let mut groups = arow.chunks_exact(8);
+    for (g, v) in (&mut groups).enumerate() {
+        let v: &[f32; 8] = v.try_into().expect("eight lanes");
+        let v = _mm256_setr_ps(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
+        let flags = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero)) as usize;
+        let (positions, count) = &VISIT_POSITIONS[flags];
+        // `n <= 8g` and `8g + 8 <= arow.len() <= VISIT_CAP`: all eight fit.
+        for (slot, &p) in buf[n..n + 8].iter_mut().zip(positions) {
+            *slot = (8 * g) as u16 + u16::from(p);
+        }
+        n += usize::from(*count);
+    }
+    super::visit_list_tail(arow, arow.len() - groups.remainder().len(), n, buf)
 }

@@ -53,6 +53,10 @@
 //! * No FMA contraction anywhere: the scalar paths (and the reference
 //!   oracles) round the multiply and the add separately, so the vector
 //!   paths use explicit `mul` + `add` intrinsics, never `fmadd`.
+//! * `dropout_mask_rows4` draws integers, not floats: its four lanes are
+//!   four rows' own generators, each stepped in its row's order, and
+//!   `RowVisits::listed` builds the same ascending list eight lanes at a
+//!   time. `prefetch` only hints: no value depends on it.
 //! * `copy_slice` and `transpose` move bytes; `fnv1a_f32` is an
 //!   order-serial hash chain
 //!   (each step consumes the previous hash), so it cannot be lane-split
@@ -159,6 +163,47 @@ impl Pod for i64 {}
 impl Pod for u64 {}
 
 // ---------------------------------------------------------------------------
+// Prefetch — the one way a kernel asks for memory ahead of its use.
+// ---------------------------------------------------------------------------
+
+/// Bytes per cache line on the x86_64 parts this runs on.
+const LINE: usize = 64;
+
+/// Ask for every cache line `data` covers to be brought into L1 — for
+/// writing under `write` — without waiting for it. A hint: the CPU may
+/// drop it, it cannot fault, and it changes no value any kernel computes,
+/// so prefetching kernels keep the bits of their oracles. The kernels that
+/// use it name their distance next to the call (see DESIGN.md §10).
+#[inline(always)]
+pub(crate) fn prefetch<T>(data: &[T], write: bool) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0, _MM_HINT_T0};
+        if data.is_empty() {
+            return;
+        }
+        let start = data.as_ptr().cast::<i8>();
+        let misalign = start as usize % LINE;
+        let first = start.wrapping_sub(misalign);
+        for off in (0..misalign + std::mem::size_of_val(data)).step_by(LINE) {
+            let line = first.wrapping_add(off);
+            // SAFETY: SSE is part of the x86_64 baseline, and a prefetch
+            // reads nothing the program can observe and never faults, so
+            // any address is allowed; these are the lines of `data`.
+            unsafe {
+                if write {
+                    _mm_prefetch::<_MM_HINT_ET0>(line)
+                } else {
+                    _mm_prefetch::<_MM_HINT_T0>(line)
+                }
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, write);
+}
+
+// ---------------------------------------------------------------------------
 // Scalar kernels — the portable fallback. These ARE the reference float
 // sequences: the blocked kernels in ops.rs/sparse.rs executed exactly
 // these loops before dispatch existed.
@@ -205,18 +250,20 @@ impl<'a> RowVisits<'a> {
 
     /// The same segment (at most [`VISIT_CAP`] long), visiting only its
     /// nonzero elements: their positions are compacted into `buf`
-    /// branch-free — store the position, then advance by the comparison —
-    /// so no branch depends on the data.
+    /// branch-free, so no branch depends on the data. The scalar level
+    /// stores every position, then advances by the comparison; the AVX2
+    /// level compacts eight at a time, then finishes the ragged end the
+    /// scalar way. Both build the same list.
     #[inline]
-    pub fn listed(self, buf: &'a mut VisitBuf) -> Self {
+    pub fn listed(self, level: Level, buf: &'a mut VisitBuf) -> Self {
         assert!(self.arow.len() <= VISIT_CAP, "visit list: segment too long");
-        let mut n = 0;
-        for (l, &av) in self.arow.iter().enumerate() {
-            // `n <= l < VISIT_CAP`: the modulo changes nothing, it only
-            // spares the loop a bounds check (a third of its time).
-            buf[n % VISIT_CAP] = l as u16;
-            n += usize::from(av != 0.0);
-        }
+        let n = match level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 verified by level(); the kernel is a safe
+            // function that only needs the feature.
+            Level::Avx2 => unsafe { avx2::visit_list(self.arow, buf) },
+            _ => visit_list_tail(self.arow, 0, 0, buf),
+        };
         let list = &buf[..n];
         debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(list.last().is_none_or(|&l| (l as usize) < self.arow.len()));
@@ -228,12 +275,14 @@ impl<'a> RowVisits<'a> {
 
     /// Visit the nonzero elements of `arow`. A segment with no zero in it
     /// has nothing to skip and stays [`RowVisits::all`], so dense operands
-    /// run the plain loop with no list and no per-element test.
+    /// run the plain loop with no list and no per-element test. The list
+    /// is built the scalar way: the narrow kernels' portable twin calls
+    /// this.
     #[inline]
     pub fn skipping_zeros(arow: &'a [f32], buf: &'a mut VisitBuf) -> Self {
         let row = Self::all(arow);
         if row.has_zero() {
-            row.listed(buf)
+            row.listed(Level::Scalar, buf)
         } else {
             row
         }
@@ -258,6 +307,19 @@ impl<'a> RowVisits<'a> {
     }
 }
 
+/// The visit list of `arow[from..]`, appended to the `n` positions `buf`
+/// already holds, one element at a time: store the position, then advance
+/// by the comparison. Returns the new length.
+fn visit_list_tail(arow: &[f32], from: usize, mut n: usize, buf: &mut VisitBuf) -> usize {
+    for (l, &av) in arow.iter().enumerate().skip(from) {
+        // `n <= l < VISIT_CAP`: the modulo changes nothing, it only
+        // spares the loop a bounds check (a third of its time).
+        buf[n % VISIT_CAP] = l as u16;
+        n += usize::from(av != 0.0);
+    }
+    n
+}
+
 /// One matmul tile row, scalar: `c[j] = Σ arow[l] * panel[l*nb + j]` over
 /// the visited `l` in ascending order, `nb = c.len()` — summed from `0.0`
 /// when `first`, else on top of what `c` holds.
@@ -277,6 +339,8 @@ fn matmul_rowtile_scalar(row: RowVisits, panel: &[f32], c: &mut [f32], first: bo
 /// One spmm forward channel tile, scalar: for every edge source index,
 /// `acc[j] += scale * src[s*lds + j0 + j]` in ascending edge order, edge
 /// `i`'s scale being `scale * w[i*stride]` under `weights = (w, stride)`.
+/// Edge `i` first prefetches source row `ahead[i]`, all `lds` floats.
+#[allow(clippy::too_many_arguments)]
 fn spmm_gather_scalar(
     indices: &[u32],
     weights: Option<(&[f32], usize)>,
@@ -285,9 +349,11 @@ fn spmm_gather_scalar(
     j0: usize,
     scale: f32,
     acc: &mut [f32],
+    ahead: &[u32],
 ) {
     let cb = acc.len();
     for (i, &s) in indices.iter().enumerate() {
+        prefetch_source_row(src, lds, ahead, i);
         let s = s as usize;
         let scale = weights.map_or(scale, |(w, stride)| scale * w[i * stride]);
         let srow = &src[s * lds + j0..s * lds + j0 + cb];
@@ -398,15 +464,21 @@ fn edge_softmax_backward_dst_scalar(soft: &[f32], grad: &mut [f32], heads: usize
     }
 }
 
+/// One incoming edge of the packed reverse CSR: `(destination, edge id)`
+/// from its `dst << 32 | edge` word.
+#[inline(always)]
+pub(crate) fn unpack_edge(pair: u64) -> (usize, usize) {
+    ((pair >> 32) as usize, pair as u32 as usize)
+}
+
 /// Weighted g-SpMM backward of one source row, scalar: per incoming edge
-/// `i` (destination `dsts[i]`, edge `edges[i]`, ascending edge order) and
-/// head `h`, `datt(i, h, Σ_j g[j] * hrow[j])` over the head's channels
-/// from `0.0` — the g-SDDMM sequence — and `dh[j] += w[e, h] * g[j]` —
-/// the transposed g-SpMM sequence, `dh` summed from `0.0`.
+/// `(d, e)` of `pairs` (ascending edge order) and head `h`, `datt(e, h,
+/// Σ_j g[j] * hrow[j])` over the head's channels from `0.0` — the g-SDDMM
+/// sequence — and `dh[j] += w[e, h] * g[j]` — the transposed g-SpMM
+/// sequence, `dh` summed from `0.0`.
 #[allow(clippy::too_many_arguments)]
 fn weighted_spmm_backward_row_scalar(
-    dsts: &[u32],
-    edges: &[u32],
+    pairs: &[u64],
     att: &[f32],
     heads: usize,
     grad: &[f32],
@@ -417,16 +489,17 @@ fn weighted_spmm_backward_row_scalar(
     let c = hrow.len();
     let head_dim = c / heads;
     dh.fill(0.0);
-    for (i, (&d, &e)) in dsts.iter().zip(edges).enumerate() {
-        let grow = &grad[d as usize * c..][..c];
+    for &pair in pairs {
+        let (d, e) = unpack_edge(pair);
+        let grow = &grad[d * c..][..c];
         for h in 0..heads {
             let span = h * head_dim..(h + 1) * head_dim;
             let mut acc = 0.0f32;
             for j in span.clone() {
                 acc += grow[j] * hrow[j];
             }
-            datt(i, h, acc);
-            let w = att[e as usize * heads + h];
+            datt(e, h, acc);
+            let w = att[e * heads + h];
             for j in span {
                 dh[j] += w * grow[j];
             }
@@ -559,7 +632,9 @@ pub fn transpose(
 /// over the edge sources `indices`, in ascending edge order. `weights =
 /// (w, stride)` makes it one head of the weighted multi-head form: edge
 /// `i` is scaled by `scale * w[i*stride]` (`w` starting at the tile's
-/// first edge and head).
+/// first edge and head). Edge `i` also prefetches the whole source row
+/// `ahead[i]` (`lds` floats) — none once `ahead` runs out — so a caller
+/// that walks the same edges once per tile warms every row in one pass.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_gather_rowtile(
@@ -571,17 +646,30 @@ pub fn spmm_gather_rowtile(
     j0: usize,
     scale: f32,
     acc: &mut [f32],
+    ahead: &[u32],
 ) {
     match level {
-        Level::Scalar => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc),
+        Level::Scalar => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc, ahead),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified by level(); the kernel asserts the largest
         // source row and the last edge weight in bounds before any load.
         Level::Avx2 => unsafe {
-            avx2::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc)
+            avx2::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc, ahead)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc),
+        Level::Avx2 => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc, ahead),
+    }
+}
+
+/// Edge `i`'s prefetch in [`spmm_gather_rowtile`]: the whole source row
+/// `ahead[i]`, if there is one and it lies inside `src`.
+#[inline(always)]
+fn prefetch_source_row(src: &[f32], lds: usize, ahead: &[u32], i: usize) {
+    if let Some(&a) = ahead.get(i) {
+        let a = a as usize;
+        if let Some(row) = src.get(a * lds..(a + 1) * lds) {
+            prefetch(row, false);
+        }
     }
 }
 
@@ -729,33 +817,33 @@ pub fn edge_softmax_backward_dst(level: Level, soft: &[f32], grad: &mut [f32], h
 }
 
 /// Weighted g-SpMM backward of one source row `s`, both gradients in one
-/// walk over its incoming edges (`dsts[i]`, `edges[i]`, ascending edge
-/// order), each gradient row `grad[dsts[i]]` loaded once for both:
+/// walk over its incoming edges (`pairs[i]` = `dst << 32 | edge`,
+/// ascending edge order), each gradient row `grad[dst]` loaded once for
+/// both:
 ///
-/// * `dh` (`hrow.len()` channels) `= Σ_i att[edges[i], h] * grad[dsts[i]]`
+/// * `dh` (`hrow.len()` channels) `= Σ_i att[edge_i, h] * grad[dst_i]`
 ///   per head `h`, over `i` ascending from `0.0` — the sequence of
 ///   [`spmm_scatter_rowtile`] under sum aggregation;
-/// * `datt(i, h, v)` receives `v = Σ_j grad[dsts[i], j] * hrow[j]` over the
-///   head's channels ascending from `0.0` — the g-SDDMM sequence of
-///   [`crate::sparse::sddmm`] with `a = grad`, `b = h`.
+/// * `datt(e, h, v)` receives, for edge `e`, `v = Σ_j grad[dst, j] *
+///   hrow[j]` over the head's channels ascending from `0.0` — the g-SDDMM
+///   sequence of [`crate::sparse::sddmm`] with `a = grad`, `b = h`.
 ///
 /// The AVX2 level takes the edges eight at a time: their gradient rows
 /// transposed into lanes for the dot products (the edge-lane rule), the
 /// same rows, now in L1, added into `dh` a channel tile at a time, and the
 /// next eight rows prefetched — from `next`, the next source row's first
-/// destinations, while this row's last eight are in use.
+/// edges, while this row's last eight are in use.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn weighted_spmm_backward_row(
     level: Level,
-    dsts: &[u32],
-    edges: &[u32],
+    pairs: &[u64],
     att: &[f32],
     heads: usize,
     grad: &[f32],
     hrow: &[f32],
     dh: &mut [f32],
-    next: &[u32],
+    next: &[u64],
     mut datt: impl FnMut(usize, usize, f32),
 ) {
     let c = hrow.len();
@@ -764,18 +852,14 @@ pub fn weighted_spmm_backward_row(
         "heads must divide channels"
     );
     assert_eq!(dh.len(), c, "weighted spmm backward: dh length");
-    assert_eq!(
-        dsts.len(),
-        edges.len(),
-        "weighted spmm backward: one edge per dst"
-    );
-    let max_d = dsts
-        .iter()
-        .chain(next)
-        .copied()
-        .max()
-        .map_or(0, |d| d as usize + 1);
-    let max_e = edges.iter().copied().max().map_or(0, |e| e as usize + 1);
+    let (mut max_d, mut max_e) = (0, 0);
+    for &pair in pairs {
+        let (d, e) = unpack_edge(pair);
+        (max_d, max_e) = (max_d.max(d + 1), max_e.max(e + 1));
+    }
+    for &pair in next {
+        max_d = max_d.max(unpack_edge(pair).0 + 1);
+    }
     assert!(
         max_d * c <= grad.len(),
         "weighted spmm backward: grad row out of bounds"
@@ -789,11 +873,9 @@ pub fn weighted_spmm_backward_row(
         // SAFETY: AVX2 verified by level(); every gradient row and edge
         // weight the walk reads is asserted in bounds above.
         Level::Avx2 => unsafe {
-            avx2::weighted_spmm_backward_row(
-                dsts, edges, att, heads, grad, hrow, dh, next, &mut datt,
-            )
+            avx2::weighted_spmm_backward_row(pairs, att, heads, grad, hrow, dh, next, &mut datt)
         },
-        _ => weighted_spmm_backward_row_scalar(dsts, edges, att, heads, grad, hrow, dh, &mut datt),
+        _ => weighted_spmm_backward_row_scalar(pairs, att, heads, grad, hrow, dh, &mut datt),
     }
 }
 
@@ -820,6 +902,42 @@ pub fn scores_backward_row(level: Level, g: &[f32], at: &[f32], dh: &mut [f32], 
         // SAFETY: AVX2 verified by level(); lengths asserted above.
         Level::Avx2 => unsafe { avx2::scores_backward_row(g, at, dh, fresh) },
         _ => scores_backward_row_scalar(g, at, dh, fresh),
+    }
+}
+
+/// The dropout masks of four consecutive rows at once: `mask` holds their
+/// `cols.div_ceil(64)` words each, back to back, and bit `j` of row `r` is
+/// set where draw `j` of `SmallRng::seed_from_u64(seeds[r])` — the `j`-th
+/// `gen::<f32>()` — is at least `p`. The AVX2 level runs the four
+/// generators abreast, one per 64-bit lane: the SplitMix64 seeding, then
+/// xoshiro256++ steps. `gen::<f32>()` is `(x >> 40) · 2^-24`, exact (a
+/// 24-bit integer times a power of two), and `p · 2^24` is exact too, so
+/// `draw >= p` is the integer compare `(x >> 40) >= ceil(p · 2^24)` — the
+/// same bit. Returns `false`, having done nothing, at the scalar level or
+/// when `mask` is not four rows' words; the caller then draws row by row.
+#[inline]
+pub fn dropout_mask_rows4(
+    level: Level,
+    mask: &mut [u64],
+    cols: usize,
+    p: f32,
+    seeds: [u64; 4],
+) -> bool {
+    assert!((0.0..1.0).contains(&p), "dropout probability {p}");
+    let words = cols.div_ceil(64);
+    if words == 0 || mask.len() != 4 * words {
+        return false;
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            let threshold = (p * (1u32 << 24) as f32).ceil() as u64;
+            // SAFETY: AVX2 verified by level(); the kernel touches memory
+            // only through the `mask` slice.
+            unsafe { avx2::dropout_mask_rows4(mask, cols, threshold, seeds) };
+            true
+        }
+        _ => false,
     }
 }
 

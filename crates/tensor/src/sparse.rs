@@ -27,6 +27,8 @@
 
 #![allow(clippy::needless_range_loop)] // kernel-style indexed loops mirror the CUDA code
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use rayon::prelude::*;
 
 use crate::matrix::Matrix;
@@ -244,6 +246,7 @@ pub fn spmm_into_with(
                     j0,
                     scale,
                     tile,
+                    &[],
                 );
                 orow[j0..j0 + cb].copy_from_slice(tile);
                 j0 += cb;
@@ -265,44 +268,84 @@ pub fn spmm(
 }
 
 /// The transposed adjacency of a [`BlockCsr`]: for every source node, its
-/// incoming edges (and their destinations) in **ascending edge order** —
-/// the deterministic gather order for the backward kernels. The buffers
-/// are pooled: `ReverseScratch` is rebuilt in place every backward call,
-/// so a warm scratch performs zero heap allocations.
+/// incoming edges in **ascending edge order** — the deterministic gather
+/// order for the backward kernels. The unweighted backward needs only
+/// each edge's destination (`dsts`); the GAT walk needs the edge id too,
+/// packed with it into one `dst << 32 | edge` word (`pairs`), so either
+/// build scatters one value per edge. The buffers are pooled:
+/// `ReverseScratch` is rebuilt in place every backward call, so a warm
+/// scratch performs zero heap allocations.
 #[derive(Default)]
 pub struct ReverseScratch {
     offsets: Vec<u32>,
-    edges: Vec<u32>,
-    dsts: Vec<u32>,
     next: Vec<u32>,
+    dsts: Vec<u32>,
+    pairs: Vec<u64>,
 }
 
-/// Build the transpose with a stable counting sort over the edge list.
-/// O(E) and sequential: the fill is a trivial fraction of the channel-wide
-/// accumulation that follows, and stability is what buys determinism.
-fn reverse_csr_into(block: &BlockCsr, rev: &mut ReverseScratch) {
-    rev.offsets.clear();
-    rev.offsets.resize(block.num_src + 1, 0);
+/// Build the transpose with a stable counting sort over the edge list,
+/// storing `entry(d, e)` for every edge `e` of destination `d` at its
+/// slot in `out`. O(E) and sequential: the fill is a trivial fraction of
+/// the channel-wide accumulation that follows, and stability is what
+/// buys determinism.
+fn reverse_csr_into<T: Copy + Default>(
+    block: &BlockCsr,
+    offsets: &mut Vec<u32>,
+    next: &mut Vec<u32>,
+    out: &mut Vec<T>,
+    entry: impl Fn(u32, u32) -> T,
+) {
+    offsets.clear();
+    offsets.resize(block.num_src + 1, 0);
     for &c in &block.indices {
-        rev.offsets[c as usize + 1] += 1;
+        offsets[c as usize + 1] += 1;
     }
     for s in 0..block.num_src {
-        rev.offsets[s + 1] += rev.offsets[s];
+        offsets[s + 1] += offsets[s];
     }
-    rev.edges.clear();
-    rev.edges.resize(block.indices.len(), 0);
-    rev.dsts.clear();
-    rev.dsts.resize(block.indices.len(), 0);
-    rev.next.clear();
-    rev.next.extend_from_slice(&rev.offsets[..block.num_src]);
+    out.clear();
+    out.resize(block.indices.len(), T::default());
+    next.clear();
+    next.extend_from_slice(&offsets[..block.num_src]);
     for d in 0..block.num_dst {
-        for e in block.offsets[d] as usize..block.offsets[d + 1] as usize {
-            let s = block.indices[e] as usize;
-            let pos = rev.next[s] as usize;
-            rev.next[s] += 1;
-            rev.edges[pos] = e as u32;
-            rev.dsts[pos] = d as u32;
+        for e in block.offsets[d]..block.offsets[d + 1] {
+            let s = block.indices[e as usize] as usize;
+            let pos = next[s] as usize;
+            next[s] += 1;
+            out[pos] = entry(d as u32, e);
         }
+    }
+}
+
+impl ReverseScratch {
+    /// Rebuild as the transpose of `block`, each source's incoming edges
+    /// as their destinations.
+    fn build_dsts(&mut self, block: &BlockCsr) {
+        reverse_csr_into(
+            block,
+            &mut self.offsets,
+            &mut self.next,
+            &mut self.dsts,
+            |d, _| d,
+        );
+    }
+
+    /// Rebuild as the transpose of `block`, each source's incoming edges
+    /// as packed `dst << 32 | edge` words.
+    fn build_pairs(&mut self, block: &BlockCsr) {
+        reverse_csr_into(
+            block,
+            &mut self.offsets,
+            &mut self.next,
+            &mut self.pairs,
+            |d, e| u64::from(d) << 32 | u64::from(e),
+        );
+    }
+
+    /// Source `s`'s slot range in the built list.
+    #[inline]
+    fn range(&self, s: usize) -> std::ops::Range<usize> {
+        self.offsets[s] as usize..self.offsets[s + 1] as usize
     }
 }
 
@@ -321,15 +364,14 @@ pub fn spmm_backward_src_reference(
     let channels = grad_dst.cols();
     let head_dim = spmm_head_dim(block, channels, edge_weights, heads);
     let mut rev = ReverseScratch::default();
-    reverse_csr_into(block, &mut rev);
+    rev.build_pairs(block);
     let mut out = Matrix::zeros(block.num_src, channels);
     out.data_mut()
         .par_chunks_mut(channels.max(1))
         .enumerate()
         .for_each(|(s, orow)| {
-            for i in rev.offsets[s] as usize..rev.offsets[s + 1] as usize {
-                let e = rev.edges[i] as usize;
-                let d = rev.dsts[i] as usize;
+            for &pair in &rev.pairs[rev.range(s)] {
+                let (d, e) = simd::unpack_edge(pair);
                 let scale = agg_scale(agg, block.degree(d));
                 let grow = grad_dst.row(d);
                 match edge_weights {
@@ -403,7 +445,7 @@ pub fn spmm_backward_src_into_with(
     assert_eq!(grad_dst.rows(), block.num_dst);
     let channels = grad_dst.cols();
     spmm_head_dim(block, channels, None, heads);
-    reverse_csr_into(block, rev);
+    rev.build_dsts(block);
     let rev = &*rev;
     let mean = agg == Agg::Mean;
     out.reset_shape(block.num_src, channels);
@@ -411,11 +453,10 @@ pub fn spmm_backward_src_into_with(
         .par_chunks_mut(channels.max(1))
         .enumerate()
         .for_each(|(s, orow)| {
-            let (lo, hi) = (rev.offsets[s] as usize, rev.offsets[s + 1] as usize);
-            if lo == hi {
+            let dsts = &rev.dsts[rev.range(s)];
+            if dsts.is_empty() {
                 return; // never sampled as a source: zero gradient
             }
-            let dsts = &rev.dsts[lo..hi];
             let (offs, g) = (&block.offsets[..], grad_dst.data());
             let mut j0 = 0;
             while j0 < channels {
@@ -674,6 +715,14 @@ pub fn edge_attention_backward_into_with(
 /// sweep over the destination's edges (eight YMM accumulators).
 const GAT_CB: usize = 64;
 
+/// How many edges ahead [`gat_aggregate_into`]'s first tile prefetches a
+/// whole source row. Every tile of a destination walks the same rows, so
+/// the first tile's pass pulls each one in once, all its lines at a time,
+/// and the later tiles find it in cache. Four edges of a 64-channel tile
+/// are enough time for a DRAM miss to land, and the 4 x 1 KiB of rows in
+/// flight stay far below L1 on the paper's 256-channel layers.
+const GAT_AHEAD: usize = 4;
+
 /// GAT aggregation in one op: the weighted multi-head g-SpMM under sum
 /// aggregation (`att: [E, heads]` the edge weights, as in
 /// [`spmm_reference`]), with `x + bias` and — on hidden layers — ELU's
@@ -718,6 +767,10 @@ pub fn gat_aggregate_into_with(
         .for_each(|(d, orow)| {
             let (lo, hi) = block.edges(d);
             let edges = &block.indices[lo..hi];
+            // The rows the first tile warms: `GAT_AHEAD` edges on, running
+            // into the next destination's first edges.
+            let end = block.indices.len();
+            let ahead = &block.indices[(lo + GAT_AHEAD).min(end)..(hi + GAT_AHEAD).min(end)];
             for hd in 0..heads {
                 let mut j0 = hd * head_dim;
                 while j0 < (hd + 1) * head_dim {
@@ -726,8 +779,10 @@ pub fn gat_aggregate_into_with(
                     let tile = &mut acc[..cb];
                     if lo < hi {
                         let wh = Some((&att.data()[lo * heads + hd..], heads));
-                        let x = h.data();
-                        simd::spmm_gather_rowtile(level, edges, wh, x, channels, j0, 1.0, tile);
+                        let (x, warm) = (h.data(), if j0 == 0 { ahead } else { &[] });
+                        simd::spmm_gather_rowtile(
+                            level, edges, wh, x, channels, j0, 1.0, tile, warm,
+                        );
                     }
                     bias_act_store(tile, &bias[j0..j0 + cb], elu, &mut orow[j0..j0 + cb]);
                     j0 += cb;
@@ -834,42 +889,54 @@ pub fn gat_aggregate_backward_into_with(
             *b += g;
         }
     }
-    reverse_csr_into(block, rev);
+    rev.build_pairs(block);
     let rev = &*rev;
     // Every edge has one source, so every `datt` row is stored once.
     datt.set_shape(block.num_edges(), heads);
-    let datt_ptr = datt.data_mut().as_mut_ptr() as usize;
+    let datt = atomic_bits(datt.data_mut());
     dh.set_shape(block.num_src, channels);
+    let (g, w) = (grad.data(), att.data());
     dh.data_mut()
         .par_chunks_mut(channels.max(1))
         .enumerate()
         .for_each(|(s, dhrow)| {
-            let (lo, hi) = (rev.offsets[s] as usize, rev.offsets[s + 1] as usize);
-            let edges = &rev.edges[lo..hi];
-            let (g, w) = (grad.data(), att.data());
-            let next = rev
-                .offsets
-                .get(s + 2)
-                .map_or(&[][..], |&end| &rev.dsts[hi..end as usize]);
+            let next = if s + 1 < block.num_src {
+                &rev.pairs[rev.range(s + 1)]
+            } else {
+                &[][..]
+            };
+            // The edge weights and the `dL/dα` lines of the next source's
+            // edges sit at random edge ids: ask for them one source ahead,
+            // the walk of this one hides their latency.
+            for &pair in next {
+                let e = simd::unpack_edge(pair).1;
+                simd::prefetch(&w[e * heads..][..heads], false);
+                simd::prefetch(&datt[e * heads..][..heads], true);
+            }
             simd::weighted_spmm_backward_row(
                 level,
-                &rev.dsts[lo..hi],
-                edges,
+                &rev.pairs[rev.range(s)],
                 w,
                 heads,
                 g,
                 h.row(s),
                 dhrow,
                 next,
-                |i, hd, v| {
-                    // SAFETY: edge `edges[i] < E` (the reverse CSR is a
-                    // permutation of the edge ids), `hd < heads`, and
-                    // each edge belongs to exactly one source row, so no
-                    // two tasks write the same element of `datt`.
-                    unsafe { *(datt_ptr as *mut f32).add(edges[i] as usize * heads + hd) = v }
-                },
+                |e, hd, v| datt[e * heads + hd].store(v.to_bits(), Ordering::Relaxed),
             );
         });
+}
+
+/// `data` as atomics holding the same bits: tasks that each own a
+/// scattered set of its elements store through one shared view. A relaxed
+/// store is a plain store on x86_64.
+fn atomic_bits(data: &mut [f32]) -> &[AtomicU32] {
+    const _: () = assert!(std::mem::align_of::<AtomicU32>() == std::mem::align_of::<f32>());
+    // SAFETY: `AtomicU32` has the size and bit validity of `u32`, so of
+    // `f32`, and the same alignment (asserted above); the view borrows
+    // `data` exclusively for its whole life, so no plain access overlaps
+    // the atomic ones.
+    unsafe { std::slice::from_raw_parts(data.as_mut_ptr().cast::<AtomicU32>(), data.len()) }
 }
 
 #[cfg(test)]

@@ -464,3 +464,39 @@ pub fn check_dropout(rows: usize, cols: usize, seed: u64) {
         assert_bits_eq(&back, &want_back, &format!("dropout_backward {what}"));
     }
 }
+
+/// The four-row AVX2 mask draw against the scalar level, which draws
+/// every row alone with `SmallRng` — mask words and outputs bit for bit.
+/// Row counts of every residue mod 4 (a ragged last group draws row by
+/// row), widths across the 64-bit word boundary, and besides 0.1 / 0.5 /
+/// 0.9 the keep compare's edge: `p` equal to row 0's first draw (so `p ·
+/// 2^24` is an integer and that draw is kept) and the next `f32` above it
+/// (dropped). The edge pins the threshold's `ceil` at both levels.
+pub fn check_dropout_levels() {
+    if !simd::avx2_available() {
+        eprintln!("host has no AVX2 — forced-level dropout check skipped");
+        return;
+    }
+    for rows in [1usize, 2, 3, 4, 8, 9, 10, 11] {
+        for cols in [1usize, 63, 64, 65, 100, 256] {
+            let seed = 0x5eed ^ (rows * 1000 + cols) as u64;
+            let edge = SmallRng::seed_from_u64(seed).gen::<f32>();
+            assert!(edge > 0.0, "seed {seed}: the first draw is 0");
+            let above = f32::from_bits(edge.to_bits() + 1);
+            let x = sign_random(rows, cols, seed ^ 0x77);
+            for p in [0.1f32, 0.5, 0.9, edge, above] {
+                let what = format!("{rows}x{cols} p {p}");
+                let (mut out_s, mut mask_s) = (dirty(), vec![u64::MAX; 3]);
+                ops::dropout_into_with(Level::Scalar, &x, p, seed, &mut out_s, &mut mask_s);
+                let (mut out_v, mut mask_v) = (dirty(), vec![u64::MAX; 5]);
+                ops::dropout_into_with(Level::Avx2, &x, p, seed, &mut out_v, &mut mask_v);
+                assert_eq!(mask_v, mask_s, "dropout mask words {what}");
+                assert_bits_eq(&out_v, &out_s, &format!("dropout output {what}"));
+                if p == edge || p == above {
+                    let kept = mask_v[0] & 1 != 0;
+                    assert_eq!(kept, p == edge, "row 0 draw 0 at its own value {what}");
+                }
+            }
+        }
+    }
+}

@@ -1001,6 +1001,49 @@ fn elementwise_ops_match_their_scalar_definitions() {
     }
 }
 
+/// The lane-parallel dropout draw, forced scalar against forced AVX2.
+#[test]
+fn dropout_masks_agree_across_levels() {
+    common::check_dropout_levels();
+}
+
+/// The fused GAT forward and backward against their oracles on a block
+/// whose source rows (6 000 x 256 floats, 6 MB) do not fit in L2, with
+/// the paper's 4 heads and fanout: the rows the aggregation's first tile
+/// prefetches and the walk's look-ahead lines really are misses here.
+#[test]
+fn fused_gat_kernels_match_their_oracles_past_l2() {
+    let (heads, head_dim) = (4, 64);
+    let c = heads * head_dim;
+    let b = block(1024, 6000, 30, 4242);
+    let h = features_with_zeros(b.num_src, c, 4243);
+    let w = mat(b.num_edges(), heads, 4244);
+    let bias = mat(1, c, 4245);
+    let up = mat(b.num_dst, c, 4246);
+    let mut want_y = Matrix::empty();
+    ops::add_bias(
+        &spmm_reference(&b, &h, Some(&w), heads, Agg::Sum),
+        bias.row(0),
+        &mut want_y,
+    );
+    let want_dh = spmm_backward_src_reference(&b, &up, Some(&w), heads, Agg::Sum);
+    let want_dw = sddmm(&b, &up, &h, heads, Agg::Sum);
+    for level in levels() {
+        let what = level.name();
+        let mut y = dirty();
+        gat_aggregate_into_with(level, &b, &h, &w, heads, bias.row(0), None, &mut y);
+        assert_bits_eq(&y, &want_y, &format!("gat_aggregate past L2 {what}"));
+        let mut grad = up.clone();
+        let (mut dh, mut dw, mut db) = (dirty(), dirty(), vec![f32::NAN; c]);
+        let mut rev = ReverseScratch::default();
+        gat_aggregate_backward_into_with(
+            level, &b, &mut grad, None, &h, &w, &mut dh, &mut dw, &mut db, &mut rev,
+        );
+        assert_bits_eq(&dh, &want_dh, &format!("gat_aggregate dh past L2 {what}"));
+        assert_bits_eq(&dw, &want_dw, &format!("gat_aggregate datt past L2 {what}"));
+    }
+}
+
 /// Row widths below, at and across the mask's 64-bit word boundary.
 #[test]
 fn dropout_matches_the_loop_it_replaced() {

@@ -7,7 +7,8 @@
 //! the pool schedule, so forced-scalar and forced-AVX2 must still agree
 //! bitwise, and both must match the within-process sequential schedule.
 //! The zero-share, panel-geometry, elementwise and dropout checks of
-//! `common/mod.rs` run here a second time, on that pool.
+//! `common/mod.rs` (the four-row mask draw against the row-by-row one
+//! included) run here a second time, on that pool.
 
 mod common;
 
@@ -73,5 +74,6 @@ fn simd_levels_agree_on_two_workers() {
     common::check_panel_geometry_grid();
     common::check_elementwise(9, 4099, 91);
     common::check_dropout(130, 257, 92);
+    common::check_dropout_levels();
     assert!(width >= 1);
 }
