@@ -15,6 +15,8 @@
 //!   gradients into the parameter store;
 //! * [`optim`] — the [`Optimizer`] trait and Adam.
 
+#![forbid(unsafe_code)]
+
 pub mod optim;
 pub mod params;
 pub mod tape;

@@ -702,33 +702,10 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use rand::rngs::SmallRng;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
+    use wg_tensor::heap::{self, CountingAlloc};
     use wg_tensor::ops::softmax_cross_entropy;
 
-    thread_local! {
-        /// Heap allocations made by this thread (tests run one per thread).
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    struct CountingAlloc;
-
-    // SAFETY: defers every operation to `System`; the counter is a
-    // const-initialised thread-local `Cell`, which never allocates.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.with(|a| a.set(a.get() + 1));
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.with(|a| a.set(a.get() + 1));
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
+    // Tests run one per thread: each reads its own thread's counter.
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -1236,9 +1213,9 @@ mod tests {
         for _ in 0..2 {
             input = pass(&mut t, &mut params, input);
         }
-        let before = ALLOCS.with(Cell::get);
+        let before = heap::thread_allocs();
         let input = pass(&mut t, &mut params, input);
-        assert_eq!(ALLOCS.with(Cell::get) - before, 0, "warm pass allocated");
+        assert_eq!(heap::thread_allocs() - before, 0, "warm pass allocated");
         assert_eq!((input.rows(), input.cols()), (4, 3));
     }
 

@@ -165,7 +165,7 @@ fn main() {
     gate(n1_sum, single_sum, &points);
     println!("\ngate: OK (N=1 equivalence: executed == single pipeline ({n1_sum:016x}))");
 
-    if let Some(path) = flags.get("--trace") {
+    if let Some(path) = flags.get("trace") {
         // A 4-node traced epoch: one Chrome process per node, per-phase
         // busy/idle spans per GPU.
         wg_trace::enable_all();

@@ -291,7 +291,7 @@ fn main() {
         "\ngate: OK (causal, bit-identical, >= 2x qps at equal-or-better p99, shed books balance)"
     );
 
-    if let Some(path) = flags.get("--trace") {
+    if let Some(path) = flags.get("trace") {
         // A traced coalesced replay: per-batch serve.batch spans with
         // sample/gather/forward children on the simulated timeline.
         wg_trace::enable_all();

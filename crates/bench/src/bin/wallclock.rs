@@ -22,8 +22,8 @@
 //! (its set-up state included), which [`gate`] holds to a budget where
 //! [`EXPECT`] sets one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,49 +35,14 @@ use wg_mem::{CacheMode, FeatureCache, OocTier, RowPlan, TierStack};
 use wg_sample::{
     sample_minibatch_into, GraphAccess, MiniBatch, MultiGpuAccess, SampleScratch, SamplerConfig,
 };
+use wg_tensor::heap::{self, CountingAlloc};
 use wg_tensor::simd::{fnv1a_f32, FNV_OFFSET};
 use wg_tensor::sparse::{spmm_backward_src_into, spmm_into, ReverseScratch};
 use wg_tensor::{Agg, BlockCsr, Matrix};
 use wholegraph::prelude::*;
 
-/// Global allocation counter (all threads, pool workers included).
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated, and the highest value since [`measure`]
-/// last restarted it.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn on_alloc(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-/// System allocator with an allocation and live-byte counter in front:
-/// the witness that the sampling hot path performs zero steady-state
-/// heap allocations, and of how much heap a bench holds at its peak.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        on_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// The allocation and live-byte counters every row is gated on: process
+/// wide, pool workers included.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -167,7 +132,7 @@ impl Measurement {
 /// schedules. The minimum pool-repeat allocation count is the
 /// steady-state figure; the peak live heap covers every run.
 fn measure(name: &'static str, batches: u64, mut work: impl FnMut() -> RunOut) -> Measurement {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+    heap::reset_peak();
     let warm = work();
     let mut best = |sequential: bool, repeats: usize| {
         let mut t = Duration::MAX;
@@ -176,13 +141,13 @@ fn measure(name: &'static str, batches: u64, mut work: impl FnMut() -> RunOut) -
         let mut stages = None;
         let mut allocs = u64::MAX;
         for _ in 0..repeats {
-            let a0 = ALLOCS.load(Ordering::Relaxed);
+            let a0 = heap::allocs();
             let r = if sequential {
                 rayon::run_sequential(&mut work)
             } else {
                 work()
             };
-            let a = ALLOCS.load(Ordering::Relaxed) - a0;
+            let a = heap::allocs() - a0;
             assert_eq!(
                 *sum.get_or_insert(r.checksum),
                 r.checksum,
@@ -206,7 +171,7 @@ fn measure(name: &'static str, batches: u64, mut work: impl FnMut() -> RunOut) -
         checksum: c1,
         allocs,
         batches,
-        peak_bytes: PEAK.load(Ordering::Relaxed),
+        peak_bytes: heap::peak_bytes(),
         sim,
         stages,
     }
@@ -501,9 +466,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         args,
         &["--trace", "--cache-rows", "--cache-mode", "--storage-rows"],
     )?;
-    let rows = parse_value::<usize>(&flags, "--cache-rows", "a row count")?;
+    let rows = parse_value::<usize>(&flags, "cache-rows", "a row count")?;
     let mode = flags
-        .get("--cache-mode")
+        .get("cache-mode")
         .map(|m| {
             CacheMode::parse(m)
                 .ok_or_else(|| format!("`--cache-mode` expects static|clock, got `{m}`"))
@@ -515,9 +480,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         (None, None) => None,
     };
     Ok(Args {
-        trace: flags.get("--trace").cloned(),
+        trace: flags.get("trace").cloned(),
         cache,
-        storage: parse_value(&flags, "--storage-rows", "a row count")?,
+        storage: parse_value(&flags, "storage-rows", "a row count")?,
     })
 }
 

@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use wg_graph::DatasetKind;
+pub use wholegraph::flags::parse_flags;
 use wholegraph::prelude::*;
 
 /// Default scale divisors for the performance stand-ins: large enough to
@@ -57,30 +58,6 @@ pub fn bench_pipeline_config(fw: Framework, model: ModelKind) -> PipelineConfig 
     }
 }
 
-/// Parse a bench bin's command line against its own flag list: every
-/// flag takes the next argument as its value (the `wg` CLI's rule). Any
-/// other argument is an error naming it — a typo'd `--cache-row 4096`
-/// must not silently run, and pass, the default leg — and so is a flag
-/// with no value (end of args, or followed by another flag): `--trace`
-/// alone must not write a trace to a file named `true` — and a flag given
-/// twice, whose last value would otherwise win silently.
-pub fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(flag) = it.next() {
-        if !known.contains(&flag.as_str()) {
-            return Err(format!("unknown argument `{flag}` (known: {known:?})"));
-        }
-        let value = it
-            .next_if(|v| !v.starts_with("--"))
-            .ok_or_else(|| format!("`{flag}` expects a value"))?;
-        if out.insert(flag.clone(), value.clone()).is_some() {
-            return Err(format!("`{flag}` given twice"));
-        }
-    }
-    Ok(out)
-}
-
 /// [`parse_flags`] over the process's own arguments; exits 2 on an error.
 /// Call it before printing anything, so a refused command line prints
 /// only the error.
@@ -100,19 +77,19 @@ pub fn refuse(e: &str) -> ! {
     std::process::exit(2);
 }
 
-/// `flag`'s value parsed as a `T`, `None` when the flag is absent; a
-/// value that does not parse is an error naming the flag and `what` it
+/// Flag `--name`'s value parsed as a `T`, `None` when the flag is absent;
+/// a value that does not parse is an error naming the flag and `what` it
 /// expects, not a panic.
 pub fn parse_value<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
-    flag: &str,
+    name: &str,
     what: &str,
 ) -> Result<Option<T>, String> {
     flags
-        .get(flag)
+        .get(name)
         .map(|v| {
             v.parse()
-                .map_err(|_| format!("`{flag}` expects {what}, got `{v}`"))
+                .map_err(|_| format!("`--{name}` expects {what}, got `{v}`"))
         })
         .transpose()
 }
@@ -278,9 +255,9 @@ mod tests {
             &known,
         )
         .unwrap();
-        assert_eq!(f["--cache-rows"], "4096");
-        assert_eq!(f["--storage-rows"], "9");
-        assert!(!f.contains_key("--trace"));
+        assert_eq!(f["cache-rows"], "4096");
+        assert_eq!(f["storage-rows"], "9");
+        assert!(!f.contains_key("trace"));
         let err = parse_flags(&args(&["--cache-row", "4096"]), &known).unwrap_err();
         assert!(err.contains("`--cache-row`"), "{err}");
         assert!(parse_flags(&args(&["stray"]), &[]).is_err());
@@ -309,13 +286,13 @@ mod tests {
 
     #[test]
     fn a_malformed_value_is_refused_naming_its_flag() {
-        let f = HashMap::from([("--rows".to_string(), "abc".to_string())]);
-        let err = parse_value::<usize>(&f, "--rows", "a row count").unwrap_err();
+        let f = HashMap::from([("rows".to_string(), "abc".to_string())]);
+        let err = parse_value::<usize>(&f, "rows", "a row count").unwrap_err();
         assert_eq!(err, "`--rows` expects a row count, got `abc`");
-        assert_eq!(parse_value::<usize>(&f, "--other", "a count"), Ok(None));
-        let f = HashMap::from([("--rows".to_string(), "12".to_string())]);
+        assert_eq!(parse_value::<usize>(&f, "other", "a count"), Ok(None));
+        let f = HashMap::from([("rows".to_string(), "12".to_string())]);
         assert_eq!(
-            parse_value::<usize>(&f, "--rows", "a row count"),
+            parse_value::<usize>(&f, "rows", "a row count"),
             Ok(Some(12))
         );
     }

@@ -38,43 +38,17 @@ fn usage_of(cmd: &str) -> Option<&'static str> {
     Some(&entry[..end])
 }
 
-/// Whether `flag` (with its `--`) is named, as a whole word, in `text`.
-fn names_flag(text: &str, flag: &str) -> bool {
-    text.match_indices(flag).any(|(i, _)| {
-        !text[i + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
-    })
-}
-
-/// Split `args` of subcommand `cmd` into flag → value pairs. Anything
-/// that is not a flag `cmd`'s usage entry names is an error naming it: a
-/// typo'd `--cache-row`, or another subcommand's flag such as `wg serve
-/// --framework pyg`, must not silently run the default. So is a flag with
-/// no value (end of args, or followed by another flag): every flag takes
-/// one, and `wg train --trace` must not write a trace to a file named
-/// `true`.
+/// Split `args` of subcommand `cmd` into flag → value pairs by
+/// [`wholegraph::flags::parse_flags`], the known flags being those `cmd`'s
+/// usage entry names: another subcommand's flag, such as `wg serve
+/// --framework pyg`, is refused by name like a typo.
 fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let text = usage_of(cmd).ok_or_else(|| format!("unknown command: {cmd}"))?;
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let k = &args[i];
-        if !k.starts_with("--") {
-            return Err(format!("bad argument: {k}"));
-        }
-        if !names_flag(text, k) {
-            return Err(format!("unknown flag for wg {cmd}: {k}"));
-        }
-        match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                if out.insert(k[2..].to_string(), v.clone()).is_some() {
-                    return Err(format!("{k} given twice"));
-                }
-            }
-            _ => return Err(format!("{k} expects a value")),
-        }
-        i += 2;
-    }
-    Ok(out)
+    let known: Vec<&str> = text
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    wholegraph::flags::parse_flags(args, &known).map_err(|e| format!("wg {cmd}: {e}"))
 }
 
 fn dataset_kind(name: &str) -> DatasetKind {
@@ -661,7 +635,7 @@ mod tests {
         // A typo, and a strict prefix of a real flag, are both refused by name.
         for typo in ["--max-batchh", "--cache", "--"] {
             let err = parse_flags("serve", &args(&["--epochs", "2", typo])).unwrap_err();
-            assert_eq!(err, format!("unknown flag for wg serve: {typo}"));
+            assert_eq!(err, format!("wg serve: unknown argument `{typo}`"));
         }
         assert!(parse_flags("train", &args(&["epochs"])).is_err());
         assert!(parse_flags("fit", &[]).is_err());
@@ -711,9 +685,9 @@ mod tests {
     #[test]
     fn a_repeated_flag_is_refused_naming_it() {
         let err = parse_flags("serve", &words("--rate 30000 --burst 50 --rate 100000"));
-        assert_eq!(err.unwrap_err(), "--rate given twice");
+        assert_eq!(err.unwrap_err(), "wg serve: `--rate` given twice");
         let err = parse_flags("train", &words("--epochs 2 --epochs 2"));
-        assert_eq!(err.unwrap_err(), "--epochs given twice");
+        assert_eq!(err.unwrap_err(), "wg train: `--epochs` given twice");
     }
 
     #[test]
@@ -845,7 +819,7 @@ mod tests {
     fn each_subcommand_refuses_flags_it_does_not_read() {
         let refused = |cmd: &str, flag: &str| {
             let err = parse_flags(cmd, &words(&format!("{flag} 3"))).unwrap_err();
-            assert_eq!(err, format!("unknown flag for wg {cmd}: {flag}"));
+            assert_eq!(err, format!("wg {cmd}: unknown argument `{flag}`"));
         };
         refused("serve", "--framework");
         for flag in ["--epochs", "--nodes", "--requests"] {
@@ -893,7 +867,7 @@ mod tests {
             ("info", "--data", "--data"),
         ] {
             let err = parse_flags(cmd, &words(line)).unwrap_err();
-            assert_eq!(err, format!("{flag} expects a value"), "wg {cmd} {line}");
+            assert_eq!(err, format!("wg {cmd}: `{flag}` expects a value"), "{line}");
         }
         // A negative number is a value, not a flag (the range checks
         // refuse it later, by name).

@@ -43,7 +43,8 @@
 //!   Figure 13);
 //! * [`observability`] — merged host-span / simulated-device Chrome
 //!   trace export (pairs with the `wg-trace` crate);
-//! * [`memstats`] — per-GPU memory accounting by phase (Table IV).
+//! * [`memstats`] — per-GPU memory accounting by phase (Table IV);
+//! * [`flags`] — the command-line flag rule `wg` and the bench bins share.
 //!
 //! The `wg` binary (the `wg-cli` crate) exposes dataset generation, IO,
 //! training, and online serving from the command line.
@@ -51,6 +52,7 @@
 #![forbid(unsafe_code)]
 
 pub mod convert;
+pub mod flags;
 pub mod framework;
 pub mod memstats;
 pub mod multinode;

@@ -9,65 +9,18 @@
 //! The loss pin holds at every SIMD level and pool width: CI's
 //! `forced-scalar-simd` leg reruns this binary under `WG_SIMD=scalar`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use wg_autograd::{Adam, Optimizer, Tape};
 use wg_gnn::{GnnConfig, GnnModel, ModelKind};
+use wg_tensor::heap::{self, CountingAlloc};
 use wg_tensor::ops::softmax_cross_entropy_into;
 use wg_tensor::{BlockCsr, Matrix};
 
-thread_local! {
-    /// Heap allocations made by this thread (the sequential schedule runs
-    /// the whole iteration on the calling thread).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes this thread allocated and has not freed, and their highest
-    /// value since the last [`reset_peak`].
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn on_alloc(bytes: usize) {
-    ALLOCS.with(|a| a.set(a.get() + 1));
-    let live = LIVE.with(|l| {
-        l.set(l.get() + bytes as isize);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
-}
-
-fn on_dealloc(bytes: usize) {
-    LIVE.with(|l| l.set(l.get() - bytes as isize));
-}
-
-/// Restart this thread's peak from its current live bytes.
-fn reset_peak() {
-    PEAK.with(|p| p.set(LIVE.with(Cell::get)));
-}
-
-struct CountingAlloc;
-
-// SAFETY: defers every operation to `System`; the counters are
-// const-initialised thread-local `Cell`s, which never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        on_dealloc(layout.size());
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_dealloc(layout.size());
-        on_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+// The sequential schedule runs the whole iteration on the calling thread,
+// so each test reads its own thread's counters.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -201,9 +154,9 @@ fn warm_gat_iteration_allocates_no_more_than_graphsage() {
             for i in 0..3 {
                 run.step(i);
             }
-            let before = ALLOCS.with(Cell::get);
+            let before = heap::thread_allocs();
             run.step(3);
-            ALLOCS.with(Cell::get) - before
+            heap::thread_allocs() - before
         })
     };
     let (gat, sage) = (
@@ -232,9 +185,9 @@ fn warm_gat_iteration_peak_heap_is_pinned() {
         for i in 0..3 {
             run.step(i);
         }
-        reset_peak();
+        heap::reset_thread_peak();
         run.step(3);
-        PEAK.with(Cell::get)
+        heap::thread_peak_bytes()
     });
     assert!(
         peak <= PINNED_PEAK_BYTES,

@@ -3,10 +3,9 @@
 /// Marker trait for element types storable in a [`crate::WholeMemory`].
 ///
 /// Stands in for "plain old device data": fixed-size, copyable, and safely
-/// zero-initializable. Implemented for the scalar types GNN training needs.
-/// The [`wg_tensor::simd::Pod`] bound lets the gather kernel move rows as
-/// raw byte streams through the SIMD copy path.
-pub trait Element: Copy + Default + Send + Sync + 'static + wg_tensor::simd::Pod {}
+/// zero-initializable. Implemented for the scalar types GNN training needs;
+/// the gather kernel moves rows of them with `copy_from_slice`.
+pub trait Element: Copy + Default + Send + Sync + 'static {}
 
 impl Element for f32 {}
 impl Element for f64 {}

@@ -351,17 +351,14 @@ impl TierStack {
             "gather output buffer has wrong size"
         );
         let regions = wm.regions();
-        let level = wg_tensor::simd::level();
 
         // The "kernel": every thread block copies one output row from the
         // owning region through the pointer table. All address translation
-        // already happened at plan time, and the row copy streams through
-        // the SIMD path.
+        // already happened at plan time.
         out.par_chunks_mut(width.max(1))
             .zip(plan.slots.par_iter())
             .for_each(|(dst, slot)| {
-                let src = &regions[slot.rank as usize][slot.start..slot.start + width];
-                wg_tensor::simd::copy_slice(level, dst, src);
+                dst.copy_from_slice(&regions[slot.rank as usize][slot.start..slot.start + width]);
             });
 
         let rows = plan.rows();

@@ -16,7 +16,14 @@
 //!   duplicate counts to downgrade the atomic to a plain store for nodes
 //!   sampled exactly once — exactly the paper's optimization;
 //! * **edge softmax** over each destination's incoming edges (GAT).
+//!
+//! [`heap`] is the counting allocator the workspace's allocation and
+//! peak-heap contracts are checked under.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+pub mod heap;
 pub mod matrix;
 pub mod ops;
 pub mod simd;

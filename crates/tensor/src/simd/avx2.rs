@@ -1,11 +1,17 @@
 //! AVX2 implementations of the dispatched kernels in [`super`].
 //!
-//! Every function here is `#[target_feature(enable = "avx2")]` and only
-//! reachable through [`super::level`]-guarded dispatch (or an explicit
-//! [`super::Level::Avx2`] that the caller asserted is executable). The
-//! ones that touch memory only through slices ([`dropout_mask_rows4`],
-//! [`visit_list`]) are safe functions: the feature is their one
-//! requirement.
+//! Every kernel here is a safe `#[target_feature(enable = "avx2")] fn`
+//! over slices: the feature is its one requirement, and the dispatch arm
+//! in [`super`] that calls it checks the host has it. Memory is touched
+//! only through the helpers in the next section — [`load8`] / [`store8`]
+//! (eight floats), [`load8_masked`] / [`store8_masked`] (the first
+//! [`Lanes`] of eight), [`load4`] / [`load4_masked`] (the 128-bit half rows
+//! [`cols4`] transposes, and the heads-as-lanes edge softmax) and
+//! [`store4`]. Each cuts the range its intrinsic touches out of a slice
+//! with a checked index, and is the only code in this file the compiler
+//! does not check: the intrinsic's access to that range. So a source row past `src`, an edge
+//! id past `att` or a panel one row short panics at the cut; no kernel can
+//! read or write outside its operands.
 //!
 //! Bit-identity discipline, enforced throughout this file:
 //!
@@ -31,23 +37,123 @@
 //!   row's add chain leaves empty. Which rows share a tile is therefore
 //!   invisible in the output.
 //!
-//! Memory safety of the list walk: a listed `l` is `< arow.len()` by
-//! construction of the compaction ([`super::RowVisits::listed`] enumerates
-//! `arow`, and debug-asserts the result), and the walk indexes `a[r][l]`
-//! checked before it forms the panel pointer; the panel and `C` tile
-//! bounds for every `l < arow.len()` are asserted by the safe dispatchers
-//! in [`super`] (`check_rowtile_bounds`, `ldb` = the panel's own width)
-//! before any pointer is formed.
+//! The checks sit where they cost least: one sub-slice per panel row,
+//! source row, gradient row or edge group, after which the vector loads
+//! inside it are at constant offsets the compiler proves in range.
 
-// The safety contract is documented on the module; the `0..NV` loops
-// index both the register array and the `v * 8` lane offsets of raw
-// pointers, so enumerate() has nothing to iterate over there.
-#![allow(clippy::missing_safety_doc)]
+// The `0..NV` loops index the register array and the `v * 8` lane
+// offsets of one row together, so enumerate() has nothing to iterate over
+// there.
 #![allow(clippy::needless_range_loop)]
 
 use core::arch::x86_64::*;
 
-use super::{VisitBuf, TILE_COLS};
+use super::{unpack_edge, VisitBuf, TILE_COLS};
+
+// ---------------------------------------------------------------------------
+// Memory access: each helper cuts the range its intrinsic touches out of a
+// slice (a checked index, which panics past the end) and touches that
+// range only.
+// ---------------------------------------------------------------------------
+
+/// `s[at..at + 8]` as one vector.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load8(s: &[f32], at: usize) -> __m256 {
+    let s = &s[at..at + 8];
+    // SAFETY: `s` is the eight floats the load reads.
+    unsafe { _mm256_loadu_ps(s.as_ptr()) }
+}
+
+/// Store `v` to `s[at..at + 8]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store8(s: &mut [f32], at: usize, v: __m256) {
+    let s = &mut s[at..at + 8];
+    // SAFETY: `s` is the eight floats the store writes.
+    unsafe { _mm256_storeu_ps(s.as_mut_ptr(), v) }
+}
+
+/// The first `n <= 8` lanes of a vector, as the mask a masked load or
+/// store takes. Built from `n` alone, so the two cannot disagree.
+#[derive(Clone, Copy)]
+struct Lanes {
+    n: usize,
+    mask: __m256i,
+}
+
+impl Lanes {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn first(n: usize) -> Self {
+        assert!(n <= 8, "a vector has eight lanes, not {n}");
+        let ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), ids);
+        Lanes { n, mask }
+    }
+}
+
+/// `s[at..at + lanes.n]` in the low lanes, zero in the rest.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load8_masked(s: &[f32], at: usize, lanes: Lanes) -> __m256 {
+    let s = &s[at..at + lanes.n];
+    // SAFETY: the mask sets the first `lanes.n` lanes, all inside `s`; a
+    // masked-off lane is neither read nor able to fault.
+    unsafe { _mm256_maskload_ps(s.as_ptr(), lanes.mask) }
+}
+
+/// Store the low `lanes.n` lanes of `v` to `s[at..at + lanes.n]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store8_masked(s: &mut [f32], at: usize, lanes: Lanes, v: __m256) {
+    let s = &mut s[at..at + lanes.n];
+    // SAFETY: the mask sets the first `lanes.n` lanes, all inside `s`; a
+    // masked-off lane is neither written nor able to fault.
+    unsafe { _mm256_maskstore_ps(s.as_mut_ptr(), lanes.mask, v) }
+}
+
+/// `s[at..at + 4]` as one 128-bit vector.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load4(s: &[f32], at: usize) -> __m128 {
+    let s = &s[at..at + 4];
+    // SAFETY: `s` is the four floats the load reads.
+    unsafe { _mm_loadu_ps(s.as_ptr()) }
+}
+
+/// The first `min(lanes.n, 4)` floats of `s[at..]` in the low lanes of a
+/// 128-bit vector, zero in the rest.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load4_masked(s: &[f32], at: usize, lanes: Lanes) -> __m128 {
+    let s = &s[at..at + lanes.n];
+    // SAFETY: the mask's low half sets the first `min(lanes.n, 4)` lanes,
+    // all inside `s`; a masked-off lane is neither read nor able to fault.
+    unsafe { _mm_maskload_ps(s.as_ptr(), _mm256_castsi256_si128(lanes.mask)) }
+}
+
+/// Store `v` to `s[at..at + 4]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store4(s: &mut [f32], at: usize, v: __m128) {
+    let s = &mut s[at..at + 4];
+    // SAFETY: `s` is the four floats the store writes.
+    unsafe { _mm_storeu_ps(s.as_mut_ptr(), v) }
+}
+
+/// The eight lanes of `v` as floats.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lanes_of(v: __m256) -> [f32; 8] {
+    let mut out = [0.0f32; 8];
+    store8(&mut out, 0, v);
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Column-tile kernels: lanes are eight adjacent output columns.
+// ---------------------------------------------------------------------------
 
 /// `R` rows by `NV` YMM lanes of one register tile: `c[r][j] = Σ a[r][l] *
 /// panel[l*nb + j]` over the visited `l`, the `R * NV` accumulators in
@@ -61,53 +167,45 @@ use super::{VisitBuf, TILE_COLS};
 /// no test on `a`'s values.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile_block<const NV: usize, const R: usize, const RAGGED: bool>(
+fn tile_block<const NV: usize, const R: usize, const RAGGED: bool>(
     a: [&[f32]; R],
     list: Option<&[u16]>,
-    panel: *const f32,
+    panel: &[f32],
     nb: usize,
-    c: *mut f32,
+    c: &mut [f32],
     ldc: usize,
     first: bool,
-    tail: __m256i,
+    tail: Lanes,
 ) {
     // Equal lengths let the dense walk index every row without a check.
-    assert!(a.iter().all(|row| row.len() == a[0].len()));
-    // SAFETY (both closures): vector `v` of the tile row starting `at`
-    // floats into `p`. For `c`, `at = r * ldc` with `r < R`: the caller
-    // passes the tile's `R` rows of `NV` vectors, `ldc` apart. For the
-    // panel, `at = l * nb` with `l < a[0].len()` — an enumerated position,
-    // or a listed one (`< arow.len()` by construction of the compaction;
-    // `a[r][l]` is index-checked besides) — and the dispatcher's
-    // `check_rowtile_bounds` (`ldb = nb`, the panel's own width) put every
-    // such panel row inside the panel. Under `RAGGED` the last vector is
-    // touched in its `tail` lanes only, the ones the panel really has.
-    let load = |p: *const f32, at: usize, v: usize| unsafe {
+    let k = a[0].len();
+    assert!(a.iter().all(|row| row.len() == k));
+    // Vector `v` of one `nb`-wide row: the panel's or `c`'s.
+    let load = |row: &[f32], v: usize| {
         if RAGGED && v == NV - 1 {
-            _mm256_maskload_ps(p.add(at + v * 8), tail)
+            load8_masked(row, v * 8, tail)
         } else {
-            _mm256_loadu_ps(p.add(at + v * 8))
-        }
-    };
-    let store = |p: *mut f32, at: usize, v: usize, x: __m256| unsafe {
-        if RAGGED && v == NV - 1 {
-            _mm256_maskstore_ps(p.add(at + v * 8), tail, x)
-        } else {
-            _mm256_storeu_ps(p.add(at + v * 8), x)
+            load8(row, v * 8)
         }
     };
     let mut acc = [[_mm256_setzero_ps(); NV]; R];
     if !first {
         for r in 0..R {
+            let crow = &c[r * ldc..][..nb];
             for v in 0..NV {
-                acc[r][v] = load(c, r * ldc, v);
+                acc[r][v] = load(crow, v);
             }
         }
     }
-    let mut step = |l: usize| {
+    // Full-width panel rows as arrays, cut to the `k` rows the walk may
+    // visit: indexing row `l` checks `l < k`, which makes `a[r][l]`'s
+    // check redundant, and the loads inside it are at constant offsets.
+    let (whole, _) = panel.as_chunks::<TILE_COLS>();
+    let whole = if RAGGED { &whole[..0] } else { &whole[..k] };
+    let mut step = |l: usize, prow: &[f32]| {
         let mut bv = [_mm256_setzero_ps(); NV];
         for v in 0..NV {
-            bv[v] = load(panel, l * nb, v);
+            bv[v] = load(prow, v);
         }
         for r in 0..R {
             let av = _mm256_set1_ps(a[r][l]);
@@ -117,12 +215,27 @@ unsafe fn tile_block<const NV: usize, const R: usize, const RAGGED: bool>(
         }
     };
     match list {
-        None => (0..a[0].len()).for_each(&mut step),
-        Some(list) => list.iter().for_each(|&l| step(l as usize)),
+        None if RAGGED => (0..k)
+            .zip(panel[..k * nb].chunks_exact(nb))
+            .for_each(|(l, prow)| step(l, prow)),
+        None => (0..k).zip(whole).for_each(|(l, prow)| step(l, prow)),
+        Some(list) => list.iter().for_each(|&l| {
+            let l = l as usize;
+            if RAGGED {
+                step(l, &panel[l * nb..][..nb])
+            } else {
+                step(l, &whole[l])
+            }
+        }),
     }
     for r in 0..R {
+        let crow = &mut c[r * ldc..][..nb];
         for v in 0..NV {
-            store(c, r * ldc, v, acc[r][v]);
+            if RAGGED && v == NV - 1 {
+                store8_masked(crow, v * 8, tail, acc[r][v])
+            } else {
+                store8(crow, v * 8, acc[r][v])
+            }
         }
     }
 }
@@ -130,18 +243,11 @@ unsafe fn tile_block<const NV: usize, const R: usize, const RAGGED: bool>(
 /// AVX2 matmul register tile over a packed panel (`[a[0].len()][nb]`
 /// contiguous): row `r` of the tile, `c[r*ldc..][..nb]`, gets `Σ a[r][l] *
 /// panel[l*nb + j]` over the visited `l`, ascending — from `0.0` when
-/// `first`, else added to what it holds. `nb` is `c`'s length past the
-/// last row's start.
-///
-/// # Safety
-///
-/// AVX2 must be available; `nb <= TILE_COLS`; all `R` rows of `a` are
-/// equally long and the panel holds that many rows of `nb` floats
-/// (`check_rowtile_bounds`); `c` is the `R` tile rows, `ldc` apart, and
-/// nothing else; `list`, if any, comes from a [`super::RowVisits`] over
-/// `a[0]`.
+/// `first`, else added to what it holds. `nb <= TILE_COLS` is `c`'s length
+/// past the last row's start; the `R` rows of `a` are equally long, and
+/// `list`, if any, comes from a [`super::RowVisits`] over `a[0]`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn matmul_tile<const R: usize>(
+pub fn matmul_tile<const R: usize>(
     a: [&[f32]; R],
     list: Option<&[u16]>,
     panel: &[f32],
@@ -150,71 +256,59 @@ pub unsafe fn matmul_tile<const R: usize>(
     first: bool,
 ) {
     let nb = c.len() - (R - 1) * ldc;
-    let (pp, cp) = (panel.as_ptr(), c.as_mut_ptr());
-    let full = _mm256_set1_epi32(-1);
+    assert!(nb <= TILE_COLS, "rowtile: panel of {nb} columns");
     // A narrower panel goes in one walk too: whole vectors, then one
     // masked to the panel's last `nb % 8` lanes.
-    let tail = if nb.is_multiple_of(8) {
-        full
-    } else {
-        lane_mask(nb % 8)
-    };
-    // SAFETY: the tile's `nb <= TILE_COLS` columns — `NV = ⌈nb / 8⌉`
-    // vectors, the last cut to `nb` by `tail` — lie inside every row of
-    // `c` and inside every panel row the caller checked.
-    unsafe {
-        match nb.div_ceil(8) {
-            0 => {}
-            // The full width as a literal: the list walk scales `l` by a
-            // shift, not a multiply that competes with the tile for a port.
-            4 if nb == TILE_COLS => {
-                tile_block::<4, R, false>(a, list, pp, TILE_COLS, cp, ldc, first, full)
-            }
-            1 => tile_block::<1, R, true>(a, list, pp, nb, cp, ldc, first, tail),
-            2 => tile_block::<2, R, true>(a, list, pp, nb, cp, ldc, first, tail),
-            3 => tile_block::<3, R, true>(a, list, pp, nb, cp, ldc, first, tail),
-            _ => tile_block::<4, R, true>(a, list, pp, nb, cp, ldc, first, tail),
+    let tail = Lanes::first(if nb.is_multiple_of(8) { 8 } else { nb % 8 });
+    match nb.div_ceil(8) {
+        0 => {}
+        // The full width as a literal: the list walk scales `l` by a
+        // shift, not a multiply that competes with the tile for a port.
+        4 if nb == TILE_COLS => {
+            tile_block::<4, R, false>(a, list, panel, TILE_COLS, c, ldc, first, tail)
         }
+        1 => tile_block::<1, R, true>(a, list, panel, nb, c, ldc, first, tail),
+        2 => tile_block::<2, R, true>(a, list, panel, nb, c, ldc, first, tail),
+        3 => tile_block::<3, R, true>(a, list, panel, nb, c, ldc, first, tail),
+        _ => tile_block::<4, R, true>(a, list, panel, nb, c, ldc, first, tail),
     }
 }
 
-/// `acc += scale * src_row` over the edge list, `NV` lanes resident. With
-/// `W`, edge `i` is additionally weighted: `(scale * w[i * stride]) * row`
-/// (the product the weighted reference forms before touching the row).
-/// With `PF`, edge `i` first prefetches the whole row `ahead[i]` of
-/// `whole` (the full source matrix `src` points into); without, the loop
-/// is the plain gather.
+/// `acc += scale * src_row` over the edge list, `NV` lanes resident: edge
+/// `i` adds columns `col..col + 8·NV` of source row `indices[i]` (rows
+/// `lds` apart). With `W`, edge `i` is additionally weighted: `(scale *
+/// w[i * stride]) * row` (the product the weighted reference forms before
+/// touching the row). With `PF`, edge `i` first prefetches the whole row
+/// `ahead[i]`; without, the loop is the plain gather.
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gather_block<const NV: usize, const W: bool, const PF: bool>(
+fn gather_block<const NV: usize, const W: bool, const PF: bool>(
     indices: &[u32],
-    (w, stride): (*const f32, usize),
-    src: *const f32,
-    lds: usize,
+    (w, stride): (&[f32], usize),
+    (src, lds, col): (&[f32], usize, usize),
     scale: f32,
-    acc: *mut f32,
-    (whole, ahead): (&[f32], &[u32]),
+    acc: &mut [f32],
+    ahead: &[u32],
 ) {
+    let acc = &mut acc[..8 * NV];
     let mut sv = _mm256_set1_ps(scale);
     let mut r = [_mm256_setzero_ps(); NV];
     for v in 0..NV {
-        r[v] = _mm256_loadu_ps(acc.add(v * 8));
+        r[v] = load8(acc, v * 8);
     }
     for (i, &s) in indices.iter().enumerate() {
         if PF {
-            super::prefetch_source_row(whole, lds, ahead, i);
+            super::prefetch_source_row(src, lds, ahead, i);
         }
         if W {
-            sv = _mm256_set1_ps(scale * *w.add(i * stride));
+            sv = _mm256_set1_ps(scale * w[i * stride]);
         }
-        let srow = src.add(s as usize * lds);
+        let row = &src[s as usize * lds + col..][..8 * NV];
         for v in 0..NV {
-            let x = _mm256_loadu_ps(srow.add(v * 8));
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, x));
+            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, load8(row, v * 8)));
         }
     }
     for v in 0..NV {
-        _mm256_storeu_ps(acc.add(v * 8), r[v]);
+        store8(acc, v * 8, r[v]);
     }
 }
 
@@ -225,7 +319,7 @@ unsafe fn gather_block<const NV: usize, const W: bool, const PF: bool>(
 /// gather, with no test per edge.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn spmm_gather_rowtile(
+pub fn spmm_gather_rowtile(
     indices: &[u32],
     weights: Option<(&[f32], usize)>,
     src: &[f32],
@@ -235,75 +329,53 @@ pub unsafe fn spmm_gather_rowtile(
     acc: &mut [f32],
     ahead: &[u32],
 ) {
-    let w = match weights {
-        None => (src.as_ptr(), 0),
-        Some((w, stride)) => {
-            assert!(
-                indices.is_empty() || (indices.len() - 1) * stride < w.len(),
-                "spmm gather: edge weight out of bounds"
-            );
-            (w.as_ptr(), stride)
-        }
-    };
-    let pf = (src, ahead);
+    let w = weights.unwrap_or((&[], 0));
+    let src = (src, lds, j0);
     match (weights.is_some(), ahead.is_empty()) {
-        (false, true) => gather_tile::<false, false>(indices, w, src, lds, j0, scale, acc, pf),
-        (false, false) => gather_tile::<false, true>(indices, w, src, lds, j0, scale, acc, pf),
-        (true, true) => gather_tile::<true, false>(indices, w, src, lds, j0, scale, acc, pf),
-        (true, false) => gather_tile::<true, true>(indices, w, src, lds, j0, scale, acc, pf),
+        (false, true) => gather_tile::<false, false>(indices, w, src, scale, acc, ahead),
+        (false, false) => gather_tile::<false, true>(indices, w, src, scale, acc, ahead),
+        (true, true) => gather_tile::<true, false>(indices, w, src, scale, acc, ahead),
+        (true, false) => gather_tile::<true, true>(indices, w, src, scale, acc, ahead),
     }
 }
 
 #[inline]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gather_tile<const W: bool, const PF: bool>(
+fn gather_tile<const W: bool, const PF: bool>(
     indices: &[u32],
-    w: (*const f32, usize),
-    src: &[f32],
-    lds: usize,
-    j0: usize,
+    w: (&[f32], usize),
+    (src, lds, j0): (&[f32], usize, usize),
     scale: f32,
     acc: &mut [f32],
-    pf: (&[f32], &[u32]),
+    ahead: &[u32],
 ) {
     let cb = acc.len();
-    if let Some(max_s) = indices.iter().copied().max() {
-        assert!(
-            max_s as usize * lds + j0 + cb <= src.len(),
-            "spmm gather: source row out of bounds"
-        );
-    } else {
-        return;
-    }
-    let sp = src.as_ptr().add(j0);
-    let ap = acc.as_mut_ptr();
     // Under `PF` every block prefetches: a 64-channel tile (the paper's
     // head) is one block, and the lines a narrower tile's later blocks ask
     // for again are already on their way.
     let mut j = 0;
     while j + 64 <= cb {
-        gather_block::<8, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
+        gather_block::<8, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
         j += 64;
     }
     while j + 32 <= cb {
-        gather_block::<4, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
+        gather_block::<4, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
         j += 32;
     }
     if j + 16 <= cb {
-        gather_block::<2, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
+        gather_block::<2, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
         j += 16;
     }
     if j + 8 <= cb {
-        gather_block::<1, W, PF>(indices, w, sp.add(j), lds, scale, ap.add(j), pf);
+        gather_block::<1, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
         j += 8;
     }
     if j < cb {
         for (i, &s) in indices.iter().enumerate() {
-            let es = if W { scale * *w.0.add(i * w.1) } else { scale };
-            let srow = sp.add(s as usize * lds);
-            for jj in j..cb {
-                *ap.add(jj) += es * *srow.add(jj);
+            let es = if W { scale * w.0[i * w.1] } else { scale };
+            let row = &src[s as usize * lds + j0 + j..][..cb - j];
+            for (a, &x) in acc[j..].iter_mut().zip(row) {
+                *a += es * x;
             }
         }
     }
@@ -311,38 +383,38 @@ unsafe fn gather_tile<const W: bool, const PF: bool>(
 
 /// Per-destination-scaled gather block for the backward pass: each
 /// destination row carries its own `agg_scale` (1/deg under mean, 1 under
-/// sum).
+/// sum); edge `i` adds columns `col..col + 8·NV` of gradient row
+/// `dsts[i]` (rows `ldg` apart).
 #[target_feature(enable = "avx2")]
-unsafe fn scatter_block<const NV: usize>(
+fn scatter_block<const NV: usize>(
     dsts: &[u32],
     offsets: &[u32],
     mean: bool,
-    grad: *const f32,
-    ldg: usize,
-    acc: *mut f32,
+    (grad, ldg, col): (&[f32], usize, usize),
+    acc: &mut [f32],
 ) {
+    let acc = &mut acc[..8 * NV];
     let mut r = [_mm256_setzero_ps(); NV];
     for v in 0..NV {
-        r[v] = _mm256_loadu_ps(acc.add(v * 8));
+        r[v] = load8(acc, v * 8);
     }
     for &d in dsts {
         let d = d as usize;
         let sv = _mm256_set1_ps(super::scatter_scale(offsets, d, mean));
-        let grow = grad.add(d * ldg);
+        let row = &grad[d * ldg + col..][..8 * NV];
         for v in 0..NV {
-            let g = _mm256_loadu_ps(grow.add(v * 8));
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, g));
+            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, load8(row, v * 8)));
         }
     }
     for v in 0..NV {
-        _mm256_storeu_ps(acc.add(v * 8), r[v]);
+        store8(acc, v * 8, r[v]);
     }
 }
 
 /// AVX2 spmm backward channel tile: `acc[j] += agg_scale(d) *
 /// grad[d*ldg+j0+j]` over the incoming edges' destinations.
 #[target_feature(enable = "avx2")]
-pub unsafe fn spmm_scatter_rowtile(
+pub fn spmm_scatter_rowtile(
     dsts: &[u32],
     offsets: &[u32],
     mean: bool,
@@ -352,40 +424,26 @@ pub unsafe fn spmm_scatter_rowtile(
     acc: &mut [f32],
 ) {
     let cb = acc.len();
-    if let Some(max_d) = dsts.iter().copied().max() {
-        assert!(
-            (max_d as usize) + 1 < offsets.len(),
-            "spmm scatter: destination out of offsets range"
-        );
-        assert!(
-            max_d as usize * ldg + j0 + cb <= grad.len(),
-            "spmm scatter: grad row out of bounds"
-        );
-    } else {
-        return;
-    }
-    let gp = grad.as_ptr().add(j0);
-    let ap = acc.as_mut_ptr();
     let mut j = 0;
     while j + 32 <= cb {
-        scatter_block::<4>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<4>(dsts, offsets, mean, (grad, ldg, j0 + j), &mut acc[j..]);
         j += 32;
     }
     if j + 16 <= cb {
-        scatter_block::<2>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<2>(dsts, offsets, mean, (grad, ldg, j0 + j), &mut acc[j..]);
         j += 16;
     }
     if j + 8 <= cb {
-        scatter_block::<1>(dsts, offsets, mean, gp.add(j), ldg, ap.add(j));
+        scatter_block::<1>(dsts, offsets, mean, (grad, ldg, j0 + j), &mut acc[j..]);
         j += 8;
     }
     if j < cb {
         for &d in dsts {
             let d = d as usize;
             let scale = super::scatter_scale(offsets, d, mean);
-            let grow = gp.add(d * ldg);
-            for jj in j..cb {
-                *ap.add(jj) += scale * *grow.add(jj);
+            let row = &grad[d * ldg + j0 + j..][..cb - j];
+            for (a, &g) in acc[j..].iter_mut().zip(row) {
+                *a += scale * g;
             }
         }
     }
@@ -393,48 +451,15 @@ pub unsafe fn spmm_scatter_rowtile(
 
 /// AVX2 `dst[j] += src[j]` (equal lengths asserted by the caller).
 #[target_feature(enable = "avx2")]
-pub unsafe fn add_assign(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let sp = src.as_ptr();
-    let mut j = 0;
-    while j + 8 <= n {
-        let d = _mm256_loadu_ps(dp.add(j));
-        let s = _mm256_loadu_ps(sp.add(j));
-        _mm256_storeu_ps(dp.add(j), _mm256_add_ps(d, s));
-        j += 8;
+pub fn add_assign(dst: &mut [f32], src: &[f32]) {
+    let (dv, dt) = dst.as_chunks_mut::<8>();
+    let (sv, st) = src.as_chunks::<8>();
+    for (d, s) in dv.iter_mut().zip(sv) {
+        let sum = _mm256_add_ps(load8(d, 0), load8(s, 0));
+        store8(d, 0, sum);
     }
-    while j < n {
-        *dp.add(j) += *sp.add(j);
-        j += 1;
-    }
-}
-
-/// Stream `len` bytes from `src` to `dst` in 32-byte YMM lanes (the
-/// gather row-copy path). The regions must not overlap and must each be
-/// valid for `len` bytes — guaranteed by the `&mut [T]`/`&[T]` pair the
-/// safe wrapper starts from.
-#[target_feature(enable = "avx2")]
-pub unsafe fn copy_bytes(dst: *mut u8, src: *const u8, len: usize) {
-    let mut off = 0;
-    while off + 128 <= len {
-        let a = _mm256_loadu_si256(src.add(off).cast());
-        let b = _mm256_loadu_si256(src.add(off + 32).cast());
-        let c = _mm256_loadu_si256(src.add(off + 64).cast());
-        let d = _mm256_loadu_si256(src.add(off + 96).cast());
-        _mm256_storeu_si256(dst.add(off).cast(), a);
-        _mm256_storeu_si256(dst.add(off + 32).cast(), b);
-        _mm256_storeu_si256(dst.add(off + 64).cast(), c);
-        _mm256_storeu_si256(dst.add(off + 96).cast(), d);
-        off += 128;
-    }
-    while off + 32 <= len {
-        let v = _mm256_loadu_si256(src.add(off).cast());
-        _mm256_storeu_si256(dst.add(off).cast(), v);
-        off += 32;
-    }
-    if off < len {
-        core::ptr::copy_nonoverlapping(src.add(off), dst.add(off), len - off);
+    for (d, &s) in dt.iter_mut().zip(st) {
+        *d += s;
     }
 }
 
@@ -448,33 +473,22 @@ pub unsafe fn copy_bytes(dst: *mut u8, src: *const u8, len: usize) {
 // repeat of the last valid row and the padded lanes are never stored.
 // ---------------------------------------------------------------------------
 
-/// Lanes `0..n` set (all bits), the rest clear — a `maskload` mask.
-#[target_feature(enable = "avx2")]
-unsafe fn lane_mask(n: usize) -> __m256i {
-    _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(n as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    )
-}
-
 /// Columns `off..off+4` of eight rows, transposed: lane `l` of `out[t]` is
-/// `rows[l][off + t]`. Under `MASKED` only the columns whose `mask` lane is
-/// set are read (the ragged end of a row), the others come back zero.
+/// `rows[l][off + t]`. Under `MASKED` only the first `tail.n` of the four
+/// columns are read (the ragged end of a row), the others come back zero.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn cols4<const MASKED: bool>(
-    rows: &[*const f32; 8],
-    off: usize,
-    mask: __m128i,
-) -> [__m256; 4] {
+fn cols4<const MASKED: bool>(rows: &[&[f32]; 8], off: usize, tail: Lanes) -> [__m256; 4] {
+    let half = |row: &[f32]| {
+        if MASKED {
+            load4_masked(row, off, tail)
+        } else {
+            load4(row, off)
+        }
+    };
     let mut pair = [_mm256_setzero_ps(); 4];
     for i in 0..4 {
-        let (lo, hi) = (rows[i].add(off), rows[i + 4].add(off));
-        let (lo, hi) = if MASKED {
-            (_mm_maskload_ps(lo, mask), _mm_maskload_ps(hi, mask))
-        } else {
-            (_mm_loadu_ps(lo), _mm_loadu_ps(hi))
-        };
+        let (lo, hi) = (half(rows[i]), half(rows[i + 4]));
         pair[i] = _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi);
     }
     // A 4x4 transpose in each 128-bit half: rows 0-3 low, rows 4-7 high.
@@ -495,13 +509,8 @@ unsafe fn cols4<const MASKED: bool>(
 /// transposed in registers ([`cols4`]) and stored as four 8-float runs of
 /// destination rows. The ragged last rows and columns are copied element
 /// by element.
-///
-/// # Safety
-///
-/// AVX2 must be available, and both blocks in bounds: `(rows-1)*ld_src +
-/// cols <= src.len()`, `(cols-1)*ld_dst + rows <= dst.len()`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn transpose(
+pub fn transpose(
     src: &[f32],
     ld_src: usize,
     rows: usize,
@@ -510,19 +519,13 @@ pub unsafe fn transpose(
     ld_dst: usize,
 ) {
     let (rows8, cols4_end) = (rows / 8 * 8, cols / 4 * 4);
-    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    let whole = Lanes::first(4);
     for r0 in (0..rows8).step_by(8) {
-        // SAFETY: rows `r0..r0+8` are `< rows`, so each lane pointer starts
-        // a source row with `cols` floats inside `src`, of which columns
-        // `c0..c0+4 <= cols` are read; destination rows `c0..c0+4 < cols`
-        // hold `rows >= r0 + 8` floats each inside `dst`.
-        unsafe {
-            let lanes = lane_rows(sp, ld_src, 8, |l| r0 + l);
-            for c0 in (0..cols4_end).step_by(4) {
-                let t = cols4::<false>(&lanes, c0, _mm_setzero_si128());
-                for (i, v) in t.into_iter().enumerate() {
-                    _mm256_storeu_ps(dp.add((c0 + i) * ld_dst + r0), v);
-                }
+        let lanes = lane_rows(src, ld_src, cols, 8, |l| r0 + l);
+        for (q, quad) in quads(lanes).enumerate() {
+            let t = cols4::<false>(&quad, 0, whole);
+            for (i, v) in t.into_iter().enumerate() {
+                store8(dst, (4 * q + i) * ld_dst + r0, v);
             }
         }
     }
@@ -534,48 +537,57 @@ pub unsafe fn transpose(
     }
 }
 
-/// Row pointers of one lane group: lane `l` reads row `index(min(l,
-/// valid-1))` — the padding lanes repeat the last valid row.
+/// The rows of one lane group, `len` floats each (rows `ld` apart in
+/// `data`): lane `l` is row `index(min(l, valid-1))` — the padding lanes
+/// repeat the last valid row.
 #[inline]
-unsafe fn lane_rows(
-    base: *const f32,
+fn lane_rows(
+    data: &[f32],
     ld: usize,
+    len: usize,
     valid: usize,
     index: impl Fn(usize) -> usize,
-) -> [*const f32; 8] {
-    let mut rows = [base; 8];
-    for (l, r) in rows.iter_mut().enumerate() {
-        *r = base.add(index(l.min(valid - 1)) * ld);
-    }
-    rows
+) -> [&[f32]; 8] {
+    std::array::from_fn(|l| &data[index(l.min(valid - 1)) * ld..][..len])
+}
+
+/// Columns `4q..4q + 4` of eight rows, for `q` ascending over the whole
+/// quads the shortest row holds: the rows walk in lockstep, so a quad
+/// costs no check of its own (indexing eight separate rows would check
+/// each against its own length).
+fn quads(rows: [&[f32]; 8]) -> impl Iterator<Item = [&[f32]; 8]> {
+    let [a, b, c, d, e, f, g, h] = rows.map(|row| row.chunks_exact(4));
+    a.zip(b)
+        .zip(c)
+        .zip(d)
+        .zip(e)
+        .zip(f)
+        .zip(g)
+        .zip(h)
+        .map(|(((((((a, b), c), d), e), f), g), h)| [a, b, c, d, e, f, g, h])
 }
 
 /// One channel block of the fused backward's `dL/dh`: `dh[j..j + 8·NV]
-/// += w[l] * row_l[j..]` over the group's `valid` edges in order, the
+/// += w[l] * rows[l][j..]` over the group's valid edges in order, the
 /// block resident in `NV` registers — `scatter_block`'s sequence under sum
-/// aggregation, with the rows the dot products just pulled into L1.
+/// aggregation, with the rows the dot products just pulled into L1. `dh`
+/// and the rows are one head's channels, equally long.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn dh_block<const NV: usize>(
-    rows: &[*const f32; 8],
-    w: &[f32; 8],
-    valid: usize,
-    j: usize,
-    dh: *mut f32,
-) {
+fn dh_block<const NV: usize>(rows: &[&[f32]], w: &[f32], j: usize, dh: &mut [f32]) {
+    let dh = &mut dh[j..][..8 * NV];
     let mut r = [_mm256_setzero_ps(); NV];
     for v in 0..NV {
-        r[v] = _mm256_loadu_ps(dh.add(j + v * 8));
+        r[v] = load8(dh, v * 8);
     }
-    for l in 0..valid {
-        let sv = _mm256_set1_ps(w[l]);
-        let g = rows[l].add(j);
+    for (row, &wl) in rows.iter().zip(w) {
+        let (sv, g) = (_mm256_set1_ps(wl), &row[j..][..8 * NV]);
         for v in 0..NV {
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, _mm256_loadu_ps(g.add(v * 8))));
+            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, load8(g, v * 8)));
         }
     }
     for v in 0..NV {
-        _mm256_storeu_ps(dh.add(j + v * 8), r[v]);
+        store8(dh, v * 8, r[v]);
     }
 }
 
@@ -586,16 +598,10 @@ unsafe fn dh_block<const NV: usize>(
 /// channel sum from `0.0`, the product `grad * h` as g-SDDMM forms it),
 /// then, from L1, the terms of `dh`, added a channel block at a time in
 /// edge order. The next eight rows are prefetched while these are used.
-///
-/// # Safety
-///
-/// AVX2 must be available, `heads` must divide `hrow.len() == dh.len()`,
-/// and every destination in `pairs` and `next` must index a full
-/// `hrow.len()`-float row of `grad` (edge weights are read with bounds
-/// checks).
+/// `heads` divides `hrow.len() == dh.len()`, the dispatcher's check.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn weighted_spmm_backward_row(
+pub fn weighted_spmm_backward_row(
     pairs: &[u64],
     att: &[f32],
     heads: usize,
@@ -608,61 +614,62 @@ pub unsafe fn weighted_spmm_backward_row(
     let c = hrow.len();
     let head_dim = c / heads;
     dh.fill(0.0);
-    let n = pairs.len();
-    let (gp, hp, dp) = (grad.as_ptr(), hrow.as_ptr(), dh.as_mut_ptr());
-    let tail = head_dim % 4;
-    let mask = _mm256_castsi256_si128(lane_mask(tail));
-    for g0 in (0..n).step_by(8) {
-        let valid = (n - g0).min(8);
-        let rows = lane_rows(gp, c, valid, |l| super::unpack_edge(pairs[g0 + l]).0);
-        let ahead = if g0 + 8 < n { &pairs[g0 + 8..] } else { next };
+    let tail = Lanes::first(head_dim % 4);
+    for (g, group) in pairs.chunks(8).enumerate() {
+        let valid = group.len();
+        let rows = lane_rows(grad, c, c, valid, |l| unpack_edge(group[l]).0);
+        let rest = &pairs[8 * g + valid..];
+        let ahead = if rest.is_empty() { next } else { rest };
         for &pair in ahead.iter().take(8) {
-            let d = super::unpack_edge(pair).0;
+            let d = unpack_edge(pair).0;
             super::prefetch(&grad[d * c..][..c], false);
         }
         let mut w = [0.0f32; 8];
         for h in 0..heads {
-            let (base, end) = (h * head_dim, (h + 1) * head_dim);
+            let base = h * head_dim;
+            let hh = &hrow[base..][..head_dim];
+            let head_rows = rows.map(|row| &row[base..][..head_dim]);
             let mut acc = _mm256_setzero_ps();
-            let mut j = base;
-            while j + 4 <= end {
-                let cols = cols4::<false>(&rows, j, mask);
+            let whole = hh.chunks_exact(4);
+            let j = head_dim - whole.remainder().len();
+            for (quad, h4) in quads(head_rows).zip(whole) {
+                let cols = cols4::<false>(&quad, 0, tail);
                 for t in 0..4 {
-                    let hv = _mm256_broadcast_ss(&*hp.add(j + t));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(cols[t], hv));
-                }
-                j += 4;
-            }
-            if tail > 0 {
-                let cols = cols4::<true>(&rows, j, mask);
-                for t in 0..tail {
-                    let hv = _mm256_broadcast_ss(&*hp.add(j + t));
+                    let hv = _mm256_set1_ps(h4[t]);
                     acc = _mm256_add_ps(acc, _mm256_mul_ps(cols[t], hv));
                 }
             }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+            if tail.n > 0 {
+                let cols = cols4::<true>(&head_rows, j, tail);
+                for t in 0..tail.n {
+                    let hv = _mm256_set1_ps(hh[j + t]);
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(cols[t], hv));
+                }
+            }
+            let lanes = lanes_of(acc);
             for l in 0..valid {
-                let e = super::unpack_edge(pairs[g0 + l]).1;
+                let e = unpack_edge(group[l]).1;
                 datt(e, h, lanes[l]);
                 w[l] = att[e * heads + h];
             }
-            let mut j = base;
-            while j + 32 <= end {
-                dh_block::<4>(&rows, &w, valid, j, dp);
+            let (rows, w) = (&head_rows[..valid], &w[..valid]);
+            let dh = &mut dh[base..][..head_dim];
+            let mut j = 0;
+            while j + 32 <= head_dim {
+                dh_block::<4>(rows, w, j, dh);
                 j += 32;
             }
-            if j + 16 <= end {
-                dh_block::<2>(&rows, &w, valid, j, dp);
+            if j + 16 <= head_dim {
+                dh_block::<2>(rows, w, j, dh);
                 j += 16;
             }
-            if j + 8 <= end {
-                dh_block::<1>(&rows, &w, valid, j, dp);
+            if j + 8 <= head_dim {
+                dh_block::<1>(rows, w, j, dh);
                 j += 8;
             }
-            for l in 0..valid {
-                for jj in j..end {
-                    *dp.add(jj) += w[l] * *rows[l].add(jj);
+            for (row, &wl) in rows.iter().zip(w) {
+                for (o, &x) in dh[j..].iter_mut().zip(&row[j..]) {
+                    *o += wl * x;
                 }
             }
         }
@@ -673,17 +680,12 @@ pub unsafe fn weighted_spmm_backward_row(
 /// of [`scores_backward_row`]'s sum for `NV` vectors of channels.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn stacked_sum<const NV: usize>(
-    g: &[f32],
-    at: *const f32,
-    c: usize,
-    j: usize,
-) -> [__m256; NV] {
+fn stacked_sum<const NV: usize>(g: &[f32], at: &[f32], c: usize, j: usize) -> [__m256; NV] {
     let mut acc = [_mm256_setzero_ps(); NV];
     for (l, &gl) in g.iter().enumerate() {
-        let (gv, row) = (_mm256_set1_ps(gl), at.add(l * c + j));
+        let (gv, row) = (_mm256_set1_ps(gl), &at[l * c + j..][..8 * NV]);
         for v in 0..NV {
-            acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(gv, _mm256_loadu_ps(row.add(v * 8))));
+            acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(gv, load8(row, v * 8)));
         }
     }
     acc
@@ -693,52 +695,47 @@ unsafe fn stacked_sum<const NV: usize>(
 /// [`super::scores_backward_row`]): 32 channels at a time, the two sums in
 /// eight registers, each term `g[l] * at[l, j]` added in ascending `l`
 /// from zero — `matmul_narrow_k`'s sequence — then folded into `dh`.
-///
-/// # Safety
-///
-/// AVX2 must be available, `g.len()` even and `at.len() == g.len() *
-/// dh.len()`.
+/// `g.len()` is even and `at.len() == g.len() * dh.len()`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
+pub fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
     let c = dh.len();
     let (gd, gs) = g.split_at(g.len() / 2);
-    let (ap, sp, dp) = (at.as_ptr(), at.as_ptr().add(gd.len() * c), dh.as_mut_ptr());
+    let (ad, asrc) = at.split_at(gd.len() * c);
     let mut j = 0;
     while j + 32 <= c {
         let (d, s) = (
-            stacked_sum::<4>(gd, ap, c, j),
-            stacked_sum::<4>(gs, sp, c, j),
+            stacked_sum::<4>(gd, ad, c, j),
+            stacked_sum::<4>(gs, asrc, c, j),
         );
+        let out = &mut dh[j..][..32];
         for v in 0..4 {
-            let p = dp.add(j + v * 8);
             let acc = if fresh {
                 d[v]
             } else {
-                _mm256_add_ps(_mm256_loadu_ps(p), d[v])
+                _mm256_add_ps(load8(out, v * 8), d[v])
             };
-            _mm256_storeu_ps(p, _mm256_add_ps(acc, s[v]));
+            store8(out, v * 8, _mm256_add_ps(acc, s[v]));
         }
         j += 32;
     }
     while j + 8 <= c {
         let (d, s) = (
-            stacked_sum::<1>(gd, ap, c, j),
-            stacked_sum::<1>(gs, sp, c, j),
+            stacked_sum::<1>(gd, ad, c, j),
+            stacked_sum::<1>(gs, asrc, c, j),
         );
-        let p = dp.add(j);
         let acc = if fresh {
             d[0]
         } else {
-            _mm256_add_ps(_mm256_loadu_ps(p), d[0])
+            _mm256_add_ps(load8(dh, j), d[0])
         };
-        _mm256_storeu_ps(p, _mm256_add_ps(acc, s[0]));
+        store8(dh, j, _mm256_add_ps(acc, s[0]));
         j += 8;
     }
     for jj in j..c {
         let (mut d, mut s) = (0.0f32, 0.0f32);
         for (l, (&dl, &sl)) in gd.iter().zip(gs).enumerate() {
-            d += dl * at[l * c + jj];
-            s += sl * at[(gd.len() + l) * c + jj];
+            d += dl * ad[l * c + jj];
+            s += sl * asrc[l * c + jj];
         }
         let acc = if fresh { d } else { dh[jj] + d };
         dh[jj] = acc + s;
@@ -749,37 +746,37 @@ pub unsafe fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: 
 /// `acc[j]` is `C[i0+r, j]`, summed over `l` in ascending order with the
 /// zero-skip rule applied per lane (a skipped lane keeps its old value).
 #[target_feature(enable = "avx2")]
-unsafe fn narrow_n_rows<const N: usize>(
-    rows: &[*const f32; 8],
+fn narrow_n_rows<const N: usize>(
+    rows: &[&[f32]; 8],
     k: usize,
-    b: *const f32,
+    b: &[f32],
     skip_zero: bool,
 ) -> [__m256; N] {
     let zero = _mm256_setzero_ps();
     let mut acc = [zero; N];
-    let tail = k % 4;
-    let mask = _mm256_castsi256_si128(lane_mask(tail));
+    let tail = Lanes::first(k % 4);
+    let brows = b.as_chunks::<N>().0;
     let mut l0 = 0;
     while l0 < k {
         let width = (k - l0).min(4);
         let cols = if width == 4 {
-            cols4::<false>(rows, l0, mask)
+            cols4::<false>(rows, l0, tail)
         } else {
-            cols4::<true>(rows, l0, mask)
+            cols4::<true>(rows, l0, tail)
         };
         for t in 0..width {
             let col = cols[t];
-            let brow = b.add((l0 + t) * N);
+            let brow = &brows[l0 + t];
             let skipped = _mm256_cmp_ps::<_CMP_EQ_OQ>(col, zero);
             if skip_zero && _mm256_movemask_ps(skipped) != 0 {
                 for j in 0..N {
-                    let bv = _mm256_broadcast_ss(&*brow.add(j));
+                    let bv = _mm256_set1_ps(brow[j]);
                     let sum = _mm256_add_ps(acc[j], _mm256_mul_ps(col, bv));
                     acc[j] = _mm256_blendv_ps(sum, acc[j], skipped);
                 }
             } else {
                 for j in 0..N {
-                    let bv = _mm256_broadcast_ss(&*brow.add(j));
+                    let bv = _mm256_set1_ps(brow[j]);
                     acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(col, bv));
                 }
             }
@@ -790,7 +787,7 @@ unsafe fn narrow_n_rows<const N: usize>(
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_narrow_n_impl<const N: usize>(
+fn matmul_narrow_n_impl<const N: usize>(
     a: &[f32],
     k: usize,
     b: &[f32],
@@ -798,16 +795,14 @@ unsafe fn matmul_narrow_n_impl<const N: usize>(
     skip_zero: bool,
 ) {
     let m = c.len() / N;
-    let (ap, cp) = (a.as_ptr(), c.as_mut_ptr());
     for i0 in (0..m).step_by(8) {
         let valid = (m - i0).min(8);
-        let rows = lane_rows(ap, k, valid, |l| i0 + l);
-        let acc = narrow_n_rows::<N>(&rows, k, b.as_ptr(), skip_zero);
+        let rows = lane_rows(a, k, k, valid, |l| i0 + l);
+        let acc = narrow_n_rows::<N>(&rows, k, b, skip_zero);
         for j in 0..N {
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc[j]);
+            let lanes = lanes_of(acc[j]);
             for r in 0..valid {
-                *cp.add((i0 + r) * N + j) = lanes[r];
+                c[(i0 + r) * N + j] = lanes[r];
             }
         }
     }
@@ -817,15 +812,7 @@ unsafe fn matmul_narrow_n_impl<const N: usize>(
 /// a[i*k+l]·b[l*n+j]`, ascending `l` from `0.0`, optional zero-skip on
 /// `a[i*k+l]`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn matmul_narrow_n(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-    skip_zero: bool,
-) {
-    assert!(b.len() == k * n && c.len().is_multiple_of(n) && a.len() == c.len() / n * k);
+pub fn matmul_narrow_n(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip_zero: bool) {
     match n {
         1 => matmul_narrow_n_impl::<1>(a, k, b, c, skip_zero),
         2 => matmul_narrow_n_impl::<2>(a, k, b, c, skip_zero),
@@ -845,59 +832,50 @@ pub unsafe fn matmul_narrow_n(
 /// no accumulator round trip through memory. Zero-skipped `l` are dropped
 /// from the row's broadcast list up front.
 #[target_feature(enable = "avx2")]
-pub unsafe fn matmul_narrow_k(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-    skip_zero: bool,
-) {
-    assert!((1..=8).contains(&k) && a.len().is_multiple_of(k));
-    assert!(b.len() == k * n && c.len() == a.len() / k * n);
-    let bp = b.as_ptr();
+pub fn matmul_narrow_k(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip_zero: bool) {
     for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
         let mut av = [_mm256_setzero_ps(); 8];
-        let mut brow = [bp; 8];
+        let mut brow: [&[f32]; 8] = [&[]; 8];
         let mut live = 0;
         for (l, &x) in arow.iter().enumerate() {
             if !(skip_zero && x == 0.0) {
                 av[live] = _mm256_set1_ps(x);
-                brow[live] = bp.add(l * n);
+                brow[live] = &b[l * n..][..n];
                 live += 1;
             }
         }
-        let cp = crow.as_mut_ptr();
+        let (av, brow) = (&av[..live], &brow[..live]);
         let mut j = 0;
         while j + 32 <= n {
             let mut acc = [_mm256_setzero_ps(); 4];
-            for q in 0..live {
+            for (&aq, bq) in av.iter().zip(brow) {
+                let seg = &bq[j..][..32];
                 for v in 0..4 {
-                    let bv = _mm256_loadu_ps(brow[q].add(j + v * 8));
-                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(av[q], bv));
+                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(aq, load8(seg, v * 8)));
                 }
             }
+            let out = &mut crow[j..][..32];
             for v in 0..4 {
-                _mm256_storeu_ps(cp.add(j + v * 8), acc[v]);
+                store8(out, v * 8, acc[v]);
             }
             j += 32;
         }
         while j + 8 <= n {
             let mut acc = _mm256_setzero_ps();
-            for q in 0..live {
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(av[q], _mm256_loadu_ps(brow[q].add(j))));
+            for (&aq, bq) in av.iter().zip(brow) {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(aq, load8(bq, j)));
             }
-            _mm256_storeu_ps(cp.add(j), acc);
+            store8(crow, j, acc);
             j += 8;
         }
         for jj in j..n {
             let mut acc = 0.0f32;
             for (l, &x) in arow.iter().enumerate() {
                 if !(skip_zero && x == 0.0) {
-                    acc += x * *bp.add(l * n + jj);
+                    acc += x * b[l * n + jj];
                 }
             }
-            *cp.add(jj) = acc;
+            crow[jj] = acc;
         }
     }
 }
@@ -909,48 +887,42 @@ pub unsafe fn matmul_narrow_k(
 /// permuted into place from one load each. Rows with `a[l, i] == 0` keep
 /// their old value (the reference's zero-skip), k-rows ascend.
 #[target_feature(enable = "avx2")]
-pub unsafe fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut [f32]) {
-    assert!((1..=8).contains(&n) && m > 0 && a.len().is_multiple_of(m));
-    assert!(b.len() == a.len() / m * n && acc.len() >= m * n);
+pub fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut [f32]) {
     let zero = _mm256_setzero_ps();
     // Eight rows of `a` cover `n` accumulator vectors; vector `v` lane `x`
     // is flat element `8v + x` of that group.
-    let mut ridx = [_mm256_setzero_si256(); 8];
-    let mut cidx = [_mm256_setzero_si256(); 8];
-    for v in 0..n {
-        let mut r = [0i32; 8];
-        let mut c = [0i32; 8];
-        for x in 0..8 {
-            r[x] = ((v * 8 + x) / n) as i32;
-            c[x] = ((v * 8 + x) % n) as i32;
-        }
-        ridx[v] = _mm256_loadu_si256(r.as_ptr().cast());
-        cidx[v] = _mm256_loadu_si256(c.as_ptr().cast());
-    }
-    let bmask = lane_mask(n);
+    let index = |v: usize, f: fn(usize, usize) -> usize| {
+        let x = |lane: usize| f(v * 8 + lane, n) as i32;
+        _mm256_setr_epi32(x(0), x(1), x(2), x(3), x(4), x(5), x(6), x(7))
+    };
+    let ridx: [__m256i; 8] = std::array::from_fn(|v| index(v, |f, n| f / n));
+    let cidx: [__m256i; 8] = std::array::from_fn(|v| index(v, |f, n| f % n));
+    let tail = Lanes::first(n);
     let m8 = m / 8 * 8;
-    let accp = acc.as_mut_ptr();
     for (arow, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        let b8 = _mm256_maskload_ps(brow.as_ptr(), bmask);
+        let b8 = load8_masked(brow, 0, tail);
         let mut bv = [zero; 8];
         for v in 0..n {
             bv[v] = _mm256_permutevar8x32_ps(b8, cidx[v]);
         }
-        for i0 in (0..m8).step_by(8) {
-            let a8 = _mm256_loadu_ps(arow.as_ptr().add(i0));
+        // Eight rows of `a` at a time, against their `n` accumulator
+        // vectors: one check per group, none per vector.
+        let groups = arow.as_chunks::<8>().0.iter();
+        for (a8, group) in groups.zip(acc[..m8 * n].chunks_exact_mut(8 * n)) {
+            let a8 = load8(a8, 0);
             let zeros = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(a8, zero));
             if zeros == 0xff {
                 continue;
             }
-            for v in 0..n {
-                let av = _mm256_permutevar8x32_ps(a8, ridx[v]);
-                let p = accp.add(i0 * n + v * 8);
-                let old = _mm256_loadu_ps(p);
-                let mut sum = _mm256_add_ps(old, _mm256_mul_ps(av, bv[v]));
+            let vectors = group.as_chunks_mut::<8>().0.iter_mut();
+            for (out, (&ri, &bvv)) in vectors.zip(ridx.iter().zip(&bv)) {
+                let av = _mm256_permutevar8x32_ps(a8, ri);
+                let old = load8(out, 0);
+                let mut sum = _mm256_add_ps(old, _mm256_mul_ps(av, bvv));
                 if zeros != 0 {
                     sum = _mm256_blendv_ps(sum, old, _mm256_cmp_ps::<_CMP_EQ_OQ>(av, zero));
                 }
-                _mm256_storeu_ps(p, sum);
+                store8(out, 0, sum);
             }
         }
         for i in m8..m {
@@ -959,85 +931,60 @@ pub unsafe fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc
                 continue;
             }
             for j in 0..n {
-                *accp.add(i * n + j) += x * brow[j];
+                acc[i * n + j] += x * brow[j];
             }
         }
     }
 }
 
 /// AVX2 edge softmax of one destination's `[deg, heads]` logits in place,
-/// heads as lanes (`heads % 4 == 0`): the per-head max and denominator run
-/// over the edges in order, four heads abreast; `exp` is libm's, called
-/// per element.
-///
-/// # Safety
-///
-/// AVX2 must be available.
+/// heads as lanes (`heads % 4 == 0`, the dispatcher's guard): the per-head
+/// max and denominator run over the edges in order, four heads abreast;
+/// `exp` is libm's, called per element.
 #[target_feature(enable = "avx2")]
-pub unsafe fn edge_softmax_dst(x: &mut [f32], heads: usize) {
-    assert!(heads.is_multiple_of(4) && x.len().is_multiple_of(heads));
+pub fn edge_softmax_dst(x: &mut [f32], heads: usize) {
     let deg = x.len() / heads;
-    if deg == 0 {
-        return; // no edges: nothing to read, and no lane pointer to form
-    }
     for h0 in (0..heads).step_by(4) {
-        let p = x.as_mut_ptr().add(h0);
         let mut max = _mm_set1_ps(f32::NEG_INFINITY);
         for e in 0..deg {
-            max = _mm_max_ps(max, _mm_loadu_ps(p.add(e * heads)));
+            max = _mm_max_ps(max, load4(x, e * heads + h0));
         }
         let mut denom = _mm_setzero_ps();
         for e in 0..deg {
+            let at = e * heads + h0;
             let mut t = [0.0f32; 4];
-            _mm_storeu_ps(
-                t.as_mut_ptr(),
-                _mm_sub_ps(_mm_loadu_ps(p.add(e * heads)), max),
-            );
+            store4(&mut t, 0, _mm_sub_ps(load4(x, at), max));
             for v in &mut t {
                 *v = v.exp();
             }
-            let v = _mm_loadu_ps(t.as_ptr());
-            _mm_storeu_ps(p.add(e * heads), v);
+            let v = load4(&t, 0);
+            store4(x, at, v);
             denom = _mm_add_ps(denom, v);
         }
         for e in 0..deg {
-            let q = p.add(e * heads);
-            _mm_storeu_ps(q, _mm_div_ps(_mm_loadu_ps(q), denom));
+            let at = e * heads + h0;
+            store4(x, at, _mm_div_ps(load4(x, at), denom));
         }
     }
 }
 
 /// AVX2 edge-softmax backward of one destination in the gradient's own
-/// buffer, heads as lanes (`heads % 4 == 0`): `grad = soft * (grad -
-/// Σ_e soft*grad)`, the dot summed over the edges in order.
-///
-/// # Safety
-///
-/// AVX2 must be available.
+/// buffer, heads as lanes (`heads % 4 == 0`, the dispatcher's guard):
+/// `grad = soft * (grad - Σ_e soft*grad)`, the dot summed over the edges
+/// in order.
 #[target_feature(enable = "avx2")]
-pub unsafe fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: usize) {
-    assert!(heads.is_multiple_of(4) && soft.len().is_multiple_of(heads));
-    assert_eq!(grad.len(), soft.len(), "edge softmax backward: lengths");
+pub fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: usize) {
     let deg = soft.len() / heads;
-    if deg == 0 {
-        return; // no edges: nothing to read, and no lane pointer to form
-    }
     for h0 in (0..heads).step_by(4) {
-        let (sp, gp) = (soft.as_ptr().add(h0), grad.as_mut_ptr().add(h0));
         let mut dot = _mm_setzero_ps();
         for e in 0..deg {
-            let (s, g) = (
-                _mm_loadu_ps(sp.add(e * heads)),
-                _mm_loadu_ps(gp.add(e * heads)),
-            );
-            dot = _mm_add_ps(dot, _mm_mul_ps(s, g));
+            let at = e * heads + h0;
+            dot = _mm_add_ps(dot, _mm_mul_ps(load4(soft, at), load4(grad, at)));
         }
         for e in 0..deg {
-            let (s, g) = (
-                _mm_loadu_ps(sp.add(e * heads)),
-                _mm_loadu_ps(gp.add(e * heads)),
-            );
-            _mm_storeu_ps(gp.add(e * heads), _mm_mul_ps(s, _mm_sub_ps(g, dot)));
+            let at = e * heads + h0;
+            let (s, g) = (load4(soft, at), load4(grad, at));
+            store4(grad, at, _mm_mul_ps(s, _mm_sub_ps(g, dot)));
         }
     }
 }
@@ -1064,9 +1011,8 @@ fn rotl<const R: i32, const L: i32>(x: __m256i) -> __m256i {
 /// of the four state vectors is row `r`'s xoshiro256++ state, each step
 /// yields one draw per row, and a draw `x` keeps its element where `x >>
 /// 40` is at least `threshold`. Bit `j` of a row's word is set through a
-/// one-hot lane that shifts left every step. All memory goes through
-/// `mask` — no pointer is formed — so the kernel is a safe function that
-/// only needs AVX2.
+/// one-hot lane that shifts left every step, and the words are stored
+/// through `mask`'s own indexing.
 #[target_feature(enable = "avx2")]
 pub fn dropout_mask_rows4(mask: &mut [u64], cols: usize, threshold: u64, seeds: [u64; 4]) {
     let words = cols.div_ceil(64);

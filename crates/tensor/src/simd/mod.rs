@@ -57,15 +57,24 @@
 //!   four rows' own generators, each stepped in its row's order, and
 //!   `RowVisits::listed` builds the same ascending list eight lanes at a
 //!   time. `prefetch` only hints: no value depends on it.
-//! * `copy_slice` and `transpose` move bytes; `fnv1a_f32` is an
-//!   order-serial hash chain
-//!   (each step consumes the previous hash), so it cannot be lane-split
-//!   without changing the digest — it is kept as one scalar chain,
-//!   unrolled, and stays byte-identical to the naive fold.
+//! * `transpose` moves floats. `fnv1a_f32` is not a kernel but the bench
+//!   checksum: an order-serial hash chain (each step consumes the previous
+//!   hash), so it is one plain per-element fold.
 //!
 //! The dispatched `*_with` kernel entry points in [`crate::ops`] /
 //! [`crate::sparse`] take an explicit [`Level`] so tests and benches can
 //! pin both paths against each other bitwise.
+//!
+//! # Memory safety
+//!
+//! The AVX2 kernels are safe `#[target_feature]` functions over slices
+//! (see the `avx2` module): every access goes through a checked slice, so
+//! an operand that is too short, or an index past its end, panics. Each
+//! `Level::Avx2` arm below is guarded by [`avx2_available`], and its call
+//! is the one thing in it the compiler cannot check: that AVX2 code may
+//! run, which the guard just saw. An explicit `Level::Avx2` on a host
+//! without AVX2 therefore runs the scalar loop. The asserts the
+//! dispatchers keep are shape checks both levels rely on.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -149,19 +158,6 @@ pub fn level() -> Level {
     })
 }
 
-/// Marker for plain-old-data numeric element types whose byte
-/// representation may be copied freely (no padding, no drop glue) —
-/// the bound [`copy_slice`] needs to reinterpret rows as byte streams.
-pub trait Pod: Copy + 'static {}
-
-impl Pod for f32 {}
-impl Pod for f64 {}
-impl Pod for u8 {}
-impl Pod for i32 {}
-impl Pod for u32 {}
-impl Pod for i64 {}
-impl Pod for u64 {}
-
 // ---------------------------------------------------------------------------
 // Prefetch — the one way a kernel asks for memory ahead of its use.
 // ---------------------------------------------------------------------------
@@ -226,8 +222,8 @@ pub type VisitBuf = [u16; VISIT_CAP];
 /// and no others (`-0.0` is skipped, NaN is visited, as `== 0.0` decides).
 ///
 /// Invariant (the fields are private so only the constructors establish
-/// it, and the AVX2 kernels rely on it for memory safety): `list` entries
-/// are strictly ascending and each is `< arow.len()`.
+/// it): `list` entries are strictly ascending and each is `<
+/// arow.len()`, so a walk over the list indexes `arow` in range.
 #[derive(Clone, Copy)]
 pub struct RowVisits<'a> {
     arow: &'a [f32],
@@ -259,9 +255,8 @@ impl<'a> RowVisits<'a> {
         assert!(self.arow.len() <= VISIT_CAP, "visit list: segment too long");
         let n = match level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX2 verified by level(); the kernel is a safe
-            // function that only needs the feature.
-            Level::Avx2 => unsafe { avx2::visit_list(self.arow, buf) },
+            // SAFETY: the guard saw AVX2 on this host.
+            Level::Avx2 if avx2_available() => unsafe { avx2::visit_list(self.arow, buf) },
             _ => visit_list_tail(self.arow, 0, 0, buf),
         };
         let list = &buf[..n];
@@ -531,31 +526,18 @@ fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
 // Dispatched entry points.
 // ---------------------------------------------------------------------------
 
-/// Validate the geometry the tile kernels assume: `panel` holds one
-/// `nb`-wide row (`ldb` is the panel's own width — panels are contiguous)
-/// for every position of a `kb`-long row segment, and `nb` fits one tile.
-#[inline]
-fn check_rowtile_bounds(kb: usize, panel_len: usize, nb: usize) {
-    assert!(nb <= TILE_COLS, "rowtile: panel of {nb} columns");
-    assert!(
-        kb * nb <= panel_len,
-        "rowtile: B panel too short ({panel_len} < {kb} x {nb})"
-    );
-}
-
 /// One row of a matmul register tile against a packed panel: `c[j] = Σ
 /// arow[l] * panel[l*nb + j]` over the visited `l`, ascending, with `nb =
 /// c.len()` the panel's width. The sum starts from `0.0` when `first` (the
 /// row's first k-block: `c` may hold stale values) and from `c` otherwise.
 #[inline]
 pub fn matmul_rowtile(level: Level, row: RowVisits, panel: &[f32], c: &mut [f32], first: bool) {
-    check_rowtile_bounds(row.arow.len(), panel.len(), c.len());
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: level() only reports Avx2 when the host supports it; the
-        // panel covers `arow.len()` rows of `c.len()` floats (checked
-        // above), and `c` is the one tile row.
-        Level::Avx2 => unsafe { avx2::matmul_tile([row.arow], row.list, panel, c, 0, first) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
+            avx2::matmul_tile([row.arow], row.list, panel, c, 0, first)
+        },
         _ => matmul_rowtile_scalar(row, panel, c, first),
     }
 }
@@ -577,15 +559,14 @@ pub fn matmul_rowtile2(
 ) {
     assert!(ldc < c.len(), "rowtile2: C holds no second row");
     assert_eq!(a0.len(), a1.len(), "rowtile2: row segments differ");
-    let nb = c.len() - ldc;
-    check_rowtile_bounds(a0.len(), panel.len(), nb);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); both rows are `a0.len()` long
-        // and the panel covers that many rows of `nb` floats (checked
-        // above); `c` is exactly the two `nb`-wide tile rows, `ldc` apart.
-        Level::Avx2 => unsafe { avx2::matmul_tile([a0, a1], None, panel, c, ldc, first) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
+            avx2::matmul_tile([a0, a1], None, panel, c, ldc, first)
+        },
         _ => {
+            let nb = c.len() - ldc;
             let (c0, c1) = c.split_at_mut(ldc);
             matmul_rowtile_scalar(RowVisits::all(a0), panel, &mut c0[..nb], first);
             matmul_rowtile_scalar(RowVisits::all(a1), panel, c1, first);
@@ -616,8 +597,10 @@ pub fn transpose(
     );
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); both blocks asserted in bounds.
-        Level::Avx2 => unsafe { avx2::transpose(src, ld_src, rows, cols, dst, ld_dst) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
+            avx2::transpose(src, ld_src, rows, cols, dst, ld_dst)
+        },
         _ => {
             for (r, srow) in src.chunks(ld_src).take(rows).enumerate() {
                 for (c, &v) in srow[..cols].iter().enumerate() {
@@ -649,15 +632,12 @@ pub fn spmm_gather_rowtile(
     ahead: &[u32],
 ) {
     match level {
-        Level::Scalar => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc, ahead),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); the kernel asserts the largest
-        // source row and the last edge weight in bounds before any load.
-        Level::Avx2 => unsafe {
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
             avx2::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc, ahead)
         },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc, ahead),
+        _ => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc, ahead),
     }
 }
 
@@ -688,15 +668,12 @@ pub fn spmm_scatter_rowtile(
     acc: &mut [f32],
 ) {
     match level {
-        Level::Scalar => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); the kernel asserts the largest
-        // destination row in bounds before any load.
-        Level::Avx2 => unsafe {
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
             avx2::spmm_scatter_rowtile(dsts, offsets, mean, grad, ldg, j0, acc)
         },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
+        _ => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
     }
 }
 
@@ -724,9 +701,9 @@ pub fn tn_accumulate_narrow(
     assert!(m * n <= acc.len(), "tn_accumulate_narrow: acc too short");
     match level {
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => {
+        Level::Avx2 if avx2_available() => {
             acc[..m * n].fill(0.0);
-            // SAFETY: AVX2 verified by level(); slice shapes asserted above.
+            // SAFETY: the guard saw AVX2 on this host.
             unsafe { avx2::tn_accumulate_narrow(a, m, b, n, acc) };
             true
         }
@@ -752,8 +729,10 @@ pub fn matmul_narrow_n(
     assert!(b.len() == k * n && c.len().is_multiple_of(n) && a.len() == c.len() / n * k);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); slice shapes asserted above.
-        Level::Avx2 if k > 0 => unsafe { avx2::matmul_narrow_n(a, k, b, n, c, skip_zero) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if k > 0 && avx2_available() => unsafe {
+            avx2::matmul_narrow_n(a, k, b, n, c, skip_zero)
+        },
         _ => matmul_rows_scalar(a, k, b, n, c, skip_zero),
     }
 }
@@ -778,8 +757,10 @@ pub fn matmul_narrow_k(
     assert!(b.len() == k * n && a.len().is_multiple_of(k) && c.len() == a.len() / k * n);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); slice shapes asserted above.
-        Level::Avx2 => unsafe { avx2::matmul_narrow_k(a, k, b, n, c, skip_zero) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
+            avx2::matmul_narrow_k(a, k, b, n, c, skip_zero)
+        },
         _ => matmul_rows_scalar(a, k, b, n, c, skip_zero),
     }
 }
@@ -793,8 +774,10 @@ pub fn edge_softmax_dst(level: Level, x: &mut [f32], heads: usize) {
     assert!(heads >= 1 && x.len().is_multiple_of(heads));
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); lengths asserted above.
-        Level::Avx2 if heads.is_multiple_of(4) => unsafe { avx2::edge_softmax_dst(x, heads) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if heads.is_multiple_of(4) && avx2_available() => unsafe {
+            avx2::edge_softmax_dst(x, heads)
+        },
         _ => edge_softmax_dst_scalar(x, heads),
     }
 }
@@ -808,8 +791,8 @@ pub fn edge_softmax_backward_dst(level: Level, soft: &[f32], grad: &mut [f32], h
     assert_eq!(grad.len(), soft.len());
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); lengths asserted above.
-        Level::Avx2 if heads.is_multiple_of(4) => unsafe {
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if heads.is_multiple_of(4) && avx2_available() => unsafe {
             avx2::edge_softmax_backward_dst(soft, grad, heads)
         },
         _ => edge_softmax_backward_dst_scalar(soft, grad, heads),
@@ -852,27 +835,10 @@ pub fn weighted_spmm_backward_row(
         "heads must divide channels"
     );
     assert_eq!(dh.len(), c, "weighted spmm backward: dh length");
-    let (mut max_d, mut max_e) = (0, 0);
-    for &pair in pairs {
-        let (d, e) = unpack_edge(pair);
-        (max_d, max_e) = (max_d.max(d + 1), max_e.max(e + 1));
-    }
-    for &pair in next {
-        max_d = max_d.max(unpack_edge(pair).0 + 1);
-    }
-    assert!(
-        max_d * c <= grad.len(),
-        "weighted spmm backward: grad row out of bounds"
-    );
-    assert!(
-        max_e * heads <= att.len(),
-        "weighted spmm backward: edge weight out of bounds"
-    );
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); every gradient row and edge
-        // weight the walk reads is asserted in bounds above.
-        Level::Avx2 => unsafe {
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe {
             avx2::weighted_spmm_backward_row(pairs, att, heads, grad, hrow, dh, next, &mut datt)
         },
         _ => weighted_spmm_backward_row_scalar(pairs, att, heads, grad, hrow, dh, &mut datt),
@@ -899,8 +865,8 @@ pub fn scores_backward_row(level: Level, g: &[f32], at: &[f32], dh: &mut [f32], 
     );
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); lengths asserted above.
-        Level::Avx2 => unsafe { avx2::scores_backward_row(g, at, dh, fresh) },
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe { avx2::scores_backward_row(g, at, dh, fresh) },
         _ => scores_backward_row_scalar(g, at, dh, fresh),
     }
 }
@@ -913,8 +879,9 @@ pub fn scores_backward_row(level: Level, g: &[f32], at: &[f32], dh: &mut [f32], 
 /// xoshiro256++ steps. `gen::<f32>()` is `(x >> 40) · 2^-24`, exact (a
 /// 24-bit integer times a power of two), and `p · 2^24` is exact too, so
 /// `draw >= p` is the integer compare `(x >> 40) >= ceil(p · 2^24)` — the
-/// same bit. Returns `false`, having done nothing, at the scalar level or
-/// when `mask` is not four rows' words; the caller then draws row by row.
+/// same bit. `mask` holds whole rows of words. Returns `false`, having
+/// done nothing, at the scalar level or when `mask` is fewer than four
+/// rows (the last group of a matrix); the caller then draws row by row.
 #[inline]
 pub fn dropout_mask_rows4(
     level: Level,
@@ -925,15 +892,19 @@ pub fn dropout_mask_rows4(
 ) -> bool {
     assert!((0.0..1.0).contains(&p), "dropout probability {p}");
     let words = cols.div_ceil(64);
-    if words == 0 || mask.len() != 4 * words {
+    if words == 0 {
         return false;
     }
+    assert!(
+        mask.len().is_multiple_of(words) && mask.len() <= 4 * words,
+        "dropout mask: {} words is not up to four rows of {words}",
+        mask.len()
+    );
     match level {
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => {
+        Level::Avx2 if mask.len() == 4 * words && avx2_available() => {
             let threshold = (p * (1u32 << 24) as f32).ceil() as u64;
-            // SAFETY: AVX2 verified by level(); the kernel touches memory
-            // only through the `mask` slice.
+            // SAFETY: the guard saw AVX2 on this host.
             unsafe { avx2::dropout_mask_rows4(mask, cols, threshold, seeds) };
             true
         }
@@ -946,40 +917,10 @@ pub fn dropout_mask_rows4(
 pub fn add_assign(level: Level, dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
     match level {
-        Level::Scalar => add_assign_scalar(dst, src),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by level(); equal lengths asserted.
-        Level::Avx2 => unsafe { avx2::add_assign(dst, src) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => add_assign_scalar(dst, src),
-    }
-}
-
-/// Copy `src` into `dst` (equal lengths) — the gather row-copy inner
-/// loop. The AVX2 path streams 32-byte lanes instead of deferring to
-/// `memcpy`'s size-class dispatch; bytes are bytes, so the result is
-/// trivially identical.
-#[inline]
-pub fn copy_slice<T: Pod>(level: Level, dst: &mut [T], src: &[T]) {
-    assert_eq!(dst.len(), src.len(), "copy_slice length mismatch");
-    match level {
-        Level::Scalar => dst.copy_from_slice(src),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => {
-            let bytes = std::mem::size_of_val(src);
-            // SAFETY: T is Pod (no padding, no drop glue), the byte views
-            // cover exactly the two equal-length slices, and AVX2 support
-            // was verified by level().
-            unsafe {
-                avx2::copy_bytes(
-                    dst.as_mut_ptr().cast::<u8>(),
-                    src.as_ptr().cast::<u8>(),
-                    bytes,
-                )
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => dst.copy_from_slice(src),
+        // SAFETY: the guard saw AVX2 on this host.
+        Level::Avx2 if avx2_available() => unsafe { avx2::add_assign(dst, src) },
+        _ => add_assign_scalar(dst, src),
     }
 }
 
@@ -992,31 +933,15 @@ pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x100000001b3;
 
-/// FNV-1a over the bit patterns of an `f32` slice, continuing from `h`.
-///
-/// The chain `h = (h ^ w) * prime` consumes the previous hash at every
-/// step, so it is inherently order-serial: lane-splitting it would change
-/// the digest, and the digests are pinned (they are the repo's
-/// bit-exactness witnesses). What SIMD *can't* buy here, unrolling does:
-/// the loop below runs four chain steps per iteration with the
-/// float→word conversions hoisted, keeping the dependency chain — xor
-/// plus multiply — as the only serialized work. Byte-identical to the
-/// naive per-element fold at any level, which is the whole point.
+/// FNV-1a over the bit patterns of an `f32` slice, continuing from `h`:
+/// one `h = (h ^ w) * prime` step per element, `w` the element's bits
+/// widened to a word. The chain consumes the previous hash at every step,
+/// so it is order-serial, and the digests are pinned (they are the repo's
+/// bit-exactness witnesses).
 #[inline]
-pub fn fnv1a_f32(mut h: u64, data: &[f32]) -> u64 {
-    let mut chunks = data.chunks_exact(4);
-    for c in &mut chunks {
-        let (w0, w1) = (c[0].to_bits() as u64, c[1].to_bits() as u64);
-        let (w2, w3) = (c[2].to_bits() as u64, c[3].to_bits() as u64);
-        h = (h ^ w0).wrapping_mul(FNV_PRIME);
-        h = (h ^ w1).wrapping_mul(FNV_PRIME);
-        h = (h ^ w2).wrapping_mul(FNV_PRIME);
-        h = (h ^ w3).wrapping_mul(FNV_PRIME);
-    }
-    for &v in chunks.remainder() {
-        h = (h ^ v.to_bits() as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+pub fn fnv1a_f32(h: u64, data: &[f32]) -> u64 {
+    data.iter()
+        .fold(h, |h, v| (h ^ v.to_bits() as u64).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]

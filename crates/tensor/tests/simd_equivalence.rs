@@ -311,27 +311,6 @@ fn fused_gat_kernels_agree_across_levels() {
     }
 }
 
-#[test]
-fn copy_slice_matches_at_every_level_and_width() {
-    let mut rng = SmallRng::seed_from_u64(50);
-    // Widths straddle the 32-byte lane and the 128-byte unroll of the
-    // AVX2 byte-stream copy, in both f32 (4 B) and u64 (8 B) elements.
-    for level in levels() {
-        for n in [0usize, 1, 3, 7, 8, 9, 31, 32, 33, 100, 256, 1000] {
-            let src: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let mut dst = vec![f32::NAN; n];
-            simd::copy_slice(level, &mut dst, &src);
-            for (x, y) in dst.iter().zip(&src) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            let src64: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
-            let mut dst64 = vec![0u64; n];
-            simd::copy_slice(level, &mut dst64, &src64);
-            assert_eq!(dst64, src64);
-        }
-    }
-}
-
 /// A block whose destination `d` has exactly `degrees[d]` sampled edges.
 fn block_with_degrees(degrees: &[usize], extra_src: usize, seed: u64) -> BlockCsr {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -897,28 +876,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The unrolled checksum is byte-identical to the naive serial fold
-    /// (one word-sized `(h ^ w) * prime` step per element — the repo's
-    /// witness convention) for any length, including the 0..3 remainder
-    /// cases, and chains across arbitrary split points exactly like one
-    /// flat pass.
-    #[test]
-    fn fnv1a_unroll_matches_naive_fold(
-        data in proptest::collection::vec(-1.0e30f32..1.0e30, 0..200),
-        split in 0usize..200,
-    ) {
-        let naive = data.iter().fold(simd::FNV_OFFSET, |h, v| {
-            (h ^ v.to_bits() as u64).wrapping_mul(simd::FNV_PRIME)
-        });
-        prop_assert_eq!(simd::fnv1a_f32(simd::FNV_OFFSET, &data), naive);
-        let split = split.min(data.len());
-        let chained = simd::fnv1a_f32(
-            simd::fnv1a_f32(simd::FNV_OFFSET, &data[..split]),
-            &data[split..],
-        );
-        prop_assert_eq!(chained, naive);
     }
 
     /// Random degree sequences drawn from the boundary degrees, random

@@ -38,7 +38,7 @@
 # serving_trace.json (serving sweep + traced coalesced replay),
 # multinode.json and multinode_trace.json (executed sweep + 4-node
 # cluster trace, one Chrome process per node), criterion_benches.txt
-# (the kernel, gather, AppendUnique and sampler criterion
+# (the kernel, disk-tier, gather, AppendUnique and sampler criterion
 # microbenchmarks — informational, never gated). CI uploads the
 # directory.
 
@@ -81,9 +81,8 @@ cp BENCH_storage.json "$OUT_DIR/storage.json"
 # (wide and narrow-n/k shapes), the sparse kernels (unweighted g-SpMM,
 # and the fused GAT kernels training runs — edge attention, the
 # aggregation with bias + ELU, its one-walk backward — per SIMD level),
-# the gather row-copy / checksum
-# loops and the disk tier's host cost per disk row (`ooc_fetch`: the
-# serve_zipf and train_input batch shapes through a disk-only stack),
+# the disk tier's host cost per disk row (`ooc_fetch` in `gather_copy`:
+# the serve_zipf and train_input batch shapes through a disk-only stack),
 # the one-kernel gather against the NCCL baseline (the empty tier
 # stack: what the plain gather costs through the one plan/execute pair),
 # AppendUnique (input-length vs universe-bounded table vs sort)
