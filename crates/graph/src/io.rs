@@ -183,13 +183,25 @@ pub fn load_dataset(path: impl AsRef<Path>) -> io::Result<SyntheticDataset> {
         }
         labels.push(l);
     }
+    // A mini-batch's seeds are one split's nodes, each at most once, and
+    // training needs at least one: refuse what the pipeline cannot run.
     let mut splits: Vec<Vec<NodeId>> = Vec::with_capacity(3);
-    for _ in 0..3 {
+    let mut seen = vec![false; num_nodes];
+    for name in ["train", "val", "test"] {
         take_bytes(&mut left, "split length", 1, 8)?;
         let len = take_bytes(&mut left, "split", read_u64(&mut r)?, 8)?;
         let s = read_u64_vec(&mut r, len)?;
-        if s.iter().any(|&v| v as usize >= num_nodes) {
-            return Err(bad("split node out of range".into()));
+        if name == "train" && s.is_empty() {
+            return Err(bad("train split is empty".into()));
+        }
+        seen.fill(false);
+        for &v in &s {
+            let slot = seen
+                .get_mut(v as usize)
+                .ok_or_else(|| bad(format!("{name} split node {v} out of range")))?;
+            if std::mem::replace(slot, true) {
+                return Err(bad(format!("{name} split repeats node {v}")));
+            }
         }
         splits.push(s);
     }
@@ -293,6 +305,42 @@ mod tests {
         let err = load_dataset(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(err.to_string().contains("feature_dim"), "{err}");
+    }
+
+    /// `d` saved with its splits replaced, then loaded.
+    fn load_with_splits(name: &str, train: &[NodeId], val: &[NodeId]) -> io::Result<()> {
+        let mut d = SyntheticDataset::generate(DatasetKind::OgbnProducts, 1000, 3);
+        d.train = train.to_vec();
+        d.val = val.to_vec();
+        let path = tmp(name);
+        save_dataset(&d, &path).unwrap();
+        let loaded = load_dataset(&path).map(|_| ());
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn rejects_an_empty_train_split() {
+        let err = load_with_splits("empty-train", &[], &[1, 2]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("train split is empty"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_split_that_repeats_a_node() {
+        let err = load_with_splits("repeat-train", &[13, 13], &[1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains("train split repeats node 13"),
+            "{err}"
+        );
+        let err = load_with_splits("repeat-val", &[13], &[4, 5, 4]).unwrap_err();
+        assert!(
+            err.to_string().contains("val split repeats node 4"),
+            "{err}"
+        );
+        // A node in two splits is not a repeat.
+        load_with_splits("shared", &[13], &[13]).unwrap();
     }
 
     #[test]

@@ -1,54 +1,108 @@
-//! AVX2 implementations of the dispatched kernels in [`super`].
+//! The AVX2 level of the dispatched kernels in [`super`].
 //!
-//! Every kernel here is a safe `#[target_feature(enable = "avx2")] fn`
-//! over slices: the feature is its one requirement, and the dispatch arm
-//! in [`super`] that calls it checks the host has it. Memory is touched
-//! only through the helpers in the next section — [`load8`] / [`store8`]
-//! (eight floats), [`load8_masked`] / [`store8_masked`] (the first
-//! [`Lanes`] of eight), [`load4`] / [`load4_masked`] (the 128-bit half rows
-//! [`cols4`] transposes, and the heads-as-lanes edge softmax) and
-//! [`store4`]. Each cuts the range its intrinsic touches out of a slice
-//! with a checked index, and is the only code in this file the compiler
-//! does not check: the intrinsic's access to that range. So a source row past `src`, an edge
-//! id past `att` or a panel one row short panics at the cut; no kernel can
-//! read or write outside its operands.
+//! Most kernels here are a one-line safe `#[target_feature(enable =
+//! "avx2")] fn` that calls the kernel's `#[inline(always)]` body in
+//! `super::body`, which inlines into it and is so compiled with AVX2. Each
+//! has its own name: a closure handed to one generic `with_avx2` would not
+//! be compiled with the caller's features.
 //!
-//! Bit-identity discipline, enforced throughout this file:
-//!
-//! * vector lanes are always eight **independent output elements** — eight
-//!   adjacent output columns `j` in the column-tile kernels, eight rows
-//!   (incoming edges of one source, rows of `A`) in the row-lane kernels at
-//!   the end of this file — and the reduction over `k`/edges/channels
-//!   stays in program order per element;
-//! * multiply and add are separate intrinsics (`_mm256_mul_ps` then
-//!   `_mm256_add_ps`), matching the two separately-rounded scalar ops —
-//!   intrinsics are never contraction-fused, so no implicit FMA;
-//! * the zero-skip rule of the wide kernel (`matmul_tile`) arrives as a
-//!   [`super::RowVisits`] list: the reference's non-skipped `l`,
-//!   ascending, so the register tile walks it with no test on `arow`'s
-//!   values — the same adds in the same order as the scalar loop that
-//!   `continue`s, without its mispredicts on half-zero activations. The
-//!   narrow kernels at the end of this file keep their per-lane blend;
-//! * the 2-row tile (`matmul_tile::<2>`, rows with nothing to skip) holds
-//!   two rows' accumulators — 2 x 4 YMM — and loads each row of the packed
-//!   `B` panel once for both. A lane is still one output element `c[r][j]`
-//!   summed over ascending `l` in its own register, exactly the one-row
-//!   tile's sequence; the second row only fills the issue slots the first
-//!   row's add chain leaves empty. Which rows share a tile is therefore
-//!   invisible in the output.
-//!
-//! The checks sit where they cost least: one sub-slice per panel row,
-//! source row, gradient row or edge group, after which the vector loads
-//! inside it are at constant offsets the compiler proves in range.
+//! The kernels after the wrappers keep hand intrinsics, their portable
+//! form having measured slower (DESIGN.md §10): the row-lane transposes
+//! ([`cols4`]: [`transpose`], the dot half of
+//! [`weighted_spmm_backward_row`], [`matmul_narrow_n`]), the flat sweep of
+//! [`tn_accumulate_narrow`], the four xoshiro lanes of
+//! [`dropout_mask_rows4`] and the `movemask` compaction of [`visit_list`].
+//! Their memory goes through five helpers ([`load8`], [`store8`],
+//! [`load8_masked`], [`load4`], [`load4_masked`]), each cutting the range
+//! its intrinsic touches out of a slice with a checked index: the only
+//! code here the compiler does not check is that intrinsic's access.
+//! Their lanes are independent output elements, and multiply and add are
+//! separate intrinsics, never `fmadd`.
 
-// The `0..NV` loops index the register array and the `v * 8` lane
-// offsets of one row together, so enumerate() has nothing to iterate over
-// there.
+// The `0..N` loops index the lanes of several registers together, so
+// enumerate() has nothing to iterate over there.
 #![allow(clippy::needless_range_loop)]
 
 use core::arch::x86_64::*;
 
-use super::{unpack_edge, VisitBuf, TILE_COLS};
+use super::{body, unpack_edge, VisitBuf};
+
+// ---------------------------------------------------------------------------
+// One body, compiled for AVX2: each wrapper is the body's one call.
+// ---------------------------------------------------------------------------
+
+/// [`body::matmul_tile`] for `R` rows (`R = 2`: dense rows only).
+#[target_feature(enable = "avx2")]
+pub fn matmul_tile<const R: usize>(
+    a: [&[f32]; R],
+    list: Option<&[u16]>,
+    panel: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
+) {
+    body::matmul_tile(a, list, panel, c, ldc, first)
+}
+
+/// [`body::spmm_gather_rowtile`].
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+pub fn spmm_gather_rowtile(
+    indices: &[u32],
+    weights: Option<(&[f32], usize)>,
+    src: &[f32],
+    lds: usize,
+    j0: usize,
+    scale: f32,
+    acc: &mut [f32],
+    ahead: &[u32],
+) {
+    body::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc, ahead)
+}
+
+/// [`body::spmm_scatter_rowtile`].
+#[target_feature(enable = "avx2")]
+pub fn spmm_scatter_rowtile(
+    dsts: &[u32],
+    offsets: &[u32],
+    mean: bool,
+    grad: &[f32],
+    ldg: usize,
+    j0: usize,
+    acc: &mut [f32],
+) {
+    body::spmm_scatter_rowtile(dsts, offsets, mean, grad, ldg, j0, acc)
+}
+
+/// [`body::scores_backward_row`].
+#[target_feature(enable = "avx2")]
+pub fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
+    body::scores_backward_row(g, at, dh, fresh)
+}
+
+/// [`body::matmul_narrow_k`].
+#[target_feature(enable = "avx2")]
+pub fn matmul_narrow_k(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip_zero: bool) {
+    body::matmul_narrow_k(a, k, b, n, c, skip_zero)
+}
+
+/// [`body::edge_softmax_dst`].
+#[target_feature(enable = "avx2")]
+pub fn edge_softmax_dst(x: &mut [f32], heads: usize) {
+    body::edge_softmax_dst(x, heads)
+}
+
+/// [`body::edge_softmax_backward_dst`].
+#[target_feature(enable = "avx2")]
+pub fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: usize) {
+    body::edge_softmax_backward_dst(soft, grad, heads)
+}
+
+/// [`body::add_assign`].
+#[target_feature(enable = "avx2")]
+pub fn add_assign(dst: &mut [f32], src: &[f32]) {
+    body::add_assign(dst, src)
+}
 
 // ---------------------------------------------------------------------------
 // Memory access: each helper cuts the range its intrinsic touches out of a
@@ -103,16 +157,6 @@ fn load8_masked(s: &[f32], at: usize, lanes: Lanes) -> __m256 {
     unsafe { _mm256_maskload_ps(s.as_ptr(), lanes.mask) }
 }
 
-/// Store the low `lanes.n` lanes of `v` to `s[at..at + lanes.n]`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn store8_masked(s: &mut [f32], at: usize, lanes: Lanes, v: __m256) {
-    let s = &mut s[at..at + lanes.n];
-    // SAFETY: the mask sets the first `lanes.n` lanes, all inside `s`; a
-    // masked-off lane is neither written nor able to fault.
-    unsafe { _mm256_maskstore_ps(s.as_mut_ptr(), lanes.mask, v) }
-}
-
 /// `s[at..at + 4]` as one 128-bit vector.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -133,15 +177,6 @@ fn load4_masked(s: &[f32], at: usize, lanes: Lanes) -> __m128 {
     unsafe { _mm_maskload_ps(s.as_ptr(), _mm256_castsi256_si128(lanes.mask)) }
 }
 
-/// Store `v` to `s[at..at + 4]`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn store4(s: &mut [f32], at: usize, v: __m128) {
-    let s = &mut s[at..at + 4];
-    // SAFETY: `s` is the four floats the store writes.
-    unsafe { _mm_storeu_ps(s.as_mut_ptr(), v) }
-}
-
 /// The eight lanes of `v` as floats.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -149,318 +184,6 @@ fn lanes_of(v: __m256) -> [f32; 8] {
     let mut out = [0.0f32; 8];
     store8(&mut out, 0, v);
     out
-}
-
-// ---------------------------------------------------------------------------
-// Column-tile kernels: lanes are eight adjacent output columns.
-// ---------------------------------------------------------------------------
-
-/// `R` rows by `NV` YMM lanes of one register tile: `c[r][j] = Σ a[r][l] *
-/// panel[l*nb + j]` over the visited `l`, the `R * NV` accumulators in
-/// registers across the whole walk and every panel row loaded once for
-/// all `R` rows. `NV` = 4 is the full 32-wide panel; under `RAGGED` the
-/// last of the `NV` vectors is loaded and stored through `tail` (the lanes
-/// a narrower panel really has — masked-off lanes are neither read nor
-/// written). `R` = 2 (dense rows only, `list` is `None`) gives the adds of
-/// one row's chain another row's to hide behind. The accumulators start
-/// from zero when `first`, else from `c`. The loop body is straight-line:
-/// no test on `a`'s values.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn tile_block<const NV: usize, const R: usize, const RAGGED: bool>(
-    a: [&[f32]; R],
-    list: Option<&[u16]>,
-    panel: &[f32],
-    nb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    first: bool,
-    tail: Lanes,
-) {
-    // Equal lengths let the dense walk index every row without a check.
-    let k = a[0].len();
-    assert!(a.iter().all(|row| row.len() == k));
-    // Vector `v` of one `nb`-wide row: the panel's or `c`'s.
-    let load = |row: &[f32], v: usize| {
-        if RAGGED && v == NV - 1 {
-            load8_masked(row, v * 8, tail)
-        } else {
-            load8(row, v * 8)
-        }
-    };
-    let mut acc = [[_mm256_setzero_ps(); NV]; R];
-    if !first {
-        for r in 0..R {
-            let crow = &c[r * ldc..][..nb];
-            for v in 0..NV {
-                acc[r][v] = load(crow, v);
-            }
-        }
-    }
-    // Full-width panel rows as arrays, cut to the `k` rows the walk may
-    // visit: indexing row `l` checks `l < k`, which makes `a[r][l]`'s
-    // check redundant, and the loads inside it are at constant offsets.
-    let (whole, _) = panel.as_chunks::<TILE_COLS>();
-    let whole = if RAGGED { &whole[..0] } else { &whole[..k] };
-    let mut step = |l: usize, prow: &[f32]| {
-        let mut bv = [_mm256_setzero_ps(); NV];
-        for v in 0..NV {
-            bv[v] = load(prow, v);
-        }
-        for r in 0..R {
-            let av = _mm256_set1_ps(a[r][l]);
-            for v in 0..NV {
-                acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
-            }
-        }
-    };
-    match list {
-        None if RAGGED => (0..k)
-            .zip(panel[..k * nb].chunks_exact(nb))
-            .for_each(|(l, prow)| step(l, prow)),
-        None => (0..k).zip(whole).for_each(|(l, prow)| step(l, prow)),
-        Some(list) => list.iter().for_each(|&l| {
-            let l = l as usize;
-            if RAGGED {
-                step(l, &panel[l * nb..][..nb])
-            } else {
-                step(l, &whole[l])
-            }
-        }),
-    }
-    for r in 0..R {
-        let crow = &mut c[r * ldc..][..nb];
-        for v in 0..NV {
-            if RAGGED && v == NV - 1 {
-                store8_masked(crow, v * 8, tail, acc[r][v])
-            } else {
-                store8(crow, v * 8, acc[r][v])
-            }
-        }
-    }
-}
-
-/// AVX2 matmul register tile over a packed panel (`[a[0].len()][nb]`
-/// contiguous): row `r` of the tile, `c[r*ldc..][..nb]`, gets `Σ a[r][l] *
-/// panel[l*nb + j]` over the visited `l`, ascending — from `0.0` when
-/// `first`, else added to what it holds. `nb <= TILE_COLS` is `c`'s length
-/// past the last row's start; the `R` rows of `a` are equally long, and
-/// `list`, if any, comes from a [`super::RowVisits`] over `a[0]`.
-#[target_feature(enable = "avx2")]
-pub fn matmul_tile<const R: usize>(
-    a: [&[f32]; R],
-    list: Option<&[u16]>,
-    panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    first: bool,
-) {
-    let nb = c.len() - (R - 1) * ldc;
-    assert!(nb <= TILE_COLS, "rowtile: panel of {nb} columns");
-    // A narrower panel goes in one walk too: whole vectors, then one
-    // masked to the panel's last `nb % 8` lanes.
-    let tail = Lanes::first(if nb.is_multiple_of(8) { 8 } else { nb % 8 });
-    match nb.div_ceil(8) {
-        0 => {}
-        // The full width as a literal: the list walk scales `l` by a
-        // shift, not a multiply that competes with the tile for a port.
-        4 if nb == TILE_COLS => {
-            tile_block::<4, R, false>(a, list, panel, TILE_COLS, c, ldc, first, tail)
-        }
-        1 => tile_block::<1, R, true>(a, list, panel, nb, c, ldc, first, tail),
-        2 => tile_block::<2, R, true>(a, list, panel, nb, c, ldc, first, tail),
-        3 => tile_block::<3, R, true>(a, list, panel, nb, c, ldc, first, tail),
-        _ => tile_block::<4, R, true>(a, list, panel, nb, c, ldc, first, tail),
-    }
-}
-
-/// `acc += scale * src_row` over the edge list, `NV` lanes resident: edge
-/// `i` adds columns `col..col + 8·NV` of source row `indices[i]` (rows
-/// `lds` apart). With `W`, edge `i` is additionally weighted: `(scale *
-/// w[i * stride]) * row` (the product the weighted reference forms before
-/// touching the row). With `PF`, edge `i` first prefetches the whole row
-/// `ahead[i]`; without, the loop is the plain gather.
-#[target_feature(enable = "avx2")]
-fn gather_block<const NV: usize, const W: bool, const PF: bool>(
-    indices: &[u32],
-    (w, stride): (&[f32], usize),
-    (src, lds, col): (&[f32], usize, usize),
-    scale: f32,
-    acc: &mut [f32],
-    ahead: &[u32],
-) {
-    let acc = &mut acc[..8 * NV];
-    let mut sv = _mm256_set1_ps(scale);
-    let mut r = [_mm256_setzero_ps(); NV];
-    for v in 0..NV {
-        r[v] = load8(acc, v * 8);
-    }
-    for (i, &s) in indices.iter().enumerate() {
-        if PF {
-            super::prefetch_source_row(src, lds, ahead, i);
-        }
-        if W {
-            sv = _mm256_set1_ps(scale * w[i * stride]);
-        }
-        let row = &src[s as usize * lds + col..][..8 * NV];
-        for v in 0..NV {
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, load8(row, v * 8)));
-        }
-    }
-    for v in 0..NV {
-        store8(acc, v * 8, r[v]);
-    }
-}
-
-/// AVX2 spmm forward channel tile: `acc[j] += scale * src[s*lds+j0+j]`
-/// for every source in `indices`, ascending edge order; with `weights =
-/// (w, stride)`, edge `i`'s scale is `scale * w[i*stride]`. Edge `i`
-/// prefetches source row `ahead[i]`; an empty `ahead` runs the plain
-/// gather, with no test per edge.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub fn spmm_gather_rowtile(
-    indices: &[u32],
-    weights: Option<(&[f32], usize)>,
-    src: &[f32],
-    lds: usize,
-    j0: usize,
-    scale: f32,
-    acc: &mut [f32],
-    ahead: &[u32],
-) {
-    let w = weights.unwrap_or((&[], 0));
-    let src = (src, lds, j0);
-    match (weights.is_some(), ahead.is_empty()) {
-        (false, true) => gather_tile::<false, false>(indices, w, src, scale, acc, ahead),
-        (false, false) => gather_tile::<false, true>(indices, w, src, scale, acc, ahead),
-        (true, true) => gather_tile::<true, false>(indices, w, src, scale, acc, ahead),
-        (true, false) => gather_tile::<true, true>(indices, w, src, scale, acc, ahead),
-    }
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-fn gather_tile<const W: bool, const PF: bool>(
-    indices: &[u32],
-    w: (&[f32], usize),
-    (src, lds, j0): (&[f32], usize, usize),
-    scale: f32,
-    acc: &mut [f32],
-    ahead: &[u32],
-) {
-    let cb = acc.len();
-    // Under `PF` every block prefetches: a 64-channel tile (the paper's
-    // head) is one block, and the lines a narrower tile's later blocks ask
-    // for again are already on their way.
-    let mut j = 0;
-    while j + 64 <= cb {
-        gather_block::<8, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
-        j += 64;
-    }
-    while j + 32 <= cb {
-        gather_block::<4, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
-        j += 32;
-    }
-    if j + 16 <= cb {
-        gather_block::<2, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
-        j += 16;
-    }
-    if j + 8 <= cb {
-        gather_block::<1, W, PF>(indices, w, (src, lds, j0 + j), scale, &mut acc[j..], ahead);
-        j += 8;
-    }
-    if j < cb {
-        for (i, &s) in indices.iter().enumerate() {
-            let es = if W { scale * w.0[i * w.1] } else { scale };
-            let row = &src[s as usize * lds + j0 + j..][..cb - j];
-            for (a, &x) in acc[j..].iter_mut().zip(row) {
-                *a += es * x;
-            }
-        }
-    }
-}
-
-/// Per-destination-scaled gather block for the backward pass: each
-/// destination row carries its own `agg_scale` (1/deg under mean, 1 under
-/// sum); edge `i` adds columns `col..col + 8·NV` of gradient row
-/// `dsts[i]` (rows `ldg` apart).
-#[target_feature(enable = "avx2")]
-fn scatter_block<const NV: usize>(
-    dsts: &[u32],
-    offsets: &[u32],
-    mean: bool,
-    (grad, ldg, col): (&[f32], usize, usize),
-    acc: &mut [f32],
-) {
-    let acc = &mut acc[..8 * NV];
-    let mut r = [_mm256_setzero_ps(); NV];
-    for v in 0..NV {
-        r[v] = load8(acc, v * 8);
-    }
-    for &d in dsts {
-        let d = d as usize;
-        let sv = _mm256_set1_ps(super::scatter_scale(offsets, d, mean));
-        let row = &grad[d * ldg + col..][..8 * NV];
-        for v in 0..NV {
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, load8(row, v * 8)));
-        }
-    }
-    for v in 0..NV {
-        store8(acc, v * 8, r[v]);
-    }
-}
-
-/// AVX2 spmm backward channel tile: `acc[j] += agg_scale(d) *
-/// grad[d*ldg+j0+j]` over the incoming edges' destinations.
-#[target_feature(enable = "avx2")]
-pub fn spmm_scatter_rowtile(
-    dsts: &[u32],
-    offsets: &[u32],
-    mean: bool,
-    grad: &[f32],
-    ldg: usize,
-    j0: usize,
-    acc: &mut [f32],
-) {
-    let cb = acc.len();
-    let mut j = 0;
-    while j + 32 <= cb {
-        scatter_block::<4>(dsts, offsets, mean, (grad, ldg, j0 + j), &mut acc[j..]);
-        j += 32;
-    }
-    if j + 16 <= cb {
-        scatter_block::<2>(dsts, offsets, mean, (grad, ldg, j0 + j), &mut acc[j..]);
-        j += 16;
-    }
-    if j + 8 <= cb {
-        scatter_block::<1>(dsts, offsets, mean, (grad, ldg, j0 + j), &mut acc[j..]);
-        j += 8;
-    }
-    if j < cb {
-        for &d in dsts {
-            let d = d as usize;
-            let scale = super::scatter_scale(offsets, d, mean);
-            let row = &grad[d * ldg + j0 + j..][..cb - j];
-            for (a, &g) in acc[j..].iter_mut().zip(row) {
-                *a += scale * g;
-            }
-        }
-    }
-}
-
-/// AVX2 `dst[j] += src[j]` (equal lengths asserted by the caller).
-#[target_feature(enable = "avx2")]
-pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-    let (dv, dt) = dst.as_chunks_mut::<8>();
-    let (sv, st) = src.as_chunks::<8>();
-    for (d, s) in dv.iter_mut().zip(sv) {
-        let sum = _mm256_add_ps(load8(d, 0), load8(s, 0));
-        store8(d, 0, sum);
-    }
-    for (d, &s) in dt.iter_mut().zip(st) {
-        *d += s;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -567,30 +290,6 @@ fn quads(rows: [&[f32]; 8]) -> impl Iterator<Item = [&[f32]; 8]> {
         .map(|(((((((a, b), c), d), e), f), g), h)| [a, b, c, d, e, f, g, h])
 }
 
-/// One channel block of the fused backward's `dL/dh`: `dh[j..j + 8·NV]
-/// += w[l] * rows[l][j..]` over the group's valid edges in order, the
-/// block resident in `NV` registers — `scatter_block`'s sequence under sum
-/// aggregation, with the rows the dot products just pulled into L1. `dh`
-/// and the rows are one head's channels, equally long.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn dh_block<const NV: usize>(rows: &[&[f32]], w: &[f32], j: usize, dh: &mut [f32]) {
-    let dh = &mut dh[j..][..8 * NV];
-    let mut r = [_mm256_setzero_ps(); NV];
-    for v in 0..NV {
-        r[v] = load8(dh, v * 8);
-    }
-    for (row, &wl) in rows.iter().zip(w) {
-        let (sv, g) = (_mm256_set1_ps(wl), &row[j..][..8 * NV]);
-        for v in 0..NV {
-            r[v] = _mm256_add_ps(r[v], _mm256_mul_ps(sv, load8(g, v * 8)));
-        }
-    }
-    for v in 0..NV {
-        store8(dh, v * 8, r[v]);
-    }
-}
-
 /// AVX2 weighted g-SpMM backward of one source row (see
 /// [`super::weighted_spmm_backward_row`]). The incoming edges go eight at
 /// a time: their gradient rows are the lanes of the per-head dot products
@@ -652,93 +351,9 @@ pub fn weighted_spmm_backward_row(
                 datt(e, h, lanes[l]);
                 w[l] = att[e * heads + h];
             }
-            let (rows, w) = (&head_rows[..valid], &w[..valid]);
             let dh = &mut dh[base..][..head_dim];
-            let mut j = 0;
-            while j + 32 <= head_dim {
-                dh_block::<4>(rows, w, j, dh);
-                j += 32;
-            }
-            if j + 16 <= head_dim {
-                dh_block::<2>(rows, w, j, dh);
-                j += 16;
-            }
-            if j + 8 <= head_dim {
-                dh_block::<1>(rows, w, j, dh);
-                j += 8;
-            }
-            for (row, &wl) in rows.iter().zip(w) {
-                for (o, &x) in dh[j..].iter_mut().zip(&row[j..]) {
-                    *o += wl * x;
-                }
-            }
+            body::dh_accumulate(&head_rows[..valid], &w[..valid], dh);
         }
-    }
-}
-
-/// `Σ_l g[l] * at[l*c + j..][..8·NV]` from zero, ascending `l`: one half
-/// of [`scores_backward_row`]'s sum for `NV` vectors of channels.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn stacked_sum<const NV: usize>(g: &[f32], at: &[f32], c: usize, j: usize) -> [__m256; NV] {
-    let mut acc = [_mm256_setzero_ps(); NV];
-    for (l, &gl) in g.iter().enumerate() {
-        let (gv, row) = (_mm256_set1_ps(gl), &at[l * c + j..][..8 * NV]);
-        for v in 0..NV {
-            acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(gv, load8(row, v * 8)));
-        }
-    }
-    acc
-}
-
-/// AVX2 row of the attention scores' input gradient (see
-/// [`super::scores_backward_row`]): 32 channels at a time, the two sums in
-/// eight registers, each term `g[l] * at[l, j]` added in ascending `l`
-/// from zero — `matmul_narrow_k`'s sequence — then folded into `dh`.
-/// `g.len()` is even and `at.len() == g.len() * dh.len()`.
-#[target_feature(enable = "avx2")]
-pub fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
-    let c = dh.len();
-    let (gd, gs) = g.split_at(g.len() / 2);
-    let (ad, asrc) = at.split_at(gd.len() * c);
-    let mut j = 0;
-    while j + 32 <= c {
-        let (d, s) = (
-            stacked_sum::<4>(gd, ad, c, j),
-            stacked_sum::<4>(gs, asrc, c, j),
-        );
-        let out = &mut dh[j..][..32];
-        for v in 0..4 {
-            let acc = if fresh {
-                d[v]
-            } else {
-                _mm256_add_ps(load8(out, v * 8), d[v])
-            };
-            store8(out, v * 8, _mm256_add_ps(acc, s[v]));
-        }
-        j += 32;
-    }
-    while j + 8 <= c {
-        let (d, s) = (
-            stacked_sum::<1>(gd, ad, c, j),
-            stacked_sum::<1>(gs, asrc, c, j),
-        );
-        let acc = if fresh {
-            d[0]
-        } else {
-            _mm256_add_ps(load8(dh, j), d[0])
-        };
-        store8(dh, j, _mm256_add_ps(acc, s[0]));
-        j += 8;
-    }
-    for jj in j..c {
-        let (mut d, mut s) = (0.0f32, 0.0f32);
-        for (l, (&dl, &sl)) in gd.iter().zip(gs).enumerate() {
-            d += dl * ad[l * c + jj];
-            s += sl * asrc[l * c + jj];
-        }
-        let acc = if fresh { d } else { dh[jj] + d };
-        dh[jj] = acc + s;
     }
 }
 
@@ -826,60 +441,6 @@ pub fn matmul_narrow_n(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], 
     }
 }
 
-/// AVX2 `C = A·B` for `A: [m, k]` with `k <= 8`: the (at most eight)
-/// `a[i, l]` of a row live in registers as broadcasts and every column
-/// tile of `C` is summed from `0.0` over ascending `l` and stored once —
-/// no accumulator round trip through memory. Zero-skipped `l` are dropped
-/// from the row's broadcast list up front.
-#[target_feature(enable = "avx2")]
-pub fn matmul_narrow_k(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip_zero: bool) {
-    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-        let mut av = [_mm256_setzero_ps(); 8];
-        let mut brow: [&[f32]; 8] = [&[]; 8];
-        let mut live = 0;
-        for (l, &x) in arow.iter().enumerate() {
-            if !(skip_zero && x == 0.0) {
-                av[live] = _mm256_set1_ps(x);
-                brow[live] = &b[l * n..][..n];
-                live += 1;
-            }
-        }
-        let (av, brow) = (&av[..live], &brow[..live]);
-        let mut j = 0;
-        while j + 32 <= n {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            for (&aq, bq) in av.iter().zip(brow) {
-                let seg = &bq[j..][..32];
-                for v in 0..4 {
-                    acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(aq, load8(seg, v * 8)));
-                }
-            }
-            let out = &mut crow[j..][..32];
-            for v in 0..4 {
-                store8(out, v * 8, acc[v]);
-            }
-            j += 32;
-        }
-        while j + 8 <= n {
-            let mut acc = _mm256_setzero_ps();
-            for (&aq, bq) in av.iter().zip(brow) {
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(aq, load8(bq, j)));
-            }
-            store8(crow, j, acc);
-            j += 8;
-        }
-        for jj in j..n {
-            let mut acc = 0.0f32;
-            for (l, &x) in arow.iter().enumerate() {
-                if !(skip_zero && x == 0.0) {
-                    acc += x * b[l * n + jj];
-                }
-            }
-            crow[jj] = acc;
-        }
-    }
-}
-
 /// AVX2 `matmul_tn` chunk for `B: [rows, n]` with `n <= 8`: the `[m, n]`
 /// accumulator is swept as a flat array, eight floats — `8/n` rows by `n`
 /// columns when `n` divides 8 (2 rows x 4 cols at `n = 4`) — per vector:
@@ -933,58 +494,6 @@ pub fn tn_accumulate_narrow(a: &[f32], m: usize, b: &[f32], n: usize, acc: &mut 
             for j in 0..n {
                 acc[i * n + j] += x * brow[j];
             }
-        }
-    }
-}
-
-/// AVX2 edge softmax of one destination's `[deg, heads]` logits in place,
-/// heads as lanes (`heads % 4 == 0`, the dispatcher's guard): the per-head
-/// max and denominator run over the edges in order, four heads abreast;
-/// `exp` is libm's, called per element.
-#[target_feature(enable = "avx2")]
-pub fn edge_softmax_dst(x: &mut [f32], heads: usize) {
-    let deg = x.len() / heads;
-    for h0 in (0..heads).step_by(4) {
-        let mut max = _mm_set1_ps(f32::NEG_INFINITY);
-        for e in 0..deg {
-            max = _mm_max_ps(max, load4(x, e * heads + h0));
-        }
-        let mut denom = _mm_setzero_ps();
-        for e in 0..deg {
-            let at = e * heads + h0;
-            let mut t = [0.0f32; 4];
-            store4(&mut t, 0, _mm_sub_ps(load4(x, at), max));
-            for v in &mut t {
-                *v = v.exp();
-            }
-            let v = load4(&t, 0);
-            store4(x, at, v);
-            denom = _mm_add_ps(denom, v);
-        }
-        for e in 0..deg {
-            let at = e * heads + h0;
-            store4(x, at, _mm_div_ps(load4(x, at), denom));
-        }
-    }
-}
-
-/// AVX2 edge-softmax backward of one destination in the gradient's own
-/// buffer, heads as lanes (`heads % 4 == 0`, the dispatcher's guard):
-/// `grad = soft * (grad - Σ_e soft*grad)`, the dot summed over the edges
-/// in order.
-#[target_feature(enable = "avx2")]
-pub fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: usize) {
-    let deg = soft.len() / heads;
-    for h0 in (0..heads).step_by(4) {
-        let mut dot = _mm_setzero_ps();
-        for e in 0..deg {
-            let at = e * heads + h0;
-            dot = _mm_add_ps(dot, _mm_mul_ps(load4(soft, at), load4(grad, at)));
-        }
-        for e in 0..deg {
-            let at = e * heads + h0;
-            let (s, g) = (load4(soft, at), load4(grad, at));
-            store4(grad, at, _mm_mul_ps(s, _mm_sub_ps(g, dot)));
         }
     }
 }

@@ -1,32 +1,39 @@
 //! Runtime-dispatched SIMD inner loops for the hot kernels.
 //!
-//! Every kernel in this module comes in two implementations selected at
-//! runtime: a portable scalar loop (the reference semantics, exactly the
-//! float sequences of the plain oracle loops in [`crate::ops`] and
-//! [`crate::sparse`]) and an AVX2 version
-//! using 8-wide `f32` lanes via `std::arch::x86_64`. Dispatch is decided
-//! once per process by [`level`] — `is_x86_feature_detected!("avx2")`
-//! cached in a `OnceLock`, overridable with the `WG_SIMD` environment
-//! variable (`off`/`scalar` force the portable path, `avx2` forces the
-//! vector path, `auto`/unset detects).
+//! Every kernel here runs at one of two levels selected at runtime:
+//! `Scalar`, the portable path, and `Avx2`, 8-wide `f32` lanes on x86_64.
+//! Dispatch is decided once per process by [`level`] —
+//! `is_x86_feature_detected!("avx2")` cached in a `OnceLock`, overridable
+//! with the `WG_SIMD` environment variable (`off`/`scalar` force the
+//! portable path, `avx2` forces the vector path, `auto`/unset detects).
+//!
+//! # One body, compiled twice
+//!
+//! Most kernels are written once, as an `#[inline(always)]` body in the
+//! private `body` module: plain Rust over fixed-width arrays, the float
+//! sequences of the oracle loops in [`crate::ops`] and [`crate::sparse`].
+//! The scalar level runs the body compiled for the baseline target; the
+//! AVX2 level runs a one-line `#[target_feature(enable = "avx2")]` wrapper
+//! in `avx2` that the body inlines into, where its arrays become YMM
+//! lanes. The kernels whose portable form measured slower keep hand
+//! intrinsics in `avx2` and a scalar twin here (DESIGN.md §10).
 //!
 //! # Bit-identity contract
 //!
 //! The repo's determinism guarantee — identical output bits at any thread
-//! count, any schedule, and now any SIMD level — holds because every
-//! kernel here vectorizes **across independent output elements**, never
-//! across a single element's reduction:
+//! count, any schedule, and any SIMD level — holds because every kernel
+//! here vectorises **across independent output elements**, never across
+//! a single element's reduction, and because Rust never reassociates a
+//! float operation or contracts one into an FMA:
 //!
 //! * `matmul_rowtile`, `matmul_rowtile2`, `matmul_narrow_k`,
 //!   `spmm_gather_rowtile` (unweighted or with a per-edge head weight),
-//!   `spmm_scatter_rowtile`, `add_assign`, the `dL/dh` half of
-//!   `weighted_spmm_backward_row`: each output element `acc[j]`
+//!   `spmm_scatter_rowtile`, `add_assign`, `scores_backward_row`, the
+//!   `dL/dh` half of `weighted_spmm_backward_row`: each output element
 //!   accumulates its contributions in the same ascending order (ascending
-//!   `k` / edge index) whether `j` lives in a YMM lane or a scalar
-//!   register. Lanes are just eight adjacent `j`s computed together — and
-//!   the two rows of `matmul_rowtile2` are just two such tiles computed
-//!   together, sharing the loads of `B`: no sum crosses from one row's
-//!   registers to the other's.
+//!   `k` / edge index) whichever lane it lives in. The two rows of
+//!   `matmul_rowtile2` are just two tiles computed together, sharing the
+//!   loads of `B`: no sum crosses from one row's registers to the other's.
 //! * the `dL/d att` half of `weighted_spmm_backward_row` (a g-SDDMM),
 //!   `matmul_narrow_n` — the **edge-lane rule**: an edge's dot product is
 //!   one output element; lanes are eight edges. A reduction over channels
@@ -43,16 +50,16 @@
 //!   `exp` is libm's, called per element at either level.
 //! * Zero-skip rules are per output element, and never a branch on the
 //!   data inside a hot loop. Where one `a` operand feeds a whole row of
-//!   lanes (`matmul_rowtile`) the kernel walks a [`RowVisits`] list — the reference's non-skipped `l`, ascending,
-//!   built once per row segment and reused by every panel's tile — so it
-//!   performs exactly the reference's adds. Where the lanes hold different
-//!   `a` operands (the narrow kernels) a lane whose operand is `0.0` keeps
-//!   its old value (blend), exactly as if the scalar loop had `continue`d.
-//!   Either way the skip is observable when `B` holds an `inf`, which is
-//!   why multiplying by the zero is not an option.
-//! * No FMA contraction anywhere: the scalar paths (and the reference
-//!   oracles) round the multiply and the add separately, so the vector
-//!   paths use explicit `mul` + `add` intrinsics, never `fmadd`.
+//!   lanes (`matmul_rowtile`) the kernel walks a [`RowVisits`] list — the
+//!   reference's non-skipped `l`, ascending, built once per row segment
+//!   and reused by every panel's tile — so it performs exactly the
+//!   reference's adds. Where the lanes hold different `a` operands (the
+//!   narrow kernels) a lane whose operand is `0.0` keeps its old value
+//!   (blend), exactly as if the scalar loop had `continue`d. Either way
+//!   the skip is observable when `B` holds an `inf`, which is why
+//!   multiplying by the zero is not an option.
+//! * No FMA anywhere: the bodies and the oracles round the multiply and
+//!   the add separately, the hand kernels use `mul` + `add`, never `fmadd`.
 //! * `dropout_mask_rows4` draws integers, not floats: its four lanes are
 //!   four rows' own generators, each stepped in its row's order, and
 //!   `RowVisits::listed` builds the same ascending list eight lanes at a
@@ -67,14 +74,14 @@
 //!
 //! # Memory safety
 //!
-//! The AVX2 kernels are safe `#[target_feature]` functions over slices
-//! (see the `avx2` module): every access goes through a checked slice, so
-//! an operand that is too short, or an index past its end, panics. Each
-//! `Level::Avx2` arm below is guarded by [`avx2_available`], and its call
-//! is the one thing in it the compiler cannot check: that AVX2 code may
-//! run, which the guard just saw. An explicit `Level::Avx2` on a host
-//! without AVX2 therefore runs the scalar loop. The asserts the
-//! dispatchers keep are shape checks both levels rely on.
+//! The AVX2 kernels are safe `#[target_feature]` functions over slices:
+//! every access goes through a checked slice, so an operand that is too
+//! short, or an index past its end, panics. Each `Level::Avx2` arm below
+//! is guarded by [`avx2_available`], and its call is the one thing in it
+//! the compiler cannot check: that AVX2 code may run, which the guard
+//! just saw. An explicit `Level::Avx2` on a host without AVX2 therefore
+//! runs the scalar path. The asserts the dispatchers keep are shape
+//! checks both levels rely on.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -200,9 +207,7 @@ pub(crate) fn prefetch<T>(data: &[T], write: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernels — the portable fallback. These ARE the reference float
-// sequences: the blocked kernels in ops.rs/sparse.rs executed exactly
-// these loops before dispatch existed.
+// Visit lists.
 // ---------------------------------------------------------------------------
 
 /// Longest row segment one visit list covers — the blocked GEMM's k-block
@@ -268,37 +273,11 @@ impl<'a> RowVisits<'a> {
         }
     }
 
-    /// Visit the nonzero elements of `arow`. A segment with no zero in it
-    /// has nothing to skip and stays [`RowVisits::all`], so dense operands
-    /// run the plain loop with no list and no per-element test. The list
-    /// is built the scalar way: the narrow kernels' portable twin calls
-    /// this.
-    #[inline]
-    pub fn skipping_zeros(arow: &'a [f32], buf: &'a mut VisitBuf) -> Self {
-        let row = Self::all(arow);
-        if row.has_zero() {
-            row.listed(Level::Scalar, buf)
-        } else {
-            row
-        }
-    }
-
     /// The whole segment, when every element of it is visited (no list):
     /// such a row can share a register tile with another one.
     #[inline]
     pub fn dense(&self) -> Option<&'a [f32]> {
         self.list.is_none().then_some(self.arow)
-    }
-
-    /// Call `f(l, arow[l])` for every visited position, ascending.
-    #[inline]
-    fn for_each(self, mut f: impl FnMut(usize, f32)) {
-        match self.list {
-            None => self.arow.iter().enumerate().for_each(|(l, &av)| f(l, av)),
-            Some(list) => list
-                .iter()
-                .for_each(|&l| f(l as usize, self.arow[l as usize])),
-        }
     }
 }
 
@@ -315,146 +294,483 @@ fn visit_list_tail(arow: &[f32], from: usize, mut n: usize, buf: &mut VisitBuf) 
     n
 }
 
-/// One matmul tile row, scalar: `c[j] = Σ arow[l] * panel[l*nb + j]` over
-/// the visited `l` in ascending order, `nb = c.len()` — summed from `0.0`
-/// when `first`, else on top of what `c` holds.
-fn matmul_rowtile_scalar(row: RowVisits, panel: &[f32], c: &mut [f32], first: bool) {
-    let nb = c.len();
-    if first {
-        c.fill(0.0);
-    }
-    row.for_each(|l, av| {
-        let brow = &panel[l * nb..(l + 1) * nb];
-        for (a, &bv) in c.iter_mut().zip(brow) {
-            *a += av * bv;
+// ---------------------------------------------------------------------------
+// One body per kernel.
+// ---------------------------------------------------------------------------
+
+/// Runs `$body` once per block of the channels `0..$len`, with `$j` the
+/// block's first channel and `$w` its width as a `const`: 64 wide while
+/// whole blocks last, then at most one block of each width from 32 down
+/// to 1, halving. Every length is covered, and every block's arrays have
+/// a width the compiler knows. Which block a channel lands in changes
+/// none of its adds.
+macro_rules! channel_blocks {
+    ($len:expr, |$w:ident, $j:ident| $body:block) => {{
+        let len: usize = $len;
+        let mut $j = 0;
+        while len - $j >= 64 {
+            const $w: usize = 64;
+            $body
+            $j += 64;
         }
-    });
+        channel_blocks!(@tail len, $j, $w, $body; 32 16 8 4 2 1);
+        debug_assert_eq!($j, len);
+    }};
+    (@tail $len:ident, $j:ident, $w:ident, $body:block; $($width:literal)*) => {$(
+        if $len - $j >= $width {
+            const $w: usize = $width;
+            $body
+            $j += $width;
+        }
+    )*};
 }
 
-/// One spmm forward channel tile, scalar: for every edge source index,
-/// `acc[j] += scale * src[s*lds + j0 + j]` in ascending edge order, edge
-/// `i`'s scale being `scale * w[i*stride]` under `weights = (w, stride)`.
-/// Edge `i` first prefetches source row `ahead[i]`, all `lds` floats.
-#[allow(clippy::too_many_arguments)]
-fn spmm_gather_scalar(
-    indices: &[u32],
-    weights: Option<(&[f32], usize)>,
-    src: &[f32],
-    lds: usize,
-    j0: usize,
-    scale: f32,
-    acc: &mut [f32],
-    ahead: &[u32],
-) {
-    let cb = acc.len();
-    for (i, &s) in indices.iter().enumerate() {
-        prefetch_source_row(src, lds, ahead, i);
-        let s = s as usize;
-        let scale = weights.map_or(scale, |(w, stride)| scale * w[i * stride]);
-        let srow = &src[s * lds + j0..s * lds + j0 + cb];
-        for (a, &x) in acc.iter_mut().zip(srow) {
-            *a += scale * x;
+/// `$body` with `const $w: usize` equal to `$n`, a panel width in
+/// `1..=TILE_COLS`; nothing for `0`.
+macro_rules! panel_width {
+    ($n:expr, |$w:ident| $body:expr) => {
+        panel_width!(@arms $n, $w, $body;
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
+    };
+    (@arms $n:expr, $w:ident, $body:expr; $($width:literal)*) => {
+        match $n {
+            0 => {}
+            $($width => {
+                const $w: usize = $width;
+                $body
+            })*
+            nb => panic!("rowtile: panel of {nb} columns"),
+        }
+    };
+}
+
+/// The kernels' bodies: plain loops over fixed-width arrays, the
+/// reference float sequences. Each is `#[inline(always)]` — the scalar
+/// level runs it compiled for the baseline target, and the AVX2 level
+/// through a one-line `#[target_feature(enable = "avx2")]` wrapper in
+/// `avx2` that it inlines into, where the compiler maps the arrays' lanes
+/// onto YMM registers. A body's hot loop calls only what inlines into the
+/// wrapper — `#[inline(always)]` fns, one-expression closures and the
+/// standard library's `#[inline]` iterator steps — since whatever is not
+/// inlined runs without AVX2 (the wrapper's disassembly shows which).
+mod body {
+    use super::prefetch;
+
+    /// `s[at..at + W]` as an array: one checked cut, then constant
+    /// offsets inside it.
+    #[inline(always)]
+    fn cut<const W: usize>(s: &[f32], at: usize) -> &[f32; W] {
+        s[at..][..W].try_into().expect("W floats")
+    }
+
+    /// [`cut`], mutable.
+    #[inline(always)]
+    fn cut_mut<const W: usize>(s: &mut [f32], at: usize) -> &mut [f32; W] {
+        (&mut s[at..][..W]).try_into().expect("W floats")
+    }
+
+    /// `R` rows of one register tile over a packed panel: `c[r*ldc..][..nb]`
+    /// gets `Σ a[r][l] * panel[l*nb + j]` over the visited `l` (`list`, if
+    /// any, comes from a [`super::RowVisits`] over `a[0]`, with `R = 1`),
+    /// ascending — from `0.0` when `first`, else added to what it holds.
+    /// `nb = c.len() - (R-1)·ldc <= TILE_COLS` is the panel's width and a
+    /// compile-time constant in the walk.
+    #[inline(always)]
+    pub(super) fn matmul_tile<const R: usize>(
+        a: [&[f32]; R],
+        list: Option<&[u16]>,
+        panel: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        first: bool,
+    ) {
+        let nb = c.len() - (R - 1) * ldc;
+        panel_width!(nb, |W| tile::<W, R>(a, list, panel, c, ldc, first))
+    }
+
+    /// [`matmul_tile`] at width `W`: the `R·W` sums stay in registers
+    /// across the whole walk, and every panel row is loaded once for all
+    /// `R` rows. The second row of `R = 2` only fills the issue slots the
+    /// first row's add chain leaves empty: which rows share a tile is
+    /// invisible in the output.
+    #[inline(always)]
+    fn tile<const W: usize, const R: usize>(
+        a: [&[f32]; R],
+        list: Option<&[u16]>,
+        panel: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        first: bool,
+    ) {
+        // Equal lengths let the walk index every row without a check.
+        let k = a[0].len();
+        assert!(
+            a.iter().all(|row| row.len() == k),
+            "rowtile: row segments differ"
+        );
+        let a = a.map(|row| &row[..k]);
+        // A visit list is one row's: a 2-row tile compiles no list walk.
+        assert!(R == 1 || list.is_none(), "rowtile: a list for {R} rows");
+        // Panel rows as arrays, cut to the `k` the walk may visit: indexing
+        // row `l` checks `l < k`, which makes `a[r][l]`'s check redundant.
+        let rows = &panel.as_chunks::<W>().0[..k];
+        let mut acc = [[0.0f32; W]; R];
+        if !first {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                *acc = *cut::<W>(c, r * ldc);
+            }
+        }
+        match list {
+            None => {
+                for (l, prow) in rows.iter().enumerate() {
+                    tile_step(&mut acc, &a, l, prow);
+                }
+            }
+            Some(list) => {
+                for &l in list {
+                    tile_step(&mut acc, &a, l as usize, &rows[l as usize]);
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            *cut_mut::<W>(c, r * ldc) = *acc;
+        }
+    }
+
+    /// One visited `l` of [`tile`]: `acc[r][j] += a[r][l] * prow[j]`. The
+    /// panel row is copied into a local array first, which keeps its loads
+    /// ahead of the adds.
+    #[inline(always)]
+    fn tile_step<const W: usize, const R: usize>(
+        acc: &mut [[f32; W]; R],
+        a: &[&[f32]; R],
+        l: usize,
+        prow: &[f32; W],
+    ) {
+        let prow = *prow;
+        for (acc, a) in acc.iter_mut().zip(a) {
+            let av = a[l];
+            for (s, &b) in acc.iter_mut().zip(&prow) {
+                *s += av * b;
+            }
+        }
+    }
+
+    /// Forward g-SpMM channel tile (see [`super::spmm_gather_rowtile`]):
+    /// the edges' scales — `scale`, or `scale * w[i*stride]` walked with
+    /// the edge list — and, when `ahead` is not empty, the prefetching
+    /// walk, both chosen once per call.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn spmm_gather_rowtile(
+        indices: &[u32],
+        weights: Option<(&[f32], usize)>,
+        src: &[f32],
+        lds: usize,
+        j0: usize,
+        scale: f32,
+        acc: &mut [f32],
+        ahead: &[u32],
+    ) {
+        let src = (src, lds, j0);
+        match weights {
+            None if ahead.is_empty() => {
+                gather_tile::<false>(indices, std::iter::repeat(scale), src, acc, ahead)
+            }
+            None => gather_tile::<true>(indices, std::iter::repeat(scale), src, acc, ahead),
+            Some((w, stride)) => {
+                assert!(
+                    w.len().div_ceil(stride) >= indices.len(),
+                    "spmm gather: fewer weights than edges"
+                );
+                let scales = w.iter().step_by(stride).map(move |&x| scale * x);
+                if ahead.is_empty() {
+                    gather_tile::<false>(indices, scales, src, acc, ahead)
+                } else {
+                    gather_tile::<true>(indices, scales, src, acc, ahead)
+                }
+            }
+        }
+    }
+
+    /// [`spmm_gather_rowtile`] one channel block at a time. Under `PF`
+    /// every block prefetches: a 64-channel tile (the paper's head) is one
+    /// block, and the lines a narrower tile's later blocks ask for again
+    /// are already on their way.
+    #[inline(always)]
+    fn gather_tile<const PF: bool>(
+        indices: &[u32],
+        scales: impl Iterator<Item = f32> + Clone,
+        (src, lds, j0): (&[f32], usize, usize),
+        acc: &mut [f32],
+        ahead: &[u32],
+    ) {
+        channel_blocks!(acc.len(), |W, j| {
+            let out = cut_mut::<W>(acc, j);
+            let mut sum = *out;
+            for (i, (&s, es)) in indices.iter().zip(scales.clone()).enumerate() {
+                if PF {
+                    prefetch_source_row(src, lds, ahead, i);
+                }
+                let row = cut::<W>(src, s as usize * lds + j0 + j);
+                for (a, &x) in sum.iter_mut().zip(row) {
+                    *a += es * x;
+                }
+            }
+            *out = sum;
+        });
+    }
+
+    /// Edge `i`'s prefetch in [`gather_tile`]: the whole source row
+    /// `ahead[i]`, if there is one and it lies inside `src`.
+    #[inline(always)]
+    fn prefetch_source_row(src: &[f32], lds: usize, ahead: &[u32], i: usize) {
+        if let Some(&a) = ahead.get(i) {
+            let a = a as usize;
+            if let Some(row) = src.get(a * lds..(a + 1) * lds) {
+                prefetch(row, false);
+            }
+        }
+    }
+
+    /// Backward g-SpMM channel tile (see [`super::spmm_scatter_rowtile`]):
+    /// per channel block, `acc[j] += agg_scale(d) * grad[d*ldg + j0 + j]`
+    /// over the incoming edges' destinations in order.
+    #[inline(always)]
+    pub(super) fn spmm_scatter_rowtile(
+        dsts: &[u32],
+        offsets: &[u32],
+        mean: bool,
+        grad: &[f32],
+        ldg: usize,
+        j0: usize,
+        acc: &mut [f32],
+    ) {
+        channel_blocks!(acc.len(), |W, j| {
+            let out = cut_mut::<W>(acc, j);
+            let mut sum = *out;
+            for &d in dsts {
+                let d = d as usize;
+                let scale = scatter_scale(offsets, d, mean);
+                let row = cut::<W>(grad, d * ldg + j0 + j);
+                for (a, &g) in sum.iter_mut().zip(row) {
+                    *a += scale * g;
+                }
+            }
+            *out = sum;
+        });
+    }
+
+    /// The backward aggregation scale for destination `d`: exactly
+    /// `agg_scale(agg, degree(d))` from the sparse kernels.
+    #[inline(always)]
+    fn scatter_scale(offsets: &[u32], d: usize, mean: bool) -> f32 {
+        if !mean {
+            return 1.0;
+        }
+        let degree = (offsets[d + 1] - offsets[d]) as usize;
+        if degree == 0 {
+            0.0
+        } else {
+            1.0 / degree as f32
+        }
+    }
+
+    /// The `dL/dh` half of the weighted g-SpMM backward for one head and a
+    /// run of edges: `dh[j] += w[i] * rows[i][j]` over the rows in order,
+    /// a channel block at a time — [`spmm_scatter_rowtile`]'s sequence
+    /// under sum aggregation. `dh` and the rows are equally long.
+    #[inline(always)]
+    pub(super) fn dh_accumulate(rows: &[&[f32]], w: &[f32], dh: &mut [f32]) {
+        channel_blocks!(dh.len(), |W, j| {
+            let out = cut_mut::<W>(dh, j);
+            let mut sum = *out;
+            for (row, &wl) in rows.iter().zip(w) {
+                for (a, &x) in sum.iter_mut().zip(cut::<W>(row, j)) {
+                    *a += wl * x;
+                }
+            }
+            *out = sum;
+        });
+    }
+
+    /// Row of the attention scores' input gradient (see
+    /// [`super::scores_backward_row`]), a channel block at a time: the two
+    /// halves' sums, each ascending from `0.0`, then folded into `dh`.
+    #[inline(always)]
+    pub(super) fn scores_backward_row(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
+        let c = dh.len();
+        let (gd, gs) = g.split_at(g.len() / 2);
+        let (ad, asrc) = at.split_at(gd.len() * c);
+        channel_blocks!(c, |W, j| {
+            let d = stacked_sum::<W>(gd, ad, c, j);
+            let s = stacked_sum::<W>(gs, asrc, c, j);
+            for ((o, d), s) in cut_mut::<W>(dh, j).iter_mut().zip(d).zip(s) {
+                let acc = if fresh { d } else { *o + d };
+                *o = acc + s;
+            }
+        });
+    }
+
+    /// `Σ_l g[l] * at[l*c + j..][..W]` from `0.0`, ascending `l`: one half
+    /// of [`scores_backward_row`]'s sum for `W` channels.
+    #[inline(always)]
+    fn stacked_sum<const W: usize>(g: &[f32], at: &[f32], c: usize, j: usize) -> [f32; W] {
+        let mut acc = [0.0f32; W];
+        for (l, &gl) in g.iter().enumerate() {
+            for (a, &x) in acc.iter_mut().zip(cut::<W>(at, l * c + j)) {
+                *a += gl * x;
+            }
+        }
+        acc
+    }
+
+    /// `C = A·B` for `A: [m, k]` with `k <= 8` (see
+    /// [`super::matmul_narrow_k`]): a row's non-skipped `(a[i, l], l)` are
+    /// listed once, then every channel block of the `C` row is summed from
+    /// `0.0` over them, ascending `l`, and stored once.
+    #[inline(always)]
+    pub(super) fn matmul_narrow_k(
+        a: &[f32],
+        k: usize,
+        b: &[f32],
+        n: usize,
+        c: &mut [f32],
+        skip_zero: bool,
+    ) {
+        for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            let mut live = [(0.0f32, 0usize); 8];
+            let mut count = 0;
+            for (l, &x) in arow.iter().enumerate() {
+                if !(skip_zero && x == 0.0) {
+                    live[count] = (x, l);
+                    count += 1;
+                }
+            }
+            let live = &live[..count];
+            channel_blocks!(n, |W, j| {
+                let mut acc = [0.0f32; W];
+                for &(x, l) in live {
+                    for (s, &bv) in acc.iter_mut().zip(cut::<W>(b, l * n + j)) {
+                        *s += x * bv;
+                    }
+                }
+                *cut_mut::<W>(crow, j) = acc;
+            });
+        }
+    }
+
+    /// Edge softmax of one destination's `[deg, heads]` logits in place
+    /// (see [`super::edge_softmax_dst`]): four heads abreast while four
+    /// remain, then one at a time.
+    #[inline(always)]
+    pub(super) fn edge_softmax_dst(x: &mut [f32], heads: usize) {
+        let mut h = 0;
+        while h + 4 <= heads {
+            softmax_heads::<4>(x, heads, h);
+            h += 4;
+        }
+        for h in h..heads {
+            softmax_heads::<1>(x, heads, h);
+        }
+    }
+
+    /// Heads `h0..h0 + H` of [`edge_softmax_dst`]: per head, the max, then
+    /// `exp(x - max)` (libm's, per element) with a running denominator,
+    /// then the divide, each over the edges in order.
+    #[inline(always)]
+    fn softmax_heads<const H: usize>(x: &mut [f32], heads: usize, h0: usize) {
+        let mut max = [f32::NEG_INFINITY; H];
+        for e in x.chunks_exact(heads) {
+            for (m, &v) in max.iter_mut().zip(cut::<H>(e, h0)) {
+                // `f32::max` where it matters: a NaN is passed over, and
+                // the sign of an equal zero cannot change `x - max`.
+                *m = if v > *m { v } else { *m };
+            }
+        }
+        let mut denom = [0.0f32; H];
+        for e in x.chunks_exact_mut(heads) {
+            let v = cut_mut::<H>(e, h0);
+            for ((v, &m), d) in v.iter_mut().zip(&max).zip(&mut denom) {
+                *v = (*v - m).exp();
+                *d += *v;
+            }
+        }
+        for e in x.chunks_exact_mut(heads) {
+            for (v, &d) in cut_mut::<H>(e, h0).iter_mut().zip(&denom) {
+                *v /= d;
+            }
+        }
+    }
+
+    /// Edge-softmax backward of one destination in the gradient's own
+    /// buffer (see [`super::edge_softmax_backward_dst`]): four heads
+    /// abreast while four remain, then one at a time.
+    #[inline(always)]
+    pub(super) fn edge_softmax_backward_dst(soft: &[f32], grad: &mut [f32], heads: usize) {
+        let mut h = 0;
+        while h + 4 <= heads {
+            softmax_backward_heads::<4>(soft, grad, heads, h);
+            h += 4;
+        }
+        for h in h..heads {
+            softmax_backward_heads::<1>(soft, grad, heads, h);
+        }
+    }
+
+    /// Heads `h0..h0 + H` of [`edge_softmax_backward_dst`]: `grad = soft *
+    /// (grad - dot)` with `dot = Σ_e soft*grad` from `0.0`, over the edges
+    /// in order.
+    #[inline(always)]
+    fn softmax_backward_heads<const H: usize>(
+        soft: &[f32],
+        grad: &mut [f32],
+        heads: usize,
+        h0: usize,
+    ) {
+        let mut dot = [0.0f32; H];
+        for (s, g) in soft.chunks_exact(heads).zip(grad.chunks_exact(heads)) {
+            for ((d, &s), &g) in dot.iter_mut().zip(cut::<H>(s, h0)).zip(cut::<H>(g, h0)) {
+                *d += s * g;
+            }
+        }
+        for (s, g) in soft.chunks_exact(heads).zip(grad.chunks_exact_mut(heads)) {
+            let (s, g) = (cut::<H>(s, h0), cut_mut::<H>(g, h0));
+            for ((g, &s), &d) in g.iter_mut().zip(s).zip(&dot) {
+                *g = s * (*g - d);
+            }
+        }
+    }
+
+    /// `dst[j] += src[j]`.
+    #[inline(always)]
+    pub(super) fn add_assign(dst: &mut [f32], src: &[f32]) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d += v;
         }
     }
 }
 
-/// One spmm backward channel tile, scalar: for every incoming edge's
-/// destination `d` (ascending edge order), accumulate
-/// `agg_scale * grad[d*ldg + j0 + j]`, where `agg_scale` is `1/deg(d)`
-/// under mean aggregation (0 for isolated destinations) and 1 under sum.
-fn spmm_scatter_scalar(
-    dsts: &[u32],
-    offsets: &[u32],
-    mean: bool,
-    grad: &[f32],
-    ldg: usize,
-    j0: usize,
-    acc: &mut [f32],
-) {
-    let cb = acc.len();
-    for &d in dsts {
-        let d = d as usize;
-        let scale = scatter_scale(offsets, d, mean);
-        let grow = &grad[d * ldg + j0..d * ldg + j0 + cb];
-        for (a, &g) in acc.iter_mut().zip(grow) {
-            *a += scale * g;
-        }
-    }
-}
+// ---------------------------------------------------------------------------
+// Portable twins of the kernels that keep hand intrinsics.
+// ---------------------------------------------------------------------------
 
-/// The backward aggregation scale for destination `d`: exactly
-/// `agg_scale(agg, degree(d))` from the sparse kernels.
-#[inline]
-fn scatter_scale(offsets: &[u32], d: usize, mean: bool) -> f32 {
-    if !mean {
-        return 1.0;
-    }
-    let degree = (offsets[d + 1] - offsets[d]) as usize;
-    if degree == 0 {
-        0.0
-    } else {
-        1.0 / degree as f32
-    }
-}
-
-/// `C = A·B` row by row, scalar (the narrow kernels' portable twin): each
-/// row of `C` accumulates `a[i,l] * b[l,:]` over ascending `l` from `0.0`,
-/// one [`VISIT_CAP`]-long segment of the row at a time — row-major `B` is
-/// one full-width panel.
+/// `C = A·B` row by row (`matmul_narrow_n`'s scalar twin): each row of
+/// `C` summed from `0.0` over ascending `l`, a zero `a[i,l]` adding
+/// nothing under `skip`.
 fn matmul_rows_scalar(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32], skip: bool) {
+    c.fill(0.0);
     if k == 0 {
-        return c.fill(0.0);
+        return;
     }
-    let mut buf = [0; VISIT_CAP];
     for (crow, arow) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
-        let segments = arow.chunks(VISIT_CAP).zip(b.chunks(VISIT_CAP * n));
-        for (s, (seg, bseg)) in segments.enumerate() {
-            let row = if skip {
-                RowVisits::skipping_zeros(seg, &mut buf)
-            } else {
-                RowVisits::all(seg)
-            };
-            matmul_rowtile_scalar(row, bseg, crow, s == 0);
-        }
-    }
-}
-
-/// Edge softmax of one destination's `[deg, heads]` logits, scalar, in
-/// place: per head, max then `exp(x - max)` with a running denominator then
-/// the divide, each over the edges in order.
-fn edge_softmax_dst_scalar(x: &mut [f32], heads: usize) {
-    let len = x.len();
-    for h in 0..heads {
-        let head = || (h..len).step_by(heads);
-        let mut max = f32::NEG_INFINITY;
-        for i in head() {
-            max = max.max(x[i]);
-        }
-        let mut denom = 0.0f32;
-        for i in head() {
-            let v = (x[i] - max).exp();
-            x[i] = v;
-            denom += v;
-        }
-        for i in head() {
-            x[i] /= denom;
-        }
-    }
-}
-
-/// Edge-softmax backward of one destination, scalar, in place: `grad =
-/// soft * (grad - dot)` with `dot = Σ_e soft*grad` per head over the edges
-/// in order.
-fn edge_softmax_backward_dst_scalar(soft: &[f32], grad: &mut [f32], heads: usize) {
-    let len = soft.len();
-    for h in 0..heads {
-        let head = || (h..len).step_by(heads);
-        let mut dot = 0.0f32;
-        for i in head() {
-            dot += soft[i] * grad[i];
-        }
-        for i in head() {
-            grad[i] = soft[i] * (grad[i] - dot);
+        for (&x, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if !(skip && x == 0.0) {
+                for (o, &bv) in crow.iter_mut().zip(brow) {
+                    *o += x * bv;
+                }
+            }
         }
     }
 }
@@ -494,36 +810,14 @@ fn weighted_spmm_backward_row_scalar(
                 acc += grow[j] * hrow[j];
             }
             datt(e, h, acc);
-            let w = att[e * heads + h];
-            for j in span {
-                dh[j] += w * grow[j];
-            }
+            body::dh_accumulate(&[&grow[span.clone()]], &[att[e * heads + h]], &mut dh[span]);
         }
     }
 }
 
-/// One row of the attention scores' input gradient, scalar: per channel
-/// `j`, `Σ_l g[l]·at[l, j]` over the destination half's `l` and over the
-/// source half's, each ascending from `0.0`, then `dh[j] = (dh[j] +
-/// Σ_dst) + Σ_src` — or `Σ_dst + Σ_src` when `fresh`.
-fn scores_backward_row_scalar(g: &[f32], at: &[f32], dh: &mut [f32], fresh: bool) {
-    let (c, heads) = (dh.len(), g.len() / 2);
-    for (j, o) in dh.iter_mut().enumerate() {
-        let half = |l0: usize| (l0..l0 + heads).fold(0.0f32, |acc, l| acc + g[l] * at[l * c + j]);
-        let (sd, ss) = (half(0), half(heads));
-        let acc = if fresh { sd } else { *o + sd };
-        *o = acc + ss;
-    }
-}
-
-fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d += v;
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Dispatched entry points.
+// Dispatched entry points. Each `Level::Avx2` arm is guarded by
+// `avx2_available()`; its call into AVX2 code is all it holds.
 // ---------------------------------------------------------------------------
 
 /// One row of a matmul register tile against a packed panel: `c[j] = Σ
@@ -538,15 +832,14 @@ pub fn matmul_rowtile(level: Level, row: RowVisits, panel: &[f32], c: &mut [f32]
         Level::Avx2 if avx2_available() => unsafe {
             avx2::matmul_tile([row.arow], row.list, panel, c, 0, first)
         },
-        _ => matmul_rowtile_scalar(row, panel, c, first),
+        _ => body::matmul_tile([row.arow], row.list, panel, c, 0, first),
     }
 }
 
 /// Two rows of `A` with nothing to skip through one register tile, every
 /// panel row loaded once for both: `c[..nb]` is `a0`'s tile row and
 /// `c[ldc..]` (also `nb` long, so `nb = c.len() - ldc`) is `a1`'s. Each
-/// output element is the same ascending-`l` sum as in [`matmul_rowtile`];
-/// the scalar level just runs the two rows one after the other.
+/// output element is the same ascending-`l` sum as in [`matmul_rowtile`].
 #[inline]
 pub fn matmul_rowtile2(
     level: Level,
@@ -565,12 +858,7 @@ pub fn matmul_rowtile2(
         Level::Avx2 if avx2_available() => unsafe {
             avx2::matmul_tile([a0, a1], None, panel, c, ldc, first)
         },
-        _ => {
-            let nb = c.len() - ldc;
-            let (c0, c1) = c.split_at_mut(ldc);
-            matmul_rowtile_scalar(RowVisits::all(a0), panel, &mut c0[..nb], first);
-            matmul_rowtile_scalar(RowVisits::all(a1), panel, c1, first);
-        }
+        _ => body::matmul_tile([a0, a1], None, panel, c, ldc, first),
     }
 }
 
@@ -617,7 +905,8 @@ pub fn transpose(
 /// `i` is scaled by `scale * w[i*stride]` (`w` starting at the tile's
 /// first edge and head). Edge `i` also prefetches the whole source row
 /// `ahead[i]` (`lds` floats) — none once `ahead` runs out — so a caller
-/// that walks the same edges once per tile warms every row in one pass.
+/// that walks the same edges once per tile warms every row in one pass;
+/// an empty `ahead` runs the plain walk, with no test per edge.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_gather_rowtile(
@@ -637,24 +926,14 @@ pub fn spmm_gather_rowtile(
         Level::Avx2 if avx2_available() => unsafe {
             avx2::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc, ahead)
         },
-        _ => spmm_gather_scalar(indices, weights, src, lds, j0, scale, acc, ahead),
-    }
-}
-
-/// Edge `i`'s prefetch in [`spmm_gather_rowtile`]: the whole source row
-/// `ahead[i]`, if there is one and it lies inside `src`.
-#[inline(always)]
-fn prefetch_source_row(src: &[f32], lds: usize, ahead: &[u32], i: usize) {
-    if let Some(&a) = ahead.get(i) {
-        let a = a as usize;
-        if let Some(row) = src.get(a * lds..(a + 1) * lds) {
-            prefetch(row, false);
-        }
+        _ => body::spmm_gather_rowtile(indices, weights, src, lds, j0, scale, acc, ahead),
     }
 }
 
 /// Backward g-SpMM channel tile: gather `agg_scale(d) * grad[d]` over the
-/// incoming edges' destinations, ascending edge order.
+/// incoming edges' destinations, ascending edge order — `agg_scale` is
+/// `1/deg(d)` under mean aggregation (0 for isolated destinations) and 1
+/// under sum.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_scatter_rowtile(
@@ -673,7 +952,7 @@ pub fn spmm_scatter_rowtile(
         Level::Avx2 if avx2_available() => unsafe {
             avx2::spmm_scatter_rowtile(dsts, offsets, mean, grad, ldg, j0, acc)
         },
-        _ => spmm_scatter_scalar(dsts, offsets, mean, grad, ldg, j0, acc),
+        _ => body::spmm_scatter_rowtile(dsts, offsets, mean, grad, ldg, j0, acc),
     }
 }
 
@@ -737,9 +1016,10 @@ pub fn matmul_narrow_n(
     }
 }
 
-/// `C = A·B` where `A: [m, k]` has at most eight columns: each column
-/// tile of a `C` row is summed over ascending `l` from `0.0` in registers
-/// and stored once. Scalar level: the generic row tile.
+/// `C = A·B` where `A: [m, k]` has at most eight columns: each channel
+/// block of a `C` row is summed over ascending `l` from `0.0` and stored
+/// once, zero-skipped `l` (under `skip_zero`) dropped from the row's list
+/// up front.
 #[inline]
 pub fn matmul_narrow_k(
     level: Level,
@@ -761,24 +1041,21 @@ pub fn matmul_narrow_k(
         Level::Avx2 if avx2_available() => unsafe {
             avx2::matmul_narrow_k(a, k, b, n, c, skip_zero)
         },
-        _ => matmul_rows_scalar(a, k, b, n, c, skip_zero),
+        _ => body::matmul_narrow_k(a, k, b, n, c, skip_zero),
     }
 }
 
 /// Edge softmax over one destination's `[deg, heads]` logits, in place:
 /// per head, the max, then `exp(x - max)` with a running denominator, then
-/// the divide, each over the edges in order. The AVX2 level runs four
-/// heads abreast when `heads` is a multiple of four.
+/// the divide, each over the edges in order.
 #[inline]
 pub fn edge_softmax_dst(level: Level, x: &mut [f32], heads: usize) {
     assert!(heads >= 1 && x.len().is_multiple_of(heads));
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard saw AVX2 on this host.
-        Level::Avx2 if heads.is_multiple_of(4) && avx2_available() => unsafe {
-            avx2::edge_softmax_dst(x, heads)
-        },
-        _ => edge_softmax_dst_scalar(x, heads),
+        Level::Avx2 if avx2_available() => unsafe { avx2::edge_softmax_dst(x, heads) },
+        _ => body::edge_softmax_dst(x, heads),
     }
 }
 
@@ -792,10 +1069,10 @@ pub fn edge_softmax_backward_dst(level: Level, soft: &[f32], grad: &mut [f32], h
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard saw AVX2 on this host.
-        Level::Avx2 if heads.is_multiple_of(4) && avx2_available() => unsafe {
+        Level::Avx2 if avx2_available() => unsafe {
             avx2::edge_softmax_backward_dst(soft, grad, heads)
         },
-        _ => edge_softmax_backward_dst_scalar(soft, grad, heads),
+        _ => body::edge_softmax_backward_dst(soft, grad, heads),
     }
 }
 
@@ -813,9 +1090,9 @@ pub fn edge_softmax_backward_dst(level: Level, soft: &[f32], grad: &mut [f32], h
 ///
 /// The AVX2 level takes the edges eight at a time: their gradient rows
 /// transposed into lanes for the dot products (the edge-lane rule), the
-/// same rows, now in L1, added into `dh` a channel tile at a time, and the
-/// next eight rows prefetched — from `next`, the next source row's first
-/// edges, while this row's last eight are in use.
+/// same rows, now in L1, added into `dh` a channel block at a time, and
+/// the next eight rows prefetched — from `next`, the next source row's
+/// first edges, while this row's last eight are in use.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn weighted_spmm_backward_row(
@@ -867,7 +1144,7 @@ pub fn scores_backward_row(level: Level, g: &[f32], at: &[f32], dh: &mut [f32], 
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard saw AVX2 on this host.
         Level::Avx2 if avx2_available() => unsafe { avx2::scores_backward_row(g, at, dh, fresh) },
-        _ => scores_backward_row_scalar(g, at, dh, fresh),
+        _ => body::scores_backward_row(g, at, dh, fresh),
     }
 }
 
@@ -920,7 +1197,7 @@ pub fn add_assign(level: Level, dst: &mut [f32], src: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard saw AVX2 on this host.
         Level::Avx2 if avx2_available() => unsafe { avx2::add_assign(dst, src) },
-        _ => add_assign_scalar(dst, src),
+        _ => body::add_assign(dst, src),
     }
 }
 

@@ -465,18 +465,29 @@ pub fn check_dropout(rows: usize, cols: usize, seed: u64) {
     }
 }
 
-/// The four-row AVX2 mask draw against the scalar level, which draws
-/// every row alone with `SmallRng` — mask words and outputs bit for bit.
-/// Row counts of every residue mod 4 (a ragged last group draws row by
-/// row), widths across the 64-bit word boundary, and besides 0.1 / 0.5 /
-/// 0.9 the keep compare's edge: `p` equal to row 0's first draw (so `p ·
-/// 2^24` is an integer and that draw is kept) and the next `f32` above it
-/// (dropped). The edge pins the threshold's `ceil` at both levels.
-pub fn check_dropout_levels() {
-    if !simd::avx2_available() {
-        eprintln!("host has no AVX2 — forced-level dropout check skipped");
-        return;
+/// Row `r`'s mask bits straight from its own `SmallRng` stream: bit `j`
+/// set where draw `j` is at least `p`.
+fn mask_oracle(rows: usize, cols: usize, p: f32, seed: u64) -> Vec<u64> {
+    let words = ops::dropout_mask_words(cols);
+    let mut mask = vec![0u64; rows * words];
+    for (r, mrow) in mask.chunks_mut(words).enumerate() {
+        let row_seed = seed ^ (r as u64).wrapping_mul(0x9e3779b97f4a7c15);
+        let mut rng = SmallRng::seed_from_u64(row_seed);
+        for j in 0..cols {
+            mrow[j / 64] |= u64::from(rng.gen::<f32>() >= p) << (j % 64);
+        }
     }
+    mask
+}
+
+/// The mask draw at every level — four rows abreast at the AVX2 level, a
+/// ragged last group and the scalar level row by row — against each
+/// row's own `SmallRng` stream, and the outputs bit for bit across levels. Row counts of every residue mod 4, widths
+/// across the 64-bit word boundary, and besides 0.1 / 0.5 / 0.9 the keep
+/// compare's edge: `p` equal to row 0's first draw (so `p · 2^24` is an
+/// integer and that draw is kept) and the next `f32` above it (dropped).
+/// The edge pins the threshold's `ceil`.
+pub fn check_dropout_levels() {
     for rows in [1usize, 2, 3, 4, 8, 9, 10, 11] {
         for cols in [1usize, 63, 64, 65, 100, 256] {
             let seed = 0x5eed ^ (rows * 1000 + cols) as u64;
@@ -486,15 +497,18 @@ pub fn check_dropout_levels() {
             let x = sign_random(rows, cols, seed ^ 0x77);
             for p in [0.1f32, 0.5, 0.9, edge, above] {
                 let what = format!("{rows}x{cols} p {p}");
+                let want = mask_oracle(rows, cols, p, seed);
+                if p == edge || p == above {
+                    let kept = want[0] & 1 != 0;
+                    assert_eq!(kept, p == edge, "row 0 draw 0 at its own value {what}");
+                }
                 let (mut out_s, mut mask_s) = (dirty(), vec![u64::MAX; 3]);
                 ops::dropout_into_with(Level::Scalar, &x, p, seed, &mut out_s, &mut mask_s);
-                let (mut out_v, mut mask_v) = (dirty(), vec![u64::MAX; 5]);
-                ops::dropout_into_with(Level::Avx2, &x, p, seed, &mut out_v, &mut mask_v);
-                assert_eq!(mask_v, mask_s, "dropout mask words {what}");
-                assert_bits_eq(&out_v, &out_s, &format!("dropout output {what}"));
-                if p == edge || p == above {
-                    let kept = mask_v[0] & 1 != 0;
-                    assert_eq!(kept, p == edge, "row 0 draw 0 at its own value {what}");
+                for level in levels() {
+                    let (mut out, mut mask) = (dirty(), vec![u64::MAX; 5]);
+                    ops::dropout_into_with(level, &x, p, seed, &mut out, &mut mask);
+                    assert_eq!(mask, want, "dropout mask words {} {what}", level.name());
+                    assert_bits_eq(&out, &out_s, &format!("dropout output {what}"));
                 }
             }
         }

@@ -86,35 +86,48 @@ const DENSE_SHAPES: [(usize, usize, usize); 10] = [
     (12, 256, 48),
 ];
 
+/// The three matmuls at `level` against their oracles on one shape.
+fn check_dense(level: Level, m: usize, k: usize, n: usize, seed: u64) {
+    let a = mat(m, k, seed);
+    let b = mat(k, n, seed ^ 0x5a);
+    let at = mat(k, m, seed ^ 0xa5);
+    let bt = mat(n, k, seed ^ 0x3c);
+    let name = format!("{} {m}x{k}x{n}", level.name());
+
+    let mut c = Matrix::empty();
+    matmul_into_with(level, &a, &b, &mut c);
+    assert_bits_eq(&c, &matmul_reference(&a, &b), &format!("matmul/{name}"));
+
+    let mut scratch = Vec::new();
+    matmul_tn_into_with(level, &at, &b, &mut c, &mut scratch);
+    assert_bits_eq(
+        &c,
+        &matmul_tn_reference(&at, &b),
+        &format!("matmul_tn/{name}"),
+    );
+
+    matmul_nt_into_with(level, &a, &bt, &mut c, &mut scratch);
+    assert_bits_eq(
+        &c,
+        &matmul_nt_reference(&a, &bt),
+        &format!("matmul_nt/{name}"),
+    );
+}
+
+/// The shapes above, then every panel width the tile is compiled for:
+/// `n` in `1..=32` (one panel; up to 8 the narrow kernels) and `32 + n`
+/// (a full panel, then a ragged one of `n`), over 5 rows — two 2-row
+/// tiles and a lone row.
 #[test]
 fn dense_kernels_bit_identical_at_every_level() {
     for level in levels() {
         for (i, &(m, k, n)) in DENSE_SHAPES.iter().enumerate() {
-            let seed = 100 + i as u64;
-            let a = mat(m, k, seed);
-            let b = mat(k, n, seed ^ 0x5a);
-            let at = mat(k, m, seed ^ 0xa5);
-            let bt = mat(n, k, seed ^ 0x3c);
-            let name = level.name();
-
-            let mut c = Matrix::empty();
-            matmul_into_with(level, &a, &b, &mut c);
-            assert_bits_eq(&c, &matmul_reference(&a, &b), &format!("matmul/{name}"));
-
-            let mut scratch = Vec::new();
-            matmul_tn_into_with(level, &at, &b, &mut c, &mut scratch);
-            assert_bits_eq(
-                &c,
-                &matmul_tn_reference(&at, &b),
-                &format!("matmul_tn/{name}"),
-            );
-
-            matmul_nt_into_with(level, &a, &bt, &mut c, &mut scratch);
-            assert_bits_eq(
-                &c,
-                &matmul_nt_reference(&a, &bt),
-                &format!("matmul_nt/{name}"),
-            );
+            check_dense(level, m, k, n, 100 + i as u64);
+        }
+        for w in 1..=32 {
+            for n in [w, 32 + w] {
+                check_dense(level, 5, 19, n, 200 + n as u64);
+            }
         }
     }
 }
@@ -217,7 +230,9 @@ fn forced_scalar_and_forced_avx2_agree_bitwise() {
         assert_bits_eq(&cs, &cv, "matmul_nt scalar-vs-avx2");
     }
     let b = block(31, 77, 6, 40);
-    for channels in [1usize, 8, 17, 33, 64] {
+    // Every channel count up to 72: the 32/16/8/4/2/1 blocks of a 32-wide
+    // tile and each tail.
+    for channels in 1usize..=72 {
         let x = mat(77, channels, 41);
         for agg in [Agg::Mean, Agg::Sum] {
             let (mut ys, mut yv) = (Matrix::empty(), Matrix::empty());
@@ -295,7 +310,9 @@ fn fused_gat_kernels_agree_across_levels() {
         return;
     }
     for heads in [1usize, 2, 4] {
-        for head_dim in [16usize, 60, 64] {
+        // 127 = 64 + 32 + 16 + 8 + 4 + 2 + 1: every channel block of the
+        // aggregation and of the walk's `dL/dh`.
+        for head_dim in [16usize, 60, 64, 127] {
             let b = gat_grid_block(90 + head_dim as u64);
             let seed = 900 + heads as u64 * 100 + head_dim as u64;
             let scalar = gat_fused_outputs(Level::Scalar, &b, heads, head_dim, seed);
@@ -958,7 +975,8 @@ fn elementwise_ops_match_their_scalar_definitions() {
     }
 }
 
-/// The lane-parallel dropout draw, forced scalar against forced AVX2.
+/// The four-row dropout draw at every level against each row's own
+/// `SmallRng` stream.
 #[test]
 fn dropout_masks_agree_across_levels() {
     common::check_dropout_levels();
